@@ -25,9 +25,9 @@ import (
 	"math/rand"
 )
 
-// BenchmarkAblationChannelKind runs the same remoted call sequence over
-// every kernel<->user channel. Netlink should show the lowest modeled
-// channel time among the non-spinning mechanisms (§6's rationale).
+// BenchmarkAblationChannelKind runs the same remoted call sequence charged
+// every kernel<->user channel's cost row. Netlink should show the lowest
+// modeled channel time among the non-spinning mechanisms (§6's rationale).
 func BenchmarkAblationChannelKind(b *testing.B) {
 	for _, kind := range boundary.Kinds() {
 		b.Run(kind.String(), func(b *testing.B) {

@@ -3,9 +3,7 @@
 // allocs/op fails the build. The gated paths are the single remoted call
 // (lakeLib stub -> wire marshal -> descriptor ring -> lakeD decode/execute ->
 // completion ring -> response demux) and the batcher's flush wire path
-// (CuBatchedInferInto over a warmed scratch). The legacy channel transport
-// is exempt: its per-message copy + channel handoff is the cost the ring
-// replaces.
+// (CuBatchedInferInto over a warmed scratch).
 package lake_test
 
 import (
@@ -19,8 +17,8 @@ import (
 	"lakego/internal/remoting"
 )
 
-// ringConfig is the default runtime switched onto the descriptor-ring
-// transport.
+// ringConfig is the default runtime charging the descriptor rings' own cost
+// row instead of Netlink's.
 func ringConfig() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Channel = boundary.Ring
@@ -39,28 +37,39 @@ func newRingRuntime(t testing.TB) *core.Runtime {
 
 // TestAllocsRingRemotedCall gates the headline budget: a steady-state
 // remoted call over the ring transport performs zero heap allocations on
-// either side of the boundary.
+// either side of the boundary, whichever cost row the runtime charges.
 func TestAllocsRingRemotedCall(t *testing.T) {
-	rt := newRingRuntime(t)
-	lib := rt.Lib()
-	if r := lib.CuInit(); r != cuda.Success {
-		t.Fatal(r)
-	}
-	// Warm the pools: callState, frame capacity, daemon scratch — and one
-	// full lap of the 4096-slot journal ring, whose per-slot buffers grow on
-	// first use and are recycled in place ever after.
-	for i := 0; i < 4100; i++ {
-		if _, r := lib.CuDeviceGetCount(); r != cuda.Success {
-			t.Fatal(r)
-		}
-	}
-	n := testing.AllocsPerRun(1000, func() {
-		if _, r := lib.CuDeviceGetCount(); r != cuda.Success {
-			t.Fatal(r)
-		}
-	})
-	if n != 0 {
-		t.Fatalf("ring remoted call allocates %v objects/op, want 0", n)
+	for _, tc := range []struct {
+		name string
+		cfg  core.Config
+	}{
+		{"ring-cost", ringConfig()},
+		{"default-netlink-cost", core.DefaultConfig()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt, err := core.New(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rt.Close()
+			lib := rt.Lib()
+			// Warm the pools: callState, frame capacity, daemon scratch — and
+			// one full lap of the 4096-slot journal ring, whose per-slot
+			// buffers grow on first use and are recycled in place ever after.
+			for i := 0; i < 4100; i++ {
+				if _, r := lib.CuDeviceGetCount(); r != cuda.Success {
+					t.Fatal(r)
+				}
+			}
+			n := testing.AllocsPerRun(1000, func() {
+				if _, r := lib.CuDeviceGetCount(); r != cuda.Success {
+					t.Fatal(r)
+				}
+			})
+			if n != 0 {
+				t.Fatalf("remoted call allocates %v objects/op, want 0", n)
+			}
+		})
 	}
 }
 

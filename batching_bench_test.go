@@ -206,9 +206,9 @@ func BenchmarkBatchedInference(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchedInferenceRing pits the batched workload on the
-// descriptor-ring transport against the same workload on the legacy channel
-// transport: identical streams, bit-identical predictions, the ring's
+// BenchmarkBatchedInferenceRing pits the batched workload charged the
+// descriptor rings' cost row against the same workload charged the default
+// Netlink row: identical streams, bit-identical predictions, the ring's
 // cheaper boundary crossings raising the throughput ceiling.
 func BenchmarkBatchedInferenceRing(b *testing.B) {
 	const clients = 32
@@ -221,7 +221,7 @@ func BenchmarkBatchedInferenceRing(b *testing.B) {
 	}
 	for i := range ring.preds {
 		if ring.preds[i] != channel.preds[i] {
-			b.Fatalf("request %d: ring prediction differs from channel transport", i)
+			b.Fatalf("request %d: ring-row prediction differs from netlink-row run", i)
 		}
 	}
 	b.ReportMetric(ring.throughput(), "ring_req_per_s")

@@ -57,7 +57,11 @@ func BenchmarkFig6NetlinkSize(b *testing.B) {
 	for _, size := range []int{128, 1024, 4096, 8192, 16384, 32768} {
 		b.Run(sizeName(size), func(b *testing.B) {
 			rt := newRT(b)
-			tr := boundary.NewTransport(boundary.Netlink, rt.Clock(), 4)
+			tr, err := boundary.NewRingTransport(rt.Clock(), nil, 4, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			tr.SetCostModel(boundary.Netlink)
 			msg := make([]byte, size)
 			var d time.Duration
 			for i := 0; i < b.N; i++ {

@@ -258,7 +258,7 @@ func runFleetDemo(cfg lake.Config, shards int, policy lake.PoolPolicy, calls int
 func main() {
 	calls := flag.Int("calls", 1000, "number of remoted vector-add rounds to serve")
 	n := flag.Int("n", 256, "vector length per round")
-	channel := flag.String("channel", "netlink", "command channel: netlink, signal, devrw, mmap")
+	channel := flag.String("channel", "netlink", "command channel cost model: netlink, signal, devrw, mmap, ring")
 	telemetryAddr := flag.String("telemetry-addr", "", "serve /metrics, /metrics.json, /spans.json and /debug/pprof on this address (e.g. :9090)")
 	noTelemetry := flag.Bool("no-telemetry", false, "boot the runtime without the observability plane")
 	traceCalls := flag.Bool("trace", false, "record per-call span timelines (see /spans.json)")
@@ -291,6 +291,8 @@ func main() {
 		cfg.Channel = boundary.DeviceRW
 	case "mmap":
 		cfg.Channel = boundary.Mmap
+	case "ring":
+		cfg.Channel = boundary.Ring
 	default:
 		log.Fatalf("unknown channel %q", *channel)
 	}

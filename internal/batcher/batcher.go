@@ -545,7 +545,7 @@ func (c *Client) Submit(modelName string, items [][]float32) (*Pending, error) {
 	}
 	m.mu.Unlock()
 	if batch != nil {
-		b.execute(m, batch, reason)
+		b.execute(m, batch, reason, p.enq)
 	}
 	return p, nil
 }

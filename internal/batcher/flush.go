@@ -89,7 +89,7 @@ func (p *Pending) Wait() ([][]float32, error) {
 		}
 		m.mu.Unlock()
 		if batch != nil {
-			b.execute(m, batch, flushDeadline)
+			b.execute(m, batch, flushDeadline, batch[0].enq+b.cfg.MaxWait)
 		}
 		// Loop: either our request was in that batch (delivered) or it is
 		// still queued behind staging capacity and we lead another round.
@@ -99,7 +99,19 @@ func (p *Pending) Wait() ([][]float32, error) {
 // execute runs one formed batch to completion and delivers every request.
 // Flushes of the same model are serialized: there is one device staging
 // area per model, like one CUDA stream per lakeD model context.
-func (b *Batcher) execute(m *model, batch []*Pending, reason flushReason) {
+//
+// firedAt is the virtual instant the flush fired, stamped when the batch
+// left the queue: the filling submission's enqueue time for a full flush,
+// the oldest member's deadline for a deadline flush (and never later — that
+// is when the max-wait timer fires). Queue delay is charged against it, not
+// against the clock observed after execMu: while this flush waits there a
+// sibling flush of the same model advances the shared clock, which would
+// make MaxQueueDelay depend on goroutine scheduling.
+func (b *Batcher) execute(m *model, batch []*Pending, reason flushReason, firedAt time.Duration) {
+	deadline := batch[0].enq + b.cfg.MaxWait
+	if firedAt > deadline {
+		firedAt = deadline
+	}
 	m.execMu.Lock()
 	defer m.execMu.Unlock()
 
@@ -108,13 +120,13 @@ func (b *Batcher) execute(m *model, batch []*Pending, reason flushReason) {
 		// The max-wait timer fires at the oldest request's deadline; on
 		// the virtual clock the flush happens at exactly that instant
 		// (no-op if the clock is already past it).
-		clock.AdvanceTo(batch[0].enq + b.cfg.MaxWait)
+		clock.AdvanceTo(deadline)
 	}
 	flushAt := clock.Now()
 	items := 0
 	for _, p := range batch {
 		items += p.count
-		d := int64(flushAt - p.enq)
+		d := int64(firedAt - p.enq)
 		for cur := b.maxDelay.Load(); d > cur; cur = b.maxDelay.Load() {
 			if b.maxDelay.CompareAndSwap(cur, d) {
 				break

@@ -8,29 +8,28 @@
 // is what motivates routing bulk data through lakeShm instead of the command
 // channel.
 //
-// The package also provides Transport, the real byte-moving duplex pipe the
-// remoting layer runs on: messages are actually framed and delivered, while
-// the virtual clock is charged according to the channel's cost model.
+// The package also provides RingTransport (ring.go), the real byte-moving
+// duplex pipe the remoting layer runs on: frames actually cross shm-resident
+// descriptor rings, while the virtual clock is charged according to the cost
+// model of whichever mechanism above the runtime was configured with.
 package boundary
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
-	"lakego/internal/faults"
-	"lakego/internal/flightrec"
 	"lakego/internal/telemetry"
-	"lakego/internal/vtime"
 )
 
 // Kind identifies a kernel<->user communication mechanism.
 type Kind int
 
-// The mechanisms compared in Table 2, plus Ring — the shm-resident
-// lock-free descriptor-ring transport this reproduction adds beyond the
-// paper's Netlink choice (RingTransport; see DESIGN.md "Ring transport").
+// The mechanisms compared in Table 2, plus Ring — the cost of the
+// shm-resident lock-free descriptor rings themselves, which this
+// reproduction adds beyond the paper's Netlink choice. A Kind selects a cost
+// model only; bytes always cross a RingTransport (see DESIGN.md
+// "Descriptor-ring transport").
 const (
 	Signal Kind = iota
 	DeviceRW
@@ -120,156 +119,21 @@ func MessageRoundTrip(k Kind, size int) time.Duration {
 	return m.msgBase + time.Duration(chunks-1)*m.msgPerChunk
 }
 
-// ErrClosed is returned by Transport operations after Close.
+// ErrClosed is returned by transport operations after Close.
 var ErrClosed = errors.New("boundary: transport closed")
-
-// Transport is a duplex message pipe between the kernel domain and the user
-// domain, carrying real framed bytes and charging the virtual clock per the
-// channel's cost model. Send/Recv pairs are safe for concurrent use.
-type Transport struct {
-	kind  Kind
-	clock *vtime.Clock
-
-	toUser   chan []byte
-	toKernel chan []byte
-
-	mu     sync.Mutex
-	closed bool
-	fault  *faults.Plane
-
-	sent, received int64
-
-	tel TransportTelemetry
-
-	// rec receives boundary-domain frame events; nil-safe. The recorder's
-	// installed frame peeker tags each event with the frame's trace ID and
-	// sequence without this package decoding (or importing) the protocol.
-	rec *flightrec.Recorder
-}
 
 // TransportTelemetry is the transport's instrument set. All fields may be
 // nil (telemetry disabled); instruments are nil-safe.
 type TransportTelemetry struct {
-	// Sent counts kernel->user frames accepted into the channel.
+	// Sent counts kernel->user frames accepted into the submission ring.
 	Sent *telemetry.Counter
 	// Received counts user->kernel frames delivered to the kernel side.
 	Received *telemetry.Counter
-	// QueueFull counts sends rejected by a full channel queue.
+	// QueueFull counts sends rejected by a full ring.
 	QueueFull *telemetry.Counter
 	// RoundTrip observes the modeled per-command round-trip cost (virtual
 	// nanoseconds) charged via ChargeRoundTrip.
 	RoundTrip *telemetry.Histogram
-}
-
-// SetTelemetry attaches instruments. It must be called during runtime
-// construction, before any traffic: the hot paths read the set unlocked.
-func (t *Transport) SetTelemetry(tel TransportTelemetry) {
-	t.tel = tel
-}
-
-// SetFlightRecorder attaches the flight recorder. Must be called during
-// runtime construction, before any traffic.
-func (t *Transport) SetFlightRecorder(rec *flightrec.Recorder) {
-	t.rec = rec
-}
-
-// NewTransport creates a transport over channel kind k with the given queue
-// depth (Netlink sockets buffer messages; depth models that).
-func NewTransport(k Kind, clock *vtime.Clock, depth int) *Transport {
-	if depth < 1 {
-		depth = 1
-	}
-	return &Transport{
-		kind:     k,
-		clock:    clock,
-		toUser:   make(chan []byte, depth),
-		toKernel: make(chan []byte, depth),
-	}
-}
-
-// Kind returns the channel mechanism in use.
-func (t *Transport) Kind() Kind { return t.kind }
-
-// Clock returns the virtual clock the transport charges.
-func (t *Transport) Clock() *vtime.Clock { return t.clock }
-
-// InjectFaults attaches a fault plane to the transport: every subsequent
-// frame in either direction is subject to the plane's drop / corrupt /
-// duplicate / delay decisions. A nil plane detaches.
-func (t *Transport) InjectFaults(p *faults.Plane) {
-	t.mu.Lock()
-	t.fault = p
-	t.mu.Unlock()
-}
-
-// faultPlane returns the attached plane (possibly nil).
-func (t *Transport) faultPlane() *faults.Plane {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.fault
-}
-
-// deliver runs one frame through the fault plane and enqueues the surviving
-// copies on ch, charging any injected delay to the clock. The caller's copy
-// semantics are preserved: cp is already a private copy of the caller's
-// message. A queue-full duplicate is silently shed, like an overrun socket
-// buffer.
-func (t *Transport) deliver(ch chan []byte, cp []byte, dir uint64) error {
-	frames, delay := t.faultPlane().OnMessage(cp)
-	if delay > 0 {
-		t.clock.Advance(delay)
-	}
-	for i, f := range frames {
-		select {
-		case ch <- f:
-		default:
-			if i > 0 {
-				return nil // duplicate shed by a full queue: not an error
-			}
-			t.tel.QueueFull.Inc()
-			t.rec.EmitFrame(flightrec.EvQueueFull, cp, dir)
-			return fmt.Errorf("boundary: %s queue full", t.kind)
-		}
-	}
-	return nil
-}
-
-// Stats returns messages sent from kernel and received back.
-func (t *Transport) Stats() (sent, received int64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.sent, t.received
-}
-
-func (t *Transport) isClosed() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.closed
-}
-
-// SendToUser transmits msg from the kernel domain. Data movement itself is
-// free of clock charges: the remoting layer charges each command's modeled
-// round-trip cost once via ChargeRoundTrip, mirroring how Fig 6 accounts
-// per-message overhead.
-//
-// With a fault plane attached the message may be silently dropped,
-// corrupted, duplicated, or delayed; a drop still returns nil — the sender
-// cannot observe in-channel loss, exactly like a lossy socket.
-func (t *Transport) SendToUser(msg []byte) error {
-	if t.isClosed() {
-		return ErrClosed
-	}
-	t.rec.EmitFrame(flightrec.EvFrameSend, msg, dirToUser)
-	cp := make([]byte, len(msg))
-	copy(cp, msg)
-	if err := t.deliver(t.toUser, cp, dirToUser); err != nil {
-		return err
-	}
-	t.mu.Lock()
-	t.sent++
-	t.mu.Unlock()
-	t.tel.Sent.Inc()
-	return nil
 }
 
 // dirToUser / dirToKernel tag boundary events with the frame's direction.
@@ -277,70 +141,3 @@ const (
 	dirToUser   = 0
 	dirToKernel = 1
 )
-
-// RecvInUser delivers the next kernel->user message. ok is false when no
-// message is pending.
-func (t *Transport) RecvInUser() (msg []byte, ok bool) {
-	select {
-	case m := <-t.toUser:
-		t.rec.EmitFrame(flightrec.EvFrameRecv, m, dirToUser)
-		return m, true
-	default:
-		return nil, false
-	}
-}
-
-// SendToKernel transmits a response from the user domain, subject to the
-// same fault plane as SendToUser.
-func (t *Transport) SendToKernel(msg []byte) error {
-	if t.isClosed() {
-		return ErrClosed
-	}
-	t.rec.EmitFrame(flightrec.EvFrameSend, msg, dirToKernel)
-	cp := make([]byte, len(msg))
-	copy(cp, msg)
-	return t.deliver(t.toKernel, cp, dirToKernel)
-}
-
-// RecvInKernel delivers the next user->kernel message.
-func (t *Transport) RecvInKernel() (msg []byte, ok bool) {
-	select {
-	case m := <-t.toKernel:
-		t.mu.Lock()
-		t.received++
-		t.mu.Unlock()
-		t.tel.Received.Inc()
-		t.rec.EmitFrame(flightrec.EvFrameRecv, m, dirToKernel)
-		return m, true
-	default:
-		return nil, false
-	}
-}
-
-// ChargeRoundTrip advances the clock by the modeled round-trip cost for a
-// command of the given size. The remoting layer calls it once per remoted
-// API invocation; the actual bytes flow through Send/Recv above.
-func (t *Transport) ChargeRoundTrip(size int) time.Duration {
-	d := MessageRoundTrip(t.kind, size)
-	t.clock.Advance(d)
-	t.tel.RoundTrip.ObserveDuration(d)
-	return d
-}
-
-// Close shuts the transport down. Pending messages are discarded.
-func (t *Transport) Close() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return
-	}
-	t.closed = true
-	for {
-		select {
-		case <-t.toUser:
-		case <-t.toKernel:
-		default:
-			return
-		}
-	}
-}

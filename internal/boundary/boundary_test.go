@@ -1,6 +1,7 @@
 package boundary
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -85,9 +86,21 @@ func TestKindString(t *testing.T) {
 	}
 }
 
+// newNetlinkRing builds the default runtime's transport shape: descriptor
+// rings charging the Netlink cost row.
+func newNetlinkRing(t *testing.T, clk *vtime.Clock, depth int) *RingTransport {
+	t.Helper()
+	tr, err := NewRingTransport(clk, nil, depth, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.SetCostModel(Netlink)
+	return tr
+}
+
 func TestTransportRoundTrip(t *testing.T) {
 	clk := vtime.New()
-	tr := NewTransport(Netlink, clk, 8)
+	tr := newNetlinkRing(t, clk, 8)
 	if err := tr.SendToUser([]byte("cmd")); err != nil {
 		t.Fatal(err)
 	}
@@ -112,8 +125,10 @@ func TestTransportRoundTrip(t *testing.T) {
 	}
 }
 
+// The sender may reuse its buffer as soon as a send returns: the frame was
+// copied into a payload slot.
 func TestTransportCopiesMessages(t *testing.T) {
-	tr := NewTransport(Netlink, vtime.New(), 1)
+	tr := newNetlinkRing(t, vtime.New(), 1)
 	buf := []byte{1}
 	tr.SendToUser(buf)
 	buf[0] = 99
@@ -124,17 +139,23 @@ func TestTransportCopiesMessages(t *testing.T) {
 }
 
 func TestTransportQueueFull(t *testing.T) {
-	tr := NewTransport(Netlink, vtime.New(), 1)
-	if err := tr.SendToUser([]byte("a")); err != nil {
-		t.Fatal(err)
+	tr := newNetlinkRing(t, vtime.New(), 2)
+	for _, m := range []string{"a", "b"} {
+		if err := tr.SendToUser([]byte(m)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := tr.SendToUser([]byte("b")); err == nil {
-		t.Fatal("second send on depth-1 queue succeeded")
+	err := tr.SendToUser([]byte("c"))
+	if err == nil {
+		t.Fatal("third send on depth-2 ring succeeded")
+	}
+	if !strings.Contains(err.Error(), Netlink.String()) {
+		t.Fatalf("queue-full error %q does not name the configured kind", err)
 	}
 }
 
 func TestTransportEmptyRecv(t *testing.T) {
-	tr := NewTransport(Netlink, vtime.New(), 1)
+	tr := newNetlinkRing(t, vtime.New(), 1)
 	if _, ok := tr.RecvInUser(); ok {
 		t.Fatal("RecvInUser on empty transport reported ok")
 	}
@@ -144,7 +165,7 @@ func TestTransportEmptyRecv(t *testing.T) {
 }
 
 func TestTransportClose(t *testing.T) {
-	tr := NewTransport(Netlink, vtime.New(), 4)
+	tr := newNetlinkRing(t, vtime.New(), 4)
 	tr.SendToUser([]byte("pending"))
 	tr.Close()
 	if err := tr.SendToUser([]byte("x")); err != ErrClosed {
@@ -161,7 +182,7 @@ func TestTransportClose(t *testing.T) {
 
 func TestChargeRoundTripAdvancesClock(t *testing.T) {
 	clk := vtime.New()
-	tr := NewTransport(Netlink, clk, 1)
+	tr := newNetlinkRing(t, clk, 1)
 	d := tr.ChargeRoundTrip(8192)
 	if clk.Now() != d {
 		t.Fatalf("clock = %v, charge = %v", clk.Now(), d)

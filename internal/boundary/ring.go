@@ -1,10 +1,6 @@
-// RingTransport: the zero-allocation, lock-free boundary hot path.
-//
-// The channel Transport models the paper's Netlink choice: every frame is
-// copied into a fresh slice and handed over a Go channel — one allocation
-// and one channel handoff per message, the two costs §6 attributes to
-// socket-based doorbells. RingTransport is the same duplex pipe rebuilt on
-// the paper's own zero-copy + doorbell insight pushed to its limit:
+// RingTransport: the zero-allocation, lock-free boundary — the one
+// byte-moving pipe between the kernel and user domains, built on the paper's
+// own zero-copy + doorbell insight pushed to its limit:
 //
 //   - a submission ring (kernel→user commands) and a completion ring
 //     (user→kernel responses), each a bounded lock-free MPSC descriptor
@@ -19,7 +15,7 @@
 // Receive is borrow-based: RecvInUser / RecvInKernel return a view into
 // the slot arena that stays valid until the NEXT Recv call in the same
 // direction (which releases the previous slot back to the producers). Both
-// existing consumers satisfy this: lakeD decodes and executes a command
+// consumers satisfy this: lakeD decodes and executes a command
 // before its next pump, and lakeLib copies the response out before its
 // next receive. Frames wider than a payload slot spill into a per-slot
 // reusable overflow buffer — modeling a secondary shm arena — so the
@@ -40,15 +36,12 @@ import (
 	"lakego/internal/vtime"
 )
 
-// Channel is the boundary pipe contract shared by the legacy channel
-// Transport and the RingTransport. The remoting layer runs on this
-// interface; core selects the implementation from Config.
+// Channel is the boundary pipe contract the remoting layer runs on;
+// RingTransport implements it.
 //
-// Receive-side ownership differs by implementation: Transport returns
-// caller-owned slices, RingTransport returns borrowed views valid only
-// until the next RecvInUser / RecvInKernel call in the same direction.
-// Consumers must finish with (or copy) a received frame before receiving
-// again.
+// Received frames are borrowed views valid only until the next RecvInUser /
+// RecvInKernel call in the same direction. Consumers must finish with (or
+// copy) a received frame before receiving again.
 type Channel interface {
 	Kind() Kind
 	Clock() *vtime.Clock
@@ -64,11 +57,7 @@ type Channel interface {
 	Close()
 }
 
-// Compile-time checks: both transports satisfy the boundary contract.
-var (
-	_ Channel = (*Transport)(nil)
-	_ Channel = (*RingTransport)(nil)
-)
+var _ Channel = (*RingTransport)(nil)
 
 // descOverflow marks a descriptor whose payload spilled into the per-slot
 // overflow buffer instead of the shm slot arena.
@@ -106,6 +95,9 @@ type ringDir struct {
 // steady-state send/receive path performs zero heap allocations: frames
 // are copied once into shm payload slots and read in place.
 type RingTransport struct {
+	// kind is the cost-model row ChargeRoundTrip charges and error text
+	// names; it never changes how bytes move.
+	kind      Kind
 	clock     *vtime.Clock
 	slotBytes int
 
@@ -126,7 +118,8 @@ type RingTransport struct {
 // slots, both defaulted when <= 0. The two slot arenas are allocated from
 // region — the same lakeShm area bulk tensors live in — so descriptors
 // index memory both domains already share. region may be nil (tests), in
-// which case the arenas are ordinary process memory.
+// which case the arenas are ordinary process memory. The transport charges
+// the Ring cost model until SetCostModel says otherwise.
 func NewRingTransport(clock *vtime.Clock, region *shm.Region, depth, slotBytes int) (*RingTransport, error) {
 	if depth < 1 {
 		depth = 1
@@ -134,7 +127,7 @@ func NewRingTransport(clock *vtime.Clock, region *shm.Region, depth, slotBytes i
 	if slotBytes <= 0 {
 		slotBytes = DefaultSlotBytes
 	}
-	t := &RingTransport{clock: clock, slotBytes: slotBytes}
+	t := &RingTransport{kind: Ring, clock: clock, slotBytes: slotBytes}
 	for _, d := range []*ringDir{&t.sub, &t.comp} {
 		d.ring = ringbuf.NewMPSC(depth)
 		d.bell = lockfree.NewDoorbell()
@@ -153,8 +146,13 @@ func NewRingTransport(clock *vtime.Clock, region *shm.Region, depth, slotBytes i
 	return t, nil
 }
 
-// Kind reports Ring: the transport's cost model row.
-func (t *RingTransport) Kind() Kind { return Ring }
+// Kind reports the transport's cost-model row.
+func (t *RingTransport) Kind() Kind { return t.kind }
+
+// SetCostModel selects the Table-2 / Fig-6 row (or Ring) whose modeled
+// round-trip cost ChargeRoundTrip charges. Must be called during runtime
+// construction, before any traffic.
+func (t *RingTransport) SetCostModel(k Kind) { t.kind = k }
 
 // Clock returns the virtual clock the transport charges.
 func (t *RingTransport) Clock() *vtime.Clock { return t.clock }
@@ -169,8 +167,8 @@ func (t *RingTransport) SetFlightRecorder(rec *flightrec.Recorder) { t.rec = rec
 
 // InjectFaults attaches a fault plane: every subsequent frame in either
 // direction is subject to the plane's drop / corrupt / duplicate / delay
-// decisions at the ring layer, exactly like the channel transport. A nil
-// plane detaches and restores the zero-allocation fast path.
+// decisions at the ring layer. A nil plane detaches and restores the
+// zero-allocation fast path.
 func (t *RingTransport) InjectFaults(p *faults.Plane) { t.fault.Store(p) }
 
 // Stats returns messages sent from kernel and received back.
@@ -220,9 +218,9 @@ func (t *RingTransport) enqueue(d *ringDir, f []byte, dir uint64) bool {
 }
 
 // send runs one frame through the fault plane (if armed) and into the
-// direction's ring. Mirrors Transport.deliver's semantics: a drop returns
-// nil (the sender cannot observe in-ring loss), a duplicate shed by a full
-// ring is silent, a full ring on the primary frame is an error.
+// direction's ring: a drop returns nil (the sender cannot observe in-ring
+// loss, exactly like a lossy socket), a duplicate shed by a full ring is
+// silent, a full ring on the primary frame is an error.
 func (t *RingTransport) send(d *ringDir, msg []byte, dir uint64) error {
 	if t.closed.Load() {
 		return ErrClosed
@@ -235,14 +233,13 @@ func (t *RingTransport) send(d *ringDir, msg []byte, dir uint64) error {
 		if !t.enqueue(d, msg, dir) {
 			t.tel.QueueFull.Inc()
 			t.rec.EmitFrame(flightrec.EvQueueFull, msg, dir)
-			return fmt.Errorf("boundary: %s queue full", Ring)
+			return fmt.Errorf("boundary: %s queue full", t.kind)
 		}
 		return nil
 	}
 	// Chaos path: the plane may mutate, duplicate or drop the frame; give
-	// it a private copy like the channel transport does. Allocation here
-	// is acceptable — the zero-alloc gate covers the un-faulted steady
-	// state.
+	// it a private copy. Allocation here is acceptable — the zero-alloc
+	// gate covers the un-faulted steady state.
 	cp := make([]byte, len(msg))
 	copy(cp, msg)
 	frames, delay := plane.OnMessage(cp)
@@ -256,7 +253,7 @@ func (t *RingTransport) send(d *ringDir, msg []byte, dir uint64) error {
 			}
 			t.tel.QueueFull.Inc()
 			t.rec.EmitFrame(flightrec.EvQueueFull, f, dir)
-			return fmt.Errorf("boundary: %s queue full", Ring)
+			return fmt.Errorf("boundary: %s queue full", t.kind)
 		}
 	}
 	return nil
@@ -290,8 +287,9 @@ func (t *RingTransport) recv(d *ringDir, dir uint64) ([]byte, bool) {
 }
 
 // SendToUser transmits msg from the kernel domain over the submission
-// ring. See Transport.SendToUser for the fault-plane and clock-charging
-// contract, which is identical.
+// ring. Data movement itself is free of clock charges: the remoting layer
+// charges each command's modeled round-trip cost once via ChargeRoundTrip,
+// mirroring how Fig 6 accounts per-message overhead.
 func (t *RingTransport) SendToUser(msg []byte) error {
 	if err := t.send(&t.sub, msg, dirToUser); err != nil {
 		return err
@@ -325,10 +323,12 @@ func (t *RingTransport) RecvInKernel() (msg []byte, ok bool) {
 	return m, ok
 }
 
-// ChargeRoundTrip advances the clock by the Ring cost model's round-trip
-// cost for a command of the given size, once per remoted API invocation.
+// ChargeRoundTrip advances the clock by the configured cost model's
+// round-trip cost for a command of the given size. The remoting layer calls
+// it once per remoted API invocation; the actual bytes flow through
+// Send/Recv above.
 func (t *RingTransport) ChargeRoundTrip(size int) time.Duration {
-	d := MessageRoundTrip(Ring, size)
+	d := MessageRoundTrip(t.kind, size)
 	t.clock.Advance(d)
 	t.tel.RoundTrip.ObserveDuration(d)
 	return d

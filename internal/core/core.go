@@ -60,10 +60,12 @@ type Config struct {
 	// ShmBytes sizes the lakeShm region (default shm.DefaultRegionSize,
 	// the artifact's cma=128M).
 	ShmBytes int64
-	// Channel selects the kernel<->user command channel (default Netlink,
-	// the paper's choice).
+	// Channel selects the cost-model row charged per command round trip:
+	// a Table-2 mechanism (default Netlink, the paper's choice) or Ring,
+	// the descriptor rings' own cost. Frames cross the ring transport
+	// whichever row is charged.
 	Channel boundary.Kind
-	// QueueDepth is the command channel's buffering.
+	// QueueDepth is the descriptor rings' depth per direction.
 	QueueDepth int
 	// Faults, when non-nil, attaches a fault plane with this mix to the
 	// transport and daemon: frames may be dropped, corrupted, duplicated,
@@ -129,8 +131,8 @@ type Config struct {
 	ShardOrdinal int
 }
 
-// DefaultConfig mirrors the paper's deployment: Netlink command channel,
-// 128 MiB CMA-backed shared region, A100-class GPU.
+// DefaultConfig mirrors the paper's deployment: Netlink command-channel
+// cost, 128 MiB CMA-backed shared region, A100-class GPU.
 func DefaultConfig() Config {
 	return Config{
 		GPU:        gpu.DefaultSpec(),
@@ -206,20 +208,14 @@ func New(cfg Config) (*Runtime, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	// Channel selection: boundary.Ring gets the shm-resident lock-free
-	// descriptor-ring transport (payload slots carved from the region the
-	// two domains already share); every Table-2 mechanism keeps the legacy
-	// channel transport, byte-for-byte.
-	var tr boundary.Channel
-	if cfg.Channel == boundary.Ring {
-		ring, err := boundary.NewRingTransport(clock, region, cfg.QueueDepth, boundary.DefaultSlotBytes)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		tr = ring
-	} else {
-		tr = boundary.NewTransport(cfg.Channel, clock, cfg.QueueDepth)
+	// Bytes always cross the shm-resident descriptor rings (payload slots
+	// carved from the region the two domains already share); cfg.Channel
+	// only picks which mechanism's modeled cost each round trip is charged.
+	tr, err := boundary.NewRingTransport(clock, region, cfg.QueueDepth, boundary.DefaultSlotBytes)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
+	tr.SetCostModel(cfg.Channel)
 	daemon := remoting.NewDaemon(api, region, tr)
 	lib := remoting.NewLib(tr, daemon, region)
 	lib.SetShardTag(cfg.ShardOrdinal)
@@ -401,9 +397,8 @@ func (r *Runtime) Daemon() *remoting.Daemon { return r.daemon }
 // Region returns the lakeShm shared region.
 func (r *Runtime) Region() *shm.Region { return r.region }
 
-// Transport returns the boundary channel the runtime was booted on (the
-// legacy *boundary.Transport or a *boundary.RingTransport, per
-// Config.Channel); type-assert for implementation-specific stats.
+// Transport returns the boundary channel the runtime was booted on;
+// type-assert to *boundary.RingTransport for doorbell stats.
 func (r *Runtime) Transport() boundary.Channel { return r.transport }
 
 // Features returns the in-kernel feature registry store (§5).

@@ -84,7 +84,7 @@ func TestSupervisorCheckRecoversIdleCrash(t *testing.T) {
 	sup := rt.Supervisor()
 	rt.Daemon().InjectCrash(false)
 	// Kill the daemon by serving one doomed command out-of-band.
-	frame, err := remoting.MarshalCommand(&remoting.Command{API: remoting.APICuDeviceGetCount, Seq: 1 << 40})
+	frame, err := remoting.AppendCommand(nil, &remoting.Command{API: remoting.APICuDeviceGetCount, Seq: 1 << 40})
 	if err != nil {
 		t.Fatal(err)
 	}

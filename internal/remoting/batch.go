@@ -1,9 +1,7 @@
 package remoting
 
 import (
-	"encoding/binary"
 	"errors"
-	"fmt"
 
 	"lakego/internal/cuda"
 	"lakego/internal/flightrec"
@@ -52,79 +50,6 @@ const (
 	tracedBatchMagic = 0xB8
 )
 
-// MarshalBatch encodes a batch descriptor for transport in a Command blob.
-func MarshalBatch(bt *Batch) ([]byte, error) {
-	if len(bt.Entries) > maxBatchEntries {
-		return nil, fmt.Errorf("remoting: batch has %d entries, max %d", len(bt.Entries), maxBatchEntries)
-	}
-	traced := false
-	for _, e := range bt.Entries {
-		if e.TraceID != 0 {
-			traced = true
-			break
-		}
-	}
-	buf := make([]byte, 0, 1+2+36*len(bt.Entries))
-	if traced {
-		buf = append(buf, tracedBatchMagic)
-	} else {
-		buf = append(buf, batchMagic)
-	}
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(bt.Entries)))
-	for _, e := range bt.Entries {
-		buf = binary.LittleEndian.AppendUint64(buf, e.Seq)
-		buf = binary.LittleEndian.AppendUint64(buf, e.InOff)
-		buf = binary.LittleEndian.AppendUint64(buf, e.OutOff)
-		buf = binary.LittleEndian.AppendUint32(buf, e.Count)
-		if traced {
-			buf = binary.LittleEndian.AppendUint64(buf, e.TraceID)
-		}
-	}
-	return buf, nil
-}
-
-// UnmarshalBatch decodes a frame produced by MarshalBatch.
-func UnmarshalBatch(frame []byte) (*Batch, error) {
-	r := reader{buf: frame}
-	m, err := r.u8()
-	if err != nil || (m != batchMagic && m != tracedBatchMagic) {
-		return nil, ErrShortFrame
-	}
-	n, err := r.u16()
-	if err != nil {
-		return nil, err
-	}
-	if n > maxBatchEntries {
-		return nil, ErrShortFrame
-	}
-	entries := make([]BatchEntry, n)
-	for i := range entries {
-		if entries[i].Seq, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if entries[i].InOff, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if entries[i].OutOff, err = r.u64(); err != nil {
-			return nil, err
-		}
-		c, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		entries[i].Count = c
-		if m == tracedBatchMagic {
-			if entries[i].TraceID, err = r.u64(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if r.pos != len(frame) {
-		return nil, ErrShortFrame
-	}
-	return &Batch{Entries: entries}, nil
-}
-
 // BatchSpec carries the device-side state a batched launch executes
 // against: the model's context, kernel handle, staging allocations and item
 // widths. The kernel side (internal/batcher) owns these handles; lakeD
@@ -136,11 +61,8 @@ type BatchSpec struct {
 	InWidth, OutWidth int
 }
 
-// args flattens the spec into command args; batchSpecFromArgs inverts it.
-func (s BatchSpec) args() []uint64 {
-	return []uint64{s.Ctx, s.Fn, uint64(s.DevIn), uint64(s.DevOut), uint64(s.InWidth), uint64(s.OutWidth)}
-}
-
+// batchSpecFromArgs rebuilds the spec CuBatchedInferInto flattened into the
+// command's first six args.
 func batchSpecFromArgs(args []uint64) (BatchSpec, bool) {
 	if len(args) < 6 {
 		return BatchSpec{}, false
@@ -152,32 +74,6 @@ func batchSpecFromArgs(args []uint64) (BatchSpec, bool) {
 	}, true
 }
 
-// CuBatchedInfer remotes one dynamically formed batch: a single command
-// whose entries are independent client requests. It returns the per-request
-// results keyed by BatchEntry.Seq plus the command-level result. A non-nil
-// map with Success command result may still contain per-entry failures
-// (e.g. one request's shm range was invalid while the rest executed).
-func (l *Lib) CuBatchedInfer(model string, spec BatchSpec, entries []BatchEntry) (map[uint64]cuda.Result, cuda.Result) {
-	return l.CuBatchedInferTraced(model, spec, entries, 0)
-}
-
-// CuBatchedInferTraced is CuBatchedInfer under an externally assigned trace
-// ID: the batcher allocates one ID per flush so the remoted command (and
-// its daemon-side events and span stages) correlate with the flush span,
-// while the entries keep their member trace IDs.
-func (l *Lib) CuBatchedInferTraced(model string, spec BatchSpec, entries []BatchEntry, traceID uint64) (map[uint64]cuda.Result, cuda.Result) {
-	var sc BatchScratch
-	res, r := l.CuBatchedInferInto(model, spec, entries, traceID, &sc)
-	if res == nil {
-		return nil, r
-	}
-	per := make(map[uint64]cuda.Result, len(res))
-	for i := range res {
-		per[entries[i].Seq] = res[i]
-	}
-	return per, r
-}
-
 // BatchScratch holds a flusher's reusable wire and demux buffers for
 // CuBatchedInferInto. One scratch per serialized flusher (the batcher keeps
 // one per model, under its execution lock); the zero value is ready to use.
@@ -186,14 +82,20 @@ type BatchScratch struct {
 	results []cuda.Result
 }
 
-// CuBatchedInferInto is the allocation-free batched-infer path: the batch
-// payload is marshaled into sc's reusable blob and the per-request results
-// are decoded into sc's reusable slice, aligned 1:1 with entries (lakeD
-// answers in entry order; the sequence of every pair is verified). The
-// returned slice aliases sc and is valid until the next call with the same
-// scratch. A nil results slice means the exchange itself failed (or the
-// response was not aligned with the request) — callers treat every entry
-// as failed with the command-level result.
+// CuBatchedInferInto remotes one dynamically formed batch: a single command
+// whose entries are independent client requests, under an externally
+// assigned trace ID (the batcher allocates one per flush so the command and
+// its daemon-side events correlate with the flush span; entries keep their
+// member trace IDs; 0 lets the call path assign one). The batch payload is
+// marshaled into sc's reusable blob and the per-request results are decoded
+// into sc's reusable slice, aligned 1:1 with entries (lakeD answers in entry
+// order; the sequence of every pair is verified), so the path is
+// allocation-free. A Success command result may still carry per-entry
+// failures (e.g. one request's shm range was invalid while the rest
+// executed). The returned slice aliases sc and is valid until the next call
+// with the same scratch. A nil results slice means the exchange itself
+// failed (or the response was not aligned with the request) — callers treat
+// every entry as failed with the command-level result.
 func (l *Lib) CuBatchedInferInto(model string, spec BatchSpec, entries []BatchEntry, traceID uint64, sc *BatchScratch) ([]cuda.Result, cuda.Result) {
 	bt := Batch{Entries: entries}
 	blob, err := AppendBatch(sc.blob[:0], &bt)

@@ -41,21 +41,21 @@ func TestBatchRoundTrip(t *testing.T) {
 		{Seq: 3, InOff: 64, OutOff: 256, Count: 2},
 		{Seq: 9, InOff: 1024, OutOff: 2048, Count: 16},
 	}}
-	frame, err := MarshalBatch(bt)
+	frame, err := AppendBatch(nil, bt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := UnmarshalBatch(frame)
-	if err != nil {
+	var got Batch
+	if err := UnmarshalBatchInto(&got, frame); err != nil {
 		t.Fatal(err)
 	}
 	if len(got.Entries) != 2 || got.Entries[0] != bt.Entries[0] || got.Entries[1] != bt.Entries[1] {
 		t.Fatalf("round trip mismatch: %+v", got.Entries)
 	}
-	if _, err := UnmarshalBatch(frame[:len(frame)-1]); err == nil {
+	if err := UnmarshalBatchInto(&got, frame[:len(frame)-1]); err == nil {
 		t.Fatal("truncated frame decoded")
 	}
-	if _, err := UnmarshalBatch(append(frame, 0)); err == nil {
+	if err := UnmarshalBatchInto(&got, append(frame, 0)); err == nil {
 		t.Fatal("frame with trailing bytes decoded")
 	}
 }
@@ -100,16 +100,20 @@ func TestBatchedInferScatterGather(t *testing.T) {
 	}
 
 	launchesBefore := s.dev.Launches()
-	per, r := s.lib.CuBatchedInfer("double", spec, entries)
+	var sc BatchScratch
+	per, r := s.lib.CuBatchedInferInto("double", spec, entries, 0, &sc)
 	if r != cuda.Success {
-		t.Fatalf("CuBatchedInfer = %v", r)
+		t.Fatalf("CuBatchedInferInto = %v", r)
 	}
 	if s.dev.Launches() != launchesBefore+1 {
 		t.Fatalf("launches = %d, want exactly one batched launch", s.dev.Launches()-launchesBefore)
 	}
-	for i, e := range entries {
-		if per[e.Seq] != cuda.Success {
-			t.Fatalf("entry %d result = %v", i, per[e.Seq])
+	if len(per) != len(entries) {
+		t.Fatalf("%d per-entry results for %d entries", len(per), len(entries))
+	}
+	for i := range entries {
+		if per[i] != cuda.Success {
+			t.Fatalf("entry %d result = %v", i, per[i])
 		}
 		view, _ := s.region.At(outBufs[i], int64(4*counts[i]))
 		got, _ := cuda.Float32s(view, counts[i])
@@ -142,11 +146,12 @@ func TestBatchedInferPartialFailure(t *testing.T) {
 		{Seq: 2, InOff: 1 << 40, OutOff: uint64(out.Offset()), Count: 1},             // bad input range
 		{Seq: 3, InOff: uint64(in.Offset()), OutOff: uint64(out.Offset()), Count: 0}, // empty
 	}
-	per, r := s.lib.CuBatchedInfer("double", spec, entries)
+	var sc BatchScratch
+	per, r := s.lib.CuBatchedInferInto("double", spec, entries, 0, &sc)
 	if r != cuda.Success {
-		t.Fatalf("CuBatchedInfer = %v", r)
+		t.Fatalf("CuBatchedInferInto = %v", r)
 	}
-	if per[1] != cuda.Success || per[2] == cuda.Success || per[3] == cuda.Success {
+	if len(per) != 3 || per[0] != cuda.Success || per[1] == cuda.Success || per[2] == cuda.Success {
 		t.Fatalf("per-entry results = %v", per)
 	}
 	got, _ := cuda.Float32s(out.Bytes(), 1)

@@ -113,8 +113,7 @@ type pumpScratch struct {
 }
 
 // NewDaemon creates a daemon serving the given CUDA API and shared region
-// over any boundary channel — the legacy Transport or the shm
-// descriptor-ring RingTransport.
+// over a boundary channel.
 func NewDaemon(api *cuda.API, region *shm.Region, tr boundary.Channel) *Daemon {
 	d := &Daemon{
 		api:       api,

@@ -2,6 +2,7 @@ package remoting
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -9,9 +10,10 @@ import (
 )
 
 // FuzzUnmarshalCommand: arbitrary bytes must never panic the decoder, and
-// anything that decodes must re-encode to an equivalent command.
+// anything that decodes must re-encode to a frame that decodes to the same
+// command and re-encodes to itself (the AppendCommand fixed point).
 func FuzzUnmarshalCommand(f *testing.F) {
-	seed, _ := MarshalCommand(&Command{
+	seed, _ := AppendCommand(nil, &Command{
 		API: APICuLaunchKernel, Seq: 9, Args: []uint64{1, 2, 3},
 		Name: "vecadd", Blob: []byte{1, 2},
 	})
@@ -19,52 +21,58 @@ func FuzzUnmarshalCommand(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{cmdMagic})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cmd, err := UnmarshalCommand(data)
-		if err != nil {
+		names := map[string]string{}
+		var cmd, cmd2 Command
+		if err := DecodeCommandInto(&cmd, names, data); err != nil {
 			return
 		}
-		re, err := MarshalCommand(cmd)
+		re, err := AppendCommand(nil, &cmd)
 		if err != nil {
 			// Decoded command exceeding wire limits cannot happen: the
 			// decoder enforces the same limits.
-			t.Fatalf("re-marshal failed: %v", err)
+			t.Fatalf("re-encode failed: %v", err)
 		}
-		cmd2, err := UnmarshalCommand(re)
-		if err != nil {
-			t.Fatalf("re-unmarshal failed: %v", err)
+		if err := DecodeCommandInto(&cmd2, names, re); err != nil {
+			t.Fatalf("re-decode failed: %v", err)
 		}
-		if cmd2.API != cmd.API || cmd2.Seq != cmd.Seq || cmd2.Name != cmd.Name ||
-			len(cmd2.Args) != len(cmd.Args) || !bytes.Equal(cmd2.Blob, cmd.Blob) {
+		if cmd2.API != cmd.API || cmd2.Seq != cmd.Seq || cmd2.TraceID != cmd.TraceID || cmd2.Name != cmd.Name ||
+			!slices.Equal(cmd2.Args, cmd.Args) || !bytes.Equal(cmd2.Blob, cmd.Blob) {
 			t.Fatal("round trip not stable")
+		}
+		if re2, _ := AppendCommand(nil, &cmd2); !bytes.Equal(re2, re) {
+			t.Fatal("re-encode is not a fixed point")
 		}
 	})
 }
 
 // FuzzUnmarshalResponse mirrors FuzzUnmarshalCommand for the response path.
 func FuzzUnmarshalResponse(f *testing.F) {
-	seed, _ := MarshalResponse(&Response{Seq: 1, Result: 2, Vals: []uint64{3}, Blob: []byte{4}})
+	seed, _ := AppendResponse(nil, &Response{Seq: 1, Result: 2, Vals: []uint64{3}, Blob: []byte{4}})
 	f.Add(seed)
 	f.Add([]byte{respMagic, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		resp, err := UnmarshalResponse(data)
-		if err != nil {
+		var resp, resp2 Response
+		if err := DecodeResponseInto(&resp, data); err != nil {
 			return
 		}
-		re, err := MarshalResponse(resp)
+		re, err := AppendResponse(nil, &resp)
 		if err != nil {
-			t.Fatalf("re-marshal failed: %v", err)
+			t.Fatalf("re-encode failed: %v", err)
 		}
-		if _, err := UnmarshalResponse(re); err != nil {
-			t.Fatalf("re-unmarshal failed: %v", err)
+		if err := DecodeResponseInto(&resp2, re); err != nil {
+			t.Fatalf("re-decode failed: %v", err)
+		}
+		if re2, _ := AppendResponse(nil, &resp2); !bytes.Equal(re2, re) {
+			t.Fatal("re-encode is not a fixed point")
 		}
 	})
 }
 
 // FuzzUnmarshalBatch mirrors FuzzUnmarshalCommand for the batched-infer
 // frame: arbitrary bytes must never panic the decoder, and anything that
-// decodes must round-trip bit-for-bit through MarshalBatch.
+// decodes must round-trip entry-for-entry through AppendBatch.
 func FuzzUnmarshalBatch(f *testing.F) {
-	seed, _ := MarshalBatch(&Batch{Entries: []BatchEntry{
+	seed, _ := AppendBatch(nil, &Batch{Entries: []BatchEntry{
 		{Seq: 1, InOff: 0, OutOff: 128, Count: 4},
 		{Seq: 7, InOff: 4096, OutOff: 8192, Count: 1},
 	}})
@@ -73,25 +81,22 @@ func FuzzUnmarshalBatch(f *testing.F) {
 	f.Add([]byte{batchMagic})
 	f.Add([]byte{batchMagic, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		bt, err := UnmarshalBatch(data)
-		if err != nil {
+		var bt, bt2 Batch
+		if err := UnmarshalBatchInto(&bt, data); err != nil {
 			return
 		}
-		re, err := MarshalBatch(bt)
+		re, err := AppendBatch(nil, &bt)
 		if err != nil {
-			t.Fatalf("re-marshal failed: %v", err)
+			t.Fatalf("re-encode failed: %v", err)
 		}
-		bt2, err := UnmarshalBatch(re)
-		if err != nil {
-			t.Fatalf("re-unmarshal failed: %v", err)
+		if err := UnmarshalBatchInto(&bt2, re); err != nil {
+			t.Fatalf("re-decode failed: %v", err)
 		}
-		if len(bt2.Entries) != len(bt.Entries) {
-			t.Fatalf("round trip lost entries: %d != %d", len(bt2.Entries), len(bt.Entries))
+		if !slices.Equal(bt2.Entries, bt.Entries) {
+			t.Fatalf("round trip not stable: %+v != %+v", bt.Entries, bt2.Entries)
 		}
-		for i := range bt.Entries {
-			if bt.Entries[i] != bt2.Entries[i] {
-				t.Fatalf("entry %d not stable: %+v != %+v", i, bt.Entries[i], bt2.Entries[i])
-			}
+		if re2, _ := AppendBatch(nil, &bt2); !bytes.Equal(re2, re) {
+			t.Fatal("re-encode is not a fixed point")
 		}
 	})
 }
@@ -99,7 +104,7 @@ func FuzzUnmarshalBatch(f *testing.F) {
 // FuzzDaemonFrame: the daemon must answer every frame with a parseable
 // response and never panic.
 func FuzzDaemonFrame(f *testing.F) {
-	good, _ := MarshalCommand(&Command{API: APICuMemAlloc, Seq: 1, Args: []uint64{64}})
+	good, _ := AppendCommand(nil, &Command{API: APICuMemAlloc, Seq: 1, Args: []uint64{64}})
 	f.Add(good)
 	f.Add([]byte{0xFF, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -114,7 +119,7 @@ func FuzzDaemonFrame(f *testing.F) {
 		if !ok {
 			t.Fatal("no response")
 		}
-		if _, err := UnmarshalResponse(resp); err != nil {
+		if err := DecodeResponseInto(new(Response), resp); err != nil {
 			t.Fatalf("unparseable response: %v", err)
 		}
 	})
@@ -127,7 +132,7 @@ func FuzzDaemonFrame(f *testing.F) {
 // spoofing is outside the threat model), but the demux must discard
 // non-matching frames and the next call must complete cleanly.
 func FuzzResponseDemux(f *testing.F) {
-	spoof, _ := MarshalResponse(&Response{Seq: 999, Result: 0, Vals: []uint64{7}})
+	spoof, _ := AppendResponse(nil, &Response{Seq: 999, Result: 0, Vals: []uint64{7}})
 	f.Add(spoof)
 	f.Add([]byte{})
 	f.Add([]byte{respMagic})

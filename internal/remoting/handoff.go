@@ -3,6 +3,7 @@ package remoting
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 )
 
 // Shard handoff: when a fleet shard drains (or dies), its exactly-once
@@ -58,11 +59,11 @@ func MarshalHandoff(h *Handoff) ([]byte, error) {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.Frame)))
 		buf = append(buf, e.Frame...)
 	}
-	return sealFrame(buf), nil
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable)), nil
 }
 
 // UnmarshalHandoff decodes a wire frame produced by MarshalHandoff,
-// verifying the CRC trailer and exact framing like UnmarshalCommand: a
+// verifying the CRC trailer and exact framing like DecodeCommandInto: a
 // flipped bit anywhere is rejected, never merged into a journal.
 func UnmarshalHandoff(frame []byte) (*Handoff, error) {
 	body, err := openFrame(frame)

@@ -12,7 +12,7 @@ import (
 func TestHandoffMigrationExactlyOnce(t *testing.T) {
 	a, b := newStack(t), newStack(t)
 
-	frame, err := MarshalCommand(&Command{API: APICuDeviceGetCount, Seq: 41})
+	frame, err := AppendCommand(nil, &Command{API: APICuDeviceGetCount, Seq: 41})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,7 +63,7 @@ func TestJournalSurvivesDaemonRestart(t *testing.T) {
 	s.lib.CuInit()
 	s.daemon.journal.record(77777, []byte("pre-crash"))
 	s.daemon.InjectCrash(false)
-	frame, err := MarshalCommand(&Command{API: APICuDeviceGetCount, Seq: 123})
+	frame, err := AppendCommand(nil, &Command{API: APICuDeviceGetCount, Seq: 123})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,8 +61,8 @@ type Lib struct {
 	calls       int64
 	remotedTime time.Duration
 
-	// res arms the fault-tolerant call path; nil keeps the legacy
-	// single-attempt exchange byte-for-byte unchanged.
+	// res is the policy every exchange runs under: NewLib's one-attempt,
+	// no-deadline, no-hook default until EnableResilience arms retries.
 	res    *Resilience
 	rng    *lockedRand
 	rstats ResilienceStats
@@ -147,12 +147,14 @@ func (l *Lib) SetFlightRecorder(rec *flightrec.Recorder) {
 	l.rec = rec
 }
 
-// NewLib creates the kernel-side stub library over any boundary channel —
-// the legacy Transport or the shm descriptor-ring RingTransport. The daemon
-// is driven synchronously from within calls, which keeps virtual-time
-// accounting deterministic while the full wire protocol still runs.
+// NewLib creates the kernel-side stub library over a boundary channel. The
+// daemon is driven synchronously from within calls, which keeps virtual-time
+// accounting deterministic while the full wire protocol still runs. Until
+// EnableResilience is called a failed exchange is not retried: the first
+// failure latches the daemon dead (see Healthy).
 func NewLib(tr boundary.Channel, daemon *Daemon, region *shm.Region) *Lib {
-	return &Lib{tr: tr, daemon: daemon, region: region}
+	return &Lib{tr: tr, daemon: daemon, region: region,
+		res: &Resilience{Retry: RetryPolicy{MaxAttempts: 1}}}
 }
 
 // Region returns the kernel-side view of the lakeShm mapping.
@@ -176,8 +178,8 @@ func (l *Lib) Stats() (calls int64, channelTime time.Duration) {
 // EnableResilience arms the fault-tolerant call path: per-call deadlines,
 // bounded retry with exponential backoff and seeded jitter, and (via
 // r.Hook) supervisor-driven daemon recovery mid-call. With faults absent
-// the resilient path performs exactly the legacy exchange — no extra
-// clock charges and no PRNG draws — so crash-free runs stay bit-identical.
+// an armed call performs exactly the un-armed exchange — no extra clock
+// charges and no PRNG draws — so crash-free runs stay bit-identical.
 func (l *Lib) EnableResilience(r Resilience) {
 	r.Retry = r.Retry.withDefaults()
 	if r.MaxRecoveries <= 0 {
@@ -267,12 +269,7 @@ func (l *Lib) call(cs *callState) error {
 			defer func() { l.tel.Tracer.FinishSpan(sp, l.tr.Clock().Now()) }()
 		}
 	}
-	res := l.resilience()
-	if res == nil {
-		err = l.exchangeOnce(cs)
-	} else {
-		err = l.exchangeResilient(cs, res)
-	}
+	err = l.exchangeResilient(cs, l.resilience())
 	if err == nil {
 		l.tel.Calls.Inc()
 		l.tel.CallLatency.ObserveDuration(l.tr.Clock().Now() - vstart)
@@ -285,50 +282,7 @@ func (l *Lib) call(cs *callState) error {
 	return err
 }
 
-// exchangeOnce is the legacy single-attempt exchange: one send, one pump,
-// one receive, strict sequence match. Kept verbatim so stacks that never
-// arm resilience behave exactly as before.
-func (l *Lib) exchangeOnce(cs *callState) error {
-	cmd := &cs.cmd
-	if err := l.tr.SendToUser(cs.frame); err != nil {
-		return fmt.Errorf("%w: %v", ErrTransport, err)
-	}
-	if !l.daemon.PumpOne() {
-		return fmt.Errorf("%w: daemon did not observe command", ErrTransport)
-	}
-	demuxWall := time.Now()
-	respFrame, ok := l.tr.RecvInKernel()
-	if !ok {
-		return fmt.Errorf("%w: no response", ErrTransport)
-	}
-	if err := DecodeResponseInto(&cs.resp, respFrame); err != nil {
-		return err
-	}
-	if cs.resp.Seq != cmd.Seq {
-		return fmt.Errorf("%w: response seq %d for command %d",
-			ErrTransport, cs.resp.Seq, cmd.Seq)
-	}
-	if sp := l.tel.Tracer.Open(cmd.TraceID); sp != nil {
-		vnow := l.tr.Clock().Now()
-		sp.AddStage("demux", vnow, vnow, time.Since(demuxWall))
-	}
-	l.rec.Emit(flightrec.DomainKernel, flightrec.EvDemux,
-		cmd.TraceID, cmd.Seq, 0, uint64(time.Since(demuxWall)), 0, 0)
-	// Charge the channel's modeled cost for what actually crossed the
-	// boundary in both directions (Fig 6's size-dependent overhead).
-	chTimer := l.tel.Tracer.Open(cmd.TraceID).StageTimer("channel", l.tr.Clock().Now())
-	d := l.tr.ChargeRoundTrip(len(cs.frame) + len(respFrame))
-	chTimer.End(l.tr.Clock().Now())
-	l.rec.Emit(flightrec.DomainKernel, flightrec.EvChannel,
-		cmd.TraceID, cmd.Seq, 0, uint64(d), uint64(len(cs.frame)+len(respFrame)), 0)
-	l.mu.Lock()
-	l.calls++
-	l.remotedTime += d
-	l.mu.Unlock()
-	return nil
-}
-
-// exchangeResilient performs one call under the armed Resilience: bounded
+// exchangeResilient performs one call under the Lib's Resilience: bounded
 // retransmission of the same sequence number (the daemon-side journal makes
 // redelivery exactly-once), exponential backoff with deterministic jitter
 // charged to the virtual clock, a per-call virtual-time deadline, and the

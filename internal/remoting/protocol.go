@@ -8,7 +8,7 @@
 // and all of API parameters into a command, transmit commands through some
 // communication channel for remote execution in user space and, finally,
 // wait for a response." That is exactly the structure here: every stub in
-// Lib marshals a Command, ships the real bytes over a boundary.Transport,
+// Lib marshals a Command, ships the real bytes over a boundary.Channel,
 // lakeD deserializes and executes against the CUDA API, and the response
 // travels back the same way. The paper's implementation resembles "an RPC
 // system" (§6); so does this one, deliberately.
@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 
 	"lakego/internal/flightrec"
 )
@@ -160,11 +159,6 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 const crcLen = 4
 
-// sealFrame appends the integrity trailer to a fully encoded frame.
-func sealFrame(buf []byte) []byte {
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable))
-}
-
 // openFrame verifies and strips the integrity trailer, returning the frame
 // body. Truncated or corrupted frames yield ErrShortFrame.
 func openFrame(frame []byte) ([]byte, error) {
@@ -177,92 +171,6 @@ func openFrame(frame []byte) ([]byte, error) {
 		return nil, ErrShortFrame
 	}
 	return body, nil
-}
-
-// MarshalCommand encodes c into a wire frame.
-func MarshalCommand(c *Command) ([]byte, error) {
-	if len(c.Args) > maxArgs || len(c.Name) > maxName || len(c.Blob) > maxBlob {
-		return nil, fmt.Errorf("remoting: command exceeds wire limits (args=%d name=%d blob=%d)",
-			len(c.Args), len(c.Name), len(c.Blob))
-	}
-	n := 1 + 4 + 8 + 8 + 2 + 8*len(c.Args) + 2 + len(c.Name) + 4 + len(c.Blob) + crcLen
-	buf := make([]byte, 0, n)
-	if c.TraceID != 0 {
-		buf = append(buf, cmdMagicTraced)
-	} else {
-		buf = append(buf, cmdMagic)
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(c.API))
-	buf = binary.LittleEndian.AppendUint64(buf, c.Seq)
-	if c.TraceID != 0 {
-		buf = binary.LittleEndian.AppendUint64(buf, c.TraceID)
-	}
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(c.Args)))
-	for _, a := range c.Args {
-		buf = binary.LittleEndian.AppendUint64(buf, a)
-	}
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(c.Name)))
-	buf = append(buf, c.Name...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(c.Blob)))
-	buf = append(buf, c.Blob...)
-	return sealFrame(buf), nil
-}
-
-// UnmarshalCommand decodes a wire frame produced by MarshalCommand. The
-// frame's CRC trailer must verify and every byte must be accounted for:
-// a flipped bit anywhere is rejected, never executed.
-func UnmarshalCommand(frame []byte) (*Command, error) {
-	body, err := openFrame(frame)
-	if err != nil {
-		return nil, err
-	}
-	r := reader{buf: body}
-	m, err := r.u8()
-	if err != nil || (m != cmdMagic && m != cmdMagicTraced) {
-		return nil, ErrShortFrame
-	}
-	api, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	seq, err := r.u64()
-	if err != nil {
-		return nil, err
-	}
-	var traceID uint64
-	if m == cmdMagicTraced {
-		if traceID, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if traceID == 0 {
-			return nil, ErrShortFrame // traced frames must carry a real ID
-		}
-	}
-	nargs, err := r.u16()
-	if err != nil {
-		return nil, err
-	}
-	if nargs > maxArgs {
-		return nil, ErrShortFrame
-	}
-	args := make([]uint64, nargs)
-	for i := range args {
-		if args[i], err = r.u64(); err != nil {
-			return nil, err
-		}
-	}
-	name, err := r.str()
-	if err != nil {
-		return nil, err
-	}
-	blob, err := r.blob()
-	if err != nil {
-		return nil, err
-	}
-	if r.pos != len(body) {
-		return nil, ErrShortFrame
-	}
-	return &Command{API: APIID(api), Seq: seq, TraceID: traceID, Args: args, Name: name, Blob: blob}, nil
 }
 
 // PeekFrame reads a wire frame's identifying header — direction, API,
@@ -301,67 +209,6 @@ func PeekFrame(frame []byte) (flightrec.FrameInfo, bool) {
 		}, true
 	}
 	return flightrec.FrameInfo{}, false
-}
-
-// MarshalResponse encodes r into a wire frame.
-func MarshalResponse(resp *Response) ([]byte, error) {
-	if len(resp.Vals) > maxArgs || len(resp.Blob) > maxBlob {
-		return nil, fmt.Errorf("remoting: response exceeds wire limits")
-	}
-	n := 1 + 8 + 4 + 2 + 8*len(resp.Vals) + 4 + len(resp.Blob) + crcLen
-	buf := make([]byte, 0, n)
-	buf = append(buf, respMagic)
-	buf = binary.LittleEndian.AppendUint64(buf, resp.Seq)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(resp.Result))
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(resp.Vals)))
-	for _, v := range resp.Vals {
-		buf = binary.LittleEndian.AppendUint64(buf, v)
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(resp.Blob)))
-	buf = append(buf, resp.Blob...)
-	return sealFrame(buf), nil
-}
-
-// UnmarshalResponse decodes a wire frame produced by MarshalResponse,
-// verifying the CRC trailer and exact framing like UnmarshalCommand.
-func UnmarshalResponse(frame []byte) (*Response, error) {
-	body, err := openFrame(frame)
-	if err != nil {
-		return nil, err
-	}
-	r := reader{buf: body}
-	if m, err := r.u8(); err != nil || m != respMagic {
-		return nil, ErrShortFrame
-	}
-	seq, err := r.u64()
-	if err != nil {
-		return nil, err
-	}
-	res, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	nvals, err := r.u16()
-	if err != nil {
-		return nil, err
-	}
-	if nvals > maxArgs {
-		return nil, ErrShortFrame
-	}
-	vals := make([]uint64, nvals)
-	for i := range vals {
-		if vals[i], err = r.u64(); err != nil {
-			return nil, err
-		}
-	}
-	blob, err := r.blob()
-	if err != nil {
-		return nil, err
-	}
-	if r.pos != len(body) {
-		return nil, ErrShortFrame
-	}
-	return &Response{Seq: seq, Result: int32(res), Vals: vals, Blob: blob}, nil
 }
 
 type reader struct {
@@ -410,41 +257,4 @@ func (r *reader) u64() (uint64, error) {
 	v := binary.LittleEndian.Uint64(r.buf[r.pos:])
 	r.pos += 8
 	return v, nil
-}
-
-func (r *reader) str() (string, error) {
-	n, err := r.u16()
-	if err != nil {
-		return "", err
-	}
-	if n > maxName {
-		return "", ErrShortFrame
-	}
-	if err := r.need(n); err != nil {
-		return "", err
-	}
-	s := string(r.buf[r.pos : r.pos+n])
-	r.pos += n
-	return s, nil
-}
-
-func (r *reader) blob() ([]byte, error) {
-	n32, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	if n32 > maxBlob || n32 > math.MaxInt32 {
-		return nil, ErrShortFrame
-	}
-	n := int(n32)
-	if err := r.need(n); err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	b := make([]byte, n)
-	copy(b, r.buf[r.pos:])
-	r.pos += n
-	return b, nil
 }

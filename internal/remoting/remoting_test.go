@@ -19,7 +19,7 @@ type stack struct {
 	dev    *gpu.Device
 	api    *cuda.API
 	region *shm.Region
-	tr     *boundary.Transport
+	tr     *boundary.RingTransport
 	daemon *Daemon
 	lib    *Lib
 }
@@ -34,7 +34,11 @@ func newStack(t *testing.T) *stack {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := boundary.NewTransport(boundary.Netlink, clock, 16)
+	tr, err := boundary.NewRingTransport(clock, nil, 16, boundary.DefaultSlotBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.SetCostModel(boundary.Netlink)
 	daemon := NewDaemon(api, region, tr)
 	lib := NewLib(tr, daemon, region)
 	return &stack{clock, dev, api, region, tr, daemon, lib}
@@ -48,12 +52,12 @@ func TestCommandRoundTrip(t *testing.T) {
 		Name: "vecadd",
 		Blob: []byte{9, 8, 7},
 	}
-	frame, err := MarshalCommand(c)
+	frame, err := AppendCommand(nil, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := UnmarshalCommand(frame)
-	if err != nil {
+	var got Command
+	if err := DecodeCommandInto(&got, map[string]string{}, frame); err != nil {
 		t.Fatal(err)
 	}
 	if got.API != c.API || got.Seq != c.Seq || got.Name != c.Name ||
@@ -65,12 +69,12 @@ func TestCommandRoundTrip(t *testing.T) {
 
 func TestResponseRoundTrip(t *testing.T) {
 	r := &Response{Seq: 7, Result: int32(cuda.ErrNotFound), Vals: []uint64{11}, Blob: []byte("x")}
-	frame, err := MarshalResponse(r)
+	frame, err := AppendResponse(nil, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := UnmarshalResponse(frame)
-	if err != nil {
+	var got Response
+	if err := DecodeResponseInto(&got, frame); err != nil {
 		t.Fatal(err)
 	}
 	if got.Seq != 7 || got.Result != int32(cuda.ErrNotFound) ||
@@ -80,18 +84,21 @@ func TestResponseRoundTrip(t *testing.T) {
 }
 
 func TestUnmarshalRejectsCorruptFrames(t *testing.T) {
-	good, _ := MarshalCommand(&Command{API: APICuInit, Args: []uint64{1}})
+	var cmd Command
+	names := map[string]string{}
+	good, _ := AppendCommand(nil, &Command{API: APICuInit, Args: []uint64{1}})
 	for cut := 0; cut < len(good); cut++ {
-		if _, err := UnmarshalCommand(good[:cut]); err == nil {
+		if err := DecodeCommandInto(&cmd, names, good[:cut]); err == nil {
 			t.Fatalf("truncated frame at %d bytes unmarshalled", cut)
 		}
 	}
-	if _, err := UnmarshalCommand([]byte{0x00, 0x01}); err == nil {
+	if err := DecodeCommandInto(&cmd, names, []byte{0x00, 0x01}); err == nil {
 		t.Fatal("bad magic accepted")
 	}
-	goodR, _ := MarshalResponse(&Response{Seq: 1, Vals: []uint64{2}})
+	var resp Response
+	goodR, _ := AppendResponse(nil, &Response{Seq: 1, Vals: []uint64{2}})
 	for cut := 0; cut < len(goodR); cut++ {
-		if _, err := UnmarshalResponse(goodR[:cut]); err == nil {
+		if err := DecodeResponseInto(&resp, goodR[:cut]); err == nil {
 			t.Fatalf("truncated response at %d bytes unmarshalled", cut)
 		}
 	}
@@ -270,11 +277,24 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 }
 
+// A failed exchange on a never-armed Lib takes the armed path's result: the
+// single attempt exhausts the retry round, the daemon is latched dead and the
+// stub surfaces ErrNotReady until MarkRecovered.
 func TestClosedTransportSurfacesError(t *testing.T) {
 	s := newStack(t)
 	s.tr.Close()
-	if r := s.lib.CuInit(); r != cuda.ErrUnknown {
-		t.Fatalf("CuInit on closed transport = %v, want ErrUnknown", r)
+	if r := s.lib.CuInit(); r != cuda.ErrNotReady {
+		t.Fatalf("CuInit on closed transport = %v, want ErrNotReady", r)
+	}
+	if s.lib.Healthy() {
+		t.Fatal("failed exchange did not latch the daemon dead")
+	}
+	if rs := s.lib.ResilienceStats(); rs.DaemonDead != 1 || rs.Retries != 0 {
+		t.Fatalf("un-armed lib retried or miscounted: %+v", rs)
+	}
+	s.lib.MarkRecovered()
+	if !s.lib.Healthy() {
+		t.Fatal("MarkRecovered did not clear the dead latch")
 	}
 }
 
@@ -297,12 +317,12 @@ func TestQuickCommandRoundTrip(t *testing.T) {
 			return true // outside wire limits; covered elsewhere
 		}
 		c := &Command{API: APIID(api), Seq: seq, Args: args, Name: name, Blob: blob}
-		frame, err := MarshalCommand(c)
+		frame, err := AppendCommand(nil, c)
 		if err != nil {
 			return false
 		}
-		got, err := UnmarshalCommand(frame)
-		if err != nil {
+		var got Command
+		if err := DecodeCommandInto(&got, map[string]string{}, frame); err != nil {
 			return false
 		}
 		if got.API != c.API || got.Seq != c.Seq || got.Name != c.Name {

@@ -29,7 +29,7 @@ func TestDaemonSurvivesGarbageFrames(t *testing.T) {
 			t.Fatal("daemon sent no response")
 		}
 		// Whatever came back must parse as a response frame.
-		if _, err := UnmarshalResponse(resp); err != nil {
+		if err := DecodeResponseInto(new(Response), resp); err != nil {
 			t.Fatalf("daemon response unparseable: %v", err)
 		}
 	}
@@ -38,7 +38,7 @@ func TestDaemonSurvivesGarbageFrames(t *testing.T) {
 // Mutated valid commands (bit flips) must also never panic the daemon.
 func TestDaemonSurvivesBitFlips(t *testing.T) {
 	s := newStack(t)
-	base, err := MarshalCommand(&Command{
+	base, err := AppendCommand(nil, &Command{
 		API:  APICuMemcpyHtoD,
 		Seq:  1,
 		Args: []uint64{1, 2, 3, 4},

@@ -49,7 +49,7 @@ func TestUntracedCommandWireShapeFrozen(t *testing.T) {
 		Name: "vecadd",
 		Blob: []byte{0xde, 0xad},
 	}
-	frame, err := MarshalCommand(cmd)
+	frame, err := AppendCommand(nil, cmd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,13 +76,13 @@ func TestTracedCommandWireShape(t *testing.T) {
 		Name:    "",
 		Blob:    nil,
 	}
-	frame, err := MarshalCommand(cmd)
+	frame, err := AppendCommand(nil, cmd)
 	if err != nil {
 		t.Fatal(err)
 	}
 	untraced := *cmd
 	untraced.TraceID = 0
-	plain, err := MarshalCommand(&untraced)
+	plain, err := AppendCommand(nil, &untraced)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +101,12 @@ func TestTracedCommandWireShape(t *testing.T) {
 	if !bytes.Equal(frame, want) {
 		t.Fatalf("traced frame diverged from the documented layout:\n got %x\nwant %x", frame, want)
 	}
-	got, err := UnmarshalCommand(frame)
-	if err != nil {
+	names := map[string]string{}
+	var got Command
+	if err := DecodeCommandInto(&got, names, frame); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, cmd) {
+	if !reflect.DeepEqual(&got, cmd) {
 		t.Fatalf("traced round trip: got %+v, want %+v", got, cmd)
 	}
 
@@ -115,7 +116,7 @@ func TestTracedCommandWireShape(t *testing.T) {
 		byte(0xC2), uint32(APICuMemcpyHtoD), uint64(7), uint64(0),
 		uint16(1), uint64(11), uint16(0), uint32(0),
 	))
-	if _, err := UnmarshalCommand(zero); err == nil {
+	if err := DecodeCommandInto(&got, names, zero); err == nil {
 		t.Fatal("traced frame with zero trace ID was accepted")
 	}
 }
@@ -124,10 +125,10 @@ func TestTracedCommandWireShape(t *testing.T) {
 // header loads for all three magics, graceful refusal otherwise.
 func TestPeekFrameHeaders(t *testing.T) {
 	cmd := &Command{API: APICuInit, Seq: 9}
-	plain, _ := MarshalCommand(cmd)
+	plain, _ := AppendCommand(nil, cmd)
 	cmd.TraceID = 77
-	traced, _ := MarshalCommand(cmd)
-	resp, _ := MarshalResponse(&Response{Seq: 9, Result: 0})
+	traced, _ := AppendCommand(nil, cmd)
+	resp, _ := AppendResponse(nil, &Response{Seq: 9, Result: 0})
 
 	if fi, ok := PeekFrame(plain); !ok || fi.Resp || fi.API != uint32(APICuInit) || fi.Seq != 9 || fi.TraceID != 0 {
 		t.Fatalf("peek untraced = %+v ok=%v", fi, ok)
@@ -154,7 +155,7 @@ func TestUntracedBatchWireShapeFrozen(t *testing.T) {
 		{Seq: 1, InOff: 100, OutOff: 200, Count: 4},
 		{Seq: 2, InOff: 300, OutOff: 400, Count: 8},
 	}}
-	frame, err := MarshalBatch(bt)
+	frame, err := AppendBatch(nil, bt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestUntracedBatchWireShapeFrozen(t *testing.T) {
 	}
 
 	bt.Entries[1].TraceID = 555
-	traced, err := MarshalBatch(bt)
+	traced, err := AppendBatch(nil, bt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,11 +179,11 @@ func TestUntracedBatchWireShapeFrozen(t *testing.T) {
 	if len(traced) != len(frame)+8*len(bt.Entries) {
 		t.Fatalf("traced batch is %d bytes over untraced, want %d", len(traced)-len(frame), 8*len(bt.Entries))
 	}
-	got, err := UnmarshalBatch(traced)
-	if err != nil {
+	var got Batch
+	if err := UnmarshalBatchInto(&got, traced); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, bt) {
+	if !reflect.DeepEqual(&got, bt) {
 		t.Fatalf("traced batch round trip: got %+v, want %+v", got, bt)
 	}
 }

@@ -7,17 +7,15 @@ import (
 	"math"
 )
 
-// Zero-allocation codecs for the steady-state hot path. The Marshal*/
-// Unmarshal* functions in protocol.go allocate their outputs — correct, and
-// still the canonical codecs for cold paths and fuzzing — while the
-// Append*/Decode*Into variants here produce byte-identical wire frames into
-// caller-owned storage: Append* extends a reusable buffer, Decode*Into
-// reuses the destination's slice capacity. Once the buffers have warmed to
-// their steady-state sizes, a remoted call performs no heap allocation in
-// either codec direction (pinned by TestAllocs* and the CI allocgate job).
+// The wire codecs. Frames are encoded into and decoded from caller-owned
+// storage: Append* extends a reusable buffer, Decode*Into reuses the
+// destination's slice capacity. Once the buffers have warmed to their
+// steady-state sizes, a remoted call performs no heap allocation in either
+// codec direction (pinned by TestAllocs* and the CI allocgate job). The
+// byte layouts are pinned by trace_wire_test.go.
 
-// AppendCommand appends c's wire frame — byte-identical to
-// MarshalCommand(c) — to dst and returns the extended slice.
+// AppendCommand appends c's CRC-sealed wire frame to dst and returns the
+// extended slice.
 func AppendCommand(dst []byte, c *Command) ([]byte, error) {
 	if len(c.Args) > maxArgs || len(c.Name) > maxName || len(c.Blob) > maxBlob {
 		return dst, fmt.Errorf("remoting: command exceeds wire limits (args=%d name=%d blob=%d)",
@@ -45,8 +43,8 @@ func AppendCommand(dst []byte, c *Command) ([]byte, error) {
 	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], crcTable)), nil
 }
 
-// AppendResponse appends resp's wire frame — byte-identical to
-// MarshalResponse(resp) — to dst and returns the extended slice.
+// AppendResponse appends resp's CRC-sealed wire frame to dst and returns
+// the extended slice.
 func AppendResponse(dst []byte, resp *Response) ([]byte, error) {
 	if len(resp.Vals) > maxArgs || len(resp.Blob) > maxBlob {
 		return dst, fmt.Errorf("remoting: response exceeds wire limits")
@@ -88,10 +86,11 @@ func internName(names map[string]string, b []byte) string {
 	return s
 }
 
-// DecodeCommandInto decodes frame into c, accepting exactly the frames
-// UnmarshalCommand accepts. c's Args capacity is reused; Name is resolved
-// through the names intern table; Blob ALIASES frame — valid only as long
-// as the frame view is, which for a ring-transport frame means until the
+// DecodeCommandInto decodes a frame produced by AppendCommand into c. The
+// frame's CRC trailer must verify and every byte must be accounted for: a
+// flipped bit anywhere is rejected, never executed. c's Args capacity is
+// reused; Name is resolved through the names intern table; Blob ALIASES
+// frame — valid only as long as the frame view is, which means until the
 // next RecvInUser. lakeD decodes and fully executes a command before its
 // next pump, so the alias never outlives the view.
 func DecodeCommandInto(c *Command, names map[string]string, frame []byte) error {
@@ -175,11 +174,12 @@ func DecodeCommandInto(c *Command, names map[string]string, frame []byte) error 
 	return nil
 }
 
-// DecodeResponseInto decodes frame into resp, accepting exactly the frames
-// UnmarshalResponse accepts. resp's Vals and Blob capacities are reused;
-// the blob bytes are COPIED out of the frame (unlike DecodeCommandInto's
-// alias) because lakeLib's stubs read response payloads after the call
-// lock is released, by which time a borrowed ring view may be recycled.
+// DecodeResponseInto decodes a frame produced by AppendResponse into resp,
+// verifying the CRC trailer and exact framing like DecodeCommandInto.
+// resp's Vals and Blob capacities are reused; the blob bytes are COPIED out
+// of the frame (unlike DecodeCommandInto's alias) because lakeLib's stubs
+// read response payloads after the call lock is released, by which time a
+// borrowed ring view may be recycled.
 func DecodeResponseInto(resp *Response, frame []byte) error {
 	body, err := openFrame(frame)
 	if err != nil {
@@ -234,8 +234,8 @@ func DecodeResponseInto(resp *Response, frame []byte) error {
 	return nil
 }
 
-// AppendBatch appends bt's batch payload — byte-identical to
-// MarshalBatch(bt) — to dst and returns the extended slice.
+// AppendBatch appends bt's batch descriptor, for transport in a Command
+// blob, to dst and returns the extended slice.
 func AppendBatch(dst []byte, bt *Batch) ([]byte, error) {
 	if len(bt.Entries) > maxBatchEntries {
 		return dst, fmt.Errorf("remoting: batch has %d entries, max %d", len(bt.Entries), maxBatchEntries)
@@ -265,8 +265,8 @@ func AppendBatch(dst []byte, bt *Batch) ([]byte, error) {
 	return dst, nil
 }
 
-// UnmarshalBatchInto decodes frame into bt, reusing bt.Entries capacity.
-// Accepts exactly the frames UnmarshalBatch accepts.
+// UnmarshalBatchInto decodes a payload produced by AppendBatch into bt,
+// reusing bt.Entries capacity.
 func UnmarshalBatchInto(bt *Batch, frame []byte) error {
 	r := reader{buf: frame}
 	m, err := r.u8()

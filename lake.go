@@ -81,7 +81,7 @@ type (
 	DevPtr = gpu.DevPtr
 	// GPUSpec describes the modeled accelerator hardware.
 	GPUSpec = gpu.Spec
-	// ChannelKind selects the kernel<->user command channel.
+	// ChannelKind selects the kernel<->user command channel cost model.
 	ChannelKind = boundary.Kind
 )
 
@@ -344,10 +344,12 @@ const (
 	ArchGPU = features.ArchGPU
 	// NullTS retrieves/truncates the whole feature window.
 	NullTS = features.NullTS
-	// Netlink is the default command channel (the paper's choice, §6).
+	// Netlink is the default command-channel cost row (the paper's choice,
+	// §6).
 	Netlink = boundary.Netlink
-	// Ring is the shm-resident lock-free descriptor-ring channel: the
-	// zero-allocation transport behind Config.Channel = Ring.
+	// Ring is the cost row of the shm-resident lock-free descriptor rings
+	// every runtime's frames cross: Config.Channel = Ring charges what the
+	// rings themselves cost instead of a Table-2 mechanism.
 	Ring = boundary.Ring
 )
 

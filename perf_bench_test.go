@@ -82,13 +82,16 @@ func BenchmarkPerfMarshalCommand(b *testing.B) {
 		Args: []uint64{1, 2, 3, 4, 5, 6},
 		Name: "vecadd",
 	}
+	var frame []byte
+	var out remoting.Command
+	names := map[string]string{}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		frame, err := remoting.MarshalCommand(cmd)
-		if err != nil {
+		var err error
+		if frame, err = remoting.AppendCommand(frame[:0], cmd); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := remoting.UnmarshalCommand(frame); err != nil {
+		if err := remoting.DecodeCommandInto(&out, names, frame); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -134,11 +137,10 @@ func BenchmarkPerfRemotedCall(b *testing.B) {
 	benchRemotedCall(b, core.DefaultConfig())
 }
 
-// BenchmarkPerfRemotedCallRing is the ring-transport counterpart of
-// BenchmarkPerfRemotedCall: same stub, same daemon, the Go-channel doorbell
-// replaced by shm-resident descriptor rings. The acceptance bar (>= 2x over
-// the channel transport, 0 allocs/op) is pinned by TestRingCallSpeedup and
-// the TestAllocs gates.
+// BenchmarkPerfRemotedCallRing is BenchmarkPerfRemotedCall charged the
+// descriptor rings' own cost row instead of Netlink's: same stub, same
+// daemon, same wire. The acceptance bar (>= 2x over the Netlink row,
+// 0 allocs/op) is pinned by TestRingCallSpeedup and the TestAllocs gates.
 func BenchmarkPerfRemotedCallRing(b *testing.B) {
 	benchRemotedCall(b, ringConfig())
 }

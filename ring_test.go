@@ -1,11 +1,12 @@
-// Ring-transport acceptance: the descriptor-ring boundary must beat the
-// channel transport by >= 2x on modeled single-call latency, produce
-// bit-identical results under every chaos mix (the transports differ only in
-// cost and mechanics, never in semantics), and coalesce doorbell wakeups so
-// a burst of frames pays far fewer wakes than sends.
+// Ring-transport acceptance: the descriptor rings' cost row must beat the
+// paper's Netlink row by >= 2x on modeled single-call latency, every chaos
+// mix must reproduce the golden predictions recorded from the Go-channel
+// transport the rings replaced, and doorbell wakeups must coalesce so a
+// burst of frames pays far fewer wakes than sends.
 package lake_test
 
 import (
+	"hash/fnv"
 	"testing"
 	"time"
 
@@ -15,8 +16,8 @@ import (
 )
 
 // TestRingCallSpeedup pins the headline acceptance number: a single remoted
-// call over the descriptor ring costs at least 2x less modeled (virtual)
-// time than the same call over the paper's Netlink channel.
+// call charged the descriptor rings' cost row costs at least 2x less modeled
+// (virtual) time than the same call charged the paper's Netlink row.
 func TestRingCallSpeedup(t *testing.T) {
 	perCall := func(cfg core.Config) time.Duration {
 		rt, err := core.New(cfg)
@@ -43,19 +44,29 @@ func TestRingCallSpeedup(t *testing.T) {
 	}
 }
 
+// chaosGolden is what a clean Netlink run of runChaosWorkloads(rounds, 16)
+// produced on the Go-channel transport, recorded at the last commit that had
+// one (182c984): FNV-64a over the prediction digest (one byte each) and
+// Daemon().Executed(). Keyed by chaosRounds().
+var chaosGolden = map[int]struct {
+	predictions int
+	fnv         uint64
+	executed    int64
+}{
+	12: {576, 0x53692e11f76e44e6, 124},
+	40: {1920, 0x48f4c7187571a532, 376},
+}
+
 // TestRingChaosBitIdentical is the transport-equivalence gate: every chaos
-// mix of the sweep, run over the ring transport, must produce byte-identical
-// predictions to the clean channel-transport run, with exactly-once
-// execution preserved (zero lost, zero re-executed). This is what licenses
-// keeping the legacy channel transport behind a config switch — the two
-// differ only in cost model and mechanics.
+// mix of the sweep, run over the ring transport, must produce predictions
+// byte-identical to the channel transport's clean run (chaosGolden), with
+// exactly-once execution preserved (zero lost, zero re-executed).
 func TestRingChaosBitIdentical(t *testing.T) {
 	rounds, batch := chaosRounds(), 16
-
-	// Reference: clean run on the legacy channel transport.
-	clean := newChaosStackOn(t, nil, lake.Netlink)
-	cleanDigest, _ := runChaosWorkloads(t, clean, rounds, batch)
-	cleanExec := clean.rt.Daemon().Executed()
+	golden, ok := chaosGolden[rounds]
+	if !ok {
+		t.Fatalf("no golden recorded for %d rounds", rounds)
+	}
 
 	mixes := []struct {
 		name string
@@ -81,19 +92,18 @@ func TestRingChaosBitIdentical(t *testing.T) {
 			}
 			s := newChaosStackOn(t, tc.mix, lake.Ring)
 			digest, _ := runChaosWorkloads(t, s, rounds, batch)
-			if len(digest) != len(cleanDigest) {
-				t.Fatalf("digest length %d != clean channel run %d", len(digest), len(cleanDigest))
+			h := fnv.New64a()
+			for _, d := range digest {
+				h.Write([]byte{byte(d)})
 			}
-			for i := range digest {
-				if digest[i] != cleanDigest[i] {
-					t.Fatalf("prediction %d diverged from channel transport: %d vs %d",
-						i, digest[i], cleanDigest[i])
-				}
+			if len(digest) != golden.predictions || h.Sum64() != golden.fnv {
+				t.Fatalf("%d predictions hashing to %#x diverged from the channel transport's %d / %#x",
+					len(digest), h.Sum64(), golden.predictions, golden.fnv)
 			}
 			// Exactly-once across the transport swap: same distinct commands
 			// executed, none lost, no redelivery re-executed.
-			if got := s.rt.Daemon().Executed(); got != cleanExec {
-				t.Fatalf("ring daemon executed %d distinct commands, channel executed %d", got, cleanExec)
+			if got := s.rt.Daemon().Executed(); got != golden.executed {
+				t.Fatalf("ring daemon executed %d distinct commands, channel executed %d", got, golden.executed)
 			}
 			rs := s.rt.Lib().ResilienceStats()
 			if rs.DaemonDead != 0 || rs.DeadlineExceeded != 0 {

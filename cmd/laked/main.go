@@ -7,14 +7,14 @@
 //
 // With -telemetry-addr the daemon also serves its observability plane over
 // HTTP: /metrics (Prometheus text), /metrics.json (structured snapshot),
-// /spans.json (per-call trace timelines, populated when -trace is set),
 // /debug/pprof, and the live health plane — /healthz, /readyz, /statusz,
 // /slo.json (rolling burn-rate/percentile state), /incidents.json
 // (anomaly-triggered black-box bundles), /flightrec.tail?cursor= (live
 // non-destructive event tailing), /flightrec.dump and /flightrec.json
 // (on-demand flight-recorder snapshots, binary and JSON — feed either to
-// cmd/laketrace; ?last=1 returns the retained automatic dump) and
-// /models.json. With -serve it stays up after the demo burst so the
+// cmd/laketrace; ?last=1 returns the retained automatic dump), /spans.json
+// (per-call stage timelines stitched from the same recorder, always on)
+// and /models.json. With -serve it stays up after the demo burst so the
 // endpoints can be scraped.
 package main
 
@@ -28,6 +28,7 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
+	"strings"
 	"sync"
 	"time"
 
@@ -41,51 +42,48 @@ import (
 	"lakego/internal/trace"
 )
 
-// serveTelemetry mounts the runtime's observability endpoints on the
-// default mux (which already carries /debug/pprof from the blank import)
-// and serves them in the background.
-func serveTelemetry(rt *lake.Runtime, addr string) {
-	tel := rt.Telemetry()
-	if tel == nil {
-		log.Fatal("-telemetry-addr requires telemetry (do not set -no-telemetry)")
-	}
-	http.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
+// metricsSource is what /metrics and /metrics.json render: a runtime's
+// registry, or a fleet's merged shard-labeled view.
+type metricsSource interface {
+	PrometheusText() string
+	Snapshot() lake.TelemetrySnapshot
+}
+
+// telemetryHandler builds the observability mux: /metrics, /metrics.json,
+// the health plane's routes (lake.HealthPlanePaths, /spans.json among them)
+// and /debug/pprof, which the blank import registered on the default mux.
+func telemetryHandler(src metricsSource, plane *lake.HealthPlane) http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		_ = tel.WritePrometheus(w)
+		_, _ = io.WriteString(w, src.PrometheusText())
 	})
-	http.HandleFunc("/metrics.json", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		b, err := tel.JSON()
+	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, req *http.Request) {
+		b, err := json.MarshalIndent(src.Snapshot(), "", "  ")
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		_, _ = w.Write(b)
-	})
-	http.HandleFunc("/spans.json", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		b, err := tel.Tracer().TimelineJSON()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
 		_, _ = w.Write(b)
 	})
-	// The health plane serves the rest: /healthz, /readyz, /statusz,
-	// /slo.json, /incidents.json, /flightrec.tail, /flightrec.{dump,json}
-	// (on-demand snapshots; ?last=1 for the retained automatic dump) and
-	// /models.json.
-	plane := rt.NewHealthPlane(lake.HealthPlaneConfig{})
 	planeHandler := plane.Handler()
 	for _, p := range lake.HealthPlanePaths {
-		http.Handle(p, planeHandler)
+		mux.Handle(p, planeHandler)
 	}
+	mux.Handle("/debug/pprof/", http.DefaultServeMux)
+	return mux
+}
+
+// serveTelemetry serves h on addr in the background.
+func serveTelemetry(addr string, h http.Handler) {
 	go func() {
-		if err := http.ListenAndServe(addr, nil); err != nil {
+		if err := http.ListenAndServe(addr, h); err != nil {
 			log.Fatalf("telemetry endpoint: %v", err)
 		}
 	}()
-	log.Printf("telemetry on http://%s/metrics (.json, /spans.json, /debug/pprof) + health plane (/healthz /readyz /statusz /slo.json /incidents.json /flightrec.tail /flightrec.{dump,json} /models.json)", addr)
+	log.Printf("telemetry on http://%s/metrics (.json, /debug/pprof) + health plane (%s)",
+		addr, strings.Join(lake.HealthPlanePaths, " "))
 }
 
 // runLifecycleDemo is the -online-train path: boot the LinnOS latency
@@ -142,42 +140,6 @@ func b2i(b bool) int {
 	return 0
 }
 
-// serveFleetTelemetry mounts the fleet's merged observability endpoints —
-// the union of every shard's registry plus the router's own counters, all
-// shard-labeled — and the shared flight recorder.
-func serveFleetTelemetry(f *lake.Fleet, addr string) {
-	if f.Telemetry() == nil {
-		log.Fatal("-telemetry-addr requires telemetry (do not set -no-telemetry)")
-	}
-	http.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		_, _ = io.WriteString(w, f.PrometheusText())
-	})
-	http.HandleFunc("/metrics.json", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		b, err := json.MarshalIndent(f.Snapshot(), "", "  ")
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		_, _ = w.Write(b)
-	})
-	// Fleet health plane: per-shard /readyz, merged /slo.json, tailing of
-	// the shared shard-stamped recorder, and incident capture with the
-	// stall watchdog live (the fleet tracks per-shard outstanding work).
-	plane := f.NewHealthPlane(lake.HealthPlaneConfig{})
-	planeHandler := plane.Handler()
-	for _, p := range lake.HealthPlanePaths {
-		http.Handle(p, planeHandler)
-	}
-	go func() {
-		if err := http.ListenAndServe(addr, nil); err != nil {
-			log.Fatalf("telemetry endpoint: %v", err)
-		}
-	}()
-	log.Printf("fleet telemetry on http://%s/metrics (.json, /debug/pprof) + health plane (/healthz /readyz /statusz /slo.json /incidents.json /flightrec.tail /flightrec.{dump,json} /models.json)", addr)
-}
-
 // runFleetDemo is the -shards > 1 path: boot a fleet of independent lakeD
 // shards behind the client-side router, drive a multi-tenant LinnOS
 // inference storm through it, print the per-shard and router statistics,
@@ -192,7 +154,13 @@ func runFleetDemo(cfg lake.Config, shards int, policy lake.PoolPolicy, calls int
 	}
 	defer f.Close()
 	if telemetryAddr != "" {
-		serveFleetTelemetry(f, telemetryAddr)
+		if f.Telemetry() == nil {
+			log.Fatal("-telemetry-addr requires telemetry (do not set -no-telemetry)")
+		}
+		// Fleet health plane: per-shard /readyz, merged /slo.json, tailing of
+		// the shared shard-stamped recorder, and incident capture with the
+		// stall watchdog live (the fleet tracks per-shard outstanding work).
+		serveTelemetry(telemetryAddr, telemetryHandler(f, f.NewHealthPlane(lake.HealthPlaneConfig{})))
 	}
 	net := nn.New(3, linnos.Base.Sizes()...)
 	if err := f.RegisterModel(lake.BatcherModel{
@@ -259,9 +227,8 @@ func main() {
 	calls := flag.Int("calls", 1000, "number of remoted vector-add rounds to serve")
 	n := flag.Int("n", 256, "vector length per round")
 	channel := flag.String("channel", "netlink", "command channel cost model: netlink, signal, devrw, mmap, ring")
-	telemetryAddr := flag.String("telemetry-addr", "", "serve /metrics, /metrics.json, /spans.json and /debug/pprof on this address (e.g. :9090)")
+	telemetryAddr := flag.String("telemetry-addr", "", "serve /metrics, /metrics.json, /debug/pprof and the health plane (/spans.json, /healthz, ...) on this address (e.g. :9090)")
 	noTelemetry := flag.Bool("no-telemetry", false, "boot the runtime without the observability plane")
-	traceCalls := flag.Bool("trace", false, "record per-call span timelines (see /spans.json)")
 	serve := flag.Bool("serve", false, "after the demo burst, keep serving the telemetry endpoints until interrupted")
 	devices := flag.Int("devices", 1, "number of modeled GPUs in the device pool")
 	poolPolicy := flag.String("pool-policy", "contention-aware", "context placement policy: round-robin, least-outstanding, contention-aware")
@@ -297,7 +264,6 @@ func main() {
 		log.Fatalf("unknown channel %q", *channel)
 	}
 	cfg.DisableTelemetry = *noTelemetry
-	cfg.TraceCalls = *traceCalls
 	if *shards > 1 {
 		rp, err := lake.ParsePoolPolicy(*routerPolicy)
 		if err != nil {
@@ -312,7 +278,11 @@ func main() {
 	}
 	defer rt.Close()
 	if *telemetryAddr != "" {
-		serveTelemetry(rt, *telemetryAddr)
+		tel := rt.Telemetry()
+		if tel == nil {
+			log.Fatal("-telemetry-addr requires telemetry (do not set -no-telemetry)")
+		}
+		serveTelemetry(*telemetryAddr, telemetryHandler(tel, rt.NewHealthPlane(lake.HealthPlaneConfig{})))
 	}
 	if *onlineTrain {
 		lcfg := lake.DefaultLifecycleConfig("linnos-NN")

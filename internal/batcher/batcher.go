@@ -220,8 +220,6 @@ type Telemetry struct {
 	// policy's observed-latency mode reads.
 	GPUItemLatency *telemetry.Histogram
 	CPUItemLatency *telemetry.Histogram
-	// Tracer opens a flush span (coalesce stage) around each execution.
-	Tracer *telemetry.Tracer
 }
 
 // SetTelemetry attaches instruments. Must be called during runtime
@@ -514,7 +512,7 @@ func (c *Client) Submit(modelName string, items [][]float32) (*Pending, error) {
 	b.requests.Add(1)
 	b.items.Add(int64(p.count))
 
-	if b.rec.Enabled() || b.tel.Tracer.Enabled() {
+	if b.rec.Enabled() {
 		p.tid = b.rec.NextTraceID()
 	}
 

@@ -7,7 +7,6 @@ import (
 	"lakego/internal/flightrec"
 	"lakego/internal/policy"
 	"lakego/internal/remoting"
-	"lakego/internal/telemetry"
 )
 
 // flushReason tags why a batch was formed.
@@ -135,11 +134,11 @@ func (b *Batcher) execute(m *model, batch []*Pending, reason flushReason, firedA
 		b.tel.QueueDelay.Observe(d)
 	}
 	b.tel.FlushItems.Observe(int64(items))
-	// One trace ID per flush: the remoted command, its daemon-side events,
-	// and the flush span all correlate under it, while each member request
-	// keeps its own ID (linked by flush_member events on both sides).
+	// One trace ID per flush: the remoted command and its daemon-side events
+	// correlate under it, while each member request keeps its own ID (linked
+	// by flush_member events on both sides).
 	var ftid uint64
-	if b.rec.Enabled() || b.tel.Tracer.Enabled() {
+	if b.rec.Enabled() {
 		ftid = b.rec.NextTraceID()
 	}
 	b.rec.Emit(flightrec.DomainBatcher, flightrec.EvFlushStart,
@@ -147,16 +146,6 @@ func (b *Batcher) execute(m *model, batch []*Pending, reason flushReason, firedA
 	for _, p := range batch {
 		b.rec.Emit(flightrec.DomainBatcher, flightrec.EvFlushMember,
 			p.tid, p.seq, 0, ftid, uint64(p.count), 0)
-	}
-	var flushSpan *telemetry.Span
-	var ownSpan bool
-	if b.tel.Tracer.Enabled() {
-		// The flush span opens at the oldest request's enqueue: the
-		// coalesce stage is the window spent forming the batch, and the
-		// nested CuBatchedInfer call below attaches its marshal / channel /
-		// dispatch / launch / demux stages to this same span.
-		flushSpan, ownSpan = b.tel.Tracer.StartSpan("flush/"+m.mc.Name, batch[0].seq, batch[0].enq, ftid)
-		flushSpan.AddStage("coalesce", batch[0].enq, flushAt, 0)
 	}
 	b.flushes.Add(1)
 	if reason == flushFull {
@@ -220,9 +209,6 @@ func (b *Batcher) execute(m *model, batch []*Pending, reason flushReason, firedA
 	}
 
 	now := clock.Now()
-	if ownSpan {
-		b.tel.Tracer.FinishSpan(flushSpan, now)
-	}
 	var onGPU uint64
 	if ranOnGPU {
 		onGPU = 1

@@ -84,10 +84,6 @@ type Config struct {
 	// is a no-op on a nil receiver. The zero value keeps telemetry on —
 	// its hot-path cost is a handful of atomic adds (see DESIGN.md).
 	DisableTelemetry bool
-	// TraceCalls arms span tracing at boot (equivalent to calling
-	// Telemetry().Tracer().SetEnabled(true)): each remoted call records a
-	// marshal / channel / dispatch / launch / demux stage timeline.
-	TraceCalls bool
 	// DisableFlightRecorder boots without the always-on flight recorder.
 	// The recorder rides the telemetry switch: it is on whenever telemetry
 	// is on (its per-event cost is a cursor fetch-add plus nine atomic
@@ -234,9 +230,6 @@ func New(cfg Config) (*Runtime, error) {
 	if !cfg.DisableTelemetry {
 		rt.tel = telemetry.NewRegistry()
 		rt.wireTelemetry(cfg)
-		if cfg.TraceCalls {
-			rt.tel.Tracer().SetEnabled(true)
-		}
 		boot := time.Now()
 		rt.tel.Gauge(metricName(cfg.ShardLabel, "lake_build_info",
 			`version="`+BuildVersion+`"`, `go_version="`+goruntime.Version()+`"`),
@@ -352,7 +345,6 @@ func (r *Runtime) wireTelemetry(cfg Config) {
 		Recoveries:       tel.Counter(name("lake_lib_recoveries_total"), "Calls that succeeded after at least one retry."),
 		DeadlineExceeded: tel.Counter(name("lake_lib_deadline_exceeded_total"), "Calls abandoned at the retry deadline."),
 		DaemonDead:       tel.Counter(name("lake_lib_daemon_dead_total"), "Calls refused because lakeD was declared dead."),
-		Tracer:           tel.Tracer(),
 	})
 	r.daemon.SetTelemetry(remoting.DaemonTelemetry{
 		Handled:       tel.Counter(name("lake_daemon_handled_total"), "Responses lakeD put on the channel."),
@@ -361,11 +353,10 @@ func (r *Runtime) wireTelemetry(cfg Config) {
 		CorruptFrames: tel.Counter(name("lake_daemon_corrupt_frames_total"), "Undecodable command frames lakeD dropped."),
 		GPUUtil:       tel.Gauge(name("lake_nvml_gpu_util"), "Last NVML GPU utilization sample served (percent)."),
 		MemUtil:       tel.Gauge(name("lake_nvml_mem_util"), "Last NVML memory utilization sample served (percent)."),
-		Tracer:        tel.Tracer(),
 	})
 }
 
-// Telemetry returns the runtime's metrics/tracing registry, or nil when the
+// Telemetry returns the runtime's metrics registry, or nil when the
 // runtime was booted with Config.DisableTelemetry (nil is safe: every
 // instrument it would hand out degrades to a no-op).
 func (r *Runtime) Telemetry() *telemetry.Registry { return r.tel }
@@ -554,7 +545,6 @@ func (r *Runtime) NewBatcher(cfg batcher.Config) *batcher.Batcher {
 			QueueDelay:     r.tel.Histogram(name("lake_batcher_queue_delay_ns"), "Per-request enqueue-to-flush wait (virtual ns).", telemetry.DefaultLatencyBuckets()),
 			GPUItemLatency: r.tel.Histogram(metricName(r.shardLbl, telemetry.MetricGPUItemLatency), "Observed per-item GPU-path latency (virtual ns).", telemetry.DefaultLatencyBuckets()),
 			CPUItemLatency: r.tel.Histogram(metricName(r.shardLbl, telemetry.MetricCPUItemLatency), "Observed per-item CPU-path latency (virtual ns).", telemetry.DefaultLatencyBuckets()),
-			Tracer:         r.tel.Tracer(),
 		})
 	}
 	return b

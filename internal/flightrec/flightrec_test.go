@@ -300,3 +300,62 @@ func TestBreakdownAndTailRendering(t *testing.T) {
 		}
 	}
 }
+
+// TestSpansFold checks the span view of a stitched dump: a plain call's
+// stages partition its window in the stitcher's own widths, and a batched
+// flush's span opens at its oldest member's enqueue — recovered through the
+// flush_member links — with the coalesce stage ending where the flush fired.
+func TestSpansFold(t *testing.T) {
+	clock := vtime.New()
+	r := New(clock, 1024)
+	r.SetEnabled(true)
+	emitCall(r, clock, 1, 1, 3)
+
+	const flush, older, younger = 10, 11, 12
+	enqueued := clock.Now()
+	r.Emit(DomainBatcher, EvEnqueue, older, 1, 0, 1, 0, 0)
+	clock.Advance(30 * time.Microsecond)
+	r.Emit(DomainBatcher, EvEnqueue, younger, 2, 0, 1, 0, 0)
+	clock.Advance(70 * time.Microsecond)
+	fired := clock.Now()
+	r.Emit(DomainBatcher, EvFlushStart, flush, 1, 0, 2, 1, 0)
+	r.Emit(DomainBatcher, EvFlushMember, older, 1, 0, flush, 1, 0)
+	r.Emit(DomainBatcher, EvFlushMember, younger, 2, 0, flush, 1, 0)
+	emitCall(r, clock, flush, 2, 7)
+
+	res := Stitch(r.Snapshot("spans"))
+	spans := Spans(res.Timelines, func(id uint64) string { return map[uint64]string{3: "launch", 7: "batched"}[id] })
+	if len(spans) != 2 || spans[0].Name != "launch" || spans[1].Name != "batched" {
+		t.Fatalf("spans = %+v, want launch then batched", spans)
+	}
+	widths := func(sp Span) map[string]time.Duration {
+		w := map[string]time.Duration{}
+		for _, st := range sp.Stages {
+			if st.VStart < sp.VStart || st.VEnd > sp.VEnd || st.VEnd < st.VStart {
+				t.Errorf("%s: stage %s [%v, %v] escapes span [%v, %v]", sp.Name, st.Name, st.VStart, st.VEnd, sp.VStart, sp.VEnd)
+			}
+			w[st.Name] = st.VEnd - st.VStart
+		}
+		return w
+	}
+	tl := res.Timelines[0]
+	w := widths(spans[0])
+	if w["queue"] != tl.Queue || w["copy"] != tl.Copy || w["exec"] != tl.Exec || w["boundary"] != tl.Boundary {
+		t.Fatalf("launch stage widths %v do not match timeline %+v", w, tl)
+	}
+	if _, ok := w["coalesce"]; ok || spans[0].VStart != tl.Start || spans[0].VEnd != tl.End {
+		t.Fatalf("plain call span must be the call window without coalesce: %+v", spans[0])
+	}
+	if spans[0].Stages[0].Name != "serialize" || spans[0].Stages[0].Wall != 1500*time.Nanosecond {
+		t.Fatalf("serialize must lead with its wall time: %+v", spans[0].Stages[0])
+	}
+
+	w = widths(spans[1])
+	if spans[1].VStart != enqueued || w["coalesce"] != fired-enqueued {
+		t.Fatalf("flush span starts %v with coalesce %v, want %v and %v (oldest enqueue to flush start)",
+			spans[1].VStart, w["coalesce"], enqueued, fired-enqueued)
+	}
+	if spans[1].TraceID != flush || spans[1].VEnd != res.Timelines[1].End {
+		t.Fatalf("flush span lost its call: %+v", spans[1])
+	}
+}

@@ -41,6 +41,13 @@ type Timeline struct {
 	Boundary  time.Duration // modeled channel round-trip cost
 	Other     time.Duration // remainder: backoff, restart cost, response handling
 
+	// Batched-flush calls only: the window the batcher spent forming the
+	// batch, from the oldest member's EvEnqueue (CoalesceStartV) to
+	// EvFlushStart. It precedes Start — the remoted call is issued after the
+	// flush fires — so it is not part of Total.
+	CoalesceStartV time.Duration
+	Coalesce       time.Duration
+
 	Completed bool // the client observed a response (EvCallEnd present)
 	Complete  bool // every cross-domain link was recovered
 	Missing   []string
@@ -79,12 +86,13 @@ var chain = []struct {
 // cross-domain timelines.
 func Stitch(d *Dump) *StitchResult {
 	byTID := make(map[uint64][]Event)
-	// Router events ride member-request trace IDs (the fleet routes
-	// requests, the batcher flushes them under a fresh flush ID), so the
-	// flush_member link re-homes each route hop onto the remoted call it
-	// coalesced into — the stitched timeline then shows the hop.
+	// Router and enqueue events ride member-request trace IDs (the fleet
+	// routes requests, the batcher queues them, then flushes them under a
+	// fresh flush ID), so the flush_member link re-homes each route hop and
+	// enqueue onto the remoted call it coalesced into — the stitched
+	// timeline then shows the hop and the coalesce window.
 	flushOf := make(map[uint64]uint64)
-	var routes []Event
+	var members []Event
 	for _, dd := range d.Domains {
 		for _, e := range dd.Events {
 			if e.TraceID == 0 {
@@ -96,12 +104,12 @@ func Stitch(d *Dump) *StitchResult {
 				if e.Arg0 != 0 {
 					flushOf[e.TraceID] = e.Arg0
 				}
-			case EvRoute:
-				routes = append(routes, e)
+			case EvRoute, EvEnqueue:
+				members = append(members, e)
 			}
 		}
 	}
-	for _, e := range routes {
+	for _, e := range members {
 		if ftid, ok := flushOf[e.TraceID]; ok && ftid != e.TraceID {
 			byTID[ftid] = append(byTID[ftid], e)
 		}
@@ -135,6 +143,7 @@ func stitchOne(tid uint64, evs []Event) (Timeline, bool) {
 	have := make(map[Kind]bool, len(evs))
 	const unset = time.Duration(-1 << 62)
 	start, end, dispatchAt, execStartV, execEndV := unset, unset, unset, unset, unset
+	enqueueAt, flushAt := unset, unset
 	for _, e := range evs {
 		have[e.Kind] = true
 		switch e.Kind {
@@ -181,6 +190,12 @@ func stitchOne(tid uint64, evs []Event) (Timeline, bool) {
 			}
 			tl.Route += time.Duration(e.Arg2)
 			tl.Shard = int(e.Shard)
+		case EvEnqueue:
+			if enqueueAt == unset || e.VTime < enqueueAt {
+				enqueueAt = e.VTime
+			}
+		case EvFlushStart:
+			flushAt = e.VTime
 		}
 	}
 	if !have[EvCallStart] {
@@ -212,6 +227,9 @@ func stitchOne(tid uint64, evs []Event) (Timeline, bool) {
 		if tl.Queue < 0 {
 			tl.Queue = 0
 		}
+	}
+	if enqueueAt != unset && flushAt >= enqueueAt {
+		tl.CoalesceStartV, tl.Coalesce = enqueueAt, flushAt-enqueueAt
 	}
 	if tl.Completed {
 		other := tl.Total() - tl.Queue - (tl.ExecEndV - tl.ExecStartV) - tl.Boundary
@@ -282,14 +300,20 @@ func (t Timeline) stages() []time.Duration {
 	return []time.Duration{t.Route, t.Serialize, t.Queue, t.Exec, t.Copy, t.Boundary, t.Other}
 }
 
+// orNumeric substitutes numeric ids for a nil API namer.
+func orNumeric(apiName func(uint64) string) func(uint64) string {
+	if apiName == nil {
+		return func(id uint64) string { return fmt.Sprintf("api_%d", id) }
+	}
+	return apiName
+}
+
 // BreakdownTable renders the paper-Fig-5/6-shaped per-stage latency table:
 // one row per API, mean per-call microseconds per stage plus each virtual
 // stage's share of total virtual time. apiName maps remoting API ids to
 // names (pass nil for numeric ids).
 func BreakdownTable(ts []Timeline, apiName func(uint64) string) string {
-	if apiName == nil {
-		apiName = func(id uint64) string { return fmt.Sprintf("api_%d", id) }
-	}
+	apiName = orNumeric(apiName)
 	type agg struct {
 		api    uint64
 		n      int
@@ -343,9 +367,7 @@ func BreakdownTable(ts []Timeline, apiName func(uint64) string) string {
 // per-stage share of virtual time among calls at or above the q'th
 // total-latency quantile, against the all-calls share for contrast.
 func TailAttribution(ts []Timeline, q float64, apiName func(uint64) string) string {
-	if apiName == nil {
-		apiName = func(id uint64) string { return fmt.Sprintf("api_%d", id) }
-	}
+	apiName = orNumeric(apiName)
 	var done []Timeline
 	for _, t := range ts {
 		if t.Completed {
@@ -418,6 +440,68 @@ func TailAttribution(ts []Timeline, q float64, apiName func(uint64) string) stri
 	return b.String()
 }
 
+// SpanStage is one timed segment of a Span on the virtual clock. Wall is
+// set only on serialize, which costs wall time and no virtual time.
+type SpanStage struct {
+	Name   string        `json:"stage"`
+	VStart time.Duration `json:"v_start_ns"`
+	VEnd   time.Duration `json:"v_end_ns"`
+	Wall   time.Duration `json:"wall_ns"`
+}
+
+// Span is one completed remoted call in the /spans.json shape: the call's
+// virtual window and its stages, all inside that window. The window opens
+// with the first stage: EvCallStart, or the coalesce stage ahead of it on a
+// batched-flush call.
+type Span struct {
+	Name    string        `json:"name"`
+	Seq     uint64        `json:"seq"`
+	TraceID uint64        `json:"trace_id"`
+	Result  uint64        `json:"result"` // remoting Result code the caller saw
+	VStart  time.Duration `json:"v_start_ns"`
+	VEnd    time.Duration `json:"v_end_ns"`
+	Stages  []SpanStage   `json:"stages"`
+}
+
+// spanStages lays the timeline's stages out on the virtual clock: coalesce
+// (flush calls that waited) ahead of the call, then serialize, queue, and —
+// the stitcher knows the transfer total, not where inside the execution
+// window it fell — copy followed by exec, then boundary.
+func (t Timeline) spanStages() []SpanStage {
+	var st []SpanStage
+	if t.Coalesce > 0 {
+		st = append(st, SpanStage{Name: "coalesce", VStart: t.CoalesceStartV, VEnd: t.CoalesceStartV + t.Coalesce})
+	}
+	dispatched := t.Start + t.Queue
+	execStart, execEnd := dispatched, dispatched
+	if t.ExecEndV > t.ExecStartV {
+		execStart, execEnd = t.ExecStartV, t.ExecEndV
+	}
+	return append(st,
+		SpanStage{Name: "serialize", VStart: t.Start, VEnd: t.Start, Wall: t.Serialize},
+		SpanStage{Name: "queue", VStart: t.Start, VEnd: dispatched},
+		SpanStage{Name: "copy", VStart: execStart, VEnd: execStart + t.Copy},
+		SpanStage{Name: "exec", VStart: execStart + t.Copy, VEnd: execEnd},
+		SpanStage{Name: "boundary", VStart: execEnd, VEnd: execEnd + t.Boundary},
+	)
+}
+
+// Spans folds the completed timelines of a stitched dump into per-call
+// spans, oldest first.
+func Spans(ts []Timeline, apiName func(uint64) string) []Span {
+	apiName = orNumeric(apiName)
+	spans := []Span{}
+	for _, t := range ts {
+		if !t.Completed {
+			continue
+		}
+		stages := t.spanStages()
+		spans = append(spans, Span{Name: apiName(t.API), Seq: t.Seq, TraceID: t.TraceID, Result: t.Result,
+			VStart: stages[0].VStart, VEnd: t.End, Stages: stages})
+	}
+	return spans
+}
+
 // chromeEvent is one Chrome trace_event record (Perfetto's JSON format).
 type chromeEvent struct {
 	Name string         `json:"name"`
@@ -435,9 +519,7 @@ type chromeEvent struct {
 // (chrome://tracing, ui.perfetto.dev). The virtual clock is the time axis;
 // each trace ID gets its own track.
 func ChromeTrace(res *StitchResult, apiName func(uint64) string) ([]byte, error) {
-	if apiName == nil {
-		apiName = func(id uint64) string { return fmt.Sprintf("api_%d", id) }
-	}
+	apiName = orNumeric(apiName)
 	us := func(d time.Duration) float64 { return float64(d) / 1e3 }
 	var events []chromeEvent
 	for _, t := range res.Timelines {
@@ -459,22 +541,13 @@ func ChromeTrace(res *StitchResult, apiName func(uint64) string) ([]byte, error)
 			Name: apiName(t.API), Cat: "call", Ph: "X", Pid: 1, Tid: t.TraceID,
 			Ts: us(t.Start), Dur: us(t.Total()), Args: args,
 		})
-		slice := func(name string, start, dur time.Duration) {
-			if dur <= 0 {
-				return
+		for _, st := range t.spanStages() {
+			if st.VEnd > st.VStart {
+				events = append(events, chromeEvent{
+					Name: st.Name, Cat: "stage", Ph: "X", Pid: 1, Tid: t.TraceID,
+					Ts: us(st.VStart), Dur: us(st.VEnd - st.VStart),
+				})
 			}
-			events = append(events, chromeEvent{
-				Name: name, Cat: "stage", Ph: "X", Pid: 1, Tid: t.TraceID,
-				Ts: us(start), Dur: us(dur),
-			})
-		}
-		slice("queue", t.Start, t.Queue)
-		if t.ExecEndV > t.ExecStartV {
-			slice("exec", t.ExecStartV, t.ExecEndV-t.ExecStartV)
-			slice("copy", t.ExecStartV, t.Copy)
-			slice("boundary", t.ExecEndV, t.Boundary)
-		} else {
-			slice("boundary", t.Start+t.Queue, t.Boundary)
 		}
 	}
 	if res.Dump != nil {

@@ -7,6 +7,7 @@ import (
 	"strconv"
 
 	"lakego/internal/flightrec"
+	"lakego/internal/remoting"
 )
 
 // Paths are the routes Handler serves; laked mounts each on its telemetry
@@ -20,6 +21,7 @@ var Paths = []string{
 	"/flightrec.tail",
 	"/flightrec.dump",
 	"/flightrec.json",
+	"/spans.json",
 	"/models.json",
 }
 
@@ -35,6 +37,7 @@ func (p *Plane) Handler() http.Handler {
 	mux.HandleFunc("/flightrec.tail", p.handleTail)
 	mux.HandleFunc("/flightrec.dump", p.handleDump(false))
 	mux.HandleFunc("/flightrec.json", p.handleDump(true))
+	mux.HandleFunc("/spans.json", p.handleSpans)
 	mux.HandleFunc("/models.json", p.handleModels)
 	return mux
 }
@@ -216,6 +219,21 @@ func (p *Plane) handleDump(asJSON bool) http.HandlerFunc {
 		w.Header().Set("Content-Type", "application/octet-stream")
 		_, _ = w.Write(dump.Encode())
 	}
+}
+
+// handleSpans serves /spans.json: the recorder's surviving events stitched
+// into one span per completed remoted call (flightrec.Spans).
+func (p *Plane) handleSpans(w http.ResponseWriter, req *http.Request) {
+	p.mu.Lock()
+	rec := p.rec
+	p.mu.Unlock()
+	dump := rec.Snapshot("http")
+	if dump == nil {
+		http.Error(w, "flight recorder disabled", http.StatusNotFound)
+		return
+	}
+	apiName := func(id uint64) string { return remoting.APIID(id).String() }
+	writeJSON(w, flightrec.Spans(flightrec.Stitch(dump).Timelines, apiName))
 }
 
 // handleModels serves the registry state in laked's /models.json shape.

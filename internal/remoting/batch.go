@@ -1,8 +1,6 @@
 package remoting
 
 import (
-	"errors"
-
 	"lakego/internal/cuda"
 	"lakego/internal/flightrec"
 	"lakego/internal/gpu"
@@ -112,10 +110,7 @@ func (l *Lib) CuBatchedInferInto(model string, spec BatchSpec, entries []BatchEn
 	cs.cmd.Blob = blob
 	if err := l.call(cs); err != nil {
 		l.done(cs)
-		if errors.Is(err, ErrDaemonDead) || errors.Is(err, ErrDeadlineExceeded) {
-			return nil, cuda.ErrNotReady
-		}
-		return nil, cuda.ErrUnknown
+		return nil, failResult(err)
 	}
 	r := cuda.Result(cs.resp.Result)
 	vals := cs.resp.Vals
@@ -228,10 +223,8 @@ func (d *Daemon) batchedInfer(cmd *Command, resp *Response) {
 		}
 		d.api.ChargeTransferFor(spec.DevIn, int64(cursor))
 
-		lt := d.tel.Tracer.Open(cmd.TraceID).StageTimer("launch", d.tr.Clock().Now())
 		sc.launchArgs = [3]uint64{uint64(spec.DevIn), uint64(spec.DevOut), uint64(items)}
 		launch := d.api.LaunchKernel(spec.Ctx, spec.Fn, sc.launchArgs[:])
-		lt.End(d.tr.Clock().Now())
 		if launch != cuda.Success {
 			for _, i := range admitted {
 				perRes[i] = launch

@@ -73,8 +73,6 @@ type DaemonTelemetry struct {
 	// GPUUtil / MemUtil hold the last NVML utilization sample served (%).
 	GPUUtil *telemetry.Gauge
 	MemUtil *telemetry.Gauge
-	// Tracer attaches dispatch and launch stages to the open call span.
-	Tracer *telemetry.Tracer
 }
 
 // SetTelemetry attaches instruments. Must be called during runtime
@@ -302,7 +300,6 @@ func (d *Daemon) PumpOne() bool {
 	}
 	d.rec.Emit(flightrec.DomainDaemon, flightrec.EvDispatch,
 		cmd.TraceID, cmd.Seq, 0, uint64(cmd.API), uint64(len(frame)), 0)
-	dispatch := d.tel.Tracer.Open(cmd.TraceID).StageTimer("dispatch", d.tr.Clock().Now())
 	if cached, dup := d.journal.lookup(cmd.Seq); dup {
 		d.tel.Redelivered.Inc()
 		d.rec.Emit(flightrec.DomainDaemon, flightrec.EvJournalHit,
@@ -312,7 +309,6 @@ func (d *Daemon) PumpOne() bool {
 		// lost; this respond completes the call's daemon-side chain.
 		d.rec.Emit(flightrec.DomainDaemon, flightrec.EvRespond,
 			cmd.TraceID, cmd.Seq, 0, uint64(cmd.API), uint64(len(cached)), 0)
-		dispatch.End(d.tr.Clock().Now())
 		return true
 	}
 	switch d.crashPoint() {
@@ -337,7 +333,6 @@ func (d *Daemon) PumpOne() bool {
 	d.respond(out)
 	d.rec.Emit(flightrec.DomainDaemon, flightrec.EvRespond,
 		cmd.TraceID, cmd.Seq, 0, uint64(cmd.API), uint64(len(out)), 0)
-	dispatch.End(d.tr.Clock().Now())
 	return true
 }
 
@@ -502,9 +497,7 @@ func (d *Daemon) execute(cmd *Command) *Response {
 			resp.Result = int32(cuda.ErrInvalidValue)
 			break
 		}
-		launch := d.tel.Tracer.Open(cmd.TraceID).StageTimer("launch", d.tr.Clock().Now())
 		resp.Result = int32(d.api.LaunchKernel(cmd.Args[0], cmd.Args[1], cmd.Args[2:]))
-		launch.End(d.tr.Clock().Now())
 
 	case APICuCtxSynchronize:
 		resp.Result = int32(d.api.CtxSynchronize(arg(cmd, 0)))

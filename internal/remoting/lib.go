@@ -130,8 +130,6 @@ type LibTelemetry struct {
 	Recoveries       *telemetry.Counter
 	DeadlineExceeded *telemetry.Counter
 	DaemonDead       *telemetry.Counter
-	// Tracer produces per-call spans when enabled.
-	Tracer *telemetry.Tracer
 }
 
 // SetTelemetry attaches instruments. Must be called during runtime
@@ -238,11 +236,11 @@ func (l *Lib) resilience() *Resilience {
 func (l *Lib) call(cs *callState) error {
 	cmd := &cs.cmd
 	cmd.Seq = l.shardTag | l.seq.Add(1)
-	// A trace ID is assigned only when something will consume it (recorder
-	// or tracer enabled); otherwise the command keeps TraceID 0 and the wire
-	// frame is byte-identical to the untraced protocol. Batcher flushes
-	// arrive with an externally assigned ID, which is preserved.
-	if cmd.TraceID == 0 && (l.rec.Enabled() || l.tel.Tracer.Enabled()) {
+	// A trace ID is assigned only when the recorder will consume it;
+	// otherwise the command keeps TraceID 0 and the wire frame is
+	// byte-identical to the untraced protocol. Batcher flushes arrive with
+	// an externally assigned ID, which is preserved.
+	if cmd.TraceID == 0 && l.rec.Enabled() {
 		cmd.TraceID = l.rec.NextTraceID()
 	}
 	marshalWall := time.Now()
@@ -259,16 +257,6 @@ func (l *Lib) call(cs *callState) error {
 		cmd.TraceID, cmd.Seq, 0, uint64(cmd.API), uint64(len(frame)), 0)
 	l.rec.Emit(flightrec.DomainKernel, flightrec.EvMarshal,
 		cmd.TraceID, cmd.Seq, 0, uint64(marshalTook), uint64(len(frame)), 0)
-	if l.tel.Tracer.Enabled() {
-		// The span either starts here (a direct call) or joins the open one
-		// (a call issued inside a batcher flush span). Marshal is a
-		// zero-virtual-width stage: it costs wall time only.
-		sp, owner := l.tel.Tracer.StartSpan(cmd.API.String(), cmd.Seq, vstart, cmd.TraceID)
-		sp.AddStage("marshal", vstart, vstart, marshalTook)
-		if owner {
-			defer func() { l.tel.Tracer.FinishSpan(sp, l.tr.Clock().Now()) }()
-		}
-	}
 	err = l.exchangeResilient(cs, l.resilience())
 	if err == nil {
 		l.tel.Calls.Inc()
@@ -277,9 +265,21 @@ func (l *Lib) call(cs *callState) error {
 			cmd.TraceID, cmd.Seq, 0, uint64(cmd.API), uint64(uint32(cs.resp.Result)), 0)
 	} else {
 		l.rec.Emit(flightrec.DomainKernel, flightrec.EvCallEnd,
-			cmd.TraceID, cmd.Seq, 0, uint64(cmd.API), uint64(uint32(cuda.ErrUnknown)), 1)
+			cmd.TraceID, cmd.Seq, 0, uint64(cmd.API), uint64(uint32(failResult(err))), 1)
 	}
 	return err
+}
+
+// failResult maps a failed call to the CUDA result the stubs surface (and
+// EvCallEnd records). A dead daemon or a blown deadline means the
+// accelerator service is unavailable, not the request invalid:
+// CUDA_ERROR_SYSTEM_NOT_READY routes callers to their CPU fallback (the
+// Fig 3 policy handles the rest).
+func failResult(err error) cuda.Result {
+	if errors.Is(err, ErrDaemonDead) || errors.Is(err, ErrDeadlineExceeded) {
+		return cuda.ErrNotReady
+	}
+	return cuda.ErrUnknown
 }
 
 // exchangeResilient performs one call under the Lib's Resilience: bounded
@@ -387,15 +387,9 @@ func (l *Lib) attemptOnce(cs *callState) error {
 			l.tel.StaleResponses.Inc()
 			continue
 		}
-		if sp := l.tel.Tracer.Open(cmd.TraceID); sp != nil {
-			vnow := l.tr.Clock().Now()
-			sp.AddStage("demux", vnow, vnow, time.Since(demuxWall))
-		}
 		l.rec.Emit(flightrec.DomainKernel, flightrec.EvDemux,
 			cmd.TraceID, cmd.Seq, 0, uint64(time.Since(demuxWall)), 0, 0)
-		chTimer := l.tel.Tracer.Open(cmd.TraceID).StageTimer("channel", l.tr.Clock().Now())
 		d := l.tr.ChargeRoundTrip(len(cs.frame) + len(respFrame))
-		chTimer.End(l.tr.Clock().Now())
 		l.rec.Emit(flightrec.DomainKernel, flightrec.EvChannel,
 			cmd.TraceID, cmd.Seq, 0, uint64(d), uint64(len(cs.frame)+len(respFrame)), 0)
 		l.mu.Lock()
@@ -414,13 +408,7 @@ func (l *Lib) doCall(cs *callState) cuda.Result {
 	if err := l.call(cs); err != nil {
 		cs.resp.Vals = cs.resp.Vals[:0]
 		cs.resp.Blob = cs.resp.Blob[:0]
-		if errors.Is(err, ErrDaemonDead) || errors.Is(err, ErrDeadlineExceeded) {
-			// The accelerator service is unavailable, not the request
-			// invalid: surface CUDA_ERROR_SYSTEM_NOT_READY so callers
-			// route to their CPU fallback (Fig 3 policy handles the rest).
-			return cuda.ErrNotReady
-		}
-		return cuda.ErrUnknown
+		return failResult(err)
 	}
 	return cuda.Result(cs.resp.Result)
 }

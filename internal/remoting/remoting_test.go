@@ -8,6 +8,7 @@ import (
 
 	"lakego/internal/boundary"
 	"lakego/internal/cuda"
+	"lakego/internal/flightrec"
 	"lakego/internal/gpu"
 	"lakego/internal/shm"
 	"lakego/internal/vtime"
@@ -295,6 +296,29 @@ func TestClosedTransportSurfacesError(t *testing.T) {
 	s.lib.MarkRecovered()
 	if !s.lib.Healthy() {
 		t.Fatal("MarkRecovered did not clear the dead latch")
+	}
+}
+
+// TestFailedCallRecordsSurfacedResult pins that the flight recorder and the
+// caller agree on a failed call: EvCallEnd carries the same mapped result
+// the stub returned, both on the exchange that declares lakeD dead and on
+// the fast-fail behind the latch.
+func TestFailedCallRecordsSurfacedResult(t *testing.T) {
+	s := newStack(t)
+	rec := flightrec.New(s.clock, 64)
+	rec.SetEnabled(true)
+	s.lib.SetFlightRecorder(rec)
+	s.tr.Close()
+	surfaced := []cuda.Result{s.lib.CuInit(), s.lib.CuInit()}
+	res := flightrec.Stitch(rec.Snapshot("test"))
+	if len(res.Timelines) != len(surfaced) {
+		t.Fatalf("stitched %d timelines, want %d", len(res.Timelines), len(surfaced))
+	}
+	for i, tl := range res.Timelines {
+		if surfaced[i] != cuda.ErrNotReady || !tl.Completed || cuda.Result(tl.Result) != surfaced[i] {
+			t.Errorf("call %d: caller saw %v, timeline recorded %v (completed=%v)",
+				i, surfaced[i], cuda.Result(tl.Result), tl.Completed)
+		}
 	}
 }
 

@@ -159,12 +159,12 @@ const (
 func ParsePoolPolicy(s string) (PoolPolicy, error) { return gpupool.ParsePolicy(s) }
 
 // Observability plane types (internal/telemetry): every runtime carries a
-// metrics + tracing registry (disable with Config.DisableTelemetry) exposed
-// through Runtime.Telemetry(). Instruments are allocation-free on the hot
+// metrics registry (disable with Config.DisableTelemetry) exposed through
+// Runtime.Telemetry(). Instruments are allocation-free on the hot
 // path, and every method is a no-op on a nil receiver, so instrumented code
 // never guards for a disabled plane.
 type (
-	// TelemetryRegistry is the per-runtime metric/tracing registry.
+	// TelemetryRegistry is the per-runtime metric registry.
 	TelemetryRegistry = telemetry.Registry
 	// TelemetrySnapshot is a point-in-time JSON-friendly metrics dump.
 	TelemetrySnapshot = telemetry.Snapshot
@@ -174,10 +174,6 @@ type (
 	Gauge = telemetry.Gauge
 	// Histogram is a fixed-bucket latency/size distribution.
 	Histogram = telemetry.Histogram
-	// Tracer records span-style per-call timelines when enabled.
-	Tracer = telemetry.Tracer
-	// Span is one traced call with its stage timeline.
-	Span = telemetry.Span
 )
 
 // DefaultBatcherConfig returns the batching defaults (32-item target
@@ -232,6 +228,9 @@ type (
 	FlightTimeline = flightrec.Timeline
 	// FlightStitch is the reconstruction of a dump.
 	FlightStitch = flightrec.StitchResult
+	// Span is one completed call with its stage timeline, folded from a
+	// stitched dump (served on /spans.json).
+	Span = flightrec.Span
 )
 
 // ReadFlightDump parses a flight-recorder dump from either its binary or

@@ -1,9 +1,41 @@
 package experiments
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files")
+
+// The three inference sweeps that ride offload.Runner render from the
+// virtual clock alone, so their output is bit-identical run to run; the
+// goldens pin every EXPERIMENTS.md number for Figs 8, 10 and 11 against
+// refactors of the offload path.
+func TestInferenceSweepsGolden(t *testing.T) {
+	for _, id := range []string{"fig8", "fig10", "fig11"} {
+		got, err := Run(id)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		path := filepath.Join("testdata", id+".golden")
+		if *update {
+			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != string(want) {
+			t.Errorf("%s differs from %s (rerun with -update only for a deliberate change)\n got:\n%s\nwant:\n%s", id, path, got, want)
+		}
+	}
+}
 
 func TestIDsCoverEveryPaperArtifact(t *testing.T) {
 	want := []string{

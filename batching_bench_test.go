@@ -140,7 +140,7 @@ func runBatchedLinnOSCfg(tb testing.TB, clients, perClient int, rcfg core.Config
 	cfg.Linger = 200 * time.Microsecond
 	cfg.ClientDepth = 4
 	b := rt.NewBatcher(cfg)
-	if err := pred.EnableBatching(b); err != nil {
+	if err := pred.Runner().EnableBatching(b); err != nil {
 		tb.Fatal(err)
 	}
 	run := batchBenchRun{

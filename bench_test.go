@@ -123,11 +123,11 @@ func BenchmarkTable3Crossovers(b *testing.B) {
 	b.Run("linnos", func(b *testing.B) {
 		var cross int
 		for i := 0; i < b.N; i++ {
-			pts, err := linnos.InferenceSweep(rt, linnos.Base, linnos.Fig8Batches())
+			pts, err := linnos.InferenceSweep(rt, linnos.Base, offload.StandardBatches())
 			if err != nil {
 				b.Fatal(err)
 			}
-			cross = linnos.Crossover(pts)
+			cross = offload.Crossover(pts)
 		}
 		b.ReportMetric(float64(cross), "crossover_batch")
 	})
@@ -209,7 +209,7 @@ func BenchmarkFig8Inference(b *testing.B) {
 		b.Run(kind.String(), func(b *testing.B) {
 			rt := newRT(b)
 			rt.Clock().Advance(time.Second)
-			var pts []linnos.SweepPoint
+			var pts []offload.SweepPoint
 			var err error
 			for i := 0; i < b.N; i++ {
 				pts, err = linnos.InferenceSweep(rt, kind, []int{8, 1024})

@@ -119,15 +119,9 @@ func bootFleet(shards int, routerPolicy lake.PoolPolicy) (*lake.Fleet, error) {
 	if err != nil {
 		return nil, err
 	}
-	net := nn.New(3, linnos.Base.Sizes()...)
-	if err := f.RegisterModel(lake.BatcherModel{
-		Name:       "linnos",
-		InputWidth: linnos.InputWidth, OutputWidth: 2,
-		MaxBatch:     linnos.MaxBatch,
-		CPUPerItem:   linnos.Base.CPUInferCost(),
-		FlopsPerItem: net.Flops(),
-		Forward:      net.Forward,
-	}); err != nil {
+	mc := linnos.Model(linnos.Base, nn.New(3, linnos.Base.Sizes()...))
+	mc.Name = "linnos"
+	if err := f.RegisterModel(mc); err != nil {
 		f.Close()
 		return nil, err
 	}

@@ -162,15 +162,9 @@ func runFleetDemo(cfg lake.Config, shards int, policy lake.PoolPolicy, calls int
 		// stall watchdog live (the fleet tracks per-shard outstanding work).
 		serveTelemetry(telemetryAddr, telemetryHandler(f, f.NewHealthPlane(lake.HealthPlaneConfig{})))
 	}
-	net := nn.New(3, linnos.Base.Sizes()...)
-	if err := f.RegisterModel(lake.BatcherModel{
-		Name:       "linnos",
-		InputWidth: linnos.InputWidth, OutputWidth: 2,
-		MaxBatch:     linnos.MaxBatch,
-		CPUPerItem:   linnos.Base.CPUInferCost(),
-		FlopsPerItem: net.Flops(),
-		Forward:      net.Forward,
-	}); err != nil {
+	mc := linnos.Model(linnos.Base, nn.New(3, linnos.Base.Sizes()...))
+	mc.Name = "linnos"
+	if err := f.RegisterModel(mc); err != nil {
 		log.Fatal(err)
 	}
 

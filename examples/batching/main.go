@@ -66,7 +66,7 @@ func main() {
 	cfg := batcher.DefaultConfig()
 	cfg.MaxWait = maxWait
 	b := rt.NewBatcher(cfg)
-	if err := pred.EnableBatching(b); err != nil {
+	if err := pred.Runner().EnableBatching(b); err != nil {
 		log.Fatal(err)
 	}
 	t0 = rt.Clock().Now()

@@ -42,15 +42,9 @@ func main() {
 	defer f.Close()
 
 	// One model, registered on every shard: the LinnOS latency classifier.
-	net := nn.New(3, linnos.Base.Sizes()...)
-	if err := f.RegisterModel(lake.BatcherModel{
-		Name:       "linnos",
-		InputWidth: linnos.InputWidth, OutputWidth: 2,
-		MaxBatch:     linnos.MaxBatch,
-		CPUPerItem:   linnos.Base.CPUInferCost(),
-		FlopsPerItem: net.Flops(),
-		Forward:      net.Forward,
-	}); err != nil {
+	mc := linnos.Model(linnos.Base, nn.New(3, linnos.Base.Sizes()...))
+	mc.Name = "linnos"
+	if err := f.RegisterModel(mc); err != nil {
 		log.Fatal(err)
 	}
 

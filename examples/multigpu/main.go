@@ -47,7 +47,7 @@ func run(devices int) (float64, *lake.Runtime, error) {
 	bcfg.Linger = 2 * time.Millisecond
 	bcfg.Policy = rt.NewAdaptivePolicy(lake.DefaultAdaptiveConfig()).Decide
 	b := rt.NewBatcher(bcfg)
-	if err := pred.EnableBatching(b); err != nil {
+	if err := pred.Runner().EnableBatching(b); err != nil {
 		return 0, nil, err
 	}
 

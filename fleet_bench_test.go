@@ -21,19 +21,13 @@ import (
 )
 
 // fleetLinnOSModel builds the LinnOS Base network as a fleet-registerable
-// batcher model, mirroring linnos.Predictor.EnableBatching: same widths,
-// same calibrated CPU cost, same flops model, same forward pass — so fleet
-// predictions are bit-identical to every other execution path.
+// batcher model from the descriptor every other execution path uses, so
+// fleet predictions are bit-identical to them.
 func fleetLinnOSModel() (lake.BatcherModel, *nn.Network) {
 	net := nn.New(3, linnos.Base.Sizes()...)
-	return lake.BatcherModel{
-		Name:       "linnos_fleet",
-		InputWidth: linnos.InputWidth, OutputWidth: 2,
-		MaxBatch:     linnos.MaxBatch,
-		CPUPerItem:   linnos.Base.CPUInferCost(),
-		FlopsPerItem: net.Flops(),
-		Forward:      net.Forward,
-	}, net
+	mc := linnos.Model(linnos.Base, net)
+	mc.Name = "linnos_fleet"
+	return mc, net
 }
 
 func fleetBenchConfig(shards int) lake.FleetConfig {

@@ -122,38 +122,101 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// ModelConfig describes one batchable model, mirroring offload.Config so
-// existing workloads can route through the batcher without retraining or
-// recalibration.
+// ModelConfig describes one offloadable model. It is the single descriptor
+// behind every execution route: offload.NewRunner runs it unbatched on the
+// CPU or through LAKE, RegisterModel queues it for cross-client batching,
+// and both launch the one device kernel Kernel builds from it.
 type ModelConfig struct {
 	// Name is the device-kernel symbol (unique per runtime).
 	Name string
 	// InputWidth / OutputWidth are per-item float32 counts.
 	InputWidth, OutputWidth int
-	// MaxBatch caps one flush in items (device staging size). Default
-	// 1024, the Fig 8-11 sweep ceiling.
+	// MaxBatch caps one launch in items (device staging size). RegisterModel
+	// defaults it to 1024, the Fig 8-11 sweep ceiling.
 	MaxBatch int
-	// CPUFixed / CPUPerItem are the calibrated kernel-space CPU costs
-	// charged when a flush is routed to the CPU fallback.
+	// CPUFixed is the per-invocation kernel-space cost (kernel_fpu
+	// bracketing etc.) and CPUPerItem the per-inference cost charged when a
+	// batch runs on the CPU path.
 	CPUFixed, CPUPerItem time.Duration
 	// FlopsPerItem drives the GPU compute-time model.
 	FlopsPerItem float64
 	// Forward computes one item's output. nil means timing-only (zero
-	// outputs).
+	// outputs), e.g. the large malware sweeps.
 	Forward func(x []float32) []float32
-	// ForwardProvider, when non-nil, is resolved once per flush to obtain
+	// ForwardProvider, when non-nil, is resolved once per batch to obtain
 	// the forward function, overriding Forward — the model-lifecycle
-	// hot-swap hook. Per-flush resolution keeps every flushed batch on a
-	// single model version.
+	// hot-swap hook. Per-batch resolution keeps every batch on a single
+	// model version.
 	ForwardProvider func() func(x []float32) []float32
 }
 
-// forward resolves the per-flush forward function (nil = timing-only).
-func (mc ModelConfig) forward() func(x []float32) []float32 {
+// Validate reports a descriptor no kernel can be staged for.
+func (mc ModelConfig) Validate() error {
+	if mc.Name == "" {
+		return fmt.Errorf("batcher: model needs a name")
+	}
+	if mc.InputWidth <= 0 || mc.OutputWidth <= 0 || mc.MaxBatch <= 0 {
+		return fmt.Errorf("batcher: %s: invalid dimensions %dx%d max %d",
+			mc.Name, mc.InputWidth, mc.OutputWidth, mc.MaxBatch)
+	}
+	return nil
+}
+
+// ResolveForward returns the forward function one batch runs (nil =
+// timing-only). Callers resolve once per batch, never per item.
+func (mc ModelConfig) ResolveForward() func(x []float32) []float32 {
 	if mc.ForwardProvider != nil {
 		return mc.ForwardProvider()
 	}
 	return mc.Forward
+}
+
+// Kernel builds the model's device kernel: one forward pass per item over a
+// staged slab. Args: [inPtr, outPtr, items].
+func (mc ModelConfig) Kernel() *cuda.Kernel {
+	return &cuda.Kernel{
+		Name:  mc.Name,
+		Flops: func(args []uint64) float64 { return float64(args[2]) * mc.FlopsPerItem },
+		Body: func(dev *gpu.Device, args []uint64) error {
+			if len(args) != 3 {
+				return fmt.Errorf("%s: want 3 args, got %d", mc.Name, len(args))
+			}
+			n := int(args[2])
+			if n <= 0 || n > mc.MaxBatch {
+				return fmt.Errorf("%s: batch %d out of range", mc.Name, n)
+			}
+			fwd := mc.ResolveForward()
+			if fwd == nil {
+				return nil // timing-only kernel
+			}
+			inMem, err := dev.Bytes(gpu.DevPtr(args[0]))
+			if err != nil {
+				return err
+			}
+			outMem, err := dev.Bytes(gpu.DevPtr(args[1]))
+			if err != nil {
+				return err
+			}
+			flat, err := cuda.Float32s(inMem, n*mc.InputWidth)
+			if err != nil {
+				return err
+			}
+			if len(outMem) < 4*n*mc.OutputWidth {
+				return fmt.Errorf("%s: output slab %d bytes, need %d", mc.Name, len(outMem), 4*n*mc.OutputWidth)
+			}
+			for i := 0; i < n; i++ {
+				y := fwd(flat[i*mc.InputWidth : (i+1)*mc.InputWidth])
+				if len(y) != mc.OutputWidth {
+					return fmt.Errorf("%s: forward returned %d outputs, want %d",
+						mc.Name, len(y), mc.OutputWidth)
+				}
+				if err := cuda.PutFloat32s(outMem[4*i*mc.OutputWidth:], y); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+	}
 }
 
 // Stats is a snapshot of batcher activity.
@@ -246,9 +309,6 @@ func New(rt Runtime, cfg Config) *Batcher {
 	return b
 }
 
-// Config returns the batcher's effective (defaulted) configuration.
-func (b *Batcher) Config() Config { return b.cfg }
-
 // Stats snapshots activity counters.
 func (b *Batcher) Stats() Stats {
 	return Stats{
@@ -295,14 +355,11 @@ type model struct {
 // remoted context/function handles and the device staging allocations one
 // flush executes against.
 func (b *Batcher) RegisterModel(mc ModelConfig) error {
-	if mc.Name == "" {
-		return fmt.Errorf("batcher: model needs a name")
-	}
-	if mc.InputWidth <= 0 || mc.OutputWidth <= 0 {
-		return fmt.Errorf("batcher: %s: invalid widths %dx%d", mc.Name, mc.InputWidth, mc.OutputWidth)
-	}
 	if mc.MaxBatch <= 0 {
 		mc.MaxBatch = 1024
+	}
+	if err := mc.Validate(); err != nil {
+		return err
 	}
 	b.mu.Lock()
 	if _, dup := b.models[mc.Name]; dup {
@@ -312,11 +369,7 @@ func (b *Batcher) RegisterModel(mc ModelConfig) error {
 	b.mu.Unlock()
 
 	m := &model{b: b, mc: mc}
-	b.rt.RegisterKernel(&cuda.Kernel{
-		Name:  mc.Name,
-		Flops: func(args []uint64) float64 { return float64(args[2]) * mc.FlopsPerItem },
-		Body:  m.kernelBody,
-	})
+	b.rt.RegisterKernel(mc.Kernel())
 	lib := b.rt.Lib()
 	mod, r := lib.CuModuleLoad(mc.Name + ".cubin")
 	if r != cuda.Success {
@@ -383,44 +436,6 @@ func (b *Batcher) model(name string) (*model, error) {
 	return m, nil
 }
 
-// kernelBody is the device-side batched inference kernel: one forward pass
-// per item over the gathered staging slab. Args: [inPtr, outPtr, items].
-func (m *model) kernelBody(dev *gpu.Device, args []uint64) error {
-	if len(args) != 3 {
-		return fmt.Errorf("%s: want 3 args, got %d", m.mc.Name, len(args))
-	}
-	n := int(args[2])
-	if n <= 0 || n > m.mc.MaxBatch {
-		return fmt.Errorf("%s: batch %d out of range", m.mc.Name, n)
-	}
-	fwd := m.mc.forward()
-	if fwd == nil {
-		return nil // timing-only model
-	}
-	inMem, err := dev.Bytes(gpu.DevPtr(args[0]))
-	if err != nil {
-		return err
-	}
-	outMem, err := dev.Bytes(gpu.DevPtr(args[1]))
-	if err != nil {
-		return err
-	}
-	flat, err := cuda.Float32s(inMem, n*m.mc.InputWidth)
-	if err != nil {
-		return err
-	}
-	out := make([]float32, 0, n*m.mc.OutputWidth)
-	for i := 0; i < n; i++ {
-		y := fwd(flat[i*m.mc.InputWidth : (i+1)*m.mc.InputWidth])
-		if len(y) != m.mc.OutputWidth {
-			return fmt.Errorf("%s: forward returned %d outputs, want %d",
-				m.mc.Name, len(y), m.mc.OutputWidth)
-		}
-		out = append(out, y...)
-	}
-	return cuda.PutFloat32s(outMem, out)
-}
-
 // Client is one kernel-side submitter's handle. Admission is per client:
 // at most ClientDepth outstanding requests, so one chatty subsystem cannot
 // starve the others (fair admission).
@@ -434,12 +449,6 @@ type Client struct {
 func (b *Batcher) Client(name string) *Client {
 	return &Client{b: b, name: name}
 }
-
-// Name returns the client's name.
-func (c *Client) Name() string { return c.name }
-
-// Outstanding reports the client's submitted-but-undelivered requests.
-func (c *Client) Outstanding() int { return int(c.outstanding.Load()) }
 
 // Pending is one in-flight request. Exactly one goroutine should Wait on
 // it (Wait may drive the flush on the caller's goroutine).

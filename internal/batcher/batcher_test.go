@@ -246,11 +246,7 @@ func TestBitIdenticalToUnbatched(t *testing.T) {
 	c := b.Client("cli")
 
 	rtB := newRT(t)
-	runner, err := offload.NewRunner(rtB, offload.Config{
-		Name: "testmodel", InputWidth: inW, OutputWidth: outW, MaxBatch: 1024,
-		CPUFixed: 2 * time.Microsecond, CPUPerItem: time.Microsecond,
-		FlopsPerItem: 1000, Forward: forward,
-	})
+	runner, err := offload.NewRunner(rtB, modelCfg("testmodel"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -251,7 +251,7 @@ func (b *Batcher) execute(m *model, batch []*Pending, reason flushReason, firedA
 // passes written straight into each request's output slice. The calibrated
 // kernel-space cost is charged by the caller.
 func (m *model) runCPU(batch []*Pending) error {
-	fwd := m.mc.forward() // resolved once: the whole flush runs one model version
+	fwd := m.mc.ResolveForward() // resolved once: the whole flush runs one model version
 	for _, p := range batch {
 		flat, err := cuda.Float32s(p.inBuf.Bytes(), p.count*m.mc.InputWidth)
 		if err != nil {

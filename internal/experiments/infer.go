@@ -46,16 +46,12 @@ func Fig8() (string, error) {
 	var b strings.Builder
 	b.WriteString(header("fig8", "LinnOS inference time by batch (paper Fig 8)"))
 	for _, kind := range linnos.Kinds() {
-		pts, err := linnos.InferenceSweep(rt, kind, linnos.Fig8Batches())
+		pts, err := linnos.InferenceSweep(rt, kind, offload.StandardBatches())
 		if err != nil {
 			return "", err
 		}
-		b.WriteString(fmt.Sprintf("\nModel %s (crossover at batch %d):\n", kind, linnos.Crossover(pts)))
-		b.WriteString(fmt.Sprintf("%-8s %14s %14s %14s\n", "Batch", "CPU (µs)", "LAKE (µs)", "LAKE sync (µs)"))
-		for _, p := range pts {
-			b.WriteString(fmt.Sprintf("%-8d %14.2f %14.2f %14.2f\n",
-				p.Batch, us(p.CPU), us(p.LAKE), us(p.LAKESync)))
-		}
+		b.WriteString(fmt.Sprintf("\nModel %s (crossover at batch %d):\n", kind, offload.Crossover(pts)))
+		renderSweep(&b, pts)
 	}
 	return b.String(), nil
 }
@@ -180,12 +176,12 @@ func Table3() (string, error) {
 	b.WriteString(header("table3", "profitability crossover points (paper Table 3)"))
 	b.WriteString(fmt.Sprintf("%-24s %-14s %10s %10s\n", "Application", "Algorithm", "Measured", "Paper"))
 
-	linPts, err := linnos.InferenceSweep(rt, linnos.Base, linnos.Fig8Batches())
+	linPts, err := linnos.InferenceSweep(rt, linnos.Base, offload.StandardBatches())
 	if err != nil {
 		return "", err
 	}
 	b.WriteString(fmt.Sprintf("%-24s %-14s %10d %10d\n",
-		"I/O latency prediction", "Neural Net", linnos.Crossover(linPts), 8))
+		"I/O latency prediction", "Neural Net", offload.Crossover(linPts), 8))
 
 	// Page warmth: GPU profitable from batch 1 (Table 3 row 2).
 	kcls, err := kleio.New(rt, 3)

@@ -15,9 +15,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync/atomic"
 	"time"
 
+	"lakego/internal/batcher"
 	"lakego/internal/core"
 	"lakego/internal/nn"
 	"lakego/internal/offload"
@@ -250,69 +250,33 @@ func Train(seed int64, samples []Sample, epochs int) (*nn.Network, float64, erro
 	return net, net.Accuracy(xs, labels), nil
 }
 
-// Classifier is the KML model wired through LAKE. The serving network
-// sits behind an atomic pointer so the model lifecycle can hot-swap
-// versions; the offload runner resolves the forward function once per
-// batch, so a swap never mixes versions inside a batch.
+// Classifier is the KML model wired through LAKE. The embedded slot is the
+// lifecycle hot-swap hook (Net, SwapNet); the offload runner resolves it
+// once per batch, so a swap never mixes versions inside a batch.
 type Classifier struct {
-	net    atomic.Pointer[nn.Network]
+	*offload.Slot
 	runner *offload.Runner
 }
 
 // New wraps a trained network for runtime rt.
 func New(rt *core.Runtime, net *nn.Network) (*Classifier, error) {
-	if err := checkSizes(net); err != nil {
-		return nil, err
+	if got := net.Sizes(); got[0] != InputWidth || got[len(got)-1] != len(patternNames) {
+		return nil, fmt.Errorf("kml: network sizes %v, want %v", got, Sizes())
 	}
-	c := &Classifier{}
-	c.net.Store(net)
-	runner, err := offload.NewRunner(rt, offload.Config{
+	slot := offload.NewSlot(net)
+	runner, err := offload.NewRunner(rt, slot.Serve(batcher.ModelConfig{
 		Name:        "kml_nn",
 		InputWidth:  InputWidth,
 		OutputWidth: len(patternNames),
 		MaxBatch:    MaxBatch,
 		CPUFixed:    cpuFixed,
 		CPUPerItem:  cpuPerItem,
-		// SwapNet only admits same-shape networks, so the per-item FLOP
-		// count captured here stays correct across hot-swaps.
-		FlopsPerItem:    net.Flops(),
-		ForwardProvider: func() func([]float32) []float32 { return c.net.Load().Forward },
-	})
+	}))
 	if err != nil {
 		return nil, err
 	}
-	c.runner = runner
-	return c, nil
+	return &Classifier{Slot: slot, runner: runner}, nil
 }
-
-func checkSizes(net *nn.Network) error {
-	got := net.Sizes()
-	if got[0] != InputWidth || got[len(got)-1] != len(patternNames) {
-		return fmt.Errorf("kml: network sizes %v, want %v", got, Sizes())
-	}
-	return nil
-}
-
-// Net returns the serving network.
-func (c *Classifier) Net() *nn.Network { return c.net.Load() }
-
-// SwapNet atomically replaces the serving network — the lifecycle
-// manager's hot-swap hook. The replacement must have the KML input and
-// output widths. In-flight batches finish on the version they resolved.
-func (c *Classifier) SwapNet(net *nn.Network) error {
-	// Fast path: shape-matching the serving net avoids the Sizes()
-	// allocations on every flip; odd shapes fall through to the full check.
-	if !nn.SameShape(c.net.Load(), net) {
-		if err := checkSizes(net); err != nil {
-			return err
-		}
-	}
-	c.net.Store(net)
-	return nil
-}
-
-// Runner exposes the offload runner.
-func (c *Classifier) Runner() *offload.Runner { return c.runner }
 
 // ClassifyCPU predicts patterns on the kernel CPU path.
 func (c *Classifier) ClassifyCPU(batch [][]float32) ([]Pattern, time.Duration) {

@@ -132,6 +132,23 @@ func TestNewRejectsWrongShape(t *testing.T) {
 	}
 }
 
+// FlopsPerItem is captured from the network New wraps, so SwapNet must not
+// admit a different hidden width even though the KML input/output widths
+// match (the old first-and-last-width check did).
+func TestSwapNetRejectsDifferentHiddenWidth(t *testing.T) {
+	c, err := New(boot(t), nn.New(1, Sizes()...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SwapNet(nn.New(2, InputWidth, 64, len(patternNames))); err == nil {
+		t.Fatal("SwapNet admitted a {10,64,4} net into a {10,128,4} classifier")
+	}
+	next := nn.New(3, Sizes()...)
+	if err := c.SwapNet(next); err != nil || c.Net() != next {
+		t.Fatalf("same-shape swap: err = %v, serving swapped = %v", err, c.Net() == next)
+	}
+}
+
 // Fig 11 / Table 3: crossover at 64 classifications.
 func TestFig11Crossover(t *testing.T) {
 	rt := boot(t)

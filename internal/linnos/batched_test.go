@@ -19,7 +19,7 @@ func TestBatchedRoutingMatchesUnbatched(t *testing.T) {
 	cfg := batcher.DefaultConfig()
 	cfg.Linger = 0
 	b := rt.NewBatcher(cfg)
-	if err := pred.EnableBatching(b); err != nil {
+	if err := pred.Runner().EnableBatching(b); err != nil {
 		t.Fatal(err)
 	}
 	c := b.Client("queue-0")

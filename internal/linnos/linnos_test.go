@@ -7,6 +7,7 @@ import (
 	"lakego/internal/core"
 	"lakego/internal/features"
 	"lakego/internal/nn"
+	"lakego/internal/offload"
 	"lakego/internal/policy"
 	"lakego/internal/storage"
 	"lakego/internal/trace"
@@ -144,14 +145,14 @@ func TestInferLAKEBatchLimits(t *testing.T) {
 func TestFig8Crossovers(t *testing.T) {
 	rt := boot(t)
 	rt.Clock().Advance(time.Second)
-	pts, err := InferenceSweep(rt, Base, Fig8Batches())
+	pts, err := InferenceSweep(rt, Base, offload.StandardBatches())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pts[0].CPU != 15*time.Microsecond {
 		t.Fatalf("CPU(1) = %v, want 15µs", pts[0].CPU)
 	}
-	if got := Crossover(pts); got != 8 {
+	if got := offload.Crossover(pts); got != 8 {
 		for _, p := range pts {
 			t.Logf("batch %4d: cpu=%v lake=%v sync=%v", p.Batch, p.CPU, p.LAKE, p.LAKESync)
 		}
@@ -168,19 +169,19 @@ func TestFig8Crossovers(t *testing.T) {
 		t.Fatalf("LAKE(8) = %v, want ~58µs", g8)
 	}
 
-	p1, err := InferenceSweep(rt, Plus1, Fig8Batches())
+	p1, err := InferenceSweep(rt, Plus1, offload.StandardBatches())
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1 := Crossover(p1)
+	c1 := offload.Crossover(p1)
 	if c1 < 2 || c1 > 4 {
 		t.Fatalf("+1 crossover = %d, want in [2,4] (paper: >3)", c1)
 	}
-	p2, err := InferenceSweep(rt, Plus2, Fig8Batches())
+	p2, err := InferenceSweep(rt, Plus2, offload.StandardBatches())
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2 := Crossover(p2)
+	c2 := offload.Crossover(p2)
 	if c2 < 1 || c2 > 2 {
 		t.Fatalf("+2 crossover = %d, want <= 2 (paper: >2)", c2)
 	}

@@ -2,18 +2,13 @@ package linnos
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
+	"lakego/internal/batcher"
 	"lakego/internal/core"
-	"lakego/internal/cuda"
-	"lakego/internal/gpu"
 	"lakego/internal/nn"
+	"lakego/internal/offload"
 	"lakego/internal/policy"
-	"lakego/internal/shm"
-	"lakego/internal/telemetry"
-	"lakego/internal/vtime"
 )
 
 // ModelKind selects the network depth: the original LinnOS model or the
@@ -79,39 +74,31 @@ func (k ModelKind) CPUInferCost() time.Duration {
 // 1024).
 const MaxBatch = 1024
 
+// Model is the offload descriptor of variant kind served by net: feature
+// and logit widths, the Fig 8 staging ceiling, the calibrated kernel-space
+// CPU cost and the network's FLOP count and forward pass. Callers that
+// register it under another model name set Name on the result.
+func Model(kind ModelKind, net *nn.Network) batcher.ModelConfig {
+	return batcher.ModelConfig{
+		Name:       fmt.Sprintf("linnos_%s", kind),
+		InputWidth: InputWidth, OutputWidth: 2,
+		MaxBatch:     MaxBatch,
+		CPUPerItem:   kind.CPUInferCost(),
+		FlopsPerItem: net.Flops(),
+		Forward:      net.Forward,
+	}
+}
+
 // Predictor is one LinnOS-style latency classifier wired through LAKE:
 // the trained network lives in the user-space daemon (lakeD registers it as
 // a device kernel), while the kernel side stages feature batches in lakeShm
-// and launches inference via the remoted driver API.
+// and launches inference via the remoted driver API. The embedded slot is
+// the lifecycle hot-swap hook (Net, SwapNet).
 type Predictor struct {
-	rt   *core.Runtime
-	kind ModelKind
-	// net is the serving network behind an atomic pointer: the model
-	// lifecycle hot-swaps versions with SwapNet while inferences are in
-	// flight. Every inference path loads the pointer exactly once per
-	// batch, so a batch always completes on a single version — swaps never
-	// drop or mix predictions.
-	net atomic.Pointer[nn.Network]
-
-	ctx, fn uint64
-	devIn   gpu.DevPtr
-	devOut  gpu.DevPtr
-	inBuf   *shm.Buffer
-	outBuf  *shm.Buffer
-
-	// stageMu serializes InferLAKE: the staging buffers and device slabs
-	// are one per predictor, so concurrent remoted runs must not
-	// interleave.
-	stageMu sync.Mutex
-
-	// gpuLat / cpuLat are the runtime's shared per-item latency series
-	// (the histograms the Fig 3 policy's observed-latency mode reads);
-	// nil without telemetry.
-	gpuLat, cpuLat *telemetry.Histogram
+	*offload.Slot
+	kind   ModelKind
+	runner *offload.Runner
 }
-
-// kernelName is the device-kernel symbol for a variant.
-func kernelName(k ModelKind) string { return fmt.Sprintf("linnos_%s", k) }
 
 // NewPredictor builds a predictor for the trained network net (layer sizes
 // must match kind) on runtime rt.
@@ -119,51 +106,12 @@ func NewPredictor(rt *core.Runtime, kind ModelKind, net *nn.Network) (*Predictor
 	if err := checkSizes(kind, net); err != nil {
 		return nil, err
 	}
-	p := &Predictor{rt: rt, kind: kind}
-	p.net.Store(net)
-	if tel := rt.Telemetry(); tel != nil {
-		p.gpuLat = tel.Histogram(telemetry.MetricGPUItemLatency, "Observed per-item GPU-path latency (virtual ns).", telemetry.DefaultLatencyBuckets())
-		p.cpuLat = tel.Histogram(telemetry.MetricCPUItemLatency, "Observed per-item CPU-path latency (virtual ns).", telemetry.DefaultLatencyBuckets())
-	}
-	// SwapNet only admits same-shape networks, so the FLOP count captured
-	// here stays correct across hot-swaps.
-	flops := net.Flops()
-	rt.RegisterKernel(&cuda.Kernel{
-		Name:  kernelName(kind),
-		Flops: func(args []uint64) float64 { return float64(args[2]) * flops },
-		Body:  p.kernelBody,
-	})
-	lib := rt.Lib()
-	ctx, r := lib.CuCtxCreate("kernel-linnos")
-	if r != cuda.Success {
-		return nil, r.Err()
-	}
-	mod, r := lib.CuModuleLoad("linnos.cubin")
-	if r != cuda.Success {
-		return nil, r.Err()
-	}
-	fn, r := lib.CuModuleGetFunction(mod, kernelName(kind))
-	if r != cuda.Success {
-		return nil, r.Err()
-	}
-	p.ctx, p.fn = ctx, fn
-
-	inBytes := int64(4 * InputWidth * MaxBatch)
-	outBytes := int64(4 * 2 * MaxBatch)
-	if p.devIn, r = lib.CuMemAlloc(inBytes); r != cuda.Success {
-		return nil, r.Err()
-	}
-	if p.devOut, r = lib.CuMemAlloc(outBytes); r != cuda.Success {
-		return nil, r.Err()
-	}
-	var err error
-	if p.inBuf, err = rt.Region().Alloc(inBytes); err != nil {
+	slot := offload.NewSlot(net)
+	runner, err := offload.NewRunner(rt, slot.Serve(Model(kind, net)))
+	if err != nil {
 		return nil, err
 	}
-	if p.outBuf, err = rt.Region().Alloc(outBytes); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return &Predictor{Slot: slot, kind: kind, runner: runner}, nil
 }
 
 // checkSizes validates a network against the variant's layer shape.
@@ -184,71 +132,27 @@ func checkSizes(kind ModelKind, net *nn.Network) error {
 // Kind returns the model variant.
 func (p *Predictor) Kind() ModelKind { return p.kind }
 
-// Net returns the serving network (used by training and tests).
-func (p *Predictor) Net() *nn.Network { return p.net.Load() }
-
-// SwapNet atomically replaces the serving network — the lifecycle
-// manager's hot-swap hook. The new network must match the predictor's
-// variant shape. Batches already in flight finish on the network they
-// loaded; new batches see the replacement.
-func (p *Predictor) SwapNet(net *nn.Network) error {
-	// Fast path: the serving net already satisfies the variant shape, so
-	// matching it is equivalent to checkSizes without the allocations.
-	if !nn.SameShape(p.net.Load(), net) {
-		if err := checkSizes(p.kind, net); err != nil {
-			return err
-		}
-	}
-	p.net.Store(net)
-	return nil
-}
-
-// kernelBody is the device-side inference kernel: real forward passes over
-// the staged batch. Args: [inPtr, outPtr, batch].
-func (p *Predictor) kernelBody(dev *gpu.Device, args []uint64) error {
-	if len(args) != 3 {
-		return fmt.Errorf("linnos kernel: want 3 args, got %d", len(args))
-	}
-	batch := int(args[2])
-	if batch <= 0 || batch > MaxBatch {
-		return fmt.Errorf("linnos kernel: batch %d out of range", batch)
-	}
-	inMem, err := dev.Bytes(gpu.DevPtr(args[0]))
-	if err != nil {
-		return err
-	}
-	outMem, err := dev.Bytes(gpu.DevPtr(args[1]))
-	if err != nil {
-		return err
-	}
-	flat, err := cuda.Float32s(inMem, batch*InputWidth)
-	if err != nil {
-		return err
-	}
-	net := p.net.Load() // one load per batch: a concurrent swap cannot mix versions mid-batch
-	out := make([]float32, 0, batch*2)
-	for i := 0; i < batch; i++ {
-		logits := net.Forward(flat[i*InputWidth : (i+1)*InputWidth])
-		out = append(out, logits...)
-	}
-	return cuda.PutFloat32s(outMem, out)
-}
+// Runner exposes the offload runner (sweeps, EnableBatching).
+func (p *Predictor) Runner() *offload.Runner { return p.runner }
 
 // InferCPU classifies the batch on the kernel's CPU path: real forward
 // passes, with the modeled kernel-space cost charged per inference.
 func (p *Predictor) InferCPU(batch [][]float32) ([]bool, time.Duration) {
-	net := p.net.Load() // one load per batch: swaps never mix versions mid-batch
-	slow := make([]bool, len(batch))
-	for i, x := range batch {
-		logits := net.Forward(x)
-		slow[i] = logits[1] > logits[0]
+	out, d := p.runner.RunCPU(batch)
+	return slowOf(out), d
+}
+
+// InferLAKE classifies the batch on the GPU through the full LAKE stack and
+// returns the predictions plus the modeled inference time. With sync=true
+// the input staging copy is included in the measured time ("LAKE (sync.)");
+// otherwise the copy is performed before timing starts, modeling input data
+// copied to the GPU asynchronously during batch formation ("LAKE").
+func (p *Predictor) InferLAKE(batch [][]float32, sync bool) ([]bool, time.Duration, error) {
+	out, d, err := p.runner.RunLAKE(batch, sync)
+	if err != nil || out == nil {
+		return nil, 0, err
 	}
-	cost := time.Duration(len(batch)) * p.kind.CPUInferCost()
-	p.rt.Clock().Advance(cost)
-	if len(batch) > 0 {
-		p.cpuLat.ObserveDuration(cost / time.Duration(len(batch)))
-	}
-	return slow, cost
+	return slowOf(out), d, nil
 }
 
 // InferAuto routes the batch through pol (the Fig 3 profitability policy):
@@ -258,87 +162,18 @@ func (p *Predictor) InferCPU(batch [][]float32) ([]bool, time.Duration) {
 // an I/O completion must be predicted fast or slow either way. The returned
 // Decision is the path that actually produced the predictions.
 func (p *Predictor) InferAuto(batch [][]float32, pol policy.Func) ([]bool, policy.Decision, time.Duration, error) {
-	dec := policy.UseGPU
-	if pol != nil {
-		dec = pol(len(batch))
+	out, dec, d, err := p.runner.RunAuto(batch, pol)
+	if err != nil {
+		return nil, dec, 0, err
 	}
-	if dec == policy.UseGPU {
-		slow, d, err := p.InferLAKE(batch, true)
-		if err == nil {
-			return slow, policy.UseGPU, d, nil
-		}
-		if res, ok := cuda.AsResult(err); !ok || res != cuda.ErrNotReady {
-			return nil, policy.UseGPU, 0, err
-		}
-	}
-	slow, d := p.InferCPU(batch)
-	return slow, policy.UseCPU, d, nil
+	return slowOf(out), dec, d, nil
 }
 
-// InferLAKE classifies the batch on the GPU through the full LAKE stack and
-// returns the predictions plus the modeled inference time. With sync=true
-// the input staging copy is included in the measured time ("LAKE (sync.)");
-// otherwise the copy is performed before timing starts, modeling input data
-// copied to the GPU asynchronously during batch formation ("LAKE").
-func (p *Predictor) InferLAKE(batch [][]float32, sync bool) ([]bool, time.Duration, error) {
-	n := len(batch)
-	if n == 0 {
-		return nil, 0, nil
+// slowOf decodes logit rows into slow-vs-fast predictions.
+func slowOf(out [][]float32) []bool {
+	slow := make([]bool, len(out))
+	for i, logits := range out {
+		slow[i] = logits[1] > logits[0]
 	}
-	if n > MaxBatch {
-		return nil, 0, fmt.Errorf("linnos: batch %d exceeds max %d", n, MaxBatch)
-	}
-	p.stageMu.Lock()
-	defer p.stageMu.Unlock()
-	lib := p.rt.Lib()
-	flat := make([]float32, 0, n*InputWidth)
-	for _, x := range batch {
-		if len(x) != InputWidth {
-			return nil, 0, fmt.Errorf("linnos: feature vector width %d, want %d", len(x), InputWidth)
-		}
-		flat = append(flat, x...)
-	}
-	if err := cuda.PutFloat32s(p.inBuf.Bytes(), flat); err != nil {
-		return nil, 0, err
-	}
-	inBytes := int64(4 * n * InputWidth)
-	outBytes := int64(4 * 2 * n)
-
-	copyIn := func() error {
-		if r := lib.CuMemcpyHtoDShm(p.devIn, p.inBuf, inBytes); r != cuda.Success {
-			return r.Err()
-		}
-		return nil
-	}
-
-	var sw vtime.Stopwatch
-	if sync {
-		sw = vtime.StartStopwatch(p.rt.Clock())
-		if err := copyIn(); err != nil {
-			return nil, 0, err
-		}
-	} else {
-		if err := copyIn(); err != nil {
-			return nil, 0, err
-		}
-		sw = vtime.StartStopwatch(p.rt.Clock())
-	}
-	if r := lib.CuLaunchKernel(p.ctx, p.fn, []uint64{uint64(p.devIn), uint64(p.devOut), uint64(n)}); r != cuda.Success {
-		return nil, 0, r.Err()
-	}
-	if r := lib.CuMemcpyDtoHShm(p.outBuf, p.devOut, outBytes); r != cuda.Success {
-		return nil, 0, r.Err()
-	}
-	elapsed := sw.Elapsed()
-	p.gpuLat.ObserveDuration(elapsed / time.Duration(n))
-
-	logits, err := cuda.Float32s(p.outBuf.Bytes(), n*2)
-	if err != nil {
-		return nil, 0, err
-	}
-	slow := make([]bool, n)
-	for i := range slow {
-		slow[i] = logits[2*i+1] > logits[2*i]
-	}
-	return slow, elapsed, nil
+	return slow
 }

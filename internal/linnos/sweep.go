@@ -5,61 +5,21 @@ import (
 
 	"lakego/internal/core"
 	"lakego/internal/nn"
+	"lakego/internal/offload"
 )
-
-// SweepPoint is one Fig 8 measurement: inference time for a batch on each
-// execution path.
-type SweepPoint struct {
-	Batch    int
-	CPU      time.Duration
-	LAKE     time.Duration // input copy overlapped (async)
-	LAKESync time.Duration // input copy on the critical path
-}
-
-// Fig8Batches are the x-axis batch sizes of Fig 8.
-func Fig8Batches() []int {
-	return []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
-}
 
 // InferenceSweep measures I/O latency prediction time for each batch size
 // on the CPU path and through LAKE (Fig 8). Timing is independent of the
 // weights, so an untrained network of the right shape suffices.
-func InferenceSweep(rt *core.Runtime, kind ModelKind, batches []int) ([]SweepPoint, error) {
+func InferenceSweep(rt *core.Runtime, kind ModelKind, batches []int) ([]offload.SweepPoint, error) {
 	pred, err := NewPredictor(rt, kind, nn.New(11, kind.Sizes()...))
 	if err != nil {
 		return nil, err
 	}
-	points := make([]SweepPoint, 0, len(batches))
-	for _, b := range batches {
-		batch := make([][]float32, b)
-		for i := range batch {
-			batch[i] = FeatureVector(i%50, []time.Duration{
-				time.Duration(i) * 10 * time.Microsecond,
-				time.Duration(i) * 20 * time.Microsecond,
-			})
-		}
-		_, cpuT := pred.InferCPU(batch)
-		_, asyncT, err := pred.InferLAKE(batch, false)
-		if err != nil {
-			return nil, err
-		}
-		_, syncT, err := pred.InferLAKE(batch, true)
-		if err != nil {
-			return nil, err
-		}
-		points = append(points, SweepPoint{Batch: b, CPU: cpuT, LAKE: asyncT, LAKESync: syncT})
-	}
-	return points, nil
-}
-
-// Crossover returns the smallest measured batch size at which the LAKE
-// (async) path beats the CPU path, or 0 if it never does — the Table 3
-// crossover point.
-func Crossover(points []SweepPoint) int {
-	for _, p := range points {
-		if p.LAKE < p.CPU {
-			return p.Batch
-		}
-	}
-	return 0
+	return offload.Sweep(pred.runner, batches, func(i int) []float32 {
+		return FeatureVector(i%50, []time.Duration{
+			time.Duration(i) * 10 * time.Microsecond,
+			time.Duration(i) * 20 * time.Microsecond,
+		})
+	})
 }

@@ -49,15 +49,9 @@ func MixNames() []string { return []string{"linnos", "kml", "mllb", "malware", "
 func classModel(mix string) (batcher.ModelConfig, error) {
 	switch mix {
 	case "linnos":
-		net := nn.New(3, linnos.Base.Sizes()...)
-		return batcher.ModelConfig{
-			Name:       "linnos",
-			InputWidth: linnos.InputWidth, OutputWidth: 2,
-			MaxBatch:     linnos.MaxBatch,
-			CPUPerItem:   linnos.Base.CPUInferCost(),
-			FlopsPerItem: net.Flops(),
-			Forward:      net.Forward,
-		}, nil
+		mc := linnos.Model(linnos.Base, nn.New(3, linnos.Base.Sizes()...))
+		mc.Name = "linnos"
+		return mc, nil
 	case "kml":
 		net := nn.New(5, kml.Sizes()...)
 		sizes := kml.Sizes()

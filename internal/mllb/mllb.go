@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"time"
 
+	"lakego/internal/batcher"
 	"lakego/internal/core"
 	"lakego/internal/nn"
 	"lakego/internal/offload"
@@ -53,7 +54,7 @@ func New(rt *core.Runtime, net *nn.Network) (*Balancer, error) {
 	if len(got) != len(want) || got[0] != want[0] || got[len(got)-1] != want[len(want)-1] {
 		return nil, fmt.Errorf("mllb: network sizes %v, want %v", got, want)
 	}
-	runner, err := offload.NewRunner(rt, offload.Config{
+	runner, err := offload.NewRunner(rt, batcher.ModelConfig{
 		Name:         "mllb_nn",
 		InputWidth:   InputWidth,
 		OutputWidth:  2,

@@ -1,76 +1,76 @@
-// Package offload provides the shared harness the ML-assisted subsystems
-// use to run batched inference either on the kernel CPU path or through
-// LAKE's remoted CUDA path, and to sweep batch sizes for the profitability
-// figures (Figs 10, 11, 12) and Table 3's crossover points.
+// Package offload is the one path every ML-assisted subsystem takes from a
+// model descriptor to an inference result: a batcher.ModelConfig's Kernel is
+// registered with lakeD, a Runner stages feature rows in lakeShm and runs
+// them on the kernel CPU path, through LAKE's remoted CUDA path, or wherever
+// the Fig 3 policy decides (RunAuto), and EnableBatching queues the same
+// descriptor behind the cross-client batcher. The package also sweeps batch
+// sizes for the profitability figures (Figs 8, 10, 11, 12) and Table 3's
+// crossover points.
 //
-// Each workload package wraps a Runner with its own model, feature width
-// and calibrated kernel-space CPU cost; the Runner owns the device kernel
-// registration, lakeShm staging buffers and the measurement protocol
-// (LAKE vs LAKE-sync, mirroring §7's "with and without synchronous data
-// movement").
+// Each workload package wraps a Runner with its own model, feature width,
+// calibrated kernel-space CPU cost and output decoder; the Runner owns the
+// lakeShm staging buffers and the measurement protocol (LAKE vs LAKE-sync,
+// mirroring §7's "with and without synchronous data movement").
 package offload
 
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"lakego/internal/batcher"
 	"lakego/internal/core"
 	"lakego/internal/cuda"
 	"lakego/internal/gpu"
+	"lakego/internal/nn"
 	"lakego/internal/policy"
 	"lakego/internal/shm"
 	"lakego/internal/telemetry"
 	"lakego/internal/vtime"
 )
 
-// Config describes one offloadable classifier.
-type Config struct {
-	// Name is the device-kernel symbol (must be unique per runtime).
-	Name string
-	// InputWidth / OutputWidth are per-item float32 counts.
-	InputWidth, OutputWidth int
-	// MaxBatch bounds one staged batch.
-	MaxBatch int
-	// CPUFixed is the per-invocation kernel-space cost (kernel_fpu
-	// bracketing etc.); CPUPerItem is the per-inference cost.
-	CPUFixed, CPUPerItem time.Duration
-	// FlopsPerItem drives the GPU compute-time model.
-	FlopsPerItem float64
-	// Forward computes one item's real output. May be nil for
-	// timing-only configurations (e.g. the large malware sweeps), in
-	// which case outputs are zero.
-	Forward func(x []float32) []float32
-	// ForwardProvider, when non-nil, is resolved once per batch to obtain
-	// the forward function, overriding Forward. It is the model-lifecycle
-	// hot-swap hook: resolving per batch (instead of reading a mutable
-	// Forward per item) guarantees a batch never mixes model versions.
-	ForwardProvider func() func(x []float32) []float32
+// Slot is a workload's hot-swappable serving network: the model lifecycle
+// replaces versions with SwapNet while inferences are in flight, and every
+// execution route resolves the slot exactly once per batch (Serve), so a
+// batch always completes on a single version — swaps never drop or mix
+// predictions.
+type Slot struct{ net atomic.Pointer[nn.Network] }
+
+// NewSlot returns a slot serving net.
+func NewSlot(net *nn.Network) *Slot {
+	s := &Slot{}
+	s.net.Store(net)
+	return s
 }
 
-// forward resolves the per-batch forward function (nil = timing-only).
-func (c Config) forward() func(x []float32) []float32 {
-	if c.ForwardProvider != nil {
-		return c.ForwardProvider()
-	}
-	return c.Forward
-}
+// Net returns the serving network.
+func (s *Slot) Net() *nn.Network { return s.net.Load() }
 
-func (c Config) validate() error {
-	if c.Name == "" {
-		return fmt.Errorf("offload: config needs a kernel name")
+// SwapNet atomically replaces the serving network — the lifecycle manager's
+// hot-swap hook. The replacement must have the serving network's layer
+// geometry: the descriptor's widths and FlopsPerItem were captured from it.
+// Batches already in flight finish on the network they resolved.
+func (s *Slot) SwapNet(net *nn.Network) error {
+	if cur := s.net.Load(); !nn.SameShape(cur, net) {
+		return fmt.Errorf("offload: swap to network sizes %v, serving %v", net.Sizes(), cur.Sizes())
 	}
-	if c.InputWidth <= 0 || c.OutputWidth <= 0 || c.MaxBatch <= 0 {
-		return fmt.Errorf("offload: %s: invalid dimensions %dx%d max %d",
-			c.Name, c.InputWidth, c.OutputWidth, c.MaxBatch)
-	}
+	s.net.Store(net)
 	return nil
 }
 
-// Runner executes one classifier on either path.
+// Serve binds mc's forward pass and FLOP count to the slot.
+func (s *Slot) Serve(mc batcher.ModelConfig) batcher.ModelConfig {
+	mc.FlopsPerItem = s.Net().Flops()
+	mc.Forward = nil // overridden by the provider; keeps no swapped-out net alive
+	mc.ForwardProvider = func() func([]float32) []float32 { return s.net.Load().Forward }
+	return mc
+}
+
+// Runner executes one model descriptor on either path.
 type Runner struct {
-	rt  *core.Runtime
-	cfg Config
+	rt *core.Runtime
+	mc batcher.ModelConfig
 
 	ctx, fn       uint64
 	devIn, devOut gpu.DevPtr
@@ -86,38 +86,34 @@ type Runner struct {
 	gpuLat, cpuLat *telemetry.Histogram
 }
 
-// NewRunner registers the device kernel and stages buffers.
-func NewRunner(rt *core.Runtime, cfg Config) (*Runner, error) {
-	if err := cfg.validate(); err != nil {
+// NewRunner registers mc's device kernel and stages buffers.
+func NewRunner(rt *core.Runtime, mc batcher.ModelConfig) (*Runner, error) {
+	if err := mc.Validate(); err != nil {
 		return nil, err
 	}
-	r := &Runner{rt: rt, cfg: cfg}
+	r := &Runner{rt: rt, mc: mc}
 	if tel := rt.Telemetry(); tel != nil {
 		r.gpuLat = tel.Histogram(telemetry.MetricGPUItemLatency, "Observed per-item GPU-path latency (virtual ns).", telemetry.DefaultLatencyBuckets())
 		r.cpuLat = tel.Histogram(telemetry.MetricCPUItemLatency, "Observed per-item CPU-path latency (virtual ns).", telemetry.DefaultLatencyBuckets())
 	}
-	rt.RegisterKernel(&cuda.Kernel{
-		Name:  cfg.Name,
-		Flops: func(args []uint64) float64 { return float64(args[2]) * cfg.FlopsPerItem },
-		Body:  r.kernelBody,
-	})
+	rt.RegisterKernel(mc.Kernel())
 	lib := rt.Lib()
-	ctx, res := lib.CuCtxCreate("kernel-" + cfg.Name)
+	ctx, res := lib.CuCtxCreate("kernel-" + mc.Name)
 	if res != cuda.Success {
 		return nil, res.Err()
 	}
-	mod, res := lib.CuModuleLoad(cfg.Name + ".cubin")
+	mod, res := lib.CuModuleLoad(mc.Name + ".cubin")
 	if res != cuda.Success {
 		return nil, res.Err()
 	}
-	fn, res := lib.CuModuleGetFunction(mod, cfg.Name)
+	fn, res := lib.CuModuleGetFunction(mod, mc.Name)
 	if res != cuda.Success {
 		return nil, res.Err()
 	}
 	r.ctx, r.fn = ctx, fn
 
-	inBytes := int64(4 * cfg.InputWidth * cfg.MaxBatch)
-	outBytes := int64(4 * cfg.OutputWidth * cfg.MaxBatch)
+	inBytes := int64(4 * mc.InputWidth * mc.MaxBatch)
+	outBytes := int64(4 * mc.OutputWidth * mc.MaxBatch)
 	if r.devIn, res = lib.CuMemAlloc(inBytes); res != cuda.Success {
 		return nil, res.Err()
 	}
@@ -134,58 +130,46 @@ func NewRunner(rt *core.Runtime, cfg Config) (*Runner, error) {
 	return r, nil
 }
 
-// Config returns the runner's configuration.
-func (r *Runner) Config() Config { return r.cfg }
+// Config returns the runner's model descriptor.
+func (r *Runner) Config() batcher.ModelConfig { return r.mc }
 
-func (r *Runner) kernelBody(dev *gpu.Device, args []uint64) error {
-	if len(args) != 3 {
-		return fmt.Errorf("%s: want 3 args, got %d", r.cfg.Name, len(args))
+// BatchModelName is the batcher model EnableBatching registers.
+func (r *Runner) BatchModelName() string { return r.mc.Name + "_batched" }
+
+// EnableBatching registers the runner's descriptor with the lakeD
+// cross-client batcher, so clients that each see fewer items per window
+// than the model's crossover coalesce into one profitable launch. The
+// batched model shares the descriptor's calibrated CPU cost, FLOP count and
+// forward pass: the batcher's CPU fallback and the Fig 3 policy see the same
+// economics as the unbatched routes, and outputs are bit-identical.
+func (r *Runner) EnableBatching(b *batcher.Batcher) error {
+	mc := r.mc
+	mc.Name = r.BatchModelName()
+	return b.RegisterModel(mc)
+}
+
+// checkWidth rejects a feature row the staged slab (and nn.Forward, which
+// panics on it) cannot take.
+func (r *Runner) checkWidth(x []float32) error {
+	if len(x) != r.mc.InputWidth {
+		return fmt.Errorf("%s: item width %d, want %d", r.mc.Name, len(x), r.mc.InputWidth)
 	}
-	n := int(args[2])
-	if n <= 0 || n > r.cfg.MaxBatch {
-		return fmt.Errorf("%s: batch %d out of range", r.cfg.Name, n)
-	}
-	fwd := r.cfg.forward()
-	if fwd == nil {
-		return nil // timing-only kernel
-	}
-	inMem, err := dev.Bytes(gpu.DevPtr(args[0]))
-	if err != nil {
-		return err
-	}
-	outMem, err := dev.Bytes(gpu.DevPtr(args[1]))
-	if err != nil {
-		return err
-	}
-	flat, err := cuda.Float32s(inMem, n*r.cfg.InputWidth)
-	if err != nil {
-		return err
-	}
-	out := make([]float32, 0, n*r.cfg.OutputWidth)
-	for i := 0; i < n; i++ {
-		y := fwd(flat[i*r.cfg.InputWidth : (i+1)*r.cfg.InputWidth])
-		if len(y) != r.cfg.OutputWidth {
-			return fmt.Errorf("%s: forward returned %d outputs, want %d",
-				r.cfg.Name, len(y), r.cfg.OutputWidth)
-		}
-		out = append(out, y...)
-	}
-	return cuda.PutFloat32s(outMem, out)
+	return nil
 }
 
 // RunCPU executes the batch on the kernel CPU path: real outputs (when
 // Forward is set) with the calibrated kernel-space cost charged.
 func (r *Runner) RunCPU(batch [][]float32) ([][]float32, time.Duration) {
-	fwd := r.cfg.forward() // resolved once: the whole batch runs one model version
+	fwd := r.mc.ResolveForward() // resolved once: the whole batch runs one model version
 	out := make([][]float32, len(batch))
 	for i, x := range batch {
 		if fwd != nil {
 			out[i] = fwd(x)
 		} else {
-			out[i] = make([]float32, r.cfg.OutputWidth)
+			out[i] = make([]float32, r.mc.OutputWidth)
 		}
 	}
-	cost := r.cfg.CPUFixed + time.Duration(len(batch))*r.cfg.CPUPerItem
+	cost := r.mc.CPUFixed + time.Duration(len(batch))*r.mc.CPUPerItem
 	r.rt.Clock().Advance(cost)
 	if len(batch) > 0 {
 		r.cpuLat.ObserveDuration(cost / time.Duration(len(batch)))
@@ -201,24 +185,25 @@ func (r *Runner) RunLAKE(batch [][]float32, sync bool) ([][]float32, time.Durati
 	if n == 0 {
 		return nil, 0, nil
 	}
-	if n > r.cfg.MaxBatch {
-		return nil, 0, fmt.Errorf("%s: batch %d exceeds max %d", r.cfg.Name, n, r.cfg.MaxBatch)
+	if n > r.mc.MaxBatch {
+		return nil, 0, fmt.Errorf("%s: batch %d exceeds max %d", r.mc.Name, n, r.mc.MaxBatch)
 	}
 	r.stageMu.Lock()
 	defer r.stageMu.Unlock()
-	flat := make([]float32, 0, n*r.cfg.InputWidth)
-	for _, x := range batch {
-		if len(x) != r.cfg.InputWidth {
-			return nil, 0, fmt.Errorf("%s: item width %d, want %d", r.cfg.Name, len(x), r.cfg.InputWidth)
+	// Rows go straight into lakeShm; n <= MaxBatch keeps every offset inside
+	// the MaxBatch-sized staging buffer.
+	staged := r.inBuf.Bytes()
+	for i, x := range batch {
+		if err := r.checkWidth(x); err != nil {
+			return nil, 0, err
 		}
-		flat = append(flat, x...)
-	}
-	if err := cuda.PutFloat32s(r.inBuf.Bytes(), flat); err != nil {
-		return nil, 0, err
+		if err := cuda.PutFloat32s(staged[4*i*r.mc.InputWidth:], x); err != nil {
+			return nil, 0, err
+		}
 	}
 	lib := r.rt.Lib()
-	inBytes := int64(4 * n * r.cfg.InputWidth)
-	outBytes := int64(4 * n * r.cfg.OutputWidth)
+	inBytes := int64(4 * n * r.mc.InputWidth)
+	outBytes := int64(4 * n * r.mc.OutputWidth)
 	copyIn := func() error {
 		if res := lib.CuMemcpyHtoDShm(r.devIn, r.inBuf, inBytes); res != cuda.Success {
 			return res.Err()
@@ -246,13 +231,13 @@ func (r *Runner) RunLAKE(batch [][]float32, sync bool) ([][]float32, time.Durati
 	elapsed := sw.Elapsed()
 	r.gpuLat.ObserveDuration(elapsed / time.Duration(n))
 
-	vals, err := cuda.Float32s(r.outBuf.Bytes(), n*r.cfg.OutputWidth)
+	vals, err := cuda.Float32s(r.outBuf.Bytes(), n*r.mc.OutputWidth)
 	if err != nil {
 		return nil, 0, err
 	}
 	out := make([][]float32, n)
 	for i := range out {
-		out[i] = vals[i*r.cfg.OutputWidth : (i+1)*r.cfg.OutputWidth]
+		out[i] = vals[i*r.mc.OutputWidth : (i+1)*r.mc.OutputWidth]
 	}
 	return out, elapsed, nil
 }
@@ -261,9 +246,15 @@ func (r *Runner) RunLAKE(batch [][]float32, sync bool) ([][]float32, time.Durati
 // and executes it on the decided path. A GPU-routed batch that fails
 // because lakeD is unavailable (CUDA_ERROR_SYSTEM_NOT_READY — declared
 // dead and unrecovered) transparently completes on the kernel CPU
-// fallback; other remoted errors are returned. The returned Decision is
-// the path that actually produced the outputs.
+// fallback; other remoted errors are returned. Row widths are checked once
+// before routing, so a malformed batch fails the same way on either route.
+// The returned Decision is the path that actually produced the outputs.
 func (r *Runner) RunAuto(batch [][]float32, pol policy.Func) ([][]float32, policy.Decision, time.Duration, error) {
+	for _, x := range batch {
+		if err := r.checkWidth(x); err != nil {
+			return nil, policy.UseCPU, 0, err
+		}
+	}
 	dec := policy.UseGPU
 	if pol != nil {
 		dec = pol(len(batch))
@@ -294,8 +285,8 @@ type SweepPoint struct {
 func Sweep(r *Runner, batches []int, mkItem func(i int) []float32) ([]SweepPoint, error) {
 	points := make([]SweepPoint, 0, len(batches))
 	for _, b := range batches {
-		if b > r.cfg.MaxBatch {
-			return nil, fmt.Errorf("offload: sweep batch %d exceeds max %d", b, r.cfg.MaxBatch)
+		if b > r.mc.MaxBatch {
+			return nil, fmt.Errorf("offload: sweep batch %d exceeds max %d", b, r.mc.MaxBatch)
 		}
 		batch := make([][]float32, b)
 		for i := range batch {

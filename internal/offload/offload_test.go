@@ -1,10 +1,15 @@
 package offload
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"lakego/internal/batcher"
 	"lakego/internal/core"
+	"lakego/internal/nn"
+	"lakego/internal/policy"
 )
 
 func boot(t *testing.T) *core.Runtime {
@@ -25,8 +30,8 @@ func doubler(x []float32) []float32 {
 	return out
 }
 
-func cfg(name string) Config {
-	return Config{
+func cfg(name string) batcher.ModelConfig {
+	return batcher.ModelConfig{
 		Name: name, InputWidth: 4, OutputWidth: 4, MaxBatch: 64,
 		CPUFixed: 2 * time.Microsecond, CPUPerItem: 1200 * time.Nanosecond,
 		FlopsPerItem: 1000, Forward: doubler,
@@ -35,7 +40,7 @@ func cfg(name string) Config {
 
 func TestConfigValidation(t *testing.T) {
 	rt := boot(t)
-	bad := []Config{
+	bad := []batcher.ModelConfig{
 		{},
 		{Name: "x", InputWidth: 0, OutputWidth: 1, MaxBatch: 1},
 		{Name: "x", InputWidth: 1, OutputWidth: 0, MaxBatch: 1},
@@ -48,30 +53,139 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// Every route a descriptor can take must return the same outputs: there is
+// one kernel and one forward resolution behind all of them.
 func TestCPUAndLAKEProduceSameOutputs(t *testing.T) {
-	rt := boot(t)
-	r, err := NewRunner(rt, cfg("dbl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := [][]float32{{1, 2, 3, 4}, {5, 6, 7, 8}}
-	cpuOut, cpuT := r.RunCPU(batch)
-	lakeOut, lakeT, err := r.RunLAKE(batch, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range batch {
-		for j := range batch[i] {
-			if cpuOut[i][j] != 2*batch[i][j] || lakeOut[i][j] != 2*batch[i][j] {
-				t.Fatalf("outputs wrong: cpu=%v lake=%v", cpuOut[i], lakeOut[i])
+	net := nn.New(5, 4, 16, 4)
+	timing := cfg("timing")
+	timing.Forward = nil
+	for _, tc := range []struct {
+		name string
+		mc   batcher.ModelConfig
+		want func(x []float32) []float32
+	}{
+		{"forward", cfg("dbl"), doubler},
+		{"slot", NewSlot(net).Serve(cfg("net")), net.Forward},
+		{"timing-only", timing, func([]float32) []float32 { return make([]float32, 4) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := boot(t)
+			r, err := NewRunner(rt, tc.mc)
+			if err != nil {
+				t.Fatal(err)
 			}
+			b := rt.NewBatcher(batcher.Config{Linger: 0})
+			if err := r.EnableBatching(b); err != nil {
+				t.Fatal(err)
+			}
+			batch := [][]float32{{1, 2, 3, 4}, {5, 6, 7, 8}, {-1, 0.5, 0, 9}}
+			want := make([][]float32, len(batch))
+			for i, x := range batch {
+				want[i] = tc.want(x)
+			}
+			check := func(route string, got [][]float32, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("%s: %v", route, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s = %v, want %v", route, got, want)
+				}
+			}
+
+			cpuOut, cpuT := r.RunCPU(batch)
+			check("RunCPU", cpuOut, nil)
+			if want := 2*time.Microsecond + 3*1200*time.Nanosecond; cpuT != want {
+				t.Fatalf("cpu time = %v, want %v", cpuT, want)
+			}
+			syncOut, syncT, err := r.RunLAKE(batch, true)
+			check("RunLAKE(sync)", syncOut, err)
+			asyncOut, asyncT, err := r.RunLAKE(batch, false)
+			check("RunLAKE(async)", asyncOut, err)
+			if asyncT <= 0 || syncT < asyncT {
+				t.Fatalf("lake times: sync %v, async %v", syncT, asyncT)
+			}
+			autoOut, dec, _, err := r.RunAuto(batch, nil)
+			check("RunAuto(nil)", autoOut, err)
+			if dec != policy.UseGPU {
+				t.Fatalf("RunAuto(nil) ran on %v", dec)
+			}
+			batched, err := b.Client("c").Infer(r.BatchModelName(), batch)
+			check("EnableBatching", batched, err)
+
+			rt.Close() // the next remoted call latches lakeD dead
+			deadOut, dec, _, err := r.RunAuto(batch, nil)
+			check("RunAuto(daemon dead)", deadOut, err)
+			if dec != policy.UseCPU {
+				t.Fatalf("dead-daemon RunAuto ran on %v", dec)
+			}
+		})
+	}
+}
+
+// A wrong-width row must fail RunAuto with RunLAKE's error whichever route
+// the policy picks; the CPU route used to panic inside the forward pass.
+func TestRunAutoRejectsWrongWidthOnEveryRoute(t *testing.T) {
+	rt := boot(t)
+	mc := cfg("narrow")
+	mc.Forward = func(x []float32) []float32 { return []float32{x[0], x[1], x[2], x[3]} }
+	r, err := NewRunner(rt, mc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := [][]float32{{1, 2, 3, 4}, {1}}
+	_, _, lakeErr := r.RunLAKE(bad, true)
+	if lakeErr == nil {
+		t.Fatal("RunLAKE accepted a narrow row")
+	}
+	for name, pol := range map[string]policy.Func{
+		"gpu": nil,
+		"cpu": func(int) policy.Decision { return policy.UseCPU },
+	} {
+		_, _, _, err := r.RunAuto(bad, pol)
+		if err == nil || err.Error() != lakeErr.Error() {
+			t.Fatalf("%s route: err = %v, want %v", name, err, lakeErr)
 		}
 	}
-	if want := 2*time.Microsecond + 2*1200*time.Nanosecond; cpuT != want {
-		t.Fatalf("cpu time = %v, want %v", cpuT, want)
+	rt.Close()
+	if _, _, _, err := r.RunAuto(bad, nil); err == nil || err.Error() != lakeErr.Error() {
+		t.Fatalf("dead-daemon fallback: err = %v, want %v", err, lakeErr)
 	}
-	if lakeT <= 0 {
-		t.Fatalf("lake time = %v", lakeT)
+}
+
+// The slot admits only the serving network's exact layer geometry and
+// every route picks a swapped network up on its next batch.
+func TestSlotSwapNet(t *testing.T) {
+	rt := boot(t)
+	a, b := nn.New(1, 4, 16, 4), nn.New(2, 4, 16, 4)
+	slot := NewSlot(a)
+	r, err := NewRunner(rt, slot.Serve(cfg("swap")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Config().FlopsPerItem != a.Flops() {
+		t.Fatalf("FlopsPerItem = %v, want the net's %v", r.Config().FlopsPerItem, a.Flops())
+	}
+	for _, odd := range []*nn.Network{nn.New(3, 4, 8, 4), nn.New(3, 4, 16, 16, 4), nn.New(3, 4, 16, 2)} {
+		err := slot.SwapNet(odd)
+		if err == nil || !strings.Contains(err.Error(), "serving [4 16 4]") {
+			t.Fatalf("swap to sizes %v: err = %v", odd.Sizes(), err)
+		}
+	}
+	if slot.Net() != a {
+		t.Fatal("a rejected swap replaced the serving net")
+	}
+	if err := slot.SwapNet(b); err != nil {
+		t.Fatal(err)
+	}
+	x := []float32{1, 2, 3, 4}
+	cpu, _ := r.RunCPU([][]float32{x})
+	lake, _, err := r.RunLAKE([][]float32{x}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := b.Forward(x); !reflect.DeepEqual(cpu[0], want) || !reflect.DeepEqual(lake[0], want) {
+		t.Fatalf("after swap: cpu %v lake %v, want %v", cpu[0], lake[0], want)
 	}
 }
 

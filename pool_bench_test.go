@@ -67,7 +67,7 @@ func runPoolScalingLinnOS(tb testing.TB, clients, perClient, devices int) batchB
 	cfg.ClientDepth = 4
 	cfg.Policy = rt.NewAdaptivePolicy(policy.DefaultAdaptiveConfig()).Decide
 	b := rt.NewBatcher(cfg)
-	if err := pred.EnableBatching(b); err != nil {
+	if err := pred.Runner().EnableBatching(b); err != nil {
 		tb.Fatal(err)
 	}
 	run := batchBenchRun{

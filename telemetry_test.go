@@ -127,7 +127,7 @@ func TestBatchedCoalesceTrace(t *testing.T) {
 	bcfg := batcher.DefaultConfig()
 	bcfg.MaxWait = 100 * time.Microsecond
 	b := rt.NewBatcher(bcfg)
-	if err := pred.EnableBatching(b); err != nil {
+	if err := pred.Runner().EnableBatching(b); err != nil {
 		t.Fatal(err)
 	}
 	c := b.Client("trace-client")

@@ -11,8 +11,7 @@ import (
 	"sync"
 	"time"
 
-	"lakego/internal/batcher"
-	"lakego/internal/core"
+	lake "lakego"
 	"lakego/internal/linnos"
 	"lakego/internal/nn"
 )
@@ -30,7 +29,7 @@ func feature(ci, r int) []float32 {
 }
 
 func main() {
-	rt, err := core.New(core.DefaultConfig())
+	rt, err := lake.New(lake.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -63,7 +62,7 @@ func main() {
 
 	// Batched: the same load through one shared Batcher. The adaptive
 	// policy routes each flush GPU vs CPU exactly as Fig 3 prescribes.
-	cfg := batcher.DefaultConfig()
+	cfg := lake.DefaultBatcherConfig()
 	cfg.MaxWait = maxWait
 	b := rt.NewBatcher(cfg)
 	if err := pred.Runner().EnableBatching(b); err != nil {

@@ -9,8 +9,8 @@ import (
 	"log"
 	"strings"
 
+	lake "lakego"
 	"lakego/internal/contention"
-	"lakego/internal/core"
 )
 
 func bar(norm float64, width int) string {
@@ -25,7 +25,7 @@ func bar(norm float64, width int) string {
 }
 
 func main() {
-	rt, err := core.New(core.DefaultConfig())
+	rt, err := lake.New(lake.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func main() {
 	fmt.Printf("worst-case degradation: %.0f%% (paper: up to 68%%)\n\n",
 		contention.Fig1Degradation(pts)*100)
 
-	rt2, err := core.New(core.DefaultConfig())
+	rt2, err := lake.New(lake.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}

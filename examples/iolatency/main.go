@@ -9,14 +9,14 @@ import (
 	"fmt"
 	"log"
 
-	"lakego/internal/core"
+	lake "lakego"
 	"lakego/internal/linnos"
 	"lakego/internal/storage"
 	"lakego/internal/trace"
 )
 
 func main() {
-	rt, err := core.New(core.DefaultConfig())
+	rt, err := lake.New(lake.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}

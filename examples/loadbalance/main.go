@@ -10,7 +10,7 @@ import (
 	"log"
 	"time"
 
-	"lakego/internal/core"
+	lake "lakego"
 	"lakego/internal/mllb"
 	"lakego/internal/offload"
 	"lakego/internal/sched"
@@ -30,7 +30,7 @@ func runSkewed(b sched.Balancer, seed int64) sched.Stats {
 }
 
 func main() {
-	rt, err := core.New(core.DefaultConfig())
+	rt, err := lake.New(lake.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}

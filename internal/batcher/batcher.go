@@ -254,41 +254,37 @@ type Batcher struct {
 	mu     sync.Mutex
 	models map[string]*model
 
-	requests, items, rejected       atomic.Int64
+	requests, items                 atomic.Int64
 	flushes, gpuFlushes, cpuFlushes atomic.Int64
 	fullFlushes, deadlineFlushes    atomic.Int64
 	fallbackFlushes                 atomic.Int64
 	maxDelay                        atomic.Int64
 
-	tel Telemetry
+	// rejected is what Stats reports and what the registry exports; the
+	// gauge and histograms are nil with telemetry disabled.
+	rejected   telemetry.Counter
+	queueDepth *telemetry.Gauge     // items queued across all models
+	flushItems *telemetry.Histogram // items per formed batch
+	queueDelay *telemetry.Histogram // enqueue-to-flush virtual wait
+	// gpuItemLat / cpuItemLat observe per-item execution latency of each
+	// flush on its decided path: the shared series the Fig 3 policy's
+	// observed-latency mode reads.
+	gpuItemLat, cpuItemLat *telemetry.Histogram
 
 	// rec receives batcher-domain events and allocates per-request and
 	// per-flush trace IDs; nil-safe.
 	rec *flightrec.Recorder
 }
 
-// Telemetry is the batcher's instrument set; all fields may be nil.
-type Telemetry struct {
-	// QueueDepth tracks currently queued items across all models.
-	QueueDepth *telemetry.Gauge
-	// FlushItems observes the size (items) of each formed batch.
-	FlushItems *telemetry.Histogram
-	// Rejects counts backpressured submissions.
-	Rejects *telemetry.Counter
-	// QueueDelay observes each request's enqueue-to-flush virtual wait.
-	QueueDelay *telemetry.Histogram
-	// GPUItemLatency / CPUItemLatency observe per-item execution latency
-	// of each flush on its decided path. They are the shared series
-	// (telemetry.MetricGPUItemLatency / MetricCPUItemLatency) the Fig 3
-	// policy's observed-latency mode reads.
-	GPUItemLatency *telemetry.Histogram
-	CPUItemLatency *telemetry.Histogram
-}
-
-// SetTelemetry attaches instruments. Must be called during runtime
-// construction, before any traffic.
-func (b *Batcher) SetTelemetry(tel Telemetry) {
-	b.tel = tel
+// Instrument declares the batcher's series on reg. Must be called during
+// runtime construction, before any traffic.
+func (b *Batcher) Instrument(reg *telemetry.Registry, name telemetry.Namer) {
+	b.queueDepth = reg.Gauge(name("lake_batcher_queue_depth"), "Inference items currently queued across all models.")
+	b.flushItems = reg.Histogram(name("lake_batcher_flush_items"), "Items per formed batch.", telemetry.CountBuckets())
+	reg.AttachCounter(name("lake_batcher_rejects_total"), "Submissions rejected by backpressure.", &b.rejected)
+	b.queueDelay = reg.Histogram(name("lake_batcher_queue_delay_ns"), "Per-request enqueue-to-flush wait (virtual ns).", telemetry.DefaultLatencyBuckets())
+	b.gpuItemLat = reg.Histogram(name(telemetry.MetricGPUItemLatency), "Observed per-item GPU-path latency (virtual ns).", telemetry.DefaultLatencyBuckets())
+	b.cpuItemLat = reg.Histogram(name(telemetry.MetricCPUItemLatency), "Observed per-item CPU-path latency (virtual ns).", telemetry.DefaultLatencyBuckets())
 }
 
 // SetFlightRecorder attaches the flight recorder. Must be called during
@@ -314,7 +310,7 @@ func (b *Batcher) Stats() Stats {
 	return Stats{
 		Requests:        b.requests.Load(),
 		Items:           b.items.Load(),
-		Rejected:        b.rejected.Load(),
+		Rejected:        b.rejected.Value(),
 		Flushes:         b.flushes.Load(),
 		GPUFlushes:      b.gpuFlushes.Load(),
 		CPUFlushes:      b.cpuFlushes.Load(),
@@ -507,15 +503,13 @@ func (c *Client) Submit(modelName string, items [][]float32) (*Pending, error) {
 	}
 	if c.outstanding.Add(1) > int64(b.cfg.ClientDepth) {
 		c.outstanding.Add(-1)
-		b.rejected.Add(1)
-		b.tel.Rejects.Inc()
+		b.rejected.Inc()
 		return nil, ErrBackpressure
 	}
 	p, err := c.stage(m, items)
 	if err != nil {
 		c.outstanding.Add(-1)
-		b.rejected.Add(1)
-		b.tel.Rejects.Inc()
+		b.rejected.Inc()
 		return nil, err
 	}
 	b.requests.Add(1)
@@ -531,7 +525,7 @@ func (c *Client) Submit(modelName string, items [][]float32) (*Pending, error) {
 	p.enq = b.rt.Clock().Now()
 	m.queue = append(m.queue, p)
 	m.queuedItems += p.count
-	b.tel.QueueDepth.Add(int64(p.count))
+	b.queueDepth.Add(int64(p.count))
 	b.rec.Emit(flightrec.DomainBatcher, flightrec.EvEnqueue,
 		p.tid, p.seq, 0, uint64(p.count), 0, 0)
 
@@ -620,7 +614,7 @@ func (m *model) takeLocked() []*Pending {
 	copy(batch, m.queue[:n])
 	m.queue = append(m.queue[:0], m.queue[n:]...)
 	m.queuedItems -= items
-	m.b.tel.QueueDepth.Add(-int64(items))
+	m.b.queueDepth.Add(-int64(items))
 	for _, p := range batch {
 		p.taken = true
 	}

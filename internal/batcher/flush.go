@@ -131,9 +131,9 @@ func (b *Batcher) execute(m *model, batch []*Pending, reason flushReason, firedA
 				break
 			}
 		}
-		b.tel.QueueDelay.Observe(d)
+		b.queueDelay.Observe(d)
 	}
-	b.tel.FlushItems.Observe(int64(items))
+	b.flushItems.Observe(int64(items))
 	// One trace ID per flush: the remoted command and its daemon-side events
 	// correlate under it, while each member request keeps its own ID (linked
 	// by flush_member events on both sides).
@@ -220,9 +220,9 @@ func (b *Batcher) execute(m *model, batch []*Pending, reason flushReason, firedA
 		// observed signal the Fig 3 policy can use in place of the model.
 		perItem := (now - flushAt) / time.Duration(items)
 		if ranOnGPU {
-			b.tel.GPUItemLatency.ObserveDuration(perItem)
+			b.gpuItemLat.ObserveDuration(perItem)
 		} else {
-			b.tel.CPUItemLatency.ObserveDuration(perItem)
+			b.cpuItemLat.ObserveDuration(perItem)
 		}
 	}
 	region := b.rt.Region()

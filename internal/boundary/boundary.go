@@ -18,8 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"time"
-
-	"lakego/internal/telemetry"
 )
 
 // Kind identifies a kernel<->user communication mechanism.
@@ -121,20 +119,6 @@ func MessageRoundTrip(k Kind, size int) time.Duration {
 
 // ErrClosed is returned by transport operations after Close.
 var ErrClosed = errors.New("boundary: transport closed")
-
-// TransportTelemetry is the transport's instrument set. All fields may be
-// nil (telemetry disabled); instruments are nil-safe.
-type TransportTelemetry struct {
-	// Sent counts kernel->user frames accepted into the submission ring.
-	Sent *telemetry.Counter
-	// Received counts user->kernel frames delivered to the kernel side.
-	Received *telemetry.Counter
-	// QueueFull counts sends rejected by a full ring.
-	QueueFull *telemetry.Counter
-	// RoundTrip observes the modeled per-command round-trip cost (virtual
-	// nanoseconds) charged via ChargeRoundTrip.
-	RoundTrip *telemetry.Histogram
-}
 
 // dirToUser / dirToKernel tag boundary events with the frame's direction.
 const (

@@ -33,6 +33,7 @@ import (
 	"lakego/internal/lockfree"
 	"lakego/internal/ringbuf"
 	"lakego/internal/shm"
+	"lakego/internal/telemetry"
 	"lakego/internal/vtime"
 )
 
@@ -43,7 +44,6 @@ import (
 // RecvInKernel call in the same direction. Consumers must finish with (or
 // copy) a received frame before receiving again.
 type Channel interface {
-	Kind() Kind
 	Clock() *vtime.Clock
 	SendToUser(msg []byte) error
 	RecvInUser() (msg []byte, ok bool)
@@ -51,7 +51,7 @@ type Channel interface {
 	RecvInKernel() (msg []byte, ok bool)
 	ChargeRoundTrip(size int) time.Duration
 	InjectFaults(p *faults.Plane)
-	SetTelemetry(tel TransportTelemetry)
+	Instrument(reg *telemetry.Registry, name telemetry.Namer)
 	SetFlightRecorder(rec *flightrec.Recorder)
 	Stats() (sent, received int64)
 	Close()
@@ -107,9 +107,11 @@ type RingTransport struct {
 	fault  atomic.Pointer[faults.Plane]
 	closed atomic.Bool
 
-	sent, received atomic.Int64
+	// sent / received / queueFull are what Stats reports and what the
+	// registry exports; roundTrip is nil with telemetry disabled.
+	sent, received, queueFull telemetry.Counter
+	roundTrip                 *telemetry.Histogram
 
-	tel TransportTelemetry
 	rec *flightrec.Recorder
 }
 
@@ -146,9 +148,6 @@ func NewRingTransport(clock *vtime.Clock, region *shm.Region, depth, slotBytes i
 	return t, nil
 }
 
-// Kind reports the transport's cost-model row.
-func (t *RingTransport) Kind() Kind { return t.kind }
-
 // SetCostModel selects the Table-2 / Fig-6 row (or Ring) whose modeled
 // round-trip cost ChargeRoundTrip charges. Must be called during runtime
 // construction, before any traffic.
@@ -157,9 +156,17 @@ func (t *RingTransport) SetCostModel(k Kind) { t.kind = k }
 // Clock returns the virtual clock the transport charges.
 func (t *RingTransport) Clock() *vtime.Clock { return t.clock }
 
-// SetTelemetry attaches instruments. Must be called during runtime
-// construction, before any traffic: the hot paths read the set unlocked.
-func (t *RingTransport) SetTelemetry(tel TransportTelemetry) { t.tel = tel }
+// Instrument declares the transport's series on reg, labeled with the
+// cost-model row. Must be called during runtime construction, after
+// SetCostModel and before any traffic: the hot paths read roundTrip
+// unlocked.
+func (t *RingTransport) Instrument(reg *telemetry.Registry, name telemetry.Namer) {
+	ch := `channel="` + t.kind.String() + `"`
+	reg.AttachCounter(name("lake_boundary_sent_total", ch), "Kernel->user frames accepted into the command channel.", &t.sent)
+	reg.AttachCounter(name("lake_boundary_received_total", ch), "User->kernel frames delivered to the kernel side.", &t.received)
+	reg.AttachCounter(name("lake_boundary_queue_full_total", ch), "Sends rejected by a full channel queue.", &t.queueFull)
+	t.roundTrip = reg.Histogram(name("lake_boundary_roundtrip_ns", ch), "Modeled per-command round-trip cost (virtual ns).", telemetry.DefaultLatencyBuckets())
+}
 
 // SetFlightRecorder attaches the flight recorder. Must be called during
 // runtime construction, before any traffic.
@@ -173,7 +180,7 @@ func (t *RingTransport) InjectFaults(p *faults.Plane) { t.fault.Store(p) }
 
 // Stats returns messages sent from kernel and received back.
 func (t *RingTransport) Stats() (sent, received int64) {
-	return t.sent.Load(), t.received.Load()
+	return t.sent.Value(), t.received.Value()
 }
 
 // DoorbellStats reports (rings, wakes, coalesced) summed over both
@@ -231,7 +238,7 @@ func (t *RingTransport) send(d *ringDir, msg []byte, dir uint64) error {
 		// Fast path: no fault plane, no defensive copy — the bytes go
 		// straight into the shm slot.
 		if !t.enqueue(d, msg, dir) {
-			t.tel.QueueFull.Inc()
+			t.queueFull.Inc()
 			t.rec.EmitFrame(flightrec.EvQueueFull, msg, dir)
 			return fmt.Errorf("boundary: %s queue full", t.kind)
 		}
@@ -251,7 +258,7 @@ func (t *RingTransport) send(d *ringDir, msg []byte, dir uint64) error {
 			if i > 0 {
 				return nil // duplicate shed by a full ring: not an error
 			}
-			t.tel.QueueFull.Inc()
+			t.queueFull.Inc()
 			t.rec.EmitFrame(flightrec.EvQueueFull, f, dir)
 			return fmt.Errorf("boundary: %s queue full", t.kind)
 		}
@@ -294,8 +301,7 @@ func (t *RingTransport) SendToUser(msg []byte) error {
 	if err := t.send(&t.sub, msg, dirToUser); err != nil {
 		return err
 	}
-	t.sent.Add(1)
-	t.tel.Sent.Inc()
+	t.sent.Inc()
 	return nil
 }
 
@@ -317,8 +323,7 @@ func (t *RingTransport) SendToKernel(msg []byte) error {
 func (t *RingTransport) RecvInKernel() (msg []byte, ok bool) {
 	m, ok := t.recv(&t.comp, dirToKernel)
 	if ok {
-		t.received.Add(1)
-		t.tel.Received.Inc()
+		t.received.Inc()
 	}
 	return m, ok
 }
@@ -330,7 +335,7 @@ func (t *RingTransport) RecvInKernel() (msg []byte, ok bool) {
 func (t *RingTransport) ChargeRoundTrip(size int) time.Duration {
 	d := MessageRoundTrip(t.kind, size)
 	t.clock.Advance(d)
-	t.tel.RoundTrip.ObserveDuration(d)
+	t.roundTrip.ObserveDuration(d)
 	return d
 }
 

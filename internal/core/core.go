@@ -213,7 +213,7 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	tr.SetCostModel(cfg.Channel)
 	daemon := remoting.NewDaemon(api, region, tr)
-	lib := remoting.NewLib(tr, daemon, region)
+	lib := remoting.NewLib(tr, daemon)
 	lib.SetShardTag(cfg.ShardOrdinal)
 	rt := &Runtime{
 		clock:     clock,
@@ -228,16 +228,31 @@ func New(cfg Config) (*Runtime, error) {
 		shardLbl:  cfg.ShardLabel,
 	}
 	if !cfg.DisableTelemetry {
+		// Each layer declares its own series; the runtime only supplies
+		// the registry and the labeller. Done before any traffic, so the
+		// hot paths read their instruments unlocked.
 		rt.tel = telemetry.NewRegistry()
-		rt.wireTelemetry(cfg)
+		tr.Instrument(rt.tel, rt.metricName)
+		for i, dev := range pool.Devices() {
+			// With one device (and no shard label) the metric names stay
+			// exactly as they always were; a real pool labels each device's
+			// series by ordinal, and a fleet shard adds its shard pair on top.
+			dv := ""
+			if pool.Size() > 1 {
+				dv = fmt.Sprintf(`device="%d"`, i)
+			}
+			dev.Instrument(rt.tel, rt.labelled(dv))
+		}
+		lib.Instrument(rt.tel, rt.metricName)
+		daemon.Instrument(rt.tel, rt.metricName)
 		boot := time.Now()
-		rt.tel.Gauge(metricName(cfg.ShardLabel, "lake_build_info",
+		rt.tel.Gauge(rt.metricName("lake_build_info",
 			`version="`+BuildVersion+`"`, `go_version="`+goruntime.Version()+`"`),
 			"Build metadata carried in labels; the value is always 1.").Set(1)
-		rt.tel.GaugeFunc(metricName(cfg.ShardLabel, "lake_uptime_vns"),
+		rt.tel.GaugeFunc(rt.metricName("lake_uptime_vns"),
 			"Virtual nanoseconds elapsed on this runtime's clock.",
 			func() int64 { return int64(clock.Now()) })
-		rt.tel.GaugeFunc(metricName(cfg.ShardLabel, "lake_uptime_seconds"),
+		rt.tel.GaugeFunc(rt.metricName("lake_uptime_seconds"),
 			"Wall-clock seconds since the runtime booted.",
 			func() int64 { return int64(time.Since(boot) / time.Second) })
 	}
@@ -263,13 +278,7 @@ func New(cfg Config) (*Runtime, error) {
 	if cfg.Faults != nil || cfg.Resilience != nil {
 		rt.sup = NewSupervisor(clock, daemon, lib, cfg.Supervision)
 		rt.sup.SetFlightRecorder(rt.rec)
-		if rt.tel != nil {
-			rt.sup.SetTelemetry(SupervisorTelemetry{
-				TransitionsTotal: rt.tel.Counter(metricName(rt.shardLbl, "lake_supervisor_transitions_total"), "Supervisor state transitions recorded."),
-				Restarts:         rt.tel.Counter(metricName(rt.shardLbl, "lake_supervisor_restarts_total"), "lakeD relaunches driven by the supervisor."),
-				State:            rt.tel.Gauge(metricName(rt.shardLbl, "lake_supervisor_state"), "Current lakeD state (0=Healthy 1=Suspected 2=Dead 3=Restarting 4=ReAttached)."),
-			})
-		}
+		rt.sup.Instrument(rt.tel, rt.metricName)
 		res := remoting.DefaultResilience()
 		if cfg.Resilience != nil {
 			res = *cfg.Resilience
@@ -287,19 +296,19 @@ func New(cfg Config) (*Runtime, error) {
 
 // metricName composes one series name from its family and label pairs,
 // dropping empty pairs and appending the runtime's shard pair when
-// configured. All label construction in wireTelemetry goes through here:
-// ad-hoc `name+lbl` concatenation is what let per-shard pooled series
-// collide in a merged fleet exposition (two shards' `{device="0"}` were the
-// same string).
-func metricName(shardLabel, family string, pairs ...string) string {
+// configured. It is the telemetry.Namer every layer declares its series
+// through: ad-hoc `name+lbl` concatenation is what let per-shard pooled
+// series collide in a merged fleet exposition (two shards' `{device="0"}`
+// were the same string).
+func (r *Runtime) metricName(family string, pairs ...string) string {
 	var parts []string
 	for _, p := range pairs {
 		if p != "" {
 			parts = append(parts, p)
 		}
 	}
-	if shardLabel != "" {
-		parts = append(parts, `shard="`+shardLabel+`"`)
+	if r.shardLbl != "" {
+		parts = append(parts, `shard="`+r.shardLbl+`"`)
 	}
 	if len(parts) == 0 {
 		return family
@@ -307,53 +316,12 @@ func metricName(shardLabel, family string, pairs ...string) string {
 	return family + "{" + strings.Join(parts, ",") + "}"
 }
 
-// wireTelemetry attaches registry-backed instruments to every layer of the
-// freshly built runtime. Called once from New, before any traffic, so each
-// SetTelemetry is a plain construction-time assignment.
-func (r *Runtime) wireTelemetry(cfg Config) {
-	tel := r.tel
-	name := func(family string, pairs ...string) string { return metricName(r.shardLbl, family, pairs...) }
-	ch := `channel="` + cfg.Channel.String() + `"`
-	r.transport.SetTelemetry(boundary.TransportTelemetry{
-		Sent:      tel.Counter(name("lake_boundary_sent_total", ch), "Kernel->user frames accepted into the command channel."),
-		Received:  tel.Counter(name("lake_boundary_received_total", ch), "User->kernel frames delivered to the kernel side."),
-		QueueFull: tel.Counter(name("lake_boundary_queue_full_total", ch), "Sends rejected by a full channel queue."),
-		RoundTrip: tel.Histogram(name("lake_boundary_roundtrip_ns", ch), "Modeled per-command round-trip cost (virtual ns).", telemetry.DefaultLatencyBuckets()),
-	})
-	for i, dev := range r.pool.Devices() {
-		// With one device (and no shard label) the metric names stay exactly
-		// as they always were; a real pool labels each device's instrument
-		// set by ordinal, and a fleet shard adds its shard pair on top.
-		dv := ""
-		if r.pool.Size() > 1 {
-			dv = fmt.Sprintf(`device="%d"`, i)
-		}
-		dev.SetTelemetry(gpu.Telemetry{
-			Launches:   tel.Counter(name("lake_gpu_launches_total", dv), "Kernels executed on the device model."),
-			ExecTime:   tel.Histogram(name("lake_gpu_exec_ns", dv), "Per-operation modeled execution cost (virtual ns), excluding queueing.", telemetry.DefaultLatencyBuckets()),
-			QueueDelay: tel.Histogram(name("lake_gpu_queue_delay_ns", dv), "Per-operation contention delay (virtual ns) waiting for the device.", telemetry.DefaultLatencyBuckets()),
-			CopyTime:   tel.Histogram(name("lake_gpu_copy_ns", dv), "Host<->device DMA durations (virtual ns) — copy-engine occupancy.", telemetry.DefaultLatencyBuckets()),
-			CopyBytes:  tel.Counter(name("lake_gpu_copy_bytes_total", dv), "Bytes moved across the modeled PCIe link."),
-		})
+// labelled returns metricName with one more pair (device or model) ahead
+// of the runtime-wide ones.
+func (r *Runtime) labelled(pair string) telemetry.Namer {
+	return func(family string, pairs ...string) string {
+		return r.metricName(family, append(pairs, pair)...)
 	}
-	r.lib.SetTelemetry(remoting.LibTelemetry{
-		Calls:            tel.Counter(name("lake_lib_calls_total"), "Completed remoted invocations."),
-		CallLatency:      tel.Histogram(name("lake_lib_call_latency_ns"), "End-to-end remoted call latency (virtual ns), including backoff.", telemetry.DefaultLatencyBuckets()),
-		Retries:          tel.Counter(name("lake_lib_retries_total"), "Resilient-exchange retry attempts."),
-		CorruptResponses: tel.Counter(name("lake_lib_corrupt_responses_total"), "Responses dropped for CRC/decode failure."),
-		StaleResponses:   tel.Counter(name("lake_lib_stale_responses_total"), "Responses discarded for a stale sequence number."),
-		Recoveries:       tel.Counter(name("lake_lib_recoveries_total"), "Calls that succeeded after at least one retry."),
-		DeadlineExceeded: tel.Counter(name("lake_lib_deadline_exceeded_total"), "Calls abandoned at the retry deadline."),
-		DaemonDead:       tel.Counter(name("lake_lib_daemon_dead_total"), "Calls refused because lakeD was declared dead."),
-	})
-	r.daemon.SetTelemetry(remoting.DaemonTelemetry{
-		Handled:       tel.Counter(name("lake_daemon_handled_total"), "Responses lakeD put on the channel."),
-		Executed:      tel.Counter(name("lake_daemon_executed_total"), "Commands whose handler actually ran."),
-		Redelivered:   tel.Counter(name("lake_daemon_redelivered_total"), "Commands answered from the exactly-once journal."),
-		CorruptFrames: tel.Counter(name("lake_daemon_corrupt_frames_total"), "Undecodable command frames lakeD dropped."),
-		GPUUtil:       tel.Gauge(name("lake_nvml_gpu_util"), "Last NVML GPU utilization sample served (percent)."),
-		MemUtil:       tel.Gauge(name("lake_nvml_mem_util"), "Last NVML memory utilization sample served (percent)."),
-	})
 }
 
 // Telemetry returns the runtime's metrics registry, or nil when the
@@ -422,8 +390,8 @@ func (r *Runtime) NewAdaptivePolicy(cfg policy.AdaptiveConfig) *policy.Adaptive 
 		// (and offload runner) populate, closing the Fig 3 loop on
 		// measured signal instead of the static batch threshold.
 		p.SetLatencySources(
-			r.tel.Histogram(metricName(r.shardLbl, telemetry.MetricGPUItemLatency), "Observed per-item GPU-path latency (virtual ns).", telemetry.DefaultLatencyBuckets()),
-			r.tel.Histogram(metricName(r.shardLbl, telemetry.MetricCPUItemLatency), "Observed per-item CPU-path latency (virtual ns).", telemetry.DefaultLatencyBuckets()),
+			r.tel.Histogram(r.metricName(telemetry.MetricGPUItemLatency), "Observed per-item GPU-path latency (virtual ns).", telemetry.DefaultLatencyBuckets()),
+			r.tel.Histogram(r.metricName(telemetry.MetricCPUItemLatency), "Observed per-item CPU-path latency (virtual ns).", telemetry.DefaultLatencyBuckets()),
 		)
 	}
 	return p
@@ -441,22 +409,7 @@ func (r *Runtime) NewLifecycle(cfg lifecycle.Config, base *nn.Network) (*lifecyc
 		return nil, err
 	}
 	m.SetFlightRecorder(r.rec)
-	if r.tel != nil {
-		lbl := `model="` + cfg.Model + `"`
-		name := func(family string) string { return metricName(r.shardLbl, family, lbl) }
-		m.SetTelemetry(lifecycle.Telemetry{
-			Registrations:   r.tel.Counter(name("lake_model_registrations_total"), "Model versions added to the registry."),
-			Swaps:           r.tel.Counter(name("lake_model_swaps_total"), "Serving-slot flips (promotions, demotions, rollbacks)."),
-			RetrainSteps:    r.tel.Counter(name("lake_model_retrain_steps_total"), "Online SGD minibatch steps run in lakeD."),
-			RetrainSamples:  r.tel.Counter(name("lake_model_retrain_samples_total"), "Feedback samples consumed by online retraining."),
-			DriftAlarms:     r.tel.Counter(name("lake_model_drift_alarms_total"), "Drift windows whose live accuracy fell below the pinned baseline."),
-			Demotions:       r.tel.Counter(name("lake_model_demotions_total"), "Drift-driven rollbacks to the previous serving version."),
-			FallbackEnters:  r.tel.Counter(name("lake_model_fallback_total"), "Times the model went unhealthy and routing fell back to the CPU/heuristic path."),
-			FeedbackDropped: r.tel.Counter(name("lake_model_feedback_dropped_total"), "Outcomes dropped by the bounded feedback channel."),
-			ServingVersion:  r.tel.Gauge(name("lake_model_serving_version"), "Sequence number of the serving model version."),
-			ShadowAccuracy:  r.tel.Gauge(name("lake_model_shadow_accuracy_permille"), "Candidate accuracy over the last shadow window (per-mille)."),
-		})
-	}
+	m.Instrument(r.tel, r.labelled(`model="`+cfg.Model+`"`))
 	r.modelsMu.Lock()
 	if r.models == nil {
 		r.models = make(map[string]*lifecycle.Manager)
@@ -464,14 +417,6 @@ func (r *Runtime) NewLifecycle(cfg lifecycle.Config, base *nn.Network) (*lifecyc
 	r.models[cfg.Model] = m
 	r.modelsMu.Unlock()
 	return m, nil
-}
-
-// ModelLifecycle returns the lifecycle manager registered for a model
-// label, or nil.
-func (r *Runtime) ModelLifecycle(model string) *lifecycle.Manager {
-	r.modelsMu.Lock()
-	defer r.modelsMu.Unlock()
-	return r.models[model]
 }
 
 // ModelLifecycles lists every lifecycle manager on this runtime in label
@@ -536,17 +481,7 @@ func (r *Runtime) NewHealthPlane(cfg healthplane.Config) *healthplane.Plane {
 func (r *Runtime) NewBatcher(cfg batcher.Config) *batcher.Batcher {
 	b := batcher.New(r, cfg)
 	b.SetFlightRecorder(r.rec)
-	if r.tel != nil {
-		name := func(family string) string { return metricName(r.shardLbl, family) }
-		b.SetTelemetry(batcher.Telemetry{
-			QueueDepth:     r.tel.Gauge(name("lake_batcher_queue_depth"), "Inference items currently queued across all models."),
-			FlushItems:     r.tel.Histogram(name("lake_batcher_flush_items"), "Items per formed batch.", telemetry.CountBuckets()),
-			Rejects:        r.tel.Counter(name("lake_batcher_rejects_total"), "Submissions rejected by backpressure."),
-			QueueDelay:     r.tel.Histogram(name("lake_batcher_queue_delay_ns"), "Per-request enqueue-to-flush wait (virtual ns).", telemetry.DefaultLatencyBuckets()),
-			GPUItemLatency: r.tel.Histogram(metricName(r.shardLbl, telemetry.MetricGPUItemLatency), "Observed per-item GPU-path latency (virtual ns).", telemetry.DefaultLatencyBuckets()),
-			CPUItemLatency: r.tel.Histogram(metricName(r.shardLbl, telemetry.MetricCPUItemLatency), "Observed per-item CPU-path latency (virtual ns).", telemetry.DefaultLatencyBuckets()),
-		})
-	}
+	b.Instrument(r.tel, r.metricName)
 	return b
 }
 

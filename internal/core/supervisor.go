@@ -97,12 +97,14 @@ type Supervisor struct {
 	mu          sync.Mutex
 	state       DaemonState
 	failures    int // consecutive unresponsive reports since last success
-	restarts    int64
 	lastBeat    time.Duration
 	beatValid   bool
 	transitions []Transition
 
-	tel SupervisorTelemetry
+	// restarts is spent against cfg.MaxRestarts; with transitions it is
+	// what the registry exports. stateGauge is nil with telemetry disabled.
+	restarts, transitionsTotal telemetry.Counter
+	stateGauge                 *telemetry.Gauge
 
 	// rec receives supervisor-domain transition events; nil-safe. Entering
 	// Dead or Restarting triggers an automatic dump — the rings are the
@@ -110,22 +112,13 @@ type Supervisor struct {
 	rec *flightrec.Recorder
 }
 
-// SupervisorTelemetry is the supervisor's instrument set; all fields may
-// be nil.
-type SupervisorTelemetry struct {
-	// TransitionsTotal counts recorded state changes.
-	TransitionsTotal *telemetry.Counter
-	// Restarts counts daemon relaunches.
-	Restarts *telemetry.Counter
-	// State holds the current DaemonState ordinal.
-	State *telemetry.Gauge
-}
-
-// SetTelemetry attaches instruments. Must be called during runtime
-// construction, before supervision traffic.
-func (s *Supervisor) SetTelemetry(tel SupervisorTelemetry) {
-	s.tel = tel
-	s.tel.State.Set(int64(StateHealthy))
+// Instrument declares the supervisor's series on reg. Must be called during
+// runtime construction, before supervision traffic.
+func (s *Supervisor) Instrument(reg *telemetry.Registry, name telemetry.Namer) {
+	reg.AttachCounter(name("lake_supervisor_transitions_total"), "Supervisor state transitions recorded.", &s.transitionsTotal)
+	reg.AttachCounter(name("lake_supervisor_restarts_total"), "lakeD relaunches driven by the supervisor.", &s.restarts)
+	s.stateGauge = reg.Gauge(name("lake_supervisor_state"), "Current lakeD state (0=Healthy 1=Suspected 2=Dead 3=Restarting 4=ReAttached).")
+	s.stateGauge.Set(int64(StateHealthy))
 }
 
 // SetFlightRecorder attaches the flight recorder. Must be called during
@@ -151,16 +144,6 @@ func (s *Supervisor) State() DaemonState {
 	return s.state
 }
 
-// Healthy reports whether the daemon is in the Healthy state.
-func (s *Supervisor) Healthy() bool { return s.State() == StateHealthy }
-
-// Restarts counts restarts performed by this supervisor.
-func (s *Supervisor) Restarts() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.restarts
-}
-
 // Transitions returns the recorded state-change audit log.
 func (s *Supervisor) Transitions() []Transition {
 	s.mu.Lock()
@@ -178,8 +161,8 @@ func (s *Supervisor) setStateLocked(to DaemonState, cause string) {
 	s.transitions = append(s.transitions, Transition{
 		From: from, To: to, At: s.clock.Now(), Cause: cause,
 	})
-	s.tel.TransitionsTotal.Inc()
-	s.tel.State.Set(int64(to))
+	s.transitionsTotal.Inc()
+	s.stateGauge.Set(int64(to))
 	s.state = to
 	s.rec.Emit(flightrec.DomainSupervisor, flightrec.EvTransition,
 		0, 0, 0, uint64(from), uint64(to), 0)
@@ -208,13 +191,12 @@ func (s *Supervisor) DaemonUnresponsive(api remoting.APIID, seq uint64, err erro
 		return true
 	}
 	s.setStateLocked(StateDead, cause)
-	if s.restarts >= s.cfg.MaxRestarts {
+	if s.restarts.Value() >= s.cfg.MaxRestarts {
 		s.mu.Unlock()
 		return false
 	}
 	s.setStateLocked(StateRestarting, "relaunching lakeD")
-	s.restarts++
-	s.tel.Restarts.Inc()
+	s.restarts.Inc()
 	s.mu.Unlock()
 
 	// Pay the fork/exec + re-attach cost, then bring the process back with
@@ -236,7 +218,7 @@ func (s *Supervisor) DaemonUnresponsive(api remoting.APIID, seq uint64, err erro
 // no longer routes to, splitting the exactly-once journal in two.
 func (s *Supervisor) Abandon(cause string) {
 	s.mu.Lock()
-	s.restarts = s.cfg.MaxRestarts
+	s.cfg.MaxRestarts = 0
 	s.setStateLocked(StateDead, cause)
 	s.mu.Unlock()
 }
@@ -278,7 +260,7 @@ func (s *Supervisor) Check() DaemonState {
 		s.setStateLocked(StateSuspected, "heartbeat missed")
 	}
 	crashed := s.daemon.Crashed()
-	canRestart := s.restarts < s.cfg.MaxRestarts
+	canRestart := s.restarts.Value() < s.cfg.MaxRestarts
 	if !crashed || !canRestart {
 		if crashed {
 			s.setStateLocked(StateDead, "restart budget exhausted")
@@ -288,8 +270,7 @@ func (s *Supervisor) Check() DaemonState {
 	}
 	s.setStateLocked(StateDead, "heartbeat missed and process down")
 	s.setStateLocked(StateRestarting, "relaunching lakeD")
-	s.restarts++
-	s.tel.Restarts.Inc()
+	s.restarts.Inc()
 	s.mu.Unlock()
 
 	s.clock.Advance(s.cfg.RestartCost)

@@ -140,17 +140,12 @@ type Fleet struct {
 	outstanding atomic.Int64 // fleet-wide, for the fair-share cap
 	totalWeight atomic.Int64
 
-	tel  *telemetry.Registry // fleet-level (router) registry
-	rtel routerTelemetry
-}
-
-type routerTelemetry struct {
-	placements *telemetry.Counter
-	reroutes   *telemetry.Counter
-	migrations *telemetry.Counter
-	rejects    *telemetry.Counter
-	gpuUtil    *telemetry.Gauge
-	memUtil    *telemetry.Gauge
+	// The router counters are what Stats reports and what the fleet-level
+	// registry tel exports; tel and the gauges are nil with telemetry
+	// disabled.
+	tel                                       *telemetry.Registry
+	placements, reroutes, migrations, rejects telemetry.Counter
+	gpuUtil, memUtil                          *telemetry.Gauge
 }
 
 // New boots cfg.Runtime.NumShards independent runtimes — one virtual clock
@@ -175,15 +170,13 @@ func New(cfg Config) (*Fleet, error) {
 	}
 	if telemetryOn {
 		f.tel = telemetry.NewRegistry()
-		f.rtel = routerTelemetry{
-			placements: f.tel.Counter("lake_router_placements_total", "Tenant placements decided by the fleet router."),
-			reroutes:   f.tel.Counter("lake_router_reroutes_total", "Placements that moved a tenant off a draining or dead shard."),
-			migrations: f.tel.Counter("lake_router_migrations_total", "Completed shard journal migrations (drains and kills)."),
-			rejects:    f.tel.Counter("lake_router_admission_rejects_total", "Submissions rejected by fleet admission (tenant cap or fair share)."),
-			gpuUtil:    f.tel.Gauge("lake_fleet_gpu_util", "Last fleet-wide NVML GPU utilization aggregate (percent)."),
-			memUtil:    f.tel.Gauge("lake_fleet_mem_util", "Last fleet-wide NVML memory utilization aggregate (percent)."),
-		}
 	}
+	f.tel.AttachCounter("lake_router_placements_total", "Tenant placements decided by the fleet router.", &f.placements)
+	f.tel.AttachCounter("lake_router_reroutes_total", "Placements that moved a tenant off a draining or dead shard.", &f.reroutes)
+	f.tel.AttachCounter("lake_router_migrations_total", "Completed shard journal migrations (drains and kills).", &f.migrations)
+	f.tel.AttachCounter("lake_router_admission_rejects_total", "Submissions rejected by fleet admission (tenant cap or fair share).", &f.rejects)
+	f.gpuUtil = f.tel.Gauge("lake_fleet_gpu_util", "Last fleet-wide NVML GPU utilization aggregate (percent).")
+	f.memUtil = f.tel.Gauge("lake_fleet_mem_util", "Last fleet-wide NVML memory utilization aggregate (percent).")
 	for i := 0; i < n; i++ {
 		clk := vtime.New()
 		scfg := cfg.Runtime
@@ -211,9 +204,6 @@ func New(cfg Config) (*Fleet, error) {
 	}
 	return f, nil
 }
-
-// NumShards returns the shard count.
-func (f *Fleet) NumShards() int { return len(f.shards) }
 
 // Shard returns shard ord; it panics on an out-of-range ordinal, like
 // indexing a slice.
@@ -270,8 +260,8 @@ func (f *Fleet) AggregateRates() nvml.Utilization {
 		devs = append(devs, s.rt.Pool().Devices()...)
 	}
 	u := nvml.AggregateUtilizationRates(devs)
-	f.rtel.gpuUtil.Set(int64(u.GPU))
-	f.rtel.memUtil.Set(int64(u.Memory))
+	f.gpuUtil.Set(int64(u.GPU))
+	f.memUtil.Set(int64(u.Memory))
 	return u
 }
 
@@ -357,10 +347,10 @@ type Stats struct {
 // Stats snapshots the fleet counters.
 func (f *Fleet) Stats() Stats {
 	st := Stats{
-		Placements:  f.rtel.placements.Value(),
-		Reroutes:    f.rtel.reroutes.Value(),
-		Migrations:  f.rtel.migrations.Value(),
-		Rejects:     f.rtel.rejects.Value(),
+		Placements:  f.placements.Value(),
+		Reroutes:    f.reroutes.Value(),
+		Migrations:  f.migrations.Value(),
+		Rejects:     f.rejects.Value(),
 		Outstanding: f.outstanding.Load(),
 	}
 	for _, s := range f.shards {

@@ -7,7 +7,10 @@ package fleet_test
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,7 +19,9 @@ import (
 	"lakego/internal/faults"
 	"lakego/internal/fleet"
 	"lakego/internal/gpupool"
+	"lakego/internal/lifecycle"
 	"lakego/internal/nn"
+	"lakego/internal/remoting"
 )
 
 // testNet builds the reference network shared by every test; a fixed seed
@@ -497,5 +502,163 @@ func TestFleetVirtualElapsed(t *testing.T) {
 	}
 	if f.VirtualElapsed() != max {
 		t.Fatalf("VirtualElapsed=%v, want max shard clock %v", f.VirtualElapsed(), max)
+	}
+}
+
+// TestFleetStatsIndependentOfTelemetry runs one seeded single-driver chaos
+// scenario twice — telemetry on, telemetry off — and requires every
+// Stats-style accessor to report the same counts: each fact has one counter,
+// owned by its component, which the registry only exports. The scenario
+// drives a router reject, a batcher reject, a drain (migration + reroute),
+// channel faults (retries, redeliveries) and lifecycle feedback drops.
+func TestFleetStatsIndependentOfTelemetry(t *testing.T) {
+	type result struct {
+		fleet     fleet.Stats
+		rejected  []int64
+		resil     []remoting.ResilienceStats
+		lifecycle lifecycle.Stats
+	}
+	run := func(t *testing.T, disable bool) result {
+		f, net := newFleet(t, 2, gpupool.RoundRobin, func(cfg *fleet.Config) {
+			cfg.Runtime.DisableTelemetry = disable
+			cfg.Runtime.ShmBytes = 16 << 20
+			cfg.Runtime.Faults = &faults.Mix{Drop: 0.05, Corrupt: 0.05, Duplicate: 0.05, Seed: 9}
+			cfg.Batcher.ClientDepth = 2
+		})
+		f.Tenant("capped", fleet.TenantConfig{MaxOutstanding: 2})
+		capped, free := f.Client("capped"), f.Client("free")
+		for i := 0; i < 40; i++ {
+			inferOne(t, capped, net, i)
+			inferOne(t, free, net, 100+i)
+		}
+		// Third in-flight submit: the capped tenant is refused by the router,
+		// the free one by its shard batcher's client depth.
+		for _, c := range []*fleet.Client{capped, free} {
+			var pend []*fleet.Pending
+			for i := 0; i < 3; i++ {
+				p, err := c.Submit("fleetnet", [][]float32{feature(i)})
+				if i == 2 {
+					if !errors.Is(err, batcher.ErrBackpressure) {
+						t.Fatalf("third in-flight submit err=%v, want ErrBackpressure", err)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				pend = append(pend, p)
+			}
+			for _, p := range pend {
+				if _, err := p.Wait(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if _, err := f.Drain(0); err != nil {
+			t.Fatal(err)
+		}
+		inferOne(t, capped, net, 7)
+
+		lcfg := lifecycle.DefaultConfig("fleetnet")
+		lcfg.Buffer, lcfg.Minibatch = 8, 4
+		m, err := f.Shard(1).Runtime().NewLifecycle(lcfg, net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 20; i++ {
+			m.Observe(lifecycle.Outcome{X: feature(i), Predicted: 0, Label: i % 2})
+		}
+		m.Pump()
+
+		r := result{fleet: f.Stats(), lifecycle: m.Stats()}
+		for _, s := range f.Shards() {
+			r.rejected = append(r.rejected, s.Batcher().Stats().Rejected)
+			r.resil = append(r.resil, s.Runtime().Lib().ResilienceStats())
+		}
+		return r
+	}
+	var got [2]result
+	for i, disable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("DisableTelemetry=%v", disable), func(t *testing.T) {
+			r := run(t, disable)
+			got[i] = r
+			st := r.fleet
+			if st.Placements != 3 || st.Reroutes != 1 || st.Migrations != 1 || st.Rejects != 1 {
+				t.Errorf("router counters placements=%d reroutes=%d migrations=%d rejects=%d, want 3/1/1/1",
+					st.Placements, st.Reroutes, st.Migrations, st.Rejects)
+			}
+			if r.rejected[0]+r.rejected[1] != 1 {
+				t.Errorf("batcher rejects %v, want one", r.rejected)
+			}
+			if r.resil[0].Retries+r.resil[1].Retries == 0 {
+				t.Error("fault mix produced no retries: the scenario does not exercise ResilienceStats")
+			}
+			if r.lifecycle.Dropped != 12 {
+				t.Errorf("lifecycle dropped %d outcomes, want 12", r.lifecycle.Dropped)
+			}
+		})
+	}
+	if !reflect.DeepEqual(got[0], got[1]) {
+		t.Fatalf("counters depend on the telemetry switch:\non  %+v\noff %+v", got[0], got[1])
+	}
+}
+
+// TestFleetAdmissionCapsHoldUnderConcurrency hammers one tenant from many
+// goroutines: admission reserves its slot before checking the cap, so the
+// in-flight high-water mark can never pass the tenant cap, nor — for a
+// tenant that is the whole fleet weight — the fleet fair-share cap. Run
+// under -race.
+func TestFleetAdmissionCapsHoldUnderConcurrency(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		tenantCap, fleet int
+	}{
+		{"tenant cap", 2, 0},
+		{"fleet fair share", 0, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, _ := newFleet(t, 1, gpupool.RoundRobin, func(cfg *fleet.Config) {
+				cfg.MaxOutstanding = tc.fleet
+				cfg.Runtime.ShmBytes = 16 << 20
+			})
+			tenant := f.Tenant("hot", fleet.TenantConfig{MaxOutstanding: tc.tenantCap})
+			var admitted atomic.Int64
+			var wg sync.WaitGroup
+			for g := 0; g < 16; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					c := f.Client("hot")
+					for i := 0; i < 50; i++ {
+						p, err := c.Submit("fleetnet", [][]float32{feature(g*50 + i)})
+						if errors.Is(err, batcher.ErrBackpressure) {
+							continue
+						}
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						admitted.Add(1)
+						if _, err := p.Wait(); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			limit := int64(tc.tenantCap + tc.fleet)
+			if peak := tenant.PeakOutstanding(); peak > limit || peak == 0 {
+				t.Fatalf("peak outstanding %d, want within (0, %d]", peak, limit)
+			}
+			st := f.Stats()
+			if tenant.Outstanding() != 0 || st.Outstanding != 0 {
+				t.Fatalf("slots leaked: tenant %d, fleet %d outstanding after every Wait",
+					tenant.Outstanding(), st.Outstanding)
+			}
+			if got := admitted.Load() + st.Rejects; got != 16*50 {
+				t.Fatalf("admitted %d + rejected %d != %d submits", admitted.Load(), st.Rejects, 16*50)
+			}
+		})
 	}
 }

@@ -112,7 +112,7 @@ func (f *Fleet) migrate(src *Shard) (*Migration, error) {
 	tenants := f.evictTenants(src.ord)
 
 	src.state.Store(int32(Dead))
-	f.rtel.migrations.Inc()
+	f.migrations.Inc()
 	drec.Emit(flightrec.DomainRouter, flightrec.EvMigrateEnd,
 		0, 0, 0, uint64(src.ord), uint64(dst), uint64(moved))
 	return &Migration{

@@ -57,10 +57,6 @@ func (t *Tenant) Outstanding() int64 { return t.outstanding.Load() }
 // exceed the tenant's MaxOutstanding cap.
 func (t *Tenant) PeakOutstanding() int64 { return t.peak.Load() }
 
-// Config returns the tenant's admission parameters as applied (weight
-// defaulted to 1).
-func (t *Tenant) Config() TenantConfig { return t.cfg }
-
 // Tenant get-or-creates the named tenant, applying cfg on first creation
 // (a zero cfg means weight 1, no per-tenant cap).
 func (f *Fleet) Tenant(name string, cfg TenantConfig) *Tenant {
@@ -101,19 +97,12 @@ type Pending struct {
 	shard *Shard
 }
 
-// Shard returns the ordinal the request was routed to.
-func (p *Pending) Shard() int { return p.shard.ord }
-
-// TraceID returns the request's flight-recorder trace ID (0 untraced).
-func (p *Pending) TraceID() uint64 { return p.p.TraceID() }
-
 // Wait blocks until the request is delivered, releasing its admission
 // slots. Exactly one goroutine should Wait per Pending.
 func (p *Pending) Wait() ([][]float32, error) {
 	out, err := p.p.Wait()
 	p.shard.outstanding.Add(-1)
-	p.t.outstanding.Add(-1)
-	p.t.f.outstanding.Add(-1)
+	p.t.release()
 	return out, err
 }
 
@@ -126,26 +115,41 @@ func (p *Pending) Latency() time.Duration { return p.p.Latency() }
 // fleet has spare capacity; at the fleet cap, only tenants under their
 // share get in, so a chatty tenant drains back to its quota instead of
 // starving the others.
+//
+// It reserves the tenant and fleet slots first and checks the caps against
+// the reserved counts, rolling back on a reject, so concurrent submitters
+// cannot all pass a check-then-increment and overshoot a cap. An admitted
+// caller owns the reservation: release it on any later failure, or let
+// Pending.Wait do so on delivery.
 func (t *Tenant) admit() error {
 	f := t.f
-	o := t.outstanding.Load()
-	if t.cfg.MaxOutstanding > 0 && o >= int64(t.cfg.MaxOutstanding) {
-		f.rtel.rejects.Inc()
+	o := t.outstanding.Add(1)
+	fo := f.outstanding.Add(1)
+	reject := t.cfg.MaxOutstanding > 0 && o > int64(t.cfg.MaxOutstanding)
+	if cap := int64(f.cfg.MaxOutstanding); !reject && cap > 0 && fo > cap {
+		share := cap * int64(t.cfg.Weight) / f.totalWeight.Load()
+		if share < 1 {
+			share = 1
+		}
+		reject = o > share
+	}
+	if reject {
+		t.release()
+		f.rejects.Inc()
 		return batcher.ErrBackpressure
 	}
-	if cap := int64(f.cfg.MaxOutstanding); cap > 0 {
-		if fo := f.outstanding.Load(); fo >= cap {
-			share := cap * int64(t.cfg.Weight) / f.totalWeight.Load()
-			if share < 1 {
-				share = 1
-			}
-			if o >= share {
-				f.rtel.rejects.Inc()
-				return batcher.ErrBackpressure
-			}
+	for {
+		peak := t.peak.Load()
+		if o <= peak || t.peak.CompareAndSwap(peak, o) {
+			return nil
 		}
 	}
-	return nil
+}
+
+// release returns one admitted slot to the tenant and the fleet.
+func (t *Tenant) release() {
+	t.outstanding.Add(-1)
+	t.f.outstanding.Add(-1)
 }
 
 // Submit routes one request to the tenant's shard and enqueues it there,
@@ -160,22 +164,16 @@ func (c *Client) Submit(model string, items [][]float32) (*Pending, error) {
 	start := time.Now()
 	s, sc, rerouted, err := t.route()
 	if err != nil {
+		t.release()
 		return nil, err
 	}
 	decideNs := time.Since(start).Nanoseconds()
 	p, err := sc.Submit(model, items)
 	if err != nil {
+		t.release()
 		return nil, err
 	}
 	s.outstanding.Add(1)
-	now := t.outstanding.Add(1)
-	for {
-		peak := t.peak.Load()
-		if now <= peak || t.peak.CompareAndSwap(peak, now) {
-			break
-		}
-	}
-	f.outstanding.Add(1)
 	var reroute uint64
 	if rerouted {
 		reroute = 1
@@ -224,7 +222,7 @@ func (t *Tenant) route() (*Shard, *batcher.Client, bool, error) {
 	t.shard = ord
 	t.sc = f.shards[ord].b.Client(t.name)
 	if rerouted {
-		f.rtel.reroutes.Inc()
+		f.reroutes.Inc()
 	}
 	return f.shards[ord], t.sc, rerouted, nil
 }
@@ -258,7 +256,7 @@ func (f *Fleet) place(tenant string) (int, error) {
 	if ord < 0 {
 		return -1, fmt.Errorf("fleet: no active shard to place tenant %q", tenant)
 	}
-	f.rtel.placements.Inc()
+	f.placements.Inc()
 	return ord, nil
 }
 

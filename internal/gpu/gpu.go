@@ -109,42 +109,31 @@ type Device struct {
 	used      int64
 	busyUntil time.Duration
 	spans     []busySpan // recent busy intervals, pruned lazily
-	launches  int64
 	// maxWindow is the largest window any Utilization query has asked for;
 	// the span-prune horizon tracks it so long-window queries stay accurate.
 	maxWindow time.Duration
 
-	copies    atomic.Int64
-	copyBytes atomic.Int64
-
-	tel Telemetry
+	copies atomic.Int64 // host<->device transfers (copyTime's count, kept with telemetry off)
+	// launches and copyBytes are what Launches/Copies report and what the
+	// registry exports; the histograms are nil with telemetry disabled.
+	launches, copyBytes telemetry.Counter
+	execTime            *telemetry.Histogram // modeled cost, excluding queueing
+	queueDelay          *telemetry.Histogram // wait for the device to go idle
+	copyTime            *telemetry.Histogram // DMA duration: copy-engine occupancy
 
 	// rec receives gpu-domain events, tagged with the trace ID of the
 	// command lakeD is currently executing (Recorder.ExecTrace); nil-safe.
 	rec *flightrec.Recorder
 }
 
-// Telemetry is the device's instrument set; all fields may be nil.
-type Telemetry struct {
-	// Launches counts executed kernels.
-	Launches *telemetry.Counter
-	// ExecTime observes each operation's modeled cost (virtual ns),
-	// excluding queueing delay.
-	ExecTime *telemetry.Histogram
-	// QueueDelay observes per-operation contention delay (virtual ns)
-	// spent waiting for the device to go idle.
-	QueueDelay *telemetry.Histogram
-	// CopyTime observes each host<->device DMA's modeled duration
-	// (virtual ns) — the copy-engine occupancy signal.
-	CopyTime *telemetry.Histogram
-	// CopyBytes counts total bytes moved across PCIe.
-	CopyBytes *telemetry.Counter
-}
-
-// SetTelemetry attaches instruments. Must be called during runtime
-// construction, before any traffic.
-func (d *Device) SetTelemetry(tel Telemetry) {
-	d.tel = tel
+// Instrument declares the device's series on reg. Must be called during
+// runtime construction, before any traffic.
+func (d *Device) Instrument(reg *telemetry.Registry, name telemetry.Namer) {
+	reg.AttachCounter(name("lake_gpu_launches_total"), "Kernels executed on the device model.", &d.launches)
+	reg.AttachCounter(name("lake_gpu_copy_bytes_total"), "Bytes moved across the modeled PCIe link.", &d.copyBytes)
+	d.execTime = reg.Histogram(name("lake_gpu_exec_ns"), "Per-operation modeled execution cost (virtual ns), excluding queueing.", telemetry.DefaultLatencyBuckets())
+	d.queueDelay = reg.Histogram(name("lake_gpu_queue_delay_ns"), "Per-operation contention delay (virtual ns) waiting for the device.", telemetry.DefaultLatencyBuckets())
+	d.copyTime = reg.Histogram(name("lake_gpu_copy_ns"), "Host<->device DMA durations (virtual ns) — copy-engine occupancy.", telemetry.DefaultLatencyBuckets())
 }
 
 // SetFlightRecorder attaches the flight recorder. Must be called during
@@ -158,8 +147,7 @@ func (d *Device) SetFlightRecorder(rec *flightrec.Recorder) {
 func (d *Device) ObserveCopy(n int64, took time.Duration) {
 	d.copies.Add(1)
 	d.copyBytes.Add(n)
-	d.tel.CopyTime.ObserveDuration(took)
-	d.tel.CopyBytes.Add(n)
+	d.copyTime.ObserveDuration(took)
 	d.rec.Emit(flightrec.DomainGPU, flightrec.EvCopy,
 		d.rec.ExecTrace(), 0, d.ordinal, uint64(n), uint64(took), 0)
 }
@@ -167,7 +155,7 @@ func (d *Device) ObserveCopy(n int64, took time.Duration) {
 // Copies reports the device's DMA accounting: number of host<->device
 // transfers and total bytes moved. Pool-level aggregated queries read it.
 func (d *Device) Copies() (n, bytes int64) {
-	return d.copies.Load(), d.copyBytes.Load()
+	return d.copies.Load(), d.copyBytes.Value()
 }
 
 // New creates a device with the given spec on the shared clock.
@@ -201,11 +189,7 @@ func (d *Device) Ordinal() int { return d.ordinal }
 func (d *Device) Clock() *vtime.Clock { return d.clock }
 
 // Launches returns the total number of kernels executed.
-func (d *Device) Launches() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.launches
-}
+func (d *Device) Launches() int64 { return d.launches.Value() }
 
 // MemUsed returns currently allocated device memory in bytes.
 func (d *Device) MemUsed() int64 {
@@ -289,14 +273,13 @@ func (d *Device) Execute(client string, cost time.Duration, fn func()) time.Dura
 	}
 	end := start + cost
 	d.busyUntil = end
-	d.launches++
 	d.spans = append(d.spans, busySpan{client: client, start: start, end: end})
 	d.pruneLocked(end)
 	d.mu.Unlock()
 
-	d.tel.Launches.Inc()
-	d.tel.ExecTime.ObserveDuration(cost)
-	d.tel.QueueDelay.ObserveDuration(start - now)
+	d.launches.Inc()
+	d.execTime.ObserveDuration(cost)
+	d.queueDelay.ObserveDuration(start - now)
 	d.rec.Emit(flightrec.DomainGPU, flightrec.EvExec,
 		d.rec.ExecTrace(), 0, d.ordinal, uint64(cost), uint64(start-now), 0)
 
@@ -350,18 +333,6 @@ func (d *Device) BusyUntil() time.Duration {
 }
 
 const utilizationHistory = 5 * time.Second
-
-// SetUtilizationRetention guarantees busy spans are retained for at least
-// window before pruning, even if no Utilization query that wide has run yet.
-// Callers that know they will sample a long trailing window can arm it up
-// front instead of relying on the first query to grow the horizon.
-func (d *Device) SetUtilizationRetention(window time.Duration) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if window > d.maxWindow {
-		d.maxWindow = window
-	}
-}
 
 func (d *Device) pruneLocked(now time.Duration) {
 	// The horizon must cover the widest window any caller samples: pruning

@@ -15,6 +15,8 @@
 package healthplane
 
 import (
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -293,7 +295,7 @@ func (p *Plane) ingestHistogramsLocked(tick int64) {
 	}
 	snap := p.snapFn()
 	for name, hs := range snap.Histograms {
-		family, labels := splitSeries(name)
+		family, labels := telemetry.SplitName(name)
 		stage, ok := histStages[family]
 		if !ok {
 			continue
@@ -331,38 +333,15 @@ func (p *Plane) ingestHistogramsLocked(tick int64) {
 	}
 }
 
-// splitSeries separates `family{labels}` (mirrors telemetry.splitName,
-// unexported there).
-func splitSeries(name string) (family, labels string) {
-	for i := 0; i < len(name); i++ {
-		if name[i] == '{' {
-			return name[:i], name[i:]
-		}
-	}
-	return name, ""
-}
-
 // shardFromLabels extracts a shard="N" pair; 0 when absent.
 func shardFromLabels(labels string) uint16 {
-	const key = `shard="`
-	i := indexOf(labels, key)
-	if i < 0 {
+	_, rest, ok := strings.Cut(labels, `shard="`)
+	if !ok {
 		return 0
 	}
-	var n uint16
-	for j := i + len(key); j < len(labels) && labels[j] >= '0' && labels[j] <= '9'; j++ {
-		n = n*10 + uint16(labels[j]-'0')
-	}
-	return n
-}
-
-func indexOf(s, sub string) int {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return i
-		}
-	}
-	return -1
+	digits, _, _ := strings.Cut(rest, `"`)
+	n, _ := strconv.ParseUint(digits, 10, 16)
+	return uint16(n)
 }
 
 // watchdogLocked trips when a shard holds outstanding work across
@@ -405,7 +384,7 @@ func (p *Plane) demotionsLocked() []*Incident {
 		model := m.Model()
 		if prev, ok := p.prevDemote[model]; ok && st.Demotions > prev {
 			captured = append(captured, p.captureLocked("drift-demotion",
-				"model "+model+" demoted for drift (serving seq now "+utoa(st.ServingSeq)+")", ""))
+				"model "+model+" demoted for drift (serving seq now "+strconv.FormatUint(st.ServingSeq, 10)+")", ""))
 		} else if fell := st.Fallback && !p.prevFall[model]; fell && ok {
 			captured = append(captured, p.captureLocked("drift-demotion",
 				"model "+model+" exhausted versions, routing on heuristic fallback", ""))
@@ -470,18 +449,4 @@ func (p *Plane) Ready() (bool, []ShardHealth) {
 		}
 	}
 	return ready, shards
-}
-
-func utoa(v uint64) string {
-	if v == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(b[i:])
 }

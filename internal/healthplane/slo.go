@@ -1,6 +1,7 @@
 package healthplane
 
 import (
+	"strconv"
 	"strings"
 	"time"
 
@@ -94,7 +95,7 @@ func (p *Plane) series(stage string, shard uint16) *stageSeries {
 	return s
 }
 
-func shardKey(shard uint16) string { return utoa(uint64(shard)) }
+func shardKey(shard uint16) string { return strconv.Itoa(int(shard)) }
 
 // slot returns the tick's bucket in the ring, zeroing a lapped slot.
 func (p *Plane) slot(ring []tickBucket, tick int64) *tickBucket {

@@ -79,18 +79,6 @@ const (
 	ReasonRollback SwapReason = 2 // explicit operator rollback
 )
 
-func (r SwapReason) String() string {
-	switch r {
-	case ReasonPromote:
-		return "promote"
-	case ReasonDemote:
-		return "demote"
-	case ReasonRollback:
-		return "rollback"
-	}
-	return fmt.Sprintf("SwapReason(%d)", int(r))
-}
-
 // Registry holds every registered version of one model and the serving
 // slot. Registration and promotion serialize on an internal mutex; reading
 // the serving version is a single atomic pointer load, so inference paths
@@ -154,18 +142,6 @@ func (r *Registry) RegisterBlob(blob []byte, meta Meta) (*Version, error) {
 // Serving returns the current serving version (nil before the first
 // Promote). One atomic load — safe from any goroutine, never blocks.
 func (r *Registry) Serving() *Version { return r.serving.Load() }
-
-// Version looks a registered version up by sequence number.
-func (r *Registry) Version(seq uint64) (*Version, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, v := range r.versions {
-		if v.Seq == seq {
-			return v, true
-		}
-	}
-	return nil, false
-}
 
 // Versions lists every registered version in registration order.
 func (r *Registry) Versions() []*Version {

@@ -105,22 +105,6 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// Telemetry is the manager's instrument set; core.Runtime.NewLifecycle
-// wires it with model="..."-labeled series. Zero-value instruments are
-// no-ops.
-type Telemetry struct {
-	Registrations   *telemetry.Counter
-	Swaps           *telemetry.Counter
-	RetrainSteps    *telemetry.Counter
-	RetrainSamples  *telemetry.Counter
-	DriftAlarms     *telemetry.Counter
-	Demotions       *telemetry.Counter
-	FallbackEnters  *telemetry.Counter
-	FeedbackDropped *telemetry.Counter
-	ServingVersion  *telemetry.Gauge
-	ShadowAccuracy  *telemetry.Gauge // candidate accuracy, per-mille
-}
-
 // Stats snapshots lifecycle activity.
 type Stats struct {
 	ServingSeq   uint64
@@ -144,7 +128,7 @@ type Stats struct {
 // attached predictor.
 //
 // Concurrency contract: Observe is safe from any goroutine and never
-// blocks (a bounded-channel send). Processing — Pump or Serve — must run
+// blocks (a bounded-channel send). Processing — Pump — must run
 // from one goroutine at a time; all mutation happens there under one
 // mutex, so the feedback order fully determines the trained weights
 // (fixed inputs reproduce bit-identical models; the determinism test pins
@@ -154,10 +138,8 @@ type Manager struct {
 	clock *vtime.Clock
 	reg   *Registry
 	rec   *flightrec.Recorder
-	tel   Telemetry
 
 	feedback chan Outcome
-	dropped  atomic.Uint64
 	healthy  atomic.Bool
 
 	mu         sync.Mutex
@@ -179,12 +161,17 @@ type Manager struct {
 	dBad         int
 	baseline     float64 // negative = pin from the next completed window
 
-	samplesSeen  atomic.Uint64
-	retrainSteps atomic.Uint64
-	swaps        atomic.Uint64
-	demotions    atomic.Uint64
-	driftAlarms  atomic.Uint64
-	evSeq        atomic.Uint64
+	samplesSeen atomic.Uint64
+	evSeq       atomic.Uint64
+
+	// The counters are what Stats reports and what the registry exports;
+	// the gauges are nil with telemetry disabled.
+	registrations, swaps, demotions telemetry.Counter
+	retrainSteps, retrainSamples    telemetry.Counter
+	driftAlarms, fallbackEnters     telemetry.Counter
+	dropped                         telemetry.Counter // lost to the bounded feedback channel
+	servingVersion                  *telemetry.Gauge
+	shadowAccuracy                  *telemetry.Gauge // candidate accuracy, per-mille
 }
 
 // NewManager builds a lifecycle manager seeded with base as version 1,
@@ -206,6 +193,7 @@ func NewManager(clock *vtime.Clock, cfg Config, base *nn.Network) (*Manager, err
 	m.roundLeft = cfg.RoundSamples
 	m.baseline = -1
 	v := m.reg.Register(base, Meta{Model: cfg.Model, Note: "base", TrainedAt: m.now()})
+	m.registrations.Inc()
 	if _, _, err := m.reg.Promote(v.Seq); err != nil {
 		return nil, err
 	}
@@ -226,13 +214,22 @@ func (m *Manager) now() time.Duration {
 // the DomainLifecycle ring (nil-safe).
 func (m *Manager) SetFlightRecorder(rec *flightrec.Recorder) { m.rec = rec }
 
-// SetTelemetry attaches the instrument set.
-func (m *Manager) SetTelemetry(t Telemetry) {
-	m.tel = t
+// Instrument declares the manager's series on reg; name carries the
+// model="..." label. Must be called before any feedback is processed.
+func (m *Manager) Instrument(reg *telemetry.Registry, name telemetry.Namer) {
+	reg.AttachCounter(name("lake_model_registrations_total"), "Model versions added to the registry.", &m.registrations)
+	reg.AttachCounter(name("lake_model_swaps_total"), "Serving-slot flips (promotions, demotions, rollbacks).", &m.swaps)
+	reg.AttachCounter(name("lake_model_retrain_steps_total"), "Online SGD minibatch steps run in lakeD.", &m.retrainSteps)
+	reg.AttachCounter(name("lake_model_retrain_samples_total"), "Feedback samples consumed by online retraining.", &m.retrainSamples)
+	reg.AttachCounter(name("lake_model_drift_alarms_total"), "Drift windows whose live accuracy fell below the pinned baseline.", &m.driftAlarms)
+	reg.AttachCounter(name("lake_model_demotions_total"), "Drift-driven rollbacks to the previous serving version.", &m.demotions)
+	reg.AttachCounter(name("lake_model_fallback_total"), "Times the model went unhealthy and routing fell back to the CPU/heuristic path.", &m.fallbackEnters)
+	reg.AttachCounter(name("lake_model_feedback_dropped_total"), "Outcomes dropped by the bounded feedback channel.", &m.dropped)
+	m.servingVersion = reg.Gauge(name("lake_model_serving_version"), "Sequence number of the serving model version.")
+	m.shadowAccuracy = reg.Gauge(name("lake_model_shadow_accuracy_permille"), "Candidate accuracy over the last shadow window (per-mille).")
 	if v := m.reg.Serving(); v != nil {
-		t.ServingVersion.Set(int64(v.Seq))
+		m.servingVersion.Set(int64(v.Seq))
 	}
-	t.Registrations.Add(int64(m.reg.Len()))
 }
 
 // Attach registers the hot-swap hook — typically linnos.(*Predictor).SwapNet
@@ -299,8 +296,7 @@ func (m *Manager) Observe(o Outcome) bool {
 	case m.feedback <- o:
 		return true
 	default:
-		m.dropped.Add(1)
-		m.tel.FeedbackDropped.Inc()
+		m.dropped.Inc()
 		return false
 	}
 }
@@ -318,19 +314,6 @@ func (m *Manager) Pump() int {
 			n++
 		default:
 			return n
-		}
-	}
-}
-
-// Serve processes feedback until stop closes — the in-daemon retraining
-// loop. Run it on its own goroutine next to lakeD.
-func (m *Manager) Serve(stop <-chan struct{}) {
-	for {
-		select {
-		case <-stop:
-			return
-		case o := <-m.feedback:
-			m.process(o)
 		}
 	}
 }
@@ -387,13 +370,11 @@ func (m *Manager) step() {
 	if err != nil {
 		// Shape mismatches cannot happen for outcomes produced by the
 		// attached predictor; a malformed outcome is dropped, not fatal.
-		m.dropped.Add(uint64(n))
-		m.tel.FeedbackDropped.Add(int64(n))
+		m.dropped.Add(int64(n))
 		return
 	}
-	m.retrainSteps.Add(1)
-	m.tel.RetrainSteps.Inc()
-	m.tel.RetrainSamples.Add(int64(n))
+	m.retrainSteps.Inc()
+	m.retrainSamples.Add(int64(n))
 	m.rec.Emit(flightrec.DomainLifecycle, flightrec.EvRetrainStep,
 		0, m.evSeq.Add(1), 0, uint64(n), uint64(loss*1000), 0)
 }
@@ -418,7 +399,7 @@ func (m *Manager) shadowRound() {
 	m.rec.Emit(flightrec.DomainLifecycle, flightrec.EvShadowScore,
 		0, m.evSeq.Add(1), 0, uint64(candHits), uint64(servHits), uint64(m.wcount))
 	candAcc := float64(candHits) / float64(m.wcount)
-	m.tel.ShadowAccuracy.Set(int64(candAcc * 1000))
+	m.shadowAccuracy.Set(int64(candAcc * 1000))
 	servAcc := float64(servHits) / float64(m.wcount)
 	if candAcc < servAcc+m.cfg.PromoteMargin {
 		return
@@ -430,7 +411,7 @@ func (m *Manager) shadowRound() {
 		Samples:   int(m.samplesSeen.Load()),
 		ParentSeq: serving.Seq,
 	})
-	m.tel.Registrations.Inc()
+	m.registrations.Inc()
 	m.rec.Emit(flightrec.DomainLifecycle, flightrec.EvModelRegister,
 		0, m.evSeq.Add(1), 0, v.Seq, v.Hash, 0)
 	if v.Seq == serving.Seq {
@@ -465,8 +446,7 @@ func (m *Manager) closeDriftWindow() {
 		return
 	}
 	m.dBad++
-	m.driftAlarms.Add(1)
-	m.tel.DriftAlarms.Inc()
+	m.driftAlarms.Inc()
 	m.rec.Emit(flightrec.DomainLifecycle, flightrec.EvDriftAlarm,
 		0, m.evSeq.Add(1), 0, uint64(acc*1000), uint64(m.baseline*1000), uint64(m.dBad))
 	if m.dBad >= m.cfg.DriftBadWindows {
@@ -482,7 +462,7 @@ func (m *Manager) demote() {
 	v, old, err := m.reg.Rollback()
 	if err != nil {
 		if m.healthy.CompareAndSwap(true, false) {
-			m.tel.FallbackEnters.Inc()
+			m.fallbackEnters.Inc()
 			m.rec.Emit(flightrec.DomainLifecycle, flightrec.EvFallback,
 				0, m.evSeq.Add(1), 0, 1, 0, 0)
 			if m.demoteHook != nil {
@@ -491,8 +471,7 @@ func (m *Manager) demote() {
 		}
 		return
 	}
-	m.demotions.Add(1)
-	m.tel.Demotions.Inc()
+	m.demotions.Inc()
 	if m.demoteHook != nil {
 		m.demoteHook(m.cfg.Model, true)
 	}
@@ -517,29 +496,14 @@ func (m *Manager) applySwap(nv, old *Version, reason SwapReason) {
 			return
 		}
 	}
-	m.swaps.Add(1)
-	m.tel.Swaps.Inc()
-	m.tel.ServingVersion.Set(int64(nv.Seq))
+	m.swaps.Inc()
+	m.servingVersion.Set(int64(nv.Seq))
 	var oldSeq uint64
 	if old != nil {
 		oldSeq = old.Seq
 	}
 	m.rec.Emit(flightrec.DomainLifecycle, flightrec.EvModelSwap,
 		0, m.evSeq.Add(1), 0, nv.Seq, oldSeq, uint64(reason))
-}
-
-// LoadBlob registers an externally supplied serialized model (the
-// untrusted path: decode is bounds-checked before allocation). The version
-// is registered but not promoted — call PromoteVersion to serve it.
-func (m *Manager) LoadBlob(blob []byte, note string) (*Version, error) {
-	v, err := m.reg.RegisterBlob(blob, Meta{Model: m.cfg.Model, Note: note, TrainedAt: m.now()})
-	if err != nil {
-		return nil, err
-	}
-	m.tel.Registrations.Inc()
-	m.rec.Emit(flightrec.DomainLifecycle, flightrec.EvModelRegister,
-		0, m.evSeq.Add(1), 0, v.Seq, v.Hash, 0)
-	return v, nil
 }
 
 // PromoteVersion explicitly flips the serving slot to a registered version
@@ -563,7 +527,7 @@ func (m *Manager) PromoteVersion(seq uint64) error {
 }
 
 // Dropped reports outcomes lost to the bounded feedback channel.
-func (m *Manager) Dropped() uint64 { return m.dropped.Load() }
+func (m *Manager) Dropped() uint64 { return uint64(m.dropped.Value()) }
 
 // Stats snapshots lifecycle activity.
 func (m *Manager) Stats() Stats {
@@ -572,11 +536,11 @@ func (m *Manager) Stats() Stats {
 	s := Stats{
 		Versions:     m.reg.Len(),
 		SamplesSeen:  m.samplesSeen.Load(),
-		Dropped:      m.dropped.Load(),
-		RetrainSteps: m.retrainSteps.Load(),
-		Swaps:        m.swaps.Load(),
-		Demotions:    m.demotions.Load(),
-		DriftAlarms:  m.driftAlarms.Load(),
+		Dropped:      uint64(m.dropped.Value()),
+		RetrainSteps: uint64(m.retrainSteps.Value()),
+		Swaps:        uint64(m.swaps.Value()),
+		Demotions:    uint64(m.demotions.Value()),
+		DriftAlarms:  uint64(m.driftAlarms.Value()),
 		Fallback:     !m.healthy.Load(),
 	}
 	if m.baseline >= 0 {

@@ -41,8 +41,6 @@ type Daemon struct {
 
 	mu        sync.Mutex
 	highlevel map[string]HighLevelHandler
-	handled   int64
-	executed  int64
 	crashed   bool
 	// pendingCrash is a test/supervisor-injected crash for the next
 	// executed command; the fault plane injects probabilistic ones.
@@ -52,7 +50,15 @@ type Daemon struct {
 	generation   uint64
 	errlog       []string
 
-	tel DaemonTelemetry
+	// The counters are what Handled/Executed/Redelivered report and what
+	// the registry exports; the gauges hold the last NVML utilization
+	// sample served (%) and are nil with telemetry disabled.
+	handled       telemetry.Counter // responses that reached the channel
+	executed      telemetry.Counter // commands whose handler actually ran
+	redelivered   telemetry.Counter // commands answered from the journal
+	corruptFrames telemetry.Counter // undecodable command frames
+	gpuUtil       *telemetry.Gauge
+	memUtil       *telemetry.Gauge
 
 	// rec is the flight recorder's daemon-domain view; nil-safe. Its
 	// BeginExec/EndExec window is how GPU-domain events inherit the trace ID
@@ -60,25 +66,15 @@ type Daemon struct {
 	rec *flightrec.Recorder
 }
 
-// DaemonTelemetry is lakeD's instrument set; all fields may be nil.
-type DaemonTelemetry struct {
-	// Handled counts responses that reached the channel.
-	Handled *telemetry.Counter
-	// Executed counts commands whose handler actually ran.
-	Executed *telemetry.Counter
-	// Redelivered counts commands answered from the sequence journal.
-	Redelivered *telemetry.Counter
-	// CorruptFrames counts undecodable command frames.
-	CorruptFrames *telemetry.Counter
-	// GPUUtil / MemUtil hold the last NVML utilization sample served (%).
-	GPUUtil *telemetry.Gauge
-	MemUtil *telemetry.Gauge
-}
-
-// SetTelemetry attaches instruments. Must be called during runtime
+// Instrument declares lakeD's series on reg. Must be called during runtime
 // construction, before any traffic.
-func (d *Daemon) SetTelemetry(tel DaemonTelemetry) {
-	d.tel = tel
+func (d *Daemon) Instrument(reg *telemetry.Registry, name telemetry.Namer) {
+	reg.AttachCounter(name("lake_daemon_handled_total"), "Responses lakeD put on the channel.", &d.handled)
+	reg.AttachCounter(name("lake_daemon_executed_total"), "Commands whose handler actually ran.", &d.executed)
+	reg.AttachCounter(name("lake_daemon_redelivered_total"), "Commands answered from the exactly-once journal.", &d.redelivered)
+	reg.AttachCounter(name("lake_daemon_corrupt_frames_total"), "Undecodable command frames lakeD dropped.", &d.corruptFrames)
+	d.gpuUtil = reg.Gauge(name("lake_nvml_gpu_util"), "Last NVML GPU utilization sample served (percent).")
+	d.memUtil = reg.Gauge(name("lake_nvml_mem_util"), "Last NVML memory utilization sample served (percent).")
 }
 
 // SetFlightRecorder attaches the flight recorder. Must be called during
@@ -202,18 +198,11 @@ func (d *Daemon) Generation() uint64 {
 // Executed counts commands whose handler actually ran — journal-served
 // redeliveries are excluded, so in an exactly-once run Executed equals the
 // number of distinct client calls that completed.
-func (d *Daemon) Executed() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.executed
-}
+func (d *Daemon) Executed() int64 { return d.executed.Value() }
 
 // Redelivered counts commands answered from the sequence journal instead
 // of being re-executed.
-func (d *Daemon) Redelivered() int64 {
-	hits, _, _ := d.journal.stats()
-	return hits
-}
+func (d *Daemon) Redelivered() int64 { return d.redelivered.Value() }
 
 // Errors returns the daemon's recent failure log. Every entry carries the
 // command name and sequence number, so chaos-test failures are
@@ -239,18 +228,8 @@ func (d *Daemon) logErr(msg string) {
 	d.mu.Unlock()
 }
 
-// API exposes the daemon's CUDA binding (the "vendor library" it links).
-func (d *Daemon) API() *cuda.API { return d.api }
-
-// Region exposes the daemon's view of the lakeShm mapping.
-func (d *Daemon) Region() *shm.Region { return d.region }
-
 // Handled reports the number of commands served.
-func (d *Daemon) Handled() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.handled
-}
+func (d *Daemon) Handled() int64 { return d.handled.Value() }
 
 // RegisterHighLevel installs a custom high-level API under name. Adding an
 // API requires exactly what §4.4 describes: a prototype on the lakeLib side
@@ -288,7 +267,7 @@ func (d *Daemon) PumpOne() bool {
 		// Undecodable frame: no trustworthy sequence to journal. Answer
 		// with a seq-0 error the client demux will discard, forcing a
 		// clean retransmit of the command.
-		d.tel.CorruptFrames.Inc()
+		d.corruptFrames.Inc()
 		d.logErr(fmt.Sprintf("lakeD: corrupt frame (%d bytes): %v", len(frame), err))
 		resp := &d.scratch.resp
 		resp.Seq = 0
@@ -301,7 +280,7 @@ func (d *Daemon) PumpOne() bool {
 	d.rec.Emit(flightrec.DomainDaemon, flightrec.EvDispatch,
 		cmd.TraceID, cmd.Seq, 0, uint64(cmd.API), uint64(len(frame)), 0)
 	if cached, dup := d.journal.lookup(cmd.Seq); dup {
-		d.tel.Redelivered.Inc()
+		d.redelivered.Inc()
 		d.rec.Emit(flightrec.DomainDaemon, flightrec.EvJournalHit,
 			cmd.TraceID, cmd.Seq, 0, uint64(cmd.API), 0, 0)
 		d.respond(cached)
@@ -356,10 +335,7 @@ func (d *Daemon) respond(out []byte) {
 	if err := d.tr.SendToKernel(out); err != nil {
 		return
 	}
-	d.mu.Lock()
-	d.handled++
-	d.mu.Unlock()
-	d.tel.Handled.Inc()
+	d.handled.Inc()
 }
 
 // mustAppendResponse encodes a response the daemon built itself into the
@@ -401,10 +377,7 @@ func (d *Daemon) handleCmd(cmd *Command) (resp *Response) {
 	if cmd.API != APIPing {
 		// Heartbeats are supervision traffic, not workload: Executed stays
 		// comparable to the number of distinct client calls.
-		d.mu.Lock()
-		d.executed++
-		d.mu.Unlock()
-		d.tel.Executed.Inc()
+		d.executed.Inc()
 	}
 	resp = d.execute(cmd)
 	if r := cuda.Result(resp.Result); r != cuda.Success {
@@ -506,8 +479,8 @@ func (d *Daemon) execute(cmd *Command) *Response {
 		// Aggregated over the pool (identical to the single-device reading
 		// when the pool has one device).
 		u := nvml.AggregateUtilizationRates(d.api.Devices())
-		d.tel.GPUUtil.Set(int64(u.GPU))
-		d.tel.MemUtil.Set(int64(u.Memory))
+		d.gpuUtil.Set(int64(u.GPU))
+		d.memUtil.Set(int64(u.Memory))
 		resp.Vals = append(resp.Vals, uint64(u.GPU), uint64(u.Memory))
 
 	case APINvmlDeviceUtilization:
@@ -556,9 +529,7 @@ func (d *Daemon) execute(cmd *Command) *Response {
 		// Heartbeat (supervision): reports the restart generation and the
 		// served-command count, letting the supervisor detect silent
 		// restarts and confirm liveness after ReAttached.
-		d.mu.Lock()
-		resp.Vals = append(resp.Vals, d.generation, uint64(d.handled))
-		d.mu.Unlock()
+		resp.Vals = append(resp.Vals, d.Generation(), uint64(d.handled.Value()))
 
 	case APIHighLevel:
 		d.mu.Lock()

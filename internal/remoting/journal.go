@@ -30,7 +30,6 @@ type journal struct {
 	// byseq indexes live slots by sequence number.
 	byseq  map[uint64]int
 	live   int
-	hits   int64
 	evicts int64
 }
 
@@ -55,8 +54,8 @@ func newJournal(capacity int) *journal {
 	}
 }
 
-// lookup returns the recorded response frame for seq, if any, counting a
-// hit (a detected redelivery). The returned frame aliases journal storage:
+// lookup returns the recorded response frame for seq, if any (a detected
+// redelivery; the daemon counts it). The returned frame aliases journal storage:
 // it is valid until the journal cycles past the entry, which cannot happen
 // before the caller's immediately following send (the transport copies).
 func (j *journal) lookup(seq uint64) ([]byte, bool) {
@@ -66,7 +65,6 @@ func (j *journal) lookup(seq uint64) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	j.hits++
 	return j.slots[i].buf, true
 }
 
@@ -96,9 +94,9 @@ func (j *journal) record(seq uint64, frame []byte) {
 	}
 }
 
-// stats returns (hits, evictions, live entries).
-func (j *journal) stats() (hits, evicts int64, live int) {
+// stats returns (evictions, live entries).
+func (j *journal) stats() (evicts int64, live int) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.hits, j.evicts, j.live
+	return j.evicts, j.live
 }

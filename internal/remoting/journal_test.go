@@ -20,9 +20,9 @@ func TestJournalDedup(t *testing.T) {
 	if got, _ := j.lookup(1); string(got) != "first" {
 		t.Fatalf("duplicate record replaced the response: %q", got)
 	}
-	hits, evicts, live := j.stats()
-	if hits != 2 || evicts != 0 || live != 1 {
-		t.Fatalf("stats = (%d, %d, %d), want (2, 0, 1)", hits, evicts, live)
+	evicts, live := j.stats()
+	if evicts != 0 || live != 1 {
+		t.Fatalf("stats = (%d, %d), want (0, 1)", evicts, live)
 	}
 }
 
@@ -32,7 +32,7 @@ func TestJournalFIFOEviction(t *testing.T) {
 	for seq := uint64(1); seq <= 10; seq++ {
 		j.record(seq, []byte(fmt.Sprintf("r%d", seq)))
 	}
-	_, evicts, live := j.stats()
+	evicts, live := j.stats()
 	if live != capacity || evicts != 10-capacity {
 		t.Fatalf("live=%d evicts=%d, want %d and %d", live, evicts, capacity, 10-capacity)
 	}

@@ -37,7 +37,6 @@ var ErrTransport = errors.New("remoting: transport failure")
 type Lib struct {
 	tr     boundary.Channel
 	daemon *Daemon
-	region *shm.Region
 
 	seq atomic.Uint64
 	// shardTag is OR'd into the high bits of every issued sequence number
@@ -57,22 +56,27 @@ type Lib struct {
 	// target requires).
 	pool sync.Pool
 
-	mu          sync.Mutex
-	calls       int64
-	remotedTime time.Duration
+	// calls and the ResilienceStats counters are what Stats and
+	// ResilienceStats report and what the registry exports; callLatency is
+	// nil with telemetry disabled. remotedTime is cumulative modeled
+	// channel time in virtual ns.
+	calls                            telemetry.Counter
+	retries, recoveries              telemetry.Counter
+	corruptResponses, staleResponses telemetry.Counter
+	deadlineExceeded, daemonDead     telemetry.Counter
+	remotedTime                      atomic.Int64
+	callLatency                      *telemetry.Histogram
 
+	mu sync.Mutex
 	// res is the policy every exchange runs under: NewLib's one-attempt,
 	// no-deadline, no-hook default until EnableResilience arms retries.
-	res    *Resilience
-	rng    *lockedRand
-	rstats ResilienceStats
+	res *Resilience
+	rng *lockedRand
 	// dead is set once a call abandons the daemon as unrecoverable; later
 	// calls fail fast with ErrDaemonDead (mapped to cuda.ErrNotReady by the
 	// stubs, routing workloads to their CPU fallback) until the supervisor
 	// restores service and calls MarkRecovered.
 	dead bool
-
-	tel LibTelemetry
 
 	// rec is the flight recorder's kernel-domain view; nil-safe like the
 	// telemetry instruments. It also serves as the trace-ID allocator for
@@ -115,27 +119,17 @@ func (l *Lib) done(cs *callState) {
 	l.pool.Put(cs)
 }
 
-// LibTelemetry is lakeLib's instrument set; all fields may be nil.
-type LibTelemetry struct {
-	// Calls counts completed remoted invocations.
-	Calls *telemetry.Counter
-	// CallLatency observes per-call end-to-end virtual latency, including
-	// backoff waits on the resilient path.
-	CallLatency *telemetry.Histogram
-	// Mirrors of the ResilienceStats counters, so fault-machinery activity
-	// is visible on the exposition endpoints without polling the struct.
-	Retries          *telemetry.Counter
-	CorruptResponses *telemetry.Counter
-	StaleResponses   *telemetry.Counter
-	Recoveries       *telemetry.Counter
-	DeadlineExceeded *telemetry.Counter
-	DaemonDead       *telemetry.Counter
-}
-
-// SetTelemetry attaches instruments. Must be called during runtime
-// construction, before any traffic.
-func (l *Lib) SetTelemetry(tel LibTelemetry) {
-	l.tel = tel
+// Instrument declares lakeLib's series on reg. Must be called during
+// runtime construction, before any traffic.
+func (l *Lib) Instrument(reg *telemetry.Registry, name telemetry.Namer) {
+	reg.AttachCounter(name("lake_lib_calls_total"), "Completed remoted invocations.", &l.calls)
+	l.callLatency = reg.Histogram(name("lake_lib_call_latency_ns"), "End-to-end remoted call latency (virtual ns), including backoff.", telemetry.DefaultLatencyBuckets())
+	reg.AttachCounter(name("lake_lib_retries_total"), "Resilient-exchange retry attempts.", &l.retries)
+	reg.AttachCounter(name("lake_lib_corrupt_responses_total"), "Responses dropped for CRC/decode failure.", &l.corruptResponses)
+	reg.AttachCounter(name("lake_lib_stale_responses_total"), "Responses discarded for a stale sequence number.", &l.staleResponses)
+	reg.AttachCounter(name("lake_lib_recoveries_total"), "Calls that succeeded after at least one retry.", &l.recoveries)
+	reg.AttachCounter(name("lake_lib_deadline_exceeded_total"), "Calls abandoned at the retry deadline.", &l.deadlineExceeded)
+	reg.AttachCounter(name("lake_lib_daemon_dead_total"), "Calls refused because lakeD was declared dead.", &l.daemonDead)
 }
 
 // SetFlightRecorder attaches the flight recorder. Must be called during
@@ -150,13 +144,10 @@ func (l *Lib) SetFlightRecorder(rec *flightrec.Recorder) {
 // accounting deterministic while the full wire protocol still runs. Until
 // EnableResilience is called a failed exchange is not retried: the first
 // failure latches the daemon dead (see Healthy).
-func NewLib(tr boundary.Channel, daemon *Daemon, region *shm.Region) *Lib {
-	return &Lib{tr: tr, daemon: daemon, region: region,
+func NewLib(tr boundary.Channel, daemon *Daemon) *Lib {
+	return &Lib{tr: tr, daemon: daemon,
 		res: &Resilience{Retry: RetryPolicy{MaxAttempts: 1}}}
 }
-
-// Region returns the kernel-side view of the lakeShm mapping.
-func (l *Lib) Region() *shm.Region { return l.region }
 
 // SetShardTag namespaces this lib's sequence numbers under a fleet shard
 // ordinal: bits 48+ carry ord, the low 48 bits count calls. Must be called
@@ -168,9 +159,7 @@ func (l *Lib) SetShardTag(ord int) {
 
 // Stats reports remoted call count and cumulative modeled channel time.
 func (l *Lib) Stats() (calls int64, channelTime time.Duration) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.calls, l.remotedTime
+	return l.calls.Value(), time.Duration(l.remotedTime.Load())
 }
 
 // EnableResilience arms the fault-tolerant call path: per-call deadlines,
@@ -191,9 +180,14 @@ func (l *Lib) EnableResilience(r Resilience) {
 
 // ResilienceStats returns a snapshot of client-side fault-handling counters.
 func (l *Lib) ResilienceStats() ResilienceStats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.rstats
+	return ResilienceStats{
+		Retries:          l.retries.Value(),
+		StaleResponses:   l.staleResponses.Value(),
+		CorruptResponses: l.corruptResponses.Value(),
+		Recoveries:       l.recoveries.Value(),
+		DeadlineExceeded: l.deadlineExceeded.Value(),
+		DaemonDead:       l.daemonDead.Value(),
+	}
 }
 
 // Healthy reports whether the daemon is believed alive. False means a call
@@ -259,8 +253,7 @@ func (l *Lib) call(cs *callState) error {
 		cmd.TraceID, cmd.Seq, 0, uint64(marshalTook), uint64(len(frame)), 0)
 	err = l.exchangeResilient(cs, l.resilience())
 	if err == nil {
-		l.tel.Calls.Inc()
-		l.tel.CallLatency.ObserveDuration(l.tr.Clock().Now() - vstart)
+		l.callLatency.ObserveDuration(l.tr.Clock().Now() - vstart)
 		l.rec.Emit(flightrec.DomainKernel, flightrec.EvCallEnd,
 			cmd.TraceID, cmd.Seq, 0, uint64(cmd.API), uint64(uint32(cs.resp.Result)), 0)
 	} else {
@@ -291,10 +284,7 @@ func failResult(err error) cuda.Result {
 func (l *Lib) exchangeResilient(cs *callState, res *Resilience) error {
 	cmd := &cs.cmd
 	if cmd.API != APIPing && !l.Healthy() {
-		l.mu.Lock()
-		l.rstats.DaemonDead++
-		l.mu.Unlock()
-		l.tel.DaemonDead.Inc()
+		l.daemonDead.Inc()
 		return fmt.Errorf("%s seq=%d: %w", cmd.API, cmd.Seq, ErrDaemonDead)
 	}
 	start := l.tr.Clock().Now()
@@ -306,10 +296,7 @@ func (l *Lib) exchangeResilient(cs *callState, res *Resilience) error {
 	var lastErr error
 	for {
 		if overDeadline() {
-			l.mu.Lock()
-			l.rstats.DeadlineExceeded++
-			l.mu.Unlock()
-			l.tel.DeadlineExceeded.Inc()
+			l.deadlineExceeded.Inc()
 			return fmt.Errorf("%s seq=%d after %v: %w (last: %v)",
 				cmd.API, cmd.Seq, l.tr.Clock().Now()-start, ErrDeadlineExceeded, lastErr)
 		}
@@ -323,10 +310,7 @@ func (l *Lib) exchangeResilient(cs *callState, res *Resilience) error {
 			// Wait out the backoff on the virtual clock, then retransmit
 			// the same frame: same sequence, so a daemon that already
 			// executed it answers from its journal.
-			l.mu.Lock()
-			l.rstats.Retries++
-			l.mu.Unlock()
-			l.tel.Retries.Inc()
+			l.retries.Inc()
 			l.rec.Emit(flightrec.DomainKernel, flightrec.EvRetry,
 				cmd.TraceID, cmd.Seq, 0, uint64(attempt), 0, 0)
 			l.tr.Clock().Advance(res.Retry.BackoffFor(attempt-1, l.rng.draw()))
@@ -338,17 +322,13 @@ func (l *Lib) exchangeResilient(cs *callState, res *Resilience) error {
 			res.Hook.DaemonUnresponsive(cmd.API, cmd.Seq, err) {
 			recoveries++
 			attempt = 0
-			l.mu.Lock()
-			l.rstats.Recoveries++
-			l.mu.Unlock()
-			l.tel.Recoveries.Inc()
+			l.recoveries.Inc()
 			continue
 		}
+		l.daemonDead.Inc()
 		l.mu.Lock()
-		l.rstats.DaemonDead++
 		l.dead = true
 		l.mu.Unlock()
-		l.tel.DaemonDead.Inc()
 		return fmt.Errorf("%s seq=%d: %w (last: %v)", cmd.API, cmd.Seq, ErrDaemonDead, err)
 	}
 }
@@ -371,20 +351,14 @@ func (l *Lib) attemptOnce(cs *callState) error {
 			return fmt.Errorf("%s seq=%d: %w: no response", cmd.API, cmd.Seq, ErrTransport)
 		}
 		if err := DecodeResponseInto(&cs.resp, respFrame); err != nil {
-			l.mu.Lock()
-			l.rstats.CorruptResponses++
-			l.mu.Unlock()
-			l.tel.CorruptResponses.Inc()
+			l.corruptResponses.Inc()
 			continue
 		}
 		if cs.resp.Seq != cmd.Seq {
 			// A duplicate of an earlier call's response, a journal
 			// redelivery that raced a completed call, or the daemon's
 			// seq-0 reject of a corrupted command.
-			l.mu.Lock()
-			l.rstats.StaleResponses++
-			l.mu.Unlock()
-			l.tel.StaleResponses.Inc()
+			l.staleResponses.Inc()
 			continue
 		}
 		l.rec.Emit(flightrec.DomainKernel, flightrec.EvDemux,
@@ -392,10 +366,8 @@ func (l *Lib) attemptOnce(cs *callState) error {
 		d := l.tr.ChargeRoundTrip(len(cs.frame) + len(respFrame))
 		l.rec.Emit(flightrec.DomainKernel, flightrec.EvChannel,
 			cmd.TraceID, cmd.Seq, 0, uint64(d), uint64(len(cs.frame)+len(respFrame)), 0)
-		l.mu.Lock()
-		l.calls++
-		l.remotedTime += d
-		l.mu.Unlock()
+		l.calls.Inc()
+		l.remotedTime.Add(int64(d))
 		return nil
 	}
 }
@@ -469,15 +441,6 @@ func (l *Lib) CuCtxCreateOnDevice(client string, ord int) (uint64, cuda.Result) 
 	h := val(&cs.resp, 0)
 	l.done(cs)
 	return h, r
-}
-
-// CuCtxDestroy remotes cuCtxDestroy.
-func (l *Lib) CuCtxDestroy(ctx uint64) cuda.Result {
-	cs := l.newCall(APICuCtxDestroy)
-	cs.cmd.Args = append(cs.cmd.Args, ctx)
-	r := l.doCall(cs)
-	l.done(cs)
-	return r
 }
 
 // CuMemAlloc remotes cuMemAlloc.
@@ -601,30 +564,10 @@ func (l *Lib) CuLaunchKernel(ctx, fn uint64, args []uint64) cuda.Result {
 	return r
 }
 
-// CuCtxSynchronize remotes cuCtxSynchronize.
-func (l *Lib) CuCtxSynchronize(ctx uint64) cuda.Result {
-	cs := l.newCall(APICuCtxSynchronize)
-	cs.cmd.Args = append(cs.cmd.Args, ctx)
-	r := l.doCall(cs)
-	l.done(cs)
-	return r
-}
-
 // NvmlGetUtilization remotes the NVML utilization query policies sample
 // (Fig 3's "LAKE-remoted nvml API").
 func (l *Lib) NvmlGetUtilization() (gpuPct, memPct int, r cuda.Result) {
 	cs := l.newCall(APINvmlUtilization)
-	r = l.doCall(cs)
-	gpuPct, memPct = int(val(&cs.resp, 0)), int(val(&cs.resp, 1))
-	l.done(cs)
-	return gpuPct, memPct, r
-}
-
-// NvmlGetDeviceUtilization remotes a single pool device's utilization by
-// ordinal (NvmlGetUtilization aggregates across the pool).
-func (l *Lib) NvmlGetDeviceUtilization(ord int) (gpuPct, memPct int, r cuda.Result) {
-	cs := l.newCall(APINvmlDeviceUtilization)
-	cs.cmd.Args = append(cs.cmd.Args, uint64(ord))
 	r = l.doCall(cs)
 	gpuPct, memPct = int(val(&cs.resp, 0)), int(val(&cs.resp, 1))
 	l.done(cs)

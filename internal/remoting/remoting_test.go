@@ -41,7 +41,7 @@ func newStack(t *testing.T) *stack {
 	}
 	tr.SetCostModel(boundary.Netlink)
 	daemon := NewDaemon(api, region, tr)
-	lib := NewLib(tr, daemon, region)
+	lib := NewLib(tr, daemon)
 	return &stack{clock, dev, api, region, tr, daemon, lib}
 }
 

@@ -32,43 +32,10 @@ type Snapshot struct {
 	Counters   map[string]int64             `json:"counters"`
 	Gauges     map[string]int64             `json:"gauges"`
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
-	// Windows holds the settled (previous-tick) window of each
-	// WindowedHistogram — per-window counts, not cumulative-since-start.
-	Windows map[string]HistogramSnapshot `json:"windows,omitempty"`
 }
 
 // Snapshot captures every registered instrument (zero-value for nil).
-func (r *Registry) Snapshot() Snapshot {
-	snap := Snapshot{
-		Counters:   map[string]int64{},
-		Gauges:     map[string]int64{},
-		Histograms: map[string]HistogramSnapshot{},
-	}
-	if r == nil {
-		return snap
-	}
-	r.mu.Lock()
-	names, metrics, _ := r.snapshotLocked()
-	r.mu.Unlock()
-	for _, name := range names {
-		switch m := metrics[name].(type) {
-		case *Counter:
-			snap.Counters[name] = m.Value()
-		case *Gauge:
-			snap.Gauges[name] = m.Value()
-		case *Histogram:
-			snap.Histograms[name] = snapshotHistogram(m)
-		case *WindowedHistogram:
-			if snap.Windows == nil {
-				snap.Windows = map[string]HistogramSnapshot{}
-			}
-			snap.Windows[name] = snapshotWindow(m)
-		case *GaugeFunc:
-			snap.Gauges[name] = m.Value()
-		}
-	}
-	return snap
-}
+func (r *Registry) Snapshot() Snapshot { return MergedSnapshot(r) }
 
 func snapshotHistogram(h *Histogram) HistogramSnapshot {
 	bounds, cum := h.bucketCounts()
@@ -94,21 +61,13 @@ func (r *Registry) JSON() ([]byte, error) {
 // WritePrometheus renders the registry in the Prometheus text exposition
 // format. Series of one family are grouped under a single # HELP/# TYPE
 // header; histograms expand to _bucket{le=...}, _sum and _count series.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	names, metrics, help := r.snapshotLocked()
-	r.mu.Unlock()
-	return writePrometheus(w, names, metrics, help)
-}
+func (r *Registry) WritePrometheus(w io.Writer) error { return WriteMergedPrometheus(w, r) }
 
 func writePrometheus(w io.Writer, names []string, metrics map[string]interface{}, help map[string]string) error {
 	var b strings.Builder
 	lastFamily := ""
 	for _, name := range sortedByFamily(names) {
-		family, labels := splitName(name)
+		family, labels := SplitName(name)
 		if family != lastFamily {
 			if h := help[name]; h != "" {
 				fmt.Fprintf(&b, "# HELP %s %s\n", family, h)
@@ -123,8 +82,6 @@ func writePrometheus(w io.Writer, names []string, metrics map[string]interface{}
 			fmt.Fprintf(&b, "%s%s %d\n", family, labels, m.Value())
 		case *Histogram:
 			writePromHistogram(&b, family, labels, m)
-		case *WindowedHistogram:
-			writePromWindow(&b, family, labels, m)
 		case *GaugeFunc:
 			fmt.Fprintf(&b, "%s%s %d\n", family, labels, m.Value())
 		}
@@ -175,11 +132,6 @@ func MergedSnapshot(regs ...*Registry) Snapshot {
 			snap.Gauges[name] = m.Value()
 		case *Histogram:
 			snap.Histograms[name] = snapshotHistogram(m)
-		case *WindowedHistogram:
-			if snap.Windows == nil {
-				snap.Windows = map[string]HistogramSnapshot{}
-			}
-			snap.Windows[name] = snapshotWindow(m)
 		case *GaugeFunc:
 			snap.Gauges[name] = m.Value()
 		}
@@ -220,10 +172,6 @@ func promType(m interface{}) string {
 		return "gauge"
 	case *Histogram:
 		return "histogram"
-	case *WindowedHistogram:
-		// Per-window (non-cumulative across scrapes) bucket counts are
-		// Prometheus's gaugehistogram.
-		return "gaugehistogram"
 	}
 	return "untyped"
 }
@@ -238,19 +186,6 @@ func writePromHistogram(b *strings.Builder, family, labels string, h *Histogram)
 	fmt.Fprintf(b, "%s_bucket%s %d\n", family, mergeLabels(labels, `le="+Inf"`), cum[len(cum)-1])
 	fmt.Fprintf(b, "%s_sum%s %d\n", family, labels, h.Sum())
 	fmt.Fprintf(b, "%s_count%s %d\n", family, labels, h.Count())
-}
-
-// writePromWindow emits the settled window of a windowed histogram in
-// bucket form (gaugehistogram: counts reset per window, not cumulative
-// across scrapes).
-func writePromWindow(b *strings.Builder, family, labels string, w *WindowedHistogram) {
-	bounds, cum := w.SettledBuckets()
-	for i, bound := range bounds {
-		fmt.Fprintf(b, "%s_bucket%s %d\n", family, mergeLabels(labels, fmt.Sprintf(`le="%d"`, bound)), cum[i])
-	}
-	fmt.Fprintf(b, "%s_bucket%s %d\n", family, mergeLabels(labels, `le="+Inf"`), cum[len(cum)-1])
-	fmt.Fprintf(b, "%s_sum%s %d\n", family, labels, w.SettledSum())
-	fmt.Fprintf(b, "%s_count%s %d\n", family, labels, w.SettledCount())
 }
 
 // mergeLabels combines an existing `{a="b"}` label part with one more pair.

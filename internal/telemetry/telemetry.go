@@ -8,15 +8,18 @@
 // crossovers and §6's per-API breakdown both depend on knowing where time
 // goes across the kernel↔user boundary. This package makes that signal
 // always available at runtime instead of only inside ad-hoc experiment
-// harnesses: subsystems hold direct instrument pointers (no map lookup on
+// harnesses: subsystems hold their instruments directly (no map lookup on
 // the hot path), every mutation is a handful of atomic operations with no
 // allocation, and the whole registry can be exposed as Prometheus text or a
 // JSON snapshot (core.Runtime.Telemetry, laked -telemetry-addr,
 // lakebench -metrics).
 //
-// Instruments are nil-safe: methods on a nil *Counter, *Gauge or *Histogram
-// are no-ops, so a runtime built with telemetry disabled pays only an
-// untaken nil-check branch per site.
+// Each fact is counted once. A component owns its counters as Counter
+// values — the same field its Stats-style accessor reads — and the registry
+// only exports them (AttachCounter), so they count whether telemetry is on
+// or off. Gauges and histograms are registry-owned and nil-safe: methods on
+// a nil *Gauge or *Histogram are no-ops, so a runtime built with telemetry
+// disabled pays only an untaken nil-check branch per site.
 //
 // Clock semantics: latency observations are virtual time (internal/vtime) —
 // deterministic simulated nanoseconds.
@@ -25,6 +28,7 @@ package telemetry
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -39,6 +43,12 @@ const (
 	// MetricCPUItemLatency is the CPU-fallback counterpart.
 	MetricCPUItemLatency = "lake_cpu_item_latency_ns"
 )
+
+// Namer composes one full series name from its family and label pairs
+// (`k="v"`). Components declare their series through the Namer their
+// runtime hands them, so runtime-wide labels (the fleet's shard pair) are
+// added in one place; core.metricName is the implementation.
+type Namer func(family string, pairs ...string) string
 
 // Counter is a monotonically increasing atomic counter. The zero value is
 // ready to use; a nil Counter is a no-op.
@@ -98,8 +108,8 @@ func (g *Gauge) Value() int64 {
 // Registry holds a process's named instruments. Instruments are
 // get-or-create by full name (which may carry Prometheus-style labels,
 // e.g. `lake_boundary_sent_total{channel="Netlink"}`). A nil *Registry
-// hands out nil instruments, so callers wire telemetry unconditionally and
-// pay nothing when it is disabled.
+// hands out nil instruments and attaches nothing, so callers declare their
+// series unconditionally and pay nothing when telemetry is disabled.
 type Registry struct {
 	mu      sync.Mutex
 	order   []string // registration order, for stable exposition
@@ -115,59 +125,80 @@ func NewRegistry() *Registry {
 	}
 }
 
-// register get-or-creates the named instrument using mk; an existing entry
-// must have the matching type (a mismatch is a programming error).
-func (r *Registry) register(name, help string, mk func() interface{}) interface{} {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.metrics[name]; ok {
-		return m
-	}
-	m := mk()
-	r.metrics[name] = m
-	r.help[name] = help
-	r.order = append(r.order, name)
-	return m
-}
-
-// Counter get-or-creates a counter (nil for a nil registry).
-func (r *Registry) Counter(name, help string) *Counter {
+// instrument get-or-creates the named instrument using mk (nil for a nil
+// registry); an existing entry must have the matching type (a mismatch is a
+// programming error).
+func instrument[T any](r *Registry, name, help string, mk func() *T) *T {
 	if r == nil {
 		return nil
 	}
-	m := r.register(name, help, func() interface{} { return &Counter{} })
-	c, ok := m.(*Counter)
-	if !ok {
-		panic(fmt.Sprintf("telemetry: %q already registered as %T", name, m))
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if m, ok := r.metrics[name]; ok {
+		t, ok := m.(*T)
+		if !ok {
+			panic(fmt.Sprintf("telemetry: %q already registered as %T", name, m))
+		}
+		return t
 	}
-	return c
+	t := mk()
+	r.metrics[name] = t
+	r.help[name] = help
+	r.order = append(r.order, name)
+	return t
+}
+
+// Counter get-or-creates a registry-owned counter (nil for a nil registry).
+func (r *Registry) Counter(name, help string) *Counter {
+	return instrument(r, name, help, func() *Counter { return &Counter{} })
+}
+
+// AttachCounter exports a counter its component owns: the component holds
+// the Counter as a value, counts into it whether or not a registry exists,
+// and reads it back from its own Stats-style accessors; the registry only
+// lists it for exposition. A nil registry is a no-op. Attaching under a
+// name already taken replaces the earlier counter — the series follows the
+// newest owner, which scrapers see as a counter reset.
+func (r *Registry) AttachCounter(name, help string, c *Counter) {
+	if r == nil || instrument(r, name, help, func() *Counter { return c }) == c {
+		return
+	}
+	r.mu.Lock()
+	r.metrics[name] = c
+	r.mu.Unlock()
 }
 
 // Gauge get-or-creates a gauge (nil for a nil registry).
 func (r *Registry) Gauge(name, help string) *Gauge {
-	if r == nil {
-		return nil
+	return instrument(r, name, help, func() *Gauge { return &Gauge{} })
+}
+
+// GaugeFunc is a gauge whose value is computed at read time by a callback —
+// uptime clocks, derived sizes. The callback must be safe for concurrent
+// use and cheap; it runs on every snapshot and exposition. A nil GaugeFunc
+// (or nil callback) reads 0.
+type GaugeFunc struct {
+	f func() int64
+}
+
+// Value invokes the callback (0 for nil).
+func (g *GaugeFunc) Value() int64 {
+	if g == nil || g.f == nil {
+		return 0
 	}
-	m := r.register(name, help, func() interface{} { return &Gauge{} })
-	g, ok := m.(*Gauge)
-	if !ok {
-		panic(fmt.Sprintf("telemetry: %q already registered as %T", name, m))
-	}
-	return g
+	return g.f()
+}
+
+// GaugeFunc get-or-creates a callback gauge (nil for a nil registry). The
+// callback is only installed on first creation.
+func (r *Registry) GaugeFunc(name, help string, f func() int64) *GaugeFunc {
+	return instrument(r, name, help, func() *GaugeFunc { return &GaugeFunc{f: f} })
 }
 
 // Histogram get-or-creates a histogram with the given bucket upper bounds
 // (nil for a nil registry). Bounds are only consulted on first creation.
 func (r *Registry) Histogram(name, help string, bounds []int64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	m := r.register(name, help, func() interface{} { return NewHistogram(bounds) })
-	h, ok := m.(*Histogram)
-	if !ok {
-		panic(fmt.Sprintf("telemetry: %q already registered as %T", name, m))
-	}
-	return h
+	return instrument(r, name, help, func() *Histogram { return NewHistogram(bounds) })
 }
 
 // names returns the registered names in registration order; sortedNames in
@@ -184,13 +215,11 @@ func (r *Registry) snapshotLocked() ([]string, map[string]interface{}, map[strin
 	return names, metrics, help
 }
 
-// splitName separates a full metric name into its family and label part:
+// SplitName separates a full metric name into its family and label part:
 // `foo{a="b"}` -> (`foo`, `{a="b"}`); a plain name has an empty label part.
-func splitName(name string) (family, labels string) {
-	for i := 0; i < len(name); i++ {
-		if name[i] == '{' {
-			return name[:i], name[i:]
-		}
+func SplitName(name string) (family, labels string) {
+	if i := strings.IndexByte(name, '{'); i >= 0 {
+		return name[:i], name[i:]
 	}
 	return name, ""
 }
@@ -201,8 +230,8 @@ func sortedByFamily(names []string) []string {
 	out := make([]string, len(names))
 	copy(out, names)
 	sort.SliceStable(out, func(i, j int) bool {
-		fi, _ := splitName(out[i])
-		fj, _ := splitName(out[j])
+		fi, _ := SplitName(out[i])
+		fj, _ := SplitName(out[j])
 		if fi != fj {
 			return fi < fj
 		}

@@ -51,6 +51,63 @@ func TestGetOrCreateIdentity(t *testing.T) {
 	r.Gauge("lake_x_total", "")
 }
 
+// TestAttachCounter pins the owner/exporter split: a component-owned
+// counter value counts with no registry at all, appears in every exposition
+// once attached, and a later attachment under the same name takes the
+// series over.
+func TestAttachCounter(t *testing.T) {
+	var owned Counter
+	owned.Add(2)
+	(*Registry)(nil).AttachCounter("lake_owned_total", "owned", &owned) // no-op, must not panic
+
+	r := NewRegistry()
+	r.AttachCounter("lake_owned_total", "owned things", &owned)
+	r.AttachCounter("lake_owned_total", "owned things", &owned) // idempotent
+	owned.Inc()
+	if got := r.Snapshot().Counters["lake_owned_total"]; got != 3 {
+		t.Fatalf("attached counter exports %d, want the owner's 3", got)
+	}
+	if got := r.Counter("lake_owned_total", ""); got != &owned {
+		t.Fatal("get-or-create on an attached name must return the attached counter")
+	}
+	text := r.PrometheusText()
+	for _, want := range []string{"# HELP lake_owned_total owned things", "# TYPE lake_owned_total counter", "lake_owned_total 3"} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("prometheus text missing %q:\n%s", want, text)
+		}
+	}
+
+	var successor Counter
+	successor.Inc()
+	r.AttachCounter("lake_owned_total", "owned things", &successor)
+	if got := r.Snapshot().Counters["lake_owned_total"]; got != 1 {
+		t.Fatalf("re-attached series reads %d, want the new owner's 1", got)
+	}
+	if n := strings.Count(r.PrometheusText(), "# TYPE lake_owned_total"); n != 1 {
+		t.Fatalf("re-attachment listed the family %d times", n)
+	}
+}
+
+func TestRegistryGaugeFunc(t *testing.T) {
+	r := NewRegistry()
+	g := r.GaugeFunc("lake_up", "derived", func() int64 { return 42 })
+	if g.Value() != 42 {
+		t.Fatalf("GaugeFunc value = %d, want 42", g.Value())
+	}
+	if snap := r.Snapshot(); snap.Gauges["lake_up"] != 42 {
+		t.Fatalf("snapshot gauge = %d, want 42", snap.Gauges["lake_up"])
+	}
+	if merged := MergedSnapshot(r, NewRegistry()); merged.Gauges["lake_up"] != 42 {
+		t.Fatalf("merged snapshot missing gaugefunc series: %+v", merged)
+	}
+	text := r.PrometheusText()
+	for _, want := range []string{"# TYPE lake_up gauge", "lake_up 42"} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("prometheus text missing %q:\n%s", want, text)
+		}
+	}
+}
+
 func TestCounterRejectsNegativeAdd(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c", "")
@@ -252,12 +309,12 @@ func TestJSONSnapshotShape(t *testing.T) {
 }
 
 func TestSplitName(t *testing.T) {
-	fam, labels := splitName(`lake_x_total{channel="Netlink"}`)
+	fam, labels := SplitName(`lake_x_total{channel="Netlink"}`)
 	if fam != "lake_x_total" || labels != `{channel="Netlink"}` {
-		t.Fatalf("splitName = %q %q", fam, labels)
+		t.Fatalf("SplitName = %q %q", fam, labels)
 	}
-	fam, labels = splitName("plain")
+	fam, labels = SplitName("plain")
 	if fam != "plain" || labels != "" {
-		t.Fatalf("splitName(plain) = %q %q", fam, labels)
+		t.Fatalf("SplitName(plain) = %q %q", fam, labels)
 	}
 }

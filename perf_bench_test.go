@@ -16,7 +16,6 @@ import (
 	"lakego/internal/nn"
 	"lakego/internal/remoting"
 	"lakego/internal/ringbuf"
-	"lakego/internal/telemetry"
 	"lakego/internal/vtime"
 )
 
@@ -169,17 +168,6 @@ func BenchmarkPerfTailDrain(b *testing.B) {
 				break
 			}
 		}
-	}
-}
-
-// BenchmarkPerfWindowedObserve measures the SLO engine's other feed: one
-// observation into a telemetry windowed histogram (current-epoch bucket
-// increment behind an atomic epoch pointer).
-func BenchmarkPerfWindowedObserve(b *testing.B) {
-	w := telemetry.NewWindowedHistogram(telemetry.DefaultLatencyBuckets())
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		w.Observe(int64(1000 + i%100_000))
 	}
 }
 

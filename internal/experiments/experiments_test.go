@@ -10,12 +10,16 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// The three inference sweeps that ride offload.Runner render from the
-// virtual clock alone, so their output is bit-identical run to run; the
-// goldens pin every EXPERIMENTS.md number for Figs 8, 10 and 11 against
-// refactors of the offload path.
+// Every experiment renders from the virtual clock alone, so its output is
+// bit-identical run to run and under any GOMAXPROCS; the goldens pin every
+// EXPERIMENTS.md number against refactors of the offload path (Figs 8, 10,
+// 11), the gpu.Device utilisation ledger (Figs 1, 13, 15, x-multigpu) and
+// the ML cores. fig7 is left out only for its run time (29 s).
 func TestInferenceSweepsGolden(t *testing.T) {
-	for _, id := range []string{"fig8", "fig10", "fig11"} {
+	for _, id := range IDs() {
+		if id == "fig7" {
+			continue
+		}
 		got, err := Run(id)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)

@@ -25,7 +25,7 @@ import (
 // dumpOnFailure arms the kernel-style post-mortem: if the test fails and
 // LAKE_CHAOS_DUMP_DIR is set (the CI chaos job sets it and uploads the
 // directory as a workflow artifact), the runtime's flight recorder is
-// snapshotted to <dir>/<TestName>.bin for offline analysis with
+// snapshotted to <dir>/<TestName>.json for offline analysis with
 // `go run ./cmd/laketrace <file>`.
 func dumpOnFailure(t *testing.T, rt *lake.Runtime) {
 	t.Cleanup(func() {
@@ -41,8 +41,12 @@ func dumpOnFailure(t *testing.T, rt *lake.Runtime) {
 			t.Logf("flight-recorder dump: %v", err)
 			return
 		}
-		path := filepath.Join(dir, strings.ReplaceAll(t.Name(), "/", "_")+".bin")
-		if err := os.WriteFile(path, rec.Snapshot("test-failure").Encode(), 0o644); err != nil {
+		path := filepath.Join(dir, strings.ReplaceAll(t.Name(), "/", "_")+".json")
+		body, err := rec.Snapshot("test-failure").JSON()
+		if err == nil {
+			err = os.WriteFile(path, body, 0o644)
+		}
+		if err != nil {
 			t.Logf("flight-recorder dump: %v", err)
 			return
 		}

@@ -10,9 +10,9 @@
 // /debug/pprof, and the live health plane — /healthz, /readyz, /statusz,
 // /slo.json (rolling burn-rate/percentile state), /incidents.json
 // (anomaly-triggered black-box bundles), /flightrec.tail?cursor= (live
-// non-destructive event tailing), /flightrec.dump and /flightrec.json
-// (on-demand flight-recorder snapshots, binary and JSON — feed either to
-// cmd/laketrace; ?last=1 returns the retained automatic dump), /spans.json
+// non-destructive event tailing), /flightrec.json (on-demand
+// flight-recorder snapshot — feed it to cmd/laketrace; ?last=1 returns the
+// retained automatic dump), /spans.json
 // (per-call stage timelines stitched from the same recorder, always on)
 // and /models.json. With -serve it stays up after the demo burst so the
 // endpoints can be scraped.

@@ -79,17 +79,16 @@ func TestTelemetryHandlerRoutes(t *testing.T) {
 			}
 			return nil
 		}},
-		"/flightrec.dump": {"application/octet-stream", func(b []byte) error {
-			_, err := lake.ReadFlightDump(b)
-			return err
-		}},
 		"/healthz":        {"application/json", parseJSON},
 		"/readyz":         {"application/json", parseJSON},
 		"/slo.json":       {"application/json", parseJSON},
 		"/incidents.json": {"application/json", parseJSON},
 		"/flightrec.tail": {"application/json", parseJSON},
-		"/flightrec.json": {"application/json", parseJSON},
-		"/models.json":    {"application/json", parseJSON},
+		"/flightrec.json": {"application/json", func(b []byte) error {
+			_, err := lake.ReadFlightDump(b)
+			return err
+		}},
+		"/models.json": {"application/json", parseJSON},
 	}
 	for _, p := range lake.HealthPlanePaths {
 		if _, ok := routes[p]; !ok {

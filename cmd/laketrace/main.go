@@ -8,14 +8,13 @@
 // copy → response — keyed by the trace ID the wire protocol carries, then
 // reports where the microseconds went:
 //
-//	laketrace dump.bin                     # per-API stage breakdown (Fig 5/6 shape)
-//	laketrace -tail 0.99 dump.json         # which stage dominates the p99
-//	laketrace -chrome trace.json dump.bin  # Chrome trace_event JSON for Perfetto
-//	laketrace -calls dump.bin              # per-call timeline listing
+//	laketrace dump.json                     # per-API stage breakdown (Fig 5/6 shape)
+//	laketrace -tail 0.99 dump.json          # which stage dominates the p99
+//	laketrace -chrome trace.json dump.json  # Chrome trace_event JSON for Perfetto
+//	laketrace -calls dump.json              # per-call timeline listing
 //
-// Dumps come from laked's /flightrec.dump and /flightrec.json endpoints,
-// from automatic supervisor/crash triggers, or from test-failure artifacts;
-// both the binary and JSON encodings are accepted.
+// Dumps come from laked's /flightrec.json endpoint, from automatic
+// supervisor/crash triggers, or from test-failure artifacts.
 package main
 
 import (

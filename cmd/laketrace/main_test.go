@@ -16,7 +16,7 @@ import (
 
 // produceDump boots an instrumented runtime, pushes a short remoted
 // workload through it, and snapshots the flight recorder — the same
-// artifact laked's /flightrec.dump endpoint serves.
+// artifact laked's /flightrec.json endpoint serves.
 func produceDump(t *testing.T) *lake.FlightDump {
 	t.Helper()
 	cfg := lake.DefaultConfig()
@@ -73,58 +73,56 @@ func produceDump(t *testing.T) *lake.FlightDump {
 	return rec.Snapshot("laketrace-test")
 }
 
-func TestLaketraceEndToEnd(t *testing.T) {
-	dump := produceDump(t)
-	dir := t.TempDir()
-
-	binPath := filepath.Join(dir, "dump.bin")
-	if err := os.WriteFile(binPath, dump.Encode(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	jsonBytes, err := dump.JSON()
+// writeDump stores the dump the way an operator would save the endpoint's
+// body, and returns the file's path.
+func writeDump(t *testing.T, dump *lake.FlightDump) string {
+	t.Helper()
+	b, err := dump.JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	jsonPath := filepath.Join(dir, "dump.json")
-	if err := os.WriteFile(jsonPath, jsonBytes, 0o644); err != nil {
+	path := filepath.Join(t.TempDir(), "dump.json")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	return path
+}
 
-	for _, path := range []string{binPath, jsonPath} {
-		var stdout, stderr bytes.Buffer
-		chromePath := filepath.Join(dir, "trace.json")
-		code := run([]string{"-tail", "0.9", "-calls", "-chrome", chromePath, path}, &stdout, &stderr)
-		if code != 0 {
-			t.Fatalf("laketrace %s exited %d: %s", path, code, stderr.String())
+func TestLaketraceEndToEnd(t *testing.T) {
+	path := writeDump(t, produceDump(t))
+	var stdout, stderr bytes.Buffer
+	chromePath := filepath.Join(t.TempDir(), "trace.json")
+	code := run([]string{"-tail", "0.9", "-calls", "-chrome", chromePath, path}, &stdout, &stderr)
+	if code != 0 {
+		t.Fatalf("laketrace %s exited %d: %s", path, code, stderr.String())
+	}
+	out := stdout.String()
+	for _, want := range []string{
+		"calls stitched", "cuLaunchKernel", "cuMemcpyHtoD",
+		"tail is dominated by", "wrote Chrome trace",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("laketrace %s output missing %q:\n%s", path, want, out)
 		}
-		out := stdout.String()
-		for _, want := range []string{
-			"calls stitched", "cuLaunchKernel", "cuMemcpyHtoD",
-			"tail is dominated by", "wrote Chrome trace",
-		} {
-			if !strings.Contains(out, want) {
-				t.Fatalf("laketrace %s output missing %q:\n%s", path, want, out)
-			}
-		}
-		// Every remoted call in this clean run must stitch completely:
-		// the summary reads "N calls stitched: N completed, N with ...".
-		var stitched, completed, complete int
-		line := out[strings.Index(out, "\n")+1:]
-		if _, err := fmt.Sscanf(line, "%d calls stitched: %d completed, %d",
-			&stitched, &completed, &complete); err != nil {
-			t.Fatalf("cannot parse summary line from %s:\n%s", path, out)
-		}
-		if stitched == 0 || stitched != completed || completed != complete {
-			t.Fatalf("clean run did not reconstruct all calls (%d/%d/%d):\n%s",
-				stitched, completed, complete, out)
-		}
-		chrome, err := os.ReadFile(chromePath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Contains(chrome, []byte(`"traceEvents"`)) || !bytes.Contains(chrome, []byte(`"ph": "X"`)) {
-			t.Fatalf("chrome trace from %s lacks trace_event records", path)
-		}
+	}
+	// Every remoted call in this clean run must stitch completely:
+	// the summary reads "N calls stitched: N completed, N with ...".
+	var stitched, completed, complete int
+	line := out[strings.Index(out, "\n")+1:]
+	if _, err := fmt.Sscanf(line, "%d calls stitched: %d completed, %d",
+		&stitched, &completed, &complete); err != nil {
+		t.Fatalf("cannot parse summary line from %s:\n%s", path, out)
+	}
+	if stitched == 0 || stitched != completed || completed != complete {
+		t.Fatalf("clean run did not reconstruct all calls (%d/%d/%d):\n%s",
+			stitched, completed, complete, out)
+	}
+	chrome, err := os.ReadFile(chromePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(chrome, []byte(`"traceEvents"`)) || !bytes.Contains(chrome, []byte(`"ph": "X"`)) {
+		t.Fatalf("chrome trace from %s lacks trace_event records", path)
 	}
 }
 
@@ -189,12 +187,7 @@ func produceFleetDump(t *testing.T) *lake.FlightDump {
 }
 
 func TestLaketraceFleetRouting(t *testing.T) {
-	dump := produceFleetDump(t)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "fleet.bin")
-	if err := os.WriteFile(path, dump.Encode(), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	path := writeDump(t, produceFleetDump(t))
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-calls", path}, &stdout, &stderr); code != 0 {
 		t.Fatalf("laketrace exited %d: %s", code, stderr.String())

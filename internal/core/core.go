@@ -108,8 +108,7 @@ type Config struct {
 	// fleet shard runs on its own clock — shards model independent lakeD
 	// processes whose service timelines overlap in real time, so virtual
 	// time is per-shard and the fleet's elapsed time is the maximum over
-	// shards (the critical path), exactly as gpu.Stream timelines only
-	// couple at synchronization points.
+	// shards (the critical path).
 	Clock *vtime.Clock
 	// Recorder, when non-nil, is wired instead of a fresh flight recorder —
 	// typically a shard view (flightrec.WithShard) of a fleet-shared

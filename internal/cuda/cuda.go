@@ -51,8 +51,8 @@ type ctxInfo struct {
 //
 // Multi-device semantics: contexts bind to a pool-selected device at
 // creation (CtxCreate consults the PlaceFunc; CtxCreateOnDevice pins), and
-// everything flowing through a context — launches, streams, synchronize —
-// runs on that device. Memory operations are routed by the ordinal tag
+// everything flowing through a context — launches, synchronize — runs on
+// that device. Memory operations are routed by the ordinal tag
 // every DevPtr carries, so copies always hit the owning device. Calls that
 // take a pointer route by its tag; MemAlloc without an explicit ordinal
 // follows CUDA's current-context rule — cuCtxCreate makes the new context
@@ -65,19 +65,17 @@ type API struct {
 	// rec receives gpu-domain launch events; nil-safe.
 	rec *flightrec.Recorder
 
-	mu         sync.Mutex
-	inited     bool
-	curDev     int // device of the current (most recently created) context
-	nextCtx    uint64
-	ctxs       map[uint64]ctxInfo
-	nextFn     uint64
-	fns        map[uint64]*Kernel
-	kernels    map[string]*Kernel
-	modules    map[string]uint64 // module path -> handle (flat namespace)
-	nextMod    uint64
-	modNames   map[uint64]string
-	nextStream uint64
-	streams    map[uint64]*gpu.Stream
+	mu       sync.Mutex
+	inited   bool
+	curDev   int // device of the current (most recently created) context
+	nextCtx  uint64
+	ctxs     map[uint64]ctxInfo
+	nextFn   uint64
+	fns      map[uint64]*Kernel
+	kernels  map[string]*Kernel
+	modules  map[string]uint64 // module path -> handle (flat namespace)
+	nextMod  uint64
+	modNames map[uint64]string
 }
 
 // NewAPI returns an API bound to a single device with no kernels
@@ -94,18 +92,16 @@ func NewMultiAPI(devs []*gpu.Device, place PlaceFunc) *API {
 		panic("cuda: NewMultiAPI requires at least one device")
 	}
 	return &API{
-		devs:       devs,
-		place:      place,
-		nextCtx:    1,
-		ctxs:       make(map[uint64]ctxInfo),
-		nextFn:     1,
-		fns:        make(map[uint64]*Kernel),
-		kernels:    make(map[string]*Kernel),
-		modules:    make(map[string]uint64),
-		nextMod:    1,
-		modNames:   make(map[uint64]string),
-		nextStream: 1,
-		streams:    make(map[uint64]*gpu.Stream),
+		devs:     devs,
+		place:    place,
+		nextCtx:  1,
+		ctxs:     make(map[uint64]ctxInfo),
+		nextFn:   1,
+		fns:      make(map[uint64]*Kernel),
+		kernels:  make(map[string]*Kernel),
+		modules:  make(map[string]uint64),
+		nextMod:  1,
+		modNames: make(map[uint64]string),
 	}
 }
 

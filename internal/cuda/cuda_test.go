@@ -3,6 +3,7 @@ package cuda
 import (
 	"testing"
 	"testing/quick"
+	"time"
 
 	"lakego/internal/gpu"
 	"lakego/internal/vtime"
@@ -227,5 +228,47 @@ func TestQuickFloat32RoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestChargeTransfer(t *testing.T) {
+	clk := vtime.New()
+	a := NewAPI(gpu.New(gpu.DefaultSpec(), clk))
+	d := a.ChargeTransfer(12 << 20)
+	if clk.Now() != d || d < 900*time.Microsecond {
+		t.Fatalf("ChargeTransfer = %v, clock %v", d, clk.Now())
+	}
+}
+
+func TestDeviceGetNameBeforeInit(t *testing.T) {
+	a := NewAPI(gpu.New(gpu.DefaultSpec(), vtime.New()))
+	if _, r := a.DeviceGetName(); r != ErrNotInitialized {
+		t.Fatalf("name before init = %v", r)
+	}
+	if _, r := a.MemAlloc(0); r != ErrNotInitialized {
+		t.Fatalf("alloc before init = %v", r)
+	}
+	a.Init()
+	if _, r := a.MemAlloc(-4); r != ErrInvalidValue {
+		t.Fatalf("negative alloc = %v", r)
+	}
+	spec := gpu.DefaultSpec()
+	spec.MemoryBytes = 16
+	small := NewAPI(gpu.New(spec, vtime.New()))
+	small.Init()
+	if _, r := small.MemAlloc(1 << 20); r != ErrOutOfMemory {
+		t.Fatalf("oversized alloc = %v", r)
+	}
+}
+
+func TestMemGetInfoDirect(t *testing.T) {
+	a := NewAPI(gpu.New(gpu.DefaultSpec(), vtime.New()))
+	if _, _, r := a.MemGetInfo(); r != ErrNotInitialized {
+		t.Fatalf("before init = %v", r)
+	}
+	a.Init()
+	free, total, r := a.MemGetInfo()
+	if r != Success || free != total {
+		t.Fatalf("fresh device free=%d total=%d", free, total)
 	}
 }

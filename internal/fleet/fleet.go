@@ -25,12 +25,11 @@
 //
 // Each shard runs on its own virtual clock: shards model independent lakeD
 // processes whose service timelines overlap in real time, so charging one
-// shard's round trips never stalls another's — the same rule gpu.Stream
-// applies to device timelines, where only synchronization couples clocks.
-// The fleet's elapsed virtual time is the maximum over shards (the critical
-// path; see VirtualElapsed). One flight recorder spans the fleet: each
-// shard holds a view (flightrec.WithShard) that stamps events with the
-// shard ordinal and the shard's own clock.
+// shard's round trips never stalls another's. The fleet's elapsed virtual
+// time is the maximum over shards (the critical path; see VirtualElapsed).
+// One flight recorder spans the fleet: each shard holds a view
+// (flightrec.WithShard) that stamps events with the shard ordinal and the
+// shard's own clock.
 package fleet
 
 import (

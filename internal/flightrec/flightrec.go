@@ -135,8 +135,7 @@ type Event struct {
 
 // pack squeezes kind/shard/domain/device into one word: kind in bits 32-47,
 // shard in the previously unused bits 48-63, domain in 16-23, device in
-// 0-15. Pre-fleet dumps decode with Shard 0, so the binary format needs no
-// version bump.
+// 0-15.
 func (e Event) pack() [eventWords]uint64 {
 	return [eventWords]uint64{
 		uint64(e.VTime),
@@ -191,9 +190,8 @@ const DefaultRingSize = 4096
 // atomic word once per this many events. Event wall stamps are therefore
 // coarse — laketrace stitching orders and partitions on the virtual
 // timestamps, and dump headers re-read the real clock, so only the per-event
-// display resolution degrades. (A var only so the benchmark can measure the
-// per-event-refresh cost it replaced.)
-var wallRefreshEvery uint64 = 64
+// display resolution degrades.
+const wallRefreshEvery = 64
 
 // Recorder owns one ring per domain plus the trace-ID allocator. All
 // methods are safe on a nil *Recorder and safe for concurrent use; Emit on
@@ -218,18 +216,11 @@ type Recorder struct {
 	wallCoarse atomic.Int64
 	wallSeq    atomic.Uint64
 
-	// Per-domain sampling period: 0/1 records every event, n keeps every
-	// nth. sampleSeq counts each domain's offered events.
-	sampleEvery [numDomains]atomic.Uint32
-	sampleSeq   [numDomains]atomic.Uint64
-
 	shard uint16    // ordinal stamped on events emitted through this view
 	root  *Recorder // non-nil on shard views; shared ring/dump/ID state lives there
 
 	dumpMu sync.Mutex
 	last   *Dump
-	sink   func(*Dump)
-	dumps  atomic.Int64
 }
 
 // base resolves to the recorder owning the shared state: the root for a
@@ -313,29 +304,10 @@ func (r *Recorder) SetFramePeeker(p FramePeeker) {
 	}
 }
 
-// SetSampleEvery arms sampled emission for one domain: every nth offered
-// event is recorded, the rest are counted (they surface in the dump's
-// dropped tally so a sampled ring never looks falsely complete). n <= 1
-// restores full recording. Sampling a domain whose events laketrace
-// stitches into call chains (kernel, daemon, boundary) trades chain
-// completeness for overhead; the high-rate GPU and batcher domains are the
-// intended targets. No-op on nil.
-func (r *Recorder) SetSampleEvery(d Domain, n uint32) {
-	if r == nil || int(d) >= int(numDomains) {
-		return
-	}
-	if n <= 1 {
-		n = 0
-	}
-	r.base().sampleEvery[d].Store(n)
-}
-
 // coarseWall returns the cached wall clock, refreshing it from the real
 // clock once per wallRefreshEvery emissions.
 func (r *Recorder) coarseWall() int64 {
-	// The 1%... form keeps refresh=1 (the benchmark's per-event emulation)
-	// refreshing on every emission.
-	if r.wallSeq.Add(1)%wallRefreshEvery == 1%wallRefreshEvery {
+	if r.wallSeq.Add(1)%wallRefreshEvery == 1 {
 		now := time.Now().UnixNano()
 		r.wallCoarse.Store(now)
 		return now
@@ -354,12 +326,6 @@ func (r *Recorder) Emit(d Domain, k Kind, traceID, seq uint64, device int, a0, a
 		return
 	}
 	b := r.base()
-	if n := b.sampleEvery[d].Load(); n > 1 {
-		if b.sampleSeq[d].Add(1)%uint64(n) != 1 {
-			b.rings[d].sampledOut.Add(1)
-			return
-		}
-	}
 	e := Event{
 		VTime:   r.clock.Now(),
 		Wall:    b.coarseWall(),
@@ -458,22 +424,9 @@ func (r *Recorder) Snapshot(reason string) *Dump {
 	return d
 }
 
-// SetDumpSink installs a callback invoked with every automatic dump (the
-// CI artifact writer, a test harness). Called synchronously from
-// TriggerDump; keep it cheap.
-func (r *Recorder) SetDumpSink(sink func(*Dump)) {
-	if r == nil {
-		return
-	}
-	r = r.base()
-	r.dumpMu.Lock()
-	r.sink = sink
-	r.dumpMu.Unlock()
-}
-
 // TriggerDump snapshots the rings in response to a fault (supervisor
-// transition, armed crash, operator request), retains it as LastDump, and
-// hands it to the sink if one is installed. No-op when disabled.
+// transition, armed crash, operator request) and retains it as LastDump.
+// No-op when disabled.
 func (r *Recorder) TriggerDump(reason string) *Dump {
 	if !r.Enabled() {
 		return nil
@@ -482,12 +435,7 @@ func (r *Recorder) TriggerDump(reason string) *Dump {
 	d := r.Snapshot(reason)
 	r.dumpMu.Lock()
 	r.last = d
-	sink := r.sink
 	r.dumpMu.Unlock()
-	r.dumps.Add(1)
-	if sink != nil {
-		sink(d)
-	}
 	return d
 }
 
@@ -500,12 +448,4 @@ func (r *Recorder) LastDump() *Dump {
 	r.dumpMu.Lock()
 	defer r.dumpMu.Unlock()
 	return r.last
-}
-
-// DumpCount reports how many automatic dumps have fired.
-func (r *Recorder) DumpCount() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.base().dumps.Load()
 }

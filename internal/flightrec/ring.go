@@ -31,9 +31,6 @@ type ring struct {
 	cursor atomic.Uint64 // next slot index to reserve; monotonically increasing
 	stamp  []atomic.Uint64
 	words  []atomic.Uint64 // eventWords per slot
-	// sampledOut counts events skipped by per-domain sampled emission; they
-	// fold into the snapshot's dropped tally so sampling is never silent.
-	sampledOut atomic.Uint64
 }
 
 func newRing(capacity int) *ring {
@@ -80,10 +77,9 @@ func (r *ring) overwritten() uint64 {
 func (r *ring) snapshot() (events [][eventWords]uint64, dropped uint64) {
 	cur := r.cursor.Load()
 	start := uint64(0)
-	dropped = r.sampledOut.Load()
 	if cur > r.capacity() {
 		start = cur - r.capacity()
-		dropped += start
+		dropped = start
 	}
 	for idx := start; idx < cur; idx++ {
 		slot := idx & r.mask

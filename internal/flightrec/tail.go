@@ -32,11 +32,6 @@ import (
 //     pos, everything in between was overwritten: the gap is added to the
 //     skipped count in one step and pos jumps to the oldest surviving index.
 //
-// Sampled-out events (Recorder.SetSampleEvery) never reach a ring, so a
-// tailer cannot return them; the cursor carries each domain's sampled-out
-// baseline and the delta folds into the skipped count — sampling is never
-// silent, matching Snapshot's dropped accounting.
-//
 // Every emitted event is therefore either returned exactly once or counted
 // skipped exactly once (the count for an event racing a lapping writer may
 // land on the call after the race resolves). Cursors are monotonic: no
@@ -47,8 +42,7 @@ import (
 // round-trip through String/ParseTailCursor for use as an HTTP query
 // parameter.
 type TailCursor struct {
-	pos     [numDomains]uint64
-	sampled [numDomains]uint64
+	pos [numDomains]uint64
 }
 
 // Position returns the cursor's next event index for one domain (the count
@@ -61,24 +55,17 @@ func (c TailCursor) Position(d Domain) uint64 {
 }
 
 // tailCursorVersion tags the wire form so a format change cannot silently
-// misparse an old cursor.
-const tailCursorVersion = "v1"
+// misparse an old cursor (v1 carried a second, sampled-out word list).
+const tailCursorVersion = "v2"
 
-// String encodes the cursor for transport: "v1.<pos...>-<sampled...>" with
-// dot-separated hex words, one per domain.
+// String encodes the cursor for transport: "v2.<pos...>" with dot-separated
+// hex words, one per domain.
 func (c TailCursor) String() string {
 	var b strings.Builder
 	b.WriteString(tailCursorVersion)
 	for _, p := range c.pos {
 		b.WriteByte('.')
 		b.WriteString(strconv.FormatUint(p, 16))
-	}
-	b.WriteByte('-')
-	for i, s := range c.sampled {
-		if i > 0 {
-			b.WriteByte('.')
-		}
-		b.WriteString(strconv.FormatUint(s, 16))
 	}
 	return b.String()
 }
@@ -90,11 +77,7 @@ func ParseTailCursor(s string) (TailCursor, error) {
 	if s == "" {
 		return c, nil
 	}
-	body, sampledPart, ok := strings.Cut(s, "-")
-	if !ok {
-		return c, fmt.Errorf("flightrec: malformed tail cursor %q", s)
-	}
-	parts := strings.Split(body, ".")
+	parts := strings.Split(s, ".")
 	if len(parts) != int(numDomains)+1 || parts[0] != tailCursorVersion {
 		return c, fmt.Errorf("flightrec: malformed tail cursor %q", s)
 	}
@@ -105,27 +88,15 @@ func ParseTailCursor(s string) (TailCursor, error) {
 		}
 		c.pos[i] = v
 	}
-	sparts := strings.Split(sampledPart, ".")
-	if len(sparts) != int(numDomains) {
-		return c, fmt.Errorf("flightrec: malformed tail cursor %q", s)
-	}
-	for i, p := range sparts {
-		v, err := strconv.ParseUint(p, 16, 64)
-		if err != nil {
-			return c, fmt.Errorf("flightrec: malformed tail cursor %q: %w", s, err)
-		}
-		c.sampled[i] = v
-	}
 	return c, nil
 }
 
 // Tail returns up to max events published since the cursor (0 or negative
 // means no bound beyond one ring capacity per domain), the cursor to resume
-// from, and how many events the reader missed — lost to overwrite, torn by
-// a lapping writer mid-copy, or withheld by sampling. Domains drain in
-// ordinal order; when max truncates the read, the remainder is picked up by
-// the next call. Nil-safe: a nil recorder returns no events and the cursor
-// unchanged.
+// from, and how many events the reader missed — lost to overwrite or torn by
+// a lapping writer mid-copy. Domains drain in ordinal order; when max
+// truncates the read, the remainder is picked up by the next call. Nil-safe:
+// a nil recorder returns no events and the cursor unchanged.
 func (r *Recorder) Tail(c TailCursor, max int) (events []Event, next TailCursor, skipped uint64) {
 	if r == nil {
 		return nil, c, 0
@@ -148,12 +119,6 @@ func (r *Recorder) TailInto(c TailCursor, buf []Event) (n int, next TailCursor, 
 	b := r.base()
 	for d := Domain(0); d < numDomains; d++ {
 		rg := b.rings[d]
-		// Sampling withholds events before they reach the ring; surface the
-		// delta since this cursor so a sampled domain never looks complete.
-		if so := rg.sampledOut.Load(); so > next.sampled[d] {
-			skipped += so - next.sampled[d]
-			next.sampled[d] = so
-		}
 		pos := next.pos[d]
 		cur := rg.cursor.Load()
 		if cap := rg.capacity(); cur > cap && pos < cur-cap {

@@ -81,7 +81,6 @@ func TestTailCursorRoundTrip(t *testing.T) {
 	var c TailCursor
 	c.pos[DomainKernel] = 0xdeadbeef
 	c.pos[DomainLifecycle] = 42
-	c.sampled[DomainGPU] = 1 << 40
 	got, err := ParseTailCursor(c.String())
 	if err != nil {
 		t.Fatalf("ParseTailCursor(%q): %v", c.String(), err)
@@ -92,7 +91,7 @@ func TestTailCursorRoundTrip(t *testing.T) {
 	if z, err := ParseTailCursor(""); err != nil || z != (TailCursor{}) {
 		t.Fatalf("empty cursor: %+v, %v", z, err)
 	}
-	for _, bad := range []string{"v0.1-2", "v1.zz-0", "v1.1.2-3", "garbage", "v1"} {
+	for _, bad := range []string{"v0.1", "v2.zz", "v2.1.2", "garbage", "v2", "v1.0.0.0.0.0.0.0.0-0.0.0.0.0.0.0.0"} {
 		if _, err := ParseTailCursor(bad); err == nil {
 			t.Fatalf("ParseTailCursor(%q) accepted malformed cursor", bad)
 		}
@@ -147,24 +146,6 @@ func TestTailMaxTruncation(t *testing.T) {
 	}
 	if got != 100 {
 		t.Fatalf("bounded drain returned %d events, want 100", got)
-	}
-}
-
-func TestTailSampledCounted(t *testing.T) {
-	r := newTailRecorder(t, 1024)
-	r.SetSampleEvery(DomainGPU, 4)
-	emitN(r, DomainGPU, 0, 100)
-	events, cur, skipped := r.Tail(TailCursor{}, 0)
-	if len(events)+int(skipped) != 100 {
-		t.Fatalf("returned %d + skipped %d != 100 offered", len(events), skipped)
-	}
-	if skipped != 75 {
-		t.Fatalf("skipped = %d, want 75 sampled out", skipped)
-	}
-	// The sampled baseline rides the cursor: no double counting on re-tail.
-	events, _, skipped = r.Tail(cur, 0)
-	if len(events) != 0 || skipped != 0 {
-		t.Fatalf("re-tail after sampling: %d events, %d skipped", len(events), skipped)
 	}
 }
 

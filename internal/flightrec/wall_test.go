@@ -14,15 +14,15 @@ func TestEmitCoarseWallStamps(t *testing.T) {
 	r := New(vtime.New(), 1024)
 	r.SetEnabled(true)
 	before := time.Now().UnixNano()
-	for i := 0; i < int(3*wallRefreshEvery); i++ {
+	for i := 0; i < 3*wallRefreshEvery; i++ {
 		r.Emit(DomainGPU, EvLaunch, 1, uint64(i), 0, 0, 0, 0)
-		if i == int(wallRefreshEvery) { // let the wall clock visibly move
+		if i == wallRefreshEvery { // let the wall clock visibly move
 			time.Sleep(2 * time.Millisecond)
 		}
 	}
 	d := r.Snapshot("test")
 	evs := d.Domains[DomainGPU].Events
-	if len(evs) != int(3*wallRefreshEvery) {
+	if len(evs) != 3*wallRefreshEvery {
 		t.Fatalf("recorded %d events, want %d", len(evs), 3*wallRefreshEvery)
 	}
 	var minW, maxW int64
@@ -42,39 +42,6 @@ func TestEmitCoarseWallStamps(t *testing.T) {
 	}
 }
 
-// TestSampledEmission: a sampled domain records every nth event and counts
-// the skipped remainder as dropped, while other domains stay untouched.
-func TestSampledEmission(t *testing.T) {
-	r := New(vtime.New(), 1024)
-	r.SetEnabled(true)
-	r.SetSampleEvery(DomainGPU, 4)
-	const n = 100
-	for i := 0; i < n; i++ {
-		r.Emit(DomainGPU, EvLaunch, 1, uint64(i), 0, 0, 0, 0)
-		r.Emit(DomainDaemon, EvDispatch, 1, uint64(i), 0, 0, 0, 0)
-	}
-	d := r.Snapshot("test")
-	gpu := d.Domains[DomainGPU]
-	if len(gpu.Events) != n/4 {
-		t.Fatalf("sampled domain recorded %d events, want %d", len(gpu.Events), n/4)
-	}
-	if gpu.Dropped != n-n/4 {
-		t.Fatalf("sampled domain dropped %d, want %d (sampling must not be silent)", gpu.Dropped, n-n/4)
-	}
-	if got := len(d.Domains[DomainDaemon].Events); got != n {
-		t.Fatalf("unsampled domain recorded %d events, want %d", got, n)
-	}
-	// Restoring full recording stops the skipping.
-	r.SetSampleEvery(DomainGPU, 1)
-	for i := 0; i < 10; i++ {
-		r.Emit(DomainGPU, EvLaunch, 2, uint64(i), 0, 0, 0, 0)
-	}
-	d = r.Snapshot("test")
-	if got := len(d.Domains[DomainGPU].Events); got != n/4+10 {
-		t.Fatalf("after restore: %d events, want %d", got, n/4+10)
-	}
-}
-
 func TestLifecycleDomainNames(t *testing.T) {
 	if DomainLifecycle.String() != "lifecycle" {
 		t.Fatalf("DomainLifecycle = %q", DomainLifecycle.String())
@@ -84,11 +51,15 @@ func TestLifecycleDomainNames(t *testing.T) {
 			t.Fatalf("kind %d has no name", k)
 		}
 	}
-	// The new domain must round-trip through the binary dump format.
+	// The domain must round-trip through the dump format.
 	r := New(vtime.New(), 64)
 	r.SetEnabled(true)
 	r.Emit(DomainLifecycle, EvModelSwap, 7, 1, 0, 2, 1, 0)
-	d, err := ReadDump(r.Snapshot("test").Encode())
+	js, err := r.Snapshot("test").JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := ReadDump(js)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,22 +70,14 @@ func TestLifecycleDomainNames(t *testing.T) {
 }
 
 // BenchmarkFlightrecEmit measures the per-event recording cost — the number
-// that used to be ~65% time.Now() on the ring transport's profiles. The
-// "refresh=1" case is the pre-fix behavior (a real clock read per event);
-// "refresh=64" is the shipping coarse cache.
+// that used to be ~65% time.Now() on the ring transport's profiles, before
+// the coarse wall-clock cache.
 func BenchmarkFlightrecEmit(b *testing.B) {
-	for _, every := range []uint64{1, 64} {
-		b.Run(map[uint64]string{1: "refresh=1", 64: "refresh=64"}[every], func(b *testing.B) {
-			old := wallRefreshEvery
-			wallRefreshEvery = every
-			defer func() { wallRefreshEvery = old }()
-			r := New(vtime.New(), DefaultRingSize)
-			r.SetEnabled(true)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r.Emit(DomainGPU, EvLaunch, 1, uint64(i), 0, 1, 2, 3)
-			}
-		})
+	r := New(vtime.New(), DefaultRingSize)
+	r.SetEnabled(true)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Emit(DomainGPU, EvLaunch, 1, uint64(i), 0, 1, 2, 3)
 	}
 }

@@ -108,9 +108,13 @@ type Device struct {
 	next      DevPtr
 	used      int64
 	busyUntil time.Duration
-	spans     []busySpan // recent busy intervals, pruned lazily
+	// spans is a circular buffer of the busy intervals a Utilization window
+	// can still reach: n live entries from head, oldest first. occupyLocked
+	// is its only writer; len(spans) is a power of two (or zero).
+	spans   []busySpan
+	head, n int
 	// maxWindow is the largest window any Utilization query has asked for;
-	// the span-prune horizon tracks it so long-window queries stay accurate.
+	// the span-retire horizon tracks it so long-window queries stay accurate.
 	maxWindow time.Duration
 
 	copies atomic.Int64 // host<->device transfers (copyTime's count, kept with telemetry off)
@@ -273,8 +277,7 @@ func (d *Device) Execute(client string, cost time.Duration, fn func()) time.Dura
 	}
 	end := start + cost
 	d.busyUntil = end
-	d.spans = append(d.spans, busySpan{client: client, start: start, end: end})
-	d.pruneLocked(end)
+	d.occupyLocked(client, start, end)
 	d.mu.Unlock()
 
 	d.launches.Inc()
@@ -304,8 +307,7 @@ func (d *Device) OccupyUntil(client string, t time.Duration) {
 		return
 	}
 	d.busyUntil = t
-	d.spans = append(d.spans, busySpan{client: client, start: start, end: t})
-	d.pruneLocked(t)
+	d.occupyLocked(client, start, t)
 }
 
 // OccupySpan records client occupancy over an arbitrary [start, end)
@@ -321,8 +323,7 @@ func (d *Device) OccupySpan(client string, start, end time.Duration) {
 	if end > d.busyUntil {
 		d.busyUntil = end
 	}
-	d.spans = append(d.spans, busySpan{client: client, start: start, end: end})
-	d.pruneLocked(end)
+	d.occupyLocked(client, start, end)
 }
 
 // BusyUntil reports the virtual instant the device next becomes idle.
@@ -334,22 +335,31 @@ func (d *Device) BusyUntil() time.Duration {
 
 const utilizationHistory = 5 * time.Second
 
-func (d *Device) pruneLocked(now time.Duration) {
-	// The horizon must cover the widest window any caller samples: pruning
+// occupyLocked records client's occupancy of [start, end) and retires the
+// spans that ended before the utilisation horizon. Retiring first means a
+// caller whose clock is past the horizon reuses a freed slot, so the backing
+// array grows only while the window is still filling.
+func (d *Device) occupyLocked(client string, start, end time.Duration) {
+	// The horizon must cover the widest window any caller samples: retiring
 	// at a fixed history while a wider Utilization window is in use would
 	// silently undercount busy time and flip the Fig 3 policy.
 	horizon := utilizationHistory
 	if d.maxWindow > horizon {
 		horizon = d.maxWindow
 	}
-	cutoff := now - horizon
-	i := 0
-	for i < len(d.spans) && d.spans[i].end < cutoff {
-		i++
+	cutoff := end - horizon
+	for d.n > 0 && d.spans[d.head].end < cutoff {
+		d.head = (d.head + 1) & (len(d.spans) - 1)
+		d.n--
 	}
-	if i > 0 {
-		d.spans = append(d.spans[:0], d.spans[i:]...)
+	if d.n == len(d.spans) {
+		grown := make([]busySpan, max(16, 2*len(d.spans)))
+		k := copy(grown, d.spans[d.head:])
+		copy(grown[k:], d.spans[:d.head])
+		d.spans, d.head = grown, 0
 	}
+	d.spans[(d.head+d.n)&(len(d.spans)-1)] = busySpan{client: client, start: start, end: end}
+	d.n++
 }
 
 // Utilization reports the fraction of the trailing window during which the
@@ -376,7 +386,8 @@ func (d *Device) Utilization(window time.Duration, client string) float64 {
 		}
 	}
 	var busy time.Duration
-	for _, s := range d.spans {
+	for k := 0; k < d.n; k++ {
+		s := &d.spans[(d.head+k)&(len(d.spans)-1)]
 		if s.end <= from || (client != "" && s.client != client) {
 			continue
 		}

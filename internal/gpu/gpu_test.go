@@ -164,7 +164,7 @@ func TestSpanPruning(t *testing.T) {
 		d.Execute("x", 10*time.Millisecond, nil)
 	}
 	d.mu.Lock()
-	n := len(d.spans)
+	n := d.n
 	d.mu.Unlock()
 	// 5s history at 10ms per span = at most ~501 spans retained.
 	if n > 600 {

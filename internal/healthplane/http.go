@@ -19,7 +19,6 @@ var Paths = []string{
 	"/slo.json",
 	"/incidents.json",
 	"/flightrec.tail",
-	"/flightrec.dump",
 	"/flightrec.json",
 	"/spans.json",
 	"/models.json",
@@ -35,8 +34,7 @@ func (p *Plane) Handler() http.Handler {
 	mux.HandleFunc("/slo.json", p.handleSLO)
 	mux.HandleFunc("/incidents.json", p.handleIncidents)
 	mux.HandleFunc("/flightrec.tail", p.handleTail)
-	mux.HandleFunc("/flightrec.dump", p.handleDump(false))
-	mux.HandleFunc("/flightrec.json", p.handleDump(true))
+	mux.HandleFunc("/flightrec.json", p.handleDump)
 	mux.HandleFunc("/spans.json", p.handleSpans)
 	mux.HandleFunc("/models.json", p.handleModels)
 	return mux
@@ -183,42 +181,34 @@ func (p *Plane) handleTail(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, out)
 }
 
-// handleDump serves /flightrec.dump (binary) and /flightrec.json. The
-// default is an on-demand Snapshot("http") — always 200 while the recorder
-// runs, no crash required; ?last=1 returns the retained automatic dump
-// (404 until one has fired).
-func (p *Plane) handleDump(asJSON bool) http.HandlerFunc {
-	return func(w http.ResponseWriter, req *http.Request) {
-		p.mu.Lock()
-		rec := p.rec
-		p.mu.Unlock()
-		if rec == nil {
-			http.Error(w, "flight recorder disabled", http.StatusNotFound)
-			return
-		}
-		var dump *flightrec.Dump
-		if req.URL.Query().Get("last") != "" {
-			if dump = rec.LastDump(); dump == nil {
-				http.Error(w, "no automatic dump recorded", http.StatusNotFound)
-				return
-			}
-		} else if dump = rec.Snapshot("http"); dump == nil {
-			http.Error(w, "flight recorder disabled", http.StatusNotFound)
-			return
-		}
-		if asJSON {
-			b, err := dump.JSON()
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			w.Header().Set("Content-Type", "application/json")
-			_, _ = w.Write(b)
-			return
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		_, _ = w.Write(dump.Encode())
+// handleDump serves /flightrec.json. The default is an on-demand
+// Snapshot("http") — always 200 while the recorder runs, no crash required;
+// ?last=1 returns the retained automatic dump (404 until one has fired).
+func (p *Plane) handleDump(w http.ResponseWriter, req *http.Request) {
+	p.mu.Lock()
+	rec := p.rec
+	p.mu.Unlock()
+	if rec == nil {
+		http.Error(w, "flight recorder disabled", http.StatusNotFound)
+		return
 	}
+	var dump *flightrec.Dump
+	if req.URL.Query().Get("last") != "" {
+		if dump = rec.LastDump(); dump == nil {
+			http.Error(w, "no automatic dump recorded", http.StatusNotFound)
+			return
+		}
+	} else if dump = rec.Snapshot("http"); dump == nil {
+		http.Error(w, "flight recorder disabled", http.StatusNotFound)
+		return
+	}
+	b, err := dump.JSON()
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(b)
 }
 
 // handleSpans serves /spans.json: the recorder's surviving events stitched

@@ -498,30 +498,6 @@ func (d *Daemon) execute(cmd *Command) *Response {
 		resp.Result = int32(r)
 		resp.Vals = append(resp.Vals, uint64(free), uint64(total))
 
-	case APICuStreamCreate:
-		h, r := d.api.StreamCreate(arg(cmd, 0))
-		resp.Result = int32(r)
-		resp.Vals = append(resp.Vals, h)
-
-	case APICuStreamDestroy:
-		resp.Result = int32(d.api.StreamDestroy(arg(cmd, 0)))
-
-	case APICuStreamSynchronize:
-		resp.Result = int32(d.api.StreamSynchronize(arg(cmd, 0)))
-
-	case APICuMemcpyHtoDAsync:
-		resp.Result = int32(d.memcpyAsync(cmd, true))
-
-	case APICuMemcpyDtoHAsync:
-		resp.Result = int32(d.memcpyAsync(cmd, false))
-
-	case APICuLaunchKernelAsync:
-		if len(cmd.Args) < 3 {
-			resp.Result = int32(cuda.ErrInvalidValue)
-			break
-		}
-		resp.Result = int32(d.api.LaunchKernelAsync(cmd.Args[0], cmd.Args[1], cmd.Args[2], cmd.Args[3:]))
-
 	case APIBatchedInfer:
 		d.batchedInfer(cmd, resp)
 
@@ -576,29 +552,6 @@ func (d *Daemon) memcpyHtoD(cmd *Command) cuda.Result {
 		src = cmd.Blob[:length]
 	}
 	return d.api.MemcpyHtoD(dst, src)
-}
-
-// memcpyAsync serves the asynchronous copy APIs. Async copies support only
-// the lakeShm path (args = [devPtr, shmOff, len, stream]): an inline blob
-// cannot ride a response that has already been sent by the time the stream
-// drains.
-func (d *Daemon) memcpyAsync(cmd *Command, htod bool) cuda.Result {
-	if len(cmd.Args) < 4 {
-		return cuda.ErrInvalidValue
-	}
-	length := int64(cmd.Args[2])
-	if length < 0 || length > maxBlob {
-		return cuda.ErrInvalidValue
-	}
-	view, err := d.region.At(int64(cmd.Args[1]), length)
-	if err != nil {
-		return cuda.ErrInvalidValue
-	}
-	stream := cmd.Args[3]
-	if htod {
-		return d.api.MemcpyHtoDAsync(gpu.DevPtr(cmd.Args[0]), view, stream)
-	}
-	return d.api.MemcpyDtoHAsync(view, gpu.DevPtr(cmd.Args[0]), stream)
 }
 
 // memcpyDtoH mirrors memcpyHtoD for device-to-host copies: args =

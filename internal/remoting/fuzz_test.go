@@ -107,6 +107,10 @@ func FuzzDaemonFrame(f *testing.F) {
 	good, _ := AppendCommand(nil, &Command{API: APICuMemAlloc, Seq: 1, Args: []uint64{64}})
 	f.Add(good)
 	f.Add([]byte{0xFF, 0x00})
+	for id := APIID(16); id <= 21; id++ { // reserved: the former stream/async ids
+		frame, _ := AppendCommand(nil, &Command{API: id, Seq: uint64(id), Args: []uint64{1, 0, 64, 1}})
+		f.Add(frame)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := newStack(t)
 		if err := s.tr.SendToUser(data); err != nil {

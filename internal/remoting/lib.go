@@ -574,72 +574,6 @@ func (l *Lib) NvmlGetUtilization() (gpuPct, memPct int, r cuda.Result) {
 	return gpuPct, memPct, r
 }
 
-// CuStreamCreate remotes cuStreamCreate on the given context.
-func (l *Lib) CuStreamCreate(ctx uint64) (uint64, cuda.Result) {
-	cs := l.newCall(APICuStreamCreate)
-	cs.cmd.Args = append(cs.cmd.Args, ctx)
-	r := l.doCall(cs)
-	h := val(&cs.resp, 0)
-	l.done(cs)
-	return h, r
-}
-
-// CuStreamDestroy remotes cuStreamDestroy.
-func (l *Lib) CuStreamDestroy(stream uint64) cuda.Result {
-	cs := l.newCall(APICuStreamDestroy)
-	cs.cmd.Args = append(cs.cmd.Args, stream)
-	r := l.doCall(cs)
-	l.done(cs)
-	return r
-}
-
-// CuStreamSynchronize remotes cuStreamSynchronize, draining the stream's
-// virtual timeline.
-func (l *Lib) CuStreamSynchronize(stream uint64) cuda.Result {
-	cs := l.newCall(APICuStreamSynchronize)
-	cs.cmd.Args = append(cs.cmd.Args, stream)
-	r := l.doCall(cs)
-	l.done(cs)
-	return r
-}
-
-// CuMemcpyHtoDShmAsync enqueues a zero-copy host-to-device transfer on a
-// stream; pair with CuStreamSynchronize before launching dependent work
-// synchronously, or order with further async ops on the same stream.
-func (l *Lib) CuMemcpyHtoDShmAsync(dst gpu.DevPtr, src *shm.Buffer, n int64, stream uint64) cuda.Result {
-	if n > src.Size() {
-		return cuda.ErrInvalidValue
-	}
-	cs := l.newCall(APICuMemcpyHtoDAsync)
-	cs.cmd.Args = append(cs.cmd.Args, uint64(dst), uint64(src.Offset()), uint64(n), stream)
-	r := l.doCall(cs)
-	l.done(cs)
-	return r
-}
-
-// CuMemcpyDtoHShmAsync enqueues a zero-copy device-to-host transfer on a
-// stream. The shm buffer must not be read before the stream synchronizes.
-func (l *Lib) CuMemcpyDtoHShmAsync(dst *shm.Buffer, src gpu.DevPtr, n int64, stream uint64) cuda.Result {
-	if n > dst.Size() {
-		return cuda.ErrInvalidValue
-	}
-	cs := l.newCall(APICuMemcpyDtoHAsync)
-	cs.cmd.Args = append(cs.cmd.Args, uint64(src), uint64(dst.Offset()), uint64(n), stream)
-	r := l.doCall(cs)
-	l.done(cs)
-	return r
-}
-
-// CuLaunchKernelAsync remotes a kernel launch onto a stream.
-func (l *Lib) CuLaunchKernelAsync(ctx, fn, stream uint64, args []uint64) cuda.Result {
-	cs := l.newCall(APICuLaunchKernelAsync)
-	cs.cmd.Args = append(cs.cmd.Args, ctx, fn, stream)
-	cs.cmd.Args = append(cs.cmd.Args, args...)
-	r := l.doCall(cs)
-	l.done(cs)
-	return r
-}
-
 // CallHighLevel invokes a custom high-level API registered in lakeD under
 // name (§4.4). args and blob are handler-defined; large inputs should be
 // staged in lakeShm and referenced by offset in args. The returned slices

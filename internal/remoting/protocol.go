@@ -47,12 +47,15 @@ const (
 	APICuCtxSynchronize
 	APINvmlUtilization
 	APIHighLevel
-	APICuStreamCreate
-	APICuStreamDestroy
-	APICuStreamSynchronize
-	APICuMemcpyHtoDAsync
-	APICuMemcpyDtoHAsync
-	APICuLaunchKernelAsync
+	// Ids 16–21 carried the stream/async APIs; they stay reserved so later
+	// ids keep their wire values in recorded dumps and journals. lakeD
+	// answers a reserved id like any unknown one, with ErrInvalidValue.
+	_
+	_
+	_
+	_
+	_
+	_
 	APICuMemGetInfo
 	APIBatchedInfer
 	// APIPing is the supervisor's health probe: lakeD answers with its
@@ -80,12 +83,6 @@ var apiNames = map[APIID]string{
 	APICuCtxSynchronize:    "cuCtxSynchronize",
 	APINvmlUtilization:     "nvmlDeviceGetUtilizationRates",
 	APIHighLevel:           "lakeHighLevel",
-	APICuStreamCreate:      "cuStreamCreate",
-	APICuStreamDestroy:     "cuStreamDestroy",
-	APICuStreamSynchronize: "cuStreamSynchronize",
-	APICuMemcpyHtoDAsync:   "cuMemcpyHtoDAsync",
-	APICuMemcpyDtoHAsync:   "cuMemcpyDtoHAsync",
-	APICuLaunchKernelAsync: "cuLaunchKernel(stream)",
 	APICuMemGetInfo:        "cuMemGetInfo",
 	APIBatchedInfer:        "lakeBatchedInfer",
 	APIPing:                "lakePing",

@@ -112,6 +112,42 @@ func TestAPIIDString(t *testing.T) {
 	if APIID(9999).String() == "" {
 		t.Fatal("unknown id stringifies empty")
 	}
+	if got := APIID(16).String(); got != "api(16)" {
+		t.Fatalf("reserved id 16 = %q, want api(16)", got)
+	}
+}
+
+// Recorded dumps, journals and the frozen wire frames carry API ids as
+// numbers, so the ids after the reserved 16–21 block must never move.
+func TestAPIIDsPinned(t *testing.T) {
+	for id, want := range map[APIID]uint32{
+		APIHighLevel:             15,
+		APICuMemGetInfo:          22,
+		APIBatchedInfer:          23,
+		APIPing:                  24,
+		APINvmlDeviceUtilization: 25,
+	} {
+		if uint32(id) != want {
+			t.Errorf("%s = %d, want %d", id, uint32(id), want)
+		}
+	}
+}
+
+// A reserved id travels the whole path — stub, ring, lakeD dispatch — and
+// comes back as ErrInvalidValue; the daemon keeps serving afterwards.
+func TestReservedAPIIDsAnsweredInvalid(t *testing.T) {
+	s := newStack(t)
+	for id := APIID(16); id <= 21; id++ {
+		cs := s.lib.newCall(id)
+		cs.cmd.Args = append(cs.cmd.Args, 1, 0, 64, 1)
+		if r := s.lib.doCall(cs); r != cuda.ErrInvalidValue {
+			t.Errorf("%s: result %s, want %s", id, r, cuda.ErrInvalidValue)
+		}
+		s.lib.done(cs)
+	}
+	if r := s.lib.CuInit(); r != cuda.Success {
+		t.Fatalf("CuInit after reserved ids: %s", r)
+	}
 }
 
 func TestRemotedInitAndDeviceQueries(t *testing.T) {
@@ -364,5 +400,19 @@ func TestQuickCommandRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestRemotedMemGetInfo(t *testing.T) {
+	s := newStack(t)
+	s.lib.CuInit()
+	free0, total, r := s.lib.CuMemGetInfo()
+	if r != cuda.Success || total <= 0 || free0 != total {
+		t.Fatalf("MemGetInfo = %d/%d, %v", free0, total, r)
+	}
+	s.lib.CuMemAlloc(1 << 20)
+	free1, _, _ := s.lib.CuMemGetInfo()
+	if free1 != free0-(1<<20) {
+		t.Fatalf("free after alloc = %d, want %d", free1, free0-(1<<20))
 	}
 }

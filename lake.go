@@ -135,9 +135,9 @@ func DefaultLifecycleConfig(model string) ModelLifecycleConfig {
 // rings of fixed-size binary events with explicit loss counters, reachable
 // via Runtime.FlightRecorder(). Dumps trigger automatically on supervisor
 // Dead/Restarting transitions and daemon crashes, on demand via
-// Snapshot/TriggerDump, and over HTTP via laked's /flightrec.dump and
-// /flightrec.json endpoints; cmd/laketrace stitches a dump back into
-// per-call cross-domain timelines (see DESIGN.md).
+// Snapshot/TriggerDump, and over HTTP via laked's /flightrec.json endpoint;
+// cmd/laketrace stitches a dump back into per-call cross-domain timelines
+// (see DESIGN.md).
 type (
 	// FlightDump is one recorder snapshot, the crash artifact.
 	FlightDump = flightrec.Dump
@@ -146,8 +146,8 @@ type (
 	Span = flightrec.Span
 )
 
-// ReadFlightDump parses a flight-recorder dump from either its binary or
-// JSON encoding.
+// ReadFlightDump parses a flight-recorder dump (JSON, as FlightDump.JSON and
+// /flightrec.json write it).
 func ReadFlightDump(data []byte) (*FlightDump, error) { return flightrec.ReadDump(data) }
 
 // Live health plane types (internal/healthplane): a read-side surface that

@@ -2,8 +2,9 @@
 // allocgate job runs `go test -run 'TestAllocs'` and any regression from 0
 // allocs/op fails the build. The gated paths are the single remoted call
 // (lakeLib stub -> wire marshal -> descriptor ring -> lakeD decode/execute ->
-// completion ring -> response demux) and the batcher's flush wire path
-// (CuBatchedInferInto over a warmed scratch).
+// completion ring -> response demux), the batcher's flush wire path
+// (CuBatchedInferInto over a warmed scratch) and the one device kernel body
+// (slab decode -> nn.ForwardSlab -> slab encode over pooled scratch).
 package lake_test
 
 import (
@@ -14,6 +15,9 @@ import (
 	"lakego/internal/cuda"
 	"lakego/internal/gpu"
 	"lakego/internal/healthplane"
+	"lakego/internal/linnos"
+	"lakego/internal/nn"
+	"lakego/internal/offload"
 	"lakego/internal/remoting"
 )
 
@@ -223,5 +227,54 @@ func TestAllocsRingBatchedFlushWire(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(1000, flush); n != 0 {
 		t.Fatalf("ring batched flush wire path allocates %v objects/op, want 0", n)
+	}
+}
+
+// TestAllocsSlotServedKernelLaunch gates the kernel body every workload
+// launches: one bulk_linnos-sized launch (1024 LinnOS items) of a
+// Slot-served ModelConfig.Kernel resolves its network, decodes the input
+// slab, runs the forward passes and encodes the logits without allocating.
+func TestAllocsSlotServedKernelLaunch(t *testing.T) {
+	rt := newRingRuntime(t)
+	lib := rt.Lib()
+	net := nn.New(3, linnos.Base.Sizes()...)
+	mc := offload.NewSlot(net).Serve(linnos.Model(linnos.Base, net))
+	rt.RegisterKernel(mc.Kernel())
+	if r := lib.CuInit(); r != cuda.Success {
+		t.Fatal(r)
+	}
+	ctx, r := lib.CuCtxCreate("allocgate")
+	if r != cuda.Success {
+		t.Fatal(r)
+	}
+	mod, r := lib.CuModuleLoad(mc.Name + ".cubin")
+	if r != cuda.Success {
+		t.Fatal(r)
+	}
+	fn, r := lib.CuModuleGetFunction(mod, mc.Name)
+	if r != cuda.Success {
+		t.Fatal(r)
+	}
+	devIn, r := lib.CuMemAlloc(int64(4 * mc.InputWidth * mc.MaxBatch))
+	if r != cuda.Success {
+		t.Fatal(r)
+	}
+	devOut, r := lib.CuMemAlloc(int64(4 * mc.OutputWidth * mc.MaxBatch))
+	if r != cuda.Success {
+		t.Fatal(r)
+	}
+	args := []uint64{uint64(devIn), uint64(devOut), 1}
+	launch := func() {
+		if r := lib.CuLaunchKernel(ctx, fn, args); r != cuda.Success {
+			t.Fatal(r)
+		}
+	}
+	for i := 0; i < 4100; i++ { // one full journal lap on one-item launches, see above
+		launch()
+	}
+	args[2] = uint64(mc.MaxBatch)
+	launch() // grow the pooled slabs to the full batch
+	if n := testing.AllocsPerRun(20, launch); n != 0 {
+		t.Fatalf("1024-item launch of a Slot-served kernel allocates %v objects/op, want 0", n)
 	}
 }

@@ -144,10 +144,35 @@ type ModelConfig struct {
 	// outputs), e.g. the large malware sweeps.
 	Forward func(x []float32) []float32
 	// ForwardProvider, when non-nil, is resolved once per batch to obtain
-	// the forward function, overriding Forward — the model-lifecycle
+	// the batch's forward pass, overriding Forward — the model-lifecycle
 	// hot-swap hook. Per-batch resolution keeps every batch on a single
 	// model version.
-	ForwardProvider func() func(x []float32) []float32
+	ForwardProvider func() SlabForward
+}
+
+// SlabForward is the batch-shaped forward pass every execution route runs:
+// in holds items rows of InputWidth floats, out receives items rows of
+// OutputWidth floats. *nn.Network implements it.
+type SlabForward interface {
+	ForwardSlab(in []float32, items int, out []float32) error
+}
+
+// perItem adapts a ModelConfig's per-item Forward to SlabForward.
+type perItem struct {
+	name        string
+	inW, outW   int
+	forwardItem func(x []float32) []float32
+}
+
+func (f perItem) ForwardSlab(in []float32, items int, out []float32) error {
+	for i := 0; i < items; i++ {
+		y := f.forwardItem(in[i*f.inW : (i+1)*f.inW])
+		if len(y) != f.outW {
+			return fmt.Errorf("%s: forward returned %d outputs, want %d", f.name, len(y), f.outW)
+		}
+		copy(out[i*f.outW:], y)
+	}
+	return nil
 }
 
 // Validate reports a descriptor no kernel can be staged for.
@@ -162,18 +187,24 @@ func (mc ModelConfig) Validate() error {
 	return nil
 }
 
-// ResolveForward returns the forward function one batch runs (nil =
+// ResolveForward returns the forward pass one batch runs (nil =
 // timing-only). Callers resolve once per batch, never per item.
-func (mc ModelConfig) ResolveForward() func(x []float32) []float32 {
+func (mc ModelConfig) ResolveForward() SlabForward {
 	if mc.ForwardProvider != nil {
 		return mc.ForwardProvider()
 	}
-	return mc.Forward
+	if mc.Forward == nil {
+		return nil
+	}
+	return perItem{mc.Name, mc.InputWidth, mc.OutputWidth, mc.Forward}
 }
 
-// Kernel builds the model's device kernel: one forward pass per item over a
-// staged slab. Args: [inPtr, outPtr, items].
+// Kernel builds the model's device kernel: one batch-shaped forward pass
+// over a staged slab. Args: [inPtr, outPtr, items].
 func (mc ModelConfig) Kernel() *cuda.Kernel {
+	// The decoded input rows and the logits of one launch. Pooled, not one
+	// buffer per kernel: gpu.Device.Execute runs bodies concurrently.
+	slabs := &sync.Pool{New: func() any { return new([]float32) }}
 	return &cuda.Kernel{
 		Name:  mc.Name,
 		Flops: func(args []uint64) float64 { return float64(args[2]) * mc.FlopsPerItem },
@@ -197,24 +228,22 @@ func (mc ModelConfig) Kernel() *cuda.Kernel {
 			if err != nil {
 				return err
 			}
-			flat, err := cuda.Float32s(inMem, n*mc.InputWidth)
-			if err != nil {
+			slab := slabs.Get().(*[]float32)
+			defer slabs.Put(slab)
+			if need := n * (mc.InputWidth + mc.OutputWidth); cap(*slab) < need {
+				*slab = make([]float32, need)
+			}
+			in, out := (*slab)[:n*mc.InputWidth], (*slab)[n*mc.InputWidth:][:n*mc.OutputWidth]
+			if err := cuda.ReadFloat32s(in, inMem); err != nil {
 				return err
 			}
-			if len(outMem) < 4*n*mc.OutputWidth {
-				return fmt.Errorf("%s: output slab %d bytes, need %d", mc.Name, len(outMem), 4*n*mc.OutputWidth)
+			if len(outMem) < 4*len(out) {
+				return fmt.Errorf("%s: output slab %d bytes, need %d", mc.Name, len(outMem), 4*len(out))
 			}
-			for i := 0; i < n; i++ {
-				y := fwd(flat[i*mc.InputWidth : (i+1)*mc.InputWidth])
-				if len(y) != mc.OutputWidth {
-					return fmt.Errorf("%s: forward returned %d outputs, want %d",
-						mc.Name, len(y), mc.OutputWidth)
-				}
-				if err := cuda.PutFloat32s(outMem[4*i*mc.OutputWidth:], y); err != nil {
-					return err
-				}
+			if err := fwd.ForwardSlab(in, n, out); err != nil {
+				return err
 			}
-			return nil
+			return cuda.PutFloat32s(outMem, out)
 		},
 	}
 }

@@ -253,17 +253,15 @@ func (b *Batcher) execute(m *model, batch []*Pending, reason flushReason, firedA
 func (m *model) runCPU(batch []*Pending) error {
 	fwd := m.mc.ResolveForward() // resolved once: the whole flush runs one model version
 	for _, p := range batch {
-		flat, err := cuda.Float32s(p.inBuf.Bytes(), p.count*m.mc.InputWidth)
-		if err != nil {
-			return err
-		}
-		out := make([]float32, 0, p.count*m.mc.OutputWidth)
-		for i := 0; i < p.count; i++ {
-			if fwd == nil {
-				out = append(out, make([]float32, m.mc.OutputWidth)...)
-				continue
+		out := make([]float32, p.count*m.mc.OutputWidth) // stays zero when timing-only
+		if fwd != nil {
+			flat, err := cuda.Float32s(p.inBuf.Bytes(), p.count*m.mc.InputWidth)
+			if err != nil {
+				return err
 			}
-			out = append(out, fwd(flat[i*m.mc.InputWidth:(i+1)*m.mc.InputWidth])...)
+			if err := fwd.ForwardSlab(flat, p.count, out); err != nil {
+				return err
+			}
 		}
 		if err := cuda.PutFloat32s(p.outBuf.Bytes(), out); err != nil {
 			return err

@@ -23,14 +23,23 @@ func PutFloat32s(dst []byte, vals []float32) error {
 
 // Float32s decodes n little-endian float32 values from src.
 func Float32s(src []byte, n int) ([]float32, error) {
-	if len(src) < 4*n {
+	if len(src) < 4*n { // before make: n can come off the wire
 		return nil, fmt.Errorf("cuda: buffer %d bytes, need %d", len(src), 4*n)
 	}
 	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
+	return out, ReadFloat32s(out, src)
+}
+
+// ReadFloat32s decodes len(dst) little-endian float32 values from src into
+// dst: Float32s for callers that own the destination.
+func ReadFloat32s(dst []float32, src []byte) error {
+	if len(src) < 4*len(dst) {
+		return fmt.Errorf("cuda: buffer %d bytes, need %d", len(src), 4*len(dst))
 	}
-	return out, nil
+	for i := range dst {
+		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
+	}
+	return nil
 }
 
 // VecAddKernel returns the classic element-wise c = a + b kernel over

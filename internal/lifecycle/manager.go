@@ -389,10 +389,10 @@ func (m *Manager) shadowRound() {
 	var candHits, servHits int
 	for i := 0; i < m.wcount; i++ {
 		o := m.window[i]
-		if m.candidate.Predict(o.X) == o.Label {
+		if m.candidate.PredictScratch(m.scratch, o.X) == o.Label {
 			candHits++
 		}
-		if serving.Net().Predict(o.X) == o.Label {
+		if serving.Net().PredictScratch(m.scratch, o.X) == o.Label {
 			servHits++
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"lakego/internal/malware"
 	"lakego/internal/mllb"
 	"lakego/internal/nn"
+	"lakego/internal/offload"
 	"lakego/internal/sched"
 )
 
@@ -49,32 +50,29 @@ func MixNames() []string { return []string{"linnos", "kml", "mllb", "malware", "
 func classModel(mix string) (batcher.ModelConfig, error) {
 	switch mix {
 	case "linnos":
-		mc := linnos.Model(linnos.Base, nn.New(3, linnos.Base.Sizes()...))
+		net := nn.New(3, linnos.Base.Sizes()...)
+		mc := offload.NewSlot(net).Serve(linnos.Model(linnos.Base, net))
 		mc.Name = "linnos"
 		return mc, nil
 	case "kml":
 		net := nn.New(5, kml.Sizes()...)
 		sizes := kml.Sizes()
-		return batcher.ModelConfig{
+		return offload.NewSlot(net).Serve(batcher.ModelConfig{
 			Name:       "kml",
 			InputWidth: kml.InputWidth, OutputWidth: sizes[len(sizes)-1],
-			MaxBatch:     kml.MaxBatch,
-			CPUFixed:     2 * time.Microsecond,
-			CPUPerItem:   cpuCost(net.Flops()),
-			FlopsPerItem: net.Flops(),
-			Forward:      net.Forward,
-		}, nil
+			MaxBatch:   kml.MaxBatch,
+			CPUFixed:   2 * time.Microsecond,
+			CPUPerItem: cpuCost(net.Flops()),
+		}), nil
 	case "mllb":
 		net := nn.New(7, mllb.Sizes()...)
-		return batcher.ModelConfig{
+		return offload.NewSlot(net).Serve(batcher.ModelConfig{
 			Name:       "mllb",
 			InputWidth: sched.VectorSize, OutputWidth: 2,
-			MaxBatch:     mllb.MaxBatch,
-			CPUFixed:     2 * time.Microsecond,
-			CPUPerItem:   cpuCost(net.Flops()),
-			FlopsPerItem: net.Flops(),
-			Forward:      net.Forward,
-		}, nil
+			MaxBatch:   mllb.MaxBatch,
+			CPUFixed:   2 * time.Microsecond,
+			CPUPerItem: cpuCost(net.Flops()),
+		}), nil
 	case "malware":
 		// Timing-only: one query's distance matrix against the reference
 		// set (3 FLOPs per dimension pair), the Fig 12 sweep's cost shape.

@@ -54,16 +54,14 @@ func New(rt *core.Runtime, net *nn.Network) (*Balancer, error) {
 	if len(got) != len(want) || got[0] != want[0] || got[len(got)-1] != want[len(want)-1] {
 		return nil, fmt.Errorf("mllb: network sizes %v, want %v", got, want)
 	}
-	runner, err := offload.NewRunner(rt, batcher.ModelConfig{
-		Name:         "mllb_nn",
-		InputWidth:   InputWidth,
-		OutputWidth:  2,
-		MaxBatch:     MaxBatch,
-		CPUFixed:     cpuFixed,
-		CPUPerItem:   cpuPerItem,
-		FlopsPerItem: net.Flops(),
-		Forward:      net.Forward,
-	})
+	runner, err := offload.NewRunner(rt, offload.NewSlot(net).Serve(batcher.ModelConfig{
+		Name:        "mllb_nn",
+		InputWidth:  InputWidth,
+		OutputWidth: 2,
+		MaxBatch:    MaxBatch,
+		CPUFixed:    cpuFixed,
+		CPUPerItem:  cpuPerItem,
+	}))
 	if err != nil {
 		return nil, err
 	}

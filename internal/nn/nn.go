@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 )
 
 // Activation selects a layer's nonlinearity.
@@ -108,18 +109,48 @@ func (n *Network) Flops() float64 {
 	return f
 }
 
+// forward is the one dense kernel: Forward, the training forward and
+// ForwardSlab all run it. It is register-blocked four outputs to a pass over
+// x, so four independent add chains hide the float32 add latency a single
+// dot product serializes on. Each accumulator starts at its bias and adds
+// w*x in ascending k, so every output is bit-identical to a scalar dot
+// product. Rows past the last one alias it — their sums are recomputed and
+// stored again — which leaves one multiply-accumulate loop and no tail.
 func (l *Layer) forward(x, out []float32) {
-	for o := 0; o < l.Out; o++ {
-		sum := l.B[o]
-		row := l.W[o*l.In : (o+1)*l.In]
-		for i, w := range row {
-			sum += w * x[i]
+	in, last := l.In, l.Out-1
+	x = x[:in]
+	for o := 0; o <= last; o += 4 {
+		o1, o2, o3 := min(o+1, last), min(o+2, last), min(o+3, last)
+		w0 := l.W[o*in:][:in]
+		w1 := l.W[o1*in:][:in]
+		w2 := l.W[o2*in:][:in]
+		w3 := l.W[o3*in:][:in]
+		s0, s1, s2, s3 := l.B[o], l.B[o1], l.B[o2], l.B[o3]
+		for k, xv := range x {
+			s0 += w0[k] * xv
+			s1 += w1[k] * xv
+			s2 += w2[k] * xv
+			s3 += w3[k] * xv
 		}
-		if l.Act == ReLU && sum < 0 {
-			sum = 0
+		if l.Act == ReLU {
+			s0, s1, s2, s3 = relu(s0), relu(s1), relu(s2), relu(s3)
 		}
-		out[o] = sum
+		out[o], out[o1], out[o2], out[o3] = s0, s1, s2, s3
 	}
+}
+
+// relu is `if s < 0 { s = 0 }` — not max, which would turn -0 into +0 — as
+// a conditional move on the bit pattern: the values below zero are exactly
+// the patterns 0x80000001 (just under -0) through 0xFF800000 (-Inf), so -0
+// and the negative NaNs above -Inf pass through as the comparison leaves
+// them. A pre-activation's sign is a coin flip, and the mispredicted branch
+// cost as much as a third of a LinnOS forward pass.
+func relu(s float32) float32 {
+	b := math.Float32bits(s)
+	if b-0x80000001 <= 0xFF800000-0x80000001 {
+		b = 0
+	}
+	return math.Float32frombits(b)
 }
 
 // Forward runs one inference, returning the output activations (logits for
@@ -137,23 +168,63 @@ func (n *Network) Forward(x []float32) []float32 {
 	return cur
 }
 
-// ForwardBatch runs inference over a batch.
-func (n *Network) ForwardBatch(xs [][]float32) [][]float32 {
-	out := make([][]float32, len(xs))
-	for i, x := range xs {
-		out[i] = n.Forward(x)
+// slabScratch pools ForwardSlab's hidden activations. A pool rather than a
+// buffer on the network: device kernel bodies run concurrently.
+var slabScratch = sync.Pool{New: func() any { return new([]float32) }}
+
+// ForwardSlab runs items inferences over a row-major slab: in holds items
+// rows of InputSize floats, out receives items rows of OutputSize logits,
+// each bit-identical to Forward on that row. Hidden activations live in
+// pooled scratch, so a call allocates nothing once the pool is warm; it is
+// safe for concurrent use.
+func (n *Network) ForwardSlab(in []float32, items int, out []float32) error {
+	inW, outW := n.InputSize(), n.OutputSize()
+	if len(in) != items*inW || len(out) != items*outW {
+		return fmt.Errorf("nn: slab of %d items: %d inputs and %d outputs, want %d and %d",
+			items, len(in), len(out), items*inW, items*outW)
 	}
-	return out
+	// Hidden layers ping-pong between the two halves of one buffer; the
+	// output layer writes straight into out.
+	hidden := 0
+	for _, l := range n.Layers[:len(n.Layers)-1] {
+		hidden = max(hidden, l.Out)
+	}
+	buf := slabScratch.Get().(*[]float32)
+	defer slabScratch.Put(buf)
+	if cap(*buf) < 2*hidden {
+		*buf = make([]float32, 2*hidden)
+	}
+	a, b := (*buf)[:hidden], (*buf)[hidden:2*hidden]
+	last := len(n.Layers) - 1
+	for i := 0; i < items; i++ {
+		cur := in[i*inW : (i+1)*inW]
+		for _, l := range n.Layers[:last] {
+			l.forward(cur, a)
+			cur, a, b = a, b, a
+		}
+		n.Layers[last].forward(cur, out[i*outW:(i+1)*outW])
+	}
+	return nil
 }
 
 // Predict returns the argmax class for x, or 0 when the output layer is
-// empty — lifecycle shadow scoring calls this on registry-loaded models, so
-// a degenerate network must degrade to class 0 instead of panicking.
-func (n *Network) Predict(x []float32) int {
-	logits := n.Forward(x)
-	if len(logits) == 0 {
-		return 0
+// empty — lifecycle shadow scoring reaches this on registry-loaded models,
+// so a degenerate network must degrade to class 0 instead of panicking.
+func (n *Network) Predict(x []float32) int { return argmax(n.Forward(x)) }
+
+// PredictScratch is Predict with the activations kept in s, so scoring a
+// window allocates nothing. A scratch shaped for another architecture falls
+// back to Predict.
+func (n *Network) PredictScratch(s *Scratch, x []float32) int {
+	if !s.fits(n) || len(x) != n.InputSize() {
+		return n.Predict(x)
 	}
+	class := argmax(n.forwardScratch(s, x))
+	s.acts[0] = nil // don't retain the caller's sample
+	return class
+}
+
+func argmax(logits []float32) int {
 	best := 0
 	for i, v := range logits {
 		if v > logits[best] {
@@ -242,6 +313,17 @@ func (s *Scratch) fits(n *Network) bool {
 	return true
 }
 
+// forwardScratch runs x through every layer, retaining layer i's output in
+// s.acts[i+1] (and x itself in s.acts[0]) for backprop, and returns the
+// logits. s must fit n.
+func (n *Network) forwardScratch(s *Scratch, x []float32) []float32 {
+	s.acts[0] = x
+	for i, l := range n.Layers {
+		l.forward(s.acts[i], s.acts[i+1])
+	}
+	return s.acts[len(n.Layers)]
+}
+
 // TrainBatch performs one SGD step on a batch with integer class labels,
 // minimizing softmax cross-entropy, and returns the mean loss.
 func (n *Network) TrainBatch(xs [][]float32, labels []int, lr float32) (float32, error) {
@@ -273,12 +355,7 @@ func (n *Network) TrainBatchScratch(s *Scratch, xs [][]float32, labels []int, lr
 		if label < 0 || label >= n.OutputSize() {
 			return 0, fmt.Errorf("nn: label %d out of range [0,%d)", label, n.OutputSize())
 		}
-		// Forward, retaining activations.
-		s.acts[0] = x
-		for i, l := range n.Layers {
-			l.forward(s.acts[i], s.acts[i+1])
-		}
-		softmaxInto(s.probs, s.acts[nl])
+		softmaxInto(s.probs, n.forwardScratch(s, x))
 		p := float64(s.probs[label])
 		if p < 1e-12 {
 			p = 1e-12

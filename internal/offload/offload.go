@@ -63,7 +63,7 @@ func (s *Slot) SwapNet(net *nn.Network) error {
 func (s *Slot) Serve(mc batcher.ModelConfig) batcher.ModelConfig {
 	mc.FlopsPerItem = s.Net().Flops()
 	mc.Forward = nil // overridden by the provider; keeps no swapped-out net alive
-	mc.ForwardProvider = func() func([]float32) []float32 { return s.net.Load().Forward }
+	mc.ForwardProvider = func() batcher.SlabForward { return s.net.Load() }
 	return mc
 }
 
@@ -157,22 +157,35 @@ func (r *Runner) checkWidth(x []float32) error {
 	return nil
 }
 
-// RunCPU executes the batch on the kernel CPU path: real outputs (when
-// Forward is set) with the calibrated kernel-space cost charged.
+// RunCPU executes the batch on the kernel CPU path: real outputs (when the
+// descriptor has a forward pass) with the calibrated kernel-space cost
+// charged. Like RunLAKE's, the rows are slices of one output slab. A row of
+// the wrong width panics, as nn.Forward always has: RunAuto and RunLAKE
+// reject such rows as errors before they get here.
 func (r *Runner) RunCPU(batch [][]float32) ([][]float32, time.Duration) {
-	fwd := r.mc.ResolveForward() // resolved once: the whole batch runs one model version
-	out := make([][]float32, len(batch))
-	for i, x := range batch {
-		if fwd != nil {
-			out[i] = fwd(x)
-		} else {
-			out[i] = make([]float32, r.mc.OutputWidth)
+	n, w := len(batch), r.mc.OutputWidth
+	vals := make([]float32, n*w) // stays zero when timing-only
+	// Resolved once: the whole batch runs one model version.
+	if fwd := r.mc.ResolveForward(); fwd != nil {
+		in := make([]float32, 0, n*r.mc.InputWidth)
+		for _, x := range batch {
+			if err := r.checkWidth(x); err != nil {
+				panic(err)
+			}
+			in = append(in, x...)
+		}
+		if err := fwd.ForwardSlab(in, n, vals); err != nil {
+			panic(err)
 		}
 	}
-	cost := r.mc.CPUFixed + time.Duration(len(batch))*r.mc.CPUPerItem
+	out := make([][]float32, n)
+	for i := range out {
+		out[i] = vals[i*w : (i+1)*w]
+	}
+	cost := r.mc.CPUFixed + time.Duration(n)*r.mc.CPUPerItem
 	r.rt.Clock().Advance(cost)
-	if len(batch) > 0 {
-		r.cpuLat.ObserveDuration(cost / time.Duration(len(batch)))
+	if n > 0 {
+		r.cpuLat.ObserveDuration(cost / time.Duration(n))
 	}
 	return out, cost
 }

@@ -1,15 +1,20 @@
 package offload
 
 import (
+	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"lakego/internal/batcher"
 	"lakego/internal/core"
+	"lakego/internal/cuda"
+	"lakego/internal/gpu"
 	"lakego/internal/nn"
 	"lakego/internal/policy"
+	"lakego/internal/vtime"
 )
 
 func boot(t *testing.T) *core.Runtime {
@@ -301,4 +306,110 @@ func TestNewRunnerDuplicateKernelNameOK(t *testing.T) {
 	if _, err := NewRunner(rt, cfg("dup")); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// gpu.Device.Execute runs kernel bodies outside its lock, so launches of one
+// Slot-served kernel overlap — sharing the kernel's pooled slabs and nn's
+// pooled activations — while the lifecycle flips the slot. Every launch must
+// come back whole: all of its items carry the bits of one version.
+func TestSlotServedKernelConcurrentSwap(t *testing.T) {
+	const (
+		inW, outW = 9, 3
+		items     = 37 // not a multiple of the kernel's block
+		workers   = 4
+		launches  = 150
+	)
+	nets := [2]*nn.Network{nn.New(1, inW, 32, outW), nn.New(2, inW, 32, outW)}
+	slot := NewSlot(nets[0])
+	mc := slot.Serve(batcher.ModelConfig{Name: "swapstorm", InputWidth: inW, OutputWidth: outW, MaxBatch: 64})
+
+	api := cuda.NewAPI(gpu.New(gpu.DefaultSpec(), vtime.New()))
+	api.Init()
+	api.RegisterKernel(mc.Kernel())
+	mod, r := api.ModuleLoad(mc.Name + ".cubin")
+	if r != cuda.Success {
+		t.Fatal(r)
+	}
+	fn, r := api.ModuleGetFunction(mod, mc.Name)
+	if r != cuda.Success {
+		t.Fatal(r)
+	}
+
+	in := make([]float32, items*inW)
+	for i := range in {
+		in[i] = float32(i%23)/7 - 1
+	}
+	var want [2][]float32
+	for v, net := range nets {
+		want[v] = make([]float32, items*outW)
+		if err := net.ForwardSlab(in, items, want[v]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	staged := make([]byte, 4*len(in))
+	if err := cuda.PutFloat32s(staged, in); err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var swapper, wg sync.WaitGroup
+	swapper.Add(1)
+	go func() {
+		defer swapper.Done()
+		for i := 1; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := slot.SwapNet(nets[i&1]); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ok := func(r cuda.Result) bool {
+				if r != cuda.Success {
+					t.Error(r)
+				}
+				return r == cuda.Success
+			}
+			ctx, r := api.CtxCreate("worker")
+			devIn, rIn := api.MemAlloc(int64(len(staged)))
+			devOut, rOut := api.MemAlloc(4 * items * outW)
+			if !ok(r) || !ok(rIn) || !ok(rOut) || !ok(api.MemcpyHtoD(devIn, staged)) {
+				return
+			}
+			raw := make([]byte, 4*items*outW)
+			got := make([]float32, items*outW)
+			for l := 0; l < launches; l++ {
+				if !ok(api.LaunchKernel(ctx, fn, []uint64{uint64(devIn), uint64(devOut), items})) ||
+					!ok(api.MemcpyDtoH(raw, devOut)) {
+					return
+				}
+				if err := cuda.ReadFloat32s(got, raw); err != nil {
+					t.Error(err)
+					return
+				}
+				version := 0
+				if math.Float32bits(got[0]) != math.Float32bits(want[0][0]) {
+					version = 1
+				}
+				for j := range got {
+					if math.Float32bits(got[j]) != math.Float32bits(want[version][j]) {
+						t.Errorf("launch %d: logit %d = %v, version %d computes %v: mixed or torn batch",
+							l, j, got[j], version, want[version][j])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	swapper.Wait()
 }

@@ -99,9 +99,26 @@ func BenchmarkPerfMarshalCommand(b *testing.B) {
 func BenchmarkPerfNNForward(b *testing.B) {
 	net := nn.New(1, linnos.Base.Sizes()...)
 	x := make([]float32, net.InputSize())
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		net.Forward(x)
+	}
+}
+
+// BenchmarkPerfNNForwardSlab is one bulk_linnos launch's worth of forward
+// passes: 1024 LinnOS items through the slab path, nothing allocated.
+func BenchmarkPerfNNForwardSlab(b *testing.B) {
+	const items = 1024
+	net := nn.New(1, linnos.Base.Sizes()...)
+	in := make([]float32, items*net.InputSize())
+	out := make([]float32, items*net.OutputSize())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := net.ForwardSlab(in, items, out); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

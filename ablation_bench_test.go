@@ -71,7 +71,7 @@ func BenchmarkAblationZeroCopy(b *testing.B) {
 				if r != cuda.Success {
 					b.Fatal(r)
 				}
-				var buf *shm.Buffer
+				var buf shm.Buffer
 				var inline []byte
 				if via == "shm" {
 					if buf, err = rt.Region().Alloc(size); err != nil {

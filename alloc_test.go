@@ -4,18 +4,26 @@
 // (lakeLib stub -> wire marshal -> descriptor ring -> lakeD decode/execute ->
 // completion ring -> response demux), the batcher's flush wire path
 // (CuBatchedInferInto over a warmed scratch) and the one device kernel body
-// (slab decode -> nn.ForwardSlab -> slab encode over pooled scratch).
+// (slab decode -> nn.ForwardSlab -> slab encode over pooled scratch). The
+// fleet request path (router -> admission -> lakeShm slot -> queue -> flush
+// -> scatter) is gated at its floor, which is not 0: the request object and
+// its result.
 package lake_test
 
 import (
+	"fmt"
 	"testing"
 
+	"lakego/internal/batcher"
 	"lakego/internal/boundary"
 	"lakego/internal/core"
 	"lakego/internal/cuda"
+	"lakego/internal/fleet"
 	"lakego/internal/gpu"
+	"lakego/internal/gpupool"
 	"lakego/internal/healthplane"
 	"lakego/internal/linnos"
+	"lakego/internal/mllb"
 	"lakego/internal/nn"
 	"lakego/internal/offload"
 	"lakego/internal/remoting"
@@ -276,5 +284,81 @@ func TestAllocsSlotServedKernelLaunch(t *testing.T) {
 	launch() // grow the pooled slabs to the full batch
 	if n := testing.AllocsPerRun(20, launch); n != 0 {
 		t.Fatalf("1024-item launch of a Slot-served kernel allocates %v objects/op, want 0", n)
+	}
+}
+
+// fleetWaveTenants is the benchmark's fleet_mllb shape: 64 tenants on two
+// shards submit one request each, then collect — two full 32-item flushes a
+// wave and no deadline flush.
+const fleetWaveTenants = 64
+
+// newFleetWave boots that fleet over a Slot-served MLLB model (the batch
+// forward allocates nothing, so what a wave allocates is the request path's
+// own) and returns one wave as a func.
+func newFleetWave(tb testing.TB) func() {
+	tb.Helper()
+	rcfg := ringConfig()
+	rcfg.NumShards = 2
+	rcfg.RouterPolicy = gpupool.RoundRobin
+	fl, err := fleet.New(fleet.Config{
+		Runtime: rcfg,
+		Batcher: batcher.Config{MaxBatch: fleetWaveTenants / 2, ClientDepth: 8}, // Linger 0: one driver goroutine
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(fl.Close)
+	net := nn.New(7, mllb.Sizes()...)
+	mc := offload.NewSlot(net).Serve(batcher.ModelConfig{
+		Name: "mllb", InputWidth: net.InputSize(), OutputWidth: net.OutputSize(), MaxBatch: 1024,
+	})
+	if err := fl.RegisterModel(mc); err != nil {
+		tb.Fatal(err)
+	}
+	x := make([]float32, net.InputSize())
+	for i := range x {
+		x[i] = float32(i%7) / 7
+	}
+	items, want := [][]float32{x}, net.Forward(x)
+	var clients [fleetWaveTenants]*fleet.Client
+	for c := range clients {
+		clients[c] = fl.Client(fmt.Sprintf("tenant%02d", c))
+	}
+	var pend [fleetWaveTenants]*fleet.Pending
+	return func() {
+		for c, cl := range clients {
+			p, err := cl.Submit("mllb", items)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			pend[c] = p
+		}
+		for _, p := range pend {
+			out, err := p.Wait()
+			if err != nil {
+				tb.Fatal(err)
+			}
+			if len(out) != 1 || out[0][0] != want[0] || out[0][1] != want[1] {
+				tb.Fatalf("delivered %v, want [%v]", out, want)
+			}
+		}
+	}
+}
+
+// TestAllocsFleetRequest gates the fleet request path at its floor: one
+// fleet.Pending (which holds the batcher's by value) and one result slice
+// per request, plus one batch slice and one completion channel per 32-item
+// flush — 2.06 objects a request, 2.09 while each shard's journal is on its
+// first lap (a slot buffer per flush; a full lap is 4096 waves). No
+// per-request channel, staging slice, pointer Buffer, second Pending or per-row
+// slice may come back.
+func TestAllocsFleetRequest(t *testing.T) {
+	wave := newFleetWave(t)
+	for i := 0; i < 200; i++ { // wire scratch, queues and pools
+		wave()
+	}
+	perReq := testing.AllocsPerRun(200, wave) / fleetWaveTenants
+	if perReq > 2.2 {
+		t.Fatalf("fleet request allocates %.3f objects, want <= 2.2", perReq)
 	}
 }

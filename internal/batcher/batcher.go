@@ -17,10 +17,13 @@
 //   - per-client fair admission: every client's outstanding requests are
 //     bounded (Config.ClientDepth) and excess submissions are rejected
 //     with the retryable ErrBackpressure instead of growing the queue;
-//   - zero-copy scatter/gather: each request's input and output live in
-//     their own lakeShm slices; only offsets cross the kernel/user
-//     boundary, and lakeD gathers the slices into one device staging area
-//     per flush (internal/remoting.APIBatchedInfer).
+//   - zero-copy scatter/gather: each request stages into one lakeShm slot
+//     (a shm.Buffer held by value: input rows, padding to 64 bytes, output
+//     rows); only the two offsets cross the kernel/user boundary, and lakeD
+//     gathers the slots into one device staging area per flush
+//     (internal/remoting.APIBatchedInfer);
+//   - one completion per flush: forming a batch makes one channel that
+//     every member holds, closed once after the last result is written.
 //
 // Clients obtain a handle with Batcher.Client, submit feature batches with
 // Client.Submit (or the synchronous Client.Infer), and collect results via
@@ -230,22 +233,28 @@ func (mc ModelConfig) Kernel() *cuda.Kernel {
 			}
 			slab := slabs.Get().(*[]float32)
 			defer slabs.Put(slab)
-			if need := n * (mc.InputWidth + mc.OutputWidth); cap(*slab) < need {
-				*slab = make([]float32, need)
-			}
-			in, out := (*slab)[:n*mc.InputWidth], (*slab)[n*mc.InputWidth:][:n*mc.OutputWidth]
-			if err := cuda.ReadFloat32s(in, inMem); err != nil {
-				return err
-			}
-			if len(outMem) < 4*len(out) {
-				return fmt.Errorf("%s: output slab %d bytes, need %d", mc.Name, len(outMem), 4*len(out))
-			}
-			if err := fwd.ForwardSlab(in, n, out); err != nil {
-				return err
-			}
-			return cuda.PutFloat32s(outMem, out)
+			return mc.forwardBytes(fwd, slab, inMem, outMem, n)
 		},
 	}
+}
+
+// forwardBytes is where the device kernel and the CPU route meet: decode n
+// rows of inMem into *slab (grown to fit), forward, encode into outMem.
+func (mc ModelConfig) forwardBytes(fwd SlabForward, slab *[]float32, inMem, outMem []byte, n int) error {
+	if need := n * (mc.InputWidth + mc.OutputWidth); cap(*slab) < need {
+		*slab = make([]float32, need)
+	}
+	in, out := (*slab)[:n*mc.InputWidth], (*slab)[n*mc.InputWidth:][:n*mc.OutputWidth]
+	if err := cuda.ReadFloat32s(in, inMem); err != nil {
+		return err
+	}
+	if len(outMem) < 4*len(out) {
+		return fmt.Errorf("%s: output slab %d bytes, need %d", mc.Name, len(outMem), 4*len(out))
+	}
+	if err := fwd.ForwardSlab(in, n, out); err != nil {
+		return err
+	}
+	return cuda.PutFloat32s(outMem, out)
 }
 
 // Stats is a snapshot of batcher activity.
@@ -362,8 +371,7 @@ type model struct {
 	queue       []*Pending
 	queuedItems int
 	nextSeq     uint64
-	leader      bool
-	leaderGone  chan struct{}
+	leaderGone  chan struct{} // non-nil while a waiter leads; closed when it steps down
 	fullSig     chan struct{}
 
 	// execMu serializes flush execution: a model has one device staging
@@ -374,6 +382,7 @@ type model struct {
 	// steady-state flush wire path performs no heap allocation.
 	entriesScratch []remoting.BatchEntry
 	wireScratch    remoting.BatchScratch
+	cpuScratch     []float32 // forwardBytes slab of the CPU route
 }
 
 // RegisterModel installs a model: registers its device kernel, creates the
@@ -476,7 +485,8 @@ func (b *Batcher) Client(name string) *Client {
 }
 
 // Pending is one in-flight request. Exactly one goroutine should Wait on
-// it (Wait may drive the flush on the caller's goroutine).
+// it (Wait may drive the flush on the caller's goroutine). It is never
+// recycled: Latency and TraceID are read after Wait.
 type Pending struct {
 	m     *model
 	c     *Client
@@ -488,14 +498,17 @@ type Pending struct {
 	// command.
 	tid uint64
 
-	inBuf, outBuf *shm.Buffer
-	enq           time.Duration
+	slot   shm.Buffer // the one lakeShm reservation: input rows, then output rows
+	outOff int64      // where the output rows start in slot (64-aligned)
+	enq    time.Duration
 
-	// taken is guarded by m.mu: true once a flush has claimed the request.
+	// taken and done are guarded by m.mu: a flush claims the request by
+	// setting both; it closes done, its batch's one channel, last.
 	taken bool
+	done  chan struct{}
 
-	done   chan struct{}
 	out    [][]float32
+	one    [1][]float32 // backs out for a one-item request
 	err    error
 	doneAt time.Duration
 }
@@ -514,32 +527,41 @@ func (p *Pending) TraceID() uint64 { return p.tid }
 // fills the batch to MaxBatch items, the flush runs on this goroutine
 // before Submit returns.
 func (c *Client) Submit(modelName string, items [][]float32) (*Pending, error) {
+	p := new(Pending)
+	if err := c.SubmitInto(p, modelName, items); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// SubmitInto is Submit into caller-owned storage, for a layer that embeds
+// the handle in its own (the fleet router). p must not be copied afterwards.
+func (c *Client) SubmitInto(p *Pending, modelName string, items [][]float32) error {
 	b := c.b
 	m, err := b.model(modelName)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if len(items) == 0 {
-		return nil, fmt.Errorf("batcher: empty request")
+		return fmt.Errorf("batcher: empty request")
 	}
 	if len(items) > m.mc.MaxBatch {
-		return nil, fmt.Errorf("batcher: request of %d items exceeds model max %d", len(items), m.mc.MaxBatch)
+		return fmt.Errorf("batcher: request of %d items exceeds model max %d", len(items), m.mc.MaxBatch)
 	}
 	for _, x := range items {
 		if len(x) != m.mc.InputWidth {
-			return nil, fmt.Errorf("batcher: item width %d, want %d", len(x), m.mc.InputWidth)
+			return fmt.Errorf("batcher: item width %d, want %d", len(x), m.mc.InputWidth)
 		}
 	}
 	if c.outstanding.Add(1) > int64(b.cfg.ClientDepth) {
 		c.outstanding.Add(-1)
 		b.rejected.Inc()
-		return nil, ErrBackpressure
+		return ErrBackpressure
 	}
-	p, err := c.stage(m, items)
-	if err != nil {
+	if err := c.stage(p, m, items); err != nil {
 		c.outstanding.Add(-1)
 		b.rejected.Inc()
-		return nil, err
+		return err
 	}
 	b.requests.Add(1)
 	b.items.Add(int64(p.count))
@@ -563,53 +585,45 @@ func (c *Client) Submit(modelName string, items [][]float32) (*Pending, error) {
 	switch {
 	case m.queuedItems >= b.cfg.MaxBatch:
 		batch = m.takeLocked()
-		if m.fullSig != nil {
-			close(m.fullSig) // wake a lingering leader; it will find its request taken
-			m.fullSig = nil
-		}
 	case m.queuedItems > 0 && p.enq >= m.queue[0].enq+b.cfg.MaxWait:
 		// Another model's activity pushed the clock past our oldest
 		// deadline while no waiter was driving; honor it now.
 		batch = m.takeLocked()
 		reason = flushDeadline
 	}
+	if batch != nil && m.fullSig != nil {
+		// Wake a lingering leader: it steps down, which also releases the
+		// waiters behind it, whose requests this take may have claimed too.
+		close(m.fullSig)
+		m.fullSig = nil
+	}
 	m.mu.Unlock()
 	if batch != nil {
 		b.execute(m, batch, reason, p.enq)
 	}
-	return p, nil
+	return nil
 }
 
-// stage reserves the request's lakeShm slices and writes the input items.
-// Allocation failure is backpressure: the region drains as in-flight
-// requests complete.
-func (c *Client) stage(m *model, items [][]float32) (*Pending, error) {
+// stage reserves the request's lakeShm slot, encodes the input rows straight
+// into it and fills *p. Allocation failure is backpressure: the region
+// drains as in-flight requests complete.
+func (c *Client) stage(p *Pending, m *model, items [][]float32) error {
 	region := c.b.rt.Region()
-	inBytes := int64(4 * m.mc.InputWidth * len(items))
-	outBytes := int64(4 * m.mc.OutputWidth * len(items))
-	inBuf, err := region.Alloc(inBytes)
+	rowBytes := 4 * m.mc.InputWidth
+	outOff := int64(rowBytes*len(items)+63) &^ 63 // lakeShm's alignment: both halves cache-line aligned
+	slot, err := region.Alloc(outOff + int64(4*m.mc.OutputWidth*len(items)))
 	if err != nil {
-		return nil, ErrBackpressure
+		return ErrBackpressure
 	}
-	outBuf, err := region.Alloc(outBytes)
-	if err != nil {
-		region.Free(inBuf)
-		return nil, ErrBackpressure
+	dst := slot.Bytes()
+	for i, x := range items {
+		if err := cuda.PutFloat32s(dst[i*rowBytes:], x); err != nil {
+			region.Free(slot)
+			return err
+		}
 	}
-	flat := make([]float32, 0, m.mc.InputWidth*len(items))
-	for _, x := range items {
-		flat = append(flat, x...)
-	}
-	if err := cuda.PutFloat32s(inBuf.Bytes(), flat); err != nil {
-		region.Free(inBuf)
-		region.Free(outBuf)
-		return nil, err
-	}
-	return &Pending{
-		m: m, c: c, count: len(items),
-		inBuf: inBuf, outBuf: outBuf,
-		done: make(chan struct{}),
-	}, nil
+	*p = Pending{m: m, c: c, count: len(items), slot: slot, outOff: outOff}
+	return nil
 }
 
 // Infer is Submit followed by Wait.
@@ -622,7 +636,7 @@ func (c *Client) Infer(modelName string, items [][]float32) ([][]float32, error)
 }
 
 // takeLocked claims the FIFO prefix of the queue that fits the model's
-// staging capacity. Caller holds m.mu.
+// staging capacity under one completion channel. Caller holds m.mu.
 func (m *model) takeLocked() []*Pending {
 	if len(m.queue) == 0 {
 		return nil
@@ -644,8 +658,9 @@ func (m *model) takeLocked() []*Pending {
 	m.queue = append(m.queue[:0], m.queue[n:]...)
 	m.queuedItems -= items
 	m.b.queueDepth.Add(-int64(items))
+	done := make(chan struct{})
 	for _, p := range batch {
-		p.taken = true
+		p.taken, p.done = true, done
 	}
 	return batch
 }

@@ -3,6 +3,7 @@ package batcher_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -271,6 +272,122 @@ func TestBitIdenticalToUnbatched(t *testing.T) {
 					i, j, got[i][j], wantGPU[i][j], wantCPU[i][j])
 			}
 		}
+	}
+}
+
+// TestMultiItemRowsAreSeparate: a multi-item request's rows share one
+// backing slice, so each must carry exactly its own item's unbatched bits
+// and be capped at its own width — a caller appending to row i must not
+// write into row i+1.
+func TestMultiItemRowsAreSeparate(t *testing.T) {
+	rt := newRT(t)
+	cfg := batcher.DefaultConfig()
+	cfg.Linger = 0
+	b := newBatcher(t, rt, cfg)
+
+	batch := make([][]float32, 5)
+	for i := range batch {
+		batch[i] = item(i*5 + 1)
+	}
+	got, err := b.Client("cli").Infer("testmodel", batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(batch) {
+		t.Fatalf("%d rows, want %d", len(got), len(batch))
+	}
+	for i, row := range got {
+		want := forward(batch[i])
+		if len(row) != outW || cap(row) != outW {
+			t.Fatalf("row %d: len %d cap %d, want both %d", i, len(row), cap(row), outW)
+		}
+		for j := range want {
+			if math.Float32bits(row[j]) != math.Float32bits(want[j]) {
+				t.Fatalf("row %d out %d = %v, unbatched %v", i, j, row[j], want[j])
+			}
+		}
+	}
+	for i := 0; i+1 < len(got); i++ {
+		next := append([]float32(nil), got[i+1]...)
+		got[i] = append(got[i], -1)
+		for j := range next {
+			if math.Float32bits(got[i+1][j]) != math.Float32bits(next[j]) {
+				t.Fatalf("append to row %d changed row %d: %v, was %v", i, i+1, got[i+1], next)
+			}
+		}
+	}
+}
+
+// slabModel is forward as a batch-shaped pass that allocates nothing, so an
+// allocation count over a flush is the batcher's own.
+type slabModel struct{}
+
+func (slabModel) ForwardSlab(in []float32, items int, out []float32) error {
+	for i := 0; i < items; i++ {
+		var a, b float32
+		for k, v := range in[i*inW : (i+1)*inW] {
+			a += v * float32(k+1)
+			b += v * v
+		}
+		out[i*outW], out[i*outW+1] = a, b+1
+	}
+	return nil
+}
+
+// TestCPURouteUsesModelScratch: a CPU-routed flush decodes and forwards on
+// scratch the model owns, so it delivers the unbatched bits while a request
+// costs its Pending and its result and nothing per request inside runCPU.
+func TestCPURouteUsesModelScratch(t *testing.T) {
+	rt := newRT(t)
+	cfg := batcher.DefaultConfig()
+	cfg.Linger = 0
+	cfg.ClientDepth = 16
+	cfg.Policy = func(int) policy.Decision { return policy.UseCPU }
+	b := rt.NewBatcher(cfg)
+	mc := modelCfg("testmodel")
+	mc.Forward = nil
+	mc.ForwardProvider = func() batcher.SlabForward { return slabModel{} }
+	if err := b.RegisterModel(mc); err != nil {
+		t.Fatal(err)
+	}
+	c := b.Client("cli")
+
+	const reqs = 8
+	var pend [reqs]*batcher.Pending
+	items := make([][][]float32, reqs)
+	for i := range items {
+		items[i] = [][]float32{item(i)}
+	}
+	round := func() {
+		for i := range pend {
+			p, err := c.Submit("testmodel", items[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			pend[i] = p
+		}
+		for i, p := range pend {
+			out, err := p.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := forward(items[i][0])
+			for j := range want {
+				if math.Float32bits(out[0][j]) != math.Float32bits(want[j]) {
+					t.Fatalf("request %d out %d = %v, unbatched %v", i, j, out[0][j], want[j])
+				}
+			}
+		}
+	}
+	round() // grow the scratch and the queue
+	// Per round: 8 Pendings and 8 results, then one batch slice, one
+	// completion channel and the leader's step-down channel. Two slices per
+	// request inside runCPU, as there used to be, would make it 35.
+	if n := testing.AllocsPerRun(50, round); n > 2*reqs+3 {
+		t.Fatalf("CPU-routed round of %d requests allocates %v objects, want <= %d", reqs, n, 2*reqs+3)
+	}
+	if st := b.Stats(); st.GPUFlushes != 0 || st.CPUFlushes == 0 {
+		t.Fatalf("flushes = %+v, want CPU flushes only", st)
 	}
 }
 

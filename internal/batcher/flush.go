@@ -26,38 +26,28 @@ const (
 // real time so concurrent clients can coalesce into the batch, then
 // drives a deadline flush — advancing the virtual clock to the oldest
 // request's enqueue time + MaxWait, exactly as a max-wait timer would
-// fire. A submission that fills the batch flushes immediately from Submit
-// and wakes any lingering leader.
+// fire. A submission that fills the batch, or finds the clock already past
+// the oldest deadline, flushes from Submit and wakes any lingering leader.
 func (p *Pending) Wait() ([][]float32, error) {
 	m := p.m
 	b := m.b
 	for {
-		select {
-		case <-p.done:
-			return p.out, p.err
-		default:
-		}
 		m.mu.Lock()
 		if p.taken {
 			// A flush claimed the request; delivery is imminent (or done).
+			done := p.done
 			m.mu.Unlock()
-			<-p.done
+			<-done
 			return p.out, p.err
 		}
-		if m.leader {
-			// Another waiter is coalescing this generation. Wait for our
-			// delivery or for the leader to step down (its flush may not
-			// have reached us if the queue exceeded staging capacity).
-			gone := m.leaderGone
+		if gone := m.leaderGone; gone != nil {
+			// Another waiter is coalescing this generation. Wait for it to
+			// step down — every take that claims a request wakes it — and
+			// look again: its flush may not reach us past staging capacity.
 			m.mu.Unlock()
-			select {
-			case <-p.done:
-				return p.out, p.err
-			case <-gone:
-				continue
-			}
+			<-gone
+			continue
 		}
-		m.leader = true
 		m.leaderGone = make(chan struct{})
 		var full chan struct{}
 		if b.cfg.Linger > 0 {
@@ -69,19 +59,18 @@ func (p *Pending) Wait() ([][]float32, error) {
 		if full != nil {
 			t := time.NewTimer(b.cfg.Linger)
 			select {
-			case <-full: // batch filled; Submit flushed it
+			case <-full: // a Submit claimed a batch; ours may be in it
 			case <-t.C: // linger expired; drive the deadline flush
-			case <-p.done: // our request was delivered mid-linger
 			}
 			t.Stop()
 		}
 
 		m.mu.Lock()
-		m.leader = false
 		if m.fullSig == full {
 			m.fullSig = nil
 		}
 		close(m.leaderGone)
+		m.leaderGone = nil
 		var batch []*Pending
 		if !p.taken {
 			batch = m.takeLocked()
@@ -174,8 +163,8 @@ func (b *Batcher) execute(m *model, batch []*Pending, reason flushReason, firedA
 		for _, p := range batch {
 			entries = append(entries, remoting.BatchEntry{
 				Seq:     p.seq,
-				InOff:   uint64(p.inBuf.Offset()),
-				OutOff:  uint64(p.outBuf.Offset()),
+				InOff:   uint64(p.slot.Offset()),
+				OutOff:  uint64(p.slot.Offset() + p.outOff),
 				Count:   uint32(p.count),
 				TraceID: p.tid,
 			})
@@ -240,49 +229,43 @@ func (b *Batcher) execute(m *model, batch []*Pending, reason flushReason, firedA
 		}
 		p.err = err
 		p.doneAt = now
-		region.Free(p.inBuf)
-		region.Free(p.outBuf)
+		region.Free(p.slot)
 		p.c.outstanding.Add(-1)
-		close(p.done)
 	}
+	close(batch[0].done) // the batch's one channel: every member holds it
 }
 
 // runCPU executes a flush on the kernel CPU fallback path: real forward
-// passes written straight into each request's output slice. The calibrated
-// kernel-space cost is charged by the caller.
+// passes from each slot's input rows to its output rows on the model's own
+// scratch (the caller holds execMu, and charges the calibrated cost).
 func (m *model) runCPU(batch []*Pending) error {
 	fwd := m.mc.ResolveForward() // resolved once: the whole flush runs one model version
 	for _, p := range batch {
-		out := make([]float32, p.count*m.mc.OutputWidth) // stays zero when timing-only
-		if fwd != nil {
-			flat, err := cuda.Float32s(p.inBuf.Bytes(), p.count*m.mc.InputWidth)
-			if err != nil {
-				return err
-			}
-			if err := fwd.ForwardSlab(flat, p.count, out); err != nil {
-				return err
-			}
-		}
-		if err := cuda.PutFloat32s(p.outBuf.Bytes(), out); err != nil {
+		mem := p.slot.Bytes()
+		if fwd == nil {
+			clear(mem[p.outOff:]) // timing-only: zero logits
+		} else if err := m.mc.forwardBytes(fwd, &m.cpuScratch, mem, mem[p.outOff:], p.count); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// unpackOut copies the request's delivered output slice out of lakeShm
-// (the shm slices are freed on delivery).
+// unpackOut copies the request's delivered output rows out of lakeShm (the
+// slot is freed on delivery) into one slice; each row is capped at its own
+// width, so appending to one cannot reach the next.
 func (p *Pending) unpackOut() ([][]float32, error) {
 	w := p.m.mc.OutputWidth
-	flat, err := cuda.Float32s(p.outBuf.Bytes(), p.count*w)
+	flat, err := cuda.Float32s(p.slot.Bytes()[p.outOff:], p.count*w)
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]float32, p.count)
+	out := p.one[:]
+	if p.count > 1 {
+		out = make([][]float32, p.count)
+	}
 	for i := range out {
-		row := make([]float32, w)
-		copy(row, flat[i*w:(i+1)*w])
-		out[i] = row
+		out[i] = flat[i*w : (i+1)*w : (i+1)*w]
 	}
 	return out, nil
 }

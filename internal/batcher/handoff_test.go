@@ -92,3 +92,66 @@ func TestLeaderHandoffFullFlushRace(t *testing.T) {
 		t.Fatalf("rejected = %d, want 0", st.Rejected)
 	}
 }
+
+// TestLeaderHandoffDeadlineFlushFromSubmit exercises the other claiming take
+// in Submit: a leader lingers (Linger = 10 s) with a second waiter parked
+// behind it, the virtual clock moves past the oldest deadline, and a third
+// client's Submit — far short of MaxBatch — honors that deadline itself,
+// claiming both waiters' requests. Completion is per batch, so neither
+// waiter has a channel of its own to wake on: the take must wake the leader,
+// and the leader stepping down must release the waiter behind it. Both
+// return long before the linger would have expired, and nobody flushes a
+// second time. (Were the third Submit to win the race against the two Waits,
+// they would find their requests taken; the assertions hold either way.)
+func TestLeaderHandoffDeadlineFlushFromSubmit(t *testing.T) {
+	rt := newRT(t)
+	cfg := batcher.DefaultConfig()
+	cfg.Linger = 10 * time.Second
+	cfg.ClientDepth = 1
+	b := newBatcher(t, rt, cfg)
+
+	var wg sync.WaitGroup
+	start := time.Now()
+	for w := 0; w < 2; w++ {
+		p, err := b.Client(fmt.Sprintf("waiter-%d", w)).Submit("testmodel", [][]float32{item(w)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			out, err := p.Wait()
+			if err != nil {
+				t.Errorf("waiter %d: %v", w, err)
+				return
+			}
+			if want := forward(item(w)); out[0][0] != want[0] || out[0][1] != want[1] {
+				t.Errorf("waiter %d got %v, want %v", w, out[0], want)
+			}
+			if d := time.Since(start); d > 2*time.Second {
+				t.Errorf("waiter %d returned after %v: it slept out a linger its request no longer needed", w, d)
+			}
+		}(w)
+		// Let this waiter park (the first as the lingering leader, the second
+		// behind it) before the next step.
+		time.Sleep(20 * time.Millisecond)
+	}
+
+	rt.Clock().Advance(2 * cfg.MaxWait)
+	out, err := b.Client("late").Infer("testmodel", [][]float32{item(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := forward(item(2)); out[0][0] != want[0] || out[0][1] != want[1] {
+		t.Fatalf("late submitter got %v, want %v", out[0], want)
+	}
+	wg.Wait()
+
+	st := b.Stats()
+	if st.Requests != 3 || st.Items != 3 {
+		t.Fatalf("requests/items = %d/%d, want 3/3", st.Requests, st.Items)
+	}
+	if st.Flushes != 1 || st.DeadlineFlushes != 1 || st.FullFlushes != 0 {
+		t.Fatalf("flushes = %+v, want exactly one deadline flush carrying all three requests", st)
+	}
+}

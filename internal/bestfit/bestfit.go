@@ -47,6 +47,7 @@ type Allocator struct {
 	strategy Strategy
 	free     []block         // sorted by offset, no two adjacent
 	live     map[int64]int64 // offset -> size
+	used     int64           // sum of live sizes
 }
 
 // New creates a best-fit allocator over a region of total bytes, rounding
@@ -79,13 +80,7 @@ func NewWithStrategy(total, align int64, s Strategy) (*Allocator, error) {
 func (a *Allocator) Total() int64 { return a.total }
 
 // Used returns the number of bytes currently allocated (after alignment).
-func (a *Allocator) Used() int64 {
-	var used int64
-	for _, sz := range a.live {
-		used += sz
-	}
-	return used
-}
+func (a *Allocator) Used() int64 { return a.used }
 
 // Free-block count; exposed for fragmentation diagnostics and tests.
 func (a *Allocator) FreeBlocks() int { return len(a.free) }
@@ -111,7 +106,7 @@ func (a *Allocator) Alloc(size int64) (int64, error) {
 	}
 	if best == -1 {
 		return 0, fmt.Errorf("%w: need %d bytes, %d free in %d blocks",
-			ErrNoSpace, need, a.total-a.Used(), len(a.free))
+			ErrNoSpace, need, a.total-a.used, len(a.free))
 	}
 	b := a.free[best]
 	off := b.off
@@ -121,6 +116,7 @@ func (a *Allocator) Alloc(size int64) (int64, error) {
 		a.free[best] = block{off: b.off + need, size: b.size - need}
 	}
 	a.live[off] = need
+	a.used += need
 	return off, nil
 }
 
@@ -132,6 +128,7 @@ func (a *Allocator) Free(off int64) error {
 		return fmt.Errorf("%w: offset %d", ErrBadFree, off)
 	}
 	delete(a.live, off)
+	a.used -= size
 
 	i := sort.Search(len(a.free), func(i int) bool { return a.free[i].off > off })
 	nb := block{off: off, size: size}

@@ -192,3 +192,42 @@ func TestQuickFullFreeRestoresRegion(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Used is a running count; it must equal the sum over the live map after
+// every step of a seeded alloc/free sequence, failed calls included.
+func TestUsedMatchesLiveSum(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	a, err := New(1<<16, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var live []int64
+	for step := 0; step < 5000; step++ {
+		switch {
+		case rng.Intn(3) > 0 || len(live) == 0:
+			if off, err := a.Alloc(int64(rng.Intn(3000) + 1)); err == nil {
+				live = append(live, off)
+			}
+		case rng.Intn(16) == 0:
+			if a.Free(live[0]+1) == nil { // not a live offset: must not move the count
+				t.Fatal("free of an interior offset succeeded")
+			}
+		default:
+			i := rng.Intn(len(live))
+			if err := a.Free(live[i]); err != nil {
+				t.Fatal(err)
+			}
+			live = append(live[:i], live[i+1:]...)
+		}
+		var sum int64
+		for _, sz := range a.live {
+			sum += sz
+		}
+		if a.Used() != sum {
+			t.Fatalf("step %d: Used() = %d, live map sums to %d", step, a.Used(), sum)
+		}
+	}
+	if len(live) == 0 || a.Used() == 0 {
+		t.Fatal("sequence ended with nothing live; the check was vacuous")
+	}
+}

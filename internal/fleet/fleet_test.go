@@ -18,6 +18,7 @@ import (
 	"lakego/internal/core"
 	"lakego/internal/faults"
 	"lakego/internal/fleet"
+	"lakego/internal/flightrec"
 	"lakego/internal/gpupool"
 	"lakego/internal/lifecycle"
 	"lakego/internal/nn"
@@ -660,5 +661,49 @@ func TestFleetAdmissionCapsHoldUnderConcurrency(t *testing.T) {
 				t.Fatalf("admitted %d + rejected %d != %d submits", admitted.Load(), st.Rejects, 16*50)
 			}
 		})
+	}
+}
+
+// TestRouteEventPayload: Submit reads the wall clock only to fill the route
+// event, and only while the recorder is on. With it on, every request lands
+// one EvRoute on its destination shard carrying the request's trace ID, the
+// policy, no reroute, and a decide time that is a real interval (a reading
+// taken against an unset start would be decades).
+func TestRouteEventPayload(t *testing.T) {
+	f, net := newFleet(t, 2, gpupool.RoundRobin, nil)
+	if !f.Recorder().Enabled() {
+		t.Fatal("fleet recorder is off by default; the test assumes the shipping configuration")
+	}
+	clients := []*fleet.Client{f.Client("a"), f.Client("b")}
+	for i, c := range clients {
+		inferOne(t, c, net, i)
+	}
+	routes := func() (evs []flightrec.Event) {
+		for _, dd := range f.Recorder().Snapshot("test").Domains {
+			for _, e := range dd.Events {
+				if e.Kind == flightrec.EvRoute {
+					evs = append(evs, e)
+				}
+			}
+		}
+		return evs
+	}
+	evs := routes()
+	if len(evs) != len(clients) {
+		t.Fatalf("%d route events for %d requests", len(evs), len(clients))
+	}
+	for i, e := range evs {
+		if e.Domain != flightrec.DomainRouter || e.TraceID == 0 || int(e.Shard) != clients[i].Tenant().Shard() {
+			t.Errorf("route %d: domain %v trace %d shard %d, want router domain, a trace ID, shard %d",
+				i, e.Domain, e.TraceID, e.Shard, clients[i].Tenant().Shard())
+		}
+		if e.Arg0 != uint64(gpupool.RoundRobin) || e.Arg1 != 0 || e.Arg2 >= uint64(time.Second) {
+			t.Errorf("route %d: policy %d reroute %d decide %d ns", i, e.Arg0, e.Arg1, e.Arg2)
+		}
+	}
+	f.Recorder().SetEnabled(false)
+	inferOne(t, clients[0], net, 7)
+	if n := len(routes()); n != len(clients) {
+		t.Fatalf("%d route events after a request with the recorder off, want still %d", n, len(clients))
 	}
 }

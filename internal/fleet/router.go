@@ -89,10 +89,10 @@ func (f *Fleet) Client(tenant string) *Client {
 // Tenant returns the client's tenant record.
 func (c *Client) Tenant() *Tenant { return c.t }
 
-// Pending is one in-flight fleet request: the shard-level handle plus the
-// routing bookkeeping undone on delivery.
+// Pending is one in-flight fleet request, one object: the shard-level handle
+// by value plus the routing bookkeeping undone on delivery.
 type Pending struct {
-	p     *batcher.Pending
+	p     batcher.Pending
 	t     *Tenant
 	shard *Shard
 }
@@ -161,15 +161,21 @@ func (c *Client) Submit(model string, items [][]float32) (*Pending, error) {
 	if err := t.admit(); err != nil {
 		return nil, err
 	}
-	start := time.Now()
+	var start time.Time // read only for the route event's payload
+	if f.rec.Enabled() {
+		start = time.Now()
+	}
 	s, sc, rerouted, err := t.route()
 	if err != nil {
 		t.release()
 		return nil, err
 	}
-	decideNs := time.Since(start).Nanoseconds()
-	p, err := sc.Submit(model, items)
-	if err != nil {
+	var decideNs int64
+	if !start.IsZero() {
+		decideNs = time.Since(start).Nanoseconds()
+	}
+	p := &Pending{t: t, shard: s}
+	if err := sc.SubmitInto(&p.p, model, items); err != nil {
 		t.release()
 		return nil, err
 	}
@@ -182,8 +188,8 @@ func (c *Client) Submit(model string, items [][]float32) (*Pending, error) {
 	// shard's recorder view, so the stitched per-call timeline shows both
 	// the hop and where it landed.
 	s.rt.FlightRecorder().Emit(flightrec.DomainRouter, flightrec.EvRoute,
-		p.TraceID(), 0, 0, uint64(f.policy), reroute, uint64(decideNs))
-	return &Pending{p: p, t: t, shard: s}, nil
+		p.p.TraceID(), 0, 0, uint64(f.policy), reroute, uint64(decideNs))
+	return p, nil
 }
 
 // Route resolves (placing if necessary) the tenant's shard without

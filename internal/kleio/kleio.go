@@ -58,8 +58,8 @@ const (
 type Classifier struct {
 	rt    *core.Runtime
 	model *lstm.Model
-	inBuf *shm.Buffer
-	out   *shm.Buffer
+	inBuf shm.Buffer
+	out   shm.Buffer
 }
 
 // New trains nothing (Kleio trains offline); it builds the LSTM with

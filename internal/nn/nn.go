@@ -154,18 +154,13 @@ func relu(s float32) float32 {
 }
 
 // Forward runs one inference, returning the output activations (logits for
-// classifier networks).
+// classifier networks). It panics on an input of the wrong width.
 func (n *Network) Forward(x []float32) []float32 {
-	if len(x) != n.InputSize() {
-		panic(fmt.Sprintf("nn: input width %d, want %d", len(x), n.InputSize()))
+	out := make([]float32, n.OutputSize())
+	if err := n.ForwardSlab(x, 1, out); err != nil {
+		panic(err)
 	}
-	cur := x
-	for _, l := range n.Layers {
-		next := make([]float32, l.Out)
-		l.forward(cur, next)
-		cur = next
-	}
-	return cur
+	return out
 }
 
 // slabScratch pools ForwardSlab's hidden activations. A pool rather than a

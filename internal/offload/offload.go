@@ -74,7 +74,7 @@ type Runner struct {
 
 	ctx, fn       uint64
 	devIn, devOut gpu.DevPtr
-	inBuf, outBuf *shm.Buffer
+	inBuf, outBuf shm.Buffer
 
 	// stageMu serializes RunLAKE: the staging buffers and device slabs are
 	// one per runner, so concurrent remoted runs must not interleave.

@@ -484,7 +484,7 @@ func (l *Lib) CuMemFree(ptr gpu.DevPtr) cuda.Result {
 
 // CuMemcpyHtoDShm copies from a lakeShm buffer to device memory — the
 // zero-copy path: only the offset crosses the boundary.
-func (l *Lib) CuMemcpyHtoDShm(dst gpu.DevPtr, src *shm.Buffer, n int64) cuda.Result {
+func (l *Lib) CuMemcpyHtoDShm(dst gpu.DevPtr, src shm.Buffer, n int64) cuda.Result {
 	if n > src.Size() {
 		return cuda.ErrInvalidValue
 	}
@@ -509,7 +509,7 @@ func (l *Lib) CuMemcpyHtoD(dst gpu.DevPtr, src []byte) cuda.Result {
 }
 
 // CuMemcpyDtoHShm copies device memory into a lakeShm buffer (zero-copy).
-func (l *Lib) CuMemcpyDtoHShm(dst *shm.Buffer, src gpu.DevPtr, n int64) cuda.Result {
+func (l *Lib) CuMemcpyDtoHShm(dst shm.Buffer, src gpu.DevPtr, n int64) cuda.Result {
 	if n > dst.Size() {
 		return cuda.ErrInvalidValue
 	}

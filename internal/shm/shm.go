@@ -32,9 +32,9 @@ type Region struct {
 	alloc *bestfit.Allocator
 }
 
-// Buffer is one allocation inside the region. The same Buffer value is
-// usable from both the kernel domain and the user domain; Offset is the
-// stable identifier that crosses the boundary in remoted commands.
+// Buffer is one allocation inside the region, passed by value (the zero
+// Buffer belongs to no region). It is usable from both the kernel domain and
+// the user domain; Offset is the stable identifier that crosses the boundary.
 type Buffer struct {
 	region *Region
 	off    int64
@@ -62,19 +62,19 @@ func (r *Region) Used() int64 {
 
 // Alloc reserves a buffer of size bytes, the kernel-side malloc-like call
 // the paper describes ("lakeShm ... provides a function similar to malloc").
-func (r *Region) Alloc(size int64) (*Buffer, error) {
+func (r *Region) Alloc(size int64) (Buffer, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	off, err := r.alloc.Alloc(size)
 	if err != nil {
-		return nil, fmt.Errorf("shm: %w", err)
+		return Buffer{}, fmt.Errorf("shm: %w", err)
 	}
-	return &Buffer{region: r, off: off, size: size}, nil
+	return Buffer{region: r, off: off, size: size}, nil
 }
 
 // Free releases the buffer back to the region.
-func (r *Region) Free(b *Buffer) error {
-	if b == nil || b.region != r {
+func (r *Region) Free(b Buffer) error {
+	if b.region != r {
 		return fmt.Errorf("shm: buffer does not belong to this region")
 	}
 	r.mu.Lock()
@@ -94,13 +94,13 @@ func (r *Region) At(off, size int64) ([]byte, error) {
 }
 
 // Offset returns the buffer's offset within the region.
-func (b *Buffer) Offset() int64 { return b.off }
+func (b Buffer) Offset() int64 { return b.off }
 
 // Size returns the buffer's requested size.
-func (b *Buffer) Size() int64 { return b.size }
+func (b Buffer) Size() int64 { return b.size }
 
 // Bytes returns the buffer's backing memory. Writes are visible to both
 // domains immediately: there is exactly one copy of the data.
-func (b *Buffer) Bytes() []byte {
+func (b Buffer) Bytes() []byte {
 	return b.region.mem[b.off : b.off+b.size]
 }

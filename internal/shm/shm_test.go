@@ -58,8 +58,19 @@ func TestFreeForeignBufferRejected(t *testing.T) {
 	if err := r2.Free(b); err == nil {
 		t.Fatal("freeing foreign buffer succeeded")
 	}
-	if err := r1.Free(nil); err == nil {
-		t.Fatal("freeing nil buffer succeeded")
+	if err := r1.Free(Buffer{}); err == nil {
+		t.Fatal("freeing the zero Buffer succeeded")
+	}
+	// A Buffer is a value, so a stale copy outlives the allocation: the
+	// second Free of one must fail and leave the accounting alone.
+	if err := r1.Free(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := r1.Free(b); err == nil {
+		t.Fatal("double free succeeded")
+	}
+	if r1.Used() != 0 || r2.Used() != 0 {
+		t.Fatalf("used after rejected frees: %d and %d, want 0", r1.Used(), r2.Used())
 	}
 }
 

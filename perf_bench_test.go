@@ -215,3 +215,17 @@ func BenchmarkPerfDoorbell(b *testing.B) {
 		bell.Ring()
 	}
 }
+
+// BenchmarkPerfFleetRequest is one 64-tenant wave through a 2-shard fleet
+// per op: router, admission, lakeShm slot, queue, two full flushes, scatter.
+func BenchmarkPerfFleetRequest(b *testing.B) {
+	wave := newFleetWave(b)
+	for i := 0; i < 200; i++ {
+		wave()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		wave()
+	}
+}

@@ -492,10 +492,9 @@ type Pending struct {
 	c     *Client
 	seq   uint64
 	count int
-	// tid is the request's flight-recorder trace ID (0 when untraced). It
-	// rides the coalesced wire frame so the member request's journey is
-	// reconstructable from a dump even though it never issued its own
-	// command.
+	// tid is the request's flight-recorder trace ID (0 when untraced): its
+	// route and enqueue events carry it, and the stitcher re-homes them onto
+	// the flush whose seq range holds seq.
 	tid uint64
 
 	slot   shm.Buffer // the one lakeShm reservation: input rows, then output rows
@@ -578,7 +577,7 @@ func (c *Client) SubmitInto(p *Pending, modelName string, items [][]float32) err
 	m.queuedItems += p.count
 	b.queueDepth.Add(int64(p.count))
 	b.rec.Emit(flightrec.DomainBatcher, flightrec.EvEnqueue,
-		p.tid, p.seq, 0, uint64(p.count), 0, 0)
+		p.tid, p.seq, 0, uint64(p.count), m.specs[0].Fn, 0)
 
 	var batch []*Pending
 	reason := flushFull

@@ -11,6 +11,7 @@ import (
 
 	"lakego/internal/batcher"
 	"lakego/internal/core"
+	"lakego/internal/flightrec"
 	"lakego/internal/offload"
 	"lakego/internal/policy"
 )
@@ -103,6 +104,50 @@ func TestDeadlineFlush(t *testing.T) {
 	}
 	if rt.Clock().Now() < t0+cfg.MaxWait {
 		t.Fatal("virtual clock did not reach the flush deadline")
+	}
+}
+
+// TestFlushEventsConstant is the recorder's O(1) gate: one full flush's
+// daemon-domain events do not grow with its member count, and its batcher
+// domain holds exactly one enqueue per member plus the flush's start and end.
+func TestFlushEventsConstant(t *testing.T) {
+	daemonEvents := func(members int) int {
+		rt := newRT(t)
+		cfg := batcher.DefaultConfig()
+		cfg.MaxBatch, cfg.ClientDepth = members, members
+		b := newBatcher(t, rt, cfg)
+		count := func(d flightrec.Domain) int {
+			dump := rt.FlightRecorder().Snapshot("gate")
+			if dump.TotalDropped() != 0 {
+				t.Fatalf("recorder dropped %d events", dump.TotalDropped())
+			}
+			return len(dump.Domains[d].Events)
+		}
+		before := count(flightrec.DomainDaemon)
+		c := b.Client("cli")
+		ps := make([]*batcher.Pending, members)
+		for i := range ps {
+			p, err := c.Submit("testmodel", [][]float32{item(i)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps[i] = p
+		}
+		for _, p := range ps {
+			if _, err := p.Wait(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := b.Stats(); st.Flushes != 1 || st.FullFlushes != 1 {
+			t.Fatalf("%d members: %+v, want one full flush", members, st)
+		}
+		if n := count(flightrec.DomainBatcher); n != members+2 {
+			t.Fatalf("%d members: %d batcher-domain events, want %d", members, n, members+2)
+		}
+		return count(flightrec.DomainDaemon) - before
+	}
+	if small, large := daemonEvents(4), daemonEvents(32); small != large {
+		t.Fatalf("daemon-domain events per flush: %d with 4 members, %d with 32", small, large)
 	}
 }
 

@@ -124,18 +124,14 @@ func (b *Batcher) execute(m *model, batch []*Pending, reason flushReason, firedA
 	}
 	b.flushItems.Observe(int64(items))
 	// One trace ID per flush: the remoted command and its daemon-side events
-	// correlate under it, while each member request keeps its own ID (linked
-	// by flush_member events on both sides).
+	// correlate under it. The batch is the contiguous seq range [first seq,
+	// +len) of this model, which is how a dump links members to the flush.
 	var ftid uint64
 	if b.rec.Enabled() {
 		ftid = b.rec.NextTraceID()
 	}
 	b.rec.Emit(flightrec.DomainBatcher, flightrec.EvFlushStart,
-		ftid, batch[0].seq, 0, uint64(len(batch)), uint64(reason), 0)
-	for _, p := range batch {
-		b.rec.Emit(flightrec.DomainBatcher, flightrec.EvFlushMember,
-			p.tid, p.seq, 0, ftid, uint64(p.count), 0)
-	}
+		ftid, batch[0].seq, 0, uint64(len(batch)), uint64(reason), m.specs[0].Fn)
 	b.flushes.Add(1)
 	if reason == flushFull {
 		b.fullFlushes.Add(1)

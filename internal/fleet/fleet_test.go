@@ -22,6 +22,7 @@ import (
 	"lakego/internal/gpupool"
 	"lakego/internal/lifecycle"
 	"lakego/internal/nn"
+	"lakego/internal/policy"
 	"lakego/internal/remoting"
 )
 
@@ -664,19 +665,22 @@ func TestFleetAdmissionCapsHoldUnderConcurrency(t *testing.T) {
 	}
 }
 
-// TestRouteEventPayload: Submit reads the wall clock only to fill the route
-// event, and only while the recorder is on. With it on, every request lands
-// one EvRoute on its destination shard carrying the request's trace ID, the
-// policy, no reroute, and a decide time that is a real interval (a reading
-// taken against an unset start would be decades).
+// TestRouteEventPayload: only a placement reads the wall clock, and only
+// while the recorder is on, to fill the route event. With it on, every
+// request lands one EvRoute on its destination shard carrying the request's
+// trace ID, the policy and no reroute; a tenant's first submit places it and
+// carries a decide time that is a real interval (a reading taken against an
+// unset start would be decades), every later, sticky submit carries 0.
 func TestRouteEventPayload(t *testing.T) {
 	f, net := newFleet(t, 2, gpupool.RoundRobin, nil)
 	if !f.Recorder().Enabled() {
 		t.Fatal("fleet recorder is off by default; the test assumes the shipping configuration")
 	}
 	clients := []*fleet.Client{f.Client("a"), f.Client("b")}
-	for i, c := range clients {
-		inferOne(t, c, net, i)
+	for round := 0; round < 2; round++ {
+		for i, c := range clients {
+			inferOne(t, c, net, 2*round+i)
+		}
 	}
 	routes := func() (evs []flightrec.Event) {
 		for _, dd := range f.Recorder().Snapshot("test").Domains {
@@ -689,21 +693,153 @@ func TestRouteEventPayload(t *testing.T) {
 		return evs
 	}
 	evs := routes()
-	if len(evs) != len(clients) {
-		t.Fatalf("%d route events for %d requests", len(evs), len(clients))
+	if len(evs) != 2*len(clients) {
+		t.Fatalf("%d route events for %d requests", len(evs), 2*len(clients))
 	}
 	for i, e := range evs {
-		if e.Domain != flightrec.DomainRouter || e.TraceID == 0 || int(e.Shard) != clients[i].Tenant().Shard() {
+		c := clients[i%len(clients)]
+		if e.Domain != flightrec.DomainRouter || e.TraceID == 0 || int(e.Shard) != c.Tenant().Shard() {
 			t.Errorf("route %d: domain %v trace %d shard %d, want router domain, a trace ID, shard %d",
-				i, e.Domain, e.TraceID, e.Shard, clients[i].Tenant().Shard())
+				i, e.Domain, e.TraceID, e.Shard, c.Tenant().Shard())
 		}
-		if e.Arg0 != uint64(gpupool.RoundRobin) || e.Arg1 != 0 || e.Arg2 >= uint64(time.Second) {
-			t.Errorf("route %d: policy %d reroute %d decide %d ns", i, e.Arg0, e.Arg1, e.Arg2)
+		placed := i < len(clients)
+		if e.Arg0 != uint64(gpupool.RoundRobin) || e.Arg1 != 0 ||
+			(placed && e.Arg2 >= uint64(time.Second)) || (!placed && e.Arg2 != 0) {
+			t.Errorf("route %d (placement %v): policy %d reroute %d decide %d ns", i, placed, e.Arg0, e.Arg1, e.Arg2)
 		}
 	}
 	f.Recorder().SetEnabled(false)
 	inferOne(t, clients[0], net, 7)
-	if n := len(routes()); n != len(clients) {
-		t.Fatalf("%d route events after a request with the recorder off, want still %d", n, len(clients))
+	if n := len(routes()); n != 2*len(clients) {
+		t.Fatalf("%d route events after a request with the recorder off, want still %d", n, 2*len(clients))
+	}
+}
+
+// TestStitchLinksFlushMembersBySeqRange: a flush is the seq range [Seq,
+// Seq+a0) of one model's queue on one shard, and that alone must re-home
+// every member's route hop and enqueue onto the flush's remoted call. Two
+// models share one batcher per shard (so seqs overlap across models), two
+// shards run the same shape (so seqs and handles overlap across shards),
+// with multi-item requests, a full flush, a deadline flush and a CPU-routed
+// flush, which has no call to re-home onto. Each shard's clock steps
+// differently, so a member re-homed across shards or models would move the
+// coalesce window, the oldest member's enqueue to the flush.
+func TestStitchLinksFlushMembersBySeqRange(t *testing.T) {
+	const maxWait = 100 * time.Microsecond
+	f, net := newFleet(t, 2, gpupool.RoundRobin, func(cfg *fleet.Config) {
+		cfg.Batcher.MaxBatch = 4
+		cfg.Batcher.MaxWait = maxWait
+		cfg.Batcher.Policy = func(items int) policy.Decision {
+			if items == 3 {
+				return policy.UseCPU
+			}
+			return policy.UseGPU
+		}
+	})
+	other := testModel(net)
+	other.Name = "fleetnet2"
+	if err := f.RegisterModel(other); err != nil {
+		t.Fatal(err)
+	}
+	type flush struct {
+		shard   uint16
+		members uint64
+		oldest  time.Duration // the oldest member's enqueue
+		wait    time.Duration // its wait until the flush fired
+		gpu     bool
+	}
+	var want []flush
+	for i, tenant := range []string{"a", "b"} {
+		c := f.Client(tenant)
+		s, err := c.Route()
+		if err != nil {
+			t.Fatal(err)
+		}
+		clk, step := s.Clock(), time.Duration(i+1)*10*time.Microsecond
+		submit := func(model string, items int) *fleet.Pending {
+			x := make([][]float32, items)
+			for j := range x {
+				x[j] = feature(j)
+			}
+			p, err := c.Submit(model, x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}
+		wait := func(ps ...*fleet.Pending) {
+			for _, p := range ps {
+				if _, err := p.Wait(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		sh := uint16(s.Ordinal())
+		// Full: 1 + 3 items fill MaxBatch on the second submit.
+		t0 := clk.Now()
+		p1 := submit("fleetnet", 1)
+		clk.Advance(step)
+		wait(p1, submit("fleetnet", 3))
+		want = append(want, flush{sh, 2, t0, step, true})
+		// Deadline on the other model, whose seqs restart at 0.
+		t1 := clk.Now()
+		q1 := submit("fleetnet2", 1)
+		clk.Advance(step)
+		wait(q1, submit("fleetnet2", 1))
+		want = append(want, flush{sh, 2, t1, maxWait, true})
+		// Deadline, 2 + 1 items: the policy routes it to the CPU.
+		t2 := clk.Now()
+		r1 := submit("fleetnet", 2)
+		clk.Advance(step)
+		wait(r1, submit("fleetnet", 1))
+		want = append(want, flush{sh, 2, t2, maxWait, false})
+	}
+
+	dump := f.Recorder().Snapshot("linkage")
+	if dump.TotalDropped() != 0 {
+		t.Fatalf("recorder dropped %d events", dump.TotalDropped())
+	}
+	res := flightrec.Stitch(dump)
+	byTID := make(map[uint64]flightrec.Timeline)
+	routes := 0
+	for _, tl := range res.Timelines {
+		byTID[tl.TraceID] = tl
+		routes += tl.Routes
+	}
+	var starts []flightrec.Event
+	for _, e := range dump.Domains[flightrec.DomainBatcher].Events {
+		if e.Kind == flightrec.EvFlushStart {
+			starts = append(starts, e)
+		}
+	}
+	if len(starts) != len(want) {
+		t.Fatalf("%d flushes, want %d", len(starts), len(want))
+	}
+	gpuMembers := 0
+	for i, w := range want {
+		fs := starts[i]
+		if fs.Shard != w.shard || fs.Arg0 != w.members {
+			t.Errorf("flush %d: shard %d members %d, want %d and %d", i, fs.Shard, fs.Arg0, w.shard, w.members)
+		}
+		tl, isCall := byTID[fs.TraceID]
+		if !w.gpu {
+			if isCall {
+				t.Errorf("flush %d ran on the CPU yet stitched into a call: %+v", i, tl)
+			}
+			continue
+		}
+		gpuMembers += int(w.members)
+		switch {
+		case !isCall || !tl.Complete:
+			t.Errorf("flush %d: no complete call timeline under trace %d", i, fs.TraceID)
+		case tl.Routes != int(w.members) || tl.Shard != int(w.shard):
+			t.Errorf("flush %d: %d route hops on shard %d, want %d on shard %d", i, tl.Routes, tl.Shard, w.members, w.shard)
+		case tl.CoalesceStartV != w.oldest || tl.Coalesce != w.wait:
+			t.Errorf("flush %d: coalesce %v from %v, want the oldest member's %v wait from %v",
+				i, tl.Coalesce, tl.CoalesceStartV, w.wait, w.oldest)
+		}
+	}
+	if routes != gpuMembers {
+		t.Fatalf("%d route hops re-homed onto calls, want the %d GPU-flushed members", routes, gpuMembers)
 	}
 }

@@ -161,18 +161,10 @@ func (c *Client) Submit(model string, items [][]float32) (*Pending, error) {
 	if err := t.admit(); err != nil {
 		return nil, err
 	}
-	var start time.Time // read only for the route event's payload
-	if f.rec.Enabled() {
-		start = time.Now()
-	}
-	s, sc, rerouted, err := t.route()
+	s, sc, rerouted, decideNs, err := t.route()
 	if err != nil {
 		t.release()
 		return nil, err
-	}
-	var decideNs int64
-	if !start.IsZero() {
-		decideNs = time.Since(start).Nanoseconds()
 	}
 	p := &Pending{t: t, shard: s}
 	if err := sc.SubmitInto(&p.p, model, items); err != nil {
@@ -188,7 +180,7 @@ func (c *Client) Submit(model string, items [][]float32) (*Pending, error) {
 	// shard's recorder view, so the stitched per-call timeline shows both
 	// the hop and where it landed.
 	s.rt.FlightRecorder().Emit(flightrec.DomainRouter, flightrec.EvRoute,
-		p.p.TraceID(), 0, 0, uint64(f.policy), reroute, uint64(decideNs))
+		p.p.TraceID(), 0, 0, uint64(f.policy), reroute, decideNs)
 	return p, nil
 }
 
@@ -198,7 +190,7 @@ func (c *Client) Submit(model string, items [][]float32) (*Pending, error) {
 // delay is charged from the arrival, not from whenever the driver got
 // around to it.
 func (c *Client) Route() (*Shard, error) {
-	s, _, _, err := c.t.route()
+	s, _, _, _, err := c.t.route()
 	return s, err
 }
 
@@ -213,24 +205,27 @@ func (c *Client) Infer(model string, items [][]float32) ([][]float32, error) {
 
 // route returns the tenant's shard and per-shard batcher client, placing
 // (or re-placing, when the sticky shard left Active) under the fleet lock.
-func (t *Tenant) route() (*Shard, *batcher.Client, bool, error) {
+// decideNs times place for the route event: 0 on a sticky hit or unrecorded.
+func (t *Tenant) route() (s *Shard, sc *batcher.Client, rerouted bool, decideNs uint64, err error) {
 	f := t.f
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.shard >= 0 && f.shards[t.shard].State() == Active {
-		return f.shards[t.shard], t.sc, false, nil
+		return f.shards[t.shard], t.sc, false, 0, nil
 	}
-	rerouted := t.shard >= 0
+	rerouted = t.shard >= 0
+	start := f.rec.WallStart()
 	ord, err := f.place(t.name)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, nil, false, 0, err
 	}
+	decideNs = flightrec.WallSince(start)
 	t.shard = ord
 	t.sc = f.shards[ord].b.Client(t.name)
 	if rerouted {
 		f.reroutes.Inc()
 	}
-	return f.shards[ord], t.sc, rerouted, nil
+	return f.shards[ord], t.sc, rerouted, decideNs, nil
 }
 
 // place picks an Active shard for the tenant under the router policy.

@@ -43,7 +43,8 @@ func (d *Dump) TotalDropped() uint64 {
 	return n
 }
 
-const dumpVersion = 1
+// dumpVersion 2: batch members link to their flush by seq range; kinds renumbered.
+const dumpVersion = 2
 
 // JSON serializes the dump as indented JSON.
 func (d *Dump) JSON() ([]byte, error) {

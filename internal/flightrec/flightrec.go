@@ -5,7 +5,7 @@
 // supervisor — emits compact events (virtual + wall timestamp, kind, trace
 // ID, sequence number, device ordinal, three payload words) into its own
 // ring. The rings are cheap enough to leave on (one atomic cursor fetch-add
-// plus nine atomic stores per event; one atomic load when disabled) and
+// plus ten atomic stores per event; one atomic load when disabled) and
 // their contents become the crash artifact: dumps trigger automatically on
 // supervisor Dead/Restarting transitions and armed chaos crashes, and on
 // demand over laked's telemetry HTTP server.
@@ -76,16 +76,15 @@ const (
 	EvRespond            // daemon: response frame sent; a0=API id
 	EvCrash              // daemon: armed crash fired; a0=crash point
 	EvRestart            // daemon: daemon restarted; a0=new generation
-	EvEnqueue            // batcher: request queued; a0=item count
-	EvFlushStart         // batcher: flush begins; a0=batched requests, a1=reason (0 full, 1 deadline, 2 linger)
-	EvFlushMember        // batcher/daemon: member request rode a flush; a0=flush trace ID
+	EvEnqueue            // batcher: request queued; Seq=per-model request seq, a0=item count, a1=model function handle (EvLaunch's a0)
+	EvFlushStart         // batcher: flush begins; Seq=first member's seq, a0=batched requests (members are seqs [Seq, Seq+a0)), a1=reason (0 full, 1 deadline), a2=model function handle
 	EvFlushEnd           // batcher: flush done; a0=batched requests, a1=1 if GPU path, 0 if CPU fallback
 	EvPlace              // gpu: pool placement decision; a0=policy, a1=1 for a flush placement
 	EvLaunch             // gpu: kernel launch requested; a0=function handle, a1=arg count
 	EvExec               // gpu: device executed work; a0=virtual ns of work, a1=virtual ns queued behind the device
 	EvCopy               // gpu: transfer charged; a0=bytes, a1=virtual ns
 	EvTransition         // supervisor: state change; a0=from, a1=to
-	EvRoute              // router: call placed on a shard; a0=policy, a1=1 for a migration re-route, a2=wall ns spent deciding
+	EvRoute              // router: call placed on a shard; a0=policy, a1=1 for a migration re-route, a2=wall ns spent placing (0 on a sticky hit: nothing was decided)
 	EvMigrateStart       // router: shard migration begins; a0=source shard, a1=destination shard
 	EvMigrateEnd         // router: shard migration done; a0=source shard, a1=destination shard, a2=journal entries moved
 	EvDoorbell           // boundary: ring-transport doorbell rung on an empty→nonempty transition; a0=bytes, a1=direction
@@ -102,7 +101,7 @@ var kindNames = [numKinds]string{
 	"none", "call_start", "marshal", "retry", "channel", "demux", "call_end",
 	"frame_send", "frame_recv", "queue_full",
 	"dispatch", "journal_hit", "exec_start", "exec_end", "respond", "crash", "restart",
-	"enqueue", "flush_start", "flush_member", "flush_end",
+	"enqueue", "flush_start", "flush_end",
 	"place", "launch", "exec", "copy",
 	"transition",
 	"route", "migrate_start", "migrate_end",
@@ -167,12 +166,9 @@ func unpackEvent(w [eventWords]uint64) Event {
 
 // FrameInfo is what a frame peeker extracts from a wire frame so the
 // boundary can tag its events without decoding (or depending on) the
-// remoting package. Resp distinguishes response frames from commands.
+// remoting package.
 type FrameInfo struct {
-	Resp    bool
-	API     uint32
-	Seq     uint64
-	TraceID uint64
+	Seq, TraceID uint64
 }
 
 // FramePeeker reads the identifying header of a wire frame. ok is false for
@@ -187,10 +183,10 @@ const DefaultRingSize = 4096
 // wallRefreshEvery is how many emissions share one cached wall-clock read.
 // Emit used to call time.Now() per event, which dominated wall time on the
 // ring transport (~65% CPU in profiles); the recorder now refreshes a single
-// atomic word once per this many events. Event wall stamps are therefore
-// coarse — laketrace stitching orders and partitions on the virtual
-// timestamps, and dump headers re-read the real clock, so only the per-event
-// display resolution degrades.
+// atomic word when a ring reserves an index that is a multiple of this. Event
+// wall stamps are therefore coarse — laketrace stitching orders and
+// partitions on the virtual timestamps, and dump headers re-read the real
+// clock, so only the per-event display resolution degrades.
 const wallRefreshEvery = 64
 
 // Recorder owns one ring per domain plus the trace-ID allocator. All
@@ -214,7 +210,6 @@ type Recorder struct {
 	// Coarse wall clock: one cached unix-ns word shared by all emitters,
 	// refreshed every wallRefreshEvery events (see the const for why).
 	wallCoarse atomic.Int64
-	wallSeq    atomic.Uint64
 
 	shard uint16    // ordinal stamped on events emitted through this view
 	root  *Recorder // non-nil on shard views; shared ring/dump/ID state lives there
@@ -304,20 +299,34 @@ func (r *Recorder) SetFramePeeker(p FramePeeker) {
 	}
 }
 
-// coarseWall returns the cached wall clock, refreshing it from the real
-// clock once per wallRefreshEvery emissions.
-func (r *Recorder) coarseWall() int64 {
-	if r.wallSeq.Add(1)%wallRefreshEvery == 1 {
-		now := time.Now().UnixNano()
-		r.wallCoarse.Store(now)
-		return now
+// coarseWall returns the cached wall clock for the event reserved at ring
+// index idx, refreshed every wallRefreshEvery indices (and while unset).
+func (r *Recorder) coarseWall(idx uint64) int64 {
+	if idx%wallRefreshEvery != 0 {
+		if w := r.wallCoarse.Load(); w != 0 {
+			return w
+		}
 	}
-	if w := r.wallCoarse.Load(); w != 0 {
-		return w
-	}
-	now := time.Now().UnixNano() // first events of a quiet recorder
+	now := time.Now().UnixNano()
 	r.wallCoarse.Store(now)
 	return now
+}
+
+// WallStart reads the wall clock for an event payload that times a span,
+// and only while recording: the zero Time means "not measured".
+func (r *Recorder) WallStart() (t time.Time) {
+	if r.Enabled() {
+		t = time.Now()
+	}
+	return t
+}
+
+// WallSince is a WallStart reading's payload: wall ns since, 0 unmeasured.
+func WallSince(start time.Time) uint64 {
+	if start.IsZero() {
+		return 0
+	}
+	return uint64(time.Since(start))
 }
 
 // Emit records one event. device is the GPU ordinal (pass 0 elsewhere).
@@ -328,7 +337,6 @@ func (r *Recorder) Emit(d Domain, k Kind, traceID, seq uint64, device int, a0, a
 	b := r.base()
 	e := Event{
 		VTime:   r.clock.Now(),
-		Wall:    b.coarseWall(),
 		TraceID: traceID,
 		Seq:     seq,
 		Domain:  d,
@@ -339,7 +347,10 @@ func (r *Recorder) Emit(d Domain, k Kind, traceID, seq uint64, device int, a0, a
 		Arg1:    a1,
 		Arg2:    a2,
 	}
-	b.rings[d].put(e.pack())
+	rg := b.rings[d]
+	idx := rg.reserve()
+	e.Wall = b.coarseWall(idx)
+	rg.publish(idx, e.pack())
 }
 
 // EmitFrame records a boundary-domain event for a wire frame, tagging it

@@ -182,8 +182,9 @@ func TestDumpJSONRoundTrip(t *testing.T) {
 	for name, bad := range map[string]string{
 		"garbage":        "not a dump",
 		"truncated":      string(js[:len(js)/2]),
-		"version":        `{"version": 2, "domains": []}`,
-		"domain ordinal": `{"version": 1, "domains": [{"domain": 200}]}`,
+		"version 1":      `{"version": 1, "domains": []}`, // per-member flush links
+		"version 3":      `{"version": 3, "domains": []}`,
+		"domain ordinal": `{"version": 2, "domains": [{"domain": 200}]}`,
 	} {
 		if _, err := ReadDump([]byte(bad)); err == nil {
 			t.Errorf("%s must not parse", name)
@@ -300,23 +301,22 @@ func TestBreakdownAndTailRendering(t *testing.T) {
 // TestSpansFold checks the span view of a stitched dump: a plain call's
 // stages partition its window in the stitcher's own widths, and a batched
 // flush's span opens at its oldest member's enqueue — recovered through the
-// flush_member links — with the coalesce stage ending where the flush fired.
+// flush's seq range under its model handle — with the coalesce stage ending
+// where the flush fired.
 func TestSpansFold(t *testing.T) {
 	clock := vtime.New()
 	r := New(clock, 1024)
 	r.SetEnabled(true)
 	emitCall(r, clock, 1, 1, 3)
 
-	const flush, older, younger = 10, 11, 12
+	const flush, older, younger, fn = 10, 11, 12, 5
 	enqueued := clock.Now()
-	r.Emit(DomainBatcher, EvEnqueue, older, 1, 0, 1, 0, 0)
+	r.Emit(DomainBatcher, EvEnqueue, older, 1, 0, 1, fn, 0)
 	clock.Advance(30 * time.Microsecond)
-	r.Emit(DomainBatcher, EvEnqueue, younger, 2, 0, 1, 0, 0)
+	r.Emit(DomainBatcher, EvEnqueue, younger, 2, 0, 1, fn, 0)
 	clock.Advance(70 * time.Microsecond)
 	fired := clock.Now()
-	r.Emit(DomainBatcher, EvFlushStart, flush, 1, 0, 2, 1, 0)
-	r.Emit(DomainBatcher, EvFlushMember, older, 1, 0, flush, 1, 0)
-	r.Emit(DomainBatcher, EvFlushMember, younger, 2, 0, flush, 1, 0)
+	r.Emit(DomainBatcher, EvFlushStart, flush, 1, 0, 2, 1, fn)
 	emitCall(r, clock, flush, 2, 7)
 
 	res := Stitch(r.Snapshot("spans"))

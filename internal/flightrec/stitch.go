@@ -88,11 +88,13 @@ func Stitch(d *Dump) *StitchResult {
 	byTID := make(map[uint64][]Event)
 	// Router and enqueue events ride member-request trace IDs (the fleet
 	// routes requests, the batcher queues them, then flushes them under a
-	// fresh flush ID), so the flush_member link re-homes each route hop and
-	// enqueue onto the remoted call it coalesced into — the stitched
-	// timeline then shows the hop and the coalesce window.
-	flushOf := make(map[uint64]uint64)
-	var members []Event
+	// fresh flush ID). A flush takes a FIFO prefix of one model's queue, so
+	// its members are the seqs [Seq, Seq+a0) enqueued on its shard under its
+	// model handle: that range re-homes each route hop and enqueue onto the
+	// remoted call it coalesced into — the stitched timeline then shows the
+	// hop and the coalesce window.
+	memberTID := make(map[[3]uint64]uint64) // (shard, model handle, seq) -> member
+	var flushes []Event
 	for _, dd := range d.Domains {
 		for _, e := range dd.Events {
 			if e.TraceID == 0 {
@@ -100,18 +102,24 @@ func Stitch(d *Dump) *StitchResult {
 			}
 			byTID[e.TraceID] = append(byTID[e.TraceID], e)
 			switch e.Kind {
-			case EvFlushMember:
-				if e.Arg0 != 0 {
-					flushOf[e.TraceID] = e.Arg0
-				}
-			case EvRoute, EvEnqueue:
-				members = append(members, e)
+			case EvEnqueue:
+				memberTID[[3]uint64{uint64(e.Shard), e.Arg1, e.Seq}] = e.TraceID
+			case EvFlushStart:
+				flushes = append(flushes, e)
 			}
 		}
 	}
-	for _, e := range members {
-		if ftid, ok := flushOf[e.TraceID]; ok && ftid != e.TraceID {
-			byTID[ftid] = append(byTID[ftid], e)
+	flushOf := make(map[uint64]uint64)
+	for _, f := range flushes {
+		for i := uint64(0); i < f.Arg0 && i < uint64(len(memberTID)); i++ { // a0 is bounded by the dump
+			if tid, ok := memberTID[[3]uint64{uint64(f.Shard), f.Arg2, f.Seq + i}]; ok {
+				flushOf[tid] = f.TraceID
+			}
+		}
+	}
+	for tid, ftid := range flushOf { // a member's trace ID tags only its route hop and enqueue
+		if ftid != tid {
+			byTID[ftid] = append(byTID[ftid], byTID[tid]...)
 		}
 	}
 	res := &StitchResult{Dump: d, Dropped: d.TotalDropped()}

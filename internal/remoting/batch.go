@@ -2,7 +2,6 @@ package remoting
 
 import (
 	"lakego/internal/cuda"
-	"lakego/internal/flightrec"
 	"lakego/internal/gpu"
 )
 
@@ -24,7 +23,8 @@ type BatchEntry struct {
 	// Count is the number of inference items in this request.
 	Count uint32
 	// TraceID is the member request's flight-recorder correlation key,
-	// propagated through the coalesced flush. Optional on the wire like
+	// carried per entry although lakeD records no per-entry event (a dump
+	// links members to their flush by seq range). Optional on the wire like
 	// Command.TraceID: a batch whose entries are all untraced marshals to
 	// the original batchMagic layout byte-for-byte.
 	TraceID uint64
@@ -153,14 +153,6 @@ func (d *Daemon) batchedInfer(cmd *Command, resp *Response) {
 	if err := UnmarshalBatchInto(bt, cmd.Blob); err != nil {
 		resp.Result = int32(cuda.ErrInvalidValue)
 		return
-	}
-	// Daemon-side proof that member trace IDs survived the coalesced wire
-	// trip: one flush_member event per traced entry, linking member -> flush.
-	for _, e := range bt.Entries {
-		if e.TraceID != 0 {
-			d.rec.Emit(flightrec.DomainDaemon, flightrec.EvFlushMember,
-				e.TraceID, e.Seq, 0, cmd.TraceID, uint64(e.Count), 0)
-		}
 	}
 	// Staging pointers are routed to their owning device by the ordinal tag
 	// every DevPtr carries; the flush placement already picked the device by

@@ -237,20 +237,20 @@ func (l *Lib) call(cs *callState) error {
 	if cmd.TraceID == 0 && l.rec.Enabled() {
 		cmd.TraceID = l.rec.NextTraceID()
 	}
-	marshalWall := time.Now()
+	marshalWall := l.rec.WallStart()
 	frame, err := AppendCommand(cs.frame[:0], cmd)
 	cs.frame = frame
 	if err != nil {
 		return err
 	}
-	marshalTook := time.Since(marshalWall)
+	marshalTook := flightrec.WallSince(marshalWall)
 	l.callMu.Lock()
 	defer l.callMu.Unlock()
 	vstart := l.tr.Clock().Now()
 	l.rec.Emit(flightrec.DomainKernel, flightrec.EvCallStart,
 		cmd.TraceID, cmd.Seq, 0, uint64(cmd.API), uint64(len(frame)), 0)
 	l.rec.Emit(flightrec.DomainKernel, flightrec.EvMarshal,
-		cmd.TraceID, cmd.Seq, 0, uint64(marshalTook), uint64(len(frame)), 0)
+		cmd.TraceID, cmd.Seq, 0, marshalTook, uint64(len(frame)), 0)
 	err = l.exchangeResilient(cs, l.resilience())
 	if err == nil {
 		l.callLatency.ObserveDuration(l.tr.Clock().Now() - vstart)
@@ -344,7 +344,7 @@ func (l *Lib) attemptOnce(cs *callState) error {
 	}
 	for l.daemon.PumpOne() {
 	}
-	demuxWall := time.Now()
+	demuxWall := l.rec.WallStart()
 	for {
 		respFrame, ok := l.tr.RecvInKernel()
 		if !ok {
@@ -362,7 +362,7 @@ func (l *Lib) attemptOnce(cs *callState) error {
 			continue
 		}
 		l.rec.Emit(flightrec.DomainKernel, flightrec.EvDemux,
-			cmd.TraceID, cmd.Seq, 0, uint64(time.Since(demuxWall)), 0, 0)
+			cmd.TraceID, cmd.Seq, 0, flightrec.WallSince(demuxWall), 0, 0)
 		d := l.tr.ChargeRoundTrip(len(cs.frame) + len(respFrame))
 		l.rec.Emit(flightrec.DomainKernel, flightrec.EvChannel,
 			cmd.TraceID, cmd.Seq, 0, uint64(d), uint64(len(cs.frame)+len(respFrame)), 0)

@@ -170,8 +170,8 @@ func openFrame(frame []byte) ([]byte, error) {
 	return body, nil
 }
 
-// PeekFrame reads a wire frame's identifying header — direction, API,
-// sequence number, trace ID — without decoding or CRC-verifying the body.
+// PeekFrame reads a wire frame's identifying header — sequence number and
+// trace ID — without decoding or CRC-verifying the body.
 // It is the flight recorder's frame peeker: the boundary channel tags its
 // send/receive events with it at a few fixed-offset loads per frame. ok is
 // false for frames too short or not starting with a known magic; a frame
@@ -186,24 +186,18 @@ func PeekFrame(frame []byte) (flightrec.FrameInfo, bool) {
 		if len(frame) < 9 {
 			return flightrec.FrameInfo{}, false
 		}
-		return flightrec.FrameInfo{Resp: true, Seq: binary.LittleEndian.Uint64(frame[1:9])}, true
+		return flightrec.FrameInfo{Seq: binary.LittleEndian.Uint64(frame[1:9])}, true
 	case cmdMagic: // magic | api u32 | seq u64 | ...
 		if len(frame) < 13 {
 			return flightrec.FrameInfo{}, false
 		}
-		return flightrec.FrameInfo{
-			API: binary.LittleEndian.Uint32(frame[1:5]),
-			Seq: binary.LittleEndian.Uint64(frame[5:13]),
-		}, true
+		return flightrec.FrameInfo{Seq: binary.LittleEndian.Uint64(frame[5:13])}, true
 	case cmdMagicTraced: // magic | api u32 | seq u64 | trace u64 | ...
 		if len(frame) < 21 {
 			return flightrec.FrameInfo{}, false
 		}
-		return flightrec.FrameInfo{
-			API:     binary.LittleEndian.Uint32(frame[1:5]),
-			Seq:     binary.LittleEndian.Uint64(frame[5:13]),
-			TraceID: binary.LittleEndian.Uint64(frame[13:21]),
-		}, true
+		return flightrec.FrameInfo{Seq: binary.LittleEndian.Uint64(frame[5:13]),
+			TraceID: binary.LittleEndian.Uint64(frame[13:21])}, true
 	}
 	return flightrec.FrameInfo{}, false
 }

@@ -128,15 +128,15 @@ func TestPeekFrameHeaders(t *testing.T) {
 	plain, _ := AppendCommand(nil, cmd)
 	cmd.TraceID = 77
 	traced, _ := AppendCommand(nil, cmd)
-	resp, _ := AppendResponse(nil, &Response{Seq: 9, Result: 0})
+	resp, _ := AppendResponse(nil, &Response{Seq: 11, Result: 0})
 
-	if fi, ok := PeekFrame(plain); !ok || fi.Resp || fi.API != uint32(APICuInit) || fi.Seq != 9 || fi.TraceID != 0 {
+	if fi, ok := PeekFrame(plain); !ok || fi.Seq != 9 || fi.TraceID != 0 {
 		t.Fatalf("peek untraced = %+v ok=%v", fi, ok)
 	}
-	if fi, ok := PeekFrame(traced); !ok || fi.Resp || fi.Seq != 9 || fi.TraceID != 77 {
+	if fi, ok := PeekFrame(traced); !ok || fi.Seq != 9 || fi.TraceID != 77 {
 		t.Fatalf("peek traced = %+v ok=%v", fi, ok)
 	}
-	if fi, ok := PeekFrame(resp); !ok || !fi.Resp || fi.Seq != 9 {
+	if fi, ok := PeekFrame(resp); !ok || fi.Seq != 11 || fi.TraceID != 0 {
 		t.Fatalf("peek response = %+v ok=%v", fi, ok)
 	}
 	for _, bad := range [][]byte{nil, {0x00}, {0x55, 1, 2, 3}, traced[:10]} {

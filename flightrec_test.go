@@ -107,7 +107,7 @@ func TestFlightRecorderChaosReconstruction(t *testing.T) {
 
 	// Cross-check against an account of the same calls that is not derived
 	// from the recorder. lakeLib adds each ChargeRoundTrip return to its
-	// remoted time and emits it on EvChannel, so with nothing dropped the
+	// remoted time and records it on EvCallEnd, so with nothing dropped the
 	// boundary stages must sum to it exactly; a failed exchange surfaces (and
 	// records) ErrNotReady and moves neither the call counter nor the
 	// latency histogram.

@@ -197,8 +197,9 @@ func (t *RingTransport) DoorbellStats() (rings, wakes, coalesced uint64) {
 
 // enqueue reserves a descriptor, copies f into its payload slot (or the
 // slot's overflow buffer) and publishes. Returns false when the ring is
-// full. Zero-allocation once the overflow buffers have warmed up.
-func (t *RingTransport) enqueue(d *ringDir, f []byte, dir uint64) bool {
+// full. Zero-allocation once the overflow buffers have warmed up. faulted
+// records the doorbell: on a healthy channel its count is bell.Stats().
+func (t *RingTransport) enqueue(d *ringDir, f []byte, dir uint64, faulted bool) bool {
 	ticket, ok := d.ring.Reserve()
 	if !ok {
 		return false
@@ -219,7 +220,9 @@ func (t *RingTransport) enqueue(d *ringDir, f []byte, dir uint64) bool {
 	})
 	if d.outstanding.Add(1) == 1 {
 		d.bell.Ring()
-		t.rec.EmitFrame(flightrec.EvDoorbell, f, dir)
+		if faulted {
+			t.rec.EmitFrame(flightrec.EvDoorbell, f, dir)
+		}
 	}
 	return true
 }
@@ -228,16 +231,20 @@ func (t *RingTransport) enqueue(d *ringDir, f []byte, dir uint64) bool {
 // direction's ring: a drop returns nil (the sender cannot observe in-ring
 // loss, exactly like a lossy socket), a duplicate shed by a full ring is
 // silent, a full ring on the primary frame is an error.
+//
+// Frame and doorbell events are recorded only while a fault plane is armed,
+// where frames can be dropped, duplicated or corrupted in flight. On a
+// healthy channel they would repeat what lakeLib's EvCallStart and lakeD's
+// EvDispatch already carry; a full queue is recorded either way.
 func (t *RingTransport) send(d *ringDir, msg []byte, dir uint64) error {
 	if t.closed.Load() {
 		return ErrClosed
 	}
-	t.rec.EmitFrame(flightrec.EvFrameSend, msg, dir)
 	plane := t.fault.Load()
 	if plane == nil {
 		// Fast path: no fault plane, no defensive copy — the bytes go
 		// straight into the shm slot.
-		if !t.enqueue(d, msg, dir) {
+		if !t.enqueue(d, msg, dir, false) {
 			t.queueFull.Inc()
 			t.rec.EmitFrame(flightrec.EvQueueFull, msg, dir)
 			return fmt.Errorf("boundary: %s queue full", t.kind)
@@ -247,6 +254,7 @@ func (t *RingTransport) send(d *ringDir, msg []byte, dir uint64) error {
 	// Chaos path: the plane may mutate, duplicate or drop the frame; give
 	// it a private copy. Allocation here is acceptable — the zero-alloc
 	// gate covers the un-faulted steady state.
+	t.rec.EmitFrame(flightrec.EvFrameSend, msg, dir)
 	cp := make([]byte, len(msg))
 	copy(cp, msg)
 	frames, delay := plane.OnMessage(cp)
@@ -254,7 +262,7 @@ func (t *RingTransport) send(d *ringDir, msg []byte, dir uint64) error {
 		t.clock.Advance(delay)
 	}
 	for i, f := range frames {
-		if !t.enqueue(d, f, dir) {
+		if !t.enqueue(d, f, dir, true) {
 			if i > 0 {
 				return nil // duplicate shed by a full ring: not an error
 			}
@@ -289,7 +297,9 @@ func (t *RingTransport) recv(d *ringDir, dir uint64) ([]byte, bool) {
 		off := int(desc.Slot) * t.slotBytes
 		view = d.payload[off : off+int(desc.Len)]
 	}
-	t.rec.EmitFrame(flightrec.EvFrameRecv, view, dir)
+	if t.fault.Load() != nil {
+		t.rec.EmitFrame(flightrec.EvFrameRecv, view, dir)
+	}
 	return view, true
 }
 

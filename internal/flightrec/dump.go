@@ -43,8 +43,9 @@ func (d *Dump) TotalDropped() uint64 {
 	return n
 }
 
-// dumpVersion 2: batch members link to their flush by seq range; kinds renumbered.
-const dumpVersion = 2
+// dumpVersion 3: a remoted call is four events (marshal, channel, demux,
+// exec-start and respond kinds folded into their neighbours); kinds renumbered.
+const dumpVersion = 3
 
 // JSON serializes the dump as indented JSON.
 func (d *Dump) JSON() ([]byte, error) {

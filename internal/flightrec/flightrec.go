@@ -4,11 +4,12 @@
 // channel, lakeD, the batcher, the GPU model and device pool, and the
 // supervisor — emits compact events (virtual + wall timestamp, kind, trace
 // ID, sequence number, device ordinal, three payload words) into its own
-// ring. The rings are cheap enough to leave on (one atomic cursor fetch-add
-// plus ten atomic stores per event; one atomic load when disabled) and
-// their contents become the crash artifact: dumps trigger automatically on
-// supervisor Dead/Restarting transitions and armed chaos crashes, and on
-// demand over laked's telemetry HTTP server.
+// ring. The rings are cheap enough to leave on: an event costs one lock and
+// one eight-word slot copy (one atomic load when disabled), and a healthy
+// remoted call costs four events — lakeLib's call start and end, lakeD's
+// dispatch and execution end. Their contents become the crash artifact:
+// dumps trigger automatically on supervisor Dead/Restarting transitions and
+// armed chaos crashes, and on demand over laked's telemetry HTTP server.
 //
 // The trace ID threaded through events is the cross-boundary correlation
 // key: lakeLib stamps each remoted command with a fresh ID (carried on the
@@ -60,20 +61,15 @@ type Kind uint16
 
 const (
 	EvNone          Kind = iota
-	EvCallStart          // kernel: remoted call begins; a0=API id
-	EvMarshal            // kernel: command marshaled; a0=wall ns spent
+	EvCallStart          // kernel: remoted call begins; a0=API id, a1=command frame bytes, a2=wall ns spent marshaling
 	EvRetry              // kernel: retransmission; a0=attempt number
-	EvChannel            // kernel: boundary round trip charged; a0=virtual ns, a1=bytes
-	EvDemux              // kernel: response matched to call; a0=wall ns spent
-	EvCallEnd            // kernel: remoted call done; a0=API id, a1=Result code
-	EvFrameSend          // boundary: frame enqueued; a0=bytes, a1=direction (0 to user, 1 to kernel)
-	EvFrameRecv          // boundary: frame dequeued; a0=bytes, a1=direction
-	EvQueueFull          // boundary: frame lost to a full channel queue; a1=direction
-	EvDispatch           // daemon: command decoded; a0=API id
-	EvJournalHit         // daemon: redelivered command answered from the journal
-	EvExecStart          // daemon: command execution begins; a0=API id
+	EvCallEnd            // kernel: remoted call done; a0=API id, a1=Result code, a2=virtual ns of the boundary round trip the successful attempt charged (0 on failure)
+	EvFrameSend          // boundary, only while a fault plane is armed: frame enqueued; a0=bytes, a1=direction (0 to user, 1 to kernel)
+	EvFrameRecv          // boundary, only while a fault plane is armed: frame dequeued; a0=bytes, a1=direction
+	EvQueueFull          // boundary: frame lost to a full channel queue; a0=bytes, a1=direction
+	EvDispatch           // daemon: command decoded; a0=API id, a1=frame bytes. The dispatch before a trace's first EvExecEnd opens its execution window, at the same virtual instant
+	EvJournalHit         // daemon: redelivered command answered from the journal; a0=API id, a1=response bytes
 	EvExecEnd            // daemon: command execution done; a0=API id, a1=Result code
-	EvRespond            // daemon: response frame sent; a0=API id
 	EvCrash              // daemon: armed crash fired; a0=crash point
 	EvRestart            // daemon: daemon restarted; a0=new generation
 	EvEnqueue            // batcher: request queued; Seq=per-model request seq, a0=item count, a1=model function handle (EvLaunch's a0)
@@ -87,7 +83,7 @@ const (
 	EvRoute              // router: call placed on a shard; a0=policy, a1=1 for a migration re-route, a2=wall ns spent placing (0 on a sticky hit: nothing was decided)
 	EvMigrateStart       // router: shard migration begins; a0=source shard, a1=destination shard
 	EvMigrateEnd         // router: shard migration done; a0=source shard, a1=destination shard, a2=journal entries moved
-	EvDoorbell           // boundary: ring-transport doorbell rung on an empty→nonempty transition; a0=bytes, a1=direction
+	EvDoorbell           // boundary, only while a fault plane is armed: ring-transport doorbell rung on an empty→nonempty transition; a0=bytes, a1=direction
 	EvModelRegister      // lifecycle: version added to the registry; a0=version seq, a1=content hash (low 64)
 	EvModelSwap          // lifecycle: serving slot flipped; a0=new version seq, a1=old version seq, a2=reason (0 promote, 1 demote, 2 rollback)
 	EvRetrainStep        // lifecycle: one online SGD step; a0=samples consumed, a1=loss milli-units
@@ -98,9 +94,9 @@ const (
 )
 
 var kindNames = [numKinds]string{
-	"none", "call_start", "marshal", "retry", "channel", "demux", "call_end",
+	"none", "call_start", "retry", "call_end",
 	"frame_send", "frame_recv", "queue_full",
-	"dispatch", "journal_hit", "exec_start", "exec_end", "respond", "crash", "restart",
+	"dispatch", "journal_hit", "exec_end", "crash", "restart",
 	"enqueue", "flush_start", "flush_end",
 	"place", "launch", "exec", "copy",
 	"transition",
@@ -183,7 +179,7 @@ const DefaultRingSize = 4096
 // wallRefreshEvery is how many emissions share one cached wall-clock read.
 // Emit used to call time.Now() per event, which dominated wall time on the
 // ring transport (~65% CPU in profiles); the recorder now refreshes a single
-// atomic word when a ring reserves an index that is a multiple of this. Event
+// atomic word when a ring writes an index that is a multiple of this. Event
 // wall stamps are therefore coarse — laketrace stitching orders and
 // partitions on the virtual timestamps, and dump headers re-read the real
 // clock, so only the per-event display resolution degrades.
@@ -207,8 +203,8 @@ type Recorder struct {
 	peek    atomic.Value  // FramePeeker
 	rings   [numDomains]*ring
 
-	// Coarse wall clock: one cached unix-ns word shared by all emitters,
-	// refreshed every wallRefreshEvery events (see the const for why).
+	// Coarse wall clock: one cached unix-ns word shared by all rings,
+	// refreshed every wallRefreshEvery events of a ring (see the const).
 	wallCoarse atomic.Int64
 
 	shard uint16    // ordinal stamped on events emitted through this view
@@ -299,19 +295,6 @@ func (r *Recorder) SetFramePeeker(p FramePeeker) {
 	}
 }
 
-// coarseWall returns the cached wall clock for the event reserved at ring
-// index idx, refreshed every wallRefreshEvery indices (and while unset).
-func (r *Recorder) coarseWall(idx uint64) int64 {
-	if idx%wallRefreshEvery != 0 {
-		if w := r.wallCoarse.Load(); w != 0 {
-			return w
-		}
-	}
-	now := time.Now().UnixNano()
-	r.wallCoarse.Store(now)
-	return now
-}
-
 // WallStart reads the wall clock for an event payload that times a span,
 // and only while recording: the zero Time means "not measured".
 func (r *Recorder) WallStart() (t time.Time) {
@@ -347,10 +330,7 @@ func (r *Recorder) Emit(d Domain, k Kind, traceID, seq uint64, device int, a0, a
 		Arg1:    a1,
 		Arg2:    a2,
 	}
-	rg := b.rings[d]
-	idx := rg.reserve()
-	e.Wall = b.coarseWall(idx)
-	rg.publish(idx, e.pack())
+	b.rings[d].put(&e, &b.wallCoarse)
 }
 
 // EmitFrame records a boundary-domain event for a wire frame, tagging it
@@ -396,8 +376,6 @@ func (r *Recorder) ExecTrace() uint64 {
 }
 
 // Dropped totals the events lost to ring overflow so far across domains.
-// Torn slots are only detectable at snapshot time and are added to the
-// per-domain dropped counts in the dump itself.
 func (r *Recorder) Dropped() uint64 {
 	if r == nil {
 		return 0
@@ -409,8 +387,8 @@ func (r *Recorder) Dropped() uint64 {
 	return n
 }
 
-// Snapshot captures the surviving events of every domain into a Dump.
-// Writers are not paused; slots torn during the scan count as dropped.
+// Snapshot captures the surviving events of every domain into a Dump,
+// holding each ring's lock only while copying that ring.
 func (r *Recorder) Snapshot(reason string) *Dump {
 	if r == nil {
 		return nil

@@ -96,38 +96,37 @@ func TestRingOverflowCountsDropped(t *testing.T) {
 }
 
 // TestConcurrentEmitAndSnapshot hammers one recorder from many writers
-// while snapshots run — the -race guard for the lock-free ring.
+// while snapshots run — the -race guard for the ring lock.
 func TestConcurrentEmitAndSnapshot(t *testing.T) {
 	r := New(vtime.New(), 256)
 	r.SetEnabled(true)
-	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-					r.Emit(Domain(w%int(numDomains)), EvExec, uint64(w)<<32|uint64(i), 0, w, 1, 2, 3)
-				}
+			for i := 0; i < 20000; i++ {
+				r.Emit(Domain(w%int(numDomains)), EvExec, uint64(w)<<32|uint64(i), 0, w, 1, 2, 3)
 			}
 		}(w)
 	}
-	for i := 0; i < 100; i++ {
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for writing := true; writing; {
+		select {
+		case <-done:
+			writing = false
+		default:
+		}
 		d := r.Snapshot("race")
 		for _, dd := range d.Domains {
 			for _, e := range dd.Events {
 				if e.Kind != EvExec {
-					t.Fatalf("torn event leaked through stamp check: %+v", e)
+					t.Fatalf("snapshot returned a foreign event: %+v", e)
 				}
 			}
 		}
 	}
-	close(stop)
-	wg.Wait()
 }
 
 func TestTraceIDsAreFreshAndNonzero(t *testing.T) {
@@ -183,8 +182,9 @@ func TestDumpJSONRoundTrip(t *testing.T) {
 		"garbage":        "not a dump",
 		"truncated":      string(js[:len(js)/2]),
 		"version 1":      `{"version": 1, "domains": []}`, // per-member flush links
-		"version 3":      `{"version": 3, "domains": []}`,
-		"domain ordinal": `{"version": 2, "domains": [{"domain": 200}]}`,
+		"version 2":      `{"version": 2, "domains": []}`, // fifteen events per remoted call
+		"version 4":      `{"version": 4, "domains": []}`,
+		"domain ordinal": `{"version": 3, "domains": [{"domain": 200}]}`,
 	} {
 		if _, err := ReadDump([]byte(bad)); err == nil {
 			t.Errorf("%s must not parse", name)
@@ -201,24 +201,24 @@ func TestTriggerDumpRetainsLast(t *testing.T) {
 	}
 }
 
-// synthetic timeline: one call with the full cross-domain chain.
+// synthetic timeline: one call with the full cross-domain chain — the four
+// call events lakeLib and lakeD emit, plus the GPU work inside execution.
 func emitCall(r *Recorder, clock *vtime.Clock, tid, seq, api uint64) {
-	r.Emit(DomainKernel, EvCallStart, tid, seq, 0, api, 0, 0)
-	r.Emit(DomainKernel, EvMarshal, tid, seq, 0, 1500, 0, 0) // 1.5us wall
-	r.EmitFrame(EvFrameSend, []byte{0xC2}, 1)
-	clock.Advance(2 * time.Microsecond) // queue
-	r.Emit(DomainDaemon, EvDispatch, tid, seq, 0, api, 0, 0)
-	r.Emit(DomainDaemon, EvExecStart, tid, seq, 0, api, 0, 0)
-	r.Emit(DomainGPU, EvCopy, tid, 0, 1, 4096, uint64(3*time.Microsecond), 0)
-	clock.Advance(3 * time.Microsecond) // the copy
+	emitCallCopy(r, clock, tid, seq, api, 3*time.Microsecond)
+}
+
+// emitCallCopy is emitCall with a chosen transfer time.
+func emitCallCopy(r *Recorder, clock *vtime.Clock, tid, seq, api uint64, copyV time.Duration) {
+	r.Emit(DomainKernel, EvCallStart, tid, seq, 0, api, 64, 1500) // 1.5us marshal wall
+	clock.Advance(2 * time.Microsecond)                           // queue
+	r.Emit(DomainDaemon, EvDispatch, tid, seq, 0, api, 64, 0)
+	r.Emit(DomainGPU, EvCopy, tid, 0, 1, 4096, uint64(copyV), 0)
+	clock.Advance(copyV)                // the copy
 	clock.Advance(5 * time.Microsecond) // compute
 	r.Emit(DomainGPU, EvExec, tid, 0, 1, uint64(5*time.Microsecond), 0, 0)
 	r.Emit(DomainDaemon, EvExecEnd, tid, seq, 0, api, 0, 0)
-	r.Emit(DomainDaemon, EvRespond, tid, seq, 0, api, 0, 0)
-	r.Emit(DomainKernel, EvDemux, tid, seq, 0, 900, 0, 0)
 	clock.Advance(60 * time.Microsecond) // boundary round trip
-	r.Emit(DomainKernel, EvChannel, tid, seq, 0, uint64(60*time.Microsecond), 128, 0)
-	r.Emit(DomainKernel, EvCallEnd, tid, seq, 0, api, 0, 0)
+	r.Emit(DomainKernel, EvCallEnd, tid, seq, 0, api, 0, uint64(60*time.Microsecond))
 }
 
 func TestStitchRebuildsTimelines(t *testing.T) {
@@ -353,5 +353,80 @@ func TestSpansFold(t *testing.T) {
 	}
 	if spans[1].TraceID != flush || spans[1].VEnd != res.Timelines[1].End {
 		t.Fatalf("flush span lost its call: %+v", spans[1])
+	}
+}
+
+// TestStitchCrashBeforeExec: a dispatch whose daemon crashed before
+// executing opens the queue stage but not the execution window — the
+// redelivered dispatch that actually executed does.
+func TestStitchCrashBeforeExec(t *testing.T) {
+	clock := vtime.New()
+	r := New(clock, 256)
+	r.SetEnabled(true)
+	const tid, seq, api = 1, 1, 3
+	r.Emit(DomainKernel, EvCallStart, tid, seq, 0, api, 64, 0)
+	clock.Advance(2 * time.Microsecond)
+	r.Emit(DomainDaemon, EvDispatch, tid, seq, 0, api, 64, 0)
+	r.Emit(DomainDaemon, EvCrash, tid, seq, 0, 1, api, 0)
+	clock.Advance(40 * time.Microsecond) // backoff and restart
+	r.Emit(DomainKernel, EvRetry, tid, seq, 0, 1, 0, 0)
+	r.Emit(DomainDaemon, EvRestart, 0, 0, 0, 1, 0, 0)
+	redelivered := clock.Now()
+	r.Emit(DomainDaemon, EvDispatch, tid, seq, 0, api, 64, 0)
+	clock.Advance(5 * time.Microsecond)
+	r.Emit(DomainDaemon, EvExecEnd, tid, seq, 0, api, 0, 0)
+	clock.Advance(60 * time.Microsecond)
+	r.Emit(DomainKernel, EvCallEnd, tid, seq, 0, api, 0, uint64(60*time.Microsecond))
+
+	res := Stitch(r.Snapshot("crash"))
+	if len(res.Timelines) != 1 || res.Complete != 1 {
+		t.Fatalf("timelines = %+v, want one complete call", res.Timelines)
+	}
+	tl := res.Timelines[0]
+	if tl.ExecStartV != redelivered || tl.Exec != 5*time.Microsecond {
+		t.Fatalf("exec window [%v, %v] exec %v, want it opened by the redelivery at %v and 5us long",
+			tl.ExecStartV, tl.ExecEndV, tl.Exec, redelivered)
+	}
+	if tl.Queue != 2*time.Microsecond || tl.Other != 40*time.Microsecond || tl.Retries != 1 {
+		t.Fatalf("queue %v other %v retries %d, want 2us, the 40us outage, 1", tl.Queue, tl.Other, tl.Retries)
+	}
+}
+
+// TestStitchClipsToLossHorizon: when one domain wraps, the calls older than
+// its oldest surviving event are not stitched, and the calls that are give
+// exactly the stage means the same calls give from the unwrapped dump.
+func TestStitchClipsToLossHorizon(t *testing.T) {
+	clock := vtime.New()
+	r := New(clock, 1024)
+	r.SetEnabled(true)
+	for i := uint64(1); i <= 20; i++ {
+		emitCallCopy(r, clock, i, i, 3, time.Duration(i)*time.Microsecond)
+	}
+	full := r.Snapshot("full")
+
+	// Wrap the GPU domain: of its 40 events (copy, exec per call) keep the
+	// newest 15, so call 13 keeps its exec but loses its copy.
+	wrapped := *full
+	wrapped.Domains = append([]DomainDump(nil), full.Domains...)
+	gpu := &wrapped.Domains[DomainGPU]
+	gpu.Dropped, gpu.Events = 25, gpu.Events[25:]
+
+	got := Stitch(&wrapped)
+	if len(got.Timelines) != 7 || got.Timelines[0].TraceID != 14 || got.Complete != 7 {
+		t.Fatalf("stitched %d calls from trace %d (%d complete), want calls 14..20 complete",
+			len(got.Timelines), got.Timelines[0].TraceID, got.Complete)
+	}
+	keep := map[uint64]bool{}
+	for _, tl := range got.Timelines {
+		keep[tl.TraceID] = true
+	}
+	var matching []Timeline
+	for _, tl := range Stitch(full).Timelines {
+		if keep[tl.TraceID] {
+			matching = append(matching, tl)
+		}
+	}
+	if a, b := MeasureStages(got.Timelines), MeasureStages(matching); a != b {
+		t.Fatalf("wrapped dump stage means %+v, unwrapped dump's matching calls %+v", a, b)
 	}
 }

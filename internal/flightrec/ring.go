@@ -1,35 +1,34 @@
 package flightrec
 
-import "sync/atomic"
+import (
+	"sync"
+	"sync/atomic"
+	"time"
+)
 
-// ring is a lock-free MPSC event ring sized to a power of two. Writers are
-// the hot paths of every domain (lakeLib calls, lakeD dispatch, boundary
-// frame delivery, GPU launches); the single consumer is Snapshot, which runs
-// rarely (a crash, a supervisor transition, an operator request).
+// ring is an MPSC event ring sized to a power of two. Writers are the hot
+// paths of every domain (lakeLib calls, lakeD dispatch, GPU launches); the
+// readers are Snapshot and TailInto, which run rarely (a crash, a supervisor
+// transition, an operator request, a health-plane poll).
 //
-// The classic kernel answer here is a seqlock, but a seqlock's unsynchronized
-// slot copy is exactly what the Go race detector flags — and the chaos and
-// soak CI jobs run under -race with dumps racing live writers. So every slot
-// word is an atomic.Uint64 instead: a writer reserves a slot with one
-// fetch-add on the cursor, invalidates the slot's stamp, stores the
-// eventWords payload words, then publishes by storing stamp = index+1 (unique
-// per write, so a reader can tell a torn or lapped slot from the one it
-// wants). All accesses are atomic loads/stores — race-clean by construction,
-// and the only coordination cost on the write path is the cursor fetch-add.
+// One mutex guards the cursor and the slots: a write is lock, claim the
+// cursor, one plain eventWords-word slot copy, unlock; a read copies under
+// the same lock. Within one runtime most domains have one writer at a time
+// (lakeLib emits under its call lock, lakeD under its pump lock), so the
+// lock is usually uncontended, and it costs less than the per-word atomic
+// stores a lock-free slot protocol needs. No reader can see a half-written
+// slot, so an event is either whole or counted dropped — race-clean by
+// construction, not by a stamp check that a preempted writer could defeat.
 //
-// Overflow overwrites the oldest slots, but never silently: Snapshot reports
-// every overwritten or torn slot in the ring's dropped count — except one: a
-// writer preempted mid-store while others lap the ring and republish its slot
-// finishes over the newer event, and a reader copies mixed words under the
-// newer, valid stamp. Four writers on a 64-slot ring at GOMAXPROCS=2 hit it
-// in about one run in thirty; only while the domain already drops events.
+// Overflow overwrites the oldest slots, but never silently: Snapshot and
+// TailInto report every overwritten slot in their dropped/skipped counts.
 const eventWords = 8
 
 type ring struct {
+	mu     sync.Mutex
 	mask   uint64
-	cursor atomic.Uint64 // next slot index to reserve; monotonically increasing
-	stamp  []atomic.Uint64
-	words  []atomic.Uint64 // eventWords per slot
+	cursor uint64 // next slot index to write; monotonically increasing
+	slots  [][eventWords]uint64
 }
 
 func newRing(capacity int) *ring {
@@ -41,66 +40,75 @@ func newRing(capacity int) *ring {
 	for n < capacity {
 		n <<= 1
 	}
-	return &ring{
-		mask:  uint64(n - 1),
-		stamp: make([]atomic.Uint64, n),
-		words: make([]atomic.Uint64, n*eventWords),
-	}
+	return &ring{mask: uint64(n - 1), slots: make([][eventWords]uint64, n)}
 }
 
 func (r *ring) capacity() uint64 { return r.mask + 1 }
 
-// reserve claims the next index and invalidates its slot while the payload
-// is in flight; publish must follow.
-func (r *ring) reserve() uint64 {
-	idx := r.cursor.Add(1) - 1
-	r.stamp[idx&r.mask].Store(0)
-	return idx
+// put writes e at the next index, stamping its wall word from the shared
+// coarse clock keyed on that index.
+func (r *ring) put(e *Event, wall *atomic.Int64) {
+	r.mu.Lock()
+	idx := r.cursor
+	r.cursor++
+	e.Wall = coarseWall(wall, idx)
+	r.slots[idx&r.mask] = e.pack()
+	r.mu.Unlock()
 }
 
-// publish stores the event reserved at idx and stamps it readable.
-func (r *ring) publish(idx uint64, w [eventWords]uint64) {
-	base := (idx & r.mask) * eventWords
-	for i, v := range w {
-		r.words[base+uint64(i)].Store(v)
+// coarseWall returns the cached wall clock for the event written at ring
+// index idx, refreshed every wallRefreshEvery indices (and while unset).
+func coarseWall(wall *atomic.Int64, idx uint64) int64 {
+	if idx%wallRefreshEvery != 0 {
+		if w := wall.Load(); w != 0 {
+			return w
+		}
 	}
-	r.stamp[idx&r.mask].Store(idx + 1)
+	now := time.Now().UnixNano()
+	wall.Store(now)
+	return now
 }
 
-// overwritten reports how many events have been lost to ring overflow so far.
-func (r *ring) overwritten() uint64 {
-	if cur := r.cursor.Load(); cur > r.capacity() {
+// oldest is the index of the oldest surviving event, given the cursor.
+func (r *ring) oldest(cur uint64) uint64 {
+	if cur > r.capacity() {
 		return cur - r.capacity()
 	}
 	return 0
 }
 
-// snapshot copies the surviving events oldest-first. dropped counts both
-// slots lost to overflow and slots torn by a concurrent writer during the
-// scan — the recorder never truncates silently.
+// overwritten reports how many events have been lost to ring overflow so far.
+func (r *ring) overwritten() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.oldest(r.cursor)
+}
+
+// snapshot copies the surviving events oldest-first; dropped counts the
+// slots lost to overflow — the recorder never truncates silently.
 func (r *ring) snapshot() (events [][eventWords]uint64, dropped uint64) {
-	cur := r.cursor.Load()
-	start := uint64(0)
-	if cur > r.capacity() {
-		start = cur - r.capacity()
-		dropped = start
-	}
-	for idx := start; idx < cur; idx++ {
-		slot := idx & r.mask
-		if r.stamp[slot].Load() != idx+1 {
-			dropped++
-			continue
-		}
-		var w [eventWords]uint64
-		base := slot * eventWords
-		for i := range w {
-			w[i] = r.words[base+uint64(i)].Load()
-		}
-		if r.stamp[slot].Load() != idx+1 { // torn by a writer mid-copy
-			dropped++
-			continue
-		}
-		events = append(events, w)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	dropped = r.oldest(r.cursor)
+	events = make([][eventWords]uint64, 0, r.cursor-dropped)
+	for idx := dropped; idx < r.cursor; idx++ {
+		events = append(events, r.slots[idx&r.mask])
 	}
 	return events, dropped
+}
+
+// tail decodes the events from index pos on into buf, oldest-first, and
+// returns the count filled, the index to resume from, and how many events
+// in [pos, oldest surviving) were overwritten before the read.
+func (r *ring) tail(pos uint64, buf []Event) (n int, next, skipped uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if old := r.oldest(r.cursor); pos < old {
+		skipped, pos = old-pos, old
+	}
+	for ; pos < r.cursor && n < len(buf); pos++ {
+		buf[n] = unpackEvent(r.slots[pos&r.mask])
+		n++
+	}
+	return n, pos, skipped
 }

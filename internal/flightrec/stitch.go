@@ -59,32 +59,36 @@ func (t Timeline) Total() time.Duration { return t.End - t.Start }
 // StitchResult is the reconstruction of a dump.
 type StitchResult struct {
 	Dump      *Dump
-	Timelines []Timeline // calls (trace IDs with an EvCallStart), by Start
+	Timelines []Timeline // calls (trace IDs with an EvCallStart) inside the loss horizon, by Start
 	Completed int        // timelines whose call finished
 	Complete  int        // completed timelines with the full chain recovered
 	Dropped   uint64     // events the recorder reported lost
 }
 
 // chain lists the links a completed call must have for its timeline to
-// count as complete.
+// count as complete: the four events a healthy remoted call emits.
 var chain = []struct {
 	name string
 	kind Kind
 }{
 	{"call_start", EvCallStart},
-	{"marshal", EvMarshal},
 	{"dispatch", EvDispatch},
-	{"exec_start", EvExecStart},
 	{"exec_end", EvExecEnd},
-	{"respond", EvRespond},
-	{"demux", EvDemux},
-	{"channel", EvChannel},
 	{"call_end", EvCallEnd},
 }
 
 // Stitch groups a dump's events by trace ID and rebuilds per-call
 // cross-domain timelines.
+//
+// Domains wrap at different rates (a remoted call costs two kernel and two
+// daemon events but can cost many GPU ones), so a call can outlive its
+// links in a busier domain. A domain that dropped events knows nothing
+// older than its oldest surviving event on each shard; a call that started
+// at or before the newest such horizon on its shard is not stitched, rather
+// than stitched with stages missing. (At the horizon instant itself the
+// domain may have dropped some of that instant's events.)
 func Stitch(d *Dump) *StitchResult {
+	horizon := lossHorizons(d)
 	byTID := make(map[uint64][]Event)
 	// Router and enqueue events ride member-request trace IDs (the fleet
 	// routes requests, the batcher queues them, then flushes them under a
@@ -124,8 +128,8 @@ func Stitch(d *Dump) *StitchResult {
 	}
 	res := &StitchResult{Dump: d, Dropped: d.TotalDropped()}
 	for tid, evs := range byTID {
-		tl, isCall := stitchOne(tid, evs)
-		if !isCall {
+		tl, shard, isCall := stitchOne(tid, evs)
+		if h, lost := horizon[shard]; !isCall || lost && tl.Start <= h {
 			continue
 		}
 		res.Timelines = append(res.Timelines, tl)
@@ -146,8 +150,35 @@ func Stitch(d *Dump) *StitchResult {
 	return res
 }
 
-func stitchOne(tid uint64, evs []Event) (Timeline, bool) {
-	tl := Timeline{TraceID: tid, Device: -1}
+// lossHorizons maps each shard to the newest loss horizon over the domains
+// that dropped events: the virtual time of that domain's oldest surviving
+// event on the shard. Shards are independent virtual timelines, so the
+// horizon is per shard.
+func lossHorizons(d *Dump) map[uint16]time.Duration {
+	horizon := make(map[uint16]time.Duration)
+	for _, dd := range d.Domains {
+		if dd.Dropped == 0 {
+			continue
+		}
+		oldest := make(map[uint16]time.Duration)
+		for _, e := range dd.Events {
+			if v, ok := oldest[e.Shard]; !ok || e.VTime < v {
+				oldest[e.Shard] = e.VTime
+			}
+		}
+		for shard, v := range oldest {
+			if h, ok := horizon[shard]; !ok || v > h {
+				horizon[shard] = v
+			}
+		}
+	}
+	return horizon
+}
+
+// stitchOne rebuilds one trace ID's timeline; shard is the shard its call
+// started on.
+func stitchOne(tid uint64, evs []Event) (tl Timeline, shard uint16, isCall bool) {
+	tl = Timeline{TraceID: tid, Device: -1}
 	have := make(map[Kind]bool, len(evs))
 	const unset = time.Duration(-1 << 62)
 	start, end, dispatchAt, execStartV, execEndV := unset, unset, unset, unset, unset
@@ -156,35 +187,37 @@ func stitchOne(tid uint64, evs []Event) (Timeline, bool) {
 		have[e.Kind] = true
 		switch e.Kind {
 		case EvCallStart:
+			tl.Serialize += time.Duration(e.Arg2)
 			if start == unset || e.VTime < start {
 				start = e.VTime
 				tl.API = e.Arg0
 				tl.Seq = e.Seq
+				shard = e.Shard
 			}
 		case EvCallEnd:
 			tl.Completed = true
+			tl.Boundary += time.Duration(e.Arg2)
 			if end == unset || e.VTime > end {
 				end = e.VTime
 				tl.Result = e.Arg1
 			}
-		case EvMarshal:
-			tl.Serialize += time.Duration(e.Arg0)
 		case EvRetry:
 			tl.Retries++
-		case EvChannel:
-			tl.Boundary += time.Duration(e.Arg0)
 		case EvDispatch:
 			if dispatchAt == unset || e.VTime < dispatchAt {
 				dispatchAt = e.VTime
 			}
-		case EvExecStart:
-			tl.Shard = int(e.Shard)
-			if execStartV == unset || e.VTime < execStartV {
+			// Daemon events arrive in ring order: the dispatch before the
+			// first execution end is the one that executed, and execution
+			// starts at its virtual instant. A dispatch that crashed before
+			// executing is superseded by the redelivery's.
+			if execEndV == unset {
 				execStartV = e.VTime
 			}
 		case EvExecEnd:
-			if execEndV == unset || e.VTime < execEndV {
+			if execEndV == unset {
 				execEndV = e.VTime
+				tl.Shard = int(e.Shard)
 			}
 		case EvCopy:
 			tl.Copy += time.Duration(e.Arg1)
@@ -208,7 +241,7 @@ func stitchOne(tid uint64, evs []Event) (Timeline, bool) {
 	}
 	if !have[EvCallStart] {
 		// Not a remoted call: a batcher member or flush-only trace ID.
-		return tl, false
+		return tl, shard, false
 	}
 	tl.Start = start
 	if end != unset {
@@ -251,7 +284,7 @@ func stitchOne(tid uint64, evs []Event) (Timeline, bool) {
 		}
 	}
 	tl.Complete = tl.Completed && len(tl.Missing) == 0
-	return tl, true
+	return tl, shard, true
 }
 
 // StageMeans aggregates completed timelines into mean per-call

@@ -7,35 +7,21 @@ import (
 )
 
 // Live tailing: a non-destructive, cursor-based reader over the per-domain
-// MPSC rings. Snapshot copies whatever survives at one instant; Tail instead
+// rings. Snapshot copies whatever survives at one instant; Tail instead
 // lets a consumer (the health plane's SLO engine, laked's /flightrec.tail
 // endpoint) chase the writers' cursor incrementally, observing every event
 // exactly once — or, when the writers lap a slow reader, counting exactly
-// how many events it missed. Tailing costs the writers nothing: readers only
-// perform atomic loads against the same slot protocol Emit already uses, so
-// the zero-allocation hot path is untouched.
+// how many events it missed.
 //
-// Cursor protocol (per domain):
-//
-//   - The reader holds a position pos, the index of the next event it wants.
-//     Writers publish slot idx with stamp = idx+1, so the reader accepts a
-//     slot exactly when stamp == pos+1 and re-checks the stamp after copying
-//     the payload (a change mid-copy means a writer lapped the ring during
-//     the read — the event is gone, counted skipped).
-//   - stamp > pos+1 means the slot was lapped before the reader arrived:
-//     that event is lost, counted skipped, and the reader advances.
-//   - stamp < pos+1 means the event is not published yet (a writer reserved
-//     the index but has not finished its stores, or the index is beyond the
-//     write cursor): the reader stops and will resume here next call, so an
-//     in-flight event is never falsely counted skipped.
-//   - If the write cursor has advanced more than a full ring capacity past
-//     pos, everything in between was overwritten: the gap is added to the
-//     skipped count in one step and pos jumps to the oldest surviving index.
-//
-// Every emitted event is therefore either returned exactly once or counted
-// skipped exactly once (the count for an event racing a lapping writer may
-// land on the call after the race resolves). Cursors are monotonic: no
-// domain position ever moves backward.
+// Cursor protocol (per domain): the reader holds a position pos, the index
+// of the next event it wants. Under the ring's lock it copies the events in
+// [pos, cursor); if the writers have advanced more than a full ring
+// capacity past pos, everything in between was overwritten — the gap is
+// added to the skipped count in one step and pos jumps to the oldest
+// surviving index. Slots are written and read only under that lock, so
+// there is no half-written event to wait for or to miscount: every emitted
+// event is returned exactly once or counted skipped exactly once, and
+// cursors are monotonic.
 
 // TailCursor is an opaque resumption point for Recorder.Tail. The zero
 // value reads each domain's ring from its oldest surviving event. Cursors
@@ -93,8 +79,8 @@ func ParseTailCursor(s string) (TailCursor, error) {
 
 // Tail returns up to max events published since the cursor (0 or negative
 // means no bound beyond one ring capacity per domain), the cursor to resume
-// from, and how many events the reader missed — lost to overwrite or torn by
-// a lapping writer mid-copy. Domains drain in ordinal order; when max
+// from, and how many events the reader missed to overwrite. Domains drain
+// in ordinal order; when max
 // truncates the read, the remainder is picked up by the next call. Nil-safe:
 // a nil recorder returns no events and the cursor unchanged.
 func (r *Recorder) Tail(c TailCursor, max int) (events []Event, next TailCursor, skipped uint64) {
@@ -117,53 +103,11 @@ func (r *Recorder) TailInto(c TailCursor, buf []Event) (n int, next TailCursor, 
 		return 0, next, 0
 	}
 	b := r.base()
-	for d := Domain(0); d < numDomains; d++ {
-		rg := b.rings[d]
-		pos := next.pos[d]
-		cur := rg.cursor.Load()
-		if cap := rg.capacity(); cur > cap && pos < cur-cap {
-			// The writers are at least a full ring ahead: everything in
-			// [pos, cur-cap) was overwritten before we got here.
-			skipped += (cur - cap) - pos
-			pos = cur - cap
-		}
-	scan:
-		for pos < cur && n < len(buf) {
-			slot := pos & rg.mask
-			st := rg.stamp[slot].Load()
-			switch {
-			case st == pos+1:
-				var w [eventWords]uint64
-				base := slot * eventWords
-				for i := range w {
-					w[i] = rg.words[base+uint64(i)].Load()
-				}
-				if rg.stamp[slot].Load() != pos+1 {
-					// A writer lapped the ring and re-stamped the slot while
-					// we copied: the event we wanted is gone.
-					skipped++
-					pos++
-					continue
-				}
-				buf[n] = unpackEvent(w)
-				n++
-				pos++
-			case st > pos+1:
-				// Lapped before we arrived; the event was overwritten.
-				skipped++
-				pos++
-			default:
-				// st < pos+1: the slot is reserved but unpublished (a writer
-				// mid-store) or invalidated by an in-flight lap. Stop this
-				// domain — the next call resumes at pos and either reads the
-				// published event or accounts the overwrite, never both.
-				break scan
-			}
-		}
+	for d := Domain(0); d < numDomains && n < len(buf); d++ {
+		got, pos, sk := b.rings[d].tail(next.pos[d], buf[n:])
+		n += got
 		next.pos[d] = pos
-		if n == len(buf) {
-			break
-		}
+		skipped += sk
 	}
 	return n, next, skipped
 }

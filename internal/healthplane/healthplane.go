@@ -270,14 +270,15 @@ func (p *Plane) ingestTailLocked() {
 func (p *Plane) ingestEventLocked(e flightrec.Event) {
 	tick := int64(e.VTime / p.cfg.Tick)
 	switch e.Kind {
-	case flightrec.EvChannel:
-		p.sample(StageBoundary, e.Shard, int64(e.Arg0), tick, 1)
 	case flightrec.EvExec:
 		p.sample(StageGPUExec, e.Shard, int64(e.Arg0), tick, 1)
 		p.sample(StageGPUQueue, e.Shard, int64(e.Arg1), tick, 1)
 	case flightrec.EvCopy:
 		p.sample(StageCopy, e.Shard, int64(e.Arg1), tick, 1)
 	case flightrec.EvCallEnd:
+		if e.Arg2 != 0 { // the boundary round trip a completed exchange charged
+			p.sample(StageBoundary, e.Shard, int64(e.Arg2), tick, 1)
+		}
 		if e.Arg1 != 0 { // non-Success result burns the call budget outright
 			p.fail(StageCall, tick, 1)
 		}

@@ -95,7 +95,7 @@ func TestPollIngestsTailAndHistogramDeltas(t *testing.T) {
 	p.SetRecorder(rec)
 	p.SetTelemetrySource(reg.Snapshot)
 
-	rec.Emit(flightrec.DomainBoundary, flightrec.EvChannel, 0, 1, 0, uint64(500*time.Microsecond), 64, 0)
+	rec.Emit(flightrec.DomainKernel, flightrec.EvCallEnd, 0, 1, 0, 7, 0, uint64(500*time.Microsecond)) // the boundary round trip
 	rec.Emit(flightrec.DomainGPU, flightrec.EvExec, 0, 2, 0, uint64(30*time.Microsecond), uint64(5*time.Microsecond), 0)
 	rec.Emit(flightrec.DomainKernel, flightrec.EvCallEnd, 0, 3, 0, 7, 1, 0) // Result!=0: outright call failure
 	for i := 0; i < 3; i++ {

@@ -112,8 +112,8 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Fatalf("/models.json = %d %s", code, body)
 	}
 
-	rec.Emit(flightrec.DomainBoundary, flightrec.EvChannel, 0, 1, 0, 1000, 64, 0)
-	rec.Emit(flightrec.DomainBoundary, flightrec.EvChannel, 0, 2, 0, 2000, 64, 0)
+	rec.Emit(flightrec.DomainKernel, flightrec.EvCallEnd, 0, 1, 0, 7, 0, 1000)
+	rec.Emit(flightrec.DomainKernel, flightrec.EvCallEnd, 0, 2, 0, 7, 0, 2000)
 }
 
 func TestHTTPTailCursorFlow(t *testing.T) {
@@ -121,7 +121,7 @@ func TestHTTPTailCursorFlow(t *testing.T) {
 	srv := httptest.NewServer(p.Handler())
 	defer srv.Close()
 
-	rec.Emit(flightrec.DomainBoundary, flightrec.EvChannel, 0, 1, 0, 1000, 64, 0)
+	rec.Emit(flightrec.DomainKernel, flightrec.EvCallEnd, 0, 1, 0, 7, 0, 1000)
 	rec.Emit(flightrec.DomainGPU, flightrec.EvExec, 0, 2, 0, 500, 50, 0)
 
 	code, body := get(t, srv, "/flightrec.tail")
@@ -144,7 +144,7 @@ func TestHTTPTailCursorFlow(t *testing.T) {
 	}
 
 	// Resuming from the returned cursor sees only what came after.
-	rec.Emit(flightrec.DomainBoundary, flightrec.EvChannel, 0, 3, 0, 3000, 64, 0)
+	rec.Emit(flightrec.DomainKernel, flightrec.EvCallEnd, 0, 3, 0, 7, 0, 3000)
 	code, body = get(t, srv, "/flightrec.tail?cursor="+tail.Cursor+"&max=10")
 	if code != 200 {
 		t.Fatalf("resumed tail = %d", code)
@@ -174,7 +174,7 @@ func TestHTTPDumpOnDemand(t *testing.T) {
 	srv := httptest.NewServer(p.Handler())
 	defer srv.Close()
 
-	rec.Emit(flightrec.DomainBoundary, flightrec.EvChannel, 0, 1, 0, 1000, 64, 0)
+	rec.Emit(flightrec.DomainKernel, flightrec.EvCallEnd, 0, 1, 0, 7, 0, 1000)
 
 	code, body := get(t, srv, "/flightrec.json")
 	if code != 200 {

@@ -282,12 +282,8 @@ func (d *Daemon) PumpOne() bool {
 	if cached, dup := d.journal.lookup(cmd.Seq); dup {
 		d.redelivered.Inc()
 		d.rec.Emit(flightrec.DomainDaemon, flightrec.EvJournalHit,
-			cmd.TraceID, cmd.Seq, 0, uint64(cmd.API), 0, 0)
-		d.respond(cached)
-		// The journaled response answers a redelivery whose original send was
-		// lost; this respond completes the call's daemon-side chain.
-		d.rec.Emit(flightrec.DomainDaemon, flightrec.EvRespond,
 			cmd.TraceID, cmd.Seq, 0, uint64(cmd.API), uint64(len(cached)), 0)
+		d.respond(cached)
 		return true
 	}
 	switch d.crashPoint() {
@@ -310,8 +306,6 @@ func (d *Daemon) PumpOne() bool {
 	out := d.mustAppendResponse(d.handleCmd(cmd))
 	d.journal.record(cmd.Seq, out)
 	d.respond(out)
-	d.rec.Emit(flightrec.DomainDaemon, flightrec.EvRespond,
-		cmd.TraceID, cmd.Seq, 0, uint64(cmd.API), uint64(len(out)), 0)
 	return true
 }
 
@@ -358,9 +352,10 @@ func (d *Daemon) handleCmd(cmd *Command) (resp *Response) {
 	// The daemon is a long-lived trusted process (§6.1); a buggy
 	// high-level handler or device kernel must fail the one request, not
 	// the daemon. Mirrors the sandboxing posture the paper suggests.
+	//
+	// The recorded execution window opens at this command's EvDispatch:
+	// nothing between the two advances the virtual clock.
 	d.rec.BeginExec(cmd.TraceID)
-	d.rec.Emit(flightrec.DomainDaemon, flightrec.EvExecStart,
-		cmd.TraceID, cmd.Seq, 0, uint64(cmd.API), 0, 0)
 	defer func() {
 		if r := recover(); r != nil {
 			d.logErr(fmt.Sprintf("lakeD: panic in %s seq=%d: %v", cmd.API, cmd.Seq, r))

@@ -92,6 +92,9 @@ type callState struct {
 	cmd   Command
 	resp  Response
 	frame []byte
+	// channel is the modeled round trip the successful attempt charged,
+	// recorded on the call's EvCallEnd.
+	channel time.Duration
 }
 
 // newCall acquires a pooled callState primed for api. The embedded command
@@ -107,6 +110,7 @@ func (l *Lib) newCall(api APIID) *callState {
 	cs.resp.Result = 0
 	cs.resp.Vals = cs.resp.Vals[:0]
 	cs.resp.Blob = cs.resp.Blob[:0]
+	cs.channel = 0
 	return cs
 }
 
@@ -248,17 +252,15 @@ func (l *Lib) call(cs *callState) error {
 	defer l.callMu.Unlock()
 	vstart := l.tr.Clock().Now()
 	l.rec.Emit(flightrec.DomainKernel, flightrec.EvCallStart,
-		cmd.TraceID, cmd.Seq, 0, uint64(cmd.API), uint64(len(frame)), 0)
-	l.rec.Emit(flightrec.DomainKernel, flightrec.EvMarshal,
-		cmd.TraceID, cmd.Seq, 0, marshalTook, uint64(len(frame)), 0)
+		cmd.TraceID, cmd.Seq, 0, uint64(cmd.API), uint64(len(frame)), marshalTook)
 	err = l.exchangeResilient(cs, l.resilience())
 	if err == nil {
 		l.callLatency.ObserveDuration(l.tr.Clock().Now() - vstart)
 		l.rec.Emit(flightrec.DomainKernel, flightrec.EvCallEnd,
-			cmd.TraceID, cmd.Seq, 0, uint64(cmd.API), uint64(uint32(cs.resp.Result)), 0)
+			cmd.TraceID, cmd.Seq, 0, uint64(cmd.API), uint64(uint32(cs.resp.Result)), uint64(cs.channel))
 	} else {
 		l.rec.Emit(flightrec.DomainKernel, flightrec.EvCallEnd,
-			cmd.TraceID, cmd.Seq, 0, uint64(cmd.API), uint64(uint32(failResult(err))), 1)
+			cmd.TraceID, cmd.Seq, 0, uint64(cmd.API), uint64(uint32(failResult(err))), 0)
 	}
 	return err
 }
@@ -344,7 +346,6 @@ func (l *Lib) attemptOnce(cs *callState) error {
 	}
 	for l.daemon.PumpOne() {
 	}
-	demuxWall := l.rec.WallStart()
 	for {
 		respFrame, ok := l.tr.RecvInKernel()
 		if !ok {
@@ -361,13 +362,9 @@ func (l *Lib) attemptOnce(cs *callState) error {
 			l.staleResponses.Inc()
 			continue
 		}
-		l.rec.Emit(flightrec.DomainKernel, flightrec.EvDemux,
-			cmd.TraceID, cmd.Seq, 0, flightrec.WallSince(demuxWall), 0, 0)
-		d := l.tr.ChargeRoundTrip(len(cs.frame) + len(respFrame))
-		l.rec.Emit(flightrec.DomainKernel, flightrec.EvChannel,
-			cmd.TraceID, cmd.Seq, 0, uint64(d), uint64(len(cs.frame)+len(respFrame)), 0)
+		cs.channel = l.tr.ChargeRoundTrip(len(cs.frame) + len(respFrame))
 		l.calls.Inc()
-		l.remotedTime.Add(int64(d))
+		l.remotedTime.Add(int64(cs.channel))
 		return nil
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"lakego/internal/boundary"
 	"lakego/internal/cuda"
+	"lakego/internal/faults"
 	"lakego/internal/flightrec"
 	"lakego/internal/gpu"
 	"lakego/internal/shm"
@@ -355,6 +356,51 @@ func TestFailedCallRecordsSurfacedResult(t *testing.T) {
 			t.Errorf("call %d: caller saw %v, timeline recorded %v (completed=%v)",
 				i, surfaced[i], cuda.Result(tl.Result), tl.Completed)
 		}
+	}
+}
+
+// TestRemotedCallEventsConstant is the recorder's per-call gate, as
+// TestFlushEventsConstant is the flush's: a healthy remoted call adds
+// exactly two kernel-domain events (call start and end), two daemon-domain
+// events (dispatch and execution end) and no boundary events. With a fault
+// plane armed — even one that injects nothing — the frame events come back:
+// send, doorbell and receive in each direction.
+func TestRemotedCallEventsConstant(t *testing.T) {
+	s := newStack(t)
+	rec := flightrec.New(s.clock, 1024)
+	rec.SetEnabled(true)
+	rec.SetFramePeeker(PeekFrame)
+	s.tr.SetFlightRecorder(rec)
+	s.lib.SetFlightRecorder(rec)
+	s.daemon.SetFlightRecorder(rec)
+	if r := s.lib.CuInit(); r != cuda.Success {
+		t.Fatalf("CuInit = %v", r)
+	}
+	count := func() (kernel, boundary, daemon int) {
+		d := rec.Snapshot("gate")
+		if d.TotalDropped() != 0 {
+			t.Fatalf("recorder dropped %d events", d.TotalDropped())
+		}
+		return len(d.Domains[flightrec.DomainKernel].Events),
+			len(d.Domains[flightrec.DomainBoundary].Events),
+			len(d.Domains[flightrec.DomainDaemon].Events)
+	}
+	calls := func(n int) (kernel, boundary, daemon int) {
+		k0, b0, d0 := count()
+		for i := 0; i < n; i++ {
+			if _, r := s.lib.CuDeviceGetCount(); r != cuda.Success {
+				t.Fatalf("CuDeviceGetCount = %v", r)
+			}
+		}
+		k1, b1, d1 := count()
+		return k1 - k0, b1 - b0, d1 - d0
+	}
+	if k, b, d := calls(3); k != 6 || b != 0 || d != 6 {
+		t.Fatalf("3 healthy calls added %d kernel, %d boundary, %d daemon events; want 6, 0, 6", k, b, d)
+	}
+	s.tr.InjectFaults(faults.NewPlane(faults.Mix{Seed: 1}, s.clock))
+	if k, b, d := calls(1); k != 2 || b != 6 || d != 2 {
+		t.Fatalf("a call under an armed plane added %d kernel, %d boundary, %d daemon events; want 2, 6, 2", k, b, d)
 	}
 }
 

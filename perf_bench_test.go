@@ -175,8 +175,8 @@ func BenchmarkPerfTailDrain(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i += batch {
 		for j := 0; j < batch; j++ {
-			rec.Emit(flightrec.DomainKernel, flightrec.EvChannel,
-				uint64(i+j), uint64(j), 0, 1500, 96, 0)
+			rec.Emit(flightrec.DomainKernel, flightrec.EvCallEnd,
+				uint64(i+j), uint64(j), 0, 7, 0, 1500)
 		}
 		for {
 			n, next, _ := rec.TailInto(cur, buf)

@@ -37,6 +37,15 @@ func ringConfig() core.Config {
 	return cfg
 }
 
+// skipUnderRace skips an allocation gate in a -race build, whose runtime
+// drops sync.Pool puts; the allocgate CI job runs the gates without -race.
+func skipUnderRace(t *testing.T) {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race: the race runtime drops sync.Pool puts")
+	}
+}
+
 func newRingRuntime(t testing.TB) *core.Runtime {
 	t.Helper()
 	rt, err := core.New(ringConfig())
@@ -51,6 +60,7 @@ func newRingRuntime(t testing.TB) *core.Runtime {
 // remoted call over the ring transport performs zero heap allocations on
 // either side of the boundary, whichever cost row the runtime charges.
 func TestAllocsRingRemotedCall(t *testing.T) {
+	skipUnderRace(t)
 	for _, tc := range []struct {
 		name string
 		cfg  core.Config
@@ -90,6 +100,7 @@ func TestAllocsRingRemotedCall(t *testing.T) {
 // the recorder ring with its own cursor, so an armed plane must not add a
 // single allocation (or any other disturbance) to the Emit-side call path.
 func TestAllocsRingRemotedCallWithHealthPlane(t *testing.T) {
+	skipUnderRace(t)
 	rt := newRingRuntime(t)
 	plane := rt.NewHealthPlane(healthplane.Config{})
 	lib := rt.Lib()
@@ -120,6 +131,7 @@ func TestAllocsRingRemotedCallWithHealthPlane(t *testing.T) {
 // TestAllocsRingCallWithValues gates a stub that returns values and carries
 // args (the memcpy accounting path), not just the arg-less device count.
 func TestAllocsRingCallWithValues(t *testing.T) {
+	skipUnderRace(t)
 	rt := newRingRuntime(t)
 	lib := rt.Lib()
 	if r := lib.CuInit(); r != cuda.Success {
@@ -171,6 +183,7 @@ func inPlaceKernel(name string) *cuda.Kernel {
 // warmed CuBatchedInferInto — marshal into scratch, one ring round trip, one
 // gathered launch, per-entry demux into scratch — is allocation-free.
 func TestAllocsRingBatchedFlushWire(t *testing.T) {
+	skipUnderRace(t)
 	rt := newRingRuntime(t)
 	lib := rt.Lib()
 	rt.RegisterKernel(inPlaceKernel("identity"))
@@ -243,6 +256,7 @@ func TestAllocsRingBatchedFlushWire(t *testing.T) {
 // Slot-served ModelConfig.Kernel resolves its network, decodes the input
 // slab, runs the forward passes and encodes the logits without allocating.
 func TestAllocsSlotServedKernelLaunch(t *testing.T) {
+	skipUnderRace(t)
 	rt := newRingRuntime(t)
 	lib := rt.Lib()
 	net := nn.New(3, linnos.Base.Sizes()...)
@@ -353,6 +367,7 @@ func newFleetWave(tb testing.TB) func() {
 // per-request channel, staging slice, pointer Buffer, second Pending or per-row
 // slice may come back.
 func TestAllocsFleetRequest(t *testing.T) {
+	skipUnderRace(t)
 	wave := newFleetWave(t)
 	for i := 0; i < 200; i++ { // wire scratch, queues and pools
 		wave()

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sync"
 )
@@ -109,13 +110,16 @@ func (n *Network) Flops() float64 {
 	return f
 }
 
-// forward is the one dense kernel: Forward, the training forward and
-// ForwardSlab all run it. It is register-blocked four outputs to a pass over
-// x, so four independent add chains hide the float32 add latency a single
-// dot product serializes on. Each accumulator starts at its bias and adds
-// w*x in ascending k, so every output is bit-identical to a scalar dot
-// product. Rows past the last one alias it — their sums are recomputed and
-// stored again — which leaves one multiply-accumulate loop and no tail.
+// forward is the portable dense kernel: Forward, the training forward and
+// the slab rows the lanes kernel does not take all run it. It is
+// register-blocked four outputs to a pass over x, so four independent add
+// chains hide the float32 add latency a single dot product serializes on.
+// Each accumulator starts at its bias and adds w*x in ascending k, so every
+// output is bit-identical to a scalar dot product. The float32 conversion
+// rounds each product before its add: without it the compiler may fuse the
+// two (arm64 emits FMADDS), and logits would differ between platforms. Rows
+// past the last one alias it — their sums are recomputed and stored again —
+// which leaves one multiply-accumulate loop and no tail.
 func (l *Layer) forward(x, out []float32) {
 	in, last := l.In, l.Out-1
 	x = x[:in]
@@ -127,10 +131,10 @@ func (l *Layer) forward(x, out []float32) {
 		w3 := l.W[o3*in:][:in]
 		s0, s1, s2, s3 := l.B[o], l.B[o1], l.B[o2], l.B[o3]
 		for k, xv := range x {
-			s0 += w0[k] * xv
-			s1 += w1[k] * xv
-			s2 += w2[k] * xv
-			s3 += w3[k] * xv
+			s0 += float32(w0[k] * xv)
+			s1 += float32(w1[k] * xv)
+			s2 += float32(w2[k] * xv)
+			s3 += float32(w3[k] * xv)
 		}
 		if l.Act == ReLU {
 			s0, s1, s2, s3 = relu(s0), relu(s1), relu(s2), relu(s3)
@@ -163,35 +167,67 @@ func (n *Network) Forward(x []float32) []float32 {
 	return out
 }
 
-// slabScratch pools ForwardSlab's hidden activations. A pool rather than a
-// buffer on the network: device kernel bodies run concurrently.
+// slabScratch pools ForwardSlab's activations. A pool rather than a buffer
+// on the network: device kernel bodies run concurrently.
 var slabScratch = sync.Pool{New: func() any { return new([]float32) }}
+
+// slabWidth returns the widest activation row ForwardSlab holds — the input
+// or any layer's output — once it has checked the layers: there must be
+// some, each W and B must hold In*Out weights and Out biases, and each In
+// must be the previous layer's Out. Layers are exported, so a hand-built one
+// can be any shape, and the lanes kernel reads the lengths the shape
+// declares without bounds checks. In*Out is taken at double width, so no
+// overflow can pass.
+func (n *Network) slabWidth() (int, error) {
+	if len(n.Layers) == 0 {
+		return 0, errors.New("nn: network has no layers")
+	}
+	width := 0
+	for i, l := range n.Layers {
+		if l == nil {
+			return 0, fmt.Errorf("nn: layer %d is nil", i)
+		}
+		if i > 0 && l.In != n.Layers[i-1].Out {
+			return 0, fmt.Errorf("nn: layer %d takes %d inputs, layer %d gives %d", i, l.In, i-1, n.Layers[i-1].Out)
+		}
+		hi, lo := bits.Mul(uint(l.In), uint(l.Out))
+		if l.In < 0 || len(l.B) != l.Out || hi != 0 || lo != uint(len(l.W)) {
+			return 0, fmt.Errorf("nn: layer %d is %dx%d with %d weights and %d biases", i, l.In, l.Out, len(l.W), len(l.B))
+		}
+		width = max(width, l.In, l.Out)
+	}
+	return width, nil
+}
 
 // ForwardSlab runs items inferences over a row-major slab: in holds items
 // rows of InputSize floats, out receives items rows of OutputSize logits,
-// each bit-identical to Forward on that row. Hidden activations live in
+// each bit-identical to Forward on that row. Where the platform has the
+// lanes kernel (amd64), rows run through it four at a time, a trailing two
+// or three included; a lone row runs on Layer.forward. Activations live in
 // pooled scratch, so a call allocates nothing once the pool is warm; it is
 // safe for concurrent use.
 func (n *Network) ForwardSlab(in []float32, items int, out []float32) error {
+	width, err := n.slabWidth()
+	if err != nil {
+		return err
+	}
 	inW, outW := n.InputSize(), n.OutputSize()
-	if len(in) != items*inW || len(out) != items*outW {
+	if items < 0 || len(in) != items*inW || len(out) != items*outW {
 		return fmt.Errorf("nn: slab of %d items: %d inputs and %d outputs, want %d and %d",
 			items, len(in), len(out), items*inW, items*outW)
 	}
-	// Hidden layers ping-pong between the two halves of one buffer; the
-	// output layer writes straight into out.
-	hidden := 0
-	for _, l := range n.Layers[:len(n.Layers)-1] {
-		hidden = max(hidden, l.Out)
-	}
+	// Activations ping-pong between the two halves of one buffer, each
+	// holding lanes rows of the widest layer; Layer.forward's output layer
+	// writes straight into out.
+	half := lanes * width
 	buf := slabScratch.Get().(*[]float32)
 	defer slabScratch.Put(buf)
-	if cap(*buf) < 2*hidden {
-		*buf = make([]float32, 2*hidden)
+	if cap(*buf) < 2*half {
+		*buf = make([]float32, 2*half)
 	}
-	a, b := (*buf)[:hidden], (*buf)[hidden:2*hidden]
+	a, b := (*buf)[:half], (*buf)[half:2*half]
 	last := len(n.Layers) - 1
-	for i := 0; i < items; i++ {
+	for i := n.forwardLanes(in, items, out, a, b); i < items; i++ {
 		cur := in[i*inW : (i+1)*inW]
 		for _, l := range n.Layers[:last] {
 			l.forward(cur, a)

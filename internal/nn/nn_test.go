@@ -3,6 +3,7 @@ package nn
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -250,30 +251,10 @@ func TestQuickSoftmaxDistribution(t *testing.T) {
 	}
 }
 
-// FuzzUnmarshal: arbitrary bytes must never panic the model decoder.
-func FuzzUnmarshal(f *testing.F) {
-	f.Add(New(1, 4, 2).Marshal())
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		net, err := Unmarshal(data)
-		if err != nil {
-			return
-		}
-		// Anything that decodes must re-encode and decode stably.
-		again, err := Unmarshal(net.Marshal())
-		if err != nil {
-			t.Fatalf("re-unmarshal failed: %v", err)
-		}
-		if len(again.Layers) != len(net.Layers) {
-			t.Fatal("layer count unstable")
-		}
-	})
-}
-
 // forwardRef is the scalar kernel the register-blocked Layer.forward
-// replaced — one dot product per output — kept as the differential
-// reference: every output of the blocked kernel and of the slab path must
-// carry the same bits.
+// replaced — one dot product per output, each product rounded before its add
+// — kept as the differential reference: every output of the blocked kernel,
+// of the lanes kernel and of the slab path must carry the same bits.
 func (n *Network) forwardRef(x []float32) []float32 {
 	cur := x
 	for _, l := range n.Layers {
@@ -282,7 +263,7 @@ func (n *Network) forwardRef(x []float32) []float32 {
 			sum := l.B[o]
 			row := l.W[o*l.In : (o+1)*l.In]
 			for i, w := range row {
-				sum += w * cur[i]
+				sum += float32(w * cur[i])
 			}
 			if l.Act == ReLU && sum < 0 {
 				sum = 0
@@ -343,7 +324,9 @@ func checkForwardPaths(t *testing.T, n *Network, rows [][]float32, items int) {
 // TestForwardDifferential: the blocked kernel and the slab path agree with
 // the scalar reference bit for bit across block remainders (Out mod 4 = 0,
 // 1, 2, 3), depths and slab sizes, on rows whose pre-activations are -0
-// (which ReLU must keep: max() would not), NaN and ±Inf.
+// (which ReLU must keep: max() would not), NaN and ±Inf. The slab sizes
+// cover the lanes kernel's groups: a lone row (1, 5), partial groups of two
+// and three (2, 3, 6, 7, 1023) and whole ones (4, 8, 1024).
 func TestForwardDifferential(t *testing.T) {
 	negZero := float32(math.Copysign(0, -1))
 	inf := float32(math.Inf(1))
@@ -400,7 +383,7 @@ func TestForwardDifferential(t *testing.T) {
 							sawNegInf = sawNegInf || y == -inf
 						}
 					}
-					for _, items := range []int{1, 3, 4, 5, 1023, 1024} {
+					for _, items := range []int{1, 2, 3, 4, 5, 6, 7, 8, 1023, 1024} {
 						checkForwardPaths(t, n, rows, items)
 					}
 				}
@@ -423,20 +406,53 @@ func TestForwardSlabShape(t *testing.T) {
 	if err := n.ForwardSlab(nil, 0, nil); err != nil {
 		t.Errorf("empty slab: %v", err)
 	}
-}
-
-// The slab path allocates nothing once its scratch pool is warm.
-func TestForwardSlabNoGarbage(t *testing.T) {
-	n := New(1, 31, 256, 2)
-	in, out := make([]float32, 64*31), make([]float32, 64*2)
-	run := func() {
-		if err := n.ForwardSlab(in, 64, out); err != nil {
-			t.Fatal(err)
+	// A hand-built network whose slices do not match its shape is rejected
+	// on both paths — one item runs on Layer.forward, four on the lanes
+	// kernel — before either reads past a slice.
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Network)
+	}{
+		{"short W", func(n *Network) { n.Layers[0].W = n.Layers[0].W[:31] }},
+		{"long W", func(n *Network) { n.Layers[1].W = append(n.Layers[1].W, 0) }},
+		{"short B", func(n *Network) { n.Layers[1].B = n.Layers[1].B[:1] }},
+		{"unchained", func(n *Network) { n.Layers[1] = &Layer{In: 4, Out: 2, W: make([]float32, 8), B: make([]float32, 2)} }},
+		{"nil layer", func(n *Network) { n.Layers[1] = nil }},
+		{"no layers", func(n *Network) { n.Layers = nil }},
+	} {
+		for _, items := range []int{1, 4} {
+			n := New(1, 4, 8, 2)
+			tc.mutate(n)
+			if err := n.ForwardSlab(make([]float32, items*4), items, make([]float32, items*2)); err == nil {
+				t.Errorf("%s: slab of %d items accepted", tc.name, items)
+			}
 		}
 	}
-	run()
-	if got := testing.AllocsPerRun(50, run); got != 0 {
-		t.Fatalf("ForwardSlab allocates %v objects/op, want 0", got)
+	// In*Out wraps to 0 here, and so does a four-row slab of In inputs: only
+	// the layer check stands between this layer and a read of In floats a row.
+	huge := &Network{Layers: []*Layer{{In: 1 << (bits.UintSize - 2), Out: 4, B: make([]float32, 4)}}}
+	for _, items := range []int{1, 4} {
+		if err := huge.ForwardSlab(nil, items, make([]float32, items*4)); err == nil {
+			t.Errorf("In*Out overflow: slab of %d items accepted", items)
+		}
+	}
+}
+
+// The slab path allocates nothing once its scratch pool is warm, on
+// Layer.forward and on the lanes kernel alike.
+func TestForwardSlabNoGarbage(t *testing.T) {
+	n := New(1, 31, 256, 2)
+	for _, items := range []int{1, 4, 64} {
+		in, out := make([]float32, items*31), make([]float32, items*2)
+		run := func() {
+			if err := n.ForwardSlab(in, items, out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		if got := testing.AllocsPerRun(50, run); got != 0 {
+			t.Fatalf("ForwardSlab of %d items allocates %v objects/op, want 0", items, got)
+		}
 	}
 }
 
@@ -485,24 +501,41 @@ func FuzzForwardDifferential(f *testing.F) {
 }
 
 // relu is the branch `if s < 0 { s = 0 }` on every bit pattern either side
-// of its two boundaries, -0 and -Inf, and on a stride across the rest.
+// of its two boundaries, -0 and -Inf, and on a stride across the rest. So
+// is ForwardSlab's ReLU on both paths: a zero-input layer's outputs are its
+// biases, so a ReLU layer biased with the patterns returns their ReLU.
 func TestReLUBits(t *testing.T) {
-	check := func(b uint32) {
-		s := math.Float32frombits(b)
-		want := s
-		if want < 0 {
-			want = 0
-		}
-		if got := relu(s); math.Float32bits(got) != math.Float32bits(want) {
-			t.Fatalf("relu(%#08x) = %#08x, want %#08x", b, math.Float32bits(got), math.Float32bits(want))
-		}
-	}
-	for _, b := range []uint32{0, 1, 0x7F7FFFFF, 0x7F800000, 0x7F800001, 0x7FC00000, 0x7FFFFFFF,
-		0x80000000, 0x80000001, 0x807FFFFF, 0xBF800000, 0xFF7FFFFF, 0xFF800000, 0xFF800001, 0xFFC00000, 0xFFFFFFFF} {
-		check(b)
-	}
+	patterns := []uint32{0, 1, 0x7F7FFFFF, 0x7F800000, 0x7F800001, 0x7FC00000, 0x7FFFFFFF,
+		0x80000000, 0x80000001, 0x807FFFFF, 0xBF800000, 0xFF7FFFFF, 0xFF800000, 0xFF800001, 0xFFC00000, 0xFFFFFFFF}
 	for b := uint64(0); b <= math.MaxUint32; b += 65521 {
-		check(uint32(b))
+		patterns = append(patterns, uint32(b))
+	}
+	want := func(b uint32) uint32 {
+		if s := math.Float32frombits(b); s < 0 {
+			return 0
+		}
+		return b
+	}
+	for _, b := range patterns {
+		if got := math.Float32bits(relu(math.Float32frombits(b))); got != want(b) {
+			t.Fatalf("relu(%#08x) = %#08x, want %#08x", b, got, want(b))
+		}
+	}
+	l := &Layer{Out: len(patterns), B: make([]float32, len(patterns)), Act: ReLU}
+	for j, b := range patterns {
+		l.B[j] = math.Float32frombits(b)
+	}
+	n := &Network{Layers: []*Layer{l}}
+	for _, items := range []int{1, 4} {
+		out := make([]float32, items*len(patterns))
+		if err := n.ForwardSlab(nil, items, out); err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range out {
+			if b := patterns[i%len(patterns)]; math.Float32bits(v) != want(b) {
+				t.Fatalf("ForwardSlab of %d items: ReLU(%#08x) = %#08x, want %#08x", items, b, math.Float32bits(v), want(b))
+			}
+		}
 	}
 }
 

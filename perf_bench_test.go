@@ -5,6 +5,7 @@
 package lake_test
 
 import (
+	"fmt"
 	"testing"
 
 	"lakego/internal/bestfit"
@@ -13,6 +14,7 @@ import (
 	"lakego/internal/flightrec"
 	"lakego/internal/linnos"
 	"lakego/internal/lockfree"
+	"lakego/internal/mllb"
 	"lakego/internal/nn"
 	"lakego/internal/remoting"
 	"lakego/internal/ringbuf"
@@ -118,6 +120,35 @@ func BenchmarkPerfNNForwardSlab(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := net.ForwardSlab(in, items, out); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPerfNNForwardSlabSmall is the evidence for ForwardSlab's lanes
+// cutoff, on both models the benchmark workloads serve. A lanes pass costs
+// the same for one to four rows, so items=4 prices one pass, and items=1 is
+// one row on Layer.forward. The pass must cost more than items=1, which is
+// why a lone row stays on Layer.forward, and less than twice items=1, which
+// is why two rows take a pass. items=32 is an MLLB flush.
+func BenchmarkPerfNNForwardSlabSmall(b *testing.B) {
+	for _, model := range []struct {
+		name  string
+		sizes []int
+	}{{"linnos", linnos.Base.Sizes()}, {"mllb", mllb.Sizes()}} {
+		net := nn.New(1, model.sizes...)
+		for _, items := range []int{1, 2, 3, 4, 32} {
+			b.Run(fmt.Sprintf("%s/items=%d", model.name, items), func(b *testing.B) {
+				in := make([]float32, items*net.InputSize())
+				out := make([]float32, items*net.OutputSize())
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := net.ForwardSlab(in, items, out); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*items), "ns/row")
+			})
 		}
 	}
 }

@@ -2,26 +2,19 @@
 
 #include "textflag.h"
 
-// ROW points reg at weight row min(o+j, last) and broadcasts that row's bias
-// into acc.
-#define ROW(j, reg, acc) \
-	MOVQ    BX, reg;          \
-	ADDQ    $j, reg;          \
-	CMPQ    reg, CX;          \
-	CMOVQGT CX, reg;          \
-	MOVSS   (DX)(reg*4), acc; \
-	SHUFPS  $0x00, acc, acc;  \
-	SUBQ    BX, reg;          \
-	IMULQ   R9, reg;          \
-	ADDQ    SI, reg
-
-// MAC adds the rounded product of row reg's weight k and the lane vector X8
-// to acc, through tmp.
-#define MAC(reg, tmp, acc) \
-	MOVSS  (reg)(AX*1), tmp; \
-	SHUFPS $0x00, tmp, tmp;  \
-	MULPS  X8, tmp;          \
+// MAC adds the rounded products of the four weights at off(R13) and x[k],
+// broadcast in X8, to acc, through tmp.
+#define MAC(off, tmp, acc) \
+	MOVUPS off(R13), tmp; \
+	MULPS  X8, tmp;       \
 	ADDPS  tmp, acc
+
+// NEXTK steps to x[k+1] and weight row k+1, looping to label until x ends.
+#define NEXTK(label) \
+	ADDQ R9, R13;  \
+	ADDQ $4, R12;  \
+	CMPQ R12, R11; \
+	JLT  label
 
 // RELU is `if s < 0 { s = 0 }` on each lane of acc: MAXPS returns its
 // destination, +0 here, only where +0 > s, and its source s everywhere else —
@@ -31,85 +24,151 @@
 	MAXPS  acc, tmp;  \
 	MOVAPS tmp, acc
 
-// OUT stores acc at y's output row min(o+j, last).
-#define OUT(j, acc) \
-	MOVQ    BX, R10;  \
-	ADDQ    $j, R10;  \
-	CMPQ    R10, CX;  \
-	CMOVQGT CX, R10;  \
-	SHLQ    $4, R10;  \
-	MOVUPS  acc, (DI)(R10*1)
-
-// func denseLanes(w, b, x, y []float32, in, out int, relu bool)
+// func dense(w, b, x, y []float32, in, out int, relu bool)
 //
-// For each output o and lane: y[o*4+lane] = b[o] + w[o*in]*x[lane] + ... +
-// w[o*in+in-1]*x[(in-1)*4+lane], summed left to right, then ReLU if relu.
+// Lanes are four consecutive outputs, whose weights in row k of w are one
+// load. Each accumulator starts at its biases and, per k, adds the rounded
+// product MULPS gives of x[k], broadcast, and row k's weights: the scalar dot
+// product's arithmetic, bit for bit. A pass over x keeps eight accumulators
+// (32 outputs), so eight add chains hide the add latency.
 //
-// Four outputs a pass over x, one XMM accumulator each, so four add chains
-// run at once. Each accumulator starts at its broadcast bias and adds the
-// rounded product MULPS gives, in ascending k: every lane is the scalar dot
-// product's arithmetic, bit for bit. Past the last output the rows alias it,
-// as in Layer.forward: the last block recomputes the last output and stores
-// the same bits again, so there is no tail loop.
-//
-// Registers: SI the block's first weight row, R11-R13 its other three, DX the
-// biases, R8 x, DI y, R9 the row stride in bytes (in*4), CX the last output,
-// BX the block's first output, AX k*4, R10 scratch.
-TEXT ·denseLanes(SB), NOSPLIT, $0-113
+// Registers: SI the block's column in row 0 of w, DX its biases, DI its
+// outputs, BX the outputs left, R9 the row stride in bytes (out*4), R8 x,
+// R11 x's end, R12 the x cursor, R13 the weight cursor.
+TEXT ·dense(SB), NOSPLIT, $0-113
 	MOVQ w_base+0(FP), SI
 	MOVQ b_base+24(FP), DX
 	MOVQ x_base+48(FP), R8
 	MOVQ y_base+72(FP), DI
-	MOVQ in+96(FP), R9
-	MOVQ out+104(FP), CX
+	MOVQ in+96(FP), R11
+	MOVQ out+104(FP), BX
+	LEAQ (R8)(R11*4), R11
+	MOVQ BX, R9
 	SHLQ $2, R9
-	DECQ CX
-	JLT  done
-	XORQ BX, BX
 
-block:
-	MOVSS  (DX)(BX*4), X0
-	SHUFPS $0x00, X0, X0
-	ROW(1, R11, X1)
-	ROW(2, R12, X2)
-	ROW(3, R13, X3)
-	XORQ   AX, AX
-	TESTQ  R9, R9
-	JEQ    store
+block32:
+	CMPQ   BX, $32
+	JLT    block4
+	MOVUPS 0(DX), X0
+	MOVUPS 16(DX), X1
+	MOVUPS 32(DX), X2
+	MOVUPS 48(DX), X3
+	MOVUPS 64(DX), X4
+	MOVUPS 80(DX), X5
+	MOVUPS 96(DX), X6
+	MOVUPS 112(DX), X7
+	MOVQ   R8, R12
+	MOVQ   SI, R13
+	CMPQ   R12, R11
+	JEQ    store32
 
-	// The inner loop starts on a 32-byte boundary wherever the linker
-	// places the function, so code placement cannot change its alignment.
+	// Both inner loops start on a 32-byte boundary wherever the linker
+	// places the function, so code placement cannot change their alignment.
 	PCALIGN $32
 
-kloop:
-	MOVUPS (R8)(AX*4), X8
-	MAC(SI, X4, X0)
-	MAC(R11, X5, X1)
-	MAC(R12, X6, X2)
-	MAC(R13, X7, X3)
-	ADDQ   $4, AX
-	CMPQ   AX, R9
-	JLT    kloop
+loop32:
+	MOVSS  (R12), X8
+	SHUFPS $0x00, X8, X8
+	MAC(0, X9, X0)
+	MAC(16, X10, X1)
+	MAC(32, X11, X2)
+	MAC(48, X12, X3)
+	MAC(64, X13, X4)
+	MAC(80, X14, X5)
+	MAC(96, X15, X6)
+	MAC(112, X9, X7)
+	NEXTK(loop32)
 
-store:
-	CMPB   relu+112(FP), $0
-	JEQ    write
-	RELU(X0, X4)
-	RELU(X1, X5)
-	RELU(X2, X6)
-	RELU(X3, X7)
+store32:
+	CMPB relu+112(FP), $0
+	JEQ  write32
+	RELU(X0, X8)
+	RELU(X1, X9)
+	RELU(X2, X10)
+	RELU(X3, X11)
+	RELU(X4, X12)
+	RELU(X5, X13)
+	RELU(X6, X14)
+	RELU(X7, X15)
 
-write:
-	MOVQ   BX, R10
-	SHLQ   $4, R10
-	MOVUPS X0, (DI)(R10*1)
-	OUT(1, X1)
-	OUT(2, X2)
-	OUT(3, X3)
-	LEAQ   (SI)(R9*4), SI
-	ADDQ   $4, BX
-	CMPQ   BX, CX
-	JLE    block
+write32:
+	MOVUPS X0, 0(DI)
+	MOVUPS X1, 16(DI)
+	MOVUPS X2, 32(DI)
+	MOVUPS X3, 48(DI)
+	MOVUPS X4, 64(DI)
+	MOVUPS X5, 80(DI)
+	MOVUPS X6, 96(DI)
+	MOVUPS X7, 112(DI)
+	ADDQ   $128, SI
+	ADDQ   $128, DX
+	ADDQ   $128, DI
+	SUBQ   $32, BX
+	JMP    block32
+
+	// The last out mod 32 outputs, four to a pass as scalar chains (MULPS
+	// and ADDPS act on the low lane as MULSS and ADDSS would; four chains
+	// are add-latency bound as lanes or as registers), so no load or store
+	// passes w[in*out-1], b[out-1] or y[out-1]. Chain j takes the pass's
+	// output min(j, t-1) of t, at byte offset 0, AX, CX or R10: chains past
+	// the last recompute it and store the same bits again.
+block4:
+	LEAQ    -4(BX*4), R10
+	TESTQ   BX, BX
+	JEQ     done
+	MOVQ    $12, CX
+	CMPQ    R10, CX
+	CMOVQGT CX, R10
+	MOVQ    $8, CX
+	CMPQ    R10, CX
+	CMOVQLT R10, CX
+	MOVQ    $4, AX
+	CMPQ    R10, AX
+	CMOVQLT R10, AX
+	MOVSS   (DX), X0
+	MOVSS   (DX)(AX*1), X1
+	MOVSS   (DX)(CX*1), X2
+	MOVSS   (DX)(R10*1), X3
+	MOVQ    R8, R12
+	MOVQ    SI, R13
+	CMPQ    R12, R11
+	JEQ     store4
+	PCALIGN $32
+
+loop4:
+	MOVSS (R12), X8
+	MOVSS (R13), X9
+	MOVSS (R13)(AX*1), X10
+	MOVSS (R13)(CX*1), X11
+	MOVSS (R13)(R10*1), X12
+	MULPS X8, X9
+	MULPS X8, X10
+	MULPS X8, X11
+	MULPS X8, X12
+	ADDPS X9, X0
+	ADDPS X10, X1
+	ADDPS X11, X2
+	ADDPS X12, X3
+	NEXTK(loop4)
+
+store4:
+	CMPB relu+112(FP), $0
+	JEQ  write4
+	RELU(X0, X9)
+	RELU(X1, X10)
+	RELU(X2, X11)
+	RELU(X3, X12)
+
+write4:
+	MOVSS X3, (DI)(R10*1)
+	MOVSS X2, (DI)(CX*1)
+	MOVSS X1, (DI)(AX*1)
+	MOVSS X0, (DI)
+	ADDQ  $16, SI
+	ADDQ  $16, DX
+	ADDQ  $16, DI
+	SUBQ  $4, BX
+	JGT   block4
 
 done:
 	RET

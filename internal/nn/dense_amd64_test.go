@@ -1,32 +1,62 @@
-//go:build amd64 && !purego
+//go:build linux && amd64 && !purego
 
 package nn
 
 import (
 	"math"
+	"syscall"
 	"testing"
+	"unsafe"
 )
 
-// denseLanes writes y[:4*out] and nothing past it, whatever Out mod 4: the
-// aliased rows of a last partial block must land on the last output. A stray
-// store there would not change a logit — it would hit the other half of
-// ForwardSlab's scratch, or past its end.
-func TestDenseLanesStaysInBounds(t *testing.T) {
-	const in, canary = 3, 0x7FC0DEAD
-	x := make([]float32, 4*in)
-	for i := range x {
-		x[i] = float32(i)
+// guarded returns n float32s that end where a PROT_NONE page begins, so a
+// read one float past the slice faults.
+func guarded(t *testing.T, n int) []float32 {
+	t.Helper()
+	page := syscall.Getpagesize()
+	size := (4*n+page-1)/page*page + page
+	mem, err := syscall.Mmap(-1, 0, size, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for out := 1; out <= 9; out++ {
-		l := New(int64(out), in, out).Layers[0]
-		buf := make([]float32, 4*out+16)
-		for i := range buf {
-			buf[i] = math.Float32frombits(canary)
-		}
-		denseLanes(l.W, l.B, x, buf[:4*out], in, out, true)
-		for i, v := range buf {
-			if written := math.Float32bits(v) != canary; written != (i < 4*out) {
-				t.Fatalf("out=%d: y[%d] written %v, want %v", out, i, written, i < 4*out)
+	t.Cleanup(func() { syscall.Munmap(mem) })
+	if err := syscall.Mprotect(mem[size-page:], syscall.PROT_NONE); err != nil {
+		t.Fatal(err)
+	}
+	return unsafe.Slice((*float32)(unsafe.Pointer(&mem[size-page-4*n])), n)
+}
+
+// dense reads w[:in*out], b[:out] and x[:in] and nothing past them — each
+// ends at a guard page, so an over-read in the last out mod 32 outputs
+// faults — and writes y[:out] and nothing past it, and the outputs it writes
+// are the scalar reference's.
+func TestDenseStaysInBounds(t *testing.T) {
+	const canary = 0x7FC0DEAD
+	for _, in := range []int{1, 9, 31} {
+		for _, out := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33, 40} {
+			n := New(int64(in*100+out), in, out)
+			l := n.Layers[0]
+			l.Act = ReLU
+			w, b, x := guarded(t, in*out), guarded(t, out), guarded(t, in)
+			copy(w, l.W)
+			copy(b, l.B)
+			for k := range x {
+				x[k] = float32(k%5) - 2
+			}
+			y := make([]float32, out+16)
+			for i := range y {
+				y[i] = math.Float32frombits(canary)
+			}
+			dense(w, b, x, y[:out], in, out, true)
+			want := n.forwardRef(x)
+			for i, v := range y {
+				if i >= out {
+					if math.Float32bits(v) != canary {
+						t.Fatalf("in=%d out=%d: y[%d] past the end written", in, out, i)
+					}
+				} else if !sameBits(v, want[i]) {
+					t.Fatalf("in=%d out=%d: y[%d] = %x, scalar reference %x", in, out, i, math.Float32bits(v), math.Float32bits(want[i]))
+				}
 			}
 		}
 	}

@@ -2,9 +2,23 @@
 
 package nn
 
-// lanes is 1 without an assembly kernel: ForwardSlab's scratch holds one row
-// a layer, and every row runs on Layer.forward.
-const lanes = 1
-
-// forwardLanes computes no rows: there is no lanes kernel to run them.
-func (n *Network) forwardLanes(in []float32, items int, out, a, b []float32) int { return 0 }
+// forward is the portable dense kernel, the same input-major loop as the
+// amd64 assembly: each output starts at its bias, then x[k] scales weight
+// row k into every output, k ascending, so each output is the scalar dot
+// product's arithmetic. The float32 conversion rounds each product before
+// its add: without it the compiler may fuse the two (arm64 emits FMADDS),
+// and logits would differ between platforms.
+func (l *Layer) forward(x, y []float32) {
+	y = y[:l.Out]
+	copy(y, l.B[:l.Out])
+	for k, xv := range x[:l.In] {
+		for o, w := range l.W[k*l.Out:][:l.Out] {
+			y[o] += float32(w * xv)
+		}
+	}
+	if l.Act == ReLU {
+		for o, s := range y {
+			y[o] = relu(s)
+		}
+	}
+}

@@ -30,8 +30,9 @@ const (
 	ReLU
 )
 
-// Layer is one dense layer: y = act(W*x + b) with W stored row-major
-// (Out rows of In columns).
+// Layer is one dense layer: y = act(W*x + b) with W stored input-major
+// (In rows of Out columns): W[k*Out+o] is the weight input k feeds output o,
+// so the weights one input scales into consecutive outputs are contiguous.
 type Layer struct {
 	In, Out int
 	W       []float32
@@ -63,8 +64,10 @@ func New(seed int64, sizes ...int) *Network {
 			l.Act = Linear
 		}
 		scale := float32(math.Sqrt(2 / float64(in)))
-		for j := range l.W {
-			l.W[j] = float32(rng.NormFloat64()) * scale
+		for o := 0; o < out; o++ {
+			for k := 0; k < in; k++ {
+				l.W[k*out+o] = float32(rng.NormFloat64()) * scale
+			}
 		}
 		net.Layers = append(net.Layers, l)
 	}
@@ -110,39 +113,6 @@ func (n *Network) Flops() float64 {
 	return f
 }
 
-// forward is the portable dense kernel: Forward, the training forward and
-// the slab rows the lanes kernel does not take all run it. It is
-// register-blocked four outputs to a pass over x, so four independent add
-// chains hide the float32 add latency a single dot product serializes on.
-// Each accumulator starts at its bias and adds w*x in ascending k, so every
-// output is bit-identical to a scalar dot product. The float32 conversion
-// rounds each product before its add: without it the compiler may fuse the
-// two (arm64 emits FMADDS), and logits would differ between platforms. Rows
-// past the last one alias it — their sums are recomputed and stored again —
-// which leaves one multiply-accumulate loop and no tail.
-func (l *Layer) forward(x, out []float32) {
-	in, last := l.In, l.Out-1
-	x = x[:in]
-	for o := 0; o <= last; o += 4 {
-		o1, o2, o3 := min(o+1, last), min(o+2, last), min(o+3, last)
-		w0 := l.W[o*in:][:in]
-		w1 := l.W[o1*in:][:in]
-		w2 := l.W[o2*in:][:in]
-		w3 := l.W[o3*in:][:in]
-		s0, s1, s2, s3 := l.B[o], l.B[o1], l.B[o2], l.B[o3]
-		for k, xv := range x {
-			s0 += float32(w0[k] * xv)
-			s1 += float32(w1[k] * xv)
-			s2 += float32(w2[k] * xv)
-			s3 += float32(w3[k] * xv)
-		}
-		if l.Act == ReLU {
-			s0, s1, s2, s3 = relu(s0), relu(s1), relu(s2), relu(s3)
-		}
-		out[o], out[o1], out[o2], out[o3] = s0, s1, s2, s3
-	}
-}
-
 // relu is `if s < 0 { s = 0 }` — not max, which would turn -0 into +0 — as
 // a conditional move on the bit pattern: the values below zero are exactly
 // the patterns 0x80000001 (just under -0) through 0xFF800000 (-Inf), so -0
@@ -175,7 +145,7 @@ var slabScratch = sync.Pool{New: func() any { return new([]float32) }}
 // or any layer's output — once it has checked the layers: there must be
 // some, each W and B must hold In*Out weights and Out biases, and each In
 // must be the previous layer's Out. Layers are exported, so a hand-built one
-// can be any shape, and the lanes kernel reads the lengths the shape
+// can be any shape, and the dense kernel reads the lengths the shape
 // declares without bounds checks. In*Out is taken at double width, so no
 // overflow can pass.
 func (n *Network) slabWidth() (int, error) {
@@ -201,11 +171,11 @@ func (n *Network) slabWidth() (int, error) {
 
 // ForwardSlab runs items inferences over a row-major slab: in holds items
 // rows of InputSize floats, out receives items rows of OutputSize logits,
-// each bit-identical to Forward on that row. Where the platform has the
-// lanes kernel (amd64), rows run through it four at a time, a trailing two
-// or three included; a lone row runs on Layer.forward. Activations live in
-// pooled scratch, so a call allocates nothing once the pool is warm; it is
-// safe for concurrent use.
+// each bit-identical to Forward on that row. Rows run one at a time through
+// Layer.forward, whose amd64 kernel spreads one row's outputs across the
+// SIMD lanes, so cost is linear in items. Activations live in pooled
+// scratch, so a call allocates nothing once the pool is warm; it is safe for
+// concurrent use.
 func (n *Network) ForwardSlab(in []float32, items int, out []float32) error {
 	width, err := n.slabWidth()
 	if err != nil {
@@ -216,18 +186,16 @@ func (n *Network) ForwardSlab(in []float32, items int, out []float32) error {
 		return fmt.Errorf("nn: slab of %d items: %d inputs and %d outputs, want %d and %d",
 			items, len(in), len(out), items*inW, items*outW)
 	}
-	// Activations ping-pong between the two halves of one buffer, each
-	// holding lanes rows of the widest layer; Layer.forward's output layer
-	// writes straight into out.
-	half := lanes * width
+	// Activations ping-pong between the two halves of one buffer, each one
+	// row of the widest layer; the output layer writes straight into out.
 	buf := slabScratch.Get().(*[]float32)
 	defer slabScratch.Put(buf)
-	if cap(*buf) < 2*half {
-		*buf = make([]float32, 2*half)
+	if cap(*buf) < 2*width {
+		*buf = make([]float32, 2*width)
 	}
-	a, b := (*buf)[:half], (*buf)[half:2*half]
+	a, b := (*buf)[:width], (*buf)[width:2*width]
 	last := len(n.Layers) - 1
-	for i := n.forwardLanes(in, items, out, a, b); i < items; i++ {
+	for i := 0; i < items; i++ {
 		cur := in[i*inW : (i+1)*inW]
 		for _, l := range n.Layers[:last] {
 			l.forward(cur, a)
@@ -408,28 +376,26 @@ func (n *Network) TrainBatchScratch(s *Scratch, xs [][]float32, labels []int, lr
 					}
 				}
 			}
-			for o := 0; o < l.Out; o++ {
-				d := delta[o]
+			// W[k*Out+o] couples input k to output o; every sum adds its
+			// terms in the same order the output-major loops did.
+			for o, d := range delta {
 				if d == 0 {
 					continue
 				}
 				s.gB[i][o] += d
-				row := s.gW[i][o*l.In : (o+1)*l.In]
-				for j, xv := range in {
-					row[j] += d * xv
+				for k, xv := range in {
+					s.gW[i][k*l.Out+o] += d * xv
 				}
 			}
 			if i > 0 {
 				prev := s.deltas[i-1]
 				clear(prev)
-				for o := 0; o < l.Out; o++ {
-					d := delta[o]
+				for o, d := range delta {
 					if d == 0 {
 						continue
 					}
-					row := l.W[o*l.In : (o+1)*l.In]
-					for j, w := range row {
-						prev[j] += w * d
+					for k := range prev {
+						prev[k] += l.W[k*l.Out+o] * d
 					}
 				}
 				delta = prev
@@ -494,8 +460,12 @@ func (n *Network) Marshal() []byte {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(l.In))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(l.Out))
 		buf = append(buf, byte(l.Act))
-		for _, w := range l.W {
-			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(w))
+		// LNN1 stores weights output-major, as the layout was when the
+		// format was fixed.
+		for o := 0; o < l.Out; o++ {
+			for k := 0; k < l.In; k++ {
+				buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(l.W[k*l.Out+o]))
+			}
 		}
 		for _, b := range l.B {
 			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(b))
@@ -540,9 +510,11 @@ func Unmarshal(blob []byte) (*Network, error) {
 			return nil, ErrBadModel
 		}
 		l := &Layer{In: in, Out: out, Act: act, W: make([]float32, in*out), B: make([]float32, out)}
-		for j := range l.W {
-			l.W[j] = math.Float32frombits(binary.LittleEndian.Uint32(blob[pos:]))
-			pos += 4
+		for o := 0; o < out; o++ {
+			for k := 0; k < in; k++ {
+				l.W[k*out+o] = math.Float32frombits(binary.LittleEndian.Uint32(blob[pos:]))
+				pos += 4
+			}
 		}
 		for j := range l.B {
 			l.B[j] = math.Float32frombits(binary.LittleEndian.Uint32(blob[pos:]))

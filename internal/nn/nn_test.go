@@ -47,9 +47,10 @@ func TestNewDeterministic(t *testing.T) {
 }
 
 func TestForwardKnownValues(t *testing.T) {
-	// Hand-built 2->2->1 network.
+	// Hand-built 2->2->1 network; W is input-major, so output 0's weights
+	// are W[0] and W[2].
 	n := &Network{Layers: []*Layer{
-		{In: 2, Out: 2, W: []float32{1, -1, 0.5, 0.5}, B: []float32{0, -1}, Act: ReLU},
+		{In: 2, Out: 2, W: []float32{1, 0.5, -1, 0.5}, B: []float32{0, -1}, Act: ReLU},
 		{In: 2, Out: 1, W: []float32{2, 3}, B: []float32{0.5}, Act: Linear},
 	}}
 	// x = [3, 1]: h = relu([3-1, 1.5+0.5-1]) = [2, 1]; y = 2*2+3*1+0.5 = 7.5
@@ -251,19 +252,23 @@ func TestQuickSoftmaxDistribution(t *testing.T) {
 	}
 }
 
-// forwardRef is the scalar kernel the register-blocked Layer.forward
-// replaced — one dot product per output, each product rounded before its add
-// — kept as the differential reference: every output of the blocked kernel,
-// of the lanes kernel and of the slab path must carry the same bits.
+// weight is the weight input k feeds output o. The reference and the tests
+// that plant special values reach W only through it, so they state the
+// arithmetic by (o, k) and do not depend on the layout W is stored in.
+func weight(l *Layer, o, k int) *float32 { return &l.W[k*l.Out+o] }
+
+// forwardRef is the scalar kernel — one dot product per output, each product
+// rounded before its add — kept as the differential reference: every output
+// of Layer.forward, on either kernel, and of the slab path must carry the
+// same bits.
 func (n *Network) forwardRef(x []float32) []float32 {
 	cur := x
 	for _, l := range n.Layers {
 		next := make([]float32, l.Out)
 		for o := 0; o < l.Out; o++ {
 			sum := l.B[o]
-			row := l.W[o*l.In : (o+1)*l.In]
-			for i, w := range row {
-				sum += float32(w * cur[i])
+			for k := 0; k < l.In; k++ {
+				sum += float32(*weight(l, o, k) * cur[k])
 			}
 			if l.Act == ReLU && sum < 0 {
 				sum = 0
@@ -321,18 +326,19 @@ func checkForwardPaths(t *testing.T, n *Network, rows [][]float32, items int) {
 	}
 }
 
-// TestForwardDifferential: the blocked kernel and the slab path agree with
-// the scalar reference bit for bit across block remainders (Out mod 4 = 0,
-// 1, 2, 3), depths and slab sizes, on rows whose pre-activations are -0
-// (which ReLU must keep: max() would not), NaN and ±Inf. The slab sizes
-// cover the lanes kernel's groups: a lone row (1, 5), partial groups of two
-// and three (2, 3, 6, 7, 1023) and whole ones (4, 8, 1024).
+// TestForwardDifferential: Layer.forward and the slab path agree with the
+// scalar reference bit for bit across the kernel's output blocks — a
+// 32-output pass (32, 33, 40, 256), 4-output blocks (4, 7, 8, 9, 31, 40) and
+// every tail length (1, 2, 3, 5, 7, 9, 31, 33) — depths and slab sizes, on
+// rows whose pre-activations are -0 (which ReLU must keep: max() would not),
+// NaN and ±Inf. Slabs of several rows check that rows ping-pong through the
+// scratch without leaking into each other.
 func TestForwardDifferential(t *testing.T) {
 	negZero := float32(math.Copysign(0, -1))
 	inf := float32(math.Inf(1))
 	var sawNegZero, sawNaN, sawPosInf, sawNegInf bool
 	for _, in := range []int{1, 9, 31} {
-		for _, out := range []int{1, 2, 3, 5, 256} {
+		for _, out := range []int{1, 2, 3, 4, 5, 7, 8, 9, 32, 33, 40, 256} {
 			for _, sizes := range [][]int{{in, out}, {in, out, out}, {in, out, 3, out}} {
 				// Hidden layers are ReLU already; a ReLU output layer is
 				// where a kept -0 shows in the logits.
@@ -353,10 +359,10 @@ func TestForwardDifferential(t *testing.T) {
 						// those into NaN.
 						l.B[0] = negZero
 						for k := 0; k < l.In; k++ {
-							l.W[k] = 0
+							*weight(l, 0, k) = 0
 							if l.Out > 2 {
-								l.W[l.In+k] = 3e38
-								l.W[2*l.In+k] = -3e38
+								*weight(l, 1, k) = 3e38
+								*weight(l, 2, k) = -3e38
 							}
 						}
 					}
@@ -406,9 +412,8 @@ func TestForwardSlabShape(t *testing.T) {
 	if err := n.ForwardSlab(nil, 0, nil); err != nil {
 		t.Errorf("empty slab: %v", err)
 	}
-	// A hand-built network whose slices do not match its shape is rejected
-	// on both paths — one item runs on Layer.forward, four on the lanes
-	// kernel — before either reads past a slice.
+	// A hand-built network whose slices do not match its shape is rejected,
+	// for one item and for several, before the kernel reads past a slice.
 	for _, tc := range []struct {
 		name   string
 		mutate func(*Network)
@@ -438,8 +443,8 @@ func TestForwardSlabShape(t *testing.T) {
 	}
 }
 
-// The slab path allocates nothing once its scratch pool is warm, on
-// Layer.forward and on the lanes kernel alike.
+// The slab path allocates nothing once its scratch pool is warm, for one
+// row and for many.
 func TestForwardSlabNoGarbage(t *testing.T) {
 	n := New(1, 31, 256, 2)
 	for _, items := range []int{1, 4, 64} {
@@ -458,8 +463,9 @@ func TestForwardSlabNoGarbage(t *testing.T) {
 
 // FuzzForwardDifferential: for any weights, biases and inputs — arbitrary
 // float32 bit patterns, so NaNs, infinities, denormals and signed zeros
-// included — and any small geometry, the blocked kernel and the slab path
-// produce the scalar reference's bits.
+// included — and any small geometry, Layer.forward and the slab path
+// produce the scalar reference's bits. Up to 41 outputs a layer reaches the
+// kernel's 32-output pass, its 4-output blocks and every tail length.
 func FuzzForwardDifferential(f *testing.F) {
 	f.Add([]byte{0, 0, 0x80, 0x3f, 0, 0, 0, 0xc0, 0xcd, 0xcc, 0x4c, 0x3e}, uint8(3), uint8(5), uint8(2), uint8(4))
 	f.Fuzz(func(t *testing.T, data []byte, in, out, layers, items uint8) {
@@ -477,9 +483,9 @@ func FuzzForwardDifferential(f *testing.F) {
 		}
 		sizes := []int{int(in%32) + 1}
 		for i := 0; i < int(layers%3); i++ {
-			sizes = append(sizes, int(out%9)+1)
+			sizes = append(sizes, int(out%41)+1)
 		}
-		sizes = append(sizes, int(out%9)+1)
+		sizes = append(sizes, int(out%41)+1)
 		n := New(1, sizes...)
 		for _, l := range n.Layers {
 			for j := range l.W {
@@ -502,8 +508,8 @@ func FuzzForwardDifferential(f *testing.F) {
 
 // relu is the branch `if s < 0 { s = 0 }` on every bit pattern either side
 // of its two boundaries, -0 and -Inf, and on a stride across the rest. So
-// is ForwardSlab's ReLU on both paths: a zero-input layer's outputs are its
-// biases, so a ReLU layer biased with the patterns returns their ReLU.
+// is ForwardSlab's ReLU: a zero-input layer's outputs are its biases, so a
+// ReLU layer biased with the patterns returns their ReLU.
 func TestReLUBits(t *testing.T) {
 	patterns := []uint32{0, 1, 0x7F7FFFFF, 0x7F800000, 0x7F800001, 0x7FC00000, 0x7FFFFFFF,
 		0x80000000, 0x80000001, 0x807FFFFF, 0xBF800000, 0xFF7FFFFF, 0xFF800000, 0xFF800001, 0xFFC00000, 0xFFFFFFFF}

@@ -124,12 +124,11 @@ func BenchmarkPerfNNForwardSlab(b *testing.B) {
 	}
 }
 
-// BenchmarkPerfNNForwardSlabSmall is the evidence for ForwardSlab's lanes
-// cutoff, on both models the benchmark workloads serve. A lanes pass costs
-// the same for one to four rows, so items=4 prices one pass, and items=1 is
-// one row on Layer.forward. The pass must cost more than items=1, which is
-// why a lone row stays on Layer.forward, and less than twice items=1, which
-// is why two rows take a pass. items=32 is an MLLB flush.
+// BenchmarkPerfNNForwardSlabSmall prices small slabs on both models the
+// benchmark workloads serve. Every row runs the same kernel, which spreads
+// one row's outputs across the SIMD lanes, so ns/op should scale about
+// linearly in items and ns/row stay flat; items=1 is the per-request path
+// and items=32 an MLLB flush.
 func BenchmarkPerfNNForwardSlabSmall(b *testing.B) {
 	for _, model := range []struct {
 		name  string

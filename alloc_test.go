@@ -102,7 +102,7 @@ func TestAllocsRingRemotedCall(t *testing.T) {
 func TestAllocsRingRemotedCallWithHealthPlane(t *testing.T) {
 	skipUnderRace(t)
 	rt := newRingRuntime(t)
-	plane := rt.NewHealthPlane(healthplane.Config{})
+	plane := healthplane.Attach(rt, healthplane.Config{})
 	lib := rt.Lib()
 	if r := lib.CuInit(); r != cuda.Success {
 		t.Fatal(r)

@@ -139,7 +139,7 @@ func runBatchedLinnOSCfg(tb testing.TB, clients, perClient int, rcfg core.Config
 	cfg.MaxWait = 200 * time.Microsecond
 	cfg.Linger = 200 * time.Microsecond
 	cfg.ClientDepth = 4
-	b := rt.NewBatcher(cfg)
+	b := batcher.New(rt, cfg)
 	if err := pred.Runner().EnableBatching(b); err != nil {
 		tb.Fatal(err)
 	}

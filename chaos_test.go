@@ -348,7 +348,7 @@ func TestChaosCrashMidBatchRace(t *testing.T) {
 	dumpOnFailure(t, rt)
 
 	net := nn.New(31, 8, 16, 2)
-	b := rt.NewBatcher(lake.DefaultBatcherConfig())
+	b := lake.NewBatcher(rt, lake.DefaultBatcherConfig())
 	if err := b.RegisterModel(lake.BatcherModel{
 		Name:       "chaosnet",
 		InputWidth: 8, OutputWidth: 2,

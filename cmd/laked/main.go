@@ -91,16 +91,20 @@ func serveTelemetry(addr string, h http.Handler) {
 // a profiled trace through the lifecycle feedback channel, and let the
 // in-daemon trainer retrain, shadow-score and hot-swap versions while the
 // predictor keeps serving. Prints the registry at the end; with
-// -telemetry-addr the registry is also live on /models.json.
-func runLifecycleDemo(rt *lake.Runtime, cfg lake.ModelLifecycleConfig, samples int) {
+// -telemetry-addr plane watches the manager, so the registry is also live
+// on /models.json.
+func runLifecycleDemo(rt *lake.Runtime, plane *lake.HealthPlane, cfg lake.ModelLifecycleConfig, samples int) {
 	base := nn.New(3, linnos.Base.Sizes()...)
 	pred, err := linnos.NewPredictor(rt, linnos.Base, base)
 	if err != nil {
 		log.Fatal(err)
 	}
-	mgr, err := rt.NewLifecycle(cfg, base)
+	mgr, err := lake.NewLifecycle(rt, cfg, base)
 	if err != nil {
 		log.Fatal(err)
+	}
+	if plane != nil {
+		plane.Watch(mgr)
 	}
 	if err := mgr.Attach(pred.SwapNet); err != nil {
 		log.Fatal(err)
@@ -160,7 +164,7 @@ func runFleetDemo(cfg lake.Config, shards int, policy lake.PoolPolicy, calls int
 		// Fleet health plane: per-shard /readyz, merged /slo.json, tailing of
 		// the shared shard-stamped recorder, and incident capture with the
 		// stall watchdog live (the fleet tracks per-shard outstanding work).
-		serveTelemetry(telemetryAddr, telemetryHandler(f, f.NewHealthPlane(lake.HealthPlaneConfig{})))
+		serveTelemetry(telemetryAddr, telemetryHandler(f, lake.NewFleetHealthPlane(f, lake.HealthPlaneConfig{})))
 	}
 	mc := linnos.Model(linnos.Base, nn.New(3, linnos.Base.Sizes()...))
 	mc.Name = "linnos"
@@ -271,12 +275,14 @@ func main() {
 		log.Fatal(err)
 	}
 	defer rt.Close()
+	var plane *lake.HealthPlane
 	if *telemetryAddr != "" {
 		tel := rt.Telemetry()
 		if tel == nil {
 			log.Fatal("-telemetry-addr requires telemetry (do not set -no-telemetry)")
 		}
-		serveTelemetry(*telemetryAddr, telemetryHandler(tel, rt.NewHealthPlane(lake.HealthPlaneConfig{})))
+		plane = lake.NewHealthPlane(rt, lake.HealthPlaneConfig{})
+		serveTelemetry(*telemetryAddr, telemetryHandler(tel, plane))
 	}
 	if *onlineTrain {
 		lcfg := lake.DefaultLifecycleConfig("linnos-NN")
@@ -284,7 +290,7 @@ func main() {
 		lcfg.RoundSamples = *retrainRound
 		lcfg.DriftWindow = *driftWindow
 		lcfg.DriftTolerance = *driftTolerance
-		runLifecycleDemo(rt, lcfg, *trainSamples)
+		runLifecycleDemo(rt, plane, lcfg, *trainSamples)
 		if *serve && *telemetryAddr != "" {
 			sig := make(chan os.Signal, 1)
 			signal.Notify(sig, os.Interrupt)

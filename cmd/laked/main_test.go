@@ -3,12 +3,16 @@ package main
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
 	lake "lakego"
+	"lakego/internal/linnos"
+	"lakego/internal/nn"
 )
 
 func parseJSON(b []byte) error {
@@ -18,15 +22,9 @@ func parseJSON(b []byte) error {
 	return nil
 }
 
-// TestTelemetryHandlerRoutes boots a default runtime — no flag or option
-// set — issues one launch, and checks every route laked serves for status,
-// content type and a body its consumer can parse.
-func TestTelemetryHandlerRoutes(t *testing.T) {
-	rt, err := lake.New(lake.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
+// launchVecAdd issues one remoted vector-add launch on rt.
+func launchVecAdd(t *testing.T, rt *lake.Runtime) {
+	t.Helper()
 	rt.RegisterKernel(lake.VecAddKernel())
 	lib := rt.Lib()
 	ctx, _ := lib.CuCtxCreate("laked-test")
@@ -38,82 +36,154 @@ func TestTelemetryHandlerRoutes(t *testing.T) {
 	if r := lib.CuLaunchKernel(ctx, fn, []uint64{uint64(da), uint64(da), uint64(dc), n}); r != lake.Success {
 		t.Fatalf("launch: %s", r)
 	}
-	srv := httptest.NewServer(telemetryHandler(rt.Telemetry(), rt.NewHealthPlane(lake.HealthPlaneConfig{})))
-	defer srv.Close()
+}
 
-	routes := map[string]struct {
-		contentType string
-		parse       func([]byte) error
+// readyzBody is the exact /readyz body for ready, idle shards in ordinal
+// order, each in state and with its daemon's handled count.
+func readyzBody(state string, handled ...int64) string {
+	shards := make([]string, len(handled))
+	for i, h := range handled {
+		shards[i] = fmt.Sprintf("    {\n      \"ordinal\": %d,\n      \"state\": %q,\n      \"ready\": true,\n      \"outstanding\": 0,\n      \"handled\": %d\n    }", i, state, h)
+	}
+	return "{\n  \"ready\": true,\n  \"shards\": [\n" + strings.Join(shards, ",\n") + "\n  ]\n}\n"
+}
+
+// TestTelemetryHandlerRoutes checks every route laked serves, for status,
+// content type and a body its consumer can parse, on both planes laked
+// mounts: a default runtime's (no flag or option set) and the 2-shard
+// fleet's that `laked -shards 2 -telemetry-addr` serves. Each source has
+// issued one launch. /readyz must match byte for byte, and the fleet plane,
+// watching a lifecycle manager on shard 1, must list both shards and the
+// model.
+func TestTelemetryHandlerRoutes(t *testing.T) {
+	rt, err := lake.New(lake.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	launchVecAdd(t, rt)
+
+	fcfg := lake.DefaultConfig()
+	fcfg.NumShards = 2
+	fcfg.ShmBytes = 16 << 20
+	f, err := lake.NewFleet(lake.FleetConfig{Runtime: fcfg, Batcher: lake.DefaultBatcherConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	launchVecAdd(t, f.Shard(0).Runtime())
+	mgr, err := lake.NewLifecycle(f.Shard(1).Runtime(), lake.DefaultLifecycleConfig("linnos"), nn.New(3, linnos.Base.Sizes()...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleetPlane := lake.NewFleetHealthPlane(f, lake.HealthPlaneConfig{})
+	fleetPlane.Watch(mgr)
+
+	for _, src := range []struct {
+		name    string
+		handler http.Handler
+		calls   string // lakeLib's call counter, as the source names it
+		readyz  string
+		model   string // a model /models.json must list, if any
 	}{
-		"/metrics": {"text/plain", func(b []byte) error {
-			if !strings.Contains(string(b), "# TYPE lake_lib_calls_total counter") {
-				return errors.New("no lake_lib_calls_total family")
-			}
-			return nil
-		}},
-		"/metrics.json": {"application/json", func(b []byte) error {
-			var snap lake.TelemetrySnapshot
-			if err := json.Unmarshal(b, &snap); err != nil {
-				return err
-			}
-			if snap.Counters["lake_lib_calls_total"] == 0 {
-				return errors.New("lake_lib_calls_total did not move")
-			}
-			return nil
-		}},
-		"/spans.json": {"application/json", func(b []byte) error {
-			var spans []lake.Span
-			if err := json.Unmarshal(b, &spans); err != nil {
-				return err
-			}
-			for _, sp := range spans {
-				if sp.Name == "cuLaunchKernel" && len(sp.Stages) > 0 {
+		{"runtime", telemetryHandler(rt.Telemetry(), lake.NewHealthPlane(rt, lake.HealthPlaneConfig{})),
+			"lake_lib_calls_total", readyzBody("Healthy", rt.Daemon().Handled()), ""},
+		{"fleet", telemetryHandler(f, fleetPlane),
+			`lake_lib_calls_total{shard="0"}`,
+			readyzBody("Active", f.Shard(0).Runtime().Daemon().Handled(), f.Shard(1).Runtime().Daemon().Handled()), "linnos"},
+	} {
+		t.Run(src.name, func(t *testing.T) {
+			srv := httptest.NewServer(src.handler)
+			defer srv.Close()
+			routes := map[string]struct {
+				contentType string
+				parse       func([]byte) error
+			}{
+				"/metrics": {"text/plain", func(b []byte) error {
+					if !strings.Contains(string(b), "# TYPE lake_lib_calls_total counter") {
+						return errors.New("no lake_lib_calls_total family")
+					}
 					return nil
+				}},
+				"/metrics.json": {"application/json", func(b []byte) error {
+					var snap lake.TelemetrySnapshot
+					if err := json.Unmarshal(b, &snap); err != nil {
+						return err
+					}
+					if snap.Counters[src.calls] == 0 {
+						return fmt.Errorf("%s did not move", src.calls)
+					}
+					return nil
+				}},
+				"/spans.json": {"application/json", func(b []byte) error {
+					var spans []lake.Span
+					if err := json.Unmarshal(b, &spans); err != nil {
+						return err
+					}
+					for _, sp := range spans {
+						if sp.Name == "cuLaunchKernel" && len(sp.Stages) > 0 {
+							return nil
+						}
+					}
+					return errors.New("no cuLaunchKernel span")
+				}},
+				"/statusz": {"text/plain", func(b []byte) error {
+					if !strings.Contains(string(b), "objectives") {
+						return errors.New("no objectives section")
+					}
+					return nil
+				}},
+				"/healthz": {"application/json", parseJSON},
+				"/readyz": {"application/json", func(b []byte) error {
+					if string(b) != src.readyz {
+						return fmt.Errorf("body differs, want\n%s", src.readyz)
+					}
+					return nil
+				}},
+				"/slo.json":       {"application/json", parseJSON},
+				"/incidents.json": {"application/json", parseJSON},
+				"/flightrec.tail": {"application/json", parseJSON},
+				"/flightrec.json": {"application/json", func(b []byte) error {
+					_, err := lake.ReadFlightDump(b)
+					return err
+				}},
+				"/models.json": {"application/json", func(b []byte) error {
+					var models map[string]json.RawMessage
+					if err := json.Unmarshal(b, &models); err != nil {
+						return err
+					}
+					if _, ok := models[src.model]; src.model != "" && !ok {
+						return fmt.Errorf("model %q not listed", src.model)
+					}
+					return nil
+				}},
+			}
+			for _, p := range lake.HealthPlanePaths {
+				if _, ok := routes[p]; !ok {
+					t.Errorf("health-plane route %s has no expectation in this table", p)
 				}
 			}
-			return errors.New("no cuLaunchKernel span")
-		}},
-		"/statusz": {"text/plain", func(b []byte) error {
-			if !strings.Contains(string(b), "objectives") {
-				return errors.New("no objectives section")
+			for path, want := range routes {
+				resp, err := srv.Client().Get(srv.URL + path)
+				if err != nil {
+					t.Fatalf("GET %s: %v", path, err)
+				}
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil {
+					t.Fatalf("GET %s: read body: %v", path, err)
+				}
+				if resp.StatusCode != 200 {
+					t.Errorf("GET %s = %d: %s", path, resp.StatusCode, body)
+					continue
+				}
+				if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, want.contentType) {
+					t.Errorf("GET %s Content-Type = %q, want %s", path, ct, want.contentType)
+				}
+				if err := want.parse(body); err != nil {
+					t.Errorf("GET %s body: %v\n%.300s", path, err, body)
+				}
 			}
-			return nil
-		}},
-		"/healthz":        {"application/json", parseJSON},
-		"/readyz":         {"application/json", parseJSON},
-		"/slo.json":       {"application/json", parseJSON},
-		"/incidents.json": {"application/json", parseJSON},
-		"/flightrec.tail": {"application/json", parseJSON},
-		"/flightrec.json": {"application/json", func(b []byte) error {
-			_, err := lake.ReadFlightDump(b)
-			return err
-		}},
-		"/models.json": {"application/json", parseJSON},
-	}
-	for _, p := range lake.HealthPlanePaths {
-		if _, ok := routes[p]; !ok {
-			t.Errorf("health-plane route %s has no expectation in this table", p)
-		}
-	}
-	for path, want := range routes {
-		resp, err := srv.Client().Get(srv.URL + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatalf("GET %s: read body: %v", path, err)
-		}
-		if resp.StatusCode != 200 {
-			t.Errorf("GET %s = %d: %s", path, resp.StatusCode, body)
-			continue
-		}
-		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, want.contentType) {
-			t.Errorf("GET %s Content-Type = %q, want %s", path, ct, want.contentType)
-		}
-		if err := want.parse(body); err != nil {
-			t.Errorf("GET %s body: %v\n%.300s", path, err, body)
-		}
+		})
 	}
 }

@@ -99,7 +99,7 @@ type liveSLORow struct {
 // observer boots a health plane over one rung's fleet and serves it on a
 // fresh loopback listener; the returned RunObserver polls it live.
 func (ls *liveSLO) observer(f *lake.Fleet) loadgen.RunObserver {
-	plane := f.NewHealthPlane(lake.HealthPlaneConfig{
+	plane := lake.NewFleetHealthPlane(f, lake.HealthPlaneConfig{
 		// Replays span virtual milliseconds, not wall minutes: shrink the
 		// tick so the burn windows resolve inside the run.
 		Tick:       time.Millisecond,

@@ -69,7 +69,7 @@ func Example_featureRegistry() {
 	}
 	defer rt.Close()
 
-	reg, err := rt.Features().CreateRegistry("sda1", "bio_latency_prediction",
+	reg, err := lake.NewFeatureStore().CreateRegistry("sda1", "bio_latency_prediction",
 		lake.FeatureSchema{
 			{Key: "pend_ios", Size: 8, Entries: 1},
 			{Key: "io_latency", Size: 8, Entries: 4},

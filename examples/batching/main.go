@@ -64,7 +64,7 @@ func main() {
 	// policy routes each flush GPU vs CPU exactly as Fig 3 prescribes.
 	cfg := lake.DefaultBatcherConfig()
 	cfg.MaxWait = maxWait
-	b := rt.NewBatcher(cfg)
+	b := lake.NewBatcher(rt, cfg)
 	if err := pred.Runner().EnableBatching(b); err != nil {
 		log.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func run(devices int) (float64, *lake.Runtime, error) {
 	// scheduler jitter, so the printed virtual metrics are reproducible.
 	bcfg.Linger = 2 * time.Millisecond
 	bcfg.Policy = rt.NewAdaptivePolicy(lake.DefaultAdaptiveConfig()).Decide
-	b := rt.NewBatcher(bcfg)
+	b := lake.NewBatcher(rt, bcfg)
 	if err := pred.Runner().EnableBatching(b); err != nil {
 		return 0, nil, err
 	}

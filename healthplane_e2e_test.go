@@ -26,18 +26,20 @@ func TestHealthPlaneIncidentCapture(t *testing.T) {
 
 	// A lifecycle manager on the runtime so the bundle carries registry
 	// state alongside the dump and the metrics snapshot.
-	if _, err := s.rt.NewLifecycle(lifecycle.DefaultConfig("linnos-base"), nn.New(21, linnos.Base.Sizes()...)); err != nil {
+	mgr, err := lifecycle.New(s.rt, lifecycle.DefaultConfig("linnos-base"), nn.New(21, linnos.Base.Sizes()...))
+	if err != nil {
 		t.Fatal(err)
 	}
 
 	// A 1µs call budget no real call can meet: the very first poll after
 	// traffic must see attainment far below target and trip fast-burn.
-	plane := s.rt.NewHealthPlane(lake.HealthPlaneConfig{
+	plane := lake.NewHealthPlane(s.rt, lake.HealthPlaneConfig{
 		Tick:       time.Millisecond,
 		ShortTicks: 5,
 		LongTicks:  1000,
 		Objectives: []lake.SLOObjective{{Name: "calls", Stage: "call", Budget: time.Microsecond, Target: 0.999}},
 	})
+	plane.Watch(mgr)
 
 	runChaosWorkloads(t, s, chaosRounds(), 16)
 

@@ -38,6 +38,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"lakego/internal/core"
 	"lakego/internal/cuda"
 	"lakego/internal/flightrec"
 	"lakego/internal/gpu"
@@ -46,7 +47,6 @@ import (
 	"lakego/internal/remoting"
 	"lakego/internal/shm"
 	"lakego/internal/telemetry"
-	"lakego/internal/vtime"
 )
 
 // ErrBackpressure is the reject-with-retry result: the client (or the
@@ -54,25 +54,6 @@ import (
 // outstanding requests. It is the batching analogue of a full Netlink
 // socket buffer — explicit backpressure instead of unbounded queueing.
 var ErrBackpressure = errors.New("batcher: queue full, retry after outstanding requests drain")
-
-// Runtime is the slice of core.Runtime the batcher needs. Declaring it here
-// (Go interface satisfaction is implicit) keeps internal/core free to
-// depend on this package without a cycle.
-type Runtime interface {
-	Clock() *vtime.Clock
-	Lib() *remoting.Lib
-	Region() *shm.Region
-	RegisterKernel(k *cuda.Kernel)
-}
-
-// PoolRuntime is optionally implemented by runtimes that expose a
-// multi-device pool. When present (and the pool has more than one device),
-// the batcher stages each model on every device and steers each flush to
-// the least-utilized one via Pool.PlaceFlush. Single-device runtimes —
-// and Runtime implementations that predate pooling — are untouched.
-type PoolRuntime interface {
-	Pool() *gpupool.Pool
-}
 
 // Config parameterizes a Batcher.
 type Config struct {
@@ -285,9 +266,11 @@ func (s Stats) AvgBatch() float64 {
 
 // Batcher aggregates inference requests across clients per model.
 type Batcher struct {
-	rt   Runtime
-	cfg  Config
-	pool *gpupool.Pool // non-nil only for multi-device runtimes
+	rt  *core.Runtime
+	cfg Config
+	// pool is non-nil only on a multi-device runtime: each model is staged
+	// on every device and each flush steered to the least-utilized one.
+	pool *gpupool.Pool
 
 	mu     sync.Mutex
 	models map[string]*model
@@ -314,32 +297,20 @@ type Batcher struct {
 	rec *flightrec.Recorder
 }
 
-// Instrument declares the batcher's series on reg. Must be called during
-// runtime construction, before any traffic.
-func (b *Batcher) Instrument(reg *telemetry.Registry, name telemetry.Namer) {
+// New attaches a batcher to rt, wired to its flight recorder and declaring
+// its series through the runtime's Namer. Register models with
+// RegisterModel, then hand Client handles to submitters.
+func New(rt *core.Runtime, cfg Config) *Batcher {
+	b := &Batcher{rt: rt, cfg: cfg.withDefaults(), models: make(map[string]*model), rec: rt.FlightRecorder()}
+	if pool := rt.Pool(); pool.Size() > 1 {
+		b.pool = pool
+	}
+	reg, name := rt.Telemetry(), rt.Namer()
 	b.queueDepth = reg.Gauge(name("lake_batcher_queue_depth"), "Inference items currently queued across all models.")
 	b.flushItems = reg.Histogram(name("lake_batcher_flush_items"), "Items per formed batch.", telemetry.CountBuckets())
 	reg.AttachCounter(name("lake_batcher_rejects_total"), "Submissions rejected by backpressure.", &b.rejected)
 	b.queueDelay = reg.Histogram(name("lake_batcher_queue_delay_ns"), "Per-request enqueue-to-flush wait (virtual ns).", telemetry.DefaultLatencyBuckets())
-	b.gpuItemLat = reg.Histogram(name(telemetry.MetricGPUItemLatency), "Observed per-item GPU-path latency (virtual ns).", telemetry.DefaultLatencyBuckets())
-	b.cpuItemLat = reg.Histogram(name(telemetry.MetricCPUItemLatency), "Observed per-item CPU-path latency (virtual ns).", telemetry.DefaultLatencyBuckets())
-}
-
-// SetFlightRecorder attaches the flight recorder. Must be called during
-// runtime construction, before any traffic.
-func (b *Batcher) SetFlightRecorder(rec *flightrec.Recorder) {
-	b.rec = rec
-}
-
-// New creates a batcher on rt. Register models with RegisterModel, then
-// hand Client handles to submitters.
-func New(rt Runtime, cfg Config) *Batcher {
-	b := &Batcher{rt: rt, cfg: cfg.withDefaults(), models: make(map[string]*model)}
-	if pr, ok := rt.(PoolRuntime); ok {
-		if pool := pr.Pool(); pool != nil && pool.Size() > 1 {
-			b.pool = pool
-		}
-	}
+	b.gpuItemLat, b.cpuItemLat = rt.ItemLatency()
 	return b
 }
 

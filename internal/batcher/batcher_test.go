@@ -54,7 +54,7 @@ func modelCfg(name string) batcher.ModelConfig {
 
 func newBatcher(t *testing.T, rt *core.Runtime, cfg batcher.Config) *batcher.Batcher {
 	t.Helper()
-	b := rt.NewBatcher(cfg)
+	b := batcher.New(rt, cfg)
 	if err := b.RegisterModel(modelCfg("testmodel")); err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +388,7 @@ func TestCPURouteUsesModelScratch(t *testing.T) {
 	cfg.Linger = 0
 	cfg.ClientDepth = 16
 	cfg.Policy = func(int) policy.Decision { return policy.UseCPU }
-	b := rt.NewBatcher(cfg)
+	b := batcher.New(rt, cfg)
 	mc := modelCfg("testmodel")
 	mc.Forward = nil
 	mc.ForwardProvider = func() batcher.SlabForward { return slabModel{} }

@@ -1,8 +1,15 @@
-// Package core assembles LAKE (§4, Fig 2): the kernel-side API provider
-// lakeLib, the bulk-data channel lakeShm, the user-side daemon lakeD that
-// realizes accelerator APIs, the eBPF-style execution policies, and the
-// in-kernel feature registry — one runtime a kernel subsystem boots once and
-// programs against.
+// Package core is LAKE's runtime (§4, Fig 2): the kernel-side API provider
+// lakeLib, the bulk-data channel lakeShm over the descriptor-ring boundary,
+// the user-side daemon lakeD that realizes the remoted driver API on the
+// device pool, its supervisor, and the Fig 3 execution policies — one
+// runtime a kernel subsystem boots once and programs against.
+//
+// Core is a leaf: it imports none of the layers built on it. Each of those
+// attaches itself from its own package, taking the *Runtime and wiring
+// itself to the runtime's clock, flight recorder, telemetry registry and
+// Namer: batcher.New, lifecycle.New and healthplane.Attach. The in-kernel
+// feature registry (internal/features) needs nothing from the runtime, so
+// callers own their features.Store.
 //
 // Everything beneath the runtime is simulated hardware on a shared virtual
 // clock (see DESIGN.md for the substitution map), but the components and the
@@ -14,22 +21,15 @@ package core
 import (
 	"fmt"
 	goruntime "runtime"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 
-	"lakego/internal/batcher"
 	"lakego/internal/boundary"
 	"lakego/internal/cuda"
 	"lakego/internal/faults"
-	"lakego/internal/features"
 	"lakego/internal/flightrec"
 	"lakego/internal/gpu"
 	"lakego/internal/gpupool"
-	"lakego/internal/healthplane"
-	"lakego/internal/lifecycle"
-	"lakego/internal/nn"
 	"lakego/internal/policy"
 	"lakego/internal/remoting"
 	"lakego/internal/shm"
@@ -147,15 +147,11 @@ type Runtime struct {
 	transport boundary.Channel
 	daemon    *remoting.Daemon
 	lib       *remoting.Lib
-	store     *features.Store
 	shardLbl  string
 	plane     *faults.Plane
 	sup       *Supervisor
 	tel       *telemetry.Registry
 	rec       *flightrec.Recorder
-
-	modelsMu sync.Mutex
-	models   map[string]*lifecycle.Manager
 }
 
 // New boots a runtime: creates the device, maps the shared region into both
@@ -223,7 +219,6 @@ func New(cfg Config) (*Runtime, error) {
 		transport: tr,
 		daemon:    daemon,
 		lib:       lib,
-		store:     features.NewStore(),
 		shardLbl:  cfg.ShardLabel,
 	}
 	if !cfg.DisableTelemetry {
@@ -240,7 +235,7 @@ func New(cfg Config) (*Runtime, error) {
 			if pool.Size() > 1 {
 				dv = fmt.Sprintf(`device="%d"`, i)
 			}
-			dev.Instrument(rt.tel, rt.labelled(dv))
+			dev.Instrument(rt.tel, rt.Namer(dv))
 		}
 		lib.Instrument(rt.tel, rt.metricName)
 		daemon.Instrument(rt.tel, rt.metricName)
@@ -315,12 +310,23 @@ func (r *Runtime) metricName(family string, pairs ...string) string {
 	return family + "{" + strings.Join(parts, ",") + "}"
 }
 
-// labelled returns metricName with one more pair (device or model) ahead
-// of the runtime-wide ones.
-func (r *Runtime) labelled(pair string) telemetry.Namer {
-	return func(family string, pairs ...string) string {
-		return r.metricName(family, append(pairs, pair)...)
+// Namer returns the telemetry.Namer a layer declares its series through:
+// metricName with the given pairs (a device or model label, say) after the
+// series' own and ahead of the runtime-wide shard pair.
+func (r *Runtime) Namer(pairs ...string) telemetry.Namer {
+	return func(family string, own ...string) string {
+		return r.metricName(family, append(own, pairs...)...)
 	}
+}
+
+// ItemLatency returns the per-item execution latency series of the GPU and
+// CPU routes, shared by every layer that runs inference on this runtime
+// (batcher flushes, offload runs) and read by the Fig 3 policy's
+// observed-latency mode. Both are nil without telemetry.
+func (r *Runtime) ItemLatency() (gpu, cpu *telemetry.Histogram) {
+	gpu = r.tel.Histogram(r.metricName(telemetry.MetricGPUItemLatency), "Observed per-item GPU-path latency (virtual ns).", telemetry.DefaultLatencyBuckets())
+	cpu = r.tel.Histogram(r.metricName(telemetry.MetricCPUItemLatency), "Observed per-item CPU-path latency (virtual ns).", telemetry.DefaultLatencyBuckets())
+	return gpu, cpu
 }
 
 // Telemetry returns the runtime's metrics registry, or nil when the
@@ -341,9 +347,7 @@ func (r *Runtime) Clock() *vtime.Clock { return r.clock }
 // runtime this is pool device 0.
 func (r *Runtime) Device() *gpu.Device { return r.device }
 
-// Pool returns the device pool (size 1 on a default runtime). It also
-// satisfies batcher.PoolRuntime, letting the batcher steer flushes across
-// devices.
+// Pool returns the device pool (size 1 on a default runtime).
 func (r *Runtime) Pool() *gpupool.Pool { return r.pool }
 
 // Lib returns lakeLib, the kernel-side accelerator API stubs.
@@ -358,9 +362,6 @@ func (r *Runtime) Region() *shm.Region { return r.region }
 // Transport returns the boundary channel the runtime was booted on;
 // type-assert to *boundary.RingTransport for doorbell stats.
 func (r *Runtime) Transport() boundary.Channel { return r.transport }
-
-// Features returns the in-kernel feature registry store (§5).
-func (r *Runtime) Features() *features.Store { return r.store }
 
 // FaultPlane returns the attached fault-injection plane, or nil when the
 // runtime was booted without Config.Faults.
@@ -386,102 +387,11 @@ func (r *Runtime) NewAdaptivePolicy(cfg policy.AdaptiveConfig) *policy.Adaptive 
 	})
 	if cfg.UseObservedLatency && r.tel != nil {
 		// Feed the policy the shared per-item latency series the batcher
-		// (and offload runner) populate, closing the Fig 3 loop on
-		// measured signal instead of the static batch threshold.
-		p.SetLatencySources(
-			r.tel.Histogram(r.metricName(telemetry.MetricGPUItemLatency), "Observed per-item GPU-path latency (virtual ns).", telemetry.DefaultLatencyBuckets()),
-			r.tel.Histogram(r.metricName(telemetry.MetricCPUItemLatency), "Observed per-item CPU-path latency (virtual ns).", telemetry.DefaultLatencyBuckets()),
-		)
+		// and offload runner populate, closing the Fig 3 loop on measured
+		// signal instead of the static batch threshold.
+		p.SetLatencySources(r.ItemLatency())
 	}
 	return p
-}
-
-// NewLifecycle boots the online model-lifecycle manager for one model on
-// this runtime: a versioned registry seeded with base, the in-daemon
-// online trainer, and the drift detector, wired into the runtime's flight
-// recorder (lifecycle domain) and telemetry (model="..."-labeled swap /
-// retrain / drift series plus the serving-version gauge). Attach the
-// predictor's SwapNet and feed Observe from the completion path.
-func (r *Runtime) NewLifecycle(cfg lifecycle.Config, base *nn.Network) (*lifecycle.Manager, error) {
-	m, err := lifecycle.NewManager(r.clock, cfg, base)
-	if err != nil {
-		return nil, err
-	}
-	m.SetFlightRecorder(r.rec)
-	m.Instrument(r.tel, r.labelled(`model="`+cfg.Model+`"`))
-	r.modelsMu.Lock()
-	if r.models == nil {
-		r.models = make(map[string]*lifecycle.Manager)
-	}
-	r.models[cfg.Model] = m
-	r.modelsMu.Unlock()
-	return m, nil
-}
-
-// ModelLifecycles lists every lifecycle manager on this runtime in label
-// order.
-func (r *Runtime) ModelLifecycles() []*lifecycle.Manager {
-	r.modelsMu.Lock()
-	defer r.modelsMu.Unlock()
-	labels := make([]string, 0, len(r.models))
-	for l := range r.models {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
-	out := make([]*lifecycle.Manager, 0, len(labels))
-	for _, l := range labels {
-		out = append(out, r.models[l])
-	}
-	return out
-}
-
-// NewHealthPlane boots the live health plane over this runtime: the
-// non-destructive flight-recorder tailer, the rolling SLO burn-rate engine,
-// and anomaly-triggered black-box capture, pre-wired to the runtime's clock,
-// recorder, telemetry registry, lifecycle managers, and lakeD supervisor.
-// Serve the plane's Handler() routes (healthplane.Paths) from the host
-// process or drive Poll from its control loop. On a single runtime the
-// shard probe reports one shard whose readiness tracks the supervisor (a
-// runtime booted without faults/resilience is trivially ready); completion
-// outstanding is unknown here, so the stall watchdog only arms on fleets.
-func (r *Runtime) NewHealthPlane(cfg healthplane.Config) *healthplane.Plane {
-	if cfg.Version == "" {
-		cfg.Version = BuildVersion
-	}
-	p := healthplane.New(cfg)
-	p.SetClock(r.clock.Now)
-	p.SetRecorder(r.rec)
-	if r.tel != nil {
-		p.SetTelemetrySource(r.tel.Snapshot)
-	}
-	p.SetModelSource(r.ModelLifecycles)
-	p.SetShardProbe(func() []healthplane.ShardHealth {
-		sh := healthplane.ShardHealth{
-			Ordinal: 0,
-			State:   "Healthy",
-			Ready:   true,
-			Handled: r.daemon.Handled(),
-		}
-		if r.sup != nil {
-			st := r.sup.State()
-			sh.State = st.String()
-			sh.Ready = st == StateHealthy || st == StateReAttached
-		}
-		return []healthplane.ShardHealth{sh}
-	})
-	return p
-}
-
-// NewBatcher creates the lakeD cross-client inference batching subsystem
-// on this runtime: clients submit independent inference requests and the
-// batcher coalesces them into dynamically batched GPU launches (or the CPU
-// fallback, per the configured policy). Register models with
-// Batcher.RegisterModel and hand out Batcher.Client handles.
-func (r *Runtime) NewBatcher(cfg batcher.Config) *batcher.Batcher {
-	b := batcher.New(r, cfg)
-	b.SetFlightRecorder(r.rec)
-	b.Instrument(r.tel, r.metricName)
-	return b
 }
 
 // InstallVMPolicy verifies a bytecode policy against the Fig 3 helper set

@@ -123,7 +123,7 @@ func TestInstallVMPolicy(t *testing.T) {
 
 func TestFeatureRegistryIntegration(t *testing.T) {
 	rt := boot(t)
-	reg, err := rt.Features().CreateRegistry("sda1", "bio", features.Schema{
+	reg, err := features.NewStore().CreateRegistry("sda1", "bio", features.Schema{
 		{Key: "pend_ios", Size: 8, Entries: 1},
 	}, 8)
 	if err != nil {

@@ -4,6 +4,10 @@
 // module boundaries, history-array schema support, batch retrieval with
 // truncation semantics, model lifecycle management, and classifier/policy
 // registration for invoking inference.
+//
+// The registry needs nothing from the LAKE runtime: callers own their Store.
+// Capture goes through a lock-free hash table (capture.go) and committed
+// vectors live in a circular window (window.go), both private to it.
 package features
 
 import (
@@ -13,9 +17,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"lakego/internal/lockfree"
 	"lakego/internal/policy"
-	"lakego/internal/ringbuf"
 )
 
 // NullTS is the "null timestamp" Table 1's batch APIs accept: querying with
@@ -116,7 +118,7 @@ type Registry struct {
 	sys    string
 	schema Schema
 
-	current *lockfree.Map // in-flight capture, persists across commits
+	current *captureTable // in-flight capture, persists across commits
 
 	// Lock-free instrumentation counters (updated on the capture path).
 	captures atomic.Int64
@@ -124,7 +126,7 @@ type Registry struct {
 	scored   atomic.Int64
 
 	mu          sync.Mutex
-	ring        *ringbuf.Ring[Vector]
+	win         *window
 	tsBegin     time.Duration
 	classifiers map[Arch]Classifier
 	pol         policy.Func
@@ -151,8 +153,8 @@ func newRegistry(name, sys string, schema Schema, window int) (*Registry, error)
 		name:        name,
 		sys:         sys,
 		schema:      schema,
-		current:     lockfree.NewMap(len(schema)),
-		ring:        ringbuf.New[Vector](window),
+		current:     newCaptureTable(len(schema)),
+		win:         newWindow(window),
 		classifiers: make(map[Arch]Classifier),
 	}, nil
 }
@@ -167,13 +169,13 @@ func (r *Registry) Sys() string { return r.sys }
 func (r *Registry) Schema() Schema { return r.schema }
 
 // Window returns the capture window (ring capacity).
-func (r *Registry) Window() int { return r.ring.Cap() }
+func (r *Registry) Window() int { return len(r.win.buf) }
 
 // Len returns the number of committed vectors currently buffered.
 func (r *Registry) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.ring.Len()
+	return r.win.n
 }
 
 // Commits returns the total number of vectors ever committed.
@@ -196,7 +198,7 @@ func (r *Registry) field(key string) (Field, error) {
 func (r *Registry) Stats() RegistryStats {
 	r.mu.Lock()
 	commits := r.commits
-	buffered := r.ring.Len()
+	buffered := r.win.n
 	r.mu.Unlock()
 	return RegistryStats{
 		Captures: r.captures.Load(),
@@ -227,7 +229,7 @@ func (r *Registry) CaptureFeature(key string, val []byte) error {
 		return fmt.Errorf("features: value for %q is %d bytes, schema size %d",
 			key, len(val), f.Size)
 	}
-	if !r.current.Store(key, val) {
+	if !r.current.store(key, val) {
 		return fmt.Errorf("features: capture table full for %s/%s", r.name, r.sys)
 	}
 	r.captures.Add(1)
@@ -245,7 +247,7 @@ func (r *Registry) CaptureFeatureIncr(key string, delta int64) (int64, error) {
 	if f.Size < 8 {
 		return 0, fmt.Errorf("features: key %q has size %d, increments need 8", key, f.Size)
 	}
-	v, ok := r.current.Add(key, delta)
+	v, ok := r.current.add(key, delta)
 	if !ok {
 		return 0, fmt.Errorf("features: capture table full for %s/%s", r.name, r.sys)
 	}
@@ -260,11 +262,11 @@ func (r *Registry) CommitCapture(ts time.Duration) Vector {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 
-	prev, havePrev := r.ring.Newest()
+	prev, havePrev := r.win.newest()
 	v := Vector{TsBegin: r.tsBegin, TsEnd: ts, Values: make(map[string][]byte, len(r.schema))}
 	for _, f := range r.schema {
 		buf := make([]byte, f.Size*f.Entries)
-		if cur, ok := r.current.Load(f.Key); ok {
+		if cur, ok := r.current.load(f.Key); ok {
 			copy(buf[:f.Size], cur)
 		}
 		if f.Entries > 1 && havePrev {
@@ -274,7 +276,7 @@ func (r *Registry) CommitCapture(ts time.Duration) Vector {
 		}
 		v.Values[f.Key] = buf
 	}
-	r.ring.Push(v)
+	r.win.push(v)
 	r.commits++
 	return v
 }
@@ -286,11 +288,11 @@ func (r *Registry) GetFeatures(ts time.Duration) []Vector {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if ts == NullTS {
-		return r.ring.Snapshot()
+		return r.win.snapshot()
 	}
 	var out []Vector
-	for i := 0; i < r.ring.Len(); i++ {
-		v := r.ring.At(i)
+	for i := 0; i < r.win.n; i++ {
+		v := r.win.at(i)
 		if v.TsEnd <= ts {
 			out = append(out, v)
 		}
@@ -304,8 +306,8 @@ func (r *Registry) GetFeatures(ts time.Duration) []Vector {
 func (r *Registry) GetFeatureAt(ts time.Duration) (Vector, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for i := 0; i < r.ring.Len(); i++ {
-		v := r.ring.At(i)
+	for i := 0; i < r.win.n; i++ {
+		v := r.win.at(i)
 		if v.TsBegin <= ts && ts <= v.TsEnd {
 			return v, true
 		}
@@ -322,15 +324,14 @@ func (r *Registry) Truncate(ts time.Duration) int {
 	defer r.mu.Unlock()
 	keepLast := r.schema.hasHistory()
 	dropped := 0
-	for r.ring.Len() > 0 {
-		if keepLast && r.ring.Len() == 1 {
+	for r.win.n > 0 {
+		if keepLast && r.win.n == 1 {
 			break
 		}
-		oldest := r.ring.At(0)
-		if ts != NullTS && oldest.TsEnd > ts {
+		if ts != NullTS && r.win.at(0).TsEnd > ts {
 			break
 		}
-		r.ring.PopOldest()
+		r.win.popOldest()
 		dropped++
 	}
 	return dropped

@@ -44,8 +44,6 @@ import (
 	"lakego/internal/flightrec"
 	"lakego/internal/gpu"
 	"lakego/internal/gpupool"
-	"lakego/internal/healthplane"
-	"lakego/internal/lifecycle"
 	"lakego/internal/nvml"
 	"lakego/internal/telemetry"
 	"lakego/internal/vtime"
@@ -194,7 +192,7 @@ func New(cfg Config) (*Fleet, error) {
 		f.shards = append(f.shards, &Shard{
 			ord:   i,
 			rt:    rt,
-			b:     rt.NewBatcher(cfg.Batcher),
+			b:     batcher.New(rt, cfg.Batcher),
 			clock: clk,
 		})
 	}
@@ -285,52 +283,6 @@ func (f *Fleet) PrometheusText() string {
 func (f *Fleet) Snapshot() telemetry.Snapshot {
 	f.AggregateRates()
 	return telemetry.MergedSnapshot(f.registries()...)
-}
-
-// NewHealthPlane boots the live health plane over the whole fleet: it tails
-// the shared root flight recorder (every shard's events, shard-stamped),
-// feeds the SLO engine from the merged per-shard telemetry, watches every
-// shard's lifecycle managers, and probes per-shard readiness — a shard is
-// ready while it is Active for the router and its lakeD supervisor (when
-// armed) reports Healthy or ReAttached. Outstanding counts routed in-flight
-// requests, so the completion-progress stall watchdog is live here.
-func (f *Fleet) NewHealthPlane(cfg healthplane.Config) *healthplane.Plane {
-	if cfg.Version == "" {
-		cfg.Version = core.BuildVersion
-	}
-	p := healthplane.New(cfg)
-	p.SetClock(f.VirtualElapsed)
-	p.SetRecorder(f.rec)
-	p.SetTelemetrySource(f.Snapshot)
-	p.SetModelSource(func() []*lifecycle.Manager {
-		var out []*lifecycle.Manager
-		for _, s := range f.shards {
-			out = append(out, s.rt.ModelLifecycles()...)
-		}
-		return out
-	})
-	p.SetShardProbe(func() []healthplane.ShardHealth {
-		out := make([]healthplane.ShardHealth, 0, len(f.shards))
-		for _, s := range f.shards {
-			sh := healthplane.ShardHealth{
-				Ordinal:     s.ord,
-				State:       s.State().String(),
-				Ready:       s.State() == Active,
-				Outstanding: s.Outstanding(),
-				Handled:     s.rt.Daemon().Handled(),
-			}
-			if sup := s.rt.Supervisor(); sup != nil {
-				st := sup.State()
-				if st != core.StateHealthy && st != core.StateReAttached {
-					sh.Ready = false
-					sh.State = sh.State + "/" + st.String()
-				}
-			}
-			out = append(out, sh)
-		}
-		return out
-	})
-	return p
 }
 
 // Stats aggregates per-shard runtime stats plus router counters.

@@ -563,7 +563,7 @@ func TestFleetStatsIndependentOfTelemetry(t *testing.T) {
 
 		lcfg := lifecycle.DefaultConfig("fleetnet")
 		lcfg.Buffer, lcfg.Minibatch = 8, 4
-		m, err := f.Shard(1).Runtime().NewLifecycle(lcfg, net)
+		m, err := lifecycle.New(f.Shard(1).Runtime(), lcfg, net)
 		if err != nil {
 			t.Fatal(err)
 		}

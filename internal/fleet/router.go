@@ -126,12 +126,23 @@ func (t *Tenant) admit() error {
 	o := t.outstanding.Add(1)
 	fo := f.outstanding.Add(1)
 	reject := t.cfg.MaxOutstanding > 0 && o > int64(t.cfg.MaxOutstanding)
-	if cap := int64(f.cfg.MaxOutstanding); !reject && cap > 0 && fo > cap {
-		share := cap * int64(t.cfg.Weight) / f.totalWeight.Load()
-		if share < 1 {
-			share = 1
+	if cap := int64(f.cfg.MaxOutstanding); !reject && cap > 0 {
+		if fo > cap {
+			share := cap * int64(t.cfg.Weight) / f.totalWeight.Load()
+			if share < 1 {
+				share = 1
+			}
+			// Re-read the tenant's count after the fleet reservation: a
+			// submitter that reserved after our tenant slot but took the
+			// fleet's last free slot before us is counted here, so the two
+			// checks cannot both miss each other and overshoot the cap.
+			o = t.outstanding.Load()
+			reject = o > share
+		} else {
+			// Admitted under the fleet cap: a tenant slot our fleet slot
+			// does not see was being released, so fo bounds the count too.
+			o = min(o, fo)
 		}
-		reject = o > share
 	}
 	if reject {
 		t.release()

@@ -9,9 +9,11 @@
 // time go?" offline; this package answers it while the fleet is serving.
 //
 // The plane sits entirely on the read side: nothing on the call path knows
-// it exists. All ingestion happens in Poll, which the laked HTTP handlers
-// (and tests) drive explicitly — deterministic under the virtual clock,
-// no background goroutine to leak.
+// it exists. Attach builds one over a runtime and AttachFleet one over a
+// fleet; Watch adds each lifecycle manager it should report. All ingestion
+// happens in Poll, which the laked HTTP handlers (and tests) drive
+// explicitly — deterministic under the virtual clock, no background
+// goroutine to leak.
 package healthplane
 
 import (
@@ -21,6 +23,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"lakego/internal/core"
+	"lakego/internal/fleet"
 	"lakego/internal/flightrec"
 	"lakego/internal/lifecycle"
 	"lakego/internal/telemetry"
@@ -46,7 +50,8 @@ type Config struct {
 	// StallPolls is how many consecutive Polls a shard may show outstanding
 	// work with no completion progress before the watchdog trips.
 	StallPolls int
-	// Version is surfaced on /healthz and /statusz.
+	// Version is surfaced on /healthz and /statusz (default
+	// core.BuildVersion).
 	Version string
 }
 
@@ -79,7 +84,7 @@ func (c *Config) fillDefaults() {
 		c.StallPolls = 3
 	}
 	if c.Version == "" {
-		c.Version = "dev"
+		c.Version = core.BuildVersion
 	}
 }
 
@@ -99,9 +104,9 @@ type stallState struct {
 	tripped     bool
 }
 
-// Plane is the health plane for one runtime or fleet. Wire it with the
-// Set* methods (core.Runtime.NewHealthPlane and fleet.Fleet.NewHealthPlane
-// do), then drive it with Poll. All methods are safe for concurrent use.
+// Plane is the health plane for one runtime or fleet: build it with Attach
+// or AttachFleet, then drive it with Poll. All methods are safe for
+// concurrent use.
 type Plane struct {
 	cfg    Config
 	bounds []int64
@@ -117,10 +122,9 @@ type Plane struct {
 	snapFn      func() telemetry.Snapshot
 	prevCum     map[string][]int64
 	shardProbe  func() []ShardHealth
-	modelsFn    func() []*lifecycle.Manager
+	models      []*lifecycle.Manager
 	prevDemote  map[string]uint64
 	prevFall    map[string]bool
-	hooked      map[*lifecycle.Manager]bool
 	stages      map[string]*stageSeries
 	objs        []*objState
 	stalls      map[int]*stallState
@@ -128,15 +132,15 @@ type Plane struct {
 	incidentSeq int
 	polls       int64
 
-	// demotePing is flipped by the lifecycle demotion hook (which runs
-	// under the manager's mutex and must not call back into the plane); the
-	// next Poll consumes it. Purely a freshness signal — capture itself is
-	// driven by the demotion-counter delta, so a hook-less manager attached
-	// late is still caught.
+	// demotePing is flipped by the lifecycle demotion hook Watch installs
+	// (it runs under the manager's mutex and must not call back into the
+	// plane); the next Poll consumes it. Purely a freshness signal — capture
+	// itself is driven by the demotion-counter delta.
 	demotePing atomic.Bool
 }
 
-// New builds a plane; wire sources with the Set* methods before Poll.
+// New builds a plane with no sources: no recorder to tail, no telemetry,
+// no shard probe (trivially ready). Attach and AttachFleet wire a real one.
 func New(cfg Config) *Plane {
 	cfg.fillDefaults()
 	p := &Plane{
@@ -147,7 +151,6 @@ func New(cfg Config) *Plane {
 		prevCum:    map[string][]int64{},
 		prevDemote: map[string]uint64{},
 		prevFall:   map[string]bool{},
-		hooked:     map[*lifecycle.Manager]bool{},
 		stages:     map[string]*stageSeries{},
 		stalls:     map[int]*stallState{},
 	}
@@ -157,45 +160,75 @@ func New(cfg Config) *Plane {
 	return p
 }
 
-// SetRecorder attaches the flight recorder the plane tails and dumps.
-func (p *Plane) SetRecorder(rec *flightrec.Recorder) {
-	p.mu.Lock()
-	p.rec = rec
-	p.mu.Unlock()
+// Attach builds the plane over one runtime: it tails the runtime's flight
+// recorder on its clock and feeds the SLO engine from its telemetry. The
+// shard probe reports one shard whose readiness tracks the lakeD supervisor
+// (a runtime booted without faults or resilience is trivially ready);
+// completion outstanding is unknown here, so the stall watchdog only arms
+// on fleets.
+func Attach(rt *core.Runtime, cfg Config) *Plane {
+	p := New(cfg)
+	p.now = rt.Clock().Now
+	p.rec = rt.FlightRecorder()
+	if tel := rt.Telemetry(); tel != nil {
+		p.snapFn = tel.Snapshot
+	}
+	p.shardProbe = func() []ShardHealth {
+		sh := ShardHealth{State: "Healthy", Ready: true, Handled: rt.Daemon().Handled()}
+		if sup := rt.Supervisor(); sup != nil {
+			st := sup.State()
+			sh.State, sh.Ready = st.String(), serving(st)
+		}
+		return []ShardHealth{sh}
+	}
+	return p
 }
 
-// SetClock installs the virtual-time source (runtime clock or fleet
-// VirtualElapsed) that positions ticks.
-func (p *Plane) SetClock(now func() time.Duration) {
-	p.mu.Lock()
-	p.now = now
-	p.mu.Unlock()
+// AttachFleet builds the plane over a whole fleet: it tails the shared root
+// flight recorder (every shard's events, shard-stamped) on the fleet's
+// critical-path clock and feeds the SLO engine from the merged per-shard
+// telemetry. A shard is ready while it is Active for the router and its
+// lakeD supervisor (when armed) reports Healthy or ReAttached. Outstanding
+// counts routed in-flight requests, so the stall watchdog is live here.
+func AttachFleet(f *fleet.Fleet, cfg Config) *Plane {
+	p := New(cfg)
+	p.now = f.VirtualElapsed
+	p.rec = f.Recorder()
+	p.snapFn = f.Snapshot
+	p.shardProbe = func() []ShardHealth {
+		out := make([]ShardHealth, 0, len(f.Shards()))
+		for _, s := range f.Shards() {
+			sh := ShardHealth{
+				Ordinal:     s.Ordinal(),
+				State:       s.State().String(),
+				Ready:       s.State() == fleet.Active,
+				Outstanding: s.Outstanding(),
+				Handled:     s.Runtime().Daemon().Handled(),
+			}
+			if sup := s.Runtime().Supervisor(); sup != nil {
+				if st := sup.State(); !serving(st) {
+					sh.Ready = false
+					sh.State += "/" + st.String()
+				}
+			}
+			out = append(out, sh)
+		}
+		return out
+	}
+	return p
 }
 
-// SetTelemetrySource installs the snapshot function whose cumulative
-// histogram deltas feed the histogram-derived stages and whose output
-// rides incident bundles.
-func (p *Plane) SetTelemetrySource(f func() telemetry.Snapshot) {
-	p.mu.Lock()
-	p.snapFn = f
-	p.mu.Unlock()
+// serving reports whether a supervised lakeD is answering calls.
+func serving(st core.DaemonState) bool {
+	return st == core.StateHealthy || st == core.StateReAttached
 }
 
-// SetShardProbe installs the per-shard liveness probe behind /readyz and
-// the stall watchdog.
-func (p *Plane) SetShardProbe(f func() []ShardHealth) {
+// Watch adds a lifecycle manager to the plane: it feeds /models.json, the
+// SLO models section and drift-demotion incident capture.
+func (p *Plane) Watch(m *lifecycle.Manager) {
+	m.SetDemotionHook(func(string, bool) { p.demotePing.Store(true) })
 	p.mu.Lock()
-	p.shardProbe = f
-	p.mu.Unlock()
-}
-
-// SetModelSource installs the lifecycle managers feeding /models.json, the
-// SLO models section, and drift-demotion incident capture. The function is
-// re-invoked each Poll, so managers created after the plane are picked up
-// (and get the demotion hook installed on first sight).
-func (p *Plane) SetModelSource(f func() []*lifecycle.Manager) {
-	p.mu.Lock()
-	p.modelsFn = f
+	p.models = append(p.models, m)
 	p.mu.Unlock()
 }
 
@@ -228,12 +261,6 @@ func (p *Plane) Poll() []*Incident {
 	defer p.mu.Unlock()
 	p.polls++
 	p.demotePing.Store(false)
-	for _, m := range p.managersLocked() {
-		if !p.hooked[m] {
-			p.hooked[m] = true
-			m.SetDemotionHook(func(string, bool) { p.demotePing.Store(true) })
-		}
-	}
 	tick := int64(p.vnow() / p.cfg.Tick)
 
 	p.ingestTailLocked()
@@ -380,7 +407,7 @@ func (p *Plane) watchdogLocked() []*Incident {
 // or it newly enters heuristic fallback since the previous poll.
 func (p *Plane) demotionsLocked() []*Incident {
 	var captured []*Incident
-	for _, m := range p.managersLocked() {
+	for _, m := range p.models {
 		st := m.Stats()
 		model := m.Model()
 		if prev, ok := p.prevDemote[model]; ok && st.Demotions > prev {
@@ -396,17 +423,10 @@ func (p *Plane) demotionsLocked() []*Incident {
 	return captured
 }
 
-func (p *Plane) managersLocked() []*lifecycle.Manager {
-	if p.modelsFn == nil {
-		return nil
-	}
-	return p.modelsFn()
-}
-
 // modelStatus renders the SLO models section. Callers hold p.mu.
 func (p *Plane) modelStatus() []ModelStatus {
 	var out []ModelStatus
-	for _, m := range p.managersLocked() {
+	for _, m := range p.models {
 		st := m.Stats()
 		out = append(out, ModelStatus{
 			Model:        m.Model(),

@@ -91,9 +91,7 @@ func TestPollIngestsTailAndHistogramDeltas(t *testing.T) {
 	h := reg.Histogram("lake_lib_call_latency_ns", "t", telemetry.DefaultLatencyBuckets())
 
 	p := New(Config{Tick: time.Millisecond})
-	p.SetClock(clock.Now)
-	p.SetRecorder(rec)
-	p.SetTelemetrySource(reg.Snapshot)
+	p.now, p.rec, p.snapFn = clock.Now, rec, reg.Snapshot
 
 	rec.Emit(flightrec.DomainKernel, flightrec.EvCallEnd, 0, 1, 0, 7, 0, uint64(500*time.Microsecond)) // the boundary round trip
 	rec.Emit(flightrec.DomainGPU, flightrec.EvExec, 0, 2, 0, uint64(30*time.Microsecond), uint64(5*time.Microsecond), 0)
@@ -160,7 +158,7 @@ func TestPollIngestsTailAndHistogramDeltas(t *testing.T) {
 func TestWatchdogStall(t *testing.T) {
 	sh := ShardHealth{Ordinal: 0, State: "Active", Ready: true, Outstanding: 5, Handled: 100}
 	p := New(Config{StallPolls: 2})
-	p.SetShardProbe(func() []ShardHealth { return []ShardHealth{sh} })
+	p.shardProbe = func() []ShardHealth { return []ShardHealth{sh} }
 
 	if inc := p.Poll(); len(inc) != 0 { // first sight: baseline only
 		t.Fatalf("baseline poll captured %d incidents", len(inc))
@@ -197,8 +195,8 @@ func TestDemotionFallbackCapture(t *testing.T) {
 	}
 
 	p := New(Config{})
-	p.SetModelSource(func() []*lifecycle.Manager { return []*lifecycle.Manager{m} })
-	if inc := p.Poll(); len(inc) != 0 { // baseline: installs hook, records stats
+	p.Watch(m)                          // installs the demotion hook
+	if inc := p.Poll(); len(inc) != 0 { // baseline: records stats
 		t.Fatalf("baseline poll captured %d incidents", len(inc))
 	}
 
@@ -257,7 +255,7 @@ func TestHistogramShardAttribution(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	h := reg.Histogram(`lake_lib_call_latency_ns{shard="3"}`, "t", telemetry.DefaultLatencyBuckets())
 	p := New(Config{})
-	p.SetTelemetrySource(reg.Snapshot)
+	p.snapFn = reg.Snapshot
 	h.Observe(int64(time.Millisecond))
 	p.Poll()
 	snap := p.SLO()

@@ -28,13 +28,11 @@ func testPlane(t *testing.T) (*Plane, *flightrec.Recorder, *telemetry.Registry) 
 		t.Fatal(err)
 	}
 	p := New(Config{Tick: time.Millisecond, Version: "test"})
-	p.SetClock(clock.Now)
-	p.SetRecorder(rec)
-	p.SetTelemetrySource(reg.Snapshot)
-	p.SetModelSource(func() []*lifecycle.Manager { return []*lifecycle.Manager{m} })
-	p.SetShardProbe(func() []ShardHealth {
+	p.now, p.rec, p.snapFn = clock.Now, rec, reg.Snapshot
+	p.Watch(m)
+	p.shardProbe = func() []ShardHealth {
 		return []ShardHealth{{Ordinal: 0, State: "Active", Ready: true, Handled: 1}}
-	})
+	}
 	return p, rec, reg
 }
 
@@ -204,12 +202,12 @@ func TestHTTPDumpOnDemand(t *testing.T) {
 
 func TestHTTPReadyz503(t *testing.T) {
 	p := New(Config{})
-	p.SetShardProbe(func() []ShardHealth {
+	p.shardProbe = func() []ShardHealth {
 		return []ShardHealth{
 			{Ordinal: 0, State: "Active", Ready: true},
 			{Ordinal: 1, State: "Draining", Ready: false},
 		}
-	})
+	}
 	srv := httptest.NewServer(p.Handler())
 	defer srv.Close()
 	code, body := get(t, srv, "/readyz")

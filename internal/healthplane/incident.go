@@ -76,7 +76,7 @@ func (p *Plane) captureLocked(trigger, detail, objective string) *Incident {
 // registryStateLocked snapshots every attached model registry.
 func (p *Plane) registryStateLocked() []ModelRegistryState {
 	var out []ModelRegistryState
-	for _, m := range p.managersLocked() {
+	for _, m := range p.models {
 		serving := m.Serving()
 		rs := ModelRegistryState{Model: m.Model(), Stats: m.Stats()}
 		for _, v := range m.Registry().Versions() {

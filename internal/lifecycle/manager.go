@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"lakego/internal/core"
 	"lakego/internal/flightrec"
 	"lakego/internal/nn"
 	"lakego/internal/policy"
@@ -210,13 +211,25 @@ func (m *Manager) now() time.Duration {
 	return m.clock.Now()
 }
 
-// SetFlightRecorder attaches the flight recorder; lifecycle events land in
-// the DomainLifecycle ring (nil-safe).
-func (m *Manager) SetFlightRecorder(rec *flightrec.Recorder) { m.rec = rec }
+// New boots the manager for one model on rt: NewManager on the runtime's
+// clock, wired into its flight recorder (lifecycle events land in the
+// DomainLifecycle ring) and its telemetry (model="..."-labelled swap /
+// retrain / drift series plus the serving-version gauge). Attach the
+// predictor's SwapNet, feed Observe from the completion path, and hand the
+// manager to a health plane with healthplane.Plane.Watch.
+func New(rt *core.Runtime, cfg Config, base *nn.Network) (*Manager, error) {
+	m, err := NewManager(rt.Clock(), cfg, base)
+	if err != nil {
+		return nil, err
+	}
+	m.rec = rt.FlightRecorder()
+	m.instrument(rt.Telemetry(), rt.Namer(`model="`+cfg.Model+`"`))
+	return m, nil
+}
 
-// Instrument declares the manager's series on reg; name carries the
-// model="..." label. Must be called before any feedback is processed.
-func (m *Manager) Instrument(reg *telemetry.Registry, name telemetry.Namer) {
+// instrument declares the manager's series on reg; name carries the
+// model="..." label.
+func (m *Manager) instrument(reg *telemetry.Registry, name telemetry.Namer) {
 	reg.AttachCounter(name("lake_model_registrations_total"), "Model versions added to the registry.", &m.registrations)
 	reg.AttachCounter(name("lake_model_swaps_total"), "Serving-slot flips (promotions, demotions, rollbacks).", &m.swaps)
 	reg.AttachCounter(name("lake_model_retrain_steps_total"), "Online SGD minibatch steps run in lakeD.", &m.retrainSteps)

@@ -18,7 +18,7 @@ func TestBatchedRoutingMatchesUnbatched(t *testing.T) {
 	}
 	cfg := batcher.DefaultConfig()
 	cfg.Linger = 0
-	b := rt.NewBatcher(cfg)
+	b := batcher.New(rt, cfg)
 	if err := pred.Runner().EnableBatching(b); err != nil {
 		t.Fatal(err)
 	}

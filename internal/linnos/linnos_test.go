@@ -325,20 +325,20 @@ func TestSingleTraceWorkloadShape(t *testing.T) {
 // update_model -> load_model through the feature store and predicts
 // identically after the round trip.
 func TestModelLifecycleThroughFeatureStore(t *testing.T) {
-	rt := boot(t)
 	net, err := TrainedNetwork(Base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
 	path := dir + "/linnos.model"
-	if _, err := rt.Features().CreateModel("sda1", "bio", path); err != nil {
+	store := features.NewStore()
+	if _, err := store.CreateModel("sda1", "bio", path); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.Features().UpdateModel("sda1", "bio", net.Marshal()); err != nil {
+	if err := store.UpdateModel("sda1", "bio", net.Marshal()); err != nil {
 		t.Fatal(err)
 	}
-	m, err := rt.Features().LoadModel("sda1", "bio", path)
+	m, err := store.LoadModel("sda1", "bio", path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +365,7 @@ func TestScoreFeaturesListing4Loop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg, err := rt.Features().CreateRegistry("sda1", "bio_latency_prediction", features.Schema{
+	reg, err := features.NewStore().CreateRegistry("sda1", "bio_latency_prediction", features.Schema{
 		{Key: "pend_ios", Size: 8, Entries: 1},
 		{Key: "io_latency", Size: 8, Entries: 4},
 	}, 64)

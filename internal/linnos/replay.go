@@ -167,7 +167,8 @@ func Replay(rt *core.Runtime, pred *Predictor, w Workload, cfg ReplayConfig) (Re
 	}
 
 	// Fresh devices and per-device feature registries (Listing 4: "Each
-	// block device needs its own feature registry").
+	// block device needs its own feature registry"), in a store the replay
+	// owns.
 	nDev := len(w.PerDevice)
 	if nDev < 2 {
 		return Result{}, fmt.Errorf("linnos: workload needs >= 2 devices, got %d", nDev)
@@ -179,21 +180,17 @@ func Replay(rt *core.Runtime, pred *Predictor, w Workload, cfg ReplayConfig) (Re
 		{Key: "io_latency", Size: 8, Entries: latencyCount},
 	}
 	sys := "bio_latency_prediction"
+	store := features.NewStore()
 	for i := range states {
 		name := fmt.Sprintf("nvme%d", i)
 		dev := storage.NewDevice(storage.DefaultConfig(name, cfg.Seed+int64(i)))
-		reg, err := rt.Features().CreateRegistry(fmt.Sprintf("%s-%d", name, cfg.Seed), sys, schema, MaxBatch)
+		reg, err := store.CreateRegistry(name, sys, schema, MaxBatch)
 		if err != nil {
 			return Result{}, err
 		}
 		states[i] = &devState{dev: dev, reg: reg, lanes: make([]time.Duration, cfg.InferLanes)}
 		devs[i] = dev
 	}
-	defer func() {
-		for i := range states {
-			rt.Features().DestroyRegistry(fmt.Sprintf("nvme%d-%d", i, cfg.Seed), sys)
-		}
-	}()
 	array, err := storage.NewArray(devs...)
 	if err != nil {
 		return Result{}, err

@@ -1,4 +1,5 @@
-// Doorbell: futex-style park/unpark on an atomic word. The ring transport
+// Package lockfree holds the doorbell: futex-style park/unpark on an atomic
+// word. The ring transport
 // replaces per-message Go-channel sends with descriptor pushes; the
 // doorbell is the one remaining wakeup primitive, and it is paid only on
 // the empty→nonempty ring transition — a whole batcher flush rings once.

@@ -81,8 +81,7 @@ type Runner struct {
 	stageMu sync.Mutex
 
 	// gpuLat / cpuLat are the runtime's shared per-item latency series
-	// (the same histograms the batcher feeds and the Fig 3 policy's
-	// observed-latency mode reads); nil without telemetry.
+	// (core.Runtime.ItemLatency); nil without telemetry.
 	gpuLat, cpuLat *telemetry.Histogram
 }
 
@@ -92,10 +91,7 @@ func NewRunner(rt *core.Runtime, mc batcher.ModelConfig) (*Runner, error) {
 		return nil, err
 	}
 	r := &Runner{rt: rt, mc: mc}
-	if tel := rt.Telemetry(); tel != nil {
-		r.gpuLat = tel.Histogram(telemetry.MetricGPUItemLatency, "Observed per-item GPU-path latency (virtual ns).", telemetry.DefaultLatencyBuckets())
-		r.cpuLat = tel.Histogram(telemetry.MetricCPUItemLatency, "Observed per-item CPU-path latency (virtual ns).", telemetry.DefaultLatencyBuckets())
-	}
+	r.gpuLat, r.cpuLat = rt.ItemLatency()
 	rt.RegisterKernel(mc.Kernel())
 	lib := rt.Lib()
 	ctx, res := lib.CuCtxCreate("kernel-" + mc.Name)

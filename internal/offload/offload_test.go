@@ -1,6 +1,7 @@
 package offload
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -11,9 +12,11 @@ import (
 	"lakego/internal/batcher"
 	"lakego/internal/core"
 	"lakego/internal/cuda"
+	"lakego/internal/fleet"
 	"lakego/internal/gpu"
 	"lakego/internal/nn"
 	"lakego/internal/policy"
+	"lakego/internal/telemetry"
 	"lakego/internal/vtime"
 )
 
@@ -79,7 +82,7 @@ func TestCPUAndLAKEProduceSameOutputs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			b := rt.NewBatcher(batcher.Config{Linger: 0})
+			b := batcher.New(rt, batcher.Config{Linger: 0})
 			if err := r.EnableBatching(b); err != nil {
 				t.Fatal(err)
 			}
@@ -412,4 +415,40 @@ func TestSlotServedKernelConcurrentSwap(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	swapper.Wait()
+}
+
+// TestRunnerSeriesCarryShardLabel: a Runner on a fleet shard observes the
+// shard's own per-item latency series — the ones that shard's
+// observed-latency policy reads — and no unlabelled family that every
+// shard's registry would export under one name.
+func TestRunnerSeriesCarryShardLabel(t *testing.T) {
+	fcfg := fleet.Config{Runtime: core.DefaultConfig()}
+	fcfg.Runtime.NumShards = 2
+	fcfg.Runtime.ShmBytes = 16 << 20
+	f, err := fleet.New(fcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(f.Close)
+	for _, s := range f.Shards() {
+		r, err := NewRunner(s.Runtime(), cfg("labelled"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch := [][]float32{{1, 2, 3, 4}}
+		if _, _, err := r.RunLAKE(batch, true); err != nil {
+			t.Fatal(err)
+		}
+		r.RunCPU(batch)
+		snap := s.Runtime().Telemetry().Snapshot()
+		for _, family := range []string{telemetry.MetricGPUItemLatency, telemetry.MetricCPUItemLatency} {
+			if _, ok := snap.Histograms[family]; ok {
+				t.Errorf("shard %d registry holds the unlabelled %s", s.Ordinal(), family)
+			}
+			series := fmt.Sprintf(`%s{shard="%d"}`, family, s.Ordinal())
+			if h, ok := snap.Histograms[series]; !ok || h.Count != 1 {
+				t.Errorf("shard %d: %s = %+v, want one sample", s.Ordinal(), series, h)
+			}
+		}
+	}
 }

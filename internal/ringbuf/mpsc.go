@@ -1,8 +1,7 @@
-// Lock-free MPSC descriptor ring: the wire structure behind the boundary's
-// ring transport. Where Ring (ringbuf.go) is the registry's mutex-guarded
-// window, MPSC is the promoted-to-the-wire variant the ROADMAP calls for — a
-// bounded multi-producer single-consumer queue of fixed-size frame
-// descriptors, indexing payload slots that live in lakeShm.
+// Package ringbuf is the lock-free MPSC descriptor ring: the wire structure
+// behind the boundary's ring transport — a bounded multi-producer
+// single-consumer queue of fixed-size frame descriptors, indexing payload
+// slots that live in lakeShm.
 //
 // The algorithm is Vyukov's bounded queue specialized to one consumer. Each
 // slot carries a sequence word that doubles as the publication fence:

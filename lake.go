@@ -5,11 +5,15 @@
 // A Runtime wires together the three components of Fig 2 — lakeLib (the
 // kernel-side API provider), lakeShm (the zero-copy bulk-data channel) and
 // lakeD (the user-space daemon realizing accelerator APIs) — plus the
-// Fig 3 execution-policy framework and the §5 in-kernel feature registry.
-// Because Go cannot run in kernel space, the kernel/user boundary and the
-// accelerator are high-fidelity simulations on a virtual clock; every
-// protocol layer above them (command serialization, shared-memory handoff,
-// policy decisions, feature capture) is the real code path.
+// Fig 3 execution-policy framework. Everything else attaches to a Runtime
+// from outside it: NewBatcher (cross-client batching), NewLifecycle (online
+// model lifecycle) and NewHealthPlane (live health surface) each take the
+// runtime, and the §5 in-kernel feature registry is a FeatureStore the
+// caller owns. Because Go cannot run in kernel space, the kernel/user
+// boundary and the accelerator are high-fidelity simulations on a virtual
+// clock; every protocol layer above them (command serialization,
+// shared-memory handoff, policy decisions, feature capture) is the real
+// code path.
 //
 // Quick start:
 //
@@ -37,6 +41,7 @@ import (
 	"lakego/internal/gpupool"
 	"lakego/internal/healthplane"
 	"lakego/internal/lifecycle"
+	"lakego/internal/nn"
 	"lakego/internal/policy"
 	"lakego/internal/remoting"
 	"lakego/internal/telemetry"
@@ -69,12 +74,18 @@ type (
 // FeatureSchema describes a feature registry's vectors (§5, Table 1).
 type FeatureSchema = features.Schema
 
+// NewFeatureStore creates an empty in-kernel feature registry store (§5):
+// the registries and models every Table 1 call names by (name, sys).
+func NewFeatureStore() *features.Store { return features.NewStore() }
+
 // BatcherModel describes one batchable model of the cross-client batching
-// subsystem (internal/batcher): clients obtain a Batcher from
-// Runtime.NewBatcher, register models, and submit through per-client
-// handles; independent requests coalesce into batched GPU launches inside
-// lakeD.
+// subsystem (internal/batcher): clients obtain a Batcher from NewBatcher,
+// register models, and submit through per-client handles; independent
+// requests coalesce into batched GPU launches inside lakeD.
 type BatcherModel = batcher.ModelConfig
+
+// NewBatcher attaches the cross-client batching subsystem to rt.
+func NewBatcher(rt *Runtime, cfg batcher.Config) *batcher.Batcher { return batcher.New(rt, cfg) }
 
 // PoolPolicy selects the placement policy for new contexts on a multi-GPU
 // device pool (internal/gpupool): set Config.NumDevices (or
@@ -116,9 +127,9 @@ func DefaultBatcherConfig() batcher.Config { return batcher.DefaultConfig() }
 // atomic pointer flip, an in-daemon online trainer fed by a bounded
 // feedback channel of observed outcomes, and a drift detector that
 // demotes a degraded version (or falls back to the CPU/heuristic path).
-// Boot one per model with Runtime.NewLifecycle.
+// Boot one per model with NewLifecycle.
 type (
-	// ModelLifecycleConfig parameterizes Runtime.NewLifecycle.
+	// ModelLifecycleConfig parameterizes NewLifecycle.
 	ModelLifecycleConfig = lifecycle.Config
 	// ModelOutcome is one observed ground-truth feedback record.
 	ModelOutcome = lifecycle.Outcome
@@ -128,6 +139,12 @@ type (
 // model label.
 func DefaultLifecycleConfig(model string) ModelLifecycleConfig {
 	return lifecycle.DefaultConfig(model)
+}
+
+// NewLifecycle boots the online model-lifecycle manager for one model on
+// rt, seeded with base as its serving version.
+func NewLifecycle(rt *Runtime, cfg ModelLifecycleConfig, base *nn.Network) (*lifecycle.Manager, error) {
+	return lifecycle.New(rt, cfg, base)
 }
 
 // Flight-recorder types (internal/flightrec): every telemetry-enabled
@@ -155,9 +172,10 @@ func ReadFlightDump(data []byte) (*FlightDump, error) { return flightrec.ReadDum
 // path, rolls tailed events plus telemetry-histogram deltas into
 // multi-window per-stage latency percentiles and SRE-style error-budget
 // burn rates, and captures anomaly-triggered black-box incident bundles
-// (flight dump + telemetry snapshot + model registry state). Boot one with
-// Runtime.NewHealthPlane or Fleet.NewHealthPlane and serve
-// HealthPlane.Handler() on the routes in HealthPlanePaths — laked does.
+// (flight dump + telemetry snapshot + model registry state). Attach one
+// with NewHealthPlane or NewFleetHealthPlane, Watch each lifecycle manager
+// it should report, and serve HealthPlane.Handler() on the routes in
+// HealthPlanePaths — laked does.
 type (
 	// HealthPlane is the live health surface for a runtime or fleet.
 	HealthPlane = healthplane.Plane
@@ -172,6 +190,16 @@ type (
 
 // HealthPlanePaths lists the HTTP routes HealthPlane.Handler serves.
 var HealthPlanePaths = healthplane.Paths
+
+// NewHealthPlane attaches the live health plane to rt.
+func NewHealthPlane(rt *Runtime, cfg HealthPlaneConfig) *HealthPlane {
+	return healthplane.Attach(rt, cfg)
+}
+
+// NewFleetHealthPlane attaches the live health plane to a whole fleet.
+func NewFleetHealthPlane(f *Fleet, cfg HealthPlaneConfig) *HealthPlane {
+	return healthplane.AttachFleet(f, cfg)
+}
 
 // StitchFlightDump rebuilds per-call cross-domain timelines from a dump.
 func StitchFlightDump(d *FlightDump) *flightrec.StitchResult { return flightrec.Stitch(d) }

@@ -47,7 +47,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 		t.Fatalf("policy decision %v invalid", got)
 	}
 
-	reg, err := rt.Features().CreateRegistry("sda1", "demo", lake.FeatureSchema{
+	reg, err := lake.NewFeatureStore().CreateRegistry("sda1", "demo", lake.FeatureSchema{
 		{Key: "pend_ios", Size: 8, Entries: 1},
 	}, 4)
 	if err != nil {

@@ -78,8 +78,8 @@ func TestMetricCatalogueGolden(t *testing.T) {
 	var lines []string
 
 	rt := boot(small())
-	rt.NewBatcher(batcher.Config{})
-	if _, err := rt.NewLifecycle(lifecycle.DefaultConfig("linnos"), nn.New(21, linnos.Base.Sizes()...)); err != nil {
+	batcher.New(rt, batcher.Config{})
+	if _, err := lifecycle.New(rt, lifecycle.DefaultConfig("linnos"), nn.New(21, linnos.Base.Sizes()...)); err != nil {
 		t.Fatal(err)
 	}
 	lines = append(lines, metricCatalogue(rt.Telemetry().Snapshot(), rt.Telemetry().PrometheusText())...)

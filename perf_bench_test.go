@@ -48,11 +48,18 @@ func BenchmarkPerfBestFitAllocFree(b *testing.B) {
 	}
 }
 
+// BenchmarkPerfLockfreeCapture is capture_feature_incr from every P at once:
+// the registry's lock-free capture path (§5.3).
 func BenchmarkPerfLockfreeCapture(b *testing.B) {
-	m := lockfree.NewMap(16)
+	reg, err := features.NewStore().CreateRegistry("bench", "sys", features.Schema{
+		{Key: "pend_ios", Size: 8, Entries: 1},
+	}, 16)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			m.Add("pend_ios", 1)
+			reg.CaptureFeatureIncr("pend_ios", 1)
 		}
 	})
 }
@@ -149,13 +156,6 @@ func BenchmarkPerfNNForwardSlabSmall(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*items), "ns/row")
 			})
 		}
-	}
-}
-
-func BenchmarkPerfRingPush(b *testing.B) {
-	r := ringbuf.New[int](1024)
-	for i := 0; i < b.N; i++ {
-		r.Push(i)
 	}
 }
 

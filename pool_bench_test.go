@@ -66,7 +66,7 @@ func runPoolScalingLinnOS(tb testing.TB, clients, perClient, devices int) batchB
 	cfg.Linger = 2 * time.Millisecond
 	cfg.ClientDepth = 4
 	cfg.Policy = rt.NewAdaptivePolicy(policy.DefaultAdaptiveConfig()).Decide
-	b := rt.NewBatcher(cfg)
+	b := batcher.New(rt, cfg)
 	if err := pred.Runner().EnableBatching(b); err != nil {
 		tb.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func TestSoakConcurrentMixedLoad(t *testing.T) {
 		return []uint64{s}, nil, cuda.Success
 	})
 
-	reg, err := rt.Features().CreateRegistry("soak", "sys", lake.FeatureSchema{
+	reg, err := lake.NewFeatureStore().CreateRegistry("soak", "sys", lake.FeatureSchema{
 		{Key: "pend", Size: 8, Entries: 1},
 		{Key: "lat", Size: 8, Entries: 4},
 	}, 4096)
@@ -140,7 +140,7 @@ func TestSoakUnderFaults(t *testing.T) {
 		return []uint64{s}, nil, cuda.Success
 	})
 
-	reg, err := rt.Features().CreateRegistry("soak-faulty", "sys", lake.FeatureSchema{
+	reg, err := lake.NewFeatureStore().CreateRegistry("soak-faulty", "sys", lake.FeatureSchema{
 		{Key: "pend", Size: 8, Entries: 1},
 	}, 4096)
 	if err != nil {

@@ -25,7 +25,7 @@ import (
 func servedSpans(t *testing.T, rt *lake.Runtime) []lake.Span {
 	t.Helper()
 	rec := httptest.NewRecorder()
-	rt.NewHealthPlane(lake.HealthPlaneConfig{}).Handler().
+	lake.NewHealthPlane(rt, lake.HealthPlaneConfig{}).Handler().
 		ServeHTTP(rec, httptest.NewRequest("GET", "/spans.json", nil))
 	if rec.Code != 200 {
 		t.Fatalf("/spans.json = %d: %s", rec.Code, rec.Body)
@@ -126,7 +126,7 @@ func TestBatchedCoalesceTrace(t *testing.T) {
 	}
 	bcfg := batcher.DefaultConfig()
 	bcfg.MaxWait = 100 * time.Microsecond
-	b := rt.NewBatcher(bcfg)
+	b := batcher.New(rt, bcfg)
 	if err := pred.Runner().EnableBatching(b); err != nil {
 		t.Fatal(err)
 	}

@@ -17,6 +17,7 @@
 package healthplane
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -139,9 +140,10 @@ type Plane struct {
 	demotePing atomic.Bool
 }
 
-// New builds a plane with no sources: no recorder to tail, no telemetry,
-// no shard probe (trivially ready). Attach and AttachFleet wire a real one.
-func New(cfg Config) *Plane {
+// newPlane builds a plane with no sources: no recorder to tail, no
+// telemetry, no shard probe (trivially ready). Attach and AttachFleet wire
+// the sources in.
+func newPlane(cfg Config) *Plane {
 	cfg.fillDefaults()
 	p := &Plane{
 		cfg:        cfg,
@@ -167,7 +169,7 @@ func New(cfg Config) *Plane {
 // completion outstanding is unknown here, so the stall watchdog only arms
 // on fleets.
 func Attach(rt *core.Runtime, cfg Config) *Plane {
-	p := New(cfg)
+	p := newPlane(cfg)
 	p.now = rt.Clock().Now
 	p.rec = rt.FlightRecorder()
 	if tel := rt.Telemetry(); tel != nil {
@@ -191,7 +193,7 @@ func Attach(rt *core.Runtime, cfg Config) *Plane {
 // lakeD supervisor (when armed) reports Healthy or ReAttached. Outstanding
 // counts routed in-flight requests, so the stall watchdog is live here.
 func AttachFleet(f *fleet.Fleet, cfg Config) *Plane {
-	p := New(cfg)
+	p := newPlane(cfg)
 	p.now = f.VirtualElapsed
 	p.rec = f.Recorder()
 	p.snapFn = f.Snapshot
@@ -224,12 +226,28 @@ func serving(st core.DaemonState) bool {
 }
 
 // Watch adds a lifecycle manager to the plane: it feeds /models.json, the
-// SLO models section and drift-demotion incident capture.
+// SLO models section and drift-demotion incident capture. The plane keeps
+// one manager per model name, listed in name order: watching a manager again
+// is a no-op, and a new manager for a watched name replaces the old one and
+// starts its demotion baseline afresh.
 func (p *Plane) Watch(m *lifecycle.Manager) {
-	m.SetDemotionHook(func(string, bool) { p.demotePing.Store(true) })
 	p.mu.Lock()
-	p.models = append(p.models, m)
-	p.mu.Unlock()
+	defer p.mu.Unlock()
+	model := m.Model()
+	i, found := slices.BinarySearchFunc(p.models, model, func(w *lifecycle.Manager, model string) int {
+		return strings.Compare(w.Model(), model)
+	})
+	switch {
+	case found && p.models[i] == m:
+		return
+	case found:
+		p.models[i] = m
+		delete(p.prevDemote, model)
+		delete(p.prevFall, model)
+	default:
+		p.models = slices.Insert(p.models, i, m)
+	}
+	m.SetDemotionHook(func(string, bool) { p.demotePing.Store(true) })
 }
 
 func (p *Plane) vnow() time.Duration {

@@ -31,7 +31,7 @@ func TestBurnRate(t *testing.T) {
 }
 
 func TestWindowTallyAndRings(t *testing.T) {
-	p := New(Config{Tick: time.Millisecond, ShortTicks: 3, LongTicks: 5,
+	p := newPlane(Config{Tick: time.Millisecond, ShortTicks: 3, LongTicks: 5,
 		Objectives: []Objective{{Name: "o", Stage: StageCall, Budget: time.Millisecond, Target: 0.9}}})
 	o := p.objs[0]
 	p.sample(StageCall, 0, int64(500*time.Microsecond), 1, 10) // good
@@ -52,7 +52,7 @@ func TestWindowTallyAndRings(t *testing.T) {
 }
 
 func TestEvaluateLatchAndRearm(t *testing.T) {
-	p := New(Config{Tick: time.Millisecond, ShortTicks: 3, LongTicks: 6, FastBurn: 5, SlowBurn: 2,
+	p := newPlane(Config{Tick: time.Millisecond, ShortTicks: 3, LongTicks: 6, FastBurn: 5, SlowBurn: 2,
 		Objectives: []Objective{{Name: "o", Stage: StageCall, Budget: time.Microsecond, Target: 0.9}}})
 	o := p.objs[0]
 
@@ -90,7 +90,7 @@ func TestPollIngestsTailAndHistogramDeltas(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	h := reg.Histogram("lake_lib_call_latency_ns", "t", telemetry.DefaultLatencyBuckets())
 
-	p := New(Config{Tick: time.Millisecond})
+	p := newPlane(Config{Tick: time.Millisecond})
 	p.now, p.rec, p.snapFn = clock.Now, rec, reg.Snapshot
 
 	rec.Emit(flightrec.DomainKernel, flightrec.EvCallEnd, 0, 1, 0, 7, 0, uint64(500*time.Microsecond)) // the boundary round trip
@@ -157,7 +157,7 @@ func TestPollIngestsTailAndHistogramDeltas(t *testing.T) {
 
 func TestWatchdogStall(t *testing.T) {
 	sh := ShardHealth{Ordinal: 0, State: "Active", Ready: true, Outstanding: 5, Handled: 100}
-	p := New(Config{StallPolls: 2})
+	p := newPlane(Config{StallPolls: 2})
 	p.shardProbe = func() []ShardHealth { return []ShardHealth{sh} }
 
 	if inc := p.Poll(); len(inc) != 0 { // first sight: baseline only
@@ -194,7 +194,7 @@ func TestDemotionFallbackCapture(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p := New(Config{})
+	p := newPlane(Config{})
 	p.Watch(m)                          // installs the demotion hook
 	if inc := p.Poll(); len(inc) != 0 { // baseline: records stats
 		t.Fatalf("baseline poll captured %d incidents", len(inc))
@@ -233,10 +233,41 @@ func TestDemotionFallbackCapture(t *testing.T) {
 	if more := p.Poll(); len(more) != 0 { // no re-capture while fallen back
 		t.Fatalf("fallback re-captured: %d", len(more))
 	}
+
+	// Watching the same manager again changes nothing.
+	p.Watch(m)
+	if n := len(p.SLO().Models); n != 1 {
+		t.Fatalf("re-watched manager listed %d times, want 1", n)
+	}
+
+	// A fresh manager for the same model replaces the fallen one and starts
+	// a new baseline: its zero demotion count and healthy state are not
+	// compared against the old manager's.
+	fresh, err := lifecycle.NewManager(vtime.New(), cfg, nn.New(1, 2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Watch(fresh)
+	if inc := p.Poll(); len(inc) != 0 {
+		t.Fatalf("replacement poll captured %d incidents", len(inc))
+	}
+	if st := p.SLO().Models; len(st) != 1 || st[0].Fallback {
+		t.Fatalf("models after replacement = %+v, want the one healthy pred", st)
+	}
+
+	// Managers for other models list in name order, whatever the watch order.
+	other, err := lifecycle.NewManager(vtime.New(), lifecycle.DefaultConfig("alpha"), nn.New(1, 2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Watch(other)
+	if st := p.SLO().Models; len(st) != 2 || st[0].Model != "alpha" || st[1].Model != "pred" {
+		t.Fatalf("models = %+v, want alpha then pred", st)
+	}
 }
 
 func TestIncidentRingBound(t *testing.T) {
-	p := New(Config{MaxIncidents: 2})
+	p := newPlane(Config{MaxIncidents: 2})
 	p.mu.Lock()
 	for i := 0; i < 5; i++ {
 		p.captureLocked("test", "n", "")
@@ -254,7 +285,7 @@ func TestIncidentRingBound(t *testing.T) {
 func TestHistogramShardAttribution(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	h := reg.Histogram(`lake_lib_call_latency_ns{shard="3"}`, "t", telemetry.DefaultLatencyBuckets())
-	p := New(Config{})
+	p := newPlane(Config{})
 	p.snapFn = reg.Snapshot
 	h.Observe(int64(time.Millisecond))
 	p.Poll()

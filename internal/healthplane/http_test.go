@@ -27,7 +27,7 @@ func testPlane(t *testing.T) (*Plane, *flightrec.Recorder, *telemetry.Registry) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := New(Config{Tick: time.Millisecond, Version: "test"})
+	p := newPlane(Config{Tick: time.Millisecond, Version: "test"})
 	p.now, p.rec, p.snapFn = clock.Now, rec, reg.Snapshot
 	p.Watch(m)
 	p.shardProbe = func() []ShardHealth {
@@ -201,7 +201,7 @@ func TestHTTPDumpOnDemand(t *testing.T) {
 }
 
 func TestHTTPReadyz503(t *testing.T) {
-	p := New(Config{})
+	p := newPlane(Config{})
 	p.shardProbe = func() []ShardHealth {
 		return []ShardHealth{
 			{Ordinal: 0, State: "Active", Ready: true},
@@ -219,7 +219,7 @@ func TestHTTPReadyz503(t *testing.T) {
 	}
 
 	// No probe wired: trivially ready.
-	bare := httptest.NewServer(New(Config{}).Handler())
+	bare := httptest.NewServer(newPlane(Config{}).Handler())
 	defer bare.Close()
 	if code, _ := get(t, bare, "/readyz"); code != 200 {
 		t.Fatalf("probe-less /readyz = %d, want 200", code)

@@ -12,6 +12,7 @@ package lake_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"lakego/internal/batcher"
@@ -37,12 +38,13 @@ func ringConfig() core.Config {
 	return cfg
 }
 
-// skipUnderRace skips an allocation gate in a -race build, whose runtime
-// drops sync.Pool puts; the allocgate CI job runs the gates without -race.
+// skipUnderRace skips an allocation gate in a -race build: the gates pin
+// the counts of the build that ships, and the allocgate CI job runs them
+// without -race.
 func skipUnderRace(t *testing.T) {
 	t.Helper()
 	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under -race: the race runtime drops sync.Pool puts")
+		t.Skip("allocation gates pin the build without -race; the allocgate job runs them there")
 	}
 }
 
@@ -92,6 +94,48 @@ func TestAllocsRingRemotedCall(t *testing.T) {
 				t.Fatalf("remoted call allocates %v objects/op, want 0", n)
 			}
 		})
+	}
+}
+
+// allocsAcrossGC is testing.AllocsPerRun with two collections before every
+// measured call: scratch a hot path reuses must sit on a shm.FreeList or the
+// stack, which a GC cycle leaves alone, where a sync.Pool is emptied (the
+// second cycle clears its victim cache too). The collections stay outside the count, because a cycle
+// allocates on its own account: the unique package's map cleanup, which
+// net/netip's handles register, runs after every one. Like AllocsPerRun it
+// truncates the mean, so a runtime thread started now and then in the
+// window does not count.
+func allocsAcrossGC(runs int, f func()) float64 {
+	var ms runtime.MemStats
+	var total uint64
+	for i := 0; i < runs; i++ {
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		f()
+		runtime.ReadMemStats(&ms)
+		total += ms.Mallocs - before
+	}
+	return float64(total / uint64(runs))
+}
+
+// TestAllocsRingRemotedCallAcrossGC is the remoted-call gate with the
+// collector run before every measured call: lakeLib's call states must
+// survive it.
+func TestAllocsRingRemotedCallAcrossGC(t *testing.T) {
+	skipUnderRace(t)
+	lib := newRingRuntime(t).Lib()
+	call := func() {
+		if _, r := lib.CuDeviceGetCount(); r != cuda.Success {
+			t.Fatal(r)
+		}
+	}
+	for i := 0; i < 4100; i++ { // one full journal lap, see above
+		call()
+	}
+	if n := allocsAcrossGC(50, call); n != 0 {
+		t.Fatalf("remoted call across GC cycles allocates %v objects/op, want 0", n)
 	}
 }
 
@@ -251,12 +295,12 @@ func TestAllocsRingBatchedFlushWire(t *testing.T) {
 	}
 }
 
-// TestAllocsSlotServedKernelLaunch gates the kernel body every workload
-// launches: one bulk_linnos-sized launch (1024 LinnOS items) of a
-// Slot-served ModelConfig.Kernel resolves its network, decodes the input
-// slab, runs the forward passes and encodes the logits without allocating.
-func TestAllocsSlotServedKernelLaunch(t *testing.T) {
-	skipUnderRace(t)
+// newSlotServedLaunch registers a Slot-served LinnOS ModelConfig.Kernel on a
+// ring runtime and returns one bulk_linnos-sized launch of it (1024 items),
+// warmed: one full journal lap of one-item launches (see above), then one
+// full-batch launch to grow the kernel's slabs.
+func newSlotServedLaunch(t *testing.T) func() {
+	t.Helper()
 	rt := newRingRuntime(t)
 	lib := rt.Lib()
 	net := nn.New(3, linnos.Base.Sizes()...)
@@ -291,13 +335,34 @@ func TestAllocsSlotServedKernelLaunch(t *testing.T) {
 			t.Fatal(r)
 		}
 	}
-	for i := 0; i < 4100; i++ { // one full journal lap on one-item launches, see above
+	for i := 0; i < 4100; i++ {
 		launch()
 	}
 	args[2] = uint64(mc.MaxBatch)
-	launch() // grow the pooled slabs to the full batch
+	launch()
+	return launch
+}
+
+// TestAllocsSlotServedKernelLaunch gates the kernel body every workload
+// launches: one bulk_linnos-sized launch (1024 LinnOS items) of a
+// Slot-served ModelConfig.Kernel resolves its network, decodes the input
+// slab, runs the forward passes and encodes the logits without allocating.
+func TestAllocsSlotServedKernelLaunch(t *testing.T) {
+	skipUnderRace(t)
+	launch := newSlotServedLaunch(t)
 	if n := testing.AllocsPerRun(20, launch); n != 0 {
 		t.Fatalf("1024-item launch of a Slot-served kernel allocates %v objects/op, want 0", n)
+	}
+}
+
+// TestAllocsSlotServedKernelLaunchAcrossGC is the launch gate with the
+// collector run before every measured launch: the kernel's slabs must
+// survive it.
+func TestAllocsSlotServedKernelLaunchAcrossGC(t *testing.T) {
+	skipUnderRace(t)
+	launch := newSlotServedLaunch(t)
+	if n := allocsAcrossGC(50, launch); n != 0 {
+		t.Fatalf("1024-item launch across GC cycles allocates %v objects/op, want 0", n)
 	}
 }
 

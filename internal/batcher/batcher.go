@@ -186,9 +186,10 @@ func (mc ModelConfig) ResolveForward() SlabForward {
 // Kernel builds the model's device kernel: one batch-shaped forward pass
 // over a staged slab. Args: [inPtr, outPtr, items].
 func (mc ModelConfig) Kernel() *cuda.Kernel {
-	// The decoded input rows and the logits of one launch. Pooled, not one
-	// buffer per kernel: gpu.Device.Execute runs bodies concurrently.
-	slabs := &sync.Pool{New: func() any { return new([]float32) }}
+	// The decoded input rows and the logits of one launch, on a free list
+	// rather than one buffer per kernel because gpu.Device.Execute runs
+	// bodies concurrently.
+	slabs := new(shm.FreeList[[]float32])
 	return &cuda.Kernel{
 		Name:  mc.Name,
 		Flops: func(args []uint64) float64 { return float64(args[2]) * mc.FlopsPerItem },
@@ -212,9 +213,10 @@ func (mc ModelConfig) Kernel() *cuda.Kernel {
 			if err != nil {
 				return err
 			}
-			slab := slabs.Get().(*[]float32)
-			defer slabs.Put(slab)
-			return mc.forwardBytes(fwd, slab, inMem, outMem, n)
+			slab := slabs.Get()
+			err = mc.forwardBytes(fwd, slab, inMem, outMem, n)
+			slabs.Put(slab)
+			return err
 		},
 	}
 }

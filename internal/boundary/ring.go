@@ -77,6 +77,10 @@ type ringDir struct {
 
 	payload []byte   // shm-resident slot arena, Cap()*slotBytes bytes
 	ov      [][]byte // per-slot reusable overflow spill buffers
+	// arena is payload's allocation when it is carved from a region. The
+	// transport holds it, not just payload, so the region stays mapped
+	// for as long as the transport is reachable.
+	arena shm.Buffer
 
 	// outstanding tracks published-but-unconsumed frames; the doorbell
 	// rings only on its 0→1 edge.
@@ -140,7 +144,7 @@ func NewRingTransport(clock *vtime.Clock, region *shm.Region, depth, slotBytes i
 			if err != nil {
 				return nil, fmt.Errorf("boundary: ring slot arena: %w", err)
 			}
-			d.payload = buf.Bytes()
+			d.arena, d.payload = buf, buf.Bytes()
 		} else {
 			d.payload = make([]byte, arena)
 		}

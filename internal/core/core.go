@@ -58,7 +58,9 @@ type Config struct {
 	// multi-device runs bit-identical.
 	PoolSeed int64
 	// ShmBytes sizes the lakeShm region (default shm.DefaultRegionSize,
-	// the artifact's cma=128M).
+	// the artifact's cma=128M). It is address space, not memory: the region
+	// is a mapping whose pages are committed as they are first touched
+	// (heap memory under -race and off unix; see internal/shm).
 	ShmBytes int64
 	// Channel selects the cost-model row charged per command round trip:
 	// a Table-2 mechanism (default Netlink, the paper's choice) or Ring,
@@ -86,10 +88,10 @@ type Config struct {
 	DisableTelemetry bool
 	// DisableFlightRecorder boots without the always-on flight recorder.
 	// The recorder rides the telemetry switch: it is on whenever telemetry
-	// is on (its per-event cost is a cursor fetch-add plus nine atomic
-	// stores), and disabling either telemetry or this flag leaves every
-	// remoted command untraced — the wire stays byte-identical to the
-	// pre-recorder protocol.
+	// is on (its per-event cost is one locked copy into a ring slot), and
+	// disabling either telemetry or this flag leaves every remoted command
+	// untraced — the wire stays byte-identical to the pre-recorder
+	// protocol.
 	DisableFlightRecorder bool
 	// FlightRecorderSize is the per-domain ring capacity in events (default
 	// flightrec.DefaultRingSize = 4096).
@@ -457,5 +459,7 @@ func (r *Runtime) Stats() Stats {
 	}
 }
 
-// Close shuts the runtime down.
+// Close shuts the runtime down. It leaves the lakeShm region mapped: the
+// region goes with the runtime's last reference (and the last Buffer or
+// transport carved from it), when the collector finds it unreachable.
 func (r *Runtime) Close() { r.transport.Close() }

@@ -18,7 +18,6 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"sync"
 )
 
 // Activation selects a layer's nonlinearity.
@@ -137,9 +136,11 @@ func (n *Network) Forward(x []float32) []float32 {
 	return out
 }
 
-// slabScratch pools ForwardSlab's activations. A pool rather than a buffer
-// on the network: device kernel bodies run concurrently.
-var slabScratch = sync.Pool{New: func() any { return new([]float32) }}
+// slabStackWidth is the widest activation row ForwardSlab keeps on its
+// stack: 256, the hidden width of the LinnOS+ networks and the widest layer
+// any shipped model has. A wider network's activations take one heap
+// buffer per call.
+const slabStackWidth = 256
 
 // slabWidth returns the widest activation row ForwardSlab holds — the input
 // or any layer's output — once it has checked the layers: there must be
@@ -173,9 +174,9 @@ func (n *Network) slabWidth() (int, error) {
 // rows of InputSize floats, out receives items rows of OutputSize logits,
 // each bit-identical to Forward on that row. Rows run one at a time through
 // Layer.forward, whose amd64 kernel spreads one row's outputs across the
-// SIMD lanes, so cost is linear in items. Activations live in pooled
-// scratch, so a call allocates nothing once the pool is warm; it is safe for
-// concurrent use.
+// SIMD lanes, so cost is linear in items. Activations live on the stack for
+// any network no wider than slabStackWidth, so such a call allocates
+// nothing and shares no state; it is safe for concurrent use.
 func (n *Network) ForwardSlab(in []float32, items int, out []float32) error {
 	width, err := n.slabWidth()
 	if err != nil {
@@ -188,12 +189,12 @@ func (n *Network) ForwardSlab(in []float32, items int, out []float32) error {
 	}
 	// Activations ping-pong between the two halves of one buffer, each one
 	// row of the widest layer; the output layer writes straight into out.
-	buf := slabScratch.Get().(*[]float32)
-	defer slabScratch.Put(buf)
-	if cap(*buf) < 2*width {
-		*buf = make([]float32, 2*width)
+	var stack [2 * slabStackWidth]float32
+	buf := stack[:]
+	if width > slabStackWidth {
+		buf = make([]float32, 2*width)
 	}
-	a, b := (*buf)[:width], (*buf)[width:2*width]
+	a, b := buf[:width], buf[width:2*width]
 	last := len(n.Layers) - 1
 	for i := 0; i < items; i++ {
 		cur := in[i*inW : (i+1)*inW]

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -443,8 +444,8 @@ func TestForwardSlabShape(t *testing.T) {
 	}
 }
 
-// The slab path allocates nothing once its scratch pool is warm, for one
-// row and for many.
+// The slab path allocates nothing for a network no wider than
+// slabStackWidth, for one row and for many.
 func TestForwardSlabNoGarbage(t *testing.T) {
 	n := New(1, 31, 256, 2)
 	for _, items := range []int{1, 4, 64} {
@@ -457,6 +458,49 @@ func TestForwardSlabNoGarbage(t *testing.T) {
 		run()
 		if got := testing.AllocsPerRun(50, run); got != 0 {
 			t.Fatalf("ForwardSlab of %d items allocates %v objects/op, want 0", items, got)
+		}
+	}
+}
+
+// TestForwardSlabNoGarbage again, with two collections inside every measured
+// call: the activations live on the stack, which a GC cycle leaves alone,
+// where scratch on a sync.Pool would be dropped (the second cycle clears
+// its victim cache too).
+func TestForwardSlabNoGarbageAcrossGC(t *testing.T) {
+	n := New(1, 31, 256, 2)
+	in, out := make([]float32, 4*31), make([]float32, 4*2)
+	run := func() {
+		runtime.GC()
+		runtime.GC()
+		if err := n.ForwardSlab(in, 4, out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	if got := testing.AllocsPerRun(20, run); got != 0 {
+		t.Fatalf("ForwardSlab across GC cycles allocates %v objects/op, want 0", got)
+	}
+}
+
+// A network wider than slabStackWidth takes its activations from the heap
+// and still gives, row by row, the logits of the Scratch path.
+func TestForwardSlabWiderThanStack(t *testing.T) {
+	n := New(2, 7, slabStackWidth+9, 3)
+	const items = 3
+	in, out := make([]float32, items*7), make([]float32, items*3)
+	for i := range in {
+		in[i] = float32(i%5) - 1.5
+	}
+	if err := n.ForwardSlab(in, items, out); err != nil {
+		t.Fatal(err)
+	}
+	s := NewScratch(n)
+	for i := 0; i < items; i++ {
+		want := n.forwardScratch(s, in[i*7:(i+1)*7])
+		for j, w := range want {
+			if math.Float32bits(out[i*3+j]) != math.Float32bits(w) {
+				t.Fatalf("row %d logit %d = %v, want %v", i, j, out[i*3+j], w)
+			}
 		}
 	}
 }

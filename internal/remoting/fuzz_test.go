@@ -3,6 +3,7 @@ package remoting
 import (
 	"bytes"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -111,6 +112,9 @@ func FuzzDaemonFrame(f *testing.F) {
 		frame, _ := AppendCommand(nil, &Command{API: id, Seq: uint64(id), Args: []uint64{1, 0, 64, 1}})
 		f.Add(frame)
 	}
+	// A shm copy whose offset plus length wraps past MaxInt64.
+	wrap, _ := AppendCommand(nil, &Command{API: APICuMemcpyHtoD, Seq: 2, Args: []uint64{1, 1<<63 - 1, 64, 1}})
+	f.Add(wrap)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := newStack(t)
 		if err := s.tr.SendToUser(data); err != nil {
@@ -125,6 +129,12 @@ func FuzzDaemonFrame(f *testing.F) {
 		}
 		if err := DecodeResponseInto(new(Response), resp); err != nil {
 			t.Fatalf("unparseable response: %v", err)
+		}
+		// A frame is input: whatever it holds is answered, never a panic.
+		for _, e := range s.daemon.Errors() {
+			if strings.Contains(e, "panic") {
+				t.Fatal(e)
+			}
 		}
 	})
 }

@@ -30,9 +30,9 @@ var ErrTransport = errors.New("remoting: transport failure")
 // modeled round-trip cost exactly once. Lib is safe for concurrent use.
 //
 // The call path is allocation-free at steady state: command, response, and
-// frame storage live in a pooled callState (acquired per call, recycled on
-// completion), and the wire codecs are the Append*/Decode*Into variants
-// that reuse that storage. The CI allocgate job holds the path at
+// frame storage live in a callState from a free list (acquired per call,
+// recycled on completion), and the wire codecs are the Append*/Decode*Into
+// variants that reuse that storage. The CI allocgate job holds the path at
 // 0 allocs/op.
 type Lib struct {
 	tr     boundary.Channel
@@ -51,10 +51,10 @@ type Lib struct {
 	// serialized per socket).
 	callMu sync.Mutex
 
-	// pool recycles callState so the steady-state call path performs no
-	// heap allocation (the arena/pool the ring transport's 0 allocs/op
-	// target requires).
-	pool sync.Pool
+	// free recycles callStates so the steady-state call path performs no
+	// heap allocation (the ring transport's 0 allocs/op target), across GC
+	// cycles too.
+	free shm.FreeList[callState]
 
 	// calls and the ResilienceStats counters are what Stats and
 	// ResilienceStats report and what the registry exports; callLatency is
@@ -86,7 +86,7 @@ type Lib struct {
 
 // callState is one remoted invocation's working storage: the command being
 // issued, the marshaled wire frame, and the decoded response. States are
-// pooled; all slices keep their capacity across calls, so a warmed-up Lib
+// recycled; all slices keep their capacity across calls, so a warmed-up Lib
 // issues commands without touching the heap.
 type callState struct {
 	cmd   Command
@@ -97,14 +97,11 @@ type callState struct {
 	channel time.Duration
 }
 
-// newCall acquires a pooled callState primed for api. The embedded command
-// and response keep their slice capacities; lengths and scalar fields are
-// reset.
+// newCall acquires a recycled callState primed for api. The embedded
+// command and response keep their slice capacities; lengths and scalar
+// fields are reset.
 func (l *Lib) newCall(api APIID) *callState {
-	cs, _ := l.pool.Get().(*callState)
-	if cs == nil {
-		cs = new(callState)
-	}
+	cs := l.free.Get()
 	cs.cmd = Command{API: api, Args: cs.cmd.Args[:0]}
 	cs.resp.Seq = 0
 	cs.resp.Result = 0
@@ -115,12 +112,12 @@ func (l *Lib) newCall(api APIID) *callState {
 }
 
 // done recycles a callState. References into caller memory (inline blob,
-// name) are dropped so the pool never pins a caller's buffer; the state's
-// own slices keep their capacity.
+// name) are dropped so the free list never pins a caller's buffer; the
+// state's own slices keep their capacity.
 func (l *Lib) done(cs *callState) {
 	cs.cmd.Name = ""
 	cs.cmd.Blob = nil
-	l.pool.Put(cs)
+	l.free.Put(cs)
 }
 
 // Instrument declares lakeLib's series on reg. Must be called during

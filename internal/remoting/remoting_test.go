@@ -2,6 +2,7 @@ package remoting
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -148,6 +149,25 @@ func TestReservedAPIIDsAnsweredInvalid(t *testing.T) {
 	}
 	if r := s.lib.CuInit(); r != cuda.Success {
 		t.Fatalf("CuInit after reserved ids: %s", r)
+	}
+}
+
+// A shm copy's offset comes off the wire: one whose end wraps past MaxInt64
+// is answered ErrInvalidValue, not recovered from as a handler panic.
+func TestShmCopyWrappingOffsetAnsweredInvalid(t *testing.T) {
+	s := newStack(t)
+	for _, api := range []APIID{APICuMemcpyHtoD, APICuMemcpyDtoH} {
+		cs := s.lib.newCall(api)
+		cs.cmd.Args = append(cs.cmd.Args, 1, 1<<63-1, 64, 1)
+		if r := s.lib.doCall(cs); r != cuda.ErrInvalidValue {
+			t.Errorf("%s: result %s, want %s", api, r, cuda.ErrInvalidValue)
+		}
+		s.lib.done(cs)
+	}
+	for _, e := range s.daemon.Errors() {
+		if strings.Contains(e, "panic") {
+			t.Error(e)
+		}
 	}
 }
 

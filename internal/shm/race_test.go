@@ -1,0 +1,6 @@
+//go:build race
+
+package shm
+
+// raceEnabled reports a -race build; see TestRaceBuildBacksRegionsWithHeap.
+const raceEnabled = true

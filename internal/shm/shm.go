@@ -3,16 +3,32 @@
 // contiguous memory region from the Linux kernel. When lakeD is started, the
 // same region is mapped to its process").
 //
-// The region here is one Go byte slice playing the role of the CMA-backed
-// DMA region (the artifact boots with cma=128M). Buffers handed out by Alloc
-// are sub-slices of the region, so kernel-domain code and the user-domain
-// daemon literally address the same memory — the zero-copy property §4.1
-// relies on. Placement uses the best-fit allocator, as in the prototype.
+// The region plays the role of the CMA-backed DMA region (the artifact boots
+// with cma=128M). It is one anonymous private mapping of the whole size,
+// made read/write: the address space is reserved up front and the kernel
+// commits a page only when it is first touched, so a region that stages a
+// few MiB costs a few MiB of memory, and the Go collector, which never sees
+// the mapping, paces on the real live heap. Under the race detector, and off
+// unix, the region is an ordinary heap slice instead: the race detector
+// checks heap bytes only, and a mapped region would hide every race on ring
+// payloads and staged rows.
+//
+// A region is unmapped by a finalizer once nothing references its *Region,
+// never explicitly: a raw view read after an unmap is a SIGSEGV, not an
+// error. Whoever keeps a view beyond one call therefore keeps the Buffer
+// (which references its Region) rather than the bytes alone.
+//
+// Buffers handed out by Alloc are sub-slices of the region, so kernel-domain
+// code and the user-domain daemon literally address the same memory — the
+// zero-copy property §4.1 relies on. Placement uses the best-fit allocator,
+// as in the prototype.
 package shm
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"lakego/internal/bestfit"
 )
@@ -41,13 +57,34 @@ type Buffer struct {
 	size   int64
 }
 
-// NewRegion reserves a shared region of size bytes.
+// live counts the regions mapped and not yet released; tests read it.
+var live atomic.Int64
+
+// NewRegion reserves a shared region of size bytes. Its pages are committed
+// as they are touched, and released when the Region becomes unreachable.
 func NewRegion(size int64) (*Region, error) {
 	a, err := bestfit.New(size, allocAlign)
 	if err != nil {
 		return nil, fmt.Errorf("shm: %w", err)
 	}
-	return &Region{mem: make([]byte, size), alloc: a}, nil
+	if int64(int(size)) != size {
+		return nil, fmt.Errorf("shm: region of %d bytes does not fit the address space", size)
+	}
+	mem, err := mapRegion(int(size))
+	if err != nil {
+		return nil, fmt.Errorf("shm: map %d bytes: %w", size, err)
+	}
+	r := &Region{mem: mem, alloc: a}
+	live.Add(1)
+	runtime.SetFinalizer(r, (*Region).release)
+	return r, nil
+}
+
+// release unmaps the region. It runs as r's finalizer, when no Region
+// pointer — and so no Buffer — is left to read the memory through.
+func (r *Region) release() {
+	unmapRegion(r.mem)
+	live.Add(-1)
 }
 
 // Size returns the total region size.
@@ -84,11 +121,13 @@ func (r *Region) Free(b Buffer) error {
 
 // At resolves an offset/length pair received over the command channel into
 // the user-domain view of the same bytes. This is lakeD's side of the
-// zero-copy handoff.
+// zero-copy handoff. Both numbers come off the wire, so the bound is taken
+// without forming off+size, which can wrap. The view is valid while the
+// caller keeps r reachable.
 func (r *Region) At(off, size int64) ([]byte, error) {
-	if off < 0 || size < 0 || off+size > int64(len(r.mem)) {
-		return nil, fmt.Errorf("shm: range [%d,%d) outside region of %d bytes",
-			off, off+size, len(r.mem))
+	if off < 0 || size < 0 || size > int64(len(r.mem))-off {
+		return nil, fmt.Errorf("shm: range of %d bytes at %d outside region of %d bytes",
+			size, off, len(r.mem))
 	}
 	return r.mem[off : off+size], nil
 }
@@ -100,7 +139,8 @@ func (b Buffer) Offset() int64 { return b.off }
 func (b Buffer) Size() int64 { return b.size }
 
 // Bytes returns the buffer's backing memory. Writes are visible to both
-// domains immediately: there is exactly one copy of the data.
+// domains immediately: there is exactly one copy of the data. The slice
+// alone does not keep the region mapped; keep the Buffer while using it.
 func (b Buffer) Bytes() []byte {
 	return b.region.mem[b.off : b.off+b.size]
 }

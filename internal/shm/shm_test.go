@@ -1,6 +1,7 @@
 package shm
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -85,6 +86,39 @@ func TestAtBoundsChecks(t *testing.T) {
 	}
 	if _, err := r.At(0, 100); err != nil {
 		t.Errorf("At(0, 100) failed: %v", err)
+	}
+}
+
+// At's operands come off the wire, so a pair whose sum wraps past MaxInt64
+// must be an error, not a panic on the slice expression.
+func TestAtRejectsWrappingRanges(t *testing.T) {
+	r, _ := NewRegion(1 << 10)
+	n := r.Size()
+	for _, c := range []struct {
+		off, size int64
+		ok        bool
+	}{
+		{math.MaxInt64, 1, false},
+		{1, math.MaxInt64, false},
+		{math.MaxInt64, math.MaxInt64, false},
+		{n, 0, true},
+		{n, 1, false},
+	} {
+		view, err := r.At(c.off, c.size)
+		if ok := err == nil; ok != c.ok {
+			t.Errorf("At(%d, %d): err = %v, want ok = %v", c.off, c.size, err, c.ok)
+		} else if ok && int64(len(view)) != c.size {
+			t.Errorf("At(%d, %d) = %d bytes", c.off, c.size, len(view))
+		}
+	}
+}
+
+// The race detector sees accesses to heap bytes only, so under -race a
+// region must be heap memory, or every race on a ring payload or a staged
+// row would go unreported.
+func TestRaceBuildBacksRegionsWithHeap(t *testing.T) {
+	if raceEnabled && !heapBacked {
+		t.Fatal("regions are mapped under -race: the detector cannot see their bytes")
 	}
 }
 

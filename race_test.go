@@ -2,7 +2,6 @@
 
 package lake_test
 
-// raceEnabled reports a -race build. The race runtime drops a random share
-// of sync.Pool puts, so an allocation count taken under it measures the
-// detector, not the code.
+// raceEnabled reports a -race build, where the allocation gates skip (see
+// skipUnderRace).
 const raceEnabled = true

@@ -168,11 +168,12 @@ func TestBatchedCoalesceTrace(t *testing.T) {
 // several measurements per mode to shed scheduler noise, and the bound
 // only fails after every attempt exceeds it.
 //
-// Every run boots a runtime and with it a 128 MiB lakeShm region, so when
-// the collector runs decides whether a run clears a recycled span or not —
-// a swing several times the 5% under test, while the instrumented hot path
-// allocates nothing to collect (TestAllocs*). The collector is therefore
-// held off inside the timed window and run before it. The modes are measured
+// Every run boots a runtime. Where its 128 MiB lakeShm region is heap
+// memory (under -race), when the collector runs decides whether a run
+// clears a recycled span or not — a swing several times the 5% under test,
+// while the instrumented hot path allocates nothing to collect
+// (TestAllocs*). The collector is therefore held off inside the timed
+// window and run before it. The modes are measured
 // in blocks, not alternated: on the 2-CPU builder an enabled run that
 // follows a disabled one is reliably slower than one that follows its own
 // kind (median attempt ratio 1.053 alternating vs 1.035 in blocks).

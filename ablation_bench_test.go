@@ -3,7 +3,6 @@
 //
 //   - Netlink as the command channel vs the three alternatives of Table 2
 //   - lakeShm zero-copy staging vs inline data on the command channel
-//   - best-fit vs first-fit placement in the lakeShm allocator
 //   - batch-formation quantum in the LinnOS LAKE replay
 //   - the Fig 3 policy's utilization threshold under contention
 //   - benefit-aware ML modulation (§7.1 future work) vs always-on ML
@@ -13,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"lakego/internal/bestfit"
 	"lakego/internal/boundary"
 	"lakego/internal/contention"
 	"lakego/internal/core"
@@ -22,7 +20,6 @@ import (
 	"lakego/internal/policy"
 	"lakego/internal/shm"
 	"lakego/internal/trace"
-	"math/rand"
 )
 
 // BenchmarkAblationChannelKind runs the same remoted call sequence charged
@@ -96,54 +93,6 @@ func BenchmarkAblationZeroCopy(b *testing.B) {
 				b.ReportMetric(float64(elapsed.Microseconds())/float64(b.N), "us_per_copy")
 			})
 		}
-	}
-}
-
-// BenchmarkAblationAllocatorStrategy compares best-fit (the prototype's
-// choice) with first-fit under a fragmenting churn workload, reporting
-// failure rate and fragmentation.
-func BenchmarkAblationAllocatorStrategy(b *testing.B) {
-	for _, s := range []struct {
-		name string
-		s    bestfit.Strategy
-	}{{"bestfit", bestfit.BestFit}, {"firstfit", bestfit.FirstFit}} {
-		b.Run(s.name, func(b *testing.B) {
-			var fails, frag float64
-			for i := 0; i < b.N; i++ {
-				a, err := bestfit.NewWithStrategy(1<<22, 64, s.s)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rng := rand.New(rand.NewSource(7))
-				var live []int64
-				failures := 0
-				for op := 0; op < 20000; op++ {
-					if rng.Intn(3) != 0 || len(live) == 0 {
-						// Bimodal sizes fragment aggressively.
-						size := int64(rng.Intn(256) + 64)
-						if rng.Intn(8) == 0 {
-							size = int64(rng.Intn(64<<10) + 1<<10)
-						}
-						off, err := a.Alloc(size)
-						if err != nil {
-							failures++
-							continue
-						}
-						live = append(live, off)
-					} else {
-						j := rng.Intn(len(live))
-						if err := a.Free(live[j]); err != nil {
-							b.Fatal(err)
-						}
-						live = append(live[:j], live[j+1:]...)
-					}
-				}
-				fails = float64(failures)
-				frag = float64(a.FreeBlocks())
-			}
-			b.ReportMetric(fails, "alloc_failures")
-			b.ReportMetric(frag, "free_blocks")
-		})
 	}
 }
 

@@ -1,9 +1,9 @@
-// Package lockfree holds the doorbell: futex-style park/unpark on an atomic
-// word. The ring transport
-// replaces per-message Go-channel sends with descriptor pushes; the
-// doorbell is the one remaining wakeup primitive, and it is paid only on
-// the empty→nonempty ring transition — a whole batcher flush rings once.
-package lockfree
+package boundary
+
+// The doorbell: futex-style park/unpark on an atomic word. The ring
+// transport replaces per-message Go-channel sends with descriptor pushes;
+// the doorbell is the one remaining wakeup primitive, and it is paid only
+// on the empty→nonempty ring transition — a whole batcher flush rings once.
 
 import "sync/atomic"
 
@@ -14,7 +14,7 @@ const (
 	bellParked               // consumer parked in Wait, needs an explicit wake
 )
 
-// Doorbell is a binary wakeup latch shared by any number of ringers and one
+// doorbell is a binary wakeup latch shared by any number of ringers and one
 // waiter. Ring is lock-free in the fast path (one atomic load when the
 // waiter is running); only the idle→wake edge touches the channel, so a
 // burst of N rings costs one wakeup — the rest coalesce.
@@ -25,7 +25,7 @@ const (
 // posts the (capacity-1) wake channel. The re-check closes the lost-wakeup
 // window — a ring that lands between the waiter's predicate miss and its
 // park is observed either by the waiter's re-check or by the ringer's swap.
-type Doorbell struct {
+type doorbell struct {
 	state atomic.Uint32
 	wake  chan struct{}
 
@@ -36,15 +36,15 @@ type Doorbell struct {
 	coalesced atomic.Uint64
 }
 
-// NewDoorbell returns an idle doorbell.
-func NewDoorbell() *Doorbell {
-	return &Doorbell{wake: make(chan struct{}, 1)}
+// newDoorbell returns an idle doorbell.
+func newDoorbell() *doorbell {
+	return &doorbell{wake: make(chan struct{}, 1)}
 }
 
 // Ring notifies the waiter that work may be available. Alloc-free; safe for
 // concurrent ringers. When no waiter is parked this is a single atomic load
 // plus a counter bump.
-func (b *Doorbell) Ring() {
+func (b *doorbell) Ring() {
 	b.rings.Add(1)
 	if b.state.Load() != bellParked {
 		return
@@ -60,7 +60,7 @@ func (b *Doorbell) Ring() {
 // Wait parks until a ring arrives, unless ready() already reports work.
 // ready is re-checked after publishing the parked state, closing the race
 // with a concurrent Ring. Single waiter only.
-func (b *Doorbell) Wait(ready func() bool) {
+func (b *doorbell) Wait(ready func() bool) {
 	if ready() {
 		return
 	}
@@ -83,6 +83,6 @@ func (b *Doorbell) Wait(ready func() bool) {
 }
 
 // Stats reports (rings, wakes delivered, rings coalesced).
-func (b *Doorbell) Stats() (rings, wakes, coalesced uint64) {
+func (b *doorbell) Stats() (rings, wakes, coalesced uint64) {
 	return b.rings.Load(), b.wakes.Load(), b.coalesced.Load()
 }

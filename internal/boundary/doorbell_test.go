@@ -1,4 +1,4 @@
-package lockfree
+package boundary
 
 import (
 	"runtime"
@@ -9,7 +9,7 @@ import (
 )
 
 func TestDoorbellReadyShortCircuits(t *testing.T) {
-	b := NewDoorbell()
+	b := newDoorbell()
 	calls := 0
 	b.Wait(func() bool { calls++; return true })
 	if calls != 1 {
@@ -21,7 +21,7 @@ func TestDoorbellReadyShortCircuits(t *testing.T) {
 }
 
 func TestDoorbellRingWakesParkedWaiter(t *testing.T) {
-	b := NewDoorbell()
+	b := newDoorbell()
 	var work atomic.Bool
 	woke := make(chan struct{})
 	go func() {
@@ -46,7 +46,7 @@ func TestDoorbellNoLostWakeup(t *testing.T) {
 	// Hammer the park/ring race: the waiter repeatedly parks on a predicate
 	// a ringer flips concurrently. A lost wakeup hangs the Wait; the test
 	// passes iff every round completes.
-	b := NewDoorbell()
+	b := newDoorbell()
 	var work atomic.Bool
 	const rounds = 5000
 	done := make(chan struct{})
@@ -74,7 +74,7 @@ func TestDoorbellNoLostWakeup(t *testing.T) {
 }
 
 func TestDoorbellRingWithoutWaiterIsCheap(t *testing.T) {
-	b := NewDoorbell()
+	b := newDoorbell()
 	for i := 0; i < 100; i++ {
 		b.Ring()
 	}
@@ -104,7 +104,7 @@ func TestDoorbellBurstCoalesces(t *testing.T) {
 	// A burst of rings against one parked waiter delivers one wake; the rest
 	// are fast-path no-ops or coalesced. This is the transport's doorbell
 	// batching: a flush of N frames pays one wakeup.
-	b := NewDoorbell()
+	b := newDoorbell()
 	var work atomic.Bool
 	woke := make(chan struct{})
 	go func() {
@@ -131,7 +131,7 @@ func TestDoorbellBurstCoalesces(t *testing.T) {
 }
 
 func TestDoorbellAllocFree(t *testing.T) {
-	b := NewDoorbell()
+	b := newDoorbell()
 	if n := testing.AllocsPerRun(1000, b.Ring); n != 0 {
 		t.Fatalf("Ring allocates %v bytes/op, want 0", n)
 	}
@@ -139,5 +139,15 @@ func TestDoorbellAllocFree(t *testing.T) {
 	work.Store(true)
 	if n := testing.AllocsPerRun(1000, func() { b.Wait(work.Load) }); n != 0 {
 		t.Fatalf("ready Wait allocates %v/op, want 0", n)
+	}
+}
+
+// BenchmarkPerfDoorbell measures the no-waiter Ring fast path — the cost a
+// producer pays per send when the consumer is already running.
+func BenchmarkPerfDoorbell(b *testing.B) {
+	bell := newDoorbell()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		bell.Ring()
 	}
 }

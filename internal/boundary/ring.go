@@ -8,7 +8,7 @@
 //   - payload slots resident in the lakeShm region — descriptors carry
 //     only (slot, len), the frame bytes are written once into the shared
 //     arena and read in place by the receiver;
-//   - a doorbell (lockfree.Doorbell) rung only on the empty→nonempty ring
+//   - a doorbell (doorbell.go) rung only on the empty→nonempty ring
 //     transition, so a burst of sends — an entire batcher flush — pays for
 //     one futex-style wake.
 //
@@ -30,7 +30,6 @@ import (
 
 	"lakego/internal/faults"
 	"lakego/internal/flightrec"
-	"lakego/internal/lockfree"
 	"lakego/internal/ringbuf"
 	"lakego/internal/shm"
 	"lakego/internal/telemetry"
@@ -73,7 +72,7 @@ const DefaultSlotBytes = 16 << 10
 // slot arena and the single-consumer borrow state.
 type ringDir struct {
 	ring *ringbuf.MPSC
-	bell *lockfree.Doorbell
+	bell *doorbell
 
 	payload []byte   // shm-resident slot arena, Cap()*slotBytes bytes
 	ov      [][]byte // per-slot reusable overflow spill buffers
@@ -136,7 +135,7 @@ func NewRingTransport(clock *vtime.Clock, region *shm.Region, depth, slotBytes i
 	t := &RingTransport{kind: Ring, clock: clock, slotBytes: slotBytes}
 	for _, d := range []*ringDir{&t.sub, &t.comp} {
 		d.ring = ringbuf.NewMPSC(depth)
-		d.bell = lockfree.NewDoorbell()
+		d.bell = newDoorbell()
 		d.ov = make([][]byte, d.ring.Cap())
 		arena := int64(d.ring.Cap()) * int64(slotBytes)
 		if region != nil {

@@ -377,52 +377,39 @@ func (r *Runtime) Supervisor() *Supervisor { return r.sup }
 // library so remoted cuModuleGetFunction can resolve it.
 func (r *Runtime) RegisterKernel(k *cuda.Kernel) { r.api.RegisterKernel(k) }
 
-// NewAdaptivePolicy builds a Fig 3 policy whose utilization source is the
-// LAKE-remoted NVML query, exactly as the paper's pseudocode does.
+// NewAdaptivePolicy builds the Fig 3 policy, policy.Compile(cfg), whose
+// utilization source is the LAKE-remoted NVML query, exactly as the paper's
+// pseudocode does.
 func (r *Runtime) NewAdaptivePolicy(cfg policy.AdaptiveConfig) *policy.Adaptive {
-	p := policy.NewAdaptive(cfg, r.clock, func() int {
+	p, err := r.InstallVMPolicy(policy.Compile(cfg), cfg)
+	if err != nil {
+		panic(err) // Compile's output always verifies
+	}
+	return p
+}
+
+// InstallVMPolicy verifies a bytecode policy against the Fig 3 helper set
+// built from cfg (utilization from remoted NVML; per-item latency from the
+// runtime's telemetry when cfg.UseObservedLatency is set) and returns it
+// ready for Decide calls, with the batch size passed in r1.
+func (r *Runtime) InstallVMPolicy(prog policy.Program, cfg policy.AdaptiveConfig) (*policy.Adaptive, error) {
+	p, err := policy.Load(prog, cfg, r.clock, func() int {
 		g, _, res := r.lib.NvmlGetUtilization()
 		if res != cuda.Success {
 			return 100 // treat a failed query as contended: stay on CPU
 		}
 		return g
 	})
+	if err != nil {
+		return nil, err
+	}
 	if cfg.UseObservedLatency && r.tel != nil {
 		// Feed the policy the shared per-item latency series the batcher
 		// and offload runner populate, closing the Fig 3 loop on measured
 		// signal instead of the static batch threshold.
 		p.SetLatencySources(r.ItemLatency())
 	}
-	return p
-}
-
-// InstallVMPolicy verifies a bytecode policy against the Fig 3 helper set
-// (batch size from the returned policy itself, utilization from remoted
-// NVML) and returns it ready for Decide calls.
-func (r *Runtime) InstallVMPolicy(prog policy.Program, window int) (*policy.VMPolicy, error) {
-	var vp *policy.VMPolicy
-	helpers := policy.Figure3Helpers(
-		func() int64 {
-			if vp == nil {
-				return 0
-			}
-			return vp.BatchSize()
-		},
-		func() int64 {
-			g, _, res := r.lib.NvmlGetUtilization()
-			if res != cuda.Success {
-				return 100
-			}
-			return int64(g)
-		},
-		window,
-	)
-	p, err := policy.NewVMPolicy(prog, helpers)
-	if err != nil {
-		return nil, err
-	}
-	vp = p
-	return vp, nil
+	return p, nil
 }
 
 // Stats summarizes runtime activity for experiment reports.

@@ -105,7 +105,8 @@ func TestAdaptivePolicyUsesRemotedNVML(t *testing.T) {
 func TestInstallVMPolicy(t *testing.T) {
 	rt := boot(t)
 	rt.Clock().Advance(time.Second)
-	vp, err := rt.InstallVMPolicy(policy.Figure3Program(40, 8), 1)
+	cfg := policy.AdaptiveConfig{UtilThreshold: 40, BatchThreshold: 8, Window: 1}
+	vp, err := rt.InstallVMPolicy(policy.Compile(cfg), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestInstallVMPolicy(t *testing.T) {
 		t.Fatalf("small batch = %v, want CPU", got)
 	}
 	// Broken program is rejected by the verifier.
-	if _, err := rt.InstallVMPolicy(policy.Program{{Op: policy.OpJmp, Off: -1}, {Op: policy.OpExit}}, 1); err == nil {
+	if _, err := rt.InstallVMPolicy(policy.Program{{Op: policy.OpJmp, Off: -1}, {Op: policy.OpExit}}, cfg); err == nil {
 		t.Fatal("verifier accepted broken program")
 	}
 }

@@ -77,18 +77,18 @@ func ParseTailCursor(s string) (TailCursor, error) {
 	return c, nil
 }
 
-// Tail returns up to max events published since the cursor (0 or negative
-// means no bound beyond one ring capacity per domain), the cursor to resume
-// from, and how many events the reader missed to overwrite. Domains drain
-// in ordinal order; when max
+// Tail returns up to max events published since the cursor, the cursor to
+// resume from, and how many events the reader missed to overwrite. max is
+// clamped to one ring capacity per domain, the most events that can exist;
+// 0 or negative means that bound. Domains drain in ordinal order; when max
 // truncates the read, the remainder is picked up by the next call. Nil-safe:
 // a nil recorder returns no events and the cursor unchanged.
 func (r *Recorder) Tail(c TailCursor, max int) (events []Event, next TailCursor, skipped uint64) {
 	if r == nil {
 		return nil, c, 0
 	}
-	if max <= 0 {
-		max = int(numDomains) * int(r.base().rings[0].capacity())
+	if limit := int(numDomains) * int(r.base().rings[0].capacity()); max <= 0 || max > limit {
+		max = limit
 	}
 	buf := make([]Event, max)
 	n, next, skipped := r.TailInto(c, buf)

@@ -1,6 +1,7 @@
 package flightrec
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -146,6 +147,23 @@ func TestTailMaxTruncation(t *testing.T) {
 	}
 	if got != 100 {
 		t.Fatalf("bounded drain returned %d events, want 100", got)
+	}
+}
+
+// TestTailClampsMax pins that a huge max, as /flightrec.tail?max=N passes
+// it through unvalidated, allocates no more than the events that can exist:
+// one ring capacity per domain.
+func TestTailClampsMax(t *testing.T) {
+	r := newTailRecorder(t, 256)
+	emitN(r, DomainKernel, 0, 10)
+	bound := int(numDomains) * 256
+	events, _, _ := r.Tail(TailCursor{}, 1<<20)
+	if len(events) != 10 || cap(events) > bound {
+		t.Fatalf("Tail(max=1<<20): len %d cap %d, want len 10 cap <= %d", len(events), cap(events), bound)
+	}
+	events, _, _ = r.Tail(TailCursor{}, math.MaxInt)
+	if len(events) != 10 || cap(events) > bound {
+		t.Fatalf("Tail(max=MaxInt): len %d cap %d, want len 10 cap <= %d", len(events), cap(events), bound)
 	}
 }
 

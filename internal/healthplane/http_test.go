@@ -161,6 +161,10 @@ func TestHTTPTailCursorFlow(t *testing.T) {
 	if code, _ = get(t, srv, "/flightrec.tail?max=zap"); code != 400 {
 		t.Fatalf("bad max = %d, want 400", code)
 	}
+	// A max beyond what the rings hold is clamped, not allocated.
+	if code, _ = get(t, srv, "/flightrec.tail?max=4294967296"); code != 200 {
+		t.Fatalf("huge max = %d, want 200", code)
+	}
 }
 
 // TestHTTPDumpOnDemand pins the on-demand dump contract: /flightrec.json

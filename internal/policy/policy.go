@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"math"
 	"sync"
 	"time"
 
@@ -23,33 +24,15 @@ func (d Decision) String() string {
 	return "CPU"
 }
 
-// Func is a native Go policy: given the pending batch size, pick an
+// Func is the policy interface: given the pending batch size, pick an
 // execution target. It corresponds to the paper's policy callback invoked
 // "automatically by the kernel during the application's execution".
 type Func func(batchSize int) Decision
 
-// HealthGated wraps a policy so offload is only considered while the
-// accelerator service is healthy: when healthy() reports false every
-// decision is UseCPU without consulting inner — whose utilization query
-// would itself be a doomed remoted call against a dead lakeD. A nil inner
-// permits the GPU whenever healthy.
-func HealthGated(inner Func, healthy func() bool) Func {
-	return func(batchSize int) Decision {
-		if healthy != nil && !healthy() {
-			return UseCPU
-		}
-		if inner == nil {
-			return UseGPU
-		}
-		return inner(batchSize)
-	}
-}
-
 // MovingAverage is the windowed moving average Fig 3's policy applies to
 // GPU utilization samples. The zero value is unusable; construct with
-// NewMovingAverage. Safe for concurrent use.
+// NewMovingAverage. Not safe for concurrent use: Adaptive serializes it.
 type MovingAverage struct {
-	mu      sync.Mutex
 	samples []float64
 	next    int
 	n       int
@@ -66,8 +49,6 @@ func NewMovingAverage(window int) *MovingAverage {
 
 // Add incorporates a sample and returns the updated average.
 func (m *MovingAverage) Add(v float64) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.n == len(m.samples) {
 		m.sum -= m.samples[m.next]
 	} else {
@@ -81,8 +62,6 @@ func (m *MovingAverage) Add(v float64) float64 {
 
 // Value returns the current average (0 with no samples).
 func (m *MovingAverage) Value() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.n == 0 {
 		return 0
 	}
@@ -136,26 +115,97 @@ func DefaultAdaptiveConfig() AdaptiveConfig {
 	}
 }
 
-// Adaptive is the Fig 3 cu_policy: it rate-limits queries of GPU
-// utilization, keeps a moving average, and permits offload only when the
-// accelerator is uncontended and the batch is large enough to be
-// profitable. Safe for concurrent use.
+// Helper numbers of the Fig 3 helper set every Adaptive program runs
+// against (see the package comment for the table).
+const (
+	HelperUtilAvg     int64 = 1
+	HelperItemLatency int64 = 2
+)
+
+// HelperItemLatency's r1 argument: which path's per-item latency to read.
+const (
+	PathGPU int64 = 0
+	PathCPU int64 = 1
+)
+
+// Compile emits the paper's Fig 3 cu_policy as VM bytecode. The batch size
+// arrives in r1; the program returns 1 (dev_func: offload) or 0 (cpu_func):
+//
+//	batch_sz  = r1
+//	exec_rate = util_avg()  // rate-limited NVML query, moving average
+//	if exec_rate >= exec_threshold: return 0            // contended
+//	if observed latency:                                // cfg.UseObservedLatency
+//	    gpu, cpu = item_latency(GPU), item_latency(CPU)
+//	    if gpu >= 0 && cpu >= 0: return gpu <= cpu ? 1 : 0
+//	if batch_sz < batch_threshold: return 0             // unprofitable
+//	return 1
+//
+// The output always verifies against the Fig 3 helper set.
+func Compile(cfg AdaptiveConfig) Program {
+	var observed Program
+	if cfg.UseObservedLatency {
+		observed = Program{
+			{Op: OpMovImm, Dst: 1, Imm: PathGPU},
+			{Op: OpCall, Imm: HelperItemLatency},
+			{Op: OpMov, Dst: 7, Src: 0}, // r7 = GPU ns/item
+			{Op: OpMovImm, Dst: 1, Imm: PathCPU},
+			{Op: OpCall, Imm: HelperItemLatency},   // r0 = CPU ns/item
+			{Op: OpJltImm, Dst: 7, Imm: 0, Off: 3}, // GPU unknown -> batch gate
+			{Op: OpJltImm, Dst: 0, Imm: 0, Off: 2}, // CPU unknown -> batch gate
+			{Op: OpJgeX, Dst: 0, Src: 7, Off: 2},   // GPU <= CPU -> dev_func
+			{Op: OpJmp, Off: 3},                    // -> cpu_func
+		}
+	}
+	p := Program{
+		{Op: OpMov, Dst: 6, Src: 1},      // r6 = batch_sz (ctx)
+		{Op: OpCall, Imm: HelperUtilAvg}, // r0 = exec_rate
+		{Op: OpJgeImm, Dst: 0, Imm: int64(cfg.UtilThreshold), Off: int16(len(observed)) + 3}, // contended -> cpu_func
+	}
+	p = append(p, observed...)
+	return append(p,
+		Instruction{Op: OpJltImm, Dst: 6, Imm: int64(cfg.BatchThreshold), Off: 2}, // small batch -> cpu_func
+		Instruction{Op: OpMovImm, Dst: 0, Imm: int64(UseGPU)},                     // dev_func
+		Instruction{Op: OpExit},
+		Instruction{Op: OpMovImm, Dst: 0, Imm: int64(UseCPU)}, // cpu_func
+		Instruction{Op: OpExit},
+	)
+}
+
+// Adaptive is the Fig 3 cu_policy: a verified program run against the Fig
+// 3 helper set, whose state (the rate-limited utilization moving average
+// and the latency sources) the policy holds. Safe for concurrent use: the
+// batch size travels in r1, so concurrent decisions share only the helper
+// state.
 type Adaptive struct {
+	prog    Program
+	helpers HelperSet
+
 	cfg   AdaptiveConfig
 	clock *vtime.Clock
 	query func() int // GPU utilization source, e.g. remoted NVML
 
 	mu        sync.Mutex
 	avg       *MovingAverage
-	lastCheck time.Duration
-	checked   bool
+	nextCheck time.Duration // virtual time of the next utilization query
 
 	gpuLat, cpuLat LatencySource
 }
 
-// NewAdaptive builds the policy. query is invoked at most once per
-// CheckInterval; between checks the last moving average is reused.
+// NewAdaptive builds the Fig 3 policy: Compile(cfg) loaded against query,
+// which is invoked at most once per CheckInterval; between checks the last
+// moving average is reused.
 func NewAdaptive(cfg AdaptiveConfig, clock *vtime.Clock, query func() int) *Adaptive {
+	a, err := Load(Compile(cfg), cfg, clock, query)
+	if err != nil {
+		panic(err) // Compile's output always verifies
+	}
+	return a
+}
+
+// Load verifies prog against the Fig 3 helper set built from (cfg, clock,
+// query) and returns it as a policy: the eBPF-style install path for a
+// caller's own program.
+func Load(prog Program, cfg AdaptiveConfig, clock *vtime.Clock, query func() int) (*Adaptive, error) {
 	if cfg.CheckInterval <= 0 {
 		cfg.CheckInterval = 5 * time.Millisecond
 	}
@@ -168,136 +218,75 @@ func NewAdaptive(cfg AdaptiveConfig, clock *vtime.Clock, query func() int) *Adap
 	if cfg.MinSamples <= 0 {
 		cfg.MinSamples = 16
 	}
-	return &Adaptive{cfg: cfg, clock: clock, query: query, avg: NewMovingAverage(cfg.Window)}
+	a := &Adaptive{prog: prog, cfg: cfg, clock: clock, query: query, avg: NewMovingAverage(cfg.Window)}
+	a.helpers = HelperSet{HelperUtilAvg: a.utilAvg, HelperItemLatency: a.itemLatency}
+	if err := Verify(prog, a.helpers); err != nil {
+		return nil, err
+	}
+	return a, nil
 }
 
 // SetLatencySources feeds the policy observed per-item latency series for
-// each path (typically the runtime's shared telemetry histograms). Only
-// consulted when AdaptiveConfig.UseObservedLatency is set.
+// each path (typically the runtime's shared telemetry histograms), read by
+// HelperItemLatency. Fig 3's compiled program consults them only when
+// AdaptiveConfig.UseObservedLatency is set.
 func (a *Adaptive) SetLatencySources(gpu, cpu LatencySource) {
 	a.mu.Lock()
 	a.gpuLat, a.cpuLat = gpu, cpu
 	a.mu.Unlock()
 }
 
-// Decide implements Func.
+// Decide implements Func: it runs the program with the batch size in r1.
+// A runtime fault or a 0 result falls back to the CPU.
 func (a *Adaptive) Decide(batchSize int) Decision {
+	r, err := runVerified(a.prog, a.helpers, int64(batchSize))
+	if err != nil || r == 0 {
+		return UseCPU
+	}
+	return UseGPU
+}
+
+// utilAvg is HelperUtilAvg: it queries utilization at most once per
+// CheckInterval of virtual time, adds the sample to the moving average and
+// returns floor(average). For an integer threshold T, floor(avg) >= T
+// exactly when avg >= T.
+func (a *Adaptive) utilAvg([5]int64) int64 {
 	a.mu.Lock()
-	now := a.clock.Now()
-	if !a.checked || now-a.lastCheck >= a.cfg.CheckInterval {
-		a.lastCheck = now
-		a.checked = true
+	if now := a.clock.Now(); now >= a.nextCheck {
+		a.nextCheck = now + a.cfg.CheckInterval
 		a.mu.Unlock()
 		u := a.query() // may itself be a remoted call; don't hold the lock
 		a.mu.Lock()
 		a.avg.Add(float64(u))
 	}
-	execRate := a.avg.Value()
-	gpuLat, cpuLat := a.gpuLat, a.cpuLat
+	avg := a.avg.Value()
 	a.mu.Unlock()
+	return int64(math.Floor(avg))
+}
 
-	if execRate >= float64(a.cfg.UtilThreshold) {
-		return UseCPU // contended: back off regardless of profitability
+// itemLatency is HelperItemLatency: the per-item latency in ns at
+// LatencyQuantile of the path named by r1, or -1 while that source is unset
+// or holds fewer than MinSamples observations.
+func (a *Adaptive) itemLatency(args [5]int64) int64 {
+	var src LatencySource
+	a.mu.Lock()
+	switch args[0] {
+	case PathGPU:
+		src = a.gpuLat
+	case PathCPU:
+		src = a.cpuLat
 	}
-	if a.cfg.UseObservedLatency && gpuLat != nil && cpuLat != nil &&
-		gpuLat.Count() >= a.cfg.MinSamples && cpuLat.Count() >= a.cfg.MinSamples {
-		// Fig 3's crossover on measured signal: offload when the observed
-		// per-item GPU latency beats the CPU path at the chosen quantile.
-		if gpuLat.QuantileDuration(a.cfg.LatencyQuantile) <= cpuLat.QuantileDuration(a.cfg.LatencyQuantile) {
-			return UseGPU
-		}
-		return UseCPU
+	a.mu.Unlock()
+	if src == nil || src.Count() < a.cfg.MinSamples {
+		return -1
 	}
-	if batchSize >= a.cfg.BatchThreshold {
-		return UseGPU
-	}
-	return UseCPU
+	return int64(src.QuantileDuration(a.cfg.LatencyQuantile))
 }
 
 // Utilization returns the policy's current moving-average view of GPU
 // utilization (percent).
-func (a *Adaptive) Utilization() float64 { return a.avg.Value() }
-
-// Helper numbers for the bytecode form of the Fig 3 policy.
-const (
-	HelperGetBatchSize int64 = 1
-	HelperGetGPUUtil   int64 = 2
-	HelperMovAvg       int64 = 3
-)
-
-// Figure3Helpers builds the helper set for Figure3Program. getUtil queries
-// device utilization (percent); the mov_avg helper keeps per-instance state
-// with the given window.
-func Figure3Helpers(getBatch func() int64, getUtil func() int64, window int) HelperSet {
-	avg := NewMovingAverage(window)
-	return HelperSet{
-		HelperGetBatchSize: func([5]int64) int64 { return getBatch() },
-		HelperGetGPUUtil:   func([5]int64) int64 { return getUtil() },
-		HelperMovAvg:       func(args [5]int64) int64 { return int64(avg.Add(float64(args[0]))) },
-	}
-}
-
-// Figure3Program returns the paper's Fig 3 policy compiled to VM bytecode:
-//
-//	util      = get_gpu_util()
-//	exec_rate = mov_avg(util)
-//	batch_sz  = get_batch_size()
-//	if exec_rate < exec_threshold && batch_sz >= batch_threshold:
-//	    return 1  // dev_func: offload
-//	return 0      // cpu_func: fall back
-func Figure3Program(execThreshold, batchThreshold int64) Program {
-	return Program{
-		{Op: OpCall, Imm: HelperGetGPUUtil},                 // 0: r0 = util
-		{Op: OpMov, Dst: 1, Src: 0},                         // 1: r1 = util (helper arg)
-		{Op: OpCall, Imm: HelperMovAvg},                     // 2: r0 = mov_avg(util)
-		{Op: OpMov, Dst: 6, Src: 0},                         // 3: r6 = exec_rate
-		{Op: OpCall, Imm: HelperGetBatchSize},               // 4: r0 = batch_sz
-		{Op: OpMov, Dst: 7, Src: 0},                         // 5: r7 = batch_sz
-		{Op: OpJgeImm, Dst: 6, Imm: execThreshold, Off: 3},  // 6: contended -> cpu
-		{Op: OpJltImm, Dst: 7, Imm: batchThreshold, Off: 2}, // 7: small batch -> cpu
-		{Op: OpMovImm, Dst: 0, Imm: 1},                      // 8: r0 = UseGPU
-		{Op: OpExit},                                        // 9
-		{Op: OpMovImm, Dst: 0, Imm: 0},                      // 10: r0 = UseCPU
-		{Op: OpExit},                                        // 11
-	}
-}
-
-// VMPolicy wraps a verified program + helpers as a policy Func. Verification
-// happens once at construction; Decide runs the pre-verified bytecode.
-type VMPolicy struct {
-	prog    Program
-	helpers HelperSet
-	batch   int64
-	mu      sync.Mutex
-}
-
-// NewVMPolicy verifies prog against helpers and returns the callable
-// policy. The helper set must include HelperGetBatchSize wired through the
-// returned policy's pending batch (use Figure3Helpers with the policy's
-// BatchSize method), or ignore batch entirely.
-func NewVMPolicy(prog Program, helpers HelperSet) (*VMPolicy, error) {
-	if err := Verify(prog, helpers); err != nil {
-		return nil, err
-	}
-	return &VMPolicy{prog: prog, helpers: helpers}, nil
-}
-
-// BatchSize returns the batch size of the in-flight Decide call; pass it as
-// the getBatch callback to Figure3Helpers.
-func (v *VMPolicy) BatchSize() int64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.batch
-}
-
-// Decide implements Func by running the bytecode.
-func (v *VMPolicy) Decide(batchSize int) Decision {
-	v.mu.Lock()
-	v.batch = int64(batchSize)
-	v.mu.Unlock()
-	r, err := runVerified(v.prog, v.helpers)
-	if err != nil || r == 0 {
-		return UseCPU
-	}
-	return UseGPU
+func (a *Adaptive) Utilization() float64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.avg.Value()
 }

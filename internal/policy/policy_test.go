@@ -1,6 +1,9 @@
 package policy
 
 import (
+	"math"
+	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -54,7 +57,7 @@ func TestRunArithmetic(t *testing.T) {
 		{Op: OpSubImm, Dst: 0, Imm: 4},
 		{Op: OpExit},
 	}
-	got, err := Run(p, noHelpers())
+	got, err := Run(p, noHelpers(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +78,7 @@ func TestRunRegisterOps(t *testing.T) {
 		{Op: OpDiv, Dst: 0, Src: 2},
 		{Op: OpExit},
 	}
-	got, err := Run(p, noHelpers())
+	got, err := Run(p, noHelpers(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +93,7 @@ func TestRunDivByZeroRegisterFaults(t *testing.T) {
 		{Op: OpDiv, Dst: 0, Src: 1}, // r1 == 0
 		{Op: OpExit},
 	}
-	if _, err := Run(p, noHelpers()); err == nil {
+	if _, err := Run(p, noHelpers(), 0); err == nil {
 		t.Fatal("division by zero register did not fault")
 	}
 }
@@ -108,7 +111,7 @@ func TestRunConditionalJumps(t *testing.T) {
 		}
 	}
 	for v, want := range map[int64]int64{4: 0, 5: 1, 6: 1, -1: 0} {
-		got, err := Run(mk(v), noHelpers())
+		got, err := Run(mk(v), noHelpers(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +131,7 @@ func TestRunHelperCall(t *testing.T) {
 		{Op: OpCall, Imm: 9},
 		{Op: OpExit},
 	}
-	got, err := Run(p, helpers)
+	got, err := Run(p, helpers, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,14 +213,8 @@ func TestAdaptiveRateLimitsQueries(t *testing.T) {
 }
 
 func TestFigure3ProgramMatchesNativePolicy(t *testing.T) {
-	var batch, util int64
-	helpers := Figure3Helpers(func() int64 { return batch }, func() int64 { return util }, 1)
-	vp, err := NewVMPolicy(Figure3Program(40, 8), helpers)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cases := []struct {
-		batch, util int64
+		batch, util int
 		want        Decision
 	}{
 		{16, 0, UseGPU},
@@ -226,16 +223,14 @@ func TestFigure3ProgramMatchesNativePolicy(t *testing.T) {
 		{8, 39, UseGPU},  // just under both thresholds
 		{8, 40, UseCPU},  // at util threshold -> cpu
 	}
+	cfg := AdaptiveConfig{UtilThreshold: 40, BatchThreshold: 8, Window: 1}
 	for _, c := range cases {
-		// Fresh average per case so prior samples don't bleed through.
-		helpers = Figure3Helpers(func() int64 { return batch }, func() int64 { return util }, 1)
-		vp, err = NewVMPolicy(Figure3Program(40, 8), helpers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		batch, util = c.batch, c.util
-		if got := vp.Decide(int(c.batch)); got != c.want {
-			t.Errorf("batch=%d util=%d: got %v, want %v", c.batch, c.util, got, c.want)
+		// Fresh policies per case so prior samples don't bleed through.
+		query := func() int { return c.util }
+		vm := NewAdaptive(cfg, vtime.New(), query)
+		native := newNativeAdaptive(cfg, vtime.New(), query)
+		if got, ref := vm.Decide(c.batch), native.Decide(c.batch); got != c.want || ref != c.want {
+			t.Errorf("batch=%d util=%d: bytecode %v, native %v, want %v", c.batch, c.util, got, ref, c.want)
 		}
 	}
 }
@@ -273,7 +268,7 @@ func TestQuickVerifiedProgramsTerminate(t *testing.T) {
 		if err := Verify(p, noHelpers()); err != nil {
 			return false
 		}
-		_, err := Run(p, noHelpers())
+		_, err := Run(p, noHelpers(), 0)
 		return err == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -334,7 +329,7 @@ func TestRunAllOpcodes(t *testing.T) {
 		{Op: OpMovImm, Dst: 0, Imm: -5},
 		{Op: OpExit},
 	}
-	got, err := Run(p, helpers)
+	got, err := Run(p, helpers, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +369,207 @@ func TestNewAdaptiveDefaults(t *testing.T) {
 }
 
 func TestVMPolicyRejectsUnverifiable(t *testing.T) {
-	if _, err := NewVMPolicy(Program{{Op: OpJmp, Off: -1}, {Op: OpExit}}, noHelpers()); err == nil {
+	query := func() int { return 0 }
+	if _, err := Load(Program{{Op: OpJmp, Off: -1}, {Op: OpExit}}, AdaptiveConfig{}, vtime.New(), query); err == nil {
 		t.Fatal("verifier bypassed")
+	}
+	// A helper outside the Fig 3 set is not whitelisted.
+	if _, err := Load(Program{{Op: OpCall, Imm: 3}, {Op: OpExit}}, AdaptiveConfig{}, vtime.New(), query); err == nil {
+		t.Fatal("unknown helper accepted")
+	}
+}
+
+func TestRunPassesCtxInR1(t *testing.T) {
+	p := Program{{Op: OpMov, Dst: 0, Src: 1}, {Op: OpMulImm, Dst: 0, Imm: 2}, {Op: OpExit}}
+	for _, ctx := range []int64{0, 1, -7, 1 << 40} {
+		if got, err := Run(p, noHelpers(), ctx); err != nil || got != 2*ctx {
+			t.Fatalf("ctx %d: r0 = %d, %v; want %d", ctx, got, err, 2*ctx)
+		}
+	}
+}
+
+// compileConfigs spans both program shapes Compile emits and the edges of
+// both thresholds.
+func compileConfigs() []AdaptiveConfig {
+	var out []AdaptiveConfig
+	for _, observed := range []bool{false, true} {
+		for _, util := range []int{0, 40, 100, math.MaxInt32} {
+			for _, batch := range []int{0, 1, 8, 1024} {
+				out = append(out, AdaptiveConfig{UtilThreshold: util, BatchThreshold: batch, UseObservedLatency: observed})
+			}
+		}
+	}
+	return out
+}
+
+func TestCompileVerifies(t *testing.T) {
+	for _, cfg := range compileConfigs() {
+		if _, err := Load(Compile(cfg), cfg, vtime.New(), func() int { return 0 }); err != nil {
+			t.Fatalf("Compile(%+v) does not verify: %v", cfg, err)
+		}
+	}
+}
+
+// nativeAdaptive is the Fig 3 decision body as Adaptive.Decide ran it in Go
+// before the policy shipped as bytecode; it is the reference the compiled
+// program is checked against.
+type nativeAdaptive struct {
+	cfg   AdaptiveConfig
+	clock *vtime.Clock
+	query func() int
+
+	mu        sync.Mutex
+	avg       *MovingAverage
+	lastCheck time.Duration
+	checked   bool
+
+	gpuLat, cpuLat LatencySource
+}
+
+func newNativeAdaptive(cfg AdaptiveConfig, clock *vtime.Clock, query func() int) *nativeAdaptive {
+	if cfg.CheckInterval <= 0 {
+		cfg.CheckInterval = 5 * time.Millisecond
+	}
+	if cfg.Window <= 0 {
+		cfg.Window = 8
+	}
+	if cfg.LatencyQuantile <= 0 || cfg.LatencyQuantile > 1 {
+		cfg.LatencyQuantile = 0.5
+	}
+	if cfg.MinSamples <= 0 {
+		cfg.MinSamples = 16
+	}
+	return &nativeAdaptive{cfg: cfg, clock: clock, query: query, avg: NewMovingAverage(cfg.Window)}
+}
+
+func (a *nativeAdaptive) SetLatencySources(gpu, cpu LatencySource) {
+	a.mu.Lock()
+	a.gpuLat, a.cpuLat = gpu, cpu
+	a.mu.Unlock()
+}
+
+func (a *nativeAdaptive) Decide(batchSize int) Decision {
+	a.mu.Lock()
+	now := a.clock.Now()
+	if !a.checked || now-a.lastCheck >= a.cfg.CheckInterval {
+		a.lastCheck = now
+		a.checked = true
+		a.mu.Unlock()
+		u := a.query() // may itself be a remoted call; don't hold the lock
+		a.mu.Lock()
+		a.avg.Add(float64(u))
+	}
+	execRate := a.avg.Value()
+	gpuLat, cpuLat := a.gpuLat, a.cpuLat
+	a.mu.Unlock()
+
+	if execRate >= float64(a.cfg.UtilThreshold) {
+		return UseCPU // contended: back off regardless of profitability
+	}
+	if a.cfg.UseObservedLatency && gpuLat != nil && cpuLat != nil &&
+		gpuLat.Count() >= a.cfg.MinSamples && cpuLat.Count() >= a.cfg.MinSamples {
+		// Fig 3's crossover on measured signal: offload when the observed
+		// per-item GPU latency beats the CPU path at the chosen quantile.
+		if gpuLat.QuantileDuration(a.cfg.LatencyQuantile) <= cpuLat.QuantileDuration(a.cfg.LatencyQuantile) {
+			return UseGPU
+		}
+		return UseCPU
+	}
+	if batchSize >= a.cfg.BatchThreshold {
+		return UseGPU
+	}
+	return UseCPU
+}
+
+// fakeLatency is a LatencySource whose count and quantiles the test sets.
+type fakeLatency struct {
+	count int64
+	base  time.Duration // QuantileDuration(q) = base * (1 + q)
+}
+
+func (f *fakeLatency) QuantileDuration(q float64) time.Duration {
+	return f.base + time.Duration(float64(f.base)*q)
+}
+func (f *fakeLatency) Count() int64 { return f.count }
+
+// TestAdaptiveMatchesNative is the differential test: over a seeded grid of
+// batch sizes, utilization traces stepped across CheckInterval edges and
+// latency sources whose counts straddle MinSamples, the compiled program
+// and the native reference make the same decision at every step and the
+// same utilization queries.
+func TestAdaptiveMatchesNative(t *testing.T) {
+	batches := []int{0, 1, 7, 8, 9, 32, 1024}
+	steps := []time.Duration{0, time.Millisecond, 5*time.Millisecond - 1, 5 * time.Millisecond, 5*time.Millisecond + 1, 7 * time.Millisecond}
+	counts := []int64{0, 15, 16, 17, 100}
+	for seed := int64(1); seed <= 8; seed++ {
+		for _, observed := range []bool{false, true} {
+			for _, window := range []int{1, 4, 8} {
+				rng := rand.New(rand.NewSource(seed))
+				cfg := AdaptiveConfig{
+					UtilThreshold: 40, BatchThreshold: 8, Window: window,
+					UseObservedLatency: observed, LatencyQuantile: []float64{0, 0.5, 0.99}[seed%3],
+				}
+				trace := make([]int, 64)
+				for i := range trace {
+					trace[i] = rng.Intn(101)
+					if rng.Intn(4) == 0 {
+						trace[i] = 40 + rng.Intn(3) - 1 // hug the threshold
+					}
+				}
+				clock := vtime.New()
+				var vmQueries, nativeQueries int
+				vm := NewAdaptive(cfg, clock, func() int { vmQueries++; return trace[vmQueries%len(trace)] })
+				native := newNativeAdaptive(cfg, clock, func() int { nativeQueries++; return trace[nativeQueries%len(trace)] })
+				gpu, cpu := &fakeLatency{}, &fakeLatency{}
+				for step := 0; step < 400; step++ {
+					if step == 50 { // sources attach mid-run
+						vm.SetLatencySources(gpu, cpu)
+						native.SetLatencySources(gpu, cpu)
+					}
+					gpu.count, cpu.count = counts[rng.Intn(len(counts))], counts[rng.Intn(len(counts))]
+					gpu.base = time.Duration(rng.Intn(5)) * time.Microsecond
+					cpu.base = time.Duration(rng.Intn(5)) * time.Microsecond
+					clock.Advance(steps[rng.Intn(len(steps))])
+					batch := batches[rng.Intn(len(batches))]
+					if got, want := vm.Decide(batch), native.Decide(batch); got != want {
+						t.Fatalf("seed %d cfg %+v step %d batch %d: bytecode %v, native %v", seed, cfg, step, batch, got, want)
+					}
+					if vmQueries != nativeQueries || vm.Utilization() != native.avg.Value() {
+						t.Fatalf("seed %d cfg %+v step %d: queries %d vs %d, utilization %v vs %v",
+							seed, cfg, step, vmQueries, nativeQueries, vm.Utilization(), native.avg.Value())
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAdaptiveConcurrentDecide pins that the batch size is per call: two
+// goroutines deciding on one policy never see each other's batch.
+func TestAdaptiveConcurrentDecide(t *testing.T) {
+	a := NewAdaptive(AdaptiveConfig{UtilThreshold: 40, BatchThreshold: 8, Window: 1}, vtime.New(), func() int { return 0 })
+	const n = 200000
+	cases := []struct {
+		batch int
+		want  Decision
+	}{{1, UseCPU}, {100, UseGPU}}
+	wrong := make([]int, len(cases))
+	var wg sync.WaitGroup
+	for i, c := range cases {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < n; j++ {
+				if a.Decide(c.batch) != c.want {
+					wrong[i]++
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i, c := range cases {
+		if wrong[i] != 0 {
+			t.Errorf("Decide(%d): %d of %d decisions wrong", c.batch, wrong[i], n)
+		}
 	}
 }

@@ -8,8 +8,20 @@
 // bytecode with a verifier that statically guarantees termination (forward
 // jumps only), memory safety (registers only, no loads/stores) and helper
 // whitelisting — the same contract eBPF's verifier enforces for this class
-// of program. Native Go policies (policy.Func) are also supported; the
-// Fig 3 adaptive policy is provided in both forms.
+// of program. As eBPF passes ctx, a program receives its decision context in
+// r1: the pending batch size.
+//
+// There is one Fig 3 policy, and it ships as bytecode: Compile emits it from
+// an AdaptiveConfig, and Adaptive runs the verified program (Compile's, or a
+// caller's through Load) against the Fig 3 helper set:
+//
+//	helper             r1               r0
+//	HelperUtilAvg      -                floor(moving-average GPU utilization %),
+//	                                    querying at most once per CheckInterval
+//	HelperItemLatency  PathGPU/PathCPU  per-item latency in ns at LatencyQuantile,
+//	                                    -1 if unset or under MinSamples
+//
+// policy.Func is the interface callers route through.
 package policy
 
 import (
@@ -59,8 +71,9 @@ func (op OpCode) String() string {
 	return fmt.Sprintf("op(%d)", uint8(op))
 }
 
-// NumRegs is the register file size (r0 = return value, r1..r5 = helper
-// arguments, r6..r15 = callee scratch), mirroring eBPF's layout.
+// NumRegs is the register file size (r0 = return value, r1 = ctx on entry,
+// r1..r5 = helper arguments, r6..r15 = callee scratch), mirroring eBPF's
+// layout.
 const NumRegs = 16
 
 // MaxInstructions bounds program size, like the eBPF verifier's complexity
@@ -156,17 +169,18 @@ func (e *RunError) Error() string {
 	return fmt.Sprintf("policy: runtime fault at instruction %d: %s", e.PC, e.Reason)
 }
 
-// Run verifies and executes the program with the given helpers, returning
-// r0 at exit.
-func Run(p Program, helpers HelperSet) (int64, error) {
+// Run verifies and executes the program with the given helpers and ctx in
+// r1, returning r0 at exit.
+func Run(p Program, helpers HelperSet, ctx int64) (int64, error) {
 	if err := Verify(p, helpers); err != nil {
 		return 0, err
 	}
-	return runVerified(p, helpers)
+	return runVerified(p, helpers, ctx)
 }
 
-func runVerified(p Program, helpers HelperSet) (int64, error) {
+func runVerified(p Program, helpers HelperSet, ctx int64) (int64, error) {
 	var regs [NumRegs]int64
+	regs[1] = ctx
 	pc := 0
 	for pc < len(p) {
 		ins := p[pc]

@@ -1,14 +1,4 @@
-// Package bestfit implements the best-fit memory allocator that backs
-// lakeShm's contiguous DMA region (LAKE §6: "A best-fit based memory
-// allocator algorithm is used").
-//
-// The allocator manages offsets within a fixed-size region; it never touches
-// the memory itself, so the same allocator serves both the kernel-domain and
-// user-domain views of the shared mapping. Free blocks are kept in address
-// order and coalesced eagerly on free, and allocation picks the smallest free
-// block that fits (ties broken by lowest address), which is what keeps
-// long-running mixed alloc/free workloads from fragmenting the region.
-package bestfit
+package shm
 
 import (
 	"errors"
@@ -16,58 +6,64 @@ import (
 	"sort"
 )
 
-// ErrNoSpace is returned when no free block can satisfy an allocation.
-var ErrNoSpace = errors.New("bestfit: out of space")
+// The best-fit memory allocator that backs the region (LAKE §6: "A best-fit
+// based memory allocator algorithm is used").
+//
+// The allocator manages offsets within a fixed-size region; it never touches
+// the memory itself, so the same allocator serves both the kernel-domain and
+// user-domain views of the shared mapping. Free blocks are kept in address
+// order and coalesced eagerly on free, and allocation picks the smallest free
+// block that fits (ties broken by lowest address), which is what keeps
+// long-running mixed alloc/free workloads from fragmenting the region.
 
-// ErrBadFree is returned when Free is called with an offset that does not
+// errNoSpace is returned when no free block can satisfy an allocation.
+var errNoSpace = errors.New("out of space")
+
+// errBadFree is returned when Free is called with an offset that does not
 // correspond to a live allocation.
-var ErrBadFree = errors.New("bestfit: free of unallocated offset")
+var errBadFree = errors.New("free of unallocated offset")
 
 type block struct {
 	off  int64
 	size int64
 }
 
-// Strategy selects how Alloc picks among free blocks.
-type Strategy int
+// placement selects how Alloc picks among free blocks.
+type placement int
 
-// Placement strategies. BestFit is what the LAKE prototype uses; FirstFit
+// Placement strategies. bestFit is what the LAKE prototype uses; firstFit
 // exists for the ablation benchmark comparing long-run fragmentation.
 const (
-	BestFit Strategy = iota
-	FirstFit
+	bestFit placement = iota
+	firstFit
 )
 
-// Allocator hands out non-overlapping [offset, offset+size) ranges inside a
-// region of fixed total size. It is not safe for concurrent use; callers
-// (the shm package) serialize access.
-type Allocator struct {
+// allocator hands out non-overlapping [offset, offset+size) ranges inside a
+// region of fixed total size. It is not safe for concurrent use; Region
+// serializes access.
+type allocator struct {
 	total    int64
 	align    int64
-	strategy Strategy
+	strategy placement
 	free     []block         // sorted by offset, no two adjacent
 	live     map[int64]int64 // offset -> size
 	used     int64           // sum of live sizes
 }
 
-// New creates a best-fit allocator over a region of total bytes, rounding
-// every allocation up to a multiple of align. align must be a power of two.
-func New(total, align int64) (*Allocator, error) {
-	return NewWithStrategy(total, align, BestFit)
-}
-
-// NewWithStrategy creates an allocator with an explicit placement strategy.
-func NewWithStrategy(total, align int64, s Strategy) (*Allocator, error) {
+// newAllocator creates an allocator over a region of total bytes with
+// placement strategy s, rounding every allocation up to a multiple of
+// align. align must be a power of two.
+func newAllocator(total, align int64, s placement) (*allocator, error) {
 	if total <= 0 {
-		return nil, fmt.Errorf("bestfit: total %d must be positive", total)
+		return nil, fmt.Errorf("total %d must be positive", total)
 	}
 	if align <= 0 || align&(align-1) != 0 {
-		return nil, fmt.Errorf("bestfit: align %d must be a positive power of two", align)
+		return nil, fmt.Errorf("align %d must be a positive power of two", align)
 	}
-	if s != BestFit && s != FirstFit {
-		return nil, fmt.Errorf("bestfit: unknown strategy %d", s)
+	if s != bestFit && s != firstFit {
+		return nil, fmt.Errorf("unknown strategy %d", s)
 	}
-	return &Allocator{
+	return &allocator{
 		total:    total,
 		align:    align,
 		strategy: s,
@@ -77,18 +73,18 @@ func NewWithStrategy(total, align int64, s Strategy) (*Allocator, error) {
 }
 
 // Total returns the size of the managed region.
-func (a *Allocator) Total() int64 { return a.total }
+func (a *allocator) Total() int64 { return a.total }
 
 // Used returns the number of bytes currently allocated (after alignment).
-func (a *Allocator) Used() int64 { return a.used }
+func (a *allocator) Used() int64 { return a.used }
 
 // Free-block count; exposed for fragmentation diagnostics and tests.
-func (a *Allocator) FreeBlocks() int { return len(a.free) }
+func (a *allocator) FreeBlocks() int { return len(a.free) }
 
 // Alloc reserves size bytes and returns the offset of the reservation.
-func (a *Allocator) Alloc(size int64) (int64, error) {
+func (a *allocator) Alloc(size int64) (int64, error) {
 	if size <= 0 {
-		return 0, fmt.Errorf("bestfit: alloc size %d must be positive", size)
+		return 0, fmt.Errorf("alloc size %d must be positive", size)
 	}
 	need := (size + a.align - 1) &^ (a.align - 1)
 	best := -1
@@ -96,7 +92,7 @@ func (a *Allocator) Alloc(size int64) (int64, error) {
 		if b.size < need {
 			continue
 		}
-		if a.strategy == FirstFit {
+		if a.strategy == firstFit {
 			best = i
 			break
 		}
@@ -106,7 +102,7 @@ func (a *Allocator) Alloc(size int64) (int64, error) {
 	}
 	if best == -1 {
 		return 0, fmt.Errorf("%w: need %d bytes, %d free in %d blocks",
-			ErrNoSpace, need, a.total-a.used, len(a.free))
+			errNoSpace, need, a.total-a.used, len(a.free))
 	}
 	b := a.free[best]
 	off := b.off
@@ -122,10 +118,10 @@ func (a *Allocator) Alloc(size int64) (int64, error) {
 
 // Free releases the allocation that starts at off, coalescing with adjacent
 // free blocks.
-func (a *Allocator) Free(off int64) error {
+func (a *allocator) Free(off int64) error {
 	size, ok := a.live[off]
 	if !ok {
-		return fmt.Errorf("%w: offset %d", ErrBadFree, off)
+		return fmt.Errorf("%w: offset %d", errBadFree, off)
 	}
 	delete(a.live, off)
 	a.used -= size

@@ -1,4 +1,4 @@
-package bestfit
+package shm
 
 import (
 	"errors"
@@ -7,11 +7,11 @@ import (
 	"testing/quick"
 )
 
-func mustNew(t *testing.T, total, align int64) *Allocator {
+func mustNew(t *testing.T, total, align int64) *allocator {
 	t.Helper()
-	a, err := New(total, align)
+	a, err := newAllocator(total, align, bestFit)
 	if err != nil {
-		t.Fatalf("New(%d, %d): %v", total, align, err)
+		t.Fatalf("newAllocator(%d, %d, bestFit): %v", total, align, err)
 	}
 	return a
 }
@@ -21,8 +21,8 @@ func TestNewRejectsBadArgs(t *testing.T) {
 		{0, 8}, {-1, 8}, {64, 0}, {64, -8}, {64, 3}, {64, 12},
 	}
 	for _, c := range cases {
-		if _, err := New(c.total, c.align); err == nil {
-			t.Errorf("New(%d, %d) succeeded, want error", c.total, c.align)
+		if _, err := newAllocator(c.total, c.align, bestFit); err == nil {
+			t.Errorf("newAllocator(%d, %d, bestFit) succeeded, want error", c.total, c.align)
 		}
 	}
 }
@@ -38,8 +38,8 @@ func TestAllocSequential(t *testing.T) {
 			t.Fatalf("alloc %d: off = %d, want %d", i, off, i*256)
 		}
 	}
-	if _, err := a.Alloc(1); !errors.Is(err, ErrNoSpace) {
-		t.Fatalf("alloc over capacity: err = %v, want ErrNoSpace", err)
+	if _, err := a.Alloc(1); !errors.Is(err, errNoSpace) {
+		t.Fatalf("alloc over capacity: err = %v, want errNoSpace", err)
 	}
 }
 
@@ -112,11 +112,11 @@ func TestDoubleFreeRejected(t *testing.T) {
 	if err := a.Free(off); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Free(off); !errors.Is(err, ErrBadFree) {
-		t.Fatalf("double free: err = %v, want ErrBadFree", err)
+	if err := a.Free(off); !errors.Is(err, errBadFree) {
+		t.Fatalf("double free: err = %v, want errBadFree", err)
 	}
-	if err := a.Free(9999); !errors.Is(err, ErrBadFree) {
-		t.Fatalf("bogus free: err = %v, want ErrBadFree", err)
+	if err := a.Free(9999); !errors.Is(err, errBadFree) {
+		t.Fatalf("bogus free: err = %v, want errBadFree", err)
 	}
 }
 
@@ -135,7 +135,7 @@ func TestAllocZeroOrNegativeRejected(t *testing.T) {
 func TestQuickNoOverlap(t *testing.T) {
 	f := func(seed int64, ops []uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		a, err := New(1<<16, 8)
+		a, err := newAllocator(1<<16, 8, bestFit)
 		if err != nil {
 			return false
 		}
@@ -169,7 +169,7 @@ func TestQuickNoOverlap(t *testing.T) {
 // the whole region.
 func TestQuickFullFreeRestoresRegion(t *testing.T) {
 	f := func(sizes []uint16) bool {
-		a, err := New(1<<20, 16)
+		a, err := newAllocator(1<<20, 16, bestFit)
 		if err != nil {
 			return false
 		}
@@ -197,7 +197,7 @@ func TestQuickFullFreeRestoresRegion(t *testing.T) {
 // every step of a seeded alloc/free sequence, failed calls included.
 func TestUsedMatchesLiveSum(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	a, err := New(1<<16, 64)
+	a, err := newAllocator(1<<16, 64, bestFit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,5 +229,80 @@ func TestUsedMatchesLiveSum(t *testing.T) {
 	}
 	if len(live) == 0 || a.Used() == 0 {
 		t.Fatal("sequence ended with nothing live; the check was vacuous")
+	}
+}
+
+func BenchmarkPerfBestFitAllocFree(b *testing.B) {
+	a, err := newAllocator(64<<20, 64, bestFit)
+	if err != nil {
+		b.Fatal(err)
+	}
+	offs := make([]int64, 0, 128)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off, err := a.Alloc(int64(1024 + i%4096))
+		if err != nil {
+			// Region full: drain and continue.
+			for _, o := range offs {
+				a.Free(o)
+			}
+			offs = offs[:0]
+			continue
+		}
+		offs = append(offs, off)
+		if len(offs) == 128 {
+			for _, o := range offs {
+				a.Free(o)
+			}
+			offs = offs[:0]
+		}
+	}
+}
+
+// BenchmarkAblationAllocatorStrategy compares best-fit (the prototype's
+// choice) with first-fit under a fragmenting churn workload, reporting
+// failure rate and fragmentation.
+func BenchmarkAblationAllocatorStrategy(b *testing.B) {
+	for _, s := range []struct {
+		name string
+		s    placement
+	}{{"bestfit", bestFit}, {"firstfit", firstFit}} {
+		b.Run(s.name, func(b *testing.B) {
+			var fails, frag float64
+			for i := 0; i < b.N; i++ {
+				a, err := newAllocator(1<<22, 64, s.s)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(7))
+				var live []int64
+				failures := 0
+				for op := 0; op < 20000; op++ {
+					if rng.Intn(3) != 0 || len(live) == 0 {
+						// Bimodal sizes fragment aggressively.
+						size := int64(rng.Intn(256) + 64)
+						if rng.Intn(8) == 0 {
+							size = int64(rng.Intn(64<<10) + 1<<10)
+						}
+						off, err := a.Alloc(size)
+						if err != nil {
+							failures++
+							continue
+						}
+						live = append(live, off)
+					} else {
+						j := rng.Intn(len(live))
+						if err := a.Free(live[j]); err != nil {
+							b.Fatal(err)
+						}
+						live = append(live[:j], live[j+1:]...)
+					}
+				}
+				fails = float64(failures)
+				frag = float64(a.FreeBlocks())
+			}
+			b.ReportMetric(fails, "alloc_failures")
+			b.ReportMetric(frag, "free_blocks")
+		})
 	}
 }

@@ -20,8 +20,8 @@
 //
 // Buffers handed out by Alloc are sub-slices of the region, so kernel-domain
 // code and the user-domain daemon literally address the same memory — the
-// zero-copy property §4.1 relies on. Placement uses the best-fit allocator,
-// as in the prototype.
+// zero-copy property §4.1 relies on. Placement uses the best-fit allocator
+// (bestfit.go), as in the prototype.
 package shm
 
 import (
@@ -29,8 +29,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"lakego/internal/bestfit"
 )
 
 // DefaultRegionSize matches the artifact's cma=128M boot parameter.
@@ -45,7 +43,7 @@ const allocAlign = 64
 type Region struct {
 	mu    sync.Mutex
 	mem   []byte
-	alloc *bestfit.Allocator
+	alloc *allocator
 }
 
 // Buffer is one allocation inside the region, passed by value (the zero
@@ -63,7 +61,7 @@ var live atomic.Int64
 // NewRegion reserves a shared region of size bytes. Its pages are committed
 // as they are touched, and released when the Region becomes unreachable.
 func NewRegion(size int64) (*Region, error) {
-	a, err := bestfit.New(size, allocAlign)
+	a, err := newAllocator(size, allocAlign, bestFit)
 	if err != nil {
 		return nil, fmt.Errorf("shm: %w", err)
 	}

@@ -250,10 +250,11 @@ const (
 // VecAddKernel returns the demonstration vector-add device kernel.
 func VecAddKernel() *cuda.Kernel { return cuda.VecAddKernel() }
 
-// Figure3Program compiles the paper's Fig 3 policy to bytecode for
-// Runtime.InstallVMPolicy.
+// Figure3Program is the paper's Fig 3 policy as bytecode for
+// Runtime.InstallVMPolicy: policy.Compile with exec_threshold and
+// batch_threshold, the program Runtime.NewAdaptivePolicy runs.
 func Figure3Program(execThreshold, batchThreshold int64) policy.Program {
-	return policy.Figure3Program(execThreshold, batchThreshold)
+	return policy.Compile(AdaptiveConfig{UtilThreshold: int(execThreshold), BatchThreshold: int(batchThreshold)})
 }
 
 // DefaultAdaptiveConfig returns the evaluation's policy constants.

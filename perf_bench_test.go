@@ -8,45 +8,16 @@ import (
 	"fmt"
 	"testing"
 
-	"lakego/internal/bestfit"
 	"lakego/internal/core"
 	"lakego/internal/features"
 	"lakego/internal/flightrec"
 	"lakego/internal/linnos"
-	"lakego/internal/lockfree"
 	"lakego/internal/mllb"
 	"lakego/internal/nn"
 	"lakego/internal/remoting"
 	"lakego/internal/ringbuf"
 	"lakego/internal/vtime"
 )
-
-func BenchmarkPerfBestFitAllocFree(b *testing.B) {
-	a, err := bestfit.New(64<<20, 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	offs := make([]int64, 0, 128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		off, err := a.Alloc(int64(1024 + i%4096))
-		if err != nil {
-			// Region full: drain and continue.
-			for _, o := range offs {
-				a.Free(o)
-			}
-			offs = offs[:0]
-			continue
-		}
-		offs = append(offs, off)
-		if len(offs) == 128 {
-			for _, o := range offs {
-				a.Free(o)
-			}
-			offs = offs[:0]
-		}
-	}
-}
 
 // BenchmarkPerfLockfreeCapture is capture_feature_incr from every P at once:
 // the registry's lock-free capture path (§5.3).
@@ -233,16 +204,6 @@ func BenchmarkPerfRingDescriptor(b *testing.B) {
 			b.Fatal("ring empty")
 		}
 		r.Release(ticket)
-	}
-}
-
-// BenchmarkPerfDoorbell measures the no-waiter Ring fast path — the cost a
-// producer pays per send when the consumer is already running.
-func BenchmarkPerfDoorbell(b *testing.B) {
-	bell := lockfree.NewDoorbell()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		bell.Ring()
 	}
 }
 

@@ -24,10 +24,10 @@ import (
 type Kind int
 
 // The mechanisms compared in Table 2, plus Ring — the cost of the
-// shm-resident lock-free descriptor rings themselves, which this
-// reproduction adds beyond the paper's Netlink choice. A Kind selects a cost
-// model only; bytes always cross a RingTransport (see DESIGN.md
-// "Descriptor-ring transport").
+// shm-resident descriptor rings themselves, which this reproduction adds
+// beyond the paper's Netlink choice. A Kind selects a cost model only;
+// bytes always cross a RingTransport (see DESIGN.md "Descriptor-ring
+// transport").
 const (
 	Signal Kind = iota
 	DeviceRW

@@ -225,3 +225,223 @@ func TestCPUBurnExplainsMmapRejection(t *testing.T) {
 		t.Fatalf("sub-wakeup burn = %v", got)
 	}
 }
+
+// ringSlots fills the submission ring with empty frames and reports how
+// many it took.
+func ringSlots(t *testing.T, tr *RingTransport) int {
+	t.Helper()
+	n := 0
+	for tr.SendToUser(nil) == nil {
+		n++
+	}
+	return n
+}
+
+func TestRingCapacityRounding(t *testing.T) {
+	cases := []struct{ depth, want int }{
+		{0, 2}, {1, 2}, {2, 2}, {3, 4}, {5, 8}, {1<<16 + 1, 1 << 17},
+	}
+	for _, c := range cases {
+		tr, err := NewRingTransport(vtime.New(), nil, c.depth, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ringSlots(t, tr); got != c.want {
+			t.Errorf("depth %d holds %d frames, want %d", c.depth, got, c.want)
+		}
+	}
+}
+
+// Frames of distinct sizes come back in send order, byte for byte, and a
+// drained ring delivers nothing.
+func TestRingPushPopFIFO(t *testing.T) {
+	tr := newNetlinkRing(t, vtime.New(), 8)
+	for i := 0; i < 5; i++ {
+		msg := make([]byte, i*3)
+		for j := range msg {
+			msg[j] = byte(i)
+		}
+		if err := tr.SendToUser(msg); err != nil {
+			t.Fatalf("send %d on a non-full ring: %v", i, err)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		msg, ok := tr.RecvInUser()
+		if !ok {
+			t.Fatalf("recv %d on a non-empty ring failed", i)
+		}
+		if len(msg) != i*3 || (len(msg) > 0 && msg[0] != byte(i)) {
+			t.Fatalf("recv %d = %v, out of FIFO order", i, msg)
+		}
+	}
+	if _, ok := tr.RecvInUser(); ok {
+		t.Fatal("recv on a drained ring delivered a frame")
+	}
+}
+
+// The last received frame stays borrowed, so a steady sender gets one slot
+// less than the depth; three frames a lap on a depth-4 ring wrap every slot
+// many times over, and FIFO order must hold throughout.
+func TestRingWrapAround(t *testing.T) {
+	tr := newNetlinkRing(t, vtime.New(), 4)
+	next, want := 0, 0
+	for lap := 0; lap < 1000; lap++ {
+		for i := 0; i < 3; i++ {
+			if err := tr.SendToKernel([]byte{byte(next), byte(next >> 8)}); err != nil {
+				t.Fatalf("lap %d send %d: %v", lap, i, err)
+			}
+			next++
+		}
+		for i := 0; i < 3; i++ {
+			msg, ok := tr.RecvInKernel()
+			if !ok || len(msg) != 2 || int(msg[0])|int(msg[1])<<8 != want {
+				t.Fatalf("lap %d: got %v ok=%v, want frame %d", lap, msg, ok, want)
+			}
+			want++
+		}
+	}
+	if _, ok := tr.RecvInKernel(); ok {
+		t.Fatal("drained ring delivered a frame")
+	}
+}
+
+// A full ring rejects a send in either direction, and the rejected frame
+// never reaches the receiver.
+func TestRingFullRejectsPush(t *testing.T) {
+	tr := newNetlinkRing(t, vtime.New(), 4)
+	for i := 0; i < 4; i++ {
+		if err := tr.SendToUser([]byte{byte(i)}); err != nil {
+			t.Fatalf("send %d under capacity: %v", i, err)
+		}
+		if err := tr.SendToKernel([]byte{byte(i)}); err != nil {
+			t.Fatalf("send %d under capacity: %v", i, err)
+		}
+	}
+	if err := tr.SendToUser([]byte{99}); err == nil {
+		t.Fatal("send on a full submission ring succeeded")
+	}
+	if err := tr.SendToKernel([]byte{99}); err == nil {
+		t.Fatal("send on a full completion ring succeeded")
+	}
+	for i := 0; i < 4; i++ {
+		if msg, ok := tr.RecvInUser(); !ok || msg[0] != byte(i) {
+			t.Fatalf("submission recv %d = %v, %v", i, msg, ok)
+		}
+		if msg, ok := tr.RecvInKernel(); !ok || msg[0] != byte(i) {
+			t.Fatalf("completion recv %d = %v, %v", i, msg, ok)
+		}
+	}
+	if _, ok := tr.RecvInUser(); ok {
+		t.Fatal("rejected frame reached the submission receiver")
+	}
+	if _, ok := tr.RecvInKernel(); ok {
+		t.Fatal("rejected frame reached the completion receiver")
+	}
+}
+
+func TestRingBorrowedSlotBlocksProducer(t *testing.T) {
+	tr := newNetlinkRing(t, vtime.New(), 2)
+	for _, m := range []string{"a", "b"} {
+		if err := tr.SendToUser([]byte(m)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if msg, ok := tr.RecvInUser(); !ok || string(msg) != "a" {
+		t.Fatalf("first recv = %q, %v", msg, ok)
+	}
+	if err := tr.SendToUser([]byte("c")); err == nil {
+		t.Fatal("send reused the slot still borrowed by the last recv")
+	}
+	if msg, ok := tr.RecvInUser(); !ok || string(msg) != "b" {
+		t.Fatalf("second recv = %q, %v", msg, ok)
+	}
+	if err := tr.SendToUser([]byte("c")); err != nil {
+		t.Fatalf("send after the borrow was released: %v", err)
+	}
+	if msg, ok := tr.RecvInUser(); !ok || string(msg) != "c" {
+		t.Fatalf("third recv = %q, %v", msg, ok)
+	}
+	// A recv that finds the ring empty still releases the last borrow.
+	if _, ok := tr.RecvInUser(); ok {
+		t.Fatal("recv on a drained ring reported a frame")
+	}
+	for _, m := range []string{"d", "e"} {
+		if err := tr.SendToUser([]byte(m)); err != nil {
+			t.Fatalf("send %q after an empty recv released the borrow: %v", m, err)
+		}
+	}
+}
+
+// Frames wider than a slot spill to the slot's overflow buffer; frames of
+// exactly slotBytes stay in the arena. Both must come back intact whichever
+// kind last used the slot.
+func TestRingOverflowFramesAcrossLaps(t *testing.T) {
+	const slotBytes = 8
+	tr, err := NewRingTransport(vtime.New(), nil, 2, slotBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range []int{20, 3, slotBytes, slotBytes + 1, 0, 64, 5, 33} {
+		msg := make([]byte, n)
+		for j := range msg {
+			msg[j] = byte(i*31 + j)
+		}
+		if err := tr.SendToUser(msg); err != nil {
+			t.Fatalf("frame %d (%d bytes): %v", i, n, err)
+		}
+		got, ok := tr.RecvInUser()
+		if !ok || string(got) != string(msg) {
+			t.Fatalf("frame %d (%d bytes) came back as %v, ok=%v", i, n, got, ok)
+		}
+	}
+}
+
+func TestRingCloseWithBorrowedFrame(t *testing.T) {
+	tr := newNetlinkRing(t, vtime.New(), 2)
+	tr.SendToUser([]byte("a"))
+	tr.SendToUser([]byte("b"))
+	if msg, ok := tr.RecvInUser(); !ok || string(msg) != "a" {
+		t.Fatalf("recv = %q, %v", msg, ok)
+	}
+	tr.Close()
+	if _, ok := tr.RecvInUser(); ok {
+		t.Fatal("frame queued behind a borrow survived Close")
+	}
+	if err := tr.SendToUser([]byte("c")); err != ErrClosed {
+		t.Fatalf("send after close = %v, want ErrClosed", err)
+	}
+	tr.Close()
+}
+
+// The doorbell counts sends that land on an empty ring: a burst queued
+// behind the first frame rings once.
+func TestRingDoorbellCountsEmptyRingPushes(t *testing.T) {
+	tr := newNetlinkRing(t, vtime.New(), 4)
+	tr.SendToUser([]byte("a"))
+	tr.SendToUser([]byte("b"))
+	tr.RecvInUser()
+	tr.RecvInUser()
+	tr.SendToUser([]byte("c"))
+	tr.SendToKernel([]byte("r"))
+	if rings, wakes, coalesced := tr.DoorbellStats(); rings != 3 || wakes != 0 || coalesced != 0 {
+		t.Fatalf("DoorbellStats = (%d, %d, %d), want (3, 0, 0)", rings, wakes, coalesced)
+	}
+}
+
+// BenchmarkPerfRingDescriptor measures one empty-frame SendToUser +
+// RecvInUser cycle: a push and a pop on the submission ring.
+func BenchmarkPerfRingDescriptor(b *testing.B) {
+	tr, err := NewRingTransport(vtime.New(), nil, 64, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := tr.SendToUser(nil); err != nil {
+			b.Fatal(err)
+		}
+		if _, ok := tr.RecvInUser(); !ok {
+			b.Fatal("ring empty")
+		}
+	}
+}

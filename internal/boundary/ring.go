@@ -1,16 +1,21 @@
-// RingTransport: the zero-allocation, lock-free boundary — the one
-// byte-moving pipe between the kernel and user domains, built on the paper's
-// own zero-copy + doorbell insight pushed to its limit:
+// RingTransport: the zero-allocation boundary — the one byte-moving pipe
+// between the kernel and user domains, built on the paper's zero-copy
+// insight:
 //
 //   - a submission ring (kernel→user commands) and a completion ring
-//     (user→kernel responses), each a bounded lock-free MPSC descriptor
-//     ring (ringbuf.MPSC);
-//   - payload slots resident in the lakeShm region — descriptors carry
-//     only (slot, len), the frame bytes are written once into the shared
-//     arena and read in place by the receiver;
-//   - a doorbell (doorbell.go) rung only on the empty→nonempty ring
-//     transition, so a burst of sends — an entire batcher flush — pays for
-//     one futex-style wake.
+//     (user→kernel responses), each a bounded FIFO of frames guarded by
+//     one mutex;
+//   - payload slots resident in the lakeShm region — a ring entry is only
+//     a length, the frame bytes are written once into the shared arena and
+//     read in place by the receiver;
+//   - a doorbell count of the pushes that land on an empty ring, the only
+//     sends a waiting receiver would have to be woken for.
+//
+// One lock per direction is enough because that is the traffic the stack
+// has: lakeLib sends one command, pumps lakeD until the submission ring is
+// empty and then receives, all under its call lock, so each ring sees one
+// producer and one consumer at a time and every frame lands on an empty
+// ring (TestRingEveryFrameRingsAndNoneWakes pins this).
 //
 // Receive is borrow-based: RecvInUser / RecvInKernel return a view into
 // the slot arena that stays valid until the NEXT Recv call in the same
@@ -30,7 +35,6 @@ import (
 
 	"lakego/internal/faults"
 	"lakego/internal/flightrec"
-	"lakego/internal/ringbuf"
 	"lakego/internal/shm"
 	"lakego/internal/telemetry"
 	"lakego/internal/vtime"
@@ -58,40 +62,82 @@ type Channel interface {
 
 var _ Channel = (*RingTransport)(nil)
 
-// descOverflow marks a descriptor whose payload spilled into the per-slot
-// overflow buffer instead of the shm slot arena.
-const descOverflow uint16 = 1 << 0
-
 // DefaultSlotBytes is the payload slot width: large enough for every
 // non-bulk frame (commands and responses route bulk data through lakeShm
 // buffers already, so frames are small), small enough that a 64-deep ring
 // costs 1 MiB of region per direction.
 const DefaultSlotBytes = 16 << 10
 
-// ringDir is one direction of the duplex pipe: descriptor ring, doorbell,
-// slot arena and the single-consumer borrow state.
+// ringDir is one direction of the duplex pipe: a bounded FIFO of frames
+// over a slot arena, with the consumer's borrow. Frame n occupies slot
+// n&(len(lens)-1); a frame longer than slotBytes lives in that slot's
+// overflow buffer instead of the arena.
 type ringDir struct {
-	ring *ringbuf.MPSC
-	bell *doorbell
+	mu sync.Mutex
+	// head and tail count the frames pushed and popped. borrowed marks
+	// frame tail-1 as still held by the consumer's last view, so its slot
+	// is not free until the next pop.
+	head, tail uint64
+	borrowed   bool
+	lens       []int
+	// rings counts pushes onto an empty ring: the doorbell a parked
+	// receiver would need.
+	rings uint64
 
-	payload []byte   // shm-resident slot arena, Cap()*slotBytes bytes
+	payload []byte   // shm-resident slot arena, len(lens)*slotBytes bytes
 	ov      [][]byte // per-slot reusable overflow spill buffers
 	// arena is payload's allocation when it is carved from a region. The
 	// transport holds it, not just payload, so the region stays mapped
 	// for as long as the transport is reachable.
 	arena shm.Buffer
+}
 
-	// outstanding tracks published-but-unconsumed frames; the doorbell
-	// rings only on its 0→1 edge.
-	outstanding atomic.Int64
-	seq         atomic.Uint64 // descriptor diagnostic sequence
+// push copies f into the next free slot (or that slot's overflow buffer).
+// ok is false when every slot is queued or borrowed; rang reports that f
+// landed on an empty ring. Zero-allocation once the overflow buffers have
+// warmed up.
+func (d *ringDir) push(f []byte, slotBytes int) (ok, rang bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	held := d.head - d.tail
+	if d.borrowed {
+		held++
+	}
+	if held == uint64(len(d.lens)) {
+		return false, false
+	}
+	slot := int(d.head) & (len(d.lens) - 1)
+	if len(f) <= slotBytes {
+		copy(d.payload[slot*slotBytes:], f)
+	} else {
+		d.ov[slot] = append(d.ov[slot][:0], f...)
+	}
+	d.lens[slot] = len(f)
+	rang = d.head == d.tail
+	if rang {
+		d.rings++
+	}
+	d.head++
+	return true, rang
+}
 
-	// Consumer state. recvMu serializes consumers defensively (the stack
-	// already serializes them via lakeLib's call lock); borrow is the
-	// popped-but-unreleased ticket backing the last returned view.
-	recvMu    sync.Mutex
-	borrow    uint64
-	hasBorrow bool
+// pop releases the previous borrow and returns a view of the next frame,
+// borrowed until the next pop. ok is false when the ring is empty.
+func (d *ringDir) pop(slotBytes int) (view []byte, ok bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.borrowed = false
+	if d.tail == d.head {
+		return nil, false
+	}
+	slot := int(d.tail) & (len(d.lens) - 1)
+	d.tail++
+	d.borrowed = true
+	n := d.lens[slot]
+	if n > slotBytes {
+		return d.ov[slot][:n], true
+	}
+	return d.payload[slot*slotBytes : slot*slotBytes+n], true
 }
 
 // RingTransport is the descriptor-ring implementation of Channel. The
@@ -118,26 +164,26 @@ type RingTransport struct {
 	rec *flightrec.Recorder
 }
 
-// NewRingTransport builds a ring transport with depth descriptor slots per
-// direction (rounded up to a power of two) and slotBytes-wide payload
-// slots, both defaulted when <= 0. The two slot arenas are allocated from
-// region — the same lakeShm area bulk tensors live in — so descriptors
-// index memory both domains already share. region may be nil (tests), in
+// NewRingTransport builds a ring transport with depth frame slots per
+// direction (rounded up to a power of two, minimum 2) and slotBytes-wide
+// payload slots, defaulted when <= 0. The two slot arenas are allocated
+// from region — the same lakeShm area bulk tensors live in — so frames sit
+// in memory both domains already share. region may be nil (tests), in
 // which case the arenas are ordinary process memory. The transport charges
 // the Ring cost model until SetCostModel says otherwise.
 func NewRingTransport(clock *vtime.Clock, region *shm.Region, depth, slotBytes int) (*RingTransport, error) {
-	if depth < 1 {
-		depth = 1
-	}
 	if slotBytes <= 0 {
 		slotBytes = DefaultSlotBytes
 	}
+	slots := 2
+	for slots < depth {
+		slots <<= 1
+	}
 	t := &RingTransport{kind: Ring, clock: clock, slotBytes: slotBytes}
 	for _, d := range []*ringDir{&t.sub, &t.comp} {
-		d.ring = ringbuf.NewMPSC(depth)
-		d.bell = newDoorbell()
-		d.ov = make([][]byte, d.ring.Cap())
-		arena := int64(d.ring.Cap()) * int64(slotBytes)
+		d.lens = make([]int, slots)
+		d.ov = make([][]byte, slots)
+		arena := int64(slots) * int64(slotBytes)
 		if region != nil {
 			buf, err := region.Alloc(arena)
 			if err != nil {
@@ -187,47 +233,15 @@ func (t *RingTransport) Stats() (sent, received int64) {
 }
 
 // DoorbellStats reports (rings, wakes, coalesced) summed over both
-// directions: rings is the number of empty→nonempty transitions that rang
-// a doorbell, wakes the wakeups actually delivered to a parked waiter,
-// coalesced the rings absorbed by an already-pending wake.
+// directions: rings is the number of sends that landed on an empty ring.
+// Nothing parks on the rings, so no wake is ever delivered or coalesced.
 func (t *RingTransport) DoorbellStats() (rings, wakes, coalesced uint64) {
 	for _, d := range []*ringDir{&t.sub, &t.comp} {
-		r, w, c := d.bell.Stats()
-		rings, wakes, coalesced = rings+r, wakes+w, coalesced+c
+		d.mu.Lock()
+		rings += d.rings
+		d.mu.Unlock()
 	}
-	return rings, wakes, coalesced
-}
-
-// enqueue reserves a descriptor, copies f into its payload slot (or the
-// slot's overflow buffer) and publishes. Returns false when the ring is
-// full. Zero-allocation once the overflow buffers have warmed up. faulted
-// records the doorbell: on a healthy channel its count is bell.Stats().
-func (t *RingTransport) enqueue(d *ringDir, f []byte, dir uint64, faulted bool) bool {
-	ticket, ok := d.ring.Reserve()
-	if !ok {
-		return false
-	}
-	slot := uint16(ticket) & uint16(d.ring.Cap()-1)
-	var flags uint16
-	if len(f) <= t.slotBytes {
-		copy(d.payload[int(slot)*t.slotBytes:], f)
-	} else {
-		d.ov[slot] = append(d.ov[slot][:0], f...)
-		flags = descOverflow
-	}
-	d.ring.Publish(ticket, ringbuf.Desc{
-		Seq:   d.seq.Add(1),
-		Slot:  slot,
-		Flags: flags,
-		Len:   uint32(len(f)),
-	})
-	if d.outstanding.Add(1) == 1 {
-		d.bell.Ring()
-		if faulted {
-			t.rec.EmitFrame(flightrec.EvDoorbell, f, dir)
-		}
-	}
-	return true
+	return rings, 0, 0
 }
 
 // send runs one frame through the fault plane (if armed) and into the
@@ -247,7 +261,7 @@ func (t *RingTransport) send(d *ringDir, msg []byte, dir uint64) error {
 	if plane == nil {
 		// Fast path: no fault plane, no defensive copy — the bytes go
 		// straight into the shm slot.
-		if !t.enqueue(d, msg, dir, false) {
+		if ok, _ := d.push(msg, t.slotBytes); !ok {
 			t.queueFull.Inc()
 			t.rec.EmitFrame(flightrec.EvQueueFull, msg, dir)
 			return fmt.Errorf("boundary: %s queue full", t.kind)
@@ -265,7 +279,11 @@ func (t *RingTransport) send(d *ringDir, msg []byte, dir uint64) error {
 		t.clock.Advance(delay)
 	}
 	for i, f := range frames {
-		if !t.enqueue(d, f, dir, true) {
+		ok, rang := d.push(f, t.slotBytes)
+		if rang {
+			t.rec.EmitFrame(flightrec.EvDoorbell, f, dir)
+		}
+		if !ok {
 			if i > 0 {
 				return nil // duplicate shed by a full ring: not an error
 			}
@@ -277,33 +295,14 @@ func (t *RingTransport) send(d *ringDir, msg []byte, dir uint64) error {
 	return nil
 }
 
-// recv pops the next descriptor and returns a borrowed view of its
-// payload. The previous borrow in the same direction is released first —
-// this is what bounds view lifetime to "until the next Recv".
+// recv returns the next frame in d as a view borrowed until the next recv
+// in the same direction.
 func (t *RingTransport) recv(d *ringDir, dir uint64) ([]byte, bool) {
-	d.recvMu.Lock()
-	defer d.recvMu.Unlock()
-	if d.hasBorrow {
-		d.ring.Release(d.borrow)
-		d.hasBorrow = false
-	}
-	desc, ticket, ok := d.ring.Pop()
-	if !ok {
-		return nil, false
-	}
-	d.outstanding.Add(-1)
-	d.borrow, d.hasBorrow = ticket, true
-	var view []byte
-	if desc.Flags&descOverflow != 0 {
-		view = d.ov[desc.Slot][:desc.Len]
-	} else {
-		off := int(desc.Slot) * t.slotBytes
-		view = d.payload[off : off+int(desc.Len)]
-	}
-	if t.fault.Load() != nil {
+	view, ok := d.pop(t.slotBytes)
+	if ok && t.fault.Load() != nil {
 		t.rec.EmitFrame(flightrec.EvFrameRecv, view, dir)
 	}
-	return view, true
+	return view, ok
 }
 
 // SendToUser transmits msg from the kernel domain over the submission
@@ -352,25 +351,15 @@ func (t *RingTransport) ChargeRoundTrip(size int) time.Duration {
 	return d
 }
 
-// Close shuts the transport down. Pending descriptors are discarded.
+// Close shuts the transport down. Pending frames and the borrows are
+// discarded.
 func (t *RingTransport) Close() {
 	if t.closed.Swap(true) {
 		return
 	}
 	for _, d := range []*ringDir{&t.sub, &t.comp} {
-		d.recvMu.Lock()
-		if d.hasBorrow {
-			d.ring.Release(d.borrow)
-			d.hasBorrow = false
-		}
-		for {
-			_, ticket, ok := d.ring.Pop()
-			if !ok {
-				break
-			}
-			d.outstanding.Add(-1)
-			d.ring.Release(ticket)
-		}
-		d.recvMu.Unlock()
+		d.mu.Lock()
+		d.tail, d.borrowed = d.head, false
+		d.mu.Unlock()
 	}
 }

@@ -41,6 +41,11 @@ import (
 // override at link time with `-ldflags "-X lakego/internal/core.BuildVersion=v..."`.
 var BuildVersion = "dev"
 
+// ringDepth is the boundary rings' depth per direction. A remoted call
+// queues one command and its response; the slack absorbs the fault plane's
+// duplicates and journal redeliveries.
+const ringDepth = 64
+
 // Config parameterizes a LAKE runtime.
 type Config struct {
 	// GPU is the accelerator model; zero value means gpu.DefaultSpec().
@@ -67,8 +72,6 @@ type Config struct {
 	// the descriptor rings' own cost. Frames cross the ring transport
 	// whichever row is charged.
 	Channel boundary.Kind
-	// QueueDepth is the descriptor rings' depth per direction.
-	QueueDepth int
 	// Faults, when non-nil, attaches a fault plane with this mix to the
 	// transport and daemon: frames may be dropped, corrupted, duplicated,
 	// or delayed, and the daemon may crash while serving. Setting Faults
@@ -132,10 +135,9 @@ type Config struct {
 // cost, 128 MiB CMA-backed shared region, A100-class GPU.
 func DefaultConfig() Config {
 	return Config{
-		GPU:        gpu.DefaultSpec(),
-		ShmBytes:   shm.DefaultRegionSize,
-		Channel:    boundary.Netlink,
-		QueueDepth: 64,
+		GPU:      gpu.DefaultSpec(),
+		ShmBytes: shm.DefaultRegionSize,
+		Channel:  boundary.Netlink,
 	}
 }
 
@@ -164,9 +166,6 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	if cfg.ShmBytes <= 0 {
 		cfg.ShmBytes = shm.DefaultRegionSize
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 64
 	}
 	clock := cfg.Clock
 	if clock == nil {
@@ -204,7 +203,7 @@ func New(cfg Config) (*Runtime, error) {
 	// Bytes always cross the shm-resident descriptor rings (payload slots
 	// carved from the region the two domains already share); cfg.Channel
 	// only picks which mechanism's modeled cost each round trip is charged.
-	tr, err := boundary.NewRingTransport(clock, region, cfg.QueueDepth, boundary.DefaultSlotBytes)
+	tr, err := boundary.NewRingTransport(clock, region, ringDepth, boundary.DefaultSlotBytes)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}

@@ -241,7 +241,7 @@ const (
 	// Netlink is the default command-channel cost row (the paper's choice,
 	// §6).
 	Netlink = boundary.Netlink
-	// Ring is the cost row of the shm-resident lock-free descriptor rings
+	// Ring is the cost row of the shm-resident descriptor rings
 	// every runtime's frames cross: Config.Channel = Ring charges what the
 	// rings themselves cost instead of a Table-2 mechanism.
 	Ring = boundary.Ring

@@ -15,7 +15,6 @@ import (
 	"lakego/internal/mllb"
 	"lakego/internal/nn"
 	"lakego/internal/remoting"
-	"lakego/internal/ringbuf"
 	"lakego/internal/vtime"
 )
 
@@ -186,24 +185,6 @@ func BenchmarkPerfTailDrain(b *testing.B) {
 				break
 			}
 		}
-	}
-}
-
-// BenchmarkPerfRingDescriptor measures the raw descriptor ring: one
-// uncontended Push/Pop/Release cycle.
-func BenchmarkPerfRingDescriptor(b *testing.B) {
-	r := ringbuf.NewMPSC(64)
-	d := ringbuf.Desc{Seq: 1, Slot: 3, Len: 512}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if !r.Push(d) {
-			b.Fatal("ring full")
-		}
-		_, ticket, ok := r.Pop()
-		if !ok {
-			b.Fatal("ring empty")
-		}
-		r.Release(ticket)
 	}
 }
 

@@ -119,11 +119,13 @@ func TestRingChaosBitIdentical(t *testing.T) {
 	}
 }
 
-// TestRingDoorbellCoalescing verifies doorbell batching end to end: across a
-// full chaos-free workload run, wakeups delivered never exceed doorbell
-// rings, and rings are a strict subset of sends — the empty->nonempty edge
-// is the only time a send pays a wake.
-func TestRingDoorbellCoalescing(t *testing.T) {
+// TestRingEveryFrameRingsAndNoneWakes pins the traffic the one-lock rings
+// are built for: across a full chaos-free workload run lakeLib sends one
+// command and drains lakeD before it sends the next, so every frame in
+// either direction lands on an empty ring (rings == frames) and nothing ever
+// waits on one (wakes == 0). A caller that queues several frames before
+// pumping fails here first.
+func TestRingEveryFrameRingsAndNoneWakes(t *testing.T) {
 	s := newChaosStackOn(t, nil, lake.Ring)
 	runChaosWorkloads(t, s, chaosRounds()/2, 8)
 	tr, ok := s.rt.Transport().(*boundary.RingTransport)
@@ -131,20 +133,15 @@ func TestRingDoorbellCoalescing(t *testing.T) {
 		t.Fatalf("ring runtime transport is %T", s.rt.Transport())
 	}
 	sent, received := tr.Stats()
-	rings, wakes, _ := tr.DoorbellStats()
+	rings, wakes, coalesced := tr.DoorbellStats()
 	if sent == 0 || received == 0 {
 		t.Fatalf("no traffic: sent=%d received=%d", sent, received)
 	}
-	if rings == 0 {
-		t.Fatal("no doorbell rings over a full workload")
+	if total := uint64(sent + received); rings != total {
+		t.Fatalf("rings %d != frames %d: a frame was queued behind another", rings, total)
 	}
-	// Frames cross in both directions; each direction rings only on its
-	// empty->nonempty transition, so rings <= total frames and wakes <= rings.
-	if total := uint64(sent + received); rings > total {
-		t.Fatalf("rings %d exceed frames %d: doorbell rung off the empty edge", rings, total)
-	}
-	if wakes > rings {
-		t.Fatalf("wakes %d exceed rings %d", wakes, rings)
+	if wakes != 0 || coalesced != 0 {
+		t.Fatalf("wakes=%d coalesced=%d, want 0: nothing waits on a ring", wakes, coalesced)
 	}
 	t.Logf("frames=%d rings=%d wakes=%d", sent+received, rings, wakes)
 }

@@ -9,8 +9,19 @@ package nn
 //go:noescape
 func dense(w, b, x, y []float32, in, out int, relu bool)
 
+// denseRows4 is dense on four rows, one a SIMD lane, for 1 <= out <= 4. It
+// reads w[:in*out], b[:out], x[:4*in] and writes y[:4*out] unchecked.
+//
+//go:noescape
+func denseRows4(w, b, x, y []float32, in, out int, relu bool)
+
 // forward runs the layer on one row through dense. Slicing each operand to
 // what dense touches panics before dense could run past its memory.
 func (l *Layer) forward(x, y []float32) {
 	dense(l.W[:l.In*l.Out], l.B[:l.Out], x[:l.In], y[:l.Out], l.In, l.Out, l.Act == ReLU)
+}
+
+// forwardRows4 is forward on four rows through denseRows4; 1 <= Out <= 4.
+func (l *Layer) forwardRows4(x, y []float32) {
+	denseRows4(l.W[:l.In*l.Out], l.B[:l.Out], x[:4*l.In], y[:4*l.Out], l.In, l.Out, l.Act == ReLU)
 }

@@ -64,6 +64,7 @@ block32:
 
 	// Both inner loops start on a 32-byte boundary wherever the linker
 	// places the function, so code placement cannot change their alignment.
+	// Branch to the label after a PCALIGN: a label just before one lands on the first pad.
 	PCALIGN $32
 
 loop32:
@@ -171,4 +172,122 @@ write4:
 	JGT   block4
 
 done:
+	RET
+
+// GATHER4 puts x[r][k] of the four rows in lane r of X8, through X9-X11.
+#define GATHER4 \
+	MOVSS    (R8), X8;         \
+	MOVSS    (R8)(R9*1), X9;   \
+	MOVSS    (R8)(R9*2), X10;  \
+	MOVSS    (R8)(R13*1), X11; \
+	UNPCKLPS X9, X8;           \
+	UNPCKLPS X11, X10;         \
+	MOVLHPS  X10, X8
+
+// BMAC adds the rounded products of the four lanes of X8 and the weight at
+// off, broadcast, to acc, through tmp.
+#define BMAC(off, tmp, acc) \
+	MOVSS  off, tmp;        \
+	SHUFPS $0x00, tmp, tmp; \
+	MULPS  X8, tmp;         \
+	ADDPS  tmp, acc
+
+// NEXTROWK steps to x[r][k+1] and weight row k+1, looping to label until
+// row 0 of x ends.
+#define NEXTROWK(label) \
+	ADDQ R10, SI;  \
+	ADDQ $4, R8;   \
+	CMPQ R8, R11;  \
+	JLT  label
+
+// func denseRows4(w, b, x, y []float32, in, out int, relu bool)
+//
+// dense on four rows at once, for 1 <= out <= 4: lane r is row r of x, so
+// one add chain serves four rows. Each accumulator starts at its bias and,
+// per k ascending, adds the rounded product of x[r][k] and the broadcast
+// weight: lane r is dense's arithmetic on row r, bit for bit. Chain j takes
+// output min(j, out-1), at byte offset 0, AX, CX or BX, clamped as block4
+// clamps; for out <= 2 two chains run and chains 2 and 3 copy chain 1. The
+// store rotates the lanes back into rows of y.
+//
+// Registers: SI the weight cursor, DX b, DI y, R8 the row-0 cursor in x,
+// R9 the row stride in bytes (in*4), R13 three strides, R11 row 0's end,
+// R10 the output stride in bytes (out*4).
+TEXT ·denseRows4(SB), NOSPLIT, $0-113
+	MOVQ    w_base+0(FP), SI
+	MOVQ    b_base+24(FP), DX
+	MOVQ    x_base+48(FP), R8
+	MOVQ    y_base+72(FP), DI
+	MOVQ    in+96(FP), R9
+	MOVQ    out+104(FP), R10
+	SHLQ    $2, R9
+	SHLQ    $2, R10
+	LEAQ    (R8)(R9*1), R11
+	LEAQ    (R9)(R9*2), R13
+	LEAQ    -4(R10), BX
+	MOVQ    $8, CX
+	CMPQ    BX, CX
+	CMOVQLT BX, CX
+	MOVQ    $4, AX
+	CMPQ    BX, AX
+	CMOVQLT BX, AX
+	MOVSS   (DX), X0
+	SHUFPS  $0x00, X0, X0
+	MOVSS   (DX)(AX*1), X1
+	SHUFPS  $0x00, X1, X1
+	CMPQ    BX, $4
+	JGT     rows4
+	CMPQ    R8, R11
+	JEQ     store2
+	PCALIGN $32
+
+loop2:
+	GATHER4
+	BMAC((SI), X12, X0)
+	BMAC((SI)(AX*1), X13, X1)
+	NEXTROWK(loop2)
+
+store2:
+	MOVAPS X1, X2
+	MOVAPS X1, X3
+	JMP    storerows
+
+rows4:
+	MOVSS   (DX)(CX*1), X2
+	SHUFPS  $0x00, X2, X2
+	MOVSS   (DX)(BX*1), X3
+	SHUFPS  $0x00, X3, X3
+	CMPQ    R8, R11
+	JEQ     storerows
+	PCALIGN $32
+
+loop4rows:
+	GATHER4
+	BMAC((SI), X12, X0)
+	BMAC((SI)(AX*1), X13, X1)
+	BMAC((SI)(CX*1), X14, X2)
+	BMAC((SI)(BX*1), X15, X3)
+	NEXTROWK(loop4rows)
+
+storerows:
+	MOVQ $4, R8
+	CMPB relu+112(FP), $0
+	JEQ  writerow
+	RELU(X0, X9)
+	RELU(X1, X10)
+	RELU(X2, X11)
+	RELU(X3, X12)
+
+writerow:
+	MOVSS  X3, (DI)(BX*1)
+	MOVSS  X2, (DI)(CX*1)
+	MOVSS  X1, (DI)(AX*1)
+	MOVSS  X0, (DI)
+	SHUFPS $0x39, X0, X0
+	SHUFPS $0x39, X1, X1
+	SHUFPS $0x39, X2, X2
+	SHUFPS $0x39, X3, X3
+	ADDQ   R10, DI
+	DECQ   R8
+	JNZ    writerow
 	RET

@@ -61,3 +61,42 @@ func TestDenseStaysInBounds(t *testing.T) {
 		}
 	}
 }
+
+// denseRows4 reads w[:in*out], b[:out] and x[:4*in] and nothing past them —
+// each ends at a guard page, so an over-read of the fourth row or of the
+// clamped chains faults — and writes y[:4*out] and nothing past it, and
+// lane r of its outputs is the scalar reference on row r.
+func TestDenseRows4StaysInBounds(t *testing.T) {
+	const canary = 0x7FC0DEAD
+	for _, in := range []int{1, 9, 31, 256} {
+		for _, out := range []int{1, 2, 3, 4} {
+			n := New(int64(in*100+out), in, out)
+			l := n.Layers[0]
+			l.Act = ReLU
+			w, b, x := guarded(t, in*out), guarded(t, out), guarded(t, 4*in)
+			copy(w, l.W)
+			copy(b, l.B)
+			for k := range x {
+				x[k] = float32(k%7) - 3
+			}
+			y := make([]float32, 4*out+16)
+			for i := range y {
+				y[i] = math.Float32frombits(canary)
+			}
+			denseRows4(w, b, x, y[:4*out], in, out, true)
+			for i := 4 * out; i < len(y); i++ {
+				if math.Float32bits(y[i]) != canary {
+					t.Fatalf("in=%d out=%d: y[%d] past the end written", in, out, i)
+				}
+			}
+			for r := 0; r < 4; r++ {
+				want := n.forwardRef(x[r*in : (r+1)*in])
+				for o, v := range y[r*out : (r+1)*out] {
+					if !sameBits(v, want[o]) {
+						t.Fatalf("in=%d out=%d: row %d output %d = %x, scalar reference %x", in, out, r, o, math.Float32bits(v), math.Float32bits(want[o]))
+					}
+				}
+			}
+		}
+	}
+}

@@ -22,3 +22,10 @@ func (l *Layer) forward(x, y []float32) {
 		}
 	}
 }
+
+// forwardRows4 is forward on four consecutive rows, one at a time.
+func (l *Layer) forwardRows4(x, y []float32) {
+	for r := range 4 {
+		l.forward(x[r*l.In:], y[r*l.Out:])
+	}
+}

@@ -172,11 +172,11 @@ func (n *Network) slabWidth() (int, error) {
 
 // ForwardSlab runs items inferences over a row-major slab: in holds items
 // rows of InputSize floats, out receives items rows of OutputSize logits,
-// each bit-identical to Forward on that row. Rows run one at a time through
-// Layer.forward, whose amd64 kernel spreads one row's outputs across the
-// SIMD lanes, so cost is linear in items. Activations live on the stack for
-// any network no wider than slabStackWidth, so such a call allocates
-// nothing and shares no state; it is safe for concurrent use.
+// each bit-identical to Forward on that row. A last layer of 1 to 4 outputs
+// runs on groups of four rows, one a SIMD lane (forwardFours); the rows left
+// run one at a time. Activations live on the stack for any network no wider
+// than slabStackWidth, so such a call allocates nothing and shares no state;
+// it is safe for concurrent use.
 func (n *Network) ForwardSlab(in []float32, items int, out []float32) error {
 	width, err := n.slabWidth()
 	if err != nil {
@@ -195,16 +195,45 @@ func (n *Network) ForwardSlab(in []float32, items int, out []float32) error {
 		buf = make([]float32, 2*width)
 	}
 	a, b := buf[:width], buf[width:2*width]
-	last := len(n.Layers) - 1
-	for i := 0; i < items; i++ {
-		cur := in[i*inW : (i+1)*inW]
-		for _, l := range n.Layers[:last] {
-			l.forward(cur, a)
-			cur, a, b = a, b, a
-		}
-		n.Layers[last].forward(cur, out[i*outW:(i+1)*outW])
+	done := 0
+	if l := n.Layers[len(n.Layers)-1]; items >= 4 && l.Out >= 1 && l.Out <= 4 && l.In <= slabStackWidth {
+		done = items &^ 3
+		n.forwardFours(in, done, out, a, b)
+	}
+	for i := done; i < items; i++ {
+		forwardRow(n.Layers, in[i*inW:(i+1)*inW], out[i*outW:(i+1)*outW], a, b)
 	}
 	return nil
+}
+
+// forwardRow runs row x through layers into y, the activations ping-ponging
+// between a and b.
+func forwardRow(layers []*Layer, x, y, a, b []float32) {
+	last := len(layers) - 1
+	for _, l := range layers[:last] {
+		l.forward(x, a)
+		x, a, b = a, b, a
+	}
+	layers[last].forward(x, y)
+}
+
+// forwardFours runs the first items rows, a multiple of four, four at a
+// time: each row's hidden layers run into one of four rows on this frame,
+// not ForwardSlab's, and the last layer runs once on all four.
+func (n *Network) forwardFours(in []float32, items int, out, a, b []float32) {
+	var rows [4 * slabStackWidth]float32
+	hid, last := n.Layers[:len(n.Layers)-1], n.Layers[len(n.Layers)-1]
+	inW, midW := n.InputSize(), last.In
+	for i := 0; i < items; i += 4 {
+		x := in[i*inW : (i+4)*inW]
+		if len(hid) > 0 {
+			for r := range 4 {
+				forwardRow(hid, x[r*inW:(r+1)*inW], rows[r*midW:(r+1)*midW], a, b)
+			}
+			x = rows[:4*midW]
+		}
+		last.forwardRows4(x, out[i*last.Out:(i+4)*last.Out])
+	}
 }
 
 // Predict returns the argmax class for x, or 0 when the output layer is

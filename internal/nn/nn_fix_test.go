@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -60,6 +61,53 @@ func TestPredictEmptyOutput(t *testing.T) {
 	n := &Network{Layers: []*Layer{{In: 2, Out: 0, W: nil, B: nil, Act: Linear}}}
 	if got := n.Predict([]float32{1, 2}); got != 0 {
 		t.Fatalf("Predict on empty output = %d, want 0", got)
+	}
+}
+
+// Hand-built degenerate layers on slabs of four rows and more, where the
+// four-row kernel takes the groups: an empty last layer writes nothing (the
+// lanes need Out >= 1: the chain clamp of Out == 0 would reach b[-1] and
+// y[-1]), and a layer of no inputs puts out its biases.
+func TestForwardSlabDegenerateShapes(t *testing.T) {
+	const canary = 0x7FC0DEAD
+	empty := &Network{Layers: []*Layer{{In: 2, Out: 0, Act: Linear}}}
+	noInputs := &Network{Layers: []*Layer{{In: 0, Out: 3, B: []float32{-1, 0.5, 2}, Act: ReLU}}}
+	hiddenNoInputs := &Network{Layers: []*Layer{
+		{In: 0, Out: 3, B: []float32{-1, 0.5, 2}, Act: ReLU},
+		{In: 3, Out: 2, W: []float32{1, 2, 3, 4, 5, 6}, B: []float32{0.25, -0.25}, Act: Linear},
+	}}
+	for _, n := range []*Network{empty, noInputs, hiddenNoInputs} {
+		for _, items := range []int{4, 5} {
+			in := make([]float32, items*n.InputSize())
+			for i := range in {
+				in[i] = float32(i + 1)
+			}
+			outW := n.OutputSize()
+			buf := make([]float32, 8+items*outW+8)
+			for i := range buf {
+				buf[i] = math.Float32frombits(canary)
+			}
+			out := buf[8 : 8+items*outW]
+			if err := n.ForwardSlab(in, items, out); err != nil {
+				t.Fatalf("sizes %v, %d items: %v", n.Sizes(), items, err)
+			}
+			for i, v := range buf {
+				if (i < 8 || i >= 8+len(out)) && math.Float32bits(v) != canary {
+					t.Fatalf("sizes %v, %d items: wrote %v outside out at %d", n.Sizes(), items, v, i-8)
+				}
+			}
+			want := n.forwardRef(in[:n.InputSize()])
+			for i := 0; i < items; i++ {
+				for j, w := range want {
+					if got := out[i*outW+j]; math.Float32bits(got) != math.Float32bits(w) {
+						t.Fatalf("sizes %v, %d items: row %d output %d = %v, want %v", n.Sizes(), items, i, j, got, w)
+					}
+				}
+			}
+		}
+	}
+	if got := noInputs.Forward(nil); got[0] != 0 || got[1] != 0.5 || got[2] != 2 {
+		t.Fatalf("zero-input layer gives %v, want its biases after ReLU", got)
 	}
 }
 

@@ -333,14 +333,16 @@ func checkForwardPaths(t *testing.T, n *Network, rows [][]float32, items int) {
 // every tail length (1, 2, 3, 5, 7, 9, 31, 33) — depths and slab sizes, on
 // rows whose pre-activations are -0 (which ReLU must keep: max() would not),
 // NaN and ±Inf. Slabs of several rows check that rows ping-pong through the
-// scratch without leaking into each other.
+// scratch without leaking into each other; from four rows up a last layer of
+// 1 to 4 outputs runs four rows as lanes, after a hidden layer as wide as 33
+// or none, and the rows left over run alone.
 func TestForwardDifferential(t *testing.T) {
 	negZero := float32(math.Copysign(0, -1))
 	inf := float32(math.Inf(1))
 	var sawNegZero, sawNaN, sawPosInf, sawNegInf bool
 	for _, in := range []int{1, 9, 31} {
 		for _, out := range []int{1, 2, 3, 4, 5, 7, 8, 9, 32, 33, 40, 256} {
-			for _, sizes := range [][]int{{in, out}, {in, out, out}, {in, out, 3, out}} {
+			for _, sizes := range [][]int{{in, out}, {in, out, out}, {in, out, 3, out}, {in, 33, out}} {
 				// Hidden layers are ReLU already; a ReLU output layer is
 				// where a kept -0 shows in the logits.
 				acts := []Activation{Linear}
@@ -483,23 +485,28 @@ func TestForwardSlabNoGarbageAcrossGC(t *testing.T) {
 }
 
 // A network wider than slabStackWidth takes its activations from the heap
-// and still gives, row by row, the logits of the Scratch path.
+// and still gives, row by row, the logits of the Scratch path: with a last
+// layer too wide for the four-row array, and with one that runs four rows
+// as lanes behind a wide input layer.
 func TestForwardSlabWiderThanStack(t *testing.T) {
-	n := New(2, 7, slabStackWidth+9, 3)
-	const items = 3
-	in, out := make([]float32, items*7), make([]float32, items*3)
-	for i := range in {
-		in[i] = float32(i%5) - 1.5
-	}
-	if err := n.ForwardSlab(in, items, out); err != nil {
-		t.Fatal(err)
-	}
-	s := NewScratch(n)
-	for i := 0; i < items; i++ {
-		want := n.forwardScratch(s, in[i*7:(i+1)*7])
-		for j, w := range want {
-			if math.Float32bits(out[i*3+j]) != math.Float32bits(w) {
-				t.Fatalf("row %d logit %d = %v, want %v", i, j, out[i*3+j], w)
+	for _, sizes := range [][]int{{7, slabStackWidth + 9, 3}, {slabStackWidth + 9, 7, 3}} {
+		n := New(2, sizes...)
+		const items = 5
+		inW := sizes[0]
+		in, out := make([]float32, items*inW), make([]float32, items*3)
+		for i := range in {
+			in[i] = float32(i%5) - 1.5
+		}
+		if err := n.ForwardSlab(in, items, out); err != nil {
+			t.Fatal(err)
+		}
+		s := NewScratch(n)
+		for i := 0; i < items; i++ {
+			want := n.forwardScratch(s, in[i*inW:(i+1)*inW])
+			for j, w := range want {
+				if math.Float32bits(out[i*3+j]) != math.Float32bits(w) {
+					t.Fatalf("sizes %v row %d logit %d = %v, want %v", sizes, i, j, out[i*3+j], w)
+				}
 			}
 		}
 	}

@@ -102,10 +102,11 @@ func BenchmarkPerfNNForwardSlab(b *testing.B) {
 }
 
 // BenchmarkPerfNNForwardSlabSmall prices small slabs on both models the
-// benchmark workloads serve. Every row runs the same kernel, which spreads
-// one row's outputs across the SIMD lanes, so ns/op should scale about
-// linearly in items and ns/row stay flat; items=1 is the per-request path
-// and items=32 an MLLB flush.
+// benchmark workloads serve. Both end in a 2-output layer, so from items=4
+// up each group of four rows runs it once with the rows as SIMD lanes, and
+// only the items mod 4 rows left run it alone: ns/row drops from items=4
+// on, most at multiples of four. items=1 is the per-request path and
+// items=32 an MLLB flush.
 func BenchmarkPerfNNForwardSlabSmall(b *testing.B) {
 	for _, model := range []struct {
 		name  string

@@ -21,7 +21,7 @@ import (
 
 	"lakego/internal/core"
 	"lakego/internal/cuda"
-	"lakego/internal/lstm"
+	"lakego/internal/nn"
 	"lakego/internal/shm"
 )
 
@@ -57,7 +57,7 @@ const (
 // Classifier is the kernel-side handle to the remoted Kleio model.
 type Classifier struct {
 	rt    *core.Runtime
-	model *lstm.Model
+	model *nn.LSTM
 	inBuf shm.Buffer
 	out   shm.Buffer
 }
@@ -68,7 +68,7 @@ type Classifier struct {
 func New(rt *core.Runtime, seed int64) (*Classifier, error) {
 	c := &Classifier{
 		rt:    rt,
-		model: lstm.New(seed, 1, []int{HiddenSize, HiddenSize}, 2),
+		model: nn.NewLSTM(seed, 1, []int{HiddenSize, HiddenSize}, 2),
 	}
 	var err error
 	if c.inBuf, err = rt.Region().Alloc(4 * HistoryLen * MaxPages); err != nil {
@@ -107,13 +107,8 @@ func (c *Classifier) handler(api *cuda.API, region *shm.Region, args []uint64, b
 	// TensorFlow moves data and runs the session; LAKE only sees the one
 	// high-level call (hence "sync." in Fig 9).
 	api.Device().Execute("kernel-kleio", tfFixedGPU+time.Duration(pages)*tfPerPageGPU, func() {
-		seq := make([][]float32, HistoryLen)
 		for p := 0; p < pages; p++ {
-			h := flat[p*HistoryLen : (p+1)*HistoryLen]
-			for t := 0; t < HistoryLen; t++ {
-				seq[t] = h[t : t+1]
-			}
-			out[p] = byte(c.model.Predict(seq))
+			out[p] = byte(c.model.Predict(flat[p*HistoryLen : (p+1)*HistoryLen]))
 		}
 	})
 	return []uint64{uint64(pages)}, nil, cuda.Success
@@ -161,20 +156,13 @@ func (c *Classifier) ClassifyLAKE(pages []PageHistory) ([]bool, time.Duration, e
 // modeled cost; used to quantify the GPU speedup of §7.2.
 func (c *Classifier) ClassifyCPU(pages []PageHistory) ([]bool, time.Duration) {
 	hot := make([]bool, len(pages))
-	seq := make([][]float32, HistoryLen)
 	for p := range pages {
-		for t := 0; t < HistoryLen; t++ {
-			seq[t] = pages[p][t : t+1]
-		}
-		hot[p] = c.model.Predict(seq) == 1
+		hot[p] = c.model.Predict(pages[p][:]) == 1
 	}
 	cost := tfFixedCPU + time.Duration(len(pages))*cpuPerPage
 	c.rt.Clock().Advance(cost)
 	return hot, cost
 }
-
-// Model exposes the underlying LSTM (tests and training experiments).
-func (c *Classifier) Model() *lstm.Model { return c.model }
 
 // --- Page scheduling substrate -------------------------------------------
 

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
-	"lakego/internal/lstm"
+	"lakego/internal/nn"
 )
 
 // LearnedScheduler is the Kleio design point: an LSTM trained on per-page
@@ -13,7 +13,7 @@ import (
 // ("Kleio ... implements a LSTM-based classifier, which makes better
 // decisions than a history based solution", §7.2).
 type LearnedScheduler struct {
-	model *lstm.Model
+	model *nn.LSTM
 	// norm scales raw access counts into the model's input range.
 	norm float32
 }
@@ -22,21 +22,19 @@ type LearnedScheduler struct {
 const countNorm = 64
 
 // NewLearnedScheduler wraps a trained model (input width 1, 2 classes).
-func NewLearnedScheduler(m *lstm.Model) (*LearnedScheduler, error) {
-	if m.InputSize() != 1 || m.Classes != 2 {
+func NewLearnedScheduler(m *nn.LSTM) (*LearnedScheduler, error) {
+	if m.InputSize() != 1 || m.Head.Out != 2 {
 		return nil, fmt.Errorf("kleio: scheduler model must be 1-wide, 2-class; got %d-wide, %d-class",
-			m.InputSize(), m.Classes)
+			m.InputSize(), m.Head.Out)
 	}
 	return &LearnedScheduler{model: m, norm: countNorm}, nil
 }
 
-// Model returns the underlying LSTM.
-func (s *LearnedScheduler) Model() *lstm.Model { return s.model }
-
-func (s *LearnedScheduler) seq(h PageHistory) [][]float32 {
-	seq := make([][]float32, HistoryLen)
-	for t := 0; t < HistoryLen; t++ {
-		seq[t] = []float32{h[t] / s.norm}
+// seq is the model input for one page: its history, normalized.
+func (s *LearnedScheduler) seq(h PageHistory) []float32 {
+	seq := make([]float32, HistoryLen)
+	for t, v := range h {
+		seq[t] = v / s.norm
 	}
 	return seq
 }
@@ -60,7 +58,7 @@ func TrainScheduler(seed int64, pages, intervals, hidden, epochs int) (*LearnedS
 	}
 	pattern := NewAccessPattern(seed, pages)
 	hist := make([]PageHistory, pages)
-	var seqs [][][]float32
+	var seqs [][]float32
 	var labels []int
 	sched := &LearnedScheduler{norm: countNorm}
 	for it := 0; it < intervals; it++ {
@@ -84,7 +82,7 @@ func TrainScheduler(seed int64, pages, intervals, hidden, epochs int) (*LearnedS
 			hist[p][HistoryLen-1] = counts[p]
 		}
 	}
-	m := lstm.New(seed, 1, []int{hidden}, 2)
+	m := nn.NewLSTM(seed, 1, []int{hidden}, 2)
 	rng := rand.New(rand.NewSource(seed))
 	idx := rng.Perm(len(seqs))
 	const minibatch = 32
@@ -95,7 +93,7 @@ func TrainScheduler(seed int64, pages, intervals, hidden, epochs int) (*LearnedS
 			if end > len(idx) {
 				end = len(idx)
 			}
-			bs := make([][][]float32, 0, end-at)
+			bs := make([][]float32, 0, end-at)
 			bl := make([]int, 0, end-at)
 			for _, i := range idx[at:end] {
 				bs = append(bs, seqs[i])

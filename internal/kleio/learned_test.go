@@ -3,17 +3,17 @@ package kleio
 import (
 	"testing"
 
-	"lakego/internal/lstm"
+	"lakego/internal/nn"
 )
 
 func TestNewLearnedSchedulerValidation(t *testing.T) {
-	if _, err := NewLearnedScheduler(lstm.New(1, 2, []int{4}, 2)); err == nil {
+	if _, err := NewLearnedScheduler(nn.NewLSTM(1, 2, []int{4}, 2)); err == nil {
 		t.Fatal("wrong input width accepted")
 	}
-	if _, err := NewLearnedScheduler(lstm.New(1, 1, []int{4}, 3)); err == nil {
+	if _, err := NewLearnedScheduler(nn.NewLSTM(1, 1, []int{4}, 3)); err == nil {
 		t.Fatal("wrong class count accepted")
 	}
-	if _, err := NewLearnedScheduler(lstm.New(1, 1, []int{4}, 2)); err != nil {
+	if _, err := NewLearnedScheduler(nn.NewLSTM(1, 1, []int{4}, 2)); err != nil {
 		t.Fatal(err)
 	}
 }

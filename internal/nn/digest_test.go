@@ -8,9 +8,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"lakego/internal/knn"
 	"lakego/internal/linnos"
-	"lakego/internal/lstm"
 	"lakego/internal/mllb"
 	"lakego/internal/nn"
 )
@@ -70,15 +68,6 @@ func f32Digest(vs []float32) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// steps splits a flat sequence into one-wide timesteps.
-func steps(seq []float32) [][]float32 {
-	out := make([][]float32, len(seq))
-	for t := range seq {
-		out[t] = seq[t : t+1]
-	}
-	return out
-}
-
 // TestLSTMKNNDigests pins the bits of the two models outside the MLP: the
 // Kleio-shaped LSTM's logits, ten BPTT steps of the TrainScheduler shape
 // (each step's loss, then the trained logits) and the malware KNN's labels,
@@ -94,18 +83,18 @@ func TestLSTMKNNDigests(t *testing.T) {
 		}
 	}
 	var logits []float32
-	kleio := lstm.New(11, 1, []int{32, 32}, 2)
+	kleio := nn.NewLSTM(11, 1, []int{32, 32}, 2)
 	for _, seq := range seqs {
-		logits = append(logits, kleio.Forward(steps(seq))...)
+		logits = append(logits, kleio.Forward(seq)...)
 	}
 	if got, want := f32Digest(logits), "1c2b8f0a5c900cbded834e8253efb34660ea9fcad62b9b5c3bb81e642deb40d6"; got != want {
 		t.Errorf("kleio-shape logits: sha256 %s, want %s", got, want)
 	}
 
-	sched := lstm.New(5, 1, []int{12}, 2)
-	batch, labels := make([][][]float32, 32), make([]int, 32)
+	sched := nn.NewLSTM(5, 1, []int{12}, 2)
+	batch, labels := make([][]float32, 32), make([]int, 32)
 	for i := range batch {
-		batch[i] = steps(seqs[i])
+		batch[i] = seqs[i]
 		labels[i] = rng.Intn(2)
 	}
 	var trained []float32
@@ -117,7 +106,7 @@ func TestLSTMKNNDigests(t *testing.T) {
 		trained = append(trained, loss)
 	}
 	for _, seq := range seqs {
-		trained = append(trained, sched.Forward(steps(seq))...)
+		trained = append(trained, sched.Forward(seq)...)
 	}
 	if got, want := f32Digest(trained), "277ac9a261aa1c57cb0cee940d5cdffd8855e08457a25464900a26411802de15"; got != want {
 		t.Errorf("trained scheduler-shape losses and logits: sha256 %s, want %s", got, want)
@@ -134,7 +123,7 @@ func TestLSTMKNNDigests(t *testing.T) {
 	for i := range refs {
 		refs[i], refLabels[i] = point(), rng.Intn(3)
 	}
-	cls, err := knn.New(refs, refLabels, 16)
+	cls, err := nn.NewKNN(refs, refLabels, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,15 @@
-// Package nn implements the dense feed-forward neural networks used by the
-// paper's ML-assisted subsystems: LinnOS's I/O latency classifier ("two
-// layers with 256 and 2 neurons", §7.1, plus the +1/+2 augmented variants),
-// MLLB's load-balancing perceptron (§7.3) and KML's readahead classifier
-// (§7.4).
+// Package nn implements the models behind the paper's ML-assisted
+// subsystems on one dense kernel: the feed-forward networks of LinnOS's I/O
+// latency classifier ("two layers with 256 and 2 neurons", §7.1, plus the
+// +1/+2 augmented variants), MLLB's load-balancing perceptron (§7.3) and
+// KML's readahead classifier (§7.4); Kleio's LSTM (§7.2), whose gates and
+// head are dense Layers; and the malware detector's k-nearest-neighbours
+// classifier (§7.5).
 //
-// Networks run real float32 arithmetic — forward inference and SGD training
-// with softmax cross-entropy — so the end-to-end experiments classify with a
-// genuinely trained model. The package also provides serialization (for the
+// Models run real float32 arithmetic — forward inference and SGD training
+// with softmax cross-entropy, one Layer.backward for the MLP and for
+// backpropagation through time — so the end-to-end experiments classify with
+// genuinely trained models. The package also provides serialization (for the
 // feature registry's model lifecycle) and FLOP accounting (for the GPU cost
 // model).
 package nn
@@ -58,7 +61,7 @@ func New(seed int64, sizes ...int) *Network {
 		if in <= 0 || out <= 0 {
 			panic(fmt.Sprintf("nn: invalid layer size %dx%d", in, out))
 		}
-		l := &Layer{In: in, Out: out, W: make([]float32, in*out), B: make([]float32, out), Act: ReLU}
+		l := newLayer(in, out, ReLU)
 		if i+2 == len(sizes) {
 			l.Act = Linear
 		}
@@ -71,6 +74,11 @@ func New(seed int64, sizes ...int) *Network {
 		net.Layers = append(net.Layers, l)
 	}
 	return net
+}
+
+// newLayer returns a zeroed in x out layer.
+func newLayer(in, out int, act Activation) *Layer {
+	return &Layer{In: in, Out: out, W: make([]float32, in*out), B: make([]float32, out), Act: act}
 }
 
 // InputSize returns the expected input width.
@@ -294,9 +302,59 @@ func softmaxInto(dst, logits []float32) {
 	}
 }
 
+// crossEntropy writes the softmax cross-entropy loss gradient w.r.t. the
+// logits, the softmax distribution minus the one-hot label, into delta,
+// which may be logits, and returns the loss.
+func crossEntropy(logits []float32, label int, delta []float32) float64 {
+	softmaxInto(delta, logits)
+	loss := -math.Log(max(float64(delta[label]), 1e-12))
+	delta[label] -= 1
+	return loss
+}
+
+// backward adds one example's gradients into gW and gB — delta is the loss
+// gradient w.r.t. the layer's pre-activations, in its input — and, unless
+// dIn is nil, overwrites dIn with the gradient w.r.t. in. An output whose
+// delta is zero adds nothing. Each dIn[k] sums its terms in ascending output
+// order, and each product is rounded before its add, so no platform fuses
+// them: trained weights are the same bits everywhere (TestMarshalDigests,
+// TestLSTMKNNDigests).
+func (l *Layer) backward(in, delta, gW, gB, dIn []float32) {
+	for o, d := range delta {
+		if d == 0 {
+			continue
+		}
+		gB[o] += d
+		for k, xv := range in {
+			gW[k*l.Out+o] += float32(d * xv)
+		}
+	}
+	if dIn == nil {
+		return
+	}
+	clear(dIn)
+	for o, d := range delta {
+		if d == 0 {
+			continue
+		}
+		for k := range dIn {
+			dIn[k] += float32(l.W[k*l.Out+o] * d)
+		}
+	}
+}
+
+// sgd moves each weight and bias down scale times its gradient.
+func (l *Layer) sgd(gW, gB []float32, scale float32) {
+	for j, g := range gW {
+		l.W[j] -= float32(scale * g)
+	}
+	for j, g := range gB {
+		l.B[j] -= float32(scale * g)
+	}
+}
+
 // Scratch holds every buffer one TrainBatch step needs — gradient
-// accumulators, retained activations, the softmax distribution and the
-// per-layer backprop deltas — so an online trainer can run SGD steps
+// accumulators, retained activations and the per-layer backprop deltas — so an online trainer can run SGD steps
 // indefinitely without per-step garbage. A Scratch is shaped for one
 // network architecture and is reusable across steps (each step zeroes the
 // accumulators itself); it is not safe for concurrent use.
@@ -304,7 +362,6 @@ type Scratch struct {
 	sizes  []int
 	gW, gB [][]float32
 	acts   [][]float32 // acts[i+1] is layer i's retained output
-	probs  []float32
 	deltas [][]float32 // deltas[i] is the gradient w.r.t. layer i's output
 }
 
@@ -324,7 +381,6 @@ func NewScratch(n *Network) *Scratch {
 		s.acts[i+1] = make([]float32, l.Out)
 		s.deltas[i] = make([]float32, l.Out)
 	}
-	s.probs = make([]float32, n.OutputSize())
 	return s
 }
 
@@ -384,64 +440,29 @@ func (n *Network) TrainBatchScratch(s *Scratch, xs [][]float32, labels []int, lr
 		if label < 0 || label >= n.OutputSize() {
 			return 0, fmt.Errorf("nn: label %d out of range [0,%d)", label, n.OutputSize())
 		}
-		softmaxInto(s.probs, n.forwardScratch(s, x))
-		p := float64(s.probs[label])
-		if p < 1e-12 {
-			p = 1e-12
-		}
-		loss += -math.Log(p)
-		// Backward: output delta = probs - onehot.
-		delta := s.deltas[nl-1]
-		copy(delta, s.probs)
-		delta[label] -= 1
+		loss += crossEntropy(n.forwardScratch(s, x), label, s.deltas[nl-1])
 		for i := nl - 1; i >= 0; i-- {
-			l := n.Layers[i]
-			in := s.acts[i]
+			l, delta := n.Layers[i], s.deltas[i]
 			// ReLU derivative gates delta by the layer's own output.
 			if l.Act == ReLU {
-				out := s.acts[i+1]
-				for o := range delta {
-					if out[o] <= 0 {
+				for o, out := range s.acts[i+1] {
+					if out <= 0 {
 						delta[o] = 0
 					}
 				}
 			}
-			// W[k*Out+o] couples input k to output o; every sum adds its
-			// terms in the same order the output-major loops did.
-			for o, d := range delta {
-				if d == 0 {
-					continue
-				}
-				s.gB[i][o] += d
-				for k, xv := range in {
-					s.gW[i][k*l.Out+o] += d * xv
-				}
-			}
+			var dIn []float32
 			if i > 0 {
-				prev := s.deltas[i-1]
-				clear(prev)
-				for o, d := range delta {
-					if d == 0 {
-						continue
-					}
-					for k := range prev {
-						prev[k] += l.W[k*l.Out+o] * d
-					}
-				}
-				delta = prev
+				dIn = s.deltas[i-1]
 			}
+			l.backward(s.acts[i], delta, s.gW[i], s.gB[i], dIn)
 		}
 	}
 	s.acts[0] = nil // don't retain the caller's last sample
 	// Apply averaged gradients.
 	scale := lr / float32(len(xs))
 	for i, l := range n.Layers {
-		for j := range l.W {
-			l.W[j] -= scale * s.gW[i][j]
-		}
-		for j := range l.B {
-			l.B[j] -= scale * s.gB[i][j]
-		}
+		l.sgd(s.gW[i], s.gB[i], scale)
 	}
 	return float32(loss / float64(len(xs))), nil
 }
@@ -463,12 +484,17 @@ func (n *Network) Clone() *Network {
 
 // Accuracy evaluates classification accuracy over a labeled set.
 func (n *Network) Accuracy(xs [][]float32, labels []int) float64 {
+	return accuracy(xs, labels, n.Predict)
+}
+
+// accuracy is the fraction of xs that predict labels right, 0 for none.
+func accuracy(xs [][]float32, labels []int, predict func([]float32) int) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
 	correct := 0
 	for i, x := range xs {
-		if n.Predict(x) == labels[i] {
+		if predict(x) == labels[i] {
 			correct++
 		}
 	}
@@ -539,7 +565,7 @@ func Unmarshal(blob []byte) (*Network, error) {
 		if int64(len(blob)-pos) < 4*elems {
 			return nil, ErrBadModel
 		}
-		l := &Layer{In: in, Out: out, Act: act, W: make([]float32, in*out), B: make([]float32, out)}
+		l := newLayer(in, out, act)
 		for o := 0; o < out; o++ {
 			for k := 0; k < in; k++ {
 				l.W[k*out+o] = math.Float32frombits(binary.LittleEndian.Uint32(blob[pos:]))

@@ -95,6 +95,12 @@ func TestRegistryVersioning(t *testing.T) {
 	if _, err := r.RegisterBlob(bomb, Meta{}); err == nil {
 		t.Fatal("allocation-bomb blob registered")
 	}
+	// A well-formed blob whose layers do not chain (2→8, then 4→2) is
+	// rejected too: promoted, it would panic the next Pump's forward pass.
+	unchained := &nn.Network{Layers: []*nn.Layer{nn.New(1, 2, 8).Layers[0], nn.New(2, 4, 2).Layers[0]}}
+	if _, err := r.RegisterBlob(unchained.Marshal(), Meta{}); err == nil {
+		t.Fatal("unchained blob registered")
+	}
 	blob := nn.New(9, 2, 3, 2).Marshal()
 	v3, err := r.RegisterBlob(blob, Meta{Note: "imported"})
 	if err != nil {

@@ -2,12 +2,19 @@
 
 package nn
 
-// dense is Layer.forward's arithmetic in SSE2, baseline amd64: y[o] = b[o] +
-// w[o]*x[0] + ... + w[(in-1)*out+o]*x[in-1], then relu's ReLU if relu is set.
-// It reads w[:in*out], b[:out], x[:in] and writes y[:out] unchecked.
+// dense is Layer.forward's arithmetic: y[o] = b[o] + w[o]*x[0] + ... +
+// w[(in-1)*out+o]*x[in-1], then relu's ReLU if relu is set. It runs 64
+// outputs a pass in AVX where hasAVX, and the rest, or all of them on a
+// baseline amd64 CPU, in SSE2. It reads w[:in*out], b[:out], x[:in] and
+// writes y[:out] unchecked.
 //
 //go:noescape
 func dense(w, b, x, y []float32, in, out int, relu bool)
+
+// hasAVX reports, once, whether the CPU and the OS run AVX; dense reads it.
+var hasAVX = cpuHasAVX()
+
+func cpuHasAVX() bool
 
 // denseRows4 is dense on four rows, one a SIMD lane, for 1 <= out <= 4. It
 // reads w[:in*out], b[:out], x[:4*in] and writes y[:4*out] unchecked.

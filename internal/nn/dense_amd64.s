@@ -24,13 +24,22 @@
 	MAXPS  acc, tmp;  \
 	MOVAPS tmp, acc
 
+// VMAC is MAC on eight lanes: the 256-bit load, VMULPS and a separate
+// VADDPS, never a fused multiply-add, so each lane rounds its product first.
+#define VMAC(off, tmp, acc) \
+	VMOVUPS off(R13), tmp;    \
+	VMULPS  Y8, tmp, tmp;     \
+	VADDPS  tmp, acc, acc
+
 // func dense(w, b, x, y []float32, in, out int, relu bool)
 //
-// Lanes are four consecutive outputs, whose weights in row k of w are one
-// load. Each accumulator starts at its biases and, per k, adds the rounded
-// product MULPS gives of x[k], broadcast, and row k's weights: the scalar dot
-// product's arithmetic, bit for bit. A pass over x keeps eight accumulators
-// (32 outputs), so eight add chains hide the add latency.
+// Lanes are consecutive outputs, whose weights in row k of w are one load.
+// Each accumulator starts at its biases and, per k, adds the rounded product
+// of x[k], broadcast, and row k's weights: the scalar dot product's
+// arithmetic, bit for bit. A pass over x keeps eight accumulators, so eight
+// add chains hide the add latency: eight YMM registers (64 outputs) where
+// hasAVX, then eight XMM registers (32 outputs) for what is left, or for
+// everything on a CPU without AVX.
 //
 // Registers: SI the block's column in row 0 of w, DX its biases, DI its
 // outputs, BX the outputs left, R9 the row stride in bytes (out*4), R8 x,
@@ -45,6 +54,72 @@ TEXT ·dense(SB), NOSPLIT, $0-113
 	LEAQ (R8)(R11*4), R11
 	MOVQ BX, R9
 	SHLQ $2, R9
+	CMPB ·hasAVX(SB), $0
+	JEQ  block32
+
+block64:
+	CMPQ    BX, $64
+	JLT     sse
+	VMOVUPS 0(DX), Y0
+	VMOVUPS 32(DX), Y1
+	VMOVUPS 64(DX), Y2
+	VMOVUPS 96(DX), Y3
+	VMOVUPS 128(DX), Y4
+	VMOVUPS 160(DX), Y5
+	VMOVUPS 192(DX), Y6
+	VMOVUPS 224(DX), Y7
+	MOVQ    R8, R12
+	MOVQ    SI, R13
+	CMPQ    R12, R11
+	JEQ     store64
+	PCALIGN $32
+
+loop64:
+	VBROADCASTSS (R12), Y8
+	VMAC(0, Y9, Y0)
+	VMAC(32, Y10, Y1)
+	VMAC(64, Y11, Y2)
+	VMAC(96, Y12, Y3)
+	VMAC(128, Y13, Y4)
+	VMAC(160, Y14, Y5)
+	VMAC(192, Y15, Y6)
+	VMAC(224, Y9, Y7)
+	NEXTK(loop64)
+
+	// RELU on eight lanes: VMAXPS takes +0, its first source, only where
+	// +0 > s.
+store64:
+	CMPB   relu+112(FP), $0
+	JEQ    write64
+	VXORPS Y8, Y8, Y8
+	VMAXPS Y0, Y8, Y0
+	VMAXPS Y1, Y8, Y1
+	VMAXPS Y2, Y8, Y2
+	VMAXPS Y3, Y8, Y3
+	VMAXPS Y4, Y8, Y4
+	VMAXPS Y5, Y8, Y5
+	VMAXPS Y6, Y8, Y6
+	VMAXPS Y7, Y8, Y7
+
+write64:
+	VMOVUPS Y0, 0(DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	VMOVUPS Y4, 128(DI)
+	VMOVUPS Y5, 160(DI)
+	VMOVUPS Y6, 192(DI)
+	VMOVUPS Y7, 224(DI)
+	ADDQ    $256, SI
+	ADDQ    $256, DX
+	ADDQ    $256, DI
+	SUBQ    $64, BX
+	JMP     block64
+
+	// The SSE2 blocks take the last out mod 64 outputs with the upper YMM
+	// halves cleared, so their legacy encodings pay no transition penalty.
+sse:
+	VZEROUPPER
 
 block32:
 	CMPQ   BX, $32
@@ -290,4 +365,25 @@ writerow:
 	ADDQ   R10, DI
 	DECQ   R8
 	JNZ    writerow
+	RET
+
+// func cpuHasAVX() bool
+//
+// CPUID.1:ECX reports AVX (bit 28) and OSXSAVE (bit 27); XGETBV's XCR0 then
+// says whether the OS saves the XMM (bit 1) and YMM (bit 2) state.
+TEXT ·cpuHasAVX(SB), NOSPLIT, $0-1
+	MOVB  $0, ret+0(FP)
+	MOVL  $1, AX
+	XORL  CX, CX
+	CPUID
+	ANDL  $0x18000000, CX
+	CMPL  CX, $0x18000000
+	JNE   noavx
+	XORL  CX, CX
+	XGETBV
+	ANDL  $6, AX
+	CMPL  AX, $6
+	SETEQ ret+0(FP)
+
+noavx:
 	RET

@@ -27,13 +27,15 @@ func guarded(t *testing.T, n int) []float32 {
 }
 
 // dense reads w[:in*out], b[:out] and x[:in] and nothing past them — each
-// ends at a guard page, so an over-read in the last out mod 32 outputs
-// faults — and writes y[:out] and nothing past it, and the outputs it writes
-// are the scalar reference's.
-func TestDenseStaysInBounds(t *testing.T) {
+// ends at a guard page, so an over-read in a 64-output pass or in the last
+// out mod 32 outputs faults — and writes y[:out] and nothing past it, and the
+// outputs it writes are the scalar reference's, on either kernel.
+func TestDenseStaysInBounds(t *testing.T) { EachKernel(t, testDenseStaysInBounds) }
+
+func testDenseStaysInBounds(t *testing.T) {
 	const canary = 0x7FC0DEAD
-	for _, in := range []int{1, 9, 31} {
-		for _, out := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33, 40} {
+	for _, in := range []int{1, 9, 31, 33} {
+		for _, out := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33, 40, 63, 64, 65, 96, 97, 128, 256} {
 			n := New(int64(in*100+out), in, out)
 			l := n.Layers[0]
 			l.Act = ReLU

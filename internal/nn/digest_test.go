@@ -14,10 +14,12 @@ import (
 )
 
 // TestMarshalDigests pins the bytes of two real models — LinnOS and MLLB as
-// New draws them, and after ten SGD steps — so a change to New's RNG fill
-// order, to the LNN1 byte order or to training arithmetic fails here rather
-// than in some downstream golden.
-func TestMarshalDigests(t *testing.T) {
+// New draws them, and after ten SGD steps on either dense kernel — so a
+// change to New's RNG fill order, to the LNN1 byte order or to training
+// arithmetic fails here rather than in some downstream golden.
+func TestMarshalDigests(t *testing.T) { nn.EachKernel(t, testMarshalDigests) }
+
+func testMarshalDigests(t *testing.T) {
 	for _, tc := range []struct {
 		name           string
 		net            *nn.Network

@@ -533,7 +533,8 @@ func (n *Network) Marshal() []byte {
 // ErrBadModel reports a corrupt serialized network.
 var ErrBadModel = errors.New("nn: corrupt model blob")
 
-// Unmarshal deserializes a network produced by Marshal.
+// Unmarshal deserializes a network produced by Marshal. A blob whose layers
+// do not chain, each In the previous layer's Out, is ErrBadModel.
 func Unmarshal(blob []byte) (*Network, error) {
 	if len(blob) < 8 || binary.LittleEndian.Uint32(blob) != marshalMagic {
 		return nil, ErrBadModel
@@ -553,7 +554,7 @@ func Unmarshal(blob []byte) (*Network, error) {
 		out := int(binary.LittleEndian.Uint32(blob[pos+4:]))
 		act := Activation(blob[pos+8])
 		pos += 9
-		if in <= 0 || out <= 0 || in > 1<<20 || out > 1<<20 || act > ReLU {
+		if in <= 0 || out <= 0 || in > 1<<20 || out > 1<<20 || act > ReLU || i > 0 && in != net.Layers[i-1].Out {
 			return nil, ErrBadModel
 		}
 		// Bounds-check the declared shape against the bytes actually present

@@ -211,11 +211,13 @@ func TestMarshalGolden(t *testing.T) {
 
 // FuzzNNUnmarshal is the regression fuzz target for the allocation bomb:
 // arbitrary input must never panic or demand absurd allocations, and any
-// blob that decodes must be a marshal->unmarshal fixed point.
+// blob that decodes must be a marshal->unmarshal fixed point and run one
+// zero row through ForwardSlab without error.
 func FuzzNNUnmarshal(f *testing.F) {
 	f.Add(New(1, 4, 2).Marshal())
 	f.Add(New(2, 3, 4, 2).Marshal())
 	f.Add(bombBlob())
+	f.Add(unchainedBlob())
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		net, err := Unmarshal(data)
@@ -232,6 +234,9 @@ func FuzzNNUnmarshal(f *testing.F) {
 		}
 		if len(again.Layers) != len(net.Layers) {
 			t.Fatal("layer count unstable")
+		}
+		if err := net.ForwardSlab(make([]float32, net.InputSize()), 1, make([]float32, net.OutputSize())); err != nil {
+			t.Fatalf("decoded blob does not run: %v", err)
 		}
 	})
 }

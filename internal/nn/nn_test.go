@@ -195,6 +195,15 @@ func TestUnmarshalRejectsCorrupt(t *testing.T) {
 	if _, err := Unmarshal(append(good, 0)); err == nil {
 		t.Error("trailing garbage accepted")
 	}
+	if _, err := Unmarshal(unchainedBlob()); err != ErrBadModel {
+		t.Errorf("unchained layers: err %v, want ErrBadModel", err)
+	}
+}
+
+// unchainedBlob is a well-formed LNN1 blob of a 2→8 layer and a 4→2 layer,
+// which no input can run through.
+func unchainedBlob() []byte {
+	return (&Network{Layers: []*Layer{New(1, 2, 8).Layers[0], New(2, 4, 2).Layers[0]}}).Marshal()
 }
 
 // Property: ForwardSlab agrees with per-sample Forward.
@@ -328,20 +337,24 @@ func checkForwardPaths(t *testing.T, n *Network, rows [][]float32, items int) {
 }
 
 // TestForwardDifferential: Layer.forward and the slab path agree with the
-// scalar reference bit for bit across the kernel's output blocks — a
-// 32-output pass (32, 33, 40, 256), 4-output blocks (4, 7, 8, 9, 31, 40) and
-// every tail length (1, 2, 3, 5, 7, 9, 31, 33) — depths and slab sizes, on
-// rows whose pre-activations are -0 (which ReLU must keep: max() would not),
-// NaN and ±Inf. Slabs of several rows check that rows ping-pong through the
-// scratch without leaking into each other; from four rows up a last layer of
-// 1 to 4 outputs runs four rows as lanes, after a hidden layer as wide as 33
-// or none, and the rows left over run alone.
-func TestForwardDifferential(t *testing.T) {
+// scalar reference bit for bit, on either kernel, across its output blocks —
+// 64-output passes (64, 65, 128, 256) with the 32-output pass after them (96)
+// or not, a 32-output pass alone (32, 33, 40, 63), 4-output blocks (4, 7, 8,
+// 9, 31, 40, 63) and every tail length (1, 2, 3, 5, 7, 9, 31, 33, 65) —
+// depths and slab sizes, on rows whose pre-activations are -0 (which ReLU
+// must keep: max() would not), NaN and ±Inf. Slabs of several rows check
+// that rows ping-pong through the scratch without leaking into each other;
+// from four rows up a last layer of 1 to 4 outputs runs four rows as lanes,
+// after a hidden layer as wide as 33 or none, and the rows left over run
+// alone.
+func TestForwardDifferential(t *testing.T) { EachKernel(t, testForwardDifferential) }
+
+func testForwardDifferential(t *testing.T) {
 	negZero := float32(math.Copysign(0, -1))
 	inf := float32(math.Inf(1))
 	var sawNegZero, sawNaN, sawPosInf, sawNegInf bool
 	for _, in := range []int{1, 9, 31} {
-		for _, out := range []int{1, 2, 3, 4, 5, 7, 8, 9, 32, 33, 40, 256} {
+		for _, out := range []int{1, 2, 3, 4, 5, 7, 8, 9, 32, 33, 40, 63, 64, 65, 96, 128, 256} {
 			for _, sizes := range [][]int{{in, out}, {in, out, out}, {in, out, 3, out}, {in, 33, out}} {
 				// Hidden layers are ReLU already; a ReLU output layer is
 				// where a kept -0 shows in the logits.
@@ -515,8 +528,9 @@ func TestForwardSlabWiderThanStack(t *testing.T) {
 // FuzzForwardDifferential: for any weights, biases and inputs — arbitrary
 // float32 bit patterns, so NaNs, infinities, denormals and signed zeros
 // included — and any small geometry, Layer.forward and the slab path
-// produce the scalar reference's bits. Up to 41 outputs a layer reaches the
-// kernel's 32-output pass, its 4-output blocks and every tail length.
+// produce the scalar reference's bits. Up to 97 outputs a layer reaches the
+// kernel's 64-output pass, its 32-output pass after one or alone, its
+// 4-output blocks and every tail length.
 func FuzzForwardDifferential(f *testing.F) {
 	f.Add([]byte{0, 0, 0x80, 0x3f, 0, 0, 0, 0xc0, 0xcd, 0xcc, 0x4c, 0x3e}, uint8(3), uint8(5), uint8(2), uint8(4))
 	f.Fuzz(func(t *testing.T, data []byte, in, out, layers, items uint8) {
@@ -534,9 +548,9 @@ func FuzzForwardDifferential(f *testing.F) {
 		}
 		sizes := []int{int(in%32) + 1}
 		for i := 0; i < int(layers%3); i++ {
-			sizes = append(sizes, int(out%41)+1)
+			sizes = append(sizes, int(out%97)+1)
 		}
-		sizes = append(sizes, int(out%41)+1)
+		sizes = append(sizes, int(out%97)+1)
 		n := New(1, sizes...)
 		for _, l := range n.Layers {
 			for j := range l.W {
@@ -559,8 +573,8 @@ func FuzzForwardDifferential(f *testing.F) {
 
 // relu is the branch `if s < 0 { s = 0 }` on every bit pattern either side
 // of its two boundaries, -0 and -Inf, and on a stride across the rest. So
-// is ForwardSlab's ReLU: a zero-input layer's outputs are its biases, so a
-// ReLU layer biased with the patterns returns their ReLU.
+// is ForwardSlab's ReLU on either kernel: a zero-input layer's outputs are
+// its biases, so a ReLU layer biased with the patterns returns their ReLU.
 func TestReLUBits(t *testing.T) {
 	patterns := []uint32{0, 1, 0x7F7FFFFF, 0x7F800000, 0x7F800001, 0x7FC00000, 0x7FFFFFFF,
 		0x80000000, 0x80000001, 0x807FFFFF, 0xBF800000, 0xFF7FFFFF, 0xFF800000, 0xFF800001, 0xFFC00000, 0xFFFFFFFF}
@@ -583,17 +597,19 @@ func TestReLUBits(t *testing.T) {
 		l.B[j] = math.Float32frombits(b)
 	}
 	n := &Network{Layers: []*Layer{l}}
-	for _, items := range []int{1, 4} {
-		out := make([]float32, items*len(patterns))
-		if err := n.ForwardSlab(nil, items, out); err != nil {
-			t.Fatal(err)
-		}
-		for i, v := range out {
-			if b := patterns[i%len(patterns)]; math.Float32bits(v) != want(b) {
-				t.Fatalf("ForwardSlab of %d items: ReLU(%#08x) = %#08x, want %#08x", items, b, math.Float32bits(v), want(b))
+	EachKernel(t, func(t *testing.T) {
+		for _, items := range []int{1, 4} {
+			out := make([]float32, items*len(patterns))
+			if err := n.ForwardSlab(nil, items, out); err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range out {
+				if b := patterns[i%len(patterns)]; math.Float32bits(v) != want(b) {
+					t.Fatalf("ForwardSlab of %d items: ReLU(%#08x) = %#08x, want %#08x", items, b, math.Float32bits(v), want(b))
+				}
 			}
 		}
-	}
+	})
 }
 
 // PredictScratch is Predict without the garbage, and a scratch shaped for

@@ -121,16 +121,29 @@ func TestFig8RunsFull(t *testing.T) {
 	}
 }
 
+// fig7 on 1500-request traces is pinned byte for byte: the replay runs
+// LinnOS on every read, so the golden also pins the nn kernels' logits.
 func TestFig7ShortReplayShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig7 replays the full workload matrix")
 	}
-	out, err := Fig7WithLength(1500)
+	got, err := Fig7WithLength(1500)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "Mixed+") || !strings.Contains(out, "Azure*") {
-		t.Fatalf("fig7 output missing workloads:\n%s", out)
+	path := filepath.Join("testdata", "fig7-short.golden")
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("fig7 differs from %s (rerun with -update only for a deliberate change)\n got:\n%s\nwant:\n%s", path, got, want)
 	}
 }
 

@@ -12,6 +12,7 @@
 package kml
 
 import (
+	"container/list"
 	"fmt"
 	"math"
 	"math/rand"
@@ -339,31 +340,27 @@ func Sweep(c *Classifier, batches []int) ([]offload.SweepPoint, error) {
 // readahead beats a fixed configuration.
 type CacheSim struct {
 	capacity int
-	lru      map[int64]int // page -> last-use tick
-	tick     int
+	pages    map[int64]*list.Element // page -> its element in order
+	order    *list.List              // cached pages, most recently used first
 }
 
-// NewCacheSim creates an LRU page cache of the given capacity (pages).
+// NewCacheSim creates an LRU page cache of the given capacity (pages); a
+// capacity of 0 keeps one page.
 func NewCacheSim(capacity int) *CacheSim {
-	return &CacheSim{capacity: capacity, lru: make(map[int64]int, capacity)}
+	return &CacheSim{capacity: capacity, pages: make(map[int64]*list.Element, capacity), order: list.New()}
 }
 
+// touch makes pg the most recently used page, first evicting the least
+// recently used one when pg is new and the cache is full.
 func (c *CacheSim) touch(pg int64) {
-	c.tick++
-	if len(c.lru) >= c.capacity {
-		if _, ok := c.lru[pg]; !ok {
-			// Evict least recently used.
-			var victim int64
-			oldest := math.MaxInt
-			for p, t := range c.lru {
-				if t < oldest {
-					victim, oldest = p, t
-				}
-			}
-			delete(c.lru, victim)
-		}
+	if e, ok := c.pages[pg]; ok {
+		c.order.MoveToFront(e)
+		return
 	}
-	c.lru[pg] = c.tick
+	if len(c.pages) >= c.capacity && c.order.Len() > 0 {
+		delete(c.pages, c.order.Remove(c.order.Back()).(int64))
+	}
+	c.pages[pg] = c.order.PushFront(pg)
 }
 
 // CacheResult reports a run's hit statistics and modeled throughput.
@@ -380,7 +377,7 @@ type CacheResult struct {
 func (c *CacheSim) Run(stream []int64, readahead int) CacheResult {
 	var res CacheResult
 	for _, pg := range stream {
-		if _, ok := c.lru[pg]; ok {
+		if _, ok := c.pages[pg]; ok {
 			res.Hits++
 			c.touch(pg)
 			continue

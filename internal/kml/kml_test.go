@@ -1,6 +1,7 @@
 package kml
 
 import (
+	"math/rand"
 	"testing"
 
 	"lakego/internal/core"
@@ -199,8 +200,53 @@ func TestCacheSimBasics(t *testing.T) {
 	if res.HitRatio != 0.5 || res.Throughput <= 0 {
 		t.Fatalf("result = %+v", res)
 	}
-	if got := (&CacheSim{capacity: 1, lru: map[int64]int{}}).Run(nil, 0); got.Hits != 0 {
+	if got := NewCacheSim(1).Run(nil, 0); got.Hits != 0 {
 		t.Fatal("empty stream produced hits")
+	}
+}
+
+// The list-backed LRU evicts what a scan for the oldest last-use tick
+// evicts, so it hits and misses on the same accesses; a capacity of 0
+// keeps one page.
+func TestCacheSimMatchesScanLRU(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, capacity := range []int{0, 1, 2, 7, 64} {
+		for _, readahead := range []int{0, 3} {
+			stream := make([]int64, 4000)
+			for i := range stream {
+				stream[i] = int64(rng.Intn(96))
+			}
+			got := NewCacheSim(capacity).Run(stream, readahead)
+			lru, tick := map[int64]int{}, 0
+			touch := func(pg int64) {
+				tick++
+				if _, ok := lru[pg]; !ok && len(lru) >= capacity && len(lru) > 0 {
+					victim, oldest := int64(0), tick
+					for p, t := range lru {
+						if t < oldest {
+							victim, oldest = p, t
+						}
+					}
+					delete(lru, victim)
+				}
+				lru[pg] = tick
+			}
+			hits := 0
+			for _, pg := range stream {
+				_, hit := lru[pg]
+				touch(pg)
+				if hit {
+					hits++
+					continue
+				}
+				for i := 1; i <= readahead; i++ {
+					touch(pg + int64(i))
+				}
+			}
+			if got.Hits != hits {
+				t.Fatalf("capacity %d readahead %d: %d hits, scan LRU %d", capacity, readahead, got.Hits, hits)
+			}
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package cuda
 
 import (
+	"encoding/binary"
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -228,6 +230,84 @@ func TestQuickFloat32RoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The staging codec moves bits, not values: signalling and payload NaNs,
+// -0, subnormals and infinities come back with the bits they went in with,
+// and the staged bytes are each float's bits in the host's byte order.
+func TestFloat32sBitExact(t *testing.T) {
+	bits := []uint32{
+		0x7f800001, // signalling NaN
+		0x7fc12345, // quiet NaN with a payload
+		0x80000000, // -0
+		0x00000001, // smallest subnormal
+		0x7f800000, // +Inf
+		0xff800000, // -Inf
+		math.Float32bits(math.MaxFloat32),
+	}
+	vals := make([]float32, len(bits))
+	for i, b := range bits {
+		vals[i] = math.Float32frombits(b)
+	}
+	buf := make([]byte, 4*len(vals))
+	if err := PutFloat32s(buf, vals); err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range bits {
+		if got := binary.NativeEndian.Uint32(buf[4*i:]); got != b {
+			t.Errorf("staged float %d: bytes hold %#08x, want %#08x", i, got, b)
+		}
+	}
+	read := make([]float32, len(vals))
+	if err := ReadFloat32s(read, buf); err != nil {
+		t.Fatal(err)
+	}
+	owned, err := Float32s(buf, len(vals))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range bits {
+		if math.Float32bits(read[i]) != b || math.Float32bits(owned[i]) != b {
+			t.Errorf("float %d: read %#08x and %#08x, want %#08x", i, math.Float32bits(read[i]), math.Float32bits(owned[i]), b)
+		}
+	}
+}
+
+func TestFloat32sEmptyAndShort(t *testing.T) {
+	for _, v := range [][]float32{nil, {}} {
+		if err := PutFloat32s(nil, v); err != nil {
+			t.Fatalf("Put %v into nil: %v", v, err)
+		}
+		if err := ReadFloat32s(v, nil); err != nil {
+			t.Fatalf("Read %v from nil: %v", v, err)
+		}
+	}
+	if got, err := Float32s(nil, 0); err != nil || len(got) != 0 {
+		t.Fatalf("Float32s(nil, 0) = %v, %v", got, err)
+	}
+	const want = "cuda: buffer 7 bytes, need 8"
+	short, two := make([]byte, 7), []float32{1, 2}
+	if err := PutFloat32s(short, two); err == nil || err.Error() != want {
+		t.Errorf("Put short = %v, want %q", err, want)
+	}
+	if err := ReadFloat32s(two, short); err == nil || err.Error() != want {
+		t.Errorf("Read short = %v, want %q", err, want)
+	}
+	if _, err := Float32s(short, 2); err == nil || err.Error() != want {
+		t.Errorf("Float32s short = %v, want %q", err, want)
+	}
+}
+
+// Staging is one copy each way and allocates nothing.
+func TestFloat32sAllocateNothing(t *testing.T) {
+	vals := make([]float32, 1024)
+	buf := make([]byte, 4*len(vals))
+	if n := testing.AllocsPerRun(100, func() { PutFloat32s(buf, vals) }); n != 0 {
+		t.Errorf("PutFloat32s: %v allocs", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { ReadFloat32s(vals, buf) }); n != 0 {
+		t.Errorf("ReadFloat32s: %v allocs", n)
 	}
 }
 

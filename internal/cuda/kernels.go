@@ -1,27 +1,28 @@
 package cuda
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
+	"unsafe"
 
 	"lakego/internal/gpu"
 )
 
-// PutFloat32s encodes vals little-endian into dst, which must hold
-// 4*len(vals) bytes. It is the host-side marshalling helper every workload
-// uses to stage tensors into device (or shared) memory.
+// PutFloat32s copies vals into dst, which must hold 4*len(vals) bytes, in
+// the host's byte order: one copy, no per-element encoding. It is the
+// host-side helper every workload uses to stage tensors into device (or
+// shared) memory. lakeShm is one address space that lakeLib and lakeD
+// share, and these helpers are the only code that reads or writes staged
+// floats, so the host's order is the one both sides read.
 func PutFloat32s(dst []byte, vals []float32) error {
 	if len(dst) < 4*len(vals) {
 		return fmt.Errorf("cuda: buffer %d bytes, need %d", len(dst), 4*len(vals))
 	}
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(v))
-	}
+	copy(dst, floatBytes(vals))
 	return nil
 }
 
-// Float32s decodes n little-endian float32 values from src.
+// Float32s returns a new slice of the n host-order float32 values at the
+// start of src; the caller owns it.
 func Float32s(src []byte, n int) ([]float32, error) {
 	if len(src) < 4*n { // before make: n can come off the wire
 		return nil, fmt.Errorf("cuda: buffer %d bytes, need %d", len(src), 4*n)
@@ -30,16 +31,19 @@ func Float32s(src []byte, n int) ([]float32, error) {
 	return out, ReadFloat32s(out, src)
 }
 
-// ReadFloat32s decodes len(dst) little-endian float32 values from src into
-// dst: Float32s for callers that own the destination.
+// ReadFloat32s copies len(dst) host-order float32 values from src into dst
+// in one copy: Float32s for callers that own the destination.
 func ReadFloat32s(dst []float32, src []byte) error {
 	if len(src) < 4*len(dst) {
 		return fmt.Errorf("cuda: buffer %d bytes, need %d", len(src), 4*len(dst))
 	}
-	for i := range dst {
-		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
-	}
+	copy(floatBytes(dst), src)
 	return nil
+}
+
+// floatBytes is v's memory as bytes, 4*len(v) of them; nil for an empty v.
+func floatBytes(v []float32) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 4*len(v))
 }
 
 // VecAddKernel returns the classic element-wise c = a + b kernel over

@@ -367,6 +367,201 @@ writerow:
 	JNZ    writerow
 	RET
 
+// XROWS8 loads x[r][k..k+3] of the eight rows, rows r and r+4 in the two
+// 128-bit halves of one register, and transposes each half, so lane r of
+// Y4+j holds x[r][k+j].
+#define XROWS8 \
+	VMOVUPS     (R8), X4;                 \
+	VINSERTF128 $1, (R14), Y4, Y4;        \
+	VMOVUPS     (R8)(R9*1), X5;           \
+	VINSERTF128 $1, (R14)(R9*1), Y5, Y5;  \
+	VMOVUPS     (R8)(R9*2), X6;           \
+	VINSERTF128 $1, (R14)(R9*2), Y6, Y6;  \
+	VMOVUPS     (R8)(R13*1), X7;          \
+	VINSERTF128 $1, (R14)(R13*1), Y7, Y7; \
+	VUNPCKLPS   Y5, Y4, Y8;               \
+	VUNPCKHPS   Y5, Y4, Y9;               \
+	VUNPCKLPS   Y7, Y6, Y10;              \
+	VUNPCKHPS   Y7, Y6, Y11;              \
+	VSHUFPS     $0x44, Y10, Y8, Y4;       \
+	VSHUFPS     $0xEE, Y10, Y8, Y5;       \
+	VSHUFPS     $0x44, Y11, Y9, Y6;       \
+	VSHUFPS     $0xEE, Y11, Y9, Y7
+
+// XROW8 puts x[r][k] of the eight rows in lane r of Y4, through X5.
+#define XROW8 \
+	VMOVSS      (R8), X4;                      \
+	VINSERTPS   $0x10, (R8)(R9*1), X4, X4;     \
+	VINSERTPS   $0x20, (R8)(R9*2), X4, X4;     \
+	VINSERTPS   $0x30, (R8)(R13*1), X4, X4;    \
+	VMOVSS      (R14), X5;                     \
+	VINSERTPS   $0x10, (R14)(R9*1), X5, X5;    \
+	VINSERTPS   $0x20, (R14)(R9*2), X5, X5;    \
+	VINSERTPS   $0x30, (R14)(R13*1), X5, X5;   \
+	VINSERTF128 $1, X5, Y4, Y4
+
+// YMAC adds the rounded products of the eight lanes of xr and the weight at
+// off, broadcast, to acc, through tmp: BMAC on eight lanes.
+#define YMAC(off, xr, tmp, acc) \
+	VBROADCASTSS off, tmp;     \
+	VMULPS       xr, tmp, tmp; \
+	VADDPS       tmp, acc, acc
+
+// YMAC2 and YMAC4 run chains 0-1 or 0-3 on the x values in xr, then step
+// to weight row k+1.
+#define YMAC2(xr) \
+	YMAC((SI), xr, Y12, Y0);       \
+	YMAC((SI)(AX*1), xr, Y13, Y1); \
+	ADDQ R10, SI
+
+#define YMAC4(xr) \
+	YMAC((SI), xr, Y12, Y0);       \
+	YMAC((SI)(AX*1), xr, Y13, Y1); \
+	YMAC((SI)(CX*1), xr, Y14, Y2); \
+	YMAC((SI)(BX*1), xr, Y15, Y3); \
+	ADDQ R10, SI
+
+// NEXTROWS8 steps both row cursors n floats on, looping to label until row
+// 0's cursor reaches end.
+#define NEXTROWS8(n, end, label) \
+	ADDQ $(4*n), R8;  \
+	ADDQ $(4*n), R14; \
+	CMPQ R8, end;     \
+	JLT  label
+
+// func denseRows8(w, b, x, y []float32, in, out int, relu bool)
+//
+// denseRows4 on eight rows in AVX, for 1 <= out <= 4: lane r of each YMM
+// accumulator is row r of x, and chain j takes output min(j, out-1) at byte
+// offset 0, AX, CX or BX, clamped as denseRows4 clamps; for out <= 2 two
+// chains run and chains 2 and 3 copy chain 1. Each group of four k loads
+// four floats of every row and transposes them (XROWS8); the in mod 4 k
+// left gather one float a row (XROW8). Per k ascending each lane adds the
+// rounded product of x[r][k] and the broadcast weight, a VMULPS and then a
+// VADDPS: dense's arithmetic on row r, bit for bit. The store clears the
+// upper halves and rotates rows r and r+4 out of the lanes together.
+//
+// Registers: SI the weight cursor, DX b and then row 0's end, DI y (rows
+// 0-3), R14 the row-4 cursor in x and then y's row 4, R8 the row-0 cursor,
+// R9 the row stride in bytes (in*4), R13 three strides, R11 the end of row
+// 0's groups of four, R10 the output stride in bytes (out*4).
+TEXT ·denseRows8(SB), NOSPLIT, $0-113
+	MOVQ         w_base+0(FP), SI
+	MOVQ         b_base+24(FP), DX
+	MOVQ         x_base+48(FP), R8
+	MOVQ         y_base+72(FP), DI
+	MOVQ         in+96(FP), R9
+	MOVQ         out+104(FP), R10
+	MOVQ         R9, R11
+	ANDQ         $-4, R11
+	SHLQ         $2, R9
+	SHLQ         $2, R10
+	LEAQ         (R8)(R11*4), R11
+	LEAQ         (R9)(R9*2), R13
+	LEAQ         (R8)(R9*4), R14
+	LEAQ         -4(R10), BX
+	MOVQ         $8, CX
+	CMPQ         BX, CX
+	CMOVQLT      BX, CX
+	MOVQ         $4, AX
+	CMPQ         BX, AX
+	CMOVQLT      BX, AX
+	VBROADCASTSS (DX), Y0
+	VBROADCASTSS (DX)(AX*1), Y1
+	VBROADCASTSS (DX)(CX*1), Y2
+	VBROADCASTSS (DX)(BX*1), Y3
+	LEAQ         (R8)(R9*1), DX
+	CMPQ         BX, $4
+	JGT          rows8x4
+	CMPQ         R8, R11
+	JEQ          tail8x2
+	PCALIGN      $32
+
+loop8x2:
+	XROWS8
+	YMAC2(Y4)
+	YMAC2(Y5)
+	YMAC2(Y6)
+	YMAC2(Y7)
+	NEXTROWS8(4, R11, loop8x2)
+
+tail8x2:
+	CMPQ R8, DX
+	JEQ  store8x2
+
+k8x2:
+	XROW8
+	YMAC2(Y4)
+	NEXTROWS8(1, DX, k8x2)
+
+store8x2:
+	VMOVAPS Y1, Y2
+	VMOVAPS Y1, Y3
+	JMP     store8
+
+rows8x4:
+	CMPQ    R8, R11
+	JEQ     tail8x4
+	PCALIGN $32
+
+loop8x4:
+	XROWS8
+	YMAC4(Y4)
+	YMAC4(Y5)
+	YMAC4(Y6)
+	YMAC4(Y7)
+	NEXTROWS8(4, R11, loop8x4)
+
+tail8x4:
+	CMPQ R8, DX
+	JEQ  store8
+
+k8x4:
+	XROW8
+	YMAC4(Y4)
+	NEXTROWS8(1, DX, k8x4)
+
+store8:
+	CMPB   relu+112(FP), $0
+	JEQ    write8
+	VXORPS Y8, Y8, Y8
+	VMAXPS Y0, Y8, Y0
+	VMAXPS Y1, Y8, Y1
+	VMAXPS Y2, Y8, Y2
+	VMAXPS Y3, Y8, Y3
+
+write8:
+	VEXTRACTF128 $1, Y0, X4
+	VEXTRACTF128 $1, Y1, X5
+	VEXTRACTF128 $1, Y2, X6
+	VEXTRACTF128 $1, Y3, X7
+	VZEROUPPER
+	LEAQ         (DI)(R10*4), R14
+	MOVQ         $4, R8
+
+writerow8:
+	MOVSS  X3, (DI)(BX*1)
+	MOVSS  X2, (DI)(CX*1)
+	MOVSS  X1, (DI)(AX*1)
+	MOVSS  X0, (DI)
+	MOVSS  X7, (R14)(BX*1)
+	MOVSS  X6, (R14)(CX*1)
+	MOVSS  X5, (R14)(AX*1)
+	MOVSS  X4, (R14)
+	SHUFPS $0x39, X0, X0
+	SHUFPS $0x39, X1, X1
+	SHUFPS $0x39, X2, X2
+	SHUFPS $0x39, X3, X3
+	SHUFPS $0x39, X4, X4
+	SHUFPS $0x39, X5, X5
+	SHUFPS $0x39, X6, X6
+	SHUFPS $0x39, X7, X7
+	ADDQ   R10, DI
+	ADDQ   R10, R14
+	DECQ   R8
+	JNZ    writerow8
+	RET
+
 // func cpuHasAVX() bool
 //
 // CPUID.1:ECX reports AVX (bit 28) and OSXSAVE (bit 27); XGETBV's XCR0 then

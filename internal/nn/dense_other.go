@@ -23,9 +23,9 @@ func (l *Layer) forward(x, y []float32) {
 	}
 }
 
-// forwardRows4 is forward on four consecutive rows, one at a time.
-func (l *Layer) forwardRows4(x, y []float32) {
-	for r := range 4 {
+// forwardLanes is forward on rows consecutive rows, one at a time.
+func (l *Layer) forwardLanes(x, y []float32, rows int) {
+	for r := range rows {
 		l.forward(x[r*l.In:], y[r*l.Out:])
 	}
 }

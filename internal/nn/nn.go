@@ -181,10 +181,10 @@ func (n *Network) slabWidth() (int, error) {
 // ForwardSlab runs items inferences over a row-major slab: in holds items
 // rows of InputSize floats, out receives items rows of OutputSize logits,
 // each bit-identical to Forward on that row. A last layer of 1 to 4 outputs
-// runs on groups of four rows, one a SIMD lane (forwardFours); the rows left
-// run one at a time. Activations live on the stack for any network no wider
-// than slabStackWidth, so such a call allocates nothing and shares no state;
-// it is safe for concurrent use.
+// runs on groups of eight or four rows, one a SIMD lane (forwardFours); the
+// rows left run one at a time. Activations live on the stack for any network
+// no wider than slabStackWidth, so such a call allocates nothing and shares
+// no state; it is safe for concurrent use.
 func (n *Network) ForwardSlab(in []float32, items int, out []float32) error {
 	width, err := n.slabWidth()
 	if err != nil {
@@ -225,22 +225,25 @@ func forwardRow(layers []*Layer, x, y, a, b []float32) {
 	layers[last].forward(x, y)
 }
 
-// forwardFours runs the first items rows, a multiple of four, four at a
-// time: each row's hidden layers run into one of four rows on this frame,
-// not ForwardSlab's, and the last layer runs once on all four.
+// forwardFours runs the first items rows, a multiple of four, in groups of
+// eight and then, if four are left, of four: each row's hidden layers run
+// into one of eight rows on this frame, not ForwardSlab's, and the last
+// layer runs once on the group (forwardLanes).
 func (n *Network) forwardFours(in []float32, items int, out, a, b []float32) {
-	var rows [4 * slabStackWidth]float32
+	var rows [8 * slabStackWidth]float32
 	hid, last := n.Layers[:len(n.Layers)-1], n.Layers[len(n.Layers)-1]
 	inW, midW := n.InputSize(), last.In
-	for i := 0; i < items; i += 4 {
-		x := in[i*inW : (i+4)*inW]
+	for i := 0; i < items; {
+		g := min(8, items-i)
+		x := in[i*inW : (i+g)*inW]
 		if len(hid) > 0 {
-			for r := range 4 {
+			for r := range g {
 				forwardRow(hid, x[r*inW:(r+1)*inW], rows[r*midW:(r+1)*midW], a, b)
 			}
-			x = rows[:4*midW]
+			x = rows[:g*midW]
 		}
-		last.forwardRows4(x, out[i*last.Out:(i+4)*last.Out])
+		last.forwardLanes(x, out[i*last.Out:(i+g)*last.Out], g)
+		i += g
 	}
 }
 

@@ -65,10 +65,12 @@ func TestPredictEmptyOutput(t *testing.T) {
 }
 
 // Hand-built degenerate layers on slabs of four rows and more, where the
-// four-row kernel takes the groups: an empty last layer writes nothing (the
-// lanes need Out >= 1: the chain clamp of Out == 0 would reach b[-1] and
-// y[-1]), and a layer of no inputs puts out its biases.
-func TestForwardSlabDegenerateShapes(t *testing.T) {
+// eight- and four-row kernels take the groups: an empty last layer writes
+// nothing (the lanes need Out >= 1: the chain clamp of Out == 0 would reach
+// b[-1] and y[-1]), and a layer of no inputs puts out its biases.
+func TestForwardSlabDegenerateShapes(t *testing.T) { EachKernel(t, testForwardSlabDegenerateShapes) }
+
+func testForwardSlabDegenerateShapes(t *testing.T) {
 	const canary = 0x7FC0DEAD
 	empty := &Network{Layers: []*Layer{{In: 2, Out: 0, Act: Linear}}}
 	noInputs := &Network{Layers: []*Layer{{In: 0, Out: 3, B: []float32{-1, 0.5, 2}, Act: ReLU}}}
@@ -77,7 +79,7 @@ func TestForwardSlabDegenerateShapes(t *testing.T) {
 		{In: 3, Out: 2, W: []float32{1, 2, 3, 4, 5, 6}, B: []float32{0.25, -0.25}, Act: Linear},
 	}}
 	for _, n := range []*Network{empty, noInputs, hiddenNoInputs} {
-		for _, items := range []int{4, 5} {
+		for _, items := range []int{4, 5, 8, 9, 12, 13, 17} {
 			in := make([]float32, items*n.InputSize())
 			for i := range in {
 				in[i] = float32(i + 1)

@@ -344,9 +344,10 @@ func checkForwardPaths(t *testing.T, n *Network, rows [][]float32, items int) {
 // depths and slab sizes, on rows whose pre-activations are -0 (which ReLU
 // must keep: max() would not), NaN and ±Inf. Slabs of several rows check
 // that rows ping-pong through the scratch without leaking into each other;
-// from four rows up a last layer of 1 to 4 outputs runs four rows as lanes,
-// after a hidden layer as wide as 33 or none, and the rows left over run
-// alone.
+// from four rows up a last layer of 1 to 4 outputs runs eight rows as lanes
+// (AVX) or four, after a hidden layer as wide as 33 or none: slabs of 8, 9,
+// 12, 13 and 17 rows run groups of eight, a group of four after them and
+// rows left over alone.
 func TestForwardDifferential(t *testing.T) { EachKernel(t, testForwardDifferential) }
 
 func testForwardDifferential(t *testing.T) {
@@ -405,7 +406,7 @@ func testForwardDifferential(t *testing.T) {
 							sawNegInf = sawNegInf || y == -inf
 						}
 					}
-					for _, items := range []int{1, 2, 3, 4, 5, 6, 7, 8, 1023, 1024} {
+					for _, items := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13, 17, 1023, 1024} {
 						checkForwardPaths(t, n, rows, items)
 					}
 				}
@@ -530,7 +531,9 @@ func TestForwardSlabWiderThanStack(t *testing.T) {
 // included — and any small geometry, Layer.forward and the slab path
 // produce the scalar reference's bits. Up to 97 outputs a layer reaches the
 // kernel's 64-output pass, its 32-output pass after one or alone, its
-// 4-output blocks and every tail length.
+// 4-output blocks and every tail length; up to 19 rows a slab, a last layer
+// of 1 to 4 outputs runs groups of eight rows as lanes, a group of four
+// after them and the rows left alone.
 func FuzzForwardDifferential(f *testing.F) {
 	f.Add([]byte{0, 0, 0x80, 0x3f, 0, 0, 0, 0xc0, 0xcd, 0xcc, 0x4c, 0x3e}, uint8(3), uint8(5), uint8(2), uint8(4))
 	f.Fuzz(func(t *testing.T, data []byte, in, out, layers, items uint8) {
@@ -567,7 +570,7 @@ func FuzzForwardDifferential(f *testing.F) {
 				rows[r][k] = next()
 			}
 		}
-		checkForwardPaths(t, n, rows, int(items%9)+1)
+		checkForwardPaths(t, n, rows, int(items%19)+1)
 	})
 }
 

@@ -442,9 +442,10 @@ writerow:
 // upper halves and rotates rows r and r+4 out of the lanes together.
 //
 // Registers: SI the weight cursor, DX b and then row 0's end, DI y (rows
-// 0-3), R14 the row-4 cursor in x and then y's row 4, R8 the row-0 cursor,
-// R9 the row stride in bytes (in*4), R13 three strides, R11 the end of row
-// 0's groups of four, R10 the output stride in bytes (out*4).
+// 0-3), R14 the row-4 cursor in x and then y's row 4, R8 the row-0 cursor
+// and then the rows left to store, R9 the row stride in bytes (in*4), R13
+// three strides, R11 the end of row 0's groups of four, R10 the output
+// stride in bytes (out*4).
 TEXT ·denseRows8(SB), NOSPLIT, $0-113
 	MOVQ         w_base+0(FP), SI
 	MOVQ         b_base+24(FP), DX

@@ -6,7 +6,8 @@ import "testing"
 
 // EachKernel runs body once on each dense kernel this machine has: with
 // hasAVX as detected, and, on an AVX machine, again with it forced false so
-// the SSE2 blocks take every output, as on a CPU without AVX.
+// the SSE2 blocks take every output and denseRows4 every group of rows, as
+// on a CPU without AVX.
 func EachKernel(t *testing.T, body func(t *testing.T)) {
 	t.Helper()
 	detected := hasAVX

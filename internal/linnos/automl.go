@@ -1,6 +1,7 @@
 package linnos
 
 import (
+	"fmt"
 	"time"
 )
 
@@ -168,11 +169,22 @@ type AutoMLResult struct {
 // wrapped around the CPU model path: reads take ML-driven reissue only while
 // the monitor believes it helps.
 func ReplayAutoML(pred *Predictor, w Workload, cfg ReplayConfig, bcfg BenefitConfig) (AutoMLResult, error) {
+	if pred == nil {
+		return AutoMLResult{}, fmt.Errorf("linnos: automl replay requires a predictor")
+	}
+	cfg.Mode = ModeCPU
+	if cfg.InferLanes <= 0 {
+		cfg.InferLanes = 1
+	}
+	if cfg.ReissuePenalty <= 0 {
+		cfg.ReissuePenalty = 5 * time.Microsecond
+	}
 	monitor := NewBenefitMonitor(bcfg)
-	res, err := replayWithMonitor(pred, w, cfg, monitor)
+	res, err := replay(pred, w, cfg, monitor)
 	if err != nil {
 		return AutoMLResult{}, err
 	}
+	res.Config = fmt.Sprintf("%s auto-ml", pred.Kind())
 	return AutoMLResult{
 		Result:       res,
 		MLFraction:   monitor.MLFraction(),

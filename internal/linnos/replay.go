@@ -153,14 +153,21 @@ func Replay(rt *core.Runtime, pred *Predictor, w Workload, cfg ReplayConfig) (Re
 	if cfg.Mode != ModeBaseline && pred == nil {
 		return Result{}, fmt.Errorf("linnos: mode %s requires a predictor", cfg.Mode)
 	}
+	if cfg.InferLanes <= 0 {
+		cfg.InferLanes = 2
+	}
+	return replay(pred, w, cfg, nil)
+}
+
+// replay is the loop behind Replay and ReplayAutoML. A non-nil monitor runs
+// ModeCPU modulated: per read it decides between the model path, fed by
+// DeviceFeatures, and the kernel default, and it records each latency.
+func replay(pred *Predictor, w Workload, cfg ReplayConfig, monitor *BenefitMonitor) (Result, error) {
 	if cfg.Quantum <= 0 {
 		cfg.Quantum = 100 * time.Microsecond
 	}
 	if cfg.BatchCap <= 0 || cfg.BatchCap > MaxBatch {
 		cfg.BatchCap = 32
-	}
-	if cfg.InferLanes <= 0 {
-		cfg.InferLanes = 2
 	}
 	if cfg.GPUBatchThreshold <= 0 && pred != nil {
 		cfg.GPUBatchThreshold = crossover(pred.Kind())
@@ -314,13 +321,24 @@ func Replay(rt *core.Runtime, pred *Predictor, w Workload, cfg ReplayConfig) (Re
 			s.dev.Submit(now, ev.req.Size, true)
 			continue
 		}
-		switch cfg.Mode {
+		mode, useML := cfg.Mode, true
+		if monitor != nil {
+			if useML = monitor.NextUseML(); !useML {
+				mode = ModeBaseline
+			}
+		}
+		switch mode {
 		case ModeBaseline:
 			c := s.dev.Submit(now, ev.req.Size, false)
 			readLats = append(readLats, c.Latency)
 
 		case ModeCPU:
-			x := capture(s, now)
+			var x []float32
+			if monitor != nil {
+				x = DeviceFeatures(s.dev, now)
+			} else {
+				x = capture(s, now)
+			}
 			inferCPUOne(pendingIO{arrival: now, size: ev.req.Size, dev: ev.dev, x: x})
 
 		case ModeLAKE:
@@ -360,6 +378,9 @@ func Replay(rt *core.Runtime, pred *Predictor, w Workload, cfg ReplayConfig) (Re
 					return Result{}, err
 				}
 			}
+		}
+		if monitor != nil {
+			monitor.Record(useML, readLats[len(readLats)-1])
 		}
 	}
 	if cfg.Mode == ModeLAKE {

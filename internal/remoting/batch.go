@@ -145,7 +145,10 @@ func (l *Lib) CuBatchedInferInto(model string, spec BatchSpec, entries []BatchEn
 func (d *Daemon) batchedInfer(cmd *Command, resp *Response) {
 	sc := &d.scratch
 	spec, ok := batchSpecFromArgs(cmd.Args)
-	if !ok || spec.InWidth <= 0 || spec.OutWidth <= 0 {
+	// An item wider than maxBlob bytes is corrupt, and bounding it keeps
+	// every 4*width byte count below from wrapping to zero.
+	if !ok || spec.InWidth <= 0 || spec.OutWidth <= 0 ||
+		spec.InWidth > maxBlob/4 || spec.OutWidth > maxBlob/4 {
 		resp.Result = int32(cuda.ErrInvalidValue)
 		return
 	}

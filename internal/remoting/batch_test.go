@@ -159,3 +159,34 @@ func TestBatchedInferPartialFailure(t *testing.T) {
 		t.Fatalf("valid entry output = %v, want 42", got[0])
 	}
 }
+
+// TestBatchedInferRejectsOverflowingWidth: a width whose per-item byte
+// count wraps (4<<62 is 0 in int) must not pass admission as a zero-byte
+// entry and report success with its output never written.
+func TestBatchedInferRejectsOverflowingWidth(t *testing.T) {
+	s := newStack(t)
+	s.api.RegisterKernel(doubleKernel())
+	s.lib.CuInit()
+	ctx, _ := s.lib.CuCtxCreate("kernel-batch")
+	mod, _ := s.lib.CuModuleLoad("batch.cubin")
+	fn, _ := s.lib.CuModuleGetFunction(mod, "double")
+	devIn, _ := s.lib.CuMemAlloc(64)
+	devOut, _ := s.lib.CuMemAlloc(64)
+	in, _ := s.region.Alloc(4)
+	out, _ := s.region.Alloc(4)
+	cuda.PutFloat32s(in.Bytes(), []float32{21})
+	cuda.PutFloat32s(out.Bytes(), []float32{-7})
+	entries := []BatchEntry{{Seq: 1, InOff: uint64(in.Offset()), OutOff: uint64(out.Offset()), Count: 1}}
+	for _, w := range []struct{ in, out int }{{1 << 62, 1 << 62}, {1 << 62, 1}, {1, 1 << 62}, {maxBlob/4 + 1, 1}} {
+		spec := BatchSpec{Ctx: ctx, Fn: fn, DevIn: devIn, DevOut: devOut, InWidth: w.in, OutWidth: w.out}
+		var sc BatchScratch
+		per, r := s.lib.CuBatchedInferInto("double", spec, entries, 0, &sc)
+		if r != cuda.ErrInvalidValue || len(per) != 0 {
+			t.Errorf("widths %d/%d: results %v, command %v; want the command rejected with %v",
+				w.in, w.out, per, r, cuda.ErrInvalidValue)
+		}
+		if got, _ := cuda.Float32s(out.Bytes(), 1); got[0] != -7 {
+			t.Fatalf("widths %d/%d: output = %v, want it untouched", w.in, w.out, got[0])
+		}
+	}
+}

@@ -3,6 +3,7 @@ package remoting
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"lakego/internal/boundary"
 	"lakego/internal/cuda"
@@ -39,16 +40,20 @@ type Daemon struct {
 	pumpMu  sync.Mutex
 	scratch pumpScratch
 
+	// mu guards only the high-level handler table and the error log.
 	mu        sync.Mutex
 	highlevel map[string]HighLevelHandler
-	crashed   bool
-	// pendingCrash is a test/supervisor-injected crash for the next
-	// executed command; the fault plane injects probabilistic ones.
-	pendingCrash faults.CrashPoint
+	errlog    []string
+
+	// crashed is set by a crash and cleared by Restart. pendingCrash is a
+	// test/supervisor-injected faults.CrashPoint for the next executed
+	// command, consumed by crashPoint; the fault plane, set once during
+	// construction, injects probabilistic ones. generation is the restart
+	// epoch, which is also the restart count.
+	crashed      atomic.Bool
+	pendingCrash atomic.Int32
 	fault        *faults.Plane
-	restarts     int64
-	generation   uint64
-	errlog       []string
+	generation   atomic.Uint64
 
 	// The counters are what Handled/Executed/Redelivered report and what
 	// the registry exports; the gauges hold the last NVML utilization
@@ -121,11 +126,10 @@ func NewDaemon(api *cuda.API, region *shm.Region, tr boundary.Channel) *Daemon {
 }
 
 // InjectFaults attaches a fault plane whose CrashNow decisions can crash
-// the daemon while serving commands. A nil plane detaches.
+// the daemon while serving commands. Must be called during runtime
+// construction, before any traffic.
 func (d *Daemon) InjectFaults(p *faults.Plane) {
-	d.mu.Lock()
 	d.fault = p
-	d.mu.Unlock()
 }
 
 // InjectCrash schedules a deterministic crash on the next served command:
@@ -133,32 +137,24 @@ func (d *Daemon) InjectFaults(p *faults.Plane) {
 // lost, proving redelivery dedup). Tests and the chaos harness use it for
 // targeted crash placement.
 func (d *Daemon) InjectCrash(afterExec bool) {
-	d.mu.Lock()
+	at := faults.CrashBeforeExec
 	if afterExec {
-		d.pendingCrash = faults.CrashAfterExec
-	} else {
-		d.pendingCrash = faults.CrashBeforeExec
+		at = faults.CrashAfterExec
 	}
-	d.mu.Unlock()
+	d.pendingCrash.Store(int32(at))
 }
 
 // Crashed reports whether the daemon process is down. A crashed daemon
 // consumes nothing from the channel: commands queue up (or the client's
 // sends eventually fail) until the supervisor restarts it.
-func (d *Daemon) Crashed() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.crashed
-}
+func (d *Daemon) Crashed() bool { return d.crashed.Load() }
 
 // crash marks the daemon dead, recording the crash point for attribution.
 // The flight recorder captures the moment (and dumps itself: the rings are
 // the crash artifact, like a kernel's ftrace buffer after an oops).
 func (d *Daemon) crash(at faults.CrashPoint, cmd *Command) {
-	d.mu.Lock()
-	d.crashed = true
-	d.logErrLocked(fmt.Sprintf("lakeD: %s while serving %s seq=%d", at, cmd.API, cmd.Seq))
-	d.mu.Unlock()
+	d.crashed.Store(true)
+	d.logErr(fmt.Sprintf("lakeD: %s while serving %s seq=%d", at, cmd.API, cmd.Seq))
 	d.rec.Emit(flightrec.DomainDaemon, flightrec.EvCrash,
 		cmd.TraceID, cmd.Seq, 0, uint64(at), uint64(cmd.API), 0)
 	d.rec.TriggerDump("daemon-crash")
@@ -170,30 +166,19 @@ func (d *Daemon) crash(at faults.CrashPoint, cmd *Command) {
 // the sequence journal is recovered from its shm-backed slice — so
 // redelivered in-flight commands still deduplicate across the crash.
 func (d *Daemon) Restart() {
-	d.mu.Lock()
-	d.crashed = false
-	d.pendingCrash = faults.CrashNone
-	d.restarts++
-	gen := d.generation + 1
-	d.generation = gen
-	d.mu.Unlock()
+	d.crashed.Store(false)
+	d.pendingCrash.Store(int32(faults.CrashNone))
+	gen := d.generation.Add(1)
 	d.rec.Emit(flightrec.DomainDaemon, flightrec.EvRestart, 0, 0, 0, gen, 0, 0)
 }
 
-// Restarts counts supervisor restarts; Generation is the current restart
-// epoch (0 for the original process).
-func (d *Daemon) Restarts() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.restarts
-}
+// Restarts counts supervisor restarts: every Restart starts a new epoch,
+// so the count is the current Generation.
+func (d *Daemon) Restarts() int64 { return int64(d.generation.Load()) }
 
-// Generation returns the daemon's restart epoch.
-func (d *Daemon) Generation() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.generation
-}
+// Generation returns the daemon's restart epoch (0 for the original
+// process).
+func (d *Daemon) Generation() uint64 { return d.generation.Load() }
 
 // Executed counts commands whose handler actually ran — journal-served
 // redeliveries are excluded, so in an exactly-once run Executed equals the
@@ -215,16 +200,12 @@ func (d *Daemon) Errors() []string {
 	return out
 }
 
-func (d *Daemon) logErrLocked(msg string) {
+func (d *Daemon) logErr(msg string) {
+	d.mu.Lock()
 	if len(d.errlog) >= maxErrlog {
 		d.errlog = d.errlog[1:]
 	}
 	d.errlog = append(d.errlog, msg)
-}
-
-func (d *Daemon) logErr(msg string) {
-	d.mu.Lock()
-	d.logErrLocked(msg)
 	d.mu.Unlock()
 }
 
@@ -312,15 +293,10 @@ func (d *Daemon) PumpOne() bool {
 // crashPoint consumes any pending injected crash, else asks the fault
 // plane.
 func (d *Daemon) crashPoint() faults.CrashPoint {
-	d.mu.Lock()
-	p := d.pendingCrash
-	d.pendingCrash = faults.CrashNone
-	fault := d.fault
-	d.mu.Unlock()
-	if p != faults.CrashNone {
+	if p := faults.CrashPoint(d.pendingCrash.Swap(int32(faults.CrashNone))); p != faults.CrashNone {
 		return p
 	}
-	return fault.CrashNow()
+	return d.fault.CrashNow()
 }
 
 // respond sends a response frame, tolerating a transport closed mid-flight

@@ -115,6 +115,11 @@ func FuzzDaemonFrame(f *testing.F) {
 	// A shm copy whose offset plus length wraps past MaxInt64.
 	wrap, _ := AppendCommand(nil, &Command{API: APICuMemcpyHtoD, Seq: 2, Args: []uint64{1, 1<<63 - 1, 64, 1}})
 	f.Add(wrap)
+	// A batch whose item widths make 4*width wrap to zero bytes.
+	bt, _ := AppendBatch(nil, &Batch{Entries: []BatchEntry{{Seq: 1, InOff: 0, OutOff: 64, Count: 1}}})
+	wide, _ := AppendCommand(nil, &Command{API: APIBatchedInfer, Seq: 3, Name: "double",
+		Args: []uint64{1, 1, 1, 1, 1 << 62, 1 << 62}, Blob: bt})
+	f.Add(wide)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := newStack(t)
 		if err := s.tr.SendToUser(data); err != nil {

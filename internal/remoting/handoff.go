@@ -121,8 +121,6 @@ func UnmarshalHandoff(frame []byte) (*Handoff, error) {
 // Frames are copied: the snapshot must stay intact while the source journal
 // keeps recording during a drain.
 func (j *journal) export() []JournalEntry {
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	out := make([]JournalEntry, 0, j.live)
 	n := len(j.slots)
 	for k := 0; k < n; k++ {
@@ -141,6 +139,8 @@ func (j *journal) export() []JournalEntry {
 // daemon keeps serving afterwards; the fleet quiesces the shard before
 // exporting so no entry is recorded between export and cutover.
 func (d *Daemon) ExportJournal() []JournalEntry {
+	d.pumpMu.Lock()
+	defer d.pumpMu.Unlock()
 	return d.journal.export()
 }
 
@@ -148,6 +148,8 @@ func (d *Daemon) ExportJournal() []JournalEntry {
 // returning how many were absorbed. Present sequences are kept (record is
 // first-writer-wins), which cannot happen between distinct shard tags.
 func (d *Daemon) ImportJournal(entries []JournalEntry) int {
+	d.pumpMu.Lock()
+	defer d.pumpMu.Unlock()
 	n := 0
 	for _, e := range entries {
 		d.journal.record(e.Seq, e.Frame)

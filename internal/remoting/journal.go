@@ -1,7 +1,5 @@
 package remoting
 
-import "sync"
-
 // journal is lakeD's exactly-once dedup log: every executed command's
 // response frame is recorded under its sequence number before the response
 // is sent. A redelivered sequence (a client retry after a lost response, or
@@ -21,8 +19,10 @@ import "sync"
 // copies the frame into the slot's recycled buffer and eviction is
 // overwrite-in-place — so a warmed journal records without heap allocation
 // (part of the serving path's 0 allocs/op budget).
+//
+// The journal has no lock of its own: the daemon touches it only under
+// pumpMu (PumpOne, ExportJournal, ImportJournal).
 type journal struct {
-	mu sync.Mutex
 	// slots is the fixed ring; next is the cursor the next record lands on
 	// (== the oldest live entry once the ring has wrapped).
 	slots []jentry
@@ -59,8 +59,6 @@ func newJournal(capacity int) *journal {
 // it is valid until the journal cycles past the entry, which cannot happen
 // before the caller's immediately following send (the transport copies).
 func (j *journal) lookup(seq uint64) ([]byte, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	i, ok := j.byseq[seq]
 	if !ok {
 		return nil, false
@@ -72,8 +70,6 @@ func (j *journal) lookup(seq uint64) ([]byte, bool) {
 // entry at capacity. Recording an already-present seq is a no-op (the first
 // execution's response stands).
 func (j *journal) record(seq uint64, frame []byte) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	if _, dup := j.byseq[seq]; dup {
 		return
 	}
@@ -96,7 +92,5 @@ func (j *journal) record(seq uint64, frame []byte) {
 
 // stats returns (evictions, live entries).
 func (j *journal) stats() (evicts int64, live int) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	return j.evicts, j.live
 }

@@ -3,6 +3,7 @@ package remoting
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -67,16 +68,17 @@ type Lib struct {
 	remotedTime                      atomic.Int64
 	callLatency                      *telemetry.Histogram
 
-	mu sync.Mutex
 	// res is the policy every exchange runs under: NewLib's one-attempt,
 	// no-deadline, no-hook default until EnableResilience arms retries.
+	// Both are written only during construction; rng's jitter draws happen
+	// under callMu, so they keep one deterministic order.
 	res *Resilience
-	rng *lockedRand
+	rng *rand.Rand
 	// dead is set once a call abandons the daemon as unrecoverable; later
 	// calls fail fast with ErrDaemonDead (mapped to cuda.ErrNotReady by the
 	// stubs, routing workloads to their CPU fallback) until the supervisor
 	// restores service and calls MarkRecovered.
-	dead bool
+	dead atomic.Bool
 
 	// rec is the flight recorder's kernel-domain view; nil-safe like the
 	// telemetry instruments. It also serves as the trace-ID allocator for
@@ -167,16 +169,15 @@ func (l *Lib) Stats() (calls int64, channelTime time.Duration) {
 // bounded retry with exponential backoff and seeded jitter, and (via
 // r.Hook) supervisor-driven daemon recovery mid-call. With faults absent
 // an armed call performs exactly the un-armed exchange — no extra clock
-// charges and no PRNG draws — so crash-free runs stay bit-identical.
+// charges and no PRNG draws — so crash-free runs stay bit-identical. Must
+// be called during runtime construction, before any traffic.
 func (l *Lib) EnableResilience(r Resilience) {
 	r.Retry = r.Retry.withDefaults()
 	if r.MaxRecoveries <= 0 {
 		r.MaxRecoveries = DefaultResilience().MaxRecoveries
 	}
-	l.mu.Lock()
 	l.res = &r
-	l.rng = newLockedRand(r.Seed)
-	l.mu.Unlock()
+	l.rng = rand.New(rand.NewSource(r.Seed))
 }
 
 // ResilienceStats returns a snapshot of client-side fault-handling counters.
@@ -194,19 +195,11 @@ func (l *Lib) ResilienceStats() ResilienceStats {
 // Healthy reports whether the daemon is believed alive. False means a call
 // declared it dead (ErrDaemonDead); stubs return cuda.ErrNotReady and
 // workloads run their CPU fallback until MarkRecovered.
-func (l *Lib) Healthy() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return !l.dead
-}
+func (l *Lib) Healthy() bool { return !l.dead.Load() }
 
 // MarkRecovered clears the daemon-dead latch after the supervisor has
 // restarted lakeD and confirmed liveness (typically via Ping).
-func (l *Lib) MarkRecovered() {
-	l.mu.Lock()
-	l.dead = false
-	l.mu.Unlock()
-}
+func (l *Lib) MarkRecovered() { l.dead.Store(false) }
 
 // Ping remotes the supervision heartbeat, returning the daemon's restart
 // generation and served-command count. It bypasses the daemon-dead fast
@@ -218,12 +211,6 @@ func (l *Lib) Ping() (generation uint64, handled int64, ok bool) {
 		return 0, 0, false
 	}
 	return val(&cs.resp, 0), int64(val(&cs.resp, 1)), true
-}
-
-func (l *Lib) resilience() *Resilience {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.res
 }
 
 // call performs one remoted invocation end to end: cs.cmd goes out, cs.resp
@@ -250,7 +237,7 @@ func (l *Lib) call(cs *callState) error {
 	vstart := l.tr.Clock().Now()
 	l.rec.Emit(flightrec.DomainKernel, flightrec.EvCallStart,
 		cmd.TraceID, cmd.Seq, 0, uint64(cmd.API), uint64(len(frame)), marshalTook)
-	err = l.exchangeResilient(cs, l.resilience())
+	err = l.exchangeResilient(cs)
 	if err == nil {
 		l.callLatency.ObserveDuration(l.tr.Clock().Now() - vstart)
 		l.rec.Emit(flightrec.DomainKernel, flightrec.EvCallEnd,
@@ -279,9 +266,9 @@ func failResult(err error) cuda.Result {
 // redelivery exactly-once), exponential backoff with deterministic jitter
 // charged to the virtual clock, a per-call virtual-time deadline, and the
 // recovery hook when a full retry round fails. Every error is wrapped with
-// the command name and sequence for attribution.
-func (l *Lib) exchangeResilient(cs *callState, res *Resilience) error {
-	cmd := &cs.cmd
+// the command name and sequence for attribution. The caller holds callMu.
+func (l *Lib) exchangeResilient(cs *callState) error {
+	cmd, res := &cs.cmd, l.res
 	if cmd.API != APIPing && !l.Healthy() {
 		l.daemonDead.Inc()
 		return fmt.Errorf("%s seq=%d: %w", cmd.API, cmd.Seq, ErrDaemonDead)
@@ -312,7 +299,7 @@ func (l *Lib) exchangeResilient(cs *callState, res *Resilience) error {
 			l.retries.Inc()
 			l.rec.Emit(flightrec.DomainKernel, flightrec.EvRetry,
 				cmd.TraceID, cmd.Seq, 0, uint64(attempt), 0, 0)
-			l.tr.Clock().Advance(res.Retry.BackoffFor(attempt-1, l.rng.draw()))
+			l.tr.Clock().Advance(res.Retry.BackoffFor(attempt-1, l.rng.Float64()))
 			continue
 		}
 		// Full round exhausted: the daemon is unresponsive. Give the
@@ -325,9 +312,7 @@ func (l *Lib) exchangeResilient(cs *callState, res *Resilience) error {
 			continue
 		}
 		l.daemonDead.Inc()
-		l.mu.Lock()
-		l.dead = true
-		l.mu.Unlock()
+		l.dead.Store(true)
 		return fmt.Errorf("%s seq=%d: %w (last: %v)", cmd.API, cmd.Seq, ErrDaemonDead, err)
 	}
 }

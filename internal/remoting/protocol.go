@@ -12,6 +12,14 @@
 // lakeD deserializes and executes against the CUDA API, and the response
 // travels back the same way. The paper's implementation resembles "an RPC
 // system" (§6); so does this one, deliberately.
+//
+// Which lock guards what: Lib.callMu owns everything a remoted call touches
+// on the kernel side (the exchange, the retry policy and its jitter PRNG),
+// and Daemon.pumpMu owns everything one pump touches on the lakeD side (the
+// pump scratch and the exactly-once journal). State that only construction,
+// a fault or the supervisor writes is an atomic word: the lib's dead latch
+// and the daemon's crash latch, pending crash and restart generation.
+// Daemon.mu guards only the high-level handler table and the error log.
 package remoting
 
 import (

@@ -2,8 +2,6 @@ package remoting
 
 import (
 	"errors"
-	"math/rand"
-	"sync"
 	"time"
 )
 
@@ -143,21 +141,4 @@ type ResilienceStats struct {
 	Recoveries int64
 	// DeadlineExceeded and DaemonDead count abandoned calls by cause.
 	DeadlineExceeded, DaemonDead int64
-}
-
-// lockedRand is a mutex-guarded PRNG: jitter draws stay deterministic in
-// single-threaded runs and data-race-free in concurrent ones.
-type lockedRand struct {
-	mu  sync.Mutex
-	rng *rand.Rand
-}
-
-func newLockedRand(seed int64) *lockedRand {
-	return &lockedRand{rng: rand.New(rand.NewSource(seed))}
-}
-
-func (l *lockedRand) draw() float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.rng.Float64()
 }

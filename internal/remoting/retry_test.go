@@ -2,6 +2,7 @@ package remoting
 
 import (
 	"errors"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -63,10 +64,10 @@ func TestBackoffForSchedule(t *testing.T) {
 
 func TestBackoffDeterministicAcrossRuns(t *testing.T) {
 	rp := DefaultRetryPolicy()
-	r1, r2 := newLockedRand(9), newLockedRand(9)
+	r1, r2 := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
 	for i := 0; i < 32; i++ {
-		a := rp.BackoffFor(i%4, r1.draw())
-		b := rp.BackoffFor(i%4, r2.draw())
+		a := rp.BackoffFor(i%4, r1.Float64())
+		b := rp.BackoffFor(i%4, r2.Float64())
 		if a != b {
 			t.Fatalf("step %d: same seed gave %v vs %v", i, a, b)
 		}

@@ -2,7 +2,9 @@ package remoting
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"lakego/internal/cuda"
@@ -95,6 +97,103 @@ func TestConcurrentRemotedCalls(t *testing.T) {
 	if calls != 1+workers*per*2 {
 		t.Fatalf("calls = %d, want %d", calls, 1+workers*per*2)
 	}
+}
+
+// churnHook restarts the daemon on every exhausted retry round, except
+// that every fourth round it gives up, latching the lib dead until the
+// churn goroutine calls MarkRecovered.
+type churnHook struct {
+	d        *Daemon
+	rounds   int
+	restarts *atomic.Int64
+}
+
+func (h *churnHook) DaemonUnresponsive(api APIID, seq uint64, err error) bool {
+	h.rounds++
+	if h.rounds%4 == 0 {
+		return false
+	}
+	h.d.Restart()
+	h.restarts.Add(1)
+	return true
+}
+
+// The fault-only state (the daemon's crash latch, pending crash and restart
+// epoch, the lib's dead latch) is atomic words read and written outside the
+// exchange lock: remoted calls racing a goroutine that crashes, restarts,
+// recovers and exports the journal must still execute every command at most
+// once, every successful one exactly once, and count each restart once.
+func TestFaultStateChurnDuringCalls(t *testing.T) {
+	s := newStack(t)
+	var restarts atomic.Int64
+	s.lib.EnableResilience(Resilience{Seed: 1, Retry: RetryPolicy{MaxAttempts: 2}, MaxRecoveries: 8,
+		Hook: &churnHook{d: s.daemon, restarts: &restarts}})
+	var mu sync.Mutex
+	execs := map[uint64]int{}
+	s.daemon.RegisterHighLevel("count", func(api *cuda.API, region *shm.Region, args []uint64, blob []byte) ([]uint64, []byte, cuda.Result) {
+		mu.Lock()
+		execs[args[0]]++
+		mu.Unlock()
+		return nil, nil, cuda.Success
+	})
+
+	const calls = 300
+	stop, churned := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(churned)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			switch i % 8 {
+			case 0:
+				s.daemon.InjectCrash(i%16 == 0)
+			case 1:
+				if s.daemon.Crashed() {
+					s.daemon.Restart()
+					restarts.Add(1)
+				}
+			case 2:
+				if !s.lib.Healthy() {
+					s.lib.MarkRecovered()
+				}
+			case 3:
+				if got, want := s.daemon.Restarts(), int64(s.daemon.Generation()); got > want {
+					t.Errorf("Restarts() = %d ahead of Generation() = %d", got, want)
+				}
+			case 4:
+				s.daemon.ExportJournal()
+			}
+			runtime.Gosched()
+		}
+	}()
+	ok := make([]bool, calls)
+	succeeded := 0
+	for i := range ok {
+		_, _, r := s.lib.CallHighLevel("count", []uint64{uint64(i)}, nil)
+		if ok[i] = r == cuda.Success; ok[i] {
+			succeeded++
+		}
+	}
+	close(stop)
+	<-churned
+
+	mu.Lock()
+	defer mu.Unlock()
+	for i, good := range ok {
+		if n := execs[uint64(i)]; n > 1 || good && n != 1 {
+			t.Errorf("call %d (success %v) executed %d times", i, good, n)
+		}
+	}
+	if succeeded == 0 {
+		t.Fatal("no call succeeded")
+	}
+	if got := s.daemon.Restarts(); got != int64(s.daemon.Generation()) || got != restarts.Load() {
+		t.Fatalf("Restarts() = %d, Generation() = %d, restarts issued = %d", got, s.daemon.Generation(), restarts.Load())
+	}
+	t.Logf("%d/%d calls succeeded, %d restarts", succeeded, calls, restarts.Load())
 }
 
 // A panicking high-level handler must fail its request with an error

@@ -79,6 +79,9 @@ func ParsePolicy(s string) (Policy, error) {
 	}
 }
 
+// utilWindow is the trailing window placement samples per device.
+const utilWindow = nvml.SamplingWindow
+
 // Config parameterizes a pool.
 type Config struct {
 	// Specs gives one hardware model per device; heterogeneous pools are
@@ -88,9 +91,6 @@ type Config struct {
 	Policy Policy
 	// Seed initializes the PRNG used for placement tie-breaks.
 	Seed int64
-	// UtilWindow is the trailing window placement samples per device
-	// (default nvml.SamplingWindow).
-	UtilWindow time.Duration
 	// UtilThreshold is the busy percentage above which ContentionAware
 	// considers a device contended (default 40, the Fig 3 knee used by
 	// policy.DefaultAdaptiveConfig).
@@ -113,7 +113,6 @@ type Pool struct {
 	devs      []*gpu.Device
 	clock     *vtime.Clock
 	policy    Policy
-	window    time.Duration
 	threshold int
 
 	mu     sync.Mutex
@@ -143,10 +142,6 @@ func New(cfg Config, clock *vtime.Clock) (*Pool, error) {
 	if len(cfg.Specs) > gpu.MaxDevices {
 		return nil, fmt.Errorf("gpupool: %d devices exceeds limit %d", len(cfg.Specs), gpu.MaxDevices)
 	}
-	window := cfg.UtilWindow
-	if window <= 0 {
-		window = nvml.SamplingWindow
-	}
 	threshold := cfg.UtilThreshold
 	if threshold <= 0 {
 		threshold = 40
@@ -154,7 +149,6 @@ func New(cfg Config, clock *vtime.Clock) (*Pool, error) {
 	p := &Pool{
 		clock:     clock,
 		policy:    cfg.Policy,
-		window:    window,
 		threshold: threshold,
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 	}
@@ -247,7 +241,7 @@ func (p *Pool) contentionAwareLocked(eligible []int) int {
 	var best []cand
 	for _, ord := range p.eligible(eligible) {
 		d := p.devs[ord]
-		c := cand{ord: ord, util: d.Utilization(p.window, ""), backlog: d.BusyUntil() - now}
+		c := cand{ord: ord, util: d.Utilization(utilWindow, ""), backlog: d.BusyUntil() - now}
 		if c.backlog < 0 {
 			c.backlog = 0
 		}

@@ -25,6 +25,15 @@ type Outcome struct {
 	Label     int
 }
 
+const (
+	// learningRate is the SGD learning rate of every retrain step.
+	learningRate = 0.05
+	// promoteMargin is the accuracy edge (0..1) the candidate must hold
+	// over the serving version across the shadow window before it is
+	// promoted: ties and noise don't churn versions.
+	promoteMargin = 0.02
+)
+
 // Config parameterizes a Manager.
 type Config struct {
 	// Model is the family label stamped on telemetry and trace events.
@@ -35,18 +44,12 @@ type Config struct {
 	Buffer int
 	// Minibatch is the SGD step size (default 64).
 	Minibatch int
-	// LR is the SGD learning rate (default 0.05).
-	LR float32
 	// RoundSamples is how many feedback samples one retrain round consumes
 	// before the candidate is shadow-scored for promotion (default 256).
 	RoundSamples int
 	// ShadowWindow is how many recent outcomes the A-B comparison replays
 	// over (default 512).
 	ShadowWindow int
-	// PromoteMargin is the accuracy edge (0..1) the candidate must hold
-	// over the serving version across the shadow window before it is
-	// promoted (default 0.02 — ties and noise don't churn versions).
-	PromoteMargin float64
 
 	// DriftWindow is how many outcomes one drift evaluation window spans
 	// (default 256).
@@ -65,10 +68,8 @@ func DefaultConfig(model string) Config {
 		Model:           model,
 		Buffer:          4096,
 		Minibatch:       64,
-		LR:              0.05,
 		RoundSamples:    256,
 		ShadowWindow:    512,
-		PromoteMargin:   0.02,
 		DriftWindow:     256,
 		DriftTolerance:  0.10,
 		DriftBadWindows: 2,
@@ -83,17 +84,11 @@ func (c *Config) fillDefaults() {
 	if c.Minibatch <= 0 {
 		c.Minibatch = d.Minibatch
 	}
-	if c.LR <= 0 {
-		c.LR = d.LR
-	}
 	if c.RoundSamples <= 0 {
 		c.RoundSamples = d.RoundSamples
 	}
 	if c.ShadowWindow <= 0 {
 		c.ShadowWindow = d.ShadowWindow
-	}
-	if c.PromoteMargin < 0 {
-		c.PromoteMargin = d.PromoteMargin
 	}
 	if c.DriftWindow <= 0 {
 		c.DriftWindow = d.DriftWindow
@@ -376,7 +371,7 @@ func (m *Manager) process(o Outcome) {
 // step runs one SGD minibatch on the candidate's own weights — scratch
 // buffers are reused, so steady-state retraining allocates nothing.
 func (m *Manager) step() {
-	loss, err := m.candidate.TrainBatchScratch(m.scratch, m.batchX, m.batchY, m.cfg.LR)
+	loss, err := m.candidate.TrainBatchScratch(m.scratch, m.batchX, m.batchY, learningRate)
 	n := len(m.batchX)
 	m.batchX = m.batchX[:0]
 	m.batchY = m.batchY[:0]
@@ -414,7 +409,7 @@ func (m *Manager) shadowRound() {
 	candAcc := float64(candHits) / float64(m.wcount)
 	m.shadowAccuracy.Set(int64(candAcc * 1000))
 	servAcc := float64(servHits) / float64(m.wcount)
-	if candAcc < servAcc+m.cfg.PromoteMargin {
+	if candAcc < servAcc+promoteMargin {
 		return
 	}
 	v := m.reg.Register(m.candidate, Meta{

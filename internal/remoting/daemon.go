@@ -487,6 +487,14 @@ func (d *Daemon) execute(cmd *Command) *Response {
 			break
 		}
 		vals, blob, r := h(d.api, d.region, cmd.Args, cmd.Blob)
+		if len(vals) > maxArgs || len(blob) > maxBlob {
+			// The result cannot cross the wire: fail the one request the
+			// way a panicking handler does, never the pump or the caller.
+			d.logErr(fmt.Sprintf("lakeD: %s %q seq=%d: result exceeds wire limits (vals=%d blob=%d)",
+				cmd.API, cmd.Name, cmd.Seq, len(vals), len(blob)))
+			resp.Result = int32(cuda.ErrUnknown)
+			break
+		}
 		resp.Result = int32(r)
 		resp.Vals = append(resp.Vals, vals...)
 		resp.Blob = append(resp.Blob, blob...)

@@ -1,9 +1,9 @@
 package remoting
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 )
 
 // Shard handoff: when a fleet shard drains (or dies), its exactly-once
@@ -59,7 +59,7 @@ func MarshalHandoff(h *Handoff) ([]byte, error) {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.Frame)))
 		buf = append(buf, e.Frame...)
 	}
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable)), nil
+	return seal(buf, 0), nil
 }
 
 // UnmarshalHandoff decodes a wire frame produced by MarshalHandoff,
@@ -71,47 +71,25 @@ func UnmarshalHandoff(frame []byte) (*Handoff, error) {
 		return nil, err
 	}
 	r := reader{buf: body}
-	if m, err := r.u8(); err != nil || m != handoffMagic {
-		return nil, ErrShortFrame
+	if r.u8() != handoffMagic {
+		r.fail()
 	}
-	h := new(Handoff)
-	if h.SrcShard, err = r.u32(); err != nil {
-		return nil, err
-	}
-	if h.DstShard, err = r.u32(); err != nil {
-		return nil, err
-	}
-	count, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
+	h := &Handoff{SrcShard: r.u32(), DstShard: r.u32()}
+	count := r.u32()
 	if count > maxHandoffEntries {
-		return nil, ErrShortFrame
+		r.fail()
 	}
-	for i := uint32(0); i < count; i++ {
-		var e JournalEntry
-		if e.Seq, err = r.u64(); err != nil {
-			return nil, err
-		}
-		flen, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
+	for i := uint32(0); i < count && !r.bad; i++ {
+		e := JournalEntry{Seq: r.u64()}
+		flen := r.u32()
 		if flen > maxBlob {
-			return nil, ErrShortFrame
+			r.fail()
 		}
-		if err := r.need(int(flen)); err != nil {
-			return nil, err
-		}
-		if flen > 0 {
-			e.Frame = make([]byte, flen)
-			copy(e.Frame, r.buf[r.pos:])
-			r.pos += int(flen)
-		}
+		e.Frame = bytes.Clone(r.take(int(flen)))
 		h.Entries = append(h.Entries, e)
 	}
-	if r.pos != len(body) {
-		return nil, ErrShortFrame
+	if err := r.done(); err != nil {
+		return nil, err
 	}
 	return h, nil
 }

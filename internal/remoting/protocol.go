@@ -20,6 +20,15 @@
 // a fault or the supervisor writes is an atomic word: the lib's dead latch
 // and the daemon's crash latch, pending crash and restart generation.
 // Daemon.mu guards only the high-level handler table and the error log.
+//
+// One reader decodes every frame kind (command, response, batch, handoff)
+// and PeekFrame's header, and seal/openFrame are the only code that touches
+// the CRC trailer. The reader latches: the first read past the end, or a
+// failed bounds check on a decoded count, length or magic, marks it bad,
+// and every later read returns zero or nil. A decoder therefore reads its
+// layout straight through and checks once at the end; count-driven loops
+// stop as soon as the reader is bad, so a garbage count allocates nothing
+// past the bytes actually present.
 package remoting
 
 import (
@@ -164,6 +173,13 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 const crcLen = 4
 
+// seal appends the CRC32-C of dst[start:], the frame begun at start, and
+// returns the extended slice. Every encoder ends with it; openFrame is its
+// only verifier.
+func seal(dst []byte, start int) []byte {
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], crcTable))
+}
+
 // openFrame verifies and strips the integrity trailer, returning the frame
 // body. Truncated or corrupted frames yield ErrShortFrame.
 func openFrame(frame []byte) ([]byte, error) {
@@ -171,8 +187,8 @@ func openFrame(frame []byte) ([]byte, error) {
 		return nil, ErrShortFrame
 	}
 	body := frame[:len(frame)-crcLen]
-	want := binary.LittleEndian.Uint32(frame[len(frame)-crcLen:])
-	if crc32.Checksum(body, crcTable) != want {
+	trailer := reader{buf: frame[len(body):]}
+	if want := trailer.u32(); crc32.Checksum(body, crcTable) != want {
 		return nil, ErrShortFrame
 	}
 	return body, nil
@@ -181,79 +197,101 @@ func openFrame(frame []byte) ([]byte, error) {
 // PeekFrame reads a wire frame's identifying header — sequence number and
 // trace ID — without decoding or CRC-verifying the body.
 // It is the flight recorder's frame peeker: the boundary channel tags its
-// send/receive events with it at a few fixed-offset loads per frame. ok is
-// false for frames too short or not starting with a known magic; a frame
+// send/receive events with it at a few header loads per frame. ok is false
+// for frames too short or not starting with a known magic; a frame
 // corrupted elsewhere simply yields the (possibly garbled) header values,
 // which is fine for a diagnostic event stream.
-func PeekFrame(frame []byte) (flightrec.FrameInfo, bool) {
-	if len(frame) < 1 {
+func PeekFrame(frame []byte) (fi flightrec.FrameInfo, ok bool) {
+	r := reader{buf: frame}
+	switch r.u8() {
+	case respMagic: // magic | seq u64 | ...
+		fi.Seq = r.u64()
+	case cmdMagic: // magic | api u32 | seq u64 | ...
+		r.u32()
+		fi.Seq = r.u64()
+	case cmdMagicTraced: // magic | api u32 | seq u64 | trace u64 | ...
+		r.u32()
+		fi.Seq = r.u64()
+		fi.TraceID = r.u64()
+	default:
 		return flightrec.FrameInfo{}, false
 	}
-	switch frame[0] {
-	case respMagic: // magic | seq u64 | ...
-		if len(frame) < 9 {
-			return flightrec.FrameInfo{}, false
-		}
-		return flightrec.FrameInfo{Seq: binary.LittleEndian.Uint64(frame[1:9])}, true
-	case cmdMagic: // magic | api u32 | seq u64 | ...
-		if len(frame) < 13 {
-			return flightrec.FrameInfo{}, false
-		}
-		return flightrec.FrameInfo{Seq: binary.LittleEndian.Uint64(frame[5:13])}, true
-	case cmdMagicTraced: // magic | api u32 | seq u64 | trace u64 | ...
-		if len(frame) < 21 {
-			return flightrec.FrameInfo{}, false
-		}
-		return flightrec.FrameInfo{Seq: binary.LittleEndian.Uint64(frame[5:13]),
-			TraceID: binary.LittleEndian.Uint64(frame[13:21])}, true
+	if r.bad {
+		return flightrec.FrameInfo{}, false
 	}
-	return flightrec.FrameInfo{}, false
+	return fi, true
 }
 
+// reader is the one frame decoder: every field of every frame kind is read
+// through it, front to back. It latches — see the package doc — so a
+// decoder reads its whole layout straight through and checks once, with
+// done.
 type reader struct {
 	buf []byte
 	pos int
+	bad bool
 }
 
-func (r *reader) need(n int) error {
-	if r.pos+n > len(r.buf) {
+// fail marks the frame corrupt: a bounds check on a decoded value failed.
+func (r *reader) fail() { r.bad = true }
+
+// need reports whether n more bytes can be read, latching bad when not.
+func (r *reader) need(n int) bool {
+	if r.bad || uint(n) > uint(len(r.buf)-r.pos) {
+		r.bad = true
+		return false
+	}
+	return true
+}
+
+// done reports ErrShortFrame unless every read succeeded and the body is
+// consumed exactly.
+func (r *reader) done() error {
+	if r.bad || r.pos != len(r.buf) {
 		return ErrShortFrame
 	}
 	return nil
 }
 
-func (r *reader) u8() (byte, error) {
-	if err := r.need(1); err != nil {
-		return 0, err
+func (r *reader) u8() (v byte) {
+	if r.need(1) {
+		v = r.buf[r.pos]
+		r.pos++
 	}
-	v := r.buf[r.pos]
-	r.pos++
-	return v, nil
+	return v
 }
 
-func (r *reader) u16() (int, error) {
-	if err := r.need(2); err != nil {
-		return 0, err
+func (r *reader) u16() (v int) {
+	if r.need(2) {
+		v = int(binary.LittleEndian.Uint16(r.buf[r.pos:]))
+		r.pos += 2
 	}
-	v := binary.LittleEndian.Uint16(r.buf[r.pos:])
-	r.pos += 2
-	return int(v), nil
+	return v
 }
 
-func (r *reader) u32() (uint32, error) {
-	if err := r.need(4); err != nil {
-		return 0, err
+func (r *reader) u32() (v uint32) {
+	if r.need(4) {
+		v = binary.LittleEndian.Uint32(r.buf[r.pos:])
+		r.pos += 4
 	}
-	v := binary.LittleEndian.Uint32(r.buf[r.pos:])
-	r.pos += 4
-	return v, nil
+	return v
 }
 
-func (r *reader) u64() (uint64, error) {
-	if err := r.need(8); err != nil {
-		return 0, err
+func (r *reader) u64() (v uint64) {
+	if r.need(8) {
+		v = binary.LittleEndian.Uint64(r.buf[r.pos:])
+		r.pos += 8
 	}
-	v := binary.LittleEndian.Uint64(r.buf[r.pos:])
-	r.pos += 8
-	return v, nil
+	return v
+}
+
+// take returns the next n bytes, aliasing the frame, or nil when n is zero
+// or the reader is bad.
+func (r *reader) take(n int) []byte {
+	if n == 0 || !r.need(n) {
+		return nil
+	}
+	b := r.buf[r.pos : r.pos+n]
+	r.pos += n
+	return b
 }

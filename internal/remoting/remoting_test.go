@@ -309,6 +309,26 @@ func TestHighLevelAPI(t *testing.T) {
 	}
 }
 
+// A handler result too large for the wire fails its one request with
+// ErrUnknown, as a panicking handler does; encoding it must not panic the
+// calling goroutine.
+func TestHighLevelOversizedResultAnsweredUnknown(t *testing.T) {
+	s := newStack(t)
+	s.daemon.RegisterHighLevel("wide", func(api *cuda.API, region *shm.Region, args []uint64, blob []byte) ([]uint64, []byte, cuda.Result) {
+		return make([]uint64, maxArgs+1), []byte{1}, cuda.Success
+	})
+	vals, blob, r := s.lib.CallHighLevel("wide", nil, nil)
+	if r != cuda.ErrUnknown || vals != nil || blob != nil {
+		t.Fatalf("oversized result = %d vals, %d blob bytes, %v; want none and ErrUnknown", len(vals), len(blob), r)
+	}
+	if errs := s.daemon.Errors(); len(errs) == 0 || !strings.Contains(errs[0], `"wide" seq=`) {
+		t.Fatalf("daemon errors = %q, want the handler name and seq", errs)
+	}
+	if r := s.lib.CuInit(); r != cuda.Success {
+		t.Fatalf("daemon dead after oversized result: %v", r)
+	}
+}
+
 func TestErrorForwarding(t *testing.T) {
 	s := newStack(t)
 	// Before CuInit, remoted calls must forward CUDA's error code — the

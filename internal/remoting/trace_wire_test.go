@@ -121,8 +121,9 @@ func TestTracedCommandWireShape(t *testing.T) {
 	}
 }
 
-// TestPeekFrameHeaders covers the recorder's frame peeker: fixed-offset
-// header loads for all three magics, graceful refusal otherwise.
+// TestPeekFrameHeaders covers the recorder's frame peeker: header loads for
+// all three magics, graceful refusal otherwise, including a header cut one
+// byte short under each magic.
 func TestPeekFrameHeaders(t *testing.T) {
 	cmd := &Command{API: APICuInit, Seq: 9}
 	plain, _ := AppendCommand(nil, cmd)
@@ -139,7 +140,7 @@ func TestPeekFrameHeaders(t *testing.T) {
 	if fi, ok := PeekFrame(resp); !ok || fi.Seq != 11 || fi.TraceID != 0 {
 		t.Fatalf("peek response = %+v ok=%v", fi, ok)
 	}
-	for _, bad := range [][]byte{nil, {0x00}, {0x55, 1, 2, 3}, traced[:10]} {
+	for _, bad := range [][]byte{nil, {0x00}, {0x55, 1, 2, 3}, traced[:10], plain[:12], traced[:20], resp[:8]} {
 		if _, ok := PeekFrame(bad); ok {
 			t.Fatalf("peek accepted junk %x", bad)
 		}

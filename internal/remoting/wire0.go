@@ -3,8 +3,6 @@ package remoting
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"math"
 )
 
 // The wire codecs. Frames are encoded into and decoded from caller-owned
@@ -40,7 +38,7 @@ func AppendCommand(dst []byte, c *Command) ([]byte, error) {
 	dst = append(dst, c.Name...)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(c.Blob)))
 	dst = append(dst, c.Blob...)
-	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], crcTable)), nil
+	return seal(dst, start), nil
 }
 
 // AppendResponse appends resp's CRC-sealed wire frame to dst and returns
@@ -59,7 +57,7 @@ func AppendResponse(dst []byte, resp *Response) ([]byte, error) {
 	}
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(resp.Blob)))
 	dst = append(dst, resp.Blob...)
-	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], crcTable)), nil
+	return seal(dst, start), nil
 }
 
 // maxInternedNames bounds lakeD's name intern table. The names crossing the
@@ -99,77 +97,42 @@ func DecodeCommandInto(c *Command, names map[string]string, frame []byte) error 
 		return err
 	}
 	r := reader{buf: body}
-	m, err := r.u8()
-	if err != nil || (m != cmdMagic && m != cmdMagicTraced) {
-		return ErrShortFrame
+	m := r.u8()
+	if m != cmdMagic && m != cmdMagicTraced {
+		r.fail()
 	}
-	api, err := r.u32()
-	if err != nil {
-		return err
-	}
-	seq, err := r.u64()
-	if err != nil {
-		return err
-	}
+	api := APIID(r.u32())
+	seq := r.u64()
 	var traceID uint64
 	if m == cmdMagicTraced {
-		if traceID, err = r.u64(); err != nil {
-			return err
-		}
-		if traceID == 0 {
-			return ErrShortFrame // traced frames must carry a real ID
+		if traceID = r.u64(); traceID == 0 {
+			r.fail() // traced frames must carry a real ID
 		}
 	}
-	nargs, err := r.u16()
-	if err != nil {
-		return err
-	}
+	nargs := r.u16()
 	if nargs > maxArgs {
-		return ErrShortFrame
+		r.fail()
 	}
 	args := c.Args[:0]
-	for i := 0; i < nargs; i++ {
-		a, err := r.u64()
-		if err != nil {
-			return err
-		}
-		args = append(args, a)
+	for i := 0; i < nargs && !r.bad; i++ {
+		args = append(args, r.u64())
 	}
-	nameLen, err := r.u16()
-	if err != nil {
-		return err
-	}
+	nameLen := r.u16()
 	if nameLen > maxName {
-		return ErrShortFrame
+		r.fail()
 	}
-	if err := r.need(nameLen); err != nil {
+	name := r.take(nameLen)
+	blobLen := r.u32()
+	if blobLen > maxBlob {
+		r.fail()
+	}
+	blob := r.take(int(blobLen))
+	if err := r.done(); err != nil {
 		return err
 	}
-	nameBytes := r.buf[r.pos : r.pos+nameLen]
-	r.pos += nameLen
-	blobLen, err := r.u32()
-	if err != nil {
-		return err
-	}
-	if blobLen > maxBlob || blobLen > math.MaxInt32 {
-		return ErrShortFrame
-	}
-	if err := r.need(int(blobLen)); err != nil {
-		return err
-	}
-	var blob []byte
-	if blobLen > 0 {
-		blob = r.buf[r.pos : r.pos+int(blobLen)]
-	}
-	r.pos += int(blobLen)
-	if r.pos != len(body) {
-		return ErrShortFrame
-	}
-	c.API = APIID(api)
-	c.Seq = seq
-	c.TraceID = traceID
+	c.API, c.Seq, c.TraceID = api, seq, traceID
 	c.Args = args
-	c.Name = internName(names, nameBytes)
+	c.Name = internName(names, name)
 	c.Blob = blob
 	return nil
 }
@@ -186,51 +149,30 @@ func DecodeResponseInto(resp *Response, frame []byte) error {
 		return err
 	}
 	r := reader{buf: body}
-	if m, err := r.u8(); err != nil || m != respMagic {
-		return ErrShortFrame
+	if r.u8() != respMagic {
+		r.fail()
 	}
-	seq, err := r.u64()
-	if err != nil {
-		return err
-	}
-	res, err := r.u32()
-	if err != nil {
-		return err
-	}
-	nvals, err := r.u16()
-	if err != nil {
-		return err
-	}
+	seq := r.u64()
+	res := int32(r.u32())
+	nvals := r.u16()
 	if nvals > maxArgs {
-		return ErrShortFrame
+		r.fail()
 	}
 	vals := resp.Vals[:0]
-	for i := 0; i < nvals; i++ {
-		v, err := r.u64()
-		if err != nil {
-			return err
-		}
-		vals = append(vals, v)
+	for i := 0; i < nvals && !r.bad; i++ {
+		vals = append(vals, r.u64())
 	}
-	blobLen, err := r.u32()
-	if err != nil {
+	blobLen := r.u32()
+	if blobLen > maxBlob {
+		r.fail()
+	}
+	blob := r.take(int(blobLen))
+	if err := r.done(); err != nil {
 		return err
 	}
-	if blobLen > maxBlob || blobLen > math.MaxInt32 {
-		return ErrShortFrame
-	}
-	if err := r.need(int(blobLen)); err != nil {
-		return err
-	}
-	blob := append(resp.Blob[:0], r.buf[r.pos:r.pos+int(blobLen)]...)
-	r.pos += int(blobLen)
-	if r.pos != len(body) {
-		return ErrShortFrame
-	}
-	resp.Seq = seq
-	resp.Result = int32(res)
+	resp.Seq, resp.Result = seq, res
 	resp.Vals = vals
-	resp.Blob = blob
+	resp.Blob = append(resp.Blob[:0], blob...)
 	return nil
 }
 
@@ -269,43 +211,24 @@ func AppendBatch(dst []byte, bt *Batch) ([]byte, error) {
 // reusing bt.Entries capacity.
 func UnmarshalBatchInto(bt *Batch, frame []byte) error {
 	r := reader{buf: frame}
-	m, err := r.u8()
-	if err != nil || (m != batchMagic && m != tracedBatchMagic) {
-		return ErrShortFrame
+	m := r.u8()
+	if m != batchMagic && m != tracedBatchMagic {
+		r.fail()
 	}
-	n, err := r.u16()
-	if err != nil {
-		return err
-	}
+	n := r.u16()
 	if n > maxBatchEntries {
-		return ErrShortFrame
+		r.fail()
 	}
 	entries := bt.Entries[:0]
-	for i := 0; i < n; i++ {
-		var e BatchEntry
-		if e.Seq, err = r.u64(); err != nil {
-			return err
-		}
-		if e.InOff, err = r.u64(); err != nil {
-			return err
-		}
-		if e.OutOff, err = r.u64(); err != nil {
-			return err
-		}
-		c, err := r.u32()
-		if err != nil {
-			return err
-		}
-		e.Count = c
+	for i := 0; i < n && !r.bad; i++ {
+		e := BatchEntry{Seq: r.u64(), InOff: r.u64(), OutOff: r.u64(), Count: r.u32()}
 		if m == tracedBatchMagic {
-			if e.TraceID, err = r.u64(); err != nil {
-				return err
-			}
+			e.TraceID = r.u64()
 		}
 		entries = append(entries, e)
 	}
-	if r.pos != len(frame) {
-		return ErrShortFrame
+	if err := r.done(); err != nil {
+		return err
 	}
 	bt.Entries = entries
 	return nil

@@ -8,9 +8,10 @@ import (
 	"lakego/internal/cuda"
 )
 
-// Example demonstrates the full §4.1 workflow: boot the runtime, stage data
-// in lakeShm, remote CUDA driver calls through lakeLib, and read the result
-// back zero-copy.
+// Example walks the full §4.1 workflow from "kernel space": boot the
+// runtime, allocate copiable memory in lakeShm, remote CUDA driver calls
+// through lakeLib over the Netlink channel to lakeD, launch a device
+// kernel, and read the result back zero-copy.
 func Example() {
 	rt, err := lake.New(lake.DefaultConfig())
 	if err != nil {
@@ -18,26 +19,71 @@ func Example() {
 	}
 	defer rt.Close()
 	rt.RegisterKernel(lake.VecAddKernel())
-
 	lib := rt.Lib()
-	ctx, _ := lib.CuCtxCreate("example")
-	mod, _ := lib.CuModuleLoad("kernels.cubin")
-	fn, _ := lib.CuModuleGetFunction(mod, "vecadd")
 
-	const n = 4
-	a, _ := rt.Region().Alloc(4 * n)
-	c, _ := rt.Region().Alloc(4 * n)
-	cuda.PutFloat32s(a.Bytes(), []float32{1, 2, 3, 4})
+	// API-remoted operations (§4.1): every call below serializes a command,
+	// crosses the boundary, executes in lakeD against the CUDA API, and
+	// returns its result the same way.
+	ctx, r := lib.CuCtxCreate("quickstart")
+	must(r, "cuCtxCreate")
+	mod, r := lib.CuModuleLoad("kernels.cubin")
+	must(r, "cuModuleLoad")
+	fn, r := lib.CuModuleGetFunction(mod, "vecadd")
+	must(r, "cuModuleGetFunction")
 
-	da, _ := lib.CuMemAlloc(4 * n)
-	dc, _ := lib.CuMemAlloc(4 * n)
-	lib.CuMemcpyHtoDShm(da, a, 4*n)
-	lib.CuLaunchKernel(ctx, fn, []uint64{uint64(da), uint64(da), uint64(dc), n})
-	lib.CuMemcpyDtoHShm(c, dc, 4*n)
+	// Copiable memory allocations (§4.1): buffers that will move to/from
+	// the accelerator live in lakeShm, shared by both domains.
+	const n = 8
+	av := []float32{1, 2, 3, 4, 5, 6, 7, 8}
+	bv := []float32{10, 20, 30, 40, 50, 60, 70, 80}
+	a, err := rt.Region().Alloc(4 * n)
+	if err != nil {
+		log.Fatal(err)
+	}
+	b, err := rt.Region().Alloc(4 * n)
+	if err != nil {
+		log.Fatal(err)
+	}
+	c, err := rt.Region().Alloc(4 * n)
+	if err != nil {
+		log.Fatal(err)
+	}
+	cuda.PutFloat32s(a.Bytes(), av)
+	cuda.PutFloat32s(b.Bytes(), bv)
 
-	out, _ := cuda.Float32s(c.Bytes(), n)
-	fmt.Println(out)
-	// Output: [2 4 6 8]
+	da, r := lib.CuMemAlloc(4 * n)
+	must(r, "cuMemAlloc a")
+	db, r := lib.CuMemAlloc(4 * n)
+	must(r, "cuMemAlloc b")
+	dc, r := lib.CuMemAlloc(4 * n)
+	must(r, "cuMemAlloc c")
+
+	must(lib.CuMemcpyHtoDShm(da, a, 4*n), "HtoD a")
+	must(lib.CuMemcpyHtoDShm(db, b, 4*n), "HtoD b")
+	must(lib.CuLaunchKernel(ctx, fn, []uint64{uint64(da), uint64(db), uint64(dc), n}), "launch vecadd")
+	must(lib.CuMemcpyDtoHShm(c, dc, 4*n), "DtoH c")
+
+	cv, err := cuda.Float32s(c.Bytes(), n)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("a + b =", cv)
+
+	st := rt.Stats()
+	fmt.Printf("remoted %d calls over the %s channel in %v of modeled channel time\n",
+		st.RemotedCalls, lake.Netlink, st.ChannelTime)
+	fmt.Printf("device ran %d kernel(s); virtual time elapsed %v\n",
+		st.KernelLaunches, st.VirtualTime)
+	// Output:
+	// a + b = [11 22 33 44 55 66 77 88]
+	// remoted 11 calls over the Netlink channel in 319µs of modeled channel time
+	// device ran 1 kernel(s); virtual time elapsed 345.006µs
+}
+
+func must(r lake.Result, what string) {
+	if r != lake.Success {
+		log.Fatalf("%s: %s", what, r)
+	}
 }
 
 // Example_policy shows the Fig 3 adaptive policy deciding between CPU and

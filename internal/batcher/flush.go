@@ -167,10 +167,10 @@ func (b *Batcher) execute(m *model, batch []*Pending, reason flushReason, firedA
 		}
 		m.entriesScratch = entries
 		// Per-flush placement: on a multi-device pool each launch goes to
-		// the least-utilized eligible device's staging spec.
+		// the least-utilized device's staging spec.
 		spec := m.specs[0]
 		if b.pool != nil {
-			spec = m.specs[b.pool.PlaceFlush(nil)]
+			spec = m.specs[b.pool.PlaceFlush()]
 		}
 		res, r := b.rt.Lib().CuBatchedInferInto(m.mc.Name, spec, entries, ftid, &m.wireScratch)
 		switch r {

@@ -51,11 +51,8 @@ type Config struct {
 	// GPU is the accelerator model; zero value means gpu.DefaultSpec().
 	GPU gpu.Spec
 	// NumDevices sizes the device pool (default 1); each device gets the
-	// GPU spec unless DeviceSpecs overrides the set.
+	// GPU spec.
 	NumDevices int
-	// DeviceSpecs, when non-empty, enumerates a (possibly heterogeneous)
-	// pool explicitly, overriding GPU and NumDevices.
-	DeviceSpecs []gpu.Spec
 	// PoolPolicy selects context placement across the pool (default
 	// round-robin; irrelevant with one device).
 	PoolPolicy gpupool.Policy
@@ -171,16 +168,13 @@ func New(cfg Config) (*Runtime, error) {
 	if clock == nil {
 		clock = vtime.New()
 	}
-	specs := cfg.DeviceSpecs
-	if len(specs) == 0 {
-		n := cfg.NumDevices
-		if n <= 0 {
-			n = 1
-		}
-		specs = make([]gpu.Spec, n)
-		for i := range specs {
-			specs[i] = cfg.GPU
-		}
+	n := cfg.NumDevices
+	if n <= 0 {
+		n = 1
+	}
+	specs := make([]gpu.Spec, n)
+	for i := range specs {
+		specs[i] = cfg.GPU
 	}
 	pool, err := gpupool.New(gpupool.Config{
 		Specs:  specs,

@@ -47,7 +47,7 @@ func floatBytes(v []float32) []byte {
 }
 
 // VecAddKernel returns the classic element-wise c = a + b kernel over
-// float32 vectors. Args: [aPtr, bPtr, cPtr, n]. The quickstart example and
+// float32 vectors. Args: [aPtr, bPtr, cPtr, n]. The root package's Example and
 // the remoting tests use it as the minimal end-to-end device computation.
 func VecAddKernel() *Kernel {
 	return &Kernel{

@@ -10,9 +10,9 @@
 // explicit backpressure. The fleet keeps those invariants across shards:
 //
 //   - Routing is client-side and sticky: a tenant is placed onto a shard by
-//     a pluggable policy (the same policy set internal/gpupool uses for
-//     device placement, including a seeded consistent-hash ring) and stays
-//     there until the shard drains or dies.
+//     a pluggable policy, run by the same engine internal/gpupool places
+//     devices with (gpupool.Placer, including its seeded consistent-hash
+//     ring), and stays there until the shard drains or dies.
 //   - Admission is layered: the batcher's per-client depth still applies on
 //     the shard, and the fleet adds per-tenant caps plus weighted fair-share
 //     quotas across the whole fleet, both surfacing the same retryable
@@ -34,7 +34,6 @@ package fleet
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -127,11 +126,9 @@ type Fleet struct {
 	rec    *flightrec.Recorder // root recorder; shard views wrap it
 	shards []*Shard
 	policy gpupool.Policy
-	ring   *gpupool.Ring
 
 	mu      sync.Mutex
-	rng     *rand.Rand
-	cursor  int
+	placer  gpupool.Placer
 	tenants map[string]*Tenant
 
 	outstanding atomic.Int64 // fleet-wide, for the fair-share cap
@@ -155,7 +152,7 @@ func New(cfg Config) (*Fleet, error) {
 	f := &Fleet{
 		cfg:     cfg,
 		policy:  cfg.Runtime.RouterPolicy,
-		rng:     rand.New(rand.NewSource(cfg.Runtime.RouterSeed)),
+		placer:  gpupool.NewPlacer(cfg.Runtime.RouterPolicy, n, cfg.Runtime.RouterSeed),
 		tenants: make(map[string]*Tenant),
 	}
 	telemetryOn := !cfg.Runtime.DisableTelemetry
@@ -195,9 +192,6 @@ func New(cfg Config) (*Fleet, error) {
 			b:     batcher.New(rt, cfg.Batcher),
 			clock: clk,
 		})
-	}
-	if f.policy == gpupool.ConsistentHash {
-		f.ring = gpupool.NewRing(n, 0, cfg.Runtime.RouterSeed)
 	}
 	return f, nil
 }

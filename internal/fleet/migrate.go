@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"lakego/internal/flightrec"
+	"lakego/internal/gpupool"
 	"lakego/internal/remoting"
 )
 
@@ -127,7 +128,9 @@ func (f *Fleet) migrate(src *Shard) (*Migration, error) {
 // successorLocked picks the journal inheritor: the Active shard with the
 // fewest in-flight requests, lowest ordinal on ties. The migrating shard
 // already left Active, so it can never inherit from itself.
-func (f *Fleet) successorLocked() int { return f.leastOutstandingLocked() }
+func (f *Fleet) successorLocked() int {
+	return f.pickLocked(gpupool.LeastOutstanding, "")
+}
 
 // evictTenants drops the stale batcher handle of every tenant stuck to
 // shard ord, in sorted name order, and counts them. The sticky ordinal is

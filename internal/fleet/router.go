@@ -245,26 +245,7 @@ func (t *Tenant) route() (s *Shard, sc *batcher.Client, rerouted bool, decideNs 
 func (f *Fleet) place(tenant string) (int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	ord := -1
-	switch f.policy {
-	case gpupool.ConsistentHash:
-		ord = f.ring.PickHealthy(tenant, func(m int) bool {
-			return f.shards[m].State() == Active
-		})
-	case gpupool.LeastOutstanding:
-		ord = f.leastOutstandingLocked()
-	case gpupool.ContentionAware:
-		ord = f.contentionAwareLocked()
-	default: // RoundRobin
-		for range f.shards {
-			cand := f.cursor % len(f.shards)
-			f.cursor++
-			if f.shards[cand].State() == Active {
-				ord = cand
-				break
-			}
-		}
-	}
+	ord := f.pickLocked(f.policy, tenant)
 	if ord < 0 {
 		return -1, fmt.Errorf("fleet: no active shard to place tenant %q", tenant)
 	}
@@ -272,51 +253,14 @@ func (f *Fleet) place(tenant string) (int, error) {
 	return ord, nil
 }
 
-// leastOutstandingLocked returns the Active shard with the fewest in-flight
-// requests, lowest ordinal on ties (deterministic without a draw).
-func (f *Fleet) leastOutstandingLocked() int {
-	best, bestOut := -1, int64(0)
-	for _, s := range f.shards {
-		if s.State() != Active {
-			continue
-		}
-		out := s.outstanding.Load()
-		if best < 0 || out < bestOut {
-			best, bestOut = s.ord, out
-		}
-	}
-	return best
-}
-
-// contentionAwareLocked prefers Active shards whose pool-wide utilization
-// is below the threshold, then minimizes utilization; ties fall to fewer
-// outstanding requests, then to a seeded PRNG draw.
-func (f *Fleet) contentionAwareLocked() int {
-	type cand struct {
-		ord  int
-		util int
-		out  int64
-	}
-	var best []cand
-	for _, s := range f.shards {
-		if s.State() != Active {
-			continue
-		}
-		c := cand{ord: s.ord, util: s.rt.Pool().AggregateRates().GPU, out: s.outstanding.Load()}
-		switch {
-		case len(best) == 0:
-			best = append(best, c)
-		case c.util < best[0].util || (c.util == best[0].util && c.out < best[0].out):
-			best = append(best[:0], c)
-		case c.util == best[0].util && c.out == best[0].out:
-			best = append(best, c)
-		}
-	}
-	switch len(best) {
-	case 0:
-		return -1
-	case 1:
-		return best[0].ord
-	}
-	return best[f.rng.Intn(len(best))].ord
+// pickLocked runs the pool's placement engine over the Active shards. A
+// shard's load is its pool-wide NVML utilization and its in-flight
+// requests.
+func (f *Fleet) pickLocked(policy gpupool.Policy, tenant string) int {
+	return f.placer.Pick(policy, tenant, len(f.shards),
+		func(ord int) bool { return f.shards[ord].State() == Active },
+		func(ord int) gpupool.Load {
+			s := f.shards[ord]
+			return gpupool.Load{Util: float64(s.rt.Pool().AggregateRates().GPU), Backlog: s.outstanding.Load()}
+		})
 }

@@ -6,9 +6,10 @@
 // trusted daemon — generalizes directly to multi-device hosts. The pool is
 // that generalization: lakeD owns every device, contexts bind to a
 // pool-selected device at creation, and batched flushes are steered
-// per-launch to the least-contended eligible device. Placement reuses the
-// paper's contention machinery (NVML-style utilization sampling plus the
-// Fig 3 profitability signal, here as a utilization threshold) per device.
+// per-launch to the least-contended device. Placement reuses the paper's
+// contention machinery (NVML-style utilization sampling, Fig 3 and Fig 13)
+// per device. One engine, Placer, implements every policy; the fleet router
+// places tenants on shards through the same engine.
 //
 // Determinism: every placement decision is a pure function of device state
 // on the shared virtual clock plus draws from a seeded PRNG, so a
@@ -17,9 +18,7 @@ package gpupool
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
-	"time"
 
 	"lakego/internal/flightrec"
 	"lakego/internal/gpu"
@@ -36,9 +35,10 @@ const (
 	// LeastOutstanding picks the device with the smallest queued backlog
 	// (its BusyUntil horizon relative to now).
 	LeastOutstanding
-	// ContentionAware samples per-device NVML utilization and prefers
-	// devices below the profitability threshold (Fig 3: contended devices
-	// stop being profitable), breaking ties with the seeded PRNG.
+	// ContentionAware samples per-device NVML utilization and picks the
+	// least-utilized device (Fig 3: contended devices stop being
+	// profitable), breaking ties by smaller backlog, then with the seeded
+	// PRNG.
 	ContentionAware
 	// ConsistentHash places each client on the member owning its name on a
 	// seeded hash ring (NewRing), so placement is sticky under membership
@@ -91,10 +91,6 @@ type Config struct {
 	Policy Policy
 	// Seed initializes the PRNG used for placement tie-breaks.
 	Seed int64
-	// UtilThreshold is the busy percentage above which ContentionAware
-	// considers a device contended (default 40, the Fig 3 knee used by
-	// policy.DefaultAdaptiveConfig).
-	UtilThreshold int
 }
 
 // DeviceAccounting is one device's per-launch/per-copy counters, the feed
@@ -110,15 +106,12 @@ type DeviceAccounting struct {
 // queries. All methods are safe for concurrent use; placement draws are
 // serialized under the pool mutex so fixed-seed runs stay reproducible.
 type Pool struct {
-	devs      []*gpu.Device
-	clock     *vtime.Clock
-	policy    Policy
-	threshold int
+	devs   []*gpu.Device
+	clock  *vtime.Clock
+	policy Policy
 
 	mu     sync.Mutex
-	rng    *rand.Rand
-	cursor int
-	ring   *Ring // non-nil iff policy is ConsistentHash
+	placer Placer
 
 	// rec receives gpu-domain placement events; nil-safe.
 	rec *flightrec.Recorder
@@ -142,21 +135,13 @@ func New(cfg Config, clock *vtime.Clock) (*Pool, error) {
 	if len(cfg.Specs) > gpu.MaxDevices {
 		return nil, fmt.Errorf("gpupool: %d devices exceeds limit %d", len(cfg.Specs), gpu.MaxDevices)
 	}
-	threshold := cfg.UtilThreshold
-	if threshold <= 0 {
-		threshold = 40
-	}
 	p := &Pool{
-		clock:     clock,
-		policy:    cfg.Policy,
-		threshold: threshold,
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
+		clock:  clock,
+		policy: cfg.Policy,
+		placer: NewPlacer(cfg.Policy, len(cfg.Specs), cfg.Seed),
 	}
 	for i, spec := range cfg.Specs {
 		p.devs = append(p.devs, gpu.NewIndexed(spec, clock, i))
-	}
-	if cfg.Policy == ConsistentHash {
-		p.ring = NewRing(len(cfg.Specs), 0, cfg.Seed)
 	}
 	return p, nil
 }
@@ -178,108 +163,35 @@ func (p *Pool) Devices() []*gpu.Device { return p.devs }
 // Place picks a device ordinal for a new context owned by client,
 // according to the configured policy.
 func (p *Pool) Place(client string) int {
-	p.mu.Lock()
-	var ord int
-	switch p.policy {
-	case LeastOutstanding:
-		ord = p.leastOutstandingLocked(nil)
-	case ContentionAware:
-		ord = p.contentionAwareLocked(nil)
-	case ConsistentHash:
-		ord = p.ring.Pick(client)
-	default:
-		ord = p.cursor % len(p.devs)
-		p.cursor++
-	}
-	p.mu.Unlock()
+	ord := p.pick(p.policy, client)
 	p.rec.Emit(flightrec.DomainGPU, flightrec.EvPlace,
 		p.rec.ExecTrace(), 0, ord, uint64(p.policy), 0, 0)
 	return ord
 }
 
 // PlaceFlush picks the device for one batched flush: the least-utilized
-// eligible device (nil eligible = all devices), breaking utilization ties
-// by smaller backlog and then by a seeded PRNG draw. Flush placement is
-// load-driven regardless of the context policy — a flush is a single
-// launch, so steering it to spare capacity is always profitable.
-func (p *Pool) PlaceFlush(eligible []int) int {
-	p.mu.Lock()
-	ord := p.contentionAwareLocked(eligible)
-	p.mu.Unlock()
+// device, breaking utilization ties by smaller backlog and then by a seeded
+// PRNG draw. Flush placement is load-driven regardless of the context
+// policy — a flush is a single launch, so steering it to spare capacity is
+// always profitable.
+func (p *Pool) PlaceFlush() int {
+	ord := p.pick(ContentionAware, "")
 	p.rec.Emit(flightrec.DomainGPU, flightrec.EvPlace,
 		p.rec.ExecTrace(), 0, ord, uint64(p.policy), 1, 0)
 	return ord
 }
 
-// leastOutstandingLocked returns the eligible ordinal with the smallest
-// queued backlog, lowest ordinal on ties (deterministic without a draw).
-func (p *Pool) leastOutstandingLocked(eligible []int) int {
+// pick runs the placer over every device under the pool mutex. A device's
+// load is its NVML utilization over utilWindow and its backlog past one
+// reading of now.
+func (p *Pool) pick(policy Policy, key string) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	now := p.clock.Now()
-	best, bestBacklog := -1, time.Duration(0)
-	for _, ord := range p.eligible(eligible) {
-		backlog := p.devs[ord].BusyUntil() - now
-		if backlog < 0 {
-			backlog = 0
-		}
-		if best < 0 || backlog < bestBacklog {
-			best, bestBacklog = ord, backlog
-		}
-	}
-	return best
-}
-
-// contentionAwareLocked prefers devices under the utilization threshold,
-// then minimizes utilization; ties fall to smaller backlog, then to a PRNG
-// draw so colliding clients spread out deterministically under the seed.
-func (p *Pool) contentionAwareLocked(eligible []int) int {
-	now := p.clock.Now()
-	type cand struct {
-		ord     int
-		util    float64
-		backlog time.Duration
-	}
-	var best []cand
-	for _, ord := range p.eligible(eligible) {
+	return p.placer.Pick(policy, key, len(p.devs), nil, func(ord int) Load {
 		d := p.devs[ord]
-		c := cand{ord: ord, util: d.Utilization(utilWindow, ""), backlog: d.BusyUntil() - now}
-		if c.backlog < 0 {
-			c.backlog = 0
-		}
-		switch {
-		case len(best) == 0:
-			best = append(best, c)
-		case c.util < best[0].util || (c.util == best[0].util && c.backlog < best[0].backlog):
-			best = append(best[:0], c)
-		case c.util == best[0].util && c.backlog == best[0].backlog:
-			best = append(best, c)
-		}
-	}
-	if len(best) == 1 {
-		return best[0].ord
-	}
-	return best[p.rng.Intn(len(best))].ord
-}
-
-// eligible expands a nil filter to all ordinals and drops out-of-range
-// entries from an explicit one.
-func (p *Pool) eligible(filter []int) []int {
-	if filter == nil {
-		all := make([]int, len(p.devs))
-		for i := range all {
-			all[i] = i
-		}
-		return all
-	}
-	var out []int
-	for _, ord := range filter {
-		if ord >= 0 && ord < len(p.devs) {
-			out = append(out, ord)
-		}
-	}
-	if len(out) == 0 {
-		out = append(out, 0)
-	}
-	return out
+		return Load{Util: d.Utilization(utilWindow, ""), Backlog: int64(max(d.BusyUntil()-now, 0))}
+	})
 }
 
 // DeviceRates reports one device's NVML-style utilization.

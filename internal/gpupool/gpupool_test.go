@@ -99,12 +99,8 @@ func TestContentionAwarePlacementAvoidsBusyDevice(t *testing.T) {
 			t.Fatalf("placement %d chose the saturated device", i)
 		}
 	}
-	if got := p.PlaceFlush(nil); got == 0 {
+	if got := p.PlaceFlush(); got == 0 {
 		t.Fatal("flush placement chose the saturated device")
-	}
-	// An explicit eligibility filter is honored.
-	if got := p.PlaceFlush([]int{0}); got != 0 {
-		t.Fatalf("flush placement = %d, want the only eligible device 0", got)
 	}
 }
 
@@ -114,7 +110,7 @@ func TestPlacementDeterministicUnderSeed(t *testing.T) {
 		clk.Advance(time.Second)
 		var seq []int
 		for i := 0; i < 64; i++ {
-			seq = append(seq, p.Place("c"), p.PlaceFlush(nil))
+			seq = append(seq, p.Place("c"), p.PlaceFlush())
 		}
 		return seq
 	}

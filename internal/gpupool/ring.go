@@ -8,7 +8,7 @@ import (
 
 // Ring is a seeded consistent-hash ring over member ordinals 0..n-1, the
 // placement structure behind the ConsistentHash policy. Each member owns
-// `replicas` virtual points whose positions derive from (seed, member,
+// ringReplicas virtual points whose positions derive from (seed, member,
 // replica) through FNV-1a plus an avalanche finalizer (FNV alone clusters
 // badly on short, mostly-zero inputs, which skews arc ownership — see
 // TestRingBalance), so the layout is a pure function of the seed:
@@ -21,25 +21,20 @@ import (
 type Ring struct {
 	hashes  []uint64 // sorted virtual-point positions
 	members []int    // members[i] owns hashes[i]
-	n       int
 }
 
-// DefaultRingReplicas is the virtual-point count per member: enough that
-// key ownership is near-uniform at small member counts.
-const DefaultRingReplicas = 64
+// ringReplicas is the virtual-point count per member: enough that key
+// ownership is near-uniform at small member counts.
+const ringReplicas = 64
 
-// NewRing builds a ring over n members with the given virtual-point count
-// per member (DefaultRingReplicas if <= 0).
-func NewRing(n, replicas int, seed int64) *Ring {
-	if replicas <= 0 {
-		replicas = DefaultRingReplicas
-	}
-	r := &Ring{n: n}
+// NewRing builds a ring over n members.
+func NewRing(n int, seed int64) *Ring {
+	r := &Ring{}
 	var buf [24]byte
 	binary.LittleEndian.PutUint64(buf[0:], uint64(seed))
 	for m := 0; m < n; m++ {
 		binary.LittleEndian.PutUint64(buf[8:], uint64(m))
-		for v := 0; v < replicas; v++ {
+		for v := 0; v < ringReplicas; v++ {
 			binary.LittleEndian.PutUint64(buf[16:], uint64(v))
 			h := fnv.New64a()
 			h.Write(buf[:])
@@ -61,9 +56,6 @@ func mix64(x uint64) uint64 {
 	x ^= x >> 31
 	return x
 }
-
-// Size returns the member count.
-func (r *Ring) Size() int { return r.n }
 
 // Pick returns the member owning key: the first virtual point at or after
 // the key's hash, wrapping at the top of the ring.

@@ -10,7 +10,7 @@ import (
 // four members; with the avalanche finalizer every member's share of 1000
 // keys must sit within 2x of fair.
 func TestRingBalance(t *testing.T) {
-	r := NewRing(4, 0, 42)
+	r := NewRing(4, 42)
 	counts := make(map[int]int)
 	const keys = 1000
 	for i := 0; i < keys; i++ {
@@ -31,7 +31,7 @@ func TestRingBalance(t *testing.T) {
 // TestRingSeededAndSticky: the layout is a pure function of the seed, and
 // removing a member moves only the keys that lived on it.
 func TestRingSeededAndSticky(t *testing.T) {
-	a, b := NewRing(4, 0, 7), NewRing(4, 0, 7)
+	a, b := NewRing(4, 7), NewRing(4, 7)
 	healthy := func(skip int) func(int) bool {
 		return func(m int) bool { return m != skip }
 	}
@@ -49,11 +49,11 @@ func TestRingSeededAndSticky(t *testing.T) {
 			t.Fatalf("key %q stayed on dead member 3", key)
 		}
 	}
-	if NewRing(4, 0, 8).Pick("key-0") == a.Pick("key-0") &&
-		NewRing(4, 0, 8).Pick("key-1") == a.Pick("key-1") &&
-		NewRing(4, 0, 8).Pick("key-2") == a.Pick("key-2") &&
-		NewRing(4, 0, 8).Pick("key-3") == a.Pick("key-3") &&
-		NewRing(4, 0, 8).Pick("key-4") == a.Pick("key-4") {
+	if NewRing(4, 8).Pick("key-0") == a.Pick("key-0") &&
+		NewRing(4, 8).Pick("key-1") == a.Pick("key-1") &&
+		NewRing(4, 8).Pick("key-2") == a.Pick("key-2") &&
+		NewRing(4, 8).Pick("key-3") == a.Pick("key-3") &&
+		NewRing(4, 8).Pick("key-4") == a.Pick("key-4") {
 		t.Fatal("two different seeds produced identical placements for 5 keys")
 	}
 }

@@ -88,11 +88,10 @@ type BatcherModel = batcher.ModelConfig
 func NewBatcher(rt *Runtime, cfg batcher.Config) *batcher.Batcher { return batcher.New(rt, cfg) }
 
 // PoolPolicy selects the placement policy for new contexts on a multi-GPU
-// device pool (internal/gpupool): set Config.NumDevices (or
-// Config.DeviceSpecs for a heterogeneous pool) and Config.PoolPolicy to boot
-// a runtime over several modeled accelerators; placement draws only from the
-// pool's seeded PRNG and the virtual clock, so fixed-seed multi-device runs
-// are bit-identical.
+// device pool (internal/gpupool): set Config.NumDevices and
+// Config.PoolPolicy to boot a runtime over several modeled accelerators;
+// placement draws only from the pool's seeded PRNG and the virtual clock, so
+// fixed-seed multi-device runs are bit-identical.
 type PoolPolicy = gpupool.Policy
 
 // Placement policies for PoolPolicy.

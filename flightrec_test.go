@@ -133,42 +133,3 @@ func TestFlightRecorderChaosReconstruction(t *testing.T) {
 	t.Logf("stitched %d calls (%d completed, %d complete, %d succeeded), %d events",
 		len(res.Timelines), res.Completed, res.Complete, succeeded, dump.TotalEvents())
 }
-
-// TestFlightRecorderDisabledMatchesUntraced pins the opt-out: with the
-// recorder disabled no trace IDs are assigned, so the
-// wire carries the original untraced frames — the modeled channel costs,
-// which are a pure function of bytes crossing the boundary, match a
-// telemetry-free runtime exactly.
-func TestFlightRecorderDisabledMatchesUntraced(t *testing.T) {
-	run := func(cfg lake.Config) lake.Stats {
-		rt, err := lake.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(rt.Close)
-		lin, err := linnos.NewPredictor(rt, linnos.Base, nn.New(11, linnos.Base.Sizes()...))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for round := 0; round < 6; round++ {
-			if _, _, _, err := lin.InferAuto(chaosBatchOf(linnos.InputWidth, round, 16), nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return rt.Stats()
-	}
-
-	norec := lake.DefaultConfig()
-	norec.DisableFlightRecorder = true
-	recOff := run(norec)
-
-	notel := lake.DefaultConfig()
-	notel.DisableTelemetry = true
-	telOff := run(notel)
-
-	if recOff.ChannelTime != telOff.ChannelTime || recOff.VirtualTime != telOff.VirtualTime ||
-		recOff.RemotedCalls != telOff.RemotedCalls {
-		t.Fatalf("recorder-disabled run diverged from untraced baseline:\nrecorder off %+v\ntelemetry off %+v",
-			recOff, telOff)
-	}
-}

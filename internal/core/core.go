@@ -75,24 +75,18 @@ type Config struct {
 	// also arms client resilience (a faulty channel without retries would
 	// just lose calls).
 	Faults *faults.Mix
-	// Resilience, when non-nil, arms lakeLib's fault-tolerant call path
-	// explicitly; its Hook defaults to the runtime's Supervisor.
-	Resilience *remoting.Resilience
 	// Supervision parameterizes the lakeD supervisor (zero value =
-	// defaults). Only consulted when Faults or Resilience is set.
+	// defaults). Only consulted when Faults is set.
 	Supervision SupervisorConfig
 	// DisableTelemetry boots the runtime without the observability plane:
 	// Telemetry() returns nil and every instrument call across the stack
 	// is a no-op on a nil receiver. The zero value keeps telemetry on —
-	// its hot-path cost is a handful of atomic adds (see DESIGN.md).
+	// its hot-path cost is a handful of atomic adds (see DESIGN.md). The
+	// flight recorder rides this switch: it is on whenever telemetry is on
+	// (its per-event cost is one locked copy into a ring slot), and with
+	// telemetry off every remoted command is untraced — the wire stays
+	// byte-identical to the pre-recorder protocol.
 	DisableTelemetry bool
-	// DisableFlightRecorder boots without the always-on flight recorder.
-	// The recorder rides the telemetry switch: it is on whenever telemetry
-	// is on (its per-event cost is one locked copy into a ring slot), and
-	// disabling either telemetry or this flag leaves every remoted command
-	// untraced — the wire stays byte-identical to the pre-recorder
-	// protocol.
-	DisableFlightRecorder bool
 	// FlightRecorderSize is the per-domain ring capacity in events (default
 	// flightrec.DefaultRingSize = 4096).
 	FlightRecorderSize int
@@ -244,8 +238,6 @@ func New(cfg Config) (*Runtime, error) {
 		rt.tel.GaugeFunc(rt.metricName("lake_uptime_seconds"),
 			"Wall-clock seconds since the runtime booted.",
 			func() int64 { return int64(time.Since(boot) / time.Second) })
-	}
-	if !cfg.DisableTelemetry && !cfg.DisableFlightRecorder {
 		if cfg.Recorder != nil {
 			rt.rec = cfg.Recorder
 		} else {
@@ -263,18 +255,11 @@ func New(cfg Config) (*Runtime, error) {
 		rt.plane = faults.NewPlane(*cfg.Faults, clock)
 		tr.InjectFaults(rt.plane)
 		daemon.InjectFaults(rt.plane)
-	}
-	if cfg.Faults != nil || cfg.Resilience != nil {
 		rt.sup = NewSupervisor(clock, daemon, lib, cfg.Supervision)
 		rt.sup.SetFlightRecorder(rt.rec)
 		rt.sup.Instrument(rt.tel, rt.metricName)
 		res := remoting.DefaultResilience()
-		if cfg.Resilience != nil {
-			res = *cfg.Resilience
-		}
-		if res.Hook == nil {
-			res.Hook = rt.sup
-		}
+		res.Hook = rt.sup
 		lib.EnableResilience(res)
 	}
 	if r := lib.CuInit(); r != cuda.Success {
@@ -330,8 +315,8 @@ func (r *Runtime) ItemLatency() (gpu, cpu *telemetry.Histogram) {
 func (r *Runtime) Telemetry() *telemetry.Registry { return r.tel }
 
 // FlightRecorder returns the always-on flight recorder, or nil when the
-// runtime was booted with DisableTelemetry or DisableFlightRecorder (nil is
-// safe: every recorder method degrades to a no-op).
+// runtime was booted with DisableTelemetry (nil is safe: every recorder
+// method degrades to a no-op).
 func (r *Runtime) FlightRecorder() *flightrec.Recorder { return r.rec }
 
 // Clock returns the runtime's virtual clock.

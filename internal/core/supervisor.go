@@ -41,35 +41,28 @@ func (s DaemonState) String() string {
 
 // SupervisorConfig parameterizes lakeD supervision.
 type SupervisorConfig struct {
-	// FailThreshold is the number of consecutive unresponsive reports
-	// before the daemon is declared dead and restarted (default 2: the
-	// first report only raises suspicion and grants a fresh retry round).
-	FailThreshold int
 	// MaxRestarts bounds restarts over the supervisor's lifetime; beyond
 	// it the daemon stays Dead and clients fall back to CPU (default 16).
 	MaxRestarts int64
-	// HeartbeatInterval rate-limits Check pings on the virtual clock
-	// (default 1ms): a Check within the interval of the previous one is a
-	// no-op while Healthy.
-	HeartbeatInterval time.Duration
-	// RestartCost is the virtual time one restart takes — fork/exec of
-	// lakeD, CUDA context re-acquisition, lakeShm re-attach (default
-	// 250µs).
-	RestartCost time.Duration
 }
 
+const (
+	// failThreshold is the number of consecutive unresponsive reports
+	// before the daemon is declared dead and restarted: the first report
+	// only raises suspicion and grants a fresh retry round.
+	failThreshold = 2
+	// heartbeatInterval rate-limits Check pings on the virtual clock: a
+	// Check within the interval of the previous one is a no-op while
+	// Healthy.
+	heartbeatInterval = time.Millisecond
+	// restartCost is the virtual time one restart takes — fork/exec of
+	// lakeD, CUDA context re-acquisition, lakeShm re-attach.
+	restartCost = 250 * time.Microsecond
+)
+
 func (c SupervisorConfig) withDefaults() SupervisorConfig {
-	if c.FailThreshold <= 0 {
-		c.FailThreshold = 2
-	}
 	if c.MaxRestarts <= 0 {
 		c.MaxRestarts = 16
-	}
-	if c.HeartbeatInterval <= 0 {
-		c.HeartbeatInterval = time.Millisecond
-	}
-	if c.RestartCost <= 0 {
-		c.RestartCost = 250 * time.Microsecond
 	}
 	return c
 }
@@ -174,7 +167,7 @@ func (s *Supervisor) setStateLocked(to DaemonState, cause string) {
 // DaemonUnresponsive implements remoting.RecoveryHook. It is invoked with
 // lakeLib's call lock held, after one call has exhausted a full retry
 // round. The first report raises Suspected and grants another round; at
-// FailThreshold the daemon is declared Dead and restarted. Returning true
+// failThreshold the daemon is declared Dead and restarted. Returning true
 // tells the client to redeliver — exactly-once is preserved by the
 // daemon-side journal.
 func (s *Supervisor) DaemonUnresponsive(api remoting.APIID, seq uint64, err error) bool {
@@ -184,32 +177,40 @@ func (s *Supervisor) DaemonUnresponsive(api remoting.APIID, seq uint64, err erro
 	if s.state == StateHealthy || s.state == StateReAttached {
 		s.setStateLocked(StateSuspected, cause)
 	}
-	if s.failures < s.cfg.FailThreshold && !s.daemon.Crashed() {
+	if s.failures < failThreshold && !s.daemon.Crashed() {
 		// Not yet conclusive (and the process is visibly alive — likely
 		// channel loss, not a crash): grant another retry round.
 		s.mu.Unlock()
 		return true
 	}
-	s.setStateLocked(StateDead, cause)
 	if s.restarts.Value() >= s.cfg.MaxRestarts {
+		s.setStateLocked(StateDead, cause)
 		s.mu.Unlock()
 		return false
 	}
+	s.restartLocked(cause)
+	s.lib.MarkRecovered()
+	return true
+}
+
+// restartLocked declares the daemon Dead with cause and relaunches it:
+// Dead -> Restarting, one restart spent, the fork/exec + re-attach cost paid
+// on the virtual clock, then the process is brought back with its
+// shm-backed state (journal included) and the supervisor enters
+// ReAttached. It is called with s.mu held and returns with it released.
+func (s *Supervisor) restartLocked(cause string) {
+	s.setStateLocked(StateDead, cause)
 	s.setStateLocked(StateRestarting, "relaunching lakeD")
 	s.restarts.Inc()
 	s.mu.Unlock()
 
-	// Pay the fork/exec + re-attach cost, then bring the process back with
-	// its shm-backed state (journal included).
-	s.clock.Advance(s.cfg.RestartCost)
+	s.clock.Advance(restartCost)
 	s.daemon.Restart()
 
 	s.mu.Lock()
 	s.failures = 0
 	s.setStateLocked(StateReAttached, fmt.Sprintf("gen=%d shm+journal re-attached", s.daemon.Generation()))
 	s.mu.Unlock()
-	s.lib.MarkRecovered()
-	return true
 }
 
 // Abandon declares the daemon permanently Dead and exhausts the restart
@@ -224,7 +225,7 @@ func (s *Supervisor) Abandon(cause string) {
 }
 
 // Check runs one heartbeat round and returns the resulting state. While
-// Healthy, checks within HeartbeatInterval of the previous one are no-ops.
+// Healthy, checks within heartbeatInterval of the previous one are no-ops.
 // A successful ping confirms liveness (ReAttached/Suspected -> Healthy); a
 // failed one raises suspicion, and a visibly crashed daemon is restarted
 // out-of-band — the path that recovers crashes happening between client
@@ -232,7 +233,7 @@ func (s *Supervisor) Abandon(cause string) {
 func (s *Supervisor) Check() DaemonState {
 	now := s.clock.Now()
 	s.mu.Lock()
-	if s.state == StateHealthy && s.beatValid && now-s.lastBeat < s.cfg.HeartbeatInterval {
+	if s.state == StateHealthy && s.beatValid && now-s.lastBeat < heartbeatInterval {
 		defer s.mu.Unlock()
 		return s.state
 	}
@@ -268,18 +269,7 @@ func (s *Supervisor) Check() DaemonState {
 		defer s.mu.Unlock()
 		return s.state
 	}
-	s.setStateLocked(StateDead, "heartbeat missed and process down")
-	s.setStateLocked(StateRestarting, "relaunching lakeD")
-	s.restarts.Inc()
-	s.mu.Unlock()
-
-	s.clock.Advance(s.cfg.RestartCost)
-	s.daemon.Restart()
-
-	s.mu.Lock()
-	s.failures = 0
-	s.setStateLocked(StateReAttached, fmt.Sprintf("gen=%d shm+journal re-attached", s.daemon.Generation()))
-	s.mu.Unlock()
+	s.restartLocked("heartbeat missed and process down")
 
 	if _, _, ok := s.lib.Ping(); ok {
 		s.mu.Lock()

@@ -105,7 +105,7 @@ func TestSupervisorCheckRecoversIdleCrash(t *testing.T) {
 }
 
 func TestSupervisorHeartbeatRateLimit(t *testing.T) {
-	rt := newFaultyRuntime(t, faults.Mix{Seed: 4}, SupervisorConfig{HeartbeatInterval: time.Millisecond})
+	rt := newFaultyRuntime(t, faults.Mix{Seed: 4}, SupervisorConfig{})
 	sup := rt.Supervisor()
 	sup.Check()
 	calls0, _ := rt.Lib().Stats()

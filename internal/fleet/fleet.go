@@ -155,14 +155,10 @@ func New(cfg Config) (*Fleet, error) {
 		placer:  gpupool.NewPlacer(cfg.Runtime.RouterPolicy, n, cfg.Runtime.RouterSeed),
 		tenants: make(map[string]*Tenant),
 	}
-	telemetryOn := !cfg.Runtime.DisableTelemetry
-	recorderOn := telemetryOn && !cfg.Runtime.DisableFlightRecorder
-	if recorderOn {
+	if !cfg.Runtime.DisableTelemetry {
 		// The root's own clock only stamps events emitted outside any
 		// shard; shard views carry their shard's clock.
 		f.rec = flightrec.New(vtime.New(), cfg.Runtime.FlightRecorderSize)
-	}
-	if telemetryOn {
 		f.tel = telemetry.NewRegistry()
 	}
 	f.tel.AttachCounter("lake_router_placements_total", "Tenant placements decided by the fleet router.", &f.placements)

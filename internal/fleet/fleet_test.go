@@ -562,12 +562,13 @@ func TestFleetStatsIndependentOfTelemetry(t *testing.T) {
 		inferOne(t, capped, net, 7)
 
 		lcfg := lifecycle.DefaultConfig("fleetnet")
-		lcfg.Buffer, lcfg.Minibatch = 8, 4
+		lcfg.Minibatch = 4
 		m, err := lifecycle.New(f.Shard(1).Runtime(), lcfg, net)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 20; i++ {
+		// Twelve offers past the 4096-outcome feedback buffer are dropped.
+		for i := 0; i < 4096+12; i++ {
 			m.Observe(lifecycle.Outcome{X: feature(i), Predicted: 0, Label: i % 2})
 		}
 		m.Pump()

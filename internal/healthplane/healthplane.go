@@ -40,21 +40,21 @@ type Config struct {
 	Tick       time.Duration
 	ShortTicks int
 	LongTicks  int
-	// FastBurn and SlowBurn are the burn-rate alert thresholds (SRE
-	// workbook: 14.4 pages immediately, 6 pages within hours).
-	FastBurn float64
-	SlowBurn float64
 	// Objectives defaults to DefaultObjectives.
 	Objectives []Objective
-	// MaxIncidents bounds the retained incident ring.
-	MaxIncidents int
-	// StallPolls is how many consecutive Polls a shard may show outstanding
-	// work with no completion progress before the watchdog trips.
-	StallPolls int
-	// Version is surfaced on /healthz and /statusz (default
-	// core.BuildVersion).
-	Version string
 }
+
+const (
+	// fastBurn and slowBurn are the burn-rate alert thresholds (SRE
+	// workbook: 14.4 pages immediately, 6 pages within hours).
+	fastBurn = 14.4
+	slowBurn = 6
+	// maxIncidents bounds the retained incident ring.
+	maxIncidents = 8
+	// stallPolls is how many consecutive Polls a shard may show outstanding
+	// work with no completion progress before the watchdog trips.
+	stallPolls = 3
+)
 
 func (c *Config) fillDefaults() {
 	if c.Tick <= 0 {
@@ -69,23 +69,8 @@ func (c *Config) fillDefaults() {
 	if c.LongTicks < c.ShortTicks {
 		c.LongTicks = c.ShortTicks
 	}
-	if c.FastBurn <= 0 {
-		c.FastBurn = 14.4
-	}
-	if c.SlowBurn <= 0 {
-		c.SlowBurn = 6
-	}
 	if len(c.Objectives) == 0 {
 		c.Objectives = DefaultObjectives()
-	}
-	if c.MaxIncidents <= 0 {
-		c.MaxIncidents = 8
-	}
-	if c.StallPolls <= 0 {
-		c.StallPolls = 3
-	}
-	if c.Version == "" {
-		c.Version = core.BuildVersion
 	}
 }
 
@@ -391,7 +376,7 @@ func shardFromLabels(labels string) uint16 {
 }
 
 // watchdogLocked trips when a shard holds outstanding work across
-// StallPolls consecutive polls without completing anything — the
+// stallPolls consecutive polls without completing anything — the
 // completion-progress stall a dead daemon or wedged ring produces.
 func (p *Plane) watchdogLocked() []*Incident {
 	if p.shardProbe == nil {
@@ -407,7 +392,7 @@ func (p *Plane) watchdogLocked() []*Incident {
 		}
 		if sh.Outstanding > 0 && sh.Handled == st.lastHandled {
 			st.polls++
-			if st.polls >= p.cfg.StallPolls && !st.tripped {
+			if st.polls >= stallPolls && !st.tripped {
 				st.tripped = true
 				captured = append(captured, p.captureLocked("watchdog-stall",
 					"shard "+shardKey(uint16(sh.Ordinal))+" has outstanding work with no completion progress", ""))

@@ -52,11 +52,11 @@ func TestWindowTallyAndRings(t *testing.T) {
 }
 
 func TestEvaluateLatchAndRearm(t *testing.T) {
-	p := newPlane(Config{Tick: time.Millisecond, ShortTicks: 3, LongTicks: 6, FastBurn: 5, SlowBurn: 2,
-		Objectives: []Objective{{Name: "o", Stage: StageCall, Budget: time.Microsecond, Target: 0.9}}})
+	p := newPlane(Config{Tick: time.Millisecond, ShortTicks: 3, LongTicks: 6,
+		Objectives: []Objective{{Name: "o", Stage: StageCall, Budget: time.Microsecond, Target: 0.95}}})
 	o := p.objs[0]
 
-	// All-bad traffic burns at 1/(1-0.9) = 10 >= FastBurn in both windows.
+	// All-bad traffic burns at 1/(1-0.95) = 20 >= fastBurn in both windows.
 	p.fail(StageCall, 1, 100)
 	tripped := p.evaluate(1)
 	if len(tripped) != 1 || tripped[0].severity != "fast-burn" {
@@ -157,16 +157,18 @@ func TestPollIngestsTailAndHistogramDeltas(t *testing.T) {
 
 func TestWatchdogStall(t *testing.T) {
 	sh := ShardHealth{Ordinal: 0, State: "Active", Ready: true, Outstanding: 5, Handled: 100}
-	p := newPlane(Config{StallPolls: 2})
+	p := newPlane(Config{})
 	p.shardProbe = func() []ShardHealth { return []ShardHealth{sh} }
 
 	if inc := p.Poll(); len(inc) != 0 { // first sight: baseline only
 		t.Fatalf("baseline poll captured %d incidents", len(inc))
 	}
-	if inc := p.Poll(); len(inc) != 0 { // stall poll 1 of 2
-		t.Fatalf("premature watchdog trip after 1 stalled poll")
+	for i := 1; i < stallPolls; i++ { // stall polls 1 and 2 of 3
+		if inc := p.Poll(); len(inc) != 0 {
+			t.Fatalf("premature watchdog trip after %d stalled polls", i)
+		}
 	}
-	inc := p.Poll() // stall poll 2 of 2: trip
+	inc := p.Poll() // stall poll 3 of 3: trip
 	if len(inc) != 1 || inc[0].Trigger != "watchdog-stall" {
 		t.Fatalf("watchdog = %+v, want one watchdog-stall", inc)
 	}
@@ -179,7 +181,8 @@ func TestWatchdogStall(t *testing.T) {
 		t.Fatalf("progress poll captured %d incidents", len(inc))
 	}
 	sh.Outstanding, sh.Handled = 3, 150
-	p.Poll() // stall poll 1 of 2
+	p.Poll() // stall poll 1 of 3
+	p.Poll() // stall poll 2 of 3
 	if inc := p.Poll(); len(inc) != 1 {
 		t.Fatalf("second stall episode captured %d incidents, want 1", len(inc))
 	}
@@ -188,7 +191,6 @@ func TestWatchdogStall(t *testing.T) {
 func TestDemotionFallbackCapture(t *testing.T) {
 	cfg := lifecycle.DefaultConfig("pred")
 	cfg.DriftWindow = 4
-	cfg.DriftBadWindows = 1
 	m, err := lifecycle.NewManager(vtime.New(), cfg, nn.New(1, 2, 2))
 	if err != nil {
 		t.Fatal(err)
@@ -200,13 +202,14 @@ func TestDemotionFallbackCapture(t *testing.T) {
 		t.Fatalf("baseline poll captured %d incidents", len(inc))
 	}
 
-	// First drift window pins a perfect baseline; the second is all-wrong,
-	// and with no predecessor version the demotion lands in fallback.
+	// The first drift window pins a perfect baseline; the next two are
+	// all-wrong, and with no predecessor version the demotion lands in
+	// fallback.
 	for i := 0; i < cfg.DriftWindow; i++ {
 		m.Observe(lifecycle.Outcome{X: []float32{0}, Predicted: 1, Label: 1})
 	}
 	m.Pump()
-	for i := 0; i < cfg.DriftWindow; i++ {
+	for i := 0; i < 2*cfg.DriftWindow; i++ {
 		m.Observe(lifecycle.Outcome{X: []float32{0}, Predicted: 1, Label: 0})
 	}
 	m.Pump()
@@ -267,18 +270,55 @@ func TestDemotionFallbackCapture(t *testing.T) {
 }
 
 func TestIncidentRingBound(t *testing.T) {
-	p := newPlane(Config{MaxIncidents: 2})
+	p := newPlane(Config{})
 	p.mu.Lock()
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 11; i++ {
 		p.captureLocked("test", "n", "")
 	}
 	p.mu.Unlock()
 	incs := p.Incidents()
-	if len(incs) != 2 {
-		t.Fatalf("retained %d incidents, want 2", len(incs))
+	if len(incs) != maxIncidents {
+		t.Fatalf("retained %d incidents, want %d", len(incs), maxIncidents)
 	}
-	if incs[0].ID != 4 || incs[1].ID != 5 {
-		t.Fatalf("retained IDs %d,%d, want 4,5 (newest)", incs[0].ID, incs[1].ID)
+	for i, inc := range incs {
+		if want := 4 + i; inc.ID != want {
+			t.Fatalf("retained incident %d has ID %d, want %d (IDs 4-11, newest kept)", i, inc.ID, want)
+		}
+	}
+}
+
+// TestQuantileFromBucketsMatchesHistogram holds the windowed quantiles of
+// /slo.json to the rank rule of telemetry's histograms behind /metrics: the
+// same observations read the same bucket. At p99 over 60 observations the
+// rank is 60, not the 59 that round(q*n) picks.
+func TestQuantileFromBucketsMatchesHistogram(t *testing.T) {
+	bounds := []int64{1, 2, 4, 8}
+	if got := quantileFromBuckets(bounds, []int64{59, 1, 0, 0, 0}, 0.99); got != 2 {
+		t.Fatalf("p99 of 59x1 and 1x2 = %d, want 2 (rank 60 of 60)", got)
+	}
+	for _, counts := range [][]int64{
+		{59, 1, 0, 0, 0},
+		{0, 999, 1, 0, 0},
+		{3, 3, 3, 3, 3},
+		{7, 0, 93, 0, 0},
+		{1, 0, 0, 0, 1},
+		{0, 0, 0, 0, 5},
+	} {
+		h := telemetry.NewHistogram(bounds)
+		for i, c := range counts {
+			v := int64(16) // past the last bound: the +Inf bucket
+			if i < len(bounds) {
+				v = bounds[i]
+			}
+			for j := int64(0); j < c; j++ {
+				h.Observe(v)
+			}
+		}
+		for _, q := range []float64{0, 0.07, 0.5, 0.9, 0.95, 0.99, 0.999, 1} {
+			if got, want := quantileFromBuckets(bounds, counts, q), h.Quantile(q); got != want {
+				t.Errorf("counts %v q=%v: quantileFromBuckets = %d, Histogram.Quantile = %d", counts, q, got, want)
+			}
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"lakego/internal/core"
 	"lakego/internal/flightrec"
 	"lakego/internal/remoting"
 )
@@ -55,7 +56,7 @@ func writeJSON(w http.ResponseWriter, v interface{}) {
 func (p *Plane) handleHealthz(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, map[string]interface{}{
 		"status":         "ok",
-		"version":        p.cfg.Version,
+		"version":        core.BuildVersion,
 		"uptime_vns":     p.UptimeVNS(),
 		"uptime_seconds": p.UptimeSeconds(),
 	})
@@ -82,7 +83,7 @@ func (p *Plane) handleStatusz(w http.ResponseWriter, req *http.Request) {
 	p.mu.Unlock()
 
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintf(w, "lake health plane (version %s)\n", p.cfg.Version)
+	fmt.Fprintf(w, "lake health plane (version %s)\n", core.BuildVersion)
 	fmt.Fprintf(w, "uptime: %d vns virtual, %ds wall; polls %d, tail skipped %d\n",
 		p.UptimeVNS(), p.UptimeSeconds(), polls, skipped)
 	fmt.Fprintf(w, "ready: %v (%d shards)\n", ready, len(shards))

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"lakego/internal/core"
 	"lakego/internal/flightrec"
 	"lakego/internal/lifecycle"
 	"lakego/internal/nn"
@@ -27,7 +28,7 @@ func testPlane(t *testing.T) (*Plane, *flightrec.Recorder, *telemetry.Registry) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := newPlane(Config{Tick: time.Millisecond, Version: "test"})
+	p := newPlane(Config{Tick: time.Millisecond})
 	p.now, p.rec, p.snapFn = clock.Now, rec, reg.Snapshot
 	p.Watch(m)
 	p.shardProbe = func() []ShardHealth {
@@ -66,7 +67,7 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Fatalf("/healthz = %d", code)
 	}
 	var hz map[string]interface{}
-	if err := json.Unmarshal(body, &hz); err != nil || hz["status"] != "ok" || hz["version"] != "test" {
+	if err := json.Unmarshal(body, &hz); err != nil || hz["status"] != "ok" || hz["version"] != core.BuildVersion {
 		t.Fatalf("/healthz body = %s (%v)", body, err)
 	}
 

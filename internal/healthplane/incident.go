@@ -67,8 +67,8 @@ func (p *Plane) captureLocked(trigger, detail, objective string) *Incident {
 	}
 	inc.Models = p.registryStateLocked()
 	p.incidents = append(p.incidents, inc)
-	if len(p.incidents) > p.cfg.MaxIncidents {
-		p.incidents = p.incidents[len(p.incidents)-p.cfg.MaxIncidents:]
+	if len(p.incidents) > maxIncidents {
+		p.incidents = p.incidents[len(p.incidents)-maxIncidents:]
 	}
 	return inc
 }

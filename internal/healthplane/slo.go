@@ -217,8 +217,8 @@ func (p *Plane) evaluate(now int64) []*objState {
 		burnL := burnRate(gl, bl, o.obj.Target)
 		// Two-window alerting: the long window proves sustained burn, the
 		// short one proves it is still happening (no alerts on stale spikes).
-		fast := burnS >= p.cfg.FastBurn && burn1 >= p.cfg.FastBurn
-		slow := burnL >= p.cfg.SlowBurn && burnS >= p.cfg.SlowBurn
+		fast := burnS >= fastBurn && burn1 >= fastBurn
+		slow := burnL >= slowBurn && burnS >= slowBurn
 		switch {
 		case (fast || slow) && !o.inAlert:
 			o.inAlert = true
@@ -434,8 +434,10 @@ func sortedStageKeys(m map[string]*stageSeries) []string {
 	return keys
 }
 
-// quantileFromBuckets mirrors telemetry's bucket-quantile estimate over a
-// plain counts slice (the engine's tick buckets are not atomic histograms).
+// quantileFromBuckets is telemetry's bucket-quantile estimate over a plain
+// counts slice (the engine's tick buckets are not atomic histograms): the
+// bound of the bucket holding telemetry.QuantileRank, the rank
+// Histogram.Quantile reads.
 func quantileFromBuckets(bounds []int64, counts []int64, q float64) int64 {
 	var n int64
 	for _, c := range counts {
@@ -444,13 +446,7 @@ func quantileFromBuckets(bounds []int64, counts []int64, q float64) int64 {
 	if n == 0 || len(bounds) == 0 {
 		return 0
 	}
-	target := int64(q*float64(n) + 0.5)
-	if target < 1 {
-		target = 1
-	}
-	if target > n {
-		target = n
-	}
+	target := telemetry.QuantileRank(q, n)
 	var cum int64
 	for i, c := range counts {
 		cum += c

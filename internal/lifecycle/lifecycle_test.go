@@ -116,7 +116,6 @@ func TestManagerPromotesOnBetterCandidate(t *testing.T) {
 	cfg := DefaultConfig("test")
 	cfg.Minibatch = 16
 	cfg.RoundSamples = 64
-	cfg.ShadowWindow = 128
 	m, err := NewManager(vtime.New(), cfg, base)
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +199,6 @@ func TestDriftDemotesThenFallsBack(t *testing.T) {
 	base := nn.New(3, 2, 8, 2)
 	cfg := DefaultConfig("drift")
 	cfg.DriftWindow = 50
-	cfg.DriftBadWindows = 2
 	cfg.RoundSamples = 1 << 30 // keep the trainer out of this test
 	m, err := NewManager(vtime.New(), cfg, base)
 	if err != nil {
@@ -256,27 +254,26 @@ func TestDriftDemotesThenFallsBack(t *testing.T) {
 
 func TestObserveNeverBlocks(t *testing.T) {
 	base := nn.New(1, 2, 2)
-	cfg := DefaultConfig("bounded")
-	cfg.Buffer = 8
-	m, err := NewManager(vtime.New(), cfg, base)
+	m, err := NewManager(vtime.New(), DefaultConfig("bounded"), base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := Outcome{X: []float32{1, 0}, Predicted: 0, Label: 0}
+	const offers = feedbackBuffer + 92
 	accepted := 0
-	for i := 0; i < 100; i++ {
+	for i := 0; i < offers; i++ {
 		if m.Observe(o) {
 			accepted++
 		}
 	}
-	if accepted != cfg.Buffer {
-		t.Fatalf("accepted %d, want exactly the buffer capacity %d", accepted, cfg.Buffer)
+	if accepted != feedbackBuffer {
+		t.Fatalf("accepted %d, want exactly the buffer capacity %d", accepted, feedbackBuffer)
 	}
-	if got := m.Dropped(); got != 100-uint64(cfg.Buffer) {
-		t.Fatalf("dropped %d, want %d (drops must be counted, never silent)", got, 100-cfg.Buffer)
+	if got := m.Dropped(); got != offers-feedbackBuffer {
+		t.Fatalf("dropped %d, want %d (drops must be counted, never silent)", got, offers-feedbackBuffer)
 	}
-	if n := m.Pump(); n != cfg.Buffer {
-		t.Fatalf("pumped %d, want %d", n, cfg.Buffer)
+	if n := m.Pump(); n != feedbackBuffer {
+		t.Fatalf("pumped %d, want %d", n, feedbackBuffer)
 	}
 }
 

@@ -32,6 +32,15 @@ const (
 	// over the serving version across the shadow window before it is
 	// promoted: ties and noise don't churn versions.
 	promoteMargin = 0.02
+	// feedbackBuffer is the bounded feedback channel's capacity. Offer
+	// never blocks: beyond-capacity outcomes are dropped and counted.
+	feedbackBuffer = 4096
+	// shadowWindow is how many recent outcomes the A-B comparison replays
+	// over.
+	shadowWindow = 512
+	// driftBadWindows is how many consecutive bad windows trigger a
+	// demotion: one bad window is weather, two is climate.
+	driftBadWindows = 2
 )
 
 // Config parameterizes a Manager.
@@ -39,17 +48,11 @@ type Config struct {
 	// Model is the family label stamped on telemetry and trace events.
 	Model string
 
-	// Buffer is the bounded feedback channel's capacity (default 4096).
-	// Offer never blocks: beyond-capacity outcomes are dropped and counted.
-	Buffer int
 	// Minibatch is the SGD step size (default 64).
 	Minibatch int
 	// RoundSamples is how many feedback samples one retrain round consumes
 	// before the candidate is shadow-scored for promotion (default 256).
 	RoundSamples int
-	// ShadowWindow is how many recent outcomes the A-B comparison replays
-	// over (default 512).
-	ShadowWindow int
 
 	// DriftWindow is how many outcomes one drift evaluation window spans
 	// (default 256).
@@ -57,47 +60,32 @@ type Config struct {
 	// DriftTolerance is the live-accuracy drop below the pinned baseline
 	// that marks a window bad (default 0.10).
 	DriftTolerance float64
-	// DriftBadWindows is how many consecutive bad windows trigger a
-	// demotion (default 2 — one bad window is weather, two is climate).
-	DriftBadWindows int
 }
 
 // DefaultConfig returns the shipping lifecycle parameters for a model.
 func DefaultConfig(model string) Config {
 	return Config{
-		Model:           model,
-		Buffer:          4096,
-		Minibatch:       64,
-		RoundSamples:    256,
-		ShadowWindow:    512,
-		DriftWindow:     256,
-		DriftTolerance:  0.10,
-		DriftBadWindows: 2,
+		Model:          model,
+		Minibatch:      64,
+		RoundSamples:   256,
+		DriftWindow:    256,
+		DriftTolerance: 0.10,
 	}
 }
 
 func (c *Config) fillDefaults() {
 	d := DefaultConfig(c.Model)
-	if c.Buffer <= 0 {
-		c.Buffer = d.Buffer
-	}
 	if c.Minibatch <= 0 {
 		c.Minibatch = d.Minibatch
 	}
 	if c.RoundSamples <= 0 {
 		c.RoundSamples = d.RoundSamples
 	}
-	if c.ShadowWindow <= 0 {
-		c.ShadowWindow = d.ShadowWindow
-	}
 	if c.DriftWindow <= 0 {
 		c.DriftWindow = d.DriftWindow
 	}
 	if c.DriftTolerance <= 0 {
 		c.DriftTolerance = d.DriftTolerance
-	}
-	if c.DriftBadWindows <= 0 {
-		c.DriftBadWindows = d.DriftBadWindows
 	}
 }
 
@@ -145,7 +133,7 @@ type Manager struct {
 	// Online trainer state (all under mu).
 	candidate *nn.Network
 	scratch   *nn.Scratch
-	window    []Outcome // ring of the last ShadowWindow outcomes
+	window    []Outcome // ring of the last shadowWindow outcomes
 	wnext     int
 	wcount    int
 	batchX    [][]float32
@@ -181,8 +169,8 @@ func NewManager(clock *vtime.Clock, cfg Config, base *nn.Network) (*Manager, err
 		cfg:      cfg,
 		clock:    clock,
 		reg:      NewRegistry(),
-		feedback: make(chan Outcome, cfg.Buffer),
-		window:   make([]Outcome, 0, cfg.ShadowWindow),
+		feedback: make(chan Outcome, feedbackBuffer),
+		window:   make([]Outcome, 0, shadowWindow),
 		batchX:   make([][]float32, 0, cfg.Minibatch),
 		batchY:   make([]int, 0, cfg.Minibatch),
 	}
@@ -341,13 +329,13 @@ func (m *Manager) process(o Outcome) {
 	}
 
 	// Shadow window ring.
-	if len(m.window) < m.cfg.ShadowWindow {
+	if len(m.window) < shadowWindow {
 		m.window = append(m.window, o)
 	} else {
 		m.window[m.wnext] = o
 	}
-	m.wnext = (m.wnext + 1) % m.cfg.ShadowWindow
-	if m.wcount < m.cfg.ShadowWindow {
+	m.wnext = (m.wnext + 1) % shadowWindow
+	if m.wcount < shadowWindow {
 		m.wcount++
 	}
 
@@ -457,7 +445,7 @@ func (m *Manager) closeDriftWindow() {
 	m.driftAlarms.Inc()
 	m.rec.Emit(flightrec.DomainLifecycle, flightrec.EvDriftAlarm,
 		0, m.evSeq.Add(1), 0, uint64(acc*1000), uint64(m.baseline*1000), uint64(m.dBad))
-	if m.dBad >= m.cfg.DriftBadWindows {
+	if m.dBad >= driftBadWindows {
 		m.dBad = 0
 		m.demote()
 	}

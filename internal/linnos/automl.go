@@ -37,15 +37,16 @@ type BenefitConfig struct {
 	// EvalEvery evaluates the decision (and ages the accumulators by
 	// half) once per this many recorded reads.
 	EvalEvery int
-	// ConfirmEvals requires the comparison to point the same way for
-	// this many consecutive evaluations before flipping, suppressing
-	// chatter from heavy-tailed epoch noise.
-	ConfirmEvals int
 }
+
+// confirmEvals requires the comparison to point the same way for this many
+// consecutive evaluations before flipping, suppressing chatter from
+// heavy-tailed epoch noise.
+const confirmEvals = 2
 
 // DefaultBenefitConfig returns the evaluation settings.
 func DefaultBenefitConfig() BenefitConfig {
-	return BenefitConfig{ControlEvery: 8, Margin: 0.05, MinSamples: 48, EvalEvery: 512, ConfirmEvals: 2}
+	return BenefitConfig{ControlEvery: 8, Margin: 0.05, MinSamples: 48, EvalEvery: 512}
 }
 
 // BenefitMonitor decides, online, whether ML-driven reissue helps.
@@ -78,9 +79,6 @@ func NewBenefitMonitor(cfg BenefitConfig) *BenefitMonitor {
 	}
 	if cfg.Margin <= 0 {
 		cfg.Margin = 0.05
-	}
-	if cfg.ConfirmEvals <= 0 {
-		cfg.ConfirmEvals = 2
 	}
 	return &BenefitMonitor{cfg: cfg, enabled: true}
 }
@@ -137,7 +135,7 @@ func (m *BenefitMonitor) Record(usedML bool, lat time.Duration) {
 			(!m.enabled && mlMean < ctrlMean*(1-m.cfg.Margin))
 		if against {
 			m.streak++
-			if m.streak >= m.cfg.ConfirmEvals {
+			if m.streak >= confirmEvals {
 				m.enabled = !m.enabled
 				m.flips++
 				m.streak = 0
@@ -173,12 +171,6 @@ func ReplayAutoML(pred *Predictor, w Workload, cfg ReplayConfig, bcfg BenefitCon
 		return AutoMLResult{}, fmt.Errorf("linnos: automl replay requires a predictor")
 	}
 	cfg.Mode = ModeCPU
-	if cfg.InferLanes <= 0 {
-		cfg.InferLanes = 1
-	}
-	if cfg.ReissuePenalty <= 0 {
-		cfg.ReissuePenalty = 5 * time.Microsecond
-	}
 	monitor := NewBenefitMonitor(bcfg)
 	res, err := replay(pred, w, cfg, monitor)
 	if err != nil {

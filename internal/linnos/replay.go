@@ -72,33 +72,23 @@ type ReplayConfig struct {
 	Mode Mode
 	// Quantum bounds batch formation time (Listing 4's "quantum passed").
 	Quantum time.Duration
-	// BatchCap dispatches a batch early when it fills ("batch > thresh").
-	BatchCap int
-	// GPUBatchThreshold is the policy's profitability cutoff: when the
-	// recent arrival rate predicts fewer I/Os per quantum, inference
-	// falls back to the per-I/O CPU path. Zero selects the model's
-	// measured crossover.
-	GPUBatchThreshold int
-	// InferLanes models how many cores concurrently run per-I/O CPU
-	// inference (I/O issue is spread across the submitting cores).
-	InferLanes int
-	// ReissuePenalty is the cost of revoking and reissuing an I/O.
-	ReissuePenalty time.Duration
 	// Seed drives device randomness.
 	Seed int64
 }
 
+const (
+	// batchCap dispatches a batch early when it fills ("batch > thresh").
+	batchCap = 32
+	// reissuePenalty is the cost of revoking and reissuing an I/O.
+	reissuePenalty = 5 * time.Microsecond
+)
+
 // DefaultReplayConfig returns the evaluation's settings.
 func DefaultReplayConfig(mode Mode) ReplayConfig {
 	return ReplayConfig{
-		Mode:     mode,
-		Quantum:  100 * time.Microsecond,
-		BatchCap: 32,
-		// LinnOS runs inference synchronously in the submission path: one
-		// core's worth of inference capacity per device.
-		InferLanes:     1,
-		ReissuePenalty: 5 * time.Microsecond,
-		Seed:           1,
+		Mode:    mode,
+		Quantum: 100 * time.Microsecond,
+		Seed:    1,
 	}
 }
 
@@ -139,9 +129,12 @@ type pendingIO struct {
 
 // devState carries per-device replay state.
 type devState struct {
-	dev      *storage.Device
-	reg      *features.Registry
-	lanes    []time.Duration // per-core CPU inference availability
+	dev *storage.Device
+	reg *features.Registry
+	// cpuFree is when the device's inference core is next idle: LinnOS
+	// runs inference synchronously in the submission path, one core's
+	// worth of inference capacity per device.
+	cpuFree  time.Duration
 	ewmaGap  time.Duration
 	lastArr  time.Duration
 	haveLast bool
@@ -153,9 +146,6 @@ func Replay(rt *core.Runtime, pred *Predictor, w Workload, cfg ReplayConfig) (Re
 	if cfg.Mode != ModeBaseline && pred == nil {
 		return Result{}, fmt.Errorf("linnos: mode %s requires a predictor", cfg.Mode)
 	}
-	if cfg.InferLanes <= 0 {
-		cfg.InferLanes = 2
-	}
 	return replay(pred, w, cfg, nil)
 }
 
@@ -165,12 +155,6 @@ func Replay(rt *core.Runtime, pred *Predictor, w Workload, cfg ReplayConfig) (Re
 func replay(pred *Predictor, w Workload, cfg ReplayConfig, monitor *BenefitMonitor) (Result, error) {
 	if cfg.Quantum <= 0 {
 		cfg.Quantum = 100 * time.Microsecond
-	}
-	if cfg.BatchCap <= 0 || cfg.BatchCap > MaxBatch {
-		cfg.BatchCap = 32
-	}
-	if cfg.GPUBatchThreshold <= 0 && pred != nil {
-		cfg.GPUBatchThreshold = crossover(pred.Kind())
 	}
 
 	// Fresh devices and per-device feature registries (Listing 4: "Each
@@ -195,7 +179,7 @@ func replay(pred *Predictor, w Workload, cfg ReplayConfig, monitor *BenefitMonit
 		if err != nil {
 			return Result{}, err
 		}
-		states[i] = &devState{dev: dev, reg: reg, lanes: make([]time.Duration, cfg.InferLanes)}
+		states[i] = &devState{dev: dev, reg: reg}
 		devs[i] = dev
 	}
 	array, err := storage.NewArray(devs...)
@@ -233,30 +217,24 @@ func replay(pred *Predictor, w Workload, cfg ReplayConfig, monitor *BenefitMonit
 		target := states[p.dev].dev
 		if slow {
 			target = array.ReissueTarget(target)
-			adder += cfg.ReissuePenalty
+			adder += reissuePenalty
 			reissued++
 		}
 		c := target.Submit(p.arrival+adder, p.size, false)
 		readLats = append(readLats, c.FinishAt-p.arrival)
 	}
 
-	// inferCPUOne runs per-I/O inference on the issuing device's least
-	// busy core; at high IOPS the lanes saturate and queueing delay makes
-	// rich models impractical on the CPU (§7.1's case for acceleration).
+	// inferCPUOne runs per-I/O inference on the issuing device's core; at
+	// high IOPS the core saturates and queueing delay makes rich models
+	// impractical on the CPU (§7.1's case for acceleration).
 	inferCPUOne := func(p pendingIO) {
 		s := states[p.dev]
-		lane := 0
-		for i := 1; i < len(s.lanes); i++ {
-			if s.lanes[i] < s.lanes[lane] {
-				lane = i
-			}
-		}
 		start := p.arrival
-		if s.lanes[lane] > start {
-			start = s.lanes[lane]
+		if s.cpuFree > start {
+			start = s.cpuFree
 		}
 		done := start + pred.Kind().CPUInferCost()
-		s.lanes[lane] = done
+		s.cpuFree = done
 		cpuInfers++
 		logits := pred.Net().Forward(p.x)
 		act(p, logits[1] > logits[0], done-p.arrival)
@@ -364,8 +342,9 @@ func replay(pred *Predictor, w Workload, cfg ReplayConfig, monitor *BenefitMonit
 				}
 			}
 			predictedBatch := int(rate * cfg.Quantum.Seconds())
-			if predictedBatch < cfg.GPUBatchThreshold {
-				// Policy: too few I/Os to amortize the GPU; CPU path.
+			if predictedBatch < crossover(pred.Kind()) {
+				// Policy: fewer I/Os per quantum than the model's measured
+				// crossover cannot amortize the GPU; CPU path.
 				inferCPUOne(p)
 				continue
 			}
@@ -373,7 +352,7 @@ func replay(pred *Predictor, w Workload, cfg ReplayConfig, monitor *BenefitMonit
 				firstAt = now
 			}
 			queue = append(queue, p)
-			if len(queue) >= cfg.BatchCap {
+			if len(queue) >= batchCap {
 				if err := flush(); err != nil {
 					return Result{}, err
 				}

@@ -89,24 +89,26 @@ func (Heuristic) ShouldMigrate(f Features) bool {
 
 // Config parameterizes a simulation.
 type Config struct {
-	Cores   int
-	Nodes   int // NUMA nodes; cores are striped across them
-	Tick    time.Duration
-	Balance time.Duration // balancing period
-	// MigrationPenalty is the cache-refill cost charged to a stolen task.
-	MigrationPenalty time.Duration
-	Seed             int64
+	Cores int
+	Nodes int // NUMA nodes; cores are striped across them
+	Seed  int64
 }
 
-// DefaultConfig is a 16-core, 2-node machine with 1ms ticks.
+const (
+	// tick is the scheduler tick: every core runs its queue head this long.
+	tick = time.Millisecond
+	// balancePeriod is how often a balancing pass runs.
+	balancePeriod = 4 * time.Millisecond
+	// migrationPenalty is the cache-refill cost charged to a stolen task.
+	migrationPenalty = 200 * time.Microsecond
+)
+
+// DefaultConfig is a 16-core, 2-node machine; the sim runs 1ms ticks.
 func DefaultConfig() Config {
 	return Config{
-		Cores:            16,
-		Nodes:            2,
-		Tick:             time.Millisecond,
-		Balance:          4 * time.Millisecond,
-		MigrationPenalty: 200 * time.Microsecond,
-		Seed:             1,
+		Cores: 16,
+		Nodes: 2,
+		Seed:  1,
 	}
 }
 
@@ -149,12 +151,6 @@ func NewSim(cfg Config, b Balancer) (*Sim, error) {
 	}
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 1
-	}
-	if cfg.Tick <= 0 {
-		cfg.Tick = time.Millisecond
-	}
-	if cfg.Balance < cfg.Tick {
-		cfg.Balance = cfg.Tick
 	}
 	if b == nil {
 		b = Heuristic{}
@@ -243,13 +239,13 @@ func (s *Sim) features(t *Task, src, dst int) Features {
 // queueing time saved (net of the slot the move itself frees) versus the
 // cache/NUMA penalty paid. Near-done tasks are never worth moving.
 func (s *Sim) beneficial(t *Task, f Features) bool {
-	saved := (f.SrcLoad - f.DstLoad - 1) * float64(s.cfg.Tick)
-	penalty := s.cfg.MigrationPenalty
+	saved := (f.SrcLoad - f.DstLoad - 1) * float64(tick)
+	penalty := migrationPenalty
 	if !f.SameNode {
 		penalty *= 3 // remote NUMA pull costs more
 	}
 	if f.CacheHot {
-		penalty += s.cfg.MigrationPenalty
+		penalty += migrationPenalty
 	}
 	if t.Remaining <= 4*penalty {
 		return false
@@ -283,7 +279,7 @@ func (s *Sim) balance() {
 		}
 		// Steal.
 		s.queues[busiest] = append(s.queues[busiest][:i], s.queues[busiest][i+1:]...)
-		t.Remaining += s.cfg.MigrationPenalty
+		t.Remaining += migrationPenalty
 		t.LastCore = idlest
 		s.queues[idlest] = append(s.queues[idlest], t)
 		s.migrations++
@@ -295,7 +291,7 @@ func (s *Sim) balance() {
 // Step advances the simulation one tick: every core runs the head of its
 // queue (round robin within the queue).
 func (s *Sim) Step() {
-	if s.now%s.cfg.Balance == 0 && s.now > 0 {
+	if s.now%balancePeriod == 0 && s.now > 0 {
 		s.balance()
 	}
 	for c := 0; c < s.cfg.Cores; c++ {
@@ -304,10 +300,10 @@ func (s *Sim) Step() {
 			continue
 		}
 		t := q[0]
-		t.Remaining -= s.cfg.Tick
+		t.Remaining -= tick
 		t.LastCore = c
 		if t.Remaining <= 0 {
-			t.finished = s.now + s.cfg.Tick
+			t.finished = s.now + tick
 			s.done = append(s.done, t)
 			s.queues[c] = q[1:]
 		} else {
@@ -315,7 +311,7 @@ func (s *Sim) Step() {
 			s.queues[c] = append(q[1:], t)
 		}
 	}
-	s.now += s.cfg.Tick
+	s.now += tick
 }
 
 // Run steps until all tasks finish or the horizon elapses, returning stats.

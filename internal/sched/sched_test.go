@@ -9,13 +9,6 @@ func TestNewSimValidation(t *testing.T) {
 	if _, err := NewSim(Config{Cores: 1}, nil); err == nil {
 		t.Fatal("single-core sim accepted")
 	}
-	s, err := NewSim(Config{Cores: 2}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.cfg.Tick <= 0 || s.cfg.Balance < s.cfg.Tick {
-		t.Fatal("defaults not applied")
-	}
 }
 
 func TestAllTasksComplete(t *testing.T) {

@@ -108,19 +108,7 @@ func (h *Histogram) Quantile(q float64) int64 {
 	if n == 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	// The rank is ceil(q*n), but the product can carry float error above the
-	// exact integer (0.07*100 = 7.000000000000001) and ceil would then skip
-	// to the next bucket; shave an epsilon before rounding up.
-	target := int64(math.Ceil(q*float64(n) - 1e-9))
-	if target < 1 {
-		target = 1
-	}
+	target := QuantileRank(q, n)
 	var cum int64
 	for i := range h.counts {
 		cum += h.counts[i].Load()
@@ -132,6 +120,24 @@ func (h *Histogram) Quantile(q float64) int64 {
 		}
 	}
 	return h.bounds[len(h.bounds)-1]
+}
+
+// QuantileRank is the 1-based rank of the q-quantile among n ordered
+// observations: ceil(q*n), clamped to [1, n]. Every bucket-quantile estimate
+// in the stack (Histogram.Quantile, the health plane's windowed p50/p99/p999)
+// reads the bucket holding this rank, so /metrics and /slo.json agree. The
+// product can carry float error above the exact integer
+// (0.07*100 = 7.000000000000001) and ceil would then skip to the next
+// bucket, so an epsilon is shaved before rounding up.
+func QuantileRank(q float64, n int64) int64 {
+	rank := int64(math.Ceil(q*float64(n) - 1e-9))
+	if rank < 1 {
+		return 1
+	}
+	if rank > n {
+		return n
+	}
+	return rank
 }
 
 // QuantileDuration is Quantile for latency histograms, in virtual time. It

@@ -87,6 +87,28 @@ func TestHistogramQuantileRankRounding(t *testing.T) {
 	}
 }
 
+// TestQuantileRank pins the one rank rule every bucket quantile reads:
+// ceil(q*n) without float overshoot, clamped to [1, n].
+func TestQuantileRank(t *testing.T) {
+	for _, c := range []struct {
+		q       float64
+		n, rank int64
+	}{
+		{0.99, 60, 60}, // round(59.4) would be 59
+		{0.5, 60, 30},
+		{0.07, 100, 7}, // 0.07*100 carries float error above 7
+		{0.999, 1000, 999},
+		{0, 10, 1},
+		{-1, 10, 1},
+		{1, 10, 10},
+		{2, 10, 10},
+	} {
+		if got := QuantileRank(c.q, c.n); got != c.rank {
+			t.Errorf("QuantileRank(%v, %d) = %d, want %d", c.q, c.n, got, c.rank)
+		}
+	}
+}
+
 // TestHistogramPrometheusEdgeExposition checks that a value observed at a
 // bound is exposed under that bound's le label.
 func TestHistogramPrometheusEdgeExposition(t *testing.T) {

@@ -45,9 +45,7 @@ func BenchmarkPerfModelSwap(b *testing.B) {
 // shadow ring insert, and (every Minibatch outcomes) one SGD step on the
 // reusable scratch.
 func BenchmarkPerfRetrainStep(b *testing.B) {
-	cfg := lifecycle.DefaultConfig("bench")
-	cfg.Buffer = 256
-	m, err := lifecycle.NewManager(vtime.New(), cfg, nn.New(1, 2, 8, 2))
+	m, err := lifecycle.NewManager(vtime.New(), lifecycle.DefaultConfig("bench"), nn.New(1, 2, 8, 2))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -371,10 +371,12 @@ func TestAllocsSlotServedKernelLaunchAcrossGC(t *testing.T) {
 // wave and no deadline flush.
 const fleetWaveTenants = 64
 
-// newFleetWave boots that fleet over a Slot-served MLLB model (the batch
-// forward allocates nothing, so what a wave allocates is the request path's
-// own) and returns one wave as a func.
-func newFleetWave(tb testing.TB) func() {
+// newFleetWave boots a 2-shard fleet with 32-item batches over a
+// Slot-served MLLB model (the batch forward allocates nothing, so what a
+// wave allocates is the request path's own) and returns the fleet and one
+// wave of the given number of tenants as a func. Below 64 tenants no batch
+// fills, and each shard's flush is a deadline flush led by its first Wait.
+func newFleetWave(tb testing.TB, tenants int) (func(), *fleet.Fleet) {
 	tb.Helper()
 	rcfg := ringConfig()
 	rcfg.NumShards = 2
@@ -399,11 +401,11 @@ func newFleetWave(tb testing.TB) func() {
 		x[i] = float32(i%7) / 7
 	}
 	items, want := [][]float32{x}, net.Forward(x)
-	var clients [fleetWaveTenants]*fleet.Client
+	clients := make([]*fleet.Client, tenants)
 	for c := range clients {
 		clients[c] = fl.Client(fmt.Sprintf("tenant%02d", c))
 	}
-	var pend [fleetWaveTenants]*fleet.Pending
+	pend := make([]*fleet.Pending, tenants)
 	return func() {
 		for c, cl := range clients {
 			p, err := cl.Submit("mllb", items)
@@ -421,24 +423,49 @@ func newFleetWave(tb testing.TB) func() {
 				tb.Fatalf("delivered %v, want [%v]", out, want)
 			}
 		}
-	}
+	}, fl
 }
 
 // TestAllocsFleetRequest gates the fleet request path at its floor: one
-// fleet.Pending (which holds the batcher's by value) and one result slice
-// per request, plus one batch slice and one completion channel per 32-item
-// flush — 2.06 objects a request, 2.09 while each shard's journal is on its
-// first lap (a slot buffer per flush; a full lap is 4096 waves). No
-// per-request channel, staging slice, pointer Buffer, second Pending or per-row
-// slice may come back.
+// fleet.Pending (which holds the batcher's by value) per request, plus one
+// result slab per 32-item flush — 1.03 objects a request, 1.06 while each
+// shard's journal is on its first lap (a slot buffer per flush; a full lap
+// is 4096 waves). No per-request channel, result slice, staging slice,
+// pointer Buffer, second Pending or per-row slice may come back, and no
+// per-flush batch slice or completion channel.
 func TestAllocsFleetRequest(t *testing.T) {
 	skipUnderRace(t)
-	wave := newFleetWave(t)
+	wave, _ := newFleetWave(t, fleetWaveTenants)
 	for i := 0; i < 200; i++ { // wire scratch, queues and pools
 		wave()
 	}
 	perReq := testing.AllocsPerRun(200, wave) / fleetWaveTenants
-	if perReq > 2.2 {
-		t.Fatalf("fleet request allocates %.3f objects, want <= 2.2", perReq)
+	if perReq > 1.1 {
+		t.Fatalf("fleet request allocates %.3f objects, want <= 1.1", perReq)
+	}
+}
+
+// TestAllocsFleetDeadlineFlush gates the open_low shape the full-flush gate
+// above never reaches: waves of eight requests over two shards, so each
+// shard's four are flushed on the deadline path by its first Wait, with
+// Linger 0. Past the journal's first lap (a slot buffer per flush), a
+// request costs its fleet.Pending plus a quarter of its flush's result slab:
+// 1.25 objects. One channel made per lead or per flush would cost another
+// quarter.
+func TestAllocsFleetDeadlineFlush(t *testing.T) {
+	skipUnderRace(t)
+	const tenants = 8
+	wave, fl := newFleetWave(t, tenants)
+	for i := 0; i < 4096+200; i++ { // one journal lap, then scratch and pools
+		wave()
+	}
+	perReq := testing.AllocsPerRun(200, wave) / tenants
+	if perReq > 1.25 {
+		t.Fatalf("deadline-flush request allocates %.3f objects, want <= 1.25", perReq)
+	}
+	for _, s := range fl.Shards() {
+		if st := s.Batcher().Stats(); st.DeadlineFlushes != st.Flushes || st.Items != 4*st.Flushes {
+			t.Fatalf("shard %d: %+v, want only deadline flushes of 4 items", s.Ordinal(), st)
+		}
 	}
 }

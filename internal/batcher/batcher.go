@@ -22,8 +22,10 @@
 //     rows); only the two offsets cross the kernel/user boundary, and lakeD
 //     gathers the slots into one device staging area per flush
 //     (internal/remoting.APIBatchedInfer);
-//   - one completion per flush: forming a batch makes one channel that
-//     every member holds, closed once after the last result is written.
+//   - an allocation-free delivery path: every waiter of a model sleeps on
+//     the model's one condition variable, a flush marks its members
+//     delivered and broadcasts once, batch slices are recycled on the
+//     model, and a flush's results are rows of one slab.
 //
 // Clients obtain a handle with Batcher.Client, submit feature batches with
 // Client.Submit (or the synchronous Client.Infer), and collect results via
@@ -130,7 +132,8 @@ type ModelConfig struct {
 	// ForwardProvider, when non-nil, is resolved once per batch to obtain
 	// the batch's forward pass, overriding Forward — the model-lifecycle
 	// hot-swap hook. Per-batch resolution keeps every batch on a single
-	// model version.
+	// model version. RegisterModel and Kernel turn a plain Forward into a
+	// provider of one fixed adapter.
 	ForwardProvider func() SlabForward
 }
 
@@ -183,9 +186,20 @@ func (mc ModelConfig) ResolveForward() SlabForward {
 	return perItem{mc.Name, mc.InputWidth, mc.OutputWidth, mc.Forward}
 }
 
+// bindForward turns a plain Forward into a ForwardProvider of one adapter
+// made here, so a route that resolves per batch no longer boxes one each time.
+func (mc ModelConfig) bindForward() ModelConfig {
+	if mc.ForwardProvider == nil && mc.Forward != nil {
+		fwd := mc.ResolveForward()
+		mc.ForwardProvider = func() SlabForward { return fwd }
+	}
+	return mc
+}
+
 // Kernel builds the model's device kernel: one batch-shaped forward pass
 // over a staged slab. Args: [inPtr, outPtr, items].
 func (mc ModelConfig) Kernel() *cuda.Kernel {
+	mc = mc.bindForward()
 	// The decoded input rows and the logits of one launch, on a free list
 	// rather than one buffer per kernel because gpu.Device.Execute runs
 	// bodies concurrently.
@@ -344,8 +358,14 @@ type model struct {
 	queue       []*Pending
 	queuedItems int
 	nextSeq     uint64
-	leaderGone  chan struct{} // non-nil while a waiter leads; closed when it steps down
-	fullSig     chan struct{}
+	// settled (L = &mu) is what every waiter sleeps on: it is broadcast
+	// when a flush has delivered its members and when a leader steps down.
+	settled sync.Cond
+	leading bool // a waiter is coalescing the next deadline flush
+	fullSig chan struct{}
+	// spare holds emptied batch slices for takeLocked to reuse; it never
+	// holds more than were in flight at once.
+	spare [][]*Pending
 
 	// execMu serializes flush execution: a model has one device staging
 	// area, so concurrent flushes of the same model must not interleave.
@@ -368,6 +388,7 @@ func (b *Batcher) RegisterModel(mc ModelConfig) error {
 	if err := mc.Validate(); err != nil {
 		return err
 	}
+	mc = mc.bindForward()
 	b.mu.Lock()
 	if _, dup := b.models[mc.Name]; dup {
 		b.mu.Unlock()
@@ -376,6 +397,7 @@ func (b *Batcher) RegisterModel(mc ModelConfig) error {
 	b.mu.Unlock()
 
 	m := &model{b: b, mc: mc}
+	m.settled.L = &m.mu
 	b.rt.RegisterKernel(mc.Kernel())
 	lib := b.rt.Lib()
 	mod, r := lib.CuModuleLoad(mc.Name + ".cubin")
@@ -474,10 +496,9 @@ type Pending struct {
 	outOff int64      // where the output rows start in slot (64-aligned)
 	enq    time.Duration
 
-	// taken and done are guarded by m.mu: a flush claims the request by
-	// setting both; it closes done, its batch's one channel, last.
-	taken bool
-	done  chan struct{}
+	// taken and delivered are guarded by m.mu: a flush claims the request
+	// by setting taken, and sets delivered once out, err and doneAt hold.
+	taken, delivered bool
 
 	out    [][]float32
 	one    [1][]float32 // backs out for a one-item request
@@ -608,7 +629,7 @@ func (c *Client) Infer(modelName string, items [][]float32) ([][]float32, error)
 }
 
 // takeLocked claims the FIFO prefix of the queue that fits the model's
-// staging capacity under one completion channel. Caller holds m.mu.
+// staging capacity, into a recycled batch slice. Caller holds m.mu.
 func (m *model) takeLocked() []*Pending {
 	if len(m.queue) == 0 {
 		return nil
@@ -625,14 +646,30 @@ func (m *model) takeLocked() []*Pending {
 	if n == 0 {
 		return nil
 	}
-	batch := make([]*Pending, n)
-	copy(batch, m.queue[:n])
+	var batch []*Pending
+	if k := len(m.spare) - 1; k >= 0 {
+		batch, m.spare = m.spare[k], m.spare[:k]
+	}
+	batch = append(batch, m.queue[:n]...)
 	m.queue = append(m.queue[:0], m.queue[n:]...)
 	m.queuedItems -= items
 	m.b.queueDepth.Add(-int64(items))
-	done := make(chan struct{})
 	for _, p := range batch {
-		p.taken, p.done = true, done
+		p.taken = true
 	}
 	return batch
+}
+
+// deliverLocked marks a flushed batch delivered, returns its slice to the
+// spare list and wakes every waiter. Caller holds m.mu.
+func (m *model) deliverLocked(batch []*Pending) {
+	for _, p := range batch {
+		if p.delivered {
+			panic("batcher: request delivered twice")
+		}
+		p.delivered = true
+	}
+	clear(batch) // the spare list must not keep delivered requests alive
+	m.spare = append(m.spare, batch[:0])
+	m.settled.Broadcast()
 }

@@ -33,22 +33,18 @@ func (p *Pending) Wait() ([][]float32, error) {
 	b := m.b
 	for {
 		m.mu.Lock()
-		if p.taken {
-			// A flush claimed the request; delivery is imminent (or done).
-			done := p.done
+		// A claimed request waits for its flush to deliver it. An unclaimed
+		// one behind a leader coalescing this generation waits for the
+		// leader to step down — every take that claims a request wakes it —
+		// and looks again: its flush may not reach us past staging capacity.
+		for !p.delivered && (p.taken || m.leading) {
+			m.settled.Wait()
+		}
+		if p.delivered {
 			m.mu.Unlock()
-			<-done
 			return p.out, p.err
 		}
-		if gone := m.leaderGone; gone != nil {
-			// Another waiter is coalescing this generation. Wait for it to
-			// step down — every take that claims a request wakes it — and
-			// look again: its flush may not reach us past staging capacity.
-			m.mu.Unlock()
-			<-gone
-			continue
-		}
-		m.leaderGone = make(chan struct{})
+		m.leading = true
 		var full chan struct{}
 		if b.cfg.Linger > 0 {
 			full = make(chan struct{})
@@ -69,8 +65,8 @@ func (p *Pending) Wait() ([][]float32, error) {
 		if m.fullSig == full {
 			m.fullSig = nil
 		}
-		close(m.leaderGone)
-		m.leaderGone = nil
+		m.leading = false
+		m.settled.Broadcast()
 		var batch []*Pending
 		if !p.taken {
 			batch = m.takeLocked()
@@ -210,6 +206,12 @@ func (b *Batcher) execute(m *model, batch []*Pending, reason flushReason, firedA
 			b.cpuItemLat.ObserveDuration(perItem)
 		}
 	}
+	// Every member's rows are cut from one slab, in batch order.
+	var slab []float32
+	if flushErr == nil {
+		slab = make([]float32, items*m.mc.OutputWidth)
+	}
+	off := 0
 	region := b.rt.Region()
 	for i, p := range batch {
 		err := flushErr
@@ -221,14 +223,17 @@ func (b *Batcher) execute(m *model, batch []*Pending, reason flushReason, firedA
 			}
 		}
 		if err == nil {
-			p.out, err = p.unpackOut()
+			p.out, err = p.unpackOut(slab[off:])
 		}
+		off += p.count * m.mc.OutputWidth
 		p.err = err
 		p.doneAt = now
 		region.Free(p.slot)
 		p.c.outstanding.Add(-1)
 	}
-	close(batch[0].done) // the batch's one channel: every member holds it
+	m.mu.Lock()
+	m.deliverLocked(batch)
+	m.mu.Unlock()
 }
 
 // runCPU executes a flush on the kernel CPU fallback path: real forward
@@ -248,12 +253,13 @@ func (m *model) runCPU(batch []*Pending) error {
 }
 
 // unpackOut copies the request's delivered output rows out of lakeShm (the
-// slot is freed on delivery) into one slice; each row is capped at its own
-// width, so appending to one cannot reach the next.
-func (p *Pending) unpackOut() ([][]float32, error) {
+// slot is freed on delivery) into the head of slab, the rest of its flush's
+// result slab; each row is capped at its own width, so appending to one
+// cannot reach the next, in this request or the one after it.
+func (p *Pending) unpackOut(slab []float32) ([][]float32, error) {
 	w := p.m.mc.OutputWidth
-	flat, err := cuda.Float32s(p.slot.Bytes()[p.outOff:], p.count*w)
-	if err != nil {
+	flat := slab[:p.count*w]
+	if err := cuda.ReadFloat32s(flat, p.slot.Bytes()[p.outOff:]); err != nil {
 		return nil, err
 	}
 	out := p.one[:]

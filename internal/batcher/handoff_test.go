@@ -2,6 +2,7 @@ package batcher_test
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -15,7 +16,7 @@ import (
 // goroutine takes the leader's request out from under it. The leader must
 // wake, find its request taken, and deliver without re-flushing. Run with
 // -race; the assertions catch lost flushes and double-flushed requests
-// (delivering a request twice would close(p.done) twice and panic).
+// (delivering a request twice panics).
 func TestLeaderHandoffFullFlushRace(t *testing.T) {
 	const (
 		maxBatch = 8
@@ -97,12 +98,12 @@ func TestLeaderHandoffFullFlushRace(t *testing.T) {
 // in Submit: a leader lingers (Linger = 10 s) with a second waiter parked
 // behind it, the virtual clock moves past the oldest deadline, and a third
 // client's Submit — far short of MaxBatch — honors that deadline itself,
-// claiming both waiters' requests. Completion is per batch, so neither
-// waiter has a channel of its own to wake on: the take must wake the leader,
-// and the leader stepping down must release the waiter behind it. Both
-// return long before the linger would have expired, and nobody flushes a
-// second time. (Were the third Submit to win the race against the two Waits,
-// they would find their requests taken; the assertions hold either way.)
+// claiming both waiters' requests. Neither waiter has a channel of its own
+// to wake on: the take must wake the leader, and the leader stepping down
+// must release the waiter behind it. Both return long before the linger
+// would have expired, and nobody flushes a second time. (Were the third
+// Submit to win the race against the two Waits, they would find their
+// requests taken; the assertions hold either way.)
 func TestLeaderHandoffDeadlineFlushFromSubmit(t *testing.T) {
 	rt := newRT(t)
 	cfg := batcher.DefaultConfig()
@@ -154,4 +155,87 @@ func TestLeaderHandoffDeadlineFlushFromSubmit(t *testing.T) {
 	if st.Flushes != 1 || st.DeadlineFlushes != 1 || st.FullFlushes != 0 {
 		t.Fatalf("flushes = %+v, want exactly one deadline flush carrying all three requests", st)
 	}
+}
+
+// TestSlabRowsAreSeparateResults: the rows one flush delivers are cut from
+// one result slab, yet each must behave as a result of its own. Appending
+// to a row never reaches the next row, of its own request or the next
+// member's, and a wave's rows stay bit-identical while the next three waves
+// reuse the model's recycled batch slice with different inputs. Each Wait
+// runs on its own goroutine, so under -race the one that leads the flush
+// and those asleep behind it must all see the rows the flush wrote.
+func TestSlabRowsAreSeparateResults(t *testing.T) {
+	rt := newRT(t)
+	cfg := batcher.DefaultConfig()
+	cfg.Linger = 0
+	cfg.ClientDepth = 16
+	b := newBatcher(t, rt, cfg)
+	c := b.Client("cli")
+
+	counts := []int{1, 3, 1, 2} // one deadline flush of 7 items a wave
+	const waves = 4
+	in := make([][][][]float32, waves)
+	out := make([][][][]float32, waves)
+	for w := range in {
+		in[w] = make([][][]float32, len(counts))
+		out[w] = make([][][]float32, len(counts))
+		pend := make([]*batcher.Pending, len(counts))
+		for r, n := range counts {
+			in[w][r] = make([][]float32, n)
+			for i := range in[w][r] {
+				in[w][r][i] = item(w*100 + r*10 + i)
+			}
+			p, err := c.Submit("testmodel", in[w][r])
+			if err != nil {
+				t.Fatal(err)
+			}
+			pend[r] = p
+		}
+		var wg sync.WaitGroup
+		for r, p := range pend {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				o, err := p.Wait()
+				if err != nil {
+					t.Errorf("wave %d request %d: %v", w, r, err)
+				}
+				out[w][r] = o
+			}()
+		}
+		wg.Wait()
+	}
+	if st := b.Stats(); st.Flushes != waves {
+		t.Fatalf("flushes = %d, want one per wave (%d)", st.Flushes, waves)
+	}
+
+	check := func(when string) {
+		t.Helper()
+		for w := range out {
+			for r := range out[w] {
+				if len(out[w][r]) != counts[r] {
+					t.Fatalf("%s: wave %d request %d has %d rows, want %d", when, w, r, len(out[w][r]), counts[r])
+				}
+				for i, row := range out[w][r] {
+					want := forward(in[w][r][i])
+					if len(row) != outW {
+						t.Fatalf("%s: wave %d request %d row %d has %d outputs, want %d", when, w, r, i, len(row), outW)
+					}
+					for j := range want {
+						if math.Float32bits(row[j]) != math.Float32bits(want[j]) {
+							t.Fatalf("%s: wave %d request %d row %d = %v, want %v", when, w, r, i, row, want)
+						}
+					}
+				}
+			}
+		}
+	}
+	check("after the last wave") // wave 0 outlived three reuses of its batch slice
+
+	for _, rows := range out[0] {
+		for _, row := range rows {
+			_ = append(row, -1, -2)
+		}
+	}
+	check("after appending to every row of wave 0")
 }

@@ -192,7 +192,7 @@ func BenchmarkPerfTailDrain(b *testing.B) {
 // BenchmarkPerfFleetRequest is one 64-tenant wave through a 2-shard fleet
 // per op: router, admission, lakeShm slot, queue, two full flushes, scatter.
 func BenchmarkPerfFleetRequest(b *testing.B) {
-	wave := newFleetWave(b)
+	wave, _ := newFleetWave(b, fleetWaveTenants)
 	for i := 0; i < 200; i++ {
 		wave()
 	}

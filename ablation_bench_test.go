@@ -9,6 +9,7 @@
 package lake_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -57,7 +58,7 @@ func BenchmarkAblationChannelKind(b *testing.B) {
 func BenchmarkAblationZeroCopy(b *testing.B) {
 	for _, size := range []int64{4 << 10, 64 << 10, 1 << 20} {
 		for _, via := range []string{"shm", "inline"} {
-			b.Run(via+"_"+sizeName(int(size)), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s_%dK", via, size/1024), func(b *testing.B) {
 				rt, err := core.New(core.DefaultConfig())
 				if err != nil {
 					b.Fatal(err)
@@ -135,7 +136,7 @@ func BenchmarkAblationBatchQuantum(b *testing.B) {
 // user process.
 func BenchmarkAblationUtilThreshold(b *testing.B) {
 	for _, thresh := range []int{10, 40, 90} {
-		b.Run(itoa(thresh)+"pct", func(b *testing.B) {
+		b.Run(fmt.Sprintf("%dpct", thresh), func(b *testing.B) {
 			var s contention.Fig13Summary
 			for i := 0; i < b.N; i++ {
 				rt, err := core.New(core.DefaultConfig())

@@ -366,6 +366,35 @@ func TestAllocsSlotServedKernelLaunchAcrossGC(t *testing.T) {
 	}
 }
 
+// TestAllocsSubstrate gates the substrate benchmarks that report 0
+// allocs/op: each subtest runs its benchmark's op, warmed, under
+// AllocsPerRun. ModelSwap is the serving-slot flip an in-flight inference
+// can contend with, RetrainStep the online trainer's per-outcome handoff
+// and minibatch step, MarshalCommand a named launch command's encode and
+// decode, and TailDrain the health plane's emit-then-tail ingestion.
+func TestAllocsSubstrate(t *testing.T) {
+	skipUnderRace(t)
+	for _, tc := range []struct {
+		name string
+		op   func(testing.TB) func()
+	}{
+		{"ModelSwap", newModelSwap},
+		{"RetrainStep", newRetrainStep},
+		{"MarshalCommand", newMarshalCommand},
+		{"TailDrain", func(testing.TB) func() { return newTailDrain() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			op := tc.op(t)
+			for i := 0; i < 100; i++ {
+				op()
+			}
+			if n := testing.AllocsPerRun(1000, op); n != 0 {
+				t.Fatalf("%s allocates %v objects/op, want 0", tc.name, n)
+			}
+		})
+	}
+}
+
 // fleetWaveTenants is the benchmark's fleet_mllb shape: 64 tenants on two
 // shards submit one request each, then collect — two full 32-item flushes a
 // wave and no deadline flush.

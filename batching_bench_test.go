@@ -232,9 +232,9 @@ func BenchmarkBatchedInferenceRing(b *testing.B) {
 
 // BenchmarkBatchedInferenceTelemetry pits the same batched workload with
 // the observability plane enabled (the default) against a runtime booted
-// with DisableTelemetry, so benchdiff and the CI gate can watch the
-// instrumentation's hot-path cost directly. The acceptance bound (<5%
-// wall-clock overhead) is enforced by TestTelemetryOverhead.
+// with DisableTelemetry, to profile the instrumentation's hot-path cost.
+// The acceptance bound (<5% wall-clock overhead) is enforced by
+// TestTelemetryOverhead.
 func BenchmarkBatchedInferenceTelemetry(b *testing.B) {
 	const clients = 32
 	for _, mode := range []struct {

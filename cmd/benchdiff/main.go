@@ -1,332 +1,332 @@
-// Command benchdiff gates benchmark regressions in CI.
+// Command benchdiff runs the paired-run protocol over a parent and a child
+// build of ./benchmark and prints the table a performance change reports:
 //
-// It parses `go test -bench` output (typically run with -count=5), reduces
-// each benchmark's series to per-metric medians, and either records them as
-// a baseline or compares them against a committed one:
+//	go build -o /tmp/bench-child ./benchmark   # and the parent, from a clone
+//	go run ./cmd/benchdiff /tmp/bench-parent /tmp/bench-child [WORKLOAD...]
 //
-//	go test -run '^$' -bench . -count=5 | tee bench.txt
-//	benchdiff -update BENCH_BASELINE.json bench.txt   # refresh the baseline
-//	benchdiff -baseline BENCH_BASELINE.json bench.txt # gate: exit 1 on regression
+// Workloads (all when none is named), end-to-end metrics with their
+// direction and bound, and the run length come from BENCHMARK.json in the
+// working directory. Each workload runs ten pairs, odd pairs parent first,
+// pairs 8-10 on the held-out seed 2; every run is `BIN -workload W -seed S
+// -trace 0 -seconds RUN_SECONDS -out TMP`, read from its last output line.
+// Counts and virtual metrics repeat exactly, so within a pair correct,
+// attempted, failed, slo_attainment_pct and every virt_* metric must be
+// equal; a difference exits 1 naming the workload, pair and field.
 //
-// The input may also be an already-reduced JSON results file in the
-// baseline schema, such as `lakebench -results BENCH_RESULTS.json` emits:
+// Per metric the table gives each side's q1, median and q3, the change of
+// the medians, the pairs the child won (ties count for neither), whether the
+// medians are further apart than the parent's interquartile range, and
+// whether the child is worse than the bound. The child then runs against a
+// byte copy of itself, the A/A arm and noise floor. Last come both binaries'
+// addresses mod 64 of the functions whose placement moves wall time, and a
+// JSON line of the child's medians per workload.
 //
-//	benchdiff -baseline prev_results.json BENCH_RESULTS.json
-//
-// Comparison is throughput-oriented: each metric's current/baseline ratio
-// is normalized so >1 means faster (higher-is-better metrics such as the
-// benchmarks' virtual req/s series count up; lower-is-better ones such as
-// ns/op count down), and the gate fails when the geometric mean across all
-// matched metrics regresses by more than -threshold (default 15%).
-// Wall-clock metrics wobble with CI load; the virtual-time throughput
-// metrics the LAKE benchmarks report are deterministic, which is what makes
-// a tight gate workable.
+// Exit status: 0 when every pair agrees and no A/B median is worse than
+// its bound, 1 otherwise, 2 on a usage error.
 package main
 
 import (
+	"bytes"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"math"
 	"os"
-	"sort"
+	"os/exec"
+	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// Baseline is the committed benchmark reference: per-benchmark, per-metric
-// medians.
-type Baseline struct {
-	// Note documents how the file was produced.
-	Note string `json:"note,omitempty"`
-	// Benchmarks maps "BenchmarkName/sub" -> metric -> median value.
-	Benchmarks map[string]map[string]float64 `json:"benchmarks"`
+// specPath is the benchmark contract, relative to the working directory.
+var specPath = "BENCHMARK.json"
+
+const (
+	pairs    = 10
+	heldOut  = 3 // the last heldOut pairs run seedHeld instead of seed 1
+	seedHeld = 2
+)
+
+// placed are the nn kernels and the harness's calibration kernel: their
+// address mod 64 has moved wall metrics by several percent on unchanged code.
+var placed = []string{
+	"lakego/internal/nn.dense",
+	"lakego/internal/nn.denseRows4",
+	"lakego/internal/nn.denseRows8",
+	"main.(*calibrator).pass",
 }
 
-// parseBench extracts metric samples from `go test -bench` output. Each
-// result line has the shape
-//
-//	BenchmarkName-8   3   123456 ns/op   456.7 custom_metric   1.2 other
-//
-// and repeats per -count run; samples accumulate per benchmark per metric.
-func parseBench(r io.Reader) (map[string]map[string][]float64, error) {
-	out := make(map[string]map[string][]float64)
-	data, err := io.ReadAll(r)
+type metric struct {
+	Name   string  `json:"name"`
+	Better string  `json:"better"`
+	Bound  float64 `json:"bound"`
+}
+
+// exact reports whether the metric comes from the virtual clock and so must
+// read the same on both sides of a pair.
+func (m metric) exact() bool {
+	return strings.HasPrefix(m.Name, "virt_") || m.Name == "slo_attainment_pct"
+}
+
+// beats reports whether a is strictly better than b.
+func (m metric) beats(a, b float64) bool {
+	if m.Better == "higher" {
+		return a > b
+	}
+	return a < b
+}
+
+type workload struct {
+	Name string `json:"name"`
+}
+
+type spec struct {
+	RunSeconds float64    `json:"run_seconds"`
+	Workloads  []workload `json:"workloads"`
+	EndToEnd   []metric   `json:"end_to_end"`
+}
+
+// outcome is the result line `benchmark -workload` prints last.
+type outcome struct {
+	Correct   bool  `json:"correct"`
+	Attempted int64 `json:"attempted"`
+	Failed    int64 `json:"failed"`
+	Metrics   map[string]struct {
+		Value float64 `json:"value"`
+	} `json:"metrics"`
+}
+
+func loadSpec() (*spec, error) {
+	data, err := os.ReadFile(specPath)
 	if err != nil {
 		return nil, err
 	}
-	for _, line := range strings.Split(string(data), "\n") {
-		fields := strings.Fields(line)
-		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
-			continue
-		}
-		name := fields[0]
-		// Strip the -GOMAXPROCS suffix so baselines survive machine changes.
-		if i := strings.LastIndex(name, "-"); i > 0 {
-			if _, err := strconv.Atoi(name[i+1:]); err == nil {
-				name = name[:i]
-			}
-		}
-		// fields[1] is the iteration count; the rest are value/unit pairs.
-		for i := 2; i+1 < len(fields); i += 2 {
-			v, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
-				return nil, fmt.Errorf("benchdiff: bad value %q on line %q", fields[i], line)
-			}
-			if out[name] == nil {
-				out[name] = make(map[string][]float64)
-			}
-			unit := fields[i+1]
-			out[name][unit] = append(out[name][unit], v)
-		}
+	var sp spec
+	if err := json.Unmarshal(data, &sp); err != nil {
+		return nil, fmt.Errorf("%s: %w", specPath, err)
 	}
-	return out, nil
+	if sp.RunSeconds <= 0 || len(sp.Workloads) == 0 || len(sp.EndToEnd) == 0 {
+		return nil, fmt.Errorf("%s: needs run_seconds, workloads and end_to_end", specPath)
+	}
+	return &sp, nil
 }
 
-// loadCurrent parses the run-under-test metrics from either input format:
-// `go test -bench` text reduced to per-metric medians, or an
-// already-reduced JSON results file in the Baseline schema (what
-// `lakebench -results` emits), sniffed by its leading brace.
-func loadCurrent(r io.Reader) (map[string]map[string]float64, error) {
-	data, err := io.ReadAll(r)
+// runOnce runs one binary and decodes its result line, which the benchmark
+// prints even when it exits 1 for wrong or failed outputs.
+func runOnce(bin, workload string, seed int64, sp *spec, out string) (*outcome, error) {
+	cmd := exec.Command(bin, "-workload", workload, "-seed", strconv.FormatInt(seed, 10),
+		"-trace", "0", "-seconds", strconv.FormatFloat(sp.RunSeconds, 'g', -1, 64), "-out", out)
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	runErr := cmd.Run()
+	lines := strings.Split(strings.TrimSpace(stdout.String()), "\n")
+	var o outcome
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &o); err != nil {
+		return nil, fmt.Errorf("%s -workload %s -seed %d: no result line (%v, exit: %v): %s",
+			bin, workload, seed, err, runErr, strings.TrimSpace(stderr.String()))
+	}
+	for _, m := range sp.EndToEnd {
+		if _, ok := o.Metrics[m.Name]; !ok {
+			return nil, fmt.Errorf("%s -workload %s -seed %d: metric %s missing", bin, workload, seed, m.Name)
+		}
+	}
+	return &o, nil
+}
+
+// agree checks that the two runs of a pair did the same virtual work.
+func agree(sp *spec, p, c *outcome) error {
+	type field struct {
+		name string
+		p, c any
+	}
+	fields := []field{{"correct", p.Correct, c.Correct}, {"attempted", p.Attempted, c.Attempted}, {"failed", p.Failed, c.Failed}}
+	for _, m := range sp.EndToEnd {
+		if m.exact() {
+			fields = append(fields, field{m.Name, p.Metrics[m.Name].Value, c.Metrics[m.Name].Value})
+		}
+	}
+	for _, f := range fields {
+		if f.p != f.c {
+			return fmt.Errorf("%s differs: parent %v, child %v", f.name, f.p, f.c)
+		}
+	}
+	return nil
+}
+
+// runPairs runs the protocol for one workload and returns both sides' runs
+// in pair order.
+func runPairs(parent, child, workload string, sp *spec, out string) (p, c []*outcome, err error) {
+	bins := [2]string{parent, child}
+	for i := 1; i <= pairs; i++ {
+		seed := int64(1)
+		if i > pairs-heldOut {
+			seed = seedHeld
+		}
+		var got [2]*outcome
+		for k := 0; k < 2; k++ {
+			side := k
+			if i%2 == 0 {
+				side = 1 - k
+			}
+			if got[side], err = runOnce(bins[side], workload, seed, sp, out); err != nil {
+				return nil, nil, err
+			}
+		}
+		if err := agree(sp, got[0], got[1]); err != nil {
+			return nil, nil, fmt.Errorf("%s pair %d (seed %d): %w", workload, i, seed, err)
+		}
+		p, c = append(p, got[0]), append(c, got[1])
+	}
+	return p, c, nil
+}
+
+// quartiles returns q1, the median and q3: the medians of the lower half,
+// the whole and the upper half.
+func quartiles(xs []float64) (q1, med, q3 float64) {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	median := func(s []float64) float64 { return (s[(len(s)-1)/2] + s[len(s)/2]) / 2 }
+	h := len(s) / 2
+	return median(s[:h]), median(s), median(s[len(s)-h:])
+}
+
+// table prints one arm's per-metric rows and returns the child's medians
+// and whether any child median is worse than its metric's bound.
+func table(w io.Writer, sp *spec, p, c []*outcome) (medians map[string]float64, worse bool) {
+	medians = make(map[string]float64, len(sp.EndToEnd))
+	fmt.Fprintf(w, "%-20s %12s %12s %12s %12s %12s %12s %8s %6s %5s %6s\n",
+		"metric", "parent q1", "median", "q3", "child q1", "median", "q3", "Δ", "better", ">IQR", "bound")
+	for _, m := range sp.EndToEnd {
+		pv, cv := make([]float64, len(p)), make([]float64, len(c))
+		wins := 0
+		for i := range p {
+			pv[i], cv[i] = p[i].Metrics[m.Name].Value, c[i].Metrics[m.Name].Value
+			if m.beats(cv[i], pv[i]) {
+				wins++
+			}
+		}
+		pq1, pmed, pq3 := quartiles(pv)
+		cq1, cmed, cq3 := quartiles(cv)
+		medians[m.Name] = cmed
+		delta := 0.0
+		if pmed != 0 {
+			delta = 100 * (cmed/pmed - 1)
+		}
+		apart := "no"
+		if math.Abs(cmed-pmed) > pq3-pq1 {
+			apart = "yes"
+		}
+		limit, bound := pmed*(1+m.Bound), "ok"
+		if m.Better == "higher" {
+			limit = pmed * (1 - m.Bound)
+		}
+		if m.beats(limit, cmed) {
+			bound, worse = "WORSE", true
+		}
+		fmt.Fprintf(w, "%-20s %12.6g %12.6g %12.6g %12.6g %12.6g %12.6g %+7.2f%% %3d/%-2d %5s %6s\n",
+			m.Name, pq1, pmed, pq3, cq1, cmed, cq3, delta, wins, len(p), apart, bound)
+	}
+	return medians, worse
+}
+
+// placement returns each placed function's address mod 64 in bin, read
+// with `go tool nm`, or "-" where the binary lacks it or nm fails.
+func placement(bin string) []string {
+	got := make([]string, len(placed))
+	for i := range got {
+		got[i] = "-"
+	}
+	out, _ := exec.Command("go", "tool", "nm", bin).Output()
+	for _, line := range strings.Split(string(out), "\n") {
+		f := strings.Fields(line)
+		if len(f) < 3 {
+			continue
+		}
+		i := slices.Index(placed, strings.TrimSuffix(f[2], ".abi0"))
+		if addr, err := strconv.ParseUint(f[0], 16, 64); i >= 0 && err == nil {
+			got[i] = strconv.FormatUint(addr%64, 10)
+		}
+	}
+	return got
+}
+
+// copyBinary writes a byte copy of src to dst for the A/A arm.
+func copyBinary(src, dst string) error {
+	data, err := os.ReadFile(src)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	for _, b := range data {
-		switch b {
-		case ' ', '\t', '\r', '\n':
-			continue
-		case '{':
-			var res Baseline
-			if err := json.Unmarshal(data, &res); err != nil {
-				return nil, fmt.Errorf("benchdiff: bad JSON results input: %w", err)
-			}
-			return res.Benchmarks, nil
-		}
-		break
-	}
-	samples, err := parseBench(strings.NewReader(string(data)))
-	if err != nil {
-		return nil, err
-	}
-	return medians(samples), nil
+	return os.WriteFile(dst, data, 0o755)
 }
 
-// median reduces one metric's -count samples.
-func median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if n := len(s); n%2 == 1 {
-		return s[n/2]
-	} else {
-		return (s[n/2-1] + s[n/2]) / 2
-	}
-}
-
-// medians collapses parsed samples to the baseline shape.
-func medians(samples map[string]map[string][]float64) map[string]map[string]float64 {
-	out := make(map[string]map[string]float64, len(samples))
-	for name, metrics := range samples {
-		out[name] = make(map[string]float64, len(metrics))
-		for unit, xs := range metrics {
-			out[name][unit] = median(xs)
-		}
-	}
-	return out
-}
-
-// higherIsBetter classifies a metric unit's direction. Throughput-style
-// units count up, as do the lakeload SLO metrics (attainment percentages
-// and knee multipliers — an attainment drop is a regression, not a
-// speedup); times and latencies count down.
-func higherIsBetter(unit string) bool {
-	switch {
-	case strings.Contains(unit, "req_per"), strings.HasSuffix(unit, "_per_s"),
-		unit == "speedup", strings.Contains(unit, "/s"),
-		strings.Contains(unit, "attainment"), strings.HasSuffix(unit, "multiplier"):
-		return true
-	default:
-		// ns/op, B/op, allocs/op, *_us, *_ns, ...
-		return false
-	}
-}
-
-// delta is one compared metric.
-type delta struct {
-	bench, unit string
-	base, cur   float64
-	// speed is the normalized throughput ratio: >1 is faster than baseline.
-	speed float64
-}
-
-// compare matches current medians against the baseline and returns the
-// per-metric deltas plus their geometric-mean speed ratio. Benchmarks or
-// metrics present on only one side are skipped (and reported by the
-// caller): a gate must not fail just because a benchmark was added.
-func compare(base, cur map[string]map[string]float64) (deltas []delta, geomean float64) {
-	logSum, n := 0.0, 0
-	for name, bm := range base {
-		cm, ok := cur[name]
-		if !ok {
-			continue
-		}
-		for unit, bv := range bm {
-			cv, ok := cm[unit]
-			if !ok || bv <= 0 || cv <= 0 {
-				continue
-			}
-			speed := cv / bv
-			if !higherIsBetter(unit) {
-				speed = bv / cv
-			}
-			deltas = append(deltas, delta{bench: name, unit: unit, base: bv, cur: cv, speed: speed})
-			logSum += math.Log(speed)
-			n++
-		}
-	}
-	sort.Slice(deltas, func(i, j int) bool {
-		if deltas[i].bench != deltas[j].bench {
-			return deltas[i].bench < deltas[j].bench
-		}
-		return deltas[i].unit < deltas[j].unit
-	})
-	if n == 0 {
-		return deltas, 0
-	}
-	return deltas, math.Exp(logSum / float64(n))
-}
-
-// run is the testable entry point; returns the process exit code.
 func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	baselinePath := fs.String("baseline", "", "baseline JSON to compare against")
-	updatePath := fs.String("update", "", "write medians from the bench output to this baseline JSON and exit")
-	threshold := fs.Float64("threshold", 0.15, "maximum tolerated geomean throughput regression (0.15 = 15%)")
-	note := fs.String("note", "", "provenance note stored with -update")
-	require := fs.String("require", "", "comma-separated benchmark-name prefixes that must be present: every baseline benchmark with such a prefix must also appear in the current input")
-	if err := fs.Parse(args); err != nil {
+	if len(args) < 2 || strings.HasPrefix(args[0], "-") {
+		fmt.Fprintln(stderr, "usage: benchdiff PARENT CHILD [WORKLOAD...]  (PARENT and CHILD are `go build ./benchmark` binaries)")
 		return 2
 	}
-	if (*baselinePath == "") == (*updatePath == "") {
-		fmt.Fprintln(stderr, "benchdiff: exactly one of -baseline or -update is required")
-		return 2
-	}
-	var in io.Reader = os.Stdin
-	if fs.NArg() > 0 {
-		f, err := os.Open(fs.Arg(0))
-		if err != nil {
-			fmt.Fprintln(stderr, "benchdiff:", err)
-			return 2
-		}
-		defer f.Close()
-		in = f
-	}
-	cur, err := loadCurrent(in)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	if len(cur) == 0 {
-		fmt.Fprintln(stderr, "benchdiff: no benchmark results in input")
-		return 2
-	}
-
-	if *updatePath != "" {
-		b := Baseline{Note: *note, Benchmarks: cur}
-		data, err := json.MarshalIndent(b, "", "  ")
-		if err != nil {
-			fmt.Fprintln(stderr, "benchdiff:", err)
-			return 2
-		}
-		if err := os.WriteFile(*updatePath, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(stderr, "benchdiff:", err)
-			return 2
-		}
-		fmt.Fprintf(stdout, "benchdiff: wrote %d benchmarks to %s\n", len(cur), *updatePath)
-		return 0
-	}
-
-	data, err := os.ReadFile(*baselinePath)
+	sp, err := loadSpec()
 	if err != nil {
 		fmt.Fprintln(stderr, "benchdiff:", err)
 		return 2
 	}
-	var base Baseline
-	if err := json.Unmarshal(data, &base); err != nil {
-		fmt.Fprintf(stderr, "benchdiff: %s: %v\n", *baselinePath, err)
-		return 2
+	workloads := args[2:]
+	if len(workloads) == 0 {
+		for _, wl := range sp.Workloads {
+			workloads = append(workloads, wl.Name)
+		}
 	}
-	// -require closes the silent-skip hazard for gated suites: compare
-	// drops benchmarks present on only one side, so a renamed or
-	// no-longer-emitted group would otherwise pass the gate by vanishing.
-	for _, prefix := range strings.Split(*require, ",") {
-		prefix = strings.TrimSpace(prefix)
-		if prefix == "" {
-			continue
-		}
-		matched := 0
-		var missing []string
-		for name := range base.Benchmarks {
-			if !strings.HasPrefix(name, prefix) {
-				continue
-			}
-			matched++
-			if _, ok := cur[name]; !ok {
-				missing = append(missing, name)
-			}
-		}
-		if matched == 0 {
-			fmt.Fprintf(stderr, "benchdiff: -require %s: baseline %s has no benchmarks with that prefix\n", prefix, *baselinePath)
+	for _, name := range workloads {
+		if !slices.Contains(sp.Workloads, workload{name}) {
+			fmt.Fprintf(stderr, "benchdiff: workload %q is not in %s\n", name, specPath)
 			return 2
 		}
-		if len(missing) > 0 {
-			sort.Strings(missing)
-			fmt.Fprintf(stderr, "benchdiff: FAIL: required benchmarks missing from current run: %s\n", strings.Join(missing, ", "))
-			return 1
-		}
 	}
-	deltas, geomean := compare(base.Benchmarks, cur)
-	if len(deltas) == 0 {
-		fmt.Fprintln(stderr, "benchdiff: baseline and bench output share no metrics")
-		return 2
+	parent, child := args[0], args[1]
+	tmp, err := os.MkdirTemp("", "benchdiff")
+	twin := filepath.Join(tmp, "aa-"+filepath.Base(child))
+	if err == nil {
+		defer os.RemoveAll(tmp)
+		err = copyBinary(child, twin)
 	}
-	w := func(format string, a ...interface{}) { fmt.Fprintf(stdout, format, a...) }
-	w("%-52s %-22s %14s %14s %8s\n", "benchmark", "metric", "baseline", "current", "speed")
-	for _, d := range deltas {
-		w("%-52s %-22s %14.4g %14.4g %7.3fx\n", d.bench, d.unit, d.base, d.cur, d.speed)
-	}
-	for name := range base.Benchmarks {
-		if _, ok := cur[name]; !ok {
-			w("note: baseline benchmark %s missing from current run\n", name)
-		}
-	}
-	// Benchmarks the baseline has never seen are informational only: they
-	// cannot gate (there is nothing to compare against) but flagging them
-	// reminds the committer to refresh the baseline with -update.
-	var added []string
-	for name := range cur {
-		if _, ok := base.Benchmarks[name]; !ok {
-			added = append(added, name)
-		}
-	}
-	sort.Strings(added)
-	for _, name := range added {
-		w("note: benchmark %s not in baseline (informational; refresh with -update)\n", name)
-	}
-	w("geomean speed ratio %.4fx over %d metrics (gate: >= %.4fx)\n",
-		geomean, len(deltas), 1-*threshold)
-	if geomean < 1-*threshold {
-		fmt.Fprintf(stderr, "benchdiff: FAIL: geomean throughput regressed %.1f%% (> %.0f%% tolerated)\n",
-			(1-geomean)*100, *threshold*100)
+	if err != nil {
+		fmt.Fprintln(stderr, "benchdiff:", err)
 		return 1
 	}
-	w("benchdiff: OK\n")
-	return 0
+
+	status := 0
+	medians := map[string]map[string]float64{}
+	for _, wl := range workloads {
+		for _, arm := range []struct{ name, a, b string }{{"A/B", parent, child}, {"A/A", child, twin}} {
+			p, c, err := runPairs(arm.a, arm.b, wl, sp, tmp)
+			if err != nil {
+				fmt.Fprintf(stderr, "benchdiff: %s %v\n", arm.name, err)
+				return 1
+			}
+			fmt.Fprintf(stdout, "== %s %s: %d pairs, odd pairs %s first, pairs %d-%d seed %d\n",
+				wl, arm.name, pairs, filepath.Base(arm.a), pairs-heldOut+1, pairs, seedHeld)
+			meds, worse := table(stdout, sp, p, c)
+			if arm.name == "A/B" {
+				medians[wl] = meds
+				if worse {
+					status = 1
+				}
+			}
+		}
+	}
+
+	pp, cp := placement(parent), placement(child)
+	fmt.Fprintf(stdout, "== placement (address mod 64)\n%-32s %7s %7s\n", "function", "parent", "child")
+	for i, fn := range placed {
+		fmt.Fprintf(stdout, "%-32s %7s %7s\n", fn, pp[i], cp[i])
+	}
+	line, err := json.Marshal(medians)
+	if err != nil {
+		fmt.Fprintln(stderr, "benchdiff:", err)
+		return 1
+	}
+	fmt.Fprintln(stdout, string(line))
+	return status
 }
 
 func main() {

@@ -3,281 +3,182 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// benchOutput fabricates `go test -bench -count=3` output for one
-// benchmark with a wall ns/op series and a virtual throughput metric.
-func benchOutput(nsPerOp, reqPerS float64) string {
-	var b strings.Builder
-	for i := 0; i < 3; i++ {
-		// Vary the wall series like -count runs do; medians collapse it.
-		jitter := float64(i-1) * 0.02 * nsPerOp
-		b.WriteString("BenchmarkBatchedInference/clients=32-8   5   ")
-		b.WriteString(formatF(nsPerOp+jitter) + " ns/op   " + formatF(reqPerS) + " batched_req_per_s\n")
+// The test binary doubles as a fake ./benchmark: run with BENCHDIFF_FAKE
+// set, it prints a result line for the metrics of BENCHMARK.json instead of
+// running the tests. Its role is its file name (parent, child or the A/A
+// copy), and each run appends "role workload seed" to BENCHDIFF_FAKE_LOG.
+func TestMain(m *testing.M) {
+	specPath = filepath.Join("..", "..", "BENCHMARK.json")
+	if mode := os.Getenv("BENCHDIFF_FAKE"); mode != "" {
+		os.Exit(fakeBenchmark(mode, os.Args[1:]))
 	}
-	b.WriteString("PASS\nok  \tlakego\t1.234s\n")
-	return b.String()
+	os.Exit(m.Run())
 }
 
-func formatF(v float64) string {
-	data, _ := json.Marshal(v)
-	return string(data)
+// fakeBenchmark answers like `benchmark -workload`. Mode "equal" gives both
+// sides the same counts and virtual metrics (the child reads 10% faster on
+// the wall); "virt-seed2" moves the child's virt_req_per_s on seed 2;
+// "count" gives the child one more attempted request.
+func fakeBenchmark(mode string, args []string) int {
+	fs := flag.NewFlagSet("fake", flag.ContinueOnError)
+	workload := fs.String("workload", "", "")
+	seed := fs.Int64("seed", 1, "")
+	fs.Int("trace", 0, "")
+	fs.Float64("seconds", 0, "")
+	fs.String("out", "", "")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	role := filepath.Base(os.Args[0])
+	if f, err := os.OpenFile(os.Getenv("BENCHDIFF_FAKE_LOG"), os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644); err == nil {
+		fmt.Fprintf(f, "%s %s %d\n", role, *workload, *seed)
+		f.Close()
+	}
+	sp, err := loadSpec()
+	if err != nil {
+		return 2
+	}
+	type value struct {
+		Value float64 `json:"value"`
+	}
+	res := struct {
+		Correct   bool             `json:"correct"`
+		Attempted int64            `json:"attempted"`
+		Failed    int64            `json:"failed"`
+		Metrics   map[string]value `json:"metrics"`
+	}{true, 1000, 0, map[string]value{}}
+	for _, m := range sp.EndToEnd {
+		res.Metrics[m.Name] = value{100}
+	}
+	if role == "child" {
+		res.Metrics["wall_req_per_s"] = value{110}
+		switch {
+		case mode == "virt-seed2" && *seed == 2:
+			res.Metrics["virt_req_per_s"] = value{101}
+		case mode == "count":
+			res.Attempted++
+		}
+	}
+	line, _ := json.Marshal(res)
+	fmt.Printf("== fake %s\n%s\n", *workload, line)
+	return 0
 }
 
-func TestParseBenchMedians(t *testing.T) {
-	samples, err := parseBench(strings.NewReader(
-		"goos: linux\n" +
-			"BenchmarkPerfNNForward-16   100   50 ns/op\n" +
-			"BenchmarkPerfNNForward-16   100   70 ns/op\n" +
-			"BenchmarkPerfNNForward-16   100   60 ns/op\n" +
-			"BenchmarkBatchedInference/clients=8-16  2  1000 ns/op  250.5 batched_req_per_s  3.2 speedup\n"))
+// fakePair copies the test binary to parent and child in a fresh directory
+// and sets the fake's mode and log for this test.
+func fakePair(t *testing.T, mode string) (parent, child, log string) {
+	t.Helper()
+	self, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := medians(samples)
-	if got := m["BenchmarkPerfNNForward"]["ns/op"]; got != 60 {
-		t.Fatalf("median ns/op = %v, want 60 (GOMAXPROCS suffix must be stripped)", got)
-	}
-	sub := m["BenchmarkBatchedInference/clients=8"]
-	if sub["batched_req_per_s"] != 250.5 || sub["speedup"] != 3.2 {
-		t.Fatalf("custom metrics not parsed: %+v", sub)
-	}
-}
-
-func TestUpdateThenCompareClean(t *testing.T) {
 	dir := t.TempDir()
-	baseline := filepath.Join(dir, "base.json")
-	bench := filepath.Join(dir, "bench.txt")
-	if err := os.WriteFile(bench, []byte(benchOutput(1e6, 40000)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out, errb bytes.Buffer
-	if code := run([]string{"-update", baseline, "-note", "test", bench}, &out, &errb); code != 0 {
-		t.Fatalf("update exit %d: %s", code, errb.String())
-	}
-	out.Reset()
-	if code := run([]string{"-baseline", baseline, bench}, &out, &errb); code != 0 {
-		t.Fatalf("identical run failed the gate (exit %d): %s%s", code, out.String(), errb.String())
-	}
-	if !strings.Contains(out.String(), "benchdiff: OK") {
-		t.Fatalf("missing OK line:\n%s", out.String())
-	}
-}
-
-// TestGateFailsOnSyntheticSlowdown is the CI acceptance scenario: a 20%
-// throughput regression (slower wall time AND lower virtual throughput)
-// must trip the 15% geomean gate.
-func TestGateFailsOnSyntheticSlowdown(t *testing.T) {
-	dir := t.TempDir()
-	baseline := filepath.Join(dir, "base.json")
-	good := filepath.Join(dir, "good.txt")
-	bad := filepath.Join(dir, "bad.txt")
-	if err := os.WriteFile(good, []byte(benchOutput(1e6, 40000)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// 20% slowdown: ns/op up 25% (= 0.8x speed), req/s down 20%.
-	if err := os.WriteFile(bad, []byte(benchOutput(1.25e6, 32000)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out, errb bytes.Buffer
-	if code := run([]string{"-update", baseline, good}, &out, &errb); code != 0 {
-		t.Fatalf("update exit %d: %s", code, errb.String())
-	}
-	out.Reset()
-	code := run([]string{"-baseline", baseline, bad}, &out, &errb)
-	if code != 1 {
-		t.Fatalf("20%% slowdown: exit %d, want 1\n%s%s", code, out.String(), errb.String())
-	}
-	if !strings.Contains(errb.String(), "FAIL") {
-		t.Fatalf("no FAIL diagnostic:\n%s", errb.String())
-	}
-	// A regression within tolerance must pass: 10% wall slowdown only.
-	within := filepath.Join(dir, "within.txt")
-	if err := os.WriteFile(within, []byte(benchOutput(1.1e6, 38000)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	errb.Reset()
-	if code := run([]string{"-baseline", baseline, within}, &out, &errb); code != 0 {
-		t.Fatalf("within-tolerance run tripped the gate (exit %d):\n%s%s", code, out.String(), errb.String())
-	}
-}
-
-func TestCompareDirections(t *testing.T) {
-	base := map[string]map[string]float64{
-		"B/x": {"ns/op": 100, "req_per_vs": 1000},
-	}
-	cur := map[string]map[string]float64{
-		"B/x": {"ns/op": 50, "req_per_vs": 2000}, // both twice as fast
-		"B/y": {"ns/op": 1},                      // new benchmark: ignored
-	}
-	deltas, geomean := compare(base, cur)
-	if len(deltas) != 2 {
-		t.Fatalf("got %d deltas, want 2", len(deltas))
-	}
-	for _, d := range deltas {
-		if d.speed != 2 {
-			t.Fatalf("%s %s speed %v, want 2", d.bench, d.unit, d.speed)
-		}
-	}
-	if geomean != 2 {
-		t.Fatalf("geomean %v, want 2", geomean)
-	}
-}
-
-// TestJSONResultsInput covers the lakebench -results handoff: the input may
-// be an already-reduced JSON file in the Baseline schema instead of
-// `go test -bench` text, and it gates the same way.
-func TestJSONResultsInput(t *testing.T) {
-	dir := t.TempDir()
-	writeResults := func(name string, reqPerS, virtualNs float64) string {
-		b := Baseline{
-			Note: "test results",
-			Benchmarks: map[string]map[string]float64{
-				"Lakebench/run": {"virtual_req_per_s": reqPerS, "virtual_ns": virtualNs},
-			},
-		}
-		data, err := json.MarshalIndent(b, "", "  ")
-		if err != nil {
+	parent, child, log = filepath.Join(dir, "parent"), filepath.Join(dir, "child"), filepath.Join(dir, "log")
+	for _, dst := range []string{parent, child} {
+		if err := copyBinary(self, dst); err != nil {
 			t.Fatal(err)
 		}
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
 	}
-	baseline := filepath.Join(dir, "base.json")
-	var out, errb bytes.Buffer
-	if code := run([]string{"-update", baseline, writeResults("good.json", 40000, 1e9)}, &out, &errb); code != 0 {
-		t.Fatalf("update from JSON results exit %d: %s", code, errb.String())
+	t.Setenv("BENCHDIFF_FAKE", mode)
+	t.Setenv("BENCHDIFF_FAKE_LOG", log)
+	// A -race binary sleeps a second at exit by default; the fake runs up
+	// to forty times a test.
+	t.Setenv("GORACE", strings.TrimSpace(os.Getenv("GORACE")+" atexit_sleep_ms=0"))
+	return parent, child, log
+}
+
+func TestEqualRunsPassWithEveryMetricInTheTable(t *testing.T) {
+	parent, child, log := fakePair(t, "equal")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{parent, child, "open_low"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, want 0\n%s%s", code, stdout.String(), stderr.String())
 	}
-	out.Reset()
-	if code := run([]string{"-baseline", baseline, writeResults("same.json", 40000, 1e9)}, &out, &errb); code != 0 {
-		t.Fatalf("identical JSON results failed the gate (exit %d): %s%s", code, out.String(), errb.String())
-	}
-	if !strings.Contains(out.String(), "benchdiff: OK") {
-		t.Fatalf("missing OK line:\n%s", out.String())
-	}
-	out.Reset()
-	errb.Reset()
-	// 20% virtual-throughput regression must trip the gate, as with text input.
-	if code := run([]string{"-baseline", baseline, writeResults("bad.json", 32000, 1.25e9)}, &out, &errb); code != 1 {
-		t.Fatalf("regressed JSON results: exit %d, want 1\n%s%s", code, out.String(), errb.String())
-	}
-	// Malformed JSON is rejected, not silently treated as empty bench text.
-	broken := filepath.Join(dir, "broken.json")
-	if err := os.WriteFile(broken, []byte("{not json"), 0o644); err != nil {
+	out := stdout.String()
+	sp, err := loadSpec()
+	if err != nil {
 		t.Fatal(err)
 	}
-	errb.Reset()
-	if code := run([]string{"-baseline", baseline, broken}, &out, &errb); code != 2 {
-		t.Fatalf("malformed JSON: exit %d, want 2", code)
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	var medians map[string]map[string]float64
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &medians); err != nil {
+		t.Fatalf("last line is not the medians object: %v\n%s", err, out)
 	}
-	if !strings.Contains(errb.String(), "bad JSON results input") {
-		t.Fatalf("unexpected diagnostic: %s", errb.String())
+	for _, m := range sp.EndToEnd {
+		if strings.Count(out, "\n"+m.Name+" ") != 2 {
+			t.Errorf("metric %s is not in both arms' tables", m.Name)
+		}
+		if _, ok := medians["open_low"][m.Name]; !ok {
+			t.Errorf("metric %s is missing from the medians line", m.Name)
+		}
+	}
+	if got := medians["open_low"]["wall_req_per_s"]; got != 110 {
+		t.Errorf("child median wall_req_per_s = %v, want 110", got)
+	}
+	if !strings.Contains(out, " 10/10 ") || !strings.Contains(out, "A/A") {
+		t.Errorf("table lacks the child's 10/10 wall win or the A/A arm:\n%s", out)
+	}
+
+	// Odd pairs run the parent first, even pairs the child; pairs 8-10 run
+	// seed 2. The A/B arm's twenty runs come first in the log.
+	data, err := os.ReadFile(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := strings.Split(strings.TrimSpace(string(data)), "\n")
+	if len(runs) != 4*pairs {
+		t.Fatalf("%d runs logged, want %d (two arms of %d pairs)", len(runs), 4*pairs, pairs)
+	}
+	for i := 1; i <= pairs; i++ {
+		first, second, seed := "parent", "child", 1
+		if i%2 == 0 {
+			first, second = second, first
+		}
+		if i > 7 {
+			seed = 2
+		}
+		want := fmt.Sprintf("%s open_low %d|%s open_low %d", first, seed, second, seed)
+		if got := runs[2*i-2] + "|" + runs[2*i-1]; got != want {
+			t.Errorf("pair %d ran %q, want %q", i, got, want)
+		}
 	}
 }
 
-func TestRunFlagValidation(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run(nil, &out, &errb); code != 2 {
-		t.Fatalf("no mode: exit %d, want 2", code)
+func TestVirtualMismatchOnHeldOutSeedFails(t *testing.T) {
+	parent, child, _ := fakePair(t, "virt-seed2")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{parent, child, "fleet_mllb"}, &stdout, &stderr); code != 1 {
+		t.Fatalf("exit %d, want 1", code)
 	}
-	if code := run([]string{"-baseline", "a", "-update", "b"}, &out, &errb); code != 2 {
-		t.Fatalf("both modes: exit %d, want 2", code)
-	}
-}
-
-// TestAttainmentDirection pins the SLO metric directions: an attainment
-// drop or a knee shifting to a lower multiplier is a regression (speed
-// < 1), never an improvement — the direction hazard that would let an SLO
-// collapse pass the gate as an apparent speedup.
-func TestAttainmentDirection(t *testing.T) {
-	base := map[string]map[string]float64{
-		"Lakeload/smoke":      {"slo_attainment_pct": 99.9},
-		"Lakeload/smoke/knee": {"knee_multiplier": 2},
-		"Lakeload/smoke/t":    {"p99_attainment_pct": 99.5, "p99_us": 2000},
-	}
-	cur := map[string]map[string]float64{
-		"Lakeload/smoke":      {"slo_attainment_pct": 49.95}, // halved: 0.5x
-		"Lakeload/smoke/knee": {"knee_multiplier": 1},        // knee earlier: 0.5x
-		"Lakeload/smoke/t":    {"p99_attainment_pct": 99.5, "p99_us": 4000},
-	}
-	deltas, _ := compare(base, cur)
-	want := map[string]float64{
-		"slo_attainment_pct": 0.5,
-		"knee_multiplier":    0.5,
-		"p99_attainment_pct": 1,
-		"p99_us":             0.5, // latency doubled: also a 0.5x slowdown
-	}
-	for _, d := range deltas {
-		if w, ok := want[d.unit]; !ok || d.speed != w {
-			t.Fatalf("%s %s speed %v, want %v", d.bench, d.unit, d.speed, want[d.unit])
-		}
-		delete(want, d.unit)
-	}
-	if len(want) != 0 {
-		t.Fatalf("metrics not compared: %v", want)
+	msg := stderr.String()
+	if !strings.Contains(msg, "fleet_mllb pair 8 (seed 2)") || !strings.Contains(msg, "virt_req_per_s differs") {
+		t.Fatalf("error does not name the workload, pair 8 and the field: %q", msg)
 	}
 }
 
-// TestRequireGate covers -require: a baseline group under a required
-// prefix that vanishes from the current input must fail the gate even
-// though compare would silently skip it.
-func TestRequireGate(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name string, benchmarks map[string]map[string]float64) string {
-		data, err := json.MarshalIndent(Baseline{Benchmarks: benchmarks}, "", "  ")
-		if err != nil {
-			t.Fatal(err)
+func TestCountMismatchFails(t *testing.T) {
+	parent, child, _ := fakePair(t, "count")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{parent, child, "call_mllb"}, &stdout, &stderr); code != 1 {
+		t.Fatalf("exit %d, want 1", code)
+	}
+	if msg := stderr.String(); !strings.Contains(msg, "call_mllb pair 1 (seed 1): attempted differs") {
+		t.Fatalf("error does not name the workload, pair and count: %q", msg)
+	}
+}
+
+func TestUsage(t *testing.T) {
+	for _, args := range [][]string{nil, {"parent"}, {"-baseline", "x.json"}, {"p", "c", "no_such_workload"}} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 2 {
+			t.Errorf("run(%q) exit %d, want 2", args, code)
 		}
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	full := map[string]map[string]float64{
-		"Lakeload/smoke":      {"slo_attainment_pct": 99.9},
-		"Lakeload/smoke/knee": {"knee_multiplier": 1},
-		"Lakebench/run":       {"virtual_req_per_s": 40000},
-	}
-	baseline := write("base.json", full)
-	var out, errb bytes.Buffer
-
-	// All required groups present: passes.
-	if code := run([]string{"-baseline", baseline, "-require", "Lakeload/", write("same.json", full)}, &out, &errb); code != 0 {
-		t.Fatalf("complete run failed -require (exit %d): %s%s", code, out.String(), errb.String())
-	}
-
-	// The knee group vanished (say the sweep stopped running in CI): the
-	// same input passes without -require and must fail with it.
-	partial := map[string]map[string]float64{
-		"Lakeload/smoke": {"slo_attainment_pct": 99.9},
-		"Lakebench/run":  {"virtual_req_per_s": 40000},
-	}
-	out.Reset()
-	errb.Reset()
-	if code := run([]string{"-baseline", baseline, write("partial.json", partial)}, &out, &errb); code != 0 {
-		t.Fatalf("sanity: partial run without -require exit %d, want 0: %s", code, errb.String())
-	}
-	out.Reset()
-	errb.Reset()
-	if code := run([]string{"-baseline", baseline, "-require", "Lakeload/", write("partial2.json", partial)}, &out, &errb); code != 1 {
-		t.Fatalf("missing required group: exit %d, want 1\n%s%s", code, out.String(), errb.String())
-	}
-	if !strings.Contains(errb.String(), "Lakeload/smoke/knee") {
-		t.Fatalf("missing group not named: %s", errb.String())
-	}
-
-	// A prefix the baseline has never seen is a misconfiguration, not a pass.
-	errb.Reset()
-	if code := run([]string{"-baseline", baseline, "-require", "Nope/", write("same2.json", full)}, &out, &errb); code != 2 {
-		t.Fatalf("unmatched -require prefix: exit %d, want 2: %s", code, errb.String())
 	}
 }

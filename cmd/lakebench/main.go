@@ -9,18 +9,12 @@
 //	lakebench -metrics         run an instrumented workload and dump its
 //	                           telemetry (Prometheus text + per-API stage
 //	                           breakdown from the flight recorder)
-//	lakebench -results BENCH_RESULTS.json
-//	                           run the instrumented workload and write its
-//	                           deterministic virtual-time metrics in the
-//	                           BENCH_BASELINE.json schema; compare runs with
-//	                           `benchdiff -baseline old.json BENCH_RESULTS.json`
 //
 // Output is printed as the same rows/series the paper reports; see
 // EXPERIMENTS.md for paper-vs-measured commentary.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -167,132 +161,14 @@ func runMetricsDemo(devices int, poolPolicy lake.PoolPolicy, shards int, routerP
 	return nil
 }
 
-// benchResults mirrors benchdiff's Baseline schema, so the file feeds
-// straight into `benchdiff -baseline old.json BENCH_RESULTS.json` for
-// run-over-run trajectory tracking.
-type benchResults struct {
-	Note       string                        `json:"note,omitempty"`
-	Benchmarks map[string]map[string]float64 `json:"benchmarks"`
-}
-
-// writeResults runs the instrumented workload and records its
-// machine-readable metrics: whole-run virtual-time throughput from the
-// runtime counters plus the per-stage latency means the flight recorder's
-// stitched timelines report (the Fig 5/6 stages). All values are
-// virtual-clock derived and therefore deterministic run over run.
-func writeResults(path string, devices int, poolPolicy lake.PoolPolicy, shards int, routerPolicy lake.PoolPolicy) error {
-	if shards > 1 {
-		return writeFleetResults(path, shards, routerPolicy)
-	}
-	rt, err := bootInstrumented(devices, poolPolicy)
-	if err != nil {
-		return err
-	}
-	defer rt.Close()
-
-	st := rt.Stats()
-	res := benchResults{
-		Note:       "generated by lakebench -results: virtual-time metrics of the instrumented demo workload",
-		Benchmarks: make(map[string]map[string]float64),
-	}
-	run := map[string]float64{
-		"remoted_calls":   float64(st.RemotedCalls),
-		"virtual_ns":      float64(st.VirtualTime),
-		"channel_ns":      float64(st.ChannelTime),
-		"kernel_launches": float64(st.KernelLaunches),
-	}
-	if st.VirtualTime > 0 {
-		run["virtual_req_per_s"] = float64(st.RemotedCalls) / (float64(st.VirtualTime) / 1e9)
-	}
-	res.Benchmarks["Lakebench/run"] = run
-
-	stitch := lake.StitchFlightDump(rt.FlightRecorder().Snapshot("lakebench-results"))
-	if m := flightrec.MeasureStages(stitch.Timelines); m.Calls > 0 {
-		res.Benchmarks["Lakebench/stages"] = map[string]float64{
-			"calls":            float64(m.Calls),
-			"per_call_ns":      m.PerCallNS,
-			"queue_ns_mean":    m.QueueNS,
-			"exec_ns_mean":     m.ExecNS,
-			"copy_ns_mean":     m.CopyNS,
-			"boundary_ns_mean": m.BoundaryNS,
-		}
-	}
-
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("lakebench: wrote %d benchmark groups to %s\n", len(res.Benchmarks), path)
-	return nil
-}
-
-// writeFleetResults is the -shards > 1 results path: the fleet storm's
-// router counters plus one per-shard counter group, all virtual-clock
-// derived and deterministic, in the same benchdiff-compatible schema.
-func writeFleetResults(path string, shards int, routerPolicy lake.PoolPolicy) error {
-	f, err := bootFleet(shards, routerPolicy)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-
-	st := f.Stats()
-	res := benchResults{
-		Note:       "generated by lakebench -results -shards: virtual-time metrics of the fleet storm",
-		Benchmarks: make(map[string]map[string]float64),
-	}
-	var requests int64
-	for _, sh := range f.Shards() {
-		requests += sh.Batcher().Stats().Requests
-	}
-	elapsed := f.VirtualElapsed()
-	fleet := map[string]float64{
-		"shards":     float64(shards),
-		"requests":   float64(requests),
-		"placements": float64(st.Placements),
-		"reroutes":   float64(st.Reroutes),
-		"virtual_ns": float64(elapsed),
-	}
-	if elapsed > 0 {
-		fleet["virtual_req_per_s"] = float64(requests) / (float64(elapsed) / 1e9)
-	}
-	res.Benchmarks["Lakebench/fleet"] = fleet
-	for _, sh := range f.Shards() {
-		bs := sh.Batcher().Stats()
-		rst := sh.Runtime().Stats()
-		res.Benchmarks[fmt.Sprintf("Lakebench/fleet/shard=%d", sh.Ordinal())] = map[string]float64{
-			"requests":        float64(bs.Requests),
-			"flushes":         float64(bs.Flushes),
-			"avg_batch":       bs.AvgBatch(),
-			"daemon_handled":  float64(rst.DaemonHandled),
-			"kernel_launches": float64(rst.KernelLaunches),
-			"virtual_ns":      float64(sh.Clock().Now()),
-		}
-	}
-
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("lakebench: wrote %d benchmark groups to %s\n", len(res.Benchmarks), path)
-	return nil
-}
-
 func main() {
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	exp := flag.String("exp", "", "experiment id to run, or 'all'")
 	out := flag.String("out", "", "also write the output to this file")
 	metrics := flag.Bool("metrics", false, "run an instrumented demo workload and dump telemetry")
-	results := flag.String("results", "", "run the instrumented workload and write machine-readable metrics (BENCH_BASELINE.json schema) to this file")
 	devices := flag.Int("devices", 1, "number of modeled GPUs in the device pool (for -metrics)")
 	poolPolicy := flag.String("pool-policy", "contention-aware", "context placement policy: round-robin, least-outstanding, contention-aware")
-	shards := flag.Int("shards", 1, "number of lakeD shards; >1 runs the -metrics/-results workload through a fleet")
+	shards := flag.Int("shards", 1, "number of lakeD shards; >1 runs the -metrics workload through a fleet")
 	routerPolicy := flag.String("router-policy", "consistent-hash", "fleet shard placement policy: round-robin, least-outstanding, contention-aware, consistent-hash")
 	flag.Parse()
 
@@ -303,7 +179,7 @@ func main() {
 		}
 		return
 	}
-	if *metrics || *results != "" {
+	if *metrics {
 		policy, err := lake.ParsePoolPolicy(*poolPolicy)
 		if err != nil {
 			log.Fatal(err)
@@ -312,20 +188,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if *metrics {
-			if err := runMetricsDemo(*devices, policy, *shards, rp); err != nil {
-				log.Fatal(err)
-			}
-		}
-		if *results != "" {
-			if err := writeResults(*results, *devices, policy, *shards, rp); err != nil {
-				log.Fatal(err)
-			}
+		if err := runMetricsDemo(*devices, policy, *shards, rp); err != nil {
+			log.Fatal(err)
 		}
 		return
 	}
 	if *exp == "" {
-		fmt.Fprintln(os.Stderr, "usage: lakebench -exp <id>|all  (or -list, -metrics, -results out.json)")
+		fmt.Fprintln(os.Stderr, "usage: lakebench -exp <id>|all  (or -list, -metrics)")
 		os.Exit(2)
 	}
 	var output string

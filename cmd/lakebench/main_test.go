@@ -1,170 +1,42 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
-	"flag"
-	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
+	"slices"
 	"testing"
 
 	lake "lakego"
 )
 
-var update = flag.Bool("update", false, "rewrite golden files")
-
-// TestWriteResultsDeterministic pins the -results contract: the file is in
-// the BENCH_BASELINE.json schema, carries the run and per-stage metric
-// groups, and — being virtual-clock derived — is byte-identical run over
-// run, which is what makes a run-over-run benchdiff trajectory meaningful.
-func TestWriteResultsDeterministic(t *testing.T) {
-	dir := t.TempDir()
-	a := filepath.Join(dir, "a.json")
-	b := filepath.Join(dir, "b.json")
-	if err := writeResults(a, 1, lake.PoolContentionAware, 1, lake.PoolConsistentHash); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeResults(b, 1, lake.PoolContentionAware, 1, lake.PoolConsistentHash); err != nil {
-		t.Fatal(err)
-	}
-	da, err := os.ReadFile(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := os.ReadFile(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(da, db) {
-		t.Fatalf("results differ across identical runs:\n%s\nvs\n%s", da, db)
-	}
-
-	var res benchResults
-	if err := json.Unmarshal(da, &res); err != nil {
-		t.Fatalf("results not in the baseline schema: %v", err)
-	}
-	run, ok := res.Benchmarks["Lakebench/run"]
-	if !ok {
-		t.Fatalf("missing Lakebench/run group: %v", res.Benchmarks)
-	}
-	if run["remoted_calls"] <= 0 || run["virtual_req_per_s"] <= 0 {
-		t.Fatalf("run metrics not populated: %v", run)
-	}
-	stages, ok := res.Benchmarks["Lakebench/stages"]
-	if !ok {
-		t.Fatalf("missing Lakebench/stages group: %v", res.Benchmarks)
-	}
-	for _, key := range []string{"calls", "per_call_ns", "exec_ns_mean", "boundary_ns_mean"} {
-		if stages[key] <= 0 {
-			t.Fatalf("stage metric %s not populated: %v", key, stages)
-		}
-	}
-}
-
-// TestWriteFleetResultsDeterministic pins the -shards results contract:
-// router plus per-shard counter groups, deterministic run over run.
-func TestWriteFleetResultsDeterministic(t *testing.T) {
-	dir := t.TempDir()
-	a := filepath.Join(dir, "a.json")
-	b := filepath.Join(dir, "b.json")
-	for _, path := range []string{a, b} {
-		if err := writeResults(path, 1, lake.PoolContentionAware, 2, lake.PoolRoundRobin); err != nil {
-			t.Fatal(err)
-		}
-	}
-	da, err := os.ReadFile(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := os.ReadFile(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(da, db) {
-		t.Fatalf("fleet results differ across identical runs:\n%s\nvs\n%s", da, db)
-	}
-	var res benchResults
-	if err := json.Unmarshal(da, &res); err != nil {
-		t.Fatalf("results not in the baseline schema: %v", err)
-	}
-	fleet, ok := res.Benchmarks["Lakebench/fleet"]
-	if !ok {
-		t.Fatalf("missing Lakebench/fleet group: %v", res.Benchmarks)
-	}
-	if fleet["requests"] <= 0 || fleet["virtual_req_per_s"] <= 0 || fleet["shards"] != 2 {
-		t.Fatalf("fleet metrics not populated: %v", fleet)
-	}
-	var requests float64
-	for ord := 0; ord < 2; ord++ {
-		sh, ok := res.Benchmarks[fmt.Sprintf("Lakebench/fleet/shard=%d", ord)]
-		if !ok {
-			t.Fatalf("missing shard %d group: %v", ord, res.Benchmarks)
-		}
-		requests += sh["requests"]
-	}
-	if requests != fleet["requests"] {
-		t.Fatalf("per-shard requests sum %v != fleet total %v", requests, fleet["requests"])
-	}
-}
-
-// TestResultsSchemaGolden pins the -results JSON schema — every group
-// name and metric key — against a golden file, so a rename or removal
-// that would silently orphan BENCH_BASELINE.json entries (benchdiff
-// skips groups missing from either side) fails loudly here first.
-// Regenerate with `go test ./cmd/lakebench -run Golden -update` after an
-// intentional schema change, and update BENCH_BASELINE.json to match.
-func TestResultsSchemaGolden(t *testing.T) {
-	dir := t.TempDir()
-	single := filepath.Join(dir, "single.json")
-	sharded := filepath.Join(dir, "sharded.json")
-	if err := writeResults(single, 1, lake.PoolContentionAware, 1, lake.PoolConsistentHash); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeResults(sharded, 1, lake.PoolContentionAware, 2, lake.PoolRoundRobin); err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	for _, path := range []string{single, sharded} {
-		data, err := os.ReadFile(path)
+// TestMetricsWorkloadRepeats runs both -metrics workloads twice, the
+// single-runtime demo and the -shards 2 fleet storm, and pins what the
+// virtual clock promises of them: the same remoted calls, tenant placements
+// and per-shard requests on every run.
+func TestMetricsWorkloadRepeats(t *testing.T) {
+	counts := func() []int64 {
+		rt, err := bootInstrumented(1, lake.PoolContentionAware)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var res benchResults
-		if err := json.Unmarshal(data, &res); err != nil {
+		defer rt.Close()
+		f, err := bootFleet(2, lake.PoolRoundRobin)
+		if err != nil {
 			t.Fatal(err)
 		}
-		groups := make([]string, 0, len(res.Benchmarks))
-		for g := range res.Benchmarks {
-			groups = append(groups, g)
+		defer f.Close()
+		c := []int64{rt.Stats().RemotedCalls, f.Stats().Placements}
+		for _, sh := range f.Shards() {
+			c = append(c, sh.Batcher().Stats().Requests)
 		}
-		sort.Strings(groups)
-		for _, g := range groups {
-			keys := make([]string, 0, len(res.Benchmarks[g]))
-			for k := range res.Benchmarks[g] {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			fmt.Fprintf(&b, "%s: %s\n", g, strings.Join(keys, " "))
-		}
+		return c
 	}
-	got := b.String()
-	golden := filepath.Join("testdata", "results_schema.golden")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
+	a, b := counts(), counts()
+	t.Logf("remoted calls, placements, per-shard requests: %v", a)
+	if !slices.Equal(a, b) {
+		t.Fatalf("counts differ between runs: %v vs %v", a, b)
 	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (regenerate with -update)", err)
-	}
-	if got != string(want) {
-		t.Fatalf("results schema drifted from %s — update BENCH_BASELINE.json and regenerate with -update.\n--- got ---\n%s--- want ---\n%s", golden, got, want)
+	// The demo remotes 32 copy-launch-copy rounds; the storm places four
+	// tenants and sends 32 requests each.
+	if len(a) != 4 || a[0] < 96 || a[1] != 4 || a[2]+a[3] != 128 {
+		t.Fatalf("counts %v, want >= 96 calls, 4 placements and 128 requests over 2 shards", a)
 	}
 }

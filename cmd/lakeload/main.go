@@ -11,9 +11,7 @@
 //	lakeload -scenario smoke -sweep 0.5,1,2,4,8
 //	                                   knee sweep over rate multipliers
 //	lakeload -scenario smoke -out results.json
-//	                                   also write benchdiff-schema JSON;
-//	                                   gate with `benchdiff -baseline
-//	                                   BENCH_BASELINE.json results.json`
+//	                                   also write the results JSON
 //	lakeload -scenario smoke -canon    print the validated scenario's
 //	                                   canonical JSON and exit
 //	lakeload -scenario smoke -live-slo attach a health plane to each
@@ -22,9 +20,10 @@
 //	                                   live vs driver attainment divergence
 //
 // Everything in the replay runs on the virtual clock, so a fixed-seed
-// scenario produces byte-identical results JSON run over run — which is
-// what lets CI commit the smoke scenario's numbers as a baseline and fail
-// on system-level SLO regressions.
+// scenario produces byte-identical results JSON run over run, with or
+// without -live-slo: CI compares the smoke scenario's knee sweep byte for
+// byte with testdata/results.golden, so any change to a count, latency, SLO
+// attainment or stage mean fails it.
 package main
 
 import (
@@ -273,7 +272,7 @@ func main() {
 	list := flag.Bool("list", false, "list builtin scenarios and exit")
 	scenario := flag.String("scenario", "smoke", "builtin scenario name or path to a scenario JSON file")
 	sweepArg := flag.String("sweep", "", "comma-separated rate multipliers for a knee sweep (e.g. 0.5,1,2,4,8)")
-	out := flag.String("out", "", "write benchdiff-schema results JSON to this file")
+	out := flag.String("out", "", "write the results JSON to this file")
 	note := flag.String("note", "", "note field for the results JSON")
 	seed := flag.Int64("seed", 0, "override the scenario seed (0 keeps the scenario's)")
 	multiplier := flag.Float64("multiplier", 0, "scale the scenario's offered rate (0 keeps it)")

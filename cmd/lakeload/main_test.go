@@ -4,11 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
-	"fmt"
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -19,9 +17,8 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // TestRunSmokeDeterministic pins the CLI's -out contract end to end: the
-// smoke scenario plus a knee sweep writes the BENCH_BASELINE.json schema
-// and — being virtual-clock derived — is byte-identical run over run,
-// which is what lets CI gate the file with benchdiff.
+// smoke scenario plus a knee sweep writes the results JSON, byte-identical
+// run over run, with the knee where the smoke budgets put it.
 func TestRunSmokeDeterministic(t *testing.T) {
 	dir := t.TempDir()
 	a := filepath.Join(dir, "a.json")
@@ -83,41 +80,42 @@ func TestRunSmokeDeterministic(t *testing.T) {
 	}
 }
 
-// TestResultsSchemaGolden pins the results JSON schema — every group name
-// and every metric key — against a golden file, so a rename or removal
-// that would silently orphan BENCH_BASELINE.json entries (benchdiff skips
-// groups missing from either side) fails loudly here first. Regenerate
-// with `go test ./cmd/lakeload -run Golden -update` after an intentional
-// schema change, and update BENCH_BASELINE.json to match.
-func TestResultsSchemaGolden(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "r.json")
-	if err := run("smoke", "1,2", out, "schema", 0, 0, false, false); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := schemaOf(t, data)
-	golden := filepath.Join("testdata", "results_schema.golden")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
+// TestResultsGolden pins every value of CI's lakeload run (the smoke
+// scenario with the 0.5,1,2,4,8 knee sweep) against testdata/results.golden,
+// which CI also compares byte for byte with the file the CLI writes. The
+// replay is virtual-clock deterministic, so any difference is a change in
+// behaviour: goodput, SLO attainment, a tenant's percentiles, a stage mean.
+// The -live-slo observer scrapes the health plane during the drive and must
+// not change a byte. Regenerate with `go test ./cmd/lakeload -run
+// TestResultsGolden -update` after an intended change, and say why in the
+// change description.
+func TestResultsGolden(t *testing.T) {
+	golden := filepath.Join("testdata", "results.golden")
+	for _, live := range []bool{false, true} {
+		out := filepath.Join(t.TempDir(), "r.json")
+		if err := run("smoke", "0.5,1,2,4,8", out, "", 0, 0, false, live); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+		got, err := os.ReadFile(out)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (regenerate with -update)", err)
-	}
-	if got != string(want) {
-		t.Fatalf("results schema drifted from %s — update BENCH_BASELINE.json and regenerate with -update.\n--- got ---\n%s--- want ---\n%s", golden, got, want)
+		if *update && !live {
+			if err := os.WriteFile(golden, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatalf("%v (regenerate with -update)", err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("results (-live-slo=%v) differ from %s:\n--- got ---\n%s--- want ---\n%s", live, golden, got, want)
+		}
 	}
 }
 
-// decodeResults parses the benchdiff baseline schema's benchmarks map.
+// decodeResults parses the results JSON's group -> metric -> value map.
 func decodeResults(t *testing.T, data []byte) map[string]map[string]float64 {
 	t.Helper()
 	var res struct {
@@ -125,31 +123,9 @@ func decodeResults(t *testing.T, data []byte) map[string]map[string]float64 {
 		Benchmarks map[string]map[string]float64 `json:"benchmarks"`
 	}
 	if err := json.Unmarshal(data, &res); err != nil {
-		t.Fatalf("results not in the baseline schema: %v", err)
+		t.Fatalf("results are not group -> metric -> value JSON: %v", err)
 	}
 	return res.Benchmarks
-}
-
-// schemaOf flattens a results file to its schema: one line per group
-// listing its sorted metric keys.
-func schemaOf(t *testing.T, data []byte) string {
-	t.Helper()
-	res := decodeResults(t, data)
-	groups := make([]string, 0, len(res))
-	for g := range res {
-		groups = append(groups, g)
-	}
-	sort.Strings(groups)
-	var b strings.Builder
-	for _, g := range groups {
-		keys := make([]string, 0, len(res[g]))
-		for k := range res[g] {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		fmt.Fprintf(&b, "%s: %s\n", g, strings.Join(keys, " "))
-	}
-	return b.String()
 }
 
 // TestScenarioFileRoundTrip drives the file path of -scenario: a canonical

@@ -19,23 +19,27 @@ import (
 // inference path can ever contend with — batches load the pointer once,
 // so a swap is never observed mid-batch.
 func BenchmarkPerfModelSwap(b *testing.B) {
+	benchOp(b, newModelSwap(b))
+}
+
+// newModelSwap returns one flip of a LinnOS predictor between two networks
+// of its shape; TestAllocsSubstrate/ModelSwap gates it at 0 allocs.
+func newModelSwap(tb testing.TB) func() {
 	rt, err := core.New(core.DefaultConfig())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer rt.Close()
+	tb.Cleanup(rt.Close)
 	a := nn.New(1, linnos.Base.Sizes()...)
-	c := a.Clone()
 	pred, err := linnos.NewPredictor(rt, linnos.Base, a)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	nets := [2]*nn.Network{a, c}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	nets, i := [2]*nn.Network{a, a.Clone()}, 0
+	return func() {
+		i++
 		if err := pred.SwapNet(nets[i&1]); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 }
@@ -45,22 +49,29 @@ func BenchmarkPerfModelSwap(b *testing.B) {
 // shadow ring insert, and (every Minibatch outcomes) one SGD step on the
 // reusable scratch.
 func BenchmarkPerfRetrainStep(b *testing.B) {
+	benchOp(b, newRetrainStep(b))
+}
+
+// newRetrainStep returns one outcome observed and pumped through an online
+// trainer, which must drop none; TestAllocsSubstrate/RetrainStep gates it
+// at 0 allocs.
+func newRetrainStep(tb testing.TB) func() {
 	m, err := lifecycle.NewManager(vtime.New(), lifecycle.DefaultConfig("bench"), nn.New(1, 2, 8, 2))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	outs := [2]lifecycle.Outcome{
+	tb.Cleanup(func() {
+		if m.Dropped() != 0 {
+			tb.Errorf("trainer dropped %d outcomes", m.Dropped())
+		}
+	})
+	outs, i := [2]lifecycle.Outcome{
 		{X: []float32{-1, -1}, Predicted: 0, Label: 0},
 		{X: []float32{1, 1}, Predicted: 0, Label: 1},
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	}, 0
+	return func() {
+		i++
 		m.Observe(outs[i&1])
 		m.Pump()
-	}
-	b.StopTimer()
-	if m.Dropped() != 0 {
-		b.Fatalf("dropped %d", m.Dropped())
 	}
 }

@@ -1,7 +1,9 @@
 // Substrate micro-benchmarks: real wall-clock performance of the hot code
 // paths (allocator, lock-free capture, wire protocol, inference math,
-// end-to-end remoted calls). Unlike the figure benchmarks, these measure
-// the library itself rather than the simulated hardware.
+// end-to-end remoted calls), for profiling while working on one of them.
+// They measure the library itself rather than the simulated hardware; wall
+// claims are made against `go run ./benchmark` pairs, and the zero-alloc
+// ones are gated by the TestAllocs* tests.
 package lake_test
 
 import (
@@ -54,6 +56,13 @@ func BenchmarkPerfRegistryCommit(b *testing.B) {
 }
 
 func BenchmarkPerfMarshalCommand(b *testing.B) {
+	benchOp(b, newMarshalCommand(b))
+}
+
+// newMarshalCommand returns one encode and decode of a named six-argument
+// launch command over reused buffers; TestAllocsSubstrate/MarshalCommand gates
+// it at 0 allocs.
+func newMarshalCommand(tb testing.TB) func() {
 	cmd := &remoting.Command{
 		API:  remoting.APICuLaunchKernel,
 		Seq:  1,
@@ -63,15 +72,23 @@ func BenchmarkPerfMarshalCommand(b *testing.B) {
 	var frame []byte
 	var out remoting.Command
 	names := map[string]string{}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		var err error
 		if frame, err = remoting.AppendCommand(frame[:0], cmd); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if err := remoting.DecodeCommandInto(&out, names, frame); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
+	}
+}
+
+// benchOp times op per iteration, with allocations reported.
+func benchOp(b *testing.B, op func()) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
 	}
 }
 
@@ -130,28 +147,32 @@ func BenchmarkPerfNNForwardSlabSmall(b *testing.B) {
 	}
 }
 
-func benchRemotedCall(b *testing.B, cfg core.Config) {
+// remotedCallVNS makes n CuDeviceGetCount calls on a runtime booted from
+// cfg, timed by a benchmark from the first call, and returns the modeled
+// virtual ns per call: the figure-level metric the boundary cost model
+// charges, what the >= 2x ring acceptance gates on.
+func remotedCallVNS(tb testing.TB, cfg core.Config, n int) float64 {
 	rt, err := core.New(cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	defer rt.Close()
 	lib := rt.Lib()
-	b.ReportAllocs()
-	b.ResetTimer()
+	if b, ok := tb.(*testing.B); ok {
+		b.ReportAllocs()
+		b.ResetTimer()
+	}
 	start := rt.Clock().Now()
-	for i := 0; i < b.N; i++ {
+	for i := 0; i < n; i++ {
 		if _, r := lib.CuDeviceGetCount(); r != 0 {
-			b.Fatal(r)
+			tb.Fatal(r)
 		}
 	}
-	// Modeled per-call latency (virtual ns): the figure-level metric the
-	// boundary cost model charges, what the >= 2x ring acceptance gates on.
-	b.ReportMetric(float64(rt.Clock().Now()-start)/float64(b.N), "vns_per_call")
+	return float64(rt.Clock().Now()-start) / float64(n)
 }
 
 func BenchmarkPerfRemotedCall(b *testing.B) {
-	benchRemotedCall(b, core.DefaultConfig())
+	b.ReportMetric(remotedCallVNS(b, core.DefaultConfig(), b.N), "vns_per_call")
 }
 
 // BenchmarkPerfRemotedCallRing is BenchmarkPerfRemotedCall charged the
@@ -159,25 +180,37 @@ func BenchmarkPerfRemotedCall(b *testing.B) {
 // daemon, same wire. The acceptance bar (>= 2x over the Netlink row,
 // 0 allocs/op) is pinned by TestRingCallSpeedup and the TestAllocs gates.
 func BenchmarkPerfRemotedCallRing(b *testing.B) {
-	benchRemotedCall(b, ringConfig())
+	b.ReportMetric(remotedCallVNS(b, ringConfig(), b.N), "vns_per_call")
 }
 
 // BenchmarkPerfTailDrain measures the health plane's ingestion substrate:
 // emit a batch of events into the flight-recorder ring, then drain them
 // non-destructively with TailInto over a reused buffer. The reported time
-// covers one emit + one tailed read per op; 0 allocs/op is the bar the
-// TestTailRaceStorm/alloc gates pin.
+// covers one emit + one tailed read per op; TestAllocsSubstrate/TailDrain
+// gates the 0 allocs/op.
 func BenchmarkPerfTailDrain(b *testing.B) {
-	rec := flightrec.New(vtime.New(), 1<<12)
-	const batch = 64
-	buf := make([]flightrec.Event, batch)
-	var cur flightrec.TailCursor
+	drain := newTailDrain()
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i += batch {
-		for j := 0; j < batch; j++ {
-			rec.Emit(flightrec.DomainKernel, flightrec.EvCallEnd,
-				uint64(i+j), uint64(j), 0, 7, 0, 1500)
+	for i := 0; i < b.N; i += tailDrainBatch {
+		drain()
+	}
+}
+
+const tailDrainBatch = 64
+
+// newTailDrain returns one round of the health plane's ingestion: a batch
+// of events emitted into a flight-recorder ring, then tailed out of it into
+// a reused buffer.
+func newTailDrain() func() {
+	rec := flightrec.New(vtime.New(), 1<<12)
+	buf := make([]flightrec.Event, tailDrainBatch)
+	var cur flightrec.TailCursor
+	var seq uint64
+	return func() {
+		for j := 0; j < tailDrainBatch; j++ {
+			seq++
+			rec.Emit(flightrec.DomainKernel, flightrec.EvCallEnd, seq, uint64(j), 0, 7, 0, 1500)
 		}
 		for {
 			n, next, _ := rec.TailInto(cur, buf)

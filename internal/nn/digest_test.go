@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"lakego/internal/kml"
 	"lakego/internal/linnos"
 	"lakego/internal/mllb"
 	"lakego/internal/nn"
@@ -56,6 +57,63 @@ func testMarshalDigests(t *testing.T) {
 		}
 		if got := digest(); got != tc.trained {
 			t.Errorf("%s: after 10 steps marshals to sha256 %s, want %s", tc.name, got, tc.trained)
+		}
+	}
+}
+
+// TestForwardSlabDigests pins the logits of one 1024-row ForwardSlab call —
+// the batch Fig 8 sweeps up to — on LinnOS NN, NN+1 and NN+2 and on KML
+// (128 hidden), on either dense kernel. The seeded rows carry -0, ±Inf and
+// NaN features, so a slab pass that reorders a sum, fuses a product, drops
+// a -0 or mixes two rows fails here. NaNs hash as one pattern: which NaN
+// survives a NaN+NaN is not arithmetic (see sameBits).
+func TestForwardSlabDigests(t *testing.T) { nn.EachKernel(t, testForwardSlabDigests) }
+
+func testForwardSlabDigests(t *testing.T) {
+	const items = 1024
+	for _, tc := range []struct {
+		name string
+		net  *nn.Network
+		want string
+	}{
+		{"linnos", nn.New(3, linnos.Base.Sizes()...), "40e2895d653312cc08da071ab6b784373066da1c597135e629eadeab9483a125"},
+		{"linnos+1", nn.New(3, linnos.Plus1.Sizes()...), "4a8d1a7947b4503acbb995b3d9a77409642ba2a67c6820ca35a3b1bc2cd8366a"},
+		{"linnos+2", nn.New(3, linnos.Plus2.Sizes()...), "ad79fc93f3bf1602cdec9c0c3cee6bfd8c133c20d554916aefeb820feedd5e33"},
+		{"kml", nn.New(5, kml.Sizes()...), "20a6d8b5c49b64b01fb4ebf602d39960e4492ea947de4fc9b32f536b4885556f"},
+	} {
+		inW := tc.net.InputSize()
+		rng := rand.New(rand.NewSource(1))
+		in := make([]float32, items*inW)
+		for i := range in {
+			in[i] = float32(rng.NormFloat64() * 2)
+		}
+		for r := 0; r < items; r += 13 {
+			row := in[r*inW : (r+1)*inW]
+			switch k := rng.Intn(inW); r % 4 {
+			case 0:
+				row[k] = float32(math.Copysign(0, -1))
+			case 1:
+				row[k] = float32(math.Inf(1))
+			case 2:
+				row[k] = float32(math.Inf(-1))
+			default:
+				row[k] = float32(math.NaN())
+			}
+		}
+		for k := range in[5*inW : 6*inW] {
+			in[5*inW+k] = float32(math.Copysign(0, -1))
+		}
+		out := make([]float32, items*tc.net.OutputSize())
+		if err := tc.net.ForwardSlab(in, items, out); err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range out {
+			if v != v {
+				out[i] = float32(math.NaN())
+			}
+		}
+		if got := f32Digest(out); got != tc.want {
+			t.Errorf("%s: %d-row slab logits sha256 %s, want %s", tc.name, items, got, tc.want)
 		}
 	}
 }

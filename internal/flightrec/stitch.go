@@ -291,8 +291,8 @@ func stitchOne(tid uint64, evs []Event) (tl Timeline, shard uint16, isCall bool)
 // nanoseconds for the virtual Fig 5/6 stages. The wall-time stages
 // (Serialize, Route) are deliberately absent: they measure host
 // scheduling, not modeled time, and would make a fixed-seed results file
-// differ run over run. Consumers that gate on determinism (lakebench
-// -results, lakeload) report exactly these fields.
+// differ run over run. Consumers that gate on determinism (lakeload's
+// results golden) report exactly these fields.
 type StageMeans struct {
 	Calls      int
 	PerCallNS  float64

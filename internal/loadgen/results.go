@@ -114,14 +114,14 @@ func (r *Result) SLOMet() bool {
 	return true
 }
 
-// benchFile mirrors the cmd/benchdiff Baseline / `lakebench -results`
-// schema; lakeload results feed the same CI gate as micro-benches.
+// benchFile is the results file's layout: named groups of named values,
+// pinned byte for byte by cmd/lakeload's results.golden.
 type benchFile struct {
 	Note       string                        `json:"note,omitempty"`
 	Benchmarks map[string]map[string]float64 `json:"benchmarks"`
 }
 
-// groups renders the result as benchdiff benchmark groups under
+// groups renders the result as results-file groups under
 // "Lakeload/<scenario>". Every value is virtual-clock derived, so a
 // fixed-seed scenario produces byte-identical groups run over run.
 func (r *Result) groups(into map[string]map[string]float64) {
@@ -173,8 +173,8 @@ func (r *Result) groups(into map[string]map[string]float64) {
 	}
 }
 
-// BenchJSON serializes results (and an optional knee sweep) in the
-// benchdiff schema. Keys are emitted sorted by encoding/json, so the
+// BenchJSON serializes results (and an optional knee sweep) as the
+// results file. Keys are emitted sorted by encoding/json, so the
 // bytes are canonical for a fixed seed.
 func BenchJSON(note string, results []*Result, sweep *SweepResult) ([]byte, error) {
 	f := benchFile{Note: note, Benchmarks: make(map[string]map[string]float64)}

@@ -27,9 +27,9 @@
 //     attainment (the fraction of *arrivals* — sheds count as misses —
 //     served within budget) is the pass/fail signal, and a rate sweep
 //     locates the capacity knee: the highest rate multiplier at which every
-//     class still meets its SLO. Results serialize to the benchdiff /
-//     `lakebench -results` JSON schema so CI gates macro regressions
-//     exactly like micro-bench ones.
+//     class still meets its SLO. Results serialize to one canonical
+//     JSON file (BenchJSON) that cmd/lakeload's results.golden pins byte
+//     for byte, so CI fails on any macro behaviour change.
 package loadgen
 
 import (

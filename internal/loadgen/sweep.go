@@ -73,7 +73,7 @@ func Sweep(s *Scenario, multipliers []float64) (*SweepResult, error) {
 	return sw, nil
 }
 
-// groups adds the knee group to a benchdiff benchmark map.
+// groups adds the knee group to a results file's group map.
 func (sw *SweepResult) groups(into map[string]map[string]float64) {
 	g := map[string]float64{
 		"points":                   float64(len(sw.Points)),

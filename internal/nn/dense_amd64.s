@@ -31,20 +31,27 @@
 	VMULPS  Y8, tmp, tmp;     \
 	VADDPS  tmp, acc, acc
 
-// func dense(w, b, x, y []float32, in, out int, relu bool)
+// ZMAC is VMAC on sixteen lanes, with x[k] broadcast in Z8.
+#define ZMAC(off, tmp, acc) \
+	VMOVUPS off(R13), tmp;    \
+	VMULPS  Z8, tmp, tmp;     \
+	VADDPS  tmp, acc, acc
+
+// func dense(w, b, x, y []float32, in, out int, relu, wide bool)
 //
 // Lanes are consecutive outputs, whose weights in row k of w are one load.
 // Each accumulator starts at its biases and, per k, adds the rounded product
 // of x[k], broadcast, and row k's weights: the scalar dot product's
 // arithmetic, bit for bit. A pass over x keeps eight accumulators, so eight
-// add chains hide the add latency: eight YMM registers (64 outputs) where
-// hasAVX, then eight XMM registers (32 outputs) for what is left, or for
-// everything on a CPU without AVX.
+// add chains hide the add latency: eight ZMM registers (128 outputs) where
+// wide and hasAVX512, then eight YMM registers (64 outputs) where hasAVX,
+// then eight XMM registers (32 outputs) for what is left, or for everything
+// on a CPU without AVX.
 //
 // Registers: SI the block's column in row 0 of w, DX its biases, DI its
 // outputs, BX the outputs left, R9 the row stride in bytes (out*4), R8 x,
 // R11 x's end, R12 the x cursor, R13 the weight cursor.
-TEXT ·dense(SB), NOSPLIT, $0-113
+TEXT ·dense(SB), NOSPLIT, $0-114
 	MOVQ w_base+0(FP), SI
 	MOVQ b_base+24(FP), DX
 	MOVQ x_base+48(FP), R8
@@ -56,6 +63,69 @@ TEXT ·dense(SB), NOSPLIT, $0-113
 	SHLQ $2, R9
 	CMPB ·hasAVX(SB), $0
 	JEQ  block32
+	CMPB wide+113(FP), $0
+	JEQ  block64
+	CMPB ·hasAVX512(SB), $0
+	JEQ  block64
+
+block128:
+	CMPQ    BX, $128
+	JLT     block64
+	VMOVUPS 0(DX), Z0
+	VMOVUPS 64(DX), Z1
+	VMOVUPS 128(DX), Z2
+	VMOVUPS 192(DX), Z3
+	VMOVUPS 256(DX), Z4
+	VMOVUPS 320(DX), Z5
+	VMOVUPS 384(DX), Z6
+	VMOVUPS 448(DX), Z7
+	MOVQ    R8, R12
+	MOVQ    SI, R13
+	CMPQ    R12, R11
+	JEQ     store128
+	PCALIGN $32
+
+loop128:
+	VBROADCASTSS (R12), Z8
+	ZMAC(0, Z9, Z0)
+	ZMAC(64, Z10, Z1)
+	ZMAC(128, Z11, Z2)
+	ZMAC(192, Z12, Z3)
+	ZMAC(256, Z13, Z4)
+	ZMAC(320, Z14, Z5)
+	ZMAC(384, Z15, Z6)
+	ZMAC(448, Z9, Z7)
+	NEXTK(loop128)
+
+	// RELU on sixteen lanes, as on eight. The VEX VXORPS clears all of Z8:
+	// the EVEX form would need AVX512DQ.
+store128:
+	CMPB   relu+112(FP), $0
+	JEQ    write128
+	VXORPS Y8, Y8, Y8
+	VMAXPS Z0, Z8, Z0
+	VMAXPS Z1, Z8, Z1
+	VMAXPS Z2, Z8, Z2
+	VMAXPS Z3, Z8, Z3
+	VMAXPS Z4, Z8, Z4
+	VMAXPS Z5, Z8, Z5
+	VMAXPS Z6, Z8, Z6
+	VMAXPS Z7, Z8, Z7
+
+write128:
+	VMOVUPS Z0, 0(DI)
+	VMOVUPS Z1, 64(DI)
+	VMOVUPS Z2, 128(DI)
+	VMOVUPS Z3, 192(DI)
+	VMOVUPS Z4, 256(DI)
+	VMOVUPS Z5, 320(DI)
+	VMOVUPS Z6, 384(DI)
+	VMOVUPS Z7, 448(DI)
+	ADDQ    $512, SI
+	ADDQ    $512, DX
+	ADDQ    $512, DI
+	SUBQ    $128, BX
+	JMP     block128
 
 block64:
 	CMPQ    BX, $64
@@ -117,7 +187,8 @@ write64:
 	JMP     block64
 
 	// The SSE2 blocks take the last out mod 64 outputs with the upper YMM
-	// halves cleared, so their legacy encodings pay no transition penalty.
+	// and ZMM bits cleared, so their legacy encodings pay no transition
+	// penalty.
 sse:
 	VZEROUPPER
 
@@ -582,4 +653,35 @@ TEXT ·cpuHasAVX(SB), NOSPLIT, $0-1
 	SETEQ ret+0(FP)
 
 noavx:
+	RET
+
+// func cpuHasAVX512() bool
+//
+// CPUID.(7,0):EBX reports AVX-512F (bit 16), once CPUID.0 says leaf 7
+// exists and CPUID.1:ECX says OSXSAVE (bit 27); XGETBV's XCR0 then says
+// whether the OS saves the XMM and YMM state (bits 1-2) and the opmask and
+// ZMM state (bits 5-7).
+TEXT ·cpuHasAVX512(SB), NOSPLIT, $0-1
+	MOVB  $0, ret+0(FP)
+	XORL  AX, AX
+	CPUID
+	CMPL  AX, $7
+	JLT   noavx512
+	MOVL  $1, AX
+	XORL  CX, CX
+	CPUID
+	TESTL $0x08000000, CX
+	JZ    noavx512
+	MOVL  $7, AX
+	XORL  CX, CX
+	CPUID
+	TESTL $0x00010000, BX
+	JZ    noavx512
+	XORL  CX, CX
+	XGETBV
+	ANDL  $0xE6, AX
+	CMPL  AX, $0xE6
+	SETEQ ret+0(FP)
+
+noavx512:
 	RET

@@ -28,15 +28,18 @@ func guarded(t *testing.T, n int) []float32 {
 }
 
 // dense reads w[:in*out], b[:out] and x[:in] and nothing past them — each
-// ends at a guard page, so an over-read in a 64-output pass or in the last
-// out mod 32 outputs faults — and writes y[:out] and nothing past it, and the
-// outputs it writes are the scalar reference's, on either kernel.
+// ends at a guard page, so an over-read in a 128- or 64-output pass or in
+// the last out mod 32 outputs faults — and writes y[:out] and nothing past
+// it, and the outputs it writes are the scalar reference's, on each kernel.
+// Widths either side of one, two and three 128-output passes cover every
+// pass mix that follows them.
 func TestDenseStaysInBounds(t *testing.T) { EachKernel(t, testDenseStaysInBounds) }
 
 func testDenseStaysInBounds(t *testing.T) {
 	const canary = 0x7FC0DEAD
 	for _, in := range []int{1, 9, 31, 33} {
-		for _, out := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33, 40, 63, 64, 65, 96, 97, 128, 256} {
+		for _, out := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33, 40, 63, 64, 65, 96, 97,
+			127, 128, 129, 191, 192, 255, 256, 257, 320, 384, 385} {
 			n := New(int64(in*100+out), in, out)
 			l := n.Layers[0]
 			l.Act = ReLU
@@ -50,7 +53,7 @@ func testDenseStaysInBounds(t *testing.T) {
 			for i := range y {
 				y[i] = math.Float32frombits(canary)
 			}
-			dense(w, b, x, y[:out], in, out, true)
+			dense(w, b, x, y[:out], in, out, true, true)
 			want := n.forwardRef(x)
 			for i, v := range y {
 				if i >= out {
@@ -167,7 +170,7 @@ func testDenseRowsLanesMatchForward(t *testing.T) {
 					}
 					for r := 0; r < 8; r++ {
 						want := make([]float32, out)
-						l.forward(row(r), want)
+						l.forward(row(r), want, false)
 						for o, v := range y[r*out : (r+1)*out] {
 							if math.Float32bits(v) != math.Float32bits(want[o]) {
 								t.Fatalf("rows=%d in=%d out=%d act=%d: row %d output %d = %#08x, forward %#08x", rows, in, out, act, r, o, math.Float32bits(v), math.Float32bits(want[o]))

@@ -337,25 +337,29 @@ func checkForwardPaths(t *testing.T, n *Network, rows [][]float32, items int) {
 }
 
 // TestForwardDifferential: Layer.forward and the slab path agree with the
-// scalar reference bit for bit, on either kernel, across its output blocks —
-// 64-output passes (64, 65, 128, 256) with the 32-output pass after them (96)
-// or not, a 32-output pass alone (32, 33, 40, 63), 4-output blocks (4, 7, 8,
-// 9, 31, 40, 63) and every tail length (1, 2, 3, 5, 7, 9, 31, 33, 65) —
-// depths and slab sizes, on rows whose pre-activations are -0 (which ReLU
-// must keep: max() would not), NaN and ±Inf. Slabs of several rows check
-// that rows ping-pong through the scratch without leaking into each other;
-// from four rows up a last layer of 1 to 4 outputs runs eight rows as lanes
-// (AVX) or four, after a hidden layer as wide as 33 or none: slabs of 8, 9,
-// 12, 13 and 17 rows run groups of eight, a group of four after them and
-// rows left over alone.
+// scalar reference bit for bit, on each kernel, across its output blocks —
+// 128-output passes in slabs of four rows or more (128, 192, 256, 257) with
+// a 64-output pass after them (192) or not, 64-output passes (64, 65, and
+// the rest on one to three rows) with the 32-output pass after them (96) or
+// not, a 32-output pass alone (32, 33, 40, 63), 4-output blocks (4, 7, 8,
+// 9, 31, 40, 63) and every tail length (1, 2, 3, 5, 7, 9, 31, 33, 65, 257)
+// — depths and slab sizes, on rows whose pre-activations are -0 (which ReLU
+// must keep: max() would not), NaN, ±Inf and subnormal, from subnormal
+// inputs and weights; the output layer also carries NaN and ±Inf weights.
+// Slabs of several rows check that rows ping-pong through the scratch
+// without leaking into each other; from four rows up a last layer of 1 to
+// 4 outputs runs eight rows as lanes (AVX) or four, after a hidden layer as
+// wide as 33 or none: slabs of 8, 9, 12, 13 and 17 rows run groups of
+// eight, a group of four after them and rows left over alone.
 func TestForwardDifferential(t *testing.T) { EachKernel(t, testForwardDifferential) }
 
 func testForwardDifferential(t *testing.T) {
 	negZero := float32(math.Copysign(0, -1))
 	inf := float32(math.Inf(1))
-	var sawNegZero, sawNaN, sawPosInf, sawNegInf bool
+	subnormal := func(i int) float32 { return math.Float32frombits(uint32(i%2)<<31 | uint32(i+1)*0x10101) }
+	var sawNegZero, sawNaN, sawPosInf, sawNegInf, sawSubnormal bool
 	for _, in := range []int{1, 9, 31} {
-		for _, out := range []int{1, 2, 3, 4, 5, 7, 8, 9, 32, 33, 40, 63, 64, 65, 96, 128, 256} {
+		for _, out := range []int{1, 2, 3, 4, 5, 7, 8, 9, 32, 33, 40, 63, 64, 65, 96, 128, 192, 256} {
 			for _, sizes := range [][]int{{in, out}, {in, out, out}, {in, out, 3, out}, {in, 33, out}} {
 				// Hidden layers are ReLU already; a ReLU output layer is
 				// where a kept -0 shows in the logits.
@@ -373,7 +377,10 @@ func testForwardDifferential(t *testing.T) {
 						// Row 0 sums -0 + 0*x, which is -0 when every x is
 						// negative. Rows 1 and 2 overflow to +Inf and -Inf on
 						// the all-3 input; the next layer's zero row turns
-						// those into NaN.
+						// those into NaN. Row 3, biased +0, sums its first and
+						// last products, subnormal, into a subnormal. (Only a
+						// few k carry subnormals: each costs a microcode
+						// assist.)
 						l.B[0] = negZero
 						for k := 0; k < l.In; k++ {
 							*weight(l, 0, k) = 0
@@ -381,7 +388,20 @@ func testForwardDifferential(t *testing.T) {
 								*weight(l, 1, k) = 3e38
 								*weight(l, 2, k) = -3e38
 							}
+							if l.Out > 3 {
+								*weight(l, 3, k) = 0
+								if k == 0 || k == l.In-1 {
+									*weight(l, 3, k) = subnormal(k)
+								}
+							}
 						}
+					}
+					// A NaN or infinite weight poisons its output on every
+					// row, so only the output layer carries them, one k each.
+					if l := n.Layers[len(n.Layers)-1]; l.Out > 6 {
+						*weight(l, 4, 0) = inf
+						*weight(l, 5, l.In-1) = -inf
+						*weight(l, 6, l.In/2) = float32(math.NaN())
 					}
 					rng := rand.New(rand.NewSource(int64(in + out)))
 					rows := make([][]float32, 8)
@@ -398,12 +418,14 @@ func testForwardDifferential(t *testing.T) {
 						}
 					}
 					rows[3][0], rows[4][0], rows[5][0], rows[6][0] = negZero, inf, -inf, float32(math.NaN())
-					for _, x := range rows[1:3] {
+					rows[7][0], rows[7][in-1] = subnormal(1), subnormal(2)
+					for _, x := range rows {
 						for _, y := range n.forwardRef(x) {
 							sawNegZero = sawNegZero || math.Float32bits(y) == math.Float32bits(negZero)
 							sawNaN = sawNaN || y != y
 							sawPosInf = sawPosInf || y == inf
 							sawNegInf = sawNegInf || y == -inf
+							sawSubnormal = sawSubnormal || y != 0 && math.Abs(float64(y)) < 0x1p-126
 						}
 					}
 					for _, items := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13, 17, 1023, 1024} {
@@ -413,8 +435,9 @@ func testForwardDifferential(t *testing.T) {
 			}
 		}
 	}
-	if !sawNegZero || !sawNaN || !sawPosInf || !sawNegInf {
-		t.Fatalf("special values not exercised: -0 %v NaN %v +Inf %v -Inf %v", sawNegZero, sawNaN, sawPosInf, sawNegInf)
+	if !sawNegZero || !sawNaN || !sawPosInf || !sawNegInf || !sawSubnormal {
+		t.Fatalf("special values not exercised: -0 %v NaN %v +Inf %v -Inf %v subnormal %v",
+			sawNegZero, sawNaN, sawPosInf, sawNegInf, sawSubnormal)
 	}
 }
 
@@ -529,11 +552,12 @@ func TestForwardSlabWiderThanStack(t *testing.T) {
 // FuzzForwardDifferential: for any weights, biases and inputs — arbitrary
 // float32 bit patterns, so NaNs, infinities, denormals and signed zeros
 // included — and any small geometry, Layer.forward and the slab path
-// produce the scalar reference's bits. Up to 97 outputs a layer reaches the
-// kernel's 64-output pass, its 32-output pass after one or alone, its
-// 4-output blocks and every tail length; up to 19 rows a slab, a last layer
-// of 1 to 4 outputs runs groups of eight rows as lanes, a group of four
-// after them and the rows left alone.
+// produce the scalar reference's bits. Up to 256 outputs a layer reaches the
+// kernel's 128-output pass (on four rows or more) with a 64-output pass
+// after it or not, its 64-output pass, its 32-output pass after one or
+// alone, its 4-output blocks and every tail length; up to 19 rows a slab, a
+// last layer of 1 to 4 outputs runs groups of eight rows as lanes, a group
+// of four after them and the rows left alone.
 func FuzzForwardDifferential(f *testing.F) {
 	f.Add([]byte{0, 0, 0x80, 0x3f, 0, 0, 0, 0xc0, 0xcd, 0xcc, 0x4c, 0x3e}, uint8(3), uint8(5), uint8(2), uint8(4))
 	f.Fuzz(func(t *testing.T, data []byte, in, out, layers, items uint8) {
@@ -551,9 +575,9 @@ func FuzzForwardDifferential(f *testing.F) {
 		}
 		sizes := []int{int(in%32) + 1}
 		for i := 0; i < int(layers%3); i++ {
-			sizes = append(sizes, int(out%97)+1)
+			sizes = append(sizes, int(out)+1)
 		}
-		sizes = append(sizes, int(out%97)+1)
+		sizes = append(sizes, int(out)+1)
 		n := New(1, sizes...)
 		for _, l := range n.Layers {
 			for j := range l.W {

@@ -34,9 +34,10 @@ func denseRows8(w, b, x, y []float32, in, out int, relu bool)
 
 // forward runs the layer on one row through dense. Slicing each operand to
 // what dense touches panics before dense could run past its memory. Only a
-// ForwardSlab call of >= 4 rows sets wide: on one row the 128-output pass
-// measured slower end to end than the 64-output one, so Forward,
-// PredictScratch, training and the LSTM never take it.
+// ForwardSlab call of >= 4 rows sets wide, where the 128-output pass was
+// measured to pay; one-row calls measured no gain from it, and on a CPU
+// that lowers its clock for 512-bit work they would pay that for no batch,
+// so Forward, PredictScratch, training and the LSTM never take it.
 func (l *Layer) forward(x, y []float32, wide bool) {
 	dense(l.W[:l.In*l.Out], l.B[:l.Out], x[:l.In], y[:l.Out], l.In, l.Out, l.Act == ReLU, wide)
 }

@@ -14,10 +14,11 @@ import (
 	"lakego/internal/nn"
 )
 
-// TestMarshalDigests pins the bytes of two real models — LinnOS and MLLB as
-// New draws them, and after ten SGD steps on either dense kernel — so a
-// change to New's RNG fill order, to the LNN1 byte order or to training
-// arithmetic fails here rather than in some downstream golden.
+// TestMarshalDigests pins the bytes of real models — LinnOS NN and NN+2
+// (256x256 hidden) and MLLB as New draws them, and after ten SGD steps on
+// each dense kernel — so a change to New's RNG fill order, to the LNN1 byte
+// order or to training arithmetic fails here rather than in some downstream
+// golden.
 func TestMarshalDigests(t *testing.T) { nn.EachKernel(t, testMarshalDigests) }
 
 func testMarshalDigests(t *testing.T) {
@@ -29,6 +30,9 @@ func testMarshalDigests(t *testing.T) {
 		{"linnos", nn.New(3, linnos.Base.Sizes()...),
 			"c8c3fbdc2b7d0d00ed8e38f2fb6b4c44fcb27daa5b4cb1936ac13246cc4d824a",
 			"22000d5b4499a00ce0b3031489338dc9117f0db2f6ee9c2d2c0780f3eb2c0644"},
+		{"linnos+2", nn.New(3, linnos.Plus2.Sizes()...),
+			"8dcabd82bf15eec656f205d6400bf49ea226c17cf9369fa42a877165a87da6d3",
+			"ebc03d66219dabbcd8764100cb0effa67ba28019bae0780b1a3539dcf7c0e660"},
 		{"mllb", nn.New(7, mllb.Sizes()...),
 			"aec56455b6e981cdc326a7c3458bde404e6a9ba2b9cf62a1af82e125455dc4da",
 			"1d4f0605752e755a0c2e6e31ad3bbfba1457e97dac61aad8564c76c7fbdfeeb6"},

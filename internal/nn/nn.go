@@ -206,7 +206,7 @@ func (n *Network) ForwardSlab(in []float32, items int, out []float32) error {
 	a, b := buf[:width], buf[width:2*width]
 	wide := items >= 4
 	done := 0
-	if l := n.Layers[len(n.Layers)-1]; items >= 4 && l.Out >= 1 && l.Out <= 4 && l.In <= slabStackWidth {
+	if l := n.Layers[len(n.Layers)-1]; wide && l.Out >= 1 && l.Out <= 4 && l.In <= slabStackWidth {
 		done = items &^ 3
 		n.forwardFours(in, done, out, a, b)
 	}

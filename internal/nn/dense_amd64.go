@@ -4,21 +4,19 @@ package nn
 
 // dense is Layer.forward's arithmetic: y[o] = b[o] + w[o]*x[0] + ... +
 // w[(in-1)*out+o]*x[in-1], then relu's ReLU if relu is set. It runs three
-// kernels on one arithmetic: 128 outputs a pass in AVX-512 where wide and
+// kernels on one arithmetic: 128 outputs a pass in AVX-512 where
 // hasAVX512, then 64 a pass in AVX where hasAVX, and the rest, or all of
 // them on a baseline amd64 CPU, in SSE2. It reads w[:in*out], b[:out],
 // x[:in] and writes y[:out] unchecked.
 //
 //go:noescape
-func dense(w, b, x, y []float32, in, out int, relu, wide bool)
+func dense(w, b, x, y []float32, in, out int, relu bool)
 
 // hasAVX and hasAVX512 report, once, whether the CPU and the OS run AVX and
 // AVX-512F; dense reads both.
-var hasAVX, hasAVX512 = cpuHasAVX(), cpuHasAVX512()
+var hasAVX, hasAVX512 = cpuFeatures()
 
-func cpuHasAVX() bool
-
-func cpuHasAVX512() bool
+func cpuFeatures() (avx, avx512 bool)
 
 // denseRows4 is dense on four rows, one a SIMD lane, for 1 <= out <= 4. It
 // reads w[:in*out], b[:out], x[:4*in] and writes y[:4*out] unchecked.
@@ -33,13 +31,9 @@ func denseRows4(w, b, x, y []float32, in, out int, relu bool)
 func denseRows8(w, b, x, y []float32, in, out int, relu bool)
 
 // forward runs the layer on one row through dense. Slicing each operand to
-// what dense touches panics before dense could run past its memory. Only a
-// ForwardSlab call of >= 4 rows sets wide, where the 128-output pass was
-// measured to pay; one-row calls measured no gain from it, and on a CPU
-// that lowers its clock for 512-bit work they would pay that for no batch,
-// so Forward, PredictScratch, training and the LSTM never take it.
-func (l *Layer) forward(x, y []float32, wide bool) {
-	dense(l.W[:l.In*l.Out], l.B[:l.Out], x[:l.In], y[:l.Out], l.In, l.Out, l.Act == ReLU, wide)
+// what dense touches panics before dense could run past its memory.
+func (l *Layer) forward(x, y []float32) {
+	dense(l.W[:l.In*l.Out], l.B[:l.Out], x[:l.In], y[:l.Out], l.In, l.Out, l.Act == ReLU)
 }
 
 // forwardLanes is forward on rows consecutive rows, 4 or 8, for

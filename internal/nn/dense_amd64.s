@@ -37,21 +37,21 @@
 	VMULPS  Z8, tmp, tmp;     \
 	VADDPS  tmp, acc, acc
 
-// func dense(w, b, x, y []float32, in, out int, relu, wide bool)
+// func dense(w, b, x, y []float32, in, out int, relu bool)
 //
 // Lanes are consecutive outputs, whose weights in row k of w are one load.
 // Each accumulator starts at its biases and, per k, adds the rounded product
 // of x[k], broadcast, and row k's weights: the scalar dot product's
 // arithmetic, bit for bit. A pass over x keeps eight accumulators, so eight
 // add chains hide the add latency: eight ZMM registers (128 outputs) where
-// wide and hasAVX512, then eight YMM registers (64 outputs) where hasAVX,
-// then eight XMM registers (32 outputs) for what is left, or for everything
-// on a CPU without AVX.
+// hasAVX512, then eight YMM registers (64 outputs) where hasAVX, then eight
+// XMM registers (32 outputs) for what is left, or for everything on a CPU
+// without AVX.
 //
 // Registers: SI the block's column in row 0 of w, DX its biases, DI its
 // outputs, BX the outputs left, R9 the row stride in bytes (out*4), R8 x,
 // R11 x's end, R12 the x cursor, R13 the weight cursor.
-TEXT ·dense(SB), NOSPLIT, $0-114
+TEXT ·dense(SB), NOSPLIT, $0-113
 	MOVQ w_base+0(FP), SI
 	MOVQ b_base+24(FP), DX
 	MOVQ x_base+48(FP), R8
@@ -63,8 +63,6 @@ TEXT ·dense(SB), NOSPLIT, $0-114
 	SHLQ $2, R9
 	CMPB ·hasAVX(SB), $0
 	JEQ  block32
-	CMPB wide+113(FP), $0
-	JEQ  block64
 	CMPB ·hasAVX512(SB), $0
 	JEQ  block64
 
@@ -634,54 +632,41 @@ writerow8:
 	JNZ    writerow8
 	RET
 
-// func cpuHasAVX() bool
+// func cpuFeatures() (avx, avx512 bool)
 //
 // CPUID.1:ECX reports AVX (bit 28) and OSXSAVE (bit 27); XGETBV's XCR0 then
-// says whether the OS saves the XMM (bit 1) and YMM (bit 2) state.
-TEXT ·cpuHasAVX(SB), NOSPLIT, $0-1
-	MOVB  $0, ret+0(FP)
+// says whether the OS saves the XMM and YMM state (bits 1-2), which AVX
+// needs, and the opmask and ZMM state too (bits 5-7), which AVX-512F needs
+// besides CPUID.(7,0):EBX bit 16, once CPUID.0 says leaf 7 exists.
+TEXT ·cpuFeatures(SB), NOSPLIT, $0-2
+	MOVB  $0, avx+0(FP)
+	MOVB  $0, avx512+1(FP)
+	XORL  AX, AX
+	CPUID
+	MOVL  AX, R8
 	MOVL  $1, AX
 	XORL  CX, CX
 	CPUID
 	ANDL  $0x18000000, CX
 	CMPL  CX, $0x18000000
-	JNE   noavx
+	JNE   done
 	XORL  CX, CX
 	XGETBV
+	MOVL  AX, R9
 	ANDL  $6, AX
 	CMPL  AX, $6
-	SETEQ ret+0(FP)
-
-noavx:
-	RET
-
-// func cpuHasAVX512() bool
-//
-// CPUID.(7,0):EBX reports AVX-512F (bit 16), once CPUID.0 says leaf 7
-// exists and CPUID.1:ECX says OSXSAVE (bit 27); XGETBV's XCR0 then says
-// whether the OS saves the XMM and YMM state (bits 1-2) and the opmask and
-// ZMM state (bits 5-7).
-TEXT ·cpuHasAVX512(SB), NOSPLIT, $0-1
-	MOVB  $0, ret+0(FP)
-	XORL  AX, AX
-	CPUID
-	CMPL  AX, $7
-	JLT   noavx512
-	MOVL  $1, AX
-	XORL  CX, CX
-	CPUID
-	TESTL $0x08000000, CX
-	JZ    noavx512
+	JNE   done
+	MOVB  $1, avx+0(FP)
+	ANDL  $0xE6, R9
+	CMPL  R9, $0xE6
+	JNE   done
+	CMPL  R8, $7
+	JLT   done
 	MOVL  $7, AX
 	XORL  CX, CX
 	CPUID
 	TESTL $0x00010000, BX
-	JZ    noavx512
-	XORL  CX, CX
-	XGETBV
-	ANDL  $0xE6, AX
-	CMPL  AX, $0xE6
-	SETEQ ret+0(FP)
+	SETNE avx512+1(FP)
 
-noavx512:
+done:
 	RET

@@ -53,7 +53,7 @@ func testDenseStaysInBounds(t *testing.T) {
 			for i := range y {
 				y[i] = math.Float32frombits(canary)
 			}
-			dense(w, b, x, y[:out], in, out, true, true)
+			dense(w, b, x, y[:out], in, out, true)
 			want := n.forwardRef(x)
 			for i, v := range y {
 				if i >= out {
@@ -170,7 +170,7 @@ func testDenseRowsLanesMatchForward(t *testing.T) {
 					}
 					for r := 0; r < 8; r++ {
 						want := make([]float32, out)
-						l.forward(row(r), want, false)
+						l.forward(row(r), want)
 						for o, v := range y[r*out : (r+1)*out] {
 							if math.Float32bits(v) != math.Float32bits(want[o]) {
 								t.Fatalf("rows=%d in=%d out=%d act=%d: row %d output %d = %#08x, forward %#08x", rows, in, out, act, r, o, math.Float32bits(v), math.Float32bits(want[o]))

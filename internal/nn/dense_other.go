@@ -7,9 +7,8 @@ package nn
 // row k into every output, k ascending, so each output is the scalar dot
 // product's arithmetic. The float32 conversion rounds each product before
 // its add: without it the compiler may fuse the two (arm64 emits FMADDS),
-// and logits would differ between platforms. wide picks an amd64 pass; it
-// changes nothing here.
-func (l *Layer) forward(x, y []float32, _ bool) {
+// and logits would differ between platforms.
+func (l *Layer) forward(x, y []float32) {
 	y = y[:l.Out]
 	copy(y, l.B[:l.Out])
 	for k, xv := range x[:l.In] {
@@ -27,6 +26,6 @@ func (l *Layer) forward(x, y []float32, _ bool) {
 // forwardLanes is forward on rows consecutive rows, one at a time.
 func (l *Layer) forwardLanes(x, y []float32, rows int) {
 	for r := range rows {
-		l.forward(x[r*l.In:], y[r*l.Out:], false)
+		l.forward(x[r*l.In:], y[r*l.Out:])
 	}
 }

@@ -6,7 +6,7 @@ import "testing"
 
 // EachKernel runs body once on each dense kernel this machine has: with
 // hasAVX512 and hasAVX as detected; on an AVX-512 machine again with
-// hasAVX512 forced false, so the 64-output pass takes every wide slab; and
+// hasAVX512 forced false, so the 64-output pass takes every 128 outputs; and
 // on an AVX machine again with hasAVX forced false too, so the SSE2 blocks
 // take every output and denseRows4 every group of rows, as on a CPU
 // without AVX.

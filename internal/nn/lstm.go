@@ -97,7 +97,7 @@ func (m *LSTM) newRows(rows int) []lstmRows {
 // tail: each is written after its last read. Each product is rounded before
 // its add, so no platform fuses them.
 func lstmStep(c *Layer, xh, cPrev, act, cNext, h []float32) {
-	c.forward(xh, act, false)
+	c.forward(xh, act)
 	hs := len(h)
 	i, f, g, o := act[:hs], act[hs:2*hs], act[2*hs:3*hs], act[3*hs:4*hs]
 	for j := range h {
@@ -129,7 +129,7 @@ func (m *LSTM) run(seq []float32, st []lstmRows, record bool, logits []float32) 
 		}
 		r = next
 	}
-	m.Head.forward(h, logits, false)
+	m.Head.forward(h, logits)
 }
 
 // seqErr rejects a sequence that is empty or not whole steps.

@@ -182,8 +182,7 @@ func (n *Network) slabWidth() (int, error) {
 // rows of InputSize floats, out receives items rows of OutputSize logits,
 // each bit-identical to Forward on that row. A last layer of 1 to 4 outputs
 // runs on groups of eight or four rows, one a SIMD lane (forwardFours); the
-// rows left run one at a time. A slab of four rows or more runs its dense
-// layers wide (Layer.forward). Activations live on the stack for any network
+// rows left run one at a time. Activations live on the stack for any network
 // no wider than slabStackWidth, so such a call allocates nothing and shares
 // no state; it is safe for concurrent use.
 func (n *Network) ForwardSlab(in []float32, items int, out []float32) error {
@@ -204,33 +203,32 @@ func (n *Network) ForwardSlab(in []float32, items int, out []float32) error {
 		buf = make([]float32, 2*width)
 	}
 	a, b := buf[:width], buf[width:2*width]
-	wide := items >= 4
 	done := 0
-	if l := n.Layers[len(n.Layers)-1]; wide && l.Out >= 1 && l.Out <= 4 && l.In <= slabStackWidth {
+	if l := n.Layers[len(n.Layers)-1]; items >= 4 && l.Out >= 1 && l.Out <= 4 && l.In <= slabStackWidth {
 		done = items &^ 3
 		n.forwardFours(in, done, out, a, b)
 	}
 	for i := done; i < items; i++ {
-		forwardRow(n.Layers, in[i*inW:(i+1)*inW], out[i*outW:(i+1)*outW], a, b, wide)
+		forwardRow(n.Layers, in[i*inW:(i+1)*inW], out[i*outW:(i+1)*outW], a, b)
 	}
 	return nil
 }
 
 // forwardRow runs row x through layers into y, the activations ping-ponging
-// between a and b, each layer wide or not (Layer.forward).
-func forwardRow(layers []*Layer, x, y, a, b []float32, wide bool) {
+// between a and b.
+func forwardRow(layers []*Layer, x, y, a, b []float32) {
 	last := len(layers) - 1
 	for _, l := range layers[:last] {
-		l.forward(x, a, wide)
+		l.forward(x, a)
 		x, a, b = a, b, a
 	}
-	layers[last].forward(x, y, wide)
+	layers[last].forward(x, y)
 }
 
 // forwardFours runs the first items rows, a multiple of four, in groups of
 // eight and then, if four are left, of four: each row's hidden layers run
-// into one of eight rows on this frame, not ForwardSlab's, wide, and the
-// last layer runs once on the group (forwardLanes).
+// into one of eight rows on this frame, not ForwardSlab's, and the last
+// layer runs once on the group (forwardLanes).
 func (n *Network) forwardFours(in []float32, items int, out, a, b []float32) {
 	var rows [8 * slabStackWidth]float32
 	hid, last := n.Layers[:len(n.Layers)-1], n.Layers[len(n.Layers)-1]
@@ -240,7 +238,7 @@ func (n *Network) forwardFours(in []float32, items int, out, a, b []float32) {
 		x := in[i*inW : (i+g)*inW]
 		if len(hid) > 0 {
 			for r := range g {
-				forwardRow(hid, x[r*inW:(r+1)*inW], rows[r*midW:(r+1)*midW], a, b, true)
+				forwardRow(hid, x[r*inW:(r+1)*inW], rows[r*midW:(r+1)*midW], a, b)
 			}
 			x = rows[:g*midW]
 		}
@@ -409,7 +407,7 @@ func (s *Scratch) fits(n *Network) bool {
 func (n *Network) forwardScratch(s *Scratch, x []float32) []float32 {
 	s.acts[0] = x
 	for i, l := range n.Layers {
-		l.forward(s.acts[i], s.acts[i+1], false)
+		l.forward(s.acts[i], s.acts[i+1])
 	}
 	return s.acts[len(n.Layers)]
 }

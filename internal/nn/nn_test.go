@@ -338,14 +338,14 @@ func checkForwardPaths(t *testing.T, n *Network, rows [][]float32, items int) {
 
 // TestForwardDifferential: Layer.forward and the slab path agree with the
 // scalar reference bit for bit, on each kernel, across its output blocks —
-// 128-output passes in slabs of four rows or more (128, 192, 256) with a
-// 64-output pass after them (192) or not, 64-output passes (64, 65, and
-// the rest on one to three rows) with the 32-output pass after them (96) or
-// not, a 32-output pass alone (32, 33, 40, 63), 4-output blocks (4, 7, 8,
-// 9, 31, 40, 63) and every tail length (1, 2, 3, 5, 7, 9, 31, 33, 65) —
+// 128-output passes (128, 192, 256) with a 64-output pass after them (192)
+// or not, 64-output passes (64, 65) with the 32-output pass after them (96)
+// or not, a 32-output pass alone (32, 33, 40, 63), 4-output blocks (4, 7,
+// 8, 9, 31, 40, 63) and every tail length (1, 2, 3, 5, 7, 9, 31, 33, 65) —
 // depths and slab sizes, on rows whose pre-activations are -0 (which ReLU
 // must keep: max() would not), NaN, ±Inf and subnormal, from subnormal
-// inputs and weights; the output layer also carries NaN and ±Inf weights.
+// inputs and weights; an output layer of 12 outputs or more also carries
+// NaN and ±Inf weights.
 // Slabs of several rows check that rows ping-pong through the scratch
 // without leaking into each other; from four rows up a last layer of 1 to
 // 4 outputs runs eight rows as lanes (AVX) or four, after a hidden layer as
@@ -377,31 +377,37 @@ func testForwardDifferential(t *testing.T) {
 						// Row 0 sums -0 + 0*x, which is -0 when every x is
 						// negative. Rows 1 and 2 overflow to +Inf and -Inf on
 						// the all-3 input; the next layer's zero row turns
-						// those into NaN. Row 3, biased +0, sums its first and
-						// last products, subnormal, into a subnormal. (Only a
-						// few k carry subnormals: each costs a microcode
-						// assist.)
+						// those into NaN. Outputs 3 to 7 keep random weights,
+						// so every 4-output block and lane head still checks
+						// ordinary rounding; on a layer of 12 outputs or more,
+						// row 8, biased +0, sums its first and last products,
+						// subnormal, into a subnormal. (Only a few k carry
+						// subnormals: each costs a microcode assist.)
 						l.B[0] = negZero
+						if l.Out >= 12 {
+							l.B[8] = 0
+						}
 						for k := 0; k < l.In; k++ {
 							*weight(l, 0, k) = 0
 							if l.Out > 2 {
 								*weight(l, 1, k) = 3e38
 								*weight(l, 2, k) = -3e38
 							}
-							if l.Out > 3 {
-								*weight(l, 3, k) = 0
+							if l.Out >= 12 {
+								*weight(l, 8, k) = 0
 								if k == 0 || k == l.In-1 {
-									*weight(l, 3, k) = subnormal(k)
+									*weight(l, 8, k) = subnormal(k)
 								}
 							}
 						}
 					}
 					// A NaN or infinite weight poisons its output on every
-					// row, so only the output layer carries them, one k each.
-					if l := n.Layers[len(n.Layers)-1]; l.Out > 6 {
-						*weight(l, 4, 0) = inf
-						*weight(l, 5, l.In-1) = -inf
-						*weight(l, 6, l.In/2) = float32(math.NaN())
+					// row, so only the output layer carries them, one k each,
+					// on outputs 9 to 11.
+					if l := n.Layers[len(n.Layers)-1]; l.Out >= 12 {
+						*weight(l, 9, 0) = inf
+						*weight(l, 10, l.In-1) = -inf
+						*weight(l, 11, l.In/2) = float32(math.NaN())
 					}
 					rng := rand.New(rand.NewSource(int64(in + out)))
 					rows := make([][]float32, 8)
@@ -553,9 +559,9 @@ func TestForwardSlabWiderThanStack(t *testing.T) {
 // float32 bit patterns, so NaNs, infinities, denormals and signed zeros
 // included — and any small geometry, Layer.forward and the slab path
 // produce the scalar reference's bits. Up to 256 outputs a layer reaches the
-// kernel's 128-output pass (on four rows or more) with a 64-output pass
-// after it or not, its 64-output pass, its 32-output pass after one or
-// alone, its 4-output blocks and every tail length; up to 19 rows a slab, a
+// kernel's 128-output pass with a 64-output pass after it or not, its
+// 64-output pass, its 32-output pass after one or alone, its 4-output
+// blocks and every tail length; up to 19 rows a slab, a
 // last layer of 1 to 4 outputs runs groups of eight rows as lanes, a group
 // of four after them and the rows left alone.
 func FuzzForwardDifferential(f *testing.F) {

@@ -161,7 +161,7 @@ func runBatchedLinnOSCfg(tb testing.TB, clients, perClient int, rcfg core.Config
 					errCh <- err
 					return
 				}
-				slow, err := linnos.WaitSlow(p)
+				slow, err := pred.Wait(p)
 				if err != nil {
 					errCh <- err
 					return

@@ -145,7 +145,7 @@ func runChaosWorkloads(t *testing.T, s *chaosStack, rounds, batch int) (digest [
 
 		kmBatch := chaosBatchOf(kml.InputWidth, round, batch)
 		timeCall(func() {
-			pats, _, _, err := s.km.ClassifyAuto(kmBatch, nil)
+			pats, _, _, err := s.km.InferAuto(kmBatch, nil)
 			if err != nil {
 				t.Fatalf("round %d kml: %v", round, err)
 			}
@@ -166,7 +166,7 @@ func runChaosWorkloads(t *testing.T, s *chaosStack, rounds, batch int) (digest [
 
 		mlBatch := chaosBatchOf(mllb.InputWidth, round, batch)
 		timeCall(func() {
-			migrate, _, _, err := s.ml.ClassifyAuto(mlBatch, nil)
+			migrate, _, _, err := s.ml.InferAuto(mlBatch, nil)
 			if err != nil {
 				t.Fatalf("round %d mllb: %v", round, err)
 			}

@@ -83,7 +83,7 @@ func main() {
 				if err != nil {
 					log.Fatal(err)
 				}
-				if _, err := linnos.WaitSlow(p); err != nil {
+				if _, err := pred.Wait(p); err != nil {
 					log.Fatal(err)
 				}
 				worstMu.Lock()

@@ -66,7 +66,7 @@ func run(devices int) (float64, *lake.Runtime, error) {
 				if err != nil {
 					log.Fatal(err)
 				}
-				if _, err := linnos.WaitSlow(p); err != nil {
+				if _, err := pred.Wait(p); err != nil {
 					log.Fatal(err)
 				}
 			}

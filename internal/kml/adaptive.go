@@ -60,7 +60,7 @@ func RunAdaptive(c *Classifier, cache *CacheSim, stream []int64, truth []Pattern
 		agg.Misses += r.Misses
 		agg.Prefetched += r.Prefetched
 		// Classify the window just seen; its pattern governs the next.
-		preds, d := c.ClassifyCPU([][]float32{Features(window)})
+		preds, d := c.InferCPU([][]float32{Features(window)})
 		res.Reclassifications++
 		res.InferenceTime += d
 		if truth != nil && w < len(truth) && preds[0] == truth[w] {

@@ -22,7 +22,6 @@ import (
 	"lakego/internal/core"
 	"lakego/internal/nn"
 	"lakego/internal/offload"
-	"lakego/internal/policy"
 )
 
 // Pattern is one I/O access class.
@@ -253,10 +252,11 @@ func Train(seed int64, samples []Sample, epochs int) (*nn.Network, float64, erro
 
 // Classifier is the KML model wired through LAKE. The embedded slot is the
 // lifecycle hot-swap hook (Net, SwapNet); the offload runner resolves it
-// once per batch, so a swap never mixes versions inside a batch.
+// once per batch, so a swap never mixes versions inside a batch. The
+// embedded model decodes each logit row to the argmax pattern.
 type Classifier struct {
 	*offload.Slot
-	runner *offload.Runner
+	offload.Model[Pattern]
 }
 
 // New wraps a trained network for runtime rt.
@@ -265,59 +265,18 @@ func New(rt *core.Runtime, net *nn.Network) (*Classifier, error) {
 		return nil, fmt.Errorf("kml: network sizes %v, want %v", got, Sizes())
 	}
 	slot := offload.NewSlot(net)
-	runner, err := offload.NewRunner(rt, slot.Serve(batcher.ModelConfig{
+	m, err := offload.NewModel(rt, slot.Serve(batcher.ModelConfig{
 		Name:        "kml_nn",
 		InputWidth:  InputWidth,
 		OutputWidth: len(patternNames),
 		MaxBatch:    MaxBatch,
 		CPUFixed:    cpuFixed,
 		CPUPerItem:  cpuPerItem,
-	}))
+	}), func(logits []float32) Pattern { return Pattern(nn.Argmax(logits)) })
 	if err != nil {
 		return nil, err
 	}
-	return &Classifier{Slot: slot, runner: runner}, nil
-}
-
-// ClassifyCPU predicts patterns on the kernel CPU path.
-func (c *Classifier) ClassifyCPU(batch [][]float32) ([]Pattern, time.Duration) {
-	out, d := c.runner.RunCPU(batch)
-	return argmaxAll(out), d
-}
-
-// ClassifyLAKE predicts patterns through LAKE.
-func (c *Classifier) ClassifyLAKE(batch [][]float32, sync bool) ([]Pattern, time.Duration, error) {
-	out, d, err := c.runner.RunLAKE(batch, sync)
-	if err != nil {
-		return nil, 0, err
-	}
-	return argmaxAll(out), d, nil
-}
-
-// ClassifyAuto routes the batch through pol and classifies on the decided
-// path, falling back to the kernel CPU path when lakeD is unavailable — a
-// readahead decision is still due even with the accelerator service down.
-// The returned Decision is the path that ran.
-func (c *Classifier) ClassifyAuto(batch [][]float32, pol policy.Func) ([]Pattern, policy.Decision, time.Duration, error) {
-	out, dec, d, err := c.runner.RunAuto(batch, pol)
-	if err != nil {
-		return nil, dec, 0, err
-	}
-	return argmaxAll(out), dec, d, nil
-}
-
-func argmaxAll(out [][]float32) []Pattern {
-	res := make([]Pattern, len(out))
-	for i, y := range out {
-		best := 0
-		for j, v := range y {
-			if v > y[best] {
-				best = j
-			}
-		}
-		res[i] = Pattern(best)
-	}
-	return res
+	return &Classifier{Slot: slot, Model: m}, nil
 }
 
 // Sweep produces the Fig 11 series.
@@ -326,7 +285,7 @@ func Sweep(c *Classifier, batches []int) ([]offload.SweepPoint, error) {
 	for _, p := range Patterns() {
 		streams[p] = Generate(p, 99, WindowLen*4)
 	}
-	return offload.Sweep(c.runner, batches, func(i int) []float32 {
+	return offload.Sweep(c.Runner(), batches, func(i int) []float32 {
 		p := Pattern(i % len(patternNames))
 		off := (i % 4) * WindowLen
 		return Features(streams[p][off : off+WindowLen])

@@ -107,8 +107,8 @@ func TestClassifierEndToEnd(t *testing.T) {
 			want = append(want, p)
 		}
 	}
-	cpu, _ := c.ClassifyCPU(batch)
-	lake, _, err := c.ClassifyLAKE(batch, true)
+	cpu, _ := c.InferCPU(batch)
+	lake, _, err := c.InferLAKE(batch, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"lakego/internal/core"
 	"lakego/internal/nn"
 	"lakego/internal/offload"
-	"lakego/internal/policy"
 )
 
 // ModelKind selects the network depth: the original LinnOS model or the
@@ -93,11 +92,13 @@ func Model(kind ModelKind, net *nn.Network) batcher.ModelConfig {
 // the trained network lives in the user-space daemon (lakeD registers it as
 // a device kernel), while the kernel side stages feature batches in lakeShm
 // and launches inference via the remoted driver API. The embedded slot is
-// the lifecycle hot-swap hook (Net, SwapNet).
+// the lifecycle hot-swap hook (Net, SwapNet); the embedded model holds the
+// CPU, LAKE, policy-routed and batched paths, decoding each logit row with
+// isSlow.
 type Predictor struct {
 	*offload.Slot
-	kind   ModelKind
-	runner *offload.Runner
+	offload.Model[bool]
+	kind ModelKind
 }
 
 // NewPredictor builds a predictor for the trained network net (layer sizes
@@ -107,12 +108,15 @@ func NewPredictor(rt *core.Runtime, kind ModelKind, net *nn.Network) (*Predictor
 		return nil, err
 	}
 	slot := offload.NewSlot(net)
-	runner, err := offload.NewRunner(rt, slot.Serve(Model(kind, net)))
+	m, err := offload.NewModel(rt, slot.Serve(Model(kind, net)), isSlow)
 	if err != nil {
 		return nil, err
 	}
-	return &Predictor{Slot: slot, kind: kind, runner: runner}, nil
+	return &Predictor{Slot: slot, Model: m, kind: kind}, nil
 }
+
+// isSlow decodes one logit row into a slow-vs-fast prediction.
+func isSlow(logits []float32) bool { return nn.Argmax(logits) == 1 }
 
 // checkSizes validates a network against the variant's layer shape.
 func checkSizes(kind ModelKind, net *nn.Network) error {
@@ -131,49 +135,3 @@ func checkSizes(kind ModelKind, net *nn.Network) error {
 
 // Kind returns the model variant.
 func (p *Predictor) Kind() ModelKind { return p.kind }
-
-// Runner exposes the offload runner (sweeps, EnableBatching).
-func (p *Predictor) Runner() *offload.Runner { return p.runner }
-
-// InferCPU classifies the batch on the kernel's CPU path: real forward
-// passes, with the modeled kernel-space cost charged per inference.
-func (p *Predictor) InferCPU(batch [][]float32) ([]bool, time.Duration) {
-	out, d := p.runner.RunCPU(batch)
-	return slowOf(out), d
-}
-
-// InferLAKE classifies the batch on the GPU through the full LAKE stack and
-// returns the predictions plus the modeled inference time. With sync=true
-// the input staging copy is included in the measured time ("LAKE (sync.)");
-// otherwise the copy is performed before timing starts, modeling input data
-// copied to the GPU asynchronously during batch formation ("LAKE").
-func (p *Predictor) InferLAKE(batch [][]float32, sync bool) ([]bool, time.Duration, error) {
-	out, d, err := p.runner.RunLAKE(batch, sync)
-	if err != nil || out == nil {
-		return nil, 0, err
-	}
-	return slowOf(out), d, nil
-}
-
-// InferAuto routes the batch through pol (the Fig 3 profitability policy):
-// GPU-profitable batches run the full LAKE stack, and a batch whose remoted
-// path fails because lakeD is unavailable
-// (CUDA_ERROR_SYSTEM_NOT_READY) completes on the kernel CPU path instead —
-// an I/O completion must be predicted fast or slow either way. The returned
-// Decision is the path that actually produced the predictions.
-func (p *Predictor) InferAuto(batch [][]float32, pol policy.Func) ([]bool, policy.Decision, time.Duration, error) {
-	out, dec, d, err := p.runner.RunAuto(batch, pol)
-	if err != nil {
-		return nil, dec, 0, err
-	}
-	return slowOf(out), dec, d, nil
-}
-
-// slowOf decodes logit rows into slow-vs-fast predictions.
-func slowOf(out [][]float32) []bool {
-	slow := make([]bool, len(out))
-	for i, logits := range out {
-		slow[i] = logits[1] > logits[0]
-	}
-	return slow
-}

@@ -236,8 +236,7 @@ func replay(pred *Predictor, w Workload, cfg ReplayConfig, monitor *BenefitMonit
 		done := start + pred.Kind().CPUInferCost()
 		s.cpuFree = done
 		cpuInfers++
-		logits := pred.Net().Forward(p.x)
-		act(p, logits[1] > logits[0], done-p.arrival)
+		act(p, isSlow(pred.Net().Forward(p.x)), done-p.arrival)
 	}
 
 	flush := func() error {

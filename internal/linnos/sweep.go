@@ -16,7 +16,7 @@ func InferenceSweep(rt *core.Runtime, kind ModelKind, batches []int) ([]offload.
 	if err != nil {
 		return nil, err
 	}
-	return offload.Sweep(pred.runner, batches, func(i int) []float32 {
+	return offload.Sweep(pred.Runner(), batches, func(i int) []float32 {
 		return FeatureVector(i%50, []time.Duration{
 			time.Duration(i) * 10 * time.Microsecond,
 			time.Duration(i) * 20 * time.Microsecond,

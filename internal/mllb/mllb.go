@@ -18,7 +18,6 @@ import (
 	"lakego/internal/core"
 	"lakego/internal/nn"
 	"lakego/internal/offload"
-	"lakego/internal/policy"
 	"lakego/internal/sched"
 )
 
@@ -40,11 +39,11 @@ const (
 const MaxBatch = 1024
 
 // Balancer is the MLLB model wired through LAKE. It implements
-// sched.Balancer for end-to-end scheduling runs and exposes batched
-// classification for the Fig 10 sweep.
+// sched.Balancer for end-to-end scheduling runs; the embedded model
+// classifies batches of migration candidates for the Fig 10 sweep.
 type Balancer struct {
-	net    *nn.Network
-	runner *offload.Runner
+	offload.Model[bool]
+	net *nn.Network
 }
 
 // New wraps a trained network (shape Sizes()) for runtime rt.
@@ -54,64 +53,26 @@ func New(rt *core.Runtime, net *nn.Network) (*Balancer, error) {
 	if len(got) != len(want) || got[0] != want[0] || got[len(got)-1] != want[len(want)-1] {
 		return nil, fmt.Errorf("mllb: network sizes %v, want %v", got, want)
 	}
-	runner, err := offload.NewRunner(rt, offload.NewSlot(net).Serve(batcher.ModelConfig{
+	m, err := offload.NewModel(rt, offload.NewSlot(net).Serve(batcher.ModelConfig{
 		Name:        "mllb_nn",
 		InputWidth:  InputWidth,
 		OutputWidth: 2,
 		MaxBatch:    MaxBatch,
 		CPUFixed:    cpuFixed,
 		CPUPerItem:  cpuPerItem,
-	}))
+	}), func(logits []float32) bool { return nn.Argmax(logits) == 1 })
 	if err != nil {
 		return nil, err
 	}
-	return &Balancer{net: net, runner: runner}, nil
+	return &Balancer{Model: m, net: net}, nil
 }
 
 // Net returns the underlying network.
 func (b *Balancer) Net() *nn.Network { return b.net }
 
-// Runner exposes the offload runner for sweeps.
-func (b *Balancer) Runner() *offload.Runner { return b.runner }
-
 // ShouldMigrate implements sched.Balancer with a single real inference.
 func (b *Balancer) ShouldMigrate(f sched.Features) bool {
 	return b.net.Predict(f.Vector()) == 1
-}
-
-// ClassifyCPU scores a batch of migration candidates on the CPU path.
-func (b *Balancer) ClassifyCPU(batch [][]float32) ([]bool, time.Duration) {
-	out, d := b.runner.RunCPU(batch)
-	return argmax1(out), d
-}
-
-// ClassifyLAKE scores a batch through LAKE.
-func (b *Balancer) ClassifyLAKE(batch [][]float32, sync bool) ([]bool, time.Duration, error) {
-	out, d, err := b.runner.RunLAKE(batch, sync)
-	if err != nil {
-		return nil, 0, err
-	}
-	return argmax1(out), d, nil
-}
-
-// ClassifyAuto routes the batch through pol and scores on the decided
-// path, falling back to the kernel CPU path when lakeD is unavailable —
-// load-balancing decisions cannot wait out a daemon restart. The returned
-// Decision is the path that ran.
-func (b *Balancer) ClassifyAuto(batch [][]float32, pol policy.Func) ([]bool, policy.Decision, time.Duration, error) {
-	out, dec, d, err := b.runner.RunAuto(batch, pol)
-	if err != nil {
-		return nil, dec, 0, err
-	}
-	return argmax1(out), dec, d, nil
-}
-
-func argmax1(out [][]float32) []bool {
-	res := make([]bool, len(out))
-	for i, y := range out {
-		res[i] = y[1] > y[0]
-	}
-	return res
 }
 
 // TrainFromSim runs a skewed scheduling workload, harvests the simulator's
@@ -155,7 +116,7 @@ func TrainFromSim(seed int64, epochs int) (*nn.Network, float64, error) {
 
 // Sweep produces the Fig 10 series.
 func Sweep(b *Balancer, batches []int) ([]offload.SweepPoint, error) {
-	return offload.Sweep(b.runner, batches, func(i int) []float32 {
+	return offload.Sweep(b.Runner(), batches, func(i int) []float32 {
 		f := sched.Features{
 			SrcQueueLen: i%20 + 1, DstQueueLen: i % 5,
 			SrcLoad: float64(i%20 + 1), DstLoad: float64(i % 5),

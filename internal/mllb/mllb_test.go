@@ -60,29 +60,6 @@ func TestBalancerPluggableIntoScheduler(t *testing.T) {
 	}
 }
 
-func TestClassifyPathsAgree(t *testing.T) {
-	rt := boot(t)
-	b, err := New(rt, nn.New(2, Sizes()...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := make([][]float32, 32)
-	for i := range batch {
-		f := sched.Features{SrcQueueLen: i, DstQueueLen: 1, SrcLoad: float64(i), Imbalance: float64(i) / 32}
-		batch[i] = f.Vector()
-	}
-	cpu, _ := b.ClassifyCPU(batch)
-	lake, _, err := b.ClassifyLAKE(batch, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range cpu {
-		if cpu[i] != lake[i] {
-			t.Fatalf("decision %d differs", i)
-		}
-	}
-}
-
 // Fig 10 / Table 3: crossover at 256 tasks.
 func TestFig10Crossover(t *testing.T) {
 	rt := boot(t)

@@ -153,7 +153,7 @@ func (m *LSTM) Forward(seq []float32) []float32 {
 }
 
 // Predict returns the argmax class for a sequence.
-func (m *LSTM) Predict(seq []float32) int { return argmax(m.Forward(seq)) }
+func (m *LSTM) Predict(seq []float32) int { return Argmax(m.Forward(seq)) }
 
 // Accuracy evaluates classification accuracy over a labeled set.
 func (m *LSTM) Accuracy(seqs [][]float32, labels []int) float64 {

@@ -250,7 +250,7 @@ func (n *Network) forwardFours(in []float32, items int, out, a, b []float32) {
 // Predict returns the argmax class for x, or 0 when the output layer is
 // empty — lifecycle shadow scoring reaches this on registry-loaded models,
 // so a degenerate network must degrade to class 0 instead of panicking.
-func (n *Network) Predict(x []float32) int { return argmax(n.Forward(x)) }
+func (n *Network) Predict(x []float32) int { return Argmax(n.Forward(x)) }
 
 // PredictScratch is Predict with the activations kept in s, so scoring a
 // window allocates nothing. A scratch shaped for another architecture falls
@@ -259,12 +259,16 @@ func (n *Network) PredictScratch(s *Scratch, x []float32) int {
 	if !s.fits(n) || len(x) != n.InputSize() {
 		return n.Predict(x)
 	}
-	class := argmax(n.forwardScratch(s, x))
+	class := Argmax(n.forwardScratch(s, x))
 	s.acts[0] = nil // don't retain the caller's sample
 	return class
 }
 
-func argmax(logits []float32) int {
+// Argmax returns the index of the largest logit. The comparison is strict,
+// so the first maximum wins a tie and a NaN never displaces the current
+// best; an empty row yields 0. It is the decision rule of Predict and of
+// every neural workload's decoder.
+func Argmax(logits []float32) int {
 	best := 0
 	for i, v := range logits {
 		if v > logits[best] {

@@ -64,6 +64,41 @@ func TestPredictEmptyOutput(t *testing.T) {
 	}
 }
 
+// The two-logit workloads (LinnOS, MLLB) decode with Argmax(y) == 1, which
+// must be exactly the y[1] > y[0] rule they used to inline: strict, the
+// first index wins a tie, and any comparison with NaN is false. Wider rows
+// keep the first maximum, as KML's decoder always has.
+func TestArgmaxDecisionRule(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	negZero := float32(math.Copysign(0, -1))
+	for _, y := range [][]float32{
+		{0, 1}, {1, 0}, {2, 2}, {-3, -3},
+		{0, negZero}, {negZero, 0},
+		{nan, 1}, {1, nan}, {nan, nan}, {nan, inf}, {inf, nan},
+		{inf, inf}, {-inf, -inf}, {-inf, inf}, {inf, -inf},
+		{-inf, 0}, {0, inf}, {math.MaxFloat32, inf},
+	} {
+		if got, want := Argmax(y) == 1, y[1] > y[0]; got != want {
+			t.Errorf("Argmax(%v) == 1 is %v, y[1] > y[0] is %v", y, got, want)
+		}
+	}
+	for _, c := range []struct {
+		y    []float32
+		want int
+	}{
+		{[]float32{0, 3, 3, 1}, 1},
+		{[]float32{5, 5, 5, 5}, 0},
+		{[]float32{-1, -2, 4, 4}, 2},
+		{[]float32{nan, 1, 2, 2}, 0},
+		{[]float32{1, nan, 2, 2}, 2},
+		{nil, 0},
+	} {
+		if got := Argmax(c.y); got != c.want {
+			t.Errorf("Argmax(%v) = %d, want %d", c.y, got, c.want)
+		}
+	}
+}
+
 // Hand-built degenerate layers on slabs of four rows and more, where the
 // eight- and four-row kernels take the groups: an empty last layer writes
 // nothing (the lanes need Out >= 1: the chain clamp of Out == 0 would reach

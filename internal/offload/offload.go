@@ -7,10 +7,14 @@
 // sizes for the profitability figures (Figs 8, 10, 11, 12) and Table 3's
 // crossover points.
 //
-// Each workload package wraps a Runner with its own model, feature width,
-// calibrated kernel-space CPU cost and output decoder; the Runner owns the
-// lakeShm staging buffers and the measurement protocol (LAKE vs LAKE-sync,
-// mirroring §7's "with and without synchronous data movement").
+// Each workload package embeds a Model: a Runner built from the workload's
+// descriptor (model, feature width, calibrated kernel-space CPU cost) plus
+// one per-row decoder that turns an output row into the workload's
+// prediction. The Runner owns the lakeShm staging buffers and the
+// measurement protocol (LAKE vs LAKE-sync, mirroring §7's "with and without
+// synchronous data movement"); the Model owns the typed CPU, LAKE,
+// policy-routed and batched paths, so a workload supplies only its
+// descriptor and decoder.
 package offload
 
 import (
@@ -279,6 +283,105 @@ func (r *Runner) RunAuto(batch [][]float32, pol policy.Func) ([][]float32, polic
 	}
 	out, d := r.RunCPU(batch)
 	return out, policy.UseCPU, d, nil
+}
+
+// Model is a workload's typed view of a Runner: every route returns the
+// output rows decoded one by one into predictions of type T.
+type Model[T any] struct {
+	runner *Runner
+	decode func(row []float32) T
+}
+
+// NewModel registers mc's kernel (NewRunner) and pairs the runner with
+// decode, which maps one output row of width mc.OutputWidth to a
+// prediction.
+func NewModel[T any](rt *core.Runtime, mc batcher.ModelConfig, decode func(row []float32) T) (Model[T], error) {
+	r, err := NewRunner(rt, mc)
+	if err != nil {
+		return Model[T]{}, err
+	}
+	return Model[T]{runner: r, decode: decode}, nil
+}
+
+// Runner exposes the offload runner (sweeps, EnableBatching).
+func (m Model[T]) Runner() *Runner { return m.runner }
+
+func (m Model[T]) decodeAll(out [][]float32) []T {
+	preds := make([]T, len(out))
+	for i, row := range out {
+		preds[i] = m.decode(row)
+	}
+	return preds
+}
+
+// InferCPU predicts the batch on the kernel CPU path: real forward passes,
+// with the modeled kernel-space cost charged (RunCPU).
+func (m Model[T]) InferCPU(batch [][]float32) ([]T, time.Duration) {
+	out, d := m.runner.RunCPU(batch)
+	return m.decodeAll(out), d
+}
+
+// InferLAKE predicts the batch on the GPU through the full LAKE stack and
+// returns the predictions plus the modeled inference time. With sync the
+// input staging copy is included in the measured time ("LAKE (sync.)");
+// otherwise the copy is performed before timing starts, modeling input
+// data copied to the GPU asynchronously during batch formation ("LAKE").
+// An empty batch returns nil predictions and no time.
+func (m Model[T]) InferLAKE(batch [][]float32, sync bool) ([]T, time.Duration, error) {
+	out, d, err := m.runner.RunLAKE(batch, sync)
+	if err != nil || out == nil {
+		return nil, 0, err
+	}
+	return m.decodeAll(out), d, nil
+}
+
+// InferAuto routes the batch through pol (the Fig 3 profitability policy)
+// and predicts on the decided path. A batch whose remoted path fails
+// because lakeD is unavailable (CUDA_ERROR_SYSTEM_NOT_READY) completes on
+// the kernel CPU path instead: an I/O must still be classified, a
+// readahead window or a migration still decided, with the accelerator
+// service down. The returned Decision is the path that actually produced
+// the predictions.
+func (m Model[T]) InferAuto(batch [][]float32, pol policy.Func) ([]T, policy.Decision, time.Duration, error) {
+	out, dec, d, err := m.runner.RunAuto(batch, pol)
+	if err != nil {
+		return nil, dec, 0, err
+	}
+	return m.decodeAll(out), dec, d, nil
+}
+
+// SubmitBatched stages one client's batch with the cross-client batcher
+// (after Runner().EnableBatching) and returns the pending handle; Wait
+// collects the predictions. Clients that each see fewer items per window
+// than the model's crossover coalesce into one profitable GPU launch.
+func (m Model[T]) SubmitBatched(c *batcher.Client, batch [][]float32) (*batcher.Pending, error) {
+	return c.Submit(m.runner.BatchModelName(), batch)
+}
+
+// Wait resolves a SubmitBatched handle into predictions, decoding the rows
+// exactly as the unbatched paths do.
+func (m Model[T]) Wait(p *batcher.Pending) ([]T, error) {
+	out, err := p.Wait()
+	if err != nil {
+		return nil, err
+	}
+	for _, row := range out {
+		if len(row) != m.runner.mc.OutputWidth {
+			return nil, fmt.Errorf("%s: batched output width %d, want %d", m.runner.mc.Name, len(row), m.runner.mc.OutputWidth)
+		}
+	}
+	return m.decodeAll(out), nil
+}
+
+// InferBatched predicts the batch through the cross-client batcher:
+// SubmitBatched + Wait. Predictions are bit-identical to InferCPU and
+// InferLAKE; only the request's scheduling differs.
+func (m Model[T]) InferBatched(c *batcher.Client, batch [][]float32) ([]T, error) {
+	p, err := m.SubmitBatched(c, batch)
+	if err != nil {
+		return nil, err
+	}
+	return m.Wait(p)
 }
 
 // SweepPoint is one batch-size measurement across execution paths.

@@ -88,7 +88,7 @@ func runPoolScalingLinnOS(tb testing.TB, clients, perClient, devices int) batchB
 					errCh <- err
 					return
 				}
-				slow, err := linnos.WaitSlow(p)
+				slow, err := pred.Wait(p)
 				if err != nil {
 					errCh <- err
 					return

@@ -135,7 +135,7 @@ func TestBatchedCoalesceTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := linnos.WaitSlow(p); err != nil {
+	if _, err := pred.Wait(p); err != nil {
 		t.Fatal(err)
 	}
 

@@ -338,10 +338,9 @@ func (m Model[T]) InferLAKE(batch [][]float32, sync bool) ([]T, time.Duration, e
 // InferAuto routes the batch through pol (the Fig 3 profitability policy)
 // and predicts on the decided path. A batch whose remoted path fails
 // because lakeD is unavailable (CUDA_ERROR_SYSTEM_NOT_READY) completes on
-// the kernel CPU path instead: an I/O must still be classified, a
-// readahead window or a migration still decided, with the accelerator
-// service down. The returned Decision is the path that actually produced
-// the predictions.
+// the kernel CPU path instead, so the kernel still gets its decision with
+// the accelerator service down. The returned Decision is the path that
+// actually produced the predictions.
 func (m Model[T]) InferAuto(batch [][]float32, pol policy.Func) ([]T, policy.Decision, time.Duration, error) {
 	out, dec, d, err := m.runner.RunAuto(batch, pol)
 	if err != nil {

@@ -103,6 +103,28 @@ func TestNewPredictorRejectsWrongShape(t *testing.T) {
 	}
 }
 
+func TestCPUAndLAKEAgreeOnPredictions(t *testing.T) {
+	rt := boot(t)
+	pred, err := NewPredictor(rt, Base, nn.New(3, Base.Sizes()...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := make([][]float32, 16)
+	for i := range batch {
+		batch[i] = FeatureVector(i*7, []time.Duration{time.Duration(i) * 300 * time.Microsecond})
+	}
+	cpuPred, _ := pred.InferCPU(batch)
+	gpuPred, _, err := pred.InferLAKE(batch, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range cpuPred {
+		if cpuPred[i] != gpuPred[i] {
+			t.Fatalf("prediction %d differs: cpu=%v gpu=%v", i, cpuPred[i], gpuPred[i])
+		}
+	}
+}
+
 func TestInferLAKEBatchLimits(t *testing.T) {
 	rt := boot(t)
 	pred, _ := NewPredictor(rt, Base, nn.New(3, Base.Sizes()...))

@@ -166,10 +166,9 @@ func boolMetric(b *testing.B, name string, v bool) {
 func fig13WithThreshold(rt *core.Runtime, threshold int) []contention.Fig13Point {
 	clock := rt.Clock()
 	dev := rt.Device()
-	pol := policy.NewAdaptive(policy.AdaptiveConfig{
-		CheckInterval: 5 * time.Millisecond, UtilThreshold: threshold,
-		BatchThreshold: 8, Window: 8,
-	}, clock, func() int {
+	pcfg := policy.DefaultAdaptiveConfig()
+	pcfg.UtilThreshold = threshold
+	pol := policy.NewAdaptive(pcfg, clock, func() int {
 		g, _, res := rt.Lib().NvmlGetUtilization()
 		if res != cuda.Success {
 			return 100

@@ -304,8 +304,8 @@ type Batcher struct {
 	flushItems *telemetry.Histogram // items per formed batch
 	queueDelay *telemetry.Histogram // enqueue-to-flush virtual wait
 	// gpuItemLat / cpuItemLat observe per-item execution latency of each
-	// flush on its decided path: the shared series the Fig 3 policy's
-	// observed-latency mode reads.
+	// flush on its decided path: the shared series the health plane's
+	// gpu_item/cpu_item stages read.
 	gpuItemLat, cpuItemLat *telemetry.Histogram
 
 	// rec receives batcher-domain events and allocates per-request and

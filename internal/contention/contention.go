@@ -139,12 +139,7 @@ const predictorCPUNorm = 0.45
 func Fig13(rt *core.Runtime) []Fig13Point {
 	clock := rt.Clock()
 	dev := rt.Device()
-	pol := rt.NewAdaptivePolicy(policy.AdaptiveConfig{
-		CheckInterval:  5 * time.Millisecond,
-		UtilThreshold:  40,
-		BatchThreshold: 8,
-		Window:         8,
-	})
+	pol := rt.NewAdaptivePolicy(policy.DefaultAdaptiveConfig())
 	const batch = 32 // steady inference batch per step
 	var out []Fig13Point
 	for t := time.Duration(0); t <= Fig13Horizon; t += Step {

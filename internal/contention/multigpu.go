@@ -53,10 +53,8 @@ func Fig13MultiGPU(rt *core.Runtime) []MultiGPUPoint {
 	dev1 := gpu.New(dev0.Spec(), clock)
 
 	mk := func(dev *gpu.Device) *policy.Adaptive {
-		return policy.NewAdaptive(policy.AdaptiveConfig{
-			CheckInterval: 5 * time.Millisecond, UtilThreshold: 40,
-			BatchThreshold: 8, Window: 8,
-		}, clock, func() int { return nvml.DeviceGetUtilizationRates(dev).GPU })
+		return policy.NewAdaptive(policy.DefaultAdaptiveConfig(), clock,
+			func() int { return nvml.DeviceGetUtilizationRates(dev).GPU })
 	}
 	pol0, pol1 := mk(dev0), mk(dev1)
 

@@ -48,10 +48,8 @@ const ringDepth = 64
 
 // Config parameterizes a LAKE runtime.
 type Config struct {
-	// GPU is the accelerator model; zero value means gpu.DefaultSpec().
-	GPU gpu.Spec
-	// NumDevices sizes the device pool (default 1); each device gets the
-	// GPU spec.
+	// NumDevices sizes the device pool (default 1); every device is a
+	// gpu.DefaultSpec() A100 model.
 	NumDevices int
 	// PoolPolicy selects context placement across the pool (default
 	// round-robin; irrelevant with one device).
@@ -126,7 +124,6 @@ type Config struct {
 // cost, 128 MiB CMA-backed shared region, A100-class GPU.
 func DefaultConfig() Config {
 	return Config{
-		GPU:      gpu.DefaultSpec(),
 		ShmBytes: shm.DefaultRegionSize,
 		Channel:  boundary.Netlink,
 	}
@@ -152,9 +149,6 @@ type Runtime struct {
 // New boots a runtime: creates the device, maps the shared region into both
 // domains, starts lakeD and wires lakeLib to it.
 func New(cfg Config) (*Runtime, error) {
-	if cfg.GPU.MemoryBytes == 0 {
-		cfg.GPU = gpu.DefaultSpec()
-	}
 	if cfg.ShmBytes <= 0 {
 		cfg.ShmBytes = shm.DefaultRegionSize
 	}
@@ -166,14 +160,10 @@ func New(cfg Config) (*Runtime, error) {
 	if n <= 0 {
 		n = 1
 	}
-	specs := make([]gpu.Spec, n)
-	for i := range specs {
-		specs[i] = cfg.GPU
-	}
 	pool, err := gpupool.New(gpupool.Config{
-		Specs:  specs,
-		Policy: cfg.PoolPolicy,
-		Seed:   cfg.PoolSeed,
+		Devices: n,
+		Policy:  cfg.PoolPolicy,
+		Seed:    cfg.PoolSeed,
 	}, clock)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -301,8 +291,8 @@ func (r *Runtime) Namer(pairs ...string) telemetry.Namer {
 
 // ItemLatency returns the per-item execution latency series of the GPU and
 // CPU routes, shared by every layer that runs inference on this runtime
-// (batcher flushes, offload runs) and read by the Fig 3 policy's
-// observed-latency mode. Both are nil without telemetry.
+// (batcher flushes, offload runs) and read by the health plane's
+// gpu_item/cpu_item stages. Both are nil without telemetry.
 func (r *Runtime) ItemLatency() (gpu, cpu *telemetry.Histogram) {
 	gpu = r.tel.Histogram(r.metricName(telemetry.MetricGPUItemLatency), "Observed per-item GPU-path latency (virtual ns).", telemetry.DefaultLatencyBuckets())
 	cpu = r.tel.Histogram(r.metricName(telemetry.MetricCPUItemLatency), "Observed per-item CPU-path latency (virtual ns).", telemetry.DefaultLatencyBuckets())
@@ -367,27 +357,16 @@ func (r *Runtime) NewAdaptivePolicy(cfg policy.AdaptiveConfig) *policy.Adaptive 
 }
 
 // InstallVMPolicy verifies a bytecode policy against the Fig 3 helper set
-// built from cfg (utilization from remoted NVML; per-item latency from the
-// runtime's telemetry when cfg.UseObservedLatency is set) and returns it
-// ready for Decide calls, with the batch size passed in r1.
+// built from cfg (utilization from remoted NVML) and returns it ready for
+// Decide calls, with the batch size passed in r1.
 func (r *Runtime) InstallVMPolicy(prog policy.Program, cfg policy.AdaptiveConfig) (*policy.Adaptive, error) {
-	p, err := policy.Load(prog, cfg, r.clock, func() int {
+	return policy.Load(prog, cfg, r.clock, func() int {
 		g, _, res := r.lib.NvmlGetUtilization()
 		if res != cuda.Success {
 			return 100 // treat a failed query as contended: stay on CPU
 		}
 		return g
 	})
-	if err != nil {
-		return nil, err
-	}
-	if cfg.UseObservedLatency && r.tel != nil {
-		// Feed the policy the shared per-item latency series the batcher
-		// and offload runner populate, closing the Fig 3 loop on measured
-		// signal instead of the static batch threshold.
-		p.SetLatencySources(r.ItemLatency())
-	}
-	return p, nil
 }
 
 // Stats summarizes runtime activity for experiment reports.

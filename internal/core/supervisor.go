@@ -67,14 +67,6 @@ func (c SupervisorConfig) withDefaults() SupervisorConfig {
 	return c
 }
 
-// Transition is one recorded state change, timestamped on the virtual
-// clock, for post-mortem attribution in chaos runs.
-type Transition struct {
-	From, To DaemonState
-	At       time.Duration
-	Cause    string
-}
-
 // Supervisor watches lakeD and brings it back: it is the remoting
 // RecoveryHook invoked when a client call exhausts a retry round, and it
 // runs periodic heartbeats via Check. Recovery restarts the daemon process
@@ -87,21 +79,22 @@ type Supervisor struct {
 	lib    *remoting.Lib
 	cfg    SupervisorConfig
 
-	mu          sync.Mutex
-	state       DaemonState
-	failures    int // consecutive unresponsive reports since last success
-	lastBeat    time.Duration
-	beatValid   bool
-	transitions []Transition
+	mu        sync.Mutex
+	state     DaemonState
+	failures  int // consecutive unresponsive reports since last success
+	lastBeat  time.Duration
+	beatValid bool
 
-	// restarts is spent against cfg.MaxRestarts; with transitions it is
-	// what the registry exports. stateGauge is nil with telemetry disabled.
+	// restarts is spent against cfg.MaxRestarts; with transitionsTotal it
+	// is what the registry exports. stateGauge is nil with telemetry
+	// disabled.
 	restarts, transitionsTotal telemetry.Counter
 	stateGauge                 *telemetry.Gauge
 
-	// rec receives supervisor-domain transition events; nil-safe. Entering
-	// Dead or Restarting triggers an automatic dump — the rings are the
-	// post-mortem artifact of the recovery.
+	// rec receives one EvTransition (a0 = from, a1 = to) per state change;
+	// nil-safe. The recorder is the supervisor's audit log: entering Dead
+	// or Restarting triggers an automatic dump, the post-mortem artifact
+	// of the recovery.
 	rec *flightrec.Recorder
 }
 
@@ -137,23 +130,11 @@ func (s *Supervisor) State() DaemonState {
 	return s.state
 }
 
-// Transitions returns the recorded state-change audit log.
-func (s *Supervisor) Transitions() []Transition {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Transition, len(s.transitions))
-	copy(out, s.transitions)
-	return out
-}
-
-func (s *Supervisor) setStateLocked(to DaemonState, cause string) {
+func (s *Supervisor) setStateLocked(to DaemonState) {
 	if s.state == to {
 		return
 	}
 	from := s.state
-	s.transitions = append(s.transitions, Transition{
-		From: from, To: to, At: s.clock.Now(), Cause: cause,
-	})
 	s.transitionsTotal.Inc()
 	s.stateGauge.Set(int64(to))
 	s.state = to
@@ -170,12 +151,11 @@ func (s *Supervisor) setStateLocked(to DaemonState, cause string) {
 // failThreshold the daemon is declared Dead and restarted. Returning true
 // tells the client to redeliver — exactly-once is preserved by the
 // daemon-side journal.
-func (s *Supervisor) DaemonUnresponsive(api remoting.APIID, seq uint64, err error) bool {
+func (s *Supervisor) DaemonUnresponsive(remoting.APIID, uint64, error) bool {
 	s.mu.Lock()
 	s.failures++
-	cause := fmt.Sprintf("%s seq=%d unresponsive: %v", api, seq, err)
 	if s.state == StateHealthy || s.state == StateReAttached {
-		s.setStateLocked(StateSuspected, cause)
+		s.setStateLocked(StateSuspected)
 	}
 	if s.failures < failThreshold && !s.daemon.Crashed() {
 		// Not yet conclusive (and the process is visibly alive — likely
@@ -184,23 +164,23 @@ func (s *Supervisor) DaemonUnresponsive(api remoting.APIID, seq uint64, err erro
 		return true
 	}
 	if s.restarts.Value() >= s.cfg.MaxRestarts {
-		s.setStateLocked(StateDead, cause)
+		s.setStateLocked(StateDead)
 		s.mu.Unlock()
 		return false
 	}
-	s.restartLocked(cause)
+	s.restartLocked()
 	s.lib.MarkRecovered()
 	return true
 }
 
-// restartLocked declares the daemon Dead with cause and relaunches it:
+// restartLocked declares the daemon Dead and relaunches it:
 // Dead -> Restarting, one restart spent, the fork/exec + re-attach cost paid
 // on the virtual clock, then the process is brought back with its
 // shm-backed state (journal included) and the supervisor enters
 // ReAttached. It is called with s.mu held and returns with it released.
-func (s *Supervisor) restartLocked(cause string) {
-	s.setStateLocked(StateDead, cause)
-	s.setStateLocked(StateRestarting, "relaunching lakeD")
+func (s *Supervisor) restartLocked() {
+	s.setStateLocked(StateDead)
+	s.setStateLocked(StateRestarting)
 	s.restarts.Inc()
 	s.mu.Unlock()
 
@@ -209,7 +189,7 @@ func (s *Supervisor) restartLocked(cause string) {
 
 	s.mu.Lock()
 	s.failures = 0
-	s.setStateLocked(StateReAttached, fmt.Sprintf("gen=%d shm+journal re-attached", s.daemon.Generation()))
+	s.setStateLocked(StateReAttached)
 	s.mu.Unlock()
 }
 
@@ -217,10 +197,10 @@ func (s *Supervisor) restartLocked(cause string) {
 // budget. The fleet invokes it after migrating a killed shard's journal and
 // clients away: relaunching the process would resurrect a shard the router
 // no longer routes to, splitting the exactly-once journal in two.
-func (s *Supervisor) Abandon(cause string) {
+func (s *Supervisor) Abandon() {
 	s.mu.Lock()
 	s.cfg.MaxRestarts = 0
-	s.setStateLocked(StateDead, cause)
+	s.setStateLocked(StateDead)
 	s.mu.Unlock()
 }
 
@@ -244,11 +224,10 @@ func (s *Supervisor) Check() DaemonState {
 	// The ping itself runs the resilient call path; if this supervisor is
 	// armed as its recovery hook, a crashed daemon may be restarted from
 	// inside the ping.
-	gen, _, ok := s.lib.Ping()
-	if ok {
+	if _, _, ok := s.lib.Ping(); ok {
 		s.mu.Lock()
 		s.failures = 0
-		s.setStateLocked(StateHealthy, fmt.Sprintf("heartbeat ok gen=%d", gen))
+		s.setStateLocked(StateHealthy)
 		st := s.state
 		s.mu.Unlock()
 		s.lib.MarkRecovered()
@@ -258,22 +237,22 @@ func (s *Supervisor) Check() DaemonState {
 	s.mu.Lock()
 	s.failures++
 	if s.state == StateHealthy {
-		s.setStateLocked(StateSuspected, "heartbeat missed")
+		s.setStateLocked(StateSuspected)
 	}
 	crashed := s.daemon.Crashed()
 	canRestart := s.restarts.Value() < s.cfg.MaxRestarts
 	if !crashed || !canRestart {
 		if crashed {
-			s.setStateLocked(StateDead, "restart budget exhausted")
+			s.setStateLocked(StateDead)
 		}
 		defer s.mu.Unlock()
 		return s.state
 	}
-	s.restartLocked("heartbeat missed and process down")
+	s.restartLocked()
 
 	if _, _, ok := s.lib.Ping(); ok {
 		s.mu.Lock()
-		s.setStateLocked(StateHealthy, "post-restart heartbeat ok")
+		s.setStateLocked(StateHealthy)
 		st := s.state
 		s.mu.Unlock()
 		s.lib.MarkRecovered()

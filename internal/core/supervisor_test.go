@@ -7,6 +7,7 @@ import (
 
 	"lakego/internal/cuda"
 	"lakego/internal/faults"
+	"lakego/internal/flightrec"
 	"lakego/internal/remoting"
 )
 
@@ -63,17 +64,21 @@ func TestSupervisorStateMachineWalk(t *testing.T) {
 	if st := sup.Check(); st != StateHealthy {
 		t.Fatalf("post-recovery heartbeat: %s", st)
 	}
-	want := []DaemonState{StateSuspected, StateDead, StateRestarting, StateReAttached, StateHealthy}
-	trs := sup.Transitions()
-	if len(trs) != len(want) {
-		t.Fatalf("recorded %d transitions %v, want %d", len(trs), trs, len(want))
-	}
-	for i, tr := range trs {
-		if tr.To != want[i] {
-			t.Fatalf("transition %d is %s -> %s, want -> %s (cause %q)", i, tr.From, tr.To, want[i], tr.Cause)
+	// The flight recorder is the audit log: one EvTransition (a0 = from,
+	// a1 = to) per state change.
+	want := []DaemonState{StateHealthy, StateSuspected, StateDead, StateRestarting, StateReAttached, StateHealthy}
+	var trs []flightrec.Event
+	for _, ev := range rt.FlightRecorder().Snapshot("walk").Domains[flightrec.DomainSupervisor].Events {
+		if ev.Kind == flightrec.EvTransition {
+			trs = append(trs, ev)
 		}
-		if i > 0 && tr.From != want[i-1] {
-			t.Fatalf("transition %d leaves %s, want %s", i, tr.From, want[i-1])
+	}
+	if len(trs) != len(want)-1 {
+		t.Fatalf("recorded %d transitions %v, want %d", len(trs), trs, len(want)-1)
+	}
+	for i, ev := range trs {
+		if from, to := DaemonState(ev.Arg0), DaemonState(ev.Arg1); from != want[i] || to != want[i+1] {
+			t.Fatalf("transition %d is %s -> %s, want %s -> %s", i, from, to, want[i], want[i+1])
 		}
 	}
 }
@@ -180,6 +185,6 @@ func TestSupervisorRaceWithConcurrentClients(t *testing.T) {
 		t.Error(e)
 	}
 	if t.Failed() {
-		t.Logf("restarts=%d transitions=%v", daemon.Restarts(), sup.Transitions())
+		t.Logf("restarts=%d state=%s", daemon.Restarts(), sup.State())
 	}
 }

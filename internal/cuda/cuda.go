@@ -409,16 +409,11 @@ func (a *API) CtxSynchronize(ctx uint64) Result {
 	return Success
 }
 
-// ChargeTransfer advances the clock as if n bytes crossed PCIe without
-// touching memory (on the primary device's link). High-level remoted APIs
-// (the TensorFlow-style calls of §4.4) use it to model their internal data
-// movement.
-func (a *API) ChargeTransfer(n int64) time.Duration {
-	return a.chargeTransferOn(a.devs[0], n)
-}
-
-// ChargeTransferFor charges a transfer of n bytes on the link of the
-// device owning ptr, so multi-device staging bills the right copy engine.
+// ChargeTransferFor advances the clock as if n bytes crossed PCIe without
+// touching memory, on the link of the device owning ptr (the primary
+// device's for a pointer no device owns), so multi-device staging bills the
+// right copy engine. High-level remoted APIs (the TensorFlow-style calls of
+// §4.4) use it to model their internal data movement.
 func (a *API) ChargeTransferFor(ptr gpu.DevPtr, n int64) time.Duration {
 	dev := a.devForPtr(ptr)
 	if dev == nil {

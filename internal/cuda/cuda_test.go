@@ -314,9 +314,9 @@ func TestFloat32sAllocateNothing(t *testing.T) {
 func TestChargeTransfer(t *testing.T) {
 	clk := vtime.New()
 	a := NewAPI(gpu.New(gpu.DefaultSpec(), clk))
-	d := a.ChargeTransfer(12 << 20)
+	d := a.ChargeTransferFor(0, 12<<20) // ordinal 0: the primary device's link
 	if clk.Now() != d || d < 900*time.Microsecond {
-		t.Fatalf("ChargeTransfer = %v, clock %v", d, clk.Now())
+		t.Fatalf("ChargeTransferFor = %v, clock %v", d, clk.Now())
 	}
 }
 

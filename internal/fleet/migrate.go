@@ -53,7 +53,7 @@ func (f *Fleet) Kill(ord int) (*Migration, error) {
 		return nil, err
 	}
 	if sup := s.rt.Supervisor(); sup != nil {
-		sup.Abandon(fmt.Sprintf("fleet: shard %d killed", ord))
+		sup.Abandon()
 	}
 	s.rt.Daemon().InjectCrash(false)
 	return f.migrate(s)

@@ -84,9 +84,9 @@ const utilWindow = nvml.SamplingWindow
 
 // Config parameterizes a pool.
 type Config struct {
-	// Specs gives one hardware model per device; heterogeneous pools are
-	// allowed. Must be non-empty.
-	Specs []gpu.Spec
+	// Devices is the pool size; every device is a gpu.DefaultSpec() model.
+	// Must be at least one.
+	Devices int
 	// Policy selects placement (default RoundRobin, the zero value).
 	Policy Policy
 	// Seed initializes the PRNG used for placement tie-breaks.
@@ -126,22 +126,22 @@ func (p *Pool) SetFlightRecorder(rec *flightrec.Recorder) {
 	}
 }
 
-// New builds the pool, creating device i from cfg.Specs[i] with ordinal i
-// (the ordinal is stamped into every DevPtr the device hands out).
+// New builds the pool, creating device i with ordinal i (the ordinal is
+// stamped into every DevPtr the device hands out).
 func New(cfg Config, clock *vtime.Clock) (*Pool, error) {
-	if len(cfg.Specs) == 0 {
-		return nil, fmt.Errorf("gpupool: at least one device spec required")
+	if cfg.Devices < 1 {
+		return nil, fmt.Errorf("gpupool: at least one device required")
 	}
-	if len(cfg.Specs) > gpu.MaxDevices {
-		return nil, fmt.Errorf("gpupool: %d devices exceeds limit %d", len(cfg.Specs), gpu.MaxDevices)
+	if cfg.Devices > gpu.MaxDevices {
+		return nil, fmt.Errorf("gpupool: %d devices exceeds limit %d", cfg.Devices, gpu.MaxDevices)
 	}
 	p := &Pool{
 		clock:  clock,
 		policy: cfg.Policy,
-		placer: NewPlacer(cfg.Policy, len(cfg.Specs), cfg.Seed),
+		placer: NewPlacer(cfg.Policy, cfg.Devices, cfg.Seed),
 	}
-	for i, spec := range cfg.Specs {
-		p.devs = append(p.devs, gpu.NewIndexed(spec, clock, i))
+	for i := 0; i < cfg.Devices; i++ {
+		p.devs = append(p.devs, gpu.NewIndexed(gpu.DefaultSpec(), clock, i))
 	}
 	return p, nil
 }

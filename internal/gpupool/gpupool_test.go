@@ -11,11 +11,7 @@ import (
 func newPool(t *testing.T, n int, policy Policy) (*Pool, *vtime.Clock) {
 	t.Helper()
 	clk := vtime.New()
-	specs := make([]gpu.Spec, n)
-	for i := range specs {
-		specs[i] = gpu.DefaultSpec()
-	}
-	p, err := New(Config{Specs: specs, Policy: policy, Seed: 42}, clk)
+	p, err := New(Config{Devices: n, Policy: policy, Seed: 42}, clk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +20,7 @@ func newPool(t *testing.T, n int, policy Policy) (*Pool, *vtime.Clock) {
 
 func TestNewRejectsEmptyPool(t *testing.T) {
 	if _, err := New(Config{}, vtime.New()); err == nil {
-		t.Fatal("empty spec list accepted")
+		t.Fatal("empty pool accepted")
 	}
 }
 

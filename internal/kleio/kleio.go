@@ -14,7 +14,6 @@
 package kleio
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"time"
@@ -239,14 +238,4 @@ func HistoryScheduler(hist []PageHistory, threshold float32) []bool {
 		out[i] = sum/4 > threshold
 	}
 	return out
-}
-
-// EncodeHistory packs a history window into bytes (for feature-registry
-// style storage in experiments).
-func EncodeHistory(h PageHistory) []byte {
-	buf := make([]byte, 4*HistoryLen)
-	for i, v := range h {
-		binary.LittleEndian.PutUint32(buf[4*i:], uint32(v))
-	}
-	return buf
 }

@@ -142,15 +142,3 @@ func TestHistorySchedulerSeparatesHotCold(t *testing.T) {
 		t.Fatalf("history scheduler accuracy = %.2f, want > 0.6", acc)
 	}
 }
-
-func TestEncodeHistory(t *testing.T) {
-	var h PageHistory
-	h[0], h[HistoryLen-1] = 3, 9
-	buf := EncodeHistory(h)
-	if len(buf) != 4*HistoryLen {
-		t.Fatalf("encoded %d bytes", len(buf))
-	}
-	if buf[0] != 3 || buf[4*(HistoryLen-1)] != 9 {
-		t.Fatal("encoding wrong")
-	}
-}

@@ -21,15 +21,6 @@ type LearnedScheduler struct {
 // countNorm is the normalization divisor for access counts.
 const countNorm = 64
 
-// NewLearnedScheduler wraps a trained model (input width 1, 2 classes).
-func NewLearnedScheduler(m *nn.LSTM) (*LearnedScheduler, error) {
-	if m.InputSize() != 1 || m.Head.Out != 2 {
-		return nil, fmt.Errorf("kleio: scheduler model must be 1-wide, 2-class; got %d-wide, %d-class",
-			m.InputSize(), m.Head.Out)
-	}
-	return &LearnedScheduler{model: m, norm: countNorm}, nil
-}
-
 // seq is the model input for one page: its history, normalized.
 func (s *LearnedScheduler) seq(h PageHistory) []float32 {
 	seq := make([]float32, HistoryLen)

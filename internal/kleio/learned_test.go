@@ -1,22 +1,6 @@
 package kleio
 
-import (
-	"testing"
-
-	"lakego/internal/nn"
-)
-
-func TestNewLearnedSchedulerValidation(t *testing.T) {
-	if _, err := NewLearnedScheduler(nn.NewLSTM(1, 2, []int{4}, 2)); err == nil {
-		t.Fatal("wrong input width accepted")
-	}
-	if _, err := NewLearnedScheduler(nn.NewLSTM(1, 1, []int{4}, 3)); err == nil {
-		t.Fatal("wrong class count accepted")
-	}
-	if _, err := NewLearnedScheduler(nn.NewLSTM(1, 1, []int{4}, 2)); err != nil {
-		t.Fatal(err)
-	}
-}
+import "testing"
 
 func TestTrainSchedulerValidation(t *testing.T) {
 	if _, _, err := TrainScheduler(1, 10, 2+HistoryLen/2, 4, 1); err == nil {

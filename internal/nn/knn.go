@@ -105,19 +105,6 @@ func (c *KNN) Classify(q []float32) (int, error) {
 	return winner, nil
 }
 
-// ClassifyBatch classifies a batch of queries.
-func (c *KNN) ClassifyBatch(qs [][]float32) ([]int, error) {
-	out := make([]int, len(qs))
-	for i, q := range qs {
-		label, err := c.Classify(q)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = label
-	}
-	return out, nil
-}
-
 // Flops returns the FLOP count of classifying `queries` samples:
 // 3 FLOPs (sub, mul, add) per reference-point dimension per query.
 func (c *KNN) Flops(queries int) float64 {

@@ -86,23 +86,6 @@ func TestKNNClassifyDimMismatch(t *testing.T) {
 	}
 }
 
-func TestKNNClassifyBatch(t *testing.T) {
-	c, _ := NewKNN([][]float32{{0}, {10}}, []int{7, 9}, 1)
-	got, err := c.ClassifyBatch([][]float32{{1}, {9}, {-5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{7, 9, 7}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("batch = %v, want %v", got, want)
-		}
-	}
-	if _, err := c.ClassifyBatch([][]float32{{1, 2}}); err == nil {
-		t.Fatal("batch dim mismatch accepted")
-	}
-}
-
 func TestKNNAccessors(t *testing.T) {
 	c, _ := NewKNN([][]float32{{1, 2, 3}, {4, 5, 6}}, []int{0, 1}, 2)
 	if c.Dim() != 3 || c.Size() != 2 || c.K() != 2 {

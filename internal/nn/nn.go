@@ -278,16 +278,9 @@ func Argmax(logits []float32) int {
 	return best
 }
 
-// Softmax converts logits to probabilities (numerically stabilized). Empty
-// input yields an empty distribution rather than a panic.
-func Softmax(logits []float32) []float32 {
-	out := make([]float32, len(logits))
-	softmaxInto(out, logits)
-	return out
-}
-
-// softmaxInto is the allocation-free Softmax used by the training scratch;
-// dst must be len(logits).
+// softmaxInto writes the probabilities of logits (numerically stabilized)
+// into the training scratch dst, which must be len(logits); empty input is
+// a no-op.
 func softmaxInto(dst, logits []float32) {
 	if len(logits) == 0 {
 		return

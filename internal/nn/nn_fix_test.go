@@ -47,11 +47,11 @@ func TestUnmarshalAllocationBomb(t *testing.T) {
 }
 
 func TestSoftmaxEmpty(t *testing.T) {
-	if got := Softmax(nil); len(got) != 0 {
-		t.Fatalf("Softmax(nil) = %v, want empty", got)
+	if got := softmax(nil); len(got) != 0 {
+		t.Fatalf("softmax(nil) = %v, want empty", got)
 	}
-	if got := Softmax([]float32{}); len(got) != 0 {
-		t.Fatalf("Softmax(empty) = %v, want empty", got)
+	if got := softmax([]float32{}); len(got) != 0 {
+		t.Fatalf("softmax(empty) = %v, want empty", got)
 	}
 }
 

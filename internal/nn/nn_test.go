@@ -78,17 +78,24 @@ func TestFlops(t *testing.T) {
 	}
 }
 
+// softmax is softmaxInto into a fresh slice.
+func softmax(logits []float32) []float32 {
+	out := make([]float32, len(logits))
+	softmaxInto(out, logits)
+	return out
+}
+
 func TestSoftmax(t *testing.T) {
-	p := Softmax([]float32{1000, 1000}) // stability check
+	p := softmax([]float32{1000, 1000}) // stability check
 	if math.Abs(float64(p[0]-0.5)) > 1e-6 {
-		t.Fatalf("Softmax large logits = %v", p)
+		t.Fatalf("softmax large logits = %v", p)
 	}
-	p = Softmax([]float32{0, math.MaxFloat32 / 2})
+	p = softmax([]float32{0, math.MaxFloat32 / 2})
 	if p[1] < 0.99 {
-		t.Fatalf("Softmax = %v, want ~[0,1]", p)
+		t.Fatalf("softmax = %v, want ~[0,1]", p)
 	}
 	var sum float32
-	for _, v := range Softmax([]float32{0.3, -1.2, 2.5}) {
+	for _, v := range softmax([]float32{0.3, -1.2, 2.5}) {
 		sum += v
 	}
 	if math.Abs(float64(sum-1)) > 1e-5 {
@@ -247,7 +254,7 @@ func TestQuickSoftmaxDistribution(t *testing.T) {
 			}
 			logits = append(logits, v)
 		}
-		p := Softmax(logits)
+		p := softmax(logits)
 		var sum float64
 		for _, v := range p {
 			if v < 0 || math.IsNaN(float64(v)) {

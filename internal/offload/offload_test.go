@@ -418,8 +418,8 @@ func TestSlotServedKernelConcurrentSwap(t *testing.T) {
 }
 
 // TestRunnerSeriesCarryShardLabel: a Runner on a fleet shard observes the
-// shard's own per-item latency series — the ones that shard's
-// observed-latency policy reads — and no unlabelled family that every
+// shard's own per-item latency series — the ones that shard's health-plane
+// stages read — and no unlabelled family that every
 // shard's registry would export under one name.
 func TestRunnerSeriesCarryShardLabel(t *testing.T) {
 	fcfg := fleet.Config{Runtime: core.DefaultConfig()}

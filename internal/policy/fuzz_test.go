@@ -47,7 +47,7 @@ func encodeProgram(p Program) []byte {
 // whatever the helpers return, and the only fault it can raise is division
 // by a zero register. Seeds live in testdata/fuzz/FuzzPolicyVerify.
 func FuzzPolicyVerify(f *testing.F) {
-	f.Add(encodeProgram(Compile(AdaptiveConfig{UtilThreshold: 40, BatchThreshold: 8, UseObservedLatency: true})), int64(8), int64(0), int64(-1), int64(3))
+	f.Add(encodeProgram(Compile(DefaultAdaptiveConfig())), int64(8), int64(39), int64(0), int64(0))
 	f.Fuzz(func(t *testing.T, code []byte, ctx, h1, h2, h3 int64) {
 		helpers := HelperSet{
 			1: func([5]int64) int64 { return h1 },

@@ -3,6 +3,7 @@ package policy
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -201,7 +202,7 @@ func TestAdaptivePolicyContentionGate(t *testing.T) {
 func TestAdaptiveRateLimitsQueries(t *testing.T) {
 	clock := vtime.New()
 	queries := 0
-	a := NewAdaptive(AdaptiveConfig{CheckInterval: 5 * time.Millisecond, UtilThreshold: 40, BatchThreshold: 1, Window: 4},
+	a := NewAdaptive(AdaptiveConfig{UtilThreshold: 40, BatchThreshold: 1, Window: 4},
 		clock, func() int { queries++; return 0 })
 	for i := 0; i < 100; i++ {
 		a.Decide(10)
@@ -362,8 +363,8 @@ func TestAdaptiveUtilizationView(t *testing.T) {
 }
 
 func TestNewAdaptiveDefaults(t *testing.T) {
-	a := NewAdaptive(AdaptiveConfig{CheckInterval: -1, Window: -1}, vtime.New(), func() int { return 0 })
-	if a.cfg.CheckInterval <= 0 || a.cfg.Window <= 0 {
+	a := NewAdaptive(AdaptiveConfig{Window: -1}, vtime.New(), func() int { return 0 })
+	if len(a.avg.samples) != DefaultAdaptiveConfig().Window {
 		t.Fatal("defaults not applied")
 	}
 }
@@ -374,8 +375,10 @@ func TestVMPolicyRejectsUnverifiable(t *testing.T) {
 		t.Fatal("verifier bypassed")
 	}
 	// A helper outside the Fig 3 set is not whitelisted.
-	if _, err := Load(Program{{Op: OpCall, Imm: 3}, {Op: OpExit}}, AdaptiveConfig{}, vtime.New(), query); err == nil {
-		t.Fatal("unknown helper accepted")
+	for _, helper := range []int64{0, 2, 3} {
+		if _, err := Load(Program{{Op: OpCall, Imm: helper}, {Op: OpExit}}, AdaptiveConfig{}, vtime.New(), query); err == nil {
+			t.Fatalf("unknown helper %d accepted", helper)
+		}
 	}
 }
 
@@ -388,24 +391,37 @@ func TestRunPassesCtxInR1(t *testing.T) {
 	}
 }
 
-// compileConfigs spans both program shapes Compile emits and the edges of
-// both thresholds.
+// compileConfigs spans the edges of both thresholds.
 func compileConfigs() []AdaptiveConfig {
 	var out []AdaptiveConfig
-	for _, observed := range []bool{false, true} {
-		for _, util := range []int{0, 40, 100, math.MaxInt32} {
-			for _, batch := range []int{0, 1, 8, 1024} {
-				out = append(out, AdaptiveConfig{UtilThreshold: util, BatchThreshold: batch, UseObservedLatency: observed})
-			}
+	for _, util := range []int{0, 40, 100, math.MaxInt32} {
+		for _, batch := range []int{0, 1, 8, 1024} {
+			out = append(out, AdaptiveConfig{UtilThreshold: util, BatchThreshold: batch})
 		}
 	}
 	return out
 }
 
+// TestCompileVerifies also pins Compile's output instruction by
+// instruction: the contention gate, then the batch gate, then dev_func and
+// cpu_func.
 func TestCompileVerifies(t *testing.T) {
 	for _, cfg := range compileConfigs() {
 		if _, err := Load(Compile(cfg), cfg, vtime.New(), func() int { return 0 }); err != nil {
 			t.Fatalf("Compile(%+v) does not verify: %v", cfg, err)
+		}
+		want := Program{
+			{Op: OpMov, Dst: 6, Src: 1},
+			{Op: OpCall, Imm: HelperUtilAvg},
+			{Op: OpJgeImm, Dst: 0, Imm: int64(cfg.UtilThreshold), Off: 3},
+			{Op: OpJltImm, Dst: 6, Imm: int64(cfg.BatchThreshold), Off: 2},
+			{Op: OpMovImm, Dst: 0, Imm: 1},
+			{Op: OpExit},
+			{Op: OpMovImm, Dst: 0, Imm: 0},
+			{Op: OpExit},
+		}
+		if got := Compile(cfg); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Compile(%+v) =\n%v\nwant\n%v", cfg, got, want)
 		}
 	}
 }
@@ -422,36 +438,19 @@ type nativeAdaptive struct {
 	avg       *MovingAverage
 	lastCheck time.Duration
 	checked   bool
-
-	gpuLat, cpuLat LatencySource
 }
 
 func newNativeAdaptive(cfg AdaptiveConfig, clock *vtime.Clock, query func() int) *nativeAdaptive {
-	if cfg.CheckInterval <= 0 {
-		cfg.CheckInterval = 5 * time.Millisecond
-	}
 	if cfg.Window <= 0 {
 		cfg.Window = 8
 	}
-	if cfg.LatencyQuantile <= 0 || cfg.LatencyQuantile > 1 {
-		cfg.LatencyQuantile = 0.5
-	}
-	if cfg.MinSamples <= 0 {
-		cfg.MinSamples = 16
-	}
 	return &nativeAdaptive{cfg: cfg, clock: clock, query: query, avg: NewMovingAverage(cfg.Window)}
-}
-
-func (a *nativeAdaptive) SetLatencySources(gpu, cpu LatencySource) {
-	a.mu.Lock()
-	a.gpuLat, a.cpuLat = gpu, cpu
-	a.mu.Unlock()
 }
 
 func (a *nativeAdaptive) Decide(batchSize int) Decision {
 	a.mu.Lock()
 	now := a.clock.Now()
-	if !a.checked || now-a.lastCheck >= a.cfg.CheckInterval {
+	if !a.checked || now-a.lastCheck >= checkInterval {
 		a.lastCheck = now
 		a.checked = true
 		a.mu.Unlock()
@@ -460,20 +459,10 @@ func (a *nativeAdaptive) Decide(batchSize int) Decision {
 		a.avg.Add(float64(u))
 	}
 	execRate := a.avg.Value()
-	gpuLat, cpuLat := a.gpuLat, a.cpuLat
 	a.mu.Unlock()
 
 	if execRate >= float64(a.cfg.UtilThreshold) {
 		return UseCPU // contended: back off regardless of profitability
-	}
-	if a.cfg.UseObservedLatency && gpuLat != nil && cpuLat != nil &&
-		gpuLat.Count() >= a.cfg.MinSamples && cpuLat.Count() >= a.cfg.MinSamples {
-		// Fig 3's crossover on measured signal: offload when the observed
-		// per-item GPU latency beats the CPU path at the chosen quantile.
-		if gpuLat.QuantileDuration(a.cfg.LatencyQuantile) <= cpuLat.QuantileDuration(a.cfg.LatencyQuantile) {
-			return UseGPU
-		}
-		return UseCPU
 	}
 	if batchSize >= a.cfg.BatchThreshold {
 		return UseGPU
@@ -481,63 +470,37 @@ func (a *nativeAdaptive) Decide(batchSize int) Decision {
 	return UseCPU
 }
 
-// fakeLatency is a LatencySource whose count and quantiles the test sets.
-type fakeLatency struct {
-	count int64
-	base  time.Duration // QuantileDuration(q) = base * (1 + q)
-}
-
-func (f *fakeLatency) QuantileDuration(q float64) time.Duration {
-	return f.base + time.Duration(float64(f.base)*q)
-}
-func (f *fakeLatency) Count() int64 { return f.count }
-
 // TestAdaptiveMatchesNative is the differential test: over a seeded grid of
-// batch sizes, utilization traces stepped across CheckInterval edges and
-// latency sources whose counts straddle MinSamples, the compiled program
-// and the native reference make the same decision at every step and the
-// same utilization queries.
+// batch sizes and utilization traces stepped across checkInterval edges,
+// the compiled program and the native reference make the same decision at
+// every step and the same utilization queries.
 func TestAdaptiveMatchesNative(t *testing.T) {
 	batches := []int{0, 1, 7, 8, 9, 32, 1024}
-	steps := []time.Duration{0, time.Millisecond, 5*time.Millisecond - 1, 5 * time.Millisecond, 5*time.Millisecond + 1, 7 * time.Millisecond}
-	counts := []int64{0, 15, 16, 17, 100}
+	steps := []time.Duration{0, time.Millisecond, checkInterval - 1, checkInterval, checkInterval + 1, 7 * time.Millisecond}
 	for seed := int64(1); seed <= 8; seed++ {
-		for _, observed := range []bool{false, true} {
-			for _, window := range []int{1, 4, 8} {
-				rng := rand.New(rand.NewSource(seed))
-				cfg := AdaptiveConfig{
-					UtilThreshold: 40, BatchThreshold: 8, Window: window,
-					UseObservedLatency: observed, LatencyQuantile: []float64{0, 0.5, 0.99}[seed%3],
+		for _, window := range []int{1, 4, 8} {
+			rng := rand.New(rand.NewSource(seed))
+			cfg := AdaptiveConfig{UtilThreshold: 40, BatchThreshold: 8, Window: window}
+			trace := make([]int, 64)
+			for i := range trace {
+				trace[i] = rng.Intn(101)
+				if rng.Intn(4) == 0 {
+					trace[i] = 40 + rng.Intn(3) - 1 // hug the threshold
 				}
-				trace := make([]int, 64)
-				for i := range trace {
-					trace[i] = rng.Intn(101)
-					if rng.Intn(4) == 0 {
-						trace[i] = 40 + rng.Intn(3) - 1 // hug the threshold
-					}
+			}
+			clock := vtime.New()
+			var vmQueries, nativeQueries int
+			vm := NewAdaptive(cfg, clock, func() int { vmQueries++; return trace[vmQueries%len(trace)] })
+			native := newNativeAdaptive(cfg, clock, func() int { nativeQueries++; return trace[nativeQueries%len(trace)] })
+			for step := 0; step < 400; step++ {
+				clock.Advance(steps[rng.Intn(len(steps))])
+				batch := batches[rng.Intn(len(batches))]
+				if got, want := vm.Decide(batch), native.Decide(batch); got != want {
+					t.Fatalf("seed %d cfg %+v step %d batch %d: bytecode %v, native %v", seed, cfg, step, batch, got, want)
 				}
-				clock := vtime.New()
-				var vmQueries, nativeQueries int
-				vm := NewAdaptive(cfg, clock, func() int { vmQueries++; return trace[vmQueries%len(trace)] })
-				native := newNativeAdaptive(cfg, clock, func() int { nativeQueries++; return trace[nativeQueries%len(trace)] })
-				gpu, cpu := &fakeLatency{}, &fakeLatency{}
-				for step := 0; step < 400; step++ {
-					if step == 50 { // sources attach mid-run
-						vm.SetLatencySources(gpu, cpu)
-						native.SetLatencySources(gpu, cpu)
-					}
-					gpu.count, cpu.count = counts[rng.Intn(len(counts))], counts[rng.Intn(len(counts))]
-					gpu.base = time.Duration(rng.Intn(5)) * time.Microsecond
-					cpu.base = time.Duration(rng.Intn(5)) * time.Microsecond
-					clock.Advance(steps[rng.Intn(len(steps))])
-					batch := batches[rng.Intn(len(batches))]
-					if got, want := vm.Decide(batch), native.Decide(batch); got != want {
-						t.Fatalf("seed %d cfg %+v step %d batch %d: bytecode %v, native %v", seed, cfg, step, batch, got, want)
-					}
-					if vmQueries != nativeQueries || vm.Utilization() != native.avg.Value() {
-						t.Fatalf("seed %d cfg %+v step %d: queries %d vs %d, utilization %v vs %v",
-							seed, cfg, step, vmQueries, nativeQueries, vm.Utilization(), native.avg.Value())
-					}
+				if vmQueries != nativeQueries || vm.Utilization() != native.avg.Value() {
+					t.Fatalf("seed %d cfg %+v step %d: queries %d vs %d, utilization %v vs %v",
+						seed, cfg, step, vmQueries, nativeQueries, vm.Utilization(), native.avg.Value())
 				}
 			}
 		}

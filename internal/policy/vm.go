@@ -15,11 +15,9 @@
 // an AdaptiveConfig, and Adaptive runs the verified program (Compile's, or a
 // caller's through Load) against the Fig 3 helper set:
 //
-//	helper             r1               r0
-//	HelperUtilAvg      -                floor(moving-average GPU utilization %),
-//	                                    querying at most once per CheckInterval
-//	HelperItemLatency  PathGPU/PathCPU  per-item latency in ns at LatencyQuantile,
-//	                                    -1 if unset or under MinSamples
+//	helper         r0
+//	HelperUtilAvg  floor(moving-average GPU utilization %), querying at
+//	               most once per 5 ms of virtual time
 //
 // policy.Func is the interface callers route through.
 package policy

@@ -140,12 +140,6 @@ func QuantileRank(q float64, n int64) int64 {
 	return rank
 }
 
-// QuantileDuration is Quantile for latency histograms, in virtual time. It
-// is the policy.LatencySource feed for observed-latency profitability.
-func (h *Histogram) QuantileDuration(q float64) time.Duration {
-	return time.Duration(h.Quantile(q))
-}
-
 // bucketCounts snapshots cumulative bucket counts for exposition: one pair
 // per finite bound plus the +Inf bucket.
 func (h *Histogram) bucketCounts() (bounds []int64, cumulative []int64) {

@@ -33,9 +33,10 @@ import (
 	"sync/atomic"
 )
 
-// Shared instrument names. The batcher, the offload runner and the Fig 3
-// policy feedback all refer to the same observed-latency histograms; naming
-// them once keeps the writers and the reader wired to the same series.
+// Shared instrument names. The batcher and the offload runner write the
+// same per-item latency histograms and the health plane reads them as its
+// gpu_item/cpu_item stages; naming them once keeps the writers and the
+// reader wired to the same series.
 const (
 	// MetricGPUItemLatency aggregates observed per-item virtual latency of
 	// GPU-routed inference (batcher flushes and offload runs).

@@ -1,0 +1,285 @@
+package lake_test
+
+import (
+	"bufio"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// TestExportedSurfaceUsed is the offline unused-export check: an exported
+// name declared under internal/ that nothing references outside its own
+// package's _test.go files fails the test, unless testdata/surface_allowlist.txt
+// names it with a reason. An allowlist entry the check no longer flags fails
+// too, so the list only shrinks with the code it excuses.
+func TestExportedSurfaceUsed(t *testing.T) {
+	flagged, err := unusedExports(".", "lakego")
+	if err != nil {
+		t.Fatal(err)
+	}
+	allowed, err := readAllowlist("testdata/surface_allowlist.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range flagged {
+		if _, ok := allowed[name]; !ok {
+			t.Errorf("%s is exported but referenced only by its own package's tests: delete it, unexport it, or allowlist it with a reason", name)
+		}
+		delete(allowed, name)
+	}
+	for name := range allowed {
+		t.Errorf("allowlist entry %s is no longer flagged: delete the entry", name)
+	}
+
+	t.Run("planted", func(t *testing.T) {
+		root := t.TempDir()
+		for path, src := range map[string]string{
+			"internal/a/a.go":      "package a\n\nfunc Used() {}\nfunc Orphan() {}\n\ntype T struct{ F, G int }\n\nfunc (T) M() {}\nfunc (T) N() {}\n",
+			"internal/a/a_test.go": "package a\n\nimport \"testing\"\n\nfunc TestA(t *testing.T) { Orphan(); T{}.M(); _ = T{G: 1} }\n",
+			"internal/a/x_test.go": "package a_test\n\nimport \"example/internal/a\"\n\nvar _ = a.Orphan\n",
+			"cmd/b/main.go":        "package main\n\nimport alias \"example/internal/a\"\n\nfunc main() { alias.Used(); _ = alias.T{F: 1}; alias.T{}.N() }\n",
+		} {
+			if err := os.MkdirAll(filepath.Join(root, filepath.Dir(path)), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(root, path), []byte(src), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := unusedExports(root, "example")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []string{"internal/a.Orphan", "internal/a.T.G", "internal/a.T.M"}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("planted violations: flagged %v, want %v", got, want)
+		}
+	})
+}
+
+// readAllowlist reads "name reason" lines; blank lines and # comments are
+// skipped, and an entry without a reason is an error.
+func readAllowlist(path string) (map[string]string, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	out := map[string]string{}
+	sc := bufio.NewScanner(f)
+	for line := 1; sc.Scan(); line++ {
+		text := strings.TrimSpace(sc.Text())
+		if text == "" || strings.HasPrefix(text, "#") {
+			continue
+		}
+		name, reason, _ := strings.Cut(text, " ")
+		if strings.TrimSpace(reason) == "" {
+			return nil, &os.PathError{Op: "line " + strconv.Itoa(line), Path: path, Err: fs.ErrInvalid}
+		}
+		out[name] = reason
+	}
+	return out, sc.Err()
+}
+
+// use is where a name is referenced: the referring package's directory and
+// whether the reference sits in a _test.go file.
+type use struct {
+	dir  string
+	test bool
+}
+
+// unusedExports parses every Go file of the module rooted at root and
+// returns, sorted, the exported names declared in non-test files under
+// internal/ that are referenced only from their own package's _test.go
+// files. Names are "dir.Name" for package-level functions, types, constants
+// and variables and "dir.Type.Name" for methods and struct fields.
+//
+// The match is by name, without type checking: a package-level name counts
+// as used where its package qualifies it (or, inside its own package, where
+// it appears bare); a method or field counts as used wherever any selector
+// or composite-literal key of that name appears. That over-approximates use,
+// so a flagged name is reliably unreferenced outside its tests; a method
+// reached only through an interface a library calls (fmt's String, sort's
+// Len) has no selector and is flagged.
+func unusedExports(root, module string) ([]string, error) {
+	type file struct {
+		dir  string
+		test bool
+		ast  *ast.File
+	}
+	var files []file
+	pkgName := map[string]string{} // dir -> package name of its non-test files
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, filepath.Dir(path))
+		if err != nil {
+			return err
+		}
+		dir, test := filepath.ToSlash(rel), strings.HasSuffix(name, "_test.go")
+		if !test {
+			pkgName[dir] = f.Name.Name
+		}
+		files = append(files, file{dir, test, f})
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	// Declarations: exported names in non-test files under internal/.
+	decls := map[string]string{} // name -> declaring dir
+	declIdents := map[*ast.Ident]bool{}
+	declare := func(dir, name string, id *ast.Ident) {
+		declIdents[id] = true
+		if id.IsExported() {
+			decls[name] = dir
+		}
+	}
+	for _, f := range files {
+		if f.test || !strings.HasPrefix(f.dir, "internal/") {
+			continue
+		}
+		for _, d := range f.ast.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					declare(f.dir, f.dir+"."+d.Name.Name, d.Name)
+				} else {
+					declare(f.dir, f.dir+"."+recvType(d.Recv.List[0].Type)+"."+d.Name.Name, d.Name)
+				}
+			case *ast.GenDecl:
+				for _, s := range d.Specs {
+					switch s := s.(type) {
+					case *ast.TypeSpec:
+						declare(f.dir, f.dir+"."+s.Name.Name, s.Name)
+						var members []*ast.Field
+						switch typ := s.Type.(type) {
+						case *ast.StructType:
+							members = typ.Fields.List
+						case *ast.InterfaceType:
+							members = typ.Methods.List
+						}
+						for _, m := range members {
+							for _, id := range m.Names {
+								declare(f.dir, f.dir+"."+s.Name.Name+"."+id.Name, id)
+							}
+						}
+					case *ast.ValueSpec:
+						for _, id := range s.Names {
+							declare(f.dir, f.dir+"."+id.Name, id)
+						}
+					}
+				}
+			}
+		}
+	}
+
+	// References.
+	pkgUses := map[string][]use{} // "dir.Name" -> uses of a package-level name
+	selUses := map[string][]use{} // member name -> uses as a selector or key
+	for _, f := range files {
+		imports := map[string]string{} // local name -> dir
+		for _, imp := range f.ast.Imports {
+			path, _ := strconv.Unquote(imp.Path.Value)
+			dir, ok := strings.CutPrefix(path, module+"/")
+			if !ok {
+				continue
+			}
+			local := pkgName[dir]
+			if imp.Name != nil {
+				local = imp.Name.Name
+			}
+			imports[local] = dir
+		}
+		at := use{f.dir, f.test}
+		var visit func(n ast.Node) bool
+		visit = func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				selUses[n.Sel.Name] = append(selUses[n.Sel.Name], at)
+				if x, ok := n.X.(*ast.Ident); ok {
+					if dir, ok := imports[x.Name]; ok {
+						pkgUses[dir+"."+n.Sel.Name] = append(pkgUses[dir+"."+n.Sel.Name], at)
+						return false
+					}
+				}
+				ast.Inspect(n.X, visit)
+				return false
+			case *ast.KeyValueExpr:
+				if k, ok := n.Key.(*ast.Ident); ok {
+					selUses[k.Name] = append(selUses[k.Name], at)
+				}
+			case *ast.Ident:
+				if !declIdents[n] {
+					pkgUses[f.dir+"."+n.Name] = append(pkgUses[f.dir+"."+n.Name], at)
+				}
+			}
+			return true
+		}
+		ast.Inspect(f.ast, visit)
+	}
+
+	var out []string
+	for name, dir := range decls {
+		uses := pkgUses[name]
+		if member := strings.TrimPrefix(name, dir+"."); strings.Contains(member, ".") {
+			uses = selUses[member[strings.IndexByte(member, '.')+1:]]
+		}
+		used := false
+		for _, u := range uses {
+			if u.dir != dir || !u.test {
+				used = true
+				break
+			}
+		}
+		if !used {
+			out = append(out, name)
+		}
+	}
+	sort.Strings(out)
+	return out, nil
+}
+
+// recvType is a method receiver's type name, without pointer or type
+// parameters.
+func recvType(e ast.Expr) string {
+	for {
+		switch t := e.(type) {
+		case *ast.StarExpr:
+			e = t.X
+		case *ast.IndexExpr:
+			e = t.X
+		case *ast.IndexListExpr:
+			e = t.X
+		case *ast.Ident:
+			return t.Name
+		default:
+			return "?"
+		}
+	}
+}

@@ -276,41 +276,3 @@ func TestTelemetryDisabledIsNil(t *testing.T) {
 		t.Fatal("nil registry counter should read 0")
 	}
 }
-
-// TestObservedLatencyPolicy closes the Fig 3 loop on measured signal: after
-// warming the shared per-item latency histograms through real runs, an
-// Adaptive policy with UseObservedLatency must route by the observed
-// GPU-vs-CPU comparison rather than the static batch threshold.
-func TestObservedLatencyPolicy(t *testing.T) {
-	rt, err := lake.New(benchConfig(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	pred, err := linnos.NewPredictor(rt, linnos.Base, nn.New(3, linnos.Base.Sizes()...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm both series past MinSamples: single-item remoted runs are far
-	// slower per item than the calibrated CPU path, so observed signal
-	// says "CPU" even for batches the static threshold would offload.
-	for i := 0; i < 20; i++ {
-		if _, _, err := pred.InferLAKE([][]float32{linnosFeature(0, i)}, true); err != nil {
-			t.Fatal(err)
-		}
-		pred.InferCPU([][]float32{linnosFeature(0, i)})
-	}
-	pcfg := lake.DefaultAdaptiveConfig()
-	pcfg.BatchThreshold = 1 // static gate would say GPU for any batch
-	pcfg.UseObservedLatency = true
-	pol := rt.NewAdaptivePolicy(pcfg)
-	if dec := pol.Decide(4); dec != lake.UseCPU {
-		t.Fatalf("observed-latency policy decided %v; measured single-item GPU latency should route to CPU", dec)
-	}
-	// Control: the same configuration without the opt-in keeps the static
-	// batch-threshold behavior.
-	pcfg.UseObservedLatency = false
-	if dec := rt.NewAdaptivePolicy(pcfg).Decide(4); dec != lake.UseGPU {
-		t.Fatalf("static policy decided %v, want GPU", dec)
-	}
-}

@@ -43,10 +43,8 @@ func TestWorkloadRoutesAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 		var batch [][]float32
-		for _, p := range kml.Patterns() {
-			for w := 0; w < 4; w++ {
-				batch = append(batch, kml.Features(kml.Generate(p, 1000+int64(w), kml.WindowLen)))
-			}
+		for _, s := range kml.Dataset(1000, 4) {
+			batch = append(batch, s.X)
 		}
 		checkRoutes(t, rt, c.Model, batch)
 	})

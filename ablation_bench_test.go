@@ -237,7 +237,7 @@ func BenchmarkAblationAutoML(b *testing.B) {
 		if always, err = linnos.Replay(rt, pred, w, linnos.DefaultReplayConfig(linnos.ModeCPU)); err != nil {
 			b.Fatal(err)
 		}
-		if autoRes, err = linnos.ReplayAutoML(pred, w, linnos.DefaultReplayConfig(linnos.ModeCPU), linnos.DefaultBenefitConfig()); err != nil {
+		if autoRes, err = linnos.ReplayAutoML(pred, w, linnos.DefaultReplayConfig(linnos.ModeCPU)); err != nil {
 			b.Fatal(err)
 		}
 		auto = autoRes.Result

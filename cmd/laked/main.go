@@ -38,7 +38,6 @@ import (
 	"lakego/internal/linnos"
 	"lakego/internal/nn"
 	"lakego/internal/shm"
-	"lakego/internal/storage"
 	"lakego/internal/trace"
 )
 
@@ -111,7 +110,7 @@ func runLifecycleDemo(rt *lake.Runtime, plane *lake.HealthPlane, cfg lake.ModelL
 	}
 
 	reqs := trace.Profiles()[0].Rerate(3).Generate(42, samples)
-	labeled, threshold := linnos.CollectSamples(storage.DefaultConfig("demo", 1), reqs)
+	labeled, threshold := linnos.CollectSamples(1, reqs)
 	for _, s := range labeled {
 		slow, _ := pred.InferCPU([][]float32{s.X})
 		o := lake.ModelOutcome{X: s.X, Predicted: b2i(slow[0]), Label: b2i(s.Slow)}

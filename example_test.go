@@ -17,7 +17,6 @@ import (
 	"lakego/internal/mllb"
 	"lakego/internal/offload"
 	"lakego/internal/sched"
-	"lakego/internal/storage"
 	"lakego/internal/trace"
 )
 
@@ -358,7 +357,7 @@ func Example_iolatency() {
 	//    offline from observed latencies).
 	fmt.Println("profiling devices and training the latency classifier...")
 	reqs := trace.Azure().Rerate(3).Generate(7, 6000)
-	samples, threshold := linnos.CollectSamples(storage.DefaultConfig("profiling", 7), reqs)
+	samples, threshold := linnos.CollectSamples(7, reqs)
 	net, acc, err := linnos.Train(linnos.Base, 7, samples, 3, 0.05)
 	if err != nil {
 		log.Fatal(err)

@@ -92,32 +92,11 @@ type Config struct {
 	// NumShards, RouterPolicy and RouterSeed parameterize a sharded fleet
 	// (internal/fleet): NumShards > 1 boots that many independent lakeD
 	// runtimes behind a client-side router placing tenants by RouterPolicy
-	// over a PRNG/ring seeded with RouterSeed. New ignores all three — a
-	// single runtime is one shard; fleet.New consumes them.
+	// over a PRNG/ring seeded with RouterSeed. New and NewShard ignore all
+	// three — a runtime is one shard; fleet.New consumes them.
 	NumShards    int
 	RouterPolicy gpupool.Policy
 	RouterSeed   int64
-
-	// Clock, when non-nil, is used instead of a fresh virtual clock. Each
-	// fleet shard runs on its own clock — shards model independent lakeD
-	// processes whose service timelines overlap in real time, so virtual
-	// time is per-shard and the fleet's elapsed time is the maximum over
-	// shards (the critical path).
-	Clock *vtime.Clock
-	// Recorder, when non-nil, is wired instead of a fresh flight recorder —
-	// typically a shard view (flightrec.WithShard) of a fleet-shared
-	// recorder, so every shard's events land in one set of rings with shard
-	// ordinals stamped on.
-	Recorder *flightrec.Recorder
-	// ShardLabel, when non-empty, appends a shard="<label>" pair to every
-	// metric name this runtime registers, keeping per-shard series distinct
-	// when a fleet merges registries into one exposition. Empty keeps every
-	// name byte-identical to a standalone runtime's.
-	ShardLabel string
-	// ShardOrdinal namespaces lakeLib's wire sequence numbers
-	// (remoting.Lib.SetShardTag) so shard journals can merge without key
-	// collisions during migration. Ordinal 0 keeps the original space.
-	ShardOrdinal int
 }
 
 // DefaultConfig mirrors the paper's deployment: Netlink command-channel
@@ -148,14 +127,30 @@ type Runtime struct {
 
 // New boots a runtime: creates the device, maps the shared region into both
 // domains, starts lakeD and wires lakeLib to it.
-func New(cfg Config) (*Runtime, error) {
+func New(cfg Config) (*Runtime, error) { return newRuntime(cfg, -1, nil) }
+
+// NewShard boots shard ord of a fleet. The shard runs on a fresh clock of
+// its own — shards model independent lakeD processes whose service
+// timelines overlap in real time, so virtual time is per-shard and the
+// fleet's elapsed time is the maximum over shards (the critical path). Its
+// events land in root through a flightrec.WithShard view stamped with ord
+// (root is nil with telemetry off), every metric name it registers carries
+// a shard="<ord>" pair so shard series stay distinct in a merged
+// exposition, and lakeLib's wire sequence numbers are namespaced by ord
+// (remoting.Lib.SetShardTag) so shard journals merge without key collisions
+// during migration.
+func NewShard(cfg Config, ord int, root *flightrec.Recorder) (*Runtime, error) {
+	return newRuntime(cfg, ord, root)
+}
+
+// newRuntime is New (ord < 0) and NewShard. A standalone runtime has no shard
+// label and ordinal 0's sequence space, so its metric names and wire stay
+// byte-identical to shard-free LAKE's.
+func newRuntime(cfg Config, ord int, root *flightrec.Recorder) (*Runtime, error) {
 	if cfg.ShmBytes <= 0 {
 		cfg.ShmBytes = shm.DefaultRegionSize
 	}
-	clock := cfg.Clock
-	if clock == nil {
-		clock = vtime.New()
-	}
+	clock := vtime.New()
 	n := cfg.NumDevices
 	if n <= 0 {
 		n = 1
@@ -188,7 +183,6 @@ func New(cfg Config) (*Runtime, error) {
 	tr.SetCostModel(cfg.Channel)
 	daemon := remoting.NewDaemon(api, region, tr)
 	lib := remoting.NewLib(tr, daemon)
-	lib.SetShardTag(cfg.ShardOrdinal)
 	rt := &Runtime{
 		clock:     clock,
 		pool:      pool,
@@ -198,7 +192,10 @@ func New(cfg Config) (*Runtime, error) {
 		transport: tr,
 		daemon:    daemon,
 		lib:       lib,
-		shardLbl:  cfg.ShardLabel,
+	}
+	if ord >= 0 {
+		lib.SetShardTag(ord)
+		rt.shardLbl = fmt.Sprint(ord)
 	}
 	if !cfg.DisableTelemetry {
 		// Each layer declares its own series; the runtime only supplies
@@ -228,8 +225,8 @@ func New(cfg Config) (*Runtime, error) {
 		rt.tel.GaugeFunc(rt.metricName("lake_uptime_seconds"),
 			"Wall-clock seconds since the runtime booted.",
 			func() int64 { return int64(time.Since(boot) / time.Second) })
-		if cfg.Recorder != nil {
-			rt.rec = cfg.Recorder
+		if root != nil {
+			rt.rec = root.WithShard(ord, clock)
 		} else {
 			rt.rec = flightrec.New(clock, cfg.FlightRecorderSize)
 		}
@@ -349,7 +346,7 @@ func (r *Runtime) RegisterKernel(k *cuda.Kernel) { r.api.RegisterKernel(k) }
 // utilization source is the LAKE-remoted NVML query, exactly as the paper's
 // pseudocode does.
 func (r *Runtime) NewAdaptivePolicy(cfg policy.AdaptiveConfig) *policy.Adaptive {
-	p, err := r.InstallVMPolicy(policy.Compile(cfg), cfg)
+	p, err := r.InstallVMPolicy(policy.Compile(cfg), cfg.Window)
 	if err != nil {
 		panic(err) // Compile's output always verifies
 	}
@@ -357,10 +354,11 @@ func (r *Runtime) NewAdaptivePolicy(cfg policy.AdaptiveConfig) *policy.Adaptive 
 }
 
 // InstallVMPolicy verifies a bytecode policy against the Fig 3 helper set
-// built from cfg (utilization from remoted NVML) and returns it ready for
-// Decide calls, with the batch size passed in r1.
-func (r *Runtime) InstallVMPolicy(prog policy.Program, cfg policy.AdaptiveConfig) (*policy.Adaptive, error) {
-	return policy.Load(prog, cfg, r.clock, func() int {
+// (utilization from remoted NVML, averaged over window queries; see
+// policy.Load) and returns it ready for Decide calls, with the batch size
+// passed in r1.
+func (r *Runtime) InstallVMPolicy(prog policy.Program, window int) (*policy.Adaptive, error) {
+	return policy.Load(prog, window, r.clock, func() int {
 		g, _, res := r.lib.NvmlGetUtilization()
 		if res != cuda.Success {
 			return 100 // treat a failed query as contended: stay on CPU

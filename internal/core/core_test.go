@@ -106,7 +106,7 @@ func TestInstallVMPolicy(t *testing.T) {
 	rt := boot(t)
 	rt.Clock().Advance(time.Second)
 	cfg := policy.AdaptiveConfig{UtilThreshold: 40, BatchThreshold: 8, Window: 1}
-	vp, err := rt.InstallVMPolicy(policy.Compile(cfg), cfg)
+	vp, err := rt.InstallVMPolicy(policy.Compile(cfg), cfg.Window)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestInstallVMPolicy(t *testing.T) {
 		t.Fatalf("small batch = %v, want CPU", got)
 	}
 	// Broken program is rejected by the verifier.
-	if _, err := rt.InstallVMPolicy(policy.Program{{Op: policy.OpJmp, Off: -1}, {Op: policy.OpExit}}, cfg); err == nil {
+	if _, err := rt.InstallVMPolicy(policy.Program{{Op: policy.OpJmp, Off: -1}, {Op: policy.OpExit}}, cfg.Window); err == nil {
 		t.Fatal("verifier accepted broken program")
 	}
 }

@@ -55,7 +55,7 @@ func XAutoML() (string, error) {
 		if err != nil {
 			return "", err
 		}
-		auto, err := linnos.ReplayAutoML(pred, w, linnos.DefaultReplayConfig(linnos.ModeCPU), linnos.DefaultBenefitConfig())
+		auto, err := linnos.ReplayAutoML(pred, w, linnos.DefaultReplayConfig(linnos.ModeCPU))
 		if err != nil {
 			return "", err
 		}

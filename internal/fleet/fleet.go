@@ -51,11 +51,9 @@ import (
 // Config parameterizes a fleet.
 type Config struct {
 	// Runtime is the per-shard template. NumShards, RouterPolicy and
-	// RouterSeed are consumed here (core.New ignores them); every other
-	// field applies to each shard identically, except Clock and Recorder,
-	// which the fleet always creates itself: one fresh clock per shard
-	// (shards are independent processes with independent timelines) and one
-	// root flight recorder whose per-shard views it hands to each runtime.
+	// RouterSeed are consumed here; every other field applies to each
+	// shard identically (core.NewShard derives each shard's clock, metric
+	// label, sequence tag and recorder view from its ordinal).
 	Runtime core.Config
 	// Batcher parameterizes every shard's batching subsystem.
 	Batcher batcher.Config
@@ -95,7 +93,6 @@ type Shard struct {
 	ord   int
 	rt    *core.Runtime
 	b     *batcher.Batcher
-	clock *vtime.Clock
 	state atomic.Int32
 	// outstanding counts in-flight fleet requests routed to this shard,
 	// the least-outstanding router signal.
@@ -112,7 +109,7 @@ func (s *Shard) Runtime() *core.Runtime { return s.rt }
 func (s *Shard) Batcher() *batcher.Batcher { return s.b }
 
 // Clock returns the shard's own virtual clock.
-func (s *Shard) Clock() *vtime.Clock { return s.clock }
+func (s *Shard) Clock() *vtime.Clock { return s.rt.Clock() }
 
 // State returns the router's view of the shard.
 func (s *Shard) State() ShardState { return ShardState(s.state.Load()) }
@@ -168,26 +165,11 @@ func New(cfg Config) (*Fleet, error) {
 	f.gpuUtil = f.tel.Gauge("lake_fleet_gpu_util", "Last fleet-wide NVML GPU utilization aggregate (percent).")
 	f.memUtil = f.tel.Gauge("lake_fleet_mem_util", "Last fleet-wide NVML memory utilization aggregate (percent).")
 	for i := 0; i < n; i++ {
-		clk := vtime.New()
-		scfg := cfg.Runtime
-		scfg.NumShards = 0
-		scfg.Clock = clk
-		scfg.ShardOrdinal = i
-		scfg.ShardLabel = fmt.Sprint(i)
-		scfg.Recorder = nil
-		if f.rec != nil {
-			scfg.Recorder = f.rec.WithShard(i, clk)
-		}
-		rt, err := core.New(scfg)
+		rt, err := core.NewShard(cfg.Runtime, i, f.rec)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: shard %d: %w", i, err)
 		}
-		f.shards = append(f.shards, &Shard{
-			ord:   i,
-			rt:    rt,
-			b:     batcher.New(rt, cfg.Batcher),
-			clock: clk,
-		})
+		f.shards = append(f.shards, &Shard{ord: i, rt: rt, b: batcher.New(rt, cfg.Batcher)})
 	}
 	return f, nil
 }
@@ -208,7 +190,7 @@ func (f *Fleet) Shards() []*Shard { return f.shards }
 func (f *Fleet) VirtualElapsed() time.Duration {
 	var max time.Duration
 	for _, s := range f.shards {
-		if now := s.clock.Now(); now > max {
+		if now := s.rt.Clock().Now(); now > max {
 			max = now
 		}
 	}

@@ -14,7 +14,6 @@ import (
 	"lakego/internal/lifecycle"
 	"lakego/internal/linnos"
 	"lakego/internal/nn"
-	"lakego/internal/storage"
 	"lakego/internal/trace"
 )
 
@@ -137,7 +136,7 @@ func TestOnlineRetrainBeatsFrozenOnReratedTrace(t *testing.T) {
 
 	// Offline phase: train on the original-rate trace.
 	orig := trace.Azure().Generate(21, 4000)
-	origSamples, _ := linnos.CollectSamples(storage.DefaultConfig("orig", 21), orig)
+	origSamples, _ := linnos.CollectSamples(21, orig)
 	frozen, _, err := linnos.Train(linnos.Base, 7, origSamples, 3, 0.05)
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +144,7 @@ func TestOnlineRetrainBeatsFrozenOnReratedTrace(t *testing.T) {
 
 	// Reissue phase: same profile at 3x arrival rate, fresh device.
 	reissue := trace.Azure().Rerate(3).Generate(22, 6000)
-	reSamples, _ := linnos.CollectSamples(storage.DefaultConfig("reissue", 22), reissue)
+	reSamples, _ := linnos.CollectSamples(22, reissue)
 	if len(reSamples) < 1000 {
 		t.Fatalf("only %d reissue samples", len(reSamples))
 	}

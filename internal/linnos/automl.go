@@ -22,37 +22,29 @@ import (
 // mean, as in Fig 7) accumulated over whole epochs, with exponential
 // forgetting between epochs so regime changes are still tracked.
 
-// BenefitConfig tunes the monitor.
-type BenefitConfig struct {
-	// ControlEvery routes every Nth read to the opposite treatment for
+// The monitor's evaluation settings.
+const (
+	// controlEvery routes every Nth read to the opposite treatment for
 	// measurement.
-	ControlEvery int
-	// Margin is the hysteresis band: ML turns off only when its mean is
-	// at least Margin fraction worse than baseline, and on only when at
-	// least Margin better.
-	Margin float64
-	// MinSamples is the minimum effective sample count per group before
-	// a decision.
-	MinSamples int
-	// EvalEvery evaluates the decision (and ages the accumulators by
-	// half) once per this many recorded reads.
-	EvalEvery int
-}
-
-// confirmEvals requires the comparison to point the same way for this many
-// consecutive evaluations before flipping, suppressing chatter from
-// heavy-tailed epoch noise.
-const confirmEvals = 2
-
-// DefaultBenefitConfig returns the evaluation settings.
-func DefaultBenefitConfig() BenefitConfig {
-	return BenefitConfig{ControlEvery: 8, Margin: 0.05, MinSamples: 48, EvalEvery: 512}
-}
+	controlEvery = 8
+	// margin is the hysteresis band: ML turns off only when its mean is
+	// at least margin fraction worse than baseline, and on only when at
+	// least margin better.
+	margin = 0.05
+	// minSamples is the minimum effective sample count per group before a
+	// decision.
+	minSamples = 48
+	// evalEvery evaluates the decision (and ages the accumulators by half)
+	// once per this many recorded reads.
+	evalEvery = 512
+	// confirmEvals requires the comparison to point the same way for this
+	// many consecutive evaluations before flipping, suppressing chatter
+	// from heavy-tailed epoch noise.
+	confirmEvals = 2
+)
 
 // BenefitMonitor decides, online, whether ML-driven reissue helps.
 type BenefitMonitor struct {
-	cfg BenefitConfig
-
 	sumML, sumCtrl float64 // aged latency sums (µs)
 	nML, nCtrl     float64 // aged sample counts
 
@@ -67,20 +59,8 @@ type BenefitMonitor struct {
 
 // NewBenefitMonitor starts with ML enabled (optimistic, like deploying the
 // predictor and letting measurement veto it).
-func NewBenefitMonitor(cfg BenefitConfig) *BenefitMonitor {
-	if cfg.ControlEvery < 2 {
-		cfg.ControlEvery = 8
-	}
-	if cfg.MinSamples <= 0 {
-		cfg.MinSamples = 48
-	}
-	if cfg.EvalEvery <= 0 {
-		cfg.EvalEvery = 512
-	}
-	if cfg.Margin <= 0 {
-		cfg.Margin = 0.05
-	}
-	return &BenefitMonitor{cfg: cfg, enabled: true}
+func NewBenefitMonitor() *BenefitMonitor {
+	return &BenefitMonitor{enabled: true}
 }
 
 // Enabled reports the current decision.
@@ -98,13 +78,13 @@ func (m *BenefitMonitor) MLFraction() float64 {
 }
 
 // NextUseML returns whether the next read should take the ML path. The
-// majority follows the current decision; every ControlEvery-th read takes
+// majority follows the current decision; every controlEvery-th read takes
 // the opposite treatment to keep both estimates alive.
 func (m *BenefitMonitor) NextUseML() bool {
 	m.idx++
 	m.totalIOs++
 	useML := m.enabled
-	if m.idx%m.cfg.ControlEvery == 0 {
+	if m.idx%controlEvery == 0 {
 		useML = !useML
 	}
 	if useML {
@@ -114,7 +94,7 @@ func (m *BenefitMonitor) NextUseML() bool {
 }
 
 // Record feeds back one read's latency under the treatment it received.
-// Decisions happen once per EvalEvery records, on aged group means.
+// Decisions happen once per evalEvery records, on aged group means.
 func (m *BenefitMonitor) Record(usedML bool, lat time.Duration) {
 	v := float64(lat.Microseconds())
 	if usedML {
@@ -125,14 +105,14 @@ func (m *BenefitMonitor) Record(usedML bool, lat time.Duration) {
 		m.nCtrl++
 	}
 	m.recorded++
-	if m.recorded%m.cfg.EvalEvery != 0 {
+	if m.recorded%evalEvery != 0 {
 		return
 	}
-	if m.nML >= float64(m.cfg.MinSamples) && m.nCtrl >= float64(m.cfg.MinSamples) {
+	if m.nML >= minSamples && m.nCtrl >= minSamples {
 		mlMean := m.sumML / m.nML
 		ctrlMean := m.sumCtrl / m.nCtrl
-		against := (m.enabled && mlMean > ctrlMean*(1+m.cfg.Margin)) ||
-			(!m.enabled && mlMean < ctrlMean*(1-m.cfg.Margin))
+		against := (m.enabled && mlMean > ctrlMean*(1+margin)) ||
+			(!m.enabled && mlMean < ctrlMean*(1-margin))
 		if against {
 			m.streak++
 			if m.streak >= confirmEvals {
@@ -166,12 +146,12 @@ type AutoMLResult struct {
 // ReplayAutoML replays a workload with the benefit-aware modulation policy
 // wrapped around the CPU model path: reads take ML-driven reissue only while
 // the monitor believes it helps.
-func ReplayAutoML(pred *Predictor, w Workload, cfg ReplayConfig, bcfg BenefitConfig) (AutoMLResult, error) {
+func ReplayAutoML(pred *Predictor, w Workload, cfg ReplayConfig) (AutoMLResult, error) {
 	if pred == nil {
 		return AutoMLResult{}, fmt.Errorf("linnos: automl replay requires a predictor")
 	}
 	cfg.Mode = ModeCPU
-	monitor := NewBenefitMonitor(bcfg)
+	monitor := NewBenefitMonitor()
 	res, err := replay(pred, w, cfg, monitor)
 	if err != nil {
 		return AutoMLResult{}, err

@@ -9,7 +9,7 @@ import (
 )
 
 func TestBenefitMonitorDefaults(t *testing.T) {
-	m := NewBenefitMonitor(BenefitConfig{})
+	m := NewBenefitMonitor()
 	if !m.Enabled() {
 		t.Fatal("monitor must start optimistic")
 	}
@@ -19,67 +19,61 @@ func TestBenefitMonitorDefaults(t *testing.T) {
 }
 
 func TestBenefitMonitorControlSampling(t *testing.T) {
-	m := NewBenefitMonitor(BenefitConfig{ControlEvery: 4, MinSamples: 1000000, EvalEvery: 1 << 20})
-	ml, ctrl := 0, 0
-	for i := 0; i < 400; i++ {
-		if m.NextUseML() {
-			ml++
-		} else {
+	m := NewBenefitMonitor()
+	ctrl := 0
+	for i := 0; i < 800; i++ {
+		if !m.NextUseML() {
 			ctrl++
 		}
 	}
 	if ctrl != 100 {
-		t.Fatalf("control group = %d of 400, want 100 (every 4th)", ctrl)
+		t.Fatalf("control group = %d of 800, want 100 (every %dth)", ctrl, controlEvery)
 	}
-	if got := m.MLFraction(); got < 0.74 || got > 0.76 {
-		t.Fatalf("MLFraction = %v, want 0.75", got)
+	if got := m.MLFraction(); got != 0.875 {
+		t.Fatalf("MLFraction = %v, want 0.875", got)
 	}
-	_ = ml
 }
 
-func TestBenefitMonitorDisablesWhenMLHurts(t *testing.T) {
-	m := NewBenefitMonitor(BenefitConfig{ControlEvery: 2, Margin: 0.05, MinSamples: 8, EvalEvery: 32})
-	for i := 0; i < 200; i++ {
+// feed routes n reads through m, charging ml to those that take the ML
+// path and ctrl to the rest.
+func feed(m *BenefitMonitor, n int, ml, ctrl time.Duration) {
+	for i := 0; i < n; i++ {
 		useML := m.NextUseML()
-		lat := 100 * time.Microsecond
+		lat := ctrl
 		if useML {
-			lat = 130 * time.Microsecond // ML consistently 30% worse
+			lat = ml
 		}
 		m.Record(useML, lat)
 	}
+}
+
+func TestBenefitMonitorDisablesWhenMLHurts(t *testing.T) {
+	m := NewBenefitMonitor()
+	// ML consistently 30% worse: confirmEvals evaluations against it flip
+	// the decision, and the control group keeps confirming it.
+	feed(m, 4*evalEvery, 130*time.Microsecond, 100*time.Microsecond)
 	if m.Enabled() {
 		t.Fatal("monitor kept harmful ML enabled")
 	}
-	if m.Flips() == 0 {
-		t.Fatal("no decision flip recorded")
+	if m.Flips() != 1 {
+		t.Fatalf("flips = %d, want 1", m.Flips())
 	}
 }
 
 func TestBenefitMonitorReEnablesWhenRegimeChanges(t *testing.T) {
-	m := NewBenefitMonitor(BenefitConfig{ControlEvery: 2, Margin: 0.05, MinSamples: 8, EvalEvery: 32})
+	m := NewBenefitMonitor()
 	// Phase 1: ML hurts.
-	for i := 0; i < 100; i++ {
-		useML := m.NextUseML()
-		lat := 100 * time.Microsecond
-		if useML {
-			lat = 150 * time.Microsecond
-		}
-		m.Record(useML, lat)
-	}
+	feed(m, 2*evalEvery, 150*time.Microsecond, 100*time.Microsecond)
 	if m.Enabled() {
 		t.Fatal("phase 1: ML should be off")
 	}
 	// Phase 2: the device starts stalling; ML dodges it.
-	for i := 0; i < 300; i++ {
-		useML := m.NextUseML()
-		lat := 800 * time.Microsecond
-		if useML {
-			lat = 200 * time.Microsecond
-		}
-		m.Record(useML, lat)
-	}
+	feed(m, 4*evalEvery, 200*time.Microsecond, 800*time.Microsecond)
 	if !m.Enabled() {
 		t.Fatal("phase 2: monitor failed to re-enable beneficial ML")
+	}
+	if m.Flips() != 2 {
+		t.Fatalf("flips = %d, want 2", m.Flips())
 	}
 }
 
@@ -107,7 +101,7 @@ func TestAutoMLModulatesEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	auto, err := ReplayAutoML(pred, single, DefaultReplayConfig(ModeCPU), DefaultBenefitConfig())
+	auto, err := ReplayAutoML(pred, single, DefaultReplayConfig(ModeCPU))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +127,7 @@ func TestAutoMLModulatesEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	autoM, err := ReplayAutoML(pred, mixed, DefaultReplayConfig(ModeCPU), DefaultBenefitConfig())
+	autoM, err := ReplayAutoML(pred, mixed, DefaultReplayConfig(ModeCPU))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +143,7 @@ func TestAutoMLModulatesEndToEnd(t *testing.T) {
 }
 
 func TestReplayAutoMLValidation(t *testing.T) {
-	if _, err := ReplayAutoML(nil, Workload{}, DefaultReplayConfig(ModeCPU), DefaultBenefitConfig()); err == nil {
+	if _, err := ReplayAutoML(nil, Workload{}, DefaultReplayConfig(ModeCPU)); err == nil {
 		t.Fatal("nil predictor accepted")
 	}
 	rt := boot(t)
@@ -158,7 +152,7 @@ func TestReplayAutoMLValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	one := Workload{Name: "one", PerDevice: [][]trace.Request{trace.Azure().Generate(1, 10)}}
-	if _, err := ReplayAutoML(pred, one, DefaultReplayConfig(ModeCPU), DefaultBenefitConfig()); err == nil {
+	if _, err := ReplayAutoML(pred, one, DefaultReplayConfig(ModeCPU)); err == nil {
 		t.Fatal("single-device workload accepted")
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"lakego/internal/nn"
 	"lakego/internal/offload"
 	"lakego/internal/policy"
-	"lakego/internal/storage"
 	"lakego/internal/trace"
 )
 
@@ -203,7 +202,7 @@ func TestSyncCostsMoreThanAsync(t *testing.T) {
 
 func TestCollectSamplesLabels(t *testing.T) {
 	reqs := trace.Azure().Rerate(3).Generate(5, 3000)
-	samples, threshold := CollectSamples(storage.DefaultConfig("prof", 5), reqs)
+	samples, threshold := CollectSamples(5, reqs)
 	if len(samples) == 0 || threshold <= 0 {
 		t.Fatalf("samples=%d threshold=%v", len(samples), threshold)
 	}
@@ -224,7 +223,7 @@ func TestCollectSamplesLabels(t *testing.T) {
 
 func TestTrainingBeatsChance(t *testing.T) {
 	reqs := trace.Azure().Rerate(3).Generate(6, 4000)
-	samples, _ := CollectSamples(storage.DefaultConfig("prof", 6), reqs)
+	samples, _ := CollectSamples(6, reqs)
 	net, acc, err := Train(Base, 7, samples, 3, 0.05)
 	if err != nil {
 		t.Fatal(err)

@@ -174,7 +174,7 @@ func replay(pred *Predictor, w Workload, cfg ReplayConfig, monitor *BenefitMonit
 	store := features.NewStore()
 	for i := range states {
 		name := fmt.Sprintf("nvme%d", i)
-		dev := storage.NewDevice(storage.DefaultConfig(name, cfg.Seed+int64(i)))
+		dev := storage.NewDevice(name, cfg.Seed+int64(i))
 		reg, err := store.CreateRegistry(name, sys, schema, MaxBatch)
 		if err != nil {
 			return Result{}, err

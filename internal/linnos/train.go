@@ -19,12 +19,12 @@ type Sample struct {
 	Slow bool
 }
 
-// CollectSamples profiles a trace against a fresh device and labels each
-// read with whether its latency exceeded the returned threshold (the
-// inflection-point style cutoff LinnOS derives from the latency CDF; this
-// reproduction uses the 80th percentile).
-func CollectSamples(cfg storage.DeviceConfig, reqs []trace.Request) ([]Sample, time.Duration) {
-	dev := storage.NewDevice(cfg)
+// CollectSamples profiles a trace against a fresh drive seeded with seed and
+// labels each read with whether its latency exceeded the returned threshold
+// (the inflection-point style cutoff LinnOS derives from the latency CDF;
+// this reproduction uses the 80th percentile).
+func CollectSamples(seed int64, reqs []trace.Request) ([]Sample, time.Duration) {
+	dev := storage.NewDevice("profile", seed)
 	type rec struct {
 		x   []float32
 		lat time.Duration
@@ -124,7 +124,7 @@ func TrainedNetwork(kind ModelKind) (*nn.Network, error) {
 	for i, p := range trace.Profiles() {
 		// Rerate to stress the device so slow I/Os actually occur.
 		reqs := p.Rerate(3).Generate(int64(100+i), 4000)
-		s, _ := CollectSamples(storage.DefaultConfig("train", int64(i+1)), reqs)
+		s, _ := CollectSamples(int64(i+1), reqs)
 		samples = append(samples, s...)
 	}
 	net, _, err := Train(kind, 7, samples, 3, 0.05)

@@ -69,8 +69,9 @@ func AggregateUtilizationRates(devs []*gpu.Device) Utilization {
 }
 
 // DeviceGetClientUtilization reports utilization attributable to a single
-// context tag. The paper's adaptive policy (Fig 13) uses the aggregate
-// number; experiments use this to split kernel vs user shares (Fig 15).
+// context tag, NVML's per-process query. The paper's adaptive policy (Fig
+// 13) uses the aggregate number, and no experiment calls this: Fig 15's
+// kernel/user split is ecryptfs.UtilizationTrace's modeled constants.
 func DeviceGetClientUtilization(dev *gpu.Device, client string) int {
 	return int(dev.Utilization(SamplingWindow, client)*100 + 0.5)
 }

@@ -140,21 +140,22 @@ type Adaptive struct {
 // which is invoked at most once per checkInterval of virtual time; between
 // checks the last moving average is reused.
 func NewAdaptive(cfg AdaptiveConfig, clock *vtime.Clock, query func() int) *Adaptive {
-	a, err := Load(Compile(cfg), cfg, clock, query)
+	a, err := Load(Compile(cfg), cfg.Window, clock, query)
 	if err != nil {
 		panic(err) // Compile's output always verifies
 	}
 	return a
 }
 
-// Load verifies prog against the Fig 3 helper set built from (cfg.Window,
+// Load verifies prog against the Fig 3 helper set built from (window,
 // clock, query) and returns it as a policy: the eBPF-style install path for
-// a caller's own program.
-func Load(prog Program, cfg AdaptiveConfig, clock *vtime.Clock, query func() int) (*Adaptive, error) {
-	if cfg.Window <= 0 {
-		cfg.Window = 8
+// a caller's own program. window is the utilization moving average's length
+// (8 when <= 0); the thresholds live in prog.
+func Load(prog Program, window int, clock *vtime.Clock, query func() int) (*Adaptive, error) {
+	if window <= 0 {
+		window = 8
 	}
-	a := &Adaptive{prog: prog, clock: clock, query: query, avg: NewMovingAverage(cfg.Window)}
+	a := &Adaptive{prog: prog, clock: clock, query: query, avg: NewMovingAverage(window)}
 	a.helpers = HelperSet{HelperUtilAvg: a.utilAvg}
 	if err := Verify(prog, a.helpers); err != nil {
 		return nil, err

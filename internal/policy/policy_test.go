@@ -371,12 +371,12 @@ func TestNewAdaptiveDefaults(t *testing.T) {
 
 func TestVMPolicyRejectsUnverifiable(t *testing.T) {
 	query := func() int { return 0 }
-	if _, err := Load(Program{{Op: OpJmp, Off: -1}, {Op: OpExit}}, AdaptiveConfig{}, vtime.New(), query); err == nil {
+	if _, err := Load(Program{{Op: OpJmp, Off: -1}, {Op: OpExit}}, 0, vtime.New(), query); err == nil {
 		t.Fatal("verifier bypassed")
 	}
 	// A helper outside the Fig 3 set is not whitelisted.
 	for _, helper := range []int64{0, 2, 3} {
-		if _, err := Load(Program{{Op: OpCall, Imm: helper}, {Op: OpExit}}, AdaptiveConfig{}, vtime.New(), query); err == nil {
+		if _, err := Load(Program{{Op: OpCall, Imm: helper}, {Op: OpExit}}, 0, vtime.New(), query); err == nil {
 			t.Fatalf("unknown helper %d accepted", helper)
 		}
 	}
@@ -407,7 +407,7 @@ func compileConfigs() []AdaptiveConfig {
 // cpu_func.
 func TestCompileVerifies(t *testing.T) {
 	for _, cfg := range compileConfigs() {
-		if _, err := Load(Compile(cfg), cfg, vtime.New(), func() int { return 0 }); err != nil {
+		if _, err := Load(Compile(cfg), cfg.Window, vtime.New(), func() int { return 0 }); err != nil {
 			t.Fatalf("Compile(%+v) does not verify: %v", cfg, err)
 		}
 		want := Program{

@@ -16,35 +16,36 @@ import (
 	"time"
 )
 
-// DeviceConfig parameterizes one simulated NVMe device.
-type DeviceConfig struct {
-	// Name identifies the device (e.g. "nvme0").
-	Name string
-	// Channels is the internal parallelism (concurrent flash operations).
-	Channels int
-	// ReadBase / WriteBase are unloaded media access latencies.
-	ReadBase, WriteBase time.Duration
-	// BytesPerSec is per-channel transfer bandwidth.
-	BytesPerSec float64
-	// CacheLatency is the DRAM cache hit service time.
-	CacheLatency time.Duration
-	// CacheHitProb is the read cache hit probability at queue depth zero;
+// The calibration of the one drive model, a 980 Pro-class NVMe as seen by
+// the study.
+const (
+	// channelCount is the internal parallelism (concurrent flash
+	// operations).
+	channelCount = 8
+	// readBase / writeBase are unloaded media access latencies.
+	readBase  = 80 * time.Microsecond
+	writeBase = 22 * time.Microsecond
+	// bytesPerSec is per-channel transfer bandwidth.
+	bytesPerSec = 1.0e9
+	// cacheLatency is the DRAM cache hit service time.
+	cacheLatency = 12 * time.Microsecond
+	// cacheHitProb is the read cache hit probability at queue depth zero;
 	// effective probability decays as the queue builds.
-	CacheHitProb float64
-	// GCThreshold is the queue depth beyond which garbage-collection
+	cacheHitProb = 0.55
+	// gcThreshold is the queue depth beyond which garbage-collection
 	// stalls become likely.
-	GCThreshold int
-	// GCProb is the stall probability per I/O once past the threshold
+	gcThreshold = 12
+	// gcProb is the stall probability per I/O once past the threshold
 	// (outside the cooldown window).
-	GCProb float64
-	// GCPause is the base stall duration; actual stalls last between one
+	gcProb = 0.15
+	// gcPause is the base stall duration; actual stalls last between one
 	// and two pauses.
-	GCPause time.Duration
-	// GCCooldown is the minimum gap between stalls. It bounds the GC duty
+	gcPause = 1500 * time.Microsecond
+	// gcCooldown is the minimum gap between stalls. It bounds the GC duty
 	// cycle, preventing the queue->stall->queue feedback loop from
 	// melting the device: real drives amortize GC over time.
-	GCCooldown time.Duration
-	// GCWriteBudget triggers a stall after this many bytes written
+	gcCooldown = 20 * time.Millisecond
+	// gcWriteBudget triggers a stall after this many bytes written
 	// (write-amplification-driven garbage collection). Because the
 	// trigger depends only on the trace's cumulative write volume,
 	// devices replaying the same trace stall in lockstep — reissuing to
@@ -52,29 +53,8 @@ type DeviceConfig struct {
 	// running dissimilar traces stall at uncorrelated times, which is
 	// exactly when rejecting a slow I/O pays off (§7.1's mixed
 	// workloads).
-	GCWriteBudget int64
-	// Seed drives the device's deterministic randomness.
-	Seed int64
-}
-
-// DefaultConfig models a 980 Pro-class drive as seen by the study.
-func DefaultConfig(name string, seed int64) DeviceConfig {
-	return DeviceConfig{
-		Name:          name,
-		Channels:      8,
-		ReadBase:      80 * time.Microsecond,
-		WriteBase:     22 * time.Microsecond,
-		BytesPerSec:   1.0e9,
-		CacheLatency:  12 * time.Microsecond,
-		CacheHitProb:  0.55,
-		GCThreshold:   12,
-		GCProb:        0.15,
-		GCPause:       1500 * time.Microsecond,
-		GCCooldown:    20 * time.Millisecond,
-		GCWriteBudget: 8 << 20,
-		Seed:          seed,
-	}
-}
+	gcWriteBudget = 8 << 20
+)
 
 // Completion describes one submitted I/O's outcome.
 type Completion struct {
@@ -89,7 +69,7 @@ type Completion struct {
 // Device is one simulated NVMe drive. Safe for concurrent use, though the
 // replay engines drive it from one goroutine for determinism.
 type Device struct {
-	cfg DeviceConfig
+	name string
 
 	mu       sync.Mutex
 	rng      *rand.Rand
@@ -98,7 +78,7 @@ type Device struct {
 	recent   []time.Duration // most recent completion latencies, newest last
 
 	gcUntil      time.Duration // device stalled until this instant
-	gcCooldown   time.Duration // no new stall before this instant
+	noGCBefore   time.Duration // no new stall before this instant
 	bytesSinceGC int64         // written bytes since the last stall
 	gcTriggers   int64         // stalls so far (drives deterministic pauses)
 
@@ -111,23 +91,18 @@ type Device struct {
 // previous I/Os).
 const RecentWindow = 4
 
-// NewDevice creates a device from cfg.
-func NewDevice(cfg DeviceConfig) *Device {
-	if cfg.Channels <= 0 {
-		cfg.Channels = 1
-	}
+// NewDevice creates a drive named name (e.g. "nvme0") whose deterministic
+// randomness is seeded with seed.
+func NewDevice(name string, seed int64) *Device {
 	return &Device{
-		cfg:      cfg,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		channels: make([]time.Duration, cfg.Channels),
+		name:     name,
+		rng:      rand.New(rand.NewSource(seed)),
+		channels: make([]time.Duration, channelCount),
 	}
 }
 
 // Name returns the device name.
-func (d *Device) Name() string { return d.cfg.Name }
-
-// Config returns the device's parameters.
-func (d *Device) Config() DeviceConfig { return d.cfg }
+func (d *Device) Name() string { return d.name }
 
 // Submitted returns the number of I/Os accepted.
 func (d *Device) Submitted() int64 {
@@ -189,16 +164,16 @@ func (d *Device) Submit(now time.Duration, size int64, write bool) Completion {
 	// Accumulated writes or queue pressure kick off an internal
 	// garbage-collection stall that freezes every channel. The cooldown
 	// bounds the duty cycle.
-	writeGC := d.cfg.GCWriteBudget > 0 && d.bytesSinceGC >= d.cfg.GCWriteBudget
-	queueGC := queue > d.cfg.GCThreshold && d.rng.Float64() < d.cfg.GCProb
-	if (writeGC || queueGC) && now >= d.gcCooldown {
+	writeGC := d.bytesSinceGC >= gcWriteBudget
+	queueGC := queue > gcThreshold && d.rng.Float64() < gcProb
+	if (writeGC || queueGC) && now >= d.noGCBefore {
 		// Pause length is a deterministic function of the trigger index,
 		// not the per-device RNG: devices replaying identical traces then
-		// stall over identical windows (see GCWriteBudget).
+		// stall over identical windows (see gcWriteBudget).
 		d.gcTriggers++
-		jitter := time.Duration((d.gcTriggers * 2654435761) % int64(d.cfg.GCPause))
-		d.gcUntil = now + d.cfg.GCPause + jitter
-		d.gcCooldown = d.gcUntil + d.cfg.GCCooldown
+		jitter := time.Duration((d.gcTriggers * 2654435761) % int64(gcPause))
+		d.gcUntil = now + gcPause + jitter
+		d.noGCBefore = d.gcUntil + gcCooldown
 		d.bytesSinceGC = 0
 	}
 
@@ -220,16 +195,16 @@ func (d *Device) Submit(now time.Duration, size int64, write bool) Completion {
 		d.slowCount++
 	}
 
-	transfer := time.Duration(float64(size) / d.cfg.BytesPerSec * float64(time.Second))
+	transfer := time.Duration(float64(size) / bytesPerSec * float64(time.Second))
 	var service time.Duration
 	switch {
-	case !write && d.rng.Float64() < d.cfg.CacheHitProb/(1+float64(queue)/8):
+	case !write && d.rng.Float64() < cacheHitProb/(1+float64(queue)/8):
 		// DRAM cache absorbs the read; bandwidth still applies.
-		service = d.cfg.CacheLatency + transfer/4
+		service = cacheLatency + transfer/4
 	case write:
-		service = d.cfg.WriteBase + transfer
+		service = writeBase + transfer
 	default:
-		service = d.cfg.ReadBase + transfer
+		service = readBase + transfer
 	}
 
 	finish := start + service

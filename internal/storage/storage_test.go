@@ -8,7 +8,7 @@ import (
 	"lakego/internal/trace"
 )
 
-func dev(seed int64) *Device { return NewDevice(DefaultConfig("nvme0", seed)) }
+func dev(seed int64) *Device { return NewDevice("nvme0", seed) }
 
 func TestSubmitBasics(t *testing.T) {
 	d := dev(1)
@@ -152,9 +152,9 @@ func TestArrayRequiresTwoDevices(t *testing.T) {
 }
 
 func TestReissueTargetSkipsSource(t *testing.T) {
-	d1 := NewDevice(DefaultConfig("nvme0", 1))
-	d2 := NewDevice(DefaultConfig("nvme1", 2))
-	d3 := NewDevice(DefaultConfig("nvme2", 3))
+	d1 := NewDevice("nvme0", 1)
+	d2 := NewDevice("nvme1", 2)
+	d3 := NewDevice("nvme2", 3)
 	a, _ := NewArray(d1, d2, d3)
 	for i := 0; i < 20; i++ {
 		if got := a.ReissueTarget(d1); got == d1 {

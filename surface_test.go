@@ -18,20 +18,21 @@ import (
 // TestExportedSurfaceUsed is the offline unused-export check: an exported
 // name declared under internal/ that nothing references outside its own
 // package's _test.go files fails the test, unless testdata/surface_allowlist.txt
-// names it with a reason. An allowlist entry the check no longer flags fails
-// too, so the list only shrinks with the code it excuses.
+// names it with a reason. So does a name reached only from the bodies of
+// such names (a chain behind a test hook). An allowlist entry the check no
+// longer flags fails too, so the list only shrinks with the code it excuses.
 func TestExportedSurfaceUsed(t *testing.T) {
-	flagged, err := unusedExports(".", "lakego")
+	allowed, err := readAllowlist("testdata/surface_allowlist.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	allowed, err := readAllowlist("testdata/surface_allowlist.txt")
+	flagged, err := unusedExports(".", "lakego", allowed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range flagged {
 		if _, ok := allowed[name]; !ok {
-			t.Errorf("%s is exported but referenced only by its own package's tests: delete it, unexport it, or allowlist it with a reason", name)
+			t.Errorf("%s is exported but referenced only by its own package's tests or from flagged names: delete it, unexport it, or allowlist it with a reason", name)
 		}
 		delete(allowed, name)
 	}
@@ -43,7 +44,8 @@ func TestExportedSurfaceUsed(t *testing.T) {
 		root := t.TempDir()
 		for path, src := range map[string]string{
 			"internal/a/a.go":      "package a\n\nfunc Used() {}\nfunc Orphan() {}\n\ntype T struct{ F, G int }\n\nfunc (T) M() {}\nfunc (T) N() {}\n",
-			"internal/a/a_test.go": "package a\n\nimport \"testing\"\n\nfunc TestA(t *testing.T) { Orphan(); T{}.M(); _ = T{G: 1} }\n",
+			"internal/a/chain.go":  "package a\n\nfunc Hook() int { return Link1() }\nfunc Link1() int { return Link2 }\n\nvar Link2 = 2\n\nfunc API() { Helper() }\nfunc Helper() {}\n",
+			"internal/a/a_test.go": "package a\n\nimport \"testing\"\n\nfunc TestA(t *testing.T) { Orphan(); T{}.M(); _ = T{G: 1}; Hook(); API() }\n",
 			"internal/a/x_test.go": "package a_test\n\nimport \"example/internal/a\"\n\nvar _ = a.Orphan\n",
 			"cmd/b/main.go":        "package main\n\nimport alias \"example/internal/a\"\n\nfunc main() { alias.Used(); _ = alias.T{F: 1}; alias.T{}.N() }\n",
 		} {
@@ -54,11 +56,17 @@ func TestExportedSurfaceUsed(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		got, err := unusedExports(root, "example")
+		// Hook's body is all that reaches Link1, and Link1's all that reaches
+		// Link2; API is kept for a reason other than a test hook, so what
+		// its body reaches counts as used.
+		got, err := unusedExports(root, "example", map[string]string{
+			"internal/a.Hook": "test hook: planted",
+			"internal/a.API":  "paper API: planted",
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := []string{"internal/a.Orphan", "internal/a.T.G", "internal/a.T.M"}
+		want := []string{"internal/a.API", "internal/a.Hook", "internal/a.Link1", "internal/a.Link2", "internal/a.Orphan", "internal/a.T.G", "internal/a.T.M"}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("planted violations: flagged %v, want %v", got, want)
 		}
@@ -89,18 +97,27 @@ func readAllowlist(path string) (map[string]string, error) {
 	return out, sc.Err()
 }
 
-// use is where a name is referenced: the referring package's directory and
-// whether the reference sits in a _test.go file.
+// use is where a name is referenced: the referring package's directory,
+// whether the reference sits in a _test.go file, and the full name of the
+// top-level declaration it sits in ("" in an import or a declaration of
+// several names).
 type use struct {
 	dir  string
 	test bool
+	from string
 }
 
 // unusedExports parses every Go file of the module rooted at root and
 // returns, sorted, the exported names declared in non-test files under
 // internal/ that are referenced only from their own package's _test.go
-// files. Names are "dir.Name" for package-level functions, types, constants
-// and variables and "dir.Type.Name" for methods and struct fields.
+// files, or from the declarations of names it flags. Names are "dir.Name"
+// for package-level functions, types, constants and variables and
+// "dir.Type.Name" for methods and struct fields.
+//
+// allowed is the allowlist: a flagged name it keeps for a reason other than
+// "test hook: ..." is used API, so what its declaration references counts as
+// used. Every other flagged name, test hooks included, reaches nothing: a
+// name referenced only from inside them is flagged too, to a fixed point.
 //
 // The match is by name, without type checking: a package-level name counts
 // as used where its package qualifies it (or, inside its own package, where
@@ -109,7 +126,7 @@ type use struct {
 // so a flagged name is reliably unreferenced outside its tests; a method
 // reached only through an interface a library calls (fmt's String, sort's
 // Len) has no selector and is flagged.
-func unusedExports(root, module string) ([]string, error) {
+func unusedExports(root, module string, allowed map[string]string) ([]string, error) {
 	type file struct {
 		dir  string
 		test bool
@@ -167,11 +184,7 @@ func unusedExports(root, module string) ([]string, error) {
 		for _, d := range f.ast.Decls {
 			switch d := d.(type) {
 			case *ast.FuncDecl:
-				if d.Recv == nil {
-					declare(f.dir, f.dir+"."+d.Name.Name, d.Name)
-				} else {
-					declare(f.dir, f.dir+"."+recvType(d.Recv.List[0].Type)+"."+d.Name.Name, d.Name)
-				}
+				declare(f.dir, funcName(f.dir, d), d.Name)
 			case *ast.GenDecl:
 				for _, s := range d.Specs {
 					switch s := s.(type) {
@@ -216,7 +229,7 @@ func unusedExports(root, module string) ([]string, error) {
 			}
 			imports[local] = dir
 		}
-		at := use{f.dir, f.test}
+		at := use{dir: f.dir, test: f.test}
 		var visit func(n ast.Node) bool
 		visit = func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -241,28 +254,80 @@ func unusedExports(root, module string) ([]string, error) {
 			}
 			return true
 		}
-		ast.Inspect(f.ast, visit)
-	}
-
-	var out []string
-	for name, dir := range decls {
-		uses := pkgUses[name]
-		if member := strings.TrimPrefix(name, dir+"."); strings.Contains(member, ".") {
-			uses = selUses[member[strings.IndexByte(member, '.')+1:]]
-		}
-		used := false
-		for _, u := range uses {
-			if u.dir != dir || !u.test {
-				used = true
-				break
+		for _, d := range f.ast.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				at.from = funcName(f.dir, d)
+				ast.Inspect(d, visit)
+			case *ast.GenDecl:
+				for _, s := range d.Specs {
+					at.from = specName(f.dir, s)
+					ast.Inspect(s, visit)
+				}
 			}
 		}
-		if !used {
-			out = append(out, name)
+	}
+
+	// dead holds the flagged names; a reference from inside one counts
+	// unless the allowlist keeps that name as API.
+	dead := map[string]bool{}
+	for grew := true; grew; {
+		grew = false
+		for name, dir := range decls {
+			if dead[name] {
+				continue
+			}
+			uses := pkgUses[name]
+			if member := strings.TrimPrefix(name, dir+"."); strings.Contains(member, ".") {
+				uses = selUses[member[strings.IndexByte(member, '.')+1:]]
+			}
+			used := false
+			for _, u := range uses {
+				if (u.dir != dir || !u.test) && (!dead[u.from] || isKept(allowed[u.from])) {
+					used = true
+					break
+				}
+			}
+			if !used {
+				dead[name], grew = true, true
+			}
 		}
+	}
+	var out []string
+	for name := range dead {
+		out = append(out, name)
 	}
 	sort.Strings(out)
 	return out, nil
+}
+
+// isKept reports whether an allowlist reason keeps a name as used API:
+// any reason but a test hook.
+func isKept(reason string) bool {
+	return reason != "" && !strings.HasPrefix(reason, "test hook:")
+}
+
+// funcName is a function's full name: "dir.Name", or "dir.Type.Name" for a
+// method.
+func funcName(dir string, d *ast.FuncDecl) string {
+	if d.Recv == nil {
+		return dir + "." + d.Name.Name
+	}
+	return dir + "." + recvType(d.Recv.List[0].Type) + "." + d.Name.Name
+}
+
+// specName is the full name of the one type, constant or variable a spec
+// declares, or "" for an import or a spec of several names.
+func specName(dir string, s ast.Spec) string {
+	switch s := s.(type) {
+	case *ast.TypeSpec:
+		return dir + "." + s.Name.Name
+	case *ast.ValueSpec:
+		if len(s.Names) == 1 {
+			return dir + "." + s.Names[0].Name
+		}
+	}
+	return ""
 }
 
 // recvType is a method receiver's type name, without pointer or type

@@ -121,7 +121,7 @@ func BenchmarkAblationBatchQuantum(b *testing.B) {
 			cfg.Quantum = q
 			var res linnos.Result
 			for i := 0; i < b.N; i++ {
-				if res, err = linnos.Replay(rt, pred, w, cfg); err != nil {
+				if res, err = linnos.Replay(pred, w, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -234,7 +234,7 @@ func BenchmarkAblationAutoML(b *testing.B) {
 	var always, auto linnos.Result
 	var autoRes linnos.AutoMLResult
 	for i := 0; i < b.N; i++ {
-		if always, err = linnos.Replay(rt, pred, w, linnos.DefaultReplayConfig(linnos.ModeCPU)); err != nil {
+		if always, err = linnos.Replay(pred, w, linnos.DefaultReplayConfig(linnos.ModeCPU)); err != nil {
 			b.Fatal(err)
 		}
 		if autoRes, err = linnos.ReplayAutoML(pred, w, linnos.DefaultReplayConfig(linnos.ModeCPU)); err != nil {

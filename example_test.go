@@ -107,9 +107,7 @@ func Example_policy() {
 	}
 	defer rt.Close()
 
-	pol := rt.NewAdaptivePolicy(lake.AdaptiveConfig{
-		UtilThreshold: 40, BatchThreshold: 8, Window: 1,
-	})
+	pol := rt.NewAdaptivePolicy(lake.AdaptiveConfig{UtilThreshold: 40, BatchThreshold: 8})
 	fmt.Println("batch 2:", pol.Decide(2))
 	fmt.Println("batch 64:", pol.Decide(64))
 	// Output:
@@ -374,15 +372,15 @@ func Example_iolatency() {
 	// 3. Replay the stressed mixed workload in all three configurations.
 	w := linnos.MixedWorkload("Mixed+", 3000, 21, 3)
 	fmt.Printf("\nreplaying %s (3 devices, %d I/Os each):\n", w.Name, 3000)
-	base, err := linnos.Replay(rt, nil, w, linnos.DefaultReplayConfig(linnos.ModeBaseline))
+	base, err := linnos.Replay(nil, w, linnos.DefaultReplayConfig(linnos.ModeBaseline))
 	if err != nil {
 		log.Fatal(err)
 	}
-	cpu, err := linnos.Replay(rt, pred, w, linnos.DefaultReplayConfig(linnos.ModeCPU))
+	cpu, err := linnos.Replay(pred, w, linnos.DefaultReplayConfig(linnos.ModeCPU))
 	if err != nil {
 		log.Fatal(err)
 	}
-	lk, err := linnos.Replay(rt, pred, w, linnos.DefaultReplayConfig(linnos.ModeLAKE))
+	lk, err := linnos.Replay(pred, w, linnos.DefaultReplayConfig(linnos.ModeLAKE))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -245,9 +245,7 @@ func newRuntime(cfg Config, ord int, root *flightrec.Recorder) (*Runtime, error)
 		rt.sup = NewSupervisor(clock, daemon, lib, cfg.Supervision)
 		rt.sup.SetFlightRecorder(rt.rec)
 		rt.sup.Instrument(rt.tel, rt.metricName)
-		res := remoting.DefaultResilience()
-		res.Hook = rt.sup
-		lib.EnableResilience(res)
+		lib.EnableResilience(rt.sup)
 	}
 	if r := lib.CuInit(); r != cuda.Success {
 		return nil, fmt.Errorf("core: remote cuInit failed: %s", r)
@@ -346,7 +344,7 @@ func (r *Runtime) RegisterKernel(k *cuda.Kernel) { r.api.RegisterKernel(k) }
 // utilization source is the LAKE-remoted NVML query, exactly as the paper's
 // pseudocode does.
 func (r *Runtime) NewAdaptivePolicy(cfg policy.AdaptiveConfig) *policy.Adaptive {
-	p, err := r.InstallVMPolicy(policy.Compile(cfg), cfg.Window)
+	p, err := r.InstallVMPolicy(policy.Compile(cfg))
 	if err != nil {
 		panic(err) // Compile's output always verifies
 	}
@@ -354,11 +352,11 @@ func (r *Runtime) NewAdaptivePolicy(cfg policy.AdaptiveConfig) *policy.Adaptive 
 }
 
 // InstallVMPolicy verifies a bytecode policy against the Fig 3 helper set
-// (utilization from remoted NVML, averaged over window queries; see
+// (utilization from remoted NVML, averaged over the last 8 queries; see
 // policy.Load) and returns it ready for Decide calls, with the batch size
 // passed in r1.
-func (r *Runtime) InstallVMPolicy(prog policy.Program, window int) (*policy.Adaptive, error) {
-	return policy.Load(prog, window, r.clock, func() int {
+func (r *Runtime) InstallVMPolicy(prog policy.Program) (*policy.Adaptive, error) {
+	return policy.Load(prog, r.clock, func() int {
 		g, _, res := r.lib.NvmlGetUtilization()
 		if res != cuda.Success {
 			return 100 // treat a failed query as contended: stay on CPU

@@ -83,9 +83,7 @@ func TestEndToEndVecAddThroughRuntime(t *testing.T) {
 func TestAdaptivePolicyUsesRemotedNVML(t *testing.T) {
 	rt := boot(t)
 	rt.Clock().Advance(time.Second)
-	pol := rt.NewAdaptivePolicy(policy.AdaptiveConfig{
-		UtilThreshold: 40, BatchThreshold: 8, Window: 1,
-	})
+	pol := rt.NewAdaptivePolicy(policy.AdaptiveConfig{UtilThreshold: 40, BatchThreshold: 8})
 	// Idle device, large batch: GPU.
 	if got := pol.Decide(64); got != policy.UseGPU {
 		t.Fatalf("idle decide = %v, want GPU", got)
@@ -105,8 +103,7 @@ func TestAdaptivePolicyUsesRemotedNVML(t *testing.T) {
 func TestInstallVMPolicy(t *testing.T) {
 	rt := boot(t)
 	rt.Clock().Advance(time.Second)
-	cfg := policy.AdaptiveConfig{UtilThreshold: 40, BatchThreshold: 8, Window: 1}
-	vp, err := rt.InstallVMPolicy(policy.Compile(cfg), cfg.Window)
+	vp, err := rt.InstallVMPolicy(policy.Compile(policy.AdaptiveConfig{UtilThreshold: 40, BatchThreshold: 8}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +114,7 @@ func TestInstallVMPolicy(t *testing.T) {
 		t.Fatalf("small batch = %v, want CPU", got)
 	}
 	// Broken program is rejected by the verifier.
-	if _, err := rt.InstallVMPolicy(policy.Program{{Op: policy.OpJmp, Off: -1}, {Op: policy.OpExit}}, cfg.Window); err == nil {
+	if _, err := rt.InstallVMPolicy(policy.Program{{Op: policy.OpJmp, Off: -1}, {Op: policy.OpExit}}); err == nil {
 		t.Fatal("verifier accepted broken program")
 	}
 }
@@ -160,7 +157,7 @@ func TestDaemonAccessorAndHighLevelViaRuntime(t *testing.T) {
 func TestAdaptivePolicyTreatsQueryFailureAsContended(t *testing.T) {
 	rt := boot(t)
 	rt.Close() // kill the transport: NVML queries now fail
-	pol := rt.NewAdaptivePolicy(policy.AdaptiveConfig{UtilThreshold: 40, BatchThreshold: 1, Window: 1})
+	pol := rt.NewAdaptivePolicy(policy.AdaptiveConfig{UtilThreshold: 40, BatchThreshold: 1})
 	if got := pol.Decide(1024); got != policy.UseCPU {
 		t.Fatalf("decide with dead NVML = %v, want CPU (fail safe)", got)
 	}

@@ -151,7 +151,7 @@ func (s *Supervisor) setStateLocked(to DaemonState) {
 // failThreshold the daemon is declared Dead and restarted. Returning true
 // tells the client to redeliver — exactly-once is preserved by the
 // daemon-side journal.
-func (s *Supervisor) DaemonUnresponsive(remoting.APIID, uint64, error) bool {
+func (s *Supervisor) DaemonUnresponsive() bool {
 	s.mu.Lock()
 	s.failures++
 	if s.state == StateHealthy || s.state == StateReAttached {

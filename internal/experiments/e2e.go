@@ -83,17 +83,17 @@ func Fig7WithLength(n int) (string, error) {
 	}
 	b.WriteString("   (µs)\n")
 	for _, w := range workloads {
-		base, err := linnos.Replay(rt, nil, w, linnos.DefaultReplayConfig(linnos.ModeBaseline))
+		base, err := linnos.Replay(nil, w, linnos.DefaultReplayConfig(linnos.ModeBaseline))
 		if err != nil {
 			return "", err
 		}
 		b.WriteString(fmt.Sprintf("%-10s %10.0f", w.Name, us(base.AvgRead)))
 		for _, kind := range linnos.Kinds() {
-			cpu, err := linnos.Replay(rt, preds[kind], w, linnos.DefaultReplayConfig(linnos.ModeCPU))
+			cpu, err := linnos.Replay(preds[kind], w, linnos.DefaultReplayConfig(linnos.ModeCPU))
 			if err != nil {
 				return "", err
 			}
-			lk, err := linnos.Replay(rt, preds[kind], w, linnos.DefaultReplayConfig(linnos.ModeLAKE))
+			lk, err := linnos.Replay(preds[kind], w, linnos.DefaultReplayConfig(linnos.ModeLAKE))
 			if err != nil {
 				return "", err
 			}

@@ -47,11 +47,11 @@ func XAutoML() (string, error) {
 		linnos.SingleTraceWorkload(trace.Azure(), 3, 3000, 11),
 		linnos.MixedWorkload("Mixed+", 3000, 15, 3),
 	} {
-		base, err := linnos.Replay(rt, nil, w, linnos.DefaultReplayConfig(linnos.ModeBaseline))
+		base, err := linnos.Replay(nil, w, linnos.DefaultReplayConfig(linnos.ModeBaseline))
 		if err != nil {
 			return "", err
 		}
-		always, err := linnos.Replay(rt, pred, w, linnos.DefaultReplayConfig(linnos.ModeCPU))
+		always, err := linnos.Replay(pred, w, linnos.DefaultReplayConfig(linnos.ModeCPU))
 		if err != nil {
 			return "", err
 		}

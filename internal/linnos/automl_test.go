@@ -93,11 +93,11 @@ func TestAutoMLModulatesEndToEnd(t *testing.T) {
 	}
 
 	single := SingleTraceWorkload(trace.Azure(), 3, 3000, 11)
-	base, err := Replay(rt, nil, single, DefaultReplayConfig(ModeBaseline))
+	base, err := Replay(nil, single, DefaultReplayConfig(ModeBaseline))
 	if err != nil {
 		t.Fatal(err)
 	}
-	alwaysML, err := Replay(rt, pred, single, DefaultReplayConfig(ModeCPU))
+	alwaysML, err := Replay(pred, single, DefaultReplayConfig(ModeCPU))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestAutoMLModulatesEndToEnd(t *testing.T) {
 	}
 
 	mixed := MixedWorkload("Mixed+", 2500, 31, 3)
-	baseM, err := Replay(rt, nil, mixed, DefaultReplayConfig(ModeBaseline))
+	baseM, err := Replay(nil, mixed, DefaultReplayConfig(ModeBaseline))
 	if err != nil {
 		t.Fatal(err)
 	}

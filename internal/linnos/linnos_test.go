@@ -257,11 +257,11 @@ func TestReplayBaselineVsMLShape(t *testing.T) {
 	}
 	w := MixedWorkload("Mixed+", 2500, 31, 3)
 
-	base, err := Replay(rt, nil, w, DefaultReplayConfig(ModeBaseline))
+	base, err := Replay(nil, w, DefaultReplayConfig(ModeBaseline))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpu, err := Replay(rt, pred, w, DefaultReplayConfig(ModeCPU))
+	cpu, err := Replay(pred, w, DefaultReplayConfig(ModeCPU))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestReplayLAKEUsesGPUBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := MixedWorkload("Mixed+", 2000, 32, 3)
-	res, err := Replay(rt, pred, w, DefaultReplayConfig(ModeLAKE))
+	res, err := Replay(pred, w, DefaultReplayConfig(ModeLAKE))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,13 +297,12 @@ func TestReplayLAKEUsesGPUBatches(t *testing.T) {
 }
 
 func TestReplayValidation(t *testing.T) {
-	rt := boot(t)
 	w := MixedWorkload("m", 100, 1, 1)
-	if _, err := Replay(rt, nil, w, DefaultReplayConfig(ModeCPU)); err == nil {
+	if _, err := Replay(nil, w, DefaultReplayConfig(ModeCPU)); err == nil {
 		t.Fatal("CPU mode without predictor accepted")
 	}
 	one := Workload{Name: "one", PerDevice: [][]trace.Request{trace.Azure().Generate(1, 10)}}
-	if _, err := Replay(rt, nil, one, DefaultReplayConfig(ModeBaseline)); err == nil {
+	if _, err := Replay(nil, one, DefaultReplayConfig(ModeBaseline)); err == nil {
 		t.Fatal("single-device workload accepted")
 	}
 }

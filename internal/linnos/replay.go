@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"lakego/internal/core"
 	"lakego/internal/features"
 	"lakego/internal/storage"
 	"lakego/internal/trace"
@@ -142,7 +141,7 @@ type devState struct {
 
 // Replay runs a workload through the array under the given configuration.
 // pred may be nil for ModeBaseline.
-func Replay(rt *core.Runtime, pred *Predictor, w Workload, cfg ReplayConfig) (Result, error) {
+func Replay(pred *Predictor, w Workload, cfg ReplayConfig) (Result, error) {
 	if cfg.Mode != ModeBaseline && pred == nil {
 		return Result{}, fmt.Errorf("linnos: mode %s requires a predictor", cfg.Mode)
 	}

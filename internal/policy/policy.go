@@ -76,20 +76,21 @@ type AdaptiveConfig struct {
 	// BatchThreshold is batch_threshold: below this batch size the GPU is
 	// not performance profitable and the CPU is used.
 	BatchThreshold int
-	// Window is the moving-average window in samples.
-	Window int
 }
 
-// checkInterval rate-limits utilization queries ("if ...5 ms elapsed since
-// last check...").
-const checkInterval = 5 * time.Millisecond
+const (
+	// checkInterval rate-limits utilization queries ("if ...5 ms elapsed
+	// since last check...").
+	checkInterval = 5 * time.Millisecond
+	// avgWindow is the utilization moving average's length in samples.
+	avgWindow = 8
+)
 
 // DefaultAdaptiveConfig mirrors the constants the evaluation uses.
 func DefaultAdaptiveConfig() AdaptiveConfig {
 	return AdaptiveConfig{
 		UtilThreshold:  40,
 		BatchThreshold: 8,
-		Window:         8,
 	}
 }
 
@@ -140,22 +141,18 @@ type Adaptive struct {
 // which is invoked at most once per checkInterval of virtual time; between
 // checks the last moving average is reused.
 func NewAdaptive(cfg AdaptiveConfig, clock *vtime.Clock, query func() int) *Adaptive {
-	a, err := Load(Compile(cfg), cfg.Window, clock, query)
+	a, err := Load(Compile(cfg), clock, query)
 	if err != nil {
 		panic(err) // Compile's output always verifies
 	}
 	return a
 }
 
-// Load verifies prog against the Fig 3 helper set built from (window,
-// clock, query) and returns it as a policy: the eBPF-style install path for
-// a caller's own program. window is the utilization moving average's length
-// (8 when <= 0); the thresholds live in prog.
-func Load(prog Program, window int, clock *vtime.Clock, query func() int) (*Adaptive, error) {
-	if window <= 0 {
-		window = 8
-	}
-	a := &Adaptive{prog: prog, clock: clock, query: query, avg: NewMovingAverage(window)}
+// Load verifies prog against the Fig 3 helper set built from (clock,
+// query) and returns it as a policy: the eBPF-style install path for a
+// caller's own program. The thresholds live in prog.
+func Load(prog Program, clock *vtime.Clock, query func() int) (*Adaptive, error) {
+	a := &Adaptive{prog: prog, clock: clock, query: query, avg: NewMovingAverage(avgWindow)}
 	a.helpers = HelperSet{HelperUtilAvg: a.utilAvg}
 	if err := Verify(prog, a.helpers); err != nil {
 		return nil, err

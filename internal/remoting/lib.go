@@ -64,16 +64,17 @@ type Lib struct {
 	calls                            telemetry.Counter
 	retries, recoveries              telemetry.Counter
 	corruptResponses, staleResponses telemetry.Counter
-	deadlineExceeded, daemonDead     telemetry.Counter
+	daemonDead                       telemetry.Counter
 	remotedTime                      atomic.Int64
 	callLatency                      *telemetry.Histogram
 
-	// res is the policy every exchange runs under: NewLib's one-attempt,
-	// no-deadline, no-hook default until EnableResilience arms retries.
-	// Both are written only during construction; rng's jitter draws happen
-	// under callMu, so they keep one deterministic order.
-	res *Resilience
-	rng *rand.Rand
+	// rng is nil until EnableResilience arms the retry schedule (an
+	// unarmed exchange makes one attempt); hook is the recovery hook it
+	// armed, nil for none. Both are written only during construction;
+	// rng's jitter draws happen under callMu, so they keep one
+	// deterministic order.
+	rng  *rand.Rand
+	hook RecoveryHook
 	// dead is set once a call abandons the daemon as unrecoverable; later
 	// calls fail fast with ErrDaemonDead (mapped to cuda.ErrNotReady by the
 	// stubs, routing workloads to their CPU fallback) until the supervisor
@@ -131,7 +132,6 @@ func (l *Lib) Instrument(reg *telemetry.Registry, name telemetry.Namer) {
 	reg.AttachCounter(name("lake_lib_corrupt_responses_total"), "Responses dropped for CRC/decode failure.", &l.corruptResponses)
 	reg.AttachCounter(name("lake_lib_stale_responses_total"), "Responses discarded for a stale sequence number.", &l.staleResponses)
 	reg.AttachCounter(name("lake_lib_recoveries_total"), "Calls that succeeded after at least one retry.", &l.recoveries)
-	reg.AttachCounter(name("lake_lib_deadline_exceeded_total"), "Calls abandoned at the retry deadline.", &l.deadlineExceeded)
 	reg.AttachCounter(name("lake_lib_daemon_dead_total"), "Calls refused because lakeD was declared dead.", &l.daemonDead)
 }
 
@@ -148,8 +148,7 @@ func (l *Lib) SetFlightRecorder(rec *flightrec.Recorder) {
 // EnableResilience is called a failed exchange is not retried: the first
 // failure latches the daemon dead (see Healthy).
 func NewLib(tr boundary.Channel, daemon *Daemon) *Lib {
-	return &Lib{tr: tr, daemon: daemon,
-		res: &Resilience{Retry: RetryPolicy{MaxAttempts: 1}}}
+	return &Lib{tr: tr, daemon: daemon}
 }
 
 // SetShardTag namespaces this lib's sequence numbers under a fleet shard
@@ -165,19 +164,16 @@ func (l *Lib) Stats() (calls int64, channelTime time.Duration) {
 	return l.calls.Value(), time.Duration(l.remotedTime.Load())
 }
 
-// EnableResilience arms the fault-tolerant call path: per-call deadlines,
-// bounded retry with exponential backoff and seeded jitter, and (via
-// r.Hook) supervisor-driven daemon recovery mid-call. With faults absent
-// an armed call performs exactly the un-armed exchange — no extra clock
-// charges and no PRNG draws — so crash-free runs stay bit-identical. Must
-// be called during runtime construction, before any traffic.
-func (l *Lib) EnableResilience(r Resilience) {
-	r.Retry = r.Retry.withDefaults()
-	if r.MaxRecoveries <= 0 {
-		r.MaxRecoveries = DefaultResilience().MaxRecoveries
-	}
-	l.res = &r
-	l.rng = rand.New(rand.NewSource(r.Seed))
+// EnableResilience arms the fault-tolerant call path: the bounded retry
+// schedule with exponential backoff and seeded jitter (see retryAttempts)
+// and, via hook, supervisor-driven daemon recovery mid-call; a nil hook
+// never recovers a dead daemon in-call. With faults absent an armed call
+// performs exactly the un-armed exchange — no extra clock charges and no
+// PRNG draws — so crash-free runs stay bit-identical. Must be called
+// during runtime construction, before any traffic.
+func (l *Lib) EnableResilience(hook RecoveryHook) {
+	l.hook = hook
+	l.rng = rand.New(rand.NewSource(0))
 }
 
 // ResilienceStats returns a snapshot of client-side fault-handling counters.
@@ -187,7 +183,6 @@ func (l *Lib) ResilienceStats() ResilienceStats {
 		StaleResponses:   l.staleResponses.Value(),
 		CorruptResponses: l.corruptResponses.Value(),
 		Recoveries:       l.recoveries.Value(),
-		DeadlineExceeded: l.deadlineExceeded.Value(),
 		DaemonDead:       l.daemonDead.Value(),
 	}
 }
@@ -250,62 +245,54 @@ func (l *Lib) call(cs *callState) error {
 }
 
 // failResult maps a failed call to the CUDA result the stubs surface (and
-// EvCallEnd records). A dead daemon or a blown deadline means the
-// accelerator service is unavailable, not the request invalid:
+// EvCallEnd records). A dead daemon means the accelerator service is
+// unavailable, not the request invalid:
 // CUDA_ERROR_SYSTEM_NOT_READY routes callers to their CPU fallback (the
 // Fig 3 policy handles the rest).
 func failResult(err error) cuda.Result {
-	if errors.Is(err, ErrDaemonDead) || errors.Is(err, ErrDeadlineExceeded) {
+	if errors.Is(err, ErrDaemonDead) {
 		return cuda.ErrNotReady
 	}
 	return cuda.ErrUnknown
 }
 
-// exchangeResilient performs one call under the Lib's Resilience: bounded
-// retransmission of the same sequence number (the daemon-side journal makes
-// redelivery exactly-once), exponential backoff with deterministic jitter
-// charged to the virtual clock, a per-call virtual-time deadline, and the
-// recovery hook when a full retry round fails. Every error is wrapped with
-// the command name and sequence for attribution. The caller holds callMu.
+// exchangeResilient performs one call under the retry schedule when armed:
+// bounded retransmission of the same sequence number (the daemon-side
+// journal makes redelivery exactly-once), exponential backoff with
+// deterministic jitter charged to the virtual clock, and the recovery hook
+// when a full retry round fails. Every error is wrapped with the command
+// name and sequence for attribution. The caller holds callMu.
 func (l *Lib) exchangeResilient(cs *callState) error {
-	cmd, res := &cs.cmd, l.res
+	cmd := &cs.cmd
 	if cmd.API != APIPing && !l.Healthy() {
 		l.daemonDead.Inc()
 		return fmt.Errorf("%s seq=%d: %w", cmd.API, cmd.Seq, ErrDaemonDead)
 	}
-	start := l.tr.Clock().Now()
-	overDeadline := func() bool {
-		return res.CallDeadline > 0 && l.tr.Clock().Now()-start > res.CallDeadline
+	attempts := 1
+	if l.rng != nil {
+		attempts = retryAttempts
 	}
 	recoveries := 0
 	attempt := 0 // failed attempts in the current retry round
-	var lastErr error
 	for {
-		if overDeadline() {
-			l.deadlineExceeded.Inc()
-			return fmt.Errorf("%s seq=%d after %v: %w (last: %v)",
-				cmd.API, cmd.Seq, l.tr.Clock().Now()-start, ErrDeadlineExceeded, lastErr)
-		}
 		err := l.attemptOnce(cs)
 		if err == nil {
 			return nil
 		}
-		lastErr = err
 		attempt++
-		if attempt < res.Retry.MaxAttempts {
+		if attempt < attempts {
 			// Wait out the backoff on the virtual clock, then retransmit
 			// the same frame: same sequence, so a daemon that already
 			// executed it answers from its journal.
 			l.retries.Inc()
 			l.rec.Emit(flightrec.DomainKernel, flightrec.EvRetry,
 				cmd.TraceID, cmd.Seq, 0, uint64(attempt), 0, 0)
-			l.tr.Clock().Advance(res.Retry.BackoffFor(attempt-1, l.rng.Float64()))
+			l.tr.Clock().Advance(backoff(attempt-1, l.rng.Float64()))
 			continue
 		}
 		// Full round exhausted: the daemon is unresponsive. Give the
 		// supervisor a chance to recover it, then redeliver.
-		if res.Hook != nil && recoveries < res.MaxRecoveries &&
-			res.Hook.DaemonUnresponsive(cmd.API, cmd.Seq, err) {
+		if l.hook != nil && recoveries < maxRecoveries && l.hook.DaemonUnresponsive() {
 			recoveries++
 			attempt = 0
 			l.recoveries.Inc()

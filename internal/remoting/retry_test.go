@@ -1,7 +1,6 @@
 package remoting
 
 import (
-	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -11,117 +10,53 @@ import (
 	"lakego/internal/faults"
 )
 
+// TestBackoffForSchedule pins the production schedule: each attempt's
+// wait at the jitter floor, midpoint and just below the ceiling, and the
+// first three waits an armed Lib draws from its seed-0 stream.
 func TestBackoffForSchedule(t *testing.T) {
-	rp := RetryPolicy{
-		BaseBackoff: 50 * time.Microsecond,
-		MaxBackoff:  2 * time.Millisecond,
-		Multiplier:  2,
-	}
+	rng := rand.New(rand.NewSource(0))
 	cases := []struct {
 		name    string
-		policy  RetryPolicy
 		attempt int
 		draw    float64
 		want    time.Duration
 	}{
-		{"first, no jitter", rp, 0, 0.5, 50 * time.Microsecond},
-		{"second doubles", rp, 1, 0.5, 100 * time.Microsecond},
-		{"third doubles again", rp, 2, 0.5, 200 * time.Microsecond},
-		{"capped at max", rp, 10, 0.5, 2 * time.Millisecond},
-		{"far past cap stays capped", rp, 60, 0.5, 2 * time.Millisecond},
-		{
-			"jitter low edge",
-			RetryPolicy{BaseBackoff: 100 * time.Microsecond, MaxBackoff: time.Millisecond, Multiplier: 2, Jitter: 0.25},
-			0, 0,
-			75 * time.Microsecond, // 100µs * (1 - 0.25)
-		},
-		{
-			"jitter midpoint is nominal",
-			RetryPolicy{BaseBackoff: 100 * time.Microsecond, MaxBackoff: time.Millisecond, Multiplier: 2, Jitter: 0.25},
-			0, 0.5,
-			100 * time.Microsecond,
-		},
-		{
-			"jitter high edge",
-			RetryPolicy{BaseBackoff: 100 * time.Microsecond, MaxBackoff: time.Millisecond, Multiplier: 2, Jitter: 0.25},
-			0, 0.999999,
-			// 100µs * (1 - 0.25 + 0.5*0.999999) = 124999.95ns, truncated
-			124999 * time.Nanosecond,
-		},
-		{
-			"multiplier 1 never grows",
-			RetryPolicy{BaseBackoff: 30 * time.Microsecond, MaxBackoff: time.Millisecond, Multiplier: 1},
-			5, 0.5,
-			30 * time.Microsecond,
-		},
+		{"first, jitter floor", 0, 0, 37500 * time.Nanosecond}, // 50µs * (1 - 0.25)
+		{"first, nominal", 0, 0.5, 50 * time.Microsecond},
+		{"first, below ceiling", 0, 0.999999, 62499 * time.Nanosecond}, // 62499.975ns, truncated
+		{"second, jitter floor", 1, 0, 75 * time.Microsecond},
+		{"second, nominal", 1, 0.5, 100 * time.Microsecond},
+		{"second, below ceiling", 1, 0.999999, 124999 * time.Nanosecond},
+		{"third, jitter floor", 2, 0, 150 * time.Microsecond},
+		{"third, nominal", 2, 0.5, 200 * time.Microsecond},
+		{"third, below ceiling", 2, 0.999999, 249999 * time.Nanosecond},
+		{"seed-0 stream, first", 0, rng.Float64(), 61129 * time.Nanosecond},
+		{"seed-0 stream, second", 1, rng.Float64(), 87248 * time.Nanosecond},
+		{"seed-0 stream, third", 2, rng.Float64(), 215595 * time.Nanosecond},
 	}
 	for _, tc := range cases {
-		if got := tc.policy.BackoffFor(tc.attempt, tc.draw); got != tc.want {
-			t.Errorf("%s: BackoffFor(%d, %v) = %v, want %v", tc.name, tc.attempt, tc.draw, got, tc.want)
+		if got := backoff(tc.attempt, tc.draw); got != tc.want {
+			t.Errorf("%s: backoff(%d, %v) = %v, want %v", tc.name, tc.attempt, tc.draw, got, tc.want)
 		}
 	}
 }
 
+// Two armed libs riding out the same total loss wait out the same jitter
+// draws, so their virtual clocks end bit-identical.
 func TestBackoffDeterministicAcrossRuns(t *testing.T) {
-	rp := DefaultRetryPolicy()
-	r1, r2 := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
-	for i := 0; i < 32; i++ {
-		a := rp.BackoffFor(i%4, r1.Float64())
-		b := rp.BackoffFor(i%4, r2.Float64())
-		if a != b {
-			t.Fatalf("step %d: same seed gave %v vs %v", i, a, b)
+	var clocks [2]time.Duration
+	for i := range clocks {
+		s := newStack(t)
+		plane := faults.NewPlane(faults.Mix{Drop: 1, Seed: 14}, s.clock)
+		s.tr.InjectFaults(plane)
+		s.lib.EnableResilience(&healHook{plane: plane})
+		if r := s.lib.CuInit(); r != cuda.Success {
+			t.Fatalf("run %d: CuInit did not recover after heal: %s", i, r)
 		}
+		clocks[i] = s.clock.Now()
 	}
-}
-
-func TestRetryPolicyWithDefaults(t *testing.T) {
-	// The zero value picks up every default except Jitter: an explicit 0
-	// (no jitter) is indistinguishable from unset, and must stay 0 so the
-	// schedule is exactly the capped exponential.
-	d := DefaultRetryPolicy()
-	d.Jitter = 0
-	if got := (RetryPolicy{}).withDefaults(); got != d {
-		t.Fatalf("zero policy defaulted to %+v, want %+v", got, d)
-	}
-	custom := RetryPolicy{MaxAttempts: 7, BaseBackoff: time.Microsecond, MaxBackoff: time.Second, Multiplier: 3, Jitter: 0.1}
-	if got := custom.withDefaults(); got != custom {
-		t.Fatalf("valid policy altered by withDefaults: %+v", got)
-	}
-	bad := RetryPolicy{Jitter: 1.5}.withDefaults()
-	if bad.Jitter != 0 {
-		t.Fatalf("out-of-range jitter kept: %v", bad.Jitter)
-	}
-}
-
-// TestWithDefaultsMaxBackoffNeverBelowBase regresses the clamp bug: a
-// BaseBackoff above the 2ms default ceiling with MaxBackoff unset used to
-// leave MaxBackoff < BaseBackoff, truncating every wait below the caller's
-// own first backoff.
-func TestWithDefaultsMaxBackoffNeverBelowBase(t *testing.T) {
-	d := DefaultRetryPolicy()
-	cases := []struct {
-		name    string
-		policy  RetryPolicy
-		wantMax time.Duration
-	}{
-		{"base above default cap, max unset", RetryPolicy{BaseBackoff: 5 * time.Millisecond}, 5 * time.Millisecond},
-		{"base equals default cap, max unset", RetryPolicy{BaseBackoff: d.MaxBackoff}, d.MaxBackoff},
-		{"base below default cap, max unset", RetryPolicy{BaseBackoff: 50 * time.Microsecond}, d.MaxBackoff},
-		{"explicit max below base", RetryPolicy{BaseBackoff: 10 * time.Millisecond, MaxBackoff: time.Millisecond}, 10 * time.Millisecond},
-		{"explicit max above base kept", RetryPolicy{BaseBackoff: 10 * time.Millisecond, MaxBackoff: 20 * time.Millisecond}, 20 * time.Millisecond},
-	}
-	for _, tc := range cases {
-		got := tc.policy.withDefaults()
-		if got.MaxBackoff != tc.wantMax {
-			t.Errorf("%s: MaxBackoff = %v, want %v", tc.name, got.MaxBackoff, tc.wantMax)
-		}
-		if got.MaxBackoff < got.BaseBackoff {
-			t.Errorf("%s: MaxBackoff %v < BaseBackoff %v after withDefaults", tc.name, got.MaxBackoff, got.BaseBackoff)
-		}
-		// The first wait must be the full base, never truncated by the cap.
-		if w := got.BackoffFor(0, 0.5); w < got.BaseBackoff {
-			t.Errorf("%s: first backoff %v < base %v", tc.name, w, got.BaseBackoff)
-		}
+	if clocks[0] != clocks[1] {
+		t.Fatalf("same schedule ended at %v vs %v", clocks[0], clocks[1])
 	}
 }
 
@@ -132,7 +67,7 @@ type healHook struct {
 	calls int
 }
 
-func (h *healHook) DaemonUnresponsive(api APIID, seq uint64, err error) bool {
+func (h *healHook) DaemonUnresponsive() bool {
 	h.calls++
 	h.plane.SetMix(faults.Mix{})
 	return true
@@ -144,19 +79,25 @@ type restartHook struct {
 	calls int
 }
 
-func (h *restartHook) DaemonUnresponsive(api APIID, seq uint64, err error) bool {
+func (h *restartHook) DaemonUnresponsive() bool {
 	h.calls++
 	h.d.Restart()
 	return true
 }
 
+// roundHook grants a fresh retry round on every exhausted one, as the
+// supervisor does while the daemon process is visibly alive.
+type roundHook struct{}
+
+func (roundHook) DaemonUnresponsive() bool { return true }
+
 func TestResilientCallSurvivesDrops(t *testing.T) {
 	s := newStack(t)
 	plane := faults.NewPlane(faults.Mix{Drop: 0.3, Seed: 11}, s.clock)
 	s.tr.InjectFaults(plane)
-	// No recovery hook: the retry round alone must ride out the loss, so
-	// give it enough attempts that a 30% drop storm cannot exhaust it.
-	s.lib.EnableResilience(Resilience{Seed: 1, Retry: RetryPolicy{MaxAttempts: 16}})
+	// One round of the schedule cannot ride out a 30% drop storm; the
+	// hook's extra rounds must.
+	s.lib.EnableResilience(roundHook{})
 	if r := s.lib.CuInit(); r != cuda.Success {
 		t.Fatalf("CuInit under 30%% drop: %s", r)
 	}
@@ -173,7 +114,7 @@ func TestResilientCallSurvivesDrops(t *testing.T) {
 	if st.Retries == 0 {
 		t.Fatal("30% drop over 400 calls produced zero retries")
 	}
-	if st.DaemonDead != 0 || st.DeadlineExceeded != 0 {
+	if st.DaemonDead != 0 {
 		t.Fatalf("unexpected abandoned calls: %+v", st)
 	}
 }
@@ -182,7 +123,7 @@ func TestResilientCallSurvivesCorruption(t *testing.T) {
 	s := newStack(t)
 	plane := faults.NewPlane(faults.Mix{Corrupt: 0.3, Seed: 12}, s.clock)
 	s.tr.InjectFaults(plane)
-	s.lib.EnableResilience(Resilience{Seed: 2, Retry: RetryPolicy{MaxAttempts: 16}})
+	s.lib.EnableResilience(roundHook{})
 	if r := s.lib.CuInit(); r != cuda.Success {
 		t.Fatalf("CuInit under 30%% corruption: %s", r)
 	}
@@ -197,25 +138,9 @@ func TestResilientCallSurvivesCorruption(t *testing.T) {
 	}
 }
 
-func TestCallDeadlineExceeded(t *testing.T) {
-	s := newStack(t)
-	plane := faults.NewPlane(faults.Mix{Drop: 1, Seed: 13}, s.clock)
-	s.tr.InjectFaults(plane)
-	s.lib.EnableResilience(Resilience{CallDeadline: 100 * time.Microsecond, Seed: 3})
-	cs := s.lib.newCall(APICuDeviceGetCount)
-	defer s.lib.done(cs)
-	err := s.lib.call(cs)
-	if !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("total loss with 100µs deadline returned %v, want ErrDeadlineExceeded", err)
-	}
-	if st := s.lib.ResilienceStats(); st.DeadlineExceeded != 1 {
-		t.Fatalf("DeadlineExceeded = %d, want 1", st.DeadlineExceeded)
-	}
-}
-
 func TestDaemonDeadMapsToNotReady(t *testing.T) {
 	s := newStack(t)
-	s.lib.EnableResilience(Resilience{Seed: 4}) // no hook: dead stays dead
+	s.lib.EnableResilience(nil) // no hook: dead stays dead
 	if r := s.lib.CuInit(); r != cuda.Success {
 		t.Fatal(r)
 	}
@@ -248,7 +173,7 @@ func TestRecoveryHookHealsChannel(t *testing.T) {
 	plane := faults.NewPlane(faults.Mix{Drop: 1, Seed: 14}, s.clock)
 	s.tr.InjectFaults(plane)
 	hook := &healHook{plane: plane}
-	s.lib.EnableResilience(Resilience{Seed: 5, Hook: hook})
+	s.lib.EnableResilience(hook)
 	if r := s.lib.CuInit(); r != cuda.Success {
 		t.Fatalf("CuInit did not recover after heal: %s", r)
 	}
@@ -261,8 +186,7 @@ func TestRecoveryHookHealsChannel(t *testing.T) {
 	}
 	// Three backoffs (between the four failed attempts) must have advanced
 	// the virtual clock by at least the jitter floor of the schedule.
-	rp := DefaultRetryPolicy()
-	min := time.Duration(float64(rp.BackoffFor(0, 0)+rp.BackoffFor(1, 0)+rp.BackoffFor(2, 0)) * 1.0)
+	min := backoff(0, 0) + backoff(1, 0) + backoff(2, 0)
 	if s.clock.Now() < min {
 		t.Fatalf("clock advanced %v, want >= %v of backoff", s.clock.Now(), min)
 	}
@@ -271,7 +195,7 @@ func TestRecoveryHookHealsChannel(t *testing.T) {
 func TestCrashAfterExecRedeliversExactlyOnce(t *testing.T) {
 	s := newStack(t)
 	hook := &restartHook{d: s.daemon}
-	s.lib.EnableResilience(Resilience{Seed: 6, Hook: hook})
+	s.lib.EnableResilience(hook)
 	if r := s.lib.CuInit(); r != cuda.Success {
 		t.Fatal(r)
 	}
@@ -301,7 +225,7 @@ func TestCrashAfterExecRedeliversExactlyOnce(t *testing.T) {
 func TestCrashBeforeExecRedeliversExactlyOnce(t *testing.T) {
 	s := newStack(t)
 	hook := &restartHook{d: s.daemon}
-	s.lib.EnableResilience(Resilience{Seed: 7, Hook: hook})
+	s.lib.EnableResilience(hook)
 	if r := s.lib.CuInit(); r != cuda.Success {
 		t.Fatal(r)
 	}
@@ -317,7 +241,7 @@ func TestCrashBeforeExecRedeliversExactlyOnce(t *testing.T) {
 
 func TestPingReportsGeneration(t *testing.T) {
 	s := newStack(t)
-	s.lib.EnableResilience(Resilience{Seed: 8})
+	s.lib.EnableResilience(nil)
 	gen, _, ok := s.lib.Ping()
 	if !ok || gen != 0 {
 		t.Fatalf("ping: gen=%d ok=%v, want gen=0 ok=true", gen, ok)

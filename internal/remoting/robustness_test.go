@@ -108,7 +108,7 @@ type churnHook struct {
 	restarts *atomic.Int64
 }
 
-func (h *churnHook) DaemonUnresponsive(api APIID, seq uint64, err error) bool {
+func (h *churnHook) DaemonUnresponsive() bool {
 	h.rounds++
 	if h.rounds%4 == 0 {
 		return false
@@ -126,8 +126,7 @@ func (h *churnHook) DaemonUnresponsive(api APIID, seq uint64, err error) bool {
 func TestFaultStateChurnDuringCalls(t *testing.T) {
 	s := newStack(t)
 	var restarts atomic.Int64
-	s.lib.EnableResilience(Resilience{Seed: 1, Retry: RetryPolicy{MaxAttempts: 2}, MaxRecoveries: 8,
-		Hook: &churnHook{d: s.daemon, restarts: &restarts}})
+	s.lib.EnableResilience(&churnHook{d: s.daemon, restarts: &restarts})
 	var mu sync.Mutex
 	execs := map[uint64]int{}
 	s.daemon.RegisterHighLevel("count", func(api *cuda.API, region *shm.Region, args []uint64, blob []byte) ([]uint64, []byte, cuda.Result) {

@@ -178,8 +178,9 @@ func ReadFlightDump(data []byte) (*FlightDump, error) { return flightrec.ReadDum
 type (
 	// HealthPlane is the live health surface for a runtime or fleet.
 	HealthPlane = healthplane.Plane
-	// HealthPlaneConfig tunes tick granularity, burn-rate windows and
-	// thresholds, objectives, and the incident-ring bound.
+	// HealthPlaneConfig tunes tick granularity, the burn-rate windows and
+	// the objectives; the burn thresholds and incident-ring bound are
+	// fixed.
 	HealthPlaneConfig = healthplane.Config
 	// SLOObjective is one latency objective the burn engine tracks.
 	SLOObjective = healthplane.Objective
@@ -214,7 +215,7 @@ type (
 	FaultMix = faults.Mix
 	// FaultStats counts injected faults.
 	FaultStats = faults.Stats
-	// SupervisorConfig parameterizes supervision thresholds.
+	// SupervisorConfig carries the supervisor's restart budget.
 	SupervisorConfig = core.SupervisorConfig
 	// ResilienceStats counts client-side fault handling events.
 	ResilienceStats = remoting.ResilienceStats

@@ -71,7 +71,7 @@ func TestPublicFigure3Program(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	vp, err := rt.InstallVMPolicy(lake.Figure3Program(40, 8), 1)
+	vp, err := rt.InstallVMPolicy(lake.Figure3Program(40, 8))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,7 +97,7 @@ func TestSupervisorCheckRecoversIdleCrash(t *testing.T) {
 	if err := rt.transport.SendToUser(frame); err != nil {
 		t.Fatal(err)
 	}
-	rt.Daemon().PumpOne()
+	rt.Daemon().Pump()
 	if !rt.Daemon().Crashed() {
 		t.Fatal("daemon not crashed")
 	}

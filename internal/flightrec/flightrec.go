@@ -61,7 +61,7 @@ type Kind uint16
 
 const (
 	EvNone          Kind = iota
-	EvCallStart          // kernel: remoted call begins; a0=API id, a1=command frame bytes, a2=wall ns spent marshaling
+	EvCallStart          // kernel: remoted call begins; a0=API id, a1=command frame bytes, a2=wall ns spent marshaling, sampled: set on calls whose Seq is 1 mod 64, 0 (unmeasured) on the rest
 	EvRetry              // kernel: retransmission; a0=attempt number
 	EvCallEnd            // kernel: remoted call done; a0=API id, a1=Result code, a2=virtual ns of the boundary round trip the successful attempt charged (0 on failure)
 	EvFrameSend          // boundary, only while a fault plane is armed: frame enqueued; a0=bytes, a1=direction (0 to user, 1 to kernel)
@@ -351,8 +351,8 @@ func (r *Recorder) EmitFrame(k Kind, frame []byte, dir uint64) {
 
 // BeginExec marks traceID as the command lakeD is currently executing, so
 // GPU-domain events fired from inside the execution (launches, copies) can
-// inherit it. lakeD executes one command at a time (every PumpOne runs
-// under lakeLib's call lock), so a single word suffices.
+// inherit it. lakeD executes one command at a time (every Pump runs under
+// lakeD's pump lock), so a single word suffices.
 func (r *Recorder) BeginExec(traceID uint64) {
 	if r != nil {
 		r.execTID.Store(traceID)

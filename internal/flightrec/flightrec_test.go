@@ -269,6 +269,26 @@ func TestStitchRebuildsTimelines(t *testing.T) {
 	}
 }
 
+// TestBreakdownSerializeAveragesSampledCalls: lakeLib times one marshal
+// in 64, so the serialize(w) column is the mean over the calls that carry
+// a timing, not diluted by the untimed ones.
+func TestBreakdownSerializeAveragesSampledCalls(t *testing.T) {
+	ts := make([]Timeline, 4)
+	for i := range ts {
+		ts[i] = Timeline{API: 3, End: 10 * time.Microsecond, Boundary: 10 * time.Microsecond, Completed: true}
+	}
+	ts[0].Serialize = 1500 * time.Nanosecond
+	table := BreakdownTable(ts, nil)
+	rows := strings.Split(strings.TrimSpace(table), "\n")
+	if len(rows) != 2 {
+		t.Fatalf("want a header and one row:\n%s", table)
+	}
+	// api, calls, total_us, route(w), serialize(w), ...
+	if f := strings.Fields(rows[1]); len(f) < 5 || f[4] != "1.50" {
+		t.Fatalf("serialize(w) cell = %v, want 1.50 (one timed call of 1.5us):\n%s", f, table)
+	}
+}
+
 func TestBreakdownAndTailRendering(t *testing.T) {
 	clock := vtime.New()
 	r := New(clock, 1024)

@@ -33,7 +33,7 @@ type Timeline struct {
 	// The Fig 5/6 stages. Serialize and Route are wall time (marshal and
 	// placement cost no virtual time); the rest partition the call's
 	// virtual duration.
-	Serialize time.Duration // wall ns spent marshaling
+	Serialize time.Duration // wall ns spent marshaling; 0 on the calls lakeLib does not sample
 	Route     time.Duration // wall ns spent on router placement decisions
 	Queue     time.Duration // call start until lakeD decoded it (incl. injected delay)
 	Exec      time.Duration // daemon execution window minus transfer time
@@ -330,8 +330,13 @@ func MeasureStages(ts []Timeline) StageMeans {
 }
 
 // stageNames orders the breakdown columns; the "(w)" stages (router
-// placement, marshal) are wall time, the rest virtual.
+// placement, marshal) are wall time, the rest virtual. The marshal is
+// sampled: lakeLib wall-times it on one call in 64 (EvCallStart), so the
+// serialize(w) column is the mean over the calls that carry a timing.
 var stageNames = []string{"route(w)", "serialize(w)", "queue", "exec", "copy", "boundary", "other"}
+
+// serializeStage is serialize(w)'s column in stageNames.
+const serializeStage = 1
 
 // wallStage reports whether the i'th breakdown column is wall time (and so
 // excluded from virtual-share math).
@@ -358,6 +363,7 @@ func BreakdownTable(ts []Timeline, apiName func(uint64) string) string {
 	type agg struct {
 		api    uint64
 		n      int
+		timed  int // calls with a sampled marshal timing
 		total  time.Duration
 		stages []time.Duration
 	}
@@ -372,6 +378,9 @@ func BreakdownTable(ts []Timeline, apiName func(uint64) string) string {
 			byAPI[t.API] = a
 		}
 		a.n++
+		if t.Serialize > 0 {
+			a.timed++
+		}
 		a.total += t.Total()
 		for i, d := range t.stages() {
 			a.stages[i] += d
@@ -389,11 +398,15 @@ func BreakdownTable(ts []Timeline, apiName func(uint64) string) string {
 		fmt.Fprintf(&b, " %12s", s)
 	}
 	b.WriteString("\n")
-	us := func(d time.Duration, n int) float64 { return float64(d) / float64(n) / 1e3 }
+	us := func(d time.Duration, n int) float64 { return float64(d) / float64(max(n, 1)) / 1e3 }
 	for _, a := range rows {
 		fmt.Fprintf(&b, "%-24s %7d %10.2f", apiName(a.api), a.n, us(a.total, a.n))
 		for i, d := range a.stages {
-			cell := fmt.Sprintf("%.2f", us(d, a.n))
+			n := a.n
+			if i == serializeStage {
+				n = a.timed
+			}
+			cell := fmt.Sprintf("%.2f", us(d, n))
 			if !wallStage(i) && a.total > 0 { // virtual stages get a share column
 				cell += fmt.Sprintf("/%2.0f%%", 100*float64(d)/float64(a.total))
 			}
@@ -482,7 +495,8 @@ func TailAttribution(ts []Timeline, q float64, apiName func(uint64) string) stri
 }
 
 // SpanStage is one timed segment of a Span on the virtual clock. Wall is
-// set only on serialize, which costs wall time and no virtual time.
+// set only on serialize, which costs wall time and no virtual time, and
+// only on the one call in 64 whose marshal lakeLib times (0 otherwise).
 type SpanStage struct {
 	Name   string        `json:"stage"`
 	VStart time.Duration `json:"v_start_ns"`

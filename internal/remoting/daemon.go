@@ -32,7 +32,7 @@ type Daemon struct {
 	tr      boundary.Channel
 	journal *journal
 
-	// pumpMu serializes PumpOne; scratch is the pump's reusable working
+	// pumpMu serializes Pump; scratch is the pump's reusable working
 	// state (decoded command, response under construction, outbound frame
 	// buffer, name intern table, batch demux state). With every buffer
 	// warmed the daemon serves a command without heap allocation — lakeD's
@@ -91,7 +91,7 @@ func (d *Daemon) SetFlightRecorder(rec *flightrec.Recorder) {
 // maxErrlog bounds the daemon's attribution log.
 const maxErrlog = 64
 
-// pumpScratch is PumpOne's reusable working state, guarded by pumpMu. The
+// pumpScratch is Pump's reusable working state, guarded by pumpMu. The
 // decoded command's Blob aliases the received frame (valid until the next
 // receive — the command is fully executed before then); everything else is
 // daemon-owned storage whose capacity survives across pumps.
@@ -224,25 +224,36 @@ func (d *Daemon) RegisterHighLevel(name string, h HighLevelHandler) {
 	d.highlevel[name] = h
 }
 
-// PumpOne receives and serves a single pending command, sending its
-// response back through the transport. It reports whether a command was
-// served. A crashed daemon serves nothing — the process is down — until
-// the supervisor restarts it.
+// Pump receives and serves every pending command under one hold of
+// pumpMu, sending each response back through the transport, and returns
+// how many it served. A crashed daemon serves nothing — the process is down
+// — until the supervisor restarts it; a crash while serving ends the pump
+// with the rest of the queue left for the restarted process.
 //
 // Exactly-once protocol: before any response is sent, the (seq, response)
 // pair is recorded in the sequence journal. A frame whose sequence is
 // already journaled — a client retry after a lost response, or a channel
 // duplicate — is answered from the journal without re-executing.
-func (d *Daemon) PumpOne() bool {
+func (d *Daemon) Pump() int {
 	if d.Crashed() {
-		return false
+		return 0
 	}
 	d.pumpMu.Lock()
 	defer d.pumpMu.Unlock()
-	frame, ok := d.tr.RecvInUser()
-	if !ok {
-		return false
+	n := 0
+	for {
+		frame, ok := d.tr.RecvInUser()
+		if !ok || !d.serve(frame) {
+			return n
+		}
+		n++
 	}
+}
+
+// serve answers one received frame and reports whether the daemon is still
+// up: false means it crashed on the frame's command and sent nothing. The
+// caller holds pumpMu.
+func (d *Daemon) serve(frame []byte) bool {
 	cmd := &d.scratch.cmd
 	if err := DecodeCommandInto(cmd, d.scratch.names, frame); err != nil {
 		// Undecodable frame: no trustworthy sequence to journal. Answer

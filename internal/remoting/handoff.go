@@ -95,17 +95,14 @@ func UnmarshalHandoff(frame []byte) (*Handoff, error) {
 }
 
 // export snapshots the journal's live entries in FIFO order, walking the
-// slot ring from the eviction cursor (the oldest live entry once wrapped).
+// slot ring from the oldest live entry (the eviction cursor once wrapped).
 // Frames are copied: the snapshot must stay intact while the source journal
 // keeps recording during a drain.
 func (j *journal) export() []JournalEntry {
 	out := make([]JournalEntry, 0, j.live)
 	n := len(j.slots)
-	for k := 0; k < n; k++ {
+	for k := n - j.live; k < n; k++ {
 		s := &j.slots[(j.next+k)%n]
-		if !s.used {
-			continue
-		}
 		frame := make([]byte, len(s.buf))
 		copy(frame, s.buf)
 		out = append(out, JournalEntry{Seq: s.seq, Frame: frame})

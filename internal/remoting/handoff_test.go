@@ -19,7 +19,7 @@ func TestHandoffMigrationExactlyOnce(t *testing.T) {
 	if err := a.tr.SendToUser(frame); err != nil {
 		t.Fatal(err)
 	}
-	if !a.daemon.PumpOne() {
+	if a.daemon.Pump() != 1 {
 		t.Fatal("shard A daemon had nothing to pump")
 	}
 	respA, ok := a.tr.RecvInKernel()
@@ -56,7 +56,7 @@ func TestHandoffMigrationExactlyOnce(t *testing.T) {
 	if err := b.tr.SendToUser(frame); err != nil {
 		t.Fatal(err)
 	}
-	if !b.daemon.PumpOne() {
+	if b.daemon.Pump() != 1 {
 		t.Fatal("shard B daemon had nothing to pump")
 	}
 	respB, ok := b.tr.RecvInKernel()

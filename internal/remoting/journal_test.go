@@ -1,8 +1,11 @@
 package remoting
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
+
+	"lakego/internal/faults"
 )
 
 func TestJournalDedup(t *testing.T) {
@@ -67,13 +70,101 @@ func TestJournalSurvivesDaemonRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.tr.SendToUser(frame) // give PumpOne a command to die on
-	s.daemon.PumpOne()
+	s.tr.SendToUser(frame) // give Pump a command to die on
+	if n := s.daemon.Pump(); n != 0 {
+		t.Fatalf("Pump served %d commands through a crash, want 0", n)
+	}
 	if !s.daemon.Crashed() {
 		t.Fatal("injected crash did not take")
 	}
 	s.daemon.Restart()
 	if got, ok := s.daemon.journal.lookup(77777); !ok || string(got) != "pre-crash" {
 		t.Fatalf("journal entry lost across restart: %q %v", got, ok)
+	}
+}
+
+// TestPumpServesChannelDuplicateFromJournal: a fault-plane duplicate of a
+// command frame is served in the same Pump as the original and answered
+// from the journal — redelivered +1, executed +0 for the copy.
+func TestPumpServesChannelDuplicateFromJournal(t *testing.T) {
+	s := newStack(t)
+	s.lib.CuInit()
+	s.tr.InjectFaults(faults.NewPlane(faults.Mix{Duplicate: 1, Seed: 1}, s.clock))
+	executed, redelivered := s.daemon.Executed(), s.daemon.Redelivered()
+	frame, err := AppendCommand(nil, &Command{API: APICuDeviceGetCount, Seq: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.tr.SendToUser(frame); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.daemon.Pump(); n != 2 {
+		t.Fatalf("Pump served %d frames, want the command and its duplicate", n)
+	}
+	if got := s.daemon.Executed() - executed; got != 1 {
+		t.Fatalf("executed +%d, want +1 (the duplicate must not run)", got)
+	}
+	if got := s.daemon.Redelivered() - redelivered; got != 1 {
+		t.Fatalf("redelivered +%d, want +1", got)
+	}
+	// Both answers are duplicated on the way back: four identical frames.
+	var first []byte
+	for i := 0; i < 4; i++ {
+		resp, ok := s.tr.RecvInKernel()
+		if !ok {
+			t.Fatalf("response %d missing", i)
+		}
+		if first == nil {
+			first = bytes.Clone(resp)
+		} else if !bytes.Equal(resp, first) {
+			t.Fatalf("response %d differs from the executed answer", i)
+		}
+	}
+	if _, ok := s.tr.RecvInKernel(); ok {
+		t.Fatal("more than four responses")
+	}
+}
+
+// TestPumpStopsAtCrashMidQueue: a crash point ends the pump with the rest
+// of the queue left for the restarted daemon. The frames ahead of the crash
+// were served, the crashed command was lost, and nothing runs twice.
+func TestPumpStopsAtCrashMidQueue(t *testing.T) {
+	s := newStack(t)
+	send := func(seq uint64) {
+		t.Helper()
+		frame, err := AppendCommand(nil, &Command{API: APICuDeviceGetCount, Seq: seq})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.tr.SendToUser(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send(100)
+	if n := s.daemon.Pump(); n != 1 {
+		t.Fatalf("Pump served %d, want 1", n)
+	}
+	send(100) // a redelivery: answered from the journal, no crash point
+	send(101) // dies before executing
+	send(102) // still queued when the daemon goes down
+	s.daemon.InjectCrash(false)
+	if n := s.daemon.Pump(); n != 1 {
+		t.Fatalf("Pump served %d before the crash, want 1 (the redelivery)", n)
+	}
+	if !s.daemon.Crashed() {
+		t.Fatal("crash point did not take")
+	}
+	if n := s.daemon.Pump(); n != 0 {
+		t.Fatalf("crashed daemon served %d", n)
+	}
+	s.daemon.Restart()
+	if n := s.daemon.Pump(); n != 1 {
+		t.Fatalf("restarted daemon served %d, want the one command left queued", n)
+	}
+	if e, r := s.daemon.Executed(), s.daemon.Redelivered(); e != 2 || r != 1 {
+		t.Fatalf("executed %d, redelivered %d; want 2 (seq 100, 102) and 1", e, r)
+	}
+	if _, ok := s.daemon.journal.lookup(101); ok {
+		t.Fatal("the command lost in the crash was journaled")
 	}
 }

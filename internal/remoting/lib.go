@@ -87,6 +87,11 @@ type Lib struct {
 	rec *flightrec.Recorder
 }
 
+// marshalSampleMask picks the calls whose marshal is wall-timed for
+// EvCallStart: those whose sequence number is 1 modulo 64 — a lib's first
+// call and every 64th after it, in every shard's sequence space.
+const marshalSampleMask = 63
+
 // callState is one remoted invocation's working storage: the command being
 // issued, the marshaled wire frame, and the decoded response. States are
 // recycled; all slices keep their capacity across calls, so a warmed-up Lib
@@ -220,7 +225,12 @@ func (l *Lib) call(cs *callState) error {
 	if cmd.TraceID == 0 && l.rec.Enabled() {
 		cmd.TraceID = l.rec.NextTraceID()
 	}
-	marshalWall := l.rec.WallStart()
+	// The marshal is cheaper than the two wall-clock reads timing it, so
+	// only a sampled call pays for them; the rest record 0, "unmeasured".
+	var marshalWall time.Time
+	if cmd.Seq&marshalSampleMask == 1 {
+		marshalWall = l.rec.WallStart()
+	}
 	frame, err := AppendCommand(cs.frame[:0], cmd)
 	cs.frame = frame
 	if err != nil {
@@ -305,16 +315,16 @@ func (l *Lib) exchangeResilient(cs *callState) error {
 }
 
 // attemptOnce sends the frame, drives the daemon through everything queued
-// (retransmissions and channel duplicates dedup via the journal), and
-// demultiplexes responses: corrupt frames and stale sequences are counted
-// and discarded; only this call's sequence completes the attempt.
+// in one Pump (retransmissions and channel duplicates dedup via the
+// journal), and demultiplexes responses: corrupt frames and stale sequences
+// are counted and discarded; only this call's sequence completes the
+// attempt.
 func (l *Lib) attemptOnce(cs *callState) error {
 	cmd := &cs.cmd
 	if err := l.tr.SendToUser(cs.frame); err != nil {
 		return fmt.Errorf("%s seq=%d: %w: %v", cmd.API, cmd.Seq, ErrTransport, err)
 	}
-	for l.daemon.PumpOne() {
-	}
+	l.daemon.Pump()
 	for {
 		respFrame, ok := l.tr.RecvInKernel()
 		if !ok {

@@ -444,6 +444,38 @@ func TestRemotedCallEventsConstant(t *testing.T) {
 	}
 }
 
+// TestMarshalWallSampled: only a call whose sequence is 1 mod 64 times
+// its marshal for EvCallStart.a2; every other call carries 0, unmeasured.
+func TestMarshalWallSampled(t *testing.T) {
+	s := newStack(t)
+	rec := flightrec.New(s.clock, 1024)
+	rec.SetEnabled(true)
+	s.lib.SetFlightRecorder(rec)
+	if r := s.lib.CuInit(); r != cuda.Success {
+		t.Fatalf("CuInit = %v", r)
+	}
+	for i := 0; i < 200; i++ {
+		if _, r := s.lib.CuDeviceGetCount(); r != cuda.Success {
+			t.Fatalf("CuDeviceGetCount = %v", r)
+		}
+	}
+	timed := 0
+	for _, e := range rec.Snapshot("sample").Domains[flightrec.DomainKernel].Events {
+		if e.Kind != flightrec.EvCallStart {
+			continue
+		}
+		if e.Seq&63 != 1 && e.Arg2 != 0 {
+			t.Fatalf("unsampled call seq %d carries a marshal time of %d ns", e.Seq, e.Arg2)
+		}
+		if e.Seq&63 == 1 && e.Arg2 > 0 {
+			timed++
+		}
+	}
+	if timed == 0 {
+		t.Fatal("no sampled call (seq 1, 65, 129 or 193) carries a marshal time")
+	}
+}
+
 func TestNvmlRemoted(t *testing.T) {
 	s := newStack(t)
 	s.clock.Advance(time.Second)

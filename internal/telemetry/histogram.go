@@ -8,18 +8,18 @@ import (
 
 // Histogram is a fixed-bucket histogram over int64 values (virtual-clock
 // nanoseconds for latencies, item counts for batch sizes). Observation is
-// allocation-free: a short linear scan over the bucket bounds plus three
-// atomic adds. Reads (Count, Quantile, snapshots) are lock-free and may
-// observe a concurrent write partially applied — totals can transiently
-// disagree with the bucket sum by in-flight observations, which is the
-// standard monitoring trade-off and fine for exposition.
+// allocation-free: a short linear scan over the bucket bounds plus two
+// atomic adds. The count is the sum of the bucket counts, kept nowhere
+// else. Reads (Count, Quantile, snapshots) are lock-free and may observe a
+// concurrent write partially applied — the sum can transiently disagree
+// with the count by in-flight observations, which is the standard
+// monitoring trade-off and fine for exposition.
 //
 // A nil Histogram is a no-op. The zero value is unusable; construct with
 // NewHistogram.
 type Histogram struct {
 	bounds []int64        // ascending upper bounds; an implicit +Inf bucket follows
 	counts []atomic.Int64 // len(bounds)+1
-	total  atomic.Int64
 	sum    atomic.Int64
 }
 
@@ -65,7 +65,6 @@ func (h *Histogram) Observe(v int64) {
 		i++
 	}
 	h.counts[i].Add(1)
-	h.total.Add(1)
 	h.sum.Add(v)
 }
 
@@ -77,7 +76,11 @@ func (h *Histogram) Count() int64 {
 	if h == nil {
 		return 0
 	}
-	return h.total.Load()
+	var n int64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
 }
 
 // Sum returns the sum of observed values (0 for nil).
@@ -101,10 +104,7 @@ func (h *Histogram) Mean() float64 {
 // bucket holding the target observation; values in the overflow bucket
 // saturate to the last finite bound. 0 with no observations.
 func (h *Histogram) Quantile(q float64) int64 {
-	if h == nil {
-		return 0
-	}
-	n := h.total.Load()
+	n := h.Count()
 	if n == 0 {
 		return 0
 	}

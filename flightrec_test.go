@@ -2,10 +2,8 @@
 // dump from which laketrace's stitcher reconstructs essentially every
 // completed remoted call as a complete cross-domain timeline, agreeing with
 // lakeLib's own counters — an account of the same calls that never touches
-// the recorder; and disabling
-// the recorder must reproduce the untraced wire byte-for-byte (asserted
-// here via the modeled per-byte channel costs, and at the frame level by
-// internal/remoting's wire-shape tests).
+// the recorder. The frame layouts, traced and untraced, are pinned by
+// internal/remoting's wire-shape tests.
 package lake_test
 
 import (

@@ -82,8 +82,8 @@ type Config struct {
 	// its hot-path cost is a handful of atomic adds (see DESIGN.md). The
 	// flight recorder rides this switch: it is on whenever telemetry is on
 	// (its per-event cost is one locked copy into a ring slot), and with
-	// telemetry off every remoted command is untraced — the wire stays
-	// byte-identical to the pre-recorder protocol.
+	// telemetry off every remoted command is untraced: its trace word on
+	// the wire is 0.
 	DisableTelemetry bool
 	// FlightRecorderSize is the per-domain ring capacity in events (default
 	// flightrec.DefaultRingSize = 4096).

@@ -79,9 +79,12 @@ type Supervisor struct {
 	lib    *remoting.Lib
 	cfg    SupervisorConfig
 
-	mu        sync.Mutex
-	state     DaemonState
-	failures  int // consecutive unresponsive reports since last success
+	mu    sync.Mutex
+	state DaemonState
+	// failures counts unresponsive reports since the last confirmed
+	// success: a heartbeat that got through, or a call that completed
+	// after a recovery round.
+	failures  int
 	lastBeat  time.Duration
 	beatValid bool
 
@@ -173,6 +176,20 @@ func (s *Supervisor) DaemonUnresponsive() bool {
 	return true
 }
 
+// DaemonRecovered implements remoting.RecoveryHook. It is invoked with
+// lakeLib's call lock held, when a call completes after at least one
+// recovery round: the daemon answered, which confirms liveness as a
+// successful heartbeat does. The failure count resets and Suspected or
+// ReAttached returns to Healthy; a Dead daemon stays Dead.
+func (s *Supervisor) DaemonRecovered() {
+	s.mu.Lock()
+	s.failures = 0
+	if s.state == StateSuspected || s.state == StateReAttached {
+		s.setStateLocked(StateHealthy)
+	}
+	s.mu.Unlock()
+}
+
 // restartLocked declares the daemon Dead and relaunches it:
 // Dead -> Restarting, one restart spent, the fork/exec + re-attach cost paid
 // on the virtual clock, then the process is brought back with its
@@ -225,13 +242,7 @@ func (s *Supervisor) Check() DaemonState {
 	// armed as its recovery hook, a crashed daemon may be restarted from
 	// inside the ping.
 	if _, _, ok := s.lib.Ping(); ok {
-		s.mu.Lock()
-		s.failures = 0
-		s.setStateLocked(StateHealthy)
-		st := s.state
-		s.mu.Unlock()
-		s.lib.MarkRecovered()
-		return st
+		return s.beatOK()
 	}
 
 	s.mu.Lock()
@@ -251,12 +262,18 @@ func (s *Supervisor) Check() DaemonState {
 	s.restartLocked()
 
 	if _, _, ok := s.lib.Ping(); ok {
-		s.mu.Lock()
-		s.setStateLocked(StateHealthy)
-		st := s.state
-		s.mu.Unlock()
-		s.lib.MarkRecovered()
-		return st
+		return s.beatOK()
 	}
 	return s.State()
+}
+
+// beatOK records a heartbeat that got through: the failure count resets,
+// the daemon is Healthy from any state, and the lib's dead latch clears.
+func (s *Supervisor) beatOK() DaemonState {
+	s.mu.Lock()
+	s.failures = 0
+	s.setStateLocked(StateHealthy)
+	s.mu.Unlock()
+	s.lib.MarkRecovered()
+	return StateHealthy
 }

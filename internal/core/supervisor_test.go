@@ -188,3 +188,33 @@ func TestSupervisorRaceWithConcurrentClients(t *testing.T) {
 		t.Logf("restarts=%d state=%s", daemon.Restarts(), sup.State())
 	}
 }
+
+// TestSupervisorCallRecoveryConfirmsLiveness: a call that gets through
+// after a granted retry round confirms the daemon alive, as a heartbeat
+// does. Two separate episodes of channel loss, each exhausting exactly one
+// retry round of one call before that call completes, leave the daemon
+// Healthy with no restart; the second round is not counted as a second
+// consecutive failure.
+func TestSupervisorCallRecoveryConfirmsLiveness(t *testing.T) {
+	rt := newFaultyRuntime(t, faults.Mix{Seed: 3}, SupervisorConfig{})
+	sup, lib, plane := rt.Supervisor(), rt.Lib(), rt.FaultPlane()
+	for episode := 1; episode <= 2; episode++ {
+		before := lib.ResilienceStats().Recoveries
+		plane.SetMix(faults.Mix{Drop: 0.5})
+		for i := 0; lib.ResilienceStats().Recoveries == before; i++ {
+			if i == 100 {
+				t.Fatalf("episode %d: 100 calls under 50%% drop exhausted no retry round", episode)
+			}
+			if _, r := lib.CuDeviceGetCount(); r != cuda.Success {
+				t.Fatalf("episode %d: call %d failed: %s", episode, i, r)
+			}
+		}
+		plane.SetMix(faults.Mix{})
+		if got := lib.ResilienceStats().Recoveries - before; got != 1 {
+			t.Fatalf("episode %d: %d recovery rounds, want 1", episode, got)
+		}
+		if got, st := rt.Daemon().Restarts(), sup.State(); got != 0 || st != StateHealthy {
+			t.Fatalf("episode %d: restarts %d, state %s; want 0 and Healthy", episode, got, st)
+		}
+	}
+}

@@ -278,7 +278,7 @@ func (r *Recorder) Enabled() bool {
 // even while recording is disabled, so span tracing can key off trace IDs
 // without the recorder. Shard views draw from the root's allocator, keeping
 // IDs unique across a fleet. Returns 0 on nil — the "untraced" sentinel
-// that keeps the wire in its old byte-identical shape.
+// that a command's trace word carries on the wire.
 func (r *Recorder) NextTraceID() uint64 {
 	if r == nil {
 		return 0

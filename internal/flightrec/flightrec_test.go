@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"lakego/internal/telemetry"
 	"lakego/internal/vtime"
 )
 
@@ -314,6 +315,31 @@ func TestBreakdownAndTailRendering(t *testing.T) {
 	for _, want := range []string{`"traceEvents"`, `"ph": "X"`, `"cuLaunchKernel"`, `"boundary"`} {
 		if !strings.Contains(string(chrome), want) {
 			t.Fatalf("chrome trace missing %s:\n%.400s", want, chrome)
+		}
+	}
+}
+
+// TestTailAttributionNearestRank pins TailAttribution's cutoff to the
+// nearest-rank rule every quantile in the stack uses: over 100 calls of
+// 1..100 us, p7 cuts at the 7th call (ceil(0.07*100) without the float
+// error that would make it the 8th), so 94 calls are in the tail. The rank
+// must agree with telemetry.QuantileRank for every n in 1..1000 on a grid
+// of q.
+func TestTailAttributionNearestRank(t *testing.T) {
+	ts := make([]Timeline, 100)
+	for i := range ts {
+		ts[i] = Timeline{TraceID: uint64(i + 1), Completed: true, End: time.Duration(i+1) * time.Microsecond}
+	}
+	tail := TailAttribution(ts, 0.07, nil)
+	if want := "p7 cutoff 7.00us: 94 of 100 calls\n"; !strings.HasPrefix(tail, want) {
+		t.Fatalf("tail header:\n%s\nwant prefix %q", tail, want)
+	}
+	for n := 1; n <= 1000; n++ {
+		for k := 0; k <= 1000; k++ {
+			q := float64(k) / 1000
+			if got, want := nearestRank(q, n), telemetry.QuantileRank(q, int64(n)); int64(got) != want {
+				t.Fatalf("nearestRank(%v, %d) = %d, telemetry.QuantileRank = %d", q, n, got, want)
+			}
 		}
 	}
 }

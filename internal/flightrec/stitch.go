@@ -417,6 +417,15 @@ func BreakdownTable(ts []Timeline, apiName func(uint64) string) string {
 	return b.String()
 }
 
+// nearestRank is the 1-based rank of the q-quantile among n ordered values:
+// ceil(q*n) clamped to [1, n], with an epsilon shaved before rounding up so
+// that float error (0.07*100 = 7.000000000000001) cannot skip a rank. It is
+// telemetry.QuantileRank's rule, restated here so that this package does not
+// import telemetry.
+func nearestRank(q float64, n int) int {
+	return min(max(int(math.Ceil(q*float64(n)-1e-9)), 1), n)
+}
+
 // TailAttribution reports which stage dominates the slowest calls: the
 // per-stage share of virtual time among calls at or above the q'th
 // total-latency quantile, against the all-calls share for contrast.
@@ -436,14 +445,7 @@ func TailAttribution(ts []Timeline, q float64, apiName func(uint64) string) stri
 		totals[i] = t.Total()
 	}
 	sort.Slice(totals, func(i, j int) bool { return totals[i] < totals[j] })
-	rank := int(math.Ceil(q*float64(len(totals)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(totals) {
-		rank = len(totals) - 1
-	}
-	cut := totals[rank]
+	cut := totals[nearestRank(q, len(totals))-1]
 
 	sum := func(pred func(Timeline) bool) (stages []time.Duration, total time.Duration, n int, apis map[uint64]int) {
 		stages = make([]time.Duration, len(stageNames))

@@ -23,10 +23,8 @@ type BatchEntry struct {
 	// Count is the number of inference items in this request.
 	Count uint32
 	// TraceID is the member request's flight-recorder correlation key,
-	// carried per entry although lakeD records no per-entry event (a dump
-	// links members to their flush by seq range). Optional on the wire like
-	// Command.TraceID: a batch whose entries are all untraced marshals to
-	// the original batchMagic layout byte-for-byte.
+	// carried in every entry although lakeD records no per-entry event (a
+	// dump links members to their flush by seq range); 0 means untraced.
 	TraceID uint64
 }
 
@@ -40,13 +38,7 @@ type Batch struct {
 // response's Vals.
 const maxBatchEntries = maxArgs / 2
 
-const (
-	batchMagic = 0xB7
-	// tracedBatchMagic marks a batch whose entries carry trace IDs: the
-	// batchMagic layout with 8 extra bytes per entry. Used only when at
-	// least one entry is traced, mirroring cmdMagicTraced.
-	tracedBatchMagic = 0xB8
-)
+const batchMagic = 0xB8
 
 // BatchSpec carries the device-side state a batched launch executes
 // against: the model's context, kernel handle, staging allocations and item

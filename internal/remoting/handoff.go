@@ -29,8 +29,8 @@ type Handoff struct {
 	Entries  []JournalEntry
 }
 
-// handoffMagic leads a handoff frame (0xC1/0xC2 are commands, 0xE1
-// responses, 0xB7/0xB8 batches).
+// handoffMagic leads a handoff frame (0xC2 leads commands, 0xE1
+// responses, 0xB8 batches).
 const handoffMagic = 0xD7
 
 // maxHandoffEntries bounds a decodable handoff well above any journal
@@ -120,11 +120,14 @@ func (d *Daemon) ExportJournal() []JournalEntry {
 }
 
 // ImportJournal merges migrated entries into the daemon's journal,
-// returning how many were absorbed. Present sequences are kept (record is
-// first-writer-wins), which cannot happen between distinct shard tags.
+// returning how many were absorbed. The journal grows to hold its live
+// entries and the imported ones, so the import evicts nothing. Present
+// sequences are kept (record is first-writer-wins), which cannot happen
+// between distinct shard tags.
 func (d *Daemon) ImportJournal(entries []JournalEntry) int {
 	d.pumpMu.Lock()
 	defer d.pumpMu.Unlock()
+	d.journal.reserve(len(entries))
 	n := 0
 	for _, e := range entries {
 		d.journal.record(e.Seq, e.Frame)

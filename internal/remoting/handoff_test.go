@@ -73,3 +73,47 @@ func TestHandoffMigrationExactlyOnce(t *testing.T) {
 		t.Fatalf("shard B redelivered %d, want 1", got)
 	}
 }
+
+// TestImportJournalKeepsLocalEntries: a successor that imports a full
+// source journal still answers its own clients' redeliveries. Ten local
+// sequences are recorded, 4096 shard-tagged entries imported, and all ten
+// remain journaled with nothing evicted; after the import the grown journal
+// evicts FIFO again, oldest first.
+func TestImportJournalKeepsLocalEntries(t *testing.T) {
+	d := &Daemon{journal: newJournal(0)}
+	for seq := uint64(1); seq <= 10; seq++ {
+		d.journal.record(seq, journalFrame(seq, 0))
+	}
+	src := make([]JournalEntry, defaultJournalCap)
+	for i := range src {
+		s := uint64(1)<<48 | uint64(i+1)
+		src[i] = JournalEntry{Seq: s, Frame: journalFrame(s, 2)}
+	}
+	if n := d.ImportJournal(src); n != len(src) {
+		t.Fatalf("ImportJournal absorbed %d of %d", n, len(src))
+	}
+	hits := 0
+	for seq := uint64(1); seq <= 10; seq++ {
+		if got, ok := d.journal.lookup(seq); ok && bytes.Equal(got, journalFrame(seq, 0)) {
+			hits++
+		}
+	}
+	if hits != 10 {
+		t.Fatalf("%d of 10 local sequences still journaled after the import", hits)
+	}
+	if evicts, live := d.journal.stats(); evicts != 0 || live != 10+len(src) {
+		t.Fatalf("stats = (%d, %d), want (0, %d)", evicts, live, 10+len(src))
+	}
+	for _, e := range src {
+		if got, ok := d.journal.lookup(e.Seq); !ok || !bytes.Equal(got, e.Frame) {
+			t.Fatalf("imported seq %#x lost or wrong", e.Seq)
+		}
+	}
+	d.journal.record(11, journalFrame(11, 0))
+	if _, ok := d.journal.lookup(1); ok {
+		t.Fatal("a record on the full grown journal did not evict the oldest entry")
+	}
+	if _, ok := d.journal.lookup(2); !ok {
+		t.Fatal("a record on the full grown journal evicted more than the oldest entry")
+	}
+}

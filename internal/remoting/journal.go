@@ -15,17 +15,17 @@ package remoting
 //
 // Capacity is bounded FIFO: sequence numbers are issued monotonically and a
 // client abandons a call long before the journal cycles, so evicting the
-// oldest entries is safe. Storage is a preallocated slot ring — record
-// copies the frame into the slot's recycled buffer and eviction is
-// overwrite-in-place — indexed by an open-addressed hash table of slot
-// numbers (Fibonacci hash of the sequence, linear probing, deletion by
-// backward shift, so no tombstones build up). Neither structure grows or
-// allocates once the slot buffers are warm, so a warmed journal records and
-// looks up without heap allocation (part of the serving path's 0 allocs/op
-// budget). The table hashes the whole sequence rather than taking its low
-// bits as the cell: an imported shard's tagged sequences (bits 48+) share
-// low bits with the local ones, and a cell per low-bit value would evict
-// entries FIFO order keeps.
+// oldest entries is safe; a handoff import grows the ring first (reserve).
+// Storage is a preallocated slot ring — record copies the frame into the
+// slot's recycled buffer and eviction is overwrite-in-place — indexed by an
+// open-addressed hash table of slot numbers (Fibonacci hash of the
+// sequence, linear probing, deletion by backward shift, so no tombstones
+// build up). Neither structure grows or allocates once the slot buffers are
+// warm, so a warmed journal records and looks up without heap allocation
+// (part of the serving path's 0 allocs/op budget). The table hashes the
+// whole sequence rather than taking its low bits as the cell: an imported
+// shard's tagged sequences (bits 48+) share low bits with the local ones,
+// and a cell per low-bit value would evict entries FIFO order keeps.
 //
 // The journal has no lock of its own: the daemon touches it only under
 // pumpMu (Pump, ExportJournal, ImportJournal).
@@ -142,6 +142,21 @@ func (j *journal) record(seq uint64, frame []byte) {
 	j.next++
 	if j.next == len(j.slots) {
 		j.next = 0
+	}
+}
+
+// reserve grows the journal so that n more entries fit beside the live
+// ones without an eviction, keeping FIFO order: a handoff import must not
+// evict the successor's own entries, whose clients may still retry. Only
+// the import allocates; record and lookup never grow the journal.
+func (j *journal) reserve(n int) {
+	if j.live+n > len(j.slots) {
+		g := newJournal(j.live + n)
+		for _, e := range j.export() {
+			g.record(e.Seq, e.Frame)
+		}
+		g.evicts = j.evicts
+		*j = *g
 	}
 }
 

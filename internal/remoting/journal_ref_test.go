@@ -8,8 +8,9 @@ import (
 
 // The reference journal below is the map-indexed journal that preceded the
 // open-addressed index, kept verbatim apart from the ref prefix on each
-// name (its export lived in handoff.go). FuzzJournalDifferential holds the
-// live journal to it.
+// name (its export lived in handoff.go) and the import rule, reserve, which
+// the live journal gained later. FuzzJournalDifferential holds the live
+// journal to it.
 
 type refJournal struct {
 	// slots is the fixed ring; next is the cursor the next record lands on
@@ -72,6 +73,20 @@ func (j *refJournal) record(seq uint64, frame []byte) {
 	j.next++
 	if j.next == len(j.slots) {
 		j.next = 0
+	}
+}
+
+// reserve grows the journal so that n more entries fit beside the live
+// ones without an eviction: a journal of exactly live+n slots takes the
+// live entries, oldest first.
+func (j *refJournal) reserve(n int) {
+	if j.live+n > len(j.slots) {
+		g := newRefJournal(j.live + n)
+		for _, e := range j.export() {
+			g.record(e.Seq, e.Frame)
+		}
+		g.evicts = j.evicts
+		*j = *g
 	}
 }
 
@@ -217,6 +232,7 @@ func runJournalProgram(t *testing.T, capacity int, prog []byte) {
 			if n := d.ImportJournal(batch); n != len(batch) {
 				t.Fatalf("cap %d op %d: ImportJournal absorbed %d of %d", capacity, op, n, len(batch))
 			}
+			ref.reserve(len(batch))
 			for _, e := range batch {
 				ref.record(e.Seq, e.Frame)
 				hist = append(hist, e.Seq)

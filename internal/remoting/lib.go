@@ -219,9 +219,8 @@ func (l *Lib) call(cs *callState) error {
 	cmd := &cs.cmd
 	cmd.Seq = l.shardTag | l.seq.Add(1)
 	// A trace ID is assigned only when the recorder will consume it;
-	// otherwise the command keeps TraceID 0 and the wire frame is
-	// byte-identical to the untraced protocol. Batcher flushes arrive with
-	// an externally assigned ID, which is preserved.
+	// otherwise the command keeps TraceID 0, the untraced sentinel. Batcher
+	// flushes arrive with an externally assigned ID, which is preserved.
 	if cmd.TraceID == 0 && l.rec.Enabled() {
 		cmd.TraceID = l.rec.NextTraceID()
 	}
@@ -270,8 +269,9 @@ func failResult(err error) cuda.Result {
 // bounded retransmission of the same sequence number (the daemon-side
 // journal makes redelivery exactly-once), exponential backoff with
 // deterministic jitter charged to the virtual clock, and the recovery hook
-// when a full retry round fails. Every error is wrapped with the command
-// name and sequence for attribution. The caller holds callMu.
+// when a full retry round fails, told when the call then completes. Every
+// error is wrapped with the command name and sequence for attribution. The
+// caller holds callMu.
 func (l *Lib) exchangeResilient(cs *callState) error {
 	cmd := &cs.cmd
 	if cmd.API != APIPing && !l.Healthy() {
@@ -287,6 +287,9 @@ func (l *Lib) exchangeResilient(cs *callState) error {
 	for {
 		err := l.attemptOnce(cs)
 		if err == nil {
+			if recoveries > 0 {
+				l.hook.DaemonRecovered()
+			}
 			return nil
 		}
 		attempt++

@@ -120,11 +120,8 @@ type Command struct {
 	API APIID
 	// Seq matches responses to commands.
 	Seq uint64
-	// TraceID is the flight recorder's cross-boundary correlation key,
-	// optional on the wire following the PR-4 ordinal-arg precedent: zero
-	// marshals to the original cmdMagic frame byte-for-byte, nonzero
-	// switches the header to cmdMagicTraced and inserts the ID after Seq.
-	// Old decoders never see the new magic unless a trace ID is in play.
+	// TraceID is the flight recorder's cross-boundary correlation key. It
+	// is always on the wire, right after Seq; 0 means untraced.
 	TraceID uint64
 	// Args carries scalar parameters: handles, device pointers, sizes,
 	// shm offsets.
@@ -155,14 +152,10 @@ const (
 // ErrShortFrame reports a truncated or corrupt wire frame.
 var ErrShortFrame = errors.New("remoting: short or corrupt frame")
 
+// Frame magics: one layout per frame kind.
 const (
-	cmdMagic = 0xC1
-	// cmdMagicTraced marks a command frame carrying a trace ID: the layout
-	// of cmdMagic with 8 extra little-endian bytes between Seq and the arg
-	// count. Emitted only when Command.TraceID != 0, so untraced runs stay
-	// byte-identical to the original wire shape.
-	cmdMagicTraced = 0xC2
-	respMagic      = 0xE1
+	cmdMagic  = 0xC2
+	respMagic = 0xE1
 )
 
 // Every frame ends with a CRC32-C of the preceding bytes. A corrupted
@@ -206,10 +199,7 @@ func PeekFrame(frame []byte) (fi flightrec.FrameInfo, ok bool) {
 	switch r.u8() {
 	case respMagic: // magic | seq u64 | ...
 		fi.Seq = r.u64()
-	case cmdMagic: // magic | api u32 | seq u64 | ...
-		r.u32()
-		fi.Seq = r.u64()
-	case cmdMagicTraced: // magic | api u32 | seq u64 | trace u64 | ...
+	case cmdMagic: // magic | api u32 | seq u64 | trace u64 | ...
 		r.u32()
 		fi.Seq = r.u64()
 		fi.TraceID = r.u64()

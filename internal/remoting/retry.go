@@ -40,9 +40,12 @@ func backoff(attempt int, draw float64) time.Duration {
 // round. Returning true means the daemon was recovered (restarted and
 // re-attached) and the call should be redelivered — the daemon-side
 // sequence journal guarantees redelivery executes at most once. Returning
-// false abandons the call with ErrDaemonDead.
+// false abandons the call with ErrDaemonDead. Lib calls DaemonRecovered
+// when a call completes after one or more such rounds: the daemon answered,
+// so it is alive. A call that needed no recovery round calls neither.
 type RecoveryHook interface {
 	DaemonUnresponsive() bool
+	DaemonRecovered()
 }
 
 // ResilienceStats counts client-side fault handling events, attributing

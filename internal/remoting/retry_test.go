@@ -61,10 +61,12 @@ func TestBackoffDeterministicAcrossRuns(t *testing.T) {
 }
 
 // healHook clears the fault plane on its first invocation and reports the
-// daemon recovered, modeling a supervisor fixing the channel.
+// daemon recovered, modeling a supervisor fixing the channel; recovered
+// counts the calls that completed after a recovery round.
 type healHook struct {
-	plane *faults.Plane
-	calls int
+	plane     *faults.Plane
+	calls     int
+	recovered int
 }
 
 func (h *healHook) DaemonUnresponsive() bool {
@@ -72,6 +74,8 @@ func (h *healHook) DaemonUnresponsive() bool {
 	h.plane.SetMix(faults.Mix{})
 	return true
 }
+
+func (h *healHook) DaemonRecovered() { h.recovered++ }
 
 // restartHook restarts the daemon process, modeling the supervisor path.
 type restartHook struct {
@@ -85,11 +89,15 @@ func (h *restartHook) DaemonUnresponsive() bool {
 	return true
 }
 
+func (h *restartHook) DaemonRecovered() {}
+
 // roundHook grants a fresh retry round on every exhausted one, as the
 // supervisor does while the daemon process is visibly alive.
 type roundHook struct{}
 
 func (roundHook) DaemonUnresponsive() bool { return true }
+
+func (roundHook) DaemonRecovered() {}
 
 func TestResilientCallSurvivesDrops(t *testing.T) {
 	s := newStack(t)
@@ -179,6 +187,14 @@ func TestRecoveryHookHealsChannel(t *testing.T) {
 	}
 	if hook.calls != 1 {
 		t.Fatalf("hook invoked %d times, want 1", hook.calls)
+	}
+	// The call that got through after the round reports the daemon alive;
+	// a call that needed no round reports nothing.
+	if hook.recovered != 1 {
+		t.Fatalf("DaemonRecovered invoked %d times after the healed call, want 1", hook.recovered)
+	}
+	if r := s.lib.CuInit(); r != cuda.Success || hook.recovered != 1 {
+		t.Fatalf("happy call: %s, DaemonRecovered invoked %d times in all, want 1", r, hook.recovered)
 	}
 	st := s.lib.ResilienceStats()
 	if st.Recoveries != 1 {

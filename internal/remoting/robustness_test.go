@@ -118,6 +118,8 @@ func (h *churnHook) DaemonUnresponsive() bool {
 	return true
 }
 
+func (h *churnHook) DaemonRecovered() {}
+
 // The fault-only state (the daemon's crash latch, pending crash and restart
 // epoch, the lib's dead latch) is atomic words read and written outside the
 // exchange lock: remoted calls racing a goroutine that crashes, restarts,

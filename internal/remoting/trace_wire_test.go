@@ -38,9 +38,9 @@ func sealRef(body []byte) []byte {
 		crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
 }
 
-// TestUntracedCommandWireShapeFrozen pins the recorder-disabled guarantee:
-// a command with TraceID 0 marshals byte-for-byte to the original cmdMagic
-// layout, so old decoders (and old captures) never see the traced magic.
+// TestUntracedCommandWireShapeFrozen pins the untraced command: the one
+// command layout with a zero trace word, which round-trips to TraceID 0.
+// The retired untraced layout (magic 0xC1, no trace word) is rejected.
 func TestUntracedCommandWireShapeFrozen(t *testing.T) {
 	cmd := &Command{
 		API:  APICuLaunchKernel,
@@ -54,19 +54,45 @@ func TestUntracedCommandWireShapeFrozen(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := sealRef(appendLE(nil,
-		byte(0xC1), uint32(APICuLaunchKernel), uint64(42),
+		byte(0xC2), uint32(APICuLaunchKernel), uint64(42), uint64(0),
 		uint16(3), uint64(7), uint64(1<<40), uint64(3),
 		uint16(6), "vecadd",
 		uint32(2), []byte{0xde, 0xad},
 	))
 	if !bytes.Equal(frame, want) {
-		t.Fatalf("untraced frame diverged from the frozen layout:\n got %x\nwant %x", frame, want)
+		t.Fatalf("untraced frame diverged from the documented layout:\n got %x\nwant %x", frame, want)
+	}
+	var got Command
+	if err := DecodeCommandInto(&got, map[string]string{}, frame); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(&got, cmd) {
+		t.Fatalf("untraced round trip: got %+v, want %+v", got, cmd)
+	}
+
+	retired := sealRef(appendLE(nil,
+		byte(0xC1), uint32(APICuLaunchKernel), uint64(42),
+		uint16(3), uint64(7), uint64(1<<40), uint64(3),
+		uint16(6), "vecadd",
+		uint32(2), []byte{0xde, 0xad},
+	))
+	if err := DecodeCommandInto(&got, map[string]string{}, retired); err == nil {
+		t.Fatal("retired 0xC1 command layout was accepted")
+	}
+	// Nor does 0xC1 lead the current layout.
+	relabeled := sealRef(append([]byte{0xC1}, want[1:len(want)-4]...))
+	if err := DecodeCommandInto(&got, map[string]string{}, relabeled); err == nil {
+		t.Fatal("0xC1 magic over the current command layout was accepted")
+	}
+	if fi, ok := PeekFrame(retired); ok {
+		t.Fatalf("peek accepted the retired 0xC1 layout: %+v", fi)
 	}
 }
 
-// TestTracedCommandWireShape pins the traced variant: magic 0xC2, exactly 8
-// extra bytes carrying the trace ID between Seq and the arg count, and a
-// lossless round trip.
+// TestTracedCommandWireShape pins the command layout: magic 0xC2 and the
+// trace ID between Seq and the arg count, with a lossless round trip. The
+// trace ID only fills the trace word: an untraced command is the same
+// frame with that word zeroed (and its own CRC).
 func TestTracedCommandWireShape(t *testing.T) {
 	cmd := &Command{
 		API:     APICuMemcpyHtoD,
@@ -79,18 +105,6 @@ func TestTracedCommandWireShape(t *testing.T) {
 	frame, err := AppendCommand(nil, cmd)
 	if err != nil {
 		t.Fatal(err)
-	}
-	untraced := *cmd
-	untraced.TraceID = 0
-	plain, err := AppendCommand(nil, &untraced)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if frame[0] != 0xC2 {
-		t.Fatalf("traced magic = %#x, want 0xC2", frame[0])
-	}
-	if len(frame) != len(plain)+8 {
-		t.Fatalf("traced frame is %d bytes over untraced, want exactly 8", len(frame)-len(plain))
 	}
 	want := sealRef(appendLE(nil,
 		byte(0xC2), uint32(APICuMemcpyHtoD), uint64(7), uint64(0xFEEDFACE),
@@ -110,20 +124,28 @@ func TestTracedCommandWireShape(t *testing.T) {
 		t.Fatalf("traced round trip: got %+v, want %+v", got, cmd)
 	}
 
-	// A traced frame claiming trace ID 0 is malformed: encoders never emit
-	// it, so the decoder rejects it rather than aliasing the untraced case.
+	untraced := *cmd
+	untraced.TraceID = 0
+	plain, err := AppendCommand(nil, &untraced)
+	if err != nil {
+		t.Fatal(err)
+	}
 	zero := sealRef(appendLE(nil,
 		byte(0xC2), uint32(APICuMemcpyHtoD), uint64(7), uint64(0),
 		uint16(1), uint64(11), uint16(0), uint32(0),
 	))
-	if err := DecodeCommandInto(&got, names, zero); err == nil {
-		t.Fatal("traced frame with zero trace ID was accepted")
+	if !bytes.Equal(plain, zero) {
+		t.Fatalf("untraced frame is not the traced one with a zero trace word:\n got %x\nwant %x", plain, zero)
+	}
+	if err := DecodeCommandInto(&got, names, zero); err != nil || !reflect.DeepEqual(&got, &untraced) {
+		t.Fatalf("zero trace word decoded to %+v, %v; want %+v", got, err, untraced)
 	}
 }
 
 // TestPeekFrameHeaders covers the recorder's frame peeker: header loads for
-// all three magics, graceful refusal otherwise, including a header cut one
-// byte short under each magic.
+// commands with and without a trace ID and for responses, graceful refusal
+// otherwise, including a header cut one byte short under each magic and
+// the retired 0xC1 command magic.
 func TestPeekFrameHeaders(t *testing.T) {
 	cmd := &Command{API: APICuInit, Seq: 9}
 	plain, _ := AppendCommand(nil, cmd)
@@ -140,17 +162,19 @@ func TestPeekFrameHeaders(t *testing.T) {
 	if fi, ok := PeekFrame(resp); !ok || fi.Seq != 11 || fi.TraceID != 0 {
 		t.Fatalf("peek response = %+v ok=%v", fi, ok)
 	}
-	for _, bad := range [][]byte{nil, {0x00}, {0x55, 1, 2, 3}, traced[:10], plain[:12], traced[:20], resp[:8]} {
+	retired := append([]byte{0xC1}, plain[1:]...)
+	for _, bad := range [][]byte{nil, {0x00}, {0x55, 1, 2, 3}, traced[:10], plain[:12], plain[:20], traced[:20], resp[:8], retired} {
 		if _, ok := PeekFrame(bad); ok {
 			t.Fatalf("peek accepted junk %x", bad)
 		}
 	}
 }
 
-// TestUntracedBatchWireShapeFrozen pins the batch analogue: all-untraced
-// entries marshal to the original batchMagic layout byte-for-byte; one
-// traced entry switches the whole batch to the widened layout, which
-// round-trips losslessly.
+// TestUntracedBatchWireShapeFrozen pins the batch layout: magic 0xB8 and a
+// trace word in every entry, 0 for an untraced one, whether or not any
+// entry is traced. A batch with one traced entry keeps the bytes it has
+// always had, and the retired untraced layout (magic 0xB7, no trace words)
+// is rejected.
 func TestUntracedBatchWireShapeFrozen(t *testing.T) {
 	bt := &Batch{Entries: []BatchEntry{
 		{Seq: 1, InOff: 100, OutOff: 200, Count: 4},
@@ -161,12 +185,12 @@ func TestUntracedBatchWireShapeFrozen(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := appendLE(nil,
-		byte(0xB7), uint16(2),
-		uint64(1), uint64(100), uint64(200), uint32(4),
-		uint64(2), uint64(300), uint64(400), uint32(8),
+		byte(0xB8), uint16(2),
+		uint64(1), uint64(100), uint64(200), uint32(4), uint64(0),
+		uint64(2), uint64(300), uint64(400), uint32(8), uint64(0),
 	)
 	if !bytes.Equal(frame, want) {
-		t.Fatalf("untraced batch diverged from the frozen layout:\n got %x\nwant %x", frame, want)
+		t.Fatalf("untraced batch diverged from the documented layout:\n got %x\nwant %x", frame, want)
 	}
 
 	bt.Entries[1].TraceID = 555
@@ -174,11 +198,13 @@ func TestUntracedBatchWireShapeFrozen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if traced[0] != 0xB8 {
-		t.Fatalf("traced batch magic = %#x, want 0xB8", traced[0])
-	}
-	if len(traced) != len(frame)+8*len(bt.Entries) {
-		t.Fatalf("traced batch is %d bytes over untraced, want %d", len(traced)-len(frame), 8*len(bt.Entries))
+	want = appendLE(nil,
+		byte(0xB8), uint16(2),
+		uint64(1), uint64(100), uint64(200), uint32(4), uint64(0),
+		uint64(2), uint64(300), uint64(400), uint32(8), uint64(555),
+	)
+	if !bytes.Equal(traced, want) {
+		t.Fatalf("traced batch diverged from the documented layout:\n got %x\nwant %x", traced, want)
 	}
 	var got Batch
 	if err := UnmarshalBatchInto(&got, traced); err != nil {
@@ -186,5 +212,17 @@ func TestUntracedBatchWireShapeFrozen(t *testing.T) {
 	}
 	if !reflect.DeepEqual(&got, bt) {
 		t.Fatalf("traced batch round trip: got %+v, want %+v", got, bt)
+	}
+
+	retired := appendLE(nil,
+		byte(0xB7), uint16(2),
+		uint64(1), uint64(100), uint64(200), uint32(4),
+		uint64(2), uint64(300), uint64(400), uint32(8),
+	)
+	if err := UnmarshalBatchInto(&got, retired); err == nil {
+		t.Fatal("retired 0xB7 batch layout was accepted")
+	}
+	if err := UnmarshalBatchInto(&got, append([]byte{0xB7}, traced[1:]...)); err == nil {
+		t.Fatal("0xB7 magic over the current batch layout was accepted")
 	}
 }

@@ -20,16 +20,10 @@ func AppendCommand(dst []byte, c *Command) ([]byte, error) {
 			len(c.Args), len(c.Name), len(c.Blob))
 	}
 	start := len(dst)
-	if c.TraceID != 0 {
-		dst = append(dst, cmdMagicTraced)
-	} else {
-		dst = append(dst, cmdMagic)
-	}
+	dst = append(dst, cmdMagic)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(c.API))
 	dst = binary.LittleEndian.AppendUint64(dst, c.Seq)
-	if c.TraceID != 0 {
-		dst = binary.LittleEndian.AppendUint64(dst, c.TraceID)
-	}
+	dst = binary.LittleEndian.AppendUint64(dst, c.TraceID)
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(c.Args)))
 	for _, a := range c.Args {
 		dst = binary.LittleEndian.AppendUint64(dst, a)
@@ -97,18 +91,12 @@ func DecodeCommandInto(c *Command, names map[string]string, frame []byte) error 
 		return err
 	}
 	r := reader{buf: body}
-	m := r.u8()
-	if m != cmdMagic && m != cmdMagicTraced {
+	if r.u8() != cmdMagic {
 		r.fail()
 	}
 	api := APIID(r.u32())
 	seq := r.u64()
-	var traceID uint64
-	if m == cmdMagicTraced {
-		if traceID = r.u64(); traceID == 0 {
-			r.fail() // traced frames must carry a real ID
-		}
-	}
+	traceID := r.u64()
 	nargs := r.u16()
 	if nargs > maxArgs {
 		r.fail()
@@ -182,27 +170,14 @@ func AppendBatch(dst []byte, bt *Batch) ([]byte, error) {
 	if len(bt.Entries) > maxBatchEntries {
 		return dst, fmt.Errorf("remoting: batch has %d entries, max %d", len(bt.Entries), maxBatchEntries)
 	}
-	traced := false
-	for _, e := range bt.Entries {
-		if e.TraceID != 0 {
-			traced = true
-			break
-		}
-	}
-	if traced {
-		dst = append(dst, tracedBatchMagic)
-	} else {
-		dst = append(dst, batchMagic)
-	}
+	dst = append(dst, batchMagic)
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(bt.Entries)))
 	for _, e := range bt.Entries {
 		dst = binary.LittleEndian.AppendUint64(dst, e.Seq)
 		dst = binary.LittleEndian.AppendUint64(dst, e.InOff)
 		dst = binary.LittleEndian.AppendUint64(dst, e.OutOff)
 		dst = binary.LittleEndian.AppendUint32(dst, e.Count)
-		if traced {
-			dst = binary.LittleEndian.AppendUint64(dst, e.TraceID)
-		}
+		dst = binary.LittleEndian.AppendUint64(dst, e.TraceID)
 	}
 	return dst, nil
 }
@@ -211,8 +186,7 @@ func AppendBatch(dst []byte, bt *Batch) ([]byte, error) {
 // reusing bt.Entries capacity.
 func UnmarshalBatchInto(bt *Batch, frame []byte) error {
 	r := reader{buf: frame}
-	m := r.u8()
-	if m != batchMagic && m != tracedBatchMagic {
+	if r.u8() != batchMagic {
 		r.fail()
 	}
 	n := r.u16()
@@ -221,11 +195,8 @@ func UnmarshalBatchInto(bt *Batch, frame []byte) error {
 	}
 	entries := bt.Entries[:0]
 	for i := 0; i < n && !r.bad; i++ {
-		e := BatchEntry{Seq: r.u64(), InOff: r.u64(), OutOff: r.u64(), Count: r.u32()}
-		if m == tracedBatchMagic {
-			e.TraceID = r.u64()
-		}
-		entries = append(entries, e)
+		entries = append(entries, BatchEntry{Seq: r.u64(), InOff: r.u64(), OutOff: r.u64(),
+			Count: r.u32(), TraceID: r.u64()})
 	}
 	if err := r.done(); err != nil {
 		return err

@@ -12,10 +12,11 @@ import (
 )
 
 // The reference codec below is the frame decoding that preceded the
-// latching reader, kept verbatim apart from the ref prefix on each name:
-// a hand-rolled trailer check, a fixed-offset header peeker and four
-// decoders that return on the first failed field. FuzzWireDifferential
-// holds the live decoders to it.
+// latching reader, kept verbatim apart from the ref prefix on each name
+// and the move to one layout per frame kind (the command and batch trace
+// words are always present): a hand-rolled trailer check, a fixed-offset
+// header peeker and four decoders that return on the first failed field.
+// FuzzWireDifferential holds the live decoders to it.
 
 // refOpenFrame verifies and strips the integrity trailer, returning the frame
 // body. Truncated or corrupted frames yield ErrShortFrame.
@@ -48,12 +49,7 @@ func refPeekFrame(frame []byte) (flightrec.FrameInfo, bool) {
 			return flightrec.FrameInfo{}, false
 		}
 		return flightrec.FrameInfo{Seq: binary.LittleEndian.Uint64(frame[1:9])}, true
-	case cmdMagic: // magic | api u32 | seq u64 | ...
-		if len(frame) < 13 {
-			return flightrec.FrameInfo{}, false
-		}
-		return flightrec.FrameInfo{Seq: binary.LittleEndian.Uint64(frame[5:13])}, true
-	case cmdMagicTraced: // magic | api u32 | seq u64 | trace u64 | ...
+	case cmdMagic: // magic | api u32 | seq u64 | trace u64 | ...
 		if len(frame) < 21 {
 			return flightrec.FrameInfo{}, false
 		}
@@ -125,7 +121,7 @@ func refDecodeCommandInto(c *Command, names map[string]string, frame []byte) err
 	}
 	r := refReader{buf: body}
 	m, err := r.u8()
-	if err != nil || (m != cmdMagic && m != cmdMagicTraced) {
+	if err != nil || m != cmdMagic {
 		return ErrShortFrame
 	}
 	api, err := r.u32()
@@ -136,14 +132,9 @@ func refDecodeCommandInto(c *Command, names map[string]string, frame []byte) err
 	if err != nil {
 		return err
 	}
-	var traceID uint64
-	if m == cmdMagicTraced {
-		if traceID, err = r.u64(); err != nil {
-			return err
-		}
-		if traceID == 0 {
-			return ErrShortFrame // traced frames must carry a real ID
-		}
+	traceID, err := r.u64()
+	if err != nil {
+		return err
 	}
 	nargs, err := r.u16()
 	if err != nil {
@@ -264,7 +255,7 @@ func refDecodeResponseInto(resp *Response, frame []byte) error {
 func refUnmarshalBatchInto(bt *Batch, frame []byte) error {
 	r := refReader{buf: frame}
 	m, err := r.u8()
-	if err != nil || (m != batchMagic && m != tracedBatchMagic) {
+	if err != nil || m != batchMagic {
 		return ErrShortFrame
 	}
 	n, err := r.u16()
@@ -291,10 +282,8 @@ func refUnmarshalBatchInto(bt *Batch, frame []byte) error {
 			return err
 		}
 		e.Count = c
-		if m == tracedBatchMagic {
-			if e.TraceID, err = r.u64(); err != nil {
-				return err
-			}
+		if e.TraceID, err = r.u64(); err != nil {
+			return err
 		}
 		entries = append(entries, e)
 	}
@@ -382,6 +371,9 @@ func FuzzWireDifferential(f *testing.F) {
 	for _, seed := range [][]byte{bt, nil, {cmdMagic}, {respMagic}, {handoffMagic}} {
 		f.Add(seed)
 	}
+	// The retired 0xC1/0xB7 magics over the current layouts.
+	f.Add(append([]byte{0xC1}, cmd[1:len(cmd)-crcLen]...))
+	f.Add(append([]byte{0xB7}, bt[1:]...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var c1, c2 Command
 		var r1, r2 Response

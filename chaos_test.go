@@ -333,13 +333,12 @@ func TestChaosCrashFreeBitIdentical(t *testing.T) {
 
 // TestChaosCrashMidBatchRace is the dedicated -race crash test: concurrent
 // batcher clients keep submitting while daemon crashes land mid-flight
-// (both before and after command execution) and a supervisor heartbeat
-// goroutine races the in-call recovery path. Every request must complete
-// with reference-matching outputs — nothing lost, nothing duplicated.
+// (both before and after command execution), recovered by the in-call
+// supervisor path. Every request must complete with reference-matching
+// outputs — nothing lost, nothing duplicated.
 func TestChaosCrashMidBatchRace(t *testing.T) {
 	cfg := lake.DefaultConfig()
 	cfg.Faults = &lake.FaultMix{Seed: 21} // plane attached; crashes injected manually
-	cfg.Supervision = lake.SupervisorConfig{MaxRestarts: 1 << 20}
 	rt, err := lake.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -399,14 +398,13 @@ func TestChaosCrashMidBatchRace(t *testing.T) {
 	}
 
 	// Chaos driver: keep crashing the daemon — alternating before-exec and
-	// after-exec placements — while racing the supervisor heartbeat against
-	// the submitters' in-call recovery.
+	// after-exec placements — under the submitters' in-call recovery.
 	stop := make(chan struct{})
 	var driver sync.WaitGroup
 	driver.Add(1)
 	go func() {
 		defer driver.Done()
-		daemon, sup := rt.Daemon(), rt.Supervisor()
+		daemon := rt.Daemon()
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
@@ -414,7 +412,6 @@ func TestChaosCrashMidBatchRace(t *testing.T) {
 			default:
 			}
 			daemon.InjectCrash(i%2 == 0)
-			sup.Check()
 			time.Sleep(50 * time.Microsecond)
 		}
 	}()

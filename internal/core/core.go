@@ -73,9 +73,6 @@ type Config struct {
 	// also arms client resilience (a faulty channel without retries would
 	// just lose calls).
 	Faults *faults.Mix
-	// Supervision parameterizes the lakeD supervisor (zero value =
-	// defaults). Only consulted when Faults is set.
-	Supervision SupervisorConfig
 	// DisableTelemetry boots the runtime without the observability plane:
 	// Telemetry() returns nil and every instrument call across the stack
 	// is a no-op on a nil receiver. The zero value keeps telemetry on —
@@ -242,7 +239,7 @@ func newRuntime(cfg Config, ord int, root *flightrec.Recorder) (*Runtime, error)
 		rt.plane = faults.NewPlane(*cfg.Faults, clock)
 		tr.InjectFaults(rt.plane)
 		daemon.InjectFaults(rt.plane)
-		rt.sup = NewSupervisor(clock, daemon, lib, cfg.Supervision)
+		rt.sup = NewSupervisor(clock, daemon)
 		rt.sup.SetFlightRecorder(rt.rec)
 		rt.sup.Instrument(rt.tel, rt.metricName)
 		lib.EnableResilience(rt.sup)

@@ -1,9 +1,9 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"lakego/internal/cuda"
 	"lakego/internal/faults"
@@ -11,11 +11,10 @@ import (
 	"lakego/internal/remoting"
 )
 
-func newFaultyRuntime(t *testing.T, mix faults.Mix, sup SupervisorConfig) *Runtime {
+func newFaultyRuntime(t *testing.T, mix faults.Mix) *Runtime {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Faults = &mix
-	cfg.Supervision = sup
 	rt, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -25,13 +24,13 @@ func newFaultyRuntime(t *testing.T, mix faults.Mix, sup SupervisorConfig) *Runti
 }
 
 func TestSupervisorRecoversInjectedCrash(t *testing.T) {
-	rt := newFaultyRuntime(t, faults.Mix{Seed: 1}, SupervisorConfig{})
+	rt := newFaultyRuntime(t, faults.Mix{Seed: 1})
 	sup := rt.Supervisor()
 	if sup == nil {
 		t.Fatal("faulty runtime has no supervisor")
 	}
-	if st := sup.Check(); st != StateHealthy {
-		t.Fatalf("initial heartbeat: %s", st)
+	if st := sup.State(); st != StateHealthy {
+		t.Fatalf("initial state: %s", st)
 	}
 
 	rt.Daemon().InjectCrash(false)
@@ -53,16 +52,16 @@ func TestSupervisorRecoversInjectedCrash(t *testing.T) {
 }
 
 func TestSupervisorStateMachineWalk(t *testing.T) {
-	rt := newFaultyRuntime(t, faults.Mix{Seed: 2}, SupervisorConfig{})
+	rt := newFaultyRuntime(t, faults.Mix{Seed: 2})
 	sup := rt.Supervisor()
 	rt.Daemon().InjectCrash(false)
 	if _, r := rt.Lib().CuMemAlloc(64); r != cuda.Success {
 		t.Fatalf("alloc across crash: %s", r)
 	}
-	// The walk so far: Healthy -> Suspected -> Dead -> Restarting ->
-	// ReAttached. A confirming heartbeat closes the loop.
-	if st := sup.Check(); st != StateHealthy {
-		t.Fatalf("post-recovery heartbeat: %s", st)
+	// The walk: Healthy -> Suspected -> Dead -> Restarting -> ReAttached,
+	// and the redelivered call's completion closes the loop.
+	if st := sup.State(); st != StateHealthy {
+		t.Fatalf("after the recovered call: %s", st)
 	}
 	// The flight recorder is the audit log: one EvTransition (a0 = from,
 	// a1 = to) per state change.
@@ -84,8 +83,9 @@ func TestSupervisorStateMachineWalk(t *testing.T) {
 }
 
 func TestSupervisorCheckRecoversIdleCrash(t *testing.T) {
-	// A crash between client calls is only observable via heartbeat.
-	rt := newFaultyRuntime(t, faults.Mix{Seed: 3}, SupervisorConfig{})
+	// A crash between client calls is seen by the next call, which
+	// recovers it in-call.
+	rt := newFaultyRuntime(t, faults.Mix{Seed: 3})
 	sup := rt.Supervisor()
 	rt.Daemon().InjectCrash(false)
 	// Kill the daemon by serving one doomed command out-of-band.
@@ -101,61 +101,90 @@ func TestSupervisorCheckRecoversIdleCrash(t *testing.T) {
 	if !rt.Daemon().Crashed() {
 		t.Fatal("daemon not crashed")
 	}
-	if st := sup.Check(); st != StateHealthy {
-		t.Fatalf("heartbeat did not recover idle crash: %s", st)
+	if _, r := rt.Lib().CuDeviceGetCount(); r != cuda.Success {
+		t.Fatalf("next call did not recover the idle crash: %s", r)
 	}
-	if rt.Daemon().Restarts() == 0 {
-		t.Fatal("no restart recorded")
+	if st := sup.State(); st != StateHealthy {
+		t.Fatalf("state after the recovering call: %s", st)
 	}
-}
-
-func TestSupervisorHeartbeatRateLimit(t *testing.T) {
-	rt := newFaultyRuntime(t, faults.Mix{Seed: 4}, SupervisorConfig{})
-	sup := rt.Supervisor()
-	sup.Check()
-	calls0, _ := rt.Lib().Stats()
-	sup.Check() // within the interval while Healthy: no ping
-	calls1, _ := rt.Lib().Stats()
-	if calls1 != calls0 {
-		t.Fatalf("rate-limited Check still pinged (%d -> %d calls)", calls0, calls1)
+	if got := rt.Daemon().Restarts(); got != 1 {
+		t.Fatalf("Restarts = %d, want 1", got)
 	}
-	rt.Clock().Advance(2 * time.Millisecond)
-	sup.Check()
-	calls2, _ := rt.Lib().Stats()
-	if calls2 == calls1 {
-		t.Fatal("Check after the interval did not ping")
+	if !rt.Lib().Healthy() {
+		t.Fatal("lib unhealthy after the recovering call")
 	}
 }
 
+// A daemon that crashes on every command costs a call at most two
+// restarts: the call's third unresponsive round gives it up, the supervisor
+// records Dead, and the give-up is terminal — a clean channel and a live
+// process do not bring the lib back. A crash after execution journals the
+// response, so its redelivery completes the call; the calls run until one
+// draws only crashes before execution.
 func TestSupervisorMaxRestartsExhaustion(t *testing.T) {
-	rt := newFaultyRuntime(t, faults.Mix{Seed: 5}, SupervisorConfig{MaxRestarts: 1})
-	lib, daemon := rt.Lib(), rt.Daemon()
+	rt := newFaultyRuntime(t, faults.Mix{Seed: 5})
+	lib, daemon, plane := rt.Lib(), rt.Daemon(), rt.FaultPlane()
 
-	daemon.InjectCrash(false)
-	if _, r := lib.CuMemAlloc(64); r != cuda.Success {
-		t.Fatalf("first crash should recover (budget 1): %s", r)
-	}
-	daemon.InjectCrash(false)
-	if _, r := lib.CuMemAlloc(64); r != cuda.ErrNotReady {
-		t.Fatalf("second crash exceeded the budget; want CUDA_ERROR_SYSTEM_NOT_READY, got %s", r)
+	plane.SetMix(faults.Mix{Crash: 1})
+	for i := 0; ; i++ {
+		if i == 100 {
+			t.Fatal("100 calls against a daemon crashing on every command, none gave it up")
+		}
+		before := daemon.Restarts()
+		_, r := lib.CuMemAlloc(64)
+		if r == cuda.Success {
+			continue
+		}
+		if r != cuda.ErrNotReady {
+			t.Fatalf("call %d = %s, want CUDA_ERROR_SYSTEM_NOT_READY", i, r)
+		}
+		if got := daemon.Restarts() - before; got != 2 {
+			t.Fatalf("the call that gave up restarted the daemon %d times, want 2", got)
+		}
+		break
 	}
 	if rt.Supervisor().State() != StateDead {
 		t.Fatalf("supervisor state %s, want Dead", rt.Supervisor().State())
 	}
 	if lib.Healthy() {
-		t.Fatal("lib healthy with a dead, unrestartable daemon")
+		t.Fatal("lib healthy after the give-up")
+	}
+	plane.SetMix(faults.Mix{})
+	restarts := daemon.Restarts()
+	if _, r := lib.CuMemAlloc(64); r != cuda.ErrNotReady {
+		t.Fatalf("call after the give-up = %s, want CUDA_ERROR_SYSTEM_NOT_READY", r)
+	}
+	if got := daemon.Restarts(); got != restarts {
+		t.Fatalf("Restarts after the give-up = %d, want %d", got, restarts)
 	}
 }
 
 func TestSupervisorRaceWithConcurrentClients(t *testing.T) {
-	// Concurrent remoted calls, injected crashes, and heartbeat checks:
-	// run under -race this exercises every supervisor/lib/daemon lock.
-	rt := newFaultyRuntime(t, faults.Mix{Seed: 6}, SupervisorConfig{})
+	// Concurrent remoted calls, injected crashes, and a reader of the
+	// supervisor state and lib latch: run under -race this exercises every
+	// supervisor/lib/daemon lock.
+	rt := newFaultyRuntime(t, faults.Mix{Seed: 6})
 	lib, daemon, sup := rt.Lib(), rt.Daemon(), rt.Supervisor()
 
 	const workers, per = 4, 50
 	var wg sync.WaitGroup
-	errs := make(chan string, workers*per)
+	errs := make(chan string, workers*per+1)
+	stop, read := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(read)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if sup.State() == StateDead || !lib.Healthy() {
+				errs <- "reader saw the daemon given up"
+				return
+			}
+			runtime.Gosched()
+		}
+	}()
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -163,9 +192,6 @@ func TestSupervisorRaceWithConcurrentClients(t *testing.T) {
 			for i := 0; i < per; i++ {
 				if w == 0 && i%10 == 3 {
 					daemon.InjectCrash(i%20 == 3)
-				}
-				if w == 1 && i%7 == 0 {
-					sup.Check()
 				}
 				ptr, r := lib.CuMemAlloc(64)
 				if r != cuda.Success {
@@ -180,6 +206,8 @@ func TestSupervisorRaceWithConcurrentClients(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	close(stop)
+	<-read
 	close(errs)
 	for e := range errs {
 		t.Error(e)
@@ -190,13 +218,12 @@ func TestSupervisorRaceWithConcurrentClients(t *testing.T) {
 }
 
 // TestSupervisorCallRecoveryConfirmsLiveness: a call that gets through
-// after a granted retry round confirms the daemon alive, as a heartbeat
-// does. Two separate episodes of channel loss, each exhausting exactly one
+// after a granted retry round confirms the daemon alive. Two separate episodes of channel loss, each exhausting exactly one
 // retry round of one call before that call completes, leave the daemon
 // Healthy with no restart; the second round is not counted as a second
 // consecutive failure.
 func TestSupervisorCallRecoveryConfirmsLiveness(t *testing.T) {
-	rt := newFaultyRuntime(t, faults.Mix{Seed: 3}, SupervisorConfig{})
+	rt := newFaultyRuntime(t, faults.Mix{Seed: 3})
 	sup, lib, plane := rt.Supervisor(), rt.Lib(), rt.FaultPlane()
 	for episode := 1; episode <= 2; episode++ {
 		before := lib.ResilienceStats().Recoveries

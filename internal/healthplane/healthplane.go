@@ -149,8 +149,9 @@ func newPlane(cfg Config) *Plane {
 
 // Attach builds the plane over one runtime: it tails the runtime's flight
 // recorder on its clock and feeds the SLO engine from its telemetry. The
-// shard probe reports one shard whose readiness tracks the lakeD supervisor
-// (a runtime booted without faults or resilience is trivially ready);
+// shard probe reports one shard, ready until its lakeD supervisor gives
+// the daemon up (a runtime booted without faults has no supervisor and is
+// trivially ready);
 // completion outstanding is unknown here, so the stall watchdog only arms
 // on fleets.
 func Attach(rt *core.Runtime, cfg Config) *Plane {
@@ -164,7 +165,7 @@ func Attach(rt *core.Runtime, cfg Config) *Plane {
 		sh := ShardHealth{State: "Healthy", Ready: true, Handled: rt.Daemon().Handled()}
 		if sup := rt.Supervisor(); sup != nil {
 			st := sup.State()
-			sh.State, sh.Ready = st.String(), serving(st)
+			sh.State, sh.Ready = st.String(), st != core.StateDead
 		}
 		return []ShardHealth{sh}
 	}
@@ -175,7 +176,7 @@ func Attach(rt *core.Runtime, cfg Config) *Plane {
 // flight recorder (every shard's events, shard-stamped) on the fleet's
 // critical-path clock and feeds the SLO engine from the merged per-shard
 // telemetry. A shard is ready while it is Active for the router and its
-// lakeD supervisor (when armed) reports Healthy or ReAttached. Outstanding
+// lakeD supervisor (when armed) has not given the daemon up. Outstanding
 // counts routed in-flight requests, so the stall watchdog is live here.
 func AttachFleet(f *fleet.Fleet, cfg Config) *Plane {
 	p := newPlane(cfg)
@@ -193,7 +194,7 @@ func AttachFleet(f *fleet.Fleet, cfg Config) *Plane {
 				Handled:     s.Runtime().Daemon().Handled(),
 			}
 			if sup := s.Runtime().Supervisor(); sup != nil {
-				if st := sup.State(); !serving(st) {
+				if st := sup.State(); st == core.StateDead {
 					sh.Ready = false
 					sh.State += "/" + st.String()
 				}
@@ -203,11 +204,6 @@ func AttachFleet(f *fleet.Fleet, cfg Config) *Plane {
 		return out
 	}
 	return p
-}
-
-// serving reports whether a supervised lakeD is answering calls.
-func serving(st core.DaemonState) bool {
-	return st == core.StateHealthy || st == core.StateReAttached
 }
 
 // Watch adds a lifecycle manager to the plane: it feeds /models.json, the

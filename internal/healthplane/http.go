@@ -62,8 +62,8 @@ func (p *Plane) handleHealthz(w http.ResponseWriter, req *http.Request) {
 	})
 }
 
-// handleReadyz is serving-readiness: 503 until every shard is Active with
-// a healthy (or reattached) daemon.
+// handleReadyz is serving-readiness: 503 unless every shard is Active with
+// a daemon its supervisor has not given up.
 func (p *Plane) handleReadyz(w http.ResponseWriter, req *http.Request) {
 	ready, shards := p.Ready()
 	if !ready {

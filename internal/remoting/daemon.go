@@ -173,12 +173,8 @@ func (d *Daemon) Restart() {
 }
 
 // Restarts counts supervisor restarts: every Restart starts a new epoch,
-// so the count is the current Generation.
+// so the count is the current generation (0 for the original process).
 func (d *Daemon) Restarts() int64 { return int64(d.generation.Load()) }
-
-// Generation returns the daemon's restart epoch (0 for the original
-// process).
-func (d *Daemon) Generation() uint64 { return d.generation.Load() }
 
 // Executed counts commands whose handler actually ran — journal-served
 // redeliveries are excluded, so in an exactly-once run Executed equals the
@@ -356,11 +352,7 @@ func (d *Daemon) handleCmd(cmd *Command) (resp *Response) {
 			cmd.TraceID, cmd.Seq, 0, uint64(cmd.API), uint64(uint32(resp.Result)), 0)
 		d.rec.EndExec()
 	}()
-	if cmd.API != APIPing {
-		// Heartbeats are supervision traffic, not workload: Executed stays
-		// comparable to the number of distinct client calls.
-		d.executed.Inc()
-	}
+	d.executed.Inc()
 	resp = d.execute(cmd)
 	if r := cuda.Result(resp.Result); r != cuda.Success {
 		d.logErr(fmt.Sprintf("lakeD: %s seq=%d: %s", cmd.API, cmd.Seq, r))
@@ -482,12 +474,6 @@ func (d *Daemon) execute(cmd *Command) *Response {
 
 	case APIBatchedInfer:
 		d.batchedInfer(cmd, resp)
-
-	case APIPing:
-		// Heartbeat (supervision): reports the restart generation and the
-		// served-command count, letting the supervisor detect silent
-		// restarts and confirm liveness after ReAttached.
-		resp.Vals = append(resp.Vals, d.Generation(), uint64(d.handled.Value()))
 
 	case APIHighLevel:
 		d.mu.Lock()

@@ -75,10 +75,10 @@ type Lib struct {
 	// deterministic order.
 	rng  *rand.Rand
 	hook RecoveryHook
-	// dead is set once a call abandons the daemon as unrecoverable; later
-	// calls fail fast with ErrDaemonDead (mapped to cuda.ErrNotReady by the
-	// stubs, routing workloads to their CPU fallback) until the supervisor
-	// restores service and calls MarkRecovered.
+	// dead is set once a call abandons the daemon as unrecoverable, and
+	// never cleared: later calls fail fast with ErrDaemonDead (mapped to
+	// cuda.ErrNotReady by the stubs, routing workloads to their CPU
+	// fallback). It is written only under callMu.
 	dead atomic.Bool
 
 	// rec is the flight recorder's kernel-domain view; nil-safe like the
@@ -193,25 +193,9 @@ func (l *Lib) ResilienceStats() ResilienceStats {
 }
 
 // Healthy reports whether the daemon is believed alive. False means a call
-// declared it dead (ErrDaemonDead); stubs return cuda.ErrNotReady and
-// workloads run their CPU fallback until MarkRecovered.
+// gave the daemon up (ErrDaemonDead): from then on stubs return
+// cuda.ErrNotReady and workloads run their CPU fallback.
 func (l *Lib) Healthy() bool { return !l.dead.Load() }
-
-// MarkRecovered clears the daemon-dead latch after the supervisor has
-// restarted lakeD and confirmed liveness (typically via Ping).
-func (l *Lib) MarkRecovered() { l.dead.Store(false) }
-
-// Ping remotes the supervision heartbeat, returning the daemon's restart
-// generation and served-command count. It bypasses the daemon-dead fast
-// path so the supervisor can probe a daemon it just restarted.
-func (l *Lib) Ping() (generation uint64, handled int64, ok bool) {
-	cs := l.newCall(APIPing)
-	defer l.done(cs)
-	if err := l.call(cs); err != nil || cuda.Result(cs.resp.Result) != cuda.Success {
-		return 0, 0, false
-	}
-	return val(&cs.resp, 0), int64(val(&cs.resp, 1)), true
-}
 
 // call performs one remoted invocation end to end: cs.cmd goes out, cs.resp
 // holds the decoded response on a nil return.
@@ -274,7 +258,7 @@ func failResult(err error) cuda.Result {
 // caller holds callMu.
 func (l *Lib) exchangeResilient(cs *callState) error {
 	cmd := &cs.cmd
-	if cmd.API != APIPing && !l.Healthy() {
+	if !l.Healthy() {
 		l.daemonDead.Inc()
 		return fmt.Errorf("%s seq=%d: %w", cmd.API, cmd.Seq, ErrDaemonDead)
 	}
@@ -303,9 +287,9 @@ func (l *Lib) exchangeResilient(cs *callState) error {
 			l.tr.Clock().Advance(backoff(attempt-1, l.rng.Float64()))
 			continue
 		}
-		// Full round exhausted: the daemon is unresponsive. Give the
-		// supervisor a chance to recover it, then redeliver.
-		if l.hook != nil && recoveries < maxRecoveries && l.hook.DaemonUnresponsive() {
+		// Full round exhausted: the daemon is unresponsive. The supervisor
+		// either recovers it, and the call redelivers, or gives it up.
+		if l.hook != nil && l.hook.DaemonUnresponsive(recoveries) {
 			recoveries++
 			attempt = 0
 			l.recoveries.Inc()

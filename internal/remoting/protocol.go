@@ -64,9 +64,10 @@ const (
 	APICuCtxSynchronize
 	APINvmlUtilization
 	APIHighLevel
-	// Ids 16–21 carried the stream/async APIs; they stay reserved so later
-	// ids keep their wire values in recorded dumps and journals. lakeD
-	// answers a reserved id like any unknown one, with ErrInvalidValue.
+	// Ids 16–21 carried the stream/async APIs and id 24 the supervisor's
+	// heartbeat; they stay reserved so later ids keep their wire values in
+	// recorded dumps and journals. lakeD answers a reserved id like any
+	// unknown one, with ErrInvalidValue.
 	_
 	_
 	_
@@ -75,10 +76,7 @@ const (
 	_
 	APICuMemGetInfo
 	APIBatchedInfer
-	// APIPing is the supervisor's health probe: lakeD answers with its
-	// restart generation and handled-command count. It exercises the full
-	// wire path, so a dead daemon or broken channel fails it like any call.
-	APIPing
+	_
 	// APINvmlDeviceUtilization queries one pool device's utilization by
 	// ordinal (APINvmlUtilization aggregates across the pool).
 	APINvmlDeviceUtilization
@@ -102,7 +100,6 @@ var apiNames = map[APIID]string{
 	APIHighLevel:           "lakeHighLevel",
 	APICuMemGetInfo:        "cuMemGetInfo",
 	APIBatchedInfer:        "lakeBatchedInfer",
-	APIPing:                "lakePing",
 
 	APINvmlDeviceUtilization: "nvmlDeviceGetUtilizationRates(device)",
 }

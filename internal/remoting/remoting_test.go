@@ -117,16 +117,19 @@ func TestAPIIDString(t *testing.T) {
 	if got := APIID(16).String(); got != "api(16)" {
 		t.Fatalf("reserved id 16 = %q, want api(16)", got)
 	}
+	if got := APIID(24).String(); got != "api(24)" {
+		t.Fatalf("reserved id 24 = %q, want api(24)", got)
+	}
 }
 
 // Recorded dumps, journals and the frozen wire frames carry API ids as
-// numbers, so the ids after the reserved 16–21 block must never move.
+// numbers, so the ids after the reserved 16–21 block and the reserved id 24
+// must never move.
 func TestAPIIDsPinned(t *testing.T) {
 	for id, want := range map[APIID]uint32{
 		APIHighLevel:             15,
 		APICuMemGetInfo:          22,
 		APIBatchedInfer:          23,
-		APIPing:                  24,
 		APINvmlDeviceUtilization: 25,
 	} {
 		if uint32(id) != want {
@@ -136,12 +139,16 @@ func TestAPIIDsPinned(t *testing.T) {
 }
 
 // A reserved id travels the whole path — stub, ring, lakeD dispatch — and
-// comes back as ErrInvalidValue; the daemon keeps serving afterwards.
+// comes back as ErrInvalidValue; the daemon keeps serving afterwards. Id 24
+// is sent as the retired heartbeat was, with no arguments: a stale
+// heartbeat frame gets the same answer.
 func TestReservedAPIIDsAnsweredInvalid(t *testing.T) {
 	s := newStack(t)
-	for id := APIID(16); id <= 21; id++ {
+	for _, id := range []APIID{16, 17, 18, 19, 20, 21, 24} {
 		cs := s.lib.newCall(id)
-		cs.cmd.Args = append(cs.cmd.Args, 1, 0, 64, 1)
+		if id != 24 {
+			cs.cmd.Args = append(cs.cmd.Args, 1, 0, 64, 1)
+		}
 		if r := s.lib.doCall(cs); r != cuda.ErrInvalidValue {
 			t.Errorf("%s: result %s, want %s", id, r, cuda.ErrInvalidValue)
 		}
@@ -357,7 +364,7 @@ func TestStatsAccumulate(t *testing.T) {
 
 // A failed exchange on a never-armed Lib takes the armed path's result: the
 // single attempt exhausts the retry round, the daemon is latched dead and the
-// stub surfaces ErrNotReady until MarkRecovered.
+// stub surfaces ErrNotReady from then on.
 func TestClosedTransportSurfacesError(t *testing.T) {
 	s := newStack(t)
 	s.tr.Close()
@@ -370,9 +377,8 @@ func TestClosedTransportSurfacesError(t *testing.T) {
 	if rs := s.lib.ResilienceStats(); rs.DaemonDead != 1 || rs.Retries != 0 {
 		t.Fatalf("un-armed lib retried or miscounted: %+v", rs)
 	}
-	s.lib.MarkRecovered()
-	if !s.lib.Healthy() {
-		t.Fatal("MarkRecovered did not clear the dead latch")
+	if r := s.lib.CuInit(); r != cuda.ErrNotReady || s.lib.Healthy() {
+		t.Fatalf("call behind the dead latch = %v, healthy %v; want ErrNotReady, latched", r, s.lib.Healthy())
 	}
 }
 

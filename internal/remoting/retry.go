@@ -14,14 +14,13 @@ var ErrDaemonDead = errors.New("remoting: lakeD declared dead")
 // retry posture: retryAttempts tries a round, a retryBase wait after the
 // first failure doubling after each further one, each wait spread
 // uniformly over [1-retryJitter, 1+retryJitter) of its nominal value by a
-// PRNG seeded with 0, and at most maxRecoveries RecoveryHook rounds a
-// call. Backoff waits advance the virtual clock — a retrying kernel client
-// really does burn that time. Attempts × recoveries bound every call.
+// PRNG seeded with 0. Backoff waits advance the virtual clock — a retrying
+// kernel client really does burn that time. Attempts × the recovery rounds
+// the RecoveryHook grants bound every call.
 const (
 	retryAttempts = 4
 	retryBase     = 50 * time.Microsecond
 	retryJitter   = 0.25
-	maxRecoveries = 2
 )
 
 // backoff returns the wait before retrying after the attempt-th failure
@@ -37,14 +36,18 @@ func backoff(attempt int, draw float64) time.Duration {
 
 // RecoveryHook is the supervisor's entry point into the client retry path:
 // Lib calls DaemonUnresponsive when one remoted call exhausts a full retry
-// round. Returning true means the daemon was recovered (restarted and
-// re-attached) and the call should be redelivered — the daemon-side
-// sequence journal guarantees redelivery executes at most once. Returning
-// false abandons the call with ErrDaemonDead. Lib calls DaemonRecovered
-// when a call completes after one or more such rounds: the daemon answered,
-// so it is alive. A call that needed no recovery round calls neither.
+// round, with round the number of recovery rounds the call has already
+// been granted. Returning true means the daemon was recovered (restarted
+// and re-attached, or granted another round) and the call should be
+// redelivered — the daemon-side sequence journal guarantees redelivery
+// executes at most once. Returning false gives the daemon up: the call
+// fails with ErrDaemonDead and the lib stays dead. The hook alone decides
+// the give-up, so it must return false at some round. Lib calls
+// DaemonRecovered when a call completes after one or more recovery rounds:
+// the daemon answered, so it is alive. A call that needed no recovery
+// round calls neither.
 type RecoveryHook interface {
-	DaemonUnresponsive() bool
+	DaemonUnresponsive(round int) bool
 	DaemonRecovered()
 }
 

@@ -69,7 +69,7 @@ type healHook struct {
 	recovered int
 }
 
-func (h *healHook) DaemonUnresponsive() bool {
+func (h *healHook) DaemonUnresponsive(int) bool {
 	h.calls++
 	h.plane.SetMix(faults.Mix{})
 	return true
@@ -77,25 +77,30 @@ func (h *healHook) DaemonUnresponsive() bool {
 
 func (h *healHook) DaemonRecovered() { h.recovered++ }
 
-// restartHook restarts the daemon process, modeling the supervisor path.
+// restartHook restarts the daemon process, modeling the supervisor path:
+// like the supervisor, it gives the daemon up after two recovery rounds.
 type restartHook struct {
 	d     *Daemon
 	calls int
 }
 
-func (h *restartHook) DaemonUnresponsive() bool {
+func (h *restartHook) DaemonUnresponsive(round int) bool {
 	h.calls++
+	if round >= 2 {
+		return false
+	}
 	h.d.Restart()
 	return true
 }
 
 func (h *restartHook) DaemonRecovered() {}
 
-// roundHook grants a fresh retry round on every exhausted one, as the
-// supervisor does while the daemon process is visibly alive.
+// roundHook grants a fresh retry round on each of a call's first two
+// exhausted ones, as the supervisor does while the daemon process is
+// visibly alive, and gives the daemon up on the third.
 type roundHook struct{}
 
-func (roundHook) DaemonUnresponsive() bool { return true }
+func (roundHook) DaemonUnresponsive(round int) bool { return round < 2 }
 
 func (roundHook) DaemonRecovered() {}
 
@@ -168,11 +173,10 @@ func TestDaemonDeadMapsToNotReady(t *testing.T) {
 	if after.DaemonDead != before.DaemonDead+1 || after.Retries != before.Retries {
 		t.Fatalf("latched-dead call retried: before %+v after %+v", before, after)
 	}
-	// Manual recovery restores service.
+	// The give-up is terminal: a restarted daemon does not clear it.
 	s.daemon.Restart()
-	s.lib.MarkRecovered()
-	if _, r := s.lib.CuMemAlloc(64); r != cuda.Success {
-		t.Fatalf("post-recovery alloc failed: %s", r)
+	if _, r := s.lib.CuMemAlloc(64); r != cuda.ErrNotReady || s.lib.Healthy() {
+		t.Fatalf("call after a restart behind the latch = %s, healthy %v; want ErrNotReady, latched", r, s.lib.Healthy())
 	}
 }
 
@@ -252,20 +256,6 @@ func TestCrashBeforeExecRedeliversExactlyOnce(t *testing.T) {
 	}
 	if got := s.daemon.Executed() - execBefore; got != 1 {
 		t.Fatalf("command executed %d times across the crash, want exactly 1", got)
-	}
-}
-
-func TestPingReportsGeneration(t *testing.T) {
-	s := newStack(t)
-	s.lib.EnableResilience(nil)
-	gen, _, ok := s.lib.Ping()
-	if !ok || gen != 0 {
-		t.Fatalf("ping: gen=%d ok=%v, want gen=0 ok=true", gen, ok)
-	}
-	s.daemon.Restart()
-	gen, _, ok = s.lib.Ping()
-	if !ok || gen != 1 {
-		t.Fatalf("post-restart ping: gen=%d ok=%v, want gen=1 ok=true", gen, ok)
 	}
 }
 

@@ -215,8 +215,6 @@ type (
 	FaultMix = faults.Mix
 	// FaultStats counts injected faults.
 	FaultStats = faults.Stats
-	// SupervisorConfig carries the supervisor's restart budget.
-	SupervisorConfig = core.SupervisorConfig
 	// ResilienceStats counts client-side fault handling events.
 	ResilienceStats = remoting.ResilienceStats
 )

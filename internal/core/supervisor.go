@@ -65,6 +65,9 @@ const (
 type Supervisor struct {
 	clock  *vtime.Clock
 	daemon *remoting.Daemon
+	// relaunch brings the daemon process back; it is daemon.Restart, the
+	// step a restart takes without s.mu held.
+	relaunch func()
 
 	mu    sync.Mutex
 	state DaemonState
@@ -101,7 +104,7 @@ func (s *Supervisor) SetFlightRecorder(rec *flightrec.Recorder) {
 
 // NewSupervisor creates a supervisor for the runtime's daemon.
 func NewSupervisor(clock *vtime.Clock, daemon *remoting.Daemon) *Supervisor {
-	return &Supervisor{clock: clock, daemon: daemon}
+	return &Supervisor{clock: clock, daemon: daemon, relaunch: daemon.Restart}
 }
 
 // State returns the supervisor's current view of the daemon.
@@ -132,9 +135,10 @@ func (s *Supervisor) setStateLocked(to DaemonState) {
 // the report after maxRounds granted rounds gives the daemon up: both
 // return false and leave the state Dead. Otherwise the first report raises
 // Suspected and grants another round; at failThreshold, or once the
-// process is visibly crashed, the daemon is declared Dead and restarted.
-// Returning true tells the client to redeliver — exactly-once is preserved
-// by the daemon-side journal.
+// process is visibly crashed, the daemon is declared Dead and restarted,
+// and a restart that Abandon overtook gives the daemon up too. Returning
+// true tells the client to redeliver — exactly-once is preserved by the
+// daemon-side journal.
 func (s *Supervisor) DaemonUnresponsive(round int) bool {
 	s.mu.Lock()
 	if s.state == StateDead || round >= maxRounds {
@@ -152,8 +156,7 @@ func (s *Supervisor) DaemonUnresponsive(round int) bool {
 		s.mu.Unlock()
 		return true
 	}
-	s.restartLocked()
-	return true
+	return s.restartLocked()
 }
 
 // DaemonRecovered implements remoting.RecoveryHook. It is invoked with
@@ -173,23 +176,27 @@ func (s *Supervisor) DaemonRecovered() {
 // Dead -> Restarting, one restart counted, the fork/exec + re-attach cost
 // paid on the virtual clock, then the process is brought back with its
 // shm-backed state (journal included) and the supervisor enters
-// ReAttached, unless Abandon made it Dead meanwhile. It is called with s.mu
-// held and returns with it released.
-func (s *Supervisor) restartLocked() {
+// ReAttached, unless Abandon made it Dead meanwhile. It reports whether it
+// did: false means the relaunched process belongs to an abandoned shard,
+// so the call must not redeliver to it. It is called with s.mu held and
+// returns with it released.
+func (s *Supervisor) restartLocked() bool {
 	s.setStateLocked(StateDead)
 	s.setStateLocked(StateRestarting)
 	s.restarts.Inc()
 	s.mu.Unlock()
 
 	s.clock.Advance(restartCost)
-	s.daemon.Restart()
+	s.relaunch()
 
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.failures = 0
-	if s.state == StateRestarting {
-		s.setStateLocked(StateReAttached)
+	if s.state != StateRestarting {
+		return false
 	}
-	s.mu.Unlock()
+	s.setStateLocked(StateReAttached)
+	return true
 }
 
 // Abandon declares the daemon permanently Dead. The fleet invokes it after

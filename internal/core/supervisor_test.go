@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -156,6 +157,49 @@ func TestSupervisorMaxRestartsExhaustion(t *testing.T) {
 	}
 	if got := daemon.Restarts(); got != restarts {
 		t.Fatalf("Restarts after the give-up = %d, want %d", got, restarts)
+	}
+}
+
+// Abandon landing while a call's restart is under way — the fleet's Kill
+// racing in-call recovery — wins: the call gives up instead of redelivering
+// to the relaunched process of an abandoned shard. The relaunch step runs
+// Kill's two steps first, so Abandon lands inside the window restartLocked
+// runs unlocked, and the relaunch then clears Kill's crash.
+func TestSupervisorAbandonInsideRestartWindow(t *testing.T) {
+	rt := newFaultyRuntime(t, faults.Mix{Seed: 1})
+	sup, daemon := rt.Supervisor(), rt.Daemon()
+	relaunch := sup.relaunch
+	sup.relaunch = func() {
+		sup.Abandon()
+		daemon.InjectCrash(false)
+		relaunch()
+	}
+	executed := daemon.Executed()
+	daemon.InjectCrash(false)
+	if _, r := rt.Lib().CuDeviceGetCount(); r != cuda.ErrNotReady {
+		t.Fatalf("call overtaken by Abandon = %s, want %s", r, cuda.ErrNotReady)
+	}
+	if got := daemon.Executed(); got != executed {
+		t.Fatalf("the abandoned daemon executed %d commands, want 0: the call redelivered", got-executed)
+	}
+	if got := daemon.Restarts(); got != 1 {
+		t.Fatalf("Restarts() = %d, want 1", got)
+	}
+	if rt.Lib().Healthy() {
+		t.Fatal("lib healthy after the call gave up")
+	}
+	if st := sup.State(); st != StateDead {
+		t.Fatalf("state %s after Abandon, want Dead", st)
+	}
+	var walk []DaemonState
+	for _, ev := range rt.FlightRecorder().Snapshot("abandon").Domains[flightrec.DomainSupervisor].Events {
+		if ev.Kind == flightrec.EvTransition {
+			walk = append(walk, DaemonState(ev.Arg1))
+		}
+	}
+	want := []DaemonState{StateSuspected, StateDead, StateRestarting, StateDead}
+	if fmt.Sprint(walk) != fmt.Sprint(want) {
+		t.Fatalf("transitions %v, want %v", walk, want)
 	}
 }
 

@@ -114,16 +114,13 @@ func (h *churnHook) DaemonUnresponsive(int) bool {
 
 func (h *churnHook) DaemonRecovered() {}
 
-// The fault-only state (the daemon's crash latch, pending crash and restart
-// epoch, the lib's dead latch) is atomic words read and written outside the
-// exchange lock: remoted calls racing a goroutine that crashes, restarts,
-// reads the latches and exports the journal must still execute every
-// command at most once, every successful one exactly once, and count each
-// restart once.
-func TestFaultStateChurnDuringCalls(t *testing.T) {
-	s := newStack(t)
-	var restarts atomic.Int64
-	s.lib.EnableResilience(&churnHook{d: s.daemon, restarts: &restarts})
+// startChurn registers a "count" handler on s that counts its executions
+// per first argument, and starts a goroutine that crashes and restarts the
+// daemon, reads the daemon's and the lib's latches and exports the journal
+// until the returned stop is called or the test ends; it returns once the
+// goroutine runs. stayHealthy makes a dead lib latch an error. stop waits
+// for the goroutine and returns the execution counts.
+func startChurn(t *testing.T, s *stack, restarts *atomic.Int64, stayHealthy bool) (stop func() map[uint64]int) {
 	var mu sync.Mutex
 	execs := map[uint64]int{}
 	s.daemon.RegisterHighLevel("count", func(api *cuda.API, region *shm.Region, args []uint64, blob []byte) ([]uint64, []byte, cuda.Result) {
@@ -132,14 +129,13 @@ func TestFaultStateChurnDuringCalls(t *testing.T) {
 		mu.Unlock()
 		return nil, nil, cuda.Success
 	})
-
-	const calls = 300
-	stop, churned := make(chan struct{}), make(chan struct{})
+	started, quit, churned := make(chan struct{}), make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(churned)
+		close(started)
 		for i := 0; ; i++ {
 			select {
-			case <-stop:
+			case <-quit:
 				return
 			default:
 			}
@@ -152,7 +148,7 @@ func TestFaultStateChurnDuringCalls(t *testing.T) {
 					restarts.Add(1)
 				}
 			case 2:
-				if !s.lib.Healthy() {
+				if !s.lib.Healthy() && stayHealthy {
 					t.Error("a hook that never gives up latched the lib dead")
 				}
 			case 3:
@@ -165,6 +161,31 @@ func TestFaultStateChurnDuringCalls(t *testing.T) {
 			runtime.Gosched()
 		}
 	}()
+	<-started
+	var halt sync.Once
+	t.Cleanup(func() { halt.Do(func() { close(quit) }) })
+	return func() map[uint64]int {
+		halt.Do(func() { close(quit) })
+		<-churned
+		mu.Lock()
+		defer mu.Unlock()
+		return execs
+	}
+}
+
+// The fault-only state (the daemon's crash latch, pending crash and restart
+// epoch, the lib's dead latch) is atomic words read and written outside the
+// exchange lock: remoted calls racing a goroutine that crashes, restarts,
+// reads the latches and exports the journal must still execute every
+// command at most once, every successful one exactly once, and count each
+// restart once.
+func TestFaultStateChurnDuringCalls(t *testing.T) {
+	s := newStack(t)
+	var restarts atomic.Int64
+	s.lib.EnableResilience(&churnHook{d: s.daemon, restarts: &restarts})
+	stop := startChurn(t, s, &restarts, true)
+
+	const calls = 300
 	ok := make([]bool, calls)
 	succeeded := 0
 	for i := range ok {
@@ -173,11 +194,8 @@ func TestFaultStateChurnDuringCalls(t *testing.T) {
 			succeeded++
 		}
 	}
-	close(stop)
-	<-churned
+	execs := stop()
 
-	mu.Lock()
-	defer mu.Unlock()
 	for i, good := range ok {
 		if n := execs[uint64(i)]; n > 1 || good && n != 1 {
 			t.Errorf("call %d (success %v) executed %d times", i, good, n)
@@ -190,6 +208,62 @@ func TestFaultStateChurnDuringCalls(t *testing.T) {
 		t.Fatalf("Restarts() = %d, restarts issued = %d", got, restarts.Load())
 	}
 	t.Logf("%d/%d calls succeeded, %d restarts", succeeded, calls, restarts.Load())
+}
+
+// The same churn under roundHook, which restarts nothing and gives the
+// daemon up on a call's third exhausted round: the dead latch is set while
+// the churn goroutine keeps crashing, restarting, exporting and reading
+// it. From the first ErrNotReady on, every call fails fast: no retry, and
+// the daemon executes nothing more.
+func TestFaultStateChurnThroughGiveUp(t *testing.T) {
+	s := newStack(t)
+	var restarts atomic.Int64
+	s.lib.EnableResilience(roundHook{})
+	stop := startChurn(t, s, &restarts, false)
+
+	const maxCalls, after = 100000, 20
+	var ok []bool
+	gaveUp := -1
+	var executed, retries, refused int64
+	for i := 0; gaveUp < 0 && i < maxCalls || gaveUp >= 0 && i <= gaveUp+after; i++ {
+		_, _, r := s.lib.CallHighLevel("count", []uint64{uint64(i)}, nil)
+		ok = append(ok, r == cuda.Success)
+		switch {
+		case gaveUp < 0 && r == cuda.ErrNotReady:
+			gaveUp = i
+			executed, retries = s.daemon.Executed(), s.lib.ResilienceStats().Retries
+			refused = s.lib.ResilienceStats().DaemonDead
+			if s.lib.Healthy() {
+				t.Fatalf("call %d gave up but the lib is still healthy", i)
+			}
+		case gaveUp >= 0 && r != cuda.ErrNotReady:
+			t.Fatalf("call %d after the give-up at call %d returned %s, want %s", i, gaveUp, r, cuda.ErrNotReady)
+		}
+	}
+	execs := stop()
+
+	if gaveUp < 0 {
+		t.Fatalf("no call gave up in %d calls (%d restarts)", maxCalls, restarts.Load())
+	}
+	for i, good := range ok {
+		if n := execs[uint64(i)]; n > 1 || good && n != 1 {
+			t.Errorf("call %d (success %v) executed %d times", i, good, n)
+		}
+	}
+	rs := s.lib.ResilienceStats()
+	if got := s.daemon.Executed(); got != executed {
+		t.Errorf("Executed() = %d after the give-up, %d at it", got, executed)
+	}
+	if rs.Retries != retries {
+		t.Errorf("Retries = %d after the give-up, %d at it", rs.Retries, retries)
+	}
+	if got := rs.DaemonDead - refused; got != after {
+		t.Errorf("%d calls refused after the give-up, want %d", got, after)
+	}
+	if got := s.daemon.Restarts(); got != restarts.Load() {
+		t.Fatalf("Restarts() = %d, restarts issued = %d", got, restarts.Load())
+	}
+	t.Logf("gave up at call %d, %d restarts", gaveUp, restarts.Load())
 }
 
 // A panicking high-level handler must fail its request with an error

@@ -390,7 +390,12 @@ func BreakdownTable(ts []Timeline, apiName func(uint64) string) string {
 	for _, a := range byAPI {
 		rows = append(rows, a)
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].total > rows[j].total })
+	sort.Slice(rows, func(i, j int) bool {
+		if rows[i].total != rows[j].total {
+			return rows[i].total > rows[j].total
+		}
+		return rows[i].api < rows[j].api // ties in API order, not map order
+	})
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-24s %7s %10s", "api", "calls", "total_us")

@@ -39,6 +39,23 @@ type batchBenchRun struct {
 	elapsed time.Duration   // total virtual time for all requests
 	lats    []time.Duration // per-request virtual latency
 	preds   []bool          // per-request prediction, indexed ci*perClient+r
+
+	// The observing the requests cost, from the first submit on (batched
+	// runs only): recorder events written and histogram observations made,
+	// and the flushes they ran in.
+	events, observations, flushes int64
+}
+
+// observed totals what rt has recorded so far: events written to its
+// flight recorder (surviving or overwritten) and histogram observations.
+func observed(rt *core.Runtime) (events, observations int64) {
+	if d := rt.FlightRecorder().Snapshot("count"); d != nil {
+		events = int64(d.TotalEvents()) + int64(d.TotalDropped())
+	}
+	for _, h := range rt.Telemetry().Snapshot().Histograms {
+		observations += h.Count
+	}
+	return events, observations
 }
 
 func (r batchBenchRun) throughput() float64 {
@@ -147,6 +164,7 @@ func runBatchedLinnOSCfg(tb testing.TB, clients, perClient int, rcfg core.Config
 		lats:  make([]time.Duration, clients*perClient),
 		preds: make([]bool, clients*perClient),
 	}
+	events0, observations0 := observed(rt)
 	start := rt.Clock().Now()
 	var wg sync.WaitGroup
 	errCh := make(chan error, clients)
@@ -177,10 +195,18 @@ func runBatchedLinnOSCfg(tb testing.TB, clients, perClient int, rcfg core.Config
 		tb.Fatal(err)
 	}
 	run.elapsed = rt.Clock().Now() - start
-	if st := b.Stats(); st.MaxQueueDelay > cfg.MaxWait {
+	st := b.Stats()
+	if st.MaxQueueDelay > cfg.MaxWait {
 		tb.Fatalf("flush deadline violated: max queue delay %v > MaxWait %v (stats %+v)",
 			st.MaxQueueDelay, cfg.MaxWait, st)
 	}
+	if st.GPUFlushes != st.Flushes || st.FallbackFlushes != 0 {
+		tb.Fatalf("a flush left the healthy GPU path: %+v", st)
+	}
+	run.events, run.observations = observed(rt)
+	run.events -= events0
+	run.observations -= observations0
+	run.flushes = st.Flushes
 	return run
 }
 

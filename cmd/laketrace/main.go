@@ -31,24 +31,21 @@ import (
 func apiName(id uint64) string { return remoting.APIID(id).String() }
 
 // routerSummary reports fleet routing activity when the dump carries any:
-// placements and re-routes from the router domain, each completed
-// migration, and how the stitched calls spread across shards. Single-shard
-// dumps have no router domain traffic and print nothing.
+// placements and re-routes (the hops routed requests' enqueues carry, or
+// router-domain route events in older dumps), each completed migration, and
+// how the stitched calls spread across shards. Single-shard dumps route
+// nothing and print nothing.
 func routerSummary(w io.Writer, d *flightrec.Dump, res *flightrec.StitchResult) {
 	var placements, reroutes int
 	var migrations []flightrec.Event
 	for _, dd := range d.Domains {
-		if dd.Domain != flightrec.DomainRouter {
-			continue
-		}
 		for _, e := range dd.Events {
-			switch e.Kind {
-			case flightrec.EvRoute:
+			if r, ok := e.Route(); ok {
 				placements++
-				if e.Arg1 == 1 {
+				if r.Reroute {
 					reroutes++
 				}
-			case flightrec.EvMigrateEnd:
+			} else if e.Kind == flightrec.EvMigrateEnd {
 				migrations = append(migrations, e)
 			}
 		}

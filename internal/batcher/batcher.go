@@ -36,6 +36,7 @@ package batcher
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -288,8 +289,10 @@ type Batcher struct {
 	// on every device and each flush steered to the least-utilized one.
 	pool *gpupool.Pool
 
+	// models is the copy-on-write registry Submit reads without a lock;
+	// mu serializes RegisterModel's copies.
 	mu     sync.Mutex
-	models map[string]*model
+	models atomic.Pointer[map[string]*model]
 
 	requests, items                 atomic.Int64
 	flushes, gpuFlushes, cpuFlushes atomic.Int64
@@ -317,7 +320,8 @@ type Batcher struct {
 // its series through the runtime's Namer. Register models with
 // RegisterModel, then hand Client handles to submitters.
 func New(rt *core.Runtime, cfg Config) *Batcher {
-	b := &Batcher{rt: rt, cfg: cfg.withDefaults(), models: make(map[string]*model), rec: rt.FlightRecorder()}
+	b := &Batcher{rt: rt, cfg: cfg.withDefaults(), rec: rt.FlightRecorder()}
+	b.models.Store(&map[string]*model{})
 	if pool := rt.Pool(); pool.Size() > 1 {
 		b.pool = pool
 	}
@@ -375,7 +379,8 @@ type model struct {
 	// steady-state flush wire path performs no heap allocation.
 	entriesScratch []remoting.BatchEntry
 	wireScratch    remoting.BatchScratch
-	cpuScratch     []float32 // forwardBytes slab of the CPU route
+	cpuScratch     []float32    // forwardBytes slab of the CPU route
+	slotScratch    []shm.Buffer // a flush's lakeShm slots, freed together
 }
 
 // RegisterModel installs a model: registers its device kernel, creates the
@@ -389,12 +394,9 @@ func (b *Batcher) RegisterModel(mc ModelConfig) error {
 		return err
 	}
 	mc = mc.bindForward()
-	b.mu.Lock()
-	if _, dup := b.models[mc.Name]; dup {
-		b.mu.Unlock()
+	if _, err := b.model(mc.Name); err == nil {
 		return fmt.Errorf("batcher: model %q already registered", mc.Name)
 	}
-	b.mu.Unlock()
 
 	m := &model{b: b, mc: mc}
 	m.settled.L = &m.mu
@@ -450,15 +452,15 @@ func (b *Batcher) RegisterModel(mc ModelConfig) error {
 		}
 	}
 	b.mu.Lock()
-	b.models[mc.Name] = m
+	models := maps.Clone(*b.models.Load())
+	models[mc.Name] = m
+	b.models.Store(&models)
 	b.mu.Unlock()
 	return nil
 }
 
 func (b *Batcher) model(name string) (*model, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	m, ok := b.models[name]
+	m, ok := (*b.models.Load())[name]
 	if !ok {
 		return nil, fmt.Errorf("batcher: model %q not registered", name)
 	}
@@ -481,15 +483,15 @@ func (b *Batcher) Client(name string) *Client {
 
 // Pending is one in-flight request. Exactly one goroutine should Wait on
 // it (Wait may drive the flush on the caller's goroutine). It is never
-// recycled: Latency and TraceID are read after Wait.
+// recycled: Latency is read after Wait.
 type Pending struct {
 	m     *model
 	c     *Client
 	seq   uint64
 	count int
 	// tid is the request's flight-recorder trace ID (0 when untraced): its
-	// route and enqueue events carry it, and the stitcher re-homes them onto
-	// the flush whose seq range holds seq.
+	// enqueue event carries it, with the route hop, and the stitcher
+	// re-homes it onto the flush whose seq range holds seq.
 	tid uint64
 
 	slot   shm.Buffer // the one lakeShm reservation: input rows, then output rows
@@ -509,11 +511,6 @@ type Pending struct {
 // Latency reports enqueue-to-delivery virtual time; valid after Wait.
 func (p *Pending) Latency() time.Duration { return p.doneAt - p.enq }
 
-// TraceID returns the request's flight-recorder trace ID (0 when
-// untraced), letting outer layers — the fleet router — tag their own
-// events onto the same per-call timeline.
-func (p *Pending) TraceID() uint64 { return p.tid }
-
 // Submit enqueues items (each of the model's input width) as one request
 // and returns a Pending handle. It fails fast with ErrBackpressure when the
 // client is at depth or lakeShm cannot stage the request. If the submission
@@ -521,7 +518,7 @@ func (p *Pending) TraceID() uint64 { return p.tid }
 // before Submit returns.
 func (c *Client) Submit(modelName string, items [][]float32) (*Pending, error) {
 	p := new(Pending)
-	if err := c.SubmitInto(p, modelName, items); err != nil {
+	if err := c.SubmitInto(p, modelName, items, 0); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -529,7 +526,9 @@ func (c *Client) Submit(modelName string, items [][]float32) (*Pending, error) {
 
 // SubmitInto is Submit into caller-owned storage, for a layer that embeds
 // the handle in its own (the fleet router). p must not be copied afterwards.
-func (c *Client) SubmitInto(p *Pending, modelName string, items [][]float32) error {
+// route is the router's hop (flightrec.RouteWord), recorded on the
+// request's EvEnqueue; 0 outside a fleet.
+func (c *Client) SubmitInto(p *Pending, modelName string, items [][]float32, route uint64) error {
 	b := c.b
 	m, err := b.model(modelName)
 	if err != nil {
@@ -571,7 +570,7 @@ func (c *Client) SubmitInto(p *Pending, modelName string, items [][]float32) err
 	m.queuedItems += p.count
 	b.queueDepth.Add(int64(p.count))
 	b.rec.Emit(flightrec.DomainBatcher, flightrec.EvEnqueue,
-		p.tid, p.seq, 0, uint64(p.count), m.specs[0].Fn, 0)
+		p.tid, p.seq, 0, uint64(p.count), m.specs[0].Fn, route)
 
 	var batch []*Pending
 	reason := flushFull

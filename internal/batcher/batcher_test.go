@@ -525,3 +525,43 @@ func TestSubmitValidation(t *testing.T) {
 		t.Fatal("duplicate model registration accepted")
 	}
 }
+
+// TestRegisterWhileSubmitting: Submit reads the model registry without a
+// lock while RegisterModel publishes new copies of it. Submitters on a
+// registered model keep being served, each new model is found once
+// registered, and a name registers once. Meant for -race.
+func TestRegisterWhileSubmitting(t *testing.T) {
+	rt := newRT(t)
+	cfg := batcher.DefaultConfig()
+	cfg.Linger = 0
+	b := newBatcher(t, rt, cfg)
+	const submitters, perSubmitter, models = 4, 50, 8
+	var wg sync.WaitGroup
+	for s := 0; s < submitters; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			c := b.Client(fmt.Sprintf("cli%d", s))
+			for i := 0; i < perSubmitter; i++ {
+				out, err := c.Infer("testmodel", [][]float32{item(s*perSubmitter + i)})
+				if err != nil || len(out) != 1 {
+					t.Errorf("submitter %d request %d: %v, %d rows", s, i, err, len(out))
+					return
+				}
+			}
+		}(s)
+	}
+	for m := 0; m < models; m++ {
+		name := fmt.Sprintf("late%d", m)
+		if err := b.RegisterModel(modelCfg(name)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.Client("late").Infer(name, [][]float32{item(m)}); err != nil {
+			t.Fatalf("model %s after registering: %v", name, err)
+		}
+	}
+	wg.Wait()
+	if err := b.RegisterModel(modelCfg("late0")); err == nil {
+		t.Fatal("a second registration of late0 succeeded")
+	}
+}

@@ -212,7 +212,7 @@ func (b *Batcher) execute(m *model, batch []*Pending, reason flushReason, firedA
 		slab = make([]float32, items*m.mc.OutputWidth)
 	}
 	off := 0
-	region := b.rt.Region()
+	slots := m.slotScratch[:0]
 	for i, p := range batch {
 		err := flushErr
 		if err == nil && usePer {
@@ -228,7 +228,13 @@ func (b *Batcher) execute(m *model, batch []*Pending, reason flushReason, firedA
 		off += p.count * m.mc.OutputWidth
 		p.err = err
 		p.doneAt = now
-		region.Free(p.slot)
+		slots = append(slots, p.slot)
+	}
+	// Every slot goes back under one region lock hold, before any member's
+	// client regains the depth it frees.
+	b.rt.Region().Free(slots...)
+	m.slotScratch = slots
+	for _, p := range batch {
 		p.c.outstanding.Add(-1)
 	}
 	m.mu.Lock()

@@ -251,8 +251,8 @@ func (t *RingTransport) DoorbellStats() (rings, wakes, coalesced uint64) {
 //
 // Frame and doorbell events are recorded only while a fault plane is armed,
 // where frames can be dropped, duplicated or corrupted in flight. On a
-// healthy channel they would repeat what lakeLib's EvCallStart and lakeD's
-// EvDispatch already carry; a full queue is recorded either way.
+// healthy channel they would repeat the frame lengths lakeLib's EvCallStart
+// and lakeD's EvExecEnd already carry; a full queue is recorded either way.
 func (t *RingTransport) send(d *ringDir, msg []byte, dir uint64) error {
 	if t.closed.Load() {
 		return ErrClosed

@@ -233,7 +233,6 @@ func newRuntime(cfg Config, ord int, root *flightrec.Recorder) (*Runtime, error)
 		lib.SetFlightRecorder(rt.rec)
 		daemon.SetFlightRecorder(rt.rec)
 		pool.SetFlightRecorder(rt.rec)
-		api.SetFlightRecorder(rt.rec)
 	}
 	if cfg.Faults != nil {
 		rt.plane = faults.NewPlane(*cfg.Faults, clock)

@@ -16,7 +16,6 @@ import (
 	"sync"
 	"time"
 
-	"lakego/internal/flightrec"
 	"lakego/internal/gpu"
 )
 
@@ -62,8 +61,6 @@ type ctxInfo struct {
 type API struct {
 	devs  []*gpu.Device
 	place PlaceFunc
-	// rec receives gpu-domain launch events; nil-safe.
-	rec *flightrec.Recorder
 
 	mu       sync.Mutex
 	inited   bool
@@ -103,12 +100,6 @@ func NewMultiAPI(devs []*gpu.Device, place PlaceFunc) *API {
 		nextMod:  1,
 		modNames: make(map[uint64]string),
 	}
-}
-
-// SetFlightRecorder attaches the flight recorder. Must be called during
-// runtime construction, before any traffic.
-func (a *API) SetFlightRecorder(rec *flightrec.Recorder) {
-	a.rec = rec
 }
 
 // Device returns the primary (ordinal 0) device model.
@@ -381,10 +372,8 @@ func (a *API) LaunchKernel(ctx, fn uint64, args []uint64) Result {
 	if k.Flops != nil {
 		cost += dev.ComputeTime(k.Flops(args))
 	}
-	a.rec.Emit(flightrec.DomainGPU, flightrec.EvLaunch,
-		a.rec.ExecTrace(), 0, dev.Ordinal(), fn, uint64(len(args)), 0)
 	var launchErr error
-	dev.Execute(ci.client, cost, func() {
+	dev.Launch(ci.client, fn, cost, func() {
 		if k.Body != nil {
 			launchErr = k.Body(dev, args)
 		}

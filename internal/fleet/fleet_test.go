@@ -667,11 +667,13 @@ func TestFleetAdmissionCapsHoldUnderConcurrency(t *testing.T) {
 }
 
 // TestRouteEventPayload: only a placement reads the wall clock, and only
-// while the recorder is on, to fill the route event. With it on, every
-// request lands one EvRoute on its destination shard carrying the request's
-// trace ID, the policy and no reroute; a tenant's first submit places it and
-// carries a decide time that is a real interval (a reading taken against an
-// unset start would be decades), every later, sticky submit carries 0.
+// while the recorder is on, to fill the route hop. With it on, every
+// request's EvEnqueue lands in the batcher domain of its destination shard
+// carrying the request's trace ID and the folded hop: the policy and no
+// reroute. A tenant's first submit places it and carries a decide time that
+// is a real interval (> 0, and not the decades a reading taken against an
+// unset start would give); every later, sticky submit carries 0. No
+// router-domain route event is written.
 func TestRouteEventPayload(t *testing.T) {
 	f, net := newFleet(t, 2, gpupool.RoundRobin, nil)
 	if !f.Recorder().Enabled() {
@@ -683,36 +685,45 @@ func TestRouteEventPayload(t *testing.T) {
 			inferOne(t, c, net, 2*round+i)
 		}
 	}
-	routes := func() (evs []flightrec.Event) {
+	type hop struct {
+		e flightrec.Event
+		r flightrec.Route
+	}
+	routes := func() (hops []hop) {
 		for _, dd := range f.Recorder().Snapshot("test").Domains {
 			for _, e := range dd.Events {
 				if e.Kind == flightrec.EvRoute {
-					evs = append(evs, e)
+					t.Fatalf("router-domain route event written: %+v", e)
+				}
+				if r, ok := e.Route(); ok {
+					hops = append(hops, hop{e, r})
 				}
 			}
 		}
-		return evs
+		return hops
 	}
-	evs := routes()
-	if len(evs) != 2*len(clients) {
-		t.Fatalf("%d route events for %d requests", len(evs), 2*len(clients))
+	hops := routes()
+	if len(hops) != 2*len(clients) {
+		t.Fatalf("%d routed enqueues for %d requests", len(hops), 2*len(clients))
 	}
-	for i, e := range evs {
-		c := clients[i%len(clients)]
-		if e.Domain != flightrec.DomainRouter || e.TraceID == 0 || int(e.Shard) != c.Tenant().Shard() {
-			t.Errorf("route %d: domain %v trace %d shard %d, want router domain, a trace ID, shard %d",
-				i, e.Domain, e.TraceID, e.Shard, c.Tenant().Shard())
+	// Each shard's enqueues are in submit order; round robin put a on 0, b on 1.
+	for i, h := range hops {
+		c := clients[int(h.e.Shard)]
+		placed := h.e.Seq == 0 // the tenant's first request on its shard
+		if h.e.Kind != flightrec.EvEnqueue || h.e.Domain != flightrec.DomainBatcher || h.e.TraceID == 0 ||
+			int(h.e.Shard) != c.Tenant().Shard() {
+			t.Errorf("hop %d: %v/%v trace %d shard %d, want a batcher-domain enqueue with a trace ID on shard %d",
+				i, h.e.Domain, h.e.Kind, h.e.TraceID, h.e.Shard, c.Tenant().Shard())
 		}
-		placed := i < len(clients)
-		if e.Arg0 != uint64(gpupool.RoundRobin) || e.Arg1 != 0 ||
-			(placed && e.Arg2 >= uint64(time.Second)) || (!placed && e.Arg2 != 0) {
-			t.Errorf("route %d (placement %v): policy %d reroute %d decide %d ns", i, placed, e.Arg0, e.Arg1, e.Arg2)
+		if h.r.Policy != uint64(gpupool.RoundRobin) || h.r.Reroute ||
+			(placed && (h.r.DecideNs == 0 || h.r.DecideNs >= uint64(time.Second))) || (!placed && h.r.DecideNs != 0) {
+			t.Errorf("hop %d (placement %v): policy %d reroute %v decide %d ns", i, placed, h.r.Policy, h.r.Reroute, h.r.DecideNs)
 		}
 	}
 	f.Recorder().SetEnabled(false)
 	inferOne(t, clients[0], net, 7)
 	if n := len(routes()); n != 2*len(clients) {
-		t.Fatalf("%d route events after a request with the recorder off, want still %d", n, 2*len(clients))
+		t.Fatalf("%d routed enqueues after a request with the recorder off, want still %d", n, 2*len(clients))
 	}
 }
 

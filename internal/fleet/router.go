@@ -168,30 +168,23 @@ func (t *Tenant) release() {
 // fails fast with batcher.ErrBackpressure from either admission layer.
 func (c *Client) Submit(model string, items [][]float32) (*Pending, error) {
 	t := c.t
-	f := t.f
 	if err := t.admit(); err != nil {
 		return nil, err
 	}
-	s, sc, rerouted, decideNs, err := t.route()
+	s, sc, hop, err := t.route()
 	if err != nil {
 		t.release()
 		return nil, err
 	}
 	p := &Pending{t: t, shard: s}
-	if err := sc.SubmitInto(&p.p, model, items); err != nil {
+	// The route hop rides on the request's EvEnqueue, written through the
+	// destination shard's recorder view, so the stitched per-call timeline
+	// shows both the hop and where it landed.
+	if err := sc.SubmitInto(&p.p, model, items, hop); err != nil {
 		t.release()
 		return nil, err
 	}
 	s.outstanding.Add(1)
-	var reroute uint64
-	if rerouted {
-		reroute = 1
-	}
-	// The route event lands in the router domain through the destination
-	// shard's recorder view, so the stitched per-call timeline shows both
-	// the hop and where it landed.
-	s.rt.FlightRecorder().Emit(flightrec.DomainRouter, flightrec.EvRoute,
-		p.p.TraceID(), 0, 0, uint64(f.policy), reroute, decideNs)
 	return p, nil
 }
 
@@ -201,7 +194,7 @@ func (c *Client) Submit(model string, items [][]float32) (*Pending, error) {
 // delay is charged from the arrival, not from whenever the driver got
 // around to it.
 func (c *Client) Route() (*Shard, error) {
-	s, _, _, _, err := c.t.route()
+	s, _, _, err := c.t.route()
 	return s, err
 }
 
@@ -215,28 +208,29 @@ func (c *Client) Infer(model string, items [][]float32) ([][]float32, error) {
 }
 
 // route returns the tenant's shard and per-shard batcher client, placing
-// (or re-placing, when the sticky shard left Active) under the fleet lock.
-// decideNs times place for the route event: 0 on a sticky hit or unrecorded.
-func (t *Tenant) route() (s *Shard, sc *batcher.Client, rerouted bool, decideNs uint64, err error) {
+// (or re-placing, when the sticky shard left Active) under the fleet lock,
+// and the hop as the request's EvEnqueue records it (flightrec.RouteWord).
+// The hop's decide time times place: 0 on a sticky hit or unrecorded.
+func (t *Tenant) route() (s *Shard, sc *batcher.Client, hop uint64, err error) {
 	f := t.f
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.shard >= 0 && f.shards[t.shard].State() == Active {
-		return f.shards[t.shard], t.sc, false, 0, nil
+		return f.shards[t.shard], t.sc, flightrec.RouteWord(uint64(f.policy), false, 0), nil
 	}
-	rerouted = t.shard >= 0
+	rerouted := t.shard >= 0
 	start := f.rec.WallStart()
 	ord, err := f.place(t.name)
 	if err != nil {
-		return nil, nil, false, 0, err
+		return nil, nil, 0, err
 	}
-	decideNs = flightrec.WallSince(start)
+	hop = flightrec.RouteWord(uint64(f.policy), rerouted, flightrec.WallSince(start))
 	t.shard = ord
 	t.sc = f.shards[ord].b.Client(t.name)
 	if rerouted {
 		f.reroutes.Inc()
 	}
-	return f.shards[ord], t.sc, rerouted, decideNs, nil
+	return f.shards[ord], t.sc, hop, nil
 }
 
 // place picks an Active shard for the tenant under the router policy.

@@ -43,8 +43,11 @@ func (d *Dump) TotalDropped() uint64 {
 	return n
 }
 
-// dumpVersion 3: a remoted call is four events (marshal, channel, demux,
-// exec-start and respond kinds folded into their neighbours); kinds renumbered.
+// dumpVersion 3: a remoted call is four chain links (marshal, channel, demux,
+// exec-start and respond kinds folded into their neighbours); kinds
+// renumbered. Later dumps fold the dispatch into EvExecEnd, the launch into
+// EvExec and the route hop into EvEnqueue; readers decode both forms, so
+// the version stands.
 const dumpVersion = 3
 
 // JSON serializes the dump as indented JSON.

@@ -5,9 +5,10 @@
 // supervisor — emits compact events (virtual + wall timestamp, kind, trace
 // ID, sequence number, device ordinal, three payload words) into its own
 // ring. The rings are cheap enough to leave on: an event costs one lock and
-// one eight-word slot copy (one atomic load when disabled), and a healthy
-// remoted call costs four events — lakeLib's call start and end, lakeD's
-// dispatch and execution end. Their contents become the crash artifact:
+// eight word stores into its slot (one atomic load when disabled), and a
+// healthy remoted call costs three events — lakeLib's call start and end and
+// lakeD's execution end, which also carries the dispatch. Their contents
+// become the crash artifact:
 // dumps trigger automatically on supervisor Dead/Restarting transitions and
 // armed chaos crashes, and on demand over laked's telemetry HTTP server.
 //
@@ -67,20 +68,20 @@ const (
 	EvFrameSend          // boundary, only while a fault plane is armed: frame enqueued; a0=bytes, a1=direction (0 to user, 1 to kernel)
 	EvFrameRecv          // boundary, only while a fault plane is armed: frame dequeued; a0=bytes, a1=direction
 	EvQueueFull          // boundary: frame lost to a full channel queue; a0=bytes, a1=direction
-	EvDispatch           // daemon: command decoded; a0=API id, a1=frame bytes. The dispatch before a trace's first EvExecEnd opens its execution window, at the same virtual instant
+	EvDispatch           // daemon, off the healthy path only (before a journal hit or a crash point): command decoded; a0=API id, a1=frame bytes. The dispatch before a trace's first EvExecEnd opens its execution window, at the same virtual instant
 	EvJournalHit         // daemon: redelivered command answered from the journal; a0=API id, a1=response bytes
-	EvExecEnd            // daemon: command execution done; a0=API id, a1=Result code
+	EvExecEnd            // daemon: command execution done, one per executed command; a0=API id, a1=Result code (low 32 bits) | frame bytes<<32, a2=virtual instant of the command's dispatch. A nonzero frame length marks this folded form (see Event.Dispatch); older dumps carry a1=Result code alone after a separate EvDispatch
 	EvCrash              // daemon: armed crash fired; a0=crash point
 	EvRestart            // daemon: daemon restarted; a0=new generation
-	EvEnqueue            // batcher: request queued; Seq=per-model request seq, a0=item count, a1=model function handle (EvLaunch's a0)
+	EvEnqueue            // batcher: request queued; Seq=per-model request seq, a0=item count, a1=model function handle (EvExec's a2), a2=the fleet router's hop (RouteWord; 0 outside a fleet)
 	EvFlushStart         // batcher: flush begins; Seq=first member's seq, a0=batched requests (members are seqs [Seq, Seq+a0)), a1=reason (0 full, 1 deadline), a2=model function handle
 	EvFlushEnd           // batcher: flush done; a0=batched requests, a1=1 if GPU path, 0 if CPU fallback
 	EvPlace              // gpu: pool placement decision; a0=policy, a1=1 for a flush placement
-	EvLaunch             // gpu: kernel launch requested; a0=function handle, a1=arg count
-	EvExec               // gpu: device executed work; a0=virtual ns of work, a1=virtual ns queued behind the device
+	EvLaunch             // reserved, no longer written: the launch rides on EvExec. Older dumps: gpu kernel launch requested; a0=function handle, a1=arg count
+	EvExec               // gpu: device executed work; a0=virtual ns of work, a1=virtual ns queued behind the device, a2=launched function handle (0 for work outside a kernel launch)
 	EvCopy               // gpu: transfer charged; a0=bytes, a1=virtual ns
 	EvTransition         // supervisor: state change; a0=from, a1=to
-	EvRoute              // router: call placed on a shard; a0=policy, a1=1 for a migration re-route, a2=wall ns spent placing (0 on a sticky hit: nothing was decided)
+	EvRoute              // reserved, no longer written: the hop rides on EvEnqueue's a2. Older dumps: router: call placed on a shard; a0=policy, a1=1 for a migration re-route, a2=wall ns spent placing (0 on a sticky hit: nothing was decided)
 	EvMigrateStart       // router: shard migration begins; a0=source shard, a1=destination shard
 	EvMigrateEnd         // router: shard migration done; a0=source shard, a1=destination shard, a2=journal entries moved
 	EvDoorbell           // boundary, only while a fault plane is armed: ring-transport doorbell rung on an empty→nonempty transition; a0=bytes, a1=direction
@@ -128,20 +129,10 @@ type Event struct {
 	Arg2    uint64
 }
 
-// pack squeezes kind/shard/domain/device into one word: kind in bits 32-47,
-// shard in the previously unused bits 48-63, domain in 16-23, device in
-// 0-15.
-func (e Event) pack() [eventWords]uint64 {
-	return [eventWords]uint64{
-		uint64(e.VTime),
-		uint64(e.Wall),
-		e.TraceID,
-		e.Seq,
-		uint64(e.Kind)<<32 | uint64(e.Shard)<<48 | uint64(e.Domain)<<16 | uint64(e.Device),
-		e.Arg0,
-		e.Arg1,
-		e.Arg2,
-	}
+// packMeta squeezes kind/shard/domain/device into an event's fifth word:
+// kind in bits 32-47, shard in 48-63, domain in 16-23, device in 0-15.
+func packMeta(d Domain, k Kind, shard, device uint16) uint64 {
+	return uint64(k)<<32 | uint64(shard)<<48 | uint64(d)<<16 | uint64(device)
 }
 
 func unpackEvent(w [eventWords]uint64) Event {
@@ -158,6 +149,51 @@ func unpackEvent(w [eventWords]uint64) Event {
 		Arg1:    w[6],
 		Arg2:    w[7],
 	}
+}
+
+// Dispatch reports the virtual instant of the lakeD dispatch an event
+// records: an EvDispatch, or the dispatch folded into an EvExecEnd (whose
+// nonzero frame length marks the folded form).
+func (e Event) Dispatch() (at time.Duration, ok bool) {
+	switch {
+	case e.Kind == EvDispatch:
+		return e.VTime, true
+	case e.Kind == EvExecEnd && e.Arg1>>32 != 0:
+		return time.Duration(e.Arg2), true
+	}
+	return 0, false
+}
+
+// Route is one fleet router hop: the placement policy, whether the hop was
+// a migration re-route, and the wall ns the placement decision took (0 on a
+// sticky hit: nothing was decided).
+type Route struct {
+	Policy   uint64
+	Reroute  bool
+	DecideNs uint64
+}
+
+// RouteWord packs a router hop into EvEnqueue's a2: bit 63 marks a routed
+// request, bit 62 a re-route, bits 56-61 hold the policy and bits 0-55 the
+// decide ns, saturating past the field (over two years).
+func RouteWord(policy uint64, reroute bool, decideNs uint64) uint64 {
+	w := 1<<63 | policy&0x3f<<56 | min(decideNs, 1<<56-1)
+	if reroute {
+		w |= 1 << 62
+	}
+	return w
+}
+
+// Route reports the router hop an event records: an EvRoute, or the hop
+// folded into a routed request's EvEnqueue.
+func (e Event) Route() (Route, bool) {
+	switch {
+	case e.Kind == EvRoute:
+		return Route{Policy: e.Arg0, Reroute: e.Arg1 == 1, DecideNs: e.Arg2}, true
+	case e.Kind == EvEnqueue && e.Arg2>>63 != 0:
+		return Route{e.Arg2 >> 56 & 0x3f, e.Arg2>>62&1 != 0, e.Arg2 & (1<<56 - 1)}, true
+	}
+	return Route{}, false
 }
 
 // FrameInfo is what a frame peeker extracts from a wire frame so the
@@ -240,14 +276,6 @@ func (r *Recorder) WithShard(ord int, clock *vtime.Clock) *Recorder {
 	return &Recorder{clock: clock, shard: uint16(ord), root: b}
 }
 
-// Shard returns the ordinal this view stamps on events (0 for the root).
-func (r *Recorder) Shard() int {
-	if r == nil {
-		return 0
-	}
-	return int(r.shard)
-}
-
 // New builds a recorder on the runtime's virtual clock with ringSize events
 // per domain (DefaultRingSize if <= 0). The recorder starts disabled.
 func New(clock *vtime.Clock, ringSize int) *Recorder {
@@ -318,19 +346,8 @@ func (r *Recorder) Emit(d Domain, k Kind, traceID, seq uint64, device int, a0, a
 		return
 	}
 	b := r.base()
-	e := Event{
-		VTime:   r.clock.Now(),
-		TraceID: traceID,
-		Seq:     seq,
-		Domain:  d,
-		Kind:    k,
-		Shard:   r.shard,
-		Device:  uint16(device),
-		Arg0:    a0,
-		Arg1:    a1,
-		Arg2:    a2,
-	}
-	b.rings[d].put(&e, &b.wallCoarse)
+	b.rings[d].put(uint64(r.clock.Now()), traceID, seq, packMeta(d, k, r.shard, uint16(device)),
+		a0, a1, a2, &b.wallCoarse)
 }
 
 // EmitFrame records a boundary-domain event for a wire frame, tagging it
@@ -351,12 +368,18 @@ func (r *Recorder) EmitFrame(k Kind, frame []byte, dir uint64) {
 
 // BeginExec marks traceID as the command lakeD is currently executing, so
 // GPU-domain events fired from inside the execution (launches, copies) can
-// inherit it. lakeD executes one command at a time (every Pump runs under
-// lakeD's pump lock), so a single word suffices.
-func (r *Recorder) BeginExec(traceID uint64) {
+// inherit it, and returns the virtual instant execution starts at (0 while
+// recording is off): the dispatch instant the command's EvExecEnd carries.
+// lakeD executes one command at a time (every Pump runs under lakeD's pump
+// lock), so a single word suffices.
+func (r *Recorder) BeginExec(traceID uint64) (at time.Duration) {
 	if r != nil {
 		r.execTID.Store(traceID)
+		if r.Enabled() {
+			at = r.clock.Now()
+		}
 	}
+	return at
 }
 
 // EndExec clears the in-flight execution trace ID.
@@ -402,13 +425,8 @@ func (r *Recorder) Snapshot(reason string) *Dump {
 	}
 	r.wallCoarse.Store(d.WallNow) // dumps re-anchor the coarse event clock
 	for dom := Domain(0); dom < numDomains; dom++ {
-		raw, dropped := r.rings[dom].snapshot()
-		dd := DomainDump{Domain: dom, Name: dom.String(), Dropped: dropped}
-		dd.Events = make([]Event, len(raw))
-		for i, w := range raw {
-			dd.Events[i] = unpackEvent(w)
-		}
-		d.Domains = append(d.Domains, dd)
+		events, dropped := r.rings[dom].snapshot()
+		d.Domains = append(d.Domains, DomainDump{Domain: dom, Name: dom.String(), Dropped: dropped, Events: events})
 	}
 	return d
 }

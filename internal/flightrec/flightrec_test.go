@@ -1,8 +1,10 @@
 package flightrec
 
 import (
+	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -29,12 +31,23 @@ func TestNilRecorderIsInert(t *testing.T) {
 
 func TestEventPackRoundTrip(t *testing.T) {
 	e := Event{
-		VTime: 123456789, Wall: time.Now().UnixNano(), TraceID: 1 << 60,
-		Seq: 42, Domain: DomainGPU, Kind: EvCopy, Device: 3,
+		VTime: 123456789, TraceID: 1 << 60,
+		Seq: 42, Domain: DomainGPU, Kind: EvCopy, Shard: 5, Device: 3,
 		Arg0: 4096, Arg1: 777, Arg2: 1,
 	}
-	if got := unpackEvent(e.pack()); got != e {
-		t.Fatalf("pack round trip lost data:\n got %+v\nwant %+v", got, e)
+	rg := newRing(64)
+	var wall atomic.Int64
+	rg.put(uint64(e.VTime), e.TraceID, e.Seq, packMeta(e.Domain, e.Kind, e.Shard, e.Device), e.Arg0, e.Arg1, e.Arg2, &wall)
+	rg.put(0, 0, 0, 0, 0, 0, 0, &wall)
+	got := make([]Event, 2)
+	rg.tail(0, got)
+	// Index 0 refreshes the coarse wall clock; index 1 reads it back.
+	e.Wall = wall.Load()
+	if got[0] != e {
+		t.Fatalf("pack round trip lost data:\n got %+v\nwant %+v", got[0], e)
+	}
+	if got := got[1].Wall; got != e.Wall {
+		t.Fatalf("second event's wall word %d, want the cached %d", got, e.Wall)
 	}
 }
 
@@ -474,5 +487,79 @@ func TestStitchClipsToLossHorizon(t *testing.T) {
 	}
 	if a, b := MeasureStages(got.Timelines), MeasureStages(matching); a != b {
 		t.Fatalf("wrapped dump stage means %+v, unwrapped dump's matching calls %+v", a, b)
+	}
+}
+
+// TestStitchFoldedFormsMatchSplit: the forms the recorder writes on the
+// healthy path (the dispatch inside EvExecEnd, the launch inside EvExec,
+// the route hop inside EvEnqueue) stitch to exactly the timeline their
+// split forms, which fault paths and older dumps carry, stitch to.
+func TestStitchFoldedFormsMatchSplit(t *testing.T) {
+	const flush, member, seq, api, fn, frame = 10, 11, 4, 22, 9, 200
+	record := func(folded bool) []Timeline {
+		clock := vtime.New()
+		r := New(clock, 256).WithShard(1, clock)
+		r.SetEnabled(true)
+		hop := RouteWord(2, true, 1500)
+		if folded {
+			r.Emit(DomainBatcher, EvEnqueue, member, 0, 0, 1, fn, hop)
+		} else {
+			r.Emit(DomainBatcher, EvEnqueue, member, 0, 0, 1, fn, 0)
+			r.Emit(DomainRouter, EvRoute, member, 0, 0, 2, 1, 1500)
+		}
+		clock.Advance(100 * time.Microsecond)
+		r.Emit(DomainBatcher, EvFlushStart, flush, 0, 0, 1, 1, fn)
+		r.Emit(DomainKernel, EvCallStart, flush, seq, 0, api, frame, 0)
+		clock.Advance(2 * time.Microsecond)
+		dispatched := r.BeginExec(flush)
+		if !folded {
+			r.Emit(DomainDaemon, EvDispatch, flush, seq, 0, api, frame, 0)
+			r.Emit(DomainGPU, EvLaunch, flush, 0, 1, fn, 3, 0)
+		}
+		launched := uint64(fn)
+		if !folded {
+			launched = 0
+		}
+		r.Emit(DomainGPU, EvCopy, flush, 0, 1, 64, uint64(7*time.Microsecond), 0)
+		clock.Advance(12 * time.Microsecond)
+		r.Emit(DomainGPU, EvExec, flush, 0, 1, uint64(5*time.Microsecond), 0, launched)
+		if folded {
+			r.Emit(DomainDaemon, EvExecEnd, flush, seq, 0, api, frame<<32, uint64(dispatched))
+		} else {
+			r.Emit(DomainDaemon, EvExecEnd, flush, seq, 0, api, 0, 0)
+		}
+		r.EndExec()
+		clock.Advance(29 * time.Microsecond)
+		r.Emit(DomainKernel, EvCallEnd, flush, seq, 0, api, 0, uint64(29*time.Microsecond))
+		return Stitch(r.Snapshot("forms")).Timelines
+	}
+	split, folded := record(false), record(true)
+	if len(folded) != 1 || !folded[0].Complete || folded[0].Routes != 1 || !folded[0].Rerouted ||
+		folded[0].Route != 1500 || folded[0].Shard != 1 || folded[0].Device != 1 || folded[0].Queue != 2*time.Microsecond {
+		t.Fatalf("folded forms stitched to %+v", folded)
+	}
+	if !reflect.DeepEqual(split, folded) {
+		t.Fatalf("split and folded forms stitch differently:\nsplit  %+v\nfolded %+v", split, folded)
+	}
+}
+
+// TestRouteWordRoundTrip: a route word decodes to the hop it packed, a
+// decide time past its field saturates, and an unrouted enqueue carries no
+// hop.
+func TestRouteWordRoundTrip(t *testing.T) {
+	for _, want := range []Route{
+		{}, {Policy: 3, Reroute: true, DecideNs: 1}, {Policy: 63, DecideNs: 1<<56 - 1},
+	} {
+		e := Event{Kind: EvEnqueue, Arg2: RouteWord(want.Policy, want.Reroute, want.DecideNs)}
+		if got, ok := e.Route(); !ok || got != want {
+			t.Errorf("RouteWord(%+v) decodes to %+v, %v", want, got, ok)
+		}
+	}
+	e := Event{Kind: EvEnqueue, Arg2: RouteWord(1, false, 1<<62)}
+	if got, _ := e.Route(); got.DecideNs != 1<<56-1 || got.Policy != 1 || got.Reroute {
+		t.Errorf("an oversized decide time gave %+v", got)
+	}
+	if _, ok := (Event{Kind: EvEnqueue, Arg1: 9}).Route(); ok {
+		t.Error("an unrouted enqueue decoded as a hop")
 	}
 }

@@ -12,7 +12,7 @@ import (
 // transition, an operator request, a health-plane poll).
 //
 // One mutex guards the cursor and the slots: a write is lock, claim the
-// cursor, one plain eventWords-word slot copy, unlock; a read copies under
+// cursor, eventWords plain stores into the slot, unlock; a read copies under
 // the same lock. Within one runtime most domains have one writer at a time
 // (lakeLib emits under its call lock, lakeD under its pump lock), so the
 // lock is usually uncontended, and it costs less than the per-word atomic
@@ -45,14 +45,16 @@ func newRing(capacity int) *ring {
 
 func (r *ring) capacity() uint64 { return r.mask + 1 }
 
-// put writes e at the next index, stamping its wall word from the shared
-// coarse clock keyed on that index.
-func (r *ring) put(e *Event, wall *atomic.Int64) {
+// put writes one event's words in place at the next index, stamping its
+// wall word from the shared coarse clock keyed on that index. meta is
+// packMeta's word.
+func (r *ring) put(vtime, traceID, seq, meta, a0, a1, a2 uint64, wall *atomic.Int64) {
 	r.mu.Lock()
 	idx := r.cursor
 	r.cursor++
-	e.Wall = coarseWall(wall, idx)
-	r.slots[idx&r.mask] = e.pack()
+	s := &r.slots[idx&r.mask]
+	s[0], s[1], s[2], s[3] = vtime, uint64(coarseWall(wall, idx)), traceID, seq
+	s[4], s[5], s[6], s[7] = meta, a0, a1, a2
 	r.mu.Unlock()
 }
 
@@ -84,15 +86,15 @@ func (r *ring) overwritten() uint64 {
 	return r.oldest(r.cursor)
 }
 
-// snapshot copies the surviving events oldest-first; dropped counts the
+// snapshot decodes the surviving events oldest-first; dropped counts the
 // slots lost to overflow — the recorder never truncates silently.
-func (r *ring) snapshot() (events [][eventWords]uint64, dropped uint64) {
+func (r *ring) snapshot() (events []Event, dropped uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	dropped = r.oldest(r.cursor)
-	events = make([][eventWords]uint64, 0, r.cursor-dropped)
-	for idx := dropped; idx < r.cursor; idx++ {
-		events = append(events, r.slots[idx&r.mask])
+	events = make([]Event, r.cursor-dropped)
+	for i := range events {
+		events[i] = unpackEvent(r.slots[(dropped+uint64(i))&r.mask])
 	}
 	return events, dropped
 }

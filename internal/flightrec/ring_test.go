@@ -45,7 +45,8 @@ func TestRingStormNeverMixesEvents(t *testing.T) {
 			<-start
 			for i := 0; i < perWriter; i++ {
 				e := stormEvent(uint64(w*perWriter + i))
-				rg.put(&e, &r.wallCoarse)
+				rg.put(uint64(e.VTime), e.TraceID, e.Seq, packMeta(e.Domain, e.Kind, e.Shard, e.Device),
+					e.Arg0, e.Arg1, e.Arg2, &r.wallCoarse)
 			}
 		}(w)
 	}

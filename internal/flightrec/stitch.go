@@ -1,9 +1,11 @@
 package flightrec
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -66,7 +68,8 @@ type StitchResult struct {
 }
 
 // chain lists the links a completed call must have for its timeline to
-// count as complete: the four events a healthy remoted call emits.
+// count as complete: lakeLib's call start and end and lakeD's dispatch and
+// execution end. A healthy call writes the dispatch inside its EvExecEnd.
 var chain = []struct {
 	name string
 	kind Kind
@@ -80,8 +83,8 @@ var chain = []struct {
 // Stitch groups a dump's events by trace ID and rebuilds per-call
 // cross-domain timelines.
 //
-// Domains wrap at different rates (a remoted call costs two kernel and two
-// daemon events but can cost many GPU ones), so a call can outlive its
+// Domains wrap at different rates (a remoted call costs two kernel and one
+// daemon event but can cost many GPU ones), so a call can outlive its
 // links in a busier domain. A domain that dropped events knows nothing
 // older than its oldest surviving event on each shard; a call that started
 // at or before the newest such horizon on its shard is not stitched, rather
@@ -90,13 +93,13 @@ var chain = []struct {
 func Stitch(d *Dump) *StitchResult {
 	horizon := lossHorizons(d)
 	byTID := make(map[uint64][]Event)
-	// Router and enqueue events ride member-request trace IDs (the fleet
-	// routes requests, the batcher queues them, then flushes them under a
-	// fresh flush ID). A flush takes a FIFO prefix of one model's queue, so
-	// its members are the seqs [Seq, Seq+a0) enqueued on its shard under its
-	// model handle: that range re-homes each route hop and enqueue onto the
-	// remoted call it coalesced into — the stitched timeline then shows the
-	// hop and the coalesce window.
+	// Enqueue events, and the route hops they carry, ride member-request
+	// trace IDs (the fleet routes requests, the batcher queues them, then
+	// flushes them under a fresh flush ID). A flush takes a FIFO prefix of
+	// one model's queue, so its members are the seqs [Seq, Seq+a0) enqueued
+	// on its shard under its model handle: that range re-homes each route
+	// hop and enqueue onto the remoted call it coalesced into — the stitched
+	// timeline then shows the hop and the coalesce window.
 	memberTID := make(map[[3]uint64]uint64) // (shard, model handle, seq) -> member
 	var flushes []Event
 	for _, dd := range d.Domains {
@@ -185,6 +188,25 @@ func stitchOne(tid uint64, evs []Event) (tl Timeline, shard uint16, isCall bool)
 	enqueueAt, flushAt := unset, unset
 	for _, e := range evs {
 		have[e.Kind] = true
+		if at, ok := e.Dispatch(); ok {
+			have[EvDispatch] = true
+			if dispatchAt == unset || at < dispatchAt {
+				dispatchAt = at
+			}
+			// Daemon events arrive in ring order: the dispatch before the
+			// first execution end is the one that executed, and execution
+			// starts at its virtual instant. A dispatch that crashed before
+			// executing is superseded by the redelivery's.
+			if execEndV == unset {
+				execStartV = at
+			}
+		}
+		if r, ok := e.Route(); ok {
+			tl.Routes++
+			tl.Rerouted = tl.Rerouted || r.Reroute
+			tl.Route += time.Duration(r.DecideNs)
+			tl.Shard = int(e.Shard)
+		}
 		switch e.Kind {
 		case EvCallStart:
 			tl.Serialize += time.Duration(e.Arg2)
@@ -203,17 +225,6 @@ func stitchOne(tid uint64, evs []Event) (tl Timeline, shard uint16, isCall bool)
 			}
 		case EvRetry:
 			tl.Retries++
-		case EvDispatch:
-			if dispatchAt == unset || e.VTime < dispatchAt {
-				dispatchAt = e.VTime
-			}
-			// Daemon events arrive in ring order: the dispatch before the
-			// first execution end is the one that executed, and execution
-			// starts at its virtual instant. A dispatch that crashed before
-			// executing is superseded by the redelivery's.
-			if execEndV == unset {
-				execStartV = e.VTime
-			}
 		case EvExecEnd:
 			if execEndV == unset {
 				execEndV = e.VTime
@@ -223,13 +234,6 @@ func stitchOne(tid uint64, evs []Event) (tl Timeline, shard uint16, isCall bool)
 			tl.Copy += time.Duration(e.Arg1)
 		case EvExec, EvLaunch:
 			tl.Device = int(e.Device)
-			tl.Shard = int(e.Shard)
-		case EvRoute:
-			tl.Routes++
-			if e.Arg1 == 1 {
-				tl.Rerouted = true
-			}
-			tl.Route += time.Duration(e.Arg2)
 			tl.Shard = int(e.Shard)
 		case EvEnqueue:
 			if enqueueAt == unset || e.VTime < enqueueAt {
@@ -390,11 +394,8 @@ func BreakdownTable(ts []Timeline, apiName func(uint64) string) string {
 	for _, a := range byAPI {
 		rows = append(rows, a)
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].total != rows[j].total {
-			return rows[i].total > rows[j].total
-		}
-		return rows[i].api < rows[j].api // ties in API order, not map order
+	slices.SortFunc(rows, func(a, b *agg) int { // ties in API order, not map order
+		return cmp.Or(cmp.Compare(b.total, a.total), cmp.Compare(a.api, b.api))
 	})
 
 	var b strings.Builder

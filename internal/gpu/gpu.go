@@ -269,6 +269,12 @@ func (d *Device) ComputeTime(flops float64) time.Duration {
 // nil for timing-only operations). It returns the operation's completion
 // time.
 func (d *Device) Execute(client string, cost time.Duration, fn func()) time.Duration {
+	return d.Launch(client, 0, cost, fn)
+}
+
+// Launch is Execute for a kernel launch: the EvExec it records carries the
+// launched function handle.
+func (d *Device) Launch(client string, handle uint64, cost time.Duration, fn func()) time.Duration {
 	d.mu.Lock()
 	now := d.clock.Now()
 	start := now
@@ -284,7 +290,7 @@ func (d *Device) Execute(client string, cost time.Duration, fn func()) time.Dura
 	d.execTime.ObserveDuration(cost)
 	d.queueDelay.ObserveDuration(start - now)
 	d.rec.Emit(flightrec.DomainGPU, flightrec.EvExec,
-		d.rec.ExecTrace(), 0, d.ordinal, uint64(cost), uint64(start-now), 0)
+		d.rec.ExecTrace(), 0, d.ordinal, uint64(cost), uint64(start-now), handle)
 
 	d.clock.AdvanceTo(end)
 	if fn != nil {

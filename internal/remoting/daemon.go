@@ -265,34 +265,41 @@ func (d *Daemon) serve(frame []byte) bool {
 		d.respond(d.mustAppendResponse(resp))
 		return true
 	}
-	d.rec.Emit(flightrec.DomainDaemon, flightrec.EvDispatch,
-		cmd.TraceID, cmd.Seq, 0, uint64(cmd.API), uint64(len(frame)), 0)
-	if cached, dup := d.journal.lookup(cmd.Seq); dup {
+	cached, dup := d.journal.lookup(cmd.Seq)
+	crash := faults.CrashNone
+	if !dup {
+		crash = d.crashPoint()
+	}
+	// A healthy command's dispatch rides on its EvExecEnd; a journal hit or
+	// a crash point records it on its own first, at the same instant.
+	if dup || crash != faults.CrashNone {
+		d.rec.Emit(flightrec.DomainDaemon, flightrec.EvDispatch,
+			cmd.TraceID, cmd.Seq, 0, uint64(cmd.API), uint64(len(frame)), 0)
+	}
+	if dup {
 		d.redelivered.Inc()
 		d.rec.Emit(flightrec.DomainDaemon, flightrec.EvJournalHit,
 			cmd.TraceID, cmd.Seq, 0, uint64(cmd.API), uint64(len(cached)), 0)
 		d.respond(cached)
 		return true
 	}
-	switch d.crashPoint() {
-	case faults.CrashBeforeExec:
+	if crash == faults.CrashBeforeExec {
 		// The process dies holding the consumed command: it never
 		// executes and the client must redeliver it.
-		d.crash(faults.CrashBeforeExec, cmd)
+		d.crash(crash, cmd)
 		return false
-	case faults.CrashAfterExec:
-		// The command executes and its response is journaled (the journal
+	}
+	out := d.mustAppendResponse(d.handleCmd(cmd, len(frame)))
+	d.journal.record(cmd.Seq, out)
+	if crash == faults.CrashAfterExec {
+		// The command executed and its response is journaled (the journal
 		// write is part of serving, in the shm-backed slice), but the
 		// process dies before the response reaches the socket. The
 		// client's redelivery is answered from the journal — never
 		// re-executed.
-		out := d.mustAppendResponse(d.handleCmd(cmd))
-		d.journal.record(cmd.Seq, out)
-		d.crash(faults.CrashAfterExec, cmd)
+		d.crash(crash, cmd)
 		return false
 	}
-	out := d.mustAppendResponse(d.handleCmd(cmd))
-	d.journal.record(cmd.Seq, out)
 	d.respond(out)
 	return true
 }
@@ -330,15 +337,16 @@ func (d *Daemon) mustAppendResponse(resp *Response) []byte {
 
 // handleCmd executes one decoded command, surviving handler panics and
 // logging every failure with the command name and sequence so chaos-test
-// failures are attributable.
-func (d *Daemon) handleCmd(cmd *Command) (resp *Response) {
+// failures are attributable. Its EvExecEnd carries the dispatch of the
+// frameBytes-long frame cmd was decoded from.
+func (d *Daemon) handleCmd(cmd *Command, frameBytes int) (resp *Response) {
 	// The daemon is a long-lived trusted process (§6.1); a buggy
 	// high-level handler or device kernel must fail the one request, not
 	// the daemon. Mirrors the sandboxing posture the paper suggests.
 	//
-	// The recorded execution window opens at this command's EvDispatch:
-	// nothing between the two advances the virtual clock.
-	d.rec.BeginExec(cmd.TraceID)
+	// The recorded execution window opens at the command's dispatch: nothing
+	// between decoding it and here advances the virtual clock.
+	dispatched := d.rec.BeginExec(cmd.TraceID)
 	defer func() {
 		if r := recover(); r != nil {
 			d.logErr(fmt.Sprintf("lakeD: panic in %s seq=%d: %v", cmd.API, cmd.Seq, r))
@@ -348,8 +356,8 @@ func (d *Daemon) handleCmd(cmd *Command) (resp *Response) {
 			resp.Vals = resp.Vals[:0]
 			resp.Blob = resp.Blob[:0]
 		}
-		d.rec.Emit(flightrec.DomainDaemon, flightrec.EvExecEnd,
-			cmd.TraceID, cmd.Seq, 0, uint64(cmd.API), uint64(uint32(resp.Result)), 0)
+		d.rec.Emit(flightrec.DomainDaemon, flightrec.EvExecEnd, cmd.TraceID, cmd.Seq, 0,
+			uint64(cmd.API), uint64(uint32(resp.Result))|uint64(frameBytes)<<32, uint64(dispatched))
 		d.rec.EndExec()
 	}()
 	d.executed.Inc()

@@ -407,8 +407,9 @@ func TestFailedCallRecordsSurfacedResult(t *testing.T) {
 
 // TestRemotedCallEventsConstant is the recorder's per-call gate, as
 // TestFlushEventsConstant is the flush's: a healthy remoted call adds
-// exactly two kernel-domain events (call start and end), two daemon-domain
-// events (dispatch and execution end) and no boundary events. With a fault
+// exactly two kernel-domain events (call start and end), one daemon-domain
+// event (the execution end, which carries the dispatch) and no boundary
+// events. With a fault
 // plane armed — even one that injects nothing — the frame events come back:
 // send, doorbell and receive in each direction.
 func TestRemotedCallEventsConstant(t *testing.T) {
@@ -441,12 +442,12 @@ func TestRemotedCallEventsConstant(t *testing.T) {
 		k1, b1, d1 := count()
 		return k1 - k0, b1 - b0, d1 - d0
 	}
-	if k, b, d := calls(3); k != 6 || b != 0 || d != 6 {
-		t.Fatalf("3 healthy calls added %d kernel, %d boundary, %d daemon events; want 6, 0, 6", k, b, d)
+	if k, b, d := calls(3); k != 6 || b != 0 || d != 3 {
+		t.Fatalf("3 healthy calls added %d kernel, %d boundary, %d daemon events; want 6, 0, 3", k, b, d)
 	}
 	s.tr.InjectFaults(faults.NewPlane(faults.Mix{Seed: 1}, s.clock))
-	if k, b, d := calls(1); k != 2 || b != 6 || d != 2 {
-		t.Fatalf("a call under an armed plane added %d kernel, %d boundary, %d daemon events; want 2, 6, 2", k, b, d)
+	if k, b, d := calls(1); k != 2 || b != 6 || d != 1 {
+		t.Fatalf("a call under an armed plane added %d kernel, %d boundary, %d daemon events; want 2, 6, 1", k, b, d)
 	}
 }
 

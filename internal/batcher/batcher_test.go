@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -563,5 +564,51 @@ func TestRegisterWhileSubmitting(t *testing.T) {
 	wg.Wait()
 	if err := b.RegisterModel(modelCfg("late0")); err == nil {
 		t.Fatal("a second registration of late0 succeeded")
+	}
+}
+
+// TestClientAlternatesModels: a client keeps the model it last resolved and
+// re-resolves when the name changes, so one client alternating between two
+// models of equal shape, a registered-late third and an unknown name gets
+// each model's own forward pass and each error, however the calls
+// interleave.
+func TestClientAlternatesModels(t *testing.T) {
+	rt := newRT(t)
+	cfg := batcher.DefaultConfig()
+	cfg.Linger = 0
+	b := newBatcher(t, rt, cfg)
+	doubled := func(x []float32) []float32 {
+		y := forward(x)
+		return []float32{2 * y[0], 2 * y[1]}
+	}
+	mc := modelCfg("doubled")
+	mc.Forward = doubled
+	if err := b.RegisterModel(mc); err != nil {
+		t.Fatal(err)
+	}
+	c := b.Client("cli")
+	models := map[string]func([]float32) []float32{"testmodel": forward, "doubled": doubled}
+	for i, name := range []string{"testmodel", "doubled", "doubled", "nosuch", "testmodel", "late", "doubled", "late"} {
+		if name == "late" && models["late"] == nil {
+			if _, err := c.Infer(name, [][]float32{item(i)}); err == nil {
+				t.Fatal("model late served before it was registered")
+			}
+			mc := modelCfg("late")
+			mc.Forward = func(x []float32) []float32 { return []float32{x[0], x[1]} }
+			if err := b.RegisterModel(mc); err != nil {
+				t.Fatal(err)
+			}
+			models["late"] = mc.Forward
+		}
+		out, err := c.Infer(name, [][]float32{item(i)})
+		if name == "nosuch" {
+			if err == nil {
+				t.Fatal("unknown model accepted")
+			}
+			continue
+		}
+		if want := models[name](item(i)); err != nil || len(out) != 1 || !slices.Equal(out[0], want) {
+			t.Fatalf("call %d on %s: %v, %v; want %v", i, name, out, err, want)
+		}
 	}
 }

@@ -1,8 +1,11 @@
 package batcher_test
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -238,4 +241,64 @@ func TestSlabRowsAreSeparateResults(t *testing.T) {
 		}
 	}
 	check("after appending to every row of wave 0")
+}
+
+// TestWaitReadsDeliveredWhileFlushing: waiters read their delivered
+// requests while other goroutines' flushes write and deliver theirs. Each
+// of eight submitters hands its requests to its own waiter and never waits
+// itself, so full flushes run on submitter goroutines while waiters read:
+// the flushing submitter's own request is always delivered before its Wait
+// begins, the rest are waited for. Every result must be its own input's
+// forward pass, delivered with its latency, and no request may queue past
+// MaxWait. Meant for -race.
+func TestWaitReadsDeliveredWhileFlushing(t *testing.T) {
+	rt := newRT(t)
+	cfg := batcher.DefaultConfig()
+	cfg.MaxBatch = 4
+	cfg.MaxWait = time.Millisecond
+	cfg.Linger = 10 * time.Millisecond
+	b := newBatcher(t, rt, cfg)
+
+	const submitters, perSubmitter = 8, 64
+	var wg sync.WaitGroup
+	for s := 0; s < submitters; s++ {
+		handed := make(chan *batcher.Pending, cfg.ClientDepth)
+		wg.Add(2)
+		go func(s int) {
+			defer wg.Done()
+			defer close(handed)
+			c := b.Client(fmt.Sprintf("cli%d", s))
+			for i := 0; i < perSubmitter; {
+				p, err := c.Submit("testmodel", [][]float32{item(s*perSubmitter + i)})
+				if errors.Is(err, batcher.ErrBackpressure) {
+					runtime.Gosched() // the waiter drains the client's depth
+					continue
+				}
+				if err != nil {
+					t.Errorf("submitter %d request %d: %v", s, i, err)
+					return
+				}
+				handed <- p
+				i++
+			}
+		}(s)
+		go func(s int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				p, ok := <-handed
+				if !ok {
+					return
+				}
+				out, err := p.Wait()
+				want := forward(item(s*perSubmitter + i))
+				if lat := p.Latency(); err != nil || len(out) != 1 || !slices.Equal(out[0], want) || lat <= 0 {
+					t.Errorf("waiter %d request %d: %v, %v after %v; want %v after a positive latency", s, i, out, err, lat, want)
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
+	if st := b.Stats(); st.Requests != submitters*perSubmitter || st.Items != st.Requests || st.MaxQueueDelay > cfg.MaxWait {
+		t.Fatalf("stats %+v, want %d one-item requests queued at most %v", st, submitters*perSubmitter, cfg.MaxWait)
+	}
 }

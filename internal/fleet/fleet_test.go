@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -853,5 +854,83 @@ func TestStitchLinksFlushMembersBySeqRange(t *testing.T) {
 	}
 	if routes != gpuMembers {
 		t.Fatalf("%d route hops re-homed onto calls, want the %d GPU-flushed members", routes, gpuMembers)
+	}
+}
+
+// TestDrainReroutesWhileSubmitting: sticky submits race the placement a
+// drain takes away. Two goroutines per tenant submit without pause while
+// shard 0 and then shard 1 drain under them: every result must match the
+// reference forward pass, every tenant of a drained shard must re-place
+// onto a shard still Active, and no admission slot may leak. Meant for
+// -race.
+func TestDrainReroutesWhileSubmitting(t *testing.T) {
+	f, net := newFleet(t, 3, gpupool.RoundRobin, nil)
+	const tenants, perTenant = 6, 2
+	// Placed before the load starts, round robin: two tenants per shard.
+	for i := 0; i < tenants; i++ {
+		inferOne(t, f.Client(fmt.Sprintf("tenant-%d", i)), net, i)
+	}
+	var done atomic.Int64
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for i := 0; i < tenants; i++ {
+		name := fmt.Sprintf("tenant-%d", i)
+		for g := 0; g < perTenant; g++ {
+			wg.Add(1)
+			go func(seed int) {
+				defer wg.Done()
+				c := f.Client(name)
+				for k := seed; !stop.Load(); k += tenants * perTenant {
+					x := feature(k)
+					out, err := c.Infer("fleetnet", [][]float32{x})
+					if errors.Is(err, batcher.ErrBackpressure) {
+						continue
+					}
+					if err != nil {
+						t.Errorf("%s request %d: %v", name, k, err)
+						return
+					}
+					if want := net.Forward(x); len(out) != 1 || !reflect.DeepEqual(out[0], want) {
+						t.Errorf("%s request %d: got %v, want %v", name, k, out, want)
+						return
+					}
+					done.Add(1)
+				}
+			}(i*perTenant + g)
+		}
+	}
+	progress := func(n int64) {
+		for target := done.Load() + n; done.Load() < target && !t.Failed(); {
+			runtime.Gosched()
+		}
+	}
+	progress(200)
+	for _, ord := range []int{0, 1} {
+		if _, err := f.Drain(ord); err != nil {
+			stop.Store(true)
+			wg.Wait()
+			t.Fatalf("drain %d: %v", ord, err)
+		}
+		progress(200)
+	}
+	stop.Store(true)
+	wg.Wait()
+
+	for i := 0; i < tenants; i++ {
+		c := f.Client(fmt.Sprintf("tenant-%d", i))
+		inferOne(t, c, net, i)
+		if got := c.Tenant().Shard(); got != 2 {
+			t.Errorf("tenant %d on shard %d after shards 0 and 1 drained, want 2", i, got)
+		}
+		if n := c.Tenant().Outstanding(); n != 0 {
+			t.Errorf("tenant %d: %d slots outstanding after every Wait", i, n)
+		}
+	}
+	// Each of the four tenants placed on a drained shard re-placed at least
+	// once; every placement after a tenant's first is a reroute.
+	st := f.Stats()
+	if st.Migrations != 2 || st.Reroutes < 4 || st.Placements != tenants+st.Reroutes || st.Outstanding != 0 {
+		t.Fatalf("migrations %d, reroutes %d, placements %d, outstanding %d; want 2, >= 4, %d + reroutes, 0",
+			st.Migrations, st.Reroutes, st.Placements, st.Outstanding, tenants)
 	}
 }

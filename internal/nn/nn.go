@@ -147,8 +147,13 @@ func (n *Network) Forward(x []float32) []float32 {
 // slabStackWidth is the widest activation row ForwardSlab keeps on its
 // stack: 256, the hidden width of the LinnOS+ networks and the widest layer
 // any shipped model has. A wider network's activations take one heap
-// buffer per call.
-const slabStackWidth = 256
+// buffer per call. A network no wider than slabNarrowWidth, MLLB's 64,
+// takes a buffer of that width instead: the buffer is zeroed on every call,
+// and a one-row call is short enough for 512 floats of zeroing to show.
+const (
+	slabStackWidth  = 256
+	slabNarrowWidth = 64
+)
 
 // slabWidth returns the widest activation row ForwardSlab holds — the input
 // or any layer's output — once it has checked the layers: there must be
@@ -195,14 +200,25 @@ func (n *Network) ForwardSlab(in []float32, items int, out []float32) error {
 		return fmt.Errorf("nn: slab of %d items: %d inputs and %d outputs, want %d and %d",
 			items, len(in), len(out), items*inW, items*outW)
 	}
-	// Activations ping-pong between the two halves of one buffer, each one
-	// row of the widest layer; the output layer writes straight into out.
-	var stack [2 * slabStackWidth]float32
-	buf := stack[:]
-	if width > slabStackWidth {
-		buf = make([]float32, 2*width)
+	switch {
+	case width <= slabNarrowWidth:
+		var stack [2 * slabNarrowWidth]float32
+		n.forwardSlab(in, items, out, stack[:])
+	case width <= slabStackWidth:
+		var stack [2 * slabStackWidth]float32
+		n.forwardSlab(in, items, out, stack[:])
+	default:
+		n.forwardSlab(in, items, out, make([]float32, 2*width))
 	}
-	a, b := buf[:width], buf[width:2*width]
+	return nil
+}
+
+// forwardSlab is ForwardSlab on checked arguments. Activations ping-pong
+// between the two halves of buf, each at least one row of the network's
+// widest layer; the output layer writes straight into out.
+func (n *Network) forwardSlab(in []float32, items int, out, buf []float32) {
+	inW, outW := n.InputSize(), n.OutputSize()
+	a, b := buf[:len(buf)/2], buf[len(buf)/2:]
 	done := 0
 	if l := n.Layers[len(n.Layers)-1]; items >= 4 && l.Out >= 1 && l.Out <= 4 && l.In <= slabStackWidth {
 		done = items &^ 3
@@ -211,7 +227,6 @@ func (n *Network) ForwardSlab(in []float32, items int, out []float32) error {
 	for i := done; i < items; i++ {
 		forwardRow(n.Layers, in[i*inW:(i+1)*inW], out[i*outW:(i+1)*outW], a, b)
 	}
-	return nil
 }
 
 // forwardRow runs row x through layers into y, the activations ping-ponging

@@ -2,6 +2,7 @@ package shm
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -130,6 +131,38 @@ func TestAllocZeroOrNegativeRejected(t *testing.T) {
 	}
 }
 
+// A size within align-1 of MaxInt64 wrapped negative when rounded up, so
+// Alloc returned an offset, Used went negative and every later Alloc failed.
+// Every size the region cannot hold is refused before rounding, and the
+// allocator is unchanged.
+func TestAllocHugeSizeRejected(t *testing.T) {
+	for _, size := range []int64{math.MaxInt64, math.MaxInt64 - 63, math.MaxInt64 - 64, 1<<20 + 1} {
+		a := mustNew(t, 1<<20, 64)
+		if off, err := a.Alloc(size); !errors.Is(err, errNoSpace) {
+			t.Fatalf("Alloc(%d) = %d, %v; want errNoSpace", size, off, err)
+		}
+		if a.Used() != 0 || a.FreeBlocks() != 1 {
+			t.Fatalf("after Alloc(%d): Used() = %d, FreeBlocks() = %d; want 0, 1", size, a.Used(), a.FreeBlocks())
+		}
+		if off, err := a.Alloc(64); err != nil || off != 0 {
+			t.Fatalf("Alloc(64) after Alloc(%d) = %d, %v; want 0, nil", size, off, err)
+		}
+	}
+	r, err := NewRegion(1 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, err := r.Alloc(math.MaxInt64); !errors.Is(err, errNoSpace) {
+		t.Fatalf("Region.Alloc(MaxInt64) = buffer at %d of %d bytes, %v; want errNoSpace", b.Offset(), b.Size(), err)
+	}
+	if got := r.Used(); got != 0 {
+		t.Fatalf("Region.Used() = %d after a refused Alloc, want 0", got)
+	}
+	if _, err := r.Alloc(1 << 20); err != nil {
+		t.Fatalf("Region.Alloc of the whole region after a refused Alloc: %v", err)
+	}
+}
+
 // Property: after any interleaving of allocs and frees, live allocations
 // never overlap and stay within the region.
 func TestQuickNoOverlap(t *testing.T) {
@@ -193,8 +226,8 @@ func TestQuickFullFreeRestoresRegion(t *testing.T) {
 	}
 }
 
-// Used is a running count; it must equal the sum over the live map after
-// every step of a seeded alloc/free sequence, failed calls included.
+// Used is a running count; it must equal the sum over the offset index
+// after every step of a seeded alloc/free sequence, failed calls included.
 func TestUsedMatchesLiveSum(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a, err := newAllocator(1<<16, 64, bestFit)
@@ -220,11 +253,11 @@ func TestUsedMatchesLiveSum(t *testing.T) {
 			live = append(live[:i], live[i+1:]...)
 		}
 		var sum int64
-		for _, sz := range a.live {
-			sum += sz
+		for _, e := range a.index {
+			sum += e.size
 		}
 		if a.Used() != sum {
-			t.Fatalf("step %d: Used() = %d, live map sums to %d", step, a.Used(), sum)
+			t.Fatalf("step %d: Used() = %d, offset index sums to %d", step, a.Used(), sum)
 		}
 	}
 	if len(live) == 0 || a.Used() == 0 {

@@ -25,7 +25,6 @@
 package shm
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
@@ -118,11 +117,13 @@ func (r *Region) Free(bufs ...Buffer) (first error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, b := range bufs {
-		err := errForeignBuffer
-		if b.region == r {
-			err = r.alloc.Free(b.off)
+		if b.region != r {
+			if first == nil {
+				first = errForeignBuffer
+			}
+		} else if err := r.alloc.Free(b.off); err != nil && first == nil {
+			first = err
 		}
-		first = cmp.Or(first, err)
 	}
 	return first
 }

@@ -5,8 +5,8 @@ package lake_test
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	lake "lakego"
 	"lakego/internal/core"
@@ -147,13 +147,20 @@ func TestSoakUnderFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// One crash is armed before any worker runs, so at least one restart
-	// happens regardless of how the scheduler interleaves the crash driver
-	// with the (much faster) workers.
+	// One crash is armed before any worker runs, so the first calls
+	// already recover from one.
 	rt.Daemon().InjectCrash(true)
 
 	const workers = 8
 	const iters = 300
+	// The crash driver ticks once per crashPace completed worker
+	// iterations: the worker completing one hands the tick over and waits
+	// until the driver has taken it, so every run has the same number of
+	// ticks, workers*iters/crashPace, however the scheduler treats the
+	// driver's goroutine.
+	const crashPace = 8
+	var completed atomic.Int64
+	tick := make(chan struct{})
 	var wg sync.WaitGroup
 	errs := make(chan string, workers)
 	for w := 0; w < workers; w++ {
@@ -206,17 +213,19 @@ func TestSoakUnderFaults(t *testing.T) {
 						return
 					}
 				}
+				if completed.Add(1)%crashPace == 0 {
+					tick <- struct{}{}
+				}
 			}
 		}(w)
 	}
 
-	// Crash driver: every 200µs of wall time, arm a crash (alternating
-	// placement) under the workers' in-call recovery. A call gives lakeD up
-	// on its third crash, so a tick is skipped when it could stack one: the
-	// daemon is down or a restart is under way (a restart clears an armed
-	// crash anyway), or the call being recovered has already cost two
-	// restarts since the supervisor was last seen Healthy.
-	stop := make(chan struct{})
+	// Crash driver: on every tick, arm a crash (alternating placement)
+	// under the workers' in-call recovery. A call gives lakeD up on its
+	// third crash, so a tick is skipped when it could stack one: the daemon
+	// is down or a restart is under way (a restart clears an armed crash
+	// anyway), or the call being recovered has already cost two restarts
+	// since the supervisor was last seen Healthy.
 	var driver sync.WaitGroup
 	var ticks, armed int64
 	driver.Add(1)
@@ -225,10 +234,8 @@ func TestSoakUnderFaults(t *testing.T) {
 		daemon, sup := rt.Daemon(), rt.Supervisor()
 		var healthyAt int64
 		for i := 0; ; i++ {
-			select {
-			case <-stop:
+			if _, ok := <-tick; !ok {
 				return
-			default:
 			}
 			ticks++
 			r := daemon.Restarts()
@@ -241,12 +248,11 @@ func TestSoakUnderFaults(t *testing.T) {
 				daemon.InjectCrash(i%2 == 0)
 				armed++
 			}
-			time.Sleep(200 * time.Microsecond)
 		}
 	}()
 
 	wg.Wait()
-	close(stop)
+	close(tick)
 	driver.Wait()
 	close(errs)
 	for e := range errs {
@@ -268,19 +274,14 @@ func TestSoakUnderFaults(t *testing.T) {
 	if fs := rt.FaultPlane().Stats(); fs.Dropped == 0 {
 		t.Fatalf("1%% drop mix never fired over %d messages", fs.Messages)
 	}
-	if rt.Daemon().Restarts() == 0 {
-		t.Fatal("crash driver produced no restarts")
-	}
-	// Under -race the load runs long enough for the 200µs cadence to land
-	// many crashes. 94 is the fewest restarts of ten -race runs on a 2-vCPU
-	// host when a supervisor heartbeat took most crashes out of band; the
-	// in-call path must take at least as many. Without -race the load ends
-	// within a few dozen ticks and the count measures the scheduler, not
-	// the driver.
-	const minRaceRestarts = 94
-	if raceEnabled && rt.Daemon().Restarts() < minRaceRestarts {
-		t.Fatalf("crash driver produced %d restarts under -race, want >= %d (%d crashes armed in %d ticks)",
-			rt.Daemon().Restarts(), minRaceRestarts, armed, ticks)
+	// 94 is the fewest restarts of ten -race runs on a 2-vCPU host when a
+	// supervisor heartbeat took most crashes out of band; the in-call path
+	// must take at least as many, with and without -race, now that the
+	// tick count no longer depends on the scheduler.
+	const minRestarts = 94
+	if rt.Daemon().Restarts() < minRestarts {
+		t.Fatalf("crash driver produced %d restarts, want >= %d (%d crashes armed in %d ticks)",
+			rt.Daemon().Restarts(), minRestarts, armed, ticks)
 	}
 	t.Logf("faulty soak: %d retries, %d redeliveries, %d restarts, %d crashes armed in %d ticks, handled=%d executed=%d",
 		rs.Retries, rt.Daemon().Redelivered(), rt.Daemon().Restarts(), armed, ticks,

@@ -3,19 +3,18 @@
 // insight:
 //
 //   - a submission ring (kernel→user commands) and a completion ring
-//     (user→kernel responses), each a bounded FIFO of frames guarded by
-//     one mutex;
+//     (user→kernel responses), each a bounded FIFO of frames;
 //   - payload slots resident in the lakeShm region — a ring entry is only
 //     a length, the frame bytes are written once into the shared arena and
 //     read in place by the receiver;
 //   - a doorbell count of the pushes that land on an empty ring, the only
 //     sends a waiting receiver would have to be woken for.
 //
-// One lock per direction is enough because that is the traffic the stack
-// has: lakeLib sends one command, pumps lakeD until the submission ring is
-// empty and then receives, all under its call lock, so each ring sees one
-// producer and one consumer at a time and every frame lands on an empty
-// ring (TestRingEveryFrameRingsAndNoneWakes pins this).
+// One lock per exchange, the transport's, is enough because that is the
+// traffic the stack has: a remoted call holds it while lakeLib sends one
+// command, pumps lakeD until the submission ring is empty and receives, so
+// each ring sees one producer and one consumer at a time and every frame
+// lands on an empty ring (TestRingEveryFrameRingsAndNoneWakes pins this).
 //
 // Receive is borrow-based: RecvInUser / RecvInKernel return a view into
 // the slot arena that stays valid until the NEXT Recv call in the same
@@ -41,12 +40,13 @@ import (
 )
 
 // Channel is the boundary pipe contract the remoting layer runs on;
-// RingTransport implements it.
-//
+// RingTransport implements it. Its Locker is the exchange lock, held across
+// every Send and Recv, one hold per lakeLib↔lakeD exchange.
 // Received frames are borrowed views valid only until the next RecvInUser /
 // RecvInKernel call in the same direction. Consumers must finish with (or
 // copy) a received frame before receiving again.
 type Channel interface {
+	sync.Locker
 	Clock() *vtime.Clock
 	SendToUser(msg []byte) error
 	RecvInUser() (msg []byte, ok bool)
@@ -71,9 +71,8 @@ const DefaultSlotBytes = 16 << 10
 // ringDir is one direction of the duplex pipe: a bounded FIFO of frames
 // over a slot arena, with the consumer's borrow. Frame n occupies slot
 // n&(len(lens)-1); a frame longer than slotBytes lives in that slot's
-// overflow buffer instead of the arena.
+// overflow buffer instead of the arena; its caller serializes access.
 type ringDir struct {
-	mu sync.Mutex
 	// head and tail count the frames pushed and popped. borrowed marks
 	// frame tail-1 as still held by the consumer's last view, so its slot
 	// is not free until the next pop.
@@ -97,8 +96,6 @@ type ringDir struct {
 // landed on an empty ring. Zero-allocation once the overflow buffers have
 // warmed up.
 func (d *ringDir) push(f []byte, slotBytes int) (ok, rang bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	held := d.head - d.tail
 	if d.borrowed {
 		held++
@@ -124,8 +121,6 @@ func (d *ringDir) push(f []byte, slotBytes int) (ok, rang bool) {
 // pop releases the previous borrow and returns a view of the next frame,
 // borrowed until the next pop. ok is false when the ring is empty.
 func (d *ringDir) pop(slotBytes int) (view []byte, ok bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.borrowed = false
 	if d.tail == d.head {
 		return nil, false
@@ -144,6 +139,8 @@ func (d *ringDir) pop(slotBytes int) (view []byte, ok bool) {
 // steady-state send/receive path performs zero heap allocations: frames
 // are copied once into shm payload slots and read in place.
 type RingTransport struct {
+	// mu is the exchange lock (Lock/Unlock); it guards sub, comp and closed.
+	mu sync.Mutex
 	// kind is the cost-model row ChargeRoundTrip charges and error text
 	// names; it never changes how bytes move.
 	kind      Kind
@@ -154,7 +151,7 @@ type RingTransport struct {
 	comp ringDir // completion: user→kernel (responses)
 
 	fault  atomic.Pointer[faults.Plane]
-	closed atomic.Bool
+	closed bool
 
 	// sent / received / queueFull are what Stats reports and what the
 	// registry exports; roundTrip is nil with telemetry disabled.
@@ -197,6 +194,10 @@ func NewRingTransport(clock *vtime.Clock, region *shm.Region, depth, slotBytes i
 	return t, nil
 }
 
+// Lock and Unlock take and release the exchange lock.
+func (t *RingTransport) Lock()   { t.mu.Lock() }
+func (t *RingTransport) Unlock() { t.mu.Unlock() }
+
 // SetCostModel selects the Table-2 / Fig-6 row (or Ring) whose modeled
 // round-trip cost ChargeRoundTrip charges. Must be called during runtime
 // construction, before any traffic.
@@ -236,12 +237,9 @@ func (t *RingTransport) Stats() (sent, received int64) {
 // directions: rings is the number of sends that landed on an empty ring.
 // Nothing parks on the rings, so no wake is ever delivered or coalesced.
 func (t *RingTransport) DoorbellStats() (rings, wakes, coalesced uint64) {
-	for _, d := range []*ringDir{&t.sub, &t.comp} {
-		d.mu.Lock()
-		rings += d.rings
-		d.mu.Unlock()
-	}
-	return rings, 0, 0
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.sub.rings + t.comp.rings, 0, 0
 }
 
 // send runs one frame through the fault plane (if armed) and into the
@@ -254,7 +252,7 @@ func (t *RingTransport) DoorbellStats() (rings, wakes, coalesced uint64) {
 // healthy channel they would repeat the frame lengths lakeLib's EvCallStart
 // and lakeD's EvExecEnd already carry; a full queue is recorded either way.
 func (t *RingTransport) send(d *ringDir, msg []byte, dir uint64) error {
-	if t.closed.Load() {
+	if t.closed {
 		return ErrClosed
 	}
 	plane := t.fault.Load()
@@ -351,15 +349,13 @@ func (t *RingTransport) ChargeRoundTrip(size int) time.Duration {
 	return d
 }
 
-// Close shuts the transport down. Pending frames and the borrows are
-// discarded.
+// Close shuts the transport down under the exchange lock. Pending frames
+// and the borrows are discarded.
 func (t *RingTransport) Close() {
-	if t.closed.Swap(true) {
-		return
-	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.closed = true
 	for _, d := range []*ringDir{&t.sub, &t.comp} {
-		d.mu.Lock()
 		d.tail, d.borrowed = d.head, false
-		d.mu.Unlock()
 	}
 }

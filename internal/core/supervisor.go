@@ -130,7 +130,7 @@ func (s *Supervisor) setStateLocked(to DaemonState) {
 }
 
 // DaemonUnresponsive implements remoting.RecoveryHook. It is invoked with
-// lakeLib's call lock held, after one call has exhausted a full retry
+// lakeLib's exchange lock held, after one call has exhausted a full retry
 // round, the call's round-th recovery round. A Dead daemon stays Dead, and
 // the report after maxRounds granted rounds gives the daemon up: both
 // return false and leave the state Dead. Otherwise the first report raises
@@ -160,7 +160,7 @@ func (s *Supervisor) DaemonUnresponsive(round int) bool {
 }
 
 // DaemonRecovered implements remoting.RecoveryHook. It is invoked with
-// lakeLib's call lock held, when a call completes after at least one
+// lakeLib's exchange lock held, when a call completes after at least one
 // recovery round: the daemon answered, which confirms liveness. The
 // failure count resets and Suspected or ReAttached returns to Healthy.
 func (s *Supervisor) DaemonRecovered() {

@@ -370,8 +370,8 @@ func (r *Recorder) EmitFrame(k Kind, frame []byte, dir uint64) {
 // GPU-domain events fired from inside the execution (launches, copies) can
 // inherit it, and returns the virtual instant execution starts at (0 while
 // recording is off): the dispatch instant the command's EvExecEnd carries.
-// lakeD executes one command at a time (every Pump runs under lakeD's pump
-// lock), so a single word suffices.
+// lakeD executes one command at a time (every Pump runs under its
+// transport's exchange lock), so a single word suffices.
 func (r *Recorder) BeginExec(traceID uint64) (at time.Duration) {
 	if r != nil {
 		r.execTID.Store(traceID)

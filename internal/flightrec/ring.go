@@ -14,7 +14,7 @@ import (
 // One mutex guards the cursor and the slots: a write is lock, claim the
 // cursor, eventWords plain stores into the slot, unlock; a read copies under
 // the same lock. Within one runtime most domains have one writer at a time
-// (lakeLib emits under its call lock, lakeD under its pump lock), so the
+// (lakeLib and lakeD both emit under their transport's exchange lock), so the
 // lock is usually uncontended, and it costs less than the per-word atomic
 // stores a lock-free slot protocol needs. No reader can see a half-written
 // slot, so an event is either whole or counted dropped — race-clean by

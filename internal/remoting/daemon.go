@@ -32,12 +32,11 @@ type Daemon struct {
 	tr      boundary.Channel
 	journal *journal
 
-	// pumpMu serializes Pump; scratch is the pump's reusable working
-	// state (decoded command, response under construction, outbound frame
-	// buffer, name intern table, batch demux state). With every buffer
-	// warmed the daemon serves a command without heap allocation — lakeD's
-	// half of the ring transport's 0 allocs/op budget.
-	pumpMu  sync.Mutex
+	// scratch is the pump's reusable working state (decoded command,
+	// response under construction, outbound frame buffer, name intern
+	// table, batch demux state), guarded with the journal by tr's exchange
+	// lock. A warmed daemon serves a command without heap allocation —
+	// lakeD's half of the ring transport's 0 allocs/op budget.
 	scratch pumpScratch
 
 	// mu guards only the high-level handler table and the error log.
@@ -91,10 +90,10 @@ func (d *Daemon) SetFlightRecorder(rec *flightrec.Recorder) {
 // maxErrlog bounds the daemon's attribution log.
 const maxErrlog = 64
 
-// pumpScratch is Pump's reusable working state, guarded by pumpMu. The
-// decoded command's Blob aliases the received frame (valid until the next
-// receive — the command is fully executed before then); everything else is
-// daemon-owned storage whose capacity survives across pumps.
+// pumpScratch is Pump's reusable working state, under the exchange lock.
+// The decoded command's Blob aliases the received frame (valid until the
+// next receive — the command is fully executed before then); everything
+// else is daemon-owned storage whose capacity survives across pumps.
 type pumpScratch struct {
 	cmd  Command
 	resp Response
@@ -220,11 +219,12 @@ func (d *Daemon) RegisterHighLevel(name string, h HighLevelHandler) {
 	d.highlevel[name] = h
 }
 
-// Pump receives and serves every pending command under one hold of
-// pumpMu, sending each response back through the transport, and returns
-// how many it served. A crashed daemon serves nothing — the process is down
-// — until the supervisor restarts it; a crash while serving ends the pump
-// with the rest of the queue left for the restarted process.
+// Pump receives and serves every pending command, sending each response
+// back through the transport, and returns how many it served. The caller
+// holds the transport's exchange lock: lakeLib pumps inside its call. A
+// crashed daemon serves nothing — the process is down — until the
+// supervisor restarts it; a crash while serving ends the pump with the
+// rest of the queue left for the restarted process.
 //
 // Exactly-once protocol: before any response is sent, the (seq, response)
 // pair is recorded in the sequence journal. A frame whose sequence is
@@ -234,8 +234,6 @@ func (d *Daemon) Pump() int {
 	if d.Crashed() {
 		return 0
 	}
-	d.pumpMu.Lock()
-	defer d.pumpMu.Unlock()
 	n := 0
 	for {
 		frame, ok := d.tr.RecvInUser()
@@ -248,7 +246,7 @@ func (d *Daemon) Pump() int {
 
 // serve answers one received frame and reports whether the daemon is still
 // up: false means it crashed on the frame's command and sent nothing. The
-// caller holds pumpMu.
+// caller holds the exchange lock.
 func (d *Daemon) serve(frame []byte) bool {
 	cmd := &d.scratch.cmd
 	if err := DecodeCommandInto(cmd, d.scratch.names, frame); err != nil {
@@ -304,11 +302,13 @@ func (d *Daemon) serve(frame []byte) bool {
 	return true
 }
 
-// crashPoint consumes any pending injected crash, else asks the fault
-// plane.
+// crashPoint consumes any pending injected crash, paying for the Swap only
+// when one is armed, else asks the fault plane.
 func (d *Daemon) crashPoint() faults.CrashPoint {
-	if p := faults.CrashPoint(d.pendingCrash.Swap(int32(faults.CrashNone))); p != faults.CrashNone {
-		return p
+	if d.pendingCrash.Load() != int32(faults.CrashNone) {
+		if p := faults.CrashPoint(d.pendingCrash.Swap(int32(faults.CrashNone))); p != faults.CrashNone {
+			return p
+		}
 	}
 	return d.fault.CrashNow()
 }

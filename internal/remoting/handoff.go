@@ -110,23 +110,23 @@ func (j *journal) export() []JournalEntry {
 	return out
 }
 
-// ExportJournal snapshots the daemon's sequence journal for a handoff. The
-// daemon keeps serving afterwards; the fleet quiesces the shard before
-// exporting so no entry is recorded between export and cutover.
+// ExportJournal snapshots the daemon's sequence journal for a handoff,
+// under the exchange lock. The daemon keeps serving; the fleet quiesces the
+// shard first, so no entry is recorded between export and cutover.
 func (d *Daemon) ExportJournal() []JournalEntry {
-	d.pumpMu.Lock()
-	defer d.pumpMu.Unlock()
+	d.tr.Lock()
+	defer d.tr.Unlock()
 	return d.journal.export()
 }
 
-// ImportJournal merges migrated entries into the daemon's journal,
-// returning how many were absorbed. The journal grows to hold its live
-// entries and the imported ones, so the import evicts nothing. Present
-// sequences are kept (record is first-writer-wins), which cannot happen
-// between distinct shard tags.
+// ImportJournal merges migrated entries into the daemon's journal under the
+// exchange lock, returning how many were absorbed. The journal grows to
+// hold its live entries and the imported ones, so the import evicts
+// nothing. Present sequences are kept (record is first-writer-wins), which
+// cannot happen between distinct shard tags.
 func (d *Daemon) ImportJournal(entries []JournalEntry) int {
-	d.pumpMu.Lock()
-	defer d.pumpMu.Unlock()
+	d.tr.Lock()
+	defer d.tr.Unlock()
 	d.journal.reserve(len(entries))
 	n := 0
 	for _, e := range entries {

@@ -80,7 +80,7 @@ func TestHandoffMigrationExactlyOnce(t *testing.T) {
 // remain journaled with nothing evicted; after the import the grown journal
 // evicts FIFO again, oldest first.
 func TestImportJournalKeepsLocalEntries(t *testing.T) {
-	d := &Daemon{journal: newJournal(0)}
+	d := journalDaemon(t, 0)
 	for seq := uint64(1); seq <= 10; seq++ {
 		d.journal.record(seq, journalFrame(seq, 0))
 	}

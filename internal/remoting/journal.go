@@ -27,8 +27,8 @@ package remoting
 // shard's tagged sequences (bits 48+) share low bits with the local ones,
 // and a cell per low-bit value would evict entries FIFO order keeps.
 //
-// The journal has no lock of its own: the daemon touches it only under
-// pumpMu (Pump, ExportJournal, ImportJournal).
+// The journal has no lock of its own: the daemon touches it only under the
+// exchange lock (Pump, ExportJournal, ImportJournal).
 type journal struct {
 	// slots is the fixed ring; next is the cursor the next record lands on
 	// (== the oldest live entry once the ring has wrapped). The live

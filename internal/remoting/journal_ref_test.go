@@ -4,6 +4,9 @@ import (
 	"encoding/binary"
 	"reflect"
 	"testing"
+
+	"lakego/internal/boundary"
+	"lakego/internal/vtime"
 )
 
 // The reference journal below is the map-indexed journal that preceded the
@@ -135,12 +138,24 @@ func journalFrame(seq uint64, v byte) []byte {
 	return b[:seq%9]
 }
 
+// journalDaemon is a Daemon with a journal of the given capacity and a real
+// transport, whose exchange lock ImportJournal and ExportJournal take, and
+// nothing else.
+func journalDaemon(t *testing.T, capacity int) *Daemon {
+	t.Helper()
+	tr, err := boundary.NewRingTransport(vtime.New(), nil, 2, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Daemon{tr: tr, journal: newJournal(capacity)}
+}
+
 // runJournalProgram runs one op program against the live journal, behind a
 // bare Daemon so ImportJournal and ExportJournal are the real entry points,
 // and against the reference, failing on the first difference.
 func runJournalProgram(t *testing.T, capacity int, prog []byte) {
 	t.Helper()
-	d := &Daemon{journal: newJournal(capacity)}
+	d := journalDaemon(t, capacity)
 	ref := newRefJournal(capacity)
 	var hist []uint64
 	var fresh, imported uint64

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -28,34 +27,31 @@ var ErrTransport = errors.New("remoting: transport failure")
 //
 // Every call marshals a command, ships it through the boundary channel,
 // drives the daemon, and unmarshals the response, charging the channel's
-// modeled round-trip cost exactly once. Lib is safe for concurrent use.
+// modeled round-trip cost exactly once. Lib is safe for concurrent use: a
+// call holds the channel's exchange lock from newCall to done, once, so
+// concurrent kernel threads cannot interleave on the command channel and
+// steal each other's responses (the prototype's Netlink usage is likewise
+// serialized per socket). Everything a call touches on either side of the
+// boundary — the call state, the rings, lakeD's pump and journal, the
+// retry policy and its jitter PRNG — is guarded by that one lock.
 //
 // The call path is allocation-free at steady state: command, response, and
-// frame storage live in a callState from a free list (acquired per call,
-// recycled on completion), and the wire codecs are the Append*/Decode*Into
-// variants that reuse that storage. The CI allocgate job holds the path at
-// 0 allocs/op.
+// frame storage live in the Lib's one callState, reused by every call, and
+// the wire codecs are the Append*/Decode*Into variants that reuse that
+// storage. The CI allocgate job holds the path at 0 allocs/op.
 type Lib struct {
 	tr     boundary.Channel
 	daemon *Daemon
 
-	seq atomic.Uint64
+	// cs is the working storage of the call holding the exchange lock;
+	// seq counts issued calls. Both are guarded by that lock.
+	cs  callState
+	seq uint64
 	// shardTag is OR'd into the high bits of every issued sequence number
 	// (SetShardTag). In a fleet each shard's lib gets a distinct tag, so
 	// sequence spaces — and therefore journal keyspaces — stay disjoint
 	// when one shard's journal is migrated into another's daemon.
 	shardTag uint64
-
-	// callMu serializes the send/serve/receive exchange so concurrent
-	// kernel threads cannot interleave on the command socket and steal
-	// each other's responses (the prototype's Netlink usage is likewise
-	// serialized per socket).
-	callMu sync.Mutex
-
-	// free recycles callStates so the steady-state call path performs no
-	// heap allocation (the ring transport's 0 allocs/op target), across GC
-	// cycles too.
-	free shm.FreeList[callState]
 
 	// calls and the ResilienceStats counters are what Stats and
 	// ResilienceStats report and what the registry exports; callLatency is
@@ -71,14 +67,14 @@ type Lib struct {
 	// rng is nil until EnableResilience arms the retry schedule (an
 	// unarmed exchange makes one attempt); hook is the recovery hook it
 	// armed, nil for none. Both are written only during construction;
-	// rng's jitter draws happen under callMu, so they keep one
+	// rng's jitter draws happen under the exchange lock, so they keep one
 	// deterministic order.
 	rng  *rand.Rand
 	hook RecoveryHook
 	// dead is set once a call abandons the daemon as unrecoverable, and
 	// never cleared: later calls fail fast with ErrDaemonDead (mapped to
 	// cuda.ErrNotReady by the stubs, routing workloads to their CPU
-	// fallback). It is written only under callMu.
+	// fallback). It is written only under the exchange lock.
 	dead atomic.Bool
 
 	// rec is the flight recorder's kernel-domain view; nil-safe like the
@@ -93,9 +89,9 @@ type Lib struct {
 const marshalSampleMask = 63
 
 // callState is one remoted invocation's working storage: the command being
-// issued, the marshaled wire frame, and the decoded response. States are
-// recycled; all slices keep their capacity across calls, so a warmed-up Lib
-// issues commands without touching the heap.
+// issued, the marshaled wire frame, and the decoded response. The Lib's one
+// state is reused by every call; all slices keep their capacity across
+// calls, so a warmed-up Lib issues commands without touching the heap.
 type callState struct {
 	cmd   Command
 	resp  Response
@@ -105,11 +101,12 @@ type callState struct {
 	channel time.Duration
 }
 
-// newCall acquires a recycled callState primed for api. The embedded
-// command and response keep their slice capacities; lengths and scalar
-// fields are reset.
+// newCall takes the exchange lock and returns the Lib's callState primed
+// for api; done releases the lock. The embedded command and response keep
+// their slice capacities; lengths and scalar fields are reset.
 func (l *Lib) newCall(api APIID) *callState {
-	cs := l.free.Get()
+	l.tr.Lock()
+	cs := &l.cs
 	cs.cmd = Command{API: api, Args: cs.cmd.Args[:0]}
 	cs.resp.Seq = 0
 	cs.resp.Result = 0
@@ -119,13 +116,13 @@ func (l *Lib) newCall(api APIID) *callState {
 	return cs
 }
 
-// done recycles a callState. References into caller memory (inline blob,
-// name) are dropped so the free list never pins a caller's buffer; the
-// state's own slices keep their capacity.
+// done ends a call: references into caller memory (inline blob, name) are
+// dropped so the Lib never pins a caller's buffer, and the exchange lock is
+// released. The state's own slices keep their capacity.
 func (l *Lib) done(cs *callState) {
 	cs.cmd.Name = ""
 	cs.cmd.Blob = nil
-	l.free.Put(cs)
+	l.tr.Unlock()
 }
 
 // Instrument declares lakeLib's series on reg. Must be called during
@@ -198,10 +195,12 @@ func (l *Lib) ResilienceStats() ResilienceStats {
 func (l *Lib) Healthy() bool { return !l.dead.Load() }
 
 // call performs one remoted invocation end to end: cs.cmd goes out, cs.resp
-// holds the decoded response on a nil return.
+// holds the decoded response on a nil return. The caller holds the
+// exchange lock (newCall).
 func (l *Lib) call(cs *callState) error {
 	cmd := &cs.cmd
-	cmd.Seq = l.shardTag | l.seq.Add(1)
+	l.seq++
+	cmd.Seq = l.shardTag | l.seq
 	// A trace ID is assigned only when the recorder will consume it;
 	// otherwise the command keeps TraceID 0, the untraced sentinel. Batcher
 	// flushes arrive with an externally assigned ID, which is preserved.
@@ -220,8 +219,6 @@ func (l *Lib) call(cs *callState) error {
 		return err
 	}
 	marshalTook := flightrec.WallSince(marshalWall)
-	l.callMu.Lock()
-	defer l.callMu.Unlock()
 	vstart := l.tr.Clock().Now()
 	l.rec.Emit(flightrec.DomainKernel, flightrec.EvCallStart,
 		cmd.TraceID, cmd.Seq, 0, uint64(cmd.API), uint64(len(frame)), marshalTook)
@@ -255,7 +252,7 @@ func failResult(err error) cuda.Result {
 // deterministic jitter charged to the virtual clock, and the recovery hook
 // when a full retry round fails, told when the call then completes. Every
 // error is wrapped with the command name and sequence for attribution. The
-// caller holds callMu.
+// caller holds the exchange lock.
 func (l *Lib) exchangeResilient(cs *callState) error {
 	cmd := &cs.cmd
 	if !l.Healthy() {
@@ -305,7 +302,7 @@ func (l *Lib) exchangeResilient(cs *callState) error {
 // in one Pump (retransmissions and channel duplicates dedup via the
 // journal), and demultiplexes responses: corrupt frames and stale sequences
 // are counted and discarded; only this call's sequence completes the
-// attempt.
+// attempt. The pump runs under the exchange lock the call holds.
 func (l *Lib) attemptOnce(cs *callState) error {
 	cmd := &cs.cmd
 	if err := l.tr.SendToUser(cs.frame); err != nil {
@@ -337,8 +334,8 @@ func (l *Lib) attemptOnce(cs *callState) error {
 
 // doCall runs cs through the call path and maps transport-level failures to
 // CUDA results the way the stubs surface them. On failure the response's
-// payload slices are emptied so stale values from a recycled state can
-// never leak into a caller.
+// payload slices are emptied so stale values from an earlier call can never
+// leak into a caller.
 func (l *Lib) doCall(cs *callState) cuda.Result {
 	if err := l.call(cs); err != nil {
 		cs.resp.Vals = cs.resp.Vals[:0]
@@ -540,7 +537,7 @@ func (l *Lib) NvmlGetUtilization() (gpuPct, memPct int, r cuda.Result) {
 // CallHighLevel invokes a custom high-level API registered in lakeD under
 // name (§4.4). args and blob are handler-defined; large inputs should be
 // staged in lakeShm and referenced by offset in args. The returned slices
-// are the caller's to keep (copied out of the pooled response).
+// are the caller's to keep (copied out of the reused response).
 func (l *Lib) CallHighLevel(name string, args []uint64, blob []byte) ([]uint64, []byte, cuda.Result) {
 	cs := l.newCall(APIHighLevel)
 	cs.cmd.Name = name

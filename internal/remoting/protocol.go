@@ -13,13 +13,13 @@
 // travels back the same way. The paper's implementation resembles "an RPC
 // system" (§6); so does this one, deliberately.
 //
-// Which lock guards what: Lib.callMu owns everything a remoted call touches
-// on the kernel side (the exchange, the retry policy and its jitter PRNG),
-// and Daemon.pumpMu owns everything one pump touches on the lakeD side (the
-// pump scratch and the exactly-once journal). State that only construction,
-// a fault or the supervisor writes is an atomic word: the lib's dead latch
-// and the daemon's crash latch, pending crash and restart generation.
-// Daemon.mu guards only the high-level handler table and the error log.
+// Which lock guards what: the boundary.Channel's Locker, one exchange lock
+// per lakeLib↔lakeD pair, held by a remoted call from newCall to done, owns
+// the call state, the retry PRNG, both rings and lakeD's pump scratch and
+// journal (ExportJournal and ImportJournal take it too). State that only
+// construction, a fault or the supervisor writes is an atomic word: the
+// lib's dead latch and the daemon's crash latch, pending crash and restart
+// generation. Daemon.mu guards only the handler table and the error log.
 //
 // One reader decodes every frame kind (command, response, batch, handoff)
 // and PeekFrame's header, and seal/openFrame are the only code that touches

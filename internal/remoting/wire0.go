@@ -128,9 +128,8 @@ func DecodeCommandInto(c *Command, names map[string]string, frame []byte) error 
 // DecodeResponseInto decodes a frame produced by AppendResponse into resp,
 // verifying the CRC trailer and exact framing like DecodeCommandInto.
 // resp's Vals and Blob capacities are reused; the blob bytes are COPIED out
-// of the frame (unlike DecodeCommandInto's alias) because lakeLib's stubs
-// read response payloads after the call lock is released, by which time a
-// borrowed ring view may be recycled.
+// of the frame (unlike DecodeCommandInto's alias), so a decoded response
+// never aliases a ring slot that the next receive recycles.
 func DecodeResponseInto(resp *Response, frame []byte) error {
 	body, err := openFrame(frame)
 	if err != nil {

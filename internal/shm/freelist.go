@@ -2,12 +2,12 @@ package shm
 
 import "sync"
 
-// FreeList recycles the scratch a hot path stages through — decoded slabs,
-// marshaled frames — so that path allocates nothing at steady state. Unlike
-// a sync.Pool it keeps what is put back across GC cycles, and it needs no
-// capacity: it only ever holds values that Get created, and Get creates one
-// only when none is free, so it never holds more than were out at once. The
-// zero value is an empty list; Get and Put are safe for concurrent use.
+// FreeList recycles the scratch a hot path stages through, decoded slabs,
+// so that path allocates nothing at steady state. Unlike a sync.Pool it
+// keeps what is put back across GC cycles, and it needs no capacity: it
+// only ever holds values that Get created, and Get creates one only when
+// none is free, so it never holds more than were out at once. The zero
+// value is an empty list; Get and Put are safe for concurrent use.
 type FreeList[T any] struct {
 	mu   sync.Mutex
 	free []*T

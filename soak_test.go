@@ -155,12 +155,16 @@ func TestSoakUnderFaults(t *testing.T) {
 	const iters = 300
 	// The crash driver ticks once per crashPace completed worker
 	// iterations: the worker completing one hands the tick over and waits
-	// until the driver has taken it, so every run has the same number of
+	// until the driver has acted on it, so every run has the same number of
 	// ticks, workers*iters/crashPace, however the scheduler treats the
-	// driver's goroutine.
+	// driver's goroutine, and a tick's crash is armed before that worker's
+	// next call. Waiting for the hand-over alone is not enough: the driver
+	// may then act on a tick only as the workers reach the next one, and
+	// arm again before lakeD has served a command, so the second arm
+	// overwrites the first.
 	const crashPace = 8
 	var completed atomic.Int64
-	tick := make(chan struct{})
+	tick, acted := make(chan struct{}), make(chan struct{})
 	var wg sync.WaitGroup
 	errs := make(chan string, workers)
 	for w := 0; w < workers; w++ {
@@ -215,6 +219,7 @@ func TestSoakUnderFaults(t *testing.T) {
 				}
 				if completed.Add(1)%crashPace == 0 {
 					tick <- struct{}{}
+					<-acted
 				}
 			}
 		}(w)
@@ -248,6 +253,7 @@ func TestSoakUnderFaults(t *testing.T) {
 				daemon.InjectCrash(i%2 == 0)
 				armed++
 			}
+			acted <- struct{}{}
 		}
 	}()
 

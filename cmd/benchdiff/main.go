@@ -16,8 +16,10 @@
 // Per metric the table gives each side's q1, median and q3, the change of
 // the medians, the pairs the child won (ties count for neither), whether the
 // medians are further apart than the parent's interquartile range, and
-// whether the child is worse than the bound. The child then runs against a
-// byte copy of itself, the A/A arm and noise floor. Last come both binaries'
+// whether the child is worse than the bound. The A/A arm, the child against
+// a byte copy of itself, is the noise floor: its pair i runs right after
+// the A/B arm's pair i, so both arms sample the same stretch of host time,
+// and its table follows the A/B one. Last come both binaries'
 // addresses mod 64 of the functions whose placement moves wall time, and a
 // JSON line of the child's medians per workload.
 //
@@ -154,31 +156,41 @@ func agree(sp *spec, p, c *outcome) error {
 	return nil
 }
 
-// runPairs runs the protocol for one workload and returns both sides' runs
-// in pair order.
-func runPairs(parent, child, workload string, sp *spec, out string) (p, c []*outcome, err error) {
-	bins := [2]string{parent, child}
+// arm compares runs of binary a (the parent side) with runs of b (the
+// child side); p and c collect them in pair order.
+type arm struct {
+	name, a, b string
+	p, c       []*outcome
+}
+
+// runPairs runs the protocol for one workload over every arm, pair by pair:
+// pair i of each arm runs, in arm order, before pair i+1 of any.
+func runPairs(arms []*arm, workload string, sp *spec, out string) error {
 	for i := 1; i <= pairs; i++ {
 		seed := int64(1)
 		if i > pairs-heldOut {
 			seed = seedHeld
 		}
-		var got [2]*outcome
-		for k := 0; k < 2; k++ {
-			side := k
-			if i%2 == 0 {
-				side = 1 - k
+		for _, a := range arms {
+			bins := [2]string{a.a, a.b}
+			var got [2]*outcome
+			for k := 0; k < 2; k++ {
+				side := k
+				if i%2 == 0 {
+					side = 1 - k
+				}
+				var err error
+				if got[side], err = runOnce(bins[side], workload, seed, sp, out); err != nil {
+					return fmt.Errorf("%s %w", a.name, err)
+				}
 			}
-			if got[side], err = runOnce(bins[side], workload, seed, sp, out); err != nil {
-				return nil, nil, err
+			if err := agree(sp, got[0], got[1]); err != nil {
+				return fmt.Errorf("%s %s pair %d (seed %d): %w", a.name, workload, i, seed, err)
 			}
+			a.p, a.c = append(a.p, got[0]), append(a.c, got[1])
 		}
-		if err := agree(sp, got[0], got[1]); err != nil {
-			return nil, nil, fmt.Errorf("%s pair %d (seed %d): %w", workload, i, seed, err)
-		}
-		p, c = append(p, got[0]), append(c, got[1])
 	}
-	return p, c, nil
+	return nil
 }
 
 // quartiles returns q1, the median and q3: the medians of the lower half,
@@ -297,15 +309,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	status := 0
 	medians := map[string]map[string]float64{}
 	for _, wl := range workloads {
-		for _, arm := range []struct{ name, a, b string }{{"A/B", parent, child}, {"A/A", child, twin}} {
-			p, c, err := runPairs(arm.a, arm.b, wl, sp, tmp)
-			if err != nil {
-				fmt.Fprintf(stderr, "benchdiff: %s %v\n", arm.name, err)
-				return 1
-			}
+		arms := []*arm{{name: "A/B", a: parent, b: child}, {name: "A/A", a: child, b: twin}}
+		if err := runPairs(arms, wl, sp, tmp); err != nil {
+			fmt.Fprintln(stderr, "benchdiff:", err)
+			return 1
+		}
+		for _, arm := range arms {
 			fmt.Fprintf(stdout, "== %s %s: %d pairs, odd pairs %s first, pairs %d-%d seed %d\n",
 				wl, arm.name, pairs, filepath.Base(arm.a), pairs-heldOut+1, pairs, seedHeld)
-			meds, worse := table(stdout, sp, p, c)
+			meds, worse := table(stdout, sp, arm.p, arm.c)
 			if arm.name == "A/B" {
 				medians[wl] = meds
 				if worse {

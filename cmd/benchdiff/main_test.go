@@ -96,7 +96,7 @@ func fakePair(t *testing.T, mode string) (parent, child, log string) {
 }
 
 func TestEqualRunsPassWithEveryMetricInTheTable(t *testing.T) {
-	parent, child, log := fakePair(t, "equal")
+	parent, child, _ := fakePair(t, "equal")
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{parent, child, "open_low"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d, want 0\n%s%s", code, stdout.String(), stderr.String())
@@ -125,29 +125,39 @@ func TestEqualRunsPassWithEveryMetricInTheTable(t *testing.T) {
 	if !strings.Contains(out, " 10/10 ") || !strings.Contains(out, "A/A") {
 		t.Errorf("table lacks the child's 10/10 wall win or the A/A arm:\n%s", out)
 	}
+}
 
-	// Odd pairs run the parent first, even pairs the child; pairs 8-10 run
-	// seed 2. The A/B arm's twenty runs come first in the log.
+// TestArmsInterleavePairByPair pins the run order: pair i of the A/B arm,
+// then pair i of the A/A arm, so the noise floor samples the same stretch
+// of host time as the runs it judges. Odd pairs run the first-named binary
+// first, even pairs the other; pairs 8-10 run seed 2.
+func TestArmsInterleavePairByPair(t *testing.T) {
+	parent, child, log := fakePair(t, "equal")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{parent, child, "open_low"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, want 0\n%s%s", code, stdout.String(), stderr.String())
+	}
 	data, err := os.ReadFile(log)
 	if err != nil {
 		t.Fatal(err)
 	}
 	runs := strings.Split(strings.TrimSpace(string(data)), "\n")
-	if len(runs) != 4*pairs {
-		t.Fatalf("%d runs logged, want %d (two arms of %d pairs)", len(runs), 4*pairs, pairs)
-	}
+	var want []string
 	for i := 1; i <= pairs; i++ {
-		first, second, seed := "parent", "child", 1
-		if i%2 == 0 {
-			first, second = second, first
-		}
+		seed := 1
 		if i > 7 {
 			seed = 2
 		}
-		want := fmt.Sprintf("%s open_low %d|%s open_low %d", first, seed, second, seed)
-		if got := runs[2*i-2] + "|" + runs[2*i-1]; got != want {
-			t.Errorf("pair %d ran %q, want %q", i, got, want)
+		for _, arm := range [][2]string{{"parent", "child"}, {"child", "aa-child"}} {
+			first, second := arm[0], arm[1]
+			if i%2 == 0 {
+				first, second = second, first
+			}
+			want = append(want, fmt.Sprintf("%s open_low %d", first, seed), fmt.Sprintf("%s open_low %d", second, seed))
 		}
+	}
+	if strings.Join(runs, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("run order:\n%s\nwant:\n%s", strings.Join(runs, "\n"), strings.Join(want, "\n"))
 	}
 }
 

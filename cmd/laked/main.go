@@ -157,9 +157,6 @@ func runFleetDemo(cfg lake.Config, shards int, policy lake.PoolPolicy, calls int
 	}
 	defer f.Close()
 	if telemetryAddr != "" {
-		if f.Telemetry() == nil {
-			log.Fatal("-telemetry-addr requires telemetry (do not set -no-telemetry)")
-		}
 		// Fleet health plane: per-shard /readyz, merged /slo.json, tailing of
 		// the shared shard-stamped recorder, and incident capture with the
 		// stall watchdog live (the fleet tracks per-shard outstanding work).
@@ -225,7 +222,6 @@ func main() {
 	n := flag.Int("n", 256, "vector length per round")
 	channel := flag.String("channel", "netlink", "command channel cost model: netlink, signal, devrw, mmap, ring")
 	telemetryAddr := flag.String("telemetry-addr", "", "serve /metrics, /metrics.json, /debug/pprof and the health plane (/spans.json, /healthz, ...) on this address (e.g. :9090)")
-	noTelemetry := flag.Bool("no-telemetry", false, "boot the runtime without the observability plane")
 	serve := flag.Bool("serve", false, "after the demo burst, keep serving the telemetry endpoints until interrupted")
 	devices := flag.Int("devices", 1, "number of modeled GPUs in the device pool")
 	poolPolicy := flag.String("pool-policy", "contention-aware", "context placement policy: round-robin, least-outstanding, contention-aware")
@@ -260,7 +256,6 @@ func main() {
 	default:
 		log.Fatalf("unknown channel %q", *channel)
 	}
-	cfg.DisableTelemetry = *noTelemetry
 	if *shards > 1 {
 		rp, err := lake.ParsePoolPolicy(*routerPolicy)
 		if err != nil {
@@ -276,12 +271,8 @@ func main() {
 	defer rt.Close()
 	var plane *lake.HealthPlane
 	if *telemetryAddr != "" {
-		tel := rt.Telemetry()
-		if tel == nil {
-			log.Fatal("-telemetry-addr requires telemetry (do not set -no-telemetry)")
-		}
 		plane = lake.NewHealthPlane(rt, lake.HealthPlaneConfig{})
-		serveTelemetry(*telemetryAddr, telemetryHandler(tel, plane))
+		serveTelemetry(*telemetryAddr, telemetryHandler(rt.Telemetry(), plane))
 	}
 	if *onlineTrain {
 		lcfg := lake.DefaultLifecycleConfig("linnos-NN")

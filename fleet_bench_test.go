@@ -35,7 +35,7 @@ func fleetBenchConfig(shards int) lake.FleetConfig {
 }
 
 func fleetBenchConfigOn(shards int, ch lake.ChannelKind) lake.FleetConfig {
-	rcfg := benchConfig(false)
+	rcfg := lake.DefaultConfig()
 	rcfg.Channel = ch
 	rcfg.NumShards = shards
 	rcfg.RouterPolicy = lake.PoolRoundRobin // deterministic balanced storm

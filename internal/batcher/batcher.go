@@ -300,8 +300,7 @@ type Batcher struct {
 	fallbackFlushes                 atomic.Int64
 	maxDelay                        atomic.Int64
 
-	// rejected is what Stats reports and what the registry exports; the
-	// gauge and histograms are nil with telemetry disabled.
+	// rejected is what Stats reports and what the registry exports.
 	rejected   telemetry.Counter
 	queueDepth *telemetry.Gauge     // items queued across all models
 	flushItems *telemetry.Histogram // items per formed batch

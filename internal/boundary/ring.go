@@ -154,7 +154,7 @@ type RingTransport struct {
 	closed bool
 
 	// sent / received / queueFull are what Stats reports and what the
-	// registry exports; roundTrip is nil with telemetry disabled.
+	// registry exports; roundTrip is nil outside a runtime.
 	sent, received, queueFull telemetry.Counter
 	roundTrip                 *telemetry.Histogram
 

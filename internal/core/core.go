@@ -73,15 +73,6 @@ type Config struct {
 	// also arms client resilience (a faulty channel without retries would
 	// just lose calls).
 	Faults *faults.Mix
-	// DisableTelemetry boots the runtime without the observability plane:
-	// Telemetry() returns nil and every instrument call across the stack
-	// is a no-op on a nil receiver. The zero value keeps telemetry on —
-	// its hot-path cost is a handful of atomic adds (see DESIGN.md). The
-	// flight recorder rides this switch: it is on whenever telemetry is on
-	// (its per-event cost is one locked copy into a ring slot), and with
-	// telemetry off every remoted command is untraced: its trace word on
-	// the wire is 0.
-	DisableTelemetry bool
 	// FlightRecorderSize is the per-domain ring capacity in events (default
 	// flightrec.DefaultRingSize = 4096).
 	FlightRecorderSize int
@@ -131,9 +122,9 @@ func New(cfg Config) (*Runtime, error) { return newRuntime(cfg, -1, nil) }
 // timelines overlap in real time, so virtual time is per-shard and the
 // fleet's elapsed time is the maximum over shards (the critical path). Its
 // events land in root through a flightrec.WithShard view stamped with ord
-// (root is nil with telemetry off), every metric name it registers carries
-// a shard="<ord>" pair so shard series stay distinct in a merged
-// exposition, and lakeLib's wire sequence numbers are namespaced by ord
+// (in a recorder of its own when root is nil), every metric name it
+// registers carries a shard="<ord>" pair so shard series stay distinct in a
+// merged exposition, and lakeLib's wire sequence numbers are namespaced by ord
 // (remoting.Lib.SetShardTag) so shard journals merge without key collisions
 // during migration.
 func NewShard(cfg Config, ord int, root *flightrec.Recorder) (*Runtime, error) {
@@ -194,46 +185,44 @@ func newRuntime(cfg Config, ord int, root *flightrec.Recorder) (*Runtime, error)
 		lib.SetShardTag(ord)
 		rt.shardLbl = fmt.Sprint(ord)
 	}
-	if !cfg.DisableTelemetry {
-		// Each layer declares its own series; the runtime only supplies
-		// the registry and the labeller. Done before any traffic, so the
-		// hot paths read their instruments unlocked.
-		rt.tel = telemetry.NewRegistry()
-		tr.Instrument(rt.tel, rt.metricName)
-		for i, dev := range pool.Devices() {
-			// With one device (and no shard label) the metric names stay
-			// exactly as they always were; a real pool labels each device's
-			// series by ordinal, and a fleet shard adds its shard pair on top.
-			dv := ""
-			if pool.Size() > 1 {
-				dv = fmt.Sprintf(`device="%d"`, i)
-			}
-			dev.Instrument(rt.tel, rt.Namer(dv))
+	// Each layer declares its own series; the runtime only supplies
+	// the registry and the labeller. Done before any traffic, so the
+	// hot paths read their instruments unlocked.
+	rt.tel = telemetry.NewRegistry()
+	tr.Instrument(rt.tel, rt.metricName)
+	for i, dev := range pool.Devices() {
+		// With one device (and no shard label) the metric names stay
+		// exactly as they always were; a real pool labels each device's
+		// series by ordinal, and a fleet shard adds its shard pair on top.
+		dv := ""
+		if pool.Size() > 1 {
+			dv = fmt.Sprintf(`device="%d"`, i)
 		}
-		lib.Instrument(rt.tel, rt.metricName)
-		daemon.Instrument(rt.tel, rt.metricName)
-		boot := time.Now()
-		rt.tel.Gauge(rt.metricName("lake_build_info",
-			`version="`+BuildVersion+`"`, `go_version="`+goruntime.Version()+`"`),
-			"Build metadata carried in labels; the value is always 1.").Set(1)
-		rt.tel.GaugeFunc(rt.metricName("lake_uptime_vns"),
-			"Virtual nanoseconds elapsed on this runtime's clock.",
-			func() int64 { return int64(clock.Now()) })
-		rt.tel.GaugeFunc(rt.metricName("lake_uptime_seconds"),
-			"Wall-clock seconds since the runtime booted.",
-			func() int64 { return int64(time.Since(boot) / time.Second) })
-		if root != nil {
-			rt.rec = root.WithShard(ord, clock)
-		} else {
-			rt.rec = flightrec.New(clock, cfg.FlightRecorderSize)
-		}
-		rt.rec.SetFramePeeker(remoting.PeekFrame)
-		rt.rec.SetEnabled(true)
-		tr.SetFlightRecorder(rt.rec)
-		lib.SetFlightRecorder(rt.rec)
-		daemon.SetFlightRecorder(rt.rec)
-		pool.SetFlightRecorder(rt.rec)
+		dev.Instrument(rt.tel, rt.Namer(dv))
 	}
+	lib.Instrument(rt.tel, rt.metricName)
+	daemon.Instrument(rt.tel, rt.metricName)
+	boot := time.Now()
+	rt.tel.Gauge(rt.metricName("lake_build_info",
+		`version="`+BuildVersion+`"`, `go_version="`+goruntime.Version()+`"`),
+		"Build metadata carried in labels; the value is always 1.").Set(1)
+	rt.tel.GaugeFunc(rt.metricName("lake_uptime_vns"),
+		"Virtual nanoseconds elapsed on this runtime's clock.",
+		func() int64 { return int64(clock.Now()) })
+	rt.tel.GaugeFunc(rt.metricName("lake_uptime_seconds"),
+		"Wall-clock seconds since the runtime booted.",
+		func() int64 { return int64(time.Since(boot) / time.Second) })
+	if root != nil {
+		rt.rec = root.WithShard(ord, clock)
+	} else {
+		rt.rec = flightrec.New(clock, cfg.FlightRecorderSize)
+	}
+	rt.rec.SetFramePeeker(remoting.PeekFrame)
+	rt.rec.SetEnabled(true)
+	tr.SetFlightRecorder(rt.rec)
+	lib.SetFlightRecorder(rt.rec)
+	daemon.SetFlightRecorder(rt.rec)
+	pool.SetFlightRecorder(rt.rec)
 	if cfg.Faults != nil {
 		rt.plane = faults.NewPlane(*cfg.Faults, clock)
 		tr.InjectFaults(rt.plane)
@@ -283,21 +272,19 @@ func (r *Runtime) Namer(pairs ...string) telemetry.Namer {
 // ItemLatency returns the per-item execution latency series of the GPU and
 // CPU routes, shared by every layer that runs inference on this runtime
 // (batcher flushes, offload runs) and read by the health plane's
-// gpu_item/cpu_item stages. Both are nil without telemetry.
+// gpu_item/cpu_item stages.
 func (r *Runtime) ItemLatency() (gpu, cpu *telemetry.Histogram) {
 	gpu = r.tel.Histogram(r.metricName(telemetry.MetricGPUItemLatency), "Observed per-item GPU-path latency (virtual ns).", telemetry.DefaultLatencyBuckets())
 	cpu = r.tel.Histogram(r.metricName(telemetry.MetricCPUItemLatency), "Observed per-item CPU-path latency (virtual ns).", telemetry.DefaultLatencyBuckets())
 	return gpu, cpu
 }
 
-// Telemetry returns the runtime's metrics registry, or nil when the
-// runtime was booted with Config.DisableTelemetry (nil is safe: every
-// instrument it would hand out degrades to a no-op).
+// Telemetry returns the runtime's metrics registry. Every runtime has one;
+// components built outside a runtime hold nil instruments, which are no-ops.
 func (r *Runtime) Telemetry() *telemetry.Registry { return r.tel }
 
-// FlightRecorder returns the always-on flight recorder, or nil when the
-// runtime was booted with DisableTelemetry (nil is safe: every recorder
-// method degrades to a no-op).
+// FlightRecorder returns the runtime's flight recorder, always on.
+// Components built outside a runtime hold a nil recorder, a no-op.
 func (r *Runtime) FlightRecorder() *flightrec.Recorder { return r.rec }
 
 // Clock returns the runtime's virtual clock.

@@ -76,7 +76,7 @@ type Supervisor struct {
 	failures int
 
 	// restarts and transitionsTotal are what the registry exports.
-	// stateGauge is nil with telemetry disabled.
+	// stateGauge is nil outside a runtime (a bare NewSupervisor).
 	restarts, transitionsTotal telemetry.Counter
 	stateGauge                 *telemetry.Gauge
 

@@ -132,8 +132,7 @@ type Fleet struct {
 	totalWeight atomic.Int64
 
 	// The router counters are what Stats reports and what the fleet-level
-	// registry tel exports; tel and the gauges are nil with telemetry
-	// disabled.
+	// registry tel exports.
 	tel                                       *telemetry.Registry
 	placements, reroutes, migrations, rejects telemetry.Counter
 	gpuUtil, memUtil                          *telemetry.Gauge
@@ -152,12 +151,10 @@ func New(cfg Config) (*Fleet, error) {
 		placer:  gpupool.NewPlacer(cfg.Runtime.RouterPolicy, n, cfg.Runtime.RouterSeed),
 		tenants: make(map[string]*Tenant),
 	}
-	if !cfg.Runtime.DisableTelemetry {
-		// The root's own clock only stamps events emitted outside any
-		// shard; shard views carry their shard's clock.
-		f.rec = flightrec.New(vtime.New(), cfg.Runtime.FlightRecorderSize)
-		f.tel = telemetry.NewRegistry()
-	}
+	// The root's own clock only stamps events emitted outside any shard;
+	// shard views carry their shard's clock.
+	f.rec = flightrec.New(vtime.New(), cfg.Runtime.FlightRecorderSize)
+	f.tel = telemetry.NewRegistry()
 	f.tel.AttachCounter("lake_router_placements_total", "Tenant placements decided by the fleet router.", &f.placements)
 	f.tel.AttachCounter("lake_router_reroutes_total", "Placements that moved a tenant off a draining or dead shard.", &f.reroutes)
 	f.tel.AttachCounter("lake_router_migrations_total", "Completed shard journal migrations (drains and kills).", &f.migrations)
@@ -197,7 +194,7 @@ func (f *Fleet) VirtualElapsed() time.Duration {
 	return max
 }
 
-// Recorder returns the fleet's root flight recorder (nil when disabled).
+// Recorder returns the fleet's root flight recorder.
 // Shard runtimes hold per-shard views of it; events from every shard land
 // in this recorder's rings with shard ordinals stamped on.
 func (f *Fleet) Recorder() *flightrec.Recorder { return f.rec }
@@ -205,9 +202,9 @@ func (f *Fleet) Recorder() *flightrec.Recorder { return f.rec }
 // Policy returns the router's placement policy.
 func (f *Fleet) Policy() gpupool.Policy { return f.policy }
 
-// Telemetry returns the fleet-level (router) registry, nil when telemetry
-// is disabled. Per-shard instruments live on each shard runtime's own
-// registry; see PrometheusText and Snapshot for the merged view.
+// Telemetry returns the fleet-level (router) registry. Per-shard
+// instruments live on each shard runtime's own registry; see
+// PrometheusText and Snapshot for the merged view.
 func (f *Fleet) Telemetry() *telemetry.Registry { return f.tel }
 
 // RegisterModel installs a model on every shard's batcher: a tenant can be

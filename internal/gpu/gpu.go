@@ -117,9 +117,9 @@ type Device struct {
 	// the span-retire horizon tracks it so long-window queries stay accurate.
 	maxWindow time.Duration
 
-	copies atomic.Int64 // host<->device transfers (copyTime's count, kept with telemetry off)
+	copies atomic.Int64 // host<->device transfers (copyTime's count, kept outside a runtime too)
 	// launches and copyBytes are what Launches/Copies report and what the
-	// registry exports; the histograms are nil with telemetry disabled.
+	// registry exports; the histograms are nil outside a runtime.
 	launches, copyBytes telemetry.Counter
 	execTime            *telemetry.Histogram // modeled cost, excluding queueing
 	queueDelay          *telemetry.Histogram // wait for the device to go idle

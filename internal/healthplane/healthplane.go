@@ -158,9 +158,7 @@ func Attach(rt *core.Runtime, cfg Config) *Plane {
 	p := newPlane(cfg)
 	p.now = rt.Clock().Now
 	p.rec = rt.FlightRecorder()
-	if tel := rt.Telemetry(); tel != nil {
-		p.snapFn = tel.Snapshot
-	}
+	p.snapFn = rt.Telemetry().Snapshot
 	p.shardProbe = func() []ShardHealth {
 		sh := ShardHealth{State: "Healthy", Ready: true, Handled: rt.Daemon().Handled()}
 		if sup := rt.Supervisor(); sup != nil {

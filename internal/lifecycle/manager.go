@@ -149,7 +149,7 @@ type Manager struct {
 	evSeq       atomic.Uint64
 
 	// The counters are what Stats reports and what the registry exports;
-	// the gauges are nil with telemetry disabled.
+	// the gauges are nil outside a runtime (a bare NewManager).
 	registrations, swaps, demotions telemetry.Counter
 	retrainSteps, retrainSamples    telemetry.Counter
 	driftAlarms, fallbackEnters     telemetry.Counter

@@ -439,9 +439,7 @@ func (e *engine) collect() *Result {
 	}
 	st := e.fleet.Stats()
 	r.Placements, r.Reroutes, r.Rejects = st.Placements, st.Reroutes, st.Rejects
-	if rec := e.fleet.Recorder(); rec != nil {
-		r.Stages = flightrec.MeasureStages(flightrec.Stitch(rec.Snapshot("lakeload")).Timelines)
-	}
+	r.Stages = flightrec.MeasureStages(flightrec.Stitch(e.fleet.Recorder().Snapshot("lakeload")).Timelines)
 	if e.obs != nil {
 		e.obs.Done(r)
 	}

@@ -85,7 +85,7 @@ type Runner struct {
 	stageMu sync.Mutex
 
 	// gpuLat / cpuLat are the runtime's shared per-item latency series
-	// (core.Runtime.ItemLatency); nil without telemetry.
+	// (core.Runtime.ItemLatency).
 	gpuLat, cpuLat *telemetry.Histogram
 }
 

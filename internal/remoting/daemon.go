@@ -46,9 +46,11 @@ type Daemon struct {
 
 	// crashed is set by a crash and cleared by Restart. pendingCrash is a
 	// test/supervisor-injected faults.CrashPoint for the next executed
-	// command, consumed by crashPoint; the fault plane, set once during
-	// construction, injects probabilistic ones. generation is the restart
-	// epoch, which is also the restart count.
+	// command; crashPoint consumes it by leaving crashDown in its place
+	// until Restart, so an arm is never made on a process that is down
+	// from one and then silently cleared by its restart. The fault plane,
+	// set once during construction, injects probabilistic crashes.
+	// generation is the restart epoch, which is also the restart count.
 	crashed      atomic.Bool
 	pendingCrash atomic.Int32
 	fault        *faults.Plane
@@ -56,7 +58,7 @@ type Daemon struct {
 
 	// The counters are what Handled/Executed/Redelivered report and what
 	// the registry exports; the gauges hold the last NVML utilization
-	// sample served (%) and are nil with telemetry disabled.
+	// sample served (%) and are nil outside a runtime.
 	handled       telemetry.Counter // responses that reached the channel
 	executed      telemetry.Counter // commands whose handler actually ran
 	redelivered   telemetry.Counter // commands answered from the journal
@@ -134,13 +136,15 @@ func (d *Daemon) InjectFaults(p *faults.Plane) {
 // InjectCrash schedules a deterministic crash on the next served command:
 // before its execution (the command is lost) or after (the response is
 // lost, proving redelivery dedup). Tests and the chaos harness use it for
-// targeted crash placement.
-func (d *Daemon) InjectCrash(afterExec bool) {
+// targeted crash placement. It reports whether it armed: an armed crash
+// is never overwritten, and none is armed while lakeD is down from one
+// until Restart.
+func (d *Daemon) InjectCrash(afterExec bool) bool {
 	at := faults.CrashBeforeExec
 	if afterExec {
 		at = faults.CrashAfterExec
 	}
-	d.pendingCrash.Store(int32(at))
+	return d.pendingCrash.CompareAndSwap(int32(faults.CrashNone), int32(at))
 }
 
 // Crashed reports whether the daemon process is down. A crashed daemon
@@ -302,13 +306,14 @@ func (d *Daemon) serve(frame []byte) bool {
 	return true
 }
 
-// crashPoint consumes any pending injected crash, paying for the Swap only
+// crashDown holds pendingCrash between an injected crash and Restart.
+const crashDown = -1
+
+// crashPoint consumes any pending injected crash, paying for the CAS only
 // when one is armed, else asks the fault plane.
 func (d *Daemon) crashPoint() faults.CrashPoint {
-	if d.pendingCrash.Load() != int32(faults.CrashNone) {
-		if p := faults.CrashPoint(d.pendingCrash.Swap(int32(faults.CrashNone))); p != faults.CrashNone {
-			return p
-		}
+	if p := d.pendingCrash.Load(); p > int32(faults.CrashNone) && d.pendingCrash.CompareAndSwap(p, crashDown) {
+		return faults.CrashPoint(p)
 	}
 	return d.fault.CrashNow()
 }

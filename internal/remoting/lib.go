@@ -55,7 +55,7 @@ type Lib struct {
 
 	// calls and the ResilienceStats counters are what Stats and
 	// ResilienceStats report and what the registry exports; callLatency is
-	// nil with telemetry disabled. remotedTime is cumulative modeled
+	// nil outside a runtime. remotedTime is cumulative modeled
 	// channel time in virtual ns.
 	calls                            telemetry.Counter
 	retries, recoveries              telemetry.Counter

@@ -11,15 +11,15 @@
 // harnesses: subsystems hold their instruments directly (no map lookup on
 // the hot path), every mutation is a handful of atomic operations with no
 // allocation, and the whole registry can be exposed as Prometheus text or a
-// JSON snapshot (core.Runtime.Telemetry, laked -telemetry-addr,
-// lakebench -metrics).
+// JSON snapshot (core.Runtime.Telemetry, laked -telemetry-addr).
 //
 // Each fact is counted once. A component owns its counters as Counter
 // values — the same field its Stats-style accessor reads — and the registry
-// only exports them (AttachCounter), so they count whether telemetry is on
-// or off. Gauges and histograms are registry-owned and nil-safe: methods on
-// a nil *Gauge or *Histogram are no-ops, so a runtime built with telemetry
-// disabled pays only an untaken nil-check branch per site.
+// only exports them (AttachCounter), so they count whether or not a
+// registry is attached. Gauges and histograms are registry-owned and
+// nil-safe: methods on a nil *Gauge or *Histogram are no-ops, so a
+// component built outside a runtime pays only an untaken nil-check branch
+// per site.
 //
 // Clock semantics: latency observations are virtual time (internal/vtime) —
 // deterministic simulated nanoseconds.
@@ -110,7 +110,7 @@ func (g *Gauge) Value() int64 {
 // get-or-create by full name (which may carry Prometheus-style labels,
 // e.g. `lake_boundary_sent_total{channel="Netlink"}`). A nil *Registry
 // hands out nil instruments and attaches nothing, so callers declare their
-// series unconditionally and pay nothing when telemetry is disabled.
+// series unconditionally and pay nothing when built outside a runtime.
 type Registry struct {
 	mu      sync.Mutex
 	order   []string // registration order, for stable exposition

@@ -113,8 +113,7 @@ func ParsePoolPolicy(s string) (PoolPolicy, error) { return gpupool.ParsePolicy(
 
 // TelemetrySnapshot is a point-in-time JSON-friendly dump of the
 // observability plane (internal/telemetry): every runtime carries a metrics
-// registry (disable with Config.DisableTelemetry) exposed through
-// Runtime.Telemetry().
+// registry, always on, exposed through Runtime.Telemetry().
 type TelemetrySnapshot = telemetry.Snapshot
 
 // DefaultBatcherConfig returns the batching defaults (32-item target

@@ -28,7 +28,7 @@ import (
 // poolBenchConfig boots a contention-aware pool of n devices with a fixed
 // placement seed so runs are reproducible.
 func poolBenchConfig(devices int) core.Config {
-	cfg := benchConfig(false)
+	cfg := core.DefaultConfig()
 	cfg.NumDevices = devices
 	cfg.PoolPolicy = gpupool.ContentionAware
 	cfg.PoolSeed = 42

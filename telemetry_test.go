@@ -1,12 +1,13 @@
 // Acceptance tests for the observability plane: a remoted call on a default
 // runtime must produce a complete stage timeline on /spans.json, the
-// batcher's coalescing must appear on the flush call's span, and keeping
-// telemetry enabled (its default) must cost the batched-inference workload
-// exactly its pinned events and observations per request and per flush.
+// batcher's coalescing must appear on the flush call's span, and telemetry,
+// always on, must cost the batched-inference workload exactly its pinned
+// events and observations per request and per flush.
 package lake_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -14,8 +15,10 @@ import (
 
 	lake "lakego"
 	"lakego/internal/batcher"
+	"lakego/internal/flightrec"
 	"lakego/internal/linnos"
 	"lakego/internal/nn"
+	"lakego/internal/telemetry"
 )
 
 // servedSpans fetches /spans.json from the runtime's health plane — the
@@ -166,8 +169,7 @@ func TestBatchedCoalesceTrace(t *testing.T) {
 // flush exactly telemetryPerFlush. Which requests share a flush depends on
 // goroutine scheduling, so the flush count varies run to run; the budget per
 // request and per flush does not, under -race or not. An extra event or
-// observation anywhere on the request or flush path fails it. A disabled
-// runtime records nothing.
+// observation anywhere on the request or flush path fails it.
 func TestTelemetryOverhead(t *testing.T) {
 	const clients = 32
 	type budget struct{ events, observations int64 }
@@ -181,7 +183,7 @@ func TestTelemetryOverhead(t *testing.T) {
 		// copies' transfer times.
 		telemetryPerFlush = budget{events: 8, observations: 8}
 	)
-	run := runBatchedLinnOSCfg(t, clients, batchBenchPerClient, benchConfig(false))
+	run := runBatchedLinnOS(t, clients, batchBenchPerClient)
 	requests := int64(clients * batchBenchPerClient)
 	want := budget{
 		events:       telemetryPerRequest.events*requests + telemetryPerFlush.events*run.flushes,
@@ -195,16 +197,13 @@ func TestTelemetryOverhead(t *testing.T) {
 	}
 	t.Logf("%d requests, %d flushes: %.3f events and %.3f observations a request",
 		requests, run.flushes, float64(run.events)/float64(requests), float64(run.observations)/float64(requests))
-	if off := runBatchedLinnOSCfg(t, clients, batchBenchPerClient, benchConfig(true)); off.events != 0 || off.observations != 0 {
-		t.Fatalf("telemetry disabled, the workload still cost %d events and %d observations", off.events, off.observations)
-	}
 }
 
 // TestRuntimeMetricsPopulated sanity-checks the registry end to end on a
 // real workload: the per-layer counters that must move, move, and both
 // export formats carry them.
 func TestRuntimeMetricsPopulated(t *testing.T) {
-	rt, err := lake.New(benchConfig(false))
+	rt, err := lake.New(lake.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,25 +240,35 @@ func TestRuntimeMetricsPopulated(t *testing.T) {
 	}
 }
 
-// TestTelemetryDisabledIsNil pins the disabled contract: Telemetry()
-// returns nil and the nil registry degrades safely everywhere a caller
-// might poke it.
-func TestTelemetryDisabledIsNil(t *testing.T) {
-	rt, err := lake.New(benchConfig(true))
+// TestEveryRuntimeIsObserved pins that observation has no off mode: a
+// runtime, each shard of a fleet and the fleet root all carry a metrics
+// registry and an enabled flight recorder from boot.
+func TestEveryRuntimeIsObserved(t *testing.T) {
+	observed := func(name string, tel *telemetry.Registry, rec *flightrec.Recorder) {
+		t.Helper()
+		if tel == nil {
+			t.Errorf("%s: no metrics registry", name)
+		}
+		if !rec.Enabled() {
+			t.Errorf("%s: flight recorder missing or disabled", name)
+		}
+	}
+	rt, err := lake.New(lake.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	tel := rt.Telemetry()
-	if tel != nil {
-		t.Fatalf("Telemetry() = %v on a DisableTelemetry runtime, want nil", tel)
+	observed("lake.New", rt.Telemetry(), rt.FlightRecorder())
+
+	cfg := lake.DefaultConfig()
+	cfg.NumShards = 2
+	f, err := lake.NewFleet(lake.FleetConfig{Runtime: cfg, Batcher: lake.DefaultBatcherConfig()})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Exercising the runtime with a nil registry must not panic anywhere.
-	lib := rt.Lib()
-	if _, r := lib.CuCtxCreate("no-telemetry"); r != lake.Success {
-		t.Fatalf("cuCtxCreate: %s", r)
-	}
-	if tel.Counter("x", "").Value() != 0 {
-		t.Fatal("nil registry counter should read 0")
+	defer f.Close()
+	observed("fleet root", f.Telemetry(), f.Recorder())
+	for _, sh := range f.Shards() {
+		observed(fmt.Sprintf("shard %d", sh.Ordinal()), sh.Runtime().Telemetry(), sh.Runtime().FlightRecorder())
 	}
 }

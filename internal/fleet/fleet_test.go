@@ -513,108 +513,111 @@ func TestFleetVirtualElapsed(t *testing.T) {
 // one counter, owned by its component, which the registry only exports. The
 // scenario drives a router reject, a batcher reject, a drain (migration +
 // reroute), channel faults (retries, redeliveries) and lifecycle feedback
-// drops.
+// drops. Telemetry is always on, so the one run keeps the name of the
+// telemetry-on case.
 func TestFleetStatsIndependentOfTelemetry(t *testing.T) {
-	f, net := newFleet(t, 2, gpupool.RoundRobin, func(cfg *fleet.Config) {
-		cfg.Runtime.ShmBytes = 16 << 20
-		cfg.Runtime.Faults = &faults.Mix{Drop: 0.05, Corrupt: 0.05, Duplicate: 0.05, Seed: 9}
-		cfg.Batcher.ClientDepth = 2
-	})
-	f.Tenant("capped", fleet.TenantConfig{MaxOutstanding: 2})
-	capped, free := f.Client("capped"), f.Client("free")
-	for i := 0; i < 40; i++ {
-		inferOne(t, capped, net, i)
-		inferOne(t, free, net, 100+i)
-	}
-	// Third in-flight submit: the capped tenant is refused by the router,
-	// the free one by its shard batcher's client depth.
-	for _, c := range []*fleet.Client{capped, free} {
-		var pend []*fleet.Pending
-		for i := 0; i < 3; i++ {
-			p, err := c.Submit("fleetnet", [][]float32{feature(i)})
-			if i == 2 {
-				if !errors.Is(err, batcher.ErrBackpressure) {
-					t.Fatalf("third in-flight submit err=%v, want ErrBackpressure", err)
+	t.Run("DisableTelemetry=false", func(t *testing.T) {
+		f, net := newFleet(t, 2, gpupool.RoundRobin, func(cfg *fleet.Config) {
+			cfg.Runtime.ShmBytes = 16 << 20
+			cfg.Runtime.Faults = &faults.Mix{Drop: 0.05, Corrupt: 0.05, Duplicate: 0.05, Seed: 9}
+			cfg.Batcher.ClientDepth = 2
+		})
+		f.Tenant("capped", fleet.TenantConfig{MaxOutstanding: 2})
+		capped, free := f.Client("capped"), f.Client("free")
+		for i := 0; i < 40; i++ {
+			inferOne(t, capped, net, i)
+			inferOne(t, free, net, 100+i)
+		}
+		// Third in-flight submit: the capped tenant is refused by the router,
+		// the free one by its shard batcher's client depth.
+		for _, c := range []*fleet.Client{capped, free} {
+			var pend []*fleet.Pending
+			for i := 0; i < 3; i++ {
+				p, err := c.Submit("fleetnet", [][]float32{feature(i)})
+				if i == 2 {
+					if !errors.Is(err, batcher.ErrBackpressure) {
+						t.Fatalf("third in-flight submit err=%v, want ErrBackpressure", err)
+					}
+					continue
 				}
-				continue
+				if err != nil {
+					t.Fatal(err)
+				}
+				pend = append(pend, p)
 			}
-			if err != nil {
-				t.Fatal(err)
+			for _, p := range pend {
+				if _, err := p.Wait(); err != nil {
+					t.Fatal(err)
+				}
 			}
-			pend = append(pend, p)
 		}
-		for _, p := range pend {
-			if _, err := p.Wait(); err != nil {
-				t.Fatal(err)
-			}
+		if _, err := f.Drain(0); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, err := f.Drain(0); err != nil {
-		t.Fatal(err)
-	}
-	inferOne(t, capped, net, 7)
+		inferOne(t, capped, net, 7)
 
-	lcfg := lifecycle.DefaultConfig("fleetnet")
-	lcfg.Minibatch = 4
-	m, err := lifecycle.New(f.Shard(1).Runtime(), lcfg, net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Twelve offers past the 4096-outcome feedback buffer are dropped.
-	for i := 0; i < 4096+12; i++ {
-		m.Observe(lifecycle.Outcome{X: feature(i), Predicted: 0, Label: i % 2})
-	}
-	m.Pump()
+		lcfg := lifecycle.DefaultConfig("fleetnet")
+		lcfg.Minibatch = 4
+		m, err := lifecycle.New(f.Shard(1).Runtime(), lcfg, net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Twelve offers past the 4096-outcome feedback buffer are dropped.
+		for i := 0; i < 4096+12; i++ {
+			m.Observe(lifecycle.Outcome{X: feature(i), Predicted: 0, Label: i % 2})
+		}
+		m.Pump()
 
-	st := f.Stats()
-	if st.Placements != 3 || st.Reroutes != 1 || st.Migrations != 1 || st.Rejects != 1 {
-		t.Errorf("router counters placements=%d reroutes=%d migrations=%d rejects=%d, want 3/1/1/1",
-			st.Placements, st.Reroutes, st.Migrations, st.Rejects)
-	}
-	var rejected, retries int64
-	for _, s := range f.Shards() {
-		rejected += s.Batcher().Stats().Rejected
-		retries += s.Runtime().Lib().ResilienceStats().Retries
-	}
-	if rejected != 1 {
-		t.Errorf("batcher rejects %d, want one", rejected)
-	}
-	if retries == 0 {
-		t.Error("fault mix produced no retries: the scenario does not exercise ResilienceStats")
-	}
-	dropped := m.Stats().Dropped
-	if dropped != 12 {
-		t.Errorf("lifecycle dropped %d outcomes, want 12", dropped)
-	}
+		st := f.Stats()
+		if st.Placements != 3 || st.Reroutes != 1 || st.Migrations != 1 || st.Rejects != 1 {
+			t.Errorf("router counters placements=%d reroutes=%d migrations=%d rejects=%d, want 3/1/1/1",
+				st.Placements, st.Reroutes, st.Migrations, st.Rejects)
+		}
+		var rejected, retries int64
+		for _, s := range f.Shards() {
+			rejected += s.Batcher().Stats().Rejected
+			retries += s.Runtime().Lib().ResilienceStats().Retries
+		}
+		if rejected != 1 {
+			t.Errorf("batcher rejects %d, want one", rejected)
+		}
+		if retries == 0 {
+			t.Error("fault mix produced no retries: the scenario does not exercise ResilienceStats")
+		}
+		dropped := m.Stats().Dropped
+		if dropped != 12 {
+			t.Errorf("lifecycle dropped %d outcomes, want 12", dropped)
+		}
 
-	// The exposition reads the same counters: a family's series, summed
-	// over shard and model labels, equal what the accessors report.
-	counters := f.Snapshot().Counters
-	family := func(name string) int64 {
-		var sum int64
-		for series, v := range counters {
-			if series == name || strings.HasPrefix(series, name+"{") {
-				sum += v
+		// The exposition reads the same counters: a family's series, summed
+		// over shard and model labels, equal what the accessors report.
+		counters := f.Snapshot().Counters
+		family := func(name string) int64 {
+			var sum int64
+			for series, v := range counters {
+				if series == name || strings.HasPrefix(series, name+"{") {
+					sum += v
+				}
+			}
+			return sum
+		}
+		for _, c := range []struct {
+			family string
+			want   int64
+		}{
+			{"lake_router_placements_total", st.Placements},
+			{"lake_router_reroutes_total", st.Reroutes},
+			{"lake_router_migrations_total", st.Migrations},
+			{"lake_router_admission_rejects_total", st.Rejects},
+			{"lake_batcher_rejects_total", rejected},
+			{"lake_lib_retries_total", retries},
+			{"lake_model_feedback_dropped_total", int64(dropped)},
+		} {
+			if got := family(c.family); got != c.want {
+				t.Errorf("%s exports %d, accessors report %d", c.family, got, c.want)
 			}
 		}
-		return sum
-	}
-	for _, c := range []struct {
-		family string
-		want   int64
-	}{
-		{"lake_router_placements_total", st.Placements},
-		{"lake_router_reroutes_total", st.Reroutes},
-		{"lake_router_migrations_total", st.Migrations},
-		{"lake_router_admission_rejects_total", st.Rejects},
-		{"lake_batcher_rejects_total", rejected},
-		{"lake_lib_retries_total", retries},
-		{"lake_model_feedback_dropped_total", int64(dropped)},
-	} {
-		if got := family(c.family); got != c.want {
-			t.Errorf("%s exports %d, accessors report %d", c.family, got, c.want)
-		}
-	}
+	})
 }
 
 // TestFleetAdmissionCapsHoldUnderConcurrency hammers one tenant from many

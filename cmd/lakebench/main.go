@@ -9,7 +9,7 @@
 //
 // Output is printed as the same rows/series the paper reports; see
 // EXPERIMENTS.md for paper-vs-measured commentary. The observability
-// plane's demo is laked: `laked -telemetry-addr 127.0.0.1:9623 -serve`.
+// plane's demo is laked: `laked -telemetry-addr 127.0.0.1:9623`.
 package main
 
 import (

@@ -3,42 +3,45 @@
 // serves a burst of remoted commands issued by a simulated kernel-space
 // client, and prints the daemon-side statistics — the single-machine
 // analogue of running the artifact's user-space daemon next to the kernel
-// module.
+// module. -channel picks the command channel's cost row (netlink, signal,
+// devrw, mmap or ring); the burst runs on the virtual clock, so the printed
+// statistics repeat byte for byte.
 //
 // With -telemetry-addr the daemon also serves its observability plane over
-// HTTP: /metrics (Prometheus text), /metrics.json (structured snapshot),
-// /debug/pprof, and the live health plane — /healthz, /readyz, /statusz,
-// /slo.json (rolling burn-rate/percentile state), /incidents.json
-// (anomaly-triggered black-box bundles), /flightrec.tail?cursor= (live
-// non-destructive event tailing), /flightrec.json (on-demand
-// flight-recorder snapshot — feed it to cmd/laketrace; ?last=1 returns the
-// retained automatic dump), /spans.json
-// (per-call stage timelines stitched from the same recorder, always on)
-// and /models.json. With -serve it stays up after the demo burst so the
-// endpoints can be scraped.
+// HTTP and stays up after the burst until interrupted: /metrics (Prometheus
+// text), /metrics.json (structured snapshot), /debug/pprof, and the live
+// health plane — /healthz, /readyz, /statusz, /slo.json (rolling
+// burn-rate/percentile state), /incidents.json (anomaly-triggered black-box
+// bundles), /flightrec.tail?cursor= (live non-destructive event tailing),
+// /flightrec.json (on-demand flight-recorder snapshot — feed it to
+// cmd/laketrace; ?last=1 returns the retained automatic dump), /spans.json
+// (per-call stage timelines stitched from the same recorder, always on) and
+// /models.json.
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"log"
+	"net"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
-	"time"
 
 	lake "lakego"
 	"lakego/internal/boundary"
 	"lakego/internal/cuda"
-	"lakego/internal/linnos"
-	"lakego/internal/nn"
 	"lakego/internal/shm"
-	"lakego/internal/trace"
+)
+
+// The burst: calls vector-add rounds of n float32s each.
+const (
+	calls = 1000
+	n     = 256
 )
 
 // metricsSource is what /metrics and /metrics.json render: a runtime's
@@ -74,224 +77,79 @@ func telemetryHandler(src metricsSource, plane *lake.HealthPlane) http.Handler {
 	return mux
 }
 
-// serveTelemetry serves h on addr in the background.
-func serveTelemetry(addr string, h http.Handler) {
-	go func() {
-		if err := http.ListenAndServe(addr, h); err != nil {
-			log.Fatalf("telemetry endpoint: %v", err)
-		}
-	}()
-	log.Printf("telemetry on http://%s/metrics (.json, /debug/pprof) + health plane (%s)",
-		addr, strings.Join(lake.HealthPlanePaths, " "))
-}
-
-// runLifecycleDemo is the -online-train path: boot the LinnOS latency
-// classifier on an untrained base model, stream labeled I/O outcomes from
-// a profiled trace through the lifecycle feedback channel, and let the
-// in-daemon trainer retrain, shadow-score and hot-swap versions while the
-// predictor keeps serving. Prints the registry at the end; with
-// -telemetry-addr plane watches the manager, so the registry is also live
-// on /models.json.
-func runLifecycleDemo(rt *lake.Runtime, plane *lake.HealthPlane, cfg lake.ModelLifecycleConfig, samples int) {
-	base := nn.New(3, linnos.Base.Sizes()...)
-	pred, err := linnos.NewPredictor(rt, linnos.Base, base)
-	if err != nil {
-		log.Fatal(err)
-	}
-	mgr, err := lake.NewLifecycle(rt, cfg, base)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if plane != nil {
-		plane.Watch(mgr)
-	}
-	if err := mgr.Attach(pred.SwapNet); err != nil {
-		log.Fatal(err)
-	}
-
-	reqs := trace.Profiles()[0].Rerate(3).Generate(42, samples)
-	labeled, threshold := linnos.CollectSamples(1, reqs)
-	for _, s := range labeled {
-		slow, _ := pred.InferCPU([][]float32{s.X})
-		o := lake.ModelOutcome{X: s.X, Predicted: b2i(slow[0]), Label: b2i(s.Slow)}
-		mgr.Observe(o)
-		mgr.Pump() // in-process demo: service the trainer inline
-	}
-
-	st := mgr.Stats()
-	fmt.Println("online model lifecycle (linnos, trace-fed):")
-	fmt.Printf("  slow threshold       %v\n", threshold)
-	fmt.Printf("  feedback samples     %d (dropped %d)\n", st.SamplesSeen, st.Dropped)
-	fmt.Printf("  retrain steps        %d\n", st.RetrainSteps)
-	fmt.Printf("  versions registered  %d, serving seq %d (hash %016x)\n", st.Versions, st.ServingSeq, st.ServingHash)
-	fmt.Printf("  swaps %d, demotions %d, drift alarms %d, fallback %v\n", st.Swaps, st.Demotions, st.DriftAlarms, st.Fallback)
-	fmt.Printf("  drift baseline %.3f (current partial window %.3f)\n", st.Baseline, st.LiveAccuracy)
-	for _, v := range mgr.Registry().Versions() {
-		mark := " "
-		if v == mgr.Serving() {
-			mark = "*"
-		}
-		fmt.Printf("  %s v%d %016x %-15s samples=%d parent=%d\n",
-			mark, v.Seq, v.Hash, v.Meta.Note, v.Meta.Samples, v.Meta.ParentSeq)
-	}
-}
-
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// runFleetDemo is the -shards > 1 path: boot a fleet of independent lakeD
-// shards behind the client-side router, drive a multi-tenant LinnOS
-// inference storm through it, print the per-shard and router statistics,
-// and finish with a live drain so the journal-handoff migration shows up
-// in the demo output.
-func runFleetDemo(cfg lake.Config, shards int, policy lake.PoolPolicy, calls int, telemetryAddr string, stay bool) {
-	cfg.NumShards = shards
-	cfg.RouterPolicy = policy
-	f, err := lake.NewFleet(lake.FleetConfig{Runtime: cfg, Batcher: lake.DefaultBatcherConfig()})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	if telemetryAddr != "" {
-		// Fleet health plane: per-shard /readyz, merged /slo.json, tailing of
-		// the shared shard-stamped recorder, and incident capture with the
-		// stall watchdog live (the fleet tracks per-shard outstanding work).
-		serveTelemetry(telemetryAddr, telemetryHandler(f, lake.NewFleetHealthPlane(f, lake.HealthPlaneConfig{})))
-	}
-	mc := linnos.Model(linnos.Base, nn.New(3, linnos.Base.Sizes()...))
-	mc.Name = "linnos"
-	if err := f.RegisterModel(mc); err != nil {
-		log.Fatal(err)
-	}
-
-	const tenants = 8
-	per := calls / tenants
-	var wg sync.WaitGroup
-	for t := 0; t < tenants; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			c := f.Client(fmt.Sprintf("tenant-%d", t))
-			for r := 0; r < per; r++ {
-				x := linnos.FeatureVector((t*31+r*7)%97, []time.Duration{
-					time.Duration((t+r)%11) * 200 * time.Microsecond,
-				})
-				if _, err := c.Infer("linnos", [][]float32{x}); err != nil {
-					log.Fatalf("tenant %d: %v", t, err)
-				}
-			}
-		}(t)
-	}
-	wg.Wait()
-
-	st := f.Stats()
-	fmt.Printf("lakeD fleet served %d tenants across %d shards (%s routing):\n",
-		tenants, shards, f.Policy())
-	fmt.Printf("  placements %d  reroutes %d  admission rejects %d\n",
-		st.Placements, st.Reroutes, st.Rejects)
-	for _, sh := range f.Shards() {
-		bs := sh.Batcher().Stats()
-		rst := sh.Runtime().Stats()
-		fmt.Printf("  shard %d [%s]: %d requests, %d daemon handled, %d launches, %d flushes (avg batch %.1f), v=%v\n",
-			sh.Ordinal(), sh.State(), bs.Requests, rst.DaemonHandled,
-			rst.KernelLaunches, bs.Flushes, bs.AvgBatch(), sh.Clock().Now())
-	}
-	fmt.Printf("  fleet virtual elapsed (critical path) %v\n", f.VirtualElapsed())
-
-	m, err := f.Drain(0)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("  drained shard %d -> %d: %d journal entries crossed in a %dB sealed frame, %d tenants re-homed\n",
-		m.Src, m.Dst, m.JournalEntries, m.HandoffBytes, m.Tenants)
-
-	if stay && telemetryAddr != "" {
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt)
-		fmt.Println("serving fleet telemetry; ctrl-c to exit")
-		<-sig
-	}
-}
-
-func main() {
-	calls := flag.Int("calls", 1000, "number of remoted vector-add rounds to serve")
-	n := flag.Int("n", 256, "vector length per round")
-	channel := flag.String("channel", "netlink", "command channel cost model: netlink, signal, devrw, mmap, ring")
-	telemetryAddr := flag.String("telemetry-addr", "", "serve /metrics, /metrics.json, /debug/pprof and the health plane (/spans.json, /healthz, ...) on this address (e.g. :9090)")
-	serve := flag.Bool("serve", false, "after the demo burst, keep serving the telemetry endpoints until interrupted")
-	devices := flag.Int("devices", 1, "number of modeled GPUs in the device pool")
-	poolPolicy := flag.String("pool-policy", "contention-aware", "context placement policy: round-robin, least-outstanding, contention-aware")
-	shards := flag.Int("shards", 1, "number of lakeD shards; >1 boots a fleet behind the client-side router")
-	routerPolicy := flag.String("router-policy", "consistent-hash", "fleet shard placement policy: round-robin, least-outstanding, contention-aware, consistent-hash")
-	onlineTrain := flag.Bool("online-train", false, "run the online model-lifecycle demo: in-daemon LinnOS retraining with shadow-scored hot-swaps (see /models.json)")
-	trainSamples := flag.Int("train-samples", 4000, "trace I/Os to stream through the lifecycle feedback channel (with -online-train)")
-	retrainMinibatch := flag.Int("retrain-minibatch", 64, "online SGD minibatch size (with -online-train)")
-	retrainRound := flag.Int("retrain-round", 256, "feedback samples per retrain round before shadow scoring (with -online-train)")
-	driftWindow := flag.Int("drift-window", 256, "outcomes per drift evaluation window (with -online-train)")
-	driftTolerance := flag.Float64("drift-tolerance", 0.10, "live-accuracy drop below baseline marking a window bad (with -online-train)")
-	flag.Parse()
-
-	cfg := lake.DefaultConfig()
-	cfg.NumDevices = *devices
-	policy, err := lake.ParsePoolPolicy(*poolPolicy)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cfg.PoolPolicy = policy
-	switch *channel {
+// parseChannel maps a -channel value to its cost row.
+func parseChannel(s string) (lake.ChannelKind, error) {
+	switch s {
 	case "netlink":
-		cfg.Channel = boundary.Netlink
+		return boundary.Netlink, nil
 	case "signal":
-		cfg.Channel = boundary.Signal
+		return boundary.Signal, nil
 	case "devrw":
-		cfg.Channel = boundary.DeviceRW
+		return boundary.DeviceRW, nil
 	case "mmap":
-		cfg.Channel = boundary.Mmap
+		return boundary.Mmap, nil
 	case "ring":
-		cfg.Channel = boundary.Ring
-	default:
-		log.Fatalf("unknown channel %q", *channel)
+		return boundary.Ring, nil
 	}
-	if *shards > 1 {
-		rp, err := lake.ParsePoolPolicy(*routerPolicy)
-		if err != nil {
-			log.Fatal(err)
-		}
-		runFleetDemo(cfg, *shards, rp, *calls, *telemetryAddr, *serve)
-		return
+	return 0, fmt.Errorf("unknown channel %q", s)
+}
+
+// run is main minus the exit: it serves the burst over channel and prints
+// lakeD's statistics to out. With telemetryAddr set it serves the
+// observability plane there, before the burst, until ctx is done.
+func run(ctx context.Context, channel, telemetryAddr string, out io.Writer) error {
+	cfg := lake.DefaultConfig()
+	var err error
+	if cfg.Channel, err = parseChannel(channel); err != nil {
+		return err
 	}
 	rt, err := lake.New(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer rt.Close()
-	var plane *lake.HealthPlane
-	if *telemetryAddr != "" {
-		plane = lake.NewHealthPlane(rt, lake.HealthPlaneConfig{})
-		serveTelemetry(*telemetryAddr, telemetryHandler(rt.Telemetry(), plane))
-	}
-	if *onlineTrain {
-		lcfg := lake.DefaultLifecycleConfig("linnos-NN")
-		lcfg.Minibatch = *retrainMinibatch
-		lcfg.RoundSamples = *retrainRound
-		lcfg.DriftWindow = *driftWindow
-		lcfg.DriftTolerance = *driftTolerance
-		runLifecycleDemo(rt, plane, lcfg, *trainSamples)
-		if *serve && *telemetryAddr != "" {
-			sig := make(chan os.Signal, 1)
-			signal.Notify(sig, os.Interrupt)
-			fmt.Println("serving telemetry; ctrl-c to exit")
-			<-sig
+	var srv *http.Server
+	served := make(chan error, 1)
+	if telemetryAddr != "" {
+		lis, err := net.Listen("tcp", telemetryAddr)
+		if err != nil {
+			return fmt.Errorf("telemetry endpoint: %w", err)
 		}
-		return
+		srv = &http.Server{Handler: telemetryHandler(rt.Telemetry(), lake.NewHealthPlane(rt, lake.HealthPlaneConfig{}))}
+		go func() { served <- srv.Serve(lis) }()
+		defer srv.Close()
+		fmt.Fprintf(out, "telemetry on http://%s/metrics (.json, /debug/pprof) + health plane (%s)\n",
+			lis.Addr(), strings.Join(lake.HealthPlanePaths, " "))
 	}
-	rt.RegisterKernel(lake.VecAddKernel())
+	if err := burst(rt); err != nil {
+		return err
+	}
 
-	// A custom high-level API, the §4.4 extension point.
+	st := rt.Stats()
+	fmt.Fprintln(out, "lakeD served the kernel-space client:")
+	fmt.Fprintf(out, "  remoted calls        %d\n", st.RemotedCalls)
+	fmt.Fprintf(out, "  daemon handled       %d\n", st.DaemonHandled)
+	fmt.Fprintf(out, "  kernel launches      %d\n", st.KernelLaunches)
+	fmt.Fprintf(out, "  shm in use           %d bytes\n", st.ShmUsed)
+	fmt.Fprintf(out, "  modeled channel time %v\n", st.ChannelTime)
+	fmt.Fprintf(out, "  virtual time elapsed %v\n", st.VirtualTime)
+	if srv == nil {
+		return nil
+	}
+	fmt.Fprintln(out, "serving telemetry; ctrl-c to exit")
+	select {
+	case <-ctx.Done():
+		return nil
+	case err := <-served:
+		return fmt.Errorf("telemetry endpoint: %w", err)
+	}
+}
+
+// burst issues the kernel-space client's commands: calls vector-add rounds
+// through lakeShm, each checked element by element, then one call of a
+// custom high-level API, the §4.4 extension point.
+func burst(rt *lake.Runtime) error {
+	rt.RegisterKernel(lake.VecAddKernel())
 	rt.Daemon().RegisterHighLevel("sum", func(api *cuda.API, region *shm.Region, args []uint64, blob []byte) ([]uint64, []byte, cuda.Result) {
 		var sum uint64
 		for _, a := range args {
@@ -303,71 +161,77 @@ func main() {
 	lib := rt.Lib()
 	ctx, r := lib.CuCtxCreate("laked-demo")
 	if r != lake.Success {
-		log.Fatalf("cuCtxCreate: %s", r)
+		return fmt.Errorf("cuCtxCreate: %s", r)
 	}
-	mod, _ := lib.CuModuleLoad("kernels.cubin")
+	mod, r := lib.CuModuleLoad("kernels.cubin")
+	if r != lake.Success {
+		return fmt.Errorf("cuModuleLoad: %s", r)
+	}
 	fn, r := lib.CuModuleGetFunction(mod, "vecadd")
 	if r != lake.Success {
-		log.Fatalf("cuModuleGetFunction: %s", r)
+		return fmt.Errorf("cuModuleGetFunction: %s", r)
 	}
 
-	size := int64(4 * *n)
+	const size = 4 * n
 	a, err := rt.Region().Alloc(size)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	c, err := rt.Region().Alloc(size)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	vals := make([]float32, *n)
+	vals := make([]float32, n)
 	for i := range vals {
 		vals[i] = float32(i)
 	}
 	if err := cuda.PutFloat32s(a.Bytes(), vals); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	da, _ := lib.CuMemAlloc(size)
-	dc, _ := lib.CuMemAlloc(size)
+	da, r := lib.CuMemAlloc(size)
+	if r != lake.Success {
+		return fmt.Errorf("cuMemAlloc: %s", r)
+	}
+	dc, r := lib.CuMemAlloc(size)
+	if r != lake.Success {
+		return fmt.Errorf("cuMemAlloc: %s", r)
+	}
 
-	for i := 0; i < *calls; i++ {
+	for i := 0; i < calls; i++ {
 		if r := lib.CuMemcpyHtoDShm(da, a, size); r != lake.Success {
-			log.Fatalf("HtoD: %s", r)
+			return fmt.Errorf("HtoD: %s", r)
 		}
-		if r := lib.CuLaunchKernel(ctx, fn, []uint64{uint64(da), uint64(da), uint64(dc), uint64(*n)}); r != lake.Success {
-			log.Fatalf("launch: %s", r)
+		if r := lib.CuLaunchKernel(ctx, fn, []uint64{uint64(da), uint64(da), uint64(dc), n}); r != lake.Success {
+			return fmt.Errorf("launch: %s", r)
 		}
 		if r := lib.CuMemcpyDtoHShm(c, dc, size); r != lake.Success {
-			log.Fatalf("DtoH: %s", r)
+			return fmt.Errorf("DtoH: %s", r)
 		}
 	}
-	if vals2, _ := cuda.Float32s(c.Bytes(), *n); (*n) > 1 && vals2[1] != 2 {
-		log.Fatalf("vecadd produced %v, want 2", vals2[1])
+	sums, err := cuda.Float32s(c.Bytes(), n)
+	if err != nil {
+		return err
+	}
+	for i, v := range sums {
+		if v != 2*vals[i] {
+			return fmt.Errorf("vecadd[%d] = %v, want %v", i, v, 2*vals[i])
+		}
 	}
 	if sum, _, r := lib.CallHighLevel("sum", []uint64{40, 2}, nil); r != lake.Success || sum[0] != 42 {
-		log.Fatalf("high-level sum = %v (%s)", sum, r)
+		return fmt.Errorf("high-level sum = %v (%s)", sum, r)
 	}
+	return nil
+}
 
-	st := rt.Stats()
-	fmt.Println("lakeD served the kernel-space client:")
-	fmt.Printf("  remoted calls        %d\n", st.RemotedCalls)
-	fmt.Printf("  daemon handled       %d\n", st.DaemonHandled)
-	fmt.Printf("  kernel launches      %d\n", st.KernelLaunches)
-	fmt.Printf("  shm in use           %d bytes\n", st.ShmUsed)
-	fmt.Printf("  modeled channel time %v\n", st.ChannelTime)
-	fmt.Printf("  virtual time elapsed %v\n", st.VirtualTime)
-	if *devices > 1 {
-		fmt.Printf("  device pool (%s placement):\n", rt.Pool().Policy())
-		for _, acc := range rt.Pool().Accounting() {
-			fmt.Printf("    gpu%d: %d launches, %d copies, %d bytes copied\n",
-				acc.Ordinal, acc.Launches, acc.Copies, acc.CopyBytes)
-		}
-	}
+func main() {
+	channel := flag.String("channel", "netlink", "command channel cost model: netlink, signal, devrw, mmap, ring")
+	telemetryAddr := flag.String("telemetry-addr", "", "serve /metrics, /metrics.json, /debug/pprof and the health plane (/spans.json, /healthz, ...) on this address (e.g. :9090) until interrupted")
+	flag.Parse()
 
-	if *serve && *telemetryAddr != "" {
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt)
-		fmt.Println("serving telemetry; ctrl-c to exit")
-		<-sig
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	if err := run(ctx, *channel, *telemetryAddr, os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 }

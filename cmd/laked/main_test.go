@@ -1,14 +1,17 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	lake "lakego"
 	"lakego/internal/linnos"
@@ -49,9 +52,9 @@ func readyzBody(state string, handled ...int64) string {
 }
 
 // TestTelemetryHandlerRoutes checks every route laked serves, for status,
-// content type and a body its consumer can parse, on both planes laked
-// mounts: a default runtime's (no flag or option set) and the 2-shard
-// fleet's that `laked -shards 2 -telemetry-addr` serves. Each source has
+// content type and a body its consumer can parse, on both sources
+// telemetryHandler renders: a default runtime's (what `laked
+// -telemetry-addr` serves) and a 2-shard fleet's merged view. Each source has
 // issued one launch. /readyz must match byte for byte, and the fleet plane,
 // watching a lifecycle manager on shard 1, must list both shards and the
 // model.
@@ -185,5 +188,94 @@ func TestTelemetryHandlerRoutes(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// burstStats is laked's stdout for the burst on one channel: the counts
+// repeat on every row, and the modeled channel time and the virtual time
+// elapsed are the row's virtual-clock figures.
+func burstStats(channelTime, elapsed string) string {
+	return "lakeD served the kernel-space client:\n" +
+		"  remoted calls        3007\n" +
+		"  daemon handled       3007\n" +
+		"  kernel launches      1000\n" +
+		"  shm in use           2099200 bytes\n" +
+		"  modeled channel time " + channelTime + "\n" +
+		"  virtual time elapsed " + elapsed + "\n"
+}
+
+// TestRunChannels pins laked's stdout for each -channel value: the burst
+// runs on the virtual clock, so each cost row prints its own channel time
+// byte for byte. An unknown channel is an error before anything boots.
+func TestRunChannels(t *testing.T) {
+	for _, c := range []struct{ channel, channelTime, elapsed string }{
+		{"netlink", "87.203ms", "106.373ms"},
+		{"signal", "345.805ms", "364.975ms"},
+		{"devrw", "192.448ms", "211.618ms"},
+		{"mmap", "39.091ms", "58.261ms"},
+		{"ring", "12.028ms", "31.198ms"},
+	} {
+		t.Run(c.channel, func(t *testing.T) {
+			var out strings.Builder
+			if err := run(context.Background(), c.channel, "", &out); err != nil {
+				t.Fatal(err)
+			}
+			if want := burstStats(c.channelTime, c.elapsed); out.String() != want {
+				t.Fatalf("stdout differs:\n--- got ---\n%s--- want ---\n%s", out.String(), want)
+			}
+		})
+	}
+	var out strings.Builder
+	if err := run(context.Background(), "pipe", "", &out); err == nil || out.Len() != 0 {
+		t.Fatalf("unknown channel: err %v, printed %q", err, out.String())
+	}
+}
+
+// TestRunServesTelemetry runs laked with -telemetry-addr on a loopback
+// address: /healthz answers while run serves, and run returns once its
+// context is done, having printed the burst's statistics.
+func TestRunServesTelemetry(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := lis.Addr().String()
+	lis.Close()
+
+	ctx, stop := context.WithCancel(context.Background())
+	defer stop()
+	var out strings.Builder
+	done := make(chan error, 1)
+	go func() { done <- run(ctx, "ring", addr, &out) }()
+
+	var body []byte
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		resp, err := http.Get("http://" + addr + "/healthz")
+		if err == nil {
+			body, err = io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err == nil && resp.StatusCode == http.StatusOK {
+				break
+			}
+		}
+		select {
+		case err := <-done:
+			t.Fatalf("run returned before serving: %v", err)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("GET /healthz: %v", err)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if err := parseJSON(body); err != nil {
+		t.Fatalf("/healthz: %v\n%s", err, body)
+	}
+	stop()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), burstStats("12.028ms", "31.198ms")) {
+		t.Fatalf("stdout lacks the ring burst's statistics:\n%s", out.String())
 	}
 }

@@ -4,14 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
-	"math"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
-	"time"
-
-	"lakego/internal/loadgen"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -24,7 +19,7 @@ func TestRunSmokeDeterministic(t *testing.T) {
 	a := filepath.Join(dir, "a.json")
 	b := filepath.Join(dir, "b.json")
 	for _, path := range []string{a, b} {
-		if err := run("smoke", "1,2", path, "ci", 0, 0, false, false); err != nil {
+		if err := run("smoke", "1,2", path, "ci", 0, 0, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -85,33 +80,29 @@ func TestRunSmokeDeterministic(t *testing.T) {
 // which CI also compares byte for byte with the file the CLI writes. The
 // replay is virtual-clock deterministic, so any difference is a change in
 // behaviour: goodput, SLO attainment, a tenant's percentiles, a stage mean.
-// The -live-slo observer scrapes the health plane during the drive and must
-// not change a byte. Regenerate with `go test ./cmd/lakeload -run
-// TestResultsGolden -update` after an intended change, and say why in the
-// change description.
+// Regenerate with `go test ./cmd/lakeload -run TestResultsGolden -update`
+// after an intended change, and say why in the change description.
 func TestResultsGolden(t *testing.T) {
 	golden := filepath.Join("testdata", "results.golden")
-	for _, live := range []bool{false, true} {
-		out := filepath.Join(t.TempDir(), "r.json")
-		if err := run("smoke", "0.5,1,2,4,8", out, "", 0, 0, false, live); err != nil {
+	out := filepath.Join(t.TempDir(), "r.json")
+	if err := run("smoke", "0.5,1,2,4,8", out, "", 0, 0, false); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *update {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got, err := os.ReadFile(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if *update && !live {
-			if err := os.WriteFile(golden, got, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		want, err := os.ReadFile(golden)
-		if err != nil {
-			t.Fatalf("%v (regenerate with -update)", err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("results (-live-slo=%v) differ from %s:\n--- got ---\n%s--- want ---\n%s", live, golden, got, want)
-		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("results differ from %s:\n--- got ---\n%s--- want ---\n%s", golden, got, want)
 	}
 }
 
@@ -149,10 +140,10 @@ func TestScenarioFileRoundTrip(t *testing.T) {
 	}
 	a := filepath.Join(dir, "a.json")
 	b := filepath.Join(dir, "b.json")
-	if err := run("storm", "", a, "x", 0, 0, false, false); err != nil {
+	if err := run("storm", "", a, "x", 0, 0, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(file, "", b, "x", 0, 0, false, false); err != nil {
+	if err := run(file, "", b, "x", 0, 0, false); err != nil {
 		t.Fatal(err)
 	}
 	da, _ := os.ReadFile(a)
@@ -172,38 +163,6 @@ func TestLoadScenarioErrors(t *testing.T) {
 	}
 	if _, err := loadScenario(bad); err == nil {
 		t.Fatal("malformed scenario file accepted")
-	}
-}
-
-// TestLiveSLOObserver drives the -live-slo path: a smoke replay with the
-// observer attached must actually scrape the health plane over HTTP and
-// record a live attainment row alongside the driver's.
-func TestLiveSLOObserver(t *testing.T) {
-	s, err := loadScenario("smoke")
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg := &liveSLO{budget: 5 * time.Millisecond}
-	s.Observer = agg.observer
-	if _, err := loadgen.Run(s); err != nil {
-		t.Fatal(err)
-	}
-	if len(agg.rows) != 1 {
-		t.Fatalf("expected 1 live-SLO row, got %d", len(agg.rows))
-	}
-	row := agg.rows[0]
-	if row.polls == 0 {
-		t.Fatal("observer never scraped /slo.json")
-	}
-	if math.IsNaN(row.live) {
-		t.Fatal("plane saw no call traffic during the replay")
-	}
-	if row.live <= 0 || row.live > 1 || row.driver <= 0 || row.driver > 1 {
-		t.Fatalf("attainments out of range: live=%v driver=%v", row.live, row.driver)
-	}
-	sum := agg.summary()
-	if !strings.Contains(sum, "divergence") || !strings.Contains(sum, "live_att") {
-		t.Fatalf("summary missing table headers:\n%s", sum)
 	}
 }
 

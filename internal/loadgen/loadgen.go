@@ -38,16 +38,6 @@ func Run(s *Scenario) (*Result, error) {
 	return e.collect(), nil
 }
 
-// RunObserver receives live callbacks from one replay: Tick fires at
-// millisecond boundaries of virtual time as the drive advances (after the
-// timer pump, so completions up to the tick are visible), Done once with
-// the collected result. Observers run on the driver goroutine — anything
-// slow here slows the replay's wall time, never its virtual results.
-type RunObserver interface {
-	Tick(at time.Duration)
-	Done(r *Result)
-}
-
 // flight is one submitted-but-uncollected request.
 type flight struct {
 	p     *fleet.Pending
@@ -96,9 +86,6 @@ type engine struct {
 	completed []int64
 	samples   [][]int64 // sojourn ns per completed request
 	churned   int64
-
-	obs     RunObserver
-	obsLast time.Duration
 }
 
 func newEngine(s *Scenario) (*engine, error) {
@@ -199,9 +186,6 @@ func newEngine(s *Scenario) (*engine, error) {
 	}
 
 	e.buildPopulation()
-	if s.Observer != nil {
-		e.obs = s.Observer(fl)
-	}
 	return e, nil
 }
 
@@ -282,10 +266,6 @@ func (e *engine) drive() error {
 		// that no real timer-equipped system would produce.
 		for e.head < len(e.inflight) && e.inflight[e.head].enq+e.maxWait <= at {
 			e.completeOldest()
-		}
-		if e.obs != nil && at-e.obsLast >= time.Millisecond {
-			e.obsLast = at
-			e.obs.Tick(at)
 		}
 		if at > c.sessionEnd {
 			e.churn(id, c, at)
@@ -440,8 +420,5 @@ func (e *engine) collect() *Result {
 	st := e.fleet.Stats()
 	r.Placements, r.Reroutes, r.Rejects = st.Placements, st.Reroutes, st.Rejects
 	r.Stages = flightrec.MeasureStages(flightrec.Stitch(e.fleet.Recorder().Snapshot("lakeload")).Timelines)
-	if e.obs != nil {
-		e.obs.Done(r)
-	}
 	return r
 }

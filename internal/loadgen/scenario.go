@@ -39,7 +39,6 @@ import (
 	"strings"
 	"time"
 
-	"lakego/internal/fleet"
 	"lakego/internal/gpupool"
 	"lakego/internal/trace"
 )
@@ -95,14 +94,6 @@ type Scenario struct {
 	// Tenants is the traffic mix; fractions must sum to <= 1 (the
 	// remainder of the population is idle).
 	Tenants []TenantClass `json:"tenants"`
-
-	// Observer, when non-nil, is a per-replay hook factory: it is invoked
-	// with the freshly booted fleet before arrivals start and may return a
-	// RunObserver that receives virtual-time ticks during the drive and the
-	// collected result at the end (cmd/lakeload's -live-slo attaches the
-	// health plane this way). Never serialized — Canon, scenario files and
-	// sweep rungs (which copy the scenario by value) carry it untouched.
-	Observer func(f *fleet.Fleet) RunObserver `json:"-"`
 }
 
 // BatcherKnobs tunes the per-shard batcher. Zero fields keep loadgen

@@ -87,29 +87,18 @@ type BatcherModel = batcher.ModelConfig
 // NewBatcher attaches the cross-client batching subsystem to rt.
 func NewBatcher(rt *Runtime, cfg batcher.Config) *batcher.Batcher { return batcher.New(rt, cfg) }
 
-// PoolPolicy selects the placement policy for new contexts on a multi-GPU
-// device pool (internal/gpupool): set Config.NumDevices and
-// Config.PoolPolicy to boot a runtime over several modeled accelerators;
-// placement draws only from the pool's seeded PRNG and the virtual clock, so
+// Placement policies (internal/gpupool) for Config.PoolPolicy, which
+// places contexts on a runtime's modeled accelerators (Config.NumDevices),
+// and Config.RouterPolicy, which places tenants on a fleet's shards.
+// Placement draws only from the pool's seeded PRNG and the virtual clock, so
 // fixed-seed multi-device runs are bit-identical.
-type PoolPolicy = gpupool.Policy
-
-// Placement policies for PoolPolicy.
 const (
 	// PoolRoundRobin cycles context placement across devices.
 	PoolRoundRobin = gpupool.RoundRobin
-	// PoolConsistentHash places each client on the member owning its name
-	// on a seeded hash ring; the fleet router reuses it for tenant->shard
-	// placement.
-	PoolConsistentHash = gpupool.ConsistentHash
 	// PoolContentionAware places on the least NVML-utilized device,
 	// breaking ties by backlog then seeded PRNG (Fig 3 per device).
 	PoolContentionAware = gpupool.ContentionAware
 )
-
-// ParsePoolPolicy parses a -pool-policy flag value ("round-robin",
-// "least-outstanding", "contention-aware", or the short forms rr/lo/ca).
-func ParsePoolPolicy(s string) (PoolPolicy, error) { return gpupool.ParsePolicy(s) }
 
 // TelemetrySnapshot is a point-in-time JSON-friendly dump of the
 // observability plane (internal/telemetry): every runtime carries a metrics
@@ -120,28 +109,20 @@ type TelemetrySnapshot = telemetry.Snapshot
 // batches, 100µs max-wait flush deadline).
 func DefaultBatcherConfig() batcher.Config { return batcher.DefaultConfig() }
 
-// Online model-lifecycle types (internal/lifecycle): a versioned registry
-// of content-hashed immutable model snapshots whose serving slot is an
-// atomic pointer flip, an in-daemon online trainer fed by a bounded
-// feedback channel of observed outcomes, and a drift detector that
-// demotes a degraded version (or falls back to the CPU/heuristic path).
-// Boot one per model with NewLifecycle.
-type (
-	// ModelLifecycleConfig parameterizes NewLifecycle.
-	ModelLifecycleConfig = lifecycle.Config
-	// ModelOutcome is one observed ground-truth feedback record.
-	ModelOutcome = lifecycle.Outcome
-)
-
-// DefaultLifecycleConfig returns the shipping lifecycle parameters for a
-// model label.
-func DefaultLifecycleConfig(model string) ModelLifecycleConfig {
+// DefaultLifecycleConfig returns the shipping parameters of the online model
+// lifecycle (internal/lifecycle) for a model label: a versioned registry of
+// content-hashed immutable model snapshots whose serving slot is an atomic
+// pointer flip, an in-daemon online trainer fed by a bounded feedback
+// channel of observed outcomes, and a drift detector that demotes a
+// degraded version (or falls back to the CPU/heuristic path). Boot one per
+// model with NewLifecycle.
+func DefaultLifecycleConfig(model string) lifecycle.Config {
 	return lifecycle.DefaultConfig(model)
 }
 
 // NewLifecycle boots the online model-lifecycle manager for one model on
 // rt, seeded with base as its serving version.
-func NewLifecycle(rt *Runtime, cfg ModelLifecycleConfig, base *nn.Network) (*lifecycle.Manager, error) {
+func NewLifecycle(rt *Runtime, cfg lifecycle.Config, base *nn.Network) (*lifecycle.Manager, error) {
 	return lifecycle.New(rt, cfg, base)
 }
 
@@ -183,8 +164,6 @@ type (
 	HealthPlaneConfig = healthplane.Config
 	// SLOObjective is one latency objective the burn engine tracks.
 	SLOObjective = healthplane.Objective
-	// SLOSnapshot is the /slo.json payload.
-	SLOSnapshot = healthplane.SLOSnapshot
 )
 
 // HealthPlanePaths lists the HTTP routes HealthPlane.Handler serves.

@@ -7,6 +7,7 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
+	pathpkg "path"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -127,45 +128,15 @@ type use struct {
 // reached only through an interface a library calls (fmt's String, sort's
 // Len) has no selector and is flagged.
 func unusedExports(root, module string, allowed map[string]string) ([]string, error) {
-	type file struct {
-		dir  string
-		test bool
-		ast  *ast.File
-	}
-	var files []file
-	pkgName := map[string]string{} // dir -> package name of its non-test files
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		name := d.Name()
-		if d.IsDir() {
-			if path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(name, ".go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(root, filepath.Dir(path))
-		if err != nil {
-			return err
-		}
-		dir, test := filepath.ToSlash(rel), strings.HasSuffix(name, "_test.go")
-		if !test {
-			pkgName[dir] = f.Name.Name
-		}
-		files = append(files, file{dir, test, f})
-		return nil
-	})
+	files, err := parseModule(root)
 	if err != nil {
 		return nil, err
+	}
+	pkgName := map[string]string{} // dir -> package name of its non-test files
+	for _, f := range files {
+		if !f.test {
+			pkgName[f.dir] = f.ast.Name.Name
+		}
 	}
 
 	// Declarations: exported names in non-test files under internal/.
@@ -299,6 +270,50 @@ func unusedExports(root, module string, allowed map[string]string) ([]string, er
 	}
 	sort.Strings(out)
 	return out, nil
+}
+
+// moduleFile is one parsed Go file of the module: its path and directory
+// relative to the module root, slash-separated, and whether it is a
+// _test.go file.
+type moduleFile struct {
+	path, dir string
+	test      bool
+	fset      *token.FileSet
+	ast       *ast.File
+}
+
+// parseModule parses every Go file under root, skipping testdata and the
+// directories the go tool ignores (names starting with "." or "_").
+func parseModule(root string) ([]moduleFile, error) {
+	var files []moduleFile
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		rel = filepath.ToSlash(rel)
+		files = append(files, moduleFile{rel, pathpkg.Dir(rel), strings.HasSuffix(name, "_test.go"), fset, f})
+		return nil
+	})
+	return files, err
 }
 
 // isKept reports whether an allowlist reason keeps a name as used API:

@@ -146,7 +146,7 @@ func TestAllocsRingRemotedCallAcrossGC(t *testing.T) {
 func TestAllocsRingRemotedCallWithHealthPlane(t *testing.T) {
 	skipUnderRace(t)
 	rt := newRingRuntime(t)
-	plane := healthplane.Attach(rt, healthplane.Config{})
+	plane := healthplane.Attach(rt)
 	lib := rt.Lib()
 	if r := lib.CuInit(); r != cuda.Success {
 		t.Fatal(r)

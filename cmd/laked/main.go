@@ -14,9 +14,9 @@
 // burn-rate/percentile state), /incidents.json (anomaly-triggered black-box
 // bundles), /flightrec.tail?cursor= (live non-destructive event tailing),
 // /flightrec.json (on-demand flight-recorder snapshot — feed it to
-// cmd/laketrace; ?last=1 returns the retained automatic dump), /spans.json
-// (per-call stage timelines stitched from the same recorder, always on) and
-// /models.json.
+// cmd/laketrace; ?last=true returns the retained automatic dump) and
+// /spans.json (per-call stage timelines stitched from the same recorder,
+// always on).
 package main
 
 import (
@@ -44,24 +44,19 @@ const (
 	n     = 256
 )
 
-// metricsSource is what /metrics and /metrics.json render: a runtime's
-// registry, or a fleet's merged shard-labeled view.
-type metricsSource interface {
-	PrometheusText() string
-	Snapshot() lake.TelemetrySnapshot
-}
-
-// telemetryHandler builds the observability mux: /metrics, /metrics.json,
-// the health plane's routes (lake.HealthPlanePaths, /spans.json among them)
-// and /debug/pprof, which the blank import registered on the default mux.
-func telemetryHandler(src metricsSource, plane *lake.HealthPlane) http.Handler {
+// telemetryHandler builds rt's observability mux: /metrics, /metrics.json,
+// the routes of a health plane attached to rt (lake.HealthPlanePaths,
+// /spans.json among them) and /debug/pprof, which the blank import
+// registered on the default mux.
+func telemetryHandler(rt *lake.Runtime) http.Handler {
+	reg := rt.Telemetry()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		_, _ = io.WriteString(w, src.PrometheusText())
+		_, _ = io.WriteString(w, reg.PrometheusText())
 	})
 	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, req *http.Request) {
-		b, err := json.MarshalIndent(src.Snapshot(), "", "  ")
+		b, err := json.MarshalIndent(reg.Snapshot(), "", "  ")
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
@@ -69,7 +64,7 @@ func telemetryHandler(src metricsSource, plane *lake.HealthPlane) http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		_, _ = w.Write(b)
 	})
-	planeHandler := plane.Handler()
+	planeHandler := lake.NewHealthPlane(rt).Handler()
 	for _, p := range lake.HealthPlanePaths {
 		mux.Handle(p, planeHandler)
 	}
@@ -115,7 +110,7 @@ func run(ctx context.Context, channel, telemetryAddr string, out io.Writer) erro
 		if err != nil {
 			return fmt.Errorf("telemetry endpoint: %w", err)
 		}
-		srv = &http.Server{Handler: telemetryHandler(rt.Telemetry(), lake.NewHealthPlane(rt, lake.HealthPlaneConfig{}))}
+		srv = &http.Server{Handler: telemetryHandler(rt)}
 		go func() { served <- srv.Serve(lis) }()
 		defer srv.Close()
 		fmt.Fprintf(out, "telemetry on http://%s/metrics (.json, /debug/pprof) + health plane (%s)\n",

@@ -14,16 +14,7 @@ import (
 	"time"
 
 	lake "lakego"
-	"lakego/internal/linnos"
-	"lakego/internal/nn"
 )
-
-func parseJSON(b []byte) error {
-	if !json.Valid(b) {
-		return errors.New("not valid JSON")
-	}
-	return nil
-}
 
 // launchVecAdd issues one remoted vector-add launch on rt.
 func launchVecAdd(t *testing.T, rt *lake.Runtime) {
@@ -41,23 +32,135 @@ func launchVecAdd(t *testing.T, rt *lake.Runtime) {
 	}
 }
 
-// readyzBody is the exact /readyz body for ready, idle shards in ordinal
-// order, each in state and with its daemon's handled count.
-func readyzBody(state string, handled ...int64) string {
-	shards := make([]string, len(handled))
-	for i, h := range handled {
-		shards[i] = fmt.Sprintf("    {\n      \"ordinal\": %d,\n      \"state\": %q,\n      \"ready\": true,\n      \"outstanding\": 0,\n      \"handled\": %d\n    }", i, state, h)
-	}
-	return "{\n  \"ready\": true,\n  \"shards\": [\n" + strings.Join(shards, ",\n") + "\n  ]\n}\n"
+// readyzBody is the exact /readyz body of a ready runtime whose daemon has
+// handled the given count.
+func readyzBody(handled int64) string {
+	return fmt.Sprintf("{\n  \"ready\": true,\n  \"shards\": [\n    {\n      \"state\": \"Healthy\",\n      \"ready\": true,\n      \"handled\": %d\n    }\n  ]\n}\n", handled)
 }
 
-// TestTelemetryHandlerRoutes checks every route laked serves, for status,
-// content type and a body its consumer can parse, on both sources
-// telemetryHandler renders: a default runtime's (what `laked
-// -telemetry-addr` serves) and a 2-shard fleet's merged view. Each source has
-// issued one launch. /readyz must match byte for byte, and the fleet plane,
-// watching a lifecycle manager on shard 1, must list both shards and the
-// model.
+// isArray reports whether raw is a JSON array (null is not one).
+func isArray(raw []byte) bool {
+	var v []json.RawMessage
+	return json.Unmarshal(raw, &v) == nil && v != nil
+}
+
+// route is what a consumer of one laked route relies on: its content type
+// and a check of its body.
+type route struct {
+	contentType string
+	check       func([]byte) error
+}
+
+// routes is every route laked serves, for a runtime whose daemon has handled
+// handled commands and whose lakeLib counts its calls as
+// lake_lib_calls_total.
+func routes(handled int64) map[string]route {
+	readyz := readyzBody(handled)
+	return map[string]route{
+		"/metrics": {"text/plain", func(b []byte) error {
+			if !strings.Contains(string(b), "# TYPE lake_lib_calls_total counter") {
+				return errors.New("no lake_lib_calls_total family")
+			}
+			return nil
+		}},
+		"/metrics.json": {"application/json", func(b []byte) error {
+			var snap lake.TelemetrySnapshot
+			if err := json.Unmarshal(b, &snap); err != nil {
+				return err
+			}
+			if snap.Counters["lake_lib_calls_total"] == 0 {
+				return errors.New("lake_lib_calls_total did not move")
+			}
+			return nil
+		}},
+		"/spans.json": {"application/json", func(b []byte) error {
+			var spans []lake.Span
+			if err := json.Unmarshal(b, &spans); err != nil {
+				return err
+			}
+			if len(spans) == 0 || len(spans[0].Stages) < 3 {
+				return errors.New("want at least one span, the first with at least 3 stages")
+			}
+			for _, sp := range spans {
+				if sp.Name == "cuLaunchKernel" && len(sp.Stages) >= 3 {
+					return nil
+				}
+			}
+			return errors.New("no cuLaunchKernel span with at least 3 stages")
+		}},
+		"/statusz": {"text/plain", func(b []byte) error {
+			if !strings.Contains(string(b), "objectives") {
+				return errors.New("no objectives section")
+			}
+			return nil
+		}},
+		"/healthz": {"application/json", func(b []byte) error {
+			var hz struct{ Status string }
+			if err := json.Unmarshal(b, &hz); err != nil {
+				return err
+			}
+			if hz.Status != "ok" {
+				return fmt.Errorf("status %q, want ok", hz.Status)
+			}
+			return nil
+		}},
+		"/readyz": {"application/json", func(b []byte) error {
+			if string(b) != readyz {
+				return fmt.Errorf("body differs, want\n%s", readyz)
+			}
+			return nil
+		}},
+		"/slo.json": {"application/json", func(b []byte) error {
+			var slo struct{ Objectives, Stages json.RawMessage }
+			if err := json.Unmarshal(b, &slo); err != nil {
+				return err
+			}
+			var objs []json.RawMessage
+			if json.Unmarshal(slo.Objectives, &objs) != nil || len(objs) == 0 {
+				return errors.New("no objective")
+			}
+			if !isArray(slo.Stages) {
+				return errors.New("stages is not an array")
+			}
+			return nil
+		}},
+		"/incidents.json": {"application/json", func(b []byte) error {
+			if !isArray(b) {
+				return errors.New("not an array")
+			}
+			return nil
+		}},
+		"/flightrec.tail": {"application/json", func(b []byte) error {
+			var tail struct {
+				Cursor *string
+				Events json.RawMessage
+			}
+			if err := json.Unmarshal(b, &tail); err != nil {
+				return err
+			}
+			if tail.Cursor == nil || !isArray(tail.Events) {
+				return errors.New("want a cursor and an events array")
+			}
+			return nil
+		}},
+		"/flightrec.json": {"application/json", func(b []byte) error {
+			d, err := lake.ReadFlightDump(b)
+			if err != nil {
+				return err
+			}
+			if d.Reason != "http" {
+				return fmt.Errorf("reason %q, want http", d.Reason)
+			}
+			return nil
+		}},
+	}
+}
+
+// TestTelemetryHandlerRoutes checks every route laked serves on a default
+// runtime that has issued one launch, for status, content type and the body
+// its consumer relies on; /readyz must match byte for byte, and the plane
+// serves no registry route. planted-bad-body feeds each route's check a body
+// it must reject.
 func TestTelemetryHandlerRoutes(t *testing.T) {
 	rt, err := lake.New(lake.DefaultConfig())
 	if err != nil {
@@ -65,130 +168,75 @@ func TestTelemetryHandlerRoutes(t *testing.T) {
 	}
 	defer rt.Close()
 	launchVecAdd(t, rt)
+	table := routes(rt.Daemon().Handled())
 
-	fcfg := lake.DefaultConfig()
-	fcfg.NumShards = 2
-	fcfg.ShmBytes = 16 << 20
-	f, err := lake.NewFleet(lake.FleetConfig{Runtime: fcfg, Batcher: lake.DefaultBatcherConfig()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	launchVecAdd(t, f.Shard(0).Runtime())
-	mgr, err := lake.NewLifecycle(f.Shard(1).Runtime(), lake.DefaultLifecycleConfig("linnos"), nn.New(3, linnos.Base.Sizes()...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fleetPlane := lake.NewFleetHealthPlane(f, lake.HealthPlaneConfig{})
-	fleetPlane.Watch(mgr)
+	t.Run("runtime", func(t *testing.T) {
+		srv := httptest.NewServer(telemetryHandler(rt))
+		defer srv.Close()
+		for _, p := range lake.HealthPlanePaths {
+			if _, ok := table[p]; !ok {
+				t.Errorf("health-plane route %s has no expectation in this table", p)
+			}
+		}
+		get := func(path string) (*http.Response, []byte) {
+			resp, err := srv.Client().Get(srv.URL + path)
+			if err != nil {
+				t.Fatalf("GET %s: %v", path, err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatalf("GET %s: read body: %v", path, err)
+			}
+			return resp, body
+		}
+		for path, want := range table {
+			resp, body := get(path)
+			if resp.StatusCode != 200 {
+				t.Errorf("GET %s = %d: %s", path, resp.StatusCode, body)
+				continue
+			}
+			if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, want.contentType) {
+				t.Errorf("GET %s Content-Type = %q, want %s", path, ct, want.contentType)
+			}
+			if err := want.check(body); err != nil {
+				t.Errorf("GET %s body: %v\n%.300s", path, err, body)
+			}
+		}
+		if resp, _ := get("/models.json"); resp.StatusCode != 404 {
+			t.Errorf("GET /models.json = %d, want 404", resp.StatusCode)
+		}
+	})
 
-	for _, src := range []struct {
-		name    string
-		handler http.Handler
-		calls   string // lakeLib's call counter, as the source names it
-		readyz  string
-		model   string // a model /models.json must list, if any
-	}{
-		{"runtime", telemetryHandler(rt.Telemetry(), lake.NewHealthPlane(rt, lake.HealthPlaneConfig{})),
-			"lake_lib_calls_total", readyzBody("Healthy", rt.Daemon().Handled()), ""},
-		{"fleet", telemetryHandler(f, fleetPlane),
-			`lake_lib_calls_total{shard="0"}`,
-			readyzBody("Active", f.Shard(0).Runtime().Daemon().Handled(), f.Shard(1).Runtime().Daemon().Handled()), "linnos"},
-	} {
-		t.Run(src.name, func(t *testing.T) {
-			srv := httptest.NewServer(src.handler)
-			defer srv.Close()
-			routes := map[string]struct {
-				contentType string
-				parse       func([]byte) error
-			}{
-				"/metrics": {"text/plain", func(b []byte) error {
-					if !strings.Contains(string(b), "# TYPE lake_lib_calls_total counter") {
-						return errors.New("no lake_lib_calls_total family")
-					}
-					return nil
-				}},
-				"/metrics.json": {"application/json", func(b []byte) error {
-					var snap lake.TelemetrySnapshot
-					if err := json.Unmarshal(b, &snap); err != nil {
-						return err
-					}
-					if snap.Counters[src.calls] == 0 {
-						return fmt.Errorf("%s did not move", src.calls)
-					}
-					return nil
-				}},
-				"/spans.json": {"application/json", func(b []byte) error {
-					var spans []lake.Span
-					if err := json.Unmarshal(b, &spans); err != nil {
-						return err
-					}
-					for _, sp := range spans {
-						if sp.Name == "cuLaunchKernel" && len(sp.Stages) > 0 {
-							return nil
-						}
-					}
-					return errors.New("no cuLaunchKernel span")
-				}},
-				"/statusz": {"text/plain", func(b []byte) error {
-					if !strings.Contains(string(b), "objectives") {
-						return errors.New("no objectives section")
-					}
-					return nil
-				}},
-				"/healthz": {"application/json", parseJSON},
-				"/readyz": {"application/json", func(b []byte) error {
-					if string(b) != src.readyz {
-						return fmt.Errorf("body differs, want\n%s", src.readyz)
-					}
-					return nil
-				}},
-				"/slo.json":       {"application/json", parseJSON},
-				"/incidents.json": {"application/json", parseJSON},
-				"/flightrec.tail": {"application/json", parseJSON},
-				"/flightrec.json": {"application/json", func(b []byte) error {
-					_, err := lake.ReadFlightDump(b)
-					return err
-				}},
-				"/models.json": {"application/json", func(b []byte) error {
-					var models map[string]json.RawMessage
-					if err := json.Unmarshal(b, &models); err != nil {
-						return err
-					}
-					if _, ok := models[src.model]; src.model != "" && !ok {
-						return fmt.Errorf("model %q not listed", src.model)
-					}
-					return nil
-				}},
+	t.Run("planted-bad-body", func(t *testing.T) {
+		otherDump, err := rt.FlightRecorder().Snapshot("crash").JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		planted := map[string][]string{
+			"/metrics":        {"# TYPE lake_other_total counter\n"},
+			"/metrics.json":   {`{"counters": {}}`, `[`},
+			"/spans.json":     {`[]`, `[{"name": "cuLaunchKernel", "stages": [{}, {}]}]`, `{}`},
+			"/statusz":        {"lake health plane\n"},
+			"/healthz":        {`{"status": "degraded"}`, `{}`},
+			"/readyz":         {strings.Replace(readyzBody(rt.Daemon().Handled()), `"ready": true`, `"ready": false`, 1)},
+			"/slo.json":       {`{"objectives": [], "stages": []}`, `{"objectives": [{}], "stages": null}`, `{"objectives": [{}]}`},
+			"/incidents.json": {`{}`, `null`},
+			"/flightrec.tail": {`{"events": []}`, `{"cursor": "v2.0.0.0.0.0.0.0.0", "events": null}`},
+			"/flightrec.json": {string(otherDump), `{}`},
+		}
+		for path, want := range table {
+			bodies := planted[path]
+			if len(bodies) == 0 {
+				t.Errorf("route %s has no planted bad body", path)
 			}
-			for _, p := range lake.HealthPlanePaths {
-				if _, ok := routes[p]; !ok {
-					t.Errorf("health-plane route %s has no expectation in this table", p)
+			for _, b := range bodies {
+				if want.check([]byte(b)) == nil {
+					t.Errorf("%s check accepted the planted body %.120q", path, b)
 				}
 			}
-			for path, want := range routes {
-				resp, err := srv.Client().Get(srv.URL + path)
-				if err != nil {
-					t.Fatalf("GET %s: %v", path, err)
-				}
-				body, err := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if err != nil {
-					t.Fatalf("GET %s: read body: %v", path, err)
-				}
-				if resp.StatusCode != 200 {
-					t.Errorf("GET %s = %d: %s", path, resp.StatusCode, body)
-					continue
-				}
-				if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, want.contentType) {
-					t.Errorf("GET %s Content-Type = %q, want %s", path, ct, want.contentType)
-				}
-				if err := want.parse(body); err != nil {
-					t.Errorf("GET %s body: %v\n%.300s", path, err, body)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // burstStats is laked's stdout for the burst on one channel: the counts
@@ -268,7 +316,7 @@ func TestRunServesTelemetry(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if err := parseJSON(body); err != nil {
+	if err := routes(0)["/healthz"].check(body); err != nil {
 		t.Fatalf("/healthz: %v\n%s", err, body)
 	}
 	stop()

@@ -112,10 +112,10 @@ var deletedNames = []deletedName{
 	// own their features.Store; lake's facade funcs are the only New* calls
 	// of these names left.
 	{kind: shape, pattern: `\.(NewBatcher|NewLifecycle|NewHealthPlane|ModelLifecycles|Features)\(`, except: `^lake\.New`,
-		reason: "layers attach with batcher.New, lifecycle.New, healthplane.Attach/AttachFleet"},
+		reason: "layers attach with batcher.New, lifecycle.New, healthplane.Attach"},
 	{kind: shape, pattern: `\) (NewBatcher|NewLifecycle|NewHealthPlane|ModelLifecycles|Features)\(`,
 		reason: "the runtime composes no layer"},
-	{kind: ident, pattern: `SetModelSource`, reason: "a plane lists only the lifecycle managers it was handed with Plane.Watch"},
+	{kind: ident, pattern: `SetModelSource`, reason: "a plane reads lifecycle managers only through their recorder events"},
 	// Workloads embed offload.Model[T] and supply only a per-row decoder.
 	// (kleio's ClassifyLAKE is the §4.4 high-level-API route, hence the
 	// scope.)
@@ -157,6 +157,14 @@ var deletedNames = []deletedName{
 	// into the drive loop and no loopback scrape of a health plane.
 	{kind: flagName, pattern: `^live-slo$`, dirs: []string{"cmd"}, reason: "no live health-plane scrape during a replay"},
 	{kind: ident, pattern: `^(RunObserver|Observer)$`, dirs: []string{"internal/loadgen", "cmd/lakeload"}, reason: "no live hook in loadgen's drive loop"},
+	// The health plane is the one laked builds: one runtime, fixed windows
+	// and objectives, and drift read from the lifecycle events on the
+	// runtime's recorder — no fleet plane, no stall watchdog, no manager
+	// handed to it and no registry route.
+	{kind: ident, pattern: `^(AttachFleet|NewFleetHealthPlane|HealthPlaneConfig|SLOObjective|SetDemotionHook|demotePing|stallPolls)$`,
+		reason: "one plane over one runtime, configured by constants; drift comes from recorder events"},
+	{kind: literal, pattern: `^/models\.json$`, noTests: true, reason: "the plane serves no registry route (tests pin its 404)"},
+	{kind: shape, pattern: `\(\*Plane\) Watch\(|[Pp]lane\.Watch\(`, reason: "a plane is handed no lifecycle manager"},
 }
 
 // TestDeletedNamesStayDeleted checks the module against deletedNames with

@@ -2,8 +2,8 @@
 // threshold must leave behind exactly one incident bundle — the anomaly
 // latch arms on the rising edge and stays armed while the breach persists —
 // and that bundle must be a usable black box: a flight-recorder dump whose
-// stitched cross-domain timelines are >=99% complete, a merged telemetry
-// snapshot, the model registry's state, and the SLO view that tripped.
+// stitched cross-domain timelines are >=99% complete, a telemetry snapshot,
+// and the SLO view that tripped.
 package lake_test
 
 import (
@@ -11,35 +11,20 @@ import (
 	"time"
 
 	lake "lakego"
-	"lakego/internal/lifecycle"
-	"lakego/internal/linnos"
-	"lakego/internal/nn"
 )
 
 func TestHealthPlaneIncidentCapture(t *testing.T) {
 	mix := &lake.FaultMix{
 		Drop: 0.05, Corrupt: 0.01, Duplicate: 0.02,
-		Delay: 0.1, DelayMin: 20 * time.Microsecond, DelayMax: 60 * time.Microsecond,
+		Delay: 0.3, DelayMin: 5 * time.Millisecond, DelayMax: 6 * time.Millisecond,
 		Crash: 0.005, Seed: 211,
 	}
 	s := newTracedChaosStack(t, mix)
 
-	// A lifecycle manager on the runtime so the bundle carries registry
-	// state alongside the dump and the metrics snapshot.
-	mgr, err := lifecycle.New(s.rt, lifecycle.DefaultConfig("linnos-base"), nn.New(21, linnos.Base.Sizes()...))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// A 1µs call budget no real call can meet: the very first poll after
-	// traffic must see attainment far below target and trip fast-burn.
-	plane := lake.NewHealthPlane(s.rt, lake.HealthPlaneConfig{
-		Tick:       time.Millisecond,
-		ShortTicks: 5,
-		LongTicks:  1000,
-		Objectives: []lake.SLOObjective{{Name: "calls", Stage: "call", Budget: time.Microsecond, Target: 0.999}},
-	})
-	plane.Watch(mgr)
+	// The plane's default objectives: 30 % of frames delayed 5–6 ms push
+	// far more than 0.1 % of calls past the 5 ms call budget, so the first
+	// poll after traffic must trip fast-burn.
+	plane := lake.NewHealthPlane(s.rt)
 
 	runChaosWorkloads(t, s, chaosRounds(), 16)
 
@@ -69,9 +54,6 @@ func TestHealthPlaneIncidentCapture(t *testing.T) {
 	if len(inc.Telemetry.Counters) == 0 || len(inc.Telemetry.Histograms) == 0 {
 		t.Fatalf("incident telemetry snapshot empty: %d counters, %d histograms",
 			len(inc.Telemetry.Counters), len(inc.Telemetry.Histograms))
-	}
-	if len(inc.Models) != 1 || inc.Models[0].Model != "linnos-base" || len(inc.Models[0].Versions) == 0 {
-		t.Fatalf("incident registry state = %+v, want the linnos-base manager with its versions", inc.Models)
 	}
 	if inc.SLO == nil || len(inc.SLO.Objectives) == 0 {
 		t.Fatal("incident bundle has no SLO state")

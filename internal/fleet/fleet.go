@@ -114,9 +114,6 @@ func (s *Shard) Clock() *vtime.Clock { return s.rt.Clock() }
 // State returns the router's view of the shard.
 func (s *Shard) State() ShardState { return ShardState(s.state.Load()) }
 
-// Outstanding reports in-flight fleet requests currently routed here.
-func (s *Shard) Outstanding() int64 { return s.outstanding.Load() }
-
 // Fleet is a booted shard set plus its router state.
 type Fleet struct {
 	cfg    Config

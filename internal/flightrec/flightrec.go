@@ -86,12 +86,18 @@ const (
 	EvMigrateEnd         // router: shard migration done; a0=source shard, a1=destination shard, a2=journal entries moved
 	EvDoorbell           // boundary, only while a fault plane is armed: ring-transport doorbell rung on an empty→nonempty transition; a0=bytes, a1=direction
 	EvModelRegister      // lifecycle: version added to the registry; a0=version seq, a1=content hash (low 64)
-	EvModelSwap          // lifecycle: serving slot flipped; a0=new version seq, a1=old version seq, a2=reason (0 promote, 1 demote, 2 rollback)
+	EvModelSwap          // lifecycle: serving slot flipped; a0=new version seq, a1=old version seq, a2=reason (SwapPromote, SwapDemote)
 	EvRetrainStep        // lifecycle: one online SGD step; a0=samples consumed, a1=loss milli-units
 	EvShadowScore        // lifecycle: A-B shadow comparison; a0=candidate hits, a1=serving hits, a2=window size
 	EvDriftAlarm         // lifecycle: drift detector fired; a0=accuracy per-mille, a1=baseline per-mille, a2=consecutive bad windows
 	EvFallback           // lifecycle: model marked unhealthy, *Auto routing on heuristic path; a0=1 entering fallback, 0 leaving
 	numKinds
+)
+
+// EvModelSwap's reasons (its a2). The values are stable: dumps carry them.
+const (
+	SwapPromote uint64 = 0 // a candidate beat serving in shadow scoring, or an operator promoted a version
+	SwapDemote  uint64 = 1 // the drift detector rolled the model back
 )
 
 var kindNames = [numKinds]string{

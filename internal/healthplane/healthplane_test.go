@@ -5,12 +5,27 @@ import (
 	"testing"
 	"time"
 
+	"lakego/internal/core"
 	"lakego/internal/flightrec"
 	"lakego/internal/lifecycle"
 	"lakego/internal/nn"
 	"lakego/internal/telemetry"
 	"lakego/internal/vtime"
 )
+
+// sourcedPlane builds a plane over a fresh clock, an enabled recorder and a
+// registry, with a probe reporting one ready shard, and returns the recorder
+// and registry the test drives.
+func sourcedPlane() (*Plane, *flightrec.Recorder, *telemetry.Registry) {
+	clock := vtime.New()
+	rec := flightrec.New(clock, 256)
+	rec.SetEnabled(true)
+	reg := telemetry.NewRegistry()
+	p := newPlane(clock.Now, rec, reg.Snapshot, func() []ShardHealth {
+		return []ShardHealth{{State: "Healthy", Ready: true, Handled: 1}}
+	})
+	return p, rec, reg
+}
 
 func TestBurnRate(t *testing.T) {
 	if got := burnRate(0, 0, 0.999); got != 0 {
@@ -31,11 +46,11 @@ func TestBurnRate(t *testing.T) {
 }
 
 func TestWindowTallyAndRings(t *testing.T) {
-	p := newPlane(Config{Tick: time.Millisecond, ShortTicks: 3, LongTicks: 5,
-		Objectives: []Objective{{Name: "o", Stage: StageCall, Budget: time.Millisecond, Target: 0.9}}})
-	o := p.objs[0]
+	p, _, _ := sourcedPlane()
+	o := p.objs[0] // calls, 5ms budget
+
 	p.sample(StageCall, 0, int64(500*time.Microsecond), 1, 10) // good
-	p.sample(StageCall, 0, int64(2*time.Millisecond), 2, 4)    // bad
+	p.sample(StageCall, 0, int64(6*time.Millisecond), 2, 4)    // bad
 	p.fail(StageCall, 2, 1)
 
 	if g, b := windowTally(o, 2, 1); g != 0 || b != 5 {
@@ -44,23 +59,23 @@ func TestWindowTallyAndRings(t *testing.T) {
 	if g, b := windowTally(o, 2, 3); g != 10 || b != 5 {
 		t.Fatalf("3-tick window = (%d,%d), want (10,5)", g, b)
 	}
-	// Lapping the ring (LongTicks=5) retires old ticks from the tally.
-	p.sample(StageCall, 0, int64(time.Microsecond), 7, 2)
-	if g, b := windowTally(o, 7, 5); g != 2 || b != 0 {
+	// Lapping the ring (longTicks slots) reuses tick 2's slot and retires
+	// ticks 1 and 2 from the long window's tally.
+	p.sample(StageCall, 0, int64(time.Microsecond), 2+longTicks, 2)
+	if g, b := windowTally(o, 2+longTicks, longTicks); g != 2 || b != 0 {
 		t.Fatalf("post-lap window = (%d,%d), want (2,0)", g, b)
 	}
 }
 
 func TestEvaluateLatchAndRearm(t *testing.T) {
-	p := newPlane(Config{Tick: time.Millisecond, ShortTicks: 3, LongTicks: 6,
-		Objectives: []Objective{{Name: "o", Stage: StageCall, Budget: time.Microsecond, Target: 0.95}}})
-	o := p.objs[0]
+	p, _, _ := sourcedPlane()
+	o := p.objs[0] // calls: target 0.999
 
-	// All-bad traffic burns at 1/(1-0.95) = 20 >= fastBurn in both windows.
+	// All-bad traffic burns at 1/(1-0.999) = 1000 >= fastBurn in both windows.
 	p.fail(StageCall, 1, 100)
 	tripped := p.evaluate(1)
-	if len(tripped) != 1 || tripped[0].severity != "fast-burn" {
-		t.Fatalf("evaluate = %+v, want one fast-burn trip", tripped)
+	if len(tripped) != 1 || tripped[0] != o || o.severity != "fast-burn" {
+		t.Fatalf("evaluate = %+v, want one fast-burn trip of calls", tripped)
 	}
 	if !o.inAlert {
 		t.Fatal("objective not latched after trip")
@@ -70,28 +85,25 @@ func TestEvaluateLatchAndRearm(t *testing.T) {
 		t.Fatalf("latched objective re-tripped: %+v", again)
 	}
 
-	// A flood of good traffic clears both windows and re-arms the latch.
-	p.sample(StageCall, 0, 0, 2, 10000)
+	// A flood of good traffic brings both the long and the short window
+	// below slowBurn (100 bad of 100,100 burns at ~1) and re-arms the latch.
+	p.sample(StageCall, 0, 0, 2, 100000)
 	if cleared := p.evaluate(2); len(cleared) != 0 || o.inAlert {
 		t.Fatalf("alert did not clear: tripped=%v inAlert=%v", cleared, o.inAlert)
 	}
 
-	// A second breach episode trips a second alert.
-	p.fail(StageCall, 9, 100)
-	if second := p.evaluate(9); len(second) != 1 {
+	// A second breach episode, once the first has left the long window,
+	// trips a second alert.
+	next := int64(3 + longTicks)
+	p.fail(StageCall, next, 100)
+	if second := p.evaluate(next); len(second) != 1 {
 		t.Fatalf("re-armed objective did not re-trip: %+v", second)
 	}
 }
 
 func TestPollIngestsTailAndHistogramDeltas(t *testing.T) {
-	clock := vtime.New()
-	rec := flightrec.New(clock, 256)
-	rec.SetEnabled(true)
-	reg := telemetry.NewRegistry()
+	p, rec, reg := sourcedPlane()
 	h := reg.Histogram("lake_lib_call_latency_ns", "t", telemetry.DefaultLatencyBuckets())
-
-	p := newPlane(Config{Tick: time.Millisecond})
-	p.now, p.rec, p.snapFn = clock.Now, rec, reg.Snapshot
 
 	rec.Emit(flightrec.DomainKernel, flightrec.EvCallEnd, 0, 1, 0, 7, 0, uint64(500*time.Microsecond)) // the boundary round trip
 	rec.Emit(flightrec.DomainGPU, flightrec.EvExec, 0, 2, 0, uint64(30*time.Microsecond), uint64(5*time.Microsecond), 0)
@@ -155,122 +167,74 @@ func TestPollIngestsTailAndHistogramDeltas(t *testing.T) {
 	}
 }
 
-func TestWatchdogStall(t *testing.T) {
-	sh := ShardHealth{Ordinal: 0, State: "Active", Ready: true, Outstanding: 5, Handled: 100}
-	p := newPlane(Config{})
-	p.shardProbe = func() []ShardHealth { return []ShardHealth{sh} }
-
-	if inc := p.Poll(); len(inc) != 0 { // first sight: baseline only
-		t.Fatalf("baseline poll captured %d incidents", len(inc))
-	}
-	for i := 1; i < stallPolls; i++ { // stall polls 1 and 2 of 3
-		if inc := p.Poll(); len(inc) != 0 {
-			t.Fatalf("premature watchdog trip after %d stalled polls", i)
-		}
-	}
-	inc := p.Poll() // stall poll 3 of 3: trip
-	if len(inc) != 1 || inc[0].Trigger != "watchdog-stall" {
-		t.Fatalf("watchdog = %+v, want one watchdog-stall", inc)
-	}
-	if more := p.Poll(); len(more) != 0 { // tripped latch holds
-		t.Fatalf("stalled shard re-captured: %d", len(more))
-	}
-
-	sh.Handled = 150 // progress resumes: watchdog re-arms
-	if inc := p.Poll(); len(inc) != 0 {
-		t.Fatalf("progress poll captured %d incidents", len(inc))
-	}
-	sh.Outstanding, sh.Handled = 3, 150
-	p.Poll() // stall poll 1 of 3
-	p.Poll() // stall poll 2 of 3
-	if inc := p.Poll(); len(inc) != 1 {
-		t.Fatalf("second stall episode captured %d incidents, want 1", len(inc))
-	}
-}
-
+// TestDemotionFallbackCapture boots a lifecycle manager and a plane on one
+// runtime, with nothing linking the two but the runtime's recorder: each
+// drift episode — a demotion to the previous version, then fallback once no
+// version is left — captures exactly one drift-demotion incident.
 func TestDemotionFallbackCapture(t *testing.T) {
+	rt, err := core.New(core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
 	cfg := lifecycle.DefaultConfig("pred")
 	cfg.DriftWindow = 4
-	m, err := lifecycle.NewManager(vtime.New(), cfg, nn.New(1, 2, 2))
+	cfg.RoundSamples = 1 << 30 // keep the trainer out of this test
+	base := nn.New(1, 2, 2)
+	m, err := lifecycle.New(rt, cfg, base)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A second version, so the first drift episode has one to demote to.
+	v2net := base.Clone()
+	v2net.Layers[0].W[0] += 0.25
+	v2 := m.Registry().Register(v2net, lifecycle.Meta{Model: "pred", Note: "manual"})
+	if err := m.PromoteVersion(v2.Seq); err != nil {
+		t.Fatal(err)
+	}
 
-	p := newPlane(Config{})
-	p.Watch(m)                          // installs the demotion hook
-	if inc := p.Poll(); len(inc) != 0 { // baseline: records stats
+	p := Attach(rt)
+	if inc := p.Poll(); len(inc) != 0 { // a promotion is no drift
 		t.Fatalf("baseline poll captured %d incidents", len(inc))
 	}
 
-	// The first drift window pins a perfect baseline; the next two are
-	// all-wrong, and with no predecessor version the demotion lands in
-	// fallback.
-	for i := 0; i < cfg.DriftWindow; i++ {
-		m.Observe(lifecycle.Outcome{X: []float32{0}, Predicted: 1, Label: 1})
+	feed := func(label, n int) {
+		for i := 0; i < n; i++ {
+			m.Observe(lifecycle.Outcome{X: []float32{0}, Predicted: 1, Label: label})
+			m.Pump()
+		}
 	}
-	m.Pump()
-	for i := 0; i < 2*cfg.DriftWindow; i++ {
-		m.Observe(lifecycle.Outcome{X: []float32{0}, Predicted: 1, Label: 0})
+	episode := func(name, detail string) {
+		t.Helper()
+		feed(0, 2*cfg.DriftWindow) // two windows below the pinned baseline
+		inc := p.Poll()
+		if len(inc) != 1 || inc[0].Trigger != "drift-demotion" {
+			t.Fatalf("%s: capture = %+v, want one drift-demotion", name, inc)
+		}
+		if !strings.Contains(inc[0].Detail, detail) {
+			t.Fatalf("%s: incident detail %q lacks %q", name, inc[0].Detail, detail)
+		}
+		if inc[0].Dump == nil || inc[0].SLO == nil {
+			t.Fatalf("%s: incident bundle lacks its dump or SLO state", name)
+		}
+		if more := p.Poll(); len(more) != 0 {
+			t.Fatalf("%s: re-captured %d incidents", name, len(more))
+		}
 	}
-	m.Pump()
+
+	feed(1, cfg.DriftWindow) // pins a perfect baseline
+	episode("demotion", "serving version 1")
+	if st := m.Stats(); st.Demotions != 1 || st.Fallback {
+		t.Fatalf("after the first episode: %+v, want one demotion and no fallback", st)
+	}
+	episode("fallback", "heuristic fallback")
 	if m.Healthy() {
-		t.Fatal("manager still healthy; drift scenario did not demote")
-	}
-	if !p.demotePing.Load() {
-		t.Fatal("demotion hook did not ping the plane")
-	}
-
-	inc := p.Poll()
-	if len(inc) != 1 || inc[0].Trigger != "drift-demotion" {
-		t.Fatalf("demotion capture = %+v, want one drift-demotion", inc)
-	}
-	if !strings.Contains(inc[0].Detail, "pred") {
-		t.Fatalf("incident detail %q does not name the model", inc[0].Detail)
-	}
-	if len(inc[0].Models) != 1 || !inc[0].Models[0].Stats.Fallback {
-		t.Fatalf("incident registry state = %+v, want fallback pred", inc[0].Models)
-	}
-	if len(inc[0].Models[0].Versions) != 1 {
-		t.Fatalf("registry versions = %d, want 1", len(inc[0].Models[0].Versions))
-	}
-	if more := p.Poll(); len(more) != 0 { // no re-capture while fallen back
-		t.Fatalf("fallback re-captured: %d", len(more))
-	}
-
-	// Watching the same manager again changes nothing.
-	p.Watch(m)
-	if n := len(p.SLO().Models); n != 1 {
-		t.Fatalf("re-watched manager listed %d times, want 1", n)
-	}
-
-	// A fresh manager for the same model replaces the fallen one and starts
-	// a new baseline: its zero demotion count and healthy state are not
-	// compared against the old manager's.
-	fresh, err := lifecycle.NewManager(vtime.New(), cfg, nn.New(1, 2, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Watch(fresh)
-	if inc := p.Poll(); len(inc) != 0 {
-		t.Fatalf("replacement poll captured %d incidents", len(inc))
-	}
-	if st := p.SLO().Models; len(st) != 1 || st[0].Fallback {
-		t.Fatalf("models after replacement = %+v, want the one healthy pred", st)
-	}
-
-	// Managers for other models list in name order, whatever the watch order.
-	other, err := lifecycle.NewManager(vtime.New(), lifecycle.DefaultConfig("alpha"), nn.New(1, 2, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Watch(other)
-	if st := p.SLO().Models; len(st) != 2 || st[0].Model != "alpha" || st[1].Model != "pred" {
-		t.Fatalf("models = %+v, want alpha then pred", st)
+		t.Fatal("manager still healthy after the version stack ran out")
 	}
 }
 
 func TestIncidentRingBound(t *testing.T) {
-	p := newPlane(Config{})
+	p, _, _ := sourcedPlane()
 	p.mu.Lock()
 	for i := 0; i < 11; i++ {
 		p.captureLocked("test", "n", "")
@@ -323,10 +287,8 @@ func TestQuantileFromBucketsMatchesHistogram(t *testing.T) {
 }
 
 func TestHistogramShardAttribution(t *testing.T) {
-	reg := telemetry.NewRegistry()
+	p, _, reg := sourcedPlane()
 	h := reg.Histogram(`lake_lib_call_latency_ns{shard="3"}`, "t", telemetry.DefaultLatencyBuckets())
-	p := newPlane(Config{})
-	p.snapFn = reg.Snapshot
 	h.Observe(int64(time.Millisecond))
 	p.Poll()
 	snap := p.SLO()

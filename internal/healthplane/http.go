@@ -22,7 +22,6 @@ var Paths = []string{
 	"/flightrec.tail",
 	"/flightrec.json",
 	"/spans.json",
-	"/models.json",
 }
 
 // Handler returns the plane's HTTP surface. Every GET is read-only and
@@ -37,7 +36,6 @@ func (p *Plane) Handler() http.Handler {
 	mux.HandleFunc("/flightrec.tail", p.handleTail)
 	mux.HandleFunc("/flightrec.json", p.handleDump)
 	mux.HandleFunc("/spans.json", p.handleSpans)
-	mux.HandleFunc("/models.json", p.handleModels)
 	return mux
 }
 
@@ -88,10 +86,9 @@ func (p *Plane) handleStatusz(w http.ResponseWriter, req *http.Request) {
 		p.UptimeVNS(), p.UptimeSeconds(), polls, skipped)
 	fmt.Fprintf(w, "ready: %v (%d shards)\n", ready, len(shards))
 	for _, sh := range shards {
-		fmt.Fprintf(w, "  shard %d: %s ready=%v outstanding=%d handled=%d\n",
-			sh.Ordinal, sh.State, sh.Ready, sh.Outstanding, sh.Handled)
+		fmt.Fprintf(w, "  shard: %s ready=%v handled=%d\n", sh.State, sh.Ready, sh.Handled)
 	}
-	fmt.Fprintf(w, "objectives (windows %s):\n", windowNames(p))
+	fmt.Fprintf(w, "objectives (windows %s/%s/%s):\n", windowSpec[0].name, windowSpec[1].name, windowSpec[2].name)
 	for _, o := range snap.Objectives {
 		alert := "ok"
 		if o.InAlert {
@@ -103,16 +100,7 @@ func (p *Plane) handleStatusz(w http.ResponseWriter, req *http.Request) {
 		}
 		fmt.Fprintln(w)
 	}
-	for _, m := range snap.Models {
-		fmt.Fprintf(w, "model %s: serving seq %d of %d, healthy=%v fallback=%v swaps=%d demotions=%d drift=%d acc=%.3f\n",
-			m.Model, m.ServingSeq, m.Versions, m.Healthy, m.Fallback, m.Swaps, m.Demotions, m.DriftAlarms, m.LiveAccuracy)
-	}
 	fmt.Fprintf(w, "incidents retained: %d (see /incidents.json)\n", incidents)
-}
-
-func windowNames(p *Plane) string {
-	spec := p.windowSpec()
-	return spec[0].name + "/" + spec[1].name + "/" + spec[2].name
 }
 
 func (p *Plane) handleSLO(w http.ResponseWriter, req *http.Request) {
@@ -133,13 +121,6 @@ func (p *Plane) handleIncidents(w http.ResponseWriter, req *http.Request) {
 // count the reader missed. Clients keep their own cursors — tailing never
 // disturbs the plane's internal SLO cursor or other readers.
 func (p *Plane) handleTail(w http.ResponseWriter, req *http.Request) {
-	p.mu.Lock()
-	rec := p.rec
-	p.mu.Unlock()
-	if rec == nil {
-		http.Error(w, "flight recorder disabled", http.StatusNotFound)
-		return
-	}
 	cur, err := flightrec.ParseTailCursor(req.URL.Query().Get("cursor"))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -152,7 +133,7 @@ func (p *Plane) handleTail(w http.ResponseWriter, req *http.Request) {
 			return
 		}
 	}
-	events, next, skipped := rec.Tail(cur, max)
+	events, next, skipped := p.rec.Tail(cur, max)
 	type tailEvent struct {
 		VTimeNS int64  `json:"vtime_ns"`
 		Wall    int64  `json:"wall_unix_ns"`
@@ -183,24 +164,23 @@ func (p *Plane) handleTail(w http.ResponseWriter, req *http.Request) {
 }
 
 // handleDump serves /flightrec.json. The default is an on-demand
-// Snapshot("http") — always 200 while the recorder runs, no crash required;
-// ?last=1 returns the retained automatic dump (404 until one has fired).
+// Snapshot("http") — always 200, no crash required; ?last=true (or any
+// value strconv.ParseBool reads as true) returns the retained automatic
+// dump, 404 until one has fired. A last it cannot parse is a 400.
 func (p *Plane) handleDump(w http.ResponseWriter, req *http.Request) {
-	p.mu.Lock()
-	rec := p.rec
-	p.mu.Unlock()
-	if rec == nil {
-		http.Error(w, "flight recorder disabled", http.StatusNotFound)
-		return
-	}
-	var dump *flightrec.Dump
-	if req.URL.Query().Get("last") != "" {
-		if dump = rec.LastDump(); dump == nil {
-			http.Error(w, "no automatic dump recorded", http.StatusNotFound)
+	last := false
+	if s := req.URL.Query().Get("last"); s != "" {
+		var err error
+		if last, err = strconv.ParseBool(s); err != nil {
+			http.Error(w, "bad last: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-	} else if dump = rec.Snapshot("http"); dump == nil {
-		http.Error(w, "flight recorder disabled", http.StatusNotFound)
+	}
+	dump := p.rec.LastDump()
+	if !last {
+		dump = p.rec.Snapshot("http")
+	} else if dump == nil {
+		http.Error(w, "no automatic dump recorded", http.StatusNotFound)
 		return
 	}
 	b, err := dump.JSON()
@@ -215,29 +195,6 @@ func (p *Plane) handleDump(w http.ResponseWriter, req *http.Request) {
 // handleSpans serves /spans.json: the recorder's surviving events stitched
 // into one span per completed remoted call (flightrec.Spans).
 func (p *Plane) handleSpans(w http.ResponseWriter, req *http.Request) {
-	p.mu.Lock()
-	rec := p.rec
-	p.mu.Unlock()
-	dump := rec.Snapshot("http")
-	if dump == nil {
-		http.Error(w, "flight recorder disabled", http.StatusNotFound)
-		return
-	}
 	apiName := func(id uint64) string { return remoting.APIID(id).String() }
-	writeJSON(w, flightrec.Spans(flightrec.Stitch(dump).Timelines, apiName))
-}
-
-// handleModels serves the registry state in laked's /models.json shape.
-func (p *Plane) handleModels(w http.ResponseWriter, req *http.Request) {
-	p.mu.Lock()
-	states := p.registryStateLocked()
-	p.mu.Unlock()
-	out := map[string]interface{}{}
-	for _, rs := range states {
-		out[rs.Model] = map[string]interface{}{
-			"stats":    rs.Stats,
-			"versions": rs.Versions,
-		}
-	}
-	writeJSON(w, out)
+	writeJSON(w, flightrec.Spans(flightrec.Stitch(p.rec.Snapshot("http")).Timelines, apiName))
 }

@@ -6,36 +6,12 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"lakego/internal/core"
 	"lakego/internal/flightrec"
-	"lakego/internal/lifecycle"
-	"lakego/internal/nn"
 	"lakego/internal/telemetry"
 	"lakego/internal/vtime"
 )
-
-// testPlane wires a plane to a live recorder, registry, model and probe —
-// the shape laked serves.
-func testPlane(t *testing.T) (*Plane, *flightrec.Recorder, *telemetry.Registry) {
-	t.Helper()
-	clock := vtime.New()
-	rec := flightrec.New(clock, 256)
-	rec.SetEnabled(true)
-	reg := telemetry.NewRegistry()
-	m, err := lifecycle.NewManager(clock, lifecycle.DefaultConfig("pred"), nn.New(1, 2, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := newPlane(Config{Tick: time.Millisecond})
-	p.now, p.rec, p.snapFn = clock.Now, rec, reg.Snapshot
-	p.Watch(m)
-	p.shardProbe = func() []ShardHealth {
-		return []ShardHealth{{Ordinal: 0, State: "Active", Ready: true, Handled: 1}}
-	}
-	return p, rec, reg
-}
 
 func get(t *testing.T, srv *httptest.Server, path string) (int, []byte) {
 	t.Helper()
@@ -57,7 +33,7 @@ func get(t *testing.T, srv *httptest.Server, path string) (int, []byte) {
 }
 
 func TestHTTPEndpoints(t *testing.T) {
-	p, rec, _ := testPlane(t)
+	p, _, _ := sourcedPlane()
 	srv := httptest.NewServer(p.Handler())
 	defer srv.Close()
 
@@ -79,7 +55,7 @@ func TestHTTPEndpoints(t *testing.T) {
 
 	// /statusz is the text one-pager.
 	code, body = get(t, srv, "/statusz")
-	if code != 200 || !strings.Contains(string(body), "objectives") || !strings.Contains(string(body), "model pred") {
+	if code != 200 || !strings.Contains(string(body), "objectives") {
 		t.Fatalf("/statusz = %d %s", code, body)
 	}
 
@@ -95,9 +71,6 @@ func TestHTTPEndpoints(t *testing.T) {
 	if len(slo.Objectives) != 2 || len(slo.Objectives[0].Windows) != 3 {
 		t.Fatalf("/slo.json objectives = %+v", slo.Objectives)
 	}
-	if len(slo.Models) != 1 || slo.Models[0].Model != "pred" {
-		t.Fatalf("/slo.json models = %+v", slo.Models)
-	}
 
 	// /incidents.json is an array even when empty.
 	code, body = get(t, srv, "/incidents.json")
@@ -105,18 +78,14 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Fatalf("/incidents.json = %d %s", code, body)
 	}
 
-	// /models.json carries the registry in laked's shape.
-	code, body = get(t, srv, "/models.json")
-	if code != 200 || !strings.Contains(string(body), `"pred"`) {
-		t.Fatalf("/models.json = %d %s", code, body)
+	// No registry route: the plane reads models only through their events.
+	if code, _ = get(t, srv, "/models.json"); code != 404 {
+		t.Fatalf("/models.json = %d, want 404", code)
 	}
-
-	rec.Emit(flightrec.DomainKernel, flightrec.EvCallEnd, 0, 1, 0, 7, 0, 1000)
-	rec.Emit(flightrec.DomainKernel, flightrec.EvCallEnd, 0, 2, 0, 7, 0, 2000)
 }
 
 func TestHTTPTailCursorFlow(t *testing.T) {
-	p, rec, _ := testPlane(t)
+	p, rec, _ := sourcedPlane()
 	srv := httptest.NewServer(p.Handler())
 	defer srv.Close()
 
@@ -171,9 +140,9 @@ func TestHTTPTailCursorFlow(t *testing.T) {
 // TestHTTPDumpOnDemand pins the on-demand dump contract: /flightrec.json
 // answers 200 with a live Snapshot("http") even when no automatic dump has
 // fired, and ?last=1 serves the retained trigger dump (404 until one
-// exists).
+// exists). last parses as a boolean.
 func TestHTTPDumpOnDemand(t *testing.T) {
-	p, rec, _ := testPlane(t)
+	p, rec, _ := sourcedPlane()
 	srv := httptest.NewServer(p.Handler())
 	defer srv.Close()
 
@@ -203,30 +172,38 @@ func TestHTTPDumpOnDemand(t *testing.T) {
 	if d, err = flightrec.ReadDump(body); err != nil || d.Reason != "test trigger" {
 		t.Fatalf("retained dump reason = %v %q", err, d.Reason)
 	}
+
+	// last is a boolean: a false value is the on-demand snapshot even while
+	// a retained dump exists, and a value that is no boolean is a 400.
+	for _, q := range []string{"last=0", "last=false", "last="} {
+		code, body = get(t, srv, "/flightrec.json?"+q)
+		if code != 200 {
+			t.Fatalf("?%s = %d, want 200", q, code)
+		}
+		if d, err = flightrec.ReadDump(body); err != nil || d.Reason != "http" {
+			t.Fatalf("?%s dump reason = %v %q, want the http snapshot", q, err, d.Reason)
+		}
+	}
+	for _, q := range []string{"last=x", "last=yes", "last=2"} {
+		if code, _ = get(t, srv, "/flightrec.json?"+q); code != 400 {
+			t.Fatalf("?%s = %d, want 400", q, code)
+		}
+	}
 }
 
 func TestHTTPReadyz503(t *testing.T) {
-	p := newPlane(Config{})
-	p.shardProbe = func() []ShardHealth {
-		return []ShardHealth{
-			{Ordinal: 0, State: "Active", Ready: true},
-			{Ordinal: 1, State: "Draining", Ready: false},
-		}
-	}
+	clock := vtime.New()
+	rec := flightrec.New(clock, 256)
+	p := newPlane(clock.Now, rec, telemetry.NewRegistry().Snapshot, func() []ShardHealth {
+		return []ShardHealth{{State: "Dead", Ready: false}}
+	})
 	srv := httptest.NewServer(p.Handler())
 	defer srv.Close()
 	code, body := get(t, srv, "/readyz")
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("/readyz with unready shard = %d, want 503", code)
 	}
-	if !strings.Contains(string(body), "Draining") {
+	if !strings.Contains(string(body), "Dead") {
 		t.Fatalf("/readyz body lacks shard detail: %s", body)
-	}
-
-	// No probe wired: trivially ready.
-	bare := httptest.NewServer(newPlane(Config{}).Handler())
-	defer bare.Close()
-	if code, _ := get(t, bare, "/readyz"); code != 200 {
-		t.Fatalf("probe-less /readyz = %d, want 200", code)
 	}
 }

@@ -1,6 +1,7 @@
 package healthplane
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -32,26 +33,24 @@ var histStages = map[string]string{
 	telemetry.MetricCPUItemLatency: StageCPUItem,
 }
 
-// Objective is one latency SLO: samples of Stage faster than Budget are
-// good, the rest (and stage errors) burn the error budget 1-Target.
-type Objective struct {
-	Name   string        `json:"name"`
-	Stage  string        `json:"stage"`
-	Budget time.Duration `json:"budget_ns"`
-	Target float64       `json:"target"`
+// objective is one latency SLO: samples of stage faster than budget are
+// good, the rest (and stage errors) burn the error budget 1-target.
+type objective struct {
+	name   string
+	stage  string
+	budget time.Duration
+	target float64
 }
 
-// DefaultObjectives covers the two ends of the remoted path: end-to-end
-// call latency and the boundary crossing itself.
-func DefaultObjectives() []Objective {
-	return []Objective{
-		{Name: "calls", Stage: StageCall, Budget: 5 * time.Millisecond, Target: 0.999},
-		{Name: "boundary", Stage: StageBoundary, Budget: time.Millisecond, Target: 0.99},
-	}
+// objectives covers the two ends of the remoted path: end-to-end call
+// latency and the boundary crossing itself.
+var objectives = []objective{
+	{name: "calls", stage: StageCall, budget: 5 * time.Millisecond, target: 0.999},
+	{name: "boundary", stage: StageBoundary, budget: time.Millisecond, target: 0.99},
 }
 
 // tickBucket is one virtual-time tick of one stage series: a non-cumulative
-// latency histogram. Generation-checked: the ring index is tick%LongTicks
+// latency histogram. Generation-checked: the ring index is tick%longTicks
 // and a stale tick number means the slot belongs to a lapped window and
 // must be zeroed before reuse.
 type tickBucket struct {
@@ -62,7 +61,7 @@ type tickBucket struct {
 }
 
 // stageSeries is the latency history of one (stage, shard) pair over the
-// last LongTicks virtual ticks.
+// last longTicks virtual ticks.
 type stageSeries struct {
 	stage string
 	shard uint16
@@ -79,7 +78,7 @@ type objTick struct {
 // One breach episode fires one incident: inAlert latches on the rising
 // edge and re-arms only when both burn conditions clear.
 type objState struct {
-	obj      Objective
+	obj      objective
 	ring     []objTick
 	inAlert  bool
 	severity string // "fast-burn" or "slow-burn" while in alert
@@ -89,7 +88,7 @@ func (p *Plane) series(stage string, shard uint16) *stageSeries {
 	key := stage + "|" + shardKey(shard)
 	s, ok := p.stages[key]
 	if !ok {
-		s = &stageSeries{stage: stage, shard: shard, ring: make([]tickBucket, p.cfg.LongTicks)}
+		s = &stageSeries{stage: stage, shard: shard, ring: make([]tickBucket, longTicks)}
 		p.stages[key] = s
 	}
 	return s
@@ -143,11 +142,11 @@ func (p *Plane) sample(stage string, shard uint16, lat int64, tick int64, n int6
 	b.total += n
 	b.sum += lat * n
 	for _, o := range p.objs {
-		if o.obj.Stage != stage {
+		if o.obj.stage != stage {
 			continue
 		}
 		t := p.objSlot(o, tick)
-		if lat <= int64(o.obj.Budget) {
+		if lat <= int64(o.obj.budget) {
 			t.good += n
 		} else {
 			t.bad += n
@@ -162,7 +161,7 @@ func (p *Plane) fail(stage string, tick int64, n int64) {
 		return
 	}
 	for _, o := range p.objs {
-		if o.obj.Stage != stage {
+		if o.obj.stage != stage {
 			continue
 		}
 		p.objSlot(o, tick).bad += n
@@ -210,11 +209,11 @@ func (p *Plane) evaluate(now int64) []*objState {
 	var tripped []*objState
 	for _, o := range p.objs {
 		g1, b1 := windowTally(o, now, 1)
-		gs, bs := windowTally(o, now, p.cfg.ShortTicks)
-		gl, bl := windowTally(o, now, p.cfg.LongTicks)
-		burn1 := burnRate(g1, b1, o.obj.Target)
-		burnS := burnRate(gs, bs, o.obj.Target)
-		burnL := burnRate(gl, bl, o.obj.Target)
+		gs, bs := windowTally(o, now, shortTicks)
+		gl, bl := windowTally(o, now, longTicks)
+		burn1 := burnRate(g1, b1, o.obj.target)
+		burnS := burnRate(gs, bs, o.obj.target)
+		burnL := burnRate(gl, bl, o.obj.target)
 		// Two-window alerting: the long window proves sustained burn, the
 		// short one proves it is still happening (no alerts on stale spikes).
 		fast := burnS >= fastBurn && burn1 >= fastBurn
@@ -275,20 +274,6 @@ type StageStatus struct {
 	Windows []LatencyWindow `json:"windows"`
 }
 
-// ModelStatus is one model's lifecycle health in the SLO view.
-type ModelStatus struct {
-	Model        string  `json:"model"`
-	ServingSeq   uint64  `json:"serving_seq"`
-	Versions     int     `json:"versions"`
-	Healthy      bool    `json:"healthy"`
-	Fallback     bool    `json:"fallback"`
-	Swaps        uint64  `json:"swaps"`
-	Demotions    uint64  `json:"demotions"`
-	DriftAlarms  uint64  `json:"drift_alarms"`
-	LiveAccuracy float64 `json:"live_accuracy"`
-	Baseline     float64 `json:"baseline"`
-}
-
 // SLOSnapshot is the /slo.json payload.
 type SLOSnapshot struct {
 	VNowNS     int64             `json:"vnow_ns"`
@@ -297,53 +282,46 @@ type SLOSnapshot struct {
 	Skipped    uint64            `json:"tail_skipped"`
 	Objectives []ObjectiveStatus `json:"objectives"`
 	Stages     []StageStatus     `json:"stages"`
-	Models     []ModelStatus     `json:"models,omitempty"`
 	Incidents  int               `json:"incidents"`
 }
 
-// windowSpec returns the three trailing windows (1 tick, short, long) with
-// human names derived from the configured tick.
-func (p *Plane) windowSpec() [3]struct {
+// windowSpec is the three trailing windows (1 tick, short, long) with
+// their human names.
+var windowSpec = [3]struct {
 	name  string
 	ticks int
-} {
-	return [3]struct {
-		name  string
-		ticks int
-	}{
-		{p.cfg.Tick.String(), 1},
-		{(time.Duration(p.cfg.ShortTicks) * p.cfg.Tick).String(), p.cfg.ShortTicks},
-		{(time.Duration(p.cfg.LongTicks) * p.cfg.Tick).String(), p.cfg.LongTicks},
-	}
+}{
+	{tickLen.String(), 1},
+	{(shortTicks * tickLen).String(), shortTicks},
+	{(longTicks * tickLen).String(), longTicks},
 }
 
 // sloLocked assembles the snapshot; the caller holds p.mu.
 func (p *Plane) sloLocked(now int64) *SLOSnapshot {
-	spec := p.windowSpec()
 	snap := &SLOSnapshot{
-		VNowNS:    int64(p.vnow()),
+		VNowNS:    int64(p.now()),
 		Tick:      now,
-		TickNS:    int64(p.cfg.Tick),
+		TickNS:    int64(tickLen),
 		Skipped:   p.tailSkipped,
 		Incidents: len(p.incidents),
 	}
 	for _, o := range p.objs {
 		st := ObjectiveStatus{
-			Name:     o.obj.Name,
-			Stage:    o.obj.Stage,
-			BudgetNS: int64(o.obj.Budget),
-			Target:   o.obj.Target,
+			Name:     o.obj.name,
+			Stage:    o.obj.stage,
+			BudgetNS: int64(o.obj.budget),
+			Target:   o.obj.target,
 			InAlert:  o.inAlert,
 			Severity: o.severity,
 		}
-		for _, w := range spec {
+		for _, w := range windowSpec {
 			good, bad := windowTally(o, now, w.ticks)
 			ws := WindowStats{
 				Name:     w.name,
 				Ticks:    w.ticks,
 				Good:     good,
 				Bad:      bad,
-				BurnRate: burnRate(good, bad, o.obj.Target),
+				BurnRate: burnRate(good, bad, o.obj.target),
 			}
 			if total := good + bad; total > 0 {
 				ws.Attainment = float64(good) / float64(total)
@@ -353,14 +331,12 @@ func (p *Plane) sloLocked(now int64) *SLOSnapshot {
 		snap.Objectives = append(snap.Objectives, st)
 	}
 	snap.Stages = p.stageStatusLocked(now)
-	snap.Models = p.modelStatus()
 	return snap
 }
 
 // stageStatusLocked renders per-(stage,shard) windows plus a "*" aggregate
 // per stage, in a stable order.
 func (p *Plane) stageStatusLocked(now int64) []StageStatus {
-	spec := p.windowSpec()
 	type agg struct {
 		counts [3][]int64
 		total  [3]int64
@@ -386,7 +362,7 @@ func (p *Plane) stageStatusLocked(now int64) []StageStatus {
 	}
 	for _, key := range sortedStageKeys(p.stages) {
 		s := p.stages[key]
-		for wi, w := range spec {
+		for wi, w := range windowSpec {
 			for t := now - int64(w.ticks) + 1; t <= now; t++ {
 				if t < 0 {
 					continue
@@ -405,7 +381,7 @@ func (p *Plane) stageStatusLocked(now int64) []StageStatus {
 		a := perKey[key]
 		stage, shard, _ := strings.Cut(key, "|")
 		st := StageStatus{Stage: stage, Shard: shard}
-		for wi, w := range spec {
+		for wi, w := range windowSpec {
 			st.Windows = append(st.Windows, LatencyWindow{
 				Name:  w.name,
 				Count: a.total[wi],
@@ -425,12 +401,7 @@ func sortedStageKeys(m map[string]*stageSeries) []string {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	// Insertion sort: the key space is a handful of stage|shard pairs.
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
+	slices.Sort(keys)
 	return keys
 }
 

@@ -21,7 +21,6 @@ package lifecycle
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -68,16 +67,6 @@ func (v *Version) Net() *nn.Network { return v.net }
 // Blob returns a copy of the version's serialized weights (nn.Marshal
 // format), suitable for persistence or shipping across the boundary.
 func (v *Version) Blob() []byte { return append([]byte(nil), v.blob...) }
-
-// SwapReason says why the serving slot flipped.
-type SwapReason int
-
-// Swap reasons; the values are stable — they ride flight-recorder events.
-const (
-	ReasonPromote  SwapReason = 0 // candidate beat serving in shadow scoring
-	ReasonDemote   SwapReason = 1 // drift detector rolled the model back
-	ReasonRollback SwapReason = 2 // explicit operator rollback
-)
 
 // Registry holds every registered version of one model and the serving
 // slot. Registration and promotion serialize on an internal mutex; reading
@@ -142,15 +131,6 @@ func (r *Registry) RegisterBlob(blob []byte, meta Meta) (*Version, error) {
 // Serving returns the current serving version (nil before the first
 // Promote). One atomic load — safe from any goroutine, never blocks.
 func (r *Registry) Serving() *Version { return r.serving.Load() }
-
-// Versions lists every registered version in registration order.
-func (r *Registry) Versions() []*Version {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := append([]*Version(nil), r.versions...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
-}
 
 // Len reports how many versions are registered.
 func (r *Registry) Len() int {

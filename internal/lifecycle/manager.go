@@ -126,9 +126,8 @@ type Manager struct {
 	feedback chan Outcome
 	healthy  atomic.Bool
 
-	mu         sync.Mutex
-	apply      func(*nn.Network) error
-	demoteHook func(model string, healthy bool)
+	mu    sync.Mutex
+	apply func(*nn.Network) error
 
 	// Online trainer state (all under mu).
 	candidate *nn.Network
@@ -198,8 +197,8 @@ func (m *Manager) now() time.Duration {
 // clock, wired into its flight recorder (lifecycle events land in the
 // DomainLifecycle ring) and its telemetry (model="..."-labelled swap /
 // retrain / drift series plus the serving-version gauge). Attach the
-// predictor's SwapNet, feed Observe from the completion path, and hand the
-// manager to a health plane with healthplane.Plane.Watch.
+// predictor's SwapNet and feed Observe from the completion path; a health
+// plane on rt reads the manager's demotions from those lifecycle events.
 func New(rt *core.Runtime, cfg Config, base *nn.Network) (*Manager, error) {
 	m, err := NewManager(rt.Clock(), cfg, base)
 	if err != nil {
@@ -243,21 +242,6 @@ func (m *Manager) Attach(apply func(*nn.Network) error) error {
 
 // Registry exposes the version registry.
 func (m *Manager) Registry() *Registry { return m.reg }
-
-// Model returns the model family label this manager governs.
-func (m *Manager) Model() string { return m.cfg.Model }
-
-// SetDemotionHook installs a callback fired after every drift demotion and
-// on the transition into heuristic fallback, with the model label and
-// whether the model path is still healthy. The hook runs synchronously on
-// the processing goroutine with the manager mutex held: it must be cheap
-// and must not call back into the manager (Stats would deadlock) — set a
-// flag, ping a channel. The health plane uses it as a poll-soon signal.
-func (m *Manager) SetDemotionHook(f func(model string, healthy bool)) {
-	m.mu.Lock()
-	m.demoteHook = f
-	m.mu.Unlock()
-}
 
 // Serving returns the serving version.
 func (m *Manager) Serving() *Version { return m.reg.Serving() }
@@ -417,7 +401,7 @@ func (m *Manager) shadowRound() {
 	if err != nil {
 		return
 	}
-	m.applySwap(nv, old, ReasonPromote)
+	m.applySwap(nv, old, flightrec.SwapPromote)
 	// The candidate won on this window: its shadow accuracy is the new
 	// drift baseline, and the live counters restart for the new version.
 	m.baseline = candAcc
@@ -461,17 +445,11 @@ func (m *Manager) demote() {
 			m.fallbackEnters.Inc()
 			m.rec.Emit(flightrec.DomainLifecycle, flightrec.EvFallback,
 				0, m.evSeq.Add(1), 0, 1, 0, 0)
-			if m.demoteHook != nil {
-				m.demoteHook(m.cfg.Model, false)
-			}
 		}
 		return
 	}
 	m.demotions.Inc()
-	if m.demoteHook != nil {
-		m.demoteHook(m.cfg.Model, true)
-	}
-	m.applySwap(v, old, ReasonDemote)
+	m.applySwap(v, old, flightrec.SwapDemote)
 	// Resync the trainer onto the reinstated weights. The baseline is
 	// deliberately NOT re-pinned: the reinstated version is held to the
 	// same standard, so a rollback that also drifts cascades down the
@@ -481,7 +459,7 @@ func (m *Manager) demote() {
 
 // applySwap pushes a registry flip into the attached predictor and records
 // it. Caller holds mu.
-func (m *Manager) applySwap(nv, old *Version, reason SwapReason) {
+func (m *Manager) applySwap(nv, old *Version, reason uint64) {
 	if m.apply != nil {
 		if err := m.apply(nv.Net()); err != nil {
 			// A predictor that rejects the new weights keeps serving the
@@ -499,7 +477,7 @@ func (m *Manager) applySwap(nv, old *Version, reason SwapReason) {
 		oldSeq = old.Seq
 	}
 	m.rec.Emit(flightrec.DomainLifecycle, flightrec.EvModelSwap,
-		0, m.evSeq.Add(1), 0, nv.Seq, oldSeq, uint64(reason))
+		0, m.evSeq.Add(1), 0, nv.Seq, oldSeq, reason)
 }
 
 // PromoteVersion explicitly flips the serving slot to a registered version
@@ -514,7 +492,7 @@ func (m *Manager) PromoteVersion(seq uint64) error {
 	if old == nv {
 		return nil
 	}
-	m.applySwap(nv, old, ReasonPromote)
+	m.applySwap(nv, old, flightrec.SwapPromote)
 	m.candidate = nv.Net().Clone()
 	m.scratch = nn.NewScratch(m.candidate)
 	m.baseline = -1

@@ -146,38 +146,23 @@ type (
 // /flightrec.json write it).
 func ReadFlightDump(data []byte) (*FlightDump, error) { return flightrec.ReadDump(data) }
 
-// Live health plane types (internal/healthplane): a read-side surface that
-// tails the flight recorder without disturbing the zero-allocation emit
-// path, rolls tailed events plus telemetry-histogram deltas into
-// multi-window per-stage latency percentiles and SRE-style error-budget
-// burn rates, and captures anomaly-triggered black-box incident bundles
-// (flight dump + telemetry snapshot + model registry state). Attach one
-// with NewHealthPlane or NewFleetHealthPlane, Watch each lifecycle manager
-// it should report, and serve HealthPlane.Handler() on the routes in
+// HealthPlane is the live health surface (internal/healthplane): a
+// read-side plane over one runtime that tails the flight recorder without
+// disturbing the zero-allocation emit path, rolls tailed events plus
+// telemetry-histogram deltas into multi-window per-stage latency
+// percentiles and SRE-style error-budget burn rates over two fixed
+// objectives, and captures anomaly-triggered black-box incident bundles
+// (flight dump + telemetry snapshot + SLO state) on a burn-rate trip or on
+// a drift demotion that a lifecycle manager on the runtime records. Attach
+// one with NewHealthPlane and serve HealthPlane.Handler() on the routes in
 // HealthPlanePaths — laked does.
-type (
-	// HealthPlane is the live health surface for a runtime or fleet.
-	HealthPlane = healthplane.Plane
-	// HealthPlaneConfig tunes tick granularity, the burn-rate windows and
-	// the objectives; the burn thresholds and incident-ring bound are
-	// fixed.
-	HealthPlaneConfig = healthplane.Config
-	// SLOObjective is one latency objective the burn engine tracks.
-	SLOObjective = healthplane.Objective
-)
+type HealthPlane = healthplane.Plane
 
 // HealthPlanePaths lists the HTTP routes HealthPlane.Handler serves.
 var HealthPlanePaths = healthplane.Paths
 
 // NewHealthPlane attaches the live health plane to rt.
-func NewHealthPlane(rt *Runtime, cfg HealthPlaneConfig) *HealthPlane {
-	return healthplane.Attach(rt, cfg)
-}
-
-// NewFleetHealthPlane attaches the live health plane to a whole fleet.
-func NewFleetHealthPlane(f *Fleet, cfg HealthPlaneConfig) *HealthPlane {
-	return healthplane.AttachFleet(f, cfg)
-}
+func NewHealthPlane(rt *Runtime) *HealthPlane { return healthplane.Attach(rt) }
 
 // StitchFlightDump rebuilds per-call cross-domain timelines from a dump.
 func StitchFlightDump(d *FlightDump) *flightrec.StitchResult { return flightrec.Stitch(d) }

@@ -74,6 +74,7 @@ func TestLayersGolden(t *testing.T) {
 	}{
 		{"internal/core", []string{"batcher", "healthplane", "lifecycle", "features", "fleet", "nn"}},
 		{"internal/fleet", []string{"healthplane", "lifecycle"}},
+		{"internal/healthplane", []string{"fleet", "lifecycle"}},
 	} {
 		reached := map[string]bool{}
 		var walk func(p string)

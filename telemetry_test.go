@@ -26,7 +26,7 @@ import (
 func servedSpans(t *testing.T, rt *lake.Runtime) []lake.Span {
 	t.Helper()
 	rec := httptest.NewRecorder()
-	lake.NewHealthPlane(rt, lake.HealthPlaneConfig{}).Handler().
+	lake.NewHealthPlane(rt).Handler().
 		ServeHTTP(rec, httptest.NewRequest("GET", "/spans.json", nil))
 	if rec.Code != 200 {
 		t.Fatalf("/spans.json = %d: %s", rec.Code, rec.Body)

@@ -165,6 +165,15 @@ var deletedNames = []deletedName{
 		reason: "one plane over one runtime, configured by constants; drift comes from recorder events"},
 	{kind: literal, pattern: `^/models\.json$`, noTests: true, reason: "the plane serves no registry route (tests pin its 404)"},
 	{kind: shape, pattern: `\(\*Plane\) Watch\(|[Pp]lane\.Watch\(`, reason: "a plane is handed no lifecycle manager"},
+	// The model lifecycle is one manager built one way on constants: its
+	// versions sit under the manager's one lock, an operator installs a
+	// model with Promote, and lake re-exports no lifecycle constructor.
+	{kind: ident, pattern: `^(DefaultLifecycleConfig|NewLifecycle|RegisterBlob|WrapPolicy|PromoteVersion)$`,
+		reason: "one lifecycle constructor, lifecycle.New, and one install path, Promote"},
+	{kind: shape, pattern: `lifecycle\.(NewManager|Config|DefaultConfig|Meta)\b`,
+		reason: "one lifecycle constructor on constants, and a version carries no provenance"},
+	{kind: ident, pattern: `^(NewManager|NewRegistry|Config|fillDefaults|Meta|Minibatch|RoundSamples|DriftWindow|DriftTolerance)$`, dirs: []string{"internal/lifecycle"},
+		reason: "one lifecycle constructor on constants, and a version carries no provenance"},
 }
 
 // TestDeletedNamesStayDeleted checks the module against deletedNames with

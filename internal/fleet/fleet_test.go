@@ -556,9 +556,7 @@ func TestFleetStatsIndependentOfTelemetry(t *testing.T) {
 		}
 		inferOne(t, capped, net, 7)
 
-		lcfg := lifecycle.DefaultConfig("fleetnet")
-		lcfg.Minibatch = 4
-		m, err := lifecycle.New(f.Shard(1).Runtime(), lcfg, net)
+		m, err := lifecycle.New(f.Shard(1).Runtime(), "fleetnet", net)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -99,6 +99,18 @@ func (r *ring) snapshot() (events []Event, dropped uint64) {
 	return events, dropped
 }
 
+// pending counts r's surviving events from index pos on: what a tail from
+// pos would read now.
+func pending(r *ring, pos uint64) uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	pos = max(pos, r.oldest(r.cursor))
+	if pos >= r.cursor {
+		return 0
+	}
+	return r.cursor - pos
+}
+
 // tail decodes the events from index pos on into buf, oldest-first, and
 // returns the count filled, the index to resume from, and how many events
 // in [pos, oldest surviving) were overwritten before the read.

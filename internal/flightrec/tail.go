@@ -78,17 +78,23 @@ func ParseTailCursor(s string) (TailCursor, error) {
 }
 
 // Tail returns up to max events published since the cursor, the cursor to
-// resume from, and how many events the reader missed to overwrite. max is
-// clamped to one ring capacity per domain, the most events that can exist;
-// 0 or negative means that bound. Domains drain in ordinal order; when max
-// truncates the read, the remainder is picked up by the next call. Nil-safe:
-// a nil recorder returns no events and the cursor unchanged.
+// resume from, and how many events the reader missed to overwrite; 0 or
+// negative max means no bound. The result is sized to the events surviving
+// past the cursor when Tail counts them, capped by max: events published
+// after that count are left for the next call. Domains drain in ordinal
+// order; when max truncates the read, the remainder is picked up by the
+// next call. Nil-safe: a nil recorder returns no events and the cursor
+// unchanged.
 func (r *Recorder) Tail(c TailCursor, max int) (events []Event, next TailCursor, skipped uint64) {
 	if r == nil {
 		return nil, c, 0
 	}
-	if limit := int(numDomains) * int(r.base().rings[0].capacity()); max <= 0 || max > limit {
-		max = limit
+	var avail uint64
+	for d, rg := range r.base().rings {
+		avail += pending(rg, c.pos[d])
+	}
+	if max <= 0 || uint64(max) > avail {
+		max = int(avail)
 	}
 	buf := make([]Event, max)
 	n, next, skipped := r.TailInto(c, buf)

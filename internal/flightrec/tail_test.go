@@ -150,20 +150,35 @@ func TestTailMaxTruncation(t *testing.T) {
 	}
 }
 
-// TestTailClampsMax pins that a huge max, as /flightrec.tail?max=N passes
-// it through unvalidated, allocates no more than the events that can exist:
-// one ring capacity per domain.
+// TestTailClampsMax pins that Tail allocates only for the events it can
+// return: the events surviving past the cursor, capped by max. A huge max,
+// as /flightrec.tail?max=N passes it through unvalidated, or none at all
+// (max <= 0, every request without max) must not size the result to the
+// whole recorder.
 func TestTailClampsMax(t *testing.T) {
 	r := newTailRecorder(t, 256)
 	emitN(r, DomainKernel, 0, 10)
-	bound := int(numDomains) * 256
-	events, _, _ := r.Tail(TailCursor{}, 1<<20)
-	if len(events) != 10 || cap(events) > bound {
-		t.Fatalf("Tail(max=1<<20): len %d cap %d, want len 10 cap <= %d", len(events), cap(events), bound)
+	var cur TailCursor
+	for _, max := range []int{0, -1, 1 << 20, math.MaxInt} {
+		events, next, _ := r.Tail(TailCursor{}, max)
+		if len(events) != 10 || cap(events) != 10 {
+			t.Fatalf("Tail(max=%d): len %d cap %d, want both 10, the events available", max, len(events), cap(events))
+		}
+		cur = next
 	}
-	events, _, _ = r.Tail(TailCursor{}, math.MaxInt)
-	if len(events) != 10 || cap(events) > bound {
-		t.Fatalf("Tail(max=MaxInt): len %d cap %d, want len 10 cap <= %d", len(events), cap(events), bound)
+	if events, _, _ := r.Tail(TailCursor{}, 3); len(events) != 3 || cap(events) != 3 {
+		t.Fatalf("Tail(max=3): len %d cap %d, want both 3", len(events), cap(events))
+	}
+	emitN(r, DomainGPU, 100, 1)
+	events, cur, _ := r.Tail(cur, 0)
+	if len(events) != 1 || cap(events) != 1 {
+		t.Fatalf("tailing one new event: len %d cap %d, want both 1", len(events), cap(events))
+	}
+	// A lapped ring holds one capacity of events; the rest are skipped.
+	emitN(r, DomainGPU, 200, 300)
+	events, _, skipped := r.Tail(cur, 0)
+	if len(events) != 256 || cap(events) != 256 || skipped != 44 {
+		t.Fatalf("lapped tail: len %d cap %d skipped %d, want 256/256/44", len(events), cap(events), skipped)
 	}
 }
 

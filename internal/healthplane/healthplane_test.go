@@ -177,19 +177,15 @@ func TestDemotionFallbackCapture(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	cfg := lifecycle.DefaultConfig("pred")
-	cfg.DriftWindow = 4
-	cfg.RoundSamples = 1 << 30 // keep the trainer out of this test
 	base := nn.New(1, 2, 2)
-	m, err := lifecycle.New(rt, cfg, base)
+	m, err := lifecycle.New(rt, "pred", base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A second version, so the first drift episode has one to demote to.
 	v2net := base.Clone()
 	v2net.Layers[0].W[0] += 0.25
-	v2 := m.Registry().Register(v2net, lifecycle.Meta{Model: "pred", Note: "manual"})
-	if err := m.PromoteVersion(v2.Seq); err != nil {
+	if _, err := m.Promote(v2net); err != nil {
 		t.Fatal(err)
 	}
 
@@ -198,15 +194,23 @@ func TestDemotionFallbackCapture(t *testing.T) {
 		t.Fatalf("baseline poll captured %d incidents", len(inc))
 	}
 
-	feed := func(label, n int) {
+	const driftWindow = 256 // outcomes per lifecycle drift window
+	// One constant X with alternating labels: every network scores exactly
+	// half of a shadow round, so the trainer never promotes, and the served
+	// predictions are right (good) or wrong (bad) as the test says.
+	feed := func(good bool, n int) {
 		for i := 0; i < n; i++ {
-			m.Observe(lifecycle.Outcome{X: []float32{0}, Predicted: 1, Label: label})
+			o := lifecycle.Outcome{X: []float32{0, 0}, Label: i % 2, Predicted: i % 2}
+			if !good {
+				o.Predicted = 1 - o.Label
+			}
+			m.Observe(o)
 			m.Pump()
 		}
 	}
 	episode := func(name, detail string) {
 		t.Helper()
-		feed(0, 2*cfg.DriftWindow) // two windows below the pinned baseline
+		feed(false, 2*driftWindow) // two windows below the pinned baseline
 		inc := p.Poll()
 		if len(inc) != 1 || inc[0].Trigger != "drift-demotion" {
 			t.Fatalf("%s: capture = %+v, want one drift-demotion", name, inc)
@@ -222,7 +226,7 @@ func TestDemotionFallbackCapture(t *testing.T) {
 		}
 	}
 
-	feed(1, cfg.DriftWindow) // pins a perfect baseline
+	feed(true, driftWindow) // pins a perfect baseline
 	episode("demotion", "serving version 1")
 	if st := m.Stats(); st.Demotions != 1 || st.Fallback {
 		t.Fatalf("after the first episode: %+v, want one demotion and no fallback", st)

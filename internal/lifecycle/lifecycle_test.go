@@ -2,12 +2,10 @@ package lifecycle
 
 import (
 	"bytes"
-	"encoding/binary"
+	"errors"
 	"testing"
 
 	"lakego/internal/nn"
-	"lakego/internal/policy"
-	"lakego/internal/vtime"
 )
 
 // labeledStream emits a deterministic, learnable outcome stream: two input
@@ -42,84 +40,83 @@ func constantBase(seed int64) *nn.Network {
 	return net
 }
 
-func TestRegistryVersioning(t *testing.T) {
-	r := NewRegistry()
+// TestPromoteVersions pins the version store behind the serving slot: the
+// base is version 1, byte-identical weights dedup on their content hash, a
+// distinct network becomes version 2 and serves, a demotion pops back to
+// the version it displaced, and a network of another geometry is refused.
+func TestPromoteVersions(t *testing.T) {
 	n1 := nn.New(1, 2, 4, 2)
-	v1 := r.Register(n1, Meta{Model: "m", Note: "base"})
+	m := newManager(n1)
+	v1 := m.serving
 	if v1.Seq != 1 {
-		t.Fatalf("first version seq %d, want 1", v1.Seq)
+		t.Fatalf("base version seq %d, want 1", v1.Seq)
 	}
-	// Re-registering identical weights dedups on content hash.
-	if v := r.Register(n1.Clone(), Meta{Note: "dup"}); v != v1 {
-		t.Fatalf("identical weights minted a new version (seq %d)", v.Seq)
-	}
-	if r.Serving() != nil {
-		t.Fatal("registry serving before any promote")
-	}
-	if _, _, err := r.Promote(v1.Seq); err != nil {
+	var applied []*nn.Network
+	if err := m.Attach(func(n *nn.Network) error { applied = append(applied, n); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if r.Serving() != v1 {
-		t.Fatal("promote did not install v1")
+	// Re-promoting identical weights dedups on content hash: no new
+	// version, no flip.
+	if v, err := m.Promote(n1.Clone()); err != nil || v != v1 {
+		t.Fatalf("identical weights: version %+v err %v, want the base", v, err)
 	}
 
 	n2 := n1.Clone()
 	n2.Layers[0].W[0] += 0.5
-	v2 := r.Register(n2, Meta{Note: "variant"})
-	if v2.Seq != 2 || v2.Hash == v1.Hash {
-		t.Fatalf("distinct weights: seq %d hash %x vs %x", v2.Seq, v2.Hash, v1.Hash)
-	}
-	nv, old, err := r.Promote(v2.Seq)
-	if err != nil || nv != v2 || old != v1 {
-		t.Fatalf("promote v2: nv=%v old=%v err=%v", nv, old, err)
-	}
-	back, displaced, err := r.Rollback()
-	if err != nil || back != v1 || displaced != v2 {
-		t.Fatalf("rollback: back=%v displaced=%v err=%v", back, displaced, err)
-	}
-	if _, _, err := r.Rollback(); err == nil {
-		t.Fatal("rollback with empty history succeeded")
-	}
-	if got := r.Len(); got != 2 {
-		t.Fatalf("registry holds %d versions, want 2", got)
-	}
-
-	// The untrusted-blob path goes through the hardened decoder: a crafted
-	// allocation-bomb blob is rejected, a valid blob registers and its
-	// version round-trips byte-identically.
-	bomb := binary.LittleEndian.AppendUint32(nil, 0x4C4E4E31)
-	bomb = binary.LittleEndian.AppendUint32(bomb, 1)
-	bomb = binary.LittleEndian.AppendUint32(bomb, 1<<20)
-	bomb = binary.LittleEndian.AppendUint32(bomb, 1<<20)
-	bomb = append(bomb, 1)
-	if _, err := r.RegisterBlob(bomb, Meta{}); err == nil {
-		t.Fatal("allocation-bomb blob registered")
-	}
-	// A well-formed blob whose layers do not chain (2→8, then 4→2) is
-	// rejected too: promoted, it would panic the next Pump's forward pass.
-	unchained := &nn.Network{Layers: []*nn.Layer{nn.New(1, 2, 8).Layers[0], nn.New(2, 4, 2).Layers[0]}}
-	if _, err := r.RegisterBlob(unchained.Marshal(), Meta{}); err == nil {
-		t.Fatal("unchained blob registered")
-	}
-	blob := nn.New(9, 2, 3, 2).Marshal()
-	v3, err := r.RegisterBlob(blob, Meta{Note: "imported"})
+	v2, err := m.Promote(n2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(v3.Blob(), blob) {
-		t.Fatal("registered blob is not byte-identical")
+	if v2.Seq != 2 || v2.Hash == v1.Hash {
+		t.Fatalf("distinct weights: seq %d hash %x vs %x", v2.Seq, v2.Hash, v1.Hash)
+	}
+	if m.serving != v2 || len(applied) != 2 || applied[1] != v2.Net() {
+		t.Fatalf("promote did not install v2 in the slot and the predictor (%d applies)", len(applied))
+	}
+	if st := m.Stats(); st.Versions != 2 || st.Swaps != 1 || st.ServingSeq != 2 || st.ServingHash != v2.Hash {
+		t.Fatalf("after promote: %+v, want 2 versions, 1 swap, v2 serving", st)
+	}
+
+	if _, err := m.Promote(nn.New(1, 2, 8, 2)); err == nil {
+		t.Fatal("a network of another geometry was promoted")
+	}
+	if _, err := m.Promote(nil); err == nil {
+		t.Fatal("a nil network was promoted")
+	}
+
+	m.mu.Lock()
+	m.demote()
+	m.mu.Unlock()
+	if m.serving != v1 || len(applied) != 3 || applied[2] != v1.Net() {
+		t.Fatal("demotion did not reinstate v1")
+	}
+	if st := m.Stats(); st.Demotions != 1 || st.Fallback || st.Versions != 2 {
+		t.Fatalf("after demotion: %+v, want one demotion, no fallback, 2 versions", st)
+	}
+
+	// A predictor that rejects a version keeps serving the old one, and so
+	// does the manager.
+	if err := m.Attach(func(n *nn.Network) error {
+		if n != v1.Net() {
+			return errors.New("rejected")
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	n3 := n1.Clone()
+	n3.Layers[0].W[0] -= 0.5
+	if _, err := m.Promote(n3); err == nil {
+		t.Fatal("a version the predictor rejected was promoted")
+	}
+	if st := m.Stats(); st.ServingSeq != 1 || st.Swaps != 2 {
+		t.Fatalf("after a rejected promote: %+v, want v1 serving and 2 swaps", st)
 	}
 }
 
 func TestManagerPromotesOnBetterCandidate(t *testing.T) {
 	base := constantBase(3) // always predicts class 0: 50% on the stream
-	cfg := DefaultConfig("test")
-	cfg.Minibatch = 16
-	cfg.RoundSamples = 64
-	m, err := NewManager(vtime.New(), cfg, base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newManager(base)
 	var applied int
 	if err := m.Attach(func(*nn.Network) error { applied++; return nil }); err != nil {
 		t.Fatal(err)
@@ -145,7 +142,7 @@ func TestManagerPromotesOnBetterCandidate(t *testing.T) {
 		t.Fatalf("swap hook applied %d times, want >= 2 (attach + promote)", applied)
 	}
 	// The promoted model must actually have learned the stream.
-	serving := m.Serving().Net()
+	serving := m.serving.Net()
 	hits := 0
 	probe := labeledStream(100, base)
 	for _, o := range probe {
@@ -167,18 +164,12 @@ func TestManagerPromotesOnBetterCandidate(t *testing.T) {
 func TestManagerDeterministicRetrain(t *testing.T) {
 	run := func() (uint64, []byte, uint64) {
 		base := constantBase(3)
-		cfg := DefaultConfig("det")
-		cfg.Minibatch = 16
-		cfg.RoundSamples = 64
-		m, err := NewManager(vtime.New(), cfg, base)
-		if err != nil {
-			t.Fatal(err)
-		}
+		m := newManager(base)
 		for _, o := range labeledStream(1500, base) {
 			m.Observe(o)
 			m.Pump()
 		}
-		v := m.Serving()
+		v := m.serving
 		return v.Hash, v.Net().Marshal(), m.Stats().Swaps
 	}
 	h1, blob1, swaps1 := run()
@@ -192,47 +183,47 @@ func TestManagerDeterministicRetrain(t *testing.T) {
 	}
 }
 
+// driftStream feeds m n outcomes on one constant X with alternating labels,
+// served right when good and wrong otherwise. Every network scores exactly
+// half of any even window of it, so no candidate ever wins a shadow round,
+// while the drift detector sees 100 % or 0 % live accuracy.
+func driftStream(m *Manager, good bool, n int) {
+	for i := 0; i < n; i++ {
+		o := Outcome{X: []float32{1, 1}, Label: i % 2, Predicted: i % 2}
+		if !good {
+			o.Predicted = 1 - o.Label
+		}
+		m.Observe(o)
+		m.Pump()
+	}
+}
+
 // TestDriftDemotesThenFallsBack walks the full degradation cascade: a
 // pinned baseline, two bad windows -> rollback to the previous version,
-// two more -> no versions left -> heuristic fallback via WrapPolicy.
+// two more -> no versions left -> heuristic fallback, reported unhealthy.
 func TestDriftDemotesThenFallsBack(t *testing.T) {
 	base := nn.New(3, 2, 8, 2)
-	cfg := DefaultConfig("drift")
-	cfg.DriftWindow = 50
-	cfg.RoundSamples = 1 << 30 // keep the trainer out of this test
-	m, err := NewManager(vtime.New(), cfg, base)
+	m := newManager(base)
+	// Install a second version so there is something to demote.
+	v2net := base.Clone()
+	v2net.Layers[0].W[0] += 0.25
+	v2, err := m.Promote(v2net)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Manually install a second version so there is something to demote.
-	v2net := base.Clone()
-	v2net.Layers[0].W[0] += 0.25
-	v2 := m.Registry().Register(v2net, Meta{Model: "drift", Note: "manual"})
-	if err := m.PromoteVersion(v2.Seq); err != nil {
-		t.Fatal(err)
-	}
-	if m.Serving().Seq != v2.Seq {
+	if m.serving != v2 {
 		t.Fatal("manual promote did not install v2")
 	}
 
-	good := Outcome{X: []float32{1, 1}, Predicted: 1, Label: 1}
-	bad := Outcome{X: []float32{1, 1}, Predicted: 0, Label: 1}
-	feed := func(o Outcome, n int) {
-		for i := 0; i < n; i++ {
-			m.Observe(o)
-			m.Pump()
-		}
-	}
-
-	feed(good, cfg.DriftWindow) // pins baseline = 1.0
+	driftStream(m, true, driftWindow) // pins baseline = 1.0
 	if st := m.Stats(); st.Baseline != 1.0 {
 		t.Fatalf("baseline %v, want 1.0", st.Baseline)
 	}
-	feed(bad, 2*cfg.DriftWindow) // two bad windows -> demote to v1
+	driftStream(m, false, 2*driftWindow) // two bad windows -> demote to v1
 	st := m.Stats()
-	if st.Demotions != 1 || st.ServingSeq != 1 {
-		t.Fatalf("after bad windows: demotions %d serving %d, want 1/1 (%+v)",
-			st.Demotions, st.ServingSeq, st)
+	if st.Demotions != 1 || st.ServingSeq != 1 || st.Swaps != 2 {
+		t.Fatalf("after bad windows: demotions %d serving %d swaps %d, want 1/1/2 (%+v)",
+			st.Demotions, st.ServingSeq, st.Swaps, st)
 	}
 	if st.Fallback {
 		t.Fatal("fell back before exhausting the version stack")
@@ -240,24 +231,15 @@ func TestDriftDemotesThenFallsBack(t *testing.T) {
 	if !m.Healthy() {
 		t.Fatal("unhealthy while a rollback target remained")
 	}
-	feed(bad, 2*cfg.DriftWindow) // v1 held to the same baseline -> fallback
+	driftStream(m, false, 2*driftWindow) // v1 held to the same baseline -> fallback
 	st = m.Stats()
-	if !st.Fallback || m.Healthy() {
-		t.Fatalf("version stack exhausted but no fallback: %+v", st)
-	}
-	// WrapPolicy must now force the CPU path no matter what pol says.
-	pol := m.WrapPolicy(func(int) policy.Decision { return policy.UseGPU })
-	if pol(1024) != policy.UseCPU {
-		t.Fatal("unhealthy model still routed to GPU")
+	if !st.Fallback || m.Healthy() || st.Swaps != 2 {
+		t.Fatalf("version stack exhausted but no fallback (or a trainer swap): %+v", st)
 	}
 }
 
 func TestObserveNeverBlocks(t *testing.T) {
-	base := nn.New(1, 2, 2)
-	m, err := NewManager(vtime.New(), DefaultConfig("bounded"), base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newManager(nn.New(1, 2, 2))
 	o := Outcome{X: []float32{1, 0}, Predicted: 0, Label: 0}
 	const offers = feedbackBuffer + 92
 	accepted := 0
@@ -269,7 +251,7 @@ func TestObserveNeverBlocks(t *testing.T) {
 	if accepted != feedbackBuffer {
 		t.Fatalf("accepted %d, want exactly the buffer capacity %d", accepted, feedbackBuffer)
 	}
-	if got := m.Dropped(); got != offers-feedbackBuffer {
+	if got := m.Stats().Dropped; got != offers-feedbackBuffer {
 		t.Fatalf("dropped %d, want %d (drops must be counted, never silent)", got, offers-feedbackBuffer)
 	}
 	if n := m.Pump(); n != feedbackBuffer {
@@ -277,23 +259,47 @@ func TestObserveNeverBlocks(t *testing.T) {
 	}
 }
 
-func TestWrapPolicyHealthyPassthrough(t *testing.T) {
-	m, err := NewManager(vtime.New(), DefaultConfig("p"), nn.New(1, 2, 2))
-	if err != nil {
-		t.Fatal(err)
+// TestObserveRejectsMalformedFeedback feeds one outcome that does not fit
+// the serving network ahead of a full minibatch of good ones. Observe
+// rejects and counts it alone: the minibatch trains, and the trained
+// weights are those of the good outcomes by themselves.
+func TestObserveRejectsMalformedFeedback(t *testing.T) {
+	base := nn.New(1, 2, 4, 2)
+	good := labeledStream(minibatch, base)
+	want := newManager(base)
+	for _, o := range good {
+		want.Observe(o)
 	}
-	calls := 0
-	pol := m.WrapPolicy(func(batch int) policy.Decision {
-		calls++
-		if batch >= 8 {
-			return policy.UseGPU
-		}
-		return policy.UseCPU
-	})
-	if pol(16) != policy.UseGPU || pol(2) != policy.UseCPU || calls != 2 {
-		t.Fatal("healthy manager must pass decisions through")
-	}
-	if m.WrapPolicy(nil)(1) != policy.UseGPU {
-		t.Fatal("nil policy defaults to GPU while healthy")
+	want.Pump()
+	for _, c := range []struct {
+		name string
+		o    Outcome
+	}{
+		{"3-wide X", Outcome{X: []float32{1, 1, 1}, Label: 1}},
+		{"1-wide X", Outcome{X: []float32{1}, Label: 1}},
+		{"nil X", Outcome{Label: 1}},
+		{"label -1", Outcome{X: []float32{1, 1}, Label: -1}},
+		{"label 2", Outcome{X: []float32{1, 1}, Label: 2}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := newManager(base)
+			if m.Observe(c.o) {
+				t.Fatal("malformed outcome accepted")
+			}
+			for _, o := range good {
+				m.Observe(o)
+			}
+			if n := m.Pump(); n != minibatch {
+				t.Fatalf("pumped %d, want %d", n, minibatch)
+			}
+			st := m.Stats()
+			if st.Dropped != 1 || st.RetrainSteps != 1 || st.SamplesSeen != minibatch {
+				t.Fatalf("dropped %d, steps %d, samples %d: want the one malformed outcome dropped and one full step",
+					st.Dropped, st.RetrainSteps, st.SamplesSeen)
+			}
+			if !bytes.Equal(m.candidate.Marshal(), want.candidate.Marshal()) {
+				t.Fatal("the malformed outcome changed the trained weights")
+			}
+		})
 	}
 }

@@ -1,17 +1,16 @@
 package lifecycle
 
 import (
+	"errors"
 	"fmt"
+	"hash/fnv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"lakego/internal/core"
 	"lakego/internal/flightrec"
 	"lakego/internal/nn"
-	"lakego/internal/policy"
 	"lakego/internal/telemetry"
-	"lakego/internal/vtime"
 )
 
 // Outcome is one observed ground-truth record fed back into the lifecycle:
@@ -32,62 +31,26 @@ const (
 	// over the serving version across the shadow window before it is
 	// promoted: ties and noise don't churn versions.
 	promoteMargin = 0.02
+	// minibatch is how many outcomes one SGD step trains on.
+	minibatch = 64
+	// roundSamples is how many feedback samples one retrain round consumes
+	// before the candidate is shadow-scored for promotion.
+	roundSamples = 256
 	// feedbackBuffer is the bounded feedback channel's capacity. Offer
 	// never blocks: beyond-capacity outcomes are dropped and counted.
 	feedbackBuffer = 4096
 	// shadowWindow is how many recent outcomes the A-B comparison replays
 	// over.
 	shadowWindow = 512
+	// driftWindow is how many outcomes one drift evaluation window spans.
+	driftWindow = 256
+	// driftTolerance is the live-accuracy drop below the pinned baseline
+	// that marks a window bad.
+	driftTolerance = 0.10
 	// driftBadWindows is how many consecutive bad windows trigger a
 	// demotion: one bad window is weather, two is climate.
 	driftBadWindows = 2
 )
-
-// Config parameterizes a Manager.
-type Config struct {
-	// Model is the family label stamped on telemetry and trace events.
-	Model string
-
-	// Minibatch is the SGD step size (default 64).
-	Minibatch int
-	// RoundSamples is how many feedback samples one retrain round consumes
-	// before the candidate is shadow-scored for promotion (default 256).
-	RoundSamples int
-
-	// DriftWindow is how many outcomes one drift evaluation window spans
-	// (default 256).
-	DriftWindow int
-	// DriftTolerance is the live-accuracy drop below the pinned baseline
-	// that marks a window bad (default 0.10).
-	DriftTolerance float64
-}
-
-// DefaultConfig returns the shipping lifecycle parameters for a model.
-func DefaultConfig(model string) Config {
-	return Config{
-		Model:          model,
-		Minibatch:      64,
-		RoundSamples:   256,
-		DriftWindow:    256,
-		DriftTolerance: 0.10,
-	}
-}
-
-func (c *Config) fillDefaults() {
-	d := DefaultConfig(c.Model)
-	if c.Minibatch <= 0 {
-		c.Minibatch = d.Minibatch
-	}
-	if c.RoundSamples <= 0 {
-		c.RoundSamples = d.RoundSamples
-	}
-	if c.DriftWindow <= 0 {
-		c.DriftWindow = d.DriftWindow
-	}
-	if c.DriftTolerance <= 0 {
-		c.DriftTolerance = d.DriftTolerance
-	}
-}
 
 // Stats snapshots lifecycle activity.
 type Stats struct {
@@ -107,9 +70,9 @@ type Stats struct {
 	LiveAccuracy float64
 }
 
-// Manager runs one model's lifecycle: it owns the registry, the online
-// trainer and the drift detector, and applies serving flips to the
-// attached predictor.
+// Manager runs one model's lifecycle: it owns the model's versions and
+// serving slot, the online trainer and the drift detector, and applies
+// serving flips to the attached predictor.
 //
 // Concurrency contract: Observe is safe from any goroutine and never
 // blocks (a bounded-channel send). Processing — Pump — must run
@@ -118,16 +81,24 @@ type Stats struct {
 // (fixed inputs reproduce bit-identical models; the determinism test pins
 // this).
 type Manager struct {
-	cfg   Config
-	clock *vtime.Clock
-	reg   *Registry
-	rec   *flightrec.Recorder
+	rec *flightrec.Recorder
+	// inputs and outputs are the layer geometry every version shares:
+	// Observe admits only outcomes that fit it.
+	inputs, outputs int
 
 	feedback chan Outcome
 	healthy  atomic.Bool
 
 	mu    sync.Mutex
 	apply func(*nn.Network) error
+
+	// Versions (all under mu): every registered snapshot by content hash,
+	// the serving one, and the rollback stack a demotion pops — every
+	// promotion pushes the version it displaced.
+	serving *Version
+	byHash  map[uint64]*Version
+	past    []*Version
+	nextSeq uint64
 
 	// Online trainer state (all under mu).
 	candidate *nn.Network
@@ -147,66 +118,52 @@ type Manager struct {
 	samplesSeen atomic.Uint64
 	evSeq       atomic.Uint64
 
-	// The counters are what Stats reports and what the registry exports;
-	// the gauges are nil outside a runtime (a bare NewManager).
+	// The counters are what Stats reports and what the registry exports.
 	registrations, swaps, demotions telemetry.Counter
 	retrainSteps, retrainSamples    telemetry.Counter
 	driftAlarms, fallbackEnters     telemetry.Counter
-	dropped                         telemetry.Counter // lost to the bounded feedback channel
+	dropped                         telemetry.Counter // malformed, or lost to the bounded feedback channel
 	servingVersion                  *telemetry.Gauge
 	shadowAccuracy                  *telemetry.Gauge // candidate accuracy, per-mille
 }
 
-// NewManager builds a lifecycle manager seeded with base as version 1,
-// already serving. base is snapshotted — the caller's copy stays free.
-func NewManager(clock *vtime.Clock, cfg Config, base *nn.Network) (*Manager, error) {
+// New boots the lifecycle manager for one model on rt, seeded with base as
+// version 1, already serving; base is snapshotted, so the caller's copy
+// stays free. The manager is wired into the runtime's flight recorder
+// (lifecycle events land in the DomainLifecycle ring) and its telemetry
+// (model="..."-labelled swap / retrain / drift series plus the
+// serving-version gauge). Attach the predictor's SwapNet and feed Observe
+// from the completion path; a health plane on rt reads the manager's
+// demotions from those lifecycle events.
+func New(rt *core.Runtime, model string, base *nn.Network) (*Manager, error) {
 	if base == nil {
-		return nil, fmt.Errorf("lifecycle: nil base network")
+		return nil, errors.New("lifecycle: nil base network")
 	}
-	cfg.fillDefaults()
+	m := newManager(base)
+	m.rec = rt.FlightRecorder()
+	m.instrument(rt.Telemetry(), rt.Namer(`model="`+model+`"`))
+	return m, nil
+}
+
+// newManager builds the manager New wires to a runtime. Unwired, it records
+// no events and sets no gauges.
+func newManager(base *nn.Network) *Manager {
 	m := &Manager{
-		cfg:      cfg,
-		clock:    clock,
-		reg:      NewRegistry(),
-		feedback: make(chan Outcome, feedbackBuffer),
-		window:   make([]Outcome, 0, shadowWindow),
-		batchX:   make([][]float32, 0, cfg.Minibatch),
-		batchY:   make([]int, 0, cfg.Minibatch),
+		inputs:    base.InputSize(),
+		outputs:   base.OutputSize(),
+		feedback:  make(chan Outcome, feedbackBuffer),
+		byHash:    make(map[uint64]*Version),
+		window:    make([]Outcome, 0, shadowWindow),
+		batchX:    make([][]float32, 0, minibatch),
+		batchY:    make([]int, 0, minibatch),
+		roundLeft: roundSamples,
+		baseline:  -1,
 	}
-	m.roundLeft = cfg.RoundSamples
-	m.baseline = -1
-	v := m.reg.Register(base, Meta{Model: cfg.Model, Note: "base", TrainedAt: m.now()})
-	m.registrations.Inc()
-	if _, _, err := m.reg.Promote(v.Seq); err != nil {
-		return nil, err
-	}
+	m.serving = m.register(base)
 	m.candidate = base.Clone()
 	m.scratch = nn.NewScratch(m.candidate)
 	m.healthy.Store(true)
-	return m, nil
-}
-
-func (m *Manager) now() time.Duration {
-	if m.clock == nil {
-		return 0
-	}
-	return m.clock.Now()
-}
-
-// New boots the manager for one model on rt: NewManager on the runtime's
-// clock, wired into its flight recorder (lifecycle events land in the
-// DomainLifecycle ring) and its telemetry (model="..."-labelled swap /
-// retrain / drift series plus the serving-version gauge). Attach the
-// predictor's SwapNet and feed Observe from the completion path; a health
-// plane on rt reads the manager's demotions from those lifecycle events.
-func New(rt *core.Runtime, cfg Config, base *nn.Network) (*Manager, error) {
-	m, err := NewManager(rt.Clock(), cfg, base)
-	if err != nil {
-		return nil, err
-	}
-	m.rec = rt.FlightRecorder()
-	m.instrument(rt.Telemetry(), rt.Namer(`model="`+cfg.Model+`"`))
-	return m, nil
+	return m
 }
 
 // instrument declares the manager's series on reg; name carries the
@@ -222,56 +179,37 @@ func (m *Manager) instrument(reg *telemetry.Registry, name telemetry.Namer) {
 	reg.AttachCounter(name("lake_model_feedback_dropped_total"), "Outcomes dropped by the bounded feedback channel.", &m.dropped)
 	m.servingVersion = reg.Gauge(name("lake_model_serving_version"), "Sequence number of the serving model version.")
 	m.shadowAccuracy = reg.Gauge(name("lake_model_shadow_accuracy_permille"), "Candidate accuracy over the last shadow window (per-mille).")
-	if v := m.reg.Serving(); v != nil {
-		m.servingVersion.Set(int64(v.Seq))
-	}
+	m.servingVersion.Set(int64(m.serving.Seq))
 }
 
 // Attach registers the hot-swap hook — typically linnos.(*Predictor).SwapNet
 // or kml.(*Classifier).SwapNet — and immediately applies the current
-// serving version so the predictor and registry agree from the start.
+// serving version so the predictor and the manager agree from the start.
 func (m *Manager) Attach(apply func(*nn.Network) error) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.apply = apply
-	if v := m.reg.Serving(); v != nil && apply != nil {
-		return apply(v.Net())
+	if apply != nil {
+		return apply(m.serving.net)
 	}
 	return nil
 }
-
-// Registry exposes the version registry.
-func (m *Manager) Registry() *Registry { return m.reg }
-
-// Serving returns the serving version.
-func (m *Manager) Serving() *Version { return m.reg.Serving() }
 
 // Healthy reports whether the model path should be used at all; false
 // means drift exhausted every registered version and routing should stay
 // on the CPU/heuristic path.
 func (m *Manager) Healthy() bool { return m.healthy.Load() }
 
-// WrapPolicy layers drift fallback onto an execution policy: while the
-// model is unhealthy every batch routes to the CPU path regardless of
-// pol's profitability verdict. Use it where a policy.Func feeds the
-// existing *Auto entry points.
-func (m *Manager) WrapPolicy(pol policy.Func) policy.Func {
-	return func(batch int) policy.Decision {
-		if !m.Healthy() {
-			return policy.UseCPU
-		}
-		if pol == nil {
-			return policy.UseGPU
-		}
-		return pol(batch)
-	}
-}
-
-// Observe offers one outcome to the lifecycle. Never blocks: when the
-// bounded feedback channel is full the outcome is dropped and counted
-// (the hot path must not back-pressure on the trainer). Reports whether
-// the outcome was accepted.
+// Observe offers one outcome to the lifecycle. Never blocks: an outcome
+// whose X is not the model's input width, or whose Label is not one of its
+// classes, is rejected, and one that finds the bounded feedback channel
+// full is dropped; both are counted (the hot path must not back-pressure
+// on the trainer). Reports whether the outcome was accepted.
 func (m *Manager) Observe(o Outcome) bool {
+	if len(o.X) != m.inputs || o.Label < 0 || o.Label >= m.outputs {
+		m.dropped.Inc()
+		return false
+	}
 	select {
 	case m.feedback <- o:
 		return true
@@ -308,7 +246,7 @@ func (m *Manager) process(o Outcome) {
 	if o.Predicted == o.Label {
 		m.dHits++
 	}
-	if m.dSeen >= m.cfg.DriftWindow {
+	if m.dSeen >= driftWindow {
 		m.closeDriftWindow()
 	}
 
@@ -326,13 +264,13 @@ func (m *Manager) process(o Outcome) {
 	// Online SGD on the candidate.
 	m.batchX = append(m.batchX, o.X)
 	m.batchY = append(m.batchY, o.Label)
-	if len(m.batchX) >= m.cfg.Minibatch {
+	if len(m.batchX) >= minibatch {
 		m.step()
 	}
 
 	m.roundLeft--
 	if m.roundLeft <= 0 {
-		m.roundLeft = m.cfg.RoundSamples
+		m.roundLeft = roundSamples
 		if len(m.batchX) > 0 { // flush the partial minibatch before scoring
 			m.step()
 		}
@@ -341,38 +279,52 @@ func (m *Manager) process(o Outcome) {
 }
 
 // step runs one SGD minibatch on the candidate's own weights — scratch
-// buffers are reused, so steady-state retraining allocates nothing.
+// buffers are reused, so steady-state retraining allocates nothing. Every
+// outcome fits the candidate's geometry (Observe admits no other), so the
+// step cannot fail.
 func (m *Manager) step() {
-	loss, err := m.candidate.TrainBatchScratch(m.scratch, m.batchX, m.batchY, learningRate)
+	loss, _ := m.candidate.TrainBatchScratch(m.scratch, m.batchX, m.batchY, learningRate)
 	n := len(m.batchX)
 	m.batchX = m.batchX[:0]
 	m.batchY = m.batchY[:0]
-	if err != nil {
-		// Shape mismatches cannot happen for outcomes produced by the
-		// attached predictor; a malformed outcome is dropped, not fatal.
-		m.dropped.Add(int64(n))
-		return
-	}
 	m.retrainSteps.Inc()
 	m.retrainSamples.Add(int64(n))
 	m.rec.Emit(flightrec.DomainLifecycle, flightrec.EvRetrainStep,
 		0, m.evSeq.Add(1), 0, uint64(n), uint64(loss*1000), 0)
 }
 
+// register snapshots net as a version and returns it. The network is
+// deep-copied, so the caller may keep training the original; weights
+// byte-identical to a registered version return that version instead of
+// minting a duplicate. Caller holds mu (or is building m).
+func (m *Manager) register(net *nn.Network) *Version {
+	snap := net.Clone()
+	h := fnv.New64a()
+	_, _ = h.Write(snap.Marshal())
+	v, ok := m.byHash[h.Sum64()]
+	if !ok {
+		m.nextSeq++
+		v = &Version{Seq: m.nextSeq, Hash: h.Sum64(), net: snap}
+		m.byHash[v.Hash] = v
+	}
+	m.registrations.Inc()
+	return v
+}
+
 // shadowRound A-B scores the candidate against the serving version over
 // the retained outcome window and promotes on a clear win.
 func (m *Manager) shadowRound() {
-	serving := m.reg.Serving()
-	if serving == nil || m.wcount == 0 {
+	if m.wcount == 0 {
 		return
 	}
+	serving := m.serving
 	var candHits, servHits int
 	for i := 0; i < m.wcount; i++ {
 		o := m.window[i]
 		if m.candidate.PredictScratch(m.scratch, o.X) == o.Label {
 			candHits++
 		}
-		if serving.Net().PredictScratch(m.scratch, o.X) == o.Label {
+		if serving.net.PredictScratch(m.scratch, o.X) == o.Label {
 			servHits++
 		}
 	}
@@ -384,24 +336,16 @@ func (m *Manager) shadowRound() {
 	if candAcc < servAcc+promoteMargin {
 		return
 	}
-	v := m.reg.Register(m.candidate, Meta{
-		Model:     m.cfg.Model,
-		Note:      "online-retrain",
-		TrainedAt: m.now(),
-		Samples:   int(m.samplesSeen.Load()),
-		ParentSeq: serving.Seq,
-	})
-	m.registrations.Inc()
+	v := m.register(m.candidate)
 	m.rec.Emit(flightrec.DomainLifecycle, flightrec.EvModelRegister,
 		0, m.evSeq.Add(1), 0, v.Seq, v.Hash, 0)
-	if v.Seq == serving.Seq {
+	if v == serving {
 		return // candidate dedup'd back to the serving weights: no-op
 	}
-	nv, old, err := m.reg.Promote(v.Seq)
-	if err != nil {
+	if m.swap(v, flightrec.SwapPromote) != nil {
 		return
 	}
-	m.applySwap(nv, old, flightrec.SwapPromote)
+	m.past = append(m.past, serving)
 	// The candidate won on this window: its shadow accuracy is the new
 	// drift baseline, and the live counters restart for the new version.
 	m.baseline = candAcc
@@ -421,7 +365,7 @@ func (m *Manager) closeDriftWindow() {
 		m.baseline = acc // first window after a (re)pin sets the reference
 		return
 	}
-	if acc >= m.baseline-m.cfg.DriftTolerance {
+	if acc >= m.baseline-driftTolerance {
 		m.dBad = 0
 		return
 	}
@@ -436,11 +380,10 @@ func (m *Manager) closeDriftWindow() {
 }
 
 // demote rolls the serving slot back to the previous version; with no
-// previous version left it marks the model unhealthy so WrapPolicy routes
-// everything to the CPU/heuristic path.
+// previous version left it marks the model unhealthy, so routing falls
+// back to the CPU/heuristic path.
 func (m *Manager) demote() {
-	v, old, err := m.reg.Rollback()
-	if err != nil {
+	if len(m.past) == 0 {
 		if m.healthy.CompareAndSwap(true, false) {
 			m.fallbackEnters.Inc()
 			m.rec.Emit(flightrec.DomainLifecycle, flightrec.EvFallback,
@@ -448,67 +391,73 @@ func (m *Manager) demote() {
 		}
 		return
 	}
+	v := m.past[len(m.past)-1]
+	if m.swap(v, flightrec.SwapDemote) != nil {
+		return
+	}
+	m.past = m.past[:len(m.past)-1]
 	m.demotions.Inc()
-	m.applySwap(v, old, flightrec.SwapDemote)
 	// Resync the trainer onto the reinstated weights. The baseline is
 	// deliberately NOT re-pinned: the reinstated version is held to the
 	// same standard, so a rollback that also drifts cascades down the
 	// version stack and finally into heuristic fallback.
-	m.candidate = v.Net().Clone()
+	m.candidate = v.net.Clone()
 }
 
-// applySwap pushes a registry flip into the attached predictor and records
-// it. Caller holds mu.
-func (m *Manager) applySwap(nv, old *Version, reason uint64) {
+// swap installs v in the attached predictor, then in the serving slot, and
+// records the flip. A predictor that rejects v keeps serving the old
+// version, and so does the manager. Caller holds mu.
+func (m *Manager) swap(v *Version, reason uint64) error {
 	if m.apply != nil {
-		if err := m.apply(nv.Net()); err != nil {
-			// A predictor that rejects the new weights keeps serving the
-			// old ones; put the registry back in agreement.
-			if old != nil {
-				_, _, _ = m.reg.Promote(old.Seq)
-			}
-			return
+		if err := m.apply(v.net); err != nil {
+			return err
 		}
 	}
+	old := m.serving
+	m.serving = v
 	m.swaps.Inc()
-	m.servingVersion.Set(int64(nv.Seq))
-	var oldSeq uint64
-	if old != nil {
-		oldSeq = old.Seq
-	}
+	m.servingVersion.Set(int64(v.Seq))
 	m.rec.Emit(flightrec.DomainLifecycle, flightrec.EvModelSwap,
-		0, m.evSeq.Add(1), 0, nv.Seq, oldSeq, reason)
-}
-
-// PromoteVersion explicitly flips the serving slot to a registered version
-// (operator action), resyncing the trainer's candidate onto it.
-func (m *Manager) PromoteVersion(seq uint64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	nv, old, err := m.reg.Promote(seq)
-	if err != nil {
-		return err
-	}
-	if old == nv {
-		return nil
-	}
-	m.applySwap(nv, old, flightrec.SwapPromote)
-	m.candidate = nv.Net().Clone()
-	m.scratch = nn.NewScratch(m.candidate)
-	m.baseline = -1
-	m.dHits, m.dSeen, m.dBad = 0, 0, 0
+		0, m.evSeq.Add(1), 0, v.Seq, old.Seq, reason)
 	return nil
 }
 
-// Dropped reports outcomes lost to the bounded feedback channel.
-func (m *Manager) Dropped() uint64 { return uint64(m.dropped.Value()) }
+// Promote is the operator's install path: it registers net (weights
+// byte-identical to a registered version reuse it), flips the attached
+// predictor and the serving slot to it, and resyncs the trainer onto it,
+// with the drift baseline pinned afresh from the next window. net must
+// have the base's layer geometry, as the predictor's SwapNet requires.
+func (m *Manager) Promote(net *nn.Network) (*Version, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if net == nil || !nn.SameShape(net, m.serving.net) {
+		return nil, fmt.Errorf("lifecycle: promote needs a network of sizes %v", m.serving.net.Sizes())
+	}
+	v := m.register(net)
+	m.rec.Emit(flightrec.DomainLifecycle, flightrec.EvModelRegister,
+		0, m.evSeq.Add(1), 0, v.Seq, v.Hash, 0)
+	if v == m.serving {
+		return v, nil
+	}
+	old := m.serving
+	if err := m.swap(v, flightrec.SwapPromote); err != nil {
+		return nil, err
+	}
+	m.past = append(m.past, old)
+	m.candidate = v.net.Clone()
+	m.baseline = -1
+	m.dHits, m.dSeen, m.dBad = 0, 0, 0
+	return v, nil
+}
 
 // Stats snapshots lifecycle activity.
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s := Stats{
-		Versions:     m.reg.Len(),
+		ServingSeq:   m.serving.Seq,
+		ServingHash:  m.serving.Hash,
+		Versions:     len(m.byHash),
 		SamplesSeen:  m.samplesSeen.Load(),
 		Dropped:      uint64(m.dropped.Value()),
 		RetrainSteps: uint64(m.retrainSteps.Value()),
@@ -519,9 +468,6 @@ func (m *Manager) Stats() Stats {
 	}
 	if m.baseline >= 0 {
 		s.Baseline = m.baseline
-	}
-	if v := m.reg.Serving(); v != nil {
-		s.ServingSeq, s.ServingHash = v.Seq, v.Hash
 	}
 	if m.dSeen > 0 {
 		s.LiveAccuracy = float64(m.dHits) / float64(m.dSeen)

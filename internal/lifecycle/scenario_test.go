@@ -164,7 +164,7 @@ func TestOnlineRetrainBeatsFrozenOnReratedTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr, err := lifecycle.New(rt, lifecycle.DefaultConfig("linnos-base"), frozen.Clone())
+	mgr, err := lifecycle.New(rt, "linnos-base", frozen.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,14 +6,13 @@
 // kernel-side API provider), lakeShm (the zero-copy bulk-data channel) and
 // lakeD (the user-space daemon realizing accelerator APIs) — plus the
 // Fig 3 execution-policy framework. Everything else attaches to a Runtime
-// from outside it: NewBatcher (cross-client batching), NewLifecycle (online
-// model lifecycle) and NewHealthPlane (live health surface) each take the
-// runtime, and the §5 in-kernel feature registry is a FeatureStore the
-// caller owns. Because Go cannot run in kernel space, the kernel/user
-// boundary and the accelerator are high-fidelity simulations on a virtual
-// clock; every protocol layer above them (command serialization,
-// shared-memory handoff, policy decisions, feature capture) is the real
-// code path.
+// from outside it: NewBatcher (cross-client batching) and NewHealthPlane
+// (live health surface) each take the runtime, and the §5 in-kernel
+// feature registry is a FeatureStore the caller owns. Because Go cannot run
+// in kernel space, the kernel/user boundary and the accelerator are
+// high-fidelity simulations on a virtual clock; every protocol layer above
+// them (command serialization, shared-memory handoff, policy decisions,
+// feature capture) is the real code path.
 //
 // Quick start:
 //
@@ -40,8 +39,6 @@ import (
 	"lakego/internal/flightrec"
 	"lakego/internal/gpupool"
 	"lakego/internal/healthplane"
-	"lakego/internal/lifecycle"
-	"lakego/internal/nn"
 	"lakego/internal/policy"
 	"lakego/internal/remoting"
 	"lakego/internal/telemetry"
@@ -108,23 +105,6 @@ type TelemetrySnapshot = telemetry.Snapshot
 // DefaultBatcherConfig returns the batching defaults (32-item target
 // batches, 100µs max-wait flush deadline).
 func DefaultBatcherConfig() batcher.Config { return batcher.DefaultConfig() }
-
-// DefaultLifecycleConfig returns the shipping parameters of the online model
-// lifecycle (internal/lifecycle) for a model label: a versioned registry of
-// content-hashed immutable model snapshots whose serving slot is an atomic
-// pointer flip, an in-daemon online trainer fed by a bounded feedback
-// channel of observed outcomes, and a drift detector that demotes a
-// degraded version (or falls back to the CPU/heuristic path). Boot one per
-// model with NewLifecycle.
-func DefaultLifecycleConfig(model string) lifecycle.Config {
-	return lifecycle.DefaultConfig(model)
-}
-
-// NewLifecycle boots the online model-lifecycle manager for one model on
-// rt, seeded with base as its serving version.
-func NewLifecycle(rt *Runtime, cfg lifecycle.Config, base *nn.Network) (*lifecycle.Manager, error) {
-	return lifecycle.New(rt, cfg, base)
-}
 
 // Flight-recorder types (internal/flightrec): every telemetry-enabled
 // runtime carries an always-on, lock-minimal flight recorder — per-domain

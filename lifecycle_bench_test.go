@@ -11,7 +11,6 @@ import (
 	"lakego/internal/lifecycle"
 	"lakego/internal/linnos"
 	"lakego/internal/nn"
-	"lakego/internal/vtime"
 )
 
 // BenchmarkPerfModelSwap measures the hot-swap itself: shape validation
@@ -46,7 +45,7 @@ func newModelSwap(tb testing.TB) func() {
 
 // BenchmarkPerfRetrainStep measures the amortized per-outcome cost of the
 // online trainer: bounded-channel handoff, drift window accounting,
-// shadow ring insert, and (every Minibatch outcomes) one SGD step on the
+// shadow ring insert, and (every 64 outcomes) one SGD step on the
 // reusable scratch.
 func BenchmarkPerfRetrainStep(b *testing.B) {
 	benchOp(b, newRetrainStep(b))
@@ -56,13 +55,18 @@ func BenchmarkPerfRetrainStep(b *testing.B) {
 // trainer, which must drop none; TestAllocsSubstrate/RetrainStep gates it
 // at 0 allocs.
 func newRetrainStep(tb testing.TB) func() {
-	m, err := lifecycle.NewManager(vtime.New(), lifecycle.DefaultConfig("bench"), nn.New(1, 2, 8, 2))
+	rt, err := core.New(core.DefaultConfig())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(rt.Close)
+	m, err := lifecycle.New(rt, "bench", nn.New(1, 2, 8, 2))
 	if err != nil {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() {
-		if m.Dropped() != 0 {
-			tb.Errorf("trainer dropped %d outcomes", m.Dropped())
+		if d := m.Stats().Dropped; d != 0 {
+			tb.Errorf("trainer dropped %d outcomes", d)
 		}
 	})
 	outs, i := [2]lifecycle.Outcome{

@@ -79,7 +79,7 @@ func TestMetricCatalogueGolden(t *testing.T) {
 
 	rt := boot(small())
 	batcher.New(rt, batcher.Config{})
-	if _, err := lifecycle.New(rt, lifecycle.DefaultConfig("linnos"), nn.New(21, linnos.Base.Sizes()...)); err != nil {
+	if _, err := lifecycle.New(rt, "linnos", nn.New(21, linnos.Base.Sizes()...)); err != nil {
 		t.Fatal(err)
 	}
 	lines = append(lines, metricCatalogue(rt.Telemetry().Snapshot(), rt.Telemetry().PrometheusText())...)

@@ -1,0 +1,134 @@
+package lake_test
+
+import (
+	"fmt"
+	"go/ast"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// wallTimerFiles may arm a wall-clock timer: the batcher's linger, until a
+// virtual-time barrier replaces it.
+var wallTimerFiles = map[string]bool{"internal/batcher/flush.go": true}
+
+// wallStampFiles may read the wall clock: uptime, incident and dump stamps,
+// the recorder's coarse event clock and its wall spans.
+var wallStampFiles = map[string]bool{
+	"internal/healthplane/healthplane.go": true,
+	"internal/healthplane/incident.go":    true,
+	"internal/flightrec/flightrec.go":     true,
+	"internal/flightrec/ring.go":          true,
+	"internal/core/core.go":               true,
+}
+
+// TestNoGoroutineOneWallTimer pins that everything under internal/ runs on
+// its callers' goroutines and the virtual clock: no non-test file starts a
+// goroutine, only the batcher's linger arms a wall timer, and only the
+// stamp sites above read the wall clock. A goroutine or a wall read
+// elsewhere would make an outcome depend on the schedule.
+func TestNoGoroutineOneWallTimer(t *testing.T) {
+	files, err := parseModule(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range wallClockUses(files) {
+		t.Error(v)
+	}
+
+	// One planted violation per rule, beside the same code where it is
+	// allowed: a test file, a file outside internal/, a listed file.
+	for _, c := range []struct {
+		name string
+		src  map[string]string
+		want []string
+	}{
+		{"goroutine", map[string]string{
+			"internal/a/a.go":      "package a\n\nfunc f() {\n\tgo f()\n}\n",
+			"internal/a/a_test.go": "package a\n\nfunc g() { go g() }\n",
+			"cmd/b/b.go":           "package main\n\nfunc main() { go main() }\n",
+		}, []string{"internal/a/a.go:4: go statement"}},
+		{"timer", map[string]string{
+			"internal/a/a.go":           "package a\n\nimport clock \"time\"\n\nvar t = clock.NewTicker(1)\n\nfunc f() { clock.Sleep(1); <-clock.After(1) }\n",
+			"internal/batcher/flush.go": "package batcher\n\nimport \"time\"\n\nvar t = time.NewTimer(1)\n",
+			"internal/c/c.go":           "package c\n\nvar time struct{ Sleep func() }\n\nfunc f() { time.Sleep() }\n",
+		}, []string{"internal/a/a.go:5: wall timer clock.NewTicker", "internal/a/a.go:7: wall timer clock.Sleep", "internal/a/a.go:7: wall timer clock.After"}},
+		{"wall read", map[string]string{
+			"internal/a/a.go":         "package a\n\nimport \"time\"\n\nvar now = time.Now\n\nfunc f(t time.Time) time.Duration { return time.Since(t) }\n",
+			"internal/core/core.go":   "package core\n\nimport \"time\"\n\nvar boot = time.Now()\n",
+			"internal/core/x_test.go": "package core\n\nimport \"time\"\n\nvar t0 = time.Now()\n",
+		}, []string{"internal/a/a.go:5: wall clock read time.Now", "internal/a/a.go:7: wall clock read time.Since"}},
+	} {
+		t.Run("planted/"+c.name, func(t *testing.T) {
+			root := t.TempDir()
+			for path, src := range c.src {
+				if err := os.MkdirAll(filepath.Join(root, filepath.Dir(path)), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(root, path), []byte(src), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			files, err := parseModule(root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := wallClockUses(files); !reflect.DeepEqual(got, c.want) {
+				t.Fatalf("planted violations: got %q, want %q", got, c.want)
+			}
+		})
+	}
+}
+
+// wallClockUses returns, as "file:line: what", every go statement in a
+// non-test file under internal/, every wall timer outside wallTimerFiles and
+// every wall clock read outside wallStampFiles. A time function counts
+// where a selector on the file's name for the "time" import names it,
+// called or not.
+func wallClockUses(files []moduleFile) []string {
+	var out []string
+	for _, f := range files {
+		if f.test || !strings.HasPrefix(f.dir, "internal/") {
+			continue
+		}
+		timePkg := ""
+		for _, imp := range f.ast.Imports {
+			if path, _ := strconv.Unquote(imp.Path.Value); path == "time" {
+				timePkg = "time"
+				if imp.Name != nil {
+					timePkg = imp.Name.Name
+				}
+			}
+		}
+		report := func(n ast.Node, what string) {
+			out = append(out, fmt.Sprintf("%s:%d: %s", f.path, f.fset.PositionFor(n.Pos(), false).Line, what))
+		}
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.GoStmt:
+				report(n, "go statement")
+			case *ast.SelectorExpr:
+				pkg, ok := n.X.(*ast.Ident)
+				if !ok || timePkg == "" || pkg.Name != timePkg {
+					break
+				}
+				name := pkg.Name + "." + n.Sel.Name
+				switch n.Sel.Name {
+				case "NewTimer", "After", "AfterFunc", "Sleep", "Tick", "NewTicker":
+					if !wallTimerFiles[f.path] {
+						report(n, "wall timer "+name)
+					}
+				case "Now", "Since":
+					if !wallStampFiles[f.path] {
+						report(n, "wall clock read "+name)
+					}
+				}
+			}
+			return true
+		})
+	}
+	return out
+}

@@ -68,8 +68,7 @@ func routerSummary(w io.Writer, d *flightrec.Dump, res *flightrec.StitchResult) 
 	fmt.Fprintf(w, "router: %d placements (%d re-routed), %d migrations; calls per shard:%s\n",
 		placements, reroutes, len(migrations), spread)
 	for _, e := range migrations {
-		fmt.Fprintf(w, "  migration: shard %d -> %d, %d journal entries moved\n",
-			e.Arg0, e.Arg1, e.Arg2)
+		fmt.Fprintf(w, "  migration: shard %d retired\n", e.Arg0)
 	}
 }
 

@@ -196,7 +196,7 @@ func TestLaketraceFleetRouting(t *testing.T) {
 	for _, want := range []string{
 		"router: ",
 		"calls per shard:",
-		"migration: shard 0 -> 1",
+		"migration: shard 0 retired",
 		"shard", // the -calls column
 		"route(w)",
 	} {

@@ -174,6 +174,12 @@ var deletedNames = []deletedName{
 		reason: "one lifecycle constructor on constants, and a version carries no provenance"},
 	{kind: ident, pattern: `^(NewManager|NewRegistry|Config|fillDefaults|Meta|Minibatch|RoundSamples|DriftWindow|DriftTolerance)$`, dirs: []string{"internal/lifecycle"},
 		reason: "one lifecycle constructor on constants, and a version carries no provenance"},
+	// A retired fleet shard keeps its journal: a lakeLib sends only to its
+	// own shard's lakeD, so no other daemon needs it, and Drain and Kill
+	// move a shard from Active to Dead in one step.
+	{kind: ident, pattern: `^(MarshalHandoff|UnmarshalHandoff|ExportJournal|ImportJournal|HandoffBytes|JournalEntries)$`,
+		reason: "no cross-shard journal transfer: exactly-once is each shard's own journal"},
+	{kind: ident, pattern: `^Draining$`, reason: "no Draining state: a drain does not wait for in-flight requests"},
 }
 
 // TestDeletedNamesStayDeleted checks the module against deletedNames with

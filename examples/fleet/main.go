@@ -2,9 +2,8 @@
 // independent lakeD shards — each a full runtime with its own supervisor,
 // batcher, device pool and virtual clock — behind the client-side router.
 // Tenants are placed on shards by a pluggable policy, admission control
-// enforces per-tenant and fair-share quotas, and a live drain hands a
-// shard's exactly-once journal to a successor mid-storm without losing or
-// re-executing a single call.
+// enforces per-tenant and fair-share quotas, and a live drain retires a
+// shard mid-storm without losing or re-executing a single call.
 package main
 
 import (
@@ -68,9 +67,8 @@ func main() {
 	}
 
 	// Mid-storm maintenance: drain shard 0. The router stops placing new
-	// tenants there, in-flight calls quiesce, the exactly-once journal
-	// crosses to the successor in a CRC-sealed handoff frame, and the
-	// drained shard's tenants re-route — zero lost, zero re-executed.
+	// tenants there, in-flight calls finish on shard 0, and the drained
+	// shard's tenants re-route — zero lost, zero re-executed.
 	go func() {
 		time.Sleep(2 * time.Millisecond)
 		m, err := f.Drain(0)
@@ -87,8 +85,7 @@ func main() {
 	st := f.Stats()
 	fmt.Printf("router: %d placements, %d reroutes, %d migrations, %d admission rejects\n",
 		st.Placements, st.Reroutes, st.Migrations, st.Rejects)
-	fmt.Printf("drain:  shard %d -> %d, %d journal entries in a %dB sealed frame, %d tenants re-homed\n",
-		m.Src, m.Dst, m.JournalEntries, m.HandoffBytes, m.Tenants)
+	fmt.Printf("drain:  shard %d retired, %d tenants re-homed\n", m.Src, m.Tenants)
 	for _, sh := range f.Shards() {
 		bs := sh.Batcher().Stats()
 		fmt.Printf("shard %d [%s]: %d requests, %d flushes (avg batch %.1f), redelivered %d, v=%v\n",

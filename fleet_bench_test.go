@@ -3,8 +3,8 @@
 // is an independent lakeD process with its own virtual timeline, so the
 // fleet's elapsed time is the slowest shard's (the critical path) — and a
 // shard killed mid-storm must lose nothing: queued work completes on the
-// CPU fallback, the journal migrates, tenants re-route, and the flight
-// recorder can still reconstruct every surviving-shard call.
+// CPU fallback, tenants re-route, and the flight recorder can still
+// reconstruct every surviving-shard call.
 package lake_test
 
 import (
@@ -216,16 +216,16 @@ func TestFleetScalingSpeedup(t *testing.T) {
 // TestChaosFleetShardKill kills one shard in the middle of a 64-tenant
 // storm. The contract: zero lost calls (every Wait succeeds with the
 // reference prediction), zero re-executed calls (no shard answers a
-// redelivery, the migrated journal absorbs them), and the flight recorder
-// reconstructs every surviving-shard call end to end.
+// redelivery), and the flight recorder reconstructs every surviving-shard
+// call end to end.
 func TestChaosFleetShardKill(t *testing.T) {
 	runChaosFleetShardKill(t, lake.Netlink)
 }
 
 // TestChaosFleetShardKillRing is the same kill storm with every shard on the
 // descriptor-ring transport: the victim's in-flight calls sit in ring slots
-// when the kill lands, and the handoff must still seal the journal with zero
-// lost and zero re-executed calls.
+// when the kill lands, and the storm must still end with zero lost and zero
+// re-executed calls.
 func TestChaosFleetShardKillRing(t *testing.T) {
 	runChaosFleetShardKill(t, lake.Ring)
 }
@@ -290,8 +290,8 @@ func runChaosFleetShardKill(t *testing.T, ch lake.ChannelKind) {
 	if got := f.Shard(victim).State(); got != lake.ShardDead {
 		t.Fatalf("victim state %s, want Dead", got)
 	}
-	// Zero re-executed: no daemon served a redelivery by re-running it —
-	// the migrated journal answers duplicates, and none arrived here.
+	// Zero re-executed: no call was resubmitted on another shard, so no
+	// daemon answered a redelivery.
 	for _, sh := range f.Shards() {
 		if r := sh.Runtime().Daemon().Redelivered(); r != 0 {
 			t.Fatalf("shard %d redelivered %d commands", sh.Ordinal(), r)
@@ -301,9 +301,8 @@ func runChaosFleetShardKill(t *testing.T, ch lake.ChannelKind) {
 	if st.Migrations != 1 {
 		t.Fatalf("migrations=%d, want 1", st.Migrations)
 	}
-	t.Logf("kill: src=%d dst=%d journal=%d tenants=%d handoff=%dB reroutes=%d fallbackFlushes=%d",
-		m.Src, m.Dst, m.JournalEntries, m.Tenants, m.HandoffBytes,
-		st.Reroutes, f.Shard(victim).Batcher().Stats().FallbackFlushes)
+	t.Logf("kill: src=%d tenants=%d reroutes=%d fallbackFlushes=%d",
+		m.Src, m.Tenants, st.Reroutes, f.Shard(victim).Batcher().Stats().FallbackFlushes)
 
 	// Every surviving-shard call must be reconstructable by the laketrace
 	// pipeline: dump the fleet recorder and stitch.

@@ -125,8 +125,7 @@ func New(cfg Config) (*Runtime, error) { return newRuntime(cfg, -1, nil) }
 // (in a recorder of its own when root is nil), every metric name it
 // registers carries a shard="<ord>" pair so shard series stay distinct in a
 // merged exposition, and lakeLib's wire sequence numbers are namespaced by ord
-// (remoting.Lib.SetShardTag) so shard journals merge without key collisions
-// during migration.
+// (remoting.Lib.SetShardTag) so a sequence names one call fleet-wide.
 func NewShard(cfg Config, ord int, root *flightrec.Recorder) (*Runtime, error) {
 	return newRuntime(cfg, ord, root)
 }

@@ -17,11 +17,12 @@
 //     the shard, and the fleet adds per-tenant caps plus weighted fair-share
 //     quotas across the whole fleet, both surfacing the same retryable
 //     batcher.ErrBackpressure.
-//   - Drain/migration generalizes the supervisor's journal re-attach: a
-//     shard quiesces, its exactly-once journal crosses to a successor as a
-//     CRC-sealed handoff frame (remoting.MarshalHandoff), its tenants are
-//     re-routed, and redelivered calls are answered from the merged journal
-//     — zero lost, zero re-executed.
+//   - Drain and Kill retire a shard in one step: placement stops, its
+//     tenants re-route on their next submit, and a request already on the
+//     shard finishes on the lakeLib that issued it. Exactly-once stays
+//     each shard's own: a lakeLib sends only to its shard's lakeD, whose
+//     journal answers its redeliveries, and no call is resubmitted on
+//     another shard — zero lost, zero re-executed.
 //
 // Each shard runs on its own virtual clock: shards model independent lakeD
 // processes whose service timelines overlap in real time, so charging one
@@ -71,15 +72,12 @@ type ShardState int32
 const (
 	// Active shards accept placements and traffic.
 	Active ShardState = iota
-	// Draining shards are excluded from placement while in-flight work
-	// quiesces; they still answer journal redeliveries.
-	Draining
-	// Dead shards are gone: daemon abandoned, journal migrated, tenants
-	// re-routed.
+	// Dead shards are retired by Drain or Kill: no placements, tenants
+	// re-routed; requests already on the shard still finish there.
 	Dead
 )
 
-var shardStateNames = [...]string{"Active", "Draining", "Dead"}
+var shardStateNames = [...]string{"Active", "Dead"}
 
 func (s ShardState) String() string {
 	if s < 0 || int(s) >= len(shardStateNames) {
@@ -154,7 +152,7 @@ func New(cfg Config) (*Fleet, error) {
 	f.tel = telemetry.NewRegistry()
 	f.tel.AttachCounter("lake_router_placements_total", "Tenant placements decided by the fleet router.", &f.placements)
 	f.tel.AttachCounter("lake_router_reroutes_total", "Placements that moved a tenant off a draining or dead shard.", &f.reroutes)
-	f.tel.AttachCounter("lake_router_migrations_total", "Completed shard journal migrations (drains and kills).", &f.migrations)
+	f.tel.AttachCounter("lake_router_migrations_total", "Completed shard retirements (drains and kills).", &f.migrations)
 	f.tel.AttachCounter("lake_router_admission_rejects_total", "Submissions rejected by fleet admission (tenant cap or fair share).", &f.rejects)
 	f.gpuUtil = f.tel.Gauge("lake_fleet_gpu_util", "Last fleet-wide NVML GPU utilization aggregate (percent).")
 	f.memUtil = f.tel.Gauge("lake_fleet_mem_util", "Last fleet-wide NVML memory utilization aggregate (percent).")

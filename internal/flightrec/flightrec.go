@@ -82,8 +82,8 @@ const (
 	EvCopy               // gpu: transfer charged; a0=bytes, a1=virtual ns
 	EvTransition         // supervisor: state change; a0=from, a1=to
 	EvRoute              // reserved, no longer written: the hop rides on EvEnqueue's a2. Older dumps: router: call placed on a shard; a0=policy, a1=1 for a migration re-route, a2=wall ns spent placing (0 on a sticky hit: nothing was decided)
-	EvMigrateStart       // router: shard migration begins; a0=source shard, a1=destination shard
-	EvMigrateEnd         // router: shard migration done; a0=source shard, a1=destination shard, a2=journal entries moved
+	EvMigrateStart       // router: shard retirement (drain or kill) begins, on the retired shard's view; a0=retired shard
+	EvMigrateEnd         // router: shard retirement done, its tenants evicted; a0=retired shard
 	EvDoorbell           // boundary, only while a fault plane is armed: ring-transport doorbell rung on an empty→nonempty transition; a0=bytes, a1=direction
 	EvModelRegister      // lifecycle: version added to the registry; a0=version seq, a1=content hash (low 64)
 	EvModelSwap          // lifecycle: serving slot flipped; a0=new version seq, a1=old version seq, a2=reason (SwapPromote, SwapDemote)

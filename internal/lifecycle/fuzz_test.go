@@ -16,7 +16,8 @@ const fuzzOutcomes = 600
 // decodeOutcomes reads data as 4-byte records and cycles them into
 // fuzzOutcomes outcomes for a 2-input, 2-class network. Per record: b0's
 // low three bits pick X's width (2 five times in eight, else 3, 1 or nil),
-// its bit 7 makes X[0] NaN and bit 6 makes the last feature +Inf; b1's low
+// its bit 7 makes X[0] NaN, bit 6 makes the last feature +Inf and bit 5
+// makes X[0] -Inf (NaN wins over it); b1's low
 // three bits pick the label (0 or 1 six times in eight, else -1 or 2) and
 // bit 4 the prediction; b2 and b3 are the first two features, in 32nds.
 func decodeOutcomes(data []byte) []Outcome {
@@ -34,6 +35,9 @@ func decodeOutcomes(data []byte) []Outcome {
 		for j := 0; j < w; j++ {
 			x = append(x, float32(int8(b[2+j%2]))/32)
 		}
+		if w > 0 && b[0]&0x20 != 0 {
+			x[0] = float32(math.Inf(-1))
+		}
 		if w > 0 && b[0]&0x80 != 0 {
 			x[0] = float32(math.NaN())
 		}
@@ -47,18 +51,27 @@ func decodeOutcomes(data []byte) []Outcome {
 
 // FuzzManagerObserve feeds arbitrary outcome streams through Observe and
 // Pump. Pump must never panic; every outcome that does not fit the network
-// must be rejected and counted; and the stream must train the same weights,
-// and serve the same version, as its well-formed outcomes alone. Seeds in
-// testdata/fuzz/FuzzManagerObserve mix good outcomes with wrong widths, nil
-// X, labels -1 and 2, and NaN and +Inf features.
+// or holds a NaN or infinite feature must be rejected and counted; and the
+// stream must train the same weights, and serve the same version, as its
+// well-formed outcomes alone. Seeds in testdata/fuzz/FuzzManagerObserve mix
+// good outcomes with wrong widths, nil X, labels -1 and 2, and NaN and +Inf
+// features; the seeds below add one NaN, one +Inf and one -Inf feature
+// each among good outcomes.
 func FuzzManagerObserve(f *testing.F) {
 	f.Add([]byte{0, 0, 0x20, 0xe0, 0, 1, 0xe0, 0x20})
+	f.Add([]byte{0, 0, 0x20, 0xe0, 0x80, 1, 0xe0, 0x20, 0, 1, 0xe0, 0x20})
+	f.Add([]byte{0, 0, 0x20, 0xe0, 0x40, 1, 0xe0, 0x20, 0, 1, 0xe0, 0x20})
+	f.Add([]byte{0, 0, 0x20, 0xe0, 0x20, 1, 0xe0, 0x20, 0, 1, 0xe0, 0x20})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		base := nn.New(1, 2, 4, 2)
 		all, fit := newManager(base), newManager(base)
 		var malformed uint64
 		for _, o := range decodeOutcomes(data) {
-			if len(o.X) == 2 && o.Label >= 0 && o.Label < 2 {
+			fits := len(o.X) == 2 && o.Label >= 0 && o.Label < 2
+			for _, v := range o.X {
+				fits = fits && v-v == 0 // NaN and ±Inf leave NaN
+			}
+			if fits {
 				fit.Observe(o)
 				fit.Pump()
 			} else {

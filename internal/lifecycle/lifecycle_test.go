@@ -3,6 +3,7 @@ package lifecycle
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 
 	"lakego/internal/nn"
@@ -56,9 +57,12 @@ func TestPromoteVersions(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Re-promoting identical weights dedups on content hash: no new
-	// version, no flip.
+	// version, no flip, and no registration counted.
 	if v, err := m.Promote(n1.Clone()); err != nil || v != v1 {
 		t.Fatalf("identical weights: version %+v err %v, want the base", v, err)
+	}
+	if got := m.registrations.Value(); got != 1 {
+		t.Fatalf("%d registrations after re-promoting the base, want 1", got)
 	}
 
 	n2 := n1.Clone()
@@ -155,6 +159,35 @@ func TestManagerPromotesOnBetterCandidate(t *testing.T) {
 	}
 	if st.Dropped != 0 {
 		t.Fatalf("dropped %d outcomes despite inline pumping", st.Dropped)
+	}
+}
+
+// TestNaNOutcomeDoesNotPoisonTrainer: one outcome with a NaN feature ahead
+// of the promotion stream is dropped at Observe, so the trainer still
+// learns the stream and promotes, as it does without it.
+func TestNaNOutcomeDoesNotPoisonTrainer(t *testing.T) {
+	base := constantBase(3)
+	m := newManager(base)
+	if m.Observe(Outcome{X: []float32{float32(math.NaN()), 1}, Label: 1}) {
+		t.Fatal("an outcome with a NaN feature was accepted")
+	}
+	for _, o := range labeledStream(2000, base) {
+		m.Observe(o)
+		m.Pump()
+	}
+	st := m.Stats()
+	if st.Swaps == 0 || st.ServingSeq == 1 {
+		t.Fatalf("one NaN outcome kept the trainer from promoting: %+v", st)
+	}
+	if st.Dropped != 1 {
+		t.Fatalf("dropped %d outcomes, want the one NaN outcome", st.Dropped)
+	}
+	for _, l := range m.candidate.Layers {
+		for _, w := range l.W {
+			if w != w {
+				t.Fatal("candidate weights went NaN")
+			}
+		}
 	}
 }
 
@@ -280,6 +313,9 @@ func TestObserveRejectsMalformedFeedback(t *testing.T) {
 		{"nil X", Outcome{Label: 1}},
 		{"label -1", Outcome{X: []float32{1, 1}, Label: -1}},
 		{"label 2", Outcome{X: []float32{1, 1}, Label: 2}},
+		{"NaN feature", Outcome{X: []float32{float32(math.NaN()), 1}, Label: 1}},
+		{"+Inf feature", Outcome{X: []float32{1, float32(math.Inf(1))}, Label: 1}},
+		{"-Inf feature", Outcome{X: []float32{float32(math.Inf(-1)), 1}, Label: 0}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			m := newManager(base)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -169,14 +170,14 @@ func newManager(base *nn.Network) *Manager {
 // instrument declares the manager's series on reg; name carries the
 // model="..." label.
 func (m *Manager) instrument(reg *telemetry.Registry, name telemetry.Namer) {
-	reg.AttachCounter(name("lake_model_registrations_total"), "Model versions added to the registry.", &m.registrations)
+	reg.AttachCounter(name("lake_model_registrations_total"), "Distinct model versions added to the registry; a byte-identical snapshot reuses its version.", &m.registrations)
 	reg.AttachCounter(name("lake_model_swaps_total"), "Serving-slot flips (promotions, demotions, rollbacks).", &m.swaps)
 	reg.AttachCounter(name("lake_model_retrain_steps_total"), "Online SGD minibatch steps run in lakeD.", &m.retrainSteps)
 	reg.AttachCounter(name("lake_model_retrain_samples_total"), "Feedback samples consumed by online retraining.", &m.retrainSamples)
 	reg.AttachCounter(name("lake_model_drift_alarms_total"), "Drift windows whose live accuracy fell below the pinned baseline.", &m.driftAlarms)
 	reg.AttachCounter(name("lake_model_demotions_total"), "Drift-driven rollbacks to the previous serving version.", &m.demotions)
 	reg.AttachCounter(name("lake_model_fallback_total"), "Times the model went unhealthy and routing fell back to the CPU/heuristic path.", &m.fallbackEnters)
-	reg.AttachCounter(name("lake_model_feedback_dropped_total"), "Outcomes dropped by the bounded feedback channel.", &m.dropped)
+	reg.AttachCounter(name("lake_model_feedback_dropped_total"), "Outcomes rejected as malformed (wrong width, label out of range, NaN or infinite feature) or dropped by the full feedback channel.", &m.dropped)
 	m.servingVersion = reg.Gauge(name("lake_model_serving_version"), "Sequence number of the serving model version.")
 	m.shadowAccuracy = reg.Gauge(name("lake_model_shadow_accuracy_permille"), "Candidate accuracy over the last shadow window (per-mille).")
 	m.servingVersion.Set(int64(m.serving.Seq))
@@ -201,12 +202,13 @@ func (m *Manager) Attach(apply func(*nn.Network) error) error {
 func (m *Manager) Healthy() bool { return m.healthy.Load() }
 
 // Observe offers one outcome to the lifecycle. Never blocks: an outcome
-// whose X is not the model's input width, or whose Label is not one of its
-// classes, is rejected, and one that finds the bounded feedback channel
-// full is dropped; both are counted (the hot path must not back-pressure
-// on the trainer). Reports whether the outcome was accepted.
+// whose X is not the model's input width or holds a NaN or infinite
+// feature, or whose Label is not one of its classes, is rejected, and one
+// that finds the bounded feedback channel full is dropped; both are
+// counted (the hot path must not back-pressure on the trainer). Reports
+// whether the outcome was accepted.
 func (m *Manager) Observe(o Outcome) bool {
-	if len(o.X) != m.inputs || o.Label < 0 || o.Label >= m.outputs {
+	if len(o.X) != m.inputs || o.Label < 0 || o.Label >= m.outputs || !finite(o.X) {
 		m.dropped.Inc()
 		return false
 	}
@@ -217,6 +219,17 @@ func (m *Manager) Observe(o Outcome) bool {
 		m.dropped.Inc()
 		return false
 	}
+}
+
+// finite reports whether every feature of x is a number: one NaN or
+// infinite feature would turn the candidate's weights NaN for good.
+func finite(x []float32) bool {
+	for _, v := range x {
+		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // Pump drains and processes every buffered outcome, returning how many it
@@ -296,7 +309,7 @@ func (m *Manager) step() {
 // register snapshots net as a version and returns it. The network is
 // deep-copied, so the caller may keep training the original; weights
 // byte-identical to a registered version return that version instead of
-// minting a duplicate. Caller holds mu (or is building m).
+// minting (and counting) a duplicate. Caller holds mu (or is building m).
 func (m *Manager) register(net *nn.Network) *Version {
 	snap := net.Clone()
 	h := fnv.New64a()
@@ -306,8 +319,8 @@ func (m *Manager) register(net *nn.Network) *Version {
 		m.nextSeq++
 		v = &Version{Seq: m.nextSeq, Hash: h.Sum64(), net: snap}
 		m.byHash[v.Hash] = v
+		m.registrations.Inc()
 	}
-	m.registrations.Inc()
 	return v
 }
 

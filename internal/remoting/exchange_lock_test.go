@@ -120,11 +120,9 @@ func TestOneExchangeLockPerCall(t *testing.T) {
 }
 
 // Every reader of state the exchange lock guards races remoted calls on
-// one Lib: journal exports and shard-tagged imports, doorbell counts, the
-// counters behind Stats, and a final Close that lands between calls. Each
-// export is a consistent snapshot (every frame answers its own sequence),
-// every import is absorbed whole, exchanges never overlap (every frame
-// lands on an empty ring), and a call after the Close fails cleanly.
+// one Lib: doorbell counts, the counters behind Stats, and a final Close
+// that lands between calls. Exchanges never overlap (every frame lands on
+// an empty ring), and a call after the Close fails cleanly.
 func TestRingStateReadersRaceCalls(t *testing.T) {
 	s := newStack(t)
 	if r := s.lib.CuInit(); r != cuda.Success {
@@ -156,24 +154,7 @@ func TestRingStateReadersRaceCalls(t *testing.T) {
 	reader := func(wg *sync.WaitGroup) {
 		defer wg.Done()
 		defer stop.Store(true)
-		var resp Response
-		for k := uint64(1); k <= rounds; k++ {
-			seq := 1<<48 | k
-			frame, err := AppendResponse(nil, &Response{Seq: seq, Vals: []uint64{k}})
-			if err != nil {
-				errs <- err
-				return
-			}
-			if n := s.daemon.ImportJournal([]JournalEntry{{Seq: seq, Frame: frame}}); n != 1 {
-				errs <- fmt.Errorf("import of seq %#x absorbed %d entries", seq, n)
-				return
-			}
-			for _, e := range s.daemon.ExportJournal() {
-				if err := DecodeResponseInto(&resp, e.Frame); err != nil || resp.Seq != e.Seq {
-					errs <- fmt.Errorf("exported seq %#x holds a frame for %#x (%v)", e.Seq, resp.Seq, err)
-					return
-				}
-			}
+		for k := 0; k < rounds; k++ {
 			s.tr.DoorbellStats()
 			s.tr.Stats()
 			s.lib.Stats()
@@ -201,9 +182,6 @@ func TestRingStateReadersRaceCalls(t *testing.T) {
 	sent, received := s.tr.Stats()
 	if rings, _, _ := s.tr.DoorbellStats(); rings != uint64(sent+received) {
 		t.Fatalf("rings %d != frames %d: two exchanges overlapped", rings, sent+received)
-	}
-	if n := len(s.daemon.ExportJournal()); n < rounds {
-		t.Fatalf("journal holds %d entries after %d imports", n, rounds)
 	}
 
 	// The final Close races a second wave of callers, which call until the

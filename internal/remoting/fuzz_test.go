@@ -174,45 +174,3 @@ func FuzzResponseDemux(f *testing.F) {
 		}
 	})
 }
-
-// FuzzUnmarshalHandoff: the migration frame decoder must never panic on
-// arbitrary bytes, must reject any frame whose CRC seal does not hold, and
-// must round-trip every frame it accepts.
-func FuzzUnmarshalHandoff(f *testing.F) {
-	seed, _ := MarshalHandoff(&Handoff{
-		SrcShard: 1, DstShard: 2,
-		Entries: []JournalEntry{{Seq: 7, Frame: []byte{0xE1, 1, 2}}, {Seq: 9}},
-	})
-	f.Add(seed)
-	empty, _ := MarshalHandoff(&Handoff{})
-	f.Add(empty)
-	f.Add([]byte{})
-	f.Add([]byte{handoffMagic})
-	if len(seed) > 0 {
-		flipped := bytes.Clone(seed)
-		flipped[len(flipped)/2] ^= 0x40
-		f.Add(flipped)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		h, err := UnmarshalHandoff(data)
-		if err != nil {
-			return
-		}
-		re, err := MarshalHandoff(h)
-		if err != nil {
-			t.Fatalf("re-marshal failed: %v", err)
-		}
-		h2, err := UnmarshalHandoff(re)
-		if err != nil {
-			t.Fatalf("re-unmarshal failed: %v", err)
-		}
-		if h2.SrcShard != h.SrcShard || h2.DstShard != h.DstShard || len(h2.Entries) != len(h.Entries) {
-			t.Fatal("handoff round trip not stable")
-		}
-		for i := range h.Entries {
-			if h2.Entries[i].Seq != h.Entries[i].Seq || !bytes.Equal(h2.Entries[i].Frame, h.Entries[i].Frame) {
-				t.Fatalf("entry %d round trip not stable", i)
-			}
-		}
-	})
-}

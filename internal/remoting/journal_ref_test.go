@@ -4,16 +4,12 @@ import (
 	"encoding/binary"
 	"reflect"
 	"testing"
-
-	"lakego/internal/boundary"
-	"lakego/internal/vtime"
 )
 
 // The reference journal below is the map-indexed journal that preceded the
 // open-addressed index, kept verbatim apart from the ref prefix on each
-// name (its export lived in handoff.go) and the import rule, reserve, which
-// the live journal gained later. FuzzJournalDifferential holds the live
-// journal to it.
+// name. FuzzJournalDifferential holds the live journal to it, comparing
+// whole journals through export.
 
 type refJournal struct {
 	// slots is the fixed ring; next is the cursor the next record lands on
@@ -79,20 +75,6 @@ func (j *refJournal) record(seq uint64, frame []byte) {
 	}
 }
 
-// reserve grows the journal so that n more entries fit beside the live
-// ones without an eviction: a journal of exactly live+n slots takes the
-// live entries, oldest first.
-func (j *refJournal) reserve(n int) {
-	if j.live+n > len(j.slots) {
-		g := newRefJournal(j.live + n)
-		for _, e := range j.export() {
-			g.record(e.Seq, e.Frame)
-		}
-		g.evicts = j.evicts
-		*j = *g
-	}
-}
-
 // stats returns (evictions, live entries).
 func (j *refJournal) stats() (evicts int64, live int) {
 	return j.evicts, j.live
@@ -100,10 +82,10 @@ func (j *refJournal) stats() (evicts int64, live int) {
 
 // export snapshots the journal's live entries in FIFO order, walking the
 // slot ring from the eviction cursor (the oldest live entry once wrapped).
-// Frames are copied: the snapshot must stay intact while the source journal
-// keeps recording during a drain.
-func (j *refJournal) export() []JournalEntry {
-	out := make([]JournalEntry, 0, j.live)
+// Frames are copied: the snapshot must stay intact while the journal keeps
+// recording.
+func (j *refJournal) export() []jentry {
+	out := make([]jentry, 0, j.live)
 	n := len(j.slots)
 	for k := 0; k < n; k++ {
 		s := &j.slots[(j.next+k)%n]
@@ -112,7 +94,22 @@ func (j *refJournal) export() []JournalEntry {
 		}
 		frame := make([]byte, len(s.buf))
 		copy(frame, s.buf)
-		out = append(out, JournalEntry{Seq: s.seq, Frame: frame})
+		out = append(out, jentry{seq: s.seq, buf: frame})
+	}
+	return out
+}
+
+// export is the live journal's snapshot in the same shape: its live
+// entries in FIFO order, walked from the oldest live entry (the eviction
+// cursor once wrapped), frames copied.
+func (j *journal) export() []jentry {
+	out := make([]jentry, 0, j.live)
+	n := len(j.slots)
+	for k := n - j.live; k < n; k++ {
+		s := &j.slots[(j.next+k)%n]
+		frame := make([]byte, len(s.buf))
+		copy(frame, s.buf)
+		out = append(out, jentry{seq: s.seq, buf: frame})
 	}
 	return out
 }
@@ -127,7 +124,6 @@ const (
 	jopLookup           // look up a recorded sequence, maybe evicted (operand picks it)
 	jopLookupSeq        // look up an explicit sequence (8 bytes follow)
 	jopExport           // export both journals
-	jopImport           // ImportJournal a batch of shard-tagged sequences (operand sizes it)
 	journalOps
 )
 
@@ -138,27 +134,14 @@ func journalFrame(seq uint64, v byte) []byte {
 	return b[:seq%9]
 }
 
-// journalDaemon is a Daemon with a journal of the given capacity and a real
-// transport, whose exchange lock ImportJournal and ExportJournal take, and
-// nothing else.
-func journalDaemon(t *testing.T, capacity int) *Daemon {
-	t.Helper()
-	tr, err := boundary.NewRingTransport(vtime.New(), nil, 2, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &Daemon{tr: tr, journal: newJournal(capacity)}
-}
-
-// runJournalProgram runs one op program against the live journal, behind a
-// bare Daemon so ImportJournal and ExportJournal are the real entry points,
-// and against the reference, failing on the first difference.
+// runJournalProgram runs one op program against the live journal and
+// against the reference, failing on the first difference.
 func runJournalProgram(t *testing.T, capacity int, prog []byte) {
 	t.Helper()
-	d := journalDaemon(t, capacity)
+	j := newJournal(capacity)
 	ref := newRefJournal(capacity)
 	var hist []uint64
-	var fresh, imported uint64
+	var fresh uint64
 	next := func() (byte, bool) {
 		if len(prog) == 0 {
 			return 0, false
@@ -179,7 +162,7 @@ func runJournalProgram(t *testing.T, capacity int, prog []byte) {
 	pick := func(b byte) uint64 { return hist[int(b)%len(hist)] }
 	check := func(op int, seq uint64) {
 		t.Helper()
-		got, gok := d.journal.lookup(seq)
+		got, gok := j.lookup(seq)
 		want, wok := ref.lookup(seq)
 		if gok != wok || string(got) != string(want) {
 			t.Fatalf("cap %d op %d: lookup(%#x) = %x %v, reference %x %v", capacity, op, seq, got, gok, want, wok)
@@ -193,7 +176,7 @@ func runJournalProgram(t *testing.T, capacity int, prog []byte) {
 		switch int(b) % journalOps {
 		case jopRecord:
 			fresh++
-			d.journal.record(fresh, journalFrame(fresh, 0))
+			j.record(fresh, journalFrame(fresh, 0))
 			ref.record(fresh, journalFrame(fresh, 0))
 			hist = append(hist, fresh)
 		case jopRecordSeq:
@@ -201,7 +184,7 @@ func runJournalProgram(t *testing.T, capacity int, prog []byte) {
 			if !ok {
 				break
 			}
-			d.journal.record(s, journalFrame(s, 0))
+			j.record(s, journalFrame(s, 0))
 			ref.record(s, journalFrame(s, 0))
 			hist = append(hist, s)
 		case jopDuplicate:
@@ -210,7 +193,7 @@ func runJournalProgram(t *testing.T, capacity int, prog []byte) {
 				break
 			}
 			s := pick(o)
-			d.journal.record(s, journalFrame(s, 1))
+			j.record(s, journalFrame(s, 1))
 			ref.record(s, journalFrame(s, 1))
 			check(op, s)
 		case jopLookup:
@@ -224,36 +207,11 @@ func runJournalProgram(t *testing.T, capacity int, prog []byte) {
 				check(op, s)
 			}
 		case jopExport:
-			if got, want := d.ExportJournal(), ref.export(); !reflect.DeepEqual(got, want) {
+			if got, want := j.export(), ref.export(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("cap %d op %d: export differs:\n got %v\nwant %v", capacity, op, got, want)
 			}
-		case jopImport:
-			o, ok := next()
-			if !ok {
-				break
-			}
-			shard := uint64(1 + (o>>3)%4)
-			batch := make([]JournalEntry, 0, 9)
-			for k := 0; k <= int(o%8); k++ {
-				imported++
-				s := shard<<48 | imported
-				batch = append(batch, JournalEntry{Seq: s, Frame: journalFrame(s, 2)})
-			}
-			if o&0x80 != 0 && len(hist) > 0 {
-				// A sequence the journal already holds: first writer wins.
-				s := hist[len(hist)-1]
-				batch = append(batch, JournalEntry{Seq: s, Frame: journalFrame(s, 3)})
-			}
-			if n := d.ImportJournal(batch); n != len(batch) {
-				t.Fatalf("cap %d op %d: ImportJournal absorbed %d of %d", capacity, op, n, len(batch))
-			}
-			ref.reserve(len(batch))
-			for _, e := range batch {
-				ref.record(e.Seq, e.Frame)
-				hist = append(hist, e.Seq)
-			}
 		}
-		ge, gl := d.journal.stats()
+		ge, gl := j.stats()
 		we, wl := ref.stats()
 		if ge != we || gl != wl {
 			t.Fatalf("cap %d op %d: stats (%d, %d), reference (%d, %d)", capacity, op, ge, gl, we, wl)
@@ -261,7 +219,7 @@ func runJournalProgram(t *testing.T, capacity int, prog []byte) {
 		// Every live entry holds exactly one index cell: a leaked or
 		// doubled cell would fill the table long before a lookup misses.
 		cells := 0
-		for _, c := range d.journal.index {
+		for _, c := range j.index {
 			if c != 0 {
 				cells++
 			}
@@ -270,7 +228,7 @@ func runJournalProgram(t *testing.T, capacity int, prog []byte) {
 			t.Fatalf("cap %d op %d: %d index cells in use for %d live entries", capacity, op, cells, gl)
 		}
 	}
-	if got, want := d.ExportJournal(), ref.export(); !reflect.DeepEqual(got, want) {
+	if got, want := j.export(), ref.export(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("cap %d: final export differs:\n got %v\nwant %v", capacity, got, want)
 	}
 	for _, s := range hist {
@@ -283,11 +241,11 @@ func runJournalProgram(t *testing.T, capacity int, prog []byte) {
 // every lookup, every export and the eviction and live counts must agree.
 // The committed corpus holds sequences whose hash homes collide, probe
 // chains that wrap past the table's last cell and are then evicted (the
-// backward shift across the wrap), a run that cycles the 4096-slot ring,
-// and shard-tagged imports mixed with local records.
+// backward shift across the wrap) and a run that cycles the 4096-slot ring;
+// a seed mixes a shard-tagged sequence with local ones.
 func FuzzJournalDifferential(f *testing.F) {
 	f.Add([]byte{jopRecord, jopRecord, jopDuplicate, 0, jopLookup, 1, jopExport})
-	f.Add([]byte{jopImport, 0x9b, jopRecord, jopLookup, 3, jopImport, 0x07, jopExport})
+	f.Add([]byte{jopRecordSeq, 5, 0, 0, 0, 0, 0, 1, 0, jopRecord, jopLookup, 0, jopLookup, 1, jopExport})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		for _, c := range []int{1, 4, 7, defaultJournalCap} {
 			runJournalProgram(t, c, prog)

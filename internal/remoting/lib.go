@@ -48,9 +48,8 @@ type Lib struct {
 	cs  callState
 	seq uint64
 	// shardTag is OR'd into the high bits of every issued sequence number
-	// (SetShardTag). In a fleet each shard's lib gets a distinct tag, so
-	// sequence spaces — and therefore journal keyspaces — stay disjoint
-	// when one shard's journal is migrated into another's daemon.
+	// (SetShardTag). In a fleet each shard's lib gets a distinct tag, so a
+	// sequence number names one call fleet-wide, in a shared dump too.
 	shardTag uint64
 
 	// calls and the ResilienceStats counters are what Stats and

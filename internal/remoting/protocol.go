@@ -16,12 +16,12 @@
 // Which lock guards what: the boundary.Channel's Locker, one exchange lock
 // per lakeLib↔lakeD pair, held by a remoted call from newCall to done, owns
 // the call state, the retry PRNG, both rings and lakeD's pump scratch and
-// journal (ExportJournal and ImportJournal take it too). State that only
+// journal. State that only
 // construction, a fault or the supervisor writes is an atomic word: the
 // lib's dead latch and the daemon's crash latch, pending crash and restart
 // generation. Daemon.mu guards only the handler table and the error log.
 //
-// One reader decodes every frame kind (command, response, batch, handoff)
+// One reader decodes every frame kind (command, response, batch)
 // and PeekFrame's header, and seal/openFrame are the only code that touches
 // the CRC trailer. The reader latches: the first read past the end, or a
 // failed bounds check on a decoded count, length or magic, marks it bad,

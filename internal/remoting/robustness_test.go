@@ -116,10 +116,10 @@ func (h *churnHook) DaemonRecovered() {}
 
 // startChurn registers a "count" handler on s that counts its executions
 // per first argument, and starts a goroutine that crashes and restarts the
-// daemon, reads the daemon's and the lib's latches and exports the journal
-// until the returned stop is called or the test ends; it returns once the
-// goroutine runs. stayHealthy makes a dead lib latch an error. stop waits
-// for the goroutine and returns the execution counts.
+// daemon and reads the daemon's and the lib's latches until the returned
+// stop is called or the test ends; it returns once the goroutine runs.
+// stayHealthy makes a dead lib latch an error. stop waits for the goroutine
+// and returns the execution counts.
 func startChurn(t *testing.T, s *stack, restarts *atomic.Int64, stayHealthy bool) (stop func() map[uint64]int) {
 	var mu sync.Mutex
 	execs := map[uint64]int{}
@@ -155,8 +155,6 @@ func startChurn(t *testing.T, s *stack, restarts *atomic.Int64, stayHealthy bool
 				if issued, got := restarts.Load(), s.daemon.Restarts(); got < issued {
 					t.Errorf("Restarts() = %d behind the %d restarts issued", got, issued)
 				}
-			case 4:
-				s.daemon.ExportJournal()
 			}
 			runtime.Gosched()
 		}
@@ -175,10 +173,9 @@ func startChurn(t *testing.T, s *stack, restarts *atomic.Int64, stayHealthy bool
 
 // The fault-only state (the daemon's crash latch, pending crash and restart
 // epoch, the lib's dead latch) is atomic words read and written outside the
-// exchange lock: remoted calls racing a goroutine that crashes, restarts,
-// reads the latches and exports the journal must still execute every
-// command at most once, every successful one exactly once, and count each
-// restart once.
+// exchange lock: remoted calls racing a goroutine that crashes, restarts
+// and reads the latches must still execute every command at most once,
+// every successful one exactly once, and count each restart once.
 func TestFaultStateChurnDuringCalls(t *testing.T) {
 	s := newStack(t)
 	var restarts atomic.Int64

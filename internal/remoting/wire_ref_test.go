@@ -294,60 +294,6 @@ func refUnmarshalBatchInto(bt *Batch, frame []byte) error {
 	return nil
 }
 
-// refUnmarshalHandoff decodes a wire frame produced by MarshalHandoff,
-// verifying the CRC trailer and exact framing like refDecodeCommandInto: a
-// flipped bit anywhere is rejected, never merged into a journal.
-func refUnmarshalHandoff(frame []byte) (*Handoff, error) {
-	body, err := refOpenFrame(frame)
-	if err != nil {
-		return nil, err
-	}
-	r := refReader{buf: body}
-	if m, err := r.u8(); err != nil || m != handoffMagic {
-		return nil, ErrShortFrame
-	}
-	h := new(Handoff)
-	if h.SrcShard, err = r.u32(); err != nil {
-		return nil, err
-	}
-	if h.DstShard, err = r.u32(); err != nil {
-		return nil, err
-	}
-	count, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	if count > maxHandoffEntries {
-		return nil, ErrShortFrame
-	}
-	for i := uint32(0); i < count; i++ {
-		var e JournalEntry
-		if e.Seq, err = r.u64(); err != nil {
-			return nil, err
-		}
-		flen, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		if flen > maxBlob {
-			return nil, ErrShortFrame
-		}
-		if err := r.need(int(flen)); err != nil {
-			return nil, err
-		}
-		if flen > 0 {
-			e.Frame = make([]byte, flen)
-			copy(e.Frame, r.buf[r.pos:])
-			r.pos += int(flen)
-		}
-		h.Entries = append(h.Entries, e)
-	}
-	if r.pos != len(body) {
-		return nil, ErrShortFrame
-	}
-	return h, nil
-}
-
 // FuzzWireDifferential runs every frame decoder and PeekFrame against its
 // reference above on the same bytes, once raw and once resealed with a
 // valid CRC trailer so that mutated bodies get past openFrame. Both must
@@ -362,18 +308,20 @@ func FuzzWireDifferential(f *testing.F) {
 	resp, _ := AppendResponse(nil, &Response{Seq: 1, Result: -2, Vals: []uint64{3}, Blob: []byte{4}})
 	bt, _ := AppendBatch(nil, &Batch{Entries: []BatchEntry{
 		{Seq: 1, OutOff: 128, Count: 4, TraceID: 5}, {Seq: 2, InOff: 64, Count: 1}}})
-	h, _ := MarshalHandoff(&Handoff{SrcShard: 1, DstShard: 2,
-		Entries: []JournalEntry{{Seq: 7, Frame: resp}, {Seq: 9}}})
-	for _, frame := range [][]byte{cmd, traced, resp, h} {
+	for _, frame := range [][]byte{cmd, traced, resp} {
 		f.Add(frame)
 		f.Add(frame[:len(frame)-crcLen]) // the body, which resealing restores
 	}
-	for _, seed := range [][]byte{bt, nil, {cmdMagic}, {respMagic}, {handoffMagic}} {
+	for _, seed := range [][]byte{bt, nil, {cmdMagic}, {respMagic}} {
 		f.Add(seed)
 	}
-	// The retired 0xC1/0xB7 magics over the current layouts.
+	// The retired 0xC1/0xB7/0xD7 magics over the current layouts (0xD7 led
+	// the deleted shard handoff frame).
 	f.Add(append([]byte{0xC1}, cmd[1:len(cmd)-crcLen]...))
 	f.Add(append([]byte{0xB7}, bt[1:]...))
+	f.Add([]byte{0xD7})
+	f.Add(append([]byte{0xD7}, resp[1:len(resp)-crcLen]...))
+	f.Add(append([]byte{0xD7}, bt[1:]...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var c1, c2 Command
 		var r1, r2 Response
@@ -392,9 +340,6 @@ func FuzzWireDifferential(f *testing.F) {
 			agree("command", in, DecodeCommandInto(&c1, n1, in), refDecodeCommandInto(&c2, n2, in), &c1, &c2)
 			agree("response", in, DecodeResponseInto(&r1, in), refDecodeResponseInto(&r2, in), &r1, &r2)
 			agree("batch", in, UnmarshalBatchInto(&b1, in), refUnmarshalBatchInto(&b2, in), &b1, &b2)
-			h1, err1 := UnmarshalHandoff(in)
-			h2, err2 := refUnmarshalHandoff(in)
-			agree("handoff", in, err1, err2, h1, h2)
 			fi1, ok1 := PeekFrame(in)
 			fi2, ok2 := refPeekFrame(in)
 			if fi1 != fi2 || ok1 != ok2 {

@@ -203,7 +203,7 @@ func DefaultAdaptiveConfig() AdaptiveConfig { return policy.DefaultAdaptiveConfi
 
 // Sharded multi-daemon fleet (internal/fleet): N independent lakeD
 // runtimes behind a client-side router with sticky tenant placement,
-// layered admission, and drain/kill journal migration. Boot one with
+// layered admission, and drain/kill shard retirement. Boot one with
 // NewFleet; Config.NumShards, Config.RouterPolicy and Config.RouterSeed
 // parameterize it (New ignores them — a single runtime is one shard).
 type (
@@ -219,8 +219,7 @@ type (
 	FleetPending = fleet.Pending
 )
 
-// ShardDead is the state of a fleet shard that was migrated away and is
-// gone.
+// ShardDead is the state of a fleet shard that was drained or killed.
 const ShardDead = fleet.Dead
 
 // NewFleet boots cfg.Runtime.NumShards independent lakeD runtimes — one

@@ -27,9 +27,11 @@ var wallStampFiles = map[string]bool{
 
 // TestNoGoroutineOneWallTimer pins that everything under internal/ runs on
 // its callers' goroutines and the virtual clock: no non-test file starts a
-// goroutine, only the batcher's linger arms a wall timer, and only the
-// stamp sites above read the wall clock. A goroutine or a wall read
-// elsewhere would make an outcome depend on the schedule.
+// goroutine or yields in a busy-wait (runtime.Gosched), only the batcher's
+// linger arms a wall timer, and only the stamp sites above read the wall
+// clock. A goroutine, a spin or a wall read elsewhere would make an outcome
+// depend on the schedule; a spin that waits for other goroutines livelocks
+// when its own caller is the one it waits for.
 func TestNoGoroutineOneWallTimer(t *testing.T) {
 	files, err := parseModule(".")
 	if err != nil {
@@ -51,6 +53,12 @@ func TestNoGoroutineOneWallTimer(t *testing.T) {
 			"internal/a/a_test.go": "package a\n\nfunc g() { go g() }\n",
 			"cmd/b/b.go":           "package main\n\nfunc main() { go main() }\n",
 		}, []string{"internal/a/a.go:4: go statement"}},
+		{"gosched", map[string]string{
+			"internal/a/a.go":      "package a\n\nimport rt \"runtime\"\n\nfunc f(n *int) {\n\tfor *n > 0 {\n\t\trt.Gosched()\n\t}\n}\n",
+			"internal/a/a_test.go": "package a\n\nimport \"runtime\"\n\nfunc g() { runtime.Gosched() }\n",
+			"cmd/b/b.go":           "package main\n\nimport \"runtime\"\n\nfunc main() { runtime.Gosched() }\n",
+			"internal/c/c.go":      "package c\n\nimport \"runtime\"\n\nfunc f() int { return runtime.NumCPU() }\n",
+		}, []string{"internal/a/a.go:7: busy-wait rt.Gosched"}},
 		{"timer", map[string]string{
 			"internal/a/a.go":           "package a\n\nimport clock \"time\"\n\nvar t = clock.NewTicker(1)\n\nfunc f() { clock.Sleep(1); <-clock.After(1) }\n",
 			"internal/batcher/flush.go": "package batcher\n\nimport \"time\"\n\nvar t = time.NewTimer(1)\n",
@@ -83,24 +91,29 @@ func TestNoGoroutineOneWallTimer(t *testing.T) {
 	}
 }
 
-// wallClockUses returns, as "file:line: what", every go statement in a
-// non-test file under internal/, every wall timer outside wallTimerFiles and
-// every wall clock read outside wallStampFiles. A time function counts
-// where a selector on the file's name for the "time" import names it,
-// called or not.
+// wallClockUses returns, as "file:line: what", every go statement and
+// runtime.Gosched in a non-test file under internal/, every wall timer
+// outside wallTimerFiles and every wall clock read outside wallStampFiles.
+// A time or runtime function counts where a selector on the file's name
+// for that import names it, called or not.
 func wallClockUses(files []moduleFile) []string {
 	var out []string
 	for _, f := range files {
 		if f.test || !strings.HasPrefix(f.dir, "internal/") {
 			continue
 		}
-		timePkg := ""
+		timePkg, runtimePkg := "", ""
 		for _, imp := range f.ast.Imports {
-			if path, _ := strconv.Unquote(imp.Path.Value); path == "time" {
-				timePkg = "time"
-				if imp.Name != nil {
-					timePkg = imp.Name.Name
-				}
+			path, _ := strconv.Unquote(imp.Path.Value)
+			name := path
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			switch path {
+			case "time":
+				timePkg = name
+			case "runtime":
+				runtimePkg = name
 			}
 		}
 		report := func(n ast.Node, what string) {
@@ -112,10 +125,16 @@ func wallClockUses(files []moduleFile) []string {
 				report(n, "go statement")
 			case *ast.SelectorExpr:
 				pkg, ok := n.X.(*ast.Ident)
-				if !ok || timePkg == "" || pkg.Name != timePkg {
+				if !ok {
 					break
 				}
 				name := pkg.Name + "." + n.Sel.Name
+				if runtimePkg != "" && pkg.Name == runtimePkg && n.Sel.Name == "Gosched" {
+					report(n, "busy-wait "+name)
+				}
+				if timePkg == "" || pkg.Name != timePkg {
+					break
+				}
 				switch n.Sel.Name {
 				case "NewTimer", "After", "AfterFunc", "Sleep", "Tick", "NewTicker":
 					if !wallTimerFiles[f.path] {
